@@ -1,11 +1,11 @@
-"""Semantic candidate-set cache — SSB replay under churn vs the plan memo.
+"""Semantic candidate-set cache — SSB replay under churn vs the cold walk.
 
 As a pytest benchmark this replays the 13 SSB query templates for several
-rounds with INSERT/DELETE/UPDATE churn between rounds, through four engines
-({legacy plan memo, semantic candidate cache} x {packed, bool backend}),
-gating bit-exact rows everywhere, cached decisions identical to a cold
-zone-map walk every round, and a >= 5x reduction of the zone-map entries
-consulted on the cached replay rounds.  It writes the ``BENCH_pcache.json``
+rounds with INSERT/DELETE/UPDATE churn between rounds, through one engine
+per simulation backend, gating bit-exact rows across the backends, cached
+decisions identical to a cold zone-map walk every round, and a >= 5x
+reduction of the zone-map entries billed on the cached replay rounds
+against what that cold walk consults.  It writes the ``BENCH_pcache.json``
 trajectory artifact at the repository root and is also runnable as a plain
 script for CI::
 
@@ -31,8 +31,7 @@ def test_predicate_cache(benchmark, publish):
     assert results.bit_exact
     assert results.masks_identical
     # Acceptance gate: the cached replay consults >= 5x fewer zone-map
-    # entries than the wholesale-invalidated memo re-walks for the same
-    # rounds.  The measured margin is well above the gate — investigate a
+    # entries than the uncached cold walk for the same rounds.  The measured margin is well above the gate — investigate a
     # regression, don't lower it.
     assert results.min_entry_reduction() >= MIN_ENTRY_REDUCTION
 
@@ -69,7 +68,7 @@ def main(argv=None) -> int:
     predicate_cache.write_artifact(results, args.artifact)
     print(f"wrote {args.artifact}")
     if not results.bit_exact:
-        print("FAIL: cached execution diverged (modes or backends disagree)")
+        print("FAIL: cached execution diverged (backends disagree)")
         return 1
     if not results.masks_identical:
         print("FAIL: a cached decision differed from the cold zone-map walk")

@@ -48,54 +48,24 @@ def default_backend() -> str:
 
 
 #: Program-execution strategies of the functional simulation.  ``"batched"``
-#: additionally fuses all per-subgroup group-mask programs of a partition
-#: into one multi-output DAG evaluated in a single pass (see
-#: :func:`repro.pim.ir.lower_program_batch`); ``"fused"`` lowers each
-#: compiled NOR program to an optimized DAG and evaluates it as whole-array
-#: NumPy expressions (see :mod:`repro.pim.fused`); ``"dispatch"`` is the
-#: op-by-op reference interpreter.  All three are bit-exact on the output
-#: columns and charge identical modelled statistics.
-EXECUTIONS = ("batched", "fused", "dispatch")
+#: is the production path: single programs run as fused NOR-DAG kernels (see
+#: :mod:`repro.pim.fused`) and all per-subgroup group-mask programs of a
+#: partition run as one multi-output DAG (see
+#: :func:`repro.pim.ir.lower_program_batch`).  ``"dispatch"`` is the
+#: reference: the op-by-op interpreter and the per-subgroup pim-gb loop.
+#: Both are bit-exact on the output columns and charge identical modelled
+#: statistics.
+EXECUTIONS = ("batched", "dispatch")
 
 
-def validate_execution(execution: str, source: str = "execution=") -> str:
-    """Validate an execution-strategy name, naming the ``source``."""
+def validate_execution(execution: str) -> str:
+    """Validate an execution-strategy name."""
     if execution not in EXECUTIONS:
         raise ValueError(
-            f"{source}{execution!r} is not an execution strategy; "
+            f"execution={execution!r} is not an execution strategy; "
             f"choose from {EXECUTIONS}"
         )
     return execution
-
-
-def default_execution() -> str:
-    """The program-execution strategy, overridable via ``REPRO_EXECUTION``."""
-    execution = os.environ.get("REPRO_EXECUTION", "batched")
-    return validate_execution(execution, source="REPRO_EXECUTION=")
-
-
-#: DML execution strategies.  ``"pruned"`` compiles the statement's predicate
-#: once, consults the relation's zone maps/candidate cache and runs the
-#: filter/clear/mux programs only on the candidate crossbars (with a
-#: provably-empty early exit); ``"broadcast"`` is the reference that runs
-#: every DML program on every crossbar.  Both tombstone/patch the exact same
-#: rows; only the modelled cost differs.
-DML_MODES = ("pruned", "broadcast")
-
-
-def validate_dml_mode(mode: str, source: str = "dml=") -> str:
-    """Validate a DML-mode name, naming the ``source``."""
-    if mode not in DML_MODES:
-        raise ValueError(
-            f"{source}{mode!r} is not a DML mode; choose from {DML_MODES}"
-        )
-    return mode
-
-
-def default_dml_mode() -> str:
-    """The DML execution strategy, overridable via ``REPRO_DML``."""
-    mode = os.environ.get("REPRO_DML", "pruned")
-    return validate_dml_mode(mode, source="REPRO_DML=")
 
 
 #: ``REPRO_TRACE`` values that keep tracing off.
@@ -287,11 +257,11 @@ class SystemConfig:
     #: under this configuration.  Purely a simulator-speed knob: both
     #: backends are bit-exact and charge identical modelled statistics.
     backend: str = field(default_factory=default_backend)
-    #: Program-execution strategy: batched multi-output kernels, fused DAG
-    #: kernels, or op-by-op dispatch.  Like ``backend`` this is purely a
-    #: simulator-speed knob — all strategies are bit-exact and charge
-    #: identical modelled statistics.
-    execution: str = field(default_factory=default_execution)
+    #: Program-execution strategy: fused + batched kernels (production) or
+    #: op-by-op dispatch (reference).  Like ``backend`` this is purely a
+    #: simulator-speed knob — both are bit-exact and charge identical
+    #: modelled statistics.
+    execution: str = "batched"
     #: Span tracing (see :mod:`repro.obs.trace`): engines and services built
     #: under a tracing configuration record hierarchical spans with exact
     #: ``PimStats`` charge attribution.  Off by default — the disabled path

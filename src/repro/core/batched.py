@@ -45,7 +45,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.sampling import GroupKey
-from repro.core.stages import apply_program, apply_program_pruned, candidate_rows
+from repro.core.stages import (
+    apply_program,
+    apply_program_pruned,
+    build_clear_program,
+    build_fold_program,
+    candidate_rows,
+)
 from repro.db.query import Query
 from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
@@ -53,7 +59,7 @@ from repro.pim.arithmetic import aggregate_reference
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch
 from repro.pim.ir import lower_program_batch
-from repro.pim.logic import Program, ProgramBuilder
+from repro.pim.logic import Program
 
 
 @lru_cache(maxsize=256)
@@ -68,11 +74,6 @@ def _compile_group_batch(
     without re-lowering, while fresh program objects recompile.
     """
     return compile_batch(lower_program_batch(programs, private_columns))
-
-
-def batch_kernel_cache_info():
-    """Cache statistics of the batch-kernel compiler (for benchmarks)."""
-    return _compile_group_batch.cache_info()
 
 
 def _candidate_idx(prune, partition: int) -> np.ndarray | None:
@@ -130,48 +131,6 @@ def _run_partition_batch(
             full[xbars] = rows_bool
         results.append(full.reshape(-1)[:num_records])
     return results
-
-
-def _build_fold_programs(layout, remote_count: int) -> list[tuple[Program, int]]:
-    """The per-position remote-fold programs of the reference path.
-
-    With two or more remote partitions every transfer lands in the same
-    remote column, so the running product is parked in the group column
-    and folded back after the last transfer (see
-    :meth:`~repro.core.stages.GroupMaskStage.prepare`).  The programs are
-    identical for every subgroup, so they are built once per query.
-    """
-    folds: list[tuple[Program, int]] = []
-    if remote_count <= 1:
-        return folds
-    for position in range(remote_count):
-        if position == 0:
-            operands = [layout.remote_column]
-        else:
-            operands = [layout.group_column, layout.remote_column]
-        destination = (
-            layout.remote_column
-            if position == remote_count - 1
-            else layout.group_column
-        )
-        builder = ProgramBuilder(layout.scratch_columns)
-        if len(operands) == 1:
-            folded = builder.copy(operands[0])
-        else:
-            folded = builder.and_(operands[0], operands[1])
-        builder.store(folded, destination)
-        builder.free(folded)
-        folds.append((builder.build(result_column=destination), destination))
-    return folds
-
-
-def _build_clear_program(layout) -> Program:
-    """The subgroup-clear program (filter &= ~group), built once."""
-    builder = ProgramBuilder(layout.scratch_columns)
-    remaining = builder.and_not(layout.filter_column, layout.group_column)
-    builder.store(remaining, layout.filter_column)
-    builder.free(remaining)
-    return builder.build(result_column=layout.filter_column)
 
 
 def run_group_by_batched(
@@ -288,8 +247,13 @@ def run_group_by_batched(
     else:
         present_keys = set()
 
-    fold_programs = _build_fold_programs(primary_layout, len(remote_partitions))
-    clear_program = _build_clear_program(primary_layout)
+    # Identical for every subgroup, so built once per query.
+    remote_count = len(remote_partitions)
+    fold_programs = [
+        build_fold_program(primary_layout, position, remote_count)
+        for position in range(remote_count)
+    ] if remote_count > 1 else []
+    clear_program = build_clear_program(primary_layout)
     accumulator_width = primary_layout.accumulator_width
     min_identity = engine.aggregation_stage.min_identity(primary)
     primary_candidates = prune.candidates[primary] if prune is not None else None
@@ -336,7 +300,7 @@ def run_group_by_batched(
             )
             running = transferred if running is None else running & transferred
             if fold_programs:
-                fold_program, destination = fold_programs[position]
+                fold_program = fold_programs[position]
                 fold_bits = running
                 if prune is not None:
                     fold_bits = fold_bits & candidate_rows(
@@ -344,7 +308,10 @@ def run_group_by_batched(
                     )
                 # The final fold into the remote column stays a broadcast
                 # in the reference; only group-column folds run pruned.
-                if prune is not None and destination == primary_layout.group_column:
+                if (
+                    prune is not None
+                    and fold_program.result_column == primary_layout.group_column
+                ):
                     replay_apply(primary, fold_program, fold_bits)
                 else:
                     apply_program(

@@ -32,8 +32,6 @@ counters and identical statistics; ``tests/test_aggregate_edge_cases.py`` and
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.config import SystemConfig
@@ -248,6 +246,42 @@ def _check_pruned_bits(
             "zone maps pruned a crossbar holding matching rows; the "
             "conservative-maintenance invariant was violated"
         )
+
+
+def build_fold_program(layout: RowLayout, position: int, remote_count: int) -> Program:
+    """The pim-gb program folding remote transfer ``position`` of ``remote_count``.
+
+    With two or more remote partitions every transfer lands in the same
+    remote column, so the running product of the earlier bit-vectors is
+    parked in the group column and folded back after the last transfer:
+    the first transfer is copied out of the remote column, later ones are
+    ANDed with the parked product, and the last fold lands back in the
+    remote column, where the combine program reads it.  The destination is
+    the program's ``result_column``.  The per-subgroup loop and the batched
+    charging replay both build their fold programs here, so they cannot
+    disagree on what they charge.
+    """
+    destination = (
+        layout.remote_column if position == remote_count - 1
+        else layout.group_column
+    )
+    builder = ProgramBuilder(layout.scratch_columns)
+    if position == 0:
+        folded = builder.copy(layout.remote_column)
+    else:
+        folded = builder.and_(layout.group_column, layout.remote_column)
+    builder.store(folded, destination)
+    builder.free(folded)
+    return builder.build(result_column=destination)
+
+
+def build_clear_program(layout: RowLayout) -> Program:
+    """The pim-gb subgroup-clear program (``filter &= ~group``)."""
+    builder = ProgramBuilder(layout.scratch_columns)
+    remaining = builder.and_not(layout.filter_column, layout.group_column)
+    builder.store(remaining, layout.filter_column)
+    builder.free(remaining)
+    return builder.build(result_column=layout.filter_column)
 
 
 class _Stage:
@@ -480,21 +514,9 @@ class GroupMaskStage(_Stage):
                 transferred if remote_bits is None else remote_bits & transferred
             )
             if len(remote_parts) > 1:
-                if position == 0:
-                    # Park the first bit-vector before the next transfer
-                    # overwrites the remote column.
-                    operands = [primary_layout.remote_column]
-                else:
-                    operands = [
-                        primary_layout.group_column, primary_layout.remote_column
-                    ]
-                destination = (
-                    primary_layout.remote_column      # combine reads it here
-                    if position == len(remote_parts) - 1
-                    else primary_layout.group_column  # running product parks here
-                )
                 self._fold_remote(
-                    primary, executor, operands, destination,
+                    primary, executor,
+                    build_fold_program(primary_layout, position, len(remote_parts)),
                     result_bits=remote_bits,
                     prune=prune,
                 )
@@ -524,16 +546,13 @@ class GroupMaskStage(_Stage):
         self,
         primary: int,
         executor: PimExecutor,
-        operands: Sequence[int],
-        destination: int,
+        program: Program,
         result_bits: np.ndarray | None,
         prune=None,
     ) -> None:
-        """Accumulate remote bit-vectors when more than one partition ships one.
+        """Apply one :func:`build_fold_program` step on the primary partition.
 
-        Copies (one operand) or ANDs (two operands) the given bit columns
-        into ``destination``; ``result_bits`` carries the expected result for
-        the vectorized mode.
+        ``result_bits`` carries the expected result for the vectorized mode.
 
         Under pruning the running product parked in the group column is only
         maintained on the primary partition's candidate crossbars (it is
@@ -543,20 +562,12 @@ class GroupMaskStage(_Stage):
         so its result is the candidate-masked product in both modes.
         """
         layout = self.stored.layouts[primary]
-        builder = ProgramBuilder(layout.scratch_columns)
-        if len(operands) == 1:
-            folded = builder.copy(operands[0])
-        else:
-            folded = builder.and_(operands[0], operands[1])
-        builder.store(folded, destination)
-        builder.free(folded)
-        program = builder.build(result_column=destination)
         bits = result_bits if self.vectorized else None
         if bits is not None and prune is not None:
             bits = bits & candidate_rows(
                 self.stored, primary, prune.candidates[primary]
             )
-        if prune is not None and destination == layout.group_column:
+        if prune is not None and program.result_column == layout.group_column:
             self._apply_pruned(
                 program, primary, executor, phase="pim-gb-filter",
                 candidates=prune.candidates[primary], result_bits=bits,
@@ -580,11 +591,7 @@ class GroupMaskStage(_Stage):
         ones at all — the others were pruned to zero by the filter stage.
         """
         layout = self.stored.layouts[primary]
-        builder = ProgramBuilder(layout.scratch_columns)
-        remaining = builder.and_not(layout.filter_column, layout.group_column)
-        builder.store(remaining, layout.filter_column)
-        builder.free(remaining)
-        program = builder.build(result_column=layout.filter_column)
+        program = build_clear_program(layout)
         bits: np.ndarray | None = None
         if self.vectorized:
             bits = self.stored.column_bit(primary, layout.filter_column) & ~self.stored.column_bit(primary, layout.group_column)

@@ -41,7 +41,6 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.config import default_dml_mode
 from repro.core.stages import (
     ProgramCompiler,
     apply_program,
@@ -170,7 +169,7 @@ def execute_delete(
     compiled: CompiledDelete | None = None,
     vectorized: bool = False,
     timing_scale: float = 1.0,
-    pruned: bool | None = None,
+    pruned: bool = True,
 ) -> DeleteResult:
     """Tombstone the records selected by ``predicate`` — in memory.
 
@@ -184,10 +183,10 @@ def execute_delete(
     identical stored bits, wear and statistics (the same contract as the
     query stages).
 
-    ``pruned`` (default: the ``REPRO_DML`` mode) consults the relation's
-    zone maps exactly like the query engine — plan billed through the
-    candidate cache, ``zonemap-check`` charged — and runs the filter and
-    valid-clear programs only on the candidate crossbars.  A skipped
+    ``pruned`` (the default) consults the relation's zone maps exactly like
+    the query engine — plan billed through the candidate cache,
+    ``zonemap-check`` charged — and runs the filter and valid-clear
+    programs only on the candidate crossbars.  A skipped
     crossbar provably holds no doomed row, so its valid column is already
     the AND's result (the clears run preserve-skipped); a provably-empty
     decision skips the broadcast outright.  The tombstoned rows are
@@ -197,8 +196,6 @@ def execute_delete(
         compiled = compile_delete(stored, predicate)
     elif compiled.predicate != predicate:
         raise ValueError("compiled delete does not match the given predicate")
-    if pruned is None:
-        pruned = default_dml_mode() == "pruned"
     primary = compiled.partition
     allocation = stored.allocations[primary]
     pages = allocation.pages * timing_scale

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import default_dml_mode
 from repro.core.stages import apply_program_pruned
 from repro.db.compiler import CompilationError, compile_predicate
 from repro.db.query import Predicate, evaluate_predicate
@@ -111,7 +110,7 @@ def execute_update(
     assignments: dict[str, object],
     executor: PimExecutor,
     compiled: CompiledUpdate | None = None,
-    pruned: bool | None = None,
+    pruned: bool = True,
 ) -> UpdateResult:
     """Update ``assignments`` on the records selected by ``predicate``.
 
@@ -122,9 +121,9 @@ def execute_update(
     compiled for ``predicate``/``assignments`` against this relation's
     layout.
 
-    ``pruned`` (default: the ``REPRO_DML`` mode) consults the relation's
-    zone maps like the query engine and runs the filter and Algorithm 1 mux
-    only on the candidate crossbars — on a skipped crossbar no live row can
+    ``pruned`` (the default) consults the relation's zone maps like the
+    query engine and runs the filter and Algorithm 1 mux only on the
+    candidate crossbars — on a skipped crossbar no live row can
     match, so the mux would overwrite every field with its own value.  A
     provably-empty decision skips the statement outright.  The patched rows
     are bit-exact with the broadcast mode either way.
@@ -139,8 +138,6 @@ def execute_update(
         raise ValueError(
             "compiled update does not match the given predicate/assignments"
         )
-    if pruned is None:
-        pruned = default_dml_mode() == "pruned"
     allocation = stored.allocations[compiled.partition]
 
     candidates = None

@@ -352,7 +352,7 @@ def run_backend_speed(
     prejoined = build_ssb_prejoined(dataset.database)
     # The bool-vs-packed comparison isolates the data-*representation*
     # speedup, so both backends run the per-operation dispatch strategy the
-    # packed backend was introduced against (PR 3): under the fused default
+    # packed backend was introduced against (PR 3): under the batched default
     # both backends collapse into a handful of whole-array expressions and
     # the per-op overhead this section exists to compare disappears.  The
     # fused-vs-dispatch strategy speedup is measured by the fused-replay

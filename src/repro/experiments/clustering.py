@@ -54,7 +54,7 @@ from repro.experiments import emit
 from repro.experiments.common import default_scale_factor
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
+from repro.planner.planner import cold_walk
 from repro.ssb import build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
@@ -249,21 +249,15 @@ def _fingerprint(execution) -> dict:
 def _cold_entries(engine: PimQueryEngine, query: Query) -> int:
     """Zone-map entries a cache-free cold walk checks for one predicate.
 
-    A fresh :class:`RelationStatistics` over the engine's *maintained* zone
-    maps, with the semantic cache disabled, bills the full two-level walk —
-    decoupling the entry count from the engine's cache state.
+    :func:`~repro.planner.planner.cold_walk` over the engine's *maintained*
+    zone maps bills the full two-level walk — decoupling the entry count
+    from the engine's cache state.
     """
     stored = engine.stored
-    cold = RelationStatistics(
-        stored.statistics.zonemaps,
-        stored.statistics.selectivity,
-        semantic_cache=False,
-    )
-    decision = cold.plan(
-        query.predicate, stored.partition_attributes,
+    return cold_walk(
+        stored.statistics, query.predicate, stored.partition_attributes,
         engine.config.pim.crossbars_per_page,
-    )
-    return decision.entries_checked
+    ).entries_checked
 
 
 def _measure_phase(

@@ -1,24 +1,24 @@
-"""SSB template replay under DML churn — semantic candidate cache vs plan memo.
+"""SSB template replay under DML churn — semantic candidate cache vs cold walk.
 
 The semantic candidate-set cache's acceptance story: a serving workload
 replays the 13 SSB query templates round after round while the relation
 churns underneath (tombstoning DELETEs, slot-reusing INSERTs, Algorithm 1
-UPDATEs).  The PR 5 planner memo is wholesale-invalidated by *every*
-maintenance event, so each replay round pays the full zone-map walk again;
-the semantic cache keyed on normalized predicate fragments re-validates only
-the crossbars whose epochs the DML actually bumped — and a DELETE bumps
-none.
+UPDATEs).  Without the cache every request pays the full two-level
+zone-map walk; the cache keyed on normalized predicate fragments
+re-validates only the crossbars whose epochs the DML actually bumped — and
+a DELETE bumps none.
 
-The experiment runs the same deterministic workload through four engines —
-{legacy memo, semantic cache} x {packed, bool backend} — over identical
-copies of the generated pre-joined relation and gates on:
+The experiment runs the same deterministic workload through one engine per
+simulation backend over identical copies of the generated pre-joined
+relation.  After every round each template is also planned by the uncached
+reference :func:`~repro.planner.planner.cold_walk` over the same maintained
+zone maps, and the run gates on:
 
-* **bit-exact rows** — every query, every round, legacy vs semantic and
-  packed vs bool;
-* **identical masks** — each round the semantic engine's cached decisions
-  are compared against a cold full walk over the same maintained zone maps;
-* **>= 5x fewer zone-map entries** consulted on the cached replay rounds
-  than the legacy memo bills for the same rounds.
+* **bit-exact rows** — every query, every round, packed vs bool;
+* **identical masks** — each round the engine's cached decisions equal the
+  cold walk's;
+* **>= 5x fewer zone-map entries** billed on the cached replay rounds than
+  the cold walk consults for the same rounds.
 
 ``render`` produces the human-readable report and ``artifact`` the
 ``BENCH_pcache.json`` trajectory record consumed by CI.
@@ -42,13 +42,12 @@ from repro.experiments import emit
 from repro.experiments.common import default_scale_factor
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
+from repro.planner.planner import cold_walk
 from repro.planner.zonemap import CHECK_CYCLES
 from repro.ssb import ALL_QUERIES, QUERY_ORDER, build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
 BACKENDS = ("packed", "bool")
-MODES = ("legacy", "semantic")
 
 #: Replay rounds after the cold first round; DML runs before each of them.
 DEFAULT_ROUNDS = 4
@@ -58,7 +57,7 @@ DEFAULT_ROUNDS = 4
 #: exploits.  The DELETE is deliberately *large* — it never bumps an epoch.
 DEFAULT_INSERTS_PER_ROUND = 8
 
-#: The acceptance gate on replay rounds (legacy entries / semantic entries).
+#: The acceptance gate on replay rounds (cold-walk entries / billed entries).
 MIN_ENTRY_REDUCTION = 5.0
 
 
@@ -67,8 +66,8 @@ def _generate_workload(
 ) -> list[dict]:
     """One concrete op list per replay round, replayed verbatim everywhere.
 
-    All ops are pure data (encoded records, predicates), so the four engines
-    see byte-identical DML.
+    All ops are pure data (encoded records, predicates), so the engines see
+    byte-identical DML.
     """
     rng = np.random.default_rng(seed)
     names = [a.name for a in relation.schema.attributes]
@@ -105,18 +104,23 @@ def _generate_workload(
 
 @dataclass
 class EngineReplayRun:
-    """One (backend, mode) engine's trip through the replay workload."""
+    """One backend's trip through the replay workload."""
 
     backend: str
-    mode: str
     wall_s: float
     #: Zone-map entries billed to the queries of each round (round 0 is the
     #: cold round; DML precedes every later round).
-    round_entries: list[float] = field(default_factory=list)
+    round_entries: list[float]
+    #: Entries the uncached cold walk consults for the same templates, taken
+    #: at the end of each round — the cache-free baseline.
+    round_cold_walk_entries: list[int]
     #: Per-round, per-query result rows (encoded), for cross-run comparison.
-    round_rows: list[list[dict]] = field(default_factory=list)
-    #: Candidate-cache counters at the end of the run (semantic mode only).
-    cache: dict | None = None
+    round_rows: list[list[dict]]
+    #: Every round's cached/re-validated decisions matched a cold full walk
+    #: over the same maintained zone maps.
+    masks_identical: bool
+    #: Candidate-cache counters at the end of the run.
+    cache: dict
 
     @property
     def cold_entries(self) -> float:
@@ -126,6 +130,18 @@ class EngineReplayRun:
     def replay_entries(self) -> float:
         """Entries billed across the cached replay rounds (all but round 0)."""
         return float(sum(self.round_entries[1:]))
+
+    @property
+    def replay_cold_walk_entries(self) -> int:
+        """Entries the cold walk consults across the same replay rounds."""
+        return sum(self.round_cold_walk_entries[1:])
+
+    @property
+    def entry_reduction(self) -> float:
+        """Replay-round entry ratio, cold walk over cached billing."""
+        if self.replay_entries <= 0:
+            return float("inf") if self.replay_cold_walk_entries > 0 else 1.0
+        return self.replay_cold_walk_entries / self.replay_entries
 
 
 @dataclass
@@ -137,48 +153,19 @@ class PredicateCacheResults:
     inserts_per_round: int
     queries: list[str]
     runs: list[EngineReplayRun] = field(default_factory=list)
-    #: Every cached/re-validated semantic decision matched a cold full walk
-    #: over the same maintained zone maps.
-    masks_identical: bool = True
-
-    def run(self, backend: str, mode: str) -> EngineReplayRun:
-        for candidate in self.runs:
-            if candidate.backend == backend and candidate.mode == mode:
-                return candidate
-        raise KeyError(f"no run for {backend}/{mode}")
 
     @property
-    def modes_agree(self) -> bool:
-        """Legacy and semantic rows identical on every backend."""
-        return all(
-            self.run(b, "legacy").round_rows == self.run(b, "semantic").round_rows
-            for b in BACKENDS
-        )
-
-    @property
-    def backends_agree(self) -> bool:
-        """Rows identical across the simulation backends."""
-        reference = BACKENDS[0]
-        return all(
-            self.run(b, mode).round_rows == self.run(reference, mode).round_rows
-            for b in BACKENDS[1:]
-            for mode in MODES
-        )
+    def masks_identical(self) -> bool:
+        return all(run.masks_identical for run in self.runs)
 
     @property
     def bit_exact(self) -> bool:
-        return self.modes_agree and self.backends_agree
-
-    def entry_reduction(self, backend: str) -> float:
-        """Replay-round entry ratio, legacy memo over semantic cache."""
-        legacy = self.run(backend, "legacy").replay_entries
-        semantic = self.run(backend, "semantic").replay_entries
-        if semantic <= 0:
-            return float("inf") if legacy > 0 else 1.0
-        return legacy / semantic
+        """Rows identical across the simulation backends."""
+        reference = self.runs[0].round_rows
+        return all(run.round_rows == reference for run in self.runs[1:])
 
     def min_entry_reduction(self) -> float:
-        return min(self.entry_reduction(b) for b in BACKENDS)
+        return min(run.entry_reduction for run in self.runs)
 
 
 def _copy_relation(relation: Relation) -> Relation:
@@ -190,19 +177,17 @@ def _copy_relation(relation: Relation) -> Relation:
 
 
 def _build_engine(
-    relation: Relation, backend: str, mode: str, aggregation_width: int
+    relation: Relation, backend: str, aggregation_width: int
 ) -> PimQueryEngine:
     system = DEFAULT_CONFIG.with_backend(backend)
     module = PimModule(system)
     stored = StoredRelation(
-        relation, module, label=f"{mode}-{backend}",
+        relation, module, label=backend,
         aggregation_width=aggregation_width,
         reserve_bulk_aggregation=False,
     )
-    stored.statistics.semantic_cache = mode == "semantic"
     return PimQueryEngine(
-        stored, config=system, label=f"{mode}-{backend}",
-        vectorized=True, pruning=True,
+        stored, config=system, label=backend, vectorized=True, pruning=True,
     )
 
 
@@ -212,34 +197,37 @@ def _entries_billed(execution, engine: PimQueryEngine) -> float:
     return seconds * engine.config.host.frequency_hz / CHECK_CYCLES
 
 
-def _masks_match_cold_walk(engine: PimQueryEngine, queries: list[str]) -> bool:
-    """Compare the engine's cached decisions against a cold full walk.
+def _cold_walk_round(engine: PimQueryEngine, queries: list[str]) -> tuple[bool, int]:
+    """Walk every template cold: ``(cached masks match, entries consulted)``.
 
     The cold reference shares the *maintained* zone maps (a from-scratch
     rebuild could legitimately have narrower bounds) but walks them without
-    any cache, exactly as PR 5 did.
+    any cache.
     """
     stored = engine.stored
     crossbars_per_page = engine.config.pim.crossbars_per_page
+    masks_ok = True
+    entries = 0
     for name in queries:
         predicate = ALL_QUERIES[name].predicate
         cached = stored.statistics.plan(
             predicate, stored.partition_attributes, crossbars_per_page,
             peek=True,
         )
-        cold = RelationStatistics(
-            stored.statistics.zonemaps,
-            stored.statistics.selectivity,
-            semantic_cache=False,
-        ).plan(predicate, stored.partition_attributes, crossbars_per_page)
-        if len(cached.candidates) != len(cold.candidates):
-            return False
-        if not all(
-            np.array_equal(a, b)
-            for a, b in zip(cached.candidates, cold.candidates)
-        ):
-            return False
-    return True
+        cold = cold_walk(
+            stored.statistics, predicate, stored.partition_attributes,
+            crossbars_per_page,
+        )
+        entries += cold.entries_checked
+        masks_ok = (
+            masks_ok
+            and len(cached.candidates) == len(cold.candidates)
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(cached.candidates, cold.candidates)
+            )
+        )
+    return masks_ok, entries
 
 
 def _apply_dml(engine: PimQueryEngine, ops: dict) -> None:
@@ -253,17 +241,17 @@ def _apply_dml(engine: PimQueryEngine, ops: dict) -> None:
 
 
 def _run_engine(
-    engine: EngineReplayRun,
+    backend: str,
     prejoined: Relation,
     workload: list[dict],
     queries: list[str],
     aggregation_width: int,
-) -> bool:
-    """Replay the workload through one engine; returns the mask verdict."""
-    pim = _build_engine(
-        _copy_relation(prejoined), engine.backend, engine.mode,
-        aggregation_width,
-    )
+) -> EngineReplayRun:
+    """Replay the workload through one backend's engine."""
+    pim = _build_engine(_copy_relation(prejoined), backend, aggregation_width)
+    round_entries: list[float] = []
+    round_cold_walk_entries: list[int] = []
+    round_rows: list[list[dict]] = []
     masks_ok = True
     start = time.perf_counter()
     for round_index in range(len(workload) + 1):
@@ -277,14 +265,20 @@ def _run_engine(
             rows.append(
                 {str(k): dict(v) for k, v in sorted(execution.rows.items())}
             )
-        engine.round_entries.append(entries)
-        engine.round_rows.append(rows)
-        if engine.mode == "semantic":
-            masks_ok = masks_ok and _masks_match_cold_walk(pim, queries)
-    engine.wall_s = time.perf_counter() - start
-    if engine.mode == "semantic":
-        engine.cache = asdict(pim.stored.statistics.candidate_stats())
-    return masks_ok
+        round_entries.append(entries)
+        round_rows.append(rows)
+        round_ok, cold_entries = _cold_walk_round(pim, queries)
+        masks_ok = masks_ok and round_ok
+        round_cold_walk_entries.append(cold_entries)
+    return EngineReplayRun(
+        backend=backend,
+        wall_s=time.perf_counter() - start,
+        round_entries=round_entries,
+        round_cold_walk_entries=round_cold_walk_entries,
+        round_rows=round_rows,
+        masks_identical=masks_ok,
+        cache=asdict(pim.stored.statistics.candidate_stats()),
+    )
 
 
 def run_predicate_cache(
@@ -294,7 +288,7 @@ def run_predicate_cache(
     seed: int = 23,
     queries: list[str] | None = None,
 ) -> PredicateCacheResults:
-    """Replay the SSB templates under churn on every (backend, mode) engine."""
+    """Replay the SSB templates under churn on one engine per backend."""
     if scale_factor is None:
         scale_factor = default_scale_factor()
     if queries is None:
@@ -311,13 +305,9 @@ def run_predicate_cache(
         queries=queries,
     )
     for backend in BACKENDS:
-        for mode in MODES:
-            run = EngineReplayRun(backend=backend, mode=mode, wall_s=0.0)
-            masks_ok = _run_engine(
-                run, prejoined, workload, queries, aggregation_width
-            )
-            results.masks_identical = results.masks_identical and masks_ok
-            results.runs.append(run)
+        results.runs.append(
+            _run_engine(backend, prejoined, workload, queries, aggregation_width)
+        )
     return results
 
 
@@ -328,36 +318,39 @@ def render(results: PredicateCacheResults) -> str:
         f"{len(results.queries)} SSB templates x {results.rounds} replay "
         f"rounds, {results.inserts_per_round} inserts + range DELETE + "
         f"point UPDATE per round",
-        f"{'backend':<8} {'mode':<9} {'cold entries':>13} "
-        f"{'replay entries':>15} {'wall [s]':>9}",
+        f"{'backend':<8} {'cold entries':>13} {'replay entries':>15} "
+        f"{'cold-walk replay':>17} {'wall [s]':>9}",
     ]
     for run in results.runs:
         lines.append(
-            f"{run.backend:<8} {run.mode:<9} {run.cold_entries:>13.0f} "
-            f"{run.replay_entries:>15.0f} {run.wall_s:>9.3f}"
+            f"{run.backend:<8} {run.cold_entries:>13.0f} "
+            f"{run.replay_entries:>15.0f} "
+            f"{run.replay_cold_walk_entries:>17d} {run.wall_s:>9.3f}"
         )
-    for backend in BACKENDS:
+    for run in results.runs:
         lines.append(
-            f"{backend}: replay zone-map entries cut "
-            f"{results.entry_reduction(backend):.1f}x (gate "
+            f"{run.backend}: replay zone-map entries cut "
+            f"{run.entry_reduction:.1f}x vs the cold walk (gate "
             f">= {MIN_ENTRY_REDUCTION:.0f}x)"
         )
     for run in results.runs:
-        if run.cache is not None:
-            c = run.cache
-            lines.append(
-                f"{run.backend} candidate cache: {c['hits']} hits / "
-                f"{c['misses']} misses / {c['revalidations']} re-validations "
-                f"({c['stale_crossbars']} stale crossbars re-checked), "
-                f"{c['evictions']} evictions"
-            )
+        c = run.cache
+        lines.append(
+            f"{run.backend} candidate cache: {c['hits']} hits / "
+            f"{c['misses']} misses / {c['revalidations']} re-validations "
+            f"({c['stale_crossbars']} stale crossbars re-checked), "
+            f"{c['evictions']} evictions"
+        )
     lines.append(
-        f"bit-exact rows: {'yes' if results.bit_exact else 'NO'} "
-        f"(modes agree: {'yes' if results.modes_agree else 'NO'}, backends "
-        f"agree: {'yes' if results.backends_agree else 'NO'}); cached masks "
+        f"bit-exact rows across backends: "
+        f"{'yes' if results.bit_exact else 'NO'}; cached masks "
         f"== cold walk: {'yes' if results.masks_identical else 'NO'}"
     )
     return "\n".join(lines)
+
+
+def _finite(value: float) -> float | None:
+    return None if value == float("inf") else value
 
 
 def artifact(results: PredicateCacheResults) -> dict:
@@ -369,28 +362,20 @@ def artifact(results: PredicateCacheResults) -> dict:
         "inserts_per_round": results.inserts_per_round,
         "queries": list(results.queries),
         "bit_exact": results.bit_exact,
-        "modes_agree": results.modes_agree,
-        "backends_agree": results.backends_agree,
         "masks_identical": results.masks_identical,
-        "min_entry_reduction": (
-            None if results.min_entry_reduction() == float("inf")
-            else results.min_entry_reduction()
-        ),
+        "min_entry_reduction": _finite(results.min_entry_reduction()),
         "entry_reduction": {
-            backend: (
-                None if results.entry_reduction(backend) == float("inf")
-                else results.entry_reduction(backend)
-            )
-            for backend in BACKENDS
+            run.backend: _finite(run.entry_reduction) for run in results.runs
         },
         "runs": [
             {
                 "backend": run.backend,
-                "mode": run.mode,
                 "wall_s": run.wall_s,
                 "cold_entries": run.cold_entries,
                 "replay_entries": run.replay_entries,
                 "round_entries": list(run.round_entries),
+                "replay_cold_walk_entries": run.replay_cold_walk_entries,
+                "round_cold_walk_entries": list(run.round_cold_walk_entries),
                 "cache": run.cache,
             }
             for run in results.runs
@@ -407,7 +392,5 @@ def write_artifact(results: PredicateCacheResults, path) -> None:
         gates={
             "bit_exact": results.bit_exact,
             "masks_identical": results.masks_identical,
-            "modes_agree": results.modes_agree,
-            "backends_agree": results.backends_agree,
         },
     )

@@ -457,22 +457,16 @@ class BulkAggregationPlan:
         )
 
     # ------------------------------------------------------------ execution
-    def run_gate_level(self, bank: CrossbarBank, fused: bool = False) -> np.ndarray:
+    def run_gate_level(self, bank: CrossbarBank) -> np.ndarray:
         """Execute the reduction with real NOR primitives and row copies.
 
         Returns the per-crossbar aggregate decoded from row 0.  Intended for
-        verification on small banks; large executions use
-        :meth:`run_functional`.  ``fused`` runs the init/combine programs
-        through their fused kernels (bit-exact, identical wear) — the
-        combine program in particular replays once per reduction level, so
-        its one-off fusion cost amortises across the tree.
+        verification on small banks (the programs run op by op); large
+        executions use :meth:`run_functional`.
         """
         init = self.init_program()
         combine = self.combine_program()
-        if fused:
-            init.run_fused(bank)
-        else:
-            init.execute(bank)
+        init.execute(bank)
         identity = self.identity_value if self.operation == "min" else 0
         for level in self.levels():
             bank.copy_row_pairs(
@@ -483,10 +477,7 @@ class BulkAggregationPlan:
                 level.unpaired_dst_rows, self.operand_offset, self.acc_width,
                 identity,
             )
-            if fused:
-                combine.run_fused(bank)
-            else:
-                combine.execute(bank)
+            combine.execute(bank)
         return bank.read_field_all(self.acc_offset, self.acc_width)[:, 0].copy()
 
     def run_functional(self, bank: CrossbarBank) -> np.ndarray:

@@ -55,12 +55,11 @@ class PimExecutor:
         #: attribute to the enclosing stage span through the stats hook.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Program-execution strategy, resolved once.  ``batched`` runs
-        # individual programs fused and additionally batches the per-subgroup
+        # individual programs as fused kernels and batches the per-subgroup
         # group-mask programs into multi-output kernels (see
-        # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`).
-        # All strategies are bit-exact on program outputs and all costs are
-        # charged from program metadata either way.
-        self._fused = config.execution in ("fused", "batched")
+        # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`);
+        # otherwise programs run op by op.  Both are bit-exact on program
+        # outputs and all costs are charged from program metadata either way.
         self.batched = config.execution == "batched"
 
     def fork(self, stats: PimStats | None = None) -> PimExecutor:
@@ -137,7 +136,7 @@ class PimExecutor:
         phase: str = "filter",
     ) -> None:
         """Execute a NOR program on every crossbar of ``pages`` pages."""
-        if self._fused:
+        if self.batched:
             program.run_fused(bank)
         else:
             program.execute(bank)
@@ -197,7 +196,7 @@ class PimExecutor:
             raise ValueError("pruned execution needs a program result column")
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
         if candidate_idx.size:
-            if self._fused:
+            if self.batched:
                 program.run_fused(bank, candidate_idx)
             else:
                 program.execute_at(bank, candidate_idx)
@@ -259,7 +258,7 @@ class PimExecutor:
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
         if not candidate_idx.size:
             return
-        if self._fused:
+        if self.batched:
             program.run_fused(bank, candidate_idx)
         else:
             program.execute_at(bank, candidate_idx)
@@ -309,6 +308,48 @@ class PimExecutor:
         )
 
     # ---------------------------------------------------- aggregation circuit
+    def _circuit_result_width(self, field_width: int, result_width: int | None) -> int:
+        """Accumulator width of a circuit pass; refuses a circuit-less config."""
+        if not self._pim.aggregation_circuit.enabled:
+            raise RuntimeError(
+                "aggregation circuit is disabled in this configuration; "
+                "use aggregate_bulk_bitwise instead"
+            )
+        if result_width is None:
+            result_width = min(
+                64, field_width + int(math.ceil(math.log2(self._xbar.rows)))
+            )
+        return result_width
+
+    def _charge_circuit_pass(
+        self, field_width: int, result_width: int, pages: float, phase: str
+    ) -> None:
+        """Charge one aggregation-circuit invocation on ``pages`` pages.
+
+        The single definition of the circuit's request time, energy and bit
+        counts: the functional :meth:`aggregate_with_circuit` and its
+        charge-only twin both charge through here, so their modelled
+        statistics cannot drift apart.
+        """
+        xbar = self._xbar
+        circuit = self._pim.aggregation_circuit
+        reads_per_row = int(math.ceil(field_width / xbar.read_width_bits))
+        request_time = (
+            xbar.rows * reads_per_row * circuit.cycle_s
+            + result_width / xbar.read_width_bits * xbar.write_latency_s
+        )
+        active_crossbars = pages * self._crossbars_per_page()
+        read_bits = xbar.rows * reads_per_row * xbar.read_width_bits * active_crossbars
+        write_bits = result_width * active_crossbars
+        energy = (
+            read_bits * xbar.read_energy_per_bit_j
+            + write_bits * xbar.write_energy_per_bit_j
+            + circuit.power_w * request_time * active_crossbars
+        )
+        self.stats.bits_read += read_bits
+        self.stats.bits_written += write_bits
+        self._record_phase(phase, pages, request_time, energy, "agg_circuit")
+
     def aggregate_with_circuit(
         self,
         bank: CrossbarBank,
@@ -335,22 +376,13 @@ class PimExecutor:
         charged for — the skipped ones hold an all-zero mask column, so their
         partials would be the operation's identity and contribute nothing.
         """
-        if not self._pim.aggregation_circuit.enabled:
-            raise RuntimeError(
-                "aggregation circuit is disabled in this configuration; "
-                "use aggregate_bulk_bitwise instead"
-            )
-        xbar = self._xbar
-        circuit = self._pim.aggregation_circuit
-        if result_width is None:
-            result_width = min(64, field_width + int(math.ceil(math.log2(xbar.rows))))
+        result_width = self._circuit_result_width(field_width, result_width)
         values = bank.read_field_all(field_offset, field_width)
         mask = bank.read_column(mask_column)
         from repro.pim.arithmetic import aggregate_reference
 
         results = aggregate_reference(values, mask, operation, result_width)
         if crossbars is None:
-            active = bank.count
             bank.write_field_row(0, destination_offset, result_width, results)
         else:
             candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
@@ -362,23 +394,7 @@ class PimExecutor:
                 0, destination_offset, result_width, results, xbars=candidate_idx
             )
             pages = pages * active / bank.count
-
-        reads_per_row = int(math.ceil(field_width / xbar.read_width_bits))
-        request_time = (
-            xbar.rows * reads_per_row * circuit.cycle_s
-            + result_width / xbar.read_width_bits * xbar.write_latency_s
-        )
-        active_crossbars = pages * self._crossbars_per_page()
-        read_bits = xbar.rows * reads_per_row * xbar.read_width_bits * active_crossbars
-        write_bits = result_width * active_crossbars
-        energy = (
-            read_bits * xbar.read_energy_per_bit_j
-            + write_bits * xbar.write_energy_per_bit_j
-            + circuit.power_w * request_time * active_crossbars
-        )
-        self.stats.bits_read += read_bits
-        self.stats.bits_written += write_bits
-        self._record_phase(phase, pages, request_time, energy, "agg_circuit")
+        self._charge_circuit_pass(field_width, result_width, pages, phase)
         return results
 
     def charge_aggregation_circuit(
@@ -401,15 +417,7 @@ class PimExecutor:
         causes.  Pass ``add_wear=False`` for the one invocation whose result
         is also written back functionally (the write itself charges wear).
         """
-        if not self._pim.aggregation_circuit.enabled:
-            raise RuntimeError(
-                "aggregation circuit is disabled in this configuration; "
-                "use aggregate_bulk_bitwise instead"
-            )
-        xbar = self._xbar
-        circuit = self._pim.aggregation_circuit
-        if result_width is None:
-            result_width = min(64, field_width + int(math.ceil(math.log2(xbar.rows))))
+        result_width = self._circuit_result_width(field_width, result_width)
         if crossbars is None:
             if add_wear:
                 bank.writes_per_row[:, 0] += int(result_width)
@@ -421,23 +429,7 @@ class PimExecutor:
             if add_wear:
                 bank.writes_per_row[candidate_idx, 0] += int(result_width)
             pages = pages * active / bank.count
-
-        reads_per_row = int(math.ceil(field_width / xbar.read_width_bits))
-        request_time = (
-            xbar.rows * reads_per_row * circuit.cycle_s
-            + result_width / xbar.read_width_bits * xbar.write_latency_s
-        )
-        active_crossbars = pages * self._crossbars_per_page()
-        read_bits = xbar.rows * reads_per_row * xbar.read_width_bits * active_crossbars
-        write_bits = result_width * active_crossbars
-        energy = (
-            read_bits * xbar.read_energy_per_bit_j
-            + write_bits * xbar.write_energy_per_bit_j
-            + circuit.power_w * request_time * active_crossbars
-        )
-        self.stats.bits_read += read_bits
-        self.stats.bits_written += write_bits
-        self._record_phase(phase, pages, request_time, energy, "agg_circuit")
+        self._charge_circuit_pass(field_width, result_width, pages, phase)
 
     # --------------------------------------------------- bulk-bitwise (PIMDB)
     def aggregate_bulk_bitwise(
@@ -456,7 +448,7 @@ class PimExecutor:
         """
         cost = plan.cost()
         if gate_level:
-            results = plan.run_gate_level(bank, fused=self._fused)
+            results = plan.run_gate_level(bank)
         else:
             results = plan.run_functional(bank)
             bank.writes_per_row += cost.writes_per_row

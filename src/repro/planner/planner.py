@@ -69,12 +69,7 @@ class _PlanEntry:
 class RelationStatistics:
     """Zone maps plus histograms of one stored relation, kept under DML."""
 
-    def __init__(
-        self,
-        zonemaps: ZoneMaps,
-        selectivity: SelectivityModel,
-        semantic_cache: bool = True,
-    ) -> None:
+    def __init__(self, zonemaps: ZoneMaps, selectivity: SelectivityModel) -> None:
         self.zonemaps = zonemaps
         self.selectivity = selectivity
         #: Per-fragment candidate sets with per-crossbar epoch invalidation.
@@ -83,7 +78,6 @@ class RelationStatistics:
         self.adaptive = AdaptiveController()
         #: Correlated-pair sketch, built once the tracker names a hot pair.
         self.pair_map: PairZoneMap | None = None
-        self._semantic_cache = bool(semantic_cache)
         # Relation-wide change counter: *any* maintenance event (including
         # DELETE, which changes the live prefilter but not the cached
         # fragment masks) retires memoized whole-plan decisions, which are
@@ -91,9 +85,8 @@ class RelationStatistics:
         self._version = 0
         # plan() memo: the service's cost router and the engine both plan
         # the same predicate back to back, and serving workloads replay
-        # predicates.  Holds _PlanEntry objects in semantic mode and bare
-        # PruneDecision objects in the legacy wholesale-invalidation mode.
-        self._plan_cache: OrderedDict[object, object] = OrderedDict()
+        # predicates.
+        self._plan_cache: OrderedDict[object, _PlanEntry] = OrderedDict()
 
     @classmethod
     def from_stored(cls, stored) -> RelationStatistics:
@@ -101,25 +94,6 @@ class RelationStatistics:
             ZoneMaps.from_stored(stored),
             SelectivityModel.from_relation(stored.relation),
         )
-
-    # --------------------------------------------------------------- modes
-    @property
-    def semantic_cache(self) -> bool:
-        """Whether plans assemble from the per-fragment candidate cache.
-
-        ``False`` reproduces the PR 5 behaviour exactly — whole-plan memo,
-        wholesale invalidation on every maintenance event, the full-walk
-        entry count billed on every request — and exists as the A/B baseline
-        of ``benchmarks/bench_predicate_cache.py``.
-        """
-        return self._semantic_cache
-
-    @semantic_cache.setter
-    def semantic_cache(self, value: bool) -> None:
-        value = bool(value)
-        if value != self._semantic_cache:
-            self._plan_cache.clear()  # entry types differ between the modes
-        self._semantic_cache = value
 
     # ------------------------------------------------------------------ plan
     def plan(
@@ -146,9 +120,6 @@ class RelationStatistics:
             tuple(tuple(attrs) for attrs in partition_attributes),
             crossbars_per_page,
         )
-        if not self._semantic_cache:
-            return self._legacy_plan(key, predicate, partition_attributes,
-                                     crossbars_per_page)
         entry = self._plan_cache.get(key)
         if entry is None or entry.version != self._version:
             decision, consulted = self._assemble(
@@ -214,41 +185,6 @@ class RelationStatistics:
         )
         return decision, consulted
 
-    def _legacy_plan(
-        self,
-        key: object,
-        predicate: Predicate,
-        partition_attributes: Sequence[Sequence[str]],
-        crossbars_per_page: int,
-    ) -> PruneDecision:
-        """The PR 5 plan memo: full walk on miss, full-walk billing on hit."""
-        cached = self._plan_cache.get(key)
-        if cached is not None:
-            self._plan_cache.move_to_end(key)
-            return cached
-        per_partition = partition_conjuncts(predicate, partition_attributes)
-        candidates: list[np.ndarray] = []
-        entries = 0
-        conjuncts_checked = 0
-        for conjunct in per_partition:
-            ordered = self.selectivity.order_conjuncts(conjunct)
-            check = self.zonemaps.check(ordered, crossbars_per_page)
-            check.candidates.setflags(write=False)
-            candidates.append(check.candidates)
-            entries += check.entries_checked
-            conjuncts_checked += check.conjuncts_checked
-        decision = PruneDecision(
-            candidates=candidates,
-            crossbars_total=self.zonemaps.crossbars * len(candidates),
-            crossbars_scanned=int(sum(mask.sum() for mask in candidates)),
-            entries_checked=entries,
-            conjuncts_checked=conjuncts_checked,
-        )
-        self._plan_cache[key] = decision
-        if len(self._plan_cache) > _PLAN_CACHE_CAPACITY:
-            self._plan_cache.popitem(last=False)
-        return decision
-
     def _pair_bucket_masks(self, fragments) -> tuple[int, int] | None:
         """Bucket masks of the pair's two columns when *both* are constrained.
 
@@ -281,8 +217,6 @@ class RelationStatistics:
 
     def _note_change(self) -> None:
         self._version += 1
-        if not self._semantic_cache:
-            self._plan_cache.clear()
 
     def estimate(self, predicate: Predicate) -> float:
         """Estimated selected fraction of the live records."""
@@ -410,6 +344,40 @@ class RelationStatistics:
     # ------------------------------------------------------------ cost model
     charge_check = staticmethod(ZoneMaps.charge_check)
     charge_maintenance = staticmethod(ZoneMaps.charge_maintenance)
+
+
+def cold_walk(
+    statistics: RelationStatistics,
+    predicate: Predicate,
+    partition_attributes: Sequence[Sequence[str]],
+    crossbars_per_page: int,
+) -> PruneDecision:
+    """Reference plan: a fresh, uncached walk over the maintained zone maps.
+
+    What :meth:`RelationStatistics.plan` must agree with — the same
+    most-selective-first conjunct order through the uncached
+    :meth:`~repro.planner.zonemap.ZoneMaps.check`, touching neither the
+    candidate cache nor the plan memo, and billing the full two-level walk
+    as ``entries_checked``.  The pair sketch is not consulted.  Tests
+    compare cached decisions against it; the predicate-cache and clustering
+    benchmarks take their cache-free entry baseline from it.
+    """
+    candidates: list[np.ndarray] = []
+    entries = 0
+    conjuncts_checked = 0
+    for conjunct in partition_conjuncts(predicate, partition_attributes):
+        ordered = statistics.selectivity.order_conjuncts(conjunct)
+        check = statistics.zonemaps.check(ordered, crossbars_per_page)
+        candidates.append(check.candidates)
+        entries += check.entries_checked
+        conjuncts_checked += check.conjuncts_checked
+    return PruneDecision(
+        candidates=candidates,
+        crossbars_total=statistics.zonemaps.crossbars * len(candidates),
+        crossbars_scanned=int(sum(mask.sum() for mask in candidates)),
+        entries_checked=entries,
+        conjuncts_checked=conjuncts_checked,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def execute_sharded_delete(
     executors: Sequence[PimExecutor] | None = None,
     compiler=None,
     vectorized: bool = False,
-    pruned: bool | None = None,
+    pruned: bool = True,
 ) -> ShardedDeleteResult:
     """Tombstone the selected records of every shard (broadcast DELETE).
 

@@ -43,7 +43,7 @@ def execute_sharded_update(
     predicate: Predicate,
     assignments: dict[str, object],
     executors: Sequence[PimExecutor] | None = None,
-    pruned: bool | None = None,
+    pruned: bool = True,
 ) -> ShardedUpdateResult:
     """Update ``assignments`` on the selected records of every shard.
 

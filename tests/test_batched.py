@@ -151,13 +151,10 @@ def test_batched_lockstep_multi_remote_fold(pruning):
     _assert_lockstep(relation, query, pruning, partitions)
 
 
-def test_batched_is_the_default_and_gated_on_the_circuit(monkeypatch):
+def test_batched_is_the_default_and_gated_on_the_circuit():
     """The default config batches; without the aggregation circuit the
     engine falls back to the reference loop — and stays bit-exact."""
-    monkeypatch.delenv("REPRO_EXECUTION", raising=False)
-    from repro.config import default_execution
-
-    assert default_execution() == "batched"
+    assert DEFAULT_CONFIG.execution == "batched"
     relation = _relation(seed=5, num_cities=4)
     executions = {}
     for strategy in STRATEGIES:

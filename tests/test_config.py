@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, table1_rows
+from repro.config import DEFAULT_CONFIG, EXECUTIONS, SystemConfig, table1_rows
 
 
 def test_crossbar_geometry_matches_table1():
@@ -55,3 +55,40 @@ def test_table1_rows_cover_both_sections():
     parameters = {parameter for _, parameter, _ in rows}
     assert "Crossbar read" in parameters
     assert "Coherence protocol" in parameters
+
+
+def test_execution_has_exactly_two_bundles():
+    assert EXECUTIONS == ("batched", "dispatch")
+    for execution in EXECUTIONS:
+        assert SystemConfig(execution=execution).execution == execution
+    with pytest.raises(ValueError, match=r"'fused'.*'batched', 'dispatch'"):
+        SystemConfig(execution="fused")
+
+
+def test_retired_environment_switches_change_no_default(
+    monkeypatch, toy_relation_factory
+):
+    """``REPRO_EXECUTION``/``REPRO_DML`` used to pick the strategy and the
+    DML mode; neither is read any more — whatever they hold."""
+    from repro.db.dml import execute_delete
+    from repro.db.query import Comparison
+    from repro.db.storage import StoredRelation
+    from repro.pim.controller import PimExecutor
+    from repro.pim.module import PimModule
+
+    for execution, dml in (("dispatch", "broadcast"), ("no-such", "no-such")):
+        monkeypatch.setenv("REPRO_EXECUTION", execution)
+        monkeypatch.setenv("REPRO_DML", dml)
+        config = SystemConfig()
+        assert config.execution == "batched"
+        assert PimExecutor(config).batched
+    # DML still runs pruned by default: it consults (and bills) the zone maps.
+    toy_stored = StoredRelation(
+        toy_relation_factory(), PimModule(DEFAULT_CONFIG), label="toy"
+    )
+    executor = PimExecutor(DEFAULT_CONFIG)
+    execute_delete(toy_stored, Comparison("key", "<", 10), executor)
+    assert executor.stats.time_by_phase["zonemap-check"] > 0
+    broadcast = PimExecutor(DEFAULT_CONFIG)
+    execute_delete(toy_stored, Comparison("key", "<", 20), broadcast, pruned=False)
+    assert "zonemap-check" not in broadcast.stats.time_by_phase

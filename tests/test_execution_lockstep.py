@@ -1,0 +1,120 @@
+"""SSB lockstep of the two execution bundles: ``batched`` == ``dispatch``.
+
+``execution="batched"`` (fused single-program kernels + the batched pim-gb
+loop) is the production path and ``execution="dispatch"`` (op-by-op
+interpreter + per-subgroup loop) its reference.  All 13 SSB queries run
+through one engine per bundle — gate-level and vectorized, unsharded and
+K=4 — and must agree on result rows, the full :class:`PimStats` dataclass
+(float order, power-sample order, request rounding) and the wear counters
+of the stored banks.  Each cell's engine pair persists across the 13
+queries, so the wear comparison is cumulative.
+
+The cells run the engine's default (fitted) cost model; one further
+vectorized cell forces every subgroup through PIM, so the batched kernels
+carry hundreds of subgroups per query instead of a handful.
+"""
+
+import numpy as np
+import pytest
+
+from repro.config import DEFAULT_CONFIG, EXECUTIONS
+from repro.core.executor import PimQueryEngine
+from repro.core.latency_model import (
+    GroupByCostModel,
+    HostGbLatencyModel,
+    PimGbLatencyModel,
+)
+from repro.db.storage import StoredRelation
+from repro.pim.module import PimModule
+from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
+from repro.ssb import ALL_QUERIES, QUERY_ORDER
+from repro.ssb.prejoined import max_aggregated_width
+
+#: ``id -> (vectorized, shards, all_pim)``
+CELLS = {
+    "gate-level": (False, 1, False),
+    "gate-level-k4": (False, 4, False),
+    "vectorized": (True, 1, False),
+    "vectorized-k4": (True, 4, False),
+    "vectorized-allpim": (True, 1, True),
+}
+
+
+def _all_pim_cost_model() -> GroupByCostModel:
+    return GroupByCostModel(
+        HostGbLatencyModel({2: 1.0}, {2: 1.0}),      # host absurdly expensive
+        PimGbLatencyModel({2: 0.0}, {2: 0.0}),       # PIM free
+    )
+
+
+def _build(prejoined, execution, vectorized, shards, all_pim):
+    """``(engine, stored)`` for one bundle; every engine owns its banks."""
+    config = DEFAULT_CONFIG.with_execution(execution)
+    storage = {
+        "label": execution,
+        "aggregation_width": max_aggregated_width(prejoined),
+        "reserve_bulk_aggregation": False,
+    }
+    options = {
+        "config": config,
+        "label": execution,
+        "timing_scale": 100.0,
+        "vectorized": vectorized,
+        "pruning": True,
+        "cost_model": _all_pim_cost_model() if all_pim else None,
+    }
+    if shards == 1:
+        stored = StoredRelation(prejoined, PimModule(config), **storage)
+        return PimQueryEngine(stored, **options), stored
+    stored = ShardedStoredRelation(
+        prejoined, PimModule(config), shards=shards, **storage
+    )
+    return ShardedQueryEngine(stored, **options), stored
+
+
+@pytest.fixture(scope="module")
+def engine_pairs(ssb_prejoined):
+    """Lazily built ``cell -> {execution: (engine, stored)}``, module-scoped."""
+    pairs = {}
+
+    def get(cell):
+        if cell not in pairs:
+            pairs[cell] = {
+                execution: _build(ssb_prejoined, execution, *CELLS[cell])
+                for execution in EXECUTIONS
+            }
+        return pairs[cell]
+
+    return get
+
+
+def _flat_wear(stored) -> list[np.ndarray]:
+    snapshot = stored.wear_snapshot()
+    if isinstance(stored, ShardedStoredRelation):
+        return [bank for shard in snapshot for bank in shard]
+    return snapshot
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("query_name", QUERY_ORDER)
+def test_ssb_batched_matches_dispatch(engine_pairs, query_name, cell):
+    pair = engine_pairs(cell)
+    query = ALL_QUERIES[query_name]
+    (batched_engine, batched_stored) = pair["batched"]
+    (dispatch_engine, dispatch_stored) = pair["dispatch"]
+    batched = batched_engine.execute(query)
+    dispatch = dispatch_engine.execute(query)
+
+    assert batched.rows == dispatch.rows
+    assert batched.pim_subgroups == dispatch.pim_subgroups
+    assert batched.stats == dispatch.stats
+    for ours, theirs in zip(
+        getattr(batched, "shard_executions", ()),
+        getattr(dispatch, "shard_executions", ()),
+    ):
+        assert ours.stats == theirs.stats
+    if CELLS[cell][2] and query.group_by:
+        # The forced plan: every subgroup went through the batched kernels.
+        assert batched.pim_subgroups == batched.total_subgroups > 0
+    for ours, theirs in zip(_flat_wear(batched_stored), _flat_wear(dispatch_stored)):
+        assert np.array_equal(ours, theirs)

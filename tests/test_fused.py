@@ -9,8 +9,9 @@ Three layers are locked in here:
 * **Kernel** (:mod:`repro.pim.fused`): a hypothesis property test drives
   random programs through dispatch and fused execution on both backends in
   lock step — bit-identical cells and wear, broadcast and masked.
-* **Execution**: engines configured ``execution="fused"`` and
-  ``execution="dispatch"`` must produce identical rows and bit-identical
+* **Execution**: engines configured ``execution="batched"`` (single
+  programs run as fused kernels) and ``execution="dispatch"`` must produce
+  identical rows and bit-identical
   :class:`~repro.pim.stats.PimStats` across backends, pruning, and both
   aggregation paths (circuit and bulk-bitwise).
 """
@@ -262,16 +263,16 @@ def test_executor_charges_identical_stats_for_both_strategies():
     candidates = np.array([True, False, True])
     for backend in ("bool", "packed"):
         stats = {}
-        for strategy in ("dispatch", "fused"):
+        for strategy, kernel in (("dispatch", "dispatch"), ("batched", "fused")):
             config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
             executor = PimExecutor(config, PimStats())
-            bank = _seeded_banks(23)[backend, strategy]
+            bank = _seeded_banks(23)[backend, kernel]
             executor.run_program(bank, program, pages=4.0, phase="filter")
             executor.run_program_pruned(
                 bank, program, candidates, pages=4.0, phase="filter",
             )
             stats[strategy] = executor.stats
-        assert_stats_identical(stats["dispatch"], stats["fused"])
+        assert_stats_identical(stats["dispatch"], stats["batched"])
 
 
 # ----------------------------------------------------- engine-level parity
@@ -312,7 +313,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
     """Gate-level engines: identical rows and stats for the two strategies,
     with and without pruning, on both aggregation paths."""
     executions = {}
-    for strategy in ("fused", "dispatch"):
+    for strategy in ("batched", "dispatch"):
         config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
         if not circuit:
             config = config.without_aggregation_circuit()
@@ -323,7 +324,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
             stored, config=config, vectorized=False, pruning=pruning
         )
         executions[strategy] = [engine.execute(q) for q in MINI_QUERIES]
-    for fused, dispatch in zip(executions["fused"], executions["dispatch"]):
+    for fused, dispatch in zip(executions["batched"], executions["dispatch"]):
         assert fused.rows == dispatch.rows, fused.query.name
         assert fused.selectivity == dispatch.selectivity
         assert fused.max_writes_per_row == dispatch.max_writes_per_row
@@ -333,7 +334,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
 def test_program_cache_reuses_fused_kernels():
     """Cache hits carry the compiled kernel along with the program."""
     cache = ProgramCache(capacity=32)
-    config = DEFAULT_CONFIG.with_execution("fused")
+    config = DEFAULT_CONFIG.with_execution("batched")
     stored = StoredRelation(_mini_relation(), PimModule(config), label="mini")
     engine = PimQueryEngine(
         stored, config=config, compiler=cache, vectorized=False

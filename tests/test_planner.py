@@ -37,7 +37,7 @@ from repro.planner import (
     execute_host_scan,
     normalize_fragment,
 )
-from repro.planner.planner import RelationStatistics
+from repro.planner.planner import cold_walk
 from repro.planner.selectivity import SelectivityModel
 from repro.planner.zonemap import ZoneMaps
 from repro.service import QueryService
@@ -526,22 +526,19 @@ def test_decision_masks_are_read_only_and_memo_uncorrupted():
     in place would silently corrupt every later replay of the predicate.
     """
     cp = DEFAULT_CONFIG.pim.crossbars_per_page
-    for semantic in (True, False):
-        stored = _store(clustered_relation())
-        stored.statistics.semantic_cache = semantic
-        decision = stored.statistics.plan(
-            RANGE.predicate, stored.partition_attributes, cp
-        )
-        with pytest.raises(ValueError):
-            decision.candidates[0][:] = False
-        replay = stored.statistics.plan(
-            RANGE.predicate, stored.partition_attributes, cp
-        )
-        cold = RelationStatistics(
-            stored.statistics.zonemaps, stored.statistics.selectivity,
-            semantic_cache=False,
-        ).plan(RANGE.predicate, stored.partition_attributes, cp)
-        assert np.array_equal(replay.candidates[0], cold.candidates[0])
+    stored = _store(clustered_relation())
+    decision = stored.statistics.plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
+    with pytest.raises(ValueError):
+        decision.candidates[0][:] = False
+    replay = stored.statistics.plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
+    cold = cold_walk(
+        stored.statistics, RANGE.predicate, stored.partition_attributes, cp
+    )
+    assert np.array_equal(replay.candidates[0], cold.candidates[0])
 
 
 def test_candidate_cache_counters_and_replay_billing():
@@ -581,9 +578,7 @@ def test_insert_bumps_only_the_touched_crossbar_epoch():
     # fragment -- far below the cold walk's pages + surviving * cp entries.
     assert 0 < revalidated.entries_checked <= delta.revalidations
     assert delta.stale_crossbars == revalidated.entries_checked
-    cold = RelationStatistics(
-        statistics.zonemaps, statistics.selectivity, semantic_cache=False
-    ).plan(RANGE.predicate, stored.partition_attributes, cp)
+    cold = cold_walk(statistics, RANGE.predicate, stored.partition_attributes, cp)
     assert revalidated.entries_checked < cold.entries_checked
     assert np.array_equal(revalidated.candidates[0], cold.candidates[0])
 

@@ -20,7 +20,7 @@ from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
 from repro.db.update import execute_update
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
+from repro.planner.planner import cold_walk
 from repro.service import QueryService
 from repro.sharding import execute_sharded_update
 
@@ -174,11 +174,8 @@ def _assert_cached_plan_matches_cold_walk(service, shards) -> None:
                 query.predicate, stored.partition_attributes,
                 crossbars_per_page, peek=True,
             )
-            cold = RelationStatistics(
-                statistics.zonemaps, statistics.selectivity,
-                semantic_cache=False,
-            ).plan(
-                query.predicate, stored.partition_attributes,
+            cold = cold_walk(
+                statistics, query.predicate, stored.partition_attributes,
                 crossbars_per_page,
             )
             assert len(cached.candidates) == len(cold.candidates)
