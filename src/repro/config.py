@@ -49,12 +49,13 @@ def default_backend() -> str:
 
 #: Program-execution strategies of the functional simulation.  ``"batched"``
 #: is the production path: single programs run as fused NOR-DAG kernels (see
-#: :mod:`repro.pim.fused`) and all per-subgroup group-mask programs of a
-#: partition run as one multi-output DAG (see
-#: :func:`repro.pim.ir.lower_program_batch`).  ``"dispatch"`` is the
-#: reference: the op-by-op interpreter and the per-subgroup pim-gb loop.
-#: Both are bit-exact on the output columns and charge identical modelled
-#: statistics.
+#: :mod:`repro.pim.fused`) and all subgroup masks of a GROUP-BY partition
+#: come from one value-free template kernel with the group keys bound as
+#: inputs — no program is compiled or lowered per subgroup (see
+#: :mod:`repro.core.batched`).  ``"dispatch"`` is the reference: the
+#: op-by-op interpreter and the per-subgroup pim-gb loop, one compiled
+#: program per subgroup.  Both are bit-exact on the output columns and
+#: charge identical modelled statistics.
 EXECUTIONS = ("batched", "dispatch")
 
 

@@ -10,15 +10,21 @@ is what Amdahl's law leaves as the end-to-end bottleneck.
 This module restructures the loop without changing a single modelled
 number or stored bit:
 
-* **One multi-output kernel per partition.**  All per-subgroup group-mask
-  programs are lowered together (:func:`repro.pim.ir.lower_program_batch`)
-  with cross-program CSE — the per-attribute equality subcircuits that
-  recur across subgroups are interned once — and evaluated in one pass
-  against the pre-group-by column state.  This is sound because distinct
-  full group keys select *disjoint* row sets: subgroup ``k``'s mask
-  computed against the pre-loop filter state equals the sequential
-  result after ``k-1`` clears.  Each combine program's remote-transfer
-  bits enter the batch as a *private* kernel input.
+* **One value-free template per partition.**  Every subgroup's group-mask
+  program is the same circuit with other key constants, so the compiler is
+  asked for one :class:`~repro.db.compiler.GroupMaskTemplate` per
+  ``(layout, attributes, include_remote)`` — never for a per-key program —
+  and its two kernels are lowered (:func:`repro.pim.ir.lower_program_batch`)
+  and compiled once, for as long as the service's program cache keeps the
+  template.  The key constants enter as *private* kernel inputs, stacked
+  over each attribute's distinct values, so one run evaluates an
+  attribute's equality once per distinct value however many keys share
+  it; a second run conjoins the equalities per key with the
+  remote-transfer bits and the filter.  All
+  K masks are taken against the pre-group-by column state, which is sound
+  because distinct full group keys select *disjoint* row sets: subgroup
+  ``k``'s mask computed against the pre-loop filter state equals the
+  sequential result after ``k-1`` clears.
 
 * **One field decode per aggregate.**  The aggregation circuit's
   functional result is ``aggregate_reference`` over a decoded field and
@@ -32,14 +38,15 @@ number or stored bit:
   the exact order — through the same :func:`apply_program` /
   :func:`apply_program_pruned` contract, the same transfer model and the
   charge-only circuit twin — while all expensive functional work stays
-  batched.  The stored bits, dirty marks, wear counters and ``PimStats``
-  are identical to per-subgroup dispatch by construction; the lockstep
-  property test asserts it.
+  batched.  What a subgroup's specialised program would cost is the
+  template's closed form (:meth:`GroupMaskTemplate.cost`).  The stored
+  bits, dirty marks, wear counters and ``PimStats`` are identical to
+  per-subgroup dispatch, which still compiles per key and is the oracle;
+  the lockstep property tests assert it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from collections.abc import Sequence
 
 import numpy as np
@@ -52,6 +59,7 @@ from repro.core.stages import (
     build_fold_program,
     candidate_rows,
 )
+from repro.db.compiler import GroupMaskTemplate
 from repro.db.query import Query
 from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
@@ -59,21 +67,23 @@ from repro.pim.arithmetic import aggregate_reference
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch
 from repro.pim.ir import lower_program_batch
-from repro.pim.logic import Program
 
 
-@lru_cache(maxsize=256)
 def _compile_group_batch(
-    programs: tuple[Program, ...], private_columns: tuple[int, ...]
-) -> BatchKernel:
-    """Compile (and memoise) the multi-output kernel of a program batch.
+    template: GroupMaskTemplate,
+) -> tuple[BatchKernel, BatchKernel]:
+    """The equality and conjunction kernels of a template, built on first use.
 
-    Programs hash by identity, which is exactly right: the service's
-    :class:`~repro.service.cache.ProgramCache` hands back the *same*
-    program objects on a warm replay, so repeated batches hit this cache
-    without re-lowering, while fresh program objects recompile.
+    They hang off the template the way ``Program._kernel`` hangs off a
+    program: the service's :class:`~repro.service.cache.ProgramCache` hands
+    back the same template on a warm replay, and evicting it drops them.
     """
-    return compile_batch(lower_program_batch(programs, private_columns))
+    if template._kernel is None:
+        template._kernel = tuple(
+            compile_batch(lower_program_batch(programs, private_columns))
+            for programs, private_columns in template.stages
+        )
+    return template._kernel
 
 
 def _candidate_idx(prune, partition: int) -> np.ndarray | None:
@@ -83,54 +93,61 @@ def _candidate_idx(prune, partition: int) -> np.ndarray | None:
 
 
 def _pad_rows(bits: np.ndarray, bank) -> np.ndarray:
-    """Expand per-record bits to the bank's full ``(count, rows)`` shape."""
-    full = np.zeros((bank.count, bank.rows), dtype=bool)
-    full.reshape(-1)[: bits.size] = bits
-    return full
+    """Expand ``(K, records)`` bits to the bank's ``(K, count, rows)`` shape."""
+    full = np.zeros((len(bits), bank.count * bank.rows), dtype=bool)
+    full[:, : bits.shape[1]] = bits
+    return full.reshape(len(bits), bank.count, bank.rows)
 
 
 def _run_partition_batch(
     stored,
     partition: int,
-    programs: tuple[Program, ...],
-    private_columns: tuple[int, ...],
-    private: dict | None,
+    template: GroupMaskTemplate,
+    values: np.ndarray,
+    remote,
     prune,
-) -> list[np.ndarray]:
-    """Evaluate a batch of programs on one partition's bank, functionally.
+) -> np.ndarray:
+    """Evaluate a template for ``K`` group keys on one partition's bank.
 
-    Returns one per-record boolean result (the program's result column)
-    per program, against the partition's *pre-batch* state.  Under pruning
-    the kernel runs on the candidate crossbars only and the skipped
-    crossbars' bits are zero, matching pruned reference execution.
+    ``values[k]`` holds key ``k``'s encoded values of
+    ``template.attributes``; ``remote`` is the ``(K, n, ...)`` native value
+    bound to the remote column of a template built with ``include_remote``.
+    Every constant bit is bound as the bank's all-ones or all-zeros value
+    (padding stays zero) stacked over the *distinct* values of its
+    attribute, so one kernel run yields each attribute's equality once per
+    distinct value; the conjunction kernel then runs on those gathered per
+    key.  Returns the ``(K, count, rows)`` masks against the partition's
+    *pre-batch* state, functionally.  Under pruning the kernels run on the
+    candidate crossbars only and the skipped crossbars' bits are zero,
+    matching pruned reference execution.
     """
-    allocation = stored.allocations[partition]
-    bank = allocation.bank
-    num_records = stored.num_records
+    bank = stored.allocations[partition].bank
+    masks = np.zeros((len(values), bank.count, bank.rows), dtype=bool)
     xbars = _candidate_idx(prune, partition)
     if xbars is not None and xbars.size == 0:
-        return [np.zeros(num_records, dtype=bool) for _ in programs]
-    kernel = _compile_group_batch(programs, private_columns)
-    outputs = kernel.run(bank, xbars, private)
-    n = bank.count if xbars is None else int(xbars.size)
-    results: list[np.ndarray] = []
-    for program, bindings in zip(programs, outputs):
-        value = dict(bindings).get(program.result_column)
-        if value is None:
-            raise RuntimeError(
-                "batched group program does not produce its result column"
-            )
-        rows_bool = np.broadcast_to(
-            bank.kernel_to_bool(value), (n, bank.rows)
-        )
-        if xbars is None:
-            full = np.empty((bank.count, bank.rows), dtype=bool)
-            full[:] = rows_bool
-        else:
-            full = np.zeros((bank.count, bank.rows), dtype=bool)
-            full[xbars] = rows_bool
-        results.append(full.reshape(-1)[:num_records])
-    return results
+        return masks
+    equality, conjunction = _compile_group_batch(template)
+    ones = bank.kernel_ones()
+    zero = np.bitwise_xor(ones, ones)
+    constants: dict = {}
+    inverses = []
+    for index, columns in enumerate(template.constant_columns):
+        distinct, inverse = np.unique(values[:, index], return_inverse=True)
+        inverses.append(inverse)
+        for bit, column in enumerate(columns):
+            is_set = (distinct >> bit & 1).astype(bool)[:, None, None]
+            constants[index, column] = np.where(is_set, ones, zero)
+    # Every stage program has exactly one output, its result column.
+    bound = {}
+    if remote is not None:
+        bound[0, stored.layouts[partition].remote_column] = remote
+    for column, inverse, ((_, mismatch),) in zip(
+        template.mismatch_columns, inverses, equality.run(bank, xbars, constants)
+    ):
+        bound[0, column] = mismatch[inverse]
+    (((_, value),),) = conjunction.run(bank, xbars, bound)
+    masks[:, slice(None) if xbars is None else xbars] = bank.kernel_to_bool(value)
+    return masks
 
 
 def run_group_by_batched(
@@ -156,6 +173,10 @@ def run_group_by_batched(
     primary_layout = stored.layouts[primary]
     primary_allocation = stored.allocations[primary]
     bank = primary_allocation.bank
+    num_records = stored.num_records
+    key_table = np.array(keys, dtype=np.int64).reshape(
+        len(keys), len(group_attributes)
+    )
 
     def pages_for(partition: int) -> float:
         return stored.allocations[partition].pages * engine.timing_scale
@@ -166,71 +187,48 @@ def run_group_by_batched(
     for name in group_attributes:
         by_partition.setdefault(stored.partition_of(name), []).append(name)
     remote_partitions = [p for p in by_partition if p != primary]
-    include_remote = bool(remote_partitions)
-
-    def values_for(key: GroupKey, names: Sequence[str]) -> dict[str, int]:
-        mapping = dict(zip(group_attributes, key))
-        return {name: mapping[name] for name in names}
 
     # ---------------------------------------------- batched mask computation
     # All of this runs against the pre-group-by column state, before the
     # charging replay performs any writes.
-    remote_programs: dict[int, tuple[Program, ...]] = {}
-
-    def remote_batch(partition: int) -> list[np.ndarray]:
-        return _run_partition_batch(
-            stored, partition, remote_programs[partition], (), None, prune
+    def batch(partition: int, filter_column: int, remote=None):
+        """One partition's per-key program costs and ``(K, count, rows)`` masks."""
+        template = compiler.group_template(
+            by_partition.get(partition, ()), stored.layouts[partition],
+            filter_column, include_remote=remote is not None,
         )
-
-    for partition in remote_partitions:
-        layout = stored.layouts[partition]
-        remote_programs[partition] = tuple(
-            compiler.group_program(values_for(key, by_partition[partition]), layout)
-            for key in keys
+        values = key_table[
+            :, [group_attributes.index(name) for name in template.attributes]
+        ]
+        masks = _run_partition_batch(
+            stored, partition, template, values, remote, prune
         )
+        return [template.cost(row) for row in values.tolist()], masks
+
+    def per_record(masks: np.ndarray) -> np.ndarray:
+        return masks.reshape(len(keys), -1)[:, :num_records]
+
+    def remote_batch(partition: int):
+        costs, masks = batch(partition, stored.layouts[partition].valid_column)
+        return costs, per_record(masks)
+
     pool = getattr(engine, "scatter_pool", None)
     if pool is not None and len(remote_partitions) > 1:
-        batches = pool.map(remote_batch, remote_partitions)
+        remote_batches = pool.map(remote_batch, remote_partitions)
     else:
-        batches = [remote_batch(partition) for partition in remote_partitions]
-    remote_group_bits: dict[int, list[np.ndarray]] = dict(
-        zip(remote_partitions, batches)
-    )
+        remote_batches = [remote_batch(partition) for partition in remote_partitions]
 
-    remote_bits: list[np.ndarray] | None = None
-    if include_remote:
-        remote_bits = []
-        for index in range(len(keys)):
-            accumulated: np.ndarray | None = None
-            for partition in remote_partitions:
-                bits = remote_group_bits[partition][index]
-                accumulated = bits if accumulated is None else accumulated & bits
-            remote_bits.append(accumulated)
-
-    combine_programs = tuple(
-        compiler.combine_program(
-            values_for(key, by_partition.get(primary, [])),
-            primary_layout,
-            include_remote,
-        )
-        for key in keys
-    )
-    private_columns: tuple[int, ...] = ()
-    private: dict | None = None
+    remote = None
     primary_idx = _candidate_idx(prune, primary)
-    if include_remote:
-        private_columns = (primary_layout.remote_column,)
-        private = {}
-        for index in range(len(keys)):
-            padded = _pad_rows(remote_bits[index], bank)
-            if primary_idx is not None:
-                padded = padded[primary_idx]
-            private[(index, primary_layout.remote_column)] = bank.kernel_from_bool(
-                padded
-            )
-    mask_bits = _run_partition_batch(
-        stored, primary, combine_programs, private_columns, private, prune
-    )
+    if remote_partitions:
+        remote_rows = _pad_rows(
+            np.logical_and.reduce([bits for _, bits in remote_batches]), bank
+        )
+        if primary_idx is not None:
+            remote_rows = remote_rows[:, primary_idx]
+        remote = bank.kernel_from_bool(remote_rows)
+    combine_costs, mask_rows = batch(primary, primary_layout.filter_column, remote)
+    mask_bits = per_record(mask_rows)
 
     # ------------------------------------------------- batched bookkeeping
     # Field decodes are shared across subgroups (the data fields do not
@@ -287,11 +285,8 @@ def run_group_by_batched(
         running: np.ndarray | None = None
         for position, partition in enumerate(remote_partitions):
             layout = stored.layouts[partition]
-            replay_apply(
-                partition,
-                remote_programs[partition][index],
-                remote_group_bits[partition][index],
-            )
+            costs, group_bits = remote_batches[position]
+            replay_apply(partition, costs[index], group_bits[index])
             transferred = read_model.transfer_bit_column(
                 stored,
                 partition, layout.group_column,
@@ -322,14 +317,14 @@ def run_group_by_batched(
 
         # Subgroup mask (combine program) on the primary partition.
         subgroup_bits = mask_bits[index]
-        replay_apply(primary, combine_programs[index], subgroup_bits)
-        mask_rows = _pad_rows(subgroup_bits, bank)
+        replay_apply(primary, combine_costs[index], subgroup_bits)
+        subgroup_rows = mask_rows[index]
 
         # Aggregates from the cached field decodes, charged per invocation.
         entry: dict[str, int | None] = {}
         for aggregate in query.aggregates:
             if aggregate.op == "count":
-                field_values = mask_rows.astype(np.uint64)
+                field_values = subgroup_rows.astype(np.uint64)
                 field_width, operation = 1, "sum"
             else:
                 field_offset = primary_layout.field_offset(aggregate.attribute)
@@ -341,7 +336,7 @@ def run_group_by_batched(
                     field_values = bank.read_field_all(field_offset, field_width)
                     field_cache[cache_key] = field_values
             partials = aggregate_reference(
-                field_values, mask_rows, operation, accumulator_width
+                field_values, subgroup_rows, operation, accumulator_width
             )
             if primary_idx is not None:
                 partials = partials[primary_idx]

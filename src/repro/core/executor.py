@@ -482,11 +482,12 @@ class PimQueryEngine:
             "pim-gb", batched=batched, subgroups=len(plan.pim_groups)
         ):
             if batched:
-                # Batched execution: all subgroup mask programs of a partition
-                # run as one multi-output kernel with cross-subgroup CSE, field
-                # decodes are shared across subgroups, and the modelled charges
-                # are replayed in reference order — bit-identical rows, bits,
-                # wear and stats (see repro.core.batched).
+                # Batched execution: all subgroup masks of a partition come
+                # from one value-free template kernel with the keys bound as
+                # inputs, field decodes are shared across subgroups, and the
+                # modelled charges are replayed in reference order —
+                # bit-identical rows, bits, wear and stats (see
+                # repro.core.batched).
                 from repro.core.batched import run_group_by_batched
 
                 rows = run_group_by_batched(

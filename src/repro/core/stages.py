@@ -32,10 +32,13 @@ counters and identical statistics; ``tests/test_aggregate_edge_cases.py`` and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.db.compiler import (
+    GroupMaskTemplate,
     compile_group_combine,
     compile_predicate,
     compile_group_predicate,
@@ -58,7 +61,7 @@ class ProgramCompiler:
 
     This is the injection point for program reuse: the default implementation
     compiles on every call, while :class:`repro.service.cache.ProgramCache`
-    overrides the three methods with an LRU-cached lookup.
+    overrides the methods with an LRU-cached lookup.
     """
 
     def filter_program(
@@ -80,6 +83,21 @@ class ProgramCompiler:
         return compile_group_combine(
             group_values, layout, include_remote=include_remote
         )
+
+    def group_template(
+        self,
+        attributes: Sequence[str],
+        layout: RowLayout,
+        filter_column: int,
+        include_remote: bool = False,
+    ) -> GroupMaskTemplate:
+        """Value-free twin of the two methods above (batched pim-gb).
+
+        ``filter_column`` is the layout's valid column for what
+        :meth:`group_program` specialises per subgroup and its filter column
+        for :meth:`combine_program`.
+        """
+        return GroupMaskTemplate(attributes, layout, filter_column, include_remote)
 
 
 def apply_program(

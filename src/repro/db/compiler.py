@@ -15,6 +15,7 @@ the data movement overhead Section V-A attributes to the two-xb layout.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 from repro.db.encoding import RowLayout
@@ -35,7 +36,7 @@ from repro.db.query import (
     fold_comparison,
 )
 from repro.db.schema import Schema
-from repro.pim.logic import Program, ProgramBuilder
+from repro.pim.logic import Program, ProgramBuilder, ProgramCost
 
 
 class CompilationError(ValueError):
@@ -90,12 +91,9 @@ def compile_group_predicate(
         filter_column = layout.filter_column
     builder = ProgramBuilder(layout.scratch_columns)
     terms = _group_equality_terms(builder, group_values, layout)
-    acc = builder.and_reduce(terms, consume=True) if terms else builder.const(True)
-    combined = builder.and_(acc, filter_column)
-    builder.free(acc)
-    builder.store(combined, result_column)
-    builder.free(combined)
-    return builder.build(result_column=result_column)
+    return _conjoin_group_terms(
+        builder, terms, layout, False, filter_column, result_column
+    )
 
 
 def _group_equality_terms(
@@ -108,6 +106,25 @@ def _group_equality_terms(
             raise CompilationError(f"attribute {name!r} is not in this partition")
         terms.append(builder.eq_const(layout.field_columns(name), int(value)))
     return terms
+
+
+def _conjoin_group_terms(
+    builder: ProgramBuilder,
+    terms: list[int],
+    layout: RowLayout,
+    include_remote: bool,
+    filter_column: int,
+    result_column: int,
+) -> Program:
+    """AND the equality terms, the remote bit-vector and the filter bit."""
+    if include_remote:
+        terms.append(builder.copy(layout.remote_column))
+    local = builder.and_reduce(terms, consume=True) if terms else builder.const(True)
+    combined = builder.and_(local, filter_column)
+    builder.free(local)
+    builder.store(combined, result_column)
+    builder.free(combined)
+    return builder.build(result_column=result_column)
 
 
 def compile_group_combine(
@@ -127,14 +144,106 @@ def compile_group_combine(
         result_column = layout.group_column
     builder = ProgramBuilder(layout.scratch_columns)
     terms = _group_equality_terms(builder, group_values, layout)
-    if include_remote:
-        terms.append(builder.copy(layout.remote_column))
-    local = builder.and_reduce(terms, consume=True) if terms else builder.const(True)
-    combined = builder.and_(local, layout.filter_column)
-    builder.free(local)
-    builder.store(combined, result_column)
-    builder.free(combined)
-    return builder.build(result_column=result_column)
+    return _conjoin_group_terms(
+        builder, terms, layout, include_remote, layout.filter_column, result_column
+    )
+
+
+class GroupMaskTemplate:
+    """The pim-gb subgroup mask of one layout with the group key left open.
+
+    :func:`compile_group_predicate` / :func:`compile_group_combine` build one
+    constant-specialised program per subgroup; every one of them is the same
+    circuit with other key constants.  A template is that circuit built
+    once, for ``attributes`` of ``layout`` (held sorted by name, the order
+    the specialised compilers use), in two stages the batched pim-gb path
+    lowers into one kernel each (``stages``):
+
+    * one :meth:`~repro.pim.logic.ProgramBuilder.eq_param` program per
+      attribute, reading constant bit ``i`` of attribute ``a`` from the
+      pseudo-column ``constant_columns[a][i]`` and leaving "attribute ``a``
+      differs from the constant" in ``mismatch_columns[a]``;
+    * one NOR of the ``mismatch_columns``, the negated remote bit-vector
+      (``include_remote``) and the negated ``filter_column`` into the group
+      column: no attribute differs, and the remote and filter bits are set.
+
+    The pseudo-columns lie past the physical row; the kernels bind them as
+    private inputs and never touch the bank for them.  Splitting at the
+    mismatch columns lets a batch evaluate each attribute once per
+    *distinct* value and conjoin once per key.
+
+    Templates are functional only — never dispatched op by op, so their
+    scratch is pseudo-columns too and their gates are chosen for the fused
+    kernel, not for the cycle count.  What a subgroup's specialised program
+    would be charged is :meth:`cost`: the ops of the zero-key program that
+    are not equalities, plus :meth:`ProgramBuilder.eq_const_cycles` of the
+    key's values.
+    """
+
+    def __init__(
+        self,
+        attributes: Sequence[str],
+        layout: RowLayout,
+        filter_column: int,
+        include_remote: bool = False,
+    ) -> None:
+        self.attributes: tuple[str, ...] = tuple(sorted(attributes))
+        self.result_column = layout.group_column
+        builder = ProgramBuilder(layout.scratch_columns)
+        zero_key = _conjoin_group_terms(
+            builder,
+            _group_equality_terms(builder, dict.fromkeys(self.attributes, 0), layout),
+            layout, include_remote, filter_column, self.result_column,
+        )
+        fields = [layout.field_columns(name) for name in self.attributes]
+        self.widths = tuple(len(columns) for columns in fields)
+        self._fixed_cycles = zero_key.cycles - sum(
+            ProgramBuilder.eq_const_cycles(width, 0) for width in self.widths
+        )
+
+        # Pseudo-columns: one per attribute for its mismatch, one per
+        # constant bit, then the scratch pool (eq_param keeps two per bit).
+        cursor = layout.columns + len(fields)
+        self.mismatch_columns = tuple(range(layout.columns, cursor))
+        constant_columns = []
+        for width in self.widths:
+            constant_columns.append(tuple(range(cursor, cursor + width)))
+            cursor += width
+        self.constant_columns = tuple(constant_columns)
+        scratch = range(cursor, cursor + 2 * max(self.widths, default=0) + 3)
+
+        mismatches = []
+        for field, constants, column in zip(
+            fields, self.constant_columns, self.mismatch_columns
+        ):
+            builder = ProgramBuilder(scratch)
+            builder.emit_nor(column, (builder.eq_param(field, constants),))
+            mismatches.append(builder.build(result_column=column))
+        builder = ProgramBuilder(scratch)
+        remote = (layout.remote_column,) if include_remote else ()
+        builder.emit_nor(
+            self.result_column,
+            self.mismatch_columns
+            + tuple(builder.not_(column) for column in (*remote, filter_column)),
+        )
+        #: ``(programs, private input columns)`` of the two kernels.
+        self.stages = (
+            (tuple(mismatches), tuple(itertools.chain(*self.constant_columns))),
+            (
+                (builder.build(result_column=self.result_column),),
+                self.mismatch_columns + remote,
+            ),
+        )
+        # The compiled kernels, set by the batched path on first use; they
+        # live and die with the template, like ``Program._kernel``.
+        self._kernel = None
+
+    def cost(self, values: Sequence[int]) -> ProgramCost:
+        """What the program specialised to ``values`` is charged."""
+        cycles = self._fixed_cycles + sum(
+            map(ProgramBuilder.eq_const_cycles, self.widths, values)
+        )
+        return ProgramCost(cycles, self.result_column)
 
 
 def _compile_node(

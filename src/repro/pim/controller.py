@@ -55,8 +55,8 @@ class PimExecutor:
         #: attribute to the enclosing stage span through the stats hook.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Program-execution strategy, resolved once.  ``batched`` runs
-        # individual programs as fused kernels and batches the per-subgroup
-        # group-mask programs into multi-output kernels (see
+        # individual programs as fused kernels and takes all subgroup masks
+        # of a GROUP-BY from one value-free template kernel (see
         # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`);
         # otherwise programs run op by op.  Both are bit-exact on program
         # outputs and all costs are charged from program metadata either way.

@@ -263,11 +263,11 @@ class CrossbarBank:
         return np.True_
 
     def kernel_to_bool(self, value) -> np.ndarray:
-        """Decode a kernel value into booleans of shape ``(n, rows)``."""
+        """Decode a kernel value into booleans of shape ``(..., n, rows)``."""
         return np.asarray(value, dtype=bool)
 
     def kernel_from_bool(self, values: np.ndarray):
-        """Encode booleans of shape ``(n, rows)`` as a kernel value."""
+        """Encode booleans of shape ``(..., n, rows)`` as a kernel value."""
         return np.asarray(values, dtype=bool)
 
     def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:

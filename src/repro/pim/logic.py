@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,25 @@ class Program:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Program(cycles={self.cycles}, result_column={self.result_column})"
+
+
+class ProgramCost(NamedTuple):
+    """What the charging entry points read of a :class:`Program`.
+
+    ``apply_program`` / ``apply_program_pruned`` with known result bits need
+    only ``cycles``, ``writes_per_row`` and ``result_column``, so a program
+    whose op count is known in closed form (see
+    :meth:`ProgramBuilder.eq_const_cycles`) is charged through a
+    ``ProgramCost`` without ever being built.
+    """
+
+    cycles: int
+    result_column: int | None
+
+    @property
+    def writes_per_row(self) -> int:
+        """One cell write per row per primitive, as for a :class:`Program`."""
+        return self.cycles
 
 
 class ScratchExhaustedError(RuntimeError):
@@ -384,6 +403,50 @@ class ProgramBuilder:
         assert acc is not None
         return acc
 
+    @staticmethod
+    def eq_const_cycles(width: int, value: int) -> int:
+        """Primitives :meth:`eq_const` emits for a ``width``-bit constant.
+
+        A set constant bit costs a ``copy`` (2 NORs), a clear one a ``not_``
+        (1), and every bit after the first an ``and_`` (3) — so the count
+        depends on the constant only through its popcount, which is what
+        lets the value-free pim-gb templates charge a subgroup's program
+        without building it.
+        """
+        ProgramBuilder._check_fits(width, value)
+        return 4 * width - 3 + int(value).bit_count()
+
+    def eq_param(
+        self, field_columns: Sequence[int], const_columns: Sequence[int]
+    ) -> int:
+        """``field == constant`` with the constant's bits read from columns.
+
+        The value-free twin of :meth:`eq_const`: bit ``i`` of the constant
+        is whatever ``const_columns[i]`` holds (all ones or all zeros in
+        every row), so one program serves every constant — the fused batch
+        kernel binds those columns as private inputs.  Bit ``i`` differs iff
+        ``field AND NOT const`` or ``NOT field AND const``; the field equals
+        the constant iff no such product is set, one wide NOR.  That keeps
+        two scratch columns per bit live, more than a row layout guarantees
+        for wide fields, and the op count is not :meth:`eq_const`'s: this is
+        for functional kernels (whose scratch never exists), with costs
+        charged from :meth:`eq_const_cycles`.
+        """
+        if len(field_columns) != len(const_columns) or not field_columns:
+            raise ValueError("need one constant column per field bit")
+        differs: list[int] = []
+        for col, const in zip(field_columns, const_columns):
+            not_col = self.not_(col)
+            not_const = self.not_(const)
+            differs += [self.nor(not_col, const), self.nor(col, not_const)]
+            self.free(not_col)
+            self.free(not_const)
+        equal = self.alloc()
+        self.emit_nor(equal, differs)
+        for column in differs:
+            self.free(column)
+        return equal
+
     def ne_const(self, field_columns: Sequence[int], value: int) -> int:
         """``field != value``."""
         eq = self.eq_const(field_columns, value)
@@ -477,7 +540,10 @@ class ProgramBuilder:
         return self.or_reduce(terms, consume=True)
 
     def _check_const(self, field_columns: Sequence[int], value: int) -> None:
-        width = len(field_columns)
+        self._check_fits(len(field_columns), value)
+
+    @staticmethod
+    def _check_fits(width: int, value: int) -> None:
         if width == 0:
             raise ValueError("empty field")
         if value < 0 or value >= (1 << width):

@@ -260,22 +260,26 @@ class PackedCrossbarBank:
         return self._row_mask
 
     def kernel_to_bool(self, value) -> np.ndarray:
-        """Decode a kernel value into booleans of shape ``(n, rows)``."""
+        """Decode a kernel value into booleans of shape ``(..., n, rows)``.
+
+        Leading axes (a stack of values) pass through.  The result is a
+        zero-copy bool view of the unpacked 0/1 bytes.
+        """
         value = np.atleast_2d(np.asarray(value, dtype=np.uint64))
         raw = np.ascontiguousarray(value, dtype="<u8").view(np.uint8)
         bits = np.unpackbits(raw, axis=-1, bitorder="little")
-        return bits[:, : self.rows].astype(bool)
+        return bits[..., : self.rows].view(np.bool_)
 
     def kernel_from_bool(self, values: np.ndarray) -> np.ndarray:
-        """Encode booleans of shape ``(n, rows)`` as a kernel value.
+        """Encode booleans of shape ``(..., n, rows)`` as a kernel value.
 
         Padding bits of the last word are zero, preserving the bank
         invariant when the result flows through ``kernel_write``.
         """
         values = np.asarray(values, dtype=bool)
         packed = np.packbits(values, axis=-1, bitorder="little")
-        out = np.zeros((values.shape[0], self.rows_words * 8), dtype=np.uint8)
-        out[:, : packed.shape[-1]] = packed
+        out = np.zeros(values.shape[:-1] + (self.rows_words * 8,), dtype=np.uint8)
+        out[..., : packed.shape[-1]] = packed
         return out.view("<u8")
 
     def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:

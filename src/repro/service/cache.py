@@ -1,12 +1,21 @@
 """LRU cache of compiled NOR programs.
 
 Compiling a predicate into a NOR program is deterministic in the predicate
-and the row layout, so a service replaying similar WHERE clauses (or the same
-pim-gb subgroups) can reuse the compiled
-:class:`~repro.pim.logic.Program` verbatim.  :class:`ProgramCache` is a
-drop-in :class:`~repro.core.stages.ProgramCompiler` with an LRU keyed by
+and the row layout, so a service replaying similar WHERE clauses can reuse
+the compiled :class:`~repro.pim.logic.Program` verbatim.
+:class:`ProgramCache` is a drop-in
+:class:`~repro.core.stages.ProgramCompiler` with an LRU keyed by
 ``(predicate, layout)`` — layouts compare by identity, predicates by value
 (the IR dataclasses are frozen).
+
+The batched pim-gb path asks for *templates*
+(:class:`~repro.db.compiler.GroupMaskTemplate`), not per-subgroup programs.
+A template key is ``(attribute names, filter column, include_remote,
+layout)`` — it holds no group values, so a GROUP-BY costs one entry per
+partition it touches however many subgroups it has, and the capacity a
+workload needs is its number of distinct WHERE clauses and GROUP-BY column
+sets, not its subgroup count.  The value-keyed ``group_program`` /
+``combine_program`` entries serve the per-subgroup ``dispatch`` reference.
 """
 
 from __future__ import annotations
@@ -14,14 +23,18 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Sequence
+from typing import TypeVar
 
 from repro.core.stages import ProgramCompiler
+from repro.db.compiler import GroupMaskTemplate
 from repro.db.encoding import RowLayout
 from repro.db.query import Predicate
 from repro.db.schema import Schema
 from repro.obs.metrics import sub_stats
 from repro.pim.logic import Program
+
+_Entry = TypeVar("_Entry", Program, GroupMaskTemplate)
 
 
 @dataclass
@@ -72,7 +85,9 @@ class ProgramCache(ProgramCompiler):
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, Program] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Program | GroupMaskTemplate] = (
+            OrderedDict()
+        )
         # Sharded scatter execution may compile from several shard threads at
         # once; the lock keeps the LRU bookkeeping (and the hit/miss counters)
         # consistent.  Compilation itself is pure, so holding the lock across
@@ -96,12 +111,13 @@ class ProgramCache(ProgramCompiler):
             self._entries.clear()
 
     def fused_kernels(self) -> int:
-        """Cached programs whose fused kernel has been compiled.
+        """Cached programs and templates whose kernel has been compiled.
 
         Programs memoize their optimized NOR DAG and fused kernel on first
         fused execution (see :meth:`repro.pim.logic.Program.fused_kernel`),
-        so a cache hit reuses the kernel along with the program — this counts
-        how many entries currently carry one.
+        templates their batch kernels on first batched group-by, so a cache
+        hit reuses the kernel along with the entry and an eviction drops
+        both — this counts how many entries currently carry one.
         """
         with self._lock:
             return sum(
@@ -110,7 +126,7 @@ class ProgramCache(ProgramCompiler):
                 if program._kernel is not None
             )
 
-    def _lookup(self, key: Hashable, build: Callable[[], Program]) -> Program:
+    def _lookup(self, key: Hashable, build: Callable[[], _Entry]) -> _Entry:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -152,4 +168,20 @@ class ProgramCache(ProgramCompiler):
         build = super().combine_program
         return self._lookup(
             key, lambda: build(group_values, layout, include_remote)
+        )
+
+    def group_template(
+        self,
+        attributes: Sequence[str],
+        layout: RowLayout,
+        filter_column: int,
+        include_remote: bool = False,
+    ) -> GroupMaskTemplate:
+        key = (
+            "template", tuple(sorted(attributes)), filter_column,
+            include_remote, layout,
+        )
+        build = super().group_template
+        return self._lookup(
+            key, lambda: build(attributes, layout, filter_column, include_remote)
         )

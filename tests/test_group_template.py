@@ -1,0 +1,229 @@
+"""The value-free pim-gb group-mask template against its specialised twins.
+
+``execution="batched"`` never compiles a per-subgroup program: it asks for
+one :class:`~repro.db.compiler.GroupMaskTemplate` per partition, binds the
+group keys as kernel inputs and charges each subgroup from a closed form.
+The property test pins both halves against the constant-specialised
+compilers the ``dispatch`` reference still uses — the closed-form cost
+equals the compiled program's op count, and the template's mask bits equal
+op-by-op execution of the specialised program, on both backends, broadcast
+and on a crossbar subset.  The service-level test pins the point of it all:
+a warm GROUP-BY replay compiles and lowers nothing, whatever the subgroup
+count and however small the program cache.
+"""
+
+import copy
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.config import DEFAULT_CONFIG
+from repro.core import batched, stages
+from repro.core.batched import _pad_rows, _run_partition_batch
+from repro.core.latency_model import (
+    GroupByCostModel,
+    HostGbLatencyModel,
+    PimGbLatencyModel,
+)
+from repro.db.compiler import (
+    GroupMaskTemplate,
+    compile_group_combine,
+    compile_group_predicate,
+)
+from repro.db.query import Aggregate, Query
+from repro.db.relation import Relation
+from repro.db.schema import Schema, int_attribute
+from repro.db.storage import StoredRelation
+from repro.pim.logic import ProgramBuilder
+from repro.pim.module import PimModule
+from repro.service import QueryService
+from repro.service.cache import ProgramCache
+
+RECORDS = 2500  # three crossbars in use, the last one partly filled
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def template_cases(draw):
+    widths = draw(st.lists(st.integers(1, 12), min_size=3, max_size=3))
+    grouped = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=3))
+    keys = draw(st.lists(
+        st.tuples(*(
+            st.integers(0, (1 << widths[NAMES.index(name)]) - 1)
+            for name in sorted(grouped)
+        )),
+        min_size=1, max_size=5,
+    ))
+    return widths, sorted(grouped), keys, draw(st.integers(0, 2**32 - 1))
+
+
+@given(
+    case=template_cases(),
+    include_remote=st.booleans(),
+    subset=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_template_equals_specialised_programs(case, include_remote, subset):
+    widths, grouped, keys, seed = case
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        "t", [int_attribute(name, width) for name, width in zip(NAMES, widths)]
+    )
+    columns = {
+        name: rng.integers(0, 1 << width, RECORDS).astype(np.uint64)
+        for name, width in zip(NAMES, widths)
+    }
+    # Make sure some rows carry each key, so the masks are not all-zero.
+    for index, key in enumerate(keys):
+        for name, value in zip(grouped, key):
+            columns[name][index::17] = value
+    relation = Relation(schema, columns)
+    filter_bits = rng.random(RECORDS) < 0.7
+    remote_bits = rng.random((len(keys), RECORDS)) < 0.6
+    values = np.array(keys, dtype=np.int64).reshape(len(keys), len(grouped))
+
+    for backend in ("packed", "bool"):
+        stored = StoredRelation(
+            relation, PimModule(DEFAULT_CONFIG.with_backend(backend)), label="t"
+        )
+        layout = stored.layouts[0]
+        bank = stored.allocations[0].bank
+        stored.write_bit_column(0, layout.filter_column, filter_bits, count_wear=False)
+        prune = xbars = None
+        if subset:
+            candidates = np.zeros(bank.count, dtype=bool)
+            candidates[[0, 2]] = True
+            prune = SimpleNamespace(candidates=[candidates])
+            xbars = np.flatnonzero(candidates)
+
+        for filter_column, remote in (
+            (layout.valid_column, False),
+            (layout.filter_column, include_remote),
+        ):
+            template = GroupMaskTemplate(grouped, layout, filter_column, remote)
+            bound = None
+            if remote:
+                rows = _pad_rows(remote_bits, bank)
+                bound = bank.kernel_from_bool(rows if xbars is None else rows[:, xbars])
+            masks = _run_partition_batch(stored, 0, template, values, bound, prune)
+            assert masks.shape == (len(keys), bank.count, bank.rows)
+
+            for index, key in enumerate(keys):
+                group_values = dict(zip(grouped, key))
+                program = compile_group_combine(group_values, layout, remote)
+                if filter_column == layout.valid_column:
+                    twin = compile_group_predicate(
+                        group_values, layout, filter_column=layout.valid_column
+                    )
+                    assert twin.cycles == program.cycles
+                    program = twin
+                cost = template.cost(key)
+                assert cost == (program.cycles, program.result_column)
+                assert cost.writes_per_row == program.writes_per_row
+
+                scratch = copy.deepcopy(bank)
+                if remote:
+                    scratch.write_bool_column(
+                        layout.remote_column, _pad_rows(remote_bits, bank)[index]
+                    )
+                if xbars is None:
+                    program.execute(scratch)
+                else:
+                    program.execute_at(scratch, xbars)
+                expected = scratch.read_column(layout.group_column)
+                assert np.array_equal(masks[index], expected)
+                if xbars is not None:
+                    assert not masks[index][~candidates].any()
+
+
+def test_eq_const_cycles_is_the_builder_count():
+    for width in (1, 2, 7, 12):
+        for value in {0, 1, (1 << width) - 1, (1 << width) // 3}:
+            builder = ProgramBuilder(range(100, 112))
+            builder.eq_const(list(range(width)), value)
+            assert builder.cycles == ProgramBuilder.eq_const_cycles(width, value)
+    with pytest.raises(ValueError, match="does not fit"):
+        ProgramBuilder.eq_const_cycles(3, 8)
+
+
+def _grouped_service(execution: str, capacity: int):
+    rng = np.random.default_rng(5)
+    schema = Schema("g", [
+        int_attribute("key", 6), int_attribute("bucket", 3),
+        int_attribute("value", 8),
+    ])
+    relation = Relation(schema, {
+        "key": rng.integers(0, 40, 3000).astype(np.uint64),
+        "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
+        "value": rng.integers(0, 256, 3000).astype(np.uint64),
+    })
+    config = DEFAULT_CONFIG.with_execution(execution)
+    stored = StoredRelation(
+        relation, PimModule(config), label="g", aggregation_width=20
+    )
+    # planner=False: always the PIM engine, never the host-scan route.
+    service = QueryService(cache_capacity=capacity, planner=False)
+    service.register(
+        "g", stored, config=config,
+        cost_model=GroupByCostModel(
+            HostGbLatencyModel({2: 1.0}, {2: 1.0}),   # host absurdly expensive
+            PimGbLatencyModel({2: 0.0}, {2: 0.0}),    # PIM free
+        ),
+    )
+    return service, stored
+
+
+def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
+    query = Query(
+        "grouped", None, (Aggregate("sum", "value"), Aggregate("count")),
+        group_by=("key", "bucket"),
+    )
+    service, stored = _grouped_service("batched", capacity=8)
+    reference, reference_stored = _grouped_service("dispatch", capacity=512)
+    cache = service.cache
+    assert isinstance(cache, ProgramCache) and cache.capacity == 8
+
+    cold = service.execute(query)
+    assert cold.pim_subgroups >= 50
+    assert cold.pim_subgroups == cold.total_subgroups
+
+    calls = {"combine": 0, "predicate": 0, "lower": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        stages, "compile_group_combine",
+        counting("combine", stages.compile_group_combine),
+    )
+    monkeypatch.setattr(
+        stages, "compile_group_predicate",
+        counting("predicate", stages.compile_group_predicate),
+    )
+    monkeypatch.setattr(
+        batched, "lower_program_batch",
+        counting("lower", batched.lower_program_batch),
+    )
+    before = cache.snapshot()
+    warm = service.execute(query)
+    after = cache.snapshot()
+    monkeypatch.undo()
+
+    assert calls == {"combine": 0, "predicate": 0, "lower": 0}
+    assert after.evictions == before.evictions
+    assert after.misses == before.misses
+    assert len(cache) <= 8
+
+    reference.execute(query)
+    twin = reference.execute(query)
+    assert warm.rows == twin.rows
+    assert warm.stats == twin.stats
+    for ours, theirs in zip(stored.wear_snapshot(), reference_stored.wear_snapshot()):
+        assert np.array_equal(ours, theirs)
+    service.close()
+    reference.close()
