@@ -8,6 +8,9 @@ bit-exactness of the result rows, bit-identical :class:`PimStats`, and a
 further gates cover the fused kernel pipeline: the warm replay of the 13
 compiled filter programs must run >=5x faster fused than dispatched, and
 the thread-pooled 4-shard scatter must beat the sequential scatter (>1x).
+The field-codec gate holds the packed bank's bulk field decode
+(``read_field_all``) and encode (``write_field_column``), summed over every
+layout field, to be no slower than the boolean reference's.
 It is also runnable as a plain script for CI smoke tests::
 
     PYTHONPATH=src python benchmarks/bench_backend_speed.py
@@ -23,6 +26,7 @@ ARTIFACT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_backend.
 MIN_SPEEDUP = 5.0
 MIN_FUSED_SPEEDUP = 5.0
 MIN_SCATTER_SPEEDUP = 1.0
+MIN_CODEC_SPEEDUP = 1.0
 
 
 def test_backend_speed(benchmark, publish):
@@ -50,6 +54,12 @@ def test_backend_speed(benchmark, publish):
     assert results.scatter.bits_match
     if results.scatter.gateable:
         assert results.scatter.speedup > MIN_SCATTER_SPEEDUP
+    # Field-codec gate in absolute terms: a "fast path" that decodes or
+    # encodes fields slower than the byte-per-bit reference is a regression
+    # (measured 3-10x faster at the benchmark geometry).
+    assert results.codec is not None
+    assert results.codec.speedup("decode") >= MIN_CODEC_SPEEDUP
+    assert results.codec.speedup("encode") >= MIN_CODEC_SPEEDUP
 
 
 def main(argv=None) -> int:
@@ -74,6 +84,12 @@ def main(argv=None) -> int:
         "--min-scatter-speedup", type=float, default=MIN_SCATTER_SPEEDUP,
         help="fail unless the 4-worker scatter beats the sequential scatter "
              "by strictly more than this factor (0 disables the check)",
+    )
+    parser.add_argument(
+        "--min-codec-speedup", type=float, default=MIN_CODEC_SPEEDUP,
+        help="fail unless the packed bank's summed field decode time and "
+             "summed field encode time are each at least this factor faster "
+             "than the boolean reference's (0 disables the check)",
     )
     parser.add_argument(
         "--no-service", action="store_true",
@@ -134,6 +150,16 @@ def main(argv=None) -> int:
                 f"not above {args.min_scatter_speedup}x"
             )
             return 1
+    if args.min_codec_speedup:
+        for operation in ("decode", "encode"):
+            speedup = results.codec.speedup(operation)
+            if speedup < args.min_codec_speedup:
+                print(
+                    f"FAIL: packed field {operation} is {speedup:.2f}x the "
+                    f"boolean reference's speed, below "
+                    f"{args.min_codec_speedup}x"
+                )
+                return 1
     return 0
 
 

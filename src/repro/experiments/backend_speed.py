@@ -24,6 +24,13 @@ Two further sections cover the fused kernel pipeline (PR 6):
   GIL released, so the pool must deliver real wall-clock overlap; on a
   single core the measurement is recorded but the gate is skipped).
 
+A last section times the **field codec** — the functional stand-in for the
+aggregation circuit's read port and the host load path: ``read_field_all``
+and ``write_field_column`` of every field of the relation's layouts, on both
+banks at the relation's geometry, min-of-7 absolute milliseconds per field
+width (gated: the packed bank's summed decode and summed encode time must
+each be no slower than the boolean reference's).
+
 The bool-vs-packed sections pin the per-operation *dispatch* strategy —
 the regime the packed backend was introduced against — so their trajectory
 stays comparable across versions; the fused sections quantify the strategy
@@ -37,8 +44,11 @@ from __future__ import annotations
 
 import os
 import time
+import timeit
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +57,7 @@ from repro.core.executor import PimQueryEngine, QueryExecution
 from repro.core.stages import ProgramCompiler
 from repro.db.storage import StoredRelation
 from repro.experiments import emit
-from repro.experiments.common import default_scale_factor
+from repro.experiments.common import default_scale_factor, format_table
 from repro.pim.module import PimModule
 from repro.pim.packed import make_bank
 from repro.pim.stats import PimStats
@@ -151,6 +161,49 @@ class ScatterComparison:
         return self.cpu_count > 1
 
 
+#: The four timed (backend, operation) cells of the field-codec section.
+CODEC_CELLS = tuple(f"{b}_{op}" for op in ("decode", "encode") for b in BACKENDS)
+
+
+@dataclass
+class CodecWidth:
+    """Field decode/encode at one field width, summed over its fields."""
+
+    width: int
+    fields: int = 0
+    #: Milliseconds per cell of :data:`CODEC_CELLS` (e.g. ``"packed_decode"``).
+    ms: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(CODEC_CELLS, 0.0)
+    )
+
+
+@dataclass
+class CodecComparison:
+    """``read_field_all`` / ``write_field_column`` on both banks, per width.
+
+    Every field of the relation's layouts is decoded and re-encoded on the
+    stored banks; times are the minimum of ``repeats`` calls in absolute
+    milliseconds, so the record reads as a cost per bulk decode at the
+    stated geometry rather than as a ratio against a slowed-down reference.
+    """
+
+    crossbars: int
+    rows: int
+    cpu_count: int
+    repeats: int
+    widths: list[CodecWidth]
+    values_match: bool
+
+    def total_ms(self, cell: str) -> float:
+        return sum(w.ms[cell] for w in self.widths)
+
+    def speedup(self, operation: str) -> float:
+        """Summed ``bool`` time over summed ``packed`` time of one operation."""
+        packed = self.total_ms(f"packed_{operation}")
+        reference = self.total_ms(f"bool_{operation}")
+        return reference / packed if packed > 0 else float("inf")
+
+
 @dataclass
 class BackendSpeedResults:
     """Everything ``bench_backend_speed`` reports and gates on."""
@@ -161,6 +214,7 @@ class BackendSpeedResults:
     service: ServiceComparison | None = None
     fused: FusedComparison | None = None
     scatter: ScatterComparison | None = None
+    codec: CodecComparison | None = None
 
     @property
     def bool_total_s(self) -> float:
@@ -177,8 +231,10 @@ class BackendSpeedResults:
 
     @property
     def bit_exact(self) -> bool:
-        return all(q.rows_match for q in self.queries) and (
-            self.service is None or self.service.rows_match
+        return (
+            all(q.rows_match for q in self.queries)
+            and (self.service is None or self.service.rows_match)
+            and (self.codec is None or self.codec.values_match)
         )
 
     @property
@@ -336,6 +392,53 @@ def _timed_scatter(
     )
 
 
+def _min_ms(call: Callable[[], object], repeats: int) -> float:
+    """Minimum wall time of ``repeats`` calls, in milliseconds."""
+    return min(timeit.repeat(call, number=1, repeat=repeats)) * 1e3
+
+
+def _timed_field_codec(
+    stored: Mapping[str, StoredRelation], repeats: int = 7
+) -> CodecComparison:
+    """Decode and re-encode every layout field on both stored banks.
+
+    ``stored`` maps each backend to the same relation loaded on it.  The
+    fields are rewritten with the values just decoded and without wear, so
+    the stores are left exactly as they were found.
+    """
+    widths: dict[int, CodecWidth] = {}
+    values_match = True
+    for partition, layout in enumerate(stored["packed"].layouts):
+        banks = {b: stored[b].allocations[partition].bank for b in BACKENDS}
+        for offset, width in layout.fields.values():
+            row = widths.setdefault(width, CodecWidth(width))
+            row.fields += 1
+            decoded = {}
+            for backend, bank in banks.items():
+                decoded[backend] = values = bank.read_field_all(offset, width)
+                row.ms[f"{backend}_decode"] += _min_ms(
+                    partial(bank.read_field_all, offset, width), repeats
+                )
+                row.ms[f"{backend}_encode"] += _min_ms(
+                    partial(bank.write_field_column, offset, width, values,
+                            count_wear=False),
+                    repeats,
+                )
+            values_match &= np.array_equal(decoded["bool"], decoded["packed"])
+            values_match &= np.array_equal(
+                banks["packed"].read_field_all(offset, width), decoded["bool"]
+            )
+    bank = stored["packed"].allocations[0].bank
+    return CodecComparison(
+        crossbars=bank.count,
+        rows=bank.rows,
+        cpu_count=os.cpu_count() or 1,
+        repeats=repeats,
+        widths=[widths[w] for w in sorted(widths)],
+        values_match=values_match,
+    )
+
+
 def run_backend_speed(
     scale_factor: float | None = None,
     skew: float = 0.5,
@@ -394,6 +497,9 @@ def run_backend_speed(
             ),
         )
 
+    results.codec = _timed_field_codec(
+        {backend: engines[backend].stored for backend in BACKENDS}
+    )
     if with_fused:
         results.fused = _timed_fused_replay(prejoined, configs["packed"])
     if with_scatter:
@@ -451,6 +557,28 @@ def render(results: BackendSpeedResults) -> str:
             f"serial {sc.serial_s:.4f}s / pooled {sc.parallel_s:.4f}s "
             f"= {sc.speedup:.2f}x, bits {'ok' if sc.bits_match else 'DIFF'}"
             f"{note}"
+        )
+    if results.codec is not None:
+        c = results.codec
+        lines.append(
+            f"field codec ({c.crossbars} crossbars x {c.rows} rows, every "
+            f"layout field, min of {c.repeats}, {c.cpu_count} CPU): values "
+            f"{'ok' if c.values_match else 'DIFF'}"
+        )
+        rows = [
+            [w.width, w.fields, *(w.ms[cell] for cell in CODEC_CELLS)]
+            for w in c.widths
+        ]
+        rows.append([
+            "total", sum(w.fields for w in c.widths),
+            *(c.total_ms(cell) for cell in CODEC_CELLS),
+        ])
+        lines.append(format_table(
+            ["width", "fields", *(f"{cell} [ms]" for cell in CODEC_CELLS)], rows
+        ))
+        lines.append(
+            f"packed vs bool: decode {c.speedup('decode'):.1f}x, "
+            f"encode {c.speedup('encode'):.1f}x"
         )
     return "\n".join(lines)
 
@@ -512,6 +640,27 @@ def artifact(results: BackendSpeedResults) -> dict:
             "speedup": results.scatter.speedup,
             "bits_match": results.scatter.bits_match,
             "gateable": results.scatter.gateable,
+        }
+    if results.codec is not None:
+        c = results.codec
+        record["field_codec"] = {
+            "crossbars": c.crossbars,
+            "rows": c.rows,
+            "cpu_count": c.cpu_count,
+            "repeats": c.repeats,
+            "unit": "ms, min of repeats, summed over the fields of a width",
+            "widths": [
+                {
+                    "width": w.width,
+                    "fields": w.fields,
+                    **{f"{cell}_ms": w.ms[cell] for cell in CODEC_CELLS},
+                }
+                for w in c.widths
+            ],
+            **{f"{cell}_ms": c.total_ms(cell) for cell in CODEC_CELLS},
+            "decode_speedup": c.speedup("decode"),
+            "encode_speedup": c.speedup("encode"),
+            "values_match": c.values_match,
         }
     return record
 

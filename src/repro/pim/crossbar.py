@@ -65,8 +65,12 @@ class CrossbarBank:
             )
 
     def _check_rows(self, rows) -> None:
-        rows = np.asarray(rows)
-        if rows.size and (np.any(rows < 0) or np.any(rows >= self.rows)):
+        if isinstance(rows, (int, np.integer)):
+            bad = rows < 0 or rows >= self.rows
+        else:
+            rows = np.asarray(rows)
+            bad = rows.size and (np.any(rows < 0) or np.any(rows >= self.rows))
+        if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
     # -------------------------------------------------------------- load/read

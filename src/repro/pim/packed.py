@@ -23,6 +23,15 @@ Two invariants keep the backends interchangeable:
   maintains the same per-row ``writes_per_row`` counters as the boolean
   backend.
 
+**Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
+``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
+along rows and accumulates ``plane[b] << b`` in the narrowest unsigned dtype
+holding the field, widened to ``uint64`` once at the end; bulk encode
+(``write_field_column``) mirrors it, ``(value >> b) & 1`` per plane straight
+into the layout that gets packed.  Nothing is transposed, and no decoded
+column is cached: a 12-bit decode of 96 x 1024 rows costs ~0.4 ms, which does
+not pay for write-invalidation state on the bank.
+
 The backend is selected by :attr:`repro.config.SystemConfig.backend`
 (``"packed"`` by default, ``"bool"`` for the reference implementation) and
 instantiated through :func:`make_bank` by
@@ -40,6 +49,12 @@ from repro.pim.crossbar import CrossbarBank
 
 _ONE = np.uint64(1)
 _WORD_BITS = 64
+
+
+def _field_dtype(width: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds a ``width``-bit field."""
+    return np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                         if width <= 8 * np.dtype(t).itemsize))
 
 
 class PackedCrossbarBank:
@@ -92,27 +107,44 @@ class PackedCrossbarBank:
     def _check_rows(self, rows) -> None:
         # Out-of-range rows must fail loudly (and before any mutation): the
         # word arithmetic would otherwise silently target padding bits.
-        rows = np.asarray(rows)
-        if rows.size and (np.any(rows < 0) or np.any(rows >= self.rows)):
+        if isinstance(rows, (int, np.integer)):
+            bad = rows < 0 or rows >= self.rows
+        else:
+            rows = np.asarray(rows)
+            bad = rows.size and (np.any(rows < 0) or np.any(rows >= self.rows))
+        if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
     # ------------------------------------------------------- pack/unpack core
     def _unpack_columns(self, offset: int, width: int) -> np.ndarray:
-        """Column slab as booleans, shape ``(count, width, rows)``."""
+        """Bit planes of a column slab, booleans of shape ``(count, width, rows)``.
+
+        A writable zero-copy bool view of the freshly unpacked 0/1 bytes.
+        """
         raw = np.ascontiguousarray(
             self.words[:, offset:offset + width, :], dtype="<u8"
         ).view(np.uint8)
         bits = np.unpackbits(raw, axis=-1, bitorder="little")
-        return bits[:, :, : self.rows].astype(bool)
+        return bits[:, :, : self.rows].view(np.bool_)
+
+    def _pack_rows(self, planes: np.ndarray) -> np.ndarray:
+        """Pack 0/1 planes of shape ``(..., rows)`` into ``(..., rows_words)`` words.
+
+        Padding bits of the last word are zero; the zero-fill-and-copy is
+        only needed when ``rows`` does not fill whole words.
+        """
+        packed = np.packbits(planes, axis=-1, bitorder="little")
+        if packed.shape[-1] != self.rows_words * 8:
+            out = np.zeros(
+                packed.shape[:-1] + (self.rows_words * 8,), dtype=np.uint8
+            )
+            out[..., : packed.shape[-1]] = packed
+            packed = out
+        return packed.view("<u8")
 
     def _pack_columns(self, offset: int, width: int, slab: np.ndarray) -> None:
-        """Store a boolean slab of shape ``(count, width, rows)``."""
-        packed = np.packbits(slab, axis=-1, bitorder="little")
-        out = np.zeros(
-            (self.count, width, self.rows_words * 8), dtype=np.uint8
-        )
-        out[:, :, : packed.shape[-1]] = packed
-        self.words[:, offset:offset + width, :] = out.view("<u8")
+        """Store 0/1 bit planes of shape ``(count, width, rows)``."""
+        self.words[:, offset:offset + width, :] = self._pack_rows(slab)
 
     @staticmethod
     def _value_bits(value: int, width: int) -> np.ndarray:
@@ -157,23 +189,31 @@ class PackedCrossbarBank:
             )
         if width < 64 and np.any(values >= np.uint64(1 << width)):
             raise ValueError(f"some values do not fit in {width} bits")
-        raw = np.ascontiguousarray(values, dtype="<u8").view(np.uint8)
-        raw = raw.reshape(self.count, self.rows, 8)
-        bits = np.unpackbits(raw, axis=-1, bitorder="little")[:, :, :width]
-        # (count, rows, width) -> (count, width, rows) and pack along rows.
-        self._pack_columns(offset, width, np.ascontiguousarray(bits.swapaxes(1, 2)))
+        # Mirror of the decode: plane ``b`` is ``(narrow >> b) & 1``, written
+        # straight into the ``(count, width, rows)`` layout that gets packed.
+        narrow = values.astype(_field_dtype(width), copy=False)
+        planes = np.empty((self.count, width, self.rows), dtype=np.uint8)
+        for bit in range(width):
+            np.right_shift(
+                narrow, narrow.dtype.type(bit), out=planes[:, bit, :],
+                casting="unsafe",
+            )
+        planes &= 1
+        self._pack_columns(offset, width, planes)
         if count_wear:
             self.writes_per_row += width
 
     def read_field_all(self, offset: int, width: int) -> np.ndarray:
         """Decode a field from every row of every crossbar, ``(count, rows)``."""
         self._check_field(offset, width)
-        slab = self._unpack_columns(offset, width)          # (count, width, rows)
-        bits = np.ascontiguousarray(slab.swapaxes(1, 2))    # (count, rows, width)
-        packed = np.packbits(bits, axis=-1, bitorder="little")
-        out = np.zeros((self.count, self.rows, 8), dtype=np.uint8)
-        out[:, :, : packed.shape[-1]] = packed
-        return out.view("<u8")[:, :, 0]
+        # ``out |= plane[b] << b`` as a Horner pass over the bit planes, MSB
+        # first, in the narrowest dtype holding the field; widened once.
+        planes = self._unpack_columns(offset, width).view(np.uint8)
+        out = planes[:, width - 1, :].astype(_field_dtype(width))
+        for bit in range(width - 2, -1, -1):
+            out += out
+            out |= planes[:, bit, :]
+        return out.astype(np.uint64, copy=False)
 
     def read_column(self, column: int) -> np.ndarray:
         """Return one bit column of every crossbar, shape ``(count, rows)``."""
@@ -276,11 +316,7 @@ class PackedCrossbarBank:
         Padding bits of the last word are zero, preserving the bank
         invariant when the result flows through ``kernel_write``.
         """
-        values = np.asarray(values, dtype=bool)
-        packed = np.packbits(values, axis=-1, bitorder="little")
-        out = np.zeros(values.shape[:-1] + (self.rows_words * 8,), dtype=np.uint8)
-        out[..., : packed.shape[-1]] = packed
-        return out.view("<u8")
+        return self._pack_rows(np.asarray(values, dtype=bool))
 
     def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
         """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""

@@ -95,6 +95,22 @@ def test_equi_depth_add_remove_roundtrip():
     assert histogram.total == len(values)
 
 
+@pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
+def test_add_one_matches_array_add(variant):
+    """The one-value insert path counts exactly like the array path."""
+    values = _skewed_values(seed=9)
+    scalar = variant.from_values(values, width=16)
+    array = variant.from_values(values, width=16)
+    # Bucket edges, domain limits, an out-of-width value and NumPy scalars.
+    inserts = [0, 1, 1023, 1024, (1 << 16) - 1, 1 << 16, np.uint64(77), np.int64(4096)]
+    inserts += [int(edge) for edge in getattr(scalar, "edges", [])[:4]]
+    for value in inserts:
+        scalar.add_one(value)
+        array.add(np.uint64(value))
+    assert np.array_equal(scalar.counts, array.counts)
+    assert scalar.total == array.total == len(values) + len(inserts)
+
+
 def test_rebuild_preserves_histogram_variant():
     values = _skewed_values(seed=5)
     schema = Schema("t", [int_attribute("v", 16)])

@@ -152,6 +152,93 @@ def test_random_programs_bit_exact_across_backends(ops, probe):
             packed.read_field(xbar, row, offset, width)
 
 
+# ---------------------------------------------------------- field codec
+def _assert_rejected_without_mutation(bank, call) -> None:
+    """``call(bank)`` raises ``ValueError`` and leaves cells and wear alone."""
+    cells = [bank.read_column(c).copy() for c in range(bank.columns)]
+    wear = bank.wear_snapshot()
+    with pytest.raises(ValueError):
+        call(bank)
+    for column, before in enumerate(cells):
+        assert np.array_equal(bank.read_column(column), before)
+    assert np.array_equal(bank.writes_per_row, wear)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    count=st.sampled_from([1, 3]),
+    rows=st.sampled_from([1, 8, 63, 64, 70, 128]),
+    width=st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]),
+    data=st.data(),
+)
+def test_field_codec_roundtrip_at_dtype_boundaries(count, rows, width, data):
+    """Bulk field encode/decode across every accumulator-dtype boundary."""
+    columns = 80
+    offset = data.draw(st.integers(0, columns - width), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    top = (1 << width) - 1
+    values = rng.integers(0, top, (count, rows), dtype=np.uint64, endpoint=True)
+    values.flat[int(rng.integers(values.size))] = top   # 2**64 - 1 at width 64
+    background = rng.integers(0, 2, (columns, count, rows)).astype(bool)
+
+    ref = CrossbarBank(count, rows, columns)
+    packed = PackedCrossbarBank(count, rows, columns)
+    for bank in (ref, packed):
+        for column in range(columns):
+            bank.write_bool_column(column, background[column])
+        bank.write_field_column(offset, width, values)
+
+    decoded = packed.read_field_all(offset, width)
+    assert np.array_equal(decoded, values)
+    assert np.array_equal(ref.read_field_all(offset, width), values)
+    assert decoded.dtype == np.uint64 and decoded.shape == (count, rows)
+    assert decoded.flags.c_contiguous and decoded.flags.writeable
+    assert_banks_equal(ref, packed)
+    # Neighbouring columns keep the background; padding bits stay zero.
+    for column in (*range(offset), *range(offset + width, columns)):
+        assert np.array_equal(packed.read_column(column), background[column])
+    assert not np.any(packed.words & ~packed._row_mask)
+
+    # The scalar cell path agrees with the bulk path.
+    for _ in range(3):
+        xbar, row = int(rng.integers(count)), int(rng.integers(rows))
+        for bank in (ref, packed):
+            assert bank.read_field(xbar, row, offset, width) == int(values[xbar, row])
+        value = int(rng.integers(0, min(top, 2 ** 63 - 1), endpoint=True))
+        for bank in (ref, packed):
+            bank.write_field(xbar, row, offset, width, value)
+        values[xbar, row] = value
+    assert np.array_equal(packed.read_field_all(offset, width), values)
+    assert_banks_equal(ref, packed)
+    assert not np.any(packed.words & ~packed._row_mask)
+
+    # Bad input is rejected before anything is written, on both banks.
+    one = np.ones(count, dtype=np.uint64)
+    bad_calls = [
+        lambda b: b.write_field_column(offset, width, values[:, : rows - 1]),
+        lambda b: b.write_field_column(offset, width, values[None]),
+        lambda b: b.write_field(0, rows, offset, width, 1),
+        lambda b: b.write_field(0, np.int64(-1), offset, width, 1),
+        lambda b: b.read_field(0, rows, offset, width),
+        lambda b: b.write_field_rows(np.array([0, rows]), offset, width, 1),
+        lambda b: b.write_field_rows([-1], offset, width, 1),
+        lambda b: b.write_field_row(rows, offset, width, one),
+        lambda b: b.write_field_column(columns - width + 1, width, values),
+    ]
+    if width < 64:
+        too_big = values.copy()
+        too_big[-1, -1] = top + 1
+        bad_calls += [
+            lambda b: b.write_field_column(offset, width, too_big),
+            lambda b: b.write_field(0, 0, offset, width, top + 1),
+            lambda b: b.write_field_rows(np.array([0]), offset, width, top + 1),
+            lambda b: b.write_field_row(0, offset, width, one * np.uint64(top + 1)),
+        ]
+    for call in bad_calls:
+        for bank in (ref, packed):
+            _assert_rejected_without_mutation(bank, call)
+
+
 # ------------------------------------------------------------- unit checks
 def test_padding_rows_stay_zero():
     """Bits beyond ``rows`` in the last packed word never leak into results."""
@@ -282,7 +369,7 @@ def sharded_parity_engines(ssb_prejoined):
     return engines
 
 
-def test_backend_speed_experiment_smoke(tmp_path):
+def test_backend_speed_experiment_smoke(tmp_path, ssb_prejoined):
     """The backend-speed experiment: equivalence gates and JSON artifact."""
     import json
 
@@ -301,6 +388,12 @@ def test_backend_speed_experiment_smoke(tmp_path):
     assert record["bit_exact"] is True
     assert record["stats_identical"] is True
     assert len(record["queries"]) == len(QUERY_ORDER)
+    # Field-codec section: every layout field timed on both banks.
+    assert results.codec.values_match
+    codec = record["field_codec"]
+    assert sum(w["fields"] for w in codec["widths"]) == len(ssb_prejoined.schema.names)
+    assert codec["packed_decode_ms"] > 0 and codec["packed_encode_ms"] > 0
+    assert "field codec" in backend_speed.render(results)
 
 
 @pytest.mark.parametrize("query_name", QUERY_ORDER)
