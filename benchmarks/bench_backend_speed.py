@@ -46,8 +46,8 @@ def test_backend_speed(benchmark, publish):
     # Fused-execution gates: the warm program replay must beat per-operation
     # dispatch by >=5x (measured ~12x), and the thread-pooled kernel scatter
     # must beat the sequential scatter outright (fused kernels release the
-    # GIL inside NumPy).  The scatter gate only applies on multi-core hosts
-    # — a single core serialises the pool by construction.
+    # GIL inside NumPy).  The scatter gate only applies on hosts with a core
+    # per pool worker — fewer cores time-slice the pool by construction.
     assert results.fused is not None
     assert results.fused.speedup >= MIN_FUSED_SPEEDUP
     assert results.scatter is not None

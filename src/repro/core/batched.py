@@ -26,33 +26,48 @@ number or stored bit:
   ``k``'s mask computed against the pre-loop filter state equals the
   sequential result after ``k-1`` clears.
 
-* **One field decode per aggregate.**  The aggregation circuit's
-  functional result is ``aggregate_reference`` over a decoded field and
-  the subgroup mask; the field does not change between subgroups, so it
-  is decoded once and reused for every subgroup.
+* **One decode and one segmented reduction per aggregate.**  The
+  aggregation circuit's functional result is ``aggregate_reference`` over a
+  decoded field and the subgroup mask.  The field does not change between
+  subgroups and distinct keys select disjoint rows, so the field is decoded
+  once and all K x crossbar partials come from one ``reduceat`` over the
+  selected rows, which ``np.nonzero`` hands back already sorted by
+  ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
+  identity on every crossbar a key has no row on.
 
-* **A cheap charging replay.**  Modelled statistics are *order-sensitive*
-  (float accumulation, per-phase power samples, request rounding), so a
-  single summed charge cannot be bit-identical.  Instead the loop below
-  replays, per subgroup, the exact charging calls of the reference path in
-  the exact order — through the same :func:`apply_program` /
-  :func:`apply_program_pruned` contract, the same transfer model and the
-  charge-only circuit twin — while all expensive functional work stays
-  batched.  What a subgroup's specialised program would cost is the
-  template's closed form (:meth:`GroupMaskTemplate.cost`).  The stored
-  bits, dirty marks, wear counters and ``PimStats`` are identical to
-  per-subgroup dispatch, which still compiles per key and is the oracle;
-  the lockstep property tests assert it.
+* **A charging replay that stores once.**  Modelled statistics are
+  *order-sensitive* (float accumulation, per-phase power samples, request
+  rounding), so a single summed charge cannot be bit-identical: the loop
+  below still issues, per subgroup, the exact charging calls of the
+  reference path in the exact order, from the template's closed-form cost
+  (:meth:`GroupMaskTemplate.cost`) and the charge-only circuit twin.  What it
+  does *not* repeat per subgroup is the functional side.  Every column the
+  loop writes — group, filter, remote, the result row, the remote
+  partitions' group columns — is overwritten whole by the next key, so only
+  the last key's bits are observable; ``mark_column_dirty`` replaces a
+  column's mask, so once the first key has run no later key meets a stale
+  crossbar; and wear is integer addition, which commutes.  Hence only the
+  **first** key (the one that can charge a ``prune-clear``) and the **last**
+  key (the bits that stay) go through the :func:`apply_program` /
+  :func:`apply_program_pruned` / ``transfer_bit_column`` contract; the keys
+  in between issue the same scalar charges and add their wear to per-bank
+  integers applied after the loop, and the result row is stored once.  The
+  replay is O(N + K) instead of O(K·N), and the stored bits, dirty marks,
+  wear counters and ``PimStats`` are identical to per-subgroup dispatch,
+  which still compiles, writes and aggregates per key and is the oracle; the
+  lockstep property tests assert it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.sampling import GroupKey
 from repro.core.stages import (
+    _check_pruned_bits,
     apply_program,
     apply_program_pruned,
     build_clear_program,
@@ -63,7 +78,6 @@ from repro.db.compiler import GroupMaskTemplate
 from repro.db.query import Query
 from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
-from repro.pim.arithmetic import aggregate_reference
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch
 from repro.pim.ir import lower_program_batch
@@ -150,6 +164,50 @@ def _run_partition_batch(
     return masks
 
 
+def _subgroup_segments(
+    mask_bits: np.ndarray, selected: np.ndarray, count: int, rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of all ``K`` subgroups, sorted by ``(key, crossbar)``.
+
+    ``mask_bits`` is ``(K, records)`` with pairwise disjoint rows, each a
+    subset of the (sorted) record indices ``selected``, on a bank of
+    ``count`` crossbars of ``rows`` rows.  Returns the record index of every
+    masked row, the start of each run of rows sharing a key and a crossbar,
+    and each run's flat index into a ``(K, count)`` table.
+    """
+    key_of, position = np.nonzero(mask_bits[:, selected])
+    records = selected[position]
+    cell_of = key_of * count + records // rows
+    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+    return records, starts, cell_of[starts]
+
+
+def _segmented_partials(
+    values: np.ndarray,
+    starts: np.ndarray,
+    cells: np.ndarray,
+    shape: tuple[int, int],
+    operation: str,
+    width: int,
+) -> np.ndarray:
+    """Per-key, per-crossbar partials of one aggregate, in one reduction.
+
+    ``values`` holds the aggregated field of the rows :func:`_subgroup_segments`
+    returned.  Row ``k`` of the ``shape`` result equals
+    ``aggregate_reference(field, mask_k, operation, width)``: sums wrap to
+    ``width`` bits and a crossbar no row of key ``k`` lives on holds the
+    operation's identity (``min``: all ones).
+    """
+    limit = np.uint64((1 << width) - 1)
+    ufunc, identity = {
+        "sum": (np.add, 0), "min": (np.minimum, limit), "max": (np.maximum, 0),
+    }[operation]
+    partials = np.full(shape, identity, dtype=np.uint64)
+    if starts.size:
+        partials.reshape(-1)[cells] = ufunc.reduceat(values, starts) & limit
+    return partials
+
+
 def run_group_by_batched(
     engine,
     query: Query,
@@ -169,6 +227,7 @@ def run_group_by_batched(
     """
     stored = engine.stored
     compiler = engine.compiler
+    mask = np.asarray(mask, dtype=bool)
     group_attributes = list(query.group_by)
     primary_layout = stored.layouts[primary]
     primary_allocation = stored.allocations[primary]
@@ -219,7 +278,11 @@ def run_group_by_batched(
         remote_batches = [remote_batch(partition) for partition in remote_partitions]
 
     remote = None
-    primary_idx = _candidate_idx(prune, primary)
+    candidate_idx = {
+        partition: _candidate_idx(prune, partition)
+        for partition in (*remote_partitions, primary)
+    }
+    primary_idx = candidate_idx[primary]
     if remote_partitions:
         remote_rows = _pad_rows(
             np.logical_and.reduce([bits for _, bits in remote_batches]), bank
@@ -229,12 +292,9 @@ def run_group_by_batched(
         remote = bank.kernel_from_bool(remote_rows)
     combine_costs, mask_rows = batch(primary, primary_layout.filter_column, remote)
     mask_bits = per_record(mask_rows)
+    union = mask_bits.any(axis=0)
 
     # ------------------------------------------------- batched bookkeeping
-    # Field decodes are shared across subgroups (the data fields do not
-    # change during the group-by), and subgroup membership of the selected
-    # rows is derived in one gather instead of one column sweep per key.
-    field_cache: dict[tuple[int, int], np.ndarray] = {}
     selected = np.nonzero(mask)[0]
     if selected.size:
         columns = [
@@ -245,6 +305,34 @@ def run_group_by_batched(
     else:
         present_keys = set()
 
+    # Every aggregate of every subgroup on every crossbar, in one segmented
+    # reduction per aggregate over a single decode of its field.
+    accumulator_width = primary_layout.accumulator_width
+    records, starts, cells = _subgroup_segments(
+        mask_bits, selected, bank.count, bank.rows
+    )
+    decoded: dict[str, np.ndarray] = {}
+    aggregations = []
+    for aggregate in query.aggregates:
+        if aggregate.op == "count":
+            field_width, operation = 1, "sum"
+            values = np.ones(len(records), dtype=np.uint64)
+        else:
+            field_width = primary_layout.field_width(aggregate.attribute)
+            operation = aggregate.op
+            values = decoded.get(aggregate.attribute)
+            if values is None:
+                values = decoded[aggregate.attribute] = bank.read_field_all(
+                    primary_layout.field_offset(aggregate.attribute), field_width
+                ).reshape(-1)[records]
+        partials = _segmented_partials(
+            values, starts, cells, (len(keys), bank.count), operation,
+            accumulator_width,
+        )
+        if primary_idx is not None:
+            partials = partials[:, primary_idx]
+        aggregations.append((aggregate, field_width, operation, partials))
+
     # Identical for every subgroup, so built once per query.
     remote_count = len(remote_partitions)
     fold_programs = [
@@ -252,99 +340,102 @@ def run_group_by_batched(
         for position in range(remote_count)
     ] if remote_count > 1 else []
     clear_program = build_clear_program(primary_layout)
-    accumulator_width = primary_layout.accumulator_width
     min_identity = engine.aggregation_stage.min_identity(primary)
     primary_candidates = prune.candidates[primary] if prune is not None else None
+    circuit_runs = primary_idx is None or primary_idx.size > 0
     fraction = 1.0
     if prune is not None:
         fraction = (
             float(np.count_nonzero(primary_candidates))
             / primary_allocation.crossbars
         )
+        # Every bit a skipped store would have written is a subset of one of
+        # these two, so the zone-map invariant is asserted once for all keys.
+        _check_pruned_bits(union, primary_candidates, primary_allocation)
+        _check_pruned_bits(mask, primary_candidates, primary_allocation)
 
-    def replay_apply(partition, program, bits, phase="pim-gb-filter"):
-        """One reference-ordered program charge with known result bits."""
-        if prune is not None:
+    # Wear of the skipped stores, applied once after the loop: writes per row
+    # by ``(partition, on its candidate crossbars only)``.
+    wear: defaultdict[tuple[int, bool], int] = defaultdict(int)
+
+    def replay_apply(partition, program, bits, store, pruned=prune is not None):
+        """One reference-ordered program charge with known result bits.
+
+        With ``store`` the bits, dirty marks, stale clears and wear go
+        through the stage contract; without, the same scalar charge is
+        issued and the program's wear is deferred.
+        """
+        target = stored.allocations[partition].bank
+        pages = pages_for(partition)
+        if store and pruned:
             apply_program_pruned(
-                stored, partition, program, executor, phase,
-                pages=pages_for(partition),
-                candidates=prune.candidates[partition],
+                stored, partition, program, executor, "pim-gb-filter",
+                pages=pages, candidates=prune.candidates[partition],
                 result_bits=bits,
             )
-        else:
+        elif store:
             apply_program(
-                stored, partition, program, executor, phase,
-                pages=pages_for(partition), result_bits=bits,
+                stored, partition, program, executor, "pim-gb-filter",
+                pages=pages, result_bits=bits,
             )
+        else:
+            active = target.count
+            if pruned:
+                active = candidate_idx[partition].size
+                pages = pages * active / target.count
+            if active:
+                executor.charge_program_cost(
+                    target, program.cycles, pages, "pim-gb-filter"
+                )
+            wear[partition, pruned] += program.writes_per_row
 
     # --------------------------------------------------- per-subgroup replay
     rows: dict[GroupKey, dict[str, int]] = {}
-    filter_bits = np.asarray(mask, dtype=bool).copy()
+    last = len(keys) - 1
     for index, key in enumerate(keys):
+        # Only the first key can meet stale crossbars and only the last
+        # key's bits stay; the keys in between charge and store nothing.
+        store = index in (0, last)
+
         # Remote subgroup programs, transfers and folds, in reference order.
         running: np.ndarray | None = None
         for position, partition in enumerate(remote_partitions):
-            layout = stored.layouts[partition]
             costs, group_bits = remote_batches[position]
-            replay_apply(partition, costs[index], group_bits[index])
-            transferred = read_model.transfer_bit_column(
-                stored,
-                partition, layout.group_column,
-                primary, primary_layout.remote_column,
-                phase="pim-gb-transfer",
-            )
-            running = transferred if running is None else running & transferred
+            replay_apply(partition, costs[index], group_bits[index], store)
+            if store:
+                transferred = read_model.transfer_bit_column(
+                    stored,
+                    partition, stored.layouts[partition].group_column,
+                    primary, primary_layout.remote_column,
+                    phase="pim-gb-transfer",
+                )
+                running = transferred if running is None else running & transferred
+            else:
+                read_model.charge_bit_column_transfer(stored, "pim-gb-transfer")
+                wear[primary, False] += 1
             if fold_programs:
                 fold_program = fold_programs[position]
-                fold_bits = running
-                if prune is not None:
+                fold_bits = running if store else None
+                if fold_bits is not None and prune is not None:
                     fold_bits = fold_bits & candidate_rows(
                         stored, primary, primary_candidates
                     )
                 # The final fold into the remote column stays a broadcast
                 # in the reference; only group-column folds run pruned.
-                if (
-                    prune is not None
-                    and fold_program.result_column == primary_layout.group_column
-                ):
-                    replay_apply(primary, fold_program, fold_bits)
-                else:
-                    apply_program(
-                        stored, primary, fold_program, executor,
-                        "pim-gb-filter", pages=pages_for(primary),
-                        result_bits=fold_bits,
-                    )
+                replay_apply(
+                    primary, fold_program, fold_bits, store,
+                    pruned=prune is not None
+                    and fold_program.result_column == primary_layout.group_column,
+                )
 
         # Subgroup mask (combine program) on the primary partition.
-        subgroup_bits = mask_bits[index]
-        replay_apply(primary, combine_costs[index], subgroup_bits)
-        subgroup_rows = mask_rows[index]
+        replay_apply(primary, combine_costs[index], mask_bits[index], store)
 
-        # Aggregates from the cached field decodes, charged per invocation.
+        # Aggregates from the segmented partials, charged per invocation.
         entry: dict[str, int | None] = {}
-        for aggregate in query.aggregates:
-            if aggregate.op == "count":
-                field_values = subgroup_rows.astype(np.uint64)
-                field_width, operation = 1, "sum"
-            else:
-                field_offset = primary_layout.field_offset(aggregate.attribute)
-                field_width = primary_layout.field_width(aggregate.attribute)
-                operation = aggregate.op
-                cache_key = (field_offset, field_width)
-                field_values = field_cache.get(cache_key)
-                if field_values is None:
-                    field_values = bank.read_field_all(field_offset, field_width)
-                    field_cache[cache_key] = field_values
-            partials = aggregate_reference(
-                field_values, subgroup_rows, operation, accumulator_width
-            )
-            if primary_idx is not None:
-                partials = partials[primary_idx]
-            if primary_idx is None or primary_idx.size:
-                bank.write_field_row(
-                    0, primary_layout.result_offset, accumulator_width,
-                    partials, xbars=primary_idx,
-                )
+        for aggregate, field_width, operation, table in aggregations:
+            partials = table[index]
+            if circuit_runs:
                 executor.charge_aggregation_circuit(
                     bank, field_width,
                     pages=pages_for(primary),
@@ -364,7 +455,28 @@ def run_group_by_batched(
         if key in present_keys:
             rows[key] = engine._finalize_entry(entry, primary)
 
-        # Clear the subgroup from the filter column.
-        filter_bits = filter_bits & ~subgroup_bits
-        replay_apply(primary, clear_program, filter_bits)
+        # Clear the subgroup from the filter column: after key ``index`` it
+        # holds the selection minus the first ``index + 1`` (disjoint) masks.
+        filter_bits = None
+        if store:
+            filter_bits = mask & ~(mask_bits[0] if index == 0 else union)
+        replay_apply(primary, clear_program, filter_bits, store)
+
+    # ------------------------------------------------------- deferred stores
+    # Every circuit pass wrote its partials over the previous one's, so only
+    # the last pass's result row is stored; the others leave their wear.
+    if circuit_runs:
+        *_, table = aggregations[-1]
+        bank.write_field_row(
+            0, primary_layout.result_offset, accumulator_width,
+            table[last], xbars=primary_idx,
+        )
+        result_xbars = slice(None) if primary_idx is None else primary_idx
+        bank.writes_per_row[result_xbars, 0] += (
+            len(keys) * len(aggregations) - 1
+        ) * accumulator_width
+    for (partition, pruned), writes in wear.items():
+        stored.allocations[partition].bank.add_wear(
+            writes, candidate_idx[partition] if pruned else None
+        )
     return rows

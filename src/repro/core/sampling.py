@@ -14,8 +14,9 @@ estimate supplies two things to the planner:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,13 +48,21 @@ class SubgroupEstimate:
     #: "subgroups in sample" column).
     observed_subgroups: int
 
+    #: ``_covered[k]``: summed fraction of the top-``k`` subgroups, added left
+    #: to right once per estimate — the planner asks for ``r(k)`` at every
+    #: ``k``, which re-summing a prefix per call would make quadratic.
+    _covered: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._covered = list(accumulate(
+            (self.group_fractions.get(key, 0.0) for key in self.ordered_groups),
+            initial=0,
+        ))
+
     def remaining_ratio(self, k: int) -> float:
         """``r(k)``: record fraction left for host-gb after the top-``k`` groups."""
         k = max(0, min(k, len(self.ordered_groups)))
-        covered = sum(
-            self.group_fractions.get(key, 0.0) for key in self.ordered_groups[:k]
-        )
-        covered = min(covered, 1.0)
+        covered = min(self._covered[k], 1.0)
         return self.selectivity * (1.0 - covered)
 
 

@@ -140,8 +140,8 @@ class ScatterComparison:
     shard simulations on a thread pool.  This replays the warm filter
     programs over K serving-scale packed banks, once sequentially and once
     on a K-wide pool.  ``cpu_count`` is recorded because the comparison is
-    only meaningful on a multi-core host — a single core serialises the
-    pool by construction, so the >1x gate is skipped there.
+    only meaningful with a core per pool worker — fewer cores serialise
+    (part of) the pool by construction, so the >1x gate is skipped there.
     """
 
     shards: int
@@ -157,8 +157,12 @@ class ScatterComparison:
 
     @property
     def gateable(self) -> bool:
-        """Whether a wall-clock pool speedup is physically observable."""
-        return self.cpu_count > 1
+        """Whether a wall-clock pool speedup is physically observable.
+
+        The section times a ``shards``-wide pool; on fewer cores the workers
+        time-slice and the ratio (0.7-1.2x on two cores) is scheduler noise.
+        """
+        return self.cpu_count >= self.shards
 
 
 #: The four timed (backend, operation) cells of the field-codec section.
@@ -548,8 +552,8 @@ def render(results: BackendSpeedResults) -> str:
     if results.scatter is not None:
         sc = results.scatter
         note = "" if sc.gateable else (
-            f" [single CPU ({sc.cpu_count} core): pool serialised, "
-            f"gate skipped]"
+            f" [{sc.cpu_count} core(s) for a {sc.shards}-wide pool: "
+            f"workers time-slice, gate skipped]"
         )
         lines.append(
             f"fused-kernel scatter ({sc.shards} shards x "

@@ -185,6 +185,19 @@ class HostReadModel:
         """
         bits = stored.column_bit(source_partition, source_column)
         stored.write_bit_column(target_partition, target_column, bits)
+        self.charge_bit_column_transfer(stored, phase)
+        return bits
+
+    def charge_bit_column_transfer(
+        self, stored: StoredRelation, phase: str = "host-transfer-bits"
+    ) -> None:
+        """Charge one :meth:`transfer_bit_column` without moving any bits.
+
+        The traffic of a transfer depends on the relation's size only, so a
+        caller that knows the moved column will be overwritten before anyone
+        reads it (the batched pim-gb loop) charges the move through here and
+        accounts for the target bank's one write per row itself.
+        """
         num_bytes = math.ceil(stored.num_records / 8) * self.traffic_scale
         read_time = dram.stream_read_time(self.config.host, num_bytes)
         write_time = dram.write_time(self.config.host, num_bytes, self.threads)
@@ -195,7 +208,6 @@ class HostReadModel:
         written_bits = int(round(stored.num_records * self.traffic_scale))
         self.stats.add_energy("write", written_bits * xbar.write_energy_per_bit_j)
         self.stats.bits_written += written_bits
-        return bits
 
     # -------------------------------------------------------------- internals
     def _charge(self, phase: str, time_s: float, lines: int) -> None:

@@ -3,15 +3,20 @@
 The batched strategy (``execution="batched"``, the default) evaluates every
 PIM-resident subgroup of a GROUP-BY through one multi-output fused kernel
 per vertical partition and then *replays* the per-subgroup charging through
-the same accounting entry points the reference loop uses.  The contract is
-total: identical result rows, bit-identical :class:`PimStats` (full
-dataclass equality — float order, power-sample order, request rounding),
-and identical wear counters in the stored banks.  A hypothesis property
-test drives random data, selectivities, subgroup counts (K=1 and K=4),
-pruning, and one- vs two-partition layouts through batched and per-subgroup
-dispatch in lock step on both backends; deterministic tests pin the
-multi-remote fold path, the nested-safe scatter pool, the structural
-whole-plan memo key, and the pre-scatter empty-shard skip.
+the same accounting entry points the reference loop uses, storing bits and
+wear once per GROUP-BY.  The contract is total: identical result rows,
+bit-identical :class:`PimStats` (full dataclass equality — float order,
+power-sample order, request rounding), and identical stored state — wear
+counters, every bank column outside the scratch area, every dirty-crossbar
+mask.  A hypothesis property test drives random data, selectivities,
+subgroup counts (K in 1, 2, 4, 20), pruning, and one- vs two-partition
+layouts through batched and per-subgroup dispatch in lock step on both
+backends, two queries with different candidate crossbars back to back on
+each store; deterministic tests pin the stale-crossbar clear of a second
+query, the multi-remote fold path, the segmented reduction against
+``aggregate_reference``, the K-independence of the loop's stores, the
+nested-safe scatter pool, the structural whole-plan memo key, and the
+pre-scatter empty-shard skip.
 """
 
 import threading
@@ -21,6 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.core import batched
+from repro.core.batched import _segmented_partials, _subgroup_segments
 from repro.core.executor import PimQueryEngine
 from repro.core.latency_model import (
     GroupByCostModel,
@@ -32,11 +39,14 @@ from repro.db.query import Aggregate, And, Comparison, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import StoredRelation
+from repro.pim import arithmetic
+from repro.pim.arithmetic import aggregate_reference
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
+from repro.service import QueryService
 from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
 
-CITIES = ["LYON", "OSLO", "PERTH", "QUITO"]
+CITIES = ["LYON", "OSLO", "PERTH", "QUITO"] + [f"CITY{i:02d}" for i in range(4, 20)]
 REGIONS = ["NORTH", "SOUTH"]
 
 STRATEGIES = ("batched", "dispatch")
@@ -67,7 +77,8 @@ def _relation(seed: int, num_cities: int, records: int = 384) -> Relation:
     })
 
 
-def _execute(relation, query, backend, strategy, pruning, partitions):
+def _execute(relation, queries, backend, strategy, pruning, partitions):
+    """Run ``queries`` back to back on one fresh store."""
     config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
     stored = StoredRelation(
         relation, PimModule(config), label="batch",
@@ -77,39 +88,64 @@ def _execute(relation, query, backend, strategy, pruning, partitions):
         stored, config=config, cost_model=all_pim_cost_model(),
         vectorized=False, pruning=pruning,
     )
-    execution = engine.execute(query)
-    return execution, stored.wear_snapshot()
+    return [engine.execute(query) for query in queries], stored
 
 
-def _assert_lockstep(relation, query, pruning, partitions):
-    """batched == dispatch on both backends: rows, full stats, wear."""
-    executions = {}
+def _assert_same_stored_state(ours, theirs):
+    """Wear, every dirty mask and every bank column outside the scratch area
+    (gate-level ``dispatch`` runs its programs there, batched never does)."""
+    for partition, layout in enumerate(ours.layouts):
+        bank, other = (s.allocations[partition].bank for s in (ours, theirs))
+        assert np.array_equal(bank.writes_per_row, other.writes_per_row)
+        for column in set(range(bank.columns)) - set(layout.scratch_columns):
+            assert np.array_equal(
+                bank.read_column(column), other.read_column(column)
+            ), f"partition {partition}: column {column} differs"
+        tracked = set(ours._column_dirty[partition]) | set(
+            theirs._column_dirty[partition]
+        )
+        for column in tracked:
+            assert np.array_equal(
+                ours.column_dirty_mask(partition, column),
+                theirs.column_dirty_mask(partition, column),
+            ), f"partition {partition}: dirty mask of column {column} differs"
+
+
+def _assert_lockstep(relation, queries, pruning, partitions):
+    """batched == dispatch on both backends, query after query on one store:
+    rows and full stats of each execution, then wear, bits and dirty marks."""
+    runs = {
+        (backend, strategy): _execute(
+            relation, queries, backend, strategy, pruning, partitions
+        )
+        for backend in BACKENDS
+        for strategy in STRATEGIES
+    }
     for backend in BACKENDS:
-        for strategy in STRATEGIES:
-            executions[backend, strategy] = _execute(
-                relation, query, backend, strategy, pruning, partitions
-            )
-    for backend in BACKENDS:
-        batched, batched_wear = executions[backend, "batched"]
-        dispatch, dispatch_wear = executions[backend, "dispatch"]
-        assert batched.rows == dispatch.rows
-        assert batched.pim_subgroups == dispatch.pim_subgroups
-        # Every subgroup went through the PIM kernels (the forced plan).
-        assert batched.pim_subgroups == batched.total_subgroups
-        # Full dataclass equality: per-phase floats, energy components,
-        # counters, power-sample order, wear maxima.
-        assert batched.stats == dispatch.stats
-        for ours, theirs in zip(batched_wear, dispatch_wear):
-            assert np.array_equal(ours, theirs)
-    assert (
-        executions["packed", "batched"][0].rows
-        == executions["bool", "batched"][0].rows
-    )
-    assert (
-        executions["packed", "batched"][0].stats
-        == executions["bool", "batched"][0].stats
-    )
+        batched_runs, batched_stored = runs[backend, "batched"]
+        dispatch_runs, dispatch_stored = runs[backend, "dispatch"]
+        for ours, theirs in zip(batched_runs, dispatch_runs):
+            assert ours.rows == theirs.rows
+            assert ours.pim_subgroups == theirs.pim_subgroups
+            # Every subgroup went through the PIM kernels (the forced plan).
+            assert ours.pim_subgroups == ours.total_subgroups
+            # Full dataclass equality: per-phase floats, energy components,
+            # counters, power-sample order, wear maxima.
+            assert ours.stats == theirs.stats
+        _assert_same_stored_state(batched_stored, dispatch_stored)
+    for packed, boolean in zip(
+        runs["packed", "batched"][0], runs["bool", "batched"][0]
+    ):
+        assert packed.rows == boolean.rows
+        assert packed.stats == boolean.stats
+    return runs["packed", "batched"][0]
 
+
+#: Subgroup counts of the lockstep tests: one key (first == last), two (no
+#: key in between), and enough that most keys take the charge-only path.
+SUBGROUP_COUNTS = [1, 2, 4, 20]
+#: Three crossbars' worth of records, so zone maps can tell selections apart.
+RECORDS = 2500
 
 GROUP_QUERY = Query(
     "grouped", None,
@@ -118,37 +154,63 @@ GROUP_QUERY = Query(
 )
 
 
+def _two_queries(first_below, second_from, aggregates=GROUP_QUERY.aggregates,
+                 group_by=("city",)):
+    """Two selections over the sorted ``key``: their zone-map candidate
+    crossbars differ, so the second query's first subgroup finds the columns
+    the first query left dirty on crossbars it now skips."""
+    return [
+        Query("low", Comparison("key", "<", first_below), aggregates,
+              group_by=group_by),
+        Query("high", Comparison("key", ">=", second_from), aggregates,
+              group_by=group_by),
+    ]
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 31),
     threshold=st.integers(0, 1 << 10),
-    num_cities=st.sampled_from([1, 4]),      # K=1 and K=4 subgroups
+    second=st.integers(0, 1 << 10),
+    num_cities=st.sampled_from(SUBGROUP_COUNTS),
     pruning=st.booleans(),
     split=st.booleans(),                     # one vs two vertical partitions
 )
-def test_batched_lockstep_with_dispatch(seed, threshold, num_cities, pruning, split):
+def test_batched_lockstep_with_dispatch(
+    seed, threshold, second, num_cities, pruning, split
+):
     """Random data/selectivity: batched == per-subgroup dispatch, bit for bit."""
-    relation = _relation(seed, num_cities)
-    query = Query(
-        "grouped", Comparison("key", "<", threshold),
-        GROUP_QUERY.aggregates, group_by=("city",),
-    )
+    relation = _relation(seed, num_cities, records=RECORDS)
     partitions = [["key", "value"], ["city", "region"]] if split else None
-    _assert_lockstep(relation, query, pruning, partitions)
+    _assert_lockstep(
+        relation, _two_queries(threshold, second), pruning, partitions
+    )
+
+
+@pytest.mark.parametrize("num_cities", SUBGROUP_COUNTS)
+def test_batched_lockstep_second_query_meets_stale_crossbars(num_cities):
+    """K in {1, 2, 4, 20}, pruned, two partitions: the first query selects
+    rows of the first crossbar only, the second none of it."""
+    relation = _relation(seed=21, num_cities=num_cities, records=RECORDS)
+    _, second = _assert_lockstep(
+        relation, _two_queries(150, 700), True,
+        [["key", "value"], ["city", "region"]],
+    )
+    # One stale clear in the filter stage, one under the first subgroup's mask.
+    clears = [s for s in second.stats.power_samples if s.phase == "prune-clear"]
+    assert len(clears) == 2
 
 
 @pytest.mark.parametrize("pruning", [False, True])
 def test_batched_lockstep_multi_remote_fold(pruning):
     """Two remote partitions: the batched equality-fold replay is bit-exact."""
-    relation = _relation(seed=11, num_cities=4)
-    query = Query(
-        "folded",
-        And((Comparison("key", "<", 700), Comparison("key", ">=", 40))),
-        (Aggregate("sum", "value"), Aggregate("max", "value")),
+    relation = _relation(seed=11, num_cities=4, records=RECORDS)
+    queries = _two_queries(
+        300, 640, (Aggregate("sum", "value"), Aggregate("max", "value")),
         group_by=("city", "region"),
     )
     partitions = [["key", "value"], ["city"], ["region"]]
-    _assert_lockstep(relation, query, pruning, partitions)
+    _assert_lockstep(relation, queries, pruning, partitions)
 
 
 def test_batched_is_the_default_and_gated_on_the_circuit():
@@ -170,6 +232,160 @@ def test_batched_is_the_default_and_gated_on_the_circuit():
         executions[strategy] = engine.execute(GROUP_QUERY)
     assert executions["batched"].rows == executions["dispatch"].rows
     assert executions["batched"].stats == executions["dispatch"].stats
+
+
+# ------------------------------------------------------ segmented reduction
+@st.composite
+def _segment_cases(draw):
+    count, rows = draw(st.integers(1, 4)), draw(st.sampled_from([1, 8, 16]))
+    records = draw(st.integers(1, count * rows))   # last crossbar partly used
+    keys = draw(st.integers(1, 5))
+    # The layouts never make the accumulator narrower than the field; a field
+    # as wide as the accumulator is what makes sums wrap.
+    width = draw(st.sampled_from([8, 22, 64]))
+    field_width = draw(st.one_of(st.just(width), st.integers(1, width)))
+    top = (1 << field_width) - 1
+    values = draw(st.lists(
+        st.one_of(st.just(top), st.just(0), st.integers(0, top)),
+        min_size=count * rows, max_size=count * rows,
+    ))
+    # Per record: the key owning it, -1 for a selected row of a subgroup left
+    # to the host, -2 for a row the filter dropped.  Keys may own nothing.
+    owner = draw(st.lists(
+        st.integers(-2, keys - 1), min_size=records, max_size=records
+    ))
+    xbars = draw(st.lists(st.integers(0, count - 1), unique=True).map(sorted))
+    operation = draw(st.sampled_from(["sum", "count", "min", "max"]))
+    return count, rows, keys, width, values, owner, xbars, operation
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_segment_cases(), subset=st.booleans())
+def test_segmented_partials_equal_aggregate_reference(case, subset):
+    """All K x crossbar partials from one ``reduceat`` equal the per-key
+    ``aggregate_reference``: sums wrap at the accumulator width (and at
+    2**64), untouched crossbars hold the identity, empty subgroups too."""
+    count, rows, keys, width, values, owner, xbars, operation = case
+    values = np.array(values, dtype=np.uint64).reshape(count, rows)
+    owner = np.array(owner)
+    if subset:
+        # Pruned kernels leave all-zero masks on the skipped crossbars.
+        owner[~np.isin(np.arange(len(owner)) // rows, xbars)] = -2
+    else:
+        xbars = list(range(count))
+    mask_bits = owner[None, :] == np.arange(keys)[:, None]
+    selected = np.nonzero(owner > -2)[0]
+
+    records, starts, cells = _subgroup_segments(mask_bits, selected, count, rows)
+    gathered = values.reshape(-1)[records]
+    if operation == "count":
+        gathered = np.ones(len(records), dtype=np.uint64)
+    partials = _segmented_partials(
+        gathered, starts, cells, (keys, count),
+        "sum" if operation == "count" else operation, width,
+    )
+    assert partials.dtype == np.uint64 and partials.shape == (keys, count)
+    for key in range(keys):
+        mask = np.zeros(count * rows, dtype=bool)
+        mask[: len(owner)] = mask_bits[key]
+        expected = aggregate_reference(
+            values, mask.reshape(count, rows), operation, width
+        )
+        assert np.array_equal(partials[key, xbars], expected[xbars])
+
+
+# --------------------------------------------- stores do not scale with K
+def _keyed_service(execution: str, distinct_keys: int):
+    """All-PIM service over ``2 * distinct_keys`` subgroups, two partitions
+    (so every subgroup also pays a remote program and a bit-column transfer)."""
+    rng = np.random.default_rng(17)
+    schema = Schema("k", [
+        int_attribute("key", 6), int_attribute("bucket", 1),
+        int_attribute("value", 8),
+    ])
+    relation = Relation(schema, {
+        "key": rng.integers(0, distinct_keys, 3000).astype(np.uint64),
+        "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
+        "value": rng.integers(0, 256, 3000).astype(np.uint64),
+    })
+    config = DEFAULT_CONFIG.with_execution(execution)
+    stored = StoredRelation(
+        relation, PimModule(config), label="k", aggregation_width=20,
+        partitions=[["value"], ["key", "bucket"]],
+    )
+    # planner=False: always the PIM engine, never the host-scan route.
+    service = QueryService(planner=False)
+    service.register(
+        "k", stored, config=config, cost_model=all_pim_cost_model(),
+        timing_scale=100.0,       # enough modelled pages for whole requests
+    )
+    return service, stored
+
+
+def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
+    """A K-subgroup pim-gb writes its bookkeeping columns for the first and
+    the last key only, stores one result row and never aggregates per key —
+    the same call counts at K=20 and K=80 — while rows, ``PimStats`` and wear
+    stay those of the per-subgroup ``dispatch`` twin."""
+    query = Query(
+        "keyed", Comparison("value", "<", 200),
+        (Aggregate("sum", "value"), Aggregate("count"), Aggregate("min", "value")),
+        group_by=("key", "bucket"),
+    )
+    inside = []          # non-empty while run_group_by_batched is on the stack
+
+    def scoped(function):
+        def wrapper(*args, **kwargs):
+            inside.append(True)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counting(calls, name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(inside)
+            return function(*args, **kwargs)
+        return wrapper
+
+    counts = {}
+    for distinct_keys in (10, 40):
+        service, stored = _keyed_service("batched", distinct_keys)
+        reference, reference_stored = _keyed_service("dispatch", distinct_keys)
+        bank_type = type(stored.allocations[0].bank)
+        calls = {"write_bit_column": 0, "write_field_row": 0, "aggregate_reference": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                batched, "run_group_by_batched",
+                scoped(batched.run_group_by_batched),
+            )
+            patch.setattr(StoredRelation, "write_bit_column", counting(
+                calls, "write_bit_column", StoredRelation.write_bit_column))
+            patch.setattr(bank_type, "write_field_row", counting(
+                calls, "write_field_row", bank_type.write_field_row))
+            patch.setattr(arithmetic, "aggregate_reference", counting(
+                calls, "aggregate_reference", arithmetic.aggregate_reference))
+            execution = service.execute(query)
+        assert execution.pim_subgroups == execution.total_subgroups
+        assert execution.pim_subgroups == 2 * distinct_keys
+        counts[distinct_keys] = calls
+
+        twin = reference.execute(query)
+        assert execution.rows == twin.rows and len(twin.rows) == 2 * distinct_keys
+        assert execution.stats == twin.stats
+        assert execution.stats.pim_requests == twin.stats.pim_requests > 0
+        for ours, theirs in zip(
+            stored.wear_snapshot(), reference_stored.wear_snapshot()
+        ):
+            assert np.array_equal(ours, theirs)
+        service.close()
+        reference.close()
+
+    # First and last key: remote mask, transfer, combine mask and clear each.
+    assert counts[10] == counts[40] == {
+        "write_bit_column": 8, "write_field_row": 1, "aggregate_reference": 0,
+    }
 
 
 # --------------------------------------------------------------- scatter pool

@@ -16,7 +16,7 @@ from repro.core.latency_model import (
     predict_pim_gb,
 )
 from repro.core.prejoin import DerivedAttribute, build_prejoined_relation, storage_overhead
-from repro.core.sampling import estimate_subgroups
+from repro.core.sampling import SubgroupEstimate, estimate_subgroups
 from repro.db.compiler import compile_predicate
 from repro.db.query import Comparison, EQ
 from repro.db.storage import StoredRelation
@@ -181,6 +181,50 @@ def test_estimate_subgroups_orders_by_size(toy_relation):
     assert estimate.remaining_ratio(3) <= estimate.remaining_ratio(1)
     with pytest.raises(ValueError):
         estimate_subgroups(stored, ["city"], [])
+
+
+def test_remaining_ratio_is_a_left_to_right_prefix_built_once():
+    """``r(k)`` equals the explicit left-to-right sum for every ``k`` — not
+    ``sum()``, which is compensated from Python 3.12 on — and a whole
+    ``choose_k`` looks each fraction up once, not once per larger ``k``."""
+
+    class CountingDict(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            self.gets += 1
+            return super().get(key, default)
+
+    # Two dominant subgroups and a random tail, largest first; the sum passes
+    # 1.0 near the end (the clamp) and three candidates were never sampled
+    # (the 0.0 default).
+    tail = np.sort(np.random.default_rng(5).random(38))[::-1]
+    fractions = [0.45, 0.3] + (tail / tail.sum() * 0.3).tolist()
+    groups = [(i,) for i in range(len(fractions) + 3)]
+    counted = CountingDict({(i,): f for i, f in enumerate(fractions)})
+    estimate = SubgroupEstimate(
+        ordered_groups=groups, group_fractions=counted, selectivity=0.37,
+        sample_size=1000, sample_selected=370, observed_subgroups=len(fractions),
+    )
+
+    def reference(k):
+        covered = 0
+        for key in groups[:max(0, k)]:
+            covered = covered + dict.get(counted, key, 0.0)
+        return 0.37 * (1.0 - min(covered, 1.0))
+
+    for k in range(-1, len(groups) + 2):
+        assert estimate.remaining_ratio(k) == reference(k)      # bit for bit
+    assert estimate.remaining_ratio(len(groups)) == 0.0         # clamped
+
+    model = GroupByCostModel(
+        HostGbLatencyModel({4: 1e-4}, {4: 1e-5}),
+        PimGbLatencyModel({2: 1e-7}, {2: 3e-4}),
+    )
+    chosen = model.choose_k(500, 2, 4, len(groups), estimate.remaining_ratio)
+    assert chosen == model.choose_k(500, 2, 4, len(groups), reference)
+    assert 0 < chosen[0] < len(groups)
+    assert counted.gets <= len(groups)
 
 
 def test_planner_uses_estimate_and_respects_total(toy_relation):

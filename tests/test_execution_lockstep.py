@@ -5,9 +5,11 @@ loop) is the production path and ``execution="dispatch"`` (op-by-op
 interpreter + per-subgroup loop) its reference.  All 13 SSB queries run
 through one engine per bundle — gate-level and vectorized, unsharded and
 K=4 — and must agree on result rows, the full :class:`PimStats` dataclass
-(float order, power-sample order, request rounding) and the wear counters
-of the stored banks.  Each cell's engine pair persists across the 13
-queries, so the wear comparison is cumulative.
+(float order, power-sample order, request rounding) and the stored state:
+wear counters, every bank column outside the scratch area and every
+dirty-crossbar mask.  Each cell's engine pair persists across the 13
+queries, so the comparison is cumulative and every query but the first
+starts from the columns another candidate set left dirty.
 
 The cells run the engine's default (fitted) cost model; one further
 vectorized cell forces every subgroup through PIM, so the batched kernels
@@ -88,11 +90,28 @@ def engine_pairs(ssb_prejoined):
     return get
 
 
-def _flat_wear(stored) -> list[np.ndarray]:
-    snapshot = stored.wear_snapshot()
-    if isinstance(stored, ShardedStoredRelation):
-        return [bank for shard in snapshot for bank in shard]
-    return snapshot
+def _stores(stored) -> list[StoredRelation]:
+    return stored.shards if isinstance(stored, ShardedStoredRelation) else [stored]
+
+
+def _assert_same_stored_state(ours: StoredRelation, theirs: StoredRelation) -> None:
+    """Wear, every dirty mask and every bank column outside the scratch area
+    (gate-level ``dispatch`` runs its programs there, batched never does)."""
+    for partition, layout in enumerate(ours.layouts):
+        bank, other = (s.allocations[partition].bank for s in (ours, theirs))
+        assert np.array_equal(bank.writes_per_row, other.writes_per_row)
+        for column in set(range(bank.columns)) - set(layout.scratch_columns):
+            assert np.array_equal(
+                bank.read_column(column), other.read_column(column)
+            ), f"partition {partition}: column {column} differs"
+        tracked = set(ours._column_dirty[partition]) | set(
+            theirs._column_dirty[partition]
+        )
+        for column in tracked:
+            assert np.array_equal(
+                ours.column_dirty_mask(partition, column),
+                theirs.column_dirty_mask(partition, column),
+            ), f"partition {partition}: dirty mask of column {column} differs"
 
 
 @pytest.mark.parametrize("cell", CELLS)
@@ -116,5 +135,5 @@ def test_ssb_batched_matches_dispatch(engine_pairs, query_name, cell):
     if CELLS[cell][2] and query.group_by:
         # The forced plan: every subgroup went through the batched kernels.
         assert batched.pim_subgroups == batched.total_subgroups > 0
-    for ours, theirs in zip(_flat_wear(batched_stored), _flat_wear(dispatch_stored)):
-        assert np.array_equal(ours, theirs)
+    for ours, theirs in zip(_stores(batched_stored), _stores(dispatch_stored)):
+        _assert_same_stored_state(ours, theirs)

@@ -394,6 +394,13 @@ def test_backend_speed_experiment_smoke(tmp_path, ssb_prejoined):
     assert sum(w["fields"] for w in codec["widths"]) == len(ssb_prejoined.schema.names)
     assert codec["packed_decode_ms"] > 0 and codec["packed_encode_ms"] > 0
     assert "field codec" in backend_speed.render(results)
+    # The scatter gate needs a core per worker of the pool the section times.
+    for cpu_count, gateable in ((1, False), (2, False), (4, True), (8, True)):
+        scatter = backend_speed.ScatterComparison(
+            shards=4, crossbars_per_shard=8, cpu_count=cpu_count,
+            serial_s=1.0, parallel_s=1.0, bits_match=True,
+        )
+        assert scatter.gateable is gateable
 
 
 @pytest.mark.parametrize("query_name", QUERY_ORDER)
