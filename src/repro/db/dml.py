@@ -17,10 +17,14 @@ lifecycle:
   ``record_capacity`` tail — and sets the valid bit.  The slot-aligned
   ground-truth :class:`~repro.db.relation.Relation` is updated in the same
   step, so the functional reference and the stored bits never diverge.
+  *Modelled* is one host store per attribute and bookkeeping bit of every
+  record, charged record by record; *simulated* is one columnar batch with
+  the same bits, wear and floats (see :func:`execute_insert`).
 * **Compaction** rewrites the live rows densely into the lowest slots when
   the tombstoned fraction crosses a threshold, shrinking the slot high-water
   mark (and with it every per-record host cost: filter bit-vector reads,
-  sampling, record reads).
+  sampling, record reads).  The host's read of every live record is charged
+  but not decoded: the dense image is written from the ground truth.
 
 Every phase charges the modelled :class:`~repro.pim.stats.PimStats`:
 ``delete-filter`` / ``delete-clear`` / ``delete-transfer`` (two-xb),
@@ -340,15 +344,21 @@ def execute_insert(
 
     Tombstones are reused lowest-first; further records land in the spare
     capacity tail, growing ``num_records`` and the ground-truth relation
-    together.  Each record is written through the host store path — one
-    field store per attribute plus the bookkeeping bits — charging write
-    latency, energy and wear per store (the ``insert-write`` phase).  The
-    batch is all-or-nothing against caller errors: capacity and every
-    record's encoding are validated before the first write, so a bad record
-    raises (:class:`RelationFullError` / :class:`ValueError`) with nothing
-    applied.  ``encoded=True`` trusts the records to be
+    together.  The batch is all-or-nothing against caller errors: capacity
+    and every record's encoding are validated before the first write, so a
+    bad record raises (:class:`RelationFullError` / :class:`ValueError`)
+    with nothing applied.  ``encoded=True`` trusts the records to be
     :meth:`~repro.db.relation.Relation.encode_record` results (the sharded
     router validates once for all shards).
+
+    **Modelled**: each record goes through the host store path — one field
+    store per attribute plus the four bookkeeping bits, per partition —
+    charging write latency, energy and wear per store (``insert-write``), in
+    record-major order.  **Simulated**: one ``uint64`` column per attribute,
+    one ``write_field_cells`` scatter per attribute and bookkeeping bit, one
+    statistics update and one charge series folding the per-store floats
+    left to right — bits, wear, statistics and ``PimStats`` identical to the
+    per-record loop (the oracle in ``tests/test_insert_lockstep.py``).
     """
     records = list(records)
     if len(records) > stored.free_slots:
@@ -362,49 +372,62 @@ def execute_insert(
         else [relation.encode_record(values) for values in records]
     )
 
+    # Slots in input order: tombstones lowest-first, then the spare tail.
     result = InsertResult()
-    tail_records: list[dict] = []
-    for record in encoded_records:
+    for _ in encoded_records:
         slot, reused = stored.acquire_slot()
         if reused:
-            relation.set_row(slot, record, encoded=True)
             result.reused_slots += 1
         else:
-            # Ground-truth growth is deferred and done in one reallocation
-            # below; the slot count is claimed now so the next record lands
-            # behind this one.
-            tail_records.append(record)
             stored.num_records += 1
             result.appended_slots += 1
-        stored.live_count += 1
-        stored.note_insert(slot, record)
         result.slots.append(slot)
+    stored.live_count += len(result.slots)
+    slots = np.array(result.slots, dtype=np.int64)
+    columns = {
+        name: np.array([r[name] for r in encoded_records], dtype=np.uint64)
+        for name in relation.schema.names
+    }
 
-        for layout, allocation, attrs in zip(
-            stored.layouts, stored.allocations, stored.partition_attributes
-        ):
-            bank = allocation.bank
-            xbar = allocation.crossbar_of_record(slot)
-            row = allocation.row_of_record(slot)
-            for name in attrs:
-                offset, width = layout.fields[name]
-                executor.host_write_field(
-                    bank, xbar, row, offset, width, int(record[name]), phase=phase
-                )
-            # Raise the valid bit last and scrub the bookkeeping bits a
-            # tombstone may have left behind.
-            for column, bit in (
-                (layout.filter_column, 0),
-                (layout.group_column, 0),
-                (layout.remote_column, 0),
-                (layout.valid_column, 1),
-            ):
-                executor.host_write_field(bank, xbar, row, column, 1, bit, phase=phase)
-
-    relation.append_rows(tail_records, encoded=True)
+    # Ground truth: reused slots in place (a shard keeps aliasing its parent's
+    # columns), the tail grows each column once.
+    reused = result.reused_slots
+    for name, column in columns.items():
+        relation.columns[name][slots[:reused]] = column[:reused]
+        if result.appended_slots:
+            relation.columns[name] = np.concatenate(
+                [relation.columns[name], column[reused:]]
+            )
+    relation.num_records += result.appended_slots
     assert len(relation) == stored.num_records, (
         "ground-truth relation out of sync with the slot high-water mark"
     )
+    stored.note_insert(slots, columns)
+
+    widths: list[int] = []     # one record's stores, in order: the charge pattern
+    for layout, allocation, attrs in zip(
+        stored.layouts, stored.allocations, stored.partition_attributes
+    ):
+        bank = allocation.bank
+        xbars = allocation.crossbar_of_record(slots)
+        rows = allocation.row_of_record(slots)
+        for name in attrs:
+            offset, width = layout.fields[name]
+            bank.write_field_cells(xbars, rows, offset, width, columns[name])
+            widths.append(width)
+        # Scrub the bookkeeping bits a tombstone may have left; raise the valid bit.
+        for column, bit in (
+            (layout.filter_column, 0),
+            (layout.group_column, 0),
+            (layout.remote_column, 0),
+            (layout.valid_column, 1),
+        ):
+            bank.write_field_cells(
+                xbars, rows, column, 1, np.full(len(slots), bit, dtype=np.uint64)
+            )
+            widths.append(1)
+    executor.charge_host_writes(widths, len(slots), phase=phase)
+
     # Zone-map maintenance: each insert widened one crossbar's bounds for
     # every attribute and bumped its live counter — and bumped that
     # crossbar's candidate-cache epoch, so cached fragment masks re-validate
@@ -463,8 +486,16 @@ def execute_compaction(
     give the rebuilt zone maps tight disjoint ranges, which is what turns an
     unclustered relation into a prunable one.  The modelled cost is the
     unchanged read-everything/write-everything compaction cost: the ordering
-    choice happens in the host's buffer.
+    choice happens in the host's buffer.  An explicit ``cluster_by`` that is
+    not an attribute of the relation raises :class:`ValueError` before
+    anything is charged or moved (the adaptive default is tolerant instead).
     """
+    names = stored.relation.schema.names
+    if cluster_by is not None and cluster_by not in names:
+        raise ValueError(
+            f"cannot cluster {stored.label!r} by {cluster_by!r}: its "
+            f"attributes are {list(names)}"
+        )
     fragmentation = stored.fragmentation
     if stored.tombstone_count == 0:
         return CompactionResult(performed=False, fragmentation_before=fragmentation)
@@ -472,12 +503,10 @@ def execute_compaction(
         return CompactionResult(performed=False, fragmentation_before=fragmentation)
 
     slots_before = stored.num_records
-    crossbar_entries = stored.crossbars_per_partition * (
-        len(stored.relation.schema.names) + 1
-    )
+    crossbar_entries = stored.crossbars_per_partition * (len(names) + 1)
+    relation = stored.relation
     if stored.live_count == 0:
-        relation = stored.relation
-        for name in relation.schema.names:
+        for name in names:
             relation.columns[name] = relation.columns[name][:0]
         relation.num_records = 0
         stored.reset_slots_after_compaction()
@@ -492,34 +521,32 @@ def execute_compaction(
             slots_before=slots_before,
             slots_after=0,
         )
-    valid = stored.valid_mask(0)
-    live_indices = np.nonzero(valid)[0]
+    live_indices = np.flatnonzero(stored.valid_mask(0))
     new_count = int(len(live_indices))
     read_model = HostReadModel(
         executor.config, executor.stats, traffic_scale=timing_scale
     )
 
-    # Phase 1: the host reads every live record (per vertical partition).
+    # Phase 1: the host reads every live record (per vertical partition) —
+    # charged, not decoded: the dense image comes from the ground truth.
     for partition, attrs in enumerate(stored.partition_attributes):
-        read_model.read_records(
+        read_model.charge_record_reads(
             stored, partition, live_indices, attrs, phase="compact-read"
         )
 
-    # The slot-aligned ground truth drops its tombstone rows.
-    relation = stored.relation
-    for name in relation.schema.names:
-        relation.columns[name] = relation.columns[name][valid]
-    relation.num_records = new_count
-
-    # Re-cluster: sort the dense image by the hottest predicate column.
+    # Re-cluster by the hottest predicate column (a default this relation
+    # does not have is ignored); the tombstone rows drop out in one gather.
     if cluster_by is None:
         cluster_by = stored.statistics.hot_column()
-    if cluster_by is not None and cluster_by in relation.schema.names:
-        order = np.argsort(relation.column(cluster_by), kind="stable")
-        for name in relation.schema.names:
-            relation.columns[name] = relation.columns[name][order]
-    else:
-        cluster_by = None
+        if cluster_by not in names:
+            cluster_by = None
+    order = live_indices
+    if cluster_by is not None:
+        keys = relation.column(cluster_by)[live_indices]
+        order = live_indices[np.argsort(keys, kind="stable")]
+    for name in names:
+        relation.columns[name] = relation.columns[name][order]
+    relation.num_records = new_count
 
     # Phase 2: stream the dense image back into the crossbars.
     host = executor.config.host

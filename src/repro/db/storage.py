@@ -251,13 +251,15 @@ class StoredRelation:
         # cached per-fragment masks are bounds-only and remain exact.
         self.statistics.note_delete(slots, self.relation)
 
-    def note_insert(self, slot: int, record) -> None:
-        """Widen the statistics with one freshly inserted (encoded) record.
+    def note_insert(self, slots: np.ndarray, columns) -> None:
+        """Widen the statistics with a freshly inserted batch.
 
-        Also bumps the candidate-cache epoch of the one crossbar the record
-        landed in, so cached pruning verdicts re-validate just that crossbar.
+        ``columns`` maps every attribute to the encoded values written into
+        ``slots``.  Also bumps the candidate-cache epochs of the crossbars
+        the records landed in, so cached pruning verdicts re-validate just
+        those crossbars.
         """
-        self.statistics.note_insert(slot, record)
+        self.statistics.note_insert(slots, columns)
 
     def note_update(self, attribute: str, encoded: int, mask: np.ndarray) -> None:
         """Widen the statistics with an UPDATE's assignment.

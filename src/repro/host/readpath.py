@@ -113,11 +113,26 @@ class HostReadModel:
         values = {
             name: stored.decode_column(name)[record_indices] for name in attributes
         }
+        self.charge_record_reads(stored, partition, record_indices, attributes, phase)
+        return values
+
+    def charge_record_reads(
+        self,
+        stored: StoredRelation,
+        partition: int,
+        record_indices: np.ndarray,
+        attributes: Sequence[str],
+        phase: str = "host-read-records",
+    ) -> None:
+        """Charge one :meth:`read_records` without decoding any value.
+
+        For a caller that already knows the values (compaction rewrites from
+        the ground truth): the traffic depends on the lines touched only.
+        """
         lines = self.count_record_lines(stored, partition, record_indices, attributes)
         lines = int(round(lines * self.traffic_scale))
         time_s = dram.scattered_read_time(self.config.host, lines, self.threads)
         self._charge(phase, time_s, lines)
-        return values
 
     def reads_per_record(
         self, stored: StoredRelation, partition: int, attributes: Sequence[str]

@@ -31,6 +31,7 @@ phase and hence the peak chip power reported in Fig. 8.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -497,6 +498,25 @@ class PimExecutor:
         self.stats.add_time(phase, xcfg.write_latency_s)
         self.stats.add_energy("write", width * xcfg.write_energy_per_bit_j)
         self.stats.bits_written += width
+
+    def charge_host_writes(
+        self, widths: Sequence[int], count: int, phase: str = "host-write"
+    ) -> None:
+        """Charge ``count`` repetitions of the stores ``widths`` (bits each).
+
+        The charge-only, batched twin of :meth:`host_write_field`: the same
+        floats in the same order as one call per store, ``widths`` being the
+        per-record store pattern of a batch written column-wise.
+        """
+        xcfg = self._xbar
+        pattern = np.asarray(widths, dtype=np.int64)
+        self.stats.add_series(
+            "time", phase, np.full(pattern.size * count, xcfg.write_latency_s)
+        )
+        self.stats.add_series(
+            "energy", "write", np.tile(pattern * xcfg.write_energy_per_bit_j, count)
+        )
+        self.stats.bits_written += int(pattern.sum()) * count
 
     def charge_pim_reads(self, bits: int, component: str = "read") -> None:
         """Charge crossbar read energy for bits leaving the PIM arrays."""

@@ -27,6 +27,29 @@ from collections.abc import Sequence
 import numpy as np
 
 
+def check_cells(bank, xbars, rows, width: int, values):
+    """Validate a per-cell scatter on either bank; returns the three arrays.
+
+    Raises ``ValueError`` — before the caller mutates anything — on
+    mismatched lengths, a crossbar or row out of range, a duplicate
+    ``(xbar, row)`` cell or a value that does not fit in ``width`` bits.
+    """
+    xbars = np.asarray(xbars, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint64)
+    if xbars.ndim != 1 or not xbars.shape == rows.shape == values.shape:
+        raise ValueError("xbars, rows and values must be equally long 1-d arrays")
+    bank._check_rows(rows)
+    if xbars.size and (xbars.min() < 0 or xbars.max() >= bank.count):
+        raise ValueError(f"crossbar index outside bank crossbars 0..{bank.count}")
+    cells = np.sort(xbars * bank.rows + rows)
+    if np.any(cells[1:] == cells[:-1]):
+        raise ValueError("duplicate (xbar, row) cells in one scatter")
+    if width < 64 and np.any(values >= np.uint64(1 << width)):
+        raise ValueError(f"some values do not fit in {width} bits")
+    return xbars, rows, values
+
+
 class CrossbarBank:
     """A bank of identical memory crossbars operated in lock step.
 
@@ -209,6 +232,20 @@ class CrossbarBank:
             xbars = np.asarray(xbars, dtype=np.int64)
             self.bits[xbars, row, offset:offset + width] = bits
             self.writes_per_row[xbars, row] += width
+
+    def write_field_cells(self, xbars, rows, offset: int, width: int, values) -> None:
+        """Write one value per ``(xbar, row)`` cell of a field — a scatter.
+
+        Equivalent to ``write_field(xbars[i], rows[i], offset, width,
+        values[i])`` for every ``i`` over *distinct* cells, with identical
+        wear; everything is validated before the first mutation.
+        """
+        self._check_field(offset, width)
+        xbars, rows, values = check_cells(self, xbars, rows, width, values)
+        shifts = np.arange(width, dtype=np.uint64)
+        bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
+        self.bits[xbars, rows, offset:offset + width] = bits
+        self.writes_per_row[xbars, rows] += width
 
     # ------------------------------------------------- masked bulk primitives
     def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:

@@ -23,6 +23,12 @@ Two invariants keep the backends interchangeable:
   maintains the same per-row ``writes_per_row`` counters as the boolean
   backend.
 
+**Field writes**: ``write_field`` (one cell), ``write_field_cells`` (a value
+per listed ``(xbar, row)`` cell — the INSERT scatter), ``write_field_row`` (one
+row, a value per crossbar), ``write_field_rows`` (one immediate, several rows
+of every crossbar), ``write_field_column`` (every row of every crossbar); each
+equals the corresponding loop of ``write_field``, wear included.
+
 **Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
 ``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
 along rows and accumulates ``plane[b] << b`` in the narrowest unsigned dtype
@@ -45,7 +51,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import validate_backend
-from repro.pim.crossbar import CrossbarBank
+from repro.pim.crossbar import CrossbarBank, check_cells
 
 _ONE = np.uint64(1)
 _WORD_BITS = 64
@@ -435,6 +441,24 @@ class PackedCrossbarBank:
                 (current & ~mask) | (bits << bit)
             )
             self.writes_per_row[xbars, row] += width
+
+    def write_field_cells(self, xbars, rows, offset: int, width: int, values) -> None:
+        """Write one value per distinct ``(xbar, row)`` cell of a field.
+
+        A loop of :meth:`write_field` as one scatter, validated up front.
+        """
+        self._check_field(offset, width)
+        xbars, rows, values = check_cells(self, xbars, rows, width, values)
+        bit = (rows % _WORD_BITS).astype(np.uint64)[:, None]
+        shifts = np.arange(width, dtype=np.uint64)
+        planes = ((values[:, None] >> shifts) & _ONE) << bit   # (cells, width)
+        index = (
+            xbars[:, None], offset + np.arange(width), rows[:, None] // _WORD_BITS
+        )
+        # Distinct cells may still share a 64-row word: unbuffered updates.
+        np.bitwise_and.at(self.words, index, ~(_ONE << bit))
+        np.bitwise_or.at(self.words, index, planes)
+        self.writes_per_row[xbars, rows] += width
 
     # ---------------------------------------------------------------- wear
     def wear_snapshot(self) -> np.ndarray:

@@ -16,6 +16,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable
 
+import numpy as np
+
 
 @dataclass
 class PowerSample:
@@ -89,6 +91,26 @@ class PimStats:
         self.energy_by_component[component] += joules
         if self.trace_hook is not None:
             self.trace_hook("energy", component, joules)
+
+    def add_series(self, kind: str, key: str, values) -> None:
+        """Fold a series of ``"time"`` / ``"energy"`` charges in, left to right.
+
+        Bit-identical to :meth:`add_time` / :meth:`add_energy` per element:
+        ``np.add.accumulate`` is sequential by definition (``n * x`` or a
+        pairwise ``np.sum`` round differently); :attr:`trace_hook` sees each.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return
+        if values.min() < 0:
+            raise ValueError(f"negative {kind} charge for {key!r}")
+        totals = self.time_by_phase if kind == "time" else self.energy_by_component
+        totals[key] = float(
+            np.add.accumulate(np.concatenate(([totals[key]], values)))[-1]
+        )
+        if self.trace_hook is not None:
+            for value in values.tolist():
+                self.trace_hook(kind, key, value)
 
     @property
     def total_energy_j(self) -> float:

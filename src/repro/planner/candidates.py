@@ -182,10 +182,12 @@ class CandidateSetCache:
 
     # ---------------------------------------------------------- invalidation
     def bump(self, crossbars) -> None:
-        """Mark the given crossbars stale (INSERT/UPDATE widened their bounds)."""
-        crossbars = np.asarray(crossbars, dtype=np.int64)
-        if crossbars.size:
-            self.epochs[crossbars] += 1
+        """Mark the given crossbars stale (INSERT/UPDATE widened their bounds).
+
+        One bump per occurrence: a batch INSERT lists a crossbar once per
+        record that landed in it.
+        """
+        np.add.at(self.epochs, np.asarray(crossbars, dtype=np.int64), 1)
 
     def bump_all(self) -> None:
         """Mark every crossbar stale (compaction rebuilt the maps exactly)."""

@@ -295,14 +295,19 @@ class RelationStatistics:
         return self.adaptive.snapshot()
 
     # ------------------------------------------------------------ maintenance
-    def note_insert(self, slot: int, record) -> None:
-        self.zonemaps.note_insert(slot, record)
-        self.selectivity.note_insert(record)
+    def note_insert(self, slots: np.ndarray, columns) -> None:
+        """Fold an INSERT batch in: one encoded value per slot and column.
+
+        State-identical to noting the records one at a time, in order.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        self.zonemaps.note_insert(slots, columns)
+        self.selectivity.note_insert(columns)
         if self.pair_map is not None:
-            self.pair_map.note_insert(slot, record)
-        # Only the crossbar the INSERT landed in changed its bounds.
-        self.candidates.bump([slot // self.zonemaps.rows])
-        self._note_change()
+            self.pair_map.note_insert(slots, columns)
+        # Only the crossbars the batch landed in changed their bounds.
+        self.candidates.bump(slots // self.zonemaps.rows)
+        self._version += len(slots)
 
     def note_delete(self, slots: np.ndarray, relation) -> None:
         slots = np.asarray(slots, dtype=np.int64)

@@ -86,11 +86,6 @@ class ColumnHistogram:
         )
         self.total += int(values.size)
 
-    def add_one(self, value: int) -> None:
-        """:meth:`add` of one encoded value without the array round-trip."""
-        self.counts[min(int(value) >> self.shift, self.buckets - 1)] += 1
-        self.total += 1
-
     def remove(self, values: np.ndarray) -> None:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
         if values.size == 0:
@@ -206,12 +201,6 @@ class EquiDepthHistogram:
         )
         self.total += int(values.size)
 
-    def add_one(self, value: int) -> None:
-        """:meth:`add` of one encoded value: a single scalar ``searchsorted``."""
-        bucket = int(np.searchsorted(self.edges, np.uint64(value), side="left"))
-        self.counts[min(bucket, len(self.edges) - 1)] += 1
-        self.total += 1
-
     def remove(self, values: np.ndarray) -> None:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
         if values.size == 0:
@@ -288,9 +277,9 @@ class SelectivityModel:
         return cls(relation.schema, histograms)
 
     # ---------------------------------------------------------------- updates
-    def note_insert(self, record: Mapping[str, object]) -> None:
+    def note_insert(self, columns: Mapping[str, np.ndarray]) -> None:
         for name, histogram in self.histograms.items():
-            histogram.add_one(record[name])
+            histogram.add(columns[name])
 
     def note_remove(self, columns: Mapping[str, np.ndarray]) -> None:
         for name, values in columns.items():

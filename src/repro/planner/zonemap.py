@@ -166,19 +166,21 @@ class ZoneMaps:
             )
 
     # ------------------------------------------------------------ maintenance
-    def note_insert(self, slot: int, record: Mapping[str, object]) -> None:
-        """Widen the bounds of the crossbar an INSERT landed in."""
-        crossbar = slot // self.rows
-        fresh = self.live[crossbar] == 0
+    def note_insert(self, slots: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
+        """Widen the bounds of the crossbars an INSERT batch landed in.
+
+        A crossbar without a live row before the batch has its stale bounds
+        reset first, so they come out tight on the batch's own values.
+        """
+        crossbars = np.asarray(slots, dtype=np.int64) // self.rows
+        fresh = crossbars[self.live[crossbars] == 0]
         for name in self.schema.names:
-            value = np.uint64(record[name])
-            if fresh:
-                self.mins[name][crossbar] = value
-                self.maxs[name][crossbar] = value
-            else:
-                self.mins[name][crossbar] = min(self.mins[name][crossbar], value)
-                self.maxs[name][crossbar] = max(self.maxs[name][crossbar], value)
-        self.live[crossbar] += 1
+            mins, maxs = self.mins[name], self.maxs[name]
+            mins[fresh] = _U64_MAX
+            maxs[fresh] = 0
+            np.minimum.at(mins, crossbars, columns[name])
+            np.maximum.at(maxs, crossbars, columns[name])
+        np.add.at(self.live, crossbars, 1)
 
     def note_delete(self, slots: np.ndarray) -> None:
         """Decrement the live counts (bounds stay conservatively wide).
@@ -463,12 +465,11 @@ class PairZoneMap:
             words.reshape(self.crossbars, self.rows), axis=1
         )
 
-    def note_insert(self, slot: int, record: Mapping[str, object]) -> None:
+    def note_insert(self, slots: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
         first, second = self.attributes
-        bit = self._bits_of(
-            np.uint64(record[first]), np.uint64(record[second])
-        )
-        self.sketch[slot // self.rows] |= np.uint64(1) << bit
+        bits = self._bits_of(columns[first], columns[second])
+        crossbars = np.asarray(slots, dtype=np.int64) // self.rows
+        np.bitwise_or.at(self.sketch, crossbars, np.uint64(1) << bits)
 
     def note_update(self, attribute: str, crossbars: np.ndarray) -> None:
         """Saturate the touched crossbars when either column is reassigned.

@@ -582,7 +582,8 @@ class QueryService:
 
         The rewrite re-clusters the surviving rows by ``cluster_by``
         (default: the relation's hottest predicate column, per its adaptive
-        feedback loop).
+        feedback loop); a ``cluster_by`` the relation does not have raises
+        :class:`ValueError` with nothing charged.
         """
         name = self._resolve(relation)
         engine = self._engines[name]

@@ -96,19 +96,31 @@ def test_equi_depth_add_remove_roundtrip():
 
 
 @pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
-def test_add_one_matches_array_add(variant):
-    """The one-value insert path counts exactly like the array path."""
+def test_note_insert_batch_matches_single_record_batches(variant):
+    """A columnar ``note_insert`` counts like the same records one at a time."""
     values = _skewed_values(seed=9)
-    scalar = variant.from_values(values, width=16)
-    array = variant.from_values(values, width=16)
-    # Bucket edges, domain limits, an out-of-width value and NumPy scalars.
-    inserts = [0, 1, 1023, 1024, (1 << 16) - 1, 1 << 16, np.uint64(77), np.int64(4096)]
-    inserts += [int(edge) for edge in getattr(scalar, "edges", [])[:4]]
-    for value in inserts:
-        scalar.add_one(value)
-        array.add(np.uint64(value))
-    assert np.array_equal(scalar.counts, array.counts)
-    assert scalar.total == array.total == len(values) + len(inserts)
+    schema = Schema("t", [int_attribute("v", 16)])
+
+    def model():
+        return SelectivityModel(schema, {"v": variant.from_values(values, width=16)})
+
+    batched, single = model(), model()
+    # Bucket edges, the domain limits, a value past 2**width - 1 (and so past
+    # the last equi-depth edge), every equi-depth edge and its neighbours.
+    inserts = [0, 1, 1023, 1024, 4095, 4096, (1 << 16) - 1, 1 << 16, 77, 77]
+    for edge in getattr(batched.histograms["v"], "edges", []):
+        inserts += [max(int(edge) - 1, 0), int(edge), int(edge) + 1]
+    column = np.array(inserts, dtype=np.uint64)
+    batched.note_insert({"v": column})
+    for value in column:
+        single.note_insert({"v": np.array([value], dtype=np.uint64)})
+    got, expected = batched.histograms["v"], single.histograms["v"]
+    assert np.array_equal(got.counts, expected.counts)
+    assert got.total == expected.total == len(values) + len(inserts)
+    # The out-of-domain value lands in the last bucket on both variants.
+    before = variant.from_values(values, width=16).counts
+    assert got.counts[-1] - before[-1] >= 1
+    assert (got.counts - before).sum() == len(inserts)
 
 
 def test_rebuild_preserves_histogram_variant():

@@ -301,6 +301,89 @@ def test_compaction_of_fully_deleted_relation_reclaims_all_slots():
     assert engine.execute(GROUP_QUERY).rows == reference_rows(live, GROUP_QUERY)
 
 
+def _bank_state(stored):
+    """Every cell and wear counter of a stored relation's banks (copies)."""
+    return [
+        (
+            [a.bank.read_column(c).copy() for c in range(a.bank.columns)],
+            a.bank.wear_snapshot(),
+        )
+        for a in stored.allocations
+    ]
+
+
+def _assert_compaction_refused(stored, before, attempt) -> None:
+    """``attempt()`` raises naming the relation's attributes; nothing moved."""
+    slots = (stored.num_records, stored.live_count, list(stored._free_slots))
+    with pytest.raises(ValueError, match=r"value2.*'key', 'value', 'city'"):
+        attempt()
+    assert (stored.num_records, stored.live_count, list(stored._free_slots)) == slots
+    for (cells, wear), (cells_before, wear_before) in zip(_bank_state(stored), before):
+        assert all(np.array_equal(a, b) for a, b in zip(cells, cells_before))
+        assert np.array_equal(wear, wear_before)
+
+
+@pytest.mark.parametrize("tombstones", [False, True])
+def test_compaction_rejects_unknown_cluster_column(tombstones):
+    """A typo in ``cluster_by`` fails loudly — even when the call would have
+    been a no-op — instead of silently re-clustering by nothing."""
+    config = config_for("packed")
+    stored = StoredRelation(small_relation(40), PimModule(config), label="t")
+    if tombstones:
+        execute_delete(stored, Comparison("value", "<", 300), PimExecutor(config))
+    executor = PimExecutor(config)
+    _assert_compaction_refused(
+        stored, _bank_state(stored),
+        lambda: execute_compaction(
+            stored, executor, force=True, cluster_by="value2"
+        ),
+    )
+    assert repr(executor.stats) == repr(PimExecutor(config).stats)
+    # The adaptive default stays tolerant, and a real column still works.
+    result = execute_compaction(stored, executor, force=True, cluster_by="value")
+    assert result.performed == tombstones
+    assert result.clustered_by == ("value" if tombstones else None)
+
+
+def test_sharded_compaction_rejects_unknown_cluster_column():
+    config = config_for("packed")
+    sharded = ShardedStoredRelation(small_relation(40), PimModule(config), shards=4)
+    executors = sharded.make_executors()
+    execute_sharded_delete(sharded, Comparison("value", "<", 300), executors)
+    fresh = [repr(PimExecutor(config).stats)] * 4
+    executors = sharded.make_executors()
+    before = [_bank_state(shard) for shard in sharded.shards]
+    for shard, state in zip(sharded.shards, before):
+        _assert_compaction_refused(
+            shard, state,
+            lambda: execute_sharded_compaction(
+                sharded, executors, force=True, cluster_by="value2"
+            ),
+        )
+    assert [repr(executor.stats) for executor in executors] == fresh
+    assert sharded.tombstone_count > 0
+
+
+def test_service_compact_rejects_unknown_cluster_column():
+    from repro.service import QueryService
+
+    config = config_for("packed")
+    service = QueryService()
+    engine = service.register(
+        "t", StoredRelation(small_relation(40), PimModule(config), label="t"),
+        config=config,
+    )
+    service.delete(Comparison("value", "<", 300))
+    _assert_compaction_refused(
+        engine.stored, _bank_state(engine.stored),
+        lambda: service.compact(force=True, cluster_by="value2"),
+    )
+    assert service.dml_stats("t").compactions == 0
+    assert repr(service._executors["t"].stats) == repr(PimExecutor(config).stats)
+    assert service.compact(force=True, cluster_by="value").result.clustered_by == "value"
+    service.close()
+
+
 # ------------------------------------------------------- hardened validation
 def test_write_bit_column_rejects_wrong_length():
     config = config_for("packed")

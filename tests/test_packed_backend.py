@@ -84,6 +84,8 @@ def _apply(op, bank):
         bank.write_field_rows(op[1], op[2], op[3], op[4])
     elif kind == "write_field_row":
         bank.write_field_row(op[1], op[2], op[3], op[4])
+    elif kind == "write_field_cells":
+        bank.write_field_cells(op[1], op[2], op[3], op[4], op[5])
     else:  # pragma: no cover - defensive
         raise AssertionError(kind)
 
@@ -96,7 +98,7 @@ def bank_ops(draw):
     kind = draw(st.sampled_from([
         "nor", "init", "write_field", "write_field_column",
         "write_bool_column", "copy_row_pairs", "write_field_rows",
-        "write_field_row",
+        "write_field_row", "write_field_cells",
     ]))
     if kind == "nor":
         srcs = tuple(draw(st.lists(column, min_size=1, max_size=2)))
@@ -125,6 +127,11 @@ def bank_ops(draw):
         n = draw(st.integers(0, ROWS))
         value = draw(st.integers(0, (1 << width) - 1))
         return ("write_field_rows", rng.permutation(ROWS)[:n], offset, width, value)
+    if kind == "write_field_cells":
+        cells = rng.permutation(COUNT * ROWS)[: draw(st.integers(0, 2 * ROWS))]
+        values = rng.integers(0, 1 << width, len(cells)).astype(np.uint64)
+        return ("write_field_cells", cells // ROWS, cells % ROWS,
+                offset, width, values)
     values = rng.integers(0, 1 << width, COUNT).astype(np.uint64)
     return ("write_field_row", draw(row), offset, width, values)
 
@@ -234,6 +241,83 @@ def test_field_codec_roundtrip_at_dtype_boundaries(count, rows, width, data):
             lambda b: b.write_field_rows(np.array([0]), offset, width, top + 1),
             lambda b: b.write_field_row(0, offset, width, one * np.uint64(top + 1)),
         ]
+    for call in bad_calls:
+        for bank in (ref, packed):
+            _assert_rejected_without_mutation(bank, call)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    count=st.sampled_from([1, 3]),
+    rows=st.sampled_from([1, 63, 64, 70, 128]),
+    width=st.sampled_from([1, 7, 8, 9, 31, 32, 33, 63, 64]),
+    data=st.data(),
+)
+def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data):
+    """The per-cell scatter is ``write_field`` per cell, on both banks."""
+    columns = 80
+    offset = data.draw(st.integers(0, columns - width), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    top = (1 << width) - 1
+    background = rng.integers(0, 2, (columns, count, rows)).astype(bool)
+    # Distinct cells, several of them sharing one crossbar and one 64-row
+    # word whenever the geometry has room for it; sometimes none at all.
+    n = data.draw(st.integers(0, min(count * rows, 24)), label="cells")
+    cells = rng.permutation(count * rows)[:n]
+    if n >= 3 and rows >= 3:
+        cells[:3] = np.arange(3)    # crossbar 0, rows 0..2: one word
+        cells = np.unique(cells)
+    xbars, cell_rows = cells // rows, cells % rows
+    # The reference bank's scalar store takes values below 2**63 only.
+    scalar_top = min(top, 2 ** 63 - 1)
+    values = rng.integers(0, scalar_top, len(cells), dtype=np.uint64, endpoint=True)
+    if len(cells):
+        values[-1] = scalar_top
+
+    oracle = CrossbarBank(count, rows, columns)
+    ref = CrossbarBank(count, rows, columns)
+    packed = PackedCrossbarBank(count, rows, columns)
+    for bank in (oracle, ref, packed):
+        for column in range(columns):
+            bank.write_bool_column(column, background[column])
+    for xbar, row, value in zip(xbars, cell_rows, values):
+        oracle.write_field(int(xbar), int(row), offset, width, int(value))
+    for bank in (ref, packed):
+        bank.write_field_cells(xbars, cell_rows, offset, width, values)
+        assert_banks_equal(oracle, bank)       # cells *and* wear
+        assert np.array_equal(
+            bank.read_field_all(offset, width)[xbars, cell_rows], values
+        )
+    # The all-ones value (2**64 - 1 at width 64) through the decode instead.
+    last = (count - 1, rows - 1)
+    for bank in (ref, packed):
+        bank.write_field_cells([last[0]], [last[1]], offset, width, [top])
+        assert int(bank.read_field_all(offset, width)[last]) == top
+    assert_banks_equal(ref, packed)
+    # Neighbouring columns keep the background; padding bits stay zero.
+    for column in (*range(offset), *range(offset + width, columns)):
+        assert np.array_equal(packed.read_column(column), background[column])
+    assert not np.any(packed.words & ~packed._row_mask)
+
+    # Bad input is rejected before anything is written, on both banks.
+    one = np.ones(1, dtype=np.uint64)
+    bad_calls = [
+        lambda b: b.write_field_cells([0, 0], [0, 0], offset, width, [1, 1]),
+        lambda b: b.write_field_cells([0], [rows], offset, width, one),
+        lambda b: b.write_field_cells([0], [-1], offset, width, one),
+        lambda b: b.write_field_cells([count], [0], offset, width, one),
+        lambda b: b.write_field_cells([-1], [0], offset, width, one),
+        lambda b: b.write_field_cells([0, 0], [0], offset, width, one),
+        lambda b: b.write_field_cells([0], [0], offset, width, [1, 1]),
+        lambda b: b.write_field_cells([[0]], [[0]], offset, width, [[1]]),
+        lambda b: b.write_field_cells([0], [0], columns - width + 1, width, one),
+    ]
+    if width < 64:
+        bad_calls.append(
+            lambda b: b.write_field_cells(
+                [0], [0], offset, width, one * np.uint64(top + 1)
+            )
+        )
     for call in bad_calls:
         for bank in (ref, packed):
             _assert_rejected_without_mutation(bank, call)
