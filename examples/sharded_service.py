@@ -80,10 +80,11 @@ def main() -> None:
     )
 
     service = QueryService(cache_capacity=256)
+    # The shards are modelled as concurrent hardware (max-over-shards) and
+    # simulated one after the other on this thread.
     service.register_sharded(
         "sales", relation, shards=SHARDS,
         aggregation_width=24, reserve_bulk_aggregation=False,
-        max_workers=SHARDS,          # scatter on a thread pool
     )
     from repro.config import DEFAULT_CONFIG
     from repro.db.storage import StoredRelation

@@ -30,7 +30,8 @@ number or stored bit:
   aggregation circuit's functional result is ``aggregate_reference`` over a
   decoded field and the subgroup mask.  The field does not change between
   subgroups and distinct keys select disjoint rows, so the field is decoded
-  once and all K x crossbar partials come from one ``reduceat`` over the
+  once — for the masked rows only (``StoredRelation.decode_cells``) — and
+  all K x crossbar partials come from one ``reduceat`` over the
   selected rows, which ``np.nonzero`` hands back already sorted by
   ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
   identity on every crossbar a key has no row on.
@@ -322,9 +323,9 @@ def run_group_by_batched(
             operation = aggregate.op
             values = decoded.get(aggregate.attribute)
             if values is None:
-                values = decoded[aggregate.attribute] = bank.read_field_all(
-                    primary_layout.field_offset(aggregate.attribute), field_width
-                ).reshape(-1)[records]
+                values = decoded[aggregate.attribute] = stored.decode_cells(
+                    aggregate.attribute, records
+                )
         partials = _segmented_partials(
             values, starts, cells, (len(keys), bank.count), operation,
             accumulator_width,

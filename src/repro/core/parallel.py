@@ -1,16 +1,17 @@
 """A persistent, shareable thread pool for scattering GIL-free kernels.
 
-The fused/batched kernels evaluate whole-array NumPy expressions, which
-release the GIL — so independent kernel runs (one per shard, or one per
-vertical partition inside a shard) genuinely overlap on a multi-core host.
-:class:`ScatterPool` wraps one lazily created ``ThreadPoolExecutor`` that
-:class:`~repro.service.service.QueryService` owns and threads through the
-sharded engines, so a batch of queries reuses warm worker threads instead
-of re-spawning an executor per scatter.
+The batched kernels evaluate whole-array NumPy expressions, which release
+the GIL — so the independent per-partition kernel batches of one GROUP-BY
+(:func:`repro.core.batched.run_group_by_batched` with two or more remote
+vertical partitions) can overlap on a multi-core host.  That is all the pool
+serves: whole shard executions are interpreter-bound and run as a plain loop
+(see :mod:`repro.sharding.executor`).  :class:`ScatterPool` wraps one lazily
+created ``ThreadPoolExecutor`` that :class:`~repro.service.service.QueryService`
+owns and threads through its engines, so a batch of queries reuses warm
+worker threads instead of re-spawning an executor per GROUP-BY.
 
-On a single-core host (``os.cpu_count() == 1``) the pool stays inline:
-``map`` degrades to a plain loop, so there is no thread overhead to pay
-where no parallel win is possible.
+With one worker or fewer than two items ``map`` is a plain loop and no thread
+is ever started.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def default_scatter_workers() -> int:
 
 
 class ScatterPool:
-    """A lazily started thread pool shared across shards and batches.
+    """A lazily started thread pool shared across engines and batches.
 
     The underlying executor is created on first parallel use and kept for
     the lifetime of the pool, so repeated batches do not pay thread
@@ -42,16 +43,16 @@ class ScatterPool:
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
+        # Assigned before validating: __del__ runs on a rejected instance too.
+        self._executor: ThreadPoolExecutor | None = None
         if max_workers is None:
             max_workers = default_scatter_workers()
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = int(max_workers)
-        self._executor: ThreadPoolExecutor | None = None
-        # Marks this pool's own worker threads: one pool is shared across
-        # nesting levels (shard scatter outside, per-partition kernels
-        # inside), and a nested map must run inline on the worker — blocking
-        # a worker on tasks that need a worker slot would deadlock the pool.
+        # Marks this pool's own worker threads: a map issued from inside a
+        # mapped function must run inline on the worker — blocking a worker
+        # on tasks that need a worker slot would deadlock the pool.
         self._local = threading.local()
 
     @property

@@ -86,10 +86,10 @@ def estimate_subgroups(
         raise ValueError("candidate_groups must not be empty")
     records_per_page = stored.records_per_page
     sample_size = min(stored.num_records, max(1, sample_pages) * records_per_page)
-    sample_indices = np.arange(sample_size)
-
-    filter_mask = stored.filter_mask(filter_partition)[:sample_size]
-    selected = sample_indices[filter_mask]
+    # Only the sample page's filter bits are read, as the charge below says.
+    selected = np.flatnonzero(
+        stored.filter_mask(filter_partition, limit=sample_size)
+    )
 
     # Account for reading the sample: the filter bits of the sampled page and
     # the GROUP-BY attributes of the records that passed the filter.
@@ -100,7 +100,7 @@ def estimate_subgroups(
         )
 
     group_columns = [
-        _partition_column(stored, name)[selected] for name in group_attributes
+        stored.decode_cells(name, selected) for name in group_attributes
     ]
     fractions: dict[GroupKey, float] = {}
     if len(selected):
@@ -125,10 +125,6 @@ def estimate_subgroups(
         sample_selected=int(len(selected)),
         observed_subgroups=len(observed),
     )
-
-
-def _partition_column(stored: StoredRelation, attribute: str) -> np.ndarray:
-    return stored.decode_column(attribute)
 
 
 def _sample_read_time(

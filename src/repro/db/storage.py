@@ -26,6 +26,15 @@ from repro.db.schema import Schema
 from repro.pim.module import PimAllocation, PimModule
 
 
+#: :meth:`StoredRelation.decode_cells` gathers cell by cell up to this share of
+#: the slots in use and decodes the whole (bounded) column above it.  Measured
+#: (table in :mod:`repro.pim.packed`, re-timed by ``BENCH_backend.json``): the
+#: gather wins up to ~5 % of the cells for 4-bit fields, ~8 % for 12-bit, ~18 %
+#: for 27-bit and loses 8-20x at 100 %.  A warm pass of each ``perf/`` workload
+#: asks for at most 3.1 % per call (medians <= 0.32 %); ``fig4_model`` for 80 %.
+GATHER_MAX_SHARE = 1 / 32
+
+
 class RelationFullError(RuntimeError):
     """An INSERT found no free slot (no tombstone and no spare capacity)."""
 
@@ -346,30 +355,59 @@ class StoredRelation:
         return self.allocations[self.partition_of(attribute)]
 
     # ------------------------------------------------------------ functional
+    def _crossbars_in_use(self, slots: int) -> slice:
+        """The crossbar prefix holding the first ``slots`` slots."""
+        return slice(-(-slots // self.rows_per_crossbar))
+
     def decode_column(self, attribute: str) -> np.ndarray:
         """Decode an attribute of every slot in use from the crossbar bits.
 
         The result is *slot-aligned* with the ground-truth relation: one
         value per slot up to the valid-mask high-water mark ``num_records``
         (tombstoned slots included), not a fixed load-time prefix — indices
-        from a filter bit-vector index it directly.
+        from a filter bit-vector index it directly.  Only the crossbars
+        holding those slots are unpacked.
         """
         partition = self.partition_of(attribute)
-        layout = self.layouts[partition]
         bank = self.allocations[partition].bank
-        offset, width = layout.fields[attribute]
-        flat = bank.read_field_all(offset, width).reshape(-1)
+        offset, width = self.layouts[partition].fields[attribute]
+        flat = bank.read_field_all(
+            offset, width, self._crossbars_in_use(self.num_records)
+        ).reshape(-1)
         return flat[: self.num_records]
 
-    def column_bit(self, partition: int, column: int) -> np.ndarray:
-        """Read one bookkeeping bit column of every slot in use (slot-aligned)."""
-        bank = self.allocations[partition].bank
-        flat = bank.read_column(column).reshape(-1)
-        return flat[: self.num_records]
+    def decode_cells(self, attribute: str, slots: np.ndarray) -> np.ndarray:
+        """Decode an attribute of the listed slots: ``decode_column(...)[slots]``.
 
-    def filter_mask(self, partition: int = 0) -> np.ndarray:
-        """The filter bit of every record in a partition."""
-        return self.column_bit(partition, self.layouts[partition].filter_column)
+        The one place that picks between the bank's per-cell gather and the
+        bounded full decode, from the input size (:data:`GATHER_MAX_SHARE`).
+        Raises ``IndexError`` for a slot outside the slots in use.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.size and (slots.min() < 0 or slots.max() >= self.num_records):
+            raise IndexError(f"slot outside the slots in use 0..{self.num_records}")
+        if slots.size > self.num_records * GATHER_MAX_SHARE:
+            return self.decode_column(attribute)[slots]
+        partition = self.partition_of(attribute)
+        offset, width = self.layouts[partition].fields[attribute]
+        rows = self.rows_per_crossbar
+        return self.allocations[partition].bank.read_field_cells(
+            slots // rows, slots % rows, offset, width
+        )
+
+    def column_bit(
+        self, partition: int, column: int, limit: int | None = None
+    ) -> np.ndarray:
+        """Read one bookkeeping bit column of every slot in use (slot-aligned),
+        or of the first ``limit`` slots; only their crossbars are unpacked."""
+        slots = self.num_records if limit is None else min(limit, self.num_records)
+        bank = self.allocations[partition].bank
+        flat = bank.read_column(column, self._crossbars_in_use(slots)).reshape(-1)
+        return flat[:slots]
+
+    def filter_mask(self, partition: int = 0, limit: int | None = None) -> np.ndarray:
+        """The filter bit of every record (of the first ``limit``) in a partition."""
+        return self.column_bit(partition, self.layouts[partition].filter_column, limit)
 
     def valid_mask(self, partition: int = 0) -> np.ndarray:
         """The valid bit of every slot in use (true for live records)."""

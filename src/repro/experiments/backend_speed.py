@@ -29,7 +29,9 @@ aggregation circuit's read port and the host load path: ``read_field_all``
 and ``write_field_column`` of every field of the relation's layouts, on both
 banks at the relation's geometry, min-of-7 absolute milliseconds per field
 width (gated: the packed bank's summed decode and summed encode time must
-each be no slower than the boolean reference's).
+each be no slower than the boolean reference's).  It also times, ungated, the
+gather ``read_field_cells`` against full decode + index at 0.5 %, 3 % and 20 %
+of the cells — the measurement behind ``repro.db.storage.GATHER_MAX_SHARE``.
 
 The bool-vs-packed sections pin the per-operation *dispatch* strategy —
 the regime the packed backend was introduced against — so their trajectory
@@ -169,15 +171,25 @@ class ScatterComparison:
 CODEC_CELLS = tuple(f"{b}_{op}" for op in ("decode", "encode") for b in BACKENDS)
 
 
+#: Shares of the bank's cells the gather cells read (sparse, ~1/32, dense);
+#: ``gather`` is ``read_field_cells``, ``index`` full decode + index.
+GATHER_SHARES = (0.005, 0.03, 0.2)
+GATHER_CELLS = tuple(
+    f"{b}_{how}_{share:g}"
+    for b in BACKENDS for share in GATHER_SHARES for how in ("gather", "index")
+)
+
+
 @dataclass
 class CodecWidth:
     """Field decode/encode at one field width, summed over its fields."""
 
     width: int
     fields: int = 0
-    #: Milliseconds per cell of :data:`CODEC_CELLS` (e.g. ``"packed_decode"``).
+    #: Milliseconds per cell of :data:`CODEC_CELLS` (e.g. ``"packed_decode"``)
+    #: and :data:`GATHER_CELLS` (``"packed_gather_0.03"``).
     ms: dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(CODEC_CELLS, 0.0)
+        default_factory=lambda: dict.fromkeys(CODEC_CELLS + GATHER_CELLS, 0.0)
     )
 
 
@@ -412,8 +424,20 @@ def _timed_field_codec(
     """
     widths: dict[int, CodecWidth] = {}
     values_match = True
+    rng = np.random.default_rng(0)
+
+    def decode_and_index(bank, offset, width, cells):
+        return bank.read_field_all(offset, width).reshape(-1)[cells]
+
     for partition, layout in enumerate(stored["packed"].layouts):
         banks = {b: stored[b].allocations[partition].bank for b in BACKENDS}
+        per_xbar = banks["packed"].rows
+        total = banks["packed"].count * per_xbar
+        # Sorted distinct cells, as the record indices of a selection are.
+        selections = {
+            share: np.sort(rng.choice(total, int(total * share), replace=False))
+            for share in GATHER_SHARES
+        }
         for offset, width in layout.fields.values():
             row = widths.setdefault(width, CodecWidth(width))
             row.fields += 1
@@ -432,6 +456,17 @@ def _timed_field_codec(
             values_match &= np.array_equal(
                 banks["packed"].read_field_all(offset, width), decoded["bool"]
             )
+            for share, cells in selections.items():
+                expected = decoded["bool"].reshape(-1)[cells]
+                for backend, bank in banks.items():
+                    calls = {
+                        "gather": partial(bank.read_field_cells, cells // per_xbar,
+                                          cells % per_xbar, offset, width),
+                        "index": partial(decode_and_index, bank, offset, width, cells),
+                    }
+                    for how, call in calls.items():
+                        values_match &= np.array_equal(call(), expected)
+                        row.ms[f"{backend}_{how}_{share:g}"] += _min_ms(call, repeats)
     bank = stored["packed"].allocations[0].bank
     return CodecComparison(
         crossbars=bank.count,
@@ -584,6 +619,12 @@ def render(results: BackendSpeedResults) -> str:
             f"packed vs bool: decode {c.speedup('decode'):.1f}x, "
             f"encode {c.speedup('encode'):.1f}x"
         )
+        lines.append("read_field_cells (gather) vs read_field_all + index, by "
+                     "share of the bank's cells read [ms]:")
+        lines.append(format_table(
+            ["width", *GATHER_CELLS],
+            [[w.width, *(w.ms[cell] for cell in GATHER_CELLS)] for w in c.widths],
+        ))
     return "\n".join(lines)
 
 
@@ -657,10 +698,11 @@ def artifact(results: BackendSpeedResults) -> dict:
                 {
                     "width": w.width,
                     "fields": w.fields,
-                    **{f"{cell}_ms": w.ms[cell] for cell in CODEC_CELLS},
+                    **{f"{cell}_ms": ms for cell, ms in w.ms.items()},
                 }
                 for w in c.widths
             ],
+            "gather_shares": list(GATHER_SHARES),
             **{f"{cell}_ms": c.total_ms(cell) for cell in CODEC_CELLS},
             "decode_speedup": c.speedup("decode"),
             "encode_speedup": c.speedup("encode"),

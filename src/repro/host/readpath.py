@@ -111,7 +111,7 @@ class HostReadModel:
         """
         record_indices = np.asarray(record_indices, dtype=np.int64)
         values = {
-            name: stored.decode_column(name)[record_indices] for name in attributes
+            name: stored.decode_cells(name, record_indices) for name in attributes
         }
         self.charge_record_reads(stored, partition, record_indices, attributes, phase)
         return values

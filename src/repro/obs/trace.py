@@ -23,9 +23,8 @@ Two properties make the tracer safe to leave compiled into every hot path:
   accumulation — the per-phase sums match ``time_by_phase`` bit for bit
   (``benchmarks/bench_observability.py`` gates exactly that).
 
-Span nesting uses a :class:`contextvars.ContextVar`, so the scatter pool's
-worker threads each see their own stack; per-shard spans are parented
-explicitly to the scatter span captured before the pool dispatch.
+Span nesting uses a :class:`contextvars.ContextVar`, so every thread sees its
+own stack; shard executions run on the caller's and nest under its scatter span.
 
 Tracing is selected by ``SystemConfig.tracing`` / the ``REPRO_TRACE``
 environment variable (see :mod:`repro.config`); a value naming a path (it
@@ -213,23 +212,18 @@ class SpanTracer:
         )
         self._seq = itertools.count()
         self._ids = itertools.count(1)
-        # Shard spans complete on pool worker threads; the lock covers the
-        # root-trace list and the sink file (children append under their
-        # parent from exactly one thread, so span trees need no lock).
+        # A tracer may be shared by threads; the lock covers the root-trace
+        # list and the sink file (children append under their parent from
+        # exactly one thread, so span trees need no lock).
         self._lock = threading.Lock()
 
     # ---------------------------------------------------------------- spans
-    def span(self, name: str, parent: SpanRecord | None = None, **attributes):
-        """Open a span (``with tracer.span("filter") as rec: ...``).
-
-        Disabled tracers return the shared no-op span.  ``parent`` overrides
-        the context-derived parent — required for spans opened on pool
-        worker threads, whose context starts empty.
-        """
+    def span(self, name: str, **attributes):
+        """Open a span (``with tracer.span("filter") as rec: ...``) under the
+        calling thread's innermost one; disabled tracers return a no-op span."""
         if not self.enabled:
             return NULL_SPAN
-        if parent is None:
-            parent = self._current.get()
+        parent = self._current.get()
         record = SpanRecord(
             name=name,
             span_id=next(self._ids),

@@ -378,17 +378,21 @@ class PimExecutor:
         partials would be the operation's identity and contribute nothing.
         """
         result_width = self._circuit_result_width(field_width, result_width)
-        values = bank.read_field_all(field_offset, field_width)
-        mask = bank.read_column(mask_column)
+        candidate_idx = None
+        if crossbars is not None:
+            candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
         from repro.pim.arithmetic import aggregate_reference
 
-        results = aggregate_reference(values, mask, operation, result_width)
-        if crossbars is None:
+        # Only the candidate crossbars are decoded and reduced.
+        results = aggregate_reference(
+            bank.read_field_all(field_offset, field_width, candidate_idx),
+            bank.read_column(mask_column, candidate_idx),
+            operation, result_width,
+        )
+        if candidate_idx is None:
             bank.write_field_row(0, destination_offset, result_width, results)
         else:
-            candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
             active = int(candidate_idx.size)
-            results = results[candidate_idx]
             if active == 0:
                 return results
             bank.write_field_row(

@@ -27,21 +27,32 @@ from collections.abc import Sequence
 import numpy as np
 
 
+def check_cell_index(bank, xbars, rows):
+    """Validate per-cell ``(xbar, row)`` coordinates; returns both as arrays.
+
+    Raises ``ValueError`` — before the caller touches the bank — on mismatched
+    lengths, non-1-d input or a crossbar or row out of range."""
+    xbars = np.asarray(xbars, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if xbars.ndim != 1 or xbars.shape != rows.shape:
+        raise ValueError("xbars and rows must be equally long 1-d arrays")
+    bank._check_rows(rows)
+    if xbars.size and (xbars.min() < 0 or xbars.max() >= bank.count):
+        raise ValueError(f"crossbar index outside bank crossbars 0..{bank.count}")
+    return xbars, rows
+
+
 def check_cells(bank, xbars, rows, width: int, values):
     """Validate a per-cell scatter on either bank; returns the three arrays.
 
     Raises ``ValueError`` — before the caller mutates anything — on
-    mismatched lengths, a crossbar or row out of range, a duplicate
-    ``(xbar, row)`` cell or a value that does not fit in ``width`` bits.
+    whatever :func:`check_cell_index` rejects, a duplicate ``(xbar, row)``
+    cell or a value that does not fit in ``width`` bits.
     """
-    xbars = np.asarray(xbars, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
+    xbars, rows = check_cell_index(bank, xbars, rows)
     values = np.asarray(values, dtype=np.uint64)
-    if xbars.ndim != 1 or not xbars.shape == rows.shape == values.shape:
-        raise ValueError("xbars, rows and values must be equally long 1-d arrays")
-    bank._check_rows(rows)
-    if xbars.size and (xbars.min() < 0 or xbars.max() >= bank.count):
-        raise ValueError(f"crossbar index outside bank crossbars 0..{bank.count}")
+    if values.shape != xbars.shape:
+        raise ValueError("values must hold one entry per (xbar, row) cell")
     cells = np.sort(xbars * bank.rows + rows)
     if np.any(cells[1:] == cells[:-1]):
         raise ValueError("duplicate (xbar, row) cells in one scatter")
@@ -96,6 +107,23 @@ class CrossbarBank:
         if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
+    @staticmethod
+    def _value_bits(values, width: int) -> np.ndarray:
+        """LSB-first bits of value(s), bool ``(..., width)``; shifted in ``uint64``
+        (a Python int >= ``2**63`` overflows the default signed shift dtype)."""
+        shifts = np.arange(width, dtype=np.uint64)
+        values = np.asarray(values, dtype=np.uint64)[..., None]
+        return ((values >> shifts) & np.uint64(1)).astype(bool)
+
+    @staticmethod
+    def _decode_bits(bits: np.ndarray) -> np.ndarray:
+        """Unsigned values of LSB-first bit vectors along the last axis:
+        packed into little-endian bytes, (padded) reinterpreted as ``uint64``."""
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        out = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+        out[..., : packed.shape[-1]] = packed
+        return out.view("<u8")[..., 0]
+
     # -------------------------------------------------------------- load/read
     def write_field(self, xbar: int, row: int, offset: int, width: int, value: int) -> None:
         """Write an unsigned ``width``-bit ``value`` into one crossbar row."""
@@ -103,17 +131,14 @@ class CrossbarBank:
         self._check_rows(row)
         if value < 0 or value >= (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        bits = (value >> np.arange(width)) & 1
-        self.bits[xbar, row, offset:offset + width] = bits.astype(bool)
+        self.bits[xbar, row, offset:offset + width] = self._value_bits(value, width)
         self.writes_per_row[xbar, row] += width
 
     def read_field(self, xbar: int, row: int, offset: int, width: int) -> int:
         """Read an unsigned ``width``-bit value from one crossbar row."""
         self._check_field(offset, width)
         self._check_rows(row)
-        bits = self.bits[xbar, row, offset:offset + width]
-        weights = (1 << np.arange(width, dtype=np.uint64))
-        return int(np.sum(bits.astype(np.uint64) * weights))
+        return int(self._decode_bits(self.bits[xbar, row, offset:offset + width]))
 
     def write_field_column(
         self, offset: int, width: int, values: np.ndarray, count_wear: bool = True
@@ -141,29 +166,32 @@ class CrossbarBank:
         if count_wear:
             self.writes_per_row += width
 
-    def read_field_all(self, offset: int, width: int) -> np.ndarray:
+    def read_field_all(self, offset: int, width: int, xbars=None) -> np.ndarray:
         """Decode a field from every row of every crossbar.
 
-        Returns an array of shape ``(count, rows)`` with dtype ``uint64``.
-        This is a *functional* helper (it does not model timing); callers in
-        the host read path and the aggregation circuit account for the reads
-        separately.
+        Returns an array of shape ``(count, rows)`` with dtype ``uint64``
+        (``(len(xbars), rows)`` when ``xbars``, a slice or an index array,
+        restricts the decode).  This is a *functional* helper (it does not
+        model timing); callers in the host read path and the aggregation
+        circuit account for the reads separately.
         """
         self._check_field(offset, width)
-        # Fast path: pack the bit slab LSB-first into little-endian bytes and
-        # reinterpret the (padded) bytes as one uint64 per row.
-        packed = np.packbits(
-            self.bits[:, :, offset:offset + width], axis=-1, bitorder="little"
-        )
-        out = np.zeros((self.count, self.rows, 8), dtype=np.uint8)
-        out[:, :, :packed.shape[-1]] = packed
-        return out.view("<u8")[:, :, 0]
+        xbars = slice(None) if xbars is None else xbars
+        return self._decode_bits(self.bits[xbars, :, offset:offset + width])
 
-    def read_column(self, column: int) -> np.ndarray:
-        """Return one bit column of every crossbar, shape ``(count, rows)``."""
+    def read_field_cells(self, xbars, rows, offset: int, width: int) -> np.ndarray:
+        """Read one value per listed ``(xbar, row)`` cell, 1-d ``uint64``: a loop
+        of :meth:`read_field` (duplicates allowed) as one gather, validated first."""
+        self._check_field(offset, width)
+        xbars, rows = check_cell_index(self, xbars, rows)
+        return self._decode_bits(self.bits[xbars, rows, offset:offset + width])
+
+    def read_column(self, column: int, xbars=None) -> np.ndarray:
+        """Return one bit column, shape ``(count, rows)`` (``xbars`` as above)."""
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        return self.bits[:, :, column].copy()
+        xbars = slice(None) if xbars is None else xbars
+        return np.array(self.bits[xbars, :, column])
 
     def write_bool_column(
         self, column: int, values: np.ndarray, count_wear: bool = True
@@ -196,8 +224,7 @@ class CrossbarBank:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
-        bits = ((value >> np.arange(width)) & 1).astype(bool)
-        self.bits[:, rows, offset:offset + width] = bits
+        self.bits[:, rows, offset:offset + width] = self._value_bits(value, width)
         self.writes_per_row[:, rows] += width
 
     def write_field_row(
@@ -223,8 +250,7 @@ class CrossbarBank:
             raise ValueError(f"expected values of shape {(targets,)}, got {values.shape}")
         if width < 64 and np.any(values >= np.uint64(1 << width)):
             raise ValueError(f"some values do not fit in {width} bits")
-        shifts = np.arange(width, dtype=np.uint64)
-        bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
+        bits = self._value_bits(values, width)
         if xbars is None:
             self.bits[:, row, offset:offset + width] = bits
             self.writes_per_row[:, row] += width
@@ -242,9 +268,7 @@ class CrossbarBank:
         """
         self._check_field(offset, width)
         xbars, rows, values = check_cells(self, xbars, rows, width, values)
-        shifts = np.arange(width, dtype=np.uint64)
-        bits = ((values[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-        self.bits[xbars, rows, offset:offset + width] = bits
+        self.bits[xbars, rows, offset:offset + width] = self._value_bits(values, width)
         self.writes_per_row[xbars, rows] += width
 
     # ------------------------------------------------- masked bulk primitives

@@ -29,14 +29,31 @@ row, a value per crossbar), ``write_field_rows`` (one immediate, several rows
 of every crossbar), ``write_field_column`` (every row of every crossbar); each
 equals the corresponding loop of ``write_field``, wear included.
 
+**Field reads**: ``read_field`` (one cell), ``read_field_cells`` (a value per
+listed ``(xbar, row)`` cell, duplicates allowed — a loop of ``read_field`` as
+one gather), ``read_field_all`` (every row) and ``read_column`` (a bit column);
+the last two unpack and return only the crossbars ``xbars`` (a slice or an
+index array, as for ``kernel_read`` / ``write_field_row``) when it is given.
+
 **Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
 ``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
 along rows and accumulates ``plane[b] << b`` in the narrowest unsigned dtype
 holding the field, widened to ``uint64`` once at the end; bulk encode
 (``write_field_column``) mirrors it, ``(value >> b) & 1`` per plane straight
-into the layout that gets packed.  Nothing is transposed, and no decoded
+into the layout that gets packed.  No transposed copy is made, and no decoded
 column is cached: a 12-bit decode of 96 x 1024 rows costs ~0.4 ms, which does
-not pay for write-invalidation state on the bank.
+not pay for write-invalidation state on the bank.  With ``xbars`` the decode
+is *bounded* (3 crossbars in use of a page's 32 cost 3), and
+``read_field_cells`` is the same fold over one word per (cell, plane) taken
+straight from ``words``.  ``StoredRelation.decode_cells`` alone picks between
+them (gather up to 1/32 of the slots in use), from this measurement — gather /
+full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells
+(``BENCH_backend.json`` re-times it)::
+
+    cells read   0.5 %        3.1 %        8 %          20 %         100 %
+    4-bit        0.03 / 0.11  0.07 / 0.11  0.16 / 0.11  1.00 / 0.13   4.1 / 0.22
+    12-bit       0.05 / 0.41  0.14 / 0.40  0.30 / 0.36  0.80 / 0.42   6.1 / 0.50
+    27-bit       0.08 / 1.44  0.28 / 1.44  0.64 / 1.43  1.63 / 1.48  12.6 / 1.56
 
 The backend is selected by :attr:`repro.config.SystemConfig.backend`
 (``"packed"`` by default, ``"bool"`` for the reference implementation) and
@@ -51,7 +68,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import validate_backend
-from repro.pim.crossbar import CrossbarBank, check_cells
+from repro.pim.crossbar import CrossbarBank, check_cell_index, check_cells
 
 _ONE = np.uint64(1)
 _WORD_BITS = 64
@@ -61,6 +78,16 @@ def _field_dtype(width: int) -> np.dtype:
     """Narrowest unsigned dtype that holds a ``width``-bit field."""
     return np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                          if width <= 8 * np.dtype(t).itemsize))
+
+
+def _fold_planes(planes: np.ndarray, dtype) -> np.ndarray:
+    """``sum(planes[b] << b)`` over the leading axis, in ``dtype``: a Horner
+    pass, MSB first (NumPy's narrow-integer shifts are not SIMD, adds are)."""
+    out = planes[-1].astype(dtype)
+    for plane in planes[-2::-1]:
+        out += out
+        out |= plane
+    return out
 
 
 class PackedCrossbarBank:
@@ -122,13 +149,15 @@ class PackedCrossbarBank:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
     # ------------------------------------------------------- pack/unpack core
-    def _unpack_columns(self, offset: int, width: int) -> np.ndarray:
+    def _unpack_columns(self, offset: int, width: int, xbars=None) -> np.ndarray:
         """Bit planes of a column slab, booleans of shape ``(count, width, rows)``.
 
-        A writable zero-copy bool view of the freshly unpacked 0/1 bytes.
+        A writable zero-copy bool view of the freshly unpacked 0/1 bytes, of
+        the crossbars ``xbars`` (a slice or an index array) if given.
         """
+        xbars = slice(None) if xbars is None else xbars
         raw = np.ascontiguousarray(
-            self.words[:, offset:offset + width, :], dtype="<u8"
+            self.words[xbars, offset:offset + width, :], dtype="<u8"
         ).view(np.uint8)
         bits = np.unpackbits(raw, axis=-1, bitorder="little")
         return bits[:, :, : self.rows].view(np.bool_)
@@ -209,23 +238,35 @@ class PackedCrossbarBank:
         if count_wear:
             self.writes_per_row += width
 
-    def read_field_all(self, offset: int, width: int) -> np.ndarray:
-        """Decode a field from every row of every crossbar, ``(count, rows)``."""
+    def read_field_all(self, offset: int, width: int, xbars=None) -> np.ndarray:
+        """Decode a field from every row of every crossbar, ``(count, rows)``
+        (of the crossbars ``xbars`` — a slice or an index array — if given)."""
         self._check_field(offset, width)
-        # ``out |= plane[b] << b`` as a Horner pass over the bit planes, MSB
-        # first, in the narrowest dtype holding the field; widened once.
-        planes = self._unpack_columns(offset, width).view(np.uint8)
-        out = planes[:, width - 1, :].astype(_field_dtype(width))
-        for bit in range(width - 2, -1, -1):
-            out += out
-            out |= planes[:, bit, :]
+        # Folded in the narrowest dtype holding the field; widened once.
+        planes = self._unpack_columns(offset, width, xbars).view(np.uint8)
+        out = _fold_planes(planes.swapaxes(0, 1), _field_dtype(width))
         return out.astype(np.uint64, copy=False)
 
-    def read_column(self, column: int) -> np.ndarray:
-        """Return one bit column of every crossbar, shape ``(count, rows)``."""
+    def read_field_cells(self, xbars, rows, offset: int, width: int) -> np.ndarray:
+        """Read one value per listed ``(xbar, row)`` cell, 1-d ``uint64``: a loop
+        of :meth:`read_field` (duplicates allowed) as one gather, validated first."""
+        self._check_field(offset, width)
+        xbars, rows = check_cell_index(self, xbars, rows)
+        # Plane ``b`` of cell ``i`` is one bit of the flat word ``first[i] +
+        # b * rows_words``; the planes fold like the bulk decode's.
+        first = (xbars * self.columns + offset) * self.rows_words + rows // _WORD_BITS
+        planes = self.words.reshape(-1).take(
+            first + (np.arange(width) * self.rows_words)[:, None]
+        )                                                       # (width, cells)
+        planes >>= (rows % _WORD_BITS).astype(np.uint64)
+        planes &= _ONE
+        return _fold_planes(planes, np.uint64)
+
+    def read_column(self, column: int, xbars=None) -> np.ndarray:
+        """Return one bit column, shape ``(count, rows)`` (``xbars`` as above)."""
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        return self._unpack_columns(column, 1)[:, 0, :]
+        return self._unpack_columns(column, 1, xbars)[:, 0, :]
 
     def write_bool_column(
         self, column: int, values: np.ndarray, count_wear: bool = True

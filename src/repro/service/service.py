@@ -141,10 +141,11 @@ class QueryService:
                 wall-clock) cost differs.
             scatter_workers: Width of the service-owned
                 :class:`~repro.core.parallel.ScatterPool` every registered
-                engine shares — the shard scatter and the batched group-by
-                kernels reuse its warm worker threads across queries and
-                batches.  Defaults to one worker per core; ``1`` keeps all
-                execution on the calling thread.
+                engine shares — the per-partition group-by kernel batches of
+                a vertically partitioned relation reuse its warm worker
+                threads (shard executions never run on it, see
+                :mod:`repro.sharding.executor`).  Defaults to one worker per
+                core; ``1`` keeps all execution on the calling thread.
             tracing: Record a hierarchical span trace for every served
                 query, DML call and compaction (see :mod:`repro.obs.trace`).
                 ``None`` follows the ``REPRO_TRACE`` environment variable;
@@ -233,10 +234,12 @@ class QueryService:
         The relation is split into ``shards`` contiguous horizontal shards,
         each stored in its own crossbar allocation of ``module`` (a fresh
         :class:`PimModule` is created when omitted).  Queries routed to
-        ``name`` scatter over the shards — optionally on a thread pool of
-        ``max_workers`` — and gather through the partial-aggregate merge;
-        their results are bit-exact with an unsharded engine while the
-        modelled latency follows max-over-shards plus the merge term.
+        ``name`` scatter over the shards and gather through the
+        partial-aggregate merge; their results are bit-exact with an
+        unsharded engine while the modelled latency follows max-over-shards
+        plus the merge term.  The shards are *simulated* one after the other:
+        ``max_workers`` (at least 1) changes neither results nor costs,
+        above 1 it lets per-partition kernel batches use the service's pool.
         Programs compile once: the shards share layouts, so the service's
         program cache hits across shards (and across queries, as usual).
 

@@ -23,9 +23,18 @@ per-row maximum and therefore a max).  This is exactly the semantics of
 :meth:`repro.pim.stats.PimStats.merge_parallel`; the gather term is charged
 by :func:`repro.host.aggregator.merge_shard_rows`.
 
-The scatter can optionally run on a thread pool (``max_workers > 1``): the
-vectorized host paths spend their time in NumPy, which releases the
-interpreter lock, so wall-clock — not just modelled — time drops too.
+Modelled versus simulated
+-------------------------
+
+What is *modelled* is the hardware: every shard executes concurrently, hence
+``max`` + merge above.  How it is *simulated* is a plain, shard-ordered loop
+on the calling thread, whatever ``max_workers`` says.  A shard execution is
+under one third kernel + decode; planning, sampling and the charge replay
+hold the GIL, so worker threads serialise on it and every NumPy call has to
+win it back: two threads measured *slower* than the loop (``ssb_sharded``
+warm pass 0.346 s vs 0.236 s on the 2-core reference host).  Real parallelism
+is the deferred multi-process scatter; the engine's ``ScatterPool`` serves
+the per-partition kernel batches of :mod:`repro.core.batched` only.
 """
 
 from __future__ import annotations
@@ -33,8 +42,6 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.executor import PimQueryEngine, QueryExecution
@@ -44,7 +51,7 @@ from repro.core.stages import ProgramCompiler
 from repro.db.compiler import CompilationError
 from repro.db.query import Query
 from repro.host.aggregator import merge_shard_rows
-from repro.obs.trace import NULL_SPAN, tracer_from_config
+from repro.obs.trace import tracer_from_config
 from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
 from repro.planner.planner import CostPlanner, execute_host_scan
@@ -138,24 +145,24 @@ class ShardedQueryEngine:
                 its own zone maps, and a shard whose maps rule the whole
                 predicate out is skipped entirely (no filter broadcast, no
                 aggregation; only the zone-map check is charged).
-            max_workers: Thread-pool width for the scatter phase; ``1`` runs
-                the shards sequentially (the modelled latency is identical —
-                it is always max-over-shards).
+            max_workers: Width (at least 1) of the private pool created when
+                no ``pool`` is passed.  The shards always execute as a loop
+                on the calling thread (module docstring), so this changes
+                neither results nor modelled costs.
             planner: Cost-based router consulted per shard: a shard whose
                 estimated host-scan time beats its estimated PIM time is
                 served through :func:`~repro.planner.planner.execute_host_scan`
                 instead (bit-exact rows, host-path cost model).  ``None``
                 always executes on PIM.
-            pool: A shared :class:`~repro.core.parallel.ScatterPool` (the
-                service passes its own, so warm worker threads are reused
-                across engines and batches).  ``None`` creates a private
-                pool of ``max_workers`` threads, owned — and closed — by
-                this engine.
+            pool: A shared :class:`~repro.core.parallel.ScatterPool` handed
+                to every shard engine for its per-partition kernel batches
+                (the service passes its own).  ``None`` creates a private
+                pool of ``max_workers`` threads, started lazily and owned —
+                and closed — by this engine.
             tracer: A shared :class:`~repro.obs.trace.SpanTracer`; the
-                scatter opens one child span per shard (parented explicitly,
-                since pool workers start with an empty span context) and the
-                gather charges the merge span.  Defaults to the tracer
-                implied by ``config.tracing``.
+                scatter opens one child span per shard and the gather
+                charges the merge span.  Defaults to the tracer implied by
+                ``config.tracing``.
         """
         self.sharded = sharded
         self.config = (
@@ -166,12 +173,11 @@ class ShardedQueryEngine:
         self.vectorized = bool(vectorized)
         self.pruning = bool(pruning)
         self.planner = planner
-        self.max_workers = max(1, int(max_workers))
-        # The scatter pool is shared (service-owned) or private; a private
-        # pool starts its threads lazily and close() releases them.  The
-        # same pool serves both nesting levels — the shard scatter here and
-        # the per-partition batch kernels inside each shard engine (nested
-        # maps run inline on the workers, so sharing cannot deadlock).
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        self.max_workers = int(max_workers)
+        # The pool is shared (service-owned) or private; a private pool
+        # starts its threads lazily and close() releases them.
         self._owns_pool = pool is None
         self.pool = pool if pool is not None else ScatterPool(self.max_workers)
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
@@ -202,7 +208,7 @@ class ShardedQueryEngine:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the scatter thread pool if this engine owns it (idempotent)."""
+        """Release the kernel thread pool if this engine owns it (idempotent)."""
         if self._owns_pool:
             self.pool.close()
 
@@ -226,38 +232,20 @@ class ShardedQueryEngine:
 
         ``executor``, when given, must hold one :class:`PimExecutor` per
         shard (see :meth:`make_executors`); each shard binds its own
-        per-query stats to its own executor, which is what makes the
-        thread-pool scatter safe.
+        per-query stats to its own executor.  The shards run one after the
+        other, in shard order (see the module docstring).
         """
         with self.tracer.span(
             "execute", label=self.label, shards=self.num_shards
         ) as span:
             executors = self._resolve_executors(executor)
-            empty = self._prescatter_empty(query)
-            pooled: list[tuple[int, PimQueryEngine, PimExecutor]] = []
-            shard_executions: list[QueryExecution | None] = [None] * self.num_shards
-            with self.tracer.span("scatter") as scatter:
-                for index, (engine, shard_executor) in enumerate(
-                    zip(self.shard_engines, executors)
-                ):
-                    if empty[index]:
-                        # Provably-empty shard: only the (memoized) zone-map
-                        # check runs, so it executes inline instead of
-                        # occupying a pool slot — the execution and its stats
-                        # are unchanged.
-                        shard_executions[index] = self._execute_shard(
-                            query, index, engine, shard_executor, scatter
-                        )
-                    else:
-                        pooled.append((index, engine, shard_executor))
-                results = self.pool.map(
-                    lambda work: self._execute_shard(
-                        query, work[0], work[1], work[2], scatter
-                    ),
-                    pooled,
-                )
-                for (index, _, _), execution in zip(pooled, results):
-                    shard_executions[index] = execution
+            with self.tracer.span("scatter"):
+                shard_executions = [
+                    self._execute_shard(query, index, engine, shard_executor)
+                    for index, (engine, shard_executor) in enumerate(
+                        zip(self.shard_engines, executors)
+                    )
+                ]
             merged = self._gather(query, shard_executions)
             if self.tracer.enabled:
                 span.set(
@@ -272,29 +260,21 @@ class ShardedQueryEngine:
 
         Peeks at every shard's memoized plan decision — assembled from the
         shard's cached fragment masks — without consuming the billing, so
-        the shard's own zone-map charge is unchanged when it executes.
+        the shard's own zone-map charge is unchanged when it executes.  An
+        inspection helper: a provably empty shard returns from its own plan.
         """
+        flags = [False] * self.num_shards
         if not self.pruning:
-            return [False] * self.num_shards
-        flags: list[bool] = []
-        crossbars_per_page = self.config.pim.crossbars_per_page
-        for engine in self.shard_engines:
-            statistics = getattr(engine.stored, "statistics", None)
-            if statistics is None:
-                flags.append(False)
-                continue
-            try:
-                decision = statistics.plan(
+            return flags
+        for index, engine in enumerate(self.shard_engines):
+            # The shard engine will raise the real error; don't mask it.
+            with contextlib.suppress(CompilationError):
+                flags[index] = engine.stored.statistics.plan(
                     query.predicate,
                     engine.stored.partition_attributes,
-                    crossbars_per_page,
+                    self.config.pim.crossbars_per_page,
                     peek=True,
-                )
-            except CompilationError:
-                # The shard engine will raise the real error; don't mask it.
-                flags.append(False)
-                continue
-            flags.append(decision.empty)
+                ).empty
         return flags
 
     def _execute_shard(
@@ -303,7 +283,6 @@ class ShardedQueryEngine:
         index: int,
         engine: PimQueryEngine,
         shard_executor: PimExecutor,
-        parent=None,
     ) -> QueryExecution:
         """Run one shard of the scatter, cost-routing it when a planner is set.
 
@@ -311,13 +290,8 @@ class ShardedQueryEngine:
         from (or small residual shards) stream through the host while the
         selective shards stay on PIM — the per-shard twin of the service's
         whole-relation routing.
-
-        ``parent`` is the scatter span: pool worker threads start with an
-        empty span context, so the shard span cannot inherit it implicitly.
         """
-        with self.tracer.span(
-            "shard", parent=parent if parent is not NULL_SPAN else None, shard=index
-        ):
+        with self.tracer.span("shard", shard=index):
             if self.planner is not None:
                 decision = self.planner.route(query, engine)
                 if decision.target == "host":
@@ -351,27 +325,30 @@ class ShardedQueryEngine:
             if self.tracer.enabled:
                 span.set(scatter_max_s=scatter_time, merge_s=merge_time)
         serial_time = sum(e.stats.total_time_s for e in shard_executions)
-        # Per-shard selectivities are live-row fractions, so the global
-        # figure weights them by live rows (tombstones select nothing).
+        # Per-shard selectivities, actual and estimated, are live-row fractions,
+        # so both global figures weight them by live rows (tombstones select
+        # nothing); the estimate averages over the shards that carry one.
+        live_counts = [engine.stored.live_count for engine in self.shard_engines]
+        live_total = sum(live_counts)
         weighted_selectivity = sum(
-            e.selectivity * engine.stored.live_count
-            for e, engine in zip(shard_executions, self.shard_engines)
+            e.selectivity * live for e, live in zip(shard_executions, live_counts)
         )
         estimates = [
-            e.estimated_selectivity
-            for e in shard_executions
+            (e.estimated_selectivity, live)
+            for e, live in zip(shard_executions, live_counts)
             if e.estimated_selectivity is not None
         ]
+        estimated_selectivity = None
+        if estimates:    # 0 / 1 when no shard carrying an estimate has a live row
+            estimated_selectivity = sum(
+                estimate * live for estimate, live in estimates
+            ) / max(sum(live for _, live in estimates), 1)
         return ShardedQueryExecution(
             query=query,
             label=self.label,
             rows=rows,
             stats=stats,
-            selectivity=(
-                weighted_selectivity / self.sharded.live_count
-                if self.sharded.live_count
-                else 0.0
-            ),
+            selectivity=weighted_selectivity / live_total if live_total else 0.0,
             # Plans are per shard, so cost-like metadata reports the
             # critical-path (maximum) figures.  total_subgroups is a data
             # property: each shard only enumerates candidates among its own
@@ -387,9 +364,7 @@ class ShardedQueryEngine:
             plan=None,
             crossbars_total=sum(e.crossbars_total for e in shard_executions),
             crossbars_scanned=sum(e.crossbars_scanned for e in shard_executions),
-            estimated_selectivity=(
-                float(np.mean(estimates)) if estimates else None
-            ),
+            estimated_selectivity=estimated_selectivity,
             shard_executions=shard_executions,
             merge_time_s=merge_time,
             parallel_speedup=(

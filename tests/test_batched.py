@@ -416,6 +416,45 @@ def test_scatter_pool_single_worker_runs_inline_and_ordered():
         ]
 
 
+def test_worker_counts_below_one_are_rejected_not_clamped():
+    """The engine and ``register_sharded`` raise what ``ScatterPool`` and
+    ``QueryService(scatter_workers=)`` raise; nothing is registered."""
+    relation = _relation(seed=13, num_cities=4)
+    sharded = ShardedStoredRelation(
+        relation, PimModule(DEFAULT_CONFIG), shards=2, label="workers",
+        aggregation_width=22,
+    )
+    message = "max_workers must be at least 1"
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match=message):
+            ShardedQueryEngine(sharded, max_workers=workers)
+        with pytest.raises(ValueError, match=message):
+            ScatterPool(workers)
+        with pytest.raises(ValueError, match=message):
+            QueryService(scatter_workers=workers)
+        with QueryService(scatter_workers=1) as service:
+            with pytest.raises(ValueError, match=message):
+                service.register_sharded(
+                    "r", relation, shards=2, max_workers=workers,
+                    aggregation_width=22,
+                )
+            assert service.relations == []
+    with ShardedQueryEngine(sharded, max_workers=1) as engine:
+        assert engine.max_workers == engine.pool.max_workers == 1
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+def test_rejected_scatter_pool_is_collected_quietly():
+    """``__init__`` assigns ``_executor`` before it validates, so the
+    finalizer of a rejected pool has nothing to trip over (pytest turns an
+    exception ignored in ``__del__`` into the warning made an error here)."""
+    import gc
+
+    with pytest.raises(ValueError):
+        ScatterPool(0)
+    gc.collect()
+
+
 # ------------------------------------------------------- whole-plan memo key
 def test_plan_memo_keys_on_structural_predicate_form():
     """Structurally equal predicates built separately share one memo entry:
@@ -471,9 +510,9 @@ def test_plan_peek_defers_billing_to_the_next_request():
 
 # ------------------------------------------------- pre-scatter empty shards
 def test_prescatter_skips_provably_empty_shards():
-    """Shards whose zone maps rule the predicate out are flagged before the
-    scatter (so they never occupy a pool slot) and the merged execution is
-    unchanged: bit-exact rows, zero crossbars scanned on the empty shards."""
+    """Shards whose zone maps rule the predicate out are flagged by the peek
+    helper and the merged execution is unchanged: bit-exact rows, zero
+    crossbars scanned on the empty shards."""
     relation = _relation(seed=12, num_cities=4, records=512)
     engines = {}
     for pruning in (False, True):

@@ -86,8 +86,11 @@ def _apply(op, bank):
         bank.write_field_row(op[1], op[2], op[3], op[4])
     elif kind == "write_field_cells":
         bank.write_field_cells(op[1], op[2], op[3], op[4], op[5])
+    elif kind == "read_field_cells":
+        return bank.read_field_cells(op[1], op[2], op[3], op[4])
     else:  # pragma: no cover - defensive
         raise AssertionError(kind)
+    return None
 
 
 @st.composite
@@ -98,7 +101,7 @@ def bank_ops(draw):
     kind = draw(st.sampled_from([
         "nor", "init", "write_field", "write_field_column",
         "write_bool_column", "copy_row_pairs", "write_field_rows",
-        "write_field_row", "write_field_cells",
+        "write_field_row", "write_field_cells", "read_field_cells",
     ]))
     if kind == "nor":
         srcs = tuple(draw(st.lists(column, min_size=1, max_size=2)))
@@ -132,6 +135,9 @@ def bank_ops(draw):
         values = rng.integers(0, 1 << width, len(cells)).astype(np.uint64)
         return ("write_field_cells", cells // ROWS, cells % ROWS,
                 offset, width, values)
+    if kind == "read_field_cells":   # a gather mid-program, duplicates allowed
+        cells = rng.integers(0, COUNT * ROWS, draw(st.integers(0, 2 * ROWS)))
+        return ("read_field_cells", cells // ROWS, cells % ROWS, offset, width)
     values = rng.integers(0, 1 << width, COUNT).astype(np.uint64)
     return ("write_field_row", draw(row), offset, width, values)
 
@@ -144,8 +150,10 @@ def test_random_programs_bit_exact_across_backends(ops, probe):
     ref = CrossbarBank(COUNT, ROWS, COLUMNS)
     packed = PackedCrossbarBank(COUNT, ROWS, COLUMNS)
     for op in ops:
-        _apply(op, ref)
-        _apply(op, packed)
+        expected, actual = _apply(op, ref), _apply(op, packed)
+        if expected is not None:
+            assert actual.dtype == expected.dtype == np.uint64
+            assert np.array_equal(actual, expected)
     assert_banks_equal(ref, packed)
     rng = np.random.default_rng(probe)
     for _ in range(4):
@@ -211,10 +219,25 @@ def test_field_codec_roundtrip_at_dtype_boundaries(count, rows, width, data):
         xbar, row = int(rng.integers(count)), int(rng.integers(rows))
         for bank in (ref, packed):
             assert bank.read_field(xbar, row, offset, width) == int(values[xbar, row])
-        value = int(rng.integers(0, min(top, 2 ** 63 - 1), endpoint=True))
+        value = int(rng.integers(0, top, dtype=np.uint64, endpoint=True))
         for bank in (ref, packed):
             bank.write_field(xbar, row, offset, width, value)
         values[xbar, row] = value
+    # Scalar stores around the signed-shift limit (a Python int >= 2**63
+    # used to overflow the reference bank's shift), immediates included.
+    for value in (2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1):
+        if value > top:
+            continue
+        xbar, row = int(rng.integers(count)), int(rng.integers(rows))
+        for bank in (ref, packed):
+            bank.write_field(xbar, row, offset, width, value)
+            assert bank.read_field(xbar, row, offset, width) == value
+        values[xbar, row] = value
+        row = int(rng.integers(rows))
+        for bank in (ref, packed):
+            bank.write_field_rows([row], offset, width, value)
+            assert bank.read_field(count - 1, row, offset, width) == value
+        values[:, row] = value
     assert np.array_equal(packed.read_field_all(offset, width), values)
     assert_banks_equal(ref, packed)
     assert not np.any(packed.words & ~packed._row_mask)
@@ -268,11 +291,9 @@ def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data
         cells[:3] = np.arange(3)    # crossbar 0, rows 0..2: one word
         cells = np.unique(cells)
     xbars, cell_rows = cells // rows, cells % rows
-    # The reference bank's scalar store takes values below 2**63 only.
-    scalar_top = min(top, 2 ** 63 - 1)
-    values = rng.integers(0, scalar_top, len(cells), dtype=np.uint64, endpoint=True)
+    values = rng.integers(0, top, len(cells), dtype=np.uint64, endpoint=True)
     if len(cells):
-        values[-1] = scalar_top
+        values[-1] = top        # 2**64 - 1 at width 64
 
     oracle = CrossbarBank(count, rows, columns)
     ref = CrossbarBank(count, rows, columns)
@@ -288,12 +309,6 @@ def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data
         assert np.array_equal(
             bank.read_field_all(offset, width)[xbars, cell_rows], values
         )
-    # The all-ones value (2**64 - 1 at width 64) through the decode instead.
-    last = (count - 1, rows - 1)
-    for bank in (ref, packed):
-        bank.write_field_cells([last[0]], [last[1]], offset, width, [top])
-        assert int(bank.read_field_all(offset, width)[last]) == top
-    assert_banks_equal(ref, packed)
     # Neighbouring columns keep the background; padding bits stay zero.
     for column in (*range(offset), *range(offset + width, columns)):
         assert np.array_equal(packed.read_column(column), background[column])
@@ -321,6 +336,149 @@ def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data
     for call in bad_calls:
         for bank in (ref, packed):
             _assert_rejected_without_mutation(bank, call)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    count=st.sampled_from([1, 3]),
+    rows=st.sampled_from([1, 63, 64, 70, 128]),
+    width=st.sampled_from([1, 7, 8, 9, 31, 32, 33, 63, 64]),
+    data=st.data(),
+)
+def test_cell_gather_and_bounded_reads_equal_the_full_decode(count, rows, width, data):
+    """``read_field_cells`` is ``read_field`` per cell, and ``read_field_all`` /
+    ``read_column`` restricted to ``xbars`` are the full result indexed by it."""
+    columns = 80
+    offset = data.draw(st.integers(0, columns - width), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    top = (1 << width) - 1
+    values = rng.integers(0, top, (count, rows), dtype=np.uint64, endpoint=True)
+    values.flat[int(rng.integers(values.size))] = top
+    background = rng.integers(0, 2, (columns, count, rows)).astype(bool)
+    # Duplicates, several cells of crossbar 0 sharing its first word, or none.
+    n = data.draw(st.integers(0, 24), label="cells")
+    cells = rng.integers(0, count * rows, n)
+    if n >= 4:
+        cells[:4] = [0, min(1, rows - 1), min(2, rows - 1), 0]
+    xbars, cell_rows = cells // rows, cells % rows
+    selections = [
+        slice(0, data.draw(st.integers(0, count), label="prefix")),
+        slice(0, 0),
+        rng.permutation(count),                          # unsorted
+        rng.integers(0, count, count + 2),               # repeated
+        np.array([], dtype=np.int64),
+    ]
+
+    for bank in (CrossbarBank(count, rows, columns),
+                 PackedCrossbarBank(count, rows, columns)):
+        for column in range(columns):
+            bank.write_bool_column(column, background[column])
+        bank.write_field_column(offset, width, values)
+        cells_before = [bank.read_column(c) for c in range(columns)]
+        wear = bank.wear_snapshot()
+
+        gathered = bank.read_field_cells(xbars, cell_rows, offset, width)
+        assert gathered.dtype == np.uint64 and gathered.shape == (n,)
+        assert gathered.tolist() == [
+            bank.read_field(int(x), int(r), offset, width)
+            for x, r in zip(xbars, cell_rows)
+        ]
+        assert bank.read_field_cells([], [], offset, width).shape == (0,)
+
+        full = bank.read_field_all(offset, width)
+        probe = int(rng.integers(columns))
+        for xbar_selection in selections:
+            part = bank.read_field_all(offset, width, xbar_selection)
+            assert part.dtype == np.uint64
+            assert np.array_equal(part, full[xbar_selection])
+            bits = bank.read_column(probe, xbar_selection)
+            assert bits.dtype == np.bool_
+            assert np.array_equal(bits, cells_before[probe][xbar_selection])
+
+        bad_calls = [
+            lambda b: b.read_field_cells([0, 0], [0], offset, width),
+            lambda b: b.read_field_cells([[0]], [[0]], offset, width),
+            lambda b: b.read_field_cells([0], [rows], offset, width),
+            lambda b: b.read_field_cells([0], [-1], offset, width),
+            lambda b: b.read_field_cells([count], [0], offset, width),
+            lambda b: b.read_field_cells([-1], [0], offset, width),
+            lambda b: b.read_field_cells([0], [0], columns - width + 1, width),
+            lambda b: b.read_field_all(columns - width + 1, width, slice(0, 1)),
+            lambda b: b.read_column(columns, slice(0, 1)),
+        ]
+        for call in bad_calls:
+            with pytest.raises(ValueError):
+                call(bank)
+        # Reads leave the bank alone.
+        for column, before in enumerate(cells_before):
+            assert np.array_equal(bank.read_column(column), before)
+        assert np.array_equal(bank.writes_per_row, wear)
+
+
+@pytest.mark.parametrize("backend", ["packed", "bool"])
+@pytest.mark.parametrize("tombstones", [False, True])
+def test_decode_cells_equals_indexing_the_decoded_column(backend, tombstones):
+    """``decode_cells`` picks gather or bounded decode from the input size and
+    returns ``decode_column(...)[slots]`` either way."""
+    from repro.db.dml import execute_delete
+    from repro.db.query import Comparison
+    from repro.db.relation import Relation
+    from repro.db.schema import Schema, int_attribute
+    from repro.db.storage import GATHER_MAX_SHARE
+    from repro.pim.controller import PimExecutor
+
+    config = DEFAULT_CONFIG.with_backend(backend)
+    rows = config.pim.crossbar.rows
+    records = 2 * rows + 64                  # the last crossbar is partly filled
+    rng = np.random.default_rng(5)
+    schema = Schema("cells", [int_attribute("a", 12), int_attribute("b", 33)])
+    relation = Relation(schema, {
+        "a": rng.integers(0, 1 << 12, records).astype(np.uint64),
+        "b": rng.integers(0, 1 << 33, records).astype(np.uint64),
+    })
+    stored = StoredRelation(relation, PimModule(config), label="cells")
+    if tombstones:
+        execute_delete(
+            stored, Comparison("a", "<", 1 << 10), PimExecutor(config),
+            vectorized=True,
+        )
+        assert 0 < stored.live_count < stored.num_records == records
+    threshold = int(records * GATHER_MAX_SHARE)
+    assert threshold * 32 == records          # "exactly 1/32" is reachable
+    bank = stored.allocations[0].bank
+    calls = {"gather": 0, "full": 0}
+    gather, full = bank.read_field_cells, bank.read_field_all
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    bank.read_field_cells = counting("gather", gather)
+    bank.read_field_all = counting("full", full)
+    for n, path in ((0, "gather"), (1, "gather"), (threshold - 1, "gather"),
+                    (threshold, "gather"), (threshold + 1, "full"),
+                    (records, "full")):
+        slots = rng.integers(0, records, n)
+        if n:
+            slots[0] = records - 1            # the partly filled crossbar
+        for name in ("a", "b"):
+            before = dict(calls)
+            values = stored.decode_cells(name, slots)
+            assert {k: calls[k] - before[k] for k in calls} == {
+                "gather": int(path == "gather"), "full": int(path == "full"),
+            }
+            assert values.dtype == np.uint64 and values.shape == (n,)
+            assert np.array_equal(values, stored.decode_column(name)[slots])
+            assert np.array_equal(values, relation.column(name)[slots])
+    for bad in ([records], [0, records + 5], [-1]):
+        with pytest.raises(IndexError):
+            stored.decode_cells("a", bad)
+    # A bounded decode unpacks the crossbars in use, not the allocation.
+    assert bank.count > 3
+    assert stored.decode_column("a").shape == (records,)
+    assert stored.column_bit(0, stored.layouts[0].valid_column, limit=10).shape == (10,)
 
 
 # ------------------------------------------------------------- unit checks

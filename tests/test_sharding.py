@@ -123,8 +123,9 @@ def test_programs_compile_once_across_shards(ssb_prejoined):
     assert misses[4] > 0
 
 
-def test_thread_pool_scatter_is_bit_exact(ssb_prejoined):
-    """max_workers > 1 changes wall-clock only, never results or costs."""
+def test_max_workers_changes_neither_results_nor_costs(ssb_prejoined):
+    """Shards run as a loop on the calling thread whatever ``max_workers``
+    says: same rows and modelled costs, and no worker thread is started."""
     from repro.ssb.prejoined import max_aggregated_width
 
     width = max_aggregated_width(ssb_prejoined)
@@ -146,15 +147,286 @@ def test_thread_pool_scatter_is_bit_exact(ssb_prejoined):
         assert threaded.rows == sequential.rows
         assert threaded.time_s == pytest.approx(sequential.time_s, rel=1e-12)
         assert threaded.energy_j == pytest.approx(sequential.energy_j, rel=1e-12)
-    # The lazily created scatter pool is reused across queries and released
-    # by close(); a closed engine rebuilds it on the next execution.
-    assert engines[4].pool._executor is not None
+    # The private pool (per-partition kernel batches only) was never started;
+    # close() and the context manager stay idempotent no-ops on it.
+    assert engines[4].pool.max_workers == 4
+    assert engines[4].pool._executor is None
     engines[4].close()
     assert engines[4].pool._executor is None
     with engines[4] as engine:
         assert engine.execute(ALL_QUERIES["Q1.1"]).rows == \
             engines[1].execute(ALL_QUERIES["Q1.1"]).rows
     assert engines[4].pool._executor is None
+
+
+# ------------------------------------------ the loop and the selective reads
+class _ReadLog:
+    """Wraps the banks' functional reads and the callers that decode cells.
+
+    ``covered`` holds ``(bank, method, crossbars covered, enclosing caller)``
+    for every ``read_field_all`` / ``read_column`` / ``_unpack_columns``,
+    ``gathers`` the enclosing caller of every ``read_field_cells``, and
+    ``pool_maps`` the item count of every ``ScatterPool.map``.
+    """
+
+    CALLERS = ("read_records", "estimate_subgroups", "run_group_by_batched")
+
+    def __init__(self, monkeypatch) -> None:
+        from repro.core import batched, executor as core_executor
+        from repro.core.parallel import ScatterPool
+        from repro.host.readpath import HostReadModel
+        from repro.pim.crossbar import CrossbarBank
+        from repro.pim.packed import PackedCrossbarBank
+
+        self.covered = []
+        self.gathers = []
+        self.pool_maps = []
+        self._inside = []
+        for bank_type in (PackedCrossbarBank, CrossbarBank):
+            for method in ("read_field_all", "read_column", "_unpack_columns"):
+                if hasattr(bank_type, method):
+                    monkeypatch.setattr(
+                        bank_type, method,
+                        self._covering(method, getattr(bank_type, method)),
+                    )
+            monkeypatch.setattr(
+                bank_type, "read_field_cells",
+                self._gathering(bank_type.read_field_cells),
+            )
+        pool_map = ScatterPool.map
+
+        def counted_map(pool, fn, items):
+            items = list(items)
+            self.pool_maps.append(len(items))
+            return pool_map(pool, fn, items)
+
+        monkeypatch.setattr(ScatterPool, "map", counted_map)
+        for owner, name in (
+            (HostReadModel, "read_records"),
+            (core_executor, "estimate_subgroups"),
+            (batched, "run_group_by_batched"),
+        ):
+            monkeypatch.setattr(owner, name, self._scoped(name, getattr(owner, name)))
+
+    def _caller(self):
+        return self._inside[-1] if self._inside else None
+
+    def _scoped(self, name, function):
+        def wrapper(*args, **kwargs):
+            self._inside.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                self._inside.pop()
+        return wrapper
+
+    def _covering(self, method, function):
+        def wrapper(bank, *args, **kwargs):
+            result = function(bank, *args, **kwargs)
+            self.covered.append((bank, method, result.shape[0], self._caller()))
+            return result
+        return wrapper
+
+    def _gathering(self, function):
+        def wrapper(bank, *args, **kwargs):
+            self.gathers.append(self._caller())
+            return function(bank, *args, **kwargs)
+        return wrapper
+
+    def full_decodes(self, start: int = 0) -> dict:
+        """``read_field_all`` calls inside each wrapped caller since ``start``."""
+        return {
+            caller: sum(
+                1 for _, method, _, inside in self.covered[start:]
+                if method == "read_field_all" and inside == caller
+            )
+            for caller in self.CALLERS
+        }
+
+
+def _stored_state(stored):
+    """Wear and every non-scratch column of every partition's bank."""
+    state = []
+    for layout, allocation in zip(stored.layouts, stored.allocations):
+        bank = allocation.bank
+        state.append(bank.writes_per_row.copy())
+        state.extend(
+            bank.read_column(column)
+            for column in sorted(set(range(bank.columns)) - set(layout.scratch_columns))
+        )
+    return state
+
+
+def _assert_sharded_twins_equal(ours, theirs, engines):
+    """Rows, ``repr`` of the merged and per-shard stats, and stored state."""
+    for mine, other in zip(ours, theirs):
+        assert mine.rows == other.rows
+        assert repr(mine.stats) == repr(other.stats)
+        assert [repr(e.stats) for e in mine.shard_executions] == [
+            repr(e.stats) for e in other.shard_executions
+        ]
+    for mine, other in zip(*(engine.sharded.shards for engine in engines)):
+        for a, b in zip(_stored_state(mine), _stored_state(other)):
+            assert np.array_equal(a, b)
+
+
+def test_sharded_flight_is_a_loop_that_reads_only_what_is_read(
+    ssb_prejoined, ssb_one_xb_engine, monkeypatch
+):
+    """``register_sharded(shards=4, max_workers=2)``: no execution reaches the
+    pool, no unpack leaves the crossbars in use, the sparse SSB selections
+    are gathered cell by cell — and nothing observable moves."""
+    from repro.ssb.prejoined import max_aggregated_width
+
+    from repro.db.storage import GATHER_MAX_SHARE
+
+    log = _ReadLog(monkeypatch)
+    queries = [ALL_QUERIES[name] for name in QUERY_ORDER]
+    services, batches = {}, {}
+    sparse = 0
+    for workers in (2, 1):
+        service = services[workers] = QueryService(scatter_workers=workers)
+        service.register_sharded(
+            "ssb", ssb_prejoined, shards=4, max_workers=workers,
+            timing_scale=100.0,
+            aggregation_width=max_aggregated_width(ssb_prejoined),
+            reserve_bulk_aggregation=False,
+        )
+        batches[workers] = []
+        for query in queries:
+            start = len(log.covered)
+            (execution,) = service.execute_batch([query])
+            batches[workers].append(execution)
+            # A selection within the gather share on every shard is never
+            # decoded as a whole column by the three cell readers.
+            if all(shard.selectivity <= GATHER_MAX_SHARE
+                   for shard in execution.shard_executions):
+                sparse += 1
+                assert log.full_decodes(start) == dict.fromkeys(
+                    _ReadLog.CALLERS, 0
+                ), query.name
+    assert sparse >= 2 * 10                          # most of the 13 queries
+
+    assert log.pool_maps == []
+    assert services[2].pool.max_workers == 2
+    assert services[2].pool._executor is None        # no worker thread started
+
+    engines = [services[workers].engine() for workers in (2, 1)]
+    bound = {}
+    for engine in engines:
+        for shard in engine.sharded.shards:
+            for allocation in shard.allocations:
+                in_use = -(-shard.num_records // allocation.rows_per_crossbar)
+                assert in_use < allocation.crossbars  # the bound is not vacuous
+                bound[id(allocation.bank)] = in_use
+    assert log.covered
+    for bank, method, crossbars, _ in log.covered:
+        assert crossbars <= bound[id(bank)], (method, crossbars)
+    assert set(_ReadLog.CALLERS) <= set(log.gathers)  # each one did read cells
+
+    _assert_sharded_twins_equal(batches[2], batches[1], engines)
+    for query, execution in zip(queries, batches[2]):
+        assert execution.rows == ssb_one_xb_engine.execute(query).rows, query.name
+    for service in services.values():
+        service.close()
+
+
+def test_sampler_reads_the_filter_bits_of_the_sample_page_only(monkeypatch):
+    """On a 3-page relation the sampling pass unpacks one page of filter bits
+    and gathers the group ids of the sampled rows that passed."""
+    from repro.core.executor import PimQueryEngine
+
+    config = DEFAULT_CONFIG
+    per_page = config.pim.records_per_page
+    records = 2 * per_page + 100
+    rng = np.random.default_rng(21)
+    schema = Schema("pages", [int_attribute("key", 18), int_attribute("g", 3)])
+    relation = Relation(schema, {
+        "key": rng.integers(0, 1 << 18, records).astype(np.uint64),
+        "g": rng.integers(0, 5, records).astype(np.uint64),
+    })
+    stored = StoredRelation(relation, PimModule(config), label="pages")
+    assert stored.pages == 3
+    engine = PimQueryEngine(stored, vectorized=True)
+    query = Query(
+        "sparse", Comparison("key", "<", 1 << 11),       # ~0.8 % of the rows
+        (Aggregate("count"),), group_by=("g",),
+    )
+    log = _ReadLog(monkeypatch)
+    execution = engine.execute(query)
+    mask = evaluate_predicate(query.predicate, relation)
+    assert execution.rows == reference_group_aggregate(
+        relation, mask, query.group_by, query.aggregates
+    )
+    sampled = [entry for entry in log.covered if entry[3] == "estimate_subgroups"]
+    assert [(method, crossbars) for _, method, crossbars, _ in sampled
+            if method != "_unpack_columns"] == [
+        ("read_column", config.pim.crossbars_per_page)
+    ]
+    assert log.gathers.count("estimate_subgroups") == len(query.group_by)
+    assert execution.plan.estimate.sample_size == per_page
+    assert execution.plan.estimate.sample_selected == int(mask[:per_page].sum())
+
+
+def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
+    """Three vertical partitions, ``max_workers=2``: the two remote partitions'
+    kernel batches are the one thing mapped over the pool, and the sharded
+    result equals the ``max_workers=1`` twin in rows, stats and stored state."""
+    from repro.core.latency_model import (
+        GroupByCostModel, HostGbLatencyModel, PimGbLatencyModel,
+    )
+
+    rng = np.random.default_rng(17)
+    records = 600
+    schema = Schema("vp", [
+        int_attribute("key", 10, source="fact"),
+        int_attribute("value", 8, source="fact"),
+        int_attribute("city", 3, source="dim"),
+        int_attribute("region", 1, source="dim"),
+    ])
+    relation = Relation(schema, {
+        "key": np.sort(rng.integers(0, 1 << 10, records).astype(np.uint64)),
+        "value": rng.integers(0, 1 << 8, records).astype(np.uint64),
+        "city": rng.integers(0, 4, records).astype(np.uint64),
+        "region": rng.integers(0, 2, records).astype(np.uint64),
+    })
+    all_pim = GroupByCostModel(                      # every subgroup on PIM
+        HostGbLatencyModel({2: 1.0}, {2: 1.0}), PimGbLatencyModel({2: 0.0}, {2: 0.0}),
+    )
+    queries = [
+        Query("both", Comparison("key", "<", 700),
+              (Aggregate("sum", "value"), Aggregate("count")),
+              group_by=("city", "region")),
+        Query("again", Comparison("key", ">=", 300),
+              (Aggregate("max", "value"),), group_by=("region", "city")),
+    ]
+    log = _ReadLog(monkeypatch)
+    services, batches = {}, {}
+    for workers in (2, 1):
+        service = services[workers] = QueryService(
+            scatter_workers=workers, planner=False
+        )
+        service.register_sharded(
+            "vp", relation, shards=2, max_workers=workers, cost_model=all_pim,
+            partitions=[["key", "value"], ["city"], ["region"]],
+            aggregation_width=22,
+        )
+        before = len(log.pool_maps)
+        batches[workers] = list(service.execute_batch(queries))
+        # One map of the two remote partitions per shard and GROUP-BY.
+        assert log.pool_maps[before:] == [2] * (2 * len(queries))
+    assert services[2].pool._executor is not None    # the kernels did use it
+    assert services[1].pool._executor is None
+    _assert_sharded_twins_equal(
+        batches[2], batches[1], [services[w].engine() for w in (2, 1)]
+    )
+    mask = [evaluate_predicate(query.predicate, relation) for query in queries]
+    for query, selected, execution in zip(queries, mask, batches[2]):
+        assert execution.rows == reference_group_aggregate(
+            relation, selected, query.group_by, query.aggregates
+        )
+    for service in services.values():
+        service.close()
 
 
 # ----------------------------------------------------------- shard geometry
@@ -305,6 +577,40 @@ def test_per_shard_host_routing_bit_exact_and_counted(toy_relation):
     batch = routed.execute_batch([query])
     assert batch.stats.planner is not None
     assert batch.stats.planner.host_routed >= execution.host_routed_shards
+
+
+def test_merged_estimated_selectivity_is_live_weighted():
+    """The merged estimate averages like the merged actual beside it: by live
+    rows, so skewed DML does not make ``describe()`` compare two averages."""
+    records = 4000
+    schema = Schema("skew", [int_attribute("key", 12), int_attribute("v", 8)])
+    relation = Relation(schema, {
+        "key": np.arange(records, dtype=np.uint64),
+        "v": np.arange(records, dtype=np.uint64) % 251,
+    })
+    service = QueryService(planner=False)
+    service.register_sharded("skew", relation, shards=2)
+    query = Query("quartile", Comparison("key", "<", 1000), (Aggregate("count"),))
+
+    balanced = service.execute(query)
+    estimates = [e.estimated_selectivity for e in balanced.shard_executions]
+    assert estimates[0] > 0.4 and estimates[1] == 0.0
+    # Equal live counts: the weighted mean is the plain mean it replaced.
+    assert balanced.estimated_selectivity == pytest.approx(
+        float(np.mean(estimates)), abs=1e-12
+    )
+
+    service.delete(Comparison("key", ">=", 2200))     # 90 % of the upper shard
+    shards = service.engine().sharded.shards
+    assert [shard.live_count for shard in shards] == [2000, 200]
+    skewed = service.execute(query)
+    estimates = [e.estimated_selectivity for e in skewed.shard_executions]
+    weighted = (estimates[0] * 2000 + estimates[1] * 200) / 2200
+    assert skewed.estimated_selectivity == pytest.approx(weighted, rel=1e-12)
+    assert skewed.selectivity == pytest.approx(1000 / 2200, rel=1e-12)
+    assert skewed.estimated_selectivity == pytest.approx(skewed.selectivity, abs=2e-3)
+    assert abs(float(np.mean(estimates)) - skewed.selectivity) > 0.2
+    service.close()
 
 
 # -------------------------------------------------- merge algebra (property)
