@@ -87,3 +87,52 @@ def test_ablation_helpers(small_setup):
     sampling_rows = ablation.sampling_ablation(small_setup, sample_pages=(1, 2))
     assert len(sampling_rows) == 2
     assert "Pre-join storage accounting" in ablation.render(small_setup)
+
+
+# Pinned at the parent of the exact-accounting change (commit ba1ee33), so the
+# diff of that change shows the reproduction did not move: per (config, query)
+# Fig. 6 time_s, Fig. 7 energy_j, Fig. 8 peak chip power, Fig. 9
+# max_writes_per_row, Table II total / sampled / PIM-aggregated subgroups.
+GOLDEN_RECORDS = {
+    ("one_xb", "Q1.1"): (0.0004157880555555556, 0.007900425095999999, 6.500303099999998, 177, 1, 0, 1),
+    ("pimdb", "Q1.1"): (0.0006450855555555554, 0.10714286256, 44.79899603960397, 8207, 1, 0, 1),
+    ("mnt_join", "Q1.1"): (0.02185892857142857, 0.0, 0.0, 0, 0, 0, 0),
+    ("one_xb", "Q2.3"): (0.0006601404761904762, 0.00136563285504, 1.6327008000000003, 60, 7, 0, 0),
+    ("pimdb", "Q2.3"): (0.0006601404761904762, 0.00136563285504, 1.6327008000000003, 60, 7, 0, 0),
+    ("mnt_join", "Q2.3"): (0.014285714285714285, 0.0, 0.0, 0, 0, 0, 0),
+    ("one_xb", "Q3.1"): (0.07735289309523811, 1.1872103887200003, 6.500303099999998, 21080, 150, 136, 150),
+    ("pimdb", "Q3.1"): (0.10805751809523789, 14.402535323519924, 43.708119513294285, 1095980, 150, 136, 150),
+    ("mnt_join", "Q3.1"): (0.02264285714285714, 0.0, 0.0, 0, 0, 0, 0),
+    ("one_xb", "Q4.1"): (0.018115266706349213, 0.26710400968800013, 6.500303099999998, 4157, 35, 35, 35),
+    ("pimdb", "Q4.1"): (0.025279679206349215, 3.3506798278079963, 43.708119513294285, 254967, 35, 35, 35),
+    ("mnt_join", "Q4.1"): (0.02206547619047619, 0.0, 0.0, 0, 0, 0, 0),
+}
+
+# Every headline metric the three-configuration fixture can compute.
+GOLDEN_HEADLINE = {
+    "speedup of one_xb over mnt_join (geo-mean)": 4.487830276613651,
+    "speedup of one_xb over pimdb (geo-mean)": 1.3187505091791725,
+    "energy: pimdb / one_xb on PIM-aggregation queries": 5.541003650965931,
+    "lifetime: one_xb / pimdb on low-aggregation queries": 29.88586694958412,
+}
+
+
+def test_figure_and_table_goldens(small_records):
+    by = records_by(small_records)
+    assert set(by) == set(GOLDEN_RECORDS)
+    for key, (time_s, energy_j, peak_w, writes, total, sampled, k) in GOLDEN_RECORDS.items():
+        record = by[key]
+        assert record.time_s == pytest.approx(time_s, rel=1e-9), key
+        assert record.energy_j == pytest.approx(energy_j, rel=1e-9), key
+        assert record.peak_power_w == pytest.approx(peak_w, rel=1e-9), key
+        assert (
+            record.max_writes_per_row, record.total_subgroups,
+            record.subgroups_in_sample, record.pim_subgroups,
+        ) == (writes, total, sampled, k), key
+
+
+def test_headline_goldens(small_records):
+    measured = {m.name: m.measured for m in headline.headline_metrics(small_records)}
+    assert set(measured) == set(GOLDEN_HEADLINE)
+    for name, value in GOLDEN_HEADLINE.items():
+        assert measured[name] == pytest.approx(value, rel=1e-9), name
