@@ -36,32 +36,31 @@ number or stored bit:
   ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
   identity on every crossbar a key has no row on.
 
-* **A charging replay that stores once.**  Modelled statistics are
-  *order-sensitive* (float accumulation, per-phase power samples, request
-  rounding), so a single summed charge cannot be bit-identical: the loop
-  below still issues, per subgroup, the exact charging calls of the
-  reference path in the exact order, from the template's closed-form cost
-  (:meth:`GroupMaskTemplate.cost`) and the charge-only circuit twin.  What it
-  does *not* repeat per subgroup is the functional side.  Every column the
-  loop writes — group, filter, remote, the result row, the remote
-  partitions' group columns — is overwritten whole by the next key, so only
-  the last key's bits are observable; ``mark_column_dirty`` replaces a
-  column's mask, so once the first key has run no later key meets a stale
-  crossbar; and wear is integer addition, which commutes.  Hence only the
-  **first** key (the one that can charge a ``prune-clear``) and the **last**
-  key (the bits that stay) go through the :func:`apply_program` /
-  :func:`apply_program_pruned` / ``transfer_bit_column`` contract; the keys
-  in between issue the same scalar charges and add their wear to per-bank
-  integers applied after the loop, and the result row is stored once.  The
-  replay is O(N + K) instead of O(K·N), and the stored bits, dirty marks,
-  wear counters and ``PimStats`` are identical to per-subgroup dispatch,
-  which still compiles, writes and aggregates per key and is the oracle; the
-  lockstep property tests assert it.
+* **Charges by multiplicity, stores once.**  :class:`~repro.pim.stats.PimStats`
+  is an exact multiset — a charge is ``count x unit cost`` and no total
+  depends on the order charges arrive in — so nothing is replayed per
+  subgroup.  Every column the subgroups write (group, filter, remote, the
+  result row, the remote partitions' group columns) is overwritten whole by
+  the next key, ``mark_column_dirty`` replaces a column's mask, and wear is
+  integer addition.  Hence only the **first** key (the one that can meet
+  stale crossbars and charge a ``prune-clear``) and the **last** key (the
+  bits that stay) go through the :func:`apply_program` /
+  :func:`apply_program_pruned` / ``transfer_bit_column`` contract.  Every key
+  in between is charged without a store: its mask programs once per
+  *distinct cycle count* (:meth:`GroupMaskTemplate.cycles`, one vectorised
+  closed form over the key table), its transfers, folds and clear as one
+  counted charge each, with the summed wear added to the banks; the K
+  circuit passes, result reads and host combines of an aggregate are one
+  counted charge each, and the result row is stored once.  The number of
+  charge calls is independent of K, and the stored bits, dirty marks, wear
+  counters and ``PimStats`` equal those of per-subgroup dispatch, which still
+  compiles, writes, aggregates and charges per key and is the oracle; the
+  lockstep and call-count tests assert it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -77,11 +76,12 @@ from repro.core.stages import (
 )
 from repro.db.compiler import GroupMaskTemplate
 from repro.db.query import Query
-from repro.host.aggregator import combine_partials
+from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch
 from repro.pim.ir import lower_program_batch
+from repro.pim.logic import ProgramCost
 
 
 def _compile_group_batch(
@@ -219,9 +219,9 @@ def run_group_by_batched(
     read_model: HostReadModel,
     prune=None,
 ) -> dict[GroupKey, dict[str, int]]:
-    """pim-gb over ``keys`` with batched kernels and a charging replay.
+    """pim-gb over ``keys`` with batched kernels and counted charges.
 
-    Bit-identical with the per-subgroup reference loop of
+    Identical with the per-subgroup reference loop of
     :meth:`PimQueryEngine._execute_group_by` — result rows, stored bits,
     dirty marks, wear and ``PimStats`` — requires the aggregation circuit
     (the bulk-bitwise fallback needs the stored mask column per subgroup).
@@ -249,10 +249,10 @@ def run_group_by_batched(
     remote_partitions = [p for p in by_partition if p != primary]
 
     # ---------------------------------------------- batched mask computation
-    # All of this runs against the pre-group-by column state, before the
-    # charging replay performs any writes.
+    # All of this runs against the pre-group-by column state, before any
+    # store below.
     def batch(partition: int, filter_column: int, remote=None):
-        """One partition's per-key program costs and ``(K, count, rows)`` masks."""
+        """One partition's per-key program cycles and ``(K, count, rows)`` masks."""
         template = compiler.group_template(
             by_partition.get(partition, ()), stored.layouts[partition],
             filter_column, include_remote=remote is not None,
@@ -263,14 +263,14 @@ def run_group_by_batched(
         masks = _run_partition_batch(
             stored, partition, template, values, remote, prune
         )
-        return [template.cost(row) for row in values.tolist()], masks
+        return template.cycles(values), masks
 
     def per_record(masks: np.ndarray) -> np.ndarray:
         return masks.reshape(len(keys), -1)[:, :num_records]
 
     def remote_batch(partition: int):
-        costs, masks = batch(partition, stored.layouts[partition].valid_column)
-        return costs, per_record(masks)
+        cycles, masks = batch(partition, stored.layouts[partition].valid_column)
+        return cycles, per_record(masks)
 
     pool = getattr(engine, "scatter_pool", None)
     if pool is not None and len(remote_partitions) > 1:
@@ -291,7 +291,7 @@ def run_group_by_batched(
         if primary_idx is not None:
             remote_rows = remote_rows[:, primary_idx]
         remote = bank.kernel_from_bool(remote_rows)
-    combine_costs, mask_rows = batch(primary, primary_layout.filter_column, remote)
+    combine_cycles, mask_rows = batch(primary, primary_layout.filter_column, remote)
     mask_bits = per_record(mask_rows)
     union = mask_bits.any(axis=0)
 
@@ -306,14 +306,134 @@ def run_group_by_batched(
     else:
         present_keys = set()
 
+    # Identical for every subgroup, so built once per query.
+    remote_count = len(remote_partitions)
+    fold_programs = [
+        build_fold_program(primary_layout, position, remote_count)
+        for position in range(remote_count)
+    ] if remote_count > 1 else []
+    clear_program = build_clear_program(primary_layout)
+    primary_candidates = prune.candidates[primary] if prune is not None else None
+    fraction = 1.0
+    if prune is not None:
+        fraction = (
+            float(np.count_nonzero(primary_candidates))
+            / primary_allocation.crossbars
+        )
+        # Every bit a skipped store would have written is a subset of one of
+        # these two, so the zone-map invariant is asserted once for all keys.
+        _check_pruned_bits(union, primary_candidates, primary_allocation)
+        _check_pruned_bits(mask, primary_candidates, primary_allocation)
+
+    def fold_pruned(program) -> bool:
+        # The final fold into the remote column stays a broadcast in the
+        # reference; only group-column folds run pruned.
+        return prune is not None and program.result_column == primary_layout.group_column
+
+    # ------------------------------------- first and last key: stored
+    # Only the first key can meet stale crossbars and only the last key's
+    # bits stay, so these two go through the stage contract in full.
+    def mask_program(partition, cycles, index) -> ProgramCost:
+        """Key ``index``'s specialised mask program, as what it is charged."""
+        return ProgramCost(int(cycles[index]), stored.layouts[partition].group_column)
+
+    def store_program(partition, program, bits, pruned=prune is not None):
+        pages = pages_for(partition)
+        if pruned:
+            apply_program_pruned(
+                stored, partition, program, executor, "pim-gb-filter",
+                pages=pages, candidates=prune.candidates[partition],
+                result_bits=bits,
+            )
+        else:
+            apply_program(
+                stored, partition, program, executor, "pim-gb-filter",
+                pages=pages, result_bits=bits,
+            )
+
+    last = len(keys) - 1
+    for index in sorted({0, last}):
+        running: np.ndarray | None = None
+        for position, partition in enumerate(remote_partitions):
+            cycles, group_bits = remote_batches[position]
+            store_program(
+                partition, mask_program(partition, cycles, index), group_bits[index]
+            )
+            transferred = read_model.transfer_bit_column(
+                stored,
+                partition, stored.layouts[partition].group_column,
+                primary, primary_layout.remote_column,
+                phase="pim-gb-transfer",
+            )
+            running = transferred if running is None else running & transferred
+            if fold_programs:
+                fold_program = fold_programs[position]
+                fold_bits = running
+                if prune is not None:
+                    fold_bits = fold_bits & candidate_rows(
+                        stored, primary, primary_candidates
+                    )
+                store_program(
+                    primary, fold_program, fold_bits, fold_pruned(fold_program)
+                )
+        store_program(
+            primary, mask_program(primary, combine_cycles, index), mask_bits[index]
+        )
+        # The clear leaves the selection minus the (disjoint) masks so far.
+        store_program(
+            primary, clear_program,
+            mask & ~(mask_bits[0] if index == 0 else union),
+        )
+
+    # --------------------------- every key in between: charged by multiplicity
+    # Their columns are overwritten whole by the last key and their wear is
+    # integer addition, so nothing is stored: each program slot is one
+    # counted charge per distinct cycle count plus its summed wear.
+    def charge_programs(partition, runs: dict[int, int], pruned=prune is not None):
+        """``runs``: cycle count -> how many middle keys run such a program."""
+        target = stored.allocations[partition].bank
+        pages = pages_for(partition)
+        active = target.count
+        if pruned:
+            active = candidate_idx[partition].size
+            pages = pages * active / target.count
+        if active:
+            for cycles, count in runs.items():
+                executor.charge_program_cost(
+                    target, cycles, pages, "pim-gb-filter", count=count
+                )
+        target.add_wear(
+            sum(cycles * count for cycles, count in runs.items()),
+            candidate_idx[partition] if pruned else None,
+        )
+
+    middle = last - 1
+    if middle > 0:
+        for partition, (cycles, _) in zip(remote_partitions, remote_batches):
+            charge_programs(partition, Counter(cycles[1:last].tolist()))
+        read_model.charge_bit_column_transfer(
+            stored, "pim-gb-transfer", count=middle * remote_count
+        )
+        bank.add_wear(middle * remote_count)
+        for fold_program in fold_programs:
+            charge_programs(
+                primary, {fold_program.cycles: middle}, fold_pruned(fold_program)
+            )
+        charge_programs(primary, Counter(combine_cycles[1:last].tolist()))
+        charge_programs(primary, {clear_program.cycles: middle})
+
+    # ----------------------------------------------------------- aggregates
     # Every aggregate of every subgroup on every crossbar, in one segmented
-    # reduction per aggregate over a single decode of its field.
+    # reduction per aggregate over a single decode of its field; its K
+    # circuit passes and result reads are one counted charge each.
     accumulator_width = primary_layout.accumulator_width
+    min_identity = engine.aggregation_stage.min_identity(primary)
+    circuit_runs = primary_idx is None or primary_idx.size > 0
     records, starts, cells = _subgroup_segments(
         mask_bits, selected, bank.count, bank.rows
     )
     decoded: dict[str, np.ndarray] = {}
-    aggregations = []
+    combined: dict[str, list[int | None]] = {}
     for aggregate in query.aggregates:
         if aggregate.op == "count":
             field_width, operation = 1, "sum"
@@ -332,152 +452,40 @@ def run_group_by_batched(
         )
         if primary_idx is not None:
             partials = partials[:, primary_idx]
-        aggregations.append((aggregate, field_width, operation, partials))
-
-    # Identical for every subgroup, so built once per query.
-    remote_count = len(remote_partitions)
-    fold_programs = [
-        build_fold_program(primary_layout, position, remote_count)
-        for position in range(remote_count)
-    ] if remote_count > 1 else []
-    clear_program = build_clear_program(primary_layout)
-    min_identity = engine.aggregation_stage.min_identity(primary)
-    primary_candidates = prune.candidates[primary] if prune is not None else None
-    circuit_runs = primary_idx is None or primary_idx.size > 0
-    fraction = 1.0
-    if prune is not None:
-        fraction = (
-            float(np.count_nonzero(primary_candidates))
-            / primary_allocation.crossbars
+        if circuit_runs:
+            executor.charge_aggregation_circuit(
+                bank, field_width,
+                pages=pages_for(primary),
+                result_width=accumulator_width,
+                crossbars=primary_candidates,
+                add_wear=False,
+                count=len(keys),
+            )
+        read_model.read_aggregation_results(
+            stored, primary, pages_fraction=fraction, count=len(keys)
         )
-        # Every bit a skipped store would have written is a subset of one of
-        # these two, so the zone-map invariant is asserted once for all keys.
-        _check_pruned_bits(union, primary_candidates, primary_allocation)
-        _check_pruned_bits(mask, primary_candidates, primary_allocation)
+        combined[aggregate.name] = combine_partial_table(
+            partials, operation, engine.config.host, executor.stats,
+            identity=min_identity if aggregate.op == "min" else None,
+        )
+        result_row = partials[last]
 
-    # Wear of the skipped stores, applied once after the loop: writes per row
-    # by ``(partition, on its candidate crossbars only)``.
-    wear: defaultdict[tuple[int, bool], int] = defaultdict(int)
-
-    def replay_apply(partition, program, bits, store, pruned=prune is not None):
-        """One reference-ordered program charge with known result bits.
-
-        With ``store`` the bits, dirty marks, stale clears and wear go
-        through the stage contract; without, the same scalar charge is
-        issued and the program's wear is deferred.
-        """
-        target = stored.allocations[partition].bank
-        pages = pages_for(partition)
-        if store and pruned:
-            apply_program_pruned(
-                stored, partition, program, executor, "pim-gb-filter",
-                pages=pages, candidates=prune.candidates[partition],
-                result_bits=bits,
-            )
-        elif store:
-            apply_program(
-                stored, partition, program, executor, "pim-gb-filter",
-                pages=pages, result_bits=bits,
-            )
-        else:
-            active = target.count
-            if pruned:
-                active = candidate_idx[partition].size
-                pages = pages * active / target.count
-            if active:
-                executor.charge_program_cost(
-                    target, program.cycles, pages, "pim-gb-filter"
-                )
-            wear[partition, pruned] += program.writes_per_row
-
-    # --------------------------------------------------- per-subgroup replay
-    rows: dict[GroupKey, dict[str, int]] = {}
-    last = len(keys) - 1
-    for index, key in enumerate(keys):
-        # Only the first key can meet stale crossbars and only the last
-        # key's bits stay; the keys in between charge and store nothing.
-        store = index in (0, last)
-
-        # Remote subgroup programs, transfers and folds, in reference order.
-        running: np.ndarray | None = None
-        for position, partition in enumerate(remote_partitions):
-            costs, group_bits = remote_batches[position]
-            replay_apply(partition, costs[index], group_bits[index], store)
-            if store:
-                transferred = read_model.transfer_bit_column(
-                    stored,
-                    partition, stored.layouts[partition].group_column,
-                    primary, primary_layout.remote_column,
-                    phase="pim-gb-transfer",
-                )
-                running = transferred if running is None else running & transferred
-            else:
-                read_model.charge_bit_column_transfer(stored, "pim-gb-transfer")
-                wear[primary, False] += 1
-            if fold_programs:
-                fold_program = fold_programs[position]
-                fold_bits = running if store else None
-                if fold_bits is not None and prune is not None:
-                    fold_bits = fold_bits & candidate_rows(
-                        stored, primary, primary_candidates
-                    )
-                # The final fold into the remote column stays a broadcast
-                # in the reference; only group-column folds run pruned.
-                replay_apply(
-                    primary, fold_program, fold_bits, store,
-                    pruned=prune is not None
-                    and fold_program.result_column == primary_layout.group_column,
-                )
-
-        # Subgroup mask (combine program) on the primary partition.
-        replay_apply(primary, combine_costs[index], mask_bits[index], store)
-
-        # Aggregates from the segmented partials, charged per invocation.
-        entry: dict[str, int | None] = {}
-        for aggregate, field_width, operation, table in aggregations:
-            partials = table[index]
-            if circuit_runs:
-                executor.charge_aggregation_circuit(
-                    bank, field_width,
-                    pages=pages_for(primary),
-                    result_width=accumulator_width,
-                    crossbars=primary_candidates,
-                    add_wear=False,
-                )
-            read_model.read_aggregation_results(
-                stored, primary, pages_fraction=fraction
-            )
-            if aggregate.op == "min":
-                partials = partials[partials != min_identity]
-            entry[aggregate.name] = combine_partials(
-                [partials], operation, engine.config.host, executor.stats
-            )
-
-        if key in present_keys:
-            rows[key] = engine._finalize_entry(entry, primary)
-
-        # Clear the subgroup from the filter column: after key ``index`` it
-        # holds the selection minus the first ``index + 1`` (disjoint) masks.
-        filter_bits = None
-        if store:
-            filter_bits = mask & ~(mask_bits[0] if index == 0 else union)
-        replay_apply(primary, clear_program, filter_bits, store)
-
-    # ------------------------------------------------------- deferred stores
     # Every circuit pass wrote its partials over the previous one's, so only
     # the last pass's result row is stored; the others leave their wear.
     if circuit_runs:
-        *_, table = aggregations[-1]
         bank.write_field_row(
             0, primary_layout.result_offset, accumulator_width,
-            table[last], xbars=primary_idx,
+            result_row, xbars=primary_idx,
         )
         result_xbars = slice(None) if primary_idx is None else primary_idx
         bank.writes_per_row[result_xbars, 0] += (
-            len(keys) * len(aggregations) - 1
+            len(keys) * len(query.aggregates) - 1
         ) * accumulator_width
-    for (partition, pruned), writes in wear.items():
-        stored.allocations[partition].bank.add_wear(
-            writes, candidate_idx[partition] if pruned else None
+
+    return {
+        key: engine._finalize_entry(
+            {name: values[index] for name, values in combined.items()}, primary
         )
-    return rows
+        for index, key in enumerate(keys)
+        if key in present_keys
+    }

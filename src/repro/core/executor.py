@@ -485,9 +485,8 @@ class PimQueryEngine:
                 # Batched execution: all subgroup masks of a partition come
                 # from one value-free template kernel with the keys bound as
                 # inputs, field decodes are shared across subgroups, and the
-                # modelled charges are replayed in reference order —
-                # bit-identical rows, bits, wear and stats (see
-                # repro.core.batched).
+                # modelled charges are issued by multiplicity — identical
+                # rows, bits, wear and stats (see repro.core.batched).
                 from repro.core.batched import run_group_by_batched
 
                 rows = run_group_by_batched(

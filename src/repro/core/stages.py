@@ -276,8 +276,8 @@ def build_fold_program(layout: RowLayout, position: int, remote_count: int) -> P
     ANDed with the parked product, and the last fold lands back in the
     remote column, where the combine program reads it.  The destination is
     the program's ``result_column``.  The per-subgroup loop and the batched
-    charging replay both build their fold programs here, so they cannot
-    disagree on what they charge.
+    path both build their fold programs here, so they cannot disagree on
+    what they charge.
     """
     destination = (
         layout.remote_column if position == remote_count - 1

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.db.encoding import RowLayout
 from repro.db.query import (
     And,
@@ -244,6 +246,17 @@ class GroupMaskTemplate:
             map(ProgramBuilder.eq_const_cycles, self.widths, values)
         )
         return ProgramCost(cycles, self.result_column)
+
+    def cycles(self, values: np.ndarray) -> np.ndarray:
+        """``cost(row).cycles`` for every row of a ``(K, attributes)`` key table."""
+        values = np.asarray(values, dtype=np.int64)
+        widths = np.array(self.widths, dtype=np.int64)
+        if np.any((values < 0) | (values >> widths)):
+            raise ValueError(f"a group key does not fit in the widths {self.widths}")
+        return (
+            self._fixed_cycles + int((4 * widths - 3).sum())
+            + np.bitwise_count(values).sum(axis=1, dtype=np.int64)
+        )
 
 
 def _compile_node(

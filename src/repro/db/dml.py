@@ -592,7 +592,7 @@ def execute_compaction(
         "compact-write", dram.write_time(host, num_bytes, host.query_threads)
     )
     executor.stats.add_energy("write", scaled_bits * xbar_cfg.write_energy_per_bit_j)
-    executor.stats.bits_written += scaled_bits
+    executor.stats.add_events("bits_written", scaled_bits)
     executor.stats.host_lines_written += int(
         np.ceil(num_bytes / CACHE_LINE_BYTES)
     )

@@ -15,6 +15,7 @@ it.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from collections.abc import Sequence
 
@@ -460,6 +461,45 @@ class StoredRelation:
             allocation.bank.max_writes_since(snapshot)
             for allocation, snapshot in zip(self.allocations, snapshots)
         )
+
+    # ---------------------------------------------------------------- digest
+    def state_digest(self) -> str:
+        """sha256 of everything a later statement could observe of this store.
+
+        Per partition the bank's cells outside the scratch area (programs
+        overwrite scratch before reading it), wear and dirty-crossbar masks;
+        zone maps, candidate-cache epochs, statistics version; free list,
+        slot and live counts, ground truth.  "No stored bit or wear moved" is
+        equality of this value (per bank backend: cells are hashed as stored).
+        """
+        digest = hashlib.sha256()
+
+        def feed(*arrays) -> None:
+            for array in map(np.ascontiguousarray, arrays):
+                digest.update(f"{array.dtype}{array.shape}".encode() + array.tobytes())
+
+        for allocation, layout, dirty in zip(
+            self.allocations, self.layouts, self._column_dirty
+        ):
+            bank = allocation.bank
+            keep = np.setdiff1d(np.arange(bank.columns), layout.scratch_columns)
+            packed = getattr(bank, "words", None)
+            feed(
+                packed[:, keep] if packed is not None else bank.bits[:, :, keep],
+                bank.writes_per_row,
+            )
+            for column in sorted(dirty):
+                if dirty[column].any():     # untracked == tracked and clean
+                    feed(np.int64(column), dirty[column])
+        zonemaps = self.statistics.zonemaps
+        feed(zonemaps.live, self.statistics.candidates.epochs)
+        for name in self.relation.schema.names:
+            feed(zonemaps.mins[name], zonemaps.maxs[name], self.relation.columns[name])
+        feed(
+            np.array([self.statistics._version, self.num_records, self.live_count]),
+            np.array(sorted(self._free_slots), dtype=np.int64),
+        )
+        return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

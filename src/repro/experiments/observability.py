@@ -8,8 +8,8 @@ of them on the 13-query SSB workload:
   events of the trace (:func:`~repro.obs.trace.fold_trace_charges`) must
   reproduce the execution's ``time_by_phase`` and ``energy_by_component``
   **bit-for-bit**.  A near-match would mean some stage charges outside any
-  span (or twice); exact float equality is achievable because the charge
-  events replay in the stats object's own accumulation order.
+  span (or twice); exact float equality holds because the stats object is
+  an exact multiset and the fold rebuilds that same multiset.
 * **Disabled-path cost** — tracing off must be practically free.  The
   instrumentation cannot be compiled out, so the gate measures the two
   things the disabled path actually executes — entering the shared no-op

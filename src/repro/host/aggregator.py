@@ -12,6 +12,7 @@ Two host responsibilities are modelled here:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -147,6 +148,39 @@ def combine_partials(
     if stats is not None:
         stats.add_time(phase, cpu_time(config, len(values), 4.0, threads=1))
     return result
+
+
+def combine_partial_table(
+    table: np.ndarray,
+    operation: str,
+    config: HostConfig,
+    stats: PimStats,
+    identity: int | None = None,
+    phase: str = "host-combine",
+) -> list[int | None]:
+    """:func:`combine_partials` of every row of a ``(K, crossbars)`` table.
+
+    Element ``k`` is what ``combine_partials([table[k]], ...)`` returns once
+    the partials equal to the operation's ``identity`` (crossbars that
+    contributed nothing; given for a ``min``) are dropped — they cannot move
+    the value, only the number of values combined.  One axis reduction for
+    all rows, one counted ``phase`` charge per distinct number of partials.
+    """
+    _check_merge_op(operation)
+    table = np.asarray(table, dtype=np.uint64)
+    if identity is None:
+        sizes = [table.shape[1]] * len(table)
+    else:
+        sizes = (table != identity).sum(axis=1).tolist()
+    for size, rows in Counter(sizes).items():
+        stats.add_time(phase, cpu_time(config, size, 4.0, threads=1), rows)
+    if operation in ("sum", "count"):
+        return table.sum(axis=1, dtype=np.uint64).tolist()
+    if operation == "min":
+        values = table.min(axis=1, initial=~np.uint64(0))
+    else:
+        values = table.max(axis=1, initial=0)
+    return [value if size else None for value, size in zip(values.tolist(), sizes)]
 
 
 def merge_shard_rows(

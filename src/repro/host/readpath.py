@@ -160,8 +160,9 @@ class HostReadModel:
         partition: int,
         phase: str = "host-read-agg",
         pages_fraction: float = 1.0,
+        count: int = 1,
     ) -> int:
-        """Charge the reads of the per-crossbar aggregation results.
+        """Charge ``count`` reads of the per-crossbar aggregation results.
 
         The results of all 32 crossbars of a page share cache lines (one line
         per 16-bit result word), so the host reads
@@ -169,7 +170,7 @@ class HostReadModel:
         count when a pruned aggregation only wrote results into candidate
         crossbars.  The decoded values themselves are returned by the executor
         that triggered the aggregation; this method only accounts for the
-        traffic and returns the line count.
+        traffic and returns the line count of one read.
         """
         layout = stored.layouts[partition]
         words = len(layout.result_word_indexes)
@@ -178,7 +179,7 @@ class HostReadModel:
             * words * self.traffic_scale
         ))
         time_s = dram.scattered_read_time(self.config.host, lines, self.threads)
-        self._charge(phase, time_s, lines)
+        self._charge(phase, time_s, lines, count)
         return lines
 
     # ------------------------------------------------------ partition transfer
@@ -204,37 +205,38 @@ class HostReadModel:
         return bits
 
     def charge_bit_column_transfer(
-        self, stored: StoredRelation, phase: str = "host-transfer-bits"
+        self, stored: StoredRelation, phase: str = "host-transfer-bits",
+        count: int = 1,
     ) -> None:
-        """Charge one :meth:`transfer_bit_column` without moving any bits.
+        """Charge ``count`` :meth:`transfer_bit_column` moves, moving no bits.
 
         The traffic of a transfer depends on the relation's size only, so a
         caller that knows the moved column will be overwritten before anyone
-        reads it (the batched pim-gb loop) charges the move through here and
-        accounts for the target bank's one write per row itself.
+        reads it (batched pim-gb: every subgroup but the first and the last)
+        charges the moves here and accounts for the target bank's wear itself.
         """
         num_bytes = math.ceil(stored.num_records / 8) * self.traffic_scale
         read_time = dram.stream_read_time(self.config.host, num_bytes)
         write_time = dram.write_time(self.config.host, num_bytes, self.threads)
         lines = math.ceil(num_bytes / CACHE_LINE_BYTES)
-        self._charge(phase, read_time + write_time, lines)
-        self.stats.host_lines_written += lines
+        self._charge(phase, read_time + write_time, lines, count)
+        self.stats.host_lines_written += lines * count
         xbar = self.config.pim.crossbar
         written_bits = int(round(stored.num_records * self.traffic_scale))
-        self.stats.add_energy("write", written_bits * xbar.write_energy_per_bit_j)
-        self.stats.bits_written += written_bits
+        self.stats.add_energy("write", written_bits * xbar.write_energy_per_bit_j, count)
+        self.stats.add_events("bits_written", written_bits, count)
 
     # -------------------------------------------------------------- internals
-    def _charge(self, phase: str, time_s: float, lines: int) -> None:
-        self.stats.add_time(phase, time_s)
-        self.stats.host_lines_read += lines
+    def _charge(self, phase: str, time_s: float, lines: int, count: int = 1) -> None:
+        self.stats.add_time(phase, time_s, count)
+        self.stats.host_lines_read += lines * count
         xbar = self.config.pim.crossbar
         bits = lines * CACHE_LINE_BYTES * 8
-        self.stats.bits_read += bits
-        self.stats.add_energy("read", bits * xbar.read_energy_per_bit_j)
+        self.stats.add_events("bits_read", bits, count)
+        self.stats.add_energy("read", bits * xbar.read_energy_per_bit_j, count)
         if time_s > 0:
             # Reads drain energy from the PIM arrays at a modest rate; they
             # still contribute a power sample so read-dominated phases show
             # up in the peak-power accounting.
             power = bits * xbar.read_energy_per_bit_j / time_s / self.config.pim.chips
-            self.stats.add_power_sample(phase, time_s, power)
+            self.stats.add_power_sample(phase, time_s, power, count)

@@ -17,11 +17,12 @@ Two properties make the tracer safe to leave compiled into every hot path:
 * **Charge attribution is exact.**  Rather than differencing stats
   snapshots (whose floating-point deltas do not telescope bit-exactly), the
   tracer hooks :class:`~repro.pim.stats.PimStats` and records every
-  ``add_time``/``add_energy`` charge as an event on the innermost active
-  span, tagged with a global sequence number.  Folding a trace's events in
-  sequence order reproduces the stats object's own left-to-right
-  accumulation — the per-phase sums match ``time_by_phase`` bit for bit
-  (``benchmarks/bench_observability.py`` gates exactly that).
+  ``add_time``/``add_energy`` charge — unit cost and multiplicity — as an
+  event on the innermost active span.  The stats object is an exact
+  multiset, so folding a trace's events back *in any order* gives the same
+  multiset and hence the same read-outs — the per-phase sums equal
+  ``time_by_phase`` bit for bit (``benchmarks/bench_observability.py``
+  gates exactly that).
 
 Span nesting uses a :class:`contextvars.ContextVar`, so every thread sees its
 own stack; shard executions run on the caller's and nest under its scatter span.
@@ -37,26 +38,22 @@ from __future__ import annotations
 import contextvars
 import itertools
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 
 @dataclass
 class ChargeEvent:
-    """One ``PimStats`` charge attributed to a span.
+    """``count`` identical ``PimStats`` charges attributed to a span."""
 
-    ``seq`` is the tracer-global sequence number: sorting a trace's events
-    by it reproduces the exact order the stats object accumulated in.
-    """
-
-    seq: int
     kind: str  # "time" | "energy"
     key: str  # phase name or energy component
-    value: float
+    value: float  # the unit cost of one charge
+    count: int = 1
 
 
 @dataclass
@@ -91,22 +88,21 @@ class SpanRecord:
 
     # ------------------------------------------------------------ accounting
     def time_by_phase(self) -> dict[str, float]:
-        """Modelled time charged to *this* span, per phase, in charge order."""
-        folded: dict[str, float] = defaultdict(float)
-        for event in self.charges:
-            if event.kind == "time":
-                folded[event.key] += event.value
-        return dict(folded)
+        """Modelled time charged to *this* span, per phase."""
+        return _fold_events(self.charges)["time"]
+
+    def _total(self, kind: str) -> float:
+        return math.fsum(e.value * e.count for e in self.charges if e.kind == kind)
 
     @property
     def modelled_time_s(self) -> float:
         """Modelled time charged directly to this span."""
-        return sum(e.value for e in self.charges if e.kind == "time")
+        return self._total("time")
 
     @property
     def modelled_energy_j(self) -> float:
         """Modelled energy charged directly to this span."""
-        return sum(e.value for e in self.charges if e.kind == "energy")
+        return self._total("energy")
 
     def subtree_time_s(self) -> float:
         """Modelled time charged anywhere in this span's subtree."""
@@ -127,26 +123,28 @@ class SpanRecord:
         }
 
 
+def _fold_events(events: Iterable[ChargeEvent]) -> dict[str, dict[str, float]]:
+    """Fold charge events into a fresh ``PimStats`` and read it out."""
+    from repro.pim.stats import PimStats  # repro.pim imports this module
+
+    stats = PimStats()
+    for event in events:
+        add = stats.add_time if event.kind == "time" else stats.add_energy
+        add(event.key, event.value, event.count)
+    return {"time": stats.time_by_phase, "energy": stats.energy_by_component}
+
+
 def fold_trace_charges(root: SpanRecord) -> dict[str, dict[str, float]]:
-    """Re-accumulate a trace's charges in global sequence order.
+    """Re-accumulate the charge multiset of a whole trace.
 
     Returns ``{"time": {phase: seconds}, "energy": {component: joules}}``.
-    Because every charge event carries the stats object's accumulation
-    order, the per-key sums here are *bit-identical* to the
-    ``time_by_phase`` / ``energy_by_component`` dictionaries of the
-    execution the trace covered — the trace-completeness contract.
+    The events are folded into the same exact ``{unit: count}`` structure
+    the stats object keeps — a multiset, so the order the spans are walked
+    in is irrelevant — and read out the same way: the result is
+    *bit-identical* to the ``time_by_phase`` / ``energy_by_component`` of
+    the execution the trace covered — the trace-completeness contract.
     """
-    events = sorted(
-        (e for span in root.iter_spans() for e in span.charges),
-        key=lambda e: e.seq,
-    )
-    folded: dict[str, dict[str, float]] = {
-        "time": defaultdict(float),
-        "energy": defaultdict(float),
-    }
-    for event in events:
-        folded[event.kind][event.key] += event.value
-    return {kind: dict(values) for kind, values in folded.items()}
+    return _fold_events(e for span in root.iter_spans() for e in span.charges)
 
 
 class _NullSpan:
@@ -210,7 +208,6 @@ class SpanTracer:
         self._current: contextvars.ContextVar[SpanRecord | None] = (
             contextvars.ContextVar("repro_obs_span", default=None)
         )
-        self._seq = itertools.count()
         self._ids = itertools.count(1)
         # A tracer may be shared by threads; the lock covers the root-trace
         # list and the sink file (children append under their parent from
@@ -239,11 +236,11 @@ class SpanTracer:
         return self._current.get()
 
     # -------------------------------------------------------------- charges
-    def on_charge(self, kind: str, key: str, value: float) -> None:
-        """Record one stats charge against the innermost active span."""
+    def on_charge(self, kind: str, key: str, value: float, count: int = 1) -> None:
+        """Record ``count`` stats charges of ``value`` against the innermost span."""
         record = self._current.get()
         if record is not None:
-            record.charges.append(ChargeEvent(next(self._seq), kind, key, value))
+            record.charges.append(ChargeEvent(kind, key, value, count))
 
     def bind(self, stats) -> None:
         """Route a :class:`~repro.pim.stats.PimStats`'s charges to this tracer.

@@ -31,6 +31,7 @@ phase and hence the peak chip power reported in Fig. 8.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -110,13 +111,14 @@ class PimExecutor:
         request_time_s: float,
         dynamic_energy_j: float,
         component: str,
+        count: int = 1,
     ) -> None:
-        """Common bookkeeping for a broadcast phase."""
+        """Common bookkeeping for ``count`` identical broadcast phases."""
         duration = self._phase_time(pages, request_time_s)
         controller_energy = self._controller_energy(pages, duration)
-        self.stats.add_time(phase, duration)
-        self.stats.add_energy(component, dynamic_energy_j)
-        self.stats.add_energy("controller", controller_energy)
+        self.stats.add_time(phase, duration, count)
+        self.stats.add_energy(component, dynamic_energy_j, count)
+        self.stats.add_energy("controller", controller_energy, count)
         # Average power while the operation is in flight: the dynamic energy
         # is spread over the duration of a single request scaled by the number
         # of concurrently active pages.
@@ -125,8 +127,8 @@ class PimExecutor:
             per_page_power = dynamic_energy_j / pages / request_time_s
             module_power = per_page_power * concurrency + controller_energy / max(duration, 1e-12)
             chip_power = module_power / self._pim.chips
-            self.stats.add_power_sample(phase, duration, chip_power)
-        self.stats.pim_requests += int(round(pages))
+            self.stats.add_power_sample(phase, duration, chip_power, count)
+        self.stats.pim_requests += int(round(pages)) * count
 
     # ------------------------------------------------------------- programs
     def run_program(
@@ -151,28 +153,53 @@ class PimExecutor:
         phase: str,
         writes_per_row: int | None = None,
         add_wear: bool = False,
+        count: int = 1,
     ) -> None:
-        """Charge the cost of a program without executing it functionally.
+        """Charge ``count`` runs of a program without executing it functionally.
 
         Used by the fast path of the bulk-bitwise aggregation, whose results
-        are produced functionally but whose cost is known analytically.
+        are produced functionally but whose cost is known analytically, and
+        by the batched pim-gb path for every subgroup program of one cycle
+        count at once.
         """
-        self._charge_program(bank, cycles, pages, phase)
+        self._charge_program(bank, cycles, pages, phase, count)
         if add_wear and writes_per_row:
-            bank.writes_per_row += int(writes_per_row)
+            bank.writes_per_row += int(writes_per_row) * count
 
     def _charge_program(
-        self, bank: CrossbarBank, cycles: int, pages: int, phase: str
+        self, bank: CrossbarBank, cycles: int, pages: int, phase: str, count: int = 1
     ) -> None:
         xbar = self._xbar
         request_time = cycles * xbar.logic_cycle_s
         crossbars = pages * self._crossbars_per_page()
         # One output cell per row per cycle on every active crossbar.
         energy = cycles * xbar.rows * crossbars * xbar.logic_energy_per_bit_j
-        self.stats.logic_ops += cycles * crossbars
-        self._record_phase(phase, pages, request_time, energy, "logic")
+        self.stats.add_events("logic_ops", cycles * crossbars, count)
+        self._record_phase(phase, pages, request_time, energy, "logic", count)
 
     # ------------------------------------------------------ crossbar skipping
+    def _charge_program_at(
+        self, bank: CrossbarBank, cycles: int, crossbars: np.ndarray,
+        pages: float, phase: str, wear: int = 0,
+    ) -> np.ndarray:
+        """Charge a ``cycles``-long program on the crossbars set in ``crossbars``.
+
+        That fraction of the ``pages`` broadcast, plus ``wear`` writes per row
+        of those crossbars; returns their indices (nothing charged if none).
+        """
+        idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
+        if idx.size:
+            self._charge_program(bank, cycles, pages * idx.size / bank.count, phase)
+            if wear:
+                bank.writes_per_row[idx] += int(wear)
+        return idx
+
+    def _run_at(self, bank: CrossbarBank, program: Program, idx: np.ndarray) -> None:
+        if idx.size and self.batched:
+            program.run_fused(bank, idx)
+        elif idx.size:
+            program.execute_at(bank, idx)
+
     def run_program_pruned(
         self,
         bank: CrossbarBank,
@@ -195,18 +222,12 @@ class PimExecutor:
         """
         if program.result_column is None:
             raise ValueError("pruned execution needs a program result column")
-        candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
-        if candidate_idx.size:
-            if self.batched:
-                program.run_fused(bank, candidate_idx)
-            else:
-                program.execute_at(bank, candidate_idx)
-            self._charge_program(
-                bank, program.cycles,
-                pages * candidate_idx.size / bank.count, phase,
-            )
-        self._clear_stale(bank, program.result_column, clear_crossbars,
-                          pages, clear_phase)
+        idx = self._charge_program_at(bank, program.cycles, candidates, pages, phase)
+        self._run_at(bank, program, idx)
+        if clear_crossbars is not None:
+            stale = self._charge_program_at(bank, 1, clear_crossbars, pages, clear_phase)
+            if stale.size:
+                bank.set_column_at(program.result_column, False, stale)
 
     def charge_pruned_program_cost(
         self,
@@ -225,19 +246,11 @@ class PimExecutor:
         per-row wear the masked gate-level execution would have caused —
         identical stored bits, identical modelled cost.
         """
-        candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
-        if candidate_idx.size:
-            self._charge_program(
-                bank, program.cycles,
-                pages * candidate_idx.size / bank.count, phase,
-            )
-            bank.writes_per_row[candidate_idx] += int(program.writes_per_row)
-        if clear_crossbars is not None and clear_crossbars.any():
-            clear_idx = np.nonzero(clear_crossbars)[0]
-            self._charge_program(
-                bank, 1, pages * clear_idx.size / bank.count, clear_phase
-            )
-            bank.writes_per_row[clear_idx] += 1
+        self._charge_program_at(
+            bank, program.cycles, candidates, pages, phase, program.writes_per_row
+        )
+        if clear_crossbars is not None:
+            self._charge_program_at(bank, 1, clear_crossbars, pages, clear_phase, 1)
 
     def run_program_at(
         self,
@@ -256,17 +269,8 @@ class PimExecutor:
         alone — no stale clear, no zero-outside invariant.  Unlike the pruned
         path the program needs no result column.
         """
-        candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
-        if not candidate_idx.size:
-            return
-        if self.batched:
-            program.run_fused(bank, candidate_idx)
-        else:
-            program.execute_at(bank, candidate_idx)
-        self._charge_program(
-            bank, program.cycles,
-            pages * candidate_idx.size / bank.count, phase,
-        )
+        idx = self._charge_program_at(bank, program.cycles, candidates, pages, phase)
+        self._run_at(bank, program, idx)
 
     def charge_program_cost_at(
         self,
@@ -282,30 +286,8 @@ class PimExecutor:
         the candidate-restricted program cost analytically and adds the
         per-row wear the masked gate-level execution would have caused.
         """
-        candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
-        if not candidate_idx.size:
-            return
-        self._charge_program(
-            bank, program.cycles,
-            pages * candidate_idx.size / bank.count, phase,
-        )
-        bank.writes_per_row[candidate_idx] += int(program.writes_per_row)
-
-    def _clear_stale(
-        self,
-        bank: CrossbarBank,
-        column: int,
-        clear_crossbars: np.ndarray | None,
-        pages: float,
-        clear_phase: str,
-    ) -> None:
-        """Single-cycle column clear of skipped-but-stale crossbars."""
-        if clear_crossbars is None or not clear_crossbars.any():
-            return
-        clear_idx = np.nonzero(clear_crossbars)[0]
-        bank.set_column_at(column, False, clear_idx)
-        self._charge_program(
-            bank, 1, pages * clear_idx.size / bank.count, clear_phase
+        self._charge_program_at(
+            bank, program.cycles, candidates, pages, phase, program.writes_per_row
         )
 
     # ---------------------------------------------------- aggregation circuit
@@ -323,9 +305,10 @@ class PimExecutor:
         return result_width
 
     def _charge_circuit_pass(
-        self, field_width: int, result_width: int, pages: float, phase: str
+        self, field_width: int, result_width: int, pages: float, phase: str,
+        count: int = 1,
     ) -> None:
-        """Charge one aggregation-circuit invocation on ``pages`` pages.
+        """Charge ``count`` aggregation-circuit invocations on ``pages`` pages.
 
         The single definition of the circuit's request time, energy and bit
         counts: the functional :meth:`aggregate_with_circuit` and its
@@ -347,9 +330,9 @@ class PimExecutor:
             + write_bits * xbar.write_energy_per_bit_j
             + circuit.power_w * request_time * active_crossbars
         )
-        self.stats.bits_read += read_bits
-        self.stats.bits_written += write_bits
-        self._record_phase(phase, pages, request_time, energy, "agg_circuit")
+        self.stats.add_events("bits_read", read_bits, count)
+        self.stats.add_events("bits_written", write_bits, count)
+        self._record_phase(phase, pages, request_time, energy, "agg_circuit", count)
 
     def aggregate_with_circuit(
         self,
@@ -411,30 +394,31 @@ class PimExecutor:
         result_width: int | None = None,
         crossbars: np.ndarray | None = None,
         add_wear: bool = True,
+        count: int = 1,
     ) -> None:
-        """Charge-only twin of :meth:`aggregate_with_circuit`.
+        """Charge-only twin of :meth:`aggregate_with_circuit`, ``count`` times.
 
         The batched group-by path computes every subgroup's aggregates from
-        one cached field decode, then replays the modelled cost of each
-        circuit invocation through here — identical time, energy, power
-        samples, request counts and (with ``add_wear``) the ``result_width``
-        write-back wear on row 0 that the reference's ``write_field_row``
-        causes.  Pass ``add_wear=False`` for the one invocation whose result
-        is also written back functionally (the write itself charges wear).
+        one field decode and charges an aggregate's circuit invocations —
+        one per subgroup, all of one shape — through here in one call:
+        identical time, energy, power samples, request counts and (with
+        ``add_wear``) the ``result_width`` write-back wear on row 0 that the
+        reference's ``write_field_row`` causes.  Pass ``add_wear=False`` when
+        the caller accounts for the write-back wear itself.
         """
         result_width = self._circuit_result_width(field_width, result_width)
         if crossbars is None:
             if add_wear:
-                bank.writes_per_row[:, 0] += int(result_width)
+                bank.writes_per_row[:, 0] += int(result_width) * count
         else:
             candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
             active = int(candidate_idx.size)
             if active == 0:
                 return
             if add_wear:
-                bank.writes_per_row[candidate_idx, 0] += int(result_width)
+                bank.writes_per_row[candidate_idx, 0] += int(result_width) * count
             pages = pages * active / bank.count
-        self._charge_circuit_pass(field_width, result_width, pages, phase)
+        self._charge_circuit_pass(field_width, result_width, pages, phase, count)
 
     # --------------------------------------------------- bulk-bitwise (PIMDB)
     def aggregate_bulk_bitwise(
@@ -469,7 +453,7 @@ class PimExecutor:
             * crossbars
             * xbar.logic_energy_per_bit_j
         )
-        self.stats.logic_ops += cost.total_cycles * crossbars
+        self.stats.add_events("logic_ops", cost.total_cycles * crossbars)
         self._record_phase(phase, pages, request_time, logic_energy + copy_energy, "logic")
         return results
 
@@ -501,7 +485,7 @@ class PimExecutor:
         xcfg = self._xbar
         self.stats.add_time(phase, xcfg.write_latency_s)
         self.stats.add_energy("write", width * xcfg.write_energy_per_bit_j)
-        self.stats.bits_written += width
+        self.stats.add_events("bits_written", width)
 
     def charge_host_writes(
         self, widths: Sequence[int], count: int, phase: str = "host-write"
@@ -509,20 +493,19 @@ class PimExecutor:
         """Charge ``count`` repetitions of the stores ``widths`` (bits each).
 
         The charge-only, batched twin of :meth:`host_write_field`: the same
-        floats in the same order as one call per store, ``widths`` being the
-        per-record store pattern of a batch written column-wise.
+        charges as one call per store — one counted charge per distinct
+        width — ``widths`` being the per-record store pattern of a batch
+        written column-wise.
         """
         xcfg = self._xbar
-        pattern = np.asarray(widths, dtype=np.int64)
-        self.stats.add_series(
-            "time", phase, np.full(pattern.size * count, xcfg.write_latency_s)
-        )
-        self.stats.add_series(
-            "energy", "write", np.tile(pattern * xcfg.write_energy_per_bit_j, count)
-        )
-        self.stats.bits_written += int(pattern.sum()) * count
+        self.stats.add_time(phase, xcfg.write_latency_s, len(widths) * count)
+        for width, stores in Counter(map(int, widths)).items():
+            self.stats.add_energy(
+                "write", width * xcfg.write_energy_per_bit_j, stores * count
+            )
+            self.stats.add_events("bits_written", width, stores * count)
 
     def charge_pim_reads(self, bits: int, component: str = "read") -> None:
         """Charge crossbar read energy for bits leaving the PIM arrays."""
-        self.stats.bits_read += bits
+        self.stats.add_events("bits_read", bits)
         self.stats.add_energy(component, bits * self._xbar.read_energy_per_bit_j)

@@ -503,6 +503,15 @@ class QueryService:
                 total = total + statistics.adaptive_snapshot()
         return total
 
+    def state_digest(self, relation: str | None = None) -> str:
+        """:meth:`StoredRelation.state_digest` of a registered relation's store
+        (over the shards of a sharded one): equal digests mean no later
+        statement can tell two services' relations apart."""
+        engine = self.engine(relation)
+        if isinstance(engine, ShardedQueryEngine):
+            return engine.sharded.state_digest()
+        return engine.stored.state_digest()
+
     # ------------------------------------------------------------------- DML
     def insert(
         self,

@@ -29,7 +29,7 @@ Modelled versus simulated
 What is *modelled* is the hardware: every shard executes concurrently, hence
 ``max`` + merge above.  How it is *simulated* is a plain, shard-ordered loop
 on the calling thread, whatever ``max_workers`` says.  A shard execution is
-under one third kernel + decode; planning, sampling and the charge replay
+under one third kernel + decode; planning, sampling and charging
 hold the GIL, so worker threads serialise on it and every NumPy call has to
 win it back: two threads measured *slower* than the loop (``ssb_sharded``
 warm pass 0.346 s vs 0.236 s on the 2-core reference host).  Real parallelism

@@ -26,6 +26,7 @@ snapshot.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_right
 from collections.abc import Sequence
 
@@ -160,6 +161,12 @@ class ShardedStoredRelation:
     def max_shard_pages(self) -> int:
         """Pages of the largest shard — the scatter phase's critical path."""
         return max(shard.pages for shard in self.shards)
+
+    def state_digest(self) -> str:
+        """sha256 over every shard's :meth:`StoredRelation.state_digest`, in order."""
+        return hashlib.sha256(
+            "".join(shard.state_digest() for shard in self.shards).encode()
+        ).hexdigest()
 
     def shard_of_record(self, record_index: int) -> int:
         """Index of the shard a record of the *loaded* relation was placed in.

@@ -2,11 +2,11 @@
 
 The batched strategy (``execution="batched"``, the default) evaluates every
 PIM-resident subgroup of a GROUP-BY through one multi-output fused kernel
-per vertical partition and then *replays* the per-subgroup charging through
+per vertical partition and then charges the subgroups by multiplicity through
 the same accounting entry points the reference loop uses, storing bits and
 wear once per GROUP-BY.  The contract is total: identical result rows,
-bit-identical :class:`PimStats` (full dataclass equality — float order,
-power-sample order, request rounding), and identical stored state — wear
+equal :class:`PimStats` (the same multiset of charges and power samples, the
+same request counts), and identical stored state — wear
 counters, every bank column outside the scratch area, every dirty-crossbar
 mask.  A hypothesis property test drives random data, selectivities,
 subgroup counts (K in 1, 2, 4, 20), pruning, and one- vs two-partition
@@ -14,8 +14,8 @@ layouts through batched and per-subgroup dispatch in lock step on both
 backends, two queries with different candidate crossbars back to back on
 each store; deterministic tests pin the stale-crossbar clear of a second
 query, the multi-remote fold path, the segmented reduction against
-``aggregate_reference``, the K-independence of the loop's stores, the
-nested-safe scatter pool, the structural whole-plan memo key, and the
+``aggregate_reference``, the K-independence of the stores and of the
+charge calls, the nested-safe scatter pool, the structural whole-plan memo key, and the
 pre-scatter empty-shard skip.
 """
 
@@ -41,6 +41,7 @@ from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import StoredRelation
 from repro.pim import arithmetic
 from repro.pim.arithmetic import aggregate_reference
+from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
 from repro.service import QueryService
@@ -129,8 +130,8 @@ def _assert_lockstep(relation, queries, pruning, partitions):
             assert ours.pim_subgroups == theirs.pim_subgroups
             # Every subgroup went through the PIM kernels (the forced plan).
             assert ours.pim_subgroups == ours.total_subgroups
-            # Full dataclass equality: per-phase floats, energy components,
-            # counters, power-sample order, wear maxima.
+            # The same charge multiset: per-phase and per-component terms,
+            # event and request counts, power samples, wear maxima.
             assert ours.stats == theirs.stats
         _assert_same_stored_state(batched_stored, dispatch_stored)
     for packed, boolean in zip(
@@ -388,6 +389,112 @@ def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
     }
 
 
+def _charge_service(execution, subgroups, pruning, partitions):
+    rng = np.random.default_rng(23)
+    schema = Schema("c", [
+        int_attribute("key", 6), int_attribute("bucket", 1),
+        int_attribute("value", 8),
+    ])
+    relation = Relation(schema, {
+        "key": rng.integers(0, subgroups // 2, 3000).astype(np.uint64),
+        "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
+        "value": np.sort(rng.integers(0, 256, 3000).astype(np.uint64)),
+    })
+    config = DEFAULT_CONFIG.with_execution(execution)
+    stored = StoredRelation(
+        relation, PimModule(config), label="c", aggregation_width=20,
+        partitions=partitions,
+    )
+    service = QueryService(planner=False, pruning=pruning)
+    service.register(
+        "c", stored, config=config, cost_model=all_pim_cost_model(),
+        timing_scale=100.0,
+    )
+    return service, stored
+
+
+@pytest.mark.parametrize("partitions", [None, [["value"], ["key"], ["bucket"]]])
+@pytest.mark.parametrize("pruning", [False, True])
+def test_group_by_charge_calls_do_not_scale_with_subgroups(
+    monkeypatch, pruning, partitions
+):
+    """8 or 64 subgroups: the pim-gb path issues the same number of stats
+    calls, up to one counted program charge per distinct cycle count among
+    the keys between the first and the last — while rows, ``PimStats``,
+    stored bits, dirty marks and wear stay the ``dispatch`` oracle's."""
+    query = Query(
+        "charged", Comparison("value", "<", 120),
+        (Aggregate("sum", "value"), Aggregate("count"), Aggregate("max", "value")),
+        group_by=("key", "bucket"),
+    )
+    # One specialised mask program per partition holding GROUP-BY attributes.
+    slots = [(0, 1)] if partitions is None else [(0,), (1,)]
+    inside = []          # the keys, while run_group_by_batched is on the stack
+
+    def scoped(function):
+        def wrapper(engine, query, primary, mask, keys, *args, **kwargs):
+            inside.append(keys)
+            try:
+                return function(engine, query, primary, mask, keys, *args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def counting(calls, name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(inside)
+            if inside:
+                calls["keys"] = inside[-1]
+            return function(*args, **kwargs)
+        return wrapper
+
+    wrapped = (
+        (PimStats, "add_time"), (PimStats, "add_energy"),
+        (PimStats, "add_power_sample"), (PimExecutor, "_record_phase"),
+    )
+    fixed = {}
+    for subgroups in (8, 64):
+        service, stored = _charge_service("batched", subgroups, pruning, partitions)
+        reference, reference_stored = _charge_service(
+            "dispatch", subgroups, pruning, partitions
+        )
+        calls = dict.fromkeys((name for _, name in wrapped), 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                batched, "run_group_by_batched",
+                scoped(batched.run_group_by_batched),
+            )
+            for owner, name in wrapped:
+                patch.setattr(owner, name, counting(calls, name, getattr(owner, name)))
+            execution = service.execute(query)
+        assert execution.pim_subgroups == execution.total_subgroups == subgroups
+
+        twin = reference.execute(query)
+        assert execution.rows == twin.rows and len(twin.rows) == subgroups
+        assert execution.stats == twin.stats
+        _assert_same_stored_state(stored, reference_stored)
+        assert service.state_digest() == reference.state_digest()
+
+        middle = calls.pop("keys")[1:-1]
+        distinct = sum(
+            len({sum(key[a].bit_count() for a in slot) for key in middle})
+            for slot in slots
+        )
+        # A program charge is one _record_phase: one time, two energy
+        # charges (logic + controller) and one power sample.
+        weights = {
+            "_record_phase": 1, "add_time": 1, "add_energy": 2, "add_power_sample": 1,
+        }
+        fixed[subgroups] = {
+            name: count - weights[name] * distinct for name, count in calls.items()
+        }
+        if subgroups == 64:     # fewer than one program charge per subgroup
+            assert calls["_record_phase"] < subgroups
+        service.close()
+        reference.close()
+    assert fixed[8] == fixed[64]
+
+
 # --------------------------------------------------------------- scatter pool
 def test_scatter_pool_nested_map_runs_inline():
     """A map issued from a pool worker runs on that worker's own thread, so
@@ -546,13 +653,21 @@ def test_stats_totals_breakdown_tracks_every_field():
     stats = PimStats()
     stats.add_time("filter", 0.25)
     stats.add_energy("logic", 1.5)
-    stats.logic_ops = 7
+    stats.add_events("logic_ops", 3.5, count=2)
+    stats.add_events("bits_read", 16)
+    stats.add_events("bits_written", 0.5)
     stats.add_power_sample("filter", 0.25, 3.0)
     totals = stats.totals()
     assert totals["time:filter"] == 0.25
     assert totals["energy:logic"] == 1.5
-    assert totals["logic_ops"] == 7.0
+    assert totals["logic_ops"] == stats.logic_ops == 7.0
+    assert totals["bits_read"] == stats.summary()["bits_read"] == 16.0
+    assert totals["bits_written"] == stats.bits_written == 0.5
     assert totals["peak_chip_power_w"] == 3.0
+    with pytest.raises(ValueError, match="unknown event count"):
+        stats.add_events("logic_opps", 1)
+    with pytest.raises(AttributeError):
+        stats.logic_ops = 7          # a read-out, not a field
     other = stats.copy()
     assert other.totals() == totals
     other.add_time("filter", 1e-9)

@@ -4,8 +4,8 @@
 loop) is the production path and ``execution="dispatch"`` (op-by-op
 interpreter + per-subgroup loop) its reference.  All 13 SSB queries run
 through one engine per bundle — gate-level and vectorized, unsharded and
-K=4 — and must agree on result rows, the full :class:`PimStats` dataclass
-(float order, power-sample order, request rounding) and the stored state:
+K=4 — and must agree on result rows, the full :class:`PimStats` (the charge
+multiset, power samples, request rounding) and the stored state:
 wear counters, every bank column outside the scratch area and every
 dirty-crossbar mask.  Each cell's engine pair persists across the 13
 queries, so the comparison is cumulative and every query but the first
@@ -137,3 +137,47 @@ def test_ssb_batched_matches_dispatch(engine_pairs, query_name, cell):
         assert batched.pim_subgroups == batched.total_subgroups > 0
     for ours, theirs in zip(_stores(batched_stored), _stores(dispatch_stored)):
         _assert_same_stored_state(ours, theirs)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_ssb_state_digest_and_stats_match_dispatch(ssb_prejoined, shards):
+    """The 13 SSB queries through a service per bundle: equal stats query by
+    query and equal stored-state digests after each — "no stored bit, dirty
+    mark, zone-map entry or wear moved", as one committed assertion."""
+    from repro.service import QueryService
+
+    services = {}
+    for execution in EXECUTIONS:
+        config = DEFAULT_CONFIG.with_execution(execution)
+        service = QueryService(planner=False)
+        options = {
+            "config": config, "cost_model": _all_pim_cost_model(),
+            "timing_scale": 100.0,
+        }
+        width = max_aggregated_width(ssb_prejoined)
+        if shards == 1:
+            stored = StoredRelation(
+                ssb_prejoined, PimModule(config), label="ssb",
+                aggregation_width=width, reserve_bulk_aggregation=False,
+            )
+            service.register("ssb", stored, **options)
+            assert service.state_digest() == stored.state_digest()
+        else:
+            service.register_sharded(
+                "ssb", ssb_prejoined, shards=shards, aggregation_width=width,
+                reserve_bulk_aggregation=False, **options,
+            )
+        services[execution] = service
+    fresh = services["batched"].state_digest("ssb")
+    assert fresh == services["dispatch"].state_digest()
+    for name in QUERY_ORDER:
+        batched = services["batched"].execute(ALL_QUERIES[name])
+        dispatch = services["dispatch"].execute(ALL_QUERIES[name])
+        assert batched.rows == dispatch.rows, name
+        assert batched.stats == dispatch.stats, name
+        assert batched.stats.totals() == dispatch.stats.totals(), name
+        digest = services["batched"].state_digest()
+        assert digest == services["dispatch"].state_digest(), name
+    assert digest != fresh       # the queries did leave bits and wear behind
+    for service in services.values():
+        service.close()

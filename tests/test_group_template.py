@@ -148,6 +148,46 @@ def test_eq_const_cycles_is_the_builder_count():
         ProgramBuilder.eq_const_cycles(3, 8)
 
 
+@given(
+    widths=st.lists(st.integers(1, 12), min_size=3, max_size=3),
+    grouped=st.lists(st.sampled_from(NAMES), unique=True, max_size=3),
+    include_remote=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_template_cycle_array_is_the_per_key_cost(widths, grouped, include_remote, data):
+    """``cycles(table)[k] == cost(table[k]).cycles`` — width-limit values
+    included, a template with no attribute (a partition holding none of the
+    GROUP-BY columns: a zero-width key table) too — and a value that does not
+    fit its field raises from both."""
+    schema = Schema(
+        "t", [int_attribute(name, width) for name, width in zip(NAMES, widths)]
+    )
+    relation = Relation(schema, {name: np.zeros(4, dtype=np.uint64) for name in NAMES})
+    layout = StoredRelation(relation, PimModule(DEFAULT_CONFIG), label="t").layouts[0]
+    template = GroupMaskTemplate(grouped, layout, layout.filter_column, include_remote)
+    limits = [(1 << widths[NAMES.index(name)]) - 1 for name in template.attributes]
+    keys = data.draw(st.lists(
+        st.tuples(*(
+            st.one_of(st.integers(0, limit), st.sampled_from([0, limit]))
+            for limit in limits
+        )),
+        min_size=1, max_size=12,
+    ))
+    table = np.array(keys, dtype=np.int64).reshape(len(keys), len(limits))
+    cycles = template.cycles(table)
+    assert cycles.shape == (len(keys),)
+    assert cycles.tolist() == [template.cost(key).cycles for key in keys]
+    for column, limit in enumerate(limits):
+        for bad in (limit + 1, -1):
+            wide = table.copy()
+            wide[-1, column] = bad
+            with pytest.raises(ValueError, match="does not fit"):
+                template.cycles(wide)
+            with pytest.raises(ValueError, match="does not fit"):
+                template.cost(wide[-1].tolist())
+
+
 def _grouped_service(execution: str, capacity: int):
     rng = np.random.default_rng(5)
     schema = Schema("g", [

@@ -1,13 +1,16 @@
 """Columnar INSERT in lockstep with the per-record loop it replaced.
 
 ``execute_insert`` writes a batch column-wise: one scatter per attribute,
-one charge series, one statistics update.  What it *models* is still one
-host store per attribute and bookkeeping bit of every record, charged
-record-major.  :func:`oracle_insert` below is that loop, kept verbatim from
+one counted charge per distinct store width, one statistics update.  What it
+*models* is still one host store per attribute and bookkeeping bit of every
+record.  :func:`oracle_insert` below is that loop, kept verbatim from
 the code the columnar path replaced (``acquire_slot``, ``set_row``, scalar
 zone-map / histogram / sketch widening, one ``host_write_field`` per store);
 every observable piece of state must come out identical — the floats too.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -225,12 +228,12 @@ def _lockstep(ours, theirs, config, batches) -> None:
                 result = execute_insert(ours, batch, executor)
             expected = oracle_insert(theirs, batch, oracle_executor)
             assert result == expected
-            assert repr(executor.stats) == repr(oracle_executor.stats)
+            assert executor.stats == oracle_executor.stats
             assert_same_state(ours, theirs)
             assert engine.execute(QUERY).rows == twin_engine.execute(QUERY).rows
             assert_same_state(ours, theirs)
-    # Every element of the charge series reached the tracer: the spans'
-    # charges re-accumulate to the stats bit for bit.
+    # Every counted charge reached the tracer with its multiplicity: the
+    # spans' charges re-accumulate to the stats bit for bit.
     folded = fold_trace_charges(tracer.pop_trace())
     assert folded["time"] == dict(executor.stats.time_by_phase)
     assert folded["energy"] == dict(executor.stats.energy_by_component)
@@ -307,7 +310,7 @@ def test_sharded_insert_matches_the_per_record_loop(backend, monkeypatch):
             ours.shards, theirs.shards, executors, twin_executors
         ):
             assert_same_state(shard, twin)
-            assert repr(executor.stats) == repr(twin_executor.stats)
+            assert executor.stats == twin_executor.stats
     # Reused slots were written in place: untouched shards still alias the
     # parent relation's columns on both sides.
     for sharded, relation in zip((ours, theirs), relations):
@@ -319,32 +322,40 @@ def test_sharded_insert_matches_the_per_record_loop(backend, monkeypatch):
 
 
 def test_charge_series_is_the_scalar_fold():
-    """``add_series`` equals one ``add_time`` / ``add_energy`` per element."""
+    """A counted charge equals ``count`` scalar charges, in any interleaving."""
     values = [1e-7, 3.3e-9, 1e-7, 7.7e-12] * 500
-    series, scalar = PimStats(), PimStats()
+    counted, scalar = PimStats(), PimStats()
     seen = []
-    series.trace_hook = lambda kind, key, value: seen.append((kind, key, value))
-    for stats in (series, scalar):
+    counted.trace_hook = lambda *event: seen.append(event)
+    for stats in (counted, scalar):
         stats.add_time("p", 0.1)
         stats.add_energy("write", 0.3)
     seen.clear()
-    series.add_series("time", "p", values)
-    series.add_series("energy", "write", np.array(values))
-    series.add_series("time", "untouched", [])
-    for value in values:
-        scalar.add_time("p", value)
+    for value, count in Counter(values).items():
+        counted.add_time("p", value, count)
+        counted.add_energy("write", np.float64(value), np.int64(count))
+    counted.add_time("untouched", 1.0, 0)
+    for value in reversed(values):
         scalar.add_energy("write", value)
-    assert repr(series) == repr(scalar)
-    assert "untouched" not in series.time_by_phase
-    assert seen == [("time", "p", v) for v in values] + [
-        ("energy", "write", v) for v in values
-    ]
-    assert all(type(v) is float for _, _, v in seen)
-    # Not what a product or a pairwise sum would give.
-    assert scalar.time_by_phase["p"] != 0.1 + float(np.sum(values))
-    with pytest.raises(ValueError):
-        series.add_series("time", "p", [1.0, -1.0])
-    assert repr(series) == repr(scalar)
+        scalar.add_time("p", value)
+    assert counted == scalar and repr(counted) == repr(scalar)
+    assert counted.totals() == scalar.totals()
+    assert "untouched" not in counted.time_by_phase
+    assert sorted(seen) == sorted(
+        (kind, key, value, count)
+        for value, count in Counter(values).items()
+        for kind, key in (("time", "p"), ("energy", "write"))
+    )
+    assert all(type(v) is float and type(n) is int for _, _, v, n in seen)
+    # The exactly rounded sum of the products, whatever order they came in.
+    assert scalar.time_by_phase["p"] == math.fsum(
+        [0.1] + [value * count for value, count in Counter(values).items()]
+    )
+    for bad in (lambda: counted.add_time("p", -1.0), lambda: counted.add_time("p", 1.0, -1),
+                lambda: counted.add_energy("write", 1.0, 1.5)):
+        with pytest.raises(ValueError):
+            bad()
+    assert counted == scalar
 
 
 # ------------------------------------------------------ call-count regression
@@ -386,7 +397,7 @@ def test_insert_and_compaction_calls_do_not_scale_with_the_batch(monkeypatch):
             bank_type, method, counting(method, getattr(bank_type, method))
         )
     for owner, method in (
-        (PimStats, "add_time"), (PimStats, "add_energy"), (PimStats, "add_series"),
+        (PimStats, "add_time"), (PimStats, "add_energy"),
         (PimExecutor, "host_write_field"),
     ):
         monkeypatch.setattr(owner, method, counting(method, getattr(owner, method)))
@@ -398,10 +409,13 @@ def test_insert_and_compaction_calls_do_not_scale_with_the_batch(monkeypatch):
         assert outcome.result.records_inserted == count
         per_batch[count] = dict(calls)
     stores = len(stored.relation.schema.names) + 4 * stored.partitions
+    widths = {
+        width for layout in stored.layouts for _, width in layout.fields.values()
+    } | {1}                                 # the bookkeeping bits
     assert per_batch[10] == per_batch[80] == {
         ("insert", "write_field_cells"): stores,
-        ("insert", "add_series"): 2,        # one time, one energy series
-        ("insert", "add_time"): 1,          # zonemap-maintain
+        ("insert", "add_time"): 2,          # the stores, zonemap-maintain
+        ("insert", "add_energy"): len(widths),    # one per distinct store width
     }
 
     # Compaction: charged like the parent's read-everything/write-everything

@@ -139,8 +139,8 @@ def test_engine_trace_folds_bit_exact(toy_relation, query):
     folded = fold_trace_charges(trace)
     assert folded["time"] == dict(execution.stats.time_by_phase)
     assert folded["energy"] == dict(execution.stats.energy_by_component)
-    # The subtree sum visits spans in tree order, not charge order, so it is
-    # equal up to float re-association only.
+    # The subtree sum adds per-span read-outs, each rounded once, so it is
+    # equal up to that rounding only.
     assert trace.subtree_time_s() == pytest.approx(
         execution.stats.total_time_s, rel=1e-12
     )

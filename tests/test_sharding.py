@@ -258,12 +258,12 @@ def _stored_state(stored):
 
 
 def _assert_sharded_twins_equal(ours, theirs, engines):
-    """Rows, ``repr`` of the merged and per-shard stats, and stored state."""
+    """Rows, the merged and per-shard stats, and stored state."""
     for mine, other in zip(ours, theirs):
         assert mine.rows == other.rows
-        assert repr(mine.stats) == repr(other.stats)
-        assert [repr(e.stats) for e in mine.shard_executions] == [
-            repr(e.stats) for e in other.shard_executions
+        assert mine.stats == other.stats
+        assert [e.stats for e in mine.shard_executions] == [
+            e.stats for e in other.shard_executions
         ]
     for mine, other in zip(*(engine.sharded.shards for engine in engines)):
         for a, b in zip(_stored_state(mine), _stored_state(other)):
