@@ -24,7 +24,16 @@ number or stored bit:
   K masks are taken against the pre-group-by column state, which is sound
   because distinct full group keys select *disjoint* row sets: subgroup
   ``k``'s mask computed against the pre-loop filter state equals the
-  sequential result after ``k-1`` clears.
+  sequential result after ``k-1`` clears.  They live, and stay, in the
+  conjunction kernel's ``(K, candidate crossbars, ...)`` value in the bank's
+  native representation (packed words on the default bank) — the paper's
+  one mask column per subgroup — and three readers take what they need from
+  it: the first and the last key's bits, the only two that are stored
+  (``kernel_to_bool`` of one slice); the OR over the keys, for the pruning
+  invariant and the last clear; and the masked cells of the selected rows
+  (``kernel_gather``), for the aggregates.  A remote partition's value is
+  re-indexed along its crossbar axis and ANDed into the primary's remote
+  input as it is.  Nothing of shape ``(K, crossbars, rows)`` is decoded.
 
 * **One decode and one segmented reduction per aggregate.**  The
   aggregation circuit's functional result is ``aggregate_reference`` over a
@@ -107,13 +116,6 @@ def _candidate_idx(prune, partition: int) -> np.ndarray | None:
     return np.nonzero(np.asarray(prune.candidates[partition], dtype=bool))[0]
 
 
-def _pad_rows(bits: np.ndarray, bank) -> np.ndarray:
-    """Expand ``(K, records)`` bits to the bank's ``(K, count, rows)`` shape."""
-    full = np.zeros((len(bits), bank.count * bank.rows), dtype=bool)
-    full[:, : bits.shape[1]] = bits
-    return full.reshape(len(bits), bank.count, bank.rows)
-
-
 def _run_partition_batch(
     stored,
     partition: int,
@@ -121,7 +123,7 @@ def _run_partition_batch(
     values: np.ndarray,
     remote,
     prune,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate a template for ``K`` group keys on one partition's bank.
 
     ``values[k]`` holds key ``k``'s encoded values of
@@ -131,16 +133,19 @@ def _run_partition_batch(
     (padding stays zero) stacked over the *distinct* values of its
     attribute, so one kernel run yields each attribute's equality once per
     distinct value; the conjunction kernel then runs on those gathered per
-    key.  Returns the ``(K, count, rows)`` masks against the partition's
-    *pre-batch* state, functionally.  Under pruning the kernels run on the
-    candidate crossbars only and the skipped crossbars' bits are zero,
-    matching pruned reference execution.
+    key.  Returns the conjunction's ``(K, n, ...)`` value — the masks against
+    the partition's *pre-batch* state, still in the bank's native kernel
+    representation — and the index of the ``n`` crossbars it covers (``None``:
+    all of them).  Under pruning the kernels run on the candidate crossbars
+    only; a skipped crossbar is not in the value and its bits are zero,
+    matching pruned reference execution.  Nothing is decoded here: the
+    readers are :func:`_mask_bits` and :func:`_subgroup_segments`.
     """
     bank = stored.allocations[partition].bank
-    masks = np.zeros((len(values), bank.count, bank.rows), dtype=bool)
     xbars = _candidate_idx(prune, partition)
     if xbars is not None and xbars.size == 0:
-        return masks
+        empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
+        return bank.kernel_from_bool(empty), xbars
     equality, conjunction = _compile_group_batch(template)
     ones = bank.kernel_ones()
     zero = np.bitwise_xor(ones, ones)
@@ -161,24 +166,55 @@ def _run_partition_batch(
     ):
         bound[0, column] = mismatch[inverse]
     (((_, value),),) = conjunction.run(bank, xbars, bound)
-    masks[:, slice(None) if xbars is None else xbars] = bank.kernel_to_bool(value)
-    return masks
+    return value, xbars
+
+
+def _mask_bits(bank, value, xbars, num_records: int) -> np.ndarray:
+    """One mask of a :func:`_run_partition_batch` value — a key's ``(n, ...)``
+    slice or an OR over keys — as one bool per slot in use."""
+    bits = bank.kernel_to_bool(value)
+    if xbars is not None:
+        full = np.zeros((bank.count, bank.rows), dtype=bool)
+        full[xbars] = bits
+        bits = full
+    return bits.reshape(-1)[:num_records]
+
+
+def _on_crossbars(value, xbars, target, count: int):
+    """Re-index a ``(K, n, ...)`` value along its crossbar axis, from the
+    crossbars ``xbars`` to the crossbars ``target`` (``None``: all ``count``);
+    a target crossbar the value does not cover reads zero.  Every partition
+    of a relation maps a slot to the same ``(crossbar, row)``, so this is all
+    that moving a mask between partitions takes."""
+    if xbars is not None:
+        full = np.zeros(
+            (len(value), count) + value.shape[2:], dtype=value.dtype
+        )
+        full[:, xbars] = value
+        value = full
+    return value if target is None else value[:, target]
 
 
 def _subgroup_segments(
-    mask_bits: np.ndarray, selected: np.ndarray, count: int, rows: int
+    bank, value, xbars, selected: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of all ``K`` subgroups, sorted by ``(key, crossbar)``.
 
-    ``mask_bits`` is ``(K, records)`` with pairwise disjoint rows, each a
-    subset of the (sorted) record indices ``selected``, on a bank of
-    ``count`` crossbars of ``rows`` rows.  Returns the record index of every
-    masked row, the start of each run of rows sharing a key and a crossbar,
-    and each run's flat index into a ``(K, count)`` table.
+    ``value`` and ``xbars`` are what :func:`_run_partition_batch` returned on
+    ``bank``: ``K`` masks with pairwise disjoint rows, each a subset of the
+    (sorted) record indices ``selected``, all on crossbars the value covers.
+    Only the selected cells are read (``kernel_gather``).  Returns the
+    record index of every masked row, the start of each run of rows sharing
+    a key and a crossbar, and each run's flat index into a ``(K, count)``
+    table.
     """
-    key_of, position = np.nonzero(mask_bits[:, selected])
-    records = selected[position]
-    cell_of = key_of * count + records // rows
+    crossbar = selected // bank.rows
+    position = crossbar if xbars is None else np.searchsorted(xbars, crossbar)
+    key_of, index = np.nonzero(
+        bank.kernel_gather(value, position, selected % bank.rows)
+    )
+    records = selected[index]
+    cell_of = key_of * bank.count + crossbar[index]
     starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
     return records, starts, cell_of[starts]
 
@@ -252,7 +288,7 @@ def run_group_by_batched(
     # All of this runs against the pre-group-by column state, before any
     # store below.
     def batch(partition: int, filter_column: int, remote=None):
-        """One partition's per-key program cycles and ``(K, count, rows)`` masks."""
+        """One partition's per-key program cycles, masks value and its crossbars."""
         template = compiler.group_template(
             by_partition.get(partition, ()), stored.layouts[partition],
             filter_column, include_remote=remote is not None,
@@ -260,17 +296,12 @@ def run_group_by_batched(
         values = key_table[
             :, [group_attributes.index(name) for name in template.attributes]
         ]
-        masks = _run_partition_batch(
+        return template.cycles(values), *_run_partition_batch(
             stored, partition, template, values, remote, prune
         )
-        return template.cycles(values), masks
-
-    def per_record(masks: np.ndarray) -> np.ndarray:
-        return masks.reshape(len(keys), -1)[:, :num_records]
 
     def remote_batch(partition: int):
-        cycles, masks = batch(partition, stored.layouts[partition].valid_column)
-        return cycles, per_record(masks)
+        return batch(partition, stored.layouts[partition].valid_column)
 
     pool = getattr(engine, "scatter_pool", None)
     if pool is not None and len(remote_partitions) > 1:
@@ -285,15 +316,16 @@ def run_group_by_batched(
     }
     primary_idx = candidate_idx[primary]
     if remote_partitions:
-        remote_rows = _pad_rows(
-            np.logical_and.reduce([bits for _, bits in remote_batches]), bank
-        )
-        if primary_idx is not None:
-            remote_rows = remote_rows[:, primary_idx]
-        remote = bank.kernel_from_bool(remote_rows)
-    combine_cycles, mask_rows = batch(primary, primary_layout.filter_column, remote)
-    mask_bits = per_record(mask_rows)
-    union = mask_bits.any(axis=0)
+        remote = np.bitwise_and.reduce([
+            _on_crossbars(value, xbars, primary_idx, bank.count)
+            for _, value, xbars in remote_batches
+        ])
+    combine_cycles, mask_value, _ = batch(
+        primary, primary_layout.filter_column, remote
+    )
+    union = _mask_bits(
+        bank, np.bitwise_or.reduce(mask_value, axis=0), primary_idx, num_records
+    )
 
     # ------------------------------------------------- batched bookkeeping
     selected = np.nonzero(mask)[0]
@@ -355,9 +387,13 @@ def run_group_by_batched(
     for index in sorted({0, last}):
         running: np.ndarray | None = None
         for position, partition in enumerate(remote_partitions):
-            cycles, group_bits = remote_batches[position]
+            cycles, value, xbars = remote_batches[position]
             store_program(
-                partition, mask_program(partition, cycles, index), group_bits[index]
+                partition, mask_program(partition, cycles, index),
+                _mask_bits(
+                    stored.allocations[partition].bank, value[index], xbars,
+                    num_records,
+                ),
             )
             transferred = read_model.transfer_bit_column(
                 stored,
@@ -376,13 +412,11 @@ def run_group_by_batched(
                 store_program(
                     primary, fold_program, fold_bits, fold_pruned(fold_program)
                 )
-        store_program(
-            primary, mask_program(primary, combine_cycles, index), mask_bits[index]
-        )
+        bits = _mask_bits(bank, mask_value[index], primary_idx, num_records)
+        store_program(primary, mask_program(primary, combine_cycles, index), bits)
         # The clear leaves the selection minus the (disjoint) masks so far.
         store_program(
-            primary, clear_program,
-            mask & ~(mask_bits[0] if index == 0 else union),
+            primary, clear_program, mask & ~(bits if index == 0 else union)
         )
 
     # --------------------------- every key in between: charged by multiplicity
@@ -409,7 +443,7 @@ def run_group_by_batched(
 
     middle = last - 1
     if middle > 0:
-        for partition, (cycles, _) in zip(remote_partitions, remote_batches):
+        for partition, (cycles, *_) in zip(remote_partitions, remote_batches):
             charge_programs(partition, Counter(cycles[1:last].tolist()))
         read_model.charge_bit_column_transfer(
             stored, "pim-gb-transfer", count=middle * remote_count
@@ -430,7 +464,7 @@ def run_group_by_batched(
     min_identity = engine.aggregation_stage.min_identity(primary)
     circuit_runs = primary_idx is None or primary_idx.size > 0
     records, starts, cells = _subgroup_segments(
-        mask_bits, selected, bank.count, bank.rows
+        bank, mask_value, primary_idx, selected
     )
     decoded: dict[str, np.ndarray] = {}
     combined: dict[str, list[int | None]] = {}

@@ -26,6 +26,7 @@ Table II.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -42,13 +43,7 @@ from repro.core.stages import (
     GroupMaskStage,
     ProgramCompiler,
 )
-from repro.db.query import (
-    Query,
-    And,
-    attributes_referenced,
-    conj,
-    evaluate_predicate,
-)
+from repro.db.query import Query, And, attributes_referenced
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import host_group_aggregate, merge_group_results
 from repro.host.readpath import HostReadModel
@@ -617,38 +612,33 @@ class PimQueryEngine:
         This captures the functional dependencies inside a dimension — for
         example ``p_brand1`` is restricted to the 40 brands of the selected
         ``p_category`` — and is catalog information, not charged to the
-        query's execution time.
+        query's execution time — nor recomputed while the data stands:
+        :meth:`StoredRelation.group_domain` scans for a domain once per data
+        version, so a replay gets the same list, in the same order, from a
+        lookup per attribute.
         """
-        import itertools
-
-        relation = self.stored.relation
-        schema = relation.schema
+        schema = self.stored.relation.schema
         predicate = query.predicate
         nodes = list(predicate.children) if isinstance(predicate, And) else (
             [predicate] if predicate is not None else []
         )
-
-        domains: list[list[int]] = []
-        for group_attribute in query.group_by:
-            source = schema.attribute(group_attribute).source
-            same_source_conjuncts = [
-                node for node in nodes
-                if attributes_referenced(node)
-                and all(
-                    schema.attribute(name).source == source
-                    for name in attributes_referenced(node)
-                )
-            ]
-            mask = evaluate_predicate(conj(*same_source_conjuncts), relation)
-            values = np.unique(relation.column(group_attribute)[mask])
-            if values.size == 0:
-                values = np.unique(relation.column(group_attribute))
-            domains.append([int(v) for v in values])
-
+        referenced = [
+            {schema.attribute(name).source for name in attributes_referenced(node)}
+            for node in nodes
+        ]
+        domains = [
+            self.stored.group_domain(
+                group_attribute,
+                tuple(
+                    node for node, sources in zip(nodes, referenced)
+                    if sources == {schema.attribute(group_attribute).source}
+                ),
+            )
+            for group_attribute in query.group_by
+        ]
         if not domains:
             return []
-        candidates = [tuple(combo) for combo in itertools.product(*domains)]
-        return candidates
+        return list(itertools.product(*domains))
 
     def _group_selected(
         self, mask: np.ndarray, group_attributes: Sequence[str], key: GroupKey

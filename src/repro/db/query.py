@@ -134,6 +134,9 @@ class Query:
     def __post_init__(self) -> None:
         if not self.aggregates:
             raise ValueError("a query needs at least one aggregate")
+        for name in self.group_by:
+            if self.group_by.count(name) > 1:
+                raise ValueError(f"GROUP-BY attribute {name!r} is repeated")
 
     @property
     def filter_attributes(self) -> list[str]:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import OrderedDict
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.db.encoding import RowLayout
+from repro.db.query import conj, evaluate_predicate
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.pim.module import PimAllocation, PimModule
@@ -34,6 +36,10 @@ from repro.pim.module import PimAllocation, PimModule
 #: for 27-bit and loses 8-20x at 100 %.  A warm pass of each ``perf/`` workload
 #: asks for at most 3.1 % per call (medians <= 0.32 %); ``fig4_model`` for 80 %.
 GATHER_MAX_SHARE = 1 / 32
+
+
+#: Entries :meth:`StoredRelation.group_domain` keeps (least recently used out).
+_DOMAIN_MEMO_CAPACITY = 64
 
 
 class RelationFullError(RuntimeError):
@@ -124,6 +130,10 @@ class StoredRelation:
         # so reuse fills the lowest slots first) and the live-row counter.
         self._free_slots: list[int] = []
         self.live_count = self.num_records
+        # Bumped by every hook a ground-truth writer goes through; part of the
+        # key of the group-domain memo, whose stale entries simply age out.
+        self._data_version = 0
+        self._domain_memo: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
         self._load()
         # Per-crossbar "this bookkeeping column may hold ones" flags, one lazy
         # map per vertical partition keyed by column index (filter and group
@@ -255,6 +265,7 @@ class StoredRelation:
         for slot in slots:
             heapq.heappush(self._free_slots, int(slot))
         self.live_count -= len(slots)
+        self._data_version += 1
         # Count-decrement the zone maps: a tombstoned value may keep a
         # crossbar a candidate (bounds stay wide), never hide a live match.
         # Candidate-cache epochs are deliberately NOT bumped here — the
@@ -269,6 +280,7 @@ class StoredRelation:
         the records landed in, so cached pruning verdicts re-validate just
         those crossbars.
         """
+        self._data_version += 1
         self.statistics.note_insert(slots, columns)
 
     def note_update(self, attribute: str, encoded: int, mask: np.ndarray) -> None:
@@ -282,6 +294,7 @@ class StoredRelation:
         slots = np.nonzero(np.asarray(mask, dtype=bool))[0]
         if slots.size == 0:
             return
+        self._data_version += 1
         crossbars = np.unique(slots // self.rows_per_crossbar)
         old_values = self.relation.columns[attribute][slots]
         self.statistics.note_update(attribute, encoded, crossbars, old_values)
@@ -290,12 +303,34 @@ class StoredRelation:
         """All live rows were rewritten densely into the lowest slots."""
         self._free_slots = []
         self.num_records = self.live_count
+        self._data_version += 1
         # Compaction rewrote every row and scrubbed the bookkeeping columns:
         # rebuild the statistics exactly and mark every tracked column clean.
         self.statistics.rebuild(self.relation)
         for dirty in self._column_dirty:
             for mask in dirty.values():
                 mask[:] = False
+
+    def group_domain(self, attribute: str, conjuncts: tuple) -> tuple[int, ...]:
+        """Sorted distinct values of ``attribute`` over the slots in use that
+        satisfy every predicate in ``conjuncts`` — over all of them when none
+        does.  Catalogue knowledge, scanned once per data version: a replay
+        between two DML statements is a dictionary lookup."""
+        key = (self._data_version, attribute, conjuncts)
+        domain = self._domain_memo.get(key)
+        if domain is None:
+            column = self.relation.column(attribute)
+            values = np.unique(
+                column[evaluate_predicate(conj(*conjuncts), self.relation)]
+            )
+            if values.size == 0:
+                values = np.unique(column)
+            domain = self._domain_memo[key] = tuple(values.tolist())
+            if len(self._domain_memo) > _DOMAIN_MEMO_CAPACITY:
+                self._domain_memo.popitem(last=False)
+        else:
+            self._domain_memo.move_to_end(key)
+        return domain
 
     # ------------------------------------------------------- column dirtiness
     def column_dirty_mask(self, partition: int, column: int) -> np.ndarray:

@@ -5,7 +5,13 @@ flat instruction list and evaluates it with whole-array NumPy bitwise
 expressions.  One kernel serves both backends: it only touches a bank
 through the four-method kernel surface (``kernel_read`` / ``kernel_write``
 / ``kernel_ones`` / ``add_wear``), which the packed bank implements over
-``uint64`` words and the boolean reference bank over its bool cube.
+``uint64`` words and the boolean reference bank over its bool cube.  A
+caller holding a :class:`BatchKernel` value reads it through the other
+three: ``kernel_to_bool`` / ``kernel_from_bool`` convert a whole value and
+``kernel_gather`` reads listed cells of a stack of values without decoding
+the rest; between them a value only meets NumPy's bitwise ufuncs and
+indexing along its leading (stack, crossbar) axes, which mean the same on
+both representations.
 
 The NOR itself is computed as ``(a | b | ...) ^ ones``: on the packed
 backend every value in the dataflow keeps its padding bits zero (inputs by

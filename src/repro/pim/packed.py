@@ -365,6 +365,15 @@ class PackedCrossbarBank:
         """
         return self._pack_rows(np.asarray(values, dtype=bool))
 
+    def kernel_gather(self, value, positions, rows) -> np.ndarray:
+        """Cells ``(positions[i], rows[i])`` of each of the ``K`` stacked values
+        ``(K, n, words)``: ``kernel_to_bool(value)[:, positions, rows]``, bool
+        ``(K, len(rows))``, without unpacking the rest; validated first."""
+        positions, rows = check_cell_index(self, positions, rows, value.shape[-2])
+        words = value[:, positions, rows // _WORD_BITS]
+        words &= _ONE << (rows % _WORD_BITS).astype(np.uint64)
+        return words != 0
+
     def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
         """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""
         if xbars is None:

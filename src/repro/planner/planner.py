@@ -87,6 +87,9 @@ class RelationStatistics:
         # the same predicate back to back, and serving workloads replay
         # predicates.
         self._plan_cache: OrderedDict[object, _PlanEntry] = OrderedDict()
+        # estimate() memo, keyed on (predicate, _version): the router's and
+        # the engine's estimate of one predicate are one computation.
+        self._estimate_cache: OrderedDict[tuple, float] = OrderedDict()
 
     @classmethod
     def from_stored(cls, stored) -> RelationStatistics:
@@ -220,7 +223,15 @@ class RelationStatistics:
 
     def estimate(self, predicate: Predicate) -> float:
         """Estimated selected fraction of the live records."""
-        return self.selectivity.estimate(predicate)
+        key = (predicate, self._version)
+        fraction = self._estimate_cache.get(key)
+        if fraction is None:
+            fraction = self._estimate_cache[key] = self.selectivity.estimate(predicate)
+            if len(self._estimate_cache) > _PLAN_CACHE_CAPACITY:
+                self._estimate_cache.popitem(last=False)
+        else:
+            self._estimate_cache.move_to_end(key)
+        return fraction
 
     # -------------------------------------------------------------- feedback
     def observe_execution(

@@ -42,7 +42,9 @@ from repro.db.storage import StoredRelation
 from repro.pim import arithmetic
 from repro.pim.arithmetic import aggregate_reference
 from repro.pim.controller import PimExecutor
+from repro.pim.crossbar import CrossbarBank
 from repro.pim.module import PimModule
+from repro.pim.packed import PackedCrossbarBank, make_bank
 from repro.pim.stats import PimStats
 from repro.service import QueryService
 from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
@@ -261,11 +263,13 @@ def _segment_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_segment_cases(), subset=st.booleans())
-def test_segmented_partials_equal_aggregate_reference(case, subset):
+@given(case=_segment_cases(), subset=st.booleans(), backend=st.sampled_from(BACKENDS))
+def test_segmented_partials_equal_aggregate_reference(case, subset, backend):
     """All K x crossbar partials from one ``reduceat`` equal the per-key
     ``aggregate_reference``: sums wrap at the accumulator width (and at
-    2**64), untouched crossbars hold the identity, empty subgroups too."""
+    2**64), untouched crossbars hold the identity, empty subgroups too —
+    with the masks read from the bank's native kernel value, broadcast or on
+    the candidate crossbars only."""
     count, rows, keys, width, values, owner, xbars, operation = case
     values = np.array(values, dtype=np.uint64).reshape(count, rows)
     owner = np.array(owner)
@@ -277,7 +281,17 @@ def test_segmented_partials_equal_aggregate_reference(case, subset):
     mask_bits = owner[None, :] == np.arange(keys)[:, None]
     selected = np.nonzero(owner > -2)[0]
 
-    records, starts, cells = _subgroup_segments(mask_bits, selected, count, rows)
+    bank = make_bank(backend, count, rows, 1)
+    padded = np.zeros((keys, count * rows), dtype=bool)
+    padded[:, : len(owner)] = mask_bits
+    value = bank.kernel_from_bool(padded.reshape(keys, count, rows))
+    covered = None
+    if subset:
+        covered = np.array(xbars, dtype=np.int64)
+        value = value[:, covered]
+    records, starts, cells = _subgroup_segments(bank, value, covered, selected)
+    # Sorted by (key, record), exactly like a scan of the decoded masks.
+    assert np.array_equal(records, selected[np.nonzero(mask_bits[:, selected])[1]])
     gathered = values.reshape(-1)[records]
     if operation == "count":
         gathered = np.ones(len(records), dtype=np.uint64)
@@ -389,7 +403,7 @@ def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
     }
 
 
-def _charge_service(execution, subgroups, pruning, partitions):
+def _charge_service(execution, subgroups, pruning, partitions, backend="packed"):
     rng = np.random.default_rng(23)
     schema = Schema("c", [
         int_attribute("key", 6), int_attribute("bucket", 1),
@@ -400,7 +414,7 @@ def _charge_service(execution, subgroups, pruning, partitions):
         "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
         "value": np.sort(rng.integers(0, 256, 3000).astype(np.uint64)),
     })
-    config = DEFAULT_CONFIG.with_execution(execution)
+    config = DEFAULT_CONFIG.with_execution(execution).with_backend(backend)
     stored = StoredRelation(
         relation, PimModule(config), label="c", aggregation_width=20,
         partitions=partitions,
@@ -493,6 +507,54 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
         service.close()
         reference.close()
     assert fixed[8] == fixed[64]
+
+
+@pytest.mark.parametrize("partitions", [None, [["value"], ["key"], ["bucket"]]])
+@pytest.mark.parametrize("pruning", [False, True])
+def test_group_by_mask_decodes_do_not_scale_with_subgroups(
+    monkeypatch, pruning, partitions
+):
+    """8 or 64 subgroups: the K masks stay in the bank's kernel words and the
+    same few are decoded — the first and the last key's per partition and
+    the primary's union, never a ``(K, crossbars, rows)`` array — while rows,
+    ``PimStats``, stored bits, dirty marks and wear stay the oracle's."""
+    query = Query(
+        "decoded", Comparison("value", "<", 120),
+        (Aggregate("sum", "value"), Aggregate("count"), Aggregate("max", "value")),
+        group_by=("key", "bucket"),
+    )
+    remote_partitions = 0 if partitions is None else 2
+    for backend in BACKENDS:
+        decoded = {}
+        for subgroups in (8, 64):
+            service, stored = _charge_service(
+                "batched", subgroups, pruning, partitions, backend
+            )
+            reference, reference_stored = _charge_service(
+                "dispatch", subgroups, pruning, partitions, backend
+            )
+            bank = stored.allocations[0].bank
+            sizes = []
+            with monkeypatch.context() as patch:
+                for bank_type in (CrossbarBank, PackedCrossbarBank):
+                    def counting(self, value, inner=bank_type.kernel_to_bool):
+                        bits = inner(self, value)
+                        sizes.append(bits.size)
+                        return bits
+                    patch.setattr(bank_type, "kernel_to_bool", counting)
+                execution = service.execute(query)
+            assert execution.pim_subgroups == execution.total_subgroups == subgroups
+            decoded[subgroups] = sizes
+            assert 0 < sum(sizes) <= (3 + 2 * remote_partitions) * bank.count * bank.rows
+
+            twin = reference.execute(query)
+            assert execution.rows == twin.rows and len(twin.rows) == subgroups
+            assert execution.stats == twin.stats
+            _assert_same_stored_state(stored, reference_stored)
+            assert service.state_digest() == reference.state_digest()
+            service.close()
+            reference.close()
+        assert decoded[8] == decoded[64]
 
 
 # --------------------------------------------------------------- scatter pool

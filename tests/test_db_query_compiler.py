@@ -46,6 +46,30 @@ def test_comparison_validation():
         Aggregate("sum")
 
 
+def test_repeated_group_by_attribute_is_rejected(toy_stored):
+    """``GROUP BY year, year`` used to run with |domain|**2 candidate keys of
+    arity 2; it is refused at construction, before anything is planned,
+    charged or written — also for a query on its way into a service."""
+    from repro.service import QueryService
+
+    aggregates = (Aggregate("count"),)
+    with pytest.raises(ValueError, match="GROUP-BY attribute 'year' is repeated"):
+        Query("q", None, aggregates, group_by=("year", "year"))
+    with pytest.raises(ValueError, match="'city'"):
+        Query("q", None, aggregates, group_by=("year", "city", "region", "city"))
+    assert Query("q", None, aggregates, group_by=("year", "city")).group_by == (
+        "year", "city",
+    )
+
+    service = QueryService()
+    service.register("toy", toy_stored)
+    before = service.state_digest()
+    with pytest.raises(ValueError, match="repeated"):
+        service.execute(Query("q", None, aggregates, group_by=["year", "year"]))
+    assert service.state_digest() == before
+    service.close()
+
+
 def test_query_metadata_helpers():
     query = Query(
         "q",

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.core import batched, stages
-from repro.core.batched import _pad_rows, _run_partition_batch
+from repro.core.batched import _run_partition_batch
 from repro.core.latency_model import (
     GroupByCostModel,
     HostGbLatencyModel,
@@ -91,6 +91,9 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
         layout = stored.layouts[0]
         bank = stored.allocations[0].bank
         stored.write_bit_column(0, layout.filter_column, filter_bits, count_wear=False)
+        remote_rows = np.zeros((len(keys), bank.count * bank.rows), dtype=bool)
+        remote_rows[:, :RECORDS] = remote_bits
+        remote_rows = remote_rows.reshape(len(keys), bank.count, bank.rows)
         prune = xbars = None
         if subset:
             candidates = np.zeros(bank.count, dtype=bool)
@@ -105,10 +108,19 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
             template = GroupMaskTemplate(grouped, layout, filter_column, remote)
             bound = None
             if remote:
-                rows = _pad_rows(remote_bits, bank)
-                bound = bank.kernel_from_bool(rows if xbars is None else rows[:, xbars])
-            masks = _run_partition_batch(stored, 0, template, values, bound, prune)
-            assert masks.shape == (len(keys), bank.count, bank.rows)
+                bound = bank.kernel_from_bool(
+                    remote_rows if xbars is None else remote_rows[:, xbars]
+                )
+            value, covered = _run_partition_batch(
+                stored, 0, template, values, bound, prune
+            )
+            assert (covered is None) if xbars is None else np.array_equal(covered, xbars)
+            # A template without attributes or remote input passes the filter
+            # column through unstacked; production never builds one.
+            masks = np.broadcast_to(
+                bank.kernel_to_bool(value),
+                (len(keys), bank.count if xbars is None else len(xbars), bank.rows),
+            )
 
             for index, key in enumerate(keys):
                 group_values = dict(zip(grouped, key))
@@ -125,17 +137,15 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
 
                 scratch = copy.deepcopy(bank)
                 if remote:
-                    scratch.write_bool_column(
-                        layout.remote_column, _pad_rows(remote_bits, bank)[index]
-                    )
+                    scratch.write_bool_column(layout.remote_column, remote_rows[index])
                 if xbars is None:
                     program.execute(scratch)
                 else:
                     program.execute_at(scratch, xbars)
                 expected = scratch.read_column(layout.group_column)
-                assert np.array_equal(masks[index], expected)
                 if xbars is not None:
-                    assert not masks[index][~candidates].any()
+                    expected = expected[xbars]
+                assert np.array_equal(masks[index], expected)
 
 
 def test_eq_const_cycles_is_the_builder_count():

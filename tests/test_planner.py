@@ -695,3 +695,152 @@ def test_service_batch_reports_candidate_cache_counters():
     assert candidates is not None
     assert candidates.misses == 0 and candidates.revalidations > 0
     assert 0 < candidates.entries_checked < cold_entries
+
+
+# ------------------------------------------- decided once per version: memos
+MEMO_QUERY = Query(
+    "memo", And((
+        Comparison("key", "between", low=0, high=4000),     # fact: no bearing
+        Comparison("city", "!=", "LYON"),                   # dim: restricts
+    )),
+    (Aggregate("sum", "value"), Aggregate("count")),
+    group_by=("city",),
+)
+
+
+def _memo_service(shards):
+    """A relation holding LYON and OSLO only, unsharded or as four shards."""
+    relation = clustered_relation()
+    relation.columns["city"] %= 2
+    service = QueryService(planner=False)       # always the PIM engines
+    if shards == 1:
+        service.register("pl", _store(relation), timing_scale=1024.0)
+        stores = [service.engine().stored]
+        engines = [service.engine()]
+    else:
+        service.register_sharded("pl", relation, shards=shards, timing_scale=1024.0)
+        stores = service.engine().sharded.shards
+        engines = service.engine().shard_engines
+    return service, stores, engines
+
+
+def _fresh_candidate_groups(stored, query):
+    """``_candidate_groups`` of a new engine over a new store of the same
+    slot-aligned ground truth: nothing memoised anywhere."""
+    truth = Relation(stored.relation.schema, {
+        name: column.copy() for name, column in stored.relation.columns.items()
+    })
+    return PimQueryEngine(_store(truth))._candidate_groups(query)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_candidate_domains_follow_every_ground_truth_writer(shards):
+    """INSERT of a never-held value, UPDATE to a new value, DELETE + forced
+    compaction of a value's last row, DELETE alone: the memoised candidate
+    list is the freshly computed one (same order) and the rows are the
+    columnar reference's over the live relation."""
+    from repro.columnar.engine import ColumnarEngine
+    from repro.sharding import execute_sharded_update
+
+    service, stores, engines = _memo_service(shards)
+    code = {city: planner_schema().attribute("city").encode_value(city) for city in CITIES}
+
+    def check(expected_cities):
+        for _ in range(2):                                  # miss, then hit
+            union = set()
+            for stored, engine in zip(stores, engines):
+                groups = engine._candidate_groups(MEMO_QUERY)
+                assert groups == _fresh_candidate_groups(stored, MEMO_QUERY)
+                union.update(groups)
+            assert union == {(code[city],) for city in expected_cities}
+            storage = service.engine().sharded if shards > 1 else stores[0]
+            reference = ColumnarEngine().execute_prejoined(
+                MEMO_QUERY, storage.live_relation()
+            )
+            assert service.execute(MEMO_QUERY).rows == reference.rows
+
+    check({"OSLO"})
+    service.insert([{"key": 77, "value": 5, "city": "PERTH"}])
+    check({"OSLO", "PERTH"})
+    if shards == 1:
+        execute_update(
+            stores[0], Comparison("city", "==", "OSLO"), {"city": "QUITO"},
+            PimExecutor(DEFAULT_CONFIG),
+        )
+    else:
+        execute_sharded_update(
+            service.engine().sharded, Comparison("city", "==", "OSLO"),
+            {"city": "QUITO"},
+        )
+    check({"PERTH", "QUITO"})
+    service.delete(Comparison("city", "==", "PERTH"))
+    service.compact(force=True)
+    check({"QUITO"})
+    service.delete(Comparison("key", "<", 500))
+    check({"QUITO"})
+    service.close()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
+    """Between two DML statements a GROUP-BY replay evaluates no ground-truth
+    predicate for its candidate domains and estimates its predicate once for
+    router and engine; an adaptive histogram rebuild retires the estimates
+    and leaves the domains alone."""
+    from repro.db import storage
+
+    service, stores, engines = _memo_service(shards)
+    scans = []
+    monkeypatch.setattr(
+        storage, "evaluate_predicate",
+        lambda *args, inner=storage.evaluate_predicate: scans.append(1) or inner(*args),
+    )
+    estimates = []
+    for stored in stores:
+        model = stored.statistics.selectivity
+        monkeypatch.setattr(
+            model, "estimate",
+            lambda predicate, inner=model.estimate: (
+                estimates.append(predicate is MEMO_QUERY.predicate)
+                or inner(predicate)
+            ),
+        )
+    for engine in engines:
+        CostPlanner().route(MEMO_QUERY, engine)
+    first = service.execute(MEMO_QUERY)
+    assert len(scans) == len(stores) and sum(estimates) == len(stores)
+    replay = service.execute(MEMO_QUERY)
+    assert replay.rows == first.rows
+    assert replay.total_subgroups == first.total_subgroups
+    assert len(scans) == len(stores) and sum(estimates) == len(stores)
+
+    statistics = stores[0].statistics
+    probe = Comparison("key", "<", 5)
+    before = statistics.estimate(probe)
+    while not statistics.observe_execution(probe, 1.0, 0.0, 1, stored=stores[0]):
+        pass
+    assert statistics.estimate(probe) == statistics.selectivity.estimate(probe) != before
+    assert statistics.estimate(MEMO_QUERY.predicate) > 0
+    assert sum(estimates) == len(stores) + 1                # re-estimated once
+    assert engines[0]._candidate_groups(MEMO_QUERY)
+    assert len(scans) == len(stores)                        # domains stand
+    service.close()
+
+
+def test_memos_stay_within_their_capacity():
+    from repro.db.storage import _DOMAIN_MEMO_CAPACITY
+    from repro.planner.planner import _PLAN_CACHE_CAPACITY
+
+    stored = _store(clustered_relation())
+    statistics = stored.statistics
+    predicates = [Comparison("key", "<=", bound) for bound in range(1000)]
+    for predicate in predicates:
+        assert statistics.estimate(predicate) == statistics.selectivity.estimate(predicate)
+        domain = stored.group_domain("city", (predicate,))
+        assert domain == stored.group_domain("city", (predicate,))
+        assert len(statistics._estimate_cache) <= _PLAN_CACHE_CAPACITY
+        assert len(stored._domain_memo) <= _DOMAIN_MEMO_CAPACITY
+    assert len(stored._domain_memo) == _DOMAIN_MEMO_CAPACITY
+    assert len(statistics._estimate_cache) == _PLAN_CACHE_CAPACITY
+    assert (0, "city", (predicates[-1],)) in stored._domain_memo
+    assert (0, "city", (predicates[0],)) not in stored._domain_memo
