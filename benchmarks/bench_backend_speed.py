@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-service", action="store_true",
-        help="skip the vectorized service-batch comparison",
+        help="skip the service-batch comparison",
     )
     parser.add_argument(
         "--no-fused", action="store_true",

@@ -3,9 +3,9 @@
 This example stores a sales relation in the simulated PIM module, registers
 it with a :class:`~repro.service.service.QueryService`, and serves a mixed
 batch of analytical queries twice.  The service shares one compiled-program
-cache across the batch (the second replay compiles nothing) and uses the
-vectorized host paths, which are bit-exact with the gate-level NOR
-simulation — the example verifies both against a plain sequential engine.
+cache across the batch (the second replay compiles nothing) and evaluates
+every filter on the stored bits through the same kernels as a plain
+sequential engine — the example verifies its rows against one.
 
 Run with::
 
@@ -79,7 +79,7 @@ def main() -> None:
 
     # --- the service API ---------------------------------------------------
     # One service, any number of registered relations; engines share the
-    # service's program cache and run the vectorized host paths.
+    # service's program cache.
     service = QueryService(cache_capacity=256)
     service.register("sales", stored)
 

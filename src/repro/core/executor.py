@@ -132,7 +132,6 @@ class PimQueryEngine:
         sample_pages: int = 1,
         timing_scale: float = 1.0,
         compiler: ProgramCompiler | None = None,
-        vectorized: bool = False,
         pruning: bool = False,
         filter_stage: FilterStage | None = None,
         group_stage: GroupMaskStage | None = None,
@@ -160,9 +159,6 @@ class PimQueryEngine:
             compiler: Program compiler shared by the stages; inject a
                 :class:`~repro.service.cache.ProgramCache` to reuse compiled
                 NOR programs across queries.
-            vectorized: Compute filter and group-mask bits with one NumPy
-                pass instead of simulating every NOR primitive (identical
-                results, wear and statistics; see :mod:`repro.core.stages`).
             pruning: Consult the relation's zone maps before every filter
                 and broadcast the NOR program (and the aggregation-circuit
                 pass) only to candidate crossbars — bit-exact with the full
@@ -200,16 +196,13 @@ class PimQueryEngine:
         self.cost_model = cost_model
         self.planner = GroupByPlanner(cost_model)
         self.compiler = compiler if compiler is not None else ProgramCompiler()
-        self.vectorized = bool(vectorized)
         self.pruning = bool(pruning)
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
         self.filter_stage = filter_stage or FilterStage(
-            stored, self.compiler, self.timing_scale, self.vectorized,
-            tracer=self.tracer,
+            stored, self.compiler, self.timing_scale, tracer=self.tracer
         )
         self.group_stage = group_stage or GroupMaskStage(
-            stored, self.compiler, self.timing_scale, self.vectorized,
-            tracer=self.tracer,
+            stored, self.compiler, self.timing_scale, tracer=self.tracer
         )
         self.aggregation_stage = aggregation_stage or AggregationStage(
             stored, self.config, self.timing_scale, tracer=self.tracer

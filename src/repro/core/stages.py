@@ -14,20 +14,18 @@ monolith methods of :class:`~repro.core.executor.PimQueryEngine`:
 Each stage is an injectable object, so a batching service can share state
 across queries: :class:`ProgramCompiler` is the compilation seam (the
 service's :class:`~repro.service.cache.ProgramCache` subclasses it with an
-LRU cache keyed by ``(predicate, layout)``), and every stage supports two
-functionally identical execution modes:
+LRU cache keyed by ``(predicate, layout)``).
 
-* **gate-level** (``vectorized=False``, the default) executes every NOR
-  primitive of the compiled program on the stored bits;
-* **vectorized** (``vectorized=True``) computes the same result bits with
-  one NumPy pass over the relation's columns and charges the *compiled
-  program's* cycle count, energy and wear analytically through
-  :meth:`~repro.pim.controller.PimExecutor.charge_program_cost` — the same
-  device-accurate accounting, a fraction of the simulation wall-clock.
-
-Both modes leave identical bits in the bookkeeping columns, identical wear
-counters and identical statistics; ``tests/test_aggregate_edge_cases.py`` and
-``tests/test_service.py`` assert exactly that.
+A program is applied in one way: its NOR primitives run on the stored bits
+(:func:`apply_program` / :func:`apply_program_pruned` /
+:func:`apply_program_at`; the fused kernel in production, op by op under the
+``dispatch`` oracle) and its cycles, energy and wear are charged from its
+metadata.  The one exception is the *known-bits store* of the batched pim-gb
+(:mod:`repro.core.batched`): its first and last subgroup have no per-key
+program to run, only the bits the value-free template kernel already
+computed from the stored bits, so ``apply_program(result_bits=...)`` /
+``apply_program_pruned(result_bits=...)`` write those bits into the result
+column and charge a :class:`~repro.pim.logic.ProgramCost` instead.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro.db.compiler import (
     partition_conjuncts,
 )
 from repro.db.encoding import RowLayout
-from repro.db.query import Aggregate, Predicate, Query, evaluate_predicate
+from repro.db.query import Aggregate, Predicate, Query
 from repro.db.schema import Schema
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import combine_partials
@@ -109,14 +107,14 @@ def apply_program(
     pages: float,
     result_bits: np.ndarray | None = None,
 ) -> None:
-    """Run a program gate-level, or write its known result and charge it.
+    """Run a program on the stored bits of every crossbar and charge it.
 
-    This is the one definition of the two execution modes' contract, shared
-    by the query stages and the DML subsystem: without ``result_bits`` the
-    program's NOR primitives execute on the stored bits; with them (one bool
-    per slot in use) the bits are written into the program's result column
-    and the program's cycles and wear are charged analytically — identical
-    stored bits, identical modelled cost.
+    Shared by the query stages and the DML subsystem.  ``result_bits`` is the
+    batched pim-gb's known-bits store (module docstring): one bool per slot
+    in use, computed by the template kernel from the stored bits, is written
+    into the program's result column and the program's cycles and wear are
+    charged from its :class:`~repro.pim.logic.ProgramCost` — the stored bits
+    and modelled cost the per-key program would have left.
     """
     allocation = stored.allocations[partition]
     if result_bits is None:
@@ -134,8 +132,7 @@ def apply_program(
             add_wear=True,
         )
     # A broadcast may leave ones in any crossbar; the pruned path consults
-    # this to know what needs clearing.  Marked in both modes so the stale
-    # sets (and their modelled clear cycles) stay identical.
+    # this to know what needs clearing.
     if program.result_column is not None:
         stored.mark_column_dirty(partition, program.result_column)
 
@@ -146,8 +143,8 @@ def candidate_rows(
     """Expand a per-crossbar candidate mask to one bool per record slot.
 
     Pruned execution leaves all-zero result bits on skipped crossbars; the
-    vectorized mode reproduces that bit-exactly by masking its analytically
-    computed result bits with this expansion before writing them.
+    batched pim-gb reproduces that bit-exactly by masking the fold bits of
+    its known-bits store with this expansion before writing them.
     """
     allocation = stored.allocations[partition]
     expanded = np.repeat(
@@ -168,14 +165,15 @@ def apply_program_pruned(
 ) -> None:
     """Run a program on the zone-map candidate crossbars only.
 
-    The same two-mode contract as :func:`apply_program`, restricted to the
-    candidate crossbars: the program's cost, wear and requests are charged
-    for exactly the crossbars touched.  Skipped crossbars provably hold no
-    matching live row, so their correct result bits are all-zero — they are
-    left untouched when already clean and receive a single-cycle clear when a
-    previous broadcast left stale ones behind.  ``result_bits`` must already
-    be zero outside the candidate crossbars (callers mask them through
-    :func:`candidate_rows` when the analytic bits can extend further).
+    The contract of :func:`apply_program` restricted to the candidate
+    crossbars: the program's cost, wear and requests are charged for exactly
+    the crossbars touched.  Skipped crossbars provably hold no matching live
+    row, so their correct result bits are all-zero — they are left untouched
+    when already clean and receive a single-cycle clear when a previous
+    broadcast left stale ones behind.  ``result_bits`` (the batched pim-gb's
+    known-bits store) must already be zero outside the candidate crossbars,
+    which is checked (the caller masks them through :func:`candidate_rows`
+    where the kernel's bits can extend further).
     """
     if program.result_column is None:
         raise ValueError("pruned execution needs a program result column")
@@ -206,7 +204,6 @@ def apply_program_at(
     phase: str,
     pages: float,
     candidates: np.ndarray,
-    result_bits: np.ndarray | None = None,
 ) -> None:
     """Run a program on candidate crossbars, leaving the rest *untouched*.
 
@@ -218,27 +215,13 @@ def apply_program_at(
     pruned filter path there is no all-zero invariant to restore, hence no
     stale-crossbar clearing and no zero-outside check; cost, requests and
     wear are charged for the candidate crossbars only.
-
-    ``result_bits`` (vectorized mode) carries the full column's final value —
-    by the caller's contract it is bit-identical to the current contents on
-    every skipped crossbar.
     """
     allocation = stored.allocations[partition]
-    if result_bits is None:
-        executor.run_program_at(
-            allocation.bank, program, candidates, pages, phase
-        )
-    else:
-        stored.write_bit_column(
-            partition, program.result_column, result_bits, count_wear=False
-        )
-        executor.charge_program_cost_at(
-            allocation.bank, program, candidates, pages, phase
-        )
-    if program.result_column is not None and result_bits is None:
-        # write_bit_column marked the exact dirtiness in vectorized mode; the
-        # gate-level path reads the (bit-identical) stored column back so the
-        # dirty masks — which feed later pruned stale-clear charges — agree.
+    executor.run_program_at(allocation.bank, program, candidates, pages, phase)
+    if program.result_column is not None:
+        # The skipped crossbars kept whatever they held, so the column's exact
+        # dirtiness — which feeds later pruned stale-clear charges — is read
+        # back from the stored bits.
         shaped = allocation.bank.read_column(program.result_column)
         stored.mark_column_dirty(
             partition, program.result_column, shaped.any(axis=1)
@@ -253,6 +236,9 @@ def _check_pruned_bits(
     Zone maps are maintained to only ever err on the wide side; a matching
     row inside a pruned crossbar means the maintenance contract was broken
     somewhere, which must fail loudly rather than silently drop rows.
+    Called wherever the selection is in hand for another reason: the batched
+    pim-gb's kernel bits (union and selection, and every known-bits store)
+    and the ground-truth selection of a pruned DELETE / UPDATE.
     """
     padded = np.zeros(allocation.record_capacity, dtype=bool)
     padded[: len(result_bits)] = result_bits
@@ -310,13 +296,11 @@ class _Stage:
         stored: StoredRelation,
         compiler: ProgramCompiler | None = None,
         timing_scale: float = 1.0,
-        vectorized: bool = False,
         tracer=None,
     ) -> None:
         self.stored = stored
         self.compiler = compiler if compiler is not None else ProgramCompiler()
         self.timing_scale = float(timing_scale)
-        self.vectorized = bool(vectorized)
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _pages(self, partition: int) -> float:
@@ -329,44 +313,21 @@ class _Stage:
         partition: int,
         executor: PimExecutor,
         phase: str,
-        result_bits: np.ndarray | None = None,
+        candidates: np.ndarray | None = None,
     ) -> None:
-        """Apply a program through :func:`apply_program`.
+        """Broadcast a program, or run it pruned to ``candidates`` crossbars."""
+        pages = self._pages(partition)
+        if candidates is None:
+            apply_program(self.stored, partition, program, executor, phase, pages)
+        else:
+            apply_program_pruned(
+                self.stored, partition, program, executor, phase, pages, candidates
+            )
 
-        In vectorized mode ``result_bits`` (one bool per record) is written
-        into the program's result column and the program's cycles and wear are
-        charged analytically — identical cost and identical stored bits, with
-        the NOR-by-NOR simulation skipped.
-        """
-        apply_program(
-            self.stored, partition, program, executor, phase,
-            pages=self._pages(partition),
-            result_bits=result_bits if self.vectorized else None,
-        )
 
-    def _apply_pruned(
-        self,
-        program: Program,
-        partition: int,
-        executor: PimExecutor,
-        phase: str,
-        candidates: np.ndarray,
-        result_bits: np.ndarray | None = None,
-    ) -> None:
-        """Apply a program through :func:`apply_program_pruned`."""
-        apply_program_pruned(
-            self.stored, partition, program, executor, phase,
-            pages=self._pages(partition),
-            candidates=candidates,
-            result_bits=result_bits if self.vectorized else None,
-        )
-
-    def _equality_mask(self, values: dict[str, int]) -> np.ndarray:
-        """Conjunction of ``attribute == value`` over the relation's records."""
-        mask = np.ones(self.stored.num_records, dtype=bool)
-        for name, value in values.items():
-            mask &= self.stored.relation.column(name) == np.uint64(value)
-        return mask
+def _candidates(prune, partition: int) -> np.ndarray | None:
+    """A partition's candidate crossbars under ``prune`` (``None``: all)."""
+    return None if prune is None else prune.candidates[partition]
 
 
 class FilterStage(_Stage):
@@ -394,21 +355,10 @@ class FilterStage(_Stage):
             for index, predicate in enumerate(per_partition):
                 layout = self.stored.layouts[index]
                 program = self.compiler.filter_program(predicate, schema, layout)
-                bits: np.ndarray | None = None
-                if self.vectorized:
-                    bits = evaluate_predicate(predicate, self.stored.relation)
-                    bits = bits & self.stored.valid_mask(index)
-                if prune is not None:
-                    apply_program_pruned(
-                        self.stored, index, program, executor,
-                        phase="filter", pages=self._pages(index),
-                        candidates=prune.candidates[index],
-                        result_bits=bits if self.vectorized else None,
-                    )
-                else:
-                    self._apply(
-                        program, index, executor, phase="filter", result_bits=bits
-                    )
+                self._apply(
+                    program, index, executor, phase="filter",
+                    candidates=_candidates(prune, index),
+                )
             # Fold the other partitions' filter bits into the primary partition.
             for index, predicate in enumerate(per_partition):
                 if index == primary or predicate is None:
@@ -434,7 +384,7 @@ class FilterStage(_Stage):
     ) -> None:
         """Move a bit column between partitions and AND it into the target."""
         target_layout = self.stored.layouts[target_partition]
-        source_bits = read_model.transfer_bit_column(
+        read_model.transfer_bit_column(
             self.stored,
             source_partition, source_column,
             target_partition, target_layout.remote_column,
@@ -445,10 +395,7 @@ class FilterStage(_Stage):
         builder.store(combined, target_column)
         builder.free(combined)
         program = builder.build(result_column=target_column)
-        bits: np.ndarray | None = None
-        if self.vectorized:
-            bits = self.stored.column_bit(target_partition, target_column) & source_bits
-        self._apply(program, target_partition, executor, phase=phase, result_bits=bits)
+        self._apply(program, target_partition, executor, phase=phase)
 
 
 class GroupMaskStage(_Stage):
@@ -497,67 +444,38 @@ class GroupMaskStage(_Stage):
             for partition, values in by_partition.items()
             if partition != primary
         ]
-        remote_bits: np.ndarray | None = None
         for position, (partition, values) in enumerate(remote_parts):
             layout = self.stored.layouts[partition]
             program = self.compiler.group_program(values, layout)
-            bits: np.ndarray | None = None
-            if self.vectorized:
-                bits = self._equality_mask(values) & self.stored.valid_mask(partition)
-                if prune is not None:
-                    # Pruned execution leaves zeros on skipped crossbars even
-                    # where the subgroup equality holds; those rows fail the
-                    # partition's WHERE conjunct, so the final mask (which
-                    # ANDs the filter bits) is unchanged.
-                    bits &= candidate_rows(
-                        self.stored, partition, prune.candidates[partition]
-                    )
-            if prune is not None:
-                self._apply_pruned(
-                    program, partition, executor, phase="pim-gb-filter",
-                    candidates=prune.candidates[partition], result_bits=bits,
-                )
-            else:
-                self._apply(
-                    program, partition, executor, phase="pim-gb-filter",
-                    result_bits=bits,
-                )
-            transferred = read_model.transfer_bit_column(
+            # Pruned execution leaves zeros on skipped crossbars even where
+            # the subgroup equality holds; those rows fail the partition's
+            # WHERE conjunct, so the final mask (which ANDs the filter bits)
+            # is unchanged.
+            self._apply(
+                program, partition, executor, phase="pim-gb-filter",
+                candidates=_candidates(prune, partition),
+            )
+            read_model.transfer_bit_column(
                 self.stored,
                 partition, layout.group_column,
                 primary, primary_layout.remote_column,
                 phase="pim-gb-transfer",
             )
-            remote_bits = (
-                transferred if remote_bits is None else remote_bits & transferred
-            )
             if len(remote_parts) > 1:
                 self._fold_remote(
                     primary, executor,
                     build_fold_program(primary_layout, position, len(remote_parts)),
-                    result_bits=remote_bits,
                     prune=prune,
                 )
 
-        local_values = by_partition.get(primary, {})
         program = self.compiler.combine_program(
-            local_values, primary_layout, include_remote=remote_bits is not None
+            by_partition.get(primary, {}), primary_layout,
+            include_remote=bool(remote_parts),
         )
-        bits = None
-        if self.vectorized:
-            bits = self._equality_mask(local_values)
-            if remote_bits is not None:
-                bits &= remote_bits
-            bits &= self.stored.column_bit(primary, primary_layout.filter_column)
-        if prune is not None:
-            self._apply_pruned(
-                program, primary, executor, phase="pim-gb-filter",
-                candidates=prune.candidates[primary], result_bits=bits,
-            )
-        else:
-            self._apply(
-                program, primary, executor, phase="pim-gb-filter", result_bits=bits
-            )
+        self._apply(
+            program, primary, executor, phase="pim-gb-filter",
+            candidates=_candidates(prune, primary),
+        )
         return primary_layout.group_column
 
     def _fold_remote(
@@ -565,36 +483,23 @@ class GroupMaskStage(_Stage):
         primary: int,
         executor: PimExecutor,
         program: Program,
-        result_bits: np.ndarray | None,
         prune=None,
     ) -> None:
         """Apply one :func:`build_fold_program` step on the primary partition.
-
-        ``result_bits`` carries the expected result for the vectorized mode.
 
         Under pruning the running product parked in the group column is only
         maintained on the primary partition's candidate crossbars (it is
         zero elsewhere, like every pruned result).  The final fold into the
         remote column — which the combine program reads — stays a broadcast,
         but its group-column operand already zeroes the skipped crossbars,
-        so its result is the candidate-masked product in both modes.
+        so its result is the candidate-masked product.
         """
-        layout = self.stored.layouts[primary]
-        bits = result_bits if self.vectorized else None
-        if bits is not None and prune is not None:
-            bits = bits & candidate_rows(
-                self.stored, primary, prune.candidates[primary]
-            )
-        if prune is not None and program.result_column == layout.group_column:
-            self._apply_pruned(
-                program, primary, executor, phase="pim-gb-filter",
-                candidates=prune.candidates[primary], result_bits=bits,
-            )
-        else:
-            self._apply(
-                program, primary, executor, phase="pim-gb-filter",
-                result_bits=bits,
-            )
+        if program.result_column != self.stored.layouts[primary].group_column:
+            prune = None
+        self._apply(
+            program, primary, executor, phase="pim-gb-filter",
+            candidates=_candidates(prune, primary),
+        )
 
     def clear(
         self,
@@ -608,20 +513,10 @@ class GroupMaskStage(_Stage):
         restricts the update to the crossbars whose filter column can hold
         ones at all — the others were pruned to zero by the filter stage.
         """
-        layout = self.stored.layouts[primary]
-        program = build_clear_program(layout)
-        bits: np.ndarray | None = None
-        if self.vectorized:
-            bits = self.stored.column_bit(primary, layout.filter_column) & ~self.stored.column_bit(primary, layout.group_column)
-        if candidates is not None:
-            self._apply_pruned(
-                program, primary, executor, phase="pim-gb-filter",
-                candidates=candidates, result_bits=bits,
-            )
-        else:
-            self._apply(
-                program, primary, executor, phase="pim-gb-filter", result_bits=bits
-            )
+        self._apply(
+            build_clear_program(self.stored.layouts[primary]), primary, executor,
+            phase="pim-gb-filter", candidates=candidates,
+        )
 
 
 class AggregationStage(_Stage):

@@ -8,10 +8,9 @@ lifecycle:
 * **DELETE** compiles the predicate into the standard PIM filter program and
   then clears the valid bit of the selected rows with one more bulk-bitwise
   pass (``valid &= ~filter``) — no record is ever read by the host.  The
-  cleared rows become *tombstones*: every query path already conjoins with
-  the valid column (gate-level programs AND it in, the vectorized stages AND
-  the functional mask with :meth:`~repro.db.storage.StoredRelation.valid_mask`),
-  so tombstones provably drop out of every filter, group mask and aggregate.
+  cleared rows become *tombstones*: every filter and subgroup-mask program
+  ANDs the valid column in, so tombstones provably drop out of every filter,
+  group mask and aggregate.
 * **INSERT** writes new records through the host store path into free slots —
   tombstones first (lowest slot first), then the allocation's spare
   ``record_capacity`` tail — and sets the valid bit.  The slot-aligned
@@ -47,6 +46,7 @@ import numpy as np
 
 from repro.core.stages import (
     ProgramCompiler,
+    _check_pruned_bits,
     apply_program,
     apply_program_at,
     apply_program_pruned,
@@ -171,7 +171,6 @@ def execute_delete(
     predicate: Predicate,
     executor: PimExecutor,
     compiled: CompiledDelete | None = None,
-    vectorized: bool = False,
     timing_scale: float = 1.0,
     pruned: bool = True,
 ) -> DeleteResult:
@@ -182,10 +181,7 @@ def execute_delete(
     through the host, charged as ``delete-transfer``).  The ground-truth
     relation keeps the tombstoned rows slot-aligned; they are masked out of
     :meth:`~repro.db.storage.StoredRelation.live_relation` and of every query
-    path by the cleared valid bit.  ``vectorized`` computes the result bits
-    with NumPy and charges the compiled programs' costs analytically —
-    identical stored bits, wear and statistics (the same contract as the
-    query stages).
+    path by the cleared valid bit.
 
     ``pruned`` (the default) consults the relation's zone maps exactly like
     the query engine — plan billed through the candidate cache,
@@ -194,7 +190,10 @@ def execute_delete(
     crossbar provably holds no doomed row, so its valid column is already
     the AND's result (the clears run preserve-skipped); a provably-empty
     decision skips the broadcast outright.  The tombstoned rows are
-    bit-exact with the broadcast mode either way.
+    bit-exact with the broadcast mode either way.  The rows the ground truth
+    is about to tombstone are checked against the decision before any program
+    runs: a doomed row on a skipped crossbar raises ``RuntimeError`` with
+    nothing changed.
     """
     if compiled is None:
         compiled = compile_delete(stored, predicate)
@@ -207,8 +206,7 @@ def execute_delete(
         executor.config, executor.stats, traffic_scale=timing_scale
     )
 
-    valid_before = stored.valid_mask(primary)
-    doomed = evaluate_predicate(predicate, stored.relation) & valid_before
+    doomed = evaluate_predicate(predicate, stored.relation) & stored.valid_mask(primary)
 
     candidates = None
     if pruned:
@@ -225,9 +223,8 @@ def execute_delete(
         if decision.empty:
             # Some partition's conjunction matches no crossbar: nothing to
             # tombstone, provably — the conservative invariant guarantees it.
-            assert not doomed.any(), (
-                "zone maps pruned a DELETE that selects live rows; the "
-                "conservative-maintenance invariant was violated"
+            _check_pruned_bits(
+                doomed, np.zeros(allocation.crossbars, dtype=bool), allocation
             )
             return DeleteResult(
                 records_deleted=0,
@@ -237,25 +234,23 @@ def execute_delete(
                 tombstones=stored.tombstone_count,
             )
         candidates = decision.candidates[primary]
+        _check_pruned_bits(doomed, candidates, allocation)
 
     # Select the rows to delete (the standard PIM filter, valid-conjoined).
     if candidates is None:
         apply_program(
             stored, primary, compiled.filter_program, executor,
             phase="delete-filter", pages=pages,
-            result_bits=doomed if vectorized else None,
         )
         # Clear the valid bit where the filter hit.
         apply_program(
             stored, primary, compiled.clear_programs[primary], executor,
             phase="delete-clear", pages=pages,
-            result_bits=(valid_before & ~doomed) if vectorized else None,
         )
     else:
         apply_program_pruned(
             stored, primary, compiled.filter_program, executor,
             phase="delete-filter", pages=pages, candidates=candidates,
-            result_bits=doomed if vectorized else None,
         )
         # Clear the valid bit where the filter hit.  ``doomed`` is zero on
         # every skipped crossbar, so the AND is the identity there — the
@@ -263,7 +258,6 @@ def execute_delete(
         apply_program_at(
             stored, primary, compiled.clear_programs[primary], executor,
             phase="delete-clear", pages=pages, candidates=candidates,
-            result_bits=(valid_before & ~doomed) if vectorized else None,
         )
     # Other vertical partitions: ship the tombstone bit-vector through the
     # host (the two-xb transfer path) and clear their valid bits too.  The
@@ -283,7 +277,6 @@ def execute_delete(
                 stored, index, compiled.clear_programs[index], executor,
                 phase="delete-clear",
                 pages=stored.allocations[index].pages * timing_scale,
-                result_bits=(valid_before & ~doomed) if vectorized else None,
             )
         else:
             apply_program_at(
@@ -291,7 +284,6 @@ def execute_delete(
                 phase="delete-clear",
                 pages=stored.allocations[index].pages * timing_scale,
                 candidates=candidates,
-                result_bits=(valid_before & ~doomed) if vectorized else None,
             )
 
     doomed_slots = np.nonzero(doomed)[0]

@@ -466,8 +466,9 @@ class StoredRelation:
         The caller is responsible for charging the corresponding write
         traffic; the executor's two-xb filter-transfer path does so.  With
         ``count_wear=False`` the wear counters are left untouched — used by
-        the vectorized execution stages, which charge the gate-level
-        program's wear analytically instead.
+        the batched pim-gb's known-bits store (:func:`repro.core.stages.apply_program`
+        with ``result_bits``), which adds the per-key program's wear from its
+        metadata instead.
         """
         values = np.asarray(values, dtype=bool)
         if values.shape != (self.num_records,):

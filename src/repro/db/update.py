@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stages import apply_program_pruned
+from repro.core.stages import _check_pruned_bits, apply_program_pruned
 from repro.db.compiler import CompilationError, compile_predicate
 from repro.db.query import Predicate, evaluate_predicate
 from repro.db.storage import StoredRelation
@@ -126,7 +126,10 @@ def execute_update(
     candidate crossbars — on a skipped crossbar no live row can
     match, so the mux would overwrite every field with its own value.  A
     provably-empty decision skips the statement outright.  The patched rows
-    are bit-exact with the broadcast mode either way.
+    are bit-exact with the broadcast mode either way.  The rows the ground
+    truth is about to patch are checked against the decision before any
+    program runs: a selected row on a skipped crossbar raises
+    ``RuntimeError`` with nothing changed.
     """
     if compiled is None:
         compiled = compile_update(stored, predicate, assignments)
@@ -140,6 +143,13 @@ def execute_update(
         )
     allocation = stored.allocations[compiled.partition]
 
+    # The rows to patch in the functional ground truth.  Tombstoned rows are
+    # masked out: the stored-bits mux never touches them (the filter program
+    # ANDs with the valid column), so rewriting their ground-truth values
+    # would silently diverge from the stored bits.
+    mask = evaluate_predicate(predicate, stored.relation)
+    mask &= stored.valid_mask(compiled.partition)
+
     candidates = None
     if pruned:
         statistics = stored.statistics
@@ -152,11 +162,8 @@ def execute_update(
             executor.stats, executor.config.host, decision.entries_checked
         )
         if decision.empty:
-            doomed = evaluate_predicate(predicate, stored.relation)
-            doomed &= stored.valid_mask(compiled.partition)
-            assert not doomed.any(), (
-                "zone maps pruned an UPDATE that selects live rows; the "
-                "conservative-maintenance invariant was violated"
+            _check_pruned_bits(
+                mask, np.zeros(allocation.crossbars, dtype=bool), allocation
             )
             return UpdateResult(
                 records_updated=0,
@@ -164,6 +171,7 @@ def execute_update(
                 update_cycles=compiled.update_program.cycles,
             )
         candidates = decision.candidates[compiled.partition]
+        _check_pruned_bits(mask, candidates, allocation)
 
     if candidates is None:
         # Select the records to update (a standard PIM filter).
@@ -194,12 +202,7 @@ def execute_update(
             pages=allocation.pages, phase="update-mux",
         )
 
-    # Keep the functional ground truth in sync.  Tombstoned rows are masked
-    # out: the stored-bits mux never touches them (the filter program ANDs
-    # with the valid column), so rewriting their ground-truth values would
-    # silently diverge from the stored bits.
-    mask = evaluate_predicate(predicate, stored.relation)
-    mask &= stored.valid_mask(compiled.partition)
+    # Keep the functional ground truth in sync.
     for name, encoded in compiled.encoded_assignments.items():
         # Widen the zone maps with the assigned constant before the sync
         # overwrites the old values the histograms must forget.  This also

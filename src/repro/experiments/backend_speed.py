@@ -6,8 +6,8 @@ This experiment proves both halves of that claim at once:
 
 * **equivalence** — every SSB query must produce bit-identical result rows
   and bit-identical :class:`~repro.pim.stats.PimStats` (latency, energy,
-  power samples, wear) on both backends, gate level (every NOR primitive
-  executed on the stored bits) and through the vectorized batched service;
+  power samples, wear) on both backends, through a bare engine and through
+  the batched service (every NOR program runs on the stored bits either way);
 * **speed** — the packed backend must beat the boolean reference by a
   configurable wall-clock factor (>=5x by default) on the gate-level query
   path, which is the simulation-bound regime every experiment, benchmark and
@@ -97,7 +97,7 @@ class QueryComparison:
 
 @dataclass
 class ServiceComparison:
-    """The warm vectorized service batch timed on both backends."""
+    """The warm service batch timed on both backends."""
 
     bool_s: float
     packed_s: float
@@ -264,7 +264,7 @@ def _gate_level_engine(prejoined, config: SystemConfig) -> PimQueryEngine:
         aggregation_width=max_aggregated_width(prejoined),
         reserve_bulk_aggregation=False,
     )
-    return PimQueryEngine(stored, config=config, label="one_xb", vectorized=False)
+    return PimQueryEngine(stored, config=config, label="one_xb")
 
 
 def _timed_executions(engine) -> dict[str, tuple]:
@@ -277,7 +277,7 @@ def _timed_executions(engine) -> dict[str, tuple]:
 
 
 def _timed_service_batch(prejoined, config: SystemConfig):
-    service = QueryService(vectorized=True)
+    service = QueryService()
     stored = StoredRelation(
         prejoined, PimModule(config), label="ssb",
         aggregation_width=max_aggregated_width(prejoined),
@@ -569,7 +569,7 @@ def render(results: BackendSpeedResults) -> str:
     if results.service is not None:
         s = results.service
         lines.append(
-            f"vectorized service batch (13 queries, warm): "
+            f"service batch (13 queries, warm): "
             f"bool {s.bool_s:.4f}s / packed {s.packed_s:.4f}s "
             f"= {s.speedup:.1f}x, rows {'ok' if s.rows_match else 'DIFF'}"
         )
@@ -659,7 +659,7 @@ def artifact(results: BackendSpeedResults) -> dict:
         "stats_identical": results.stats_identical,
     }
     if results.service is not None:
-        record["service_vectorized"] = {
+        record["service_batch"] = {
             "bool_s": results.service.bool_s,
             "packed_s": results.service.packed_s,
             "speedup": results.service.speedup,

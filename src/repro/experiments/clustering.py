@@ -230,7 +230,7 @@ def _build_engine(
         reserve_bulk_aggregation=False,
     )
     return PimQueryEngine(
-        stored, config=system, label=label, vectorized=True, pruning=True,
+        stored, config=system, label=label, pruning=True,
     )
 
 
@@ -362,13 +362,10 @@ def run_clustering(
         # Phase 2: churn, pruned vs the broadcast twin in lockstep.
         executor = PimExecutor(engine.config)
         twin_executor = PimExecutor(twin.config)
-        dml.execute_delete(
-            stored, delete_predicate, executor, vectorized=True, pruned=True,
-        )
+        dml.execute_delete(stored, delete_predicate, executor, pruned=True)
         if lockstep:
             dml.execute_delete(
-                twin.stored, delete_predicate, twin_executor,
-                vectorized=True, pruned=False,
+                twin.stored, delete_predicate, twin_executor, pruned=False,
             )
             results.dml_lockstep &= _lockstep_equal(stored, twin.stored)
         dml.execute_insert(stored, insert_records, executor, encoded=True)

@@ -208,7 +208,7 @@ def _run_backend(
     threshold: float,
 ) -> BackendChurnRun:
     relation = churn_relation(records, seed)
-    service = QueryService(vectorized=True)
+    service = QueryService()
     engine = service.register_sharded(
         "churn", relation, shards=shards, backend=backend,
         partitions=PARTITIONS,

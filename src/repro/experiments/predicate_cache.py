@@ -187,7 +187,7 @@ def _build_engine(
         reserve_bulk_aggregation=False,
     )
     return PimQueryEngine(
-        stored, config=system, label=backend, vectorized=True, pruning=True,
+        stored, config=system, label=backend, pruning=True,
     )
 
 
@@ -232,9 +232,7 @@ def _cold_walk_round(engine: PimQueryEngine, queries: list[str]) -> tuple[bool, 
 
 def _apply_dml(engine: PimQueryEngine, ops: dict) -> None:
     executor = PimExecutor(engine.config)
-    dml.execute_delete(
-        engine.stored, ops["delete"], executor, vectorized=True
-    )
+    dml.execute_delete(engine.stored, ops["delete"], executor)
     dml.execute_insert(engine.stored, ops["insert"], executor, encoded=True)
     predicate, assignments = ops["update"]
     execute_update(engine.stored, predicate, assignments, executor)

@@ -1,11 +1,11 @@
 """Throughput of the batched query service on the SSB workload.
 
 The 13 SSB queries are replayed as a mixed workload at several batch sizes
-through :class:`~repro.service.service.QueryService` (vectorized host paths
-plus the shared compiled-program cache) and compared against the per-query
-baseline: one :meth:`~repro.core.executor.PimQueryEngine.execute` call per
-query with gate-level NOR simulation and no program reuse — the seed's only
-execution path.
+through :class:`~repro.service.service.QueryService` (zone-map pruning,
+cost-based routing and the shared compiled-program cache) and compared
+against the per-query baseline: one
+:meth:`~repro.core.executor.PimQueryEngine.execute` call per query with no
+pruning and no program reuse — the seed's only execution path.
 
 Every batch is replayed twice, mirroring a steady-state service: the first
 replay warms the program cache, the second is measured.  The results of the

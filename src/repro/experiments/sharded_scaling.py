@@ -184,7 +184,7 @@ def run_scaling(
     )
     unsharded = PimQueryEngine(
         unsharded_stored, label="unsharded",
-        timing_scale=timing_scale, compiler=ProgramCache(512), vectorized=True,
+        timing_scale=timing_scale, compiler=ProgramCache(512),
     )
 
     bit_exact = True
@@ -216,7 +216,7 @@ def run_scaling(
         )
         engine = ShardedQueryEngine(
             sharded, label=f"sharded{shards}",
-            timing_scale=timing_scale, compiler=cache, vectorized=True,
+            timing_scale=timing_scale, compiler=cache,
         )
         total_time = total_energy = total_merge = scalar_dyn = 0.0
         wear = 0

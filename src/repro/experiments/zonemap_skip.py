@@ -183,8 +183,7 @@ class ZonemapSkipResults:
 
 
 def _build_engine(
-    relation: Relation, backend: str, pruning: bool, timing_scale: float,
-    vectorized: bool = True,
+    relation: Relation, backend: str, pruning: bool, timing_scale: float
 ) -> PimQueryEngine:
     module = PimModule(DEFAULT_CONFIG.with_backend(backend))
     stored = StoredRelation(
@@ -193,7 +192,7 @@ def _build_engine(
     )
     return PimQueryEngine(
         stored, config=module.system_config, label="orders",
-        timing_scale=timing_scale, vectorized=vectorized, pruning=pruning,
+        timing_scale=timing_scale, pruning=pruning,
     )
 
 
@@ -210,15 +209,13 @@ def _run_backend(
     relation = orders_relation(records, seed)
     unpruned = _build_engine(relation, backend, False, timing_scale)
     pruned = _build_engine(orders_relation(records, seed), backend, True, timing_scale)
-    # Wall-clock is measured on the gate-level engines, where skipping a
-    # crossbar skips its NOR-by-NOR functional simulation too.
-    gate_full = _build_engine(
-        orders_relation(records, seed), backend, False, timing_scale,
-        vectorized=False,
+    # Wall-clock is measured on engines of their own, so the timing repeats
+    # do not feed the statistics of the engines whose modelled cost is read.
+    wall_full = _build_engine(
+        orders_relation(records, seed), backend, False, timing_scale
     )
-    gate_pruned = _build_engine(
-        orders_relation(records, seed), backend, True, timing_scale,
-        vectorized=False,
+    wall_pruned = _build_engine(
+        orders_relation(records, seed), backend, True, timing_scale
     )
     run = BackendRun(backend=backend)
 
@@ -233,8 +230,8 @@ def _run_backend(
             crossbars_total=full.crossbars_total,
             scanned_unpruned=full.crossbars_scanned,
             scanned_pruned=skip.crossbars_scanned,
-            wall_unpruned_s=_wall_time(gate_full, query, wall_repeats),
-            wall_pruned_s=_wall_time(gate_pruned, query, wall_repeats),
+            wall_unpruned_s=_wall_time(wall_full, query, wall_repeats),
+            wall_pruned_s=_wall_time(wall_pruned, query, wall_repeats),
         ))
         run.rows[name] = {str(k): v for k, v in sorted(skip.rows.items())}
 
@@ -257,7 +254,7 @@ def _run_backend(
         from repro.pim.controller import PimExecutor
 
         executor = PimExecutor(engine.config)
-        dml.execute_delete(engine.stored, delete, executor, vectorized=True)
+        dml.execute_delete(engine.stored, delete, executor)
         dml.execute_insert(engine.stored, inserts, executor)
         maintenance += executor.stats.time_by_phase.get("zonemap-maintain", 0.0)
     full = unpruned.execute(probe)

@@ -239,12 +239,13 @@ class PimExecutor:
         clear_crossbars: np.ndarray | None = None,
         clear_phase: str = "prune-clear",
     ) -> None:
-        """The vectorized twin of :meth:`run_program_pruned`.
+        """What :meth:`run_program_pruned` charges, without running anything.
 
-        The caller has already written the known result bits into the result
-        column; this charges the pruned program cost analytically and adds the
-        per-row wear the masked gate-level execution would have caused —
-        identical stored bits, identical modelled cost.
+        For the batched pim-gb's first / last subgroup (:mod:`repro.core.batched`
+        through ``apply_program_pruned(result_bits=...)``): the template
+        kernel's bits are already in the result column; this charges the
+        per-key program's pruned cost from its metadata and adds the per-row
+        wear its masked execution would have caused.
         """
         self._charge_program_at(
             bank, program.cycles, candidates, pages, phase, program.writes_per_row
@@ -280,12 +281,10 @@ class PimExecutor:
         pages: float,
         phase: str,
     ) -> None:
-        """The vectorized twin of :meth:`run_program_at`.
-
-        The caller has already written the full result columns; this charges
-        the candidate-restricted program cost analytically and adds the
-        per-row wear the masked gate-level execution would have caused.
-        """
+        """What :meth:`run_program_at` charges, without running anything."""
+        # No caller in src/: kept because perf/layers.py (not editable outside
+        # a benchmark PR) names it and perf/test_perf.py asserts
+        # ``trace.unresolved_targets == 0``.
         self._charge_program_at(
             bank, program.cycles, candidates, pages, phase, program.writes_per_row
         )

@@ -23,8 +23,7 @@ GIL released, which is what lets the sharded scatter pool scale.
 Bit-exactness contract: a fused run leaves every *output column* (and the
 wear counters) bit-identical to the op-by-op dispatch of the same program.
 Scratch columns are not written — they are dead storage between programs
-(no program reads scratch before writing it), exactly like the vectorized
-host path that already skips them.  Modelled costs are charged by the
+(no program reads scratch before writing it).  Modelled costs are charged by the
 caller from the original program metadata, never from the kernel.
 """
 

@@ -2,8 +2,8 @@
 
 The service layer amortises per-query planning and compilation across a
 multi-query workload: a shared LRU :class:`~repro.service.cache.ProgramCache`
-for compiled NOR programs, vectorized (bit-exact, cost-identical) host paths,
-and batch scheduling through shared per-relation executors.
+for compiled NOR programs, zone-map pruning and batch scheduling through
+shared per-relation executors.
 """
 
 from repro.service.cache import CacheStats, ProgramCache

@@ -7,15 +7,12 @@ through a shared per-relation :class:`~repro.pim.controller.PimExecutor`, and
 returns the individual :class:`~repro.core.executor.QueryExecution` results
 together with aggregate :class:`~repro.service.stats.ServiceStats`.
 
-Two mechanisms amortise per-query work across the batch (and across
-batches):
-
-* a shared :class:`~repro.service.cache.ProgramCache` — repeated WHERE
-  clauses and pim-gb subgroup filters skip ``compile_predicate`` entirely;
-* the engines run with ``vectorized=True`` by default, replacing the
-  NOR-by-NOR functional simulation of filter and group-mask programs with
-  single NumPy passes that are bit-exact and charge identical modelled costs
-  (see :mod:`repro.core.stages`).
+Per-query work is amortised across the batch (and across batches) by a
+shared :class:`~repro.service.cache.ProgramCache` — repeated WHERE clauses
+and pim-gb subgroup filters skip ``compile_predicate`` entirely — and by
+zone-map pruning.  Every WHERE clause, DELETE filter and subgroup mask is
+evaluated on the bits stored in the crossbars, through the same kernels as a
+bare :class:`~repro.core.executor.PimQueryEngine`.
 
 Relations that outgrow a single allocation register through
 :meth:`QueryService.register_sharded`: the relation is split into K
@@ -117,7 +114,6 @@ class QueryService:
     def __init__(
         self,
         cache_capacity: int = 512,
-        vectorized: bool = True,
         cache: ProgramCache | None = None,
         pruning: bool = True,
         planner: bool = True,
@@ -129,9 +125,6 @@ class QueryService:
 
         Args:
             cache_capacity: Capacity of the shared compiled-program cache.
-            vectorized: Run the registered engines with the vectorized
-                (bit-exact, cost-identical) host paths; disable to force the
-                gate-level NOR simulation everywhere.
             cache: Share an existing :class:`ProgramCache` between services.
             pruning: Run the registered engines with zone-map crossbar
                 skipping (bit-exact; see :mod:`repro.planner`).
@@ -156,7 +149,6 @@ class QueryService:
                 defaults to the path named by ``REPRO_TRACE`` (if any).
         """
         self.cache = cache if cache is not None else ProgramCache(cache_capacity)
-        self.vectorized = bool(vectorized)
         self.pruning = bool(pruning)
         self.planner_enabled = bool(planner)
         self.pool = ScatterPool(scatter_workers)
@@ -185,10 +177,8 @@ class QueryService:
     ) -> PimQueryEngine:
         """Register a stored relation and build its engine.
 
-        The engine shares the service's program cache and, unless the
-        service was created with ``vectorized=False``, uses the vectorized
-        host paths.  The first registered relation becomes the default
-        target for requests that do not name one.
+        The engine shares the service's program cache.  The first registered
+        relation becomes the default target for requests that do not name one.
         """
         self._check_name_free(name)
         engine = PimQueryEngine(
@@ -199,7 +189,6 @@ class QueryService:
             sample_pages=sample_pages,
             timing_scale=timing_scale,
             compiler=self.cache,
-            vectorized=self.vectorized,
             pruning=self.pruning,
             scatter_pool=self.pool,
             tracer=self.tracer,
@@ -278,7 +267,6 @@ class QueryService:
             sample_pages=sample_pages,
             timing_scale=timing_scale,
             compiler=self.cache,
-            vectorized=self.vectorized,
             pruning=self.pruning,
             max_workers=max_workers,
             planner=self._planner if self.planner_enabled else None,
@@ -562,17 +550,14 @@ class QueryService:
             if isinstance(engine, ShardedQueryEngine):
                 result = sharded_dml.execute_sharded_delete(
                     engine.sharded, predicate,
-                    executors=executors,
-                    compiler=self.cache,
-                    vectorized=self.vectorized,
+                    executors=executors, compiler=self.cache,
                 )
             else:
                 compiled = dml.compile_delete(
                     engine.stored, predicate, compiler=self.cache
                 )
                 result = dml.execute_delete(
-                    engine.stored, predicate, executors[0],
-                    compiled=compiled, vectorized=self.vectorized,
+                    engine.stored, predicate, executors[0], compiled=compiled
                 )
             self._dml_counters[name]["deleted"] += result.records_deleted
             if self.tracer.enabled:

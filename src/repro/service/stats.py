@@ -10,7 +10,7 @@ Two clocks are reported side by side:
 * **modelled** — the simulated PIM latency of the paper's timing model
   (p50/p95 over the batch, plus the serial sum);
 * **wall** — how long the functional simulation itself took, which is what
-  the service's vectorized host paths and program cache optimise.
+  the service's program cache and pruning optimise.
 
 Batches served by a sharded relation additionally report the scatter-gather
 figures: per-shard latency percentiles, the modelled parallel speedup

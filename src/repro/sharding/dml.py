@@ -144,7 +144,6 @@ def execute_sharded_delete(
     predicate: Predicate,
     executors: Sequence[PimExecutor] | None = None,
     compiler=None,
-    vectorized: bool = False,
     pruned: bool = True,
 ) -> ShardedDeleteResult:
     """Tombstone the selected records of every shard (broadcast DELETE).
@@ -160,8 +159,7 @@ def execute_sharded_delete(
     compiled = compile_delete(sharded.shards[0], predicate, compiler=compiler)
     shard_results = [
         execute_delete(
-            shard, predicate, executor, compiled=compiled,
-            vectorized=vectorized, pruned=pruned,
+            shard, predicate, executor, compiled=compiled, pruned=pruned,
         )
         for shard, executor in zip(sharded.shards, executors)
     ]

@@ -122,7 +122,6 @@ class ShardedQueryEngine:
         sample_pages: int = 1,
         timing_scale: float = 1.0,
         compiler: ProgramCompiler | None = None,
-        vectorized: bool = False,
         pruning: bool = False,
         max_workers: int = 1,
         planner: CostPlanner | None = None,
@@ -135,7 +134,7 @@ class ShardedQueryEngine:
             sharded: The sharded stored relation.
             config: System configuration; defaults to the module's.
             label: Name used in reports; shard engines append ``/s{k}``.
-            cost_model / sample_pages / timing_scale / vectorized: Forwarded
+            cost_model / sample_pages / timing_scale: Forwarded
                 to every shard's :class:`PimQueryEngine`.  ``timing_scale``
                 extrapolates each shard — the sharded relation it models is
                 ``timing_scale`` times the stored one, shard by shard.
@@ -170,7 +169,6 @@ class ShardedQueryEngine:
         )
         self.label = label
         self.compiler = compiler if compiler is not None else ProgramCompiler()
-        self.vectorized = bool(vectorized)
         self.pruning = bool(pruning)
         self.planner = planner
         if max_workers < 1:
@@ -190,7 +188,6 @@ class ShardedQueryEngine:
                 sample_pages=sample_pages,
                 timing_scale=timing_scale,
                 compiler=self.compiler,
-                vectorized=self.vectorized,
                 pruning=self.pruning,
                 scatter_pool=self.pool,
                 tracer=self.tracer,

@@ -93,3 +93,76 @@ def ssb_one_xb_engine(ssb_prejoined):
         reserve_bulk_aggregation=False,
     )
     return PimQueryEngine(stored, label="one_xb", timing_scale=100.0)
+
+
+# ------------------------------------------------ ground truth as the oracle
+class GroundTruthOracle:
+    """NumPy on the host-side ground truth, checking what the programs stored.
+
+    ``evaluate_predicate`` on the ground-truth relation is not an execution
+    path of the product; the ``ground_truth`` arms of the engine and DML tests
+    use it to assert that the bits the NOR programs left in the bookkeeping
+    columns are the selection ANDed with the valid bits — and zero outside
+    the crossbars the last program was run on (the zone-map candidates when
+    pruned, which is what the column's dirty mask records).
+    """
+
+    @staticmethod
+    def column(stored, partition: int, column: int, expected: np.ndarray) -> None:
+        from repro.core.stages import candidate_rows
+
+        bits = stored.column_bit(partition, column)
+        assert np.array_equal(bits, expected), f"partition {partition} column {column}"
+        touched = candidate_rows(
+            stored, partition, stored.column_dirty_mask(partition, column)
+        )
+        assert not bits[~touched].any()
+
+    @classmethod
+    def query(cls, engine, execution) -> None:
+        """The filter / group columns after ``engine`` ran ``execution.query``."""
+        from repro.db.compiler import partition_conjuncts
+        from repro.db.query import evaluate_predicate
+
+        stored, query = engine.stored, execution.query
+        if engine.pruning and execution.crossbars_scanned == 0:
+            return                  # provably empty: no program ran at all
+        relation = stored.relation
+        primary = engine._primary_partition(query)
+        layout = stored.layouts[primary]
+        selection = evaluate_predicate(query.predicate, relation) & stored.valid_mask(primary)
+        conjuncts = partition_conjuncts(query.predicate, stored.partition_attributes)
+        for partition, conjunct in enumerate(conjuncts):
+            if partition != primary:
+                cls.column(
+                    stored, partition, stored.layouts[partition].filter_column,
+                    evaluate_predicate(conjunct, relation) & stored.valid_mask(partition),
+                )
+        # pim-gb removes every subgroup it aggregated from the host's filter
+        # and leaves the last subgroup's mask in the group column.
+        pim_groups = execution.plan.pim_groups if execution.plan is not None else []
+        for key in pim_groups:
+            group = selection.copy()
+            for name, value in zip(query.group_by, key):
+                group &= relation.column(name) == np.uint64(value)
+            selection &= ~group
+        if pim_groups:
+            cls.column(stored, primary, layout.group_column, group)
+        cls.column(stored, primary, layout.filter_column, selection)
+
+    @classmethod
+    def delete(cls, stored, predicate, valid_before: np.ndarray) -> None:
+        """The filter / valid columns after a DELETE of ``predicate``."""
+        from repro.db.dml import compile_delete
+        from repro.db.query import evaluate_predicate
+
+        doomed = evaluate_predicate(predicate, stored.relation) & valid_before
+        primary = compile_delete(stored, predicate).partition
+        cls.column(stored, primary, stored.layouts[primary].filter_column, doomed)
+        for partition, layout in enumerate(stored.layouts):
+            cls.column(stored, partition, layout.valid_column, valid_before & ~doomed)
+
+
+@pytest.fixture()
+def ground_truth_oracle():
+    return GroundTruthOracle

@@ -303,22 +303,48 @@ def test_assert_tight_catches_a_stale_bound():
         zonemaps.assert_tight(stored.relation, stored.valid_mask(0))
 
 
+@pytest.mark.parametrize("backend", ["packed", "bool"])
+@pytest.mark.parametrize("records", [600, 2500], ids=["empty-decision", "candidates"])
+@pytest.mark.parametrize("statement", ["delete", "update"])
+def test_pruned_dml_refuses_a_row_the_zone_maps_excluded(backend, records, statement):
+    """A too-narrow bound fails loudly before any program runs: nothing stored,
+    no wear, no statistic and no ground-truth value moves (``state_digest``).
+    One crossbar of rows leaves no candidate at all, three leave the others."""
+    stored, system = _small_stored(backend, records=records)
+    zonemaps = stored.statistics.zonemaps
+    in_use = -(-records // stored.rows_per_crossbar)
+    crossbar = int(np.argmin(zonemaps.maxs["value"][:in_use]))
+    bound = int(zonemaps.maxs["value"][crossbar])
+    zonemaps.maxs["value"][crossbar] -= np.uint64(1)    # excludes the row holding it
+    predicate = Comparison("value", ">=", bound)
+    before = stored.state_digest()
+    with pytest.raises(RuntimeError, match="conservative-maintenance invariant"):
+        if statement == "delete":
+            dml.execute_delete(stored, predicate, PimExecutor(system))
+        else:
+            execute_update(stored, predicate, {"flag": 1}, PimExecutor(system))
+    assert stored.state_digest() == before
+    assert stored.live_count == records and stored.tombstone_count == 0
+
+
 # ----------------------------------------------------- pruned DML == broadcast
 @pytest.mark.parametrize("backend", ["packed", "bool"])
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_pruned_delete_matches_broadcast(backend, vectorized):
+@pytest.mark.parametrize("ground_truth", [False, True])
+def test_pruned_delete_matches_broadcast(backend, ground_truth, ground_truth_oracle):
     pruned_stored, system = _small_stored(backend)
     broadcast_stored, _ = _small_stored(backend)
     predicate = Comparison("key", "between", low=0, high=2000)
+    valid_before = pruned_stored.valid_mask(0)
     a = dml.execute_delete(
-        pruned_stored, predicate, PimExecutor(system),
-        vectorized=vectorized, pruned=True,
+        pruned_stored, predicate, PimExecutor(system), pruned=True,
     )
     b = dml.execute_delete(
-        broadcast_stored, predicate, PimExecutor(system),
-        vectorized=vectorized, pruned=False,
+        broadcast_stored, predicate, PimExecutor(system), pruned=False,
     )
     assert a.records_deleted == b.records_deleted > 0
+    if ground_truth:
+        for stored in (pruned_stored, broadcast_stored):
+            ground_truth_oracle.delete(stored, predicate, valid_before)
     assert np.array_equal(
         pruned_stored.valid_mask(0), broadcast_stored.valid_mask(0)
     )
@@ -370,7 +396,7 @@ def test_engine_feedback_rebuilds_and_recluster_loop():
     """The closed loop end to end on a small relation (packed backend)."""
     stored, system = _small_stored(records=3000, seed=41)
     engine = PimQueryEngine(
-        stored, config=system, label="loop", vectorized=True, pruning=True,
+        stored, config=system, label="loop", pruning=True,
     )
     executor = PimExecutor(system)
     probe = Query(
@@ -412,7 +438,7 @@ def test_host_scan_records_estimate_and_feeds_back():
 
     stored, system = _small_stored(records=800, seed=43)
     engine = PimQueryEngine(
-        stored, config=system, label="host", vectorized=True, pruning=True,
+        stored, config=system, label="host", pruning=True,
     )
     query = Query(
         "host-probe",
@@ -473,7 +499,7 @@ def _churn_relation(seed: int) -> Relation:
 def _build_service(backend: str, shards: int, seed: int):
     from repro.service import QueryService
 
-    service = QueryService(vectorized=True)
+    service = QueryService()
     relation = _churn_relation(seed)
     if shards == 1:
         system = DEFAULT_CONFIG.with_backend(backend)

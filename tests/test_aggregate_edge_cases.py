@@ -3,7 +3,7 @@
 These tests pin the empty-selection semantics the engines must agree on
 (no selected record => no result row, mirroring the columnar reference), the
 min-merge fix (an absent min must not poison merging with a spurious 0), and
-the bit-exactness of the compiled-program cache and vectorized host paths.
+the bit-exactness of the compiled-program cache.
 """
 
 import numpy as np
@@ -244,29 +244,32 @@ def test_single_record_groups_through_engine(toy_relation):
     assert reference  # the query does select a handful of records
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_two_partition_group_by_edge_cases(toy_relation, vectorized):
+@pytest.mark.parametrize("ground_truth", [False, True])
+def test_two_partition_group_by_edge_cases(
+    toy_relation, ground_truth, ground_truth_oracle
+):
     """two_xb group-by with min/max and group attrs on the remote partition."""
     query = Query(
         "two-xb-gb", SOME_FILTER, ALL_AGGREGATES, group_by=("city", "year")
     )
-    engine = _engine(toy_relation, partitions=TWO_XB, vectorized=vectorized)
+    engine = _engine(toy_relation, partitions=TWO_XB)
     execution = engine.execute(query)
     assert execution.rows == _reference(toy_relation, query)
+    if ground_truth:
+        ground_truth_oracle.query(engine, execution)
 
 
 @pytest.mark.parametrize(
-    "vectorized,backend",
+    "ground_truth,backend",
     [
-        # The gate-level NOR simulation is fast enough on the packed backend
-        # to run in the default tier; the boolean reference run stays slow.
+        # The boolean reference run stays in the slow tier.
         (False, "packed"),
         pytest.param(False, "bool", marks=pytest.mark.slow),
         (True, None),
     ],
 )
 def test_three_partition_group_by_spanning_two_remotes(
-    toy_relation, vectorized, backend
+    toy_relation, ground_truth, backend, ground_truth_oracle
 ):
     """GROUP-BY attributes on two different remote partitions.
 
@@ -295,26 +298,14 @@ def test_three_partition_group_by_spanning_two_remotes(
         group_by=("region", "year"),
     )
     engine = _engine(
-        toy_relation, partitions=partitions, vectorized=vectorized,
+        toy_relation, partitions=partitions,
         backend=backend, cost_model=all_pim_model,
     )
     execution = engine.execute(query)
     assert execution.pim_subgroups > 0  # the folded remote path actually ran
     assert execution.rows == _reference(toy_relation, query)
-
-
-@pytest.mark.parametrize(
-    "backend", ["packed", pytest.param("bool", marks=pytest.mark.slow)]
-)
-def test_vectorized_engine_matches_gate_level_costs(toy_relation, backend):
-    """Vectorized host paths: same rows, same modelled costs, same wear."""
-    query = Query("paths", SOME_FILTER, ALL_AGGREGATES, group_by=("region",))
-    gate = _engine(toy_relation, backend=backend).execute(query)
-    fast = _engine(toy_relation, backend=backend, vectorized=True).execute(query)
-    assert fast.rows == gate.rows
-    assert fast.time_s == pytest.approx(gate.time_s, rel=1e-12)
-    assert fast.energy_j == pytest.approx(gate.energy_j, rel=1e-12)
-    assert fast.max_writes_per_row == gate.max_writes_per_row
+    if ground_truth:
+        ground_truth_oracle.query(engine, execution)
 
 
 # ----------------------------------------------------------- program cache

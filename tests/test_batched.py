@@ -88,8 +88,7 @@ def _execute(relation, queries, backend, strategy, pruning, partitions):
         partitions=partitions, aggregation_width=22,
     )
     engine = PimQueryEngine(
-        stored, config=config, cost_model=all_pim_cost_model(),
-        vectorized=False, pruning=pruning,
+        stored, config=config, cost_model=all_pim_cost_model(), pruning=pruning,
     )
     return [engine.execute(query) for query in queries], stored
 
@@ -230,7 +229,6 @@ def test_batched_is_the_default_and_gated_on_the_circuit():
         )
         engine = PimQueryEngine(
             stored, config=config, cost_model=all_pim_cost_model(),
-            vectorized=False,
         )
         executions[strategy] = engine.execute(GROUP_QUERY)
     assert executions["batched"].rows == executions["dispatch"].rows
@@ -691,7 +689,7 @@ def test_prescatter_skips_provably_empty_shards():
             reserve_bulk_aggregation=False,
         )
         engines[pruning] = ShardedQueryEngine(
-            sharded, label=f"pre{pruning}", vectorized=True, pruning=pruning,
+            sharded, label=f"pre{pruning}", pruning=pruning,
         )
     # keys are sorted, so a low-key predicate empties the upper shards.
     query = Query(

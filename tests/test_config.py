@@ -92,3 +92,33 @@ def test_retired_environment_switches_change_no_default(
     broadcast = PimExecutor(DEFAULT_CONFIG)
     execute_delete(toy_stored, Comparison("key", "<", 20), broadcast, pruned=False)
     assert "zonemap-check" not in broadcast.stats.time_by_phase
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["QueryService", "PimQueryEngine", "ShardedQueryEngine", "execute_delete"],
+)
+def test_vectorized_keyword_is_removed_not_ignored(target, toy_stored, toy_relation):
+    """There is one evaluator per program; nothing accepts the old mode flag."""
+    from repro.core.executor import PimQueryEngine
+    from repro.db.dml import execute_delete
+    from repro.db.query import Comparison
+    from repro.pim.controller import PimExecutor
+    from repro.pim.module import PimModule
+    from repro.service import QueryService
+    from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
+
+    calls = {
+        "QueryService": lambda: QueryService(vectorized=True),
+        "PimQueryEngine": lambda: PimQueryEngine(toy_stored, vectorized=True),
+        "ShardedQueryEngine": lambda: ShardedQueryEngine(
+            ShardedStoredRelation(toy_relation, PimModule(DEFAULT_CONFIG), shards=2),
+            vectorized=True,
+        ),
+        "execute_delete": lambda: execute_delete(
+            toy_stored, Comparison("key", "<", 10), PimExecutor(DEFAULT_CONFIG),
+            vectorized=True,
+        ),
+    }
+    with pytest.raises(TypeError, match="vectorized"):
+        calls[target]()

@@ -84,7 +84,7 @@ def test_update_with_multiple_assignments_and_numeric_attribute(toy_relation_fac
 
 def test_update_is_visible_to_subsequent_queries(toy_relation_factory):
     relation, stored = _fresh_stored(toy_relation_factory, seed=13)
-    engine = PimQueryEngine(stored, vectorized=True)
+    engine = PimQueryEngine(stored)
     execute_update(
         stored, Comparison("region", EQ, "AFRICA"), {"region": "AMERICA"},
         PimExecutor(DEFAULT_CONFIG),
@@ -207,7 +207,7 @@ def test_sharded_update_then_query_is_bit_exact(toy_relation_factory):
         relation, PimModule(DEFAULT_CONFIG), shards=3, label="upd-query",
         aggregation_width=22, reserve_bulk_aggregation=False,
     )
-    engine = ShardedQueryEngine(sharded, vectorized=True)
+    engine = ShardedQueryEngine(sharded)
     execute_sharded_update(
         sharded,
         And((Comparison("region", EQ, "ASIA"), Comparison("discount", LT, 5))),

@@ -1,8 +1,8 @@
 """The DML subsystem: in-place INSERT/DELETE with slot reuse and compaction.
 
 The contract under test: after *any* interleaving of INSERT, DELETE, UPDATE
-and queries, every engine path — gate-level NOR, vectorized, packed or
-boolean backend, unsharded or sharded — returns rows bit-exact with an
+and queries, every engine path — packed or boolean backend, unsharded or
+sharded — returns rows bit-exact with an
 independently maintained functional ground truth, and deleted rows never
 contribute to any aggregate.  A hypothesis state-machine-style property test
 drives random interleavings at K=1 and sharded K=4 on both backends; focused
@@ -100,17 +100,20 @@ def assert_live_matches(live: Relation, model_rows) -> None:
 
 # ------------------------------------------------------------------- DELETE
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_delete_tombstones_every_query_path(backend, vectorized):
+@pytest.mark.parametrize("ground_truth", [False, True])
+def test_delete_tombstones_every_query_path(backend, ground_truth, ground_truth_oracle):
     config = config_for(backend)
     relation = small_relation(64)
     stored = StoredRelation(relation, PimModule(config), label="t")
-    engine = PimQueryEngine(stored, config=config, vectorized=vectorized)
+    engine = PimQueryEngine(stored, config=config)
     executor = PimExecutor(config)
 
     predicate = Comparison("city", "==", "OSLO")
     doomed = evaluate_predicate(predicate, relation)
-    result = execute_delete(stored, predicate, executor, vectorized=vectorized)
+    valid_before = stored.valid_mask()
+    result = execute_delete(stored, predicate, executor)
+    if ground_truth:
+        ground_truth_oracle.delete(stored, predicate, valid_before)
 
     assert result.records_deleted == int(doomed.sum()) > 0
     assert stored.tombstone_count == result.records_deleted
@@ -121,6 +124,8 @@ def test_delete_tombstones_every_query_path(backend, vectorized):
     for query in (SCALAR_QUERY, GROUP_QUERY):
         execution = engine.execute(query)
         assert execution.rows == reference_rows(live, query)
+        if ground_truth:
+            ground_truth_oracle.query(engine, execution)
     # Deleted rows never contribute: the OSLO group is gone entirely.
     grouped = engine.execute(GROUP_QUERY).rows
     oslo = CITIES.index("OSLO")
@@ -162,8 +167,8 @@ def test_delete_rejects_mismatched_compiled_statement():
 def test_delete_everything_then_queries_return_no_rows():
     config = config_for("packed")
     stored = StoredRelation(small_relation(32), PimModule(config), label="t")
-    engine = PimQueryEngine(stored, config=config, vectorized=True)
-    execute_delete(stored, None, PimExecutor(config), vectorized=True)
+    engine = PimQueryEngine(stored, config=config)
+    execute_delete(stored, None, PimExecutor(config))
     assert stored.live_count == 0
     assert engine.execute(SCALAR_QUERY).rows == {}
     assert engine.execute(GROUP_QUERY).rows == {}
@@ -198,7 +203,7 @@ def test_insert_reuses_lowest_tombstones_then_grows_tail():
     # The inserted rows are live and visible to queries and ground truth.
     live = stored.live_relation()
     assert len(live) == stored.live_count == 32
-    engine = PimQueryEngine(stored, config=config, vectorized=True)
+    engine = PimQueryEngine(stored, config=config)
     assert engine.execute(GROUP_QUERY).rows == reference_rows(live, GROUP_QUERY)
     assert executor.stats.time_by_phase["insert-write"] > 0
 
@@ -265,7 +270,7 @@ def test_compaction_threshold_and_slot_reclaim():
     assert executor.stats.time_by_phase["compact-read"] > 0
     assert executor.stats.time_by_phase["compact-write"] > 0
 
-    engine = PimQueryEngine(stored, config=config, vectorized=True)
+    engine = PimQueryEngine(stored, config=config)
     assert engine.execute(GROUP_QUERY).rows == reference_rows(after_live, GROUP_QUERY)
 
 
@@ -279,7 +284,7 @@ def test_compaction_of_fully_deleted_relation_reclaims_all_slots():
     config = config_for("packed")
     stored = StoredRelation(small_relation(16), PimModule(config), label="t")
     executor = PimExecutor(config)
-    engine = PimQueryEngine(stored, config=config, vectorized=True)
+    engine = PimQueryEngine(stored, config=config)
     execute_delete(stored, None, executor)
     assert stored.live_count == 0
 
@@ -473,7 +478,7 @@ def test_sharded_dml_stays_bit_exact(backend):
     config = config_for(backend)
     relation = small_relation(60)
     sharded = ShardedStoredRelation(relation, PimModule(config), shards=4)
-    engine = ShardedQueryEngine(sharded, config=config, vectorized=True)
+    engine = ShardedQueryEngine(sharded, config=config)
     executors = sharded.make_executors()
 
     def check():
@@ -482,7 +487,7 @@ def test_sharded_dml_stays_bit_exact(backend):
             assert engine.execute(query).rows == reference_rows(live, query)
 
     delete = execute_sharded_delete(
-        sharded, Comparison("value", "<", 300), executors, vectorized=True
+        sharded, Comparison("value", "<", 300), executors
     )
     assert delete.records_deleted == sum(
         r.records_deleted for r in delete.shard_results
@@ -646,14 +651,14 @@ def test_property_interleaved_dml_unsharded(backend, operations):
     relation = small_relation(32)
     model = _Model(relation)
     stored = StoredRelation(relation, PimModule(config), label="t")
-    engine = PimQueryEngine(stored, config=config, vectorized=True)
+    engine = PimQueryEngine(stored, config=config)
     executor = PimExecutor(config)
 
     def apply_op(operation):
         if operation[0] == "insert":
             execute_insert(stored, operation[1], executor)
         elif operation[0] == "delete":
-            execute_delete(stored, operation[1], executor, vectorized=True)
+            execute_delete(stored, operation[1], executor)
         elif operation[0] == "update":
             if stored.live_count:
                 execute_update(stored, operation[1], {"value": operation[2]}, executor)
@@ -677,14 +682,14 @@ def test_property_interleaved_dml_sharded(backend, operations):
     relation = small_relation(32)
     model = _Model(relation)
     sharded = ShardedStoredRelation(relation, PimModule(config), shards=4)
-    engine = ShardedQueryEngine(sharded, config=config, vectorized=True)
+    engine = ShardedQueryEngine(sharded, config=config)
     executors = sharded.make_executors()
 
     def apply_op(operation):
         if operation[0] == "insert":
             execute_sharded_insert(sharded, operation[1], executors)
         elif operation[0] == "delete":
-            execute_sharded_delete(sharded, operation[1], executors, vectorized=True)
+            execute_sharded_delete(sharded, operation[1], executors)
         elif operation[0] == "update":
             if sharded.live_count:
                 execute_sharded_update(
@@ -709,7 +714,7 @@ def test_gate_level_interleaving_matches_ground_truth():
     relation = small_relation(24)
     model = _Model(relation)
     stored = StoredRelation(relation, PimModule(config), label="t")
-    engine = PimQueryEngine(stored, config=config, vectorized=False)
+    engine = PimQueryEngine(stored, config=config)
     executor = PimExecutor(config)
 
     operations = [

@@ -321,7 +321,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
             _mini_relation(), PimModule(config), label="mini"
         )
         engine = PimQueryEngine(
-            stored, config=config, vectorized=False, pruning=pruning
+            stored, config=config, pruning=pruning
         )
         executions[strategy] = [engine.execute(q) for q in MINI_QUERIES]
     for fused, dispatch in zip(executions["batched"], executions["dispatch"]):
@@ -337,7 +337,7 @@ def test_program_cache_reuses_fused_kernels():
     config = DEFAULT_CONFIG.with_execution("batched")
     stored = StoredRelation(_mini_relation(), PimModule(config), label="mini")
     engine = PimQueryEngine(
-        stored, config=config, compiler=cache, vectorized=False
+        stored, config=config, compiler=cache
     )
     assert cache.fused_kernels() == 0
     engine.execute(MINI_QUERIES[0])

@@ -220,8 +220,8 @@ def _lockstep(ours, theirs, config, batches) -> None:
     tracer = SpanTracer(enabled=True)
     executor, oracle_executor = PimExecutor(config), PimExecutor(config)
     tracer.bind(executor.stats)
-    engine = PimQueryEngine(ours, config=config, vectorized=True)
-    twin_engine = PimQueryEngine(theirs, config=config, vectorized=True)
+    engine = PimQueryEngine(ours, config=config)
+    twin_engine = PimQueryEngine(theirs, config=config)
     with tracer.span("lockstep"):
         for batch in batches:
             with tracer.span("insert"):

@@ -480,7 +480,6 @@ def test_decode_cells_equals_indexing_the_decoded_column(backend, tombstones):
     if tombstones:
         execute_delete(
             stored, Comparison("a", "<", 1 << 10), PimExecutor(config),
-            vectorized=True,
         )
         assert 0 < stored.live_count < stored.num_records == records
     threshold = int(records * GATHER_MAX_SHARE)
@@ -586,7 +585,7 @@ def test_module_allocates_configured_backend():
 
 
 # -------------------------------------------------------- SSB query parity
-def _one_xb_engine(prejoined, backend, vectorized):
+def _one_xb_engine(prejoined, backend):
     config = DEFAULT_CONFIG.with_backend(backend)
     module = PimModule(config)
     stored = StoredRelation(
@@ -594,16 +593,14 @@ def _one_xb_engine(prejoined, backend, vectorized):
         aggregation_width=max_aggregated_width(prejoined),
         reserve_bulk_aggregation=False,
     )
-    return PimQueryEngine(
-        stored, label="one_xb", timing_scale=100.0, vectorized=vectorized
-    )
+    return PimQueryEngine(stored, label="one_xb", timing_scale=100.0)
 
 
 @pytest.fixture(scope="module")
 def parity_engines(ssb_prejoined):
     """Gate-level one-xb engines on both backends (module-scoped)."""
     return {
-        backend: _one_xb_engine(ssb_prejoined, backend, vectorized=False)
+        backend: _one_xb_engine(ssb_prejoined, backend)
         for backend in ("bool", "packed")
     }
 
@@ -646,7 +643,6 @@ def sharded_parity_engines(ssb_prejoined):
         )
         engines[backend] = ShardedQueryEngine(
             sharded, label=f"parity-{backend}", timing_scale=100.0,
-            vectorized=True,
         )
     return engines
 

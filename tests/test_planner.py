@@ -2,8 +2,8 @@
 
 The contract under test: zone maps are *conservative, never wrong* — a
 crossbar they prune provably holds no matching live row — so pruned
-execution is bit-exact with the full broadcast on every path (gate-level and
-vectorized, packed and boolean backends, unsharded and sharded), across the
+execution is bit-exact with the full broadcast on every path (packed and
+boolean backends, unsharded and sharded), across the
 full SSB suite and under arbitrary interleavings of DML with queries, while
 scanning strictly fewer crossbars and charging less modelled time on
 selective queries.  The cost planner's host-scan route must return the same
@@ -137,7 +137,7 @@ def test_zonemaps_maintenance_under_dml_stays_conservative_and_charged():
     # DELETE decrements the live counters, bounds stay wide.
     predicate = Comparison("key", "<", 500)
     doomed = int(evaluate_predicate(predicate, relation).sum())
-    execute_delete(stored, predicate, executor, vectorized=True)
+    execute_delete(stored, predicate, executor)
     assert int(live_before.sum() - maps.live.sum()) == doomed
 
     # INSERT with a brand-new maximum widens the target crossbar's bounds.
@@ -200,45 +200,28 @@ def test_conjunct_ordering_puts_the_most_selective_first():
 
 # ------------------------------------------------- pruned execution, bit-exact
 @pytest.mark.parametrize("backend", ["packed", "bool"])
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_pruned_execution_bit_exact_and_cheaper(backend, vectorized):
+@pytest.mark.parametrize("ground_truth", [True, False])
+def test_pruned_execution_bit_exact_and_cheaper(
+    backend, ground_truth, ground_truth_oracle
+):
     full_engine = PimQueryEngine(
-        _store(clustered_relation(), backend), vectorized=vectorized,
-        timing_scale=64.0,
+        _store(clustered_relation(), backend), timing_scale=64.0,
     )
     pruned_engine = PimQueryEngine(
-        _store(clustered_relation(), backend), vectorized=vectorized,
-        pruning=True, timing_scale=64.0,
+        _store(clustered_relation(), backend), pruning=True, timing_scale=64.0,
     )
     for query in (POINT, RANGE, NOTHING):
         full = full_engine.execute(query)
         pruned = pruned_engine.execute(query)
+        if ground_truth:
+            ground_truth_oracle.query(full_engine, full)
+            ground_truth_oracle.query(pruned_engine, pruned)
         assert pruned.rows == full.rows, query.name
         assert pruned.crossbars_scanned < pruned.crossbars_total
         assert pruned.time_s < full.time_s
     # The provably-empty query skips execution entirely.
     empty = pruned_engine.execute(NOTHING)
     assert empty.rows == {} and empty.crossbars_scanned == 0
-
-
-def test_pruned_gate_level_and_vectorized_charge_identical_stats():
-    """The two execution modes stay cost-identical under pruning too."""
-    results = {}
-    for vectorized in (False, True):
-        engine = PimQueryEngine(
-            _store(clustered_relation()), vectorized=vectorized, pruning=True
-        )
-        # Two rounds: the second exercises the stale-filter clear path (the
-        # first query dirtied its candidate crossbars).
-        for query in (RANGE, POINT):
-            execution = engine.execute(query)
-        results[vectorized] = execution
-    gate, vector = results[False], results[True]
-    assert gate.rows == vector.rows
-    assert gate.stats.time_by_phase == vector.stats.time_by_phase
-    assert gate.stats.energy_by_component == vector.stats.energy_by_component
-    assert gate.max_writes_per_row == vector.max_writes_per_row
-    assert gate.stats.logic_ops == vector.stats.logic_ops
 
 
 REGIONS = ["EU", "NA", "SA", "APAC"]
@@ -274,7 +257,9 @@ def _all_pim_cost_model():
 
 
 @pytest.mark.parametrize("backend", ["packed", "bool"])
-def test_pruned_group_by_across_partitions_bit_exact_and_cost_identical(backend):
+def test_pruned_group_by_across_partitions_bit_exact_and_cost_identical(
+    backend, ground_truth_oracle
+):
     """Remote-partition subgroup mask programs prune to their own candidates.
 
     Three vertical partitions force the remote-fold path (two remote
@@ -294,29 +279,20 @@ def test_pruned_group_by_across_partitions_bit_exact_and_cost_identical(backend)
     )
     results = {}
     for pruning in (False, True):
-        for vectorized in (False, True):
-            engine = PimQueryEngine(
-                _store(partitioned_relation(), backend,
-                       partitions=partitions, label="three_xb"),
-                vectorized=vectorized, pruning=pruning,
-                cost_model=_all_pim_cost_model(), timing_scale=64.0,
-            )
-            results[pruning, vectorized] = engine.execute(query)
-    rows = results[False, False].rows
+        engine = PimQueryEngine(
+            _store(partitioned_relation(), backend,
+                   partitions=partitions, label="three_xb"),
+            pruning=pruning, cost_model=_all_pim_cost_model(), timing_scale=64.0,
+        )
+        results[pruning] = engine.execute(query)
+        ground_truth_oracle.query(engine, results[pruning])
+    rows = results[False].rows
     assert rows, "query must select records for the test to mean anything"
-    for execution in results.values():
-        assert execution.rows == rows
+    assert results[True].rows == rows
     # pim-gb handled every subgroup, so the pruned mask path really ran.
-    assert results[True, False].pim_subgroups > 0
-    # Gate-level and vectorized stay cost-identical under pruning.
-    for pruning in (False, True):
-        gate, vector = results[pruning, False], results[pruning, True]
-        assert gate.stats.time_by_phase == vector.stats.time_by_phase
-        assert gate.stats.energy_by_component == vector.stats.energy_by_component
-        assert gate.stats.logic_ops == vector.stats.logic_ops
-        assert gate.max_writes_per_row == vector.max_writes_per_row
+    assert results[True].pim_subgroups > 0
     # Pruning the subgroup programs saves modelled time on a selective query.
-    assert results[True, True].time_s < results[False, True].time_s
+    assert results[True].time_s < results[False].time_s
 
 
 def test_pruned_ssb_suite_bit_exact_both_backends(ssb_prejoined):
@@ -336,7 +312,7 @@ def test_pruned_ssb_suite_bit_exact_both_backends(ssb_prejoined):
                 aggregation_width=width, reserve_bulk_aggregation=False,
             )
             engines[pruning] = PimQueryEngine(
-                stored, config=config, vectorized=True, pruning=pruning
+                stored, config=config, pruning=pruning
             )
         for name in QUERY_ORDER:
             query = ALL_QUERIES[name]
@@ -428,7 +404,7 @@ def test_pruned_bit_exact_under_interleaved_dml(backend, shards, ops, probe_key)
 
 # --------------------------------------------------------- cost-based routing
 def test_host_scan_route_matches_pim_rows():
-    engine = PimQueryEngine(_store(clustered_relation()), vectorized=True)
+    engine = PimQueryEngine(_store(clustered_relation()))
     for query in (POINT, RANGE, NOTHING):
         host = execute_host_scan(engine, query)
         pim = engine.execute(query)
@@ -441,14 +417,14 @@ def test_cost_planner_prefers_pim_at_scale_and_host_for_small_scans():
     planner = CostPlanner()
     # Serving scale: the PIM path wins on a selective query.
     big = PimQueryEngine(
-        _store(clustered_relation()), vectorized=True, pruning=True,
+        _store(clustered_relation()), pruning=True,
         timing_scale=1024.0,
     )
     decision = planner.route(POINT, big)
     assert decision.target == "pim"
     assert decision.est_pim_time_s < decision.est_host_time_s
     # A small, unscaled relation with a near-unselective scan: the host wins.
-    small = PimQueryEngine(_store(clustered_relation()), vectorized=True)
+    small = PimQueryEngine(_store(clustered_relation()))
     broad = Query(
         "broad", Comparison("value", ">=", 0),
         (Aggregate("sum", "value"), Aggregate("count")),
@@ -469,8 +445,7 @@ def test_cost_planner_routes_group_by_across_vertical_partitions():
         _store(
             partitioned_relation(),
             partitions=[["key", "value"], ["city"], ["region"]],
-        ),
-        vectorized=True, pruning=True, timing_scale=64.0,
+        ), pruning=True, timing_scale=64.0,
     )
     grouped = Query(
         "grouped", Comparison("key", "<", 2048),
@@ -600,7 +575,7 @@ def test_delete_invalidates_nothing_yet_narrows_the_live_prefilter():
     assert cold.candidates[0][0]
 
     executor = PimExecutor(DEFAULT_CONFIG)
-    execute_delete(stored, query.predicate, executor, vectorized=True)
+    execute_delete(stored, query.predicate, executor)
     counters_before = statistics.candidate_stats()
     replay = statistics.plan(query.predicate, stored.partition_attributes, cp)
     delta = statistics.candidate_stats() - counters_before
@@ -653,11 +628,11 @@ def test_host_scan_selectivity_normalized_by_live_rows():
     """After a DELETE, both routes report the live-row selected fraction."""
     stored = _store(clustered_relation())
     engine = PimQueryEngine(
-        stored, config=DEFAULT_CONFIG, vectorized=True, pruning=True
+        stored, config=DEFAULT_CONFIG, pruning=True
     )
     executor = PimExecutor(DEFAULT_CONFIG)
     execute_delete(
-        stored, Comparison("value", ">=", 512), executor, vectorized=True
+        stored, Comparison("value", ">=", 512), executor
     )
     query = Query(
         "q", Comparison("value", "<", 100),

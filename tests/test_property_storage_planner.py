@@ -236,7 +236,7 @@ def test_candidate_cache_bit_exact_under_churn(ops, seed):
     for backend in ("packed", "bool"):
         trace = []
         for shards in (1, 4):
-            service = QueryService(vectorized=True)
+            service = QueryService()
             relation = _churn_relation(seed)
             if shards == 1:
                 system = DEFAULT_CONFIG.with_backend(backend)

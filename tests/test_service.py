@@ -1,10 +1,19 @@
 """Tests of the batched query service (cache, scheduling, stats)."""
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
-from repro.db.query import Aggregate, And, BETWEEN, Comparison, IN, Query
+from repro.db.query import (
+    Aggregate,
+    And,
+    BETWEEN,
+    Comparison,
+    IN,
+    Query,
+    evaluate_predicate,
+)
 from repro.db.storage import StoredRelation
 from repro.pim.module import PimModule
 from repro.service import ProgramCache, QueryRequest, QueryService
@@ -46,6 +55,44 @@ def test_batch_matches_sequential_execution(toy_relation, service):
     for execution, query in zip(result, WORKLOAD):
         assert execution.rows == sequential.execute(query).rows
     assert len(result) == len(WORKLOAD)
+
+
+@pytest.mark.parametrize("backend", ["packed", "bool"])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_service_answers_from_the_stored_bits(toy_relation, backend, shards):
+    """A WHERE clause is evaluated on the crossbar bits, not on the host copy.
+
+    One stored bit of one live record's ``year`` is flipped behind the ground
+    truth's back so that the record leaves the selection (its crossbar stays
+    a zone-map candidate: other rows there still match).  The service must
+    count what the bank holds.
+    """
+    # The PIM route: the host-scan route streams the host copy by design.
+    service = QueryService(planner=False)
+    storage = {"aggregation_width": 22, "reserve_bulk_aggregation": False}
+    if shards == 1:
+        config = DEFAULT_CONFIG.with_backend(backend)
+        stored = StoredRelation(toy_relation, PimModule(config), label="svc", **storage)
+        service.register("toy", stored, config=config)
+    else:
+        engine = service.register_sharded(
+            "toy", toy_relation, shards=shards, backend=backend, **storage
+        )
+        stored = engine.sharded.shards[1]
+    query = Query("in-1995", Comparison("year", "==", 1995), (Aggregate("count"),))
+    truth = int(evaluate_predicate(query.predicate, toy_relation).sum())
+    assert service.execute(query).scalar() == truth
+
+    slot = int(np.flatnonzero(evaluate_predicate(query.predicate, stored.relation))[0])
+    allocation = stored.allocation_of("year")
+    offset, width = stored.layout_of("year").fields["year"]
+    xbar, row = allocation.crossbar_of_record(slot), allocation.row_of_record(slot)
+    value = allocation.bank.read_field(xbar, row, offset, width)
+    allocation.bank.write_field(xbar, row, offset, width, value ^ 1)
+
+    assert service.execute(query).scalar() == truth - 1
+    assert int(evaluate_predicate(query.predicate, toy_relation).sum()) == truth
+    service.close()
 
 
 def test_second_replay_hits_the_cache(service):

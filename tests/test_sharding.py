@@ -59,7 +59,7 @@ def sharded_engines(ssb_prejoined):
         )
         engines[shards] = ShardedQueryEngine(
             sharded, label=f"sharded{shards}", timing_scale=100.0,
-            compiler=ProgramCache(256), vectorized=True,
+            compiler=ProgramCache(256),
         )
     return engines
 
@@ -113,7 +113,7 @@ def test_programs_compile_once_across_shards(ssb_prejoined):
             reserve_bulk_aggregation=False,
         )
         engine = ShardedQueryEngine(
-            sharded, compiler=cache, vectorized=True, timing_scale=100.0
+            sharded, compiler=cache, timing_scale=100.0
         )
         engine.execute(query)
         misses[shards] = cache.stats.misses
@@ -137,7 +137,7 @@ def test_max_workers_changes_neither_results_nor_costs(ssb_prejoined):
             reserve_bulk_aggregation=False,
         )
         engines[workers] = ShardedQueryEngine(
-            sharded, compiler=ProgramCache(256), vectorized=True,
+            sharded, compiler=ProgramCache(256),
             timing_scale=100.0, max_workers=workers,
         )
     for name in ("Q1.1", "Q2.1", "Q3.1"):
@@ -347,7 +347,7 @@ def test_sampler_reads_the_filter_bits_of_the_sample_page_only(monkeypatch):
     })
     stored = StoredRelation(relation, PimModule(config), label="pages")
     assert stored.pages == 3
-    engine = PimQueryEngine(stored, vectorized=True)
+    engine = PimQueryEngine(stored)
     query = Query(
         "sparse", Comparison("key", "<", 1 << 11),       # ~0.8 % of the rows
         (Aggregate("count"),), group_by=("g",),
@@ -479,7 +479,7 @@ def test_total_subgroups_covers_groups_split_across_shards():
     sharded = ShardedStoredRelation(
         relation, PimModule(DEFAULT_CONFIG), shards=2, label="split",
     )
-    engine = ShardedQueryEngine(sharded, vectorized=True)
+    engine = ShardedQueryEngine(sharded)
     execution = engine.execute(
         Query("split", None, (Aggregate("count"),), group_by=("g",))
     )
@@ -493,7 +493,7 @@ def test_executor_count_must_match_shards(toy_relation):
         toy_relation, PimModule(DEFAULT_CONFIG), shards=2, label="execs",
         aggregation_width=22, reserve_bulk_aggregation=False,
     )
-    engine = ShardedQueryEngine(sharded, vectorized=True)
+    engine = ShardedQueryEngine(sharded)
     query = Query("q", None, (Aggregate("count"),))
     with pytest.raises(ValueError, match="one executor per shard"):
         engine.execute(query, executor=[PimExecutor(DEFAULT_CONFIG)])
