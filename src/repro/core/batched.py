@@ -14,13 +14,14 @@ number or stored bit:
   program is the same circuit with other key constants, so the compiler is
   asked for one :class:`~repro.db.compiler.GroupMaskTemplate` per
   ``(layout, attributes, include_remote)`` — never for a per-key program —
-  and its two kernels are lowered (:func:`repro.pim.ir.lower_program_batch`)
+  and its conjunction is lowered (:func:`repro.pim.ir.lower_program_batch`)
   and compiled once, for as long as the service's program cache keeps the
-  template.  The key constants enter as *private* kernel inputs, stacked
-  over each attribute's distinct values, so one run evaluates an
-  attribute's equality once per distinct value however many keys share
-  it; a second run conjoins the equalities per key with the
-  remote-transfer bits and the filter.  All
+  template.  The key constants never enter a kernel: each attribute's
+  mismatch is evaluated once per *distinct* value, however many keys share
+  it, by selecting ``eq_const``'s literals along a constant axis
+  (:func:`repro.pim.fused.field_mismatches`), and gathered per key into the
+  conjunction's *private* inputs beside the remote-transfer bits, so one
+  kernel run per partition conjoins them with the filter.  All
   K masks are taken against the pre-group-by column state, which is sound
   because distinct full group keys select *disjoint* row sets: subgroup
   ``k``'s mask computed against the pre-loop filter state equals the
@@ -88,24 +89,21 @@ from repro.db.query import Query
 from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
 from repro.pim.controller import PimExecutor
-from repro.pim.fused import BatchKernel, compile_batch
+from repro.pim.fused import BatchKernel, compile_batch, field_mismatches
 from repro.pim.ir import lower_program_batch
 from repro.pim.logic import ProgramCost
 
 
-def _compile_group_batch(
-    template: GroupMaskTemplate,
-) -> tuple[BatchKernel, BatchKernel]:
-    """The equality and conjunction kernels of a template, built on first use.
+def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
+    """The conjunction kernel of a template, built on first use.
 
-    They hang off the template the way ``Program._kernel`` hangs off a
+    It hangs off the template the way ``Program._kernel`` hangs off a
     program: the service's :class:`~repro.service.cache.ProgramCache` hands
-    back the same template on a warm replay, and evicting it drops them.
+    back the same template on a warm replay, and evicting it drops both.
     """
     if template._kernel is None:
-        template._kernel = tuple(
-            compile_batch(lower_program_batch(programs, private_columns))
-            for programs, private_columns in template.stages
+        template._kernel = compile_batch(
+            lower_program_batch((template.program,), template.private_columns)
         )
     return template._kernel
 
@@ -129,43 +127,33 @@ def _run_partition_batch(
     ``values[k]`` holds key ``k``'s encoded values of
     ``template.attributes``; ``remote`` is the ``(K, n, ...)`` native value
     bound to the remote column of a template built with ``include_remote``.
-    Every constant bit is bound as the bank's all-ones or all-zeros value
-    (padding stays zero) stacked over the *distinct* values of its
-    attribute, so one kernel run yields each attribute's equality once per
-    distinct value; the conjunction kernel then runs on those gathered per
-    key.  Returns the conjunction's ``(K, n, ...)`` value — the masks against
-    the partition's *pre-batch* state, still in the bank's native kernel
-    representation — and the index of the ``n`` crossbars it covers (``None``:
-    all of them).  Under pruning the kernels run on the candidate crossbars
-    only; a skipped crossbar is not in the value and its bits are zero,
-    matching pruned reference execution.  Nothing is decoded here: the
-    readers are :func:`_mask_bits` and :func:`_subgroup_segments`.
+    Each attribute's mismatch is evaluated once per *distinct* value
+    (:func:`~repro.pim.fused.field_mismatches`, which rejects a value its
+    field cannot hold) and gathered per key into the template's mismatch
+    inputs, so one run of the conjunction kernel yields every key's mask.
+    Returns that ``(K, n, ...)`` value — the masks against the partition's
+    *pre-batch* state, still in the bank's native kernel representation —
+    and the index of the ``n`` crossbars it covers (``None``: all of them).
+    Under pruning the mismatches and the kernel cover the candidate
+    crossbars only; a skipped crossbar is not in the value and its bits are
+    zero, matching pruned reference execution.  Nothing is decoded here:
+    the readers are :func:`_mask_bits` and :func:`_subgroup_segments`.
     """
     bank = stored.allocations[partition].bank
     xbars = _candidate_idx(prune, partition)
+    bound = {}
+    for index, (columns, column) in enumerate(
+        zip(template.fields, template.mismatch_columns)
+    ):
+        distinct, inverse = np.unique(values[:, index], return_inverse=True)
+        bound[0, column] = field_mismatches(bank, columns, distinct, xbars)[inverse]
     if xbars is not None and xbars.size == 0:
         empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
         return bank.kernel_from_bool(empty), xbars
-    equality, conjunction = _compile_group_batch(template)
-    ones = bank.kernel_ones()
-    zero = np.bitwise_xor(ones, ones)
-    constants: dict = {}
-    inverses = []
-    for index, columns in enumerate(template.constant_columns):
-        distinct, inverse = np.unique(values[:, index], return_inverse=True)
-        inverses.append(inverse)
-        for bit, column in enumerate(columns):
-            is_set = (distinct >> bit & 1).astype(bool)[:, None, None]
-            constants[index, column] = np.where(is_set, ones, zero)
-    # Every stage program has exactly one output, its result column.
-    bound = {}
     if remote is not None:
         bound[0, stored.layouts[partition].remote_column] = remote
-    for column, inverse, ((_, mismatch),) in zip(
-        template.mismatch_columns, inverses, equality.run(bank, xbars, constants)
-    ):
-        bound[0, column] = mismatch[inverse]
-    (((_, value),),) = conjunction.run(bank, xbars, bound)
+    # The template's program has exactly one output, its result column.
+    (((_, value),),) = _compile_group_batch(template).run(bank, xbars, bound)
     return value, xbars
 
 

@@ -15,7 +15,6 @@ the data movement overhead Section V-A attributes to the two-xb layout.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -156,30 +155,28 @@ class GroupMaskTemplate:
 
     :func:`compile_group_predicate` / :func:`compile_group_combine` build one
     constant-specialised program per subgroup; every one of them is the same
-    circuit with other key constants.  A template is that circuit built
-    once, for ``attributes`` of ``layout`` (held sorted by name, the order
-    the specialised compilers use), in two stages the batched pim-gb path
-    lowers into one kernel each (``stages``):
+    circuit with other key constants.  A template is that circuit with the
+    key's equalities left open, for ``attributes`` of ``layout`` (held
+    sorted by name, the order the specialised compilers use):
 
-    * one :meth:`~repro.pim.logic.ProgramBuilder.eq_param` program per
-      attribute, reading constant bit ``i`` of attribute ``a`` from the
-      pseudo-column ``constant_columns[a][i]`` and leaving "attribute ``a``
-      differs from the constant" in ``mismatch_columns[a]``;
-    * one NOR of the ``mismatch_columns``, the negated remote bit-vector
-      (``include_remote``) and the negated ``filter_column`` into the group
-      column: no attribute differs, and the remote and filter bits are set.
+    * ``fields[a]`` are attribute ``a``'s bit columns.  The batched pim-gb
+      path evaluates "attribute ``a`` differs from the key's constant" once
+      per distinct constant, with the literals of
+      :meth:`~repro.pim.logic.ProgramBuilder.eq_const` selected along a
+      constant axis (:func:`repro.pim.fused.field_mismatches`), and binds it
+      per key to the pseudo-column ``mismatch_columns[a]``;
+    * ``program`` is one NOR of the ``mismatch_columns``, the negated remote
+      bit-vector (``include_remote``) and the negated ``filter_column`` into
+      the group column: no attribute differs, and the remote and filter bits
+      are set.  Its ``private_columns`` — the mismatches, then the remote
+      column — are the batch kernel inputs bound per key.
 
-    The pseudo-columns lie past the physical row; the kernels bind them as
-    private inputs and never touch the bank for them.  Splitting at the
-    mismatch columns lets a batch evaluate each attribute once per
-    *distinct* value and conjoin once per key.
-
-    Templates are functional only — never dispatched op by op, so their
-    scratch is pseudo-columns too and their gates are chosen for the fused
-    kernel, not for the cycle count.  What a subgroup's specialised program
-    would be charged is :meth:`cost`: the ops of the zero-key program that
-    are not equalities, plus :meth:`ProgramBuilder.eq_const_cycles` of the
-    key's values.
+    The pseudo-columns lie past the physical row, and so does the program's
+    scratch: a template is functional only, never dispatched op by op, and
+    its gates are chosen for the fused kernel, not for the cycle count.
+    What a subgroup's specialised program would be charged is :meth:`cost`:
+    the ops of the zero-key program that are not equalities, plus
+    :meth:`ProgramBuilder.eq_const_cycles` of the key's values.
     """
 
     def __init__(
@@ -197,47 +194,29 @@ class GroupMaskTemplate:
             _group_equality_terms(builder, dict.fromkeys(self.attributes, 0), layout),
             layout, include_remote, filter_column, self.result_column,
         )
-        fields = [layout.field_columns(name) for name in self.attributes]
-        self.widths = tuple(len(columns) for columns in fields)
+        self.fields = tuple(
+            tuple(layout.field_columns(name)) for name in self.attributes
+        )
+        self.widths = tuple(map(len, self.fields))
         self._fixed_cycles = zero_key.cycles - sum(
             ProgramBuilder.eq_const_cycles(width, 0) for width in self.widths
         )
 
-        # Pseudo-columns: one per attribute for its mismatch, one per
-        # constant bit, then the scratch pool (eq_param keeps two per bit).
-        cursor = layout.columns + len(fields)
+        # Pseudo-columns: one per attribute for its mismatch, then the two
+        # scratch columns of the negated remote and filter bits.
+        cursor = layout.columns + len(self.fields)
         self.mismatch_columns = tuple(range(layout.columns, cursor))
-        constant_columns = []
-        for width in self.widths:
-            constant_columns.append(tuple(range(cursor, cursor + width)))
-            cursor += width
-        self.constant_columns = tuple(constant_columns)
-        scratch = range(cursor, cursor + 2 * max(self.widths, default=0) + 3)
-
-        mismatches = []
-        for field, constants, column in zip(
-            fields, self.constant_columns, self.mismatch_columns
-        ):
-            builder = ProgramBuilder(scratch)
-            builder.emit_nor(column, (builder.eq_param(field, constants),))
-            mismatches.append(builder.build(result_column=column))
-        builder = ProgramBuilder(scratch)
         remote = (layout.remote_column,) if include_remote else ()
+        builder = ProgramBuilder(range(cursor, cursor + 2))
         builder.emit_nor(
             self.result_column,
             self.mismatch_columns
             + tuple(builder.not_(column) for column in (*remote, filter_column)),
         )
-        #: ``(programs, private input columns)`` of the two kernels.
-        self.stages = (
-            (tuple(mismatches), tuple(itertools.chain(*self.constant_columns))),
-            (
-                (builder.build(result_column=self.result_column),),
-                self.mismatch_columns + remote,
-            ),
-        )
-        # The compiled kernels, set by the batched path on first use; they
-        # live and die with the template, like ``Program._kernel``.
+        self.program = builder.build(result_column=self.result_column)
+        self.private_columns = self.mismatch_columns + remote
+        # The compiled kernel, set by the batched path on first use; it lives
+        # and dies with the template, like ``Program._kernel``.
         self._kernel = None
 
     def cost(self, values: Sequence[int]) -> ProgramCost:

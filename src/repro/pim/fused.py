@@ -171,3 +171,28 @@ class BatchKernel:
 def compile_batch(dag: BatchDag) -> BatchKernel:
     """Compile ``dag`` into a reusable :class:`BatchKernel`."""
     return BatchKernel(dag)
+
+
+def field_mismatches(
+    bank, columns: Sequence[int], values, xbars: np.ndarray | None = None
+):
+    """``field != v`` for every ``v`` of ``values``, as one native value
+    stacked along a constant axis: ``(len(values), n, ...)``.
+
+    The literals of :meth:`~repro.pim.logic.ProgramBuilder.eq_const` with the
+    constant as an index: the field (LSB-first ``columns``) differs from
+    ``v`` iff some bit plane ``P_i`` has the literal ``v_i`` selects set —
+    ``NOT P_i`` where ``v_i`` is one, ``P_i`` where it is zero.  Both
+    literals of every plane are built once, each value gathers its ``W``
+    and one OR-reduction covers them all.  A value that is negative or
+    does not fit in ``W`` bits raises ``ValueError`` instead of aliasing
+    another constant through its low bits.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    width = len(columns)
+    if np.any((values < 0) | (values >> width)):
+        raise ValueError(f"a constant does not fit in {width} bits")
+    planes = np.stack([bank.kernel_read(column, xbars) for column in columns])
+    literals = np.stack((planes, np.bitwise_xor(planes, bank.kernel_ones())))
+    bit = np.arange(width)
+    return np.bitwise_or.reduce(literals[values[:, None] >> bit & 1, bit], axis=1)

@@ -416,37 +416,6 @@ class ProgramBuilder:
         ProgramBuilder._check_fits(width, value)
         return 4 * width - 3 + int(value).bit_count()
 
-    def eq_param(
-        self, field_columns: Sequence[int], const_columns: Sequence[int]
-    ) -> int:
-        """``field == constant`` with the constant's bits read from columns.
-
-        The value-free twin of :meth:`eq_const`: bit ``i`` of the constant
-        is whatever ``const_columns[i]`` holds (all ones or all zeros in
-        every row), so one program serves every constant — the fused batch
-        kernel binds those columns as private inputs.  Bit ``i`` differs iff
-        ``field AND NOT const`` or ``NOT field AND const``; the field equals
-        the constant iff no such product is set, one wide NOR.  That keeps
-        two scratch columns per bit live, more than a row layout guarantees
-        for wide fields, and the op count is not :meth:`eq_const`'s: this is
-        for functional kernels (whose scratch never exists), with costs
-        charged from :meth:`eq_const_cycles`.
-        """
-        if len(field_columns) != len(const_columns) or not field_columns:
-            raise ValueError("need one constant column per field bit")
-        differs: list[int] = []
-        for col, const in zip(field_columns, const_columns):
-            not_col = self.not_(col)
-            not_const = self.not_(const)
-            differs += [self.nor(not_col, const), self.nor(col, not_const)]
-            self.free(not_col)
-            self.free(not_const)
-        equal = self.alloc()
-        self.emit_nor(equal, differs)
-        for column in differs:
-            self.free(column)
-        return equal
-
     def ne_const(self, field_columns: Sequence[int], value: int) -> int:
         """``field != value``."""
         eq = self.eq_const(field_columns, value)

@@ -115,7 +115,7 @@ class ProgramCache(ProgramCompiler):
 
         Programs memoize their optimized NOR DAG and fused kernel on first
         fused execution (see :meth:`repro.pim.logic.Program.fused_kernel`),
-        templates their batch kernels on first batched group-by, so a cache
+        templates their batch kernel on first batched group-by, so a cache
         hit reuses the kernel along with the entry and an eviction drops
         both — this counts how many entries currently carry one.
         """

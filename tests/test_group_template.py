@@ -1,15 +1,19 @@
 """The value-free pim-gb group-mask template against its specialised twins.
 
 ``execution="batched"`` never compiles a per-subgroup program: it asks for
-one :class:`~repro.db.compiler.GroupMaskTemplate` per partition, binds the
-group keys as kernel inputs and charges each subgroup from a closed form.
-The property test pins both halves against the constant-specialised
-compilers the ``dispatch`` reference still uses — the closed-form cost
-equals the compiled program's op count, and the template's mask bits equal
-op-by-op execution of the specialised program, on both backends, broadcast
-and on a crossbar subset.  The service-level test pins the point of it all:
-a warm GROUP-BY replay compiles and lowers nothing, whatever the subgroup
-count and however small the program cache.
+one :class:`~repro.db.compiler.GroupMaskTemplate` per partition, evaluates
+each GROUP-BY attribute's mismatch once per distinct key value
+(:func:`~repro.pim.fused.field_mismatches`, ``eq_const``'s literals selected
+along a constant axis), conjoins them per key in one kernel run and charges
+each subgroup from a closed form.  The property test pins both halves
+against the constant-specialised compilers the ``dispatch`` reference still
+uses — the closed-form cost equals the compiled program's op count, and the
+template's mask bits equal op-by-op execution of the specialised program,
+on both backends, broadcast and on a crossbar subset; explicit cases pin the
+mismatch stage's edges and its refusal of a key its field cannot hold.  The
+service-level test pins the point of it all: a warm GROUP-BY replay
+compiles and lowers nothing and runs one kernel per partition, whatever the
+subgroup count and however small the program cache.
 """
 
 import copy
@@ -36,13 +40,17 @@ from repro.db.query import Aggregate, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
+from repro.pim.fused import BatchKernel, field_mismatches
 from repro.pim.logic import ProgramBuilder
 from repro.pim.module import PimModule
 from repro.service import QueryService
 from repro.service.cache import ProgramCache
+from repro.ssb.schema import date_schema
 
 RECORDS = 2500  # three crossbars in use, the last one partly filled
 NAMES = ("a", "b", "c")
+# The widest field an SSB query groups by: d_year's 11 bits (p_brand1: 10).
+WIDEST = date_schema().attribute("d_year").width
 
 
 @st.composite
@@ -148,6 +156,94 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
                 assert np.array_equal(masks[index], expected)
 
 
+def _one_field_store(width: int, backend: str) -> StoredRelation:
+    """One ``width``-bit attribute ``a`` on three crossbars, 0 and 2^W - 1
+    among its random values."""
+    rng = np.random.default_rng(width)
+    column = rng.integers(0, 1 << width, RECORDS).astype(np.uint64)
+    column[::5] = 0
+    column[1::5] = (1 << width) - 1
+    relation = Relation(Schema("t", [int_attribute("a", width)]), {"a": column})
+    return StoredRelation(
+        relation, PimModule(DEFAULT_CONFIG.with_backend(backend)), label="t"
+    )
+
+
+def _prune(bank, xbars):
+    """A prune decision keeping ``xbars`` (``None``: broadcast) and its index."""
+    if xbars is None:
+        return None, None
+    candidates = np.zeros(bank.count, dtype=bool)
+    candidates[list(xbars)] = True
+    return SimpleNamespace(candidates=[candidates]), np.flatnonzero(candidates)
+
+
+@pytest.mark.parametrize("backend", ("packed", "bool"))
+@pytest.mark.parametrize("xbars", (None, (0, 2), ()), ids=("all", "subset", "none"))
+@pytest.mark.parametrize("width, values", (
+    (1, (0, 1)),
+    (1, (1,)),
+    (WIDEST, (0,)),
+    (WIDEST, ((1 << WIDEST) - 1, 0, 1992, (1 << WIDEST) - 1, 1992, 0, 7)),
+), ids=("w1", "w1-one-value", "widest-one-value", "widest-duplicates"))
+def test_equality_stage_edge_cases(backend, xbars, width, values):
+    """The mismatch stage against ``eq_const`` and the whole mask against
+    ``compile_group_predicate``, both executed op by op: W = 1 and the widest
+    SSB GROUP-BY field, one distinct value, duplicate keys (the gather by
+    ``inverse``), the constants 0 and 2^W - 1, broadcast, a non-contiguous
+    crossbar subset and an empty one."""
+    stored = _one_field_store(width, backend)
+    layout = stored.layouts[0]
+    bank = stored.allocations[0].bank
+    field = layout.field_columns("a")
+    prune, index = _prune(bank, xbars)
+    shape = (len(values), bank.count if index is None else index.size, bank.rows)
+
+    mismatches = bank.kernel_to_bool(field_mismatches(bank, field, values, index))
+    template = GroupMaskTemplate(["a"], layout, layout.valid_column)
+    value, covered = _run_partition_batch(
+        stored, 0, template, np.array(values).reshape(-1, 1), None, prune
+    )
+    masks = bank.kernel_to_bool(value)
+    assert mismatches.shape == masks.shape == shape
+    assert (covered is None) if index is None else np.array_equal(covered, index)
+
+    for key, constant in enumerate(values):
+        builder = ProgramBuilder(layout.scratch_columns)
+        builder.store(builder.eq_const(field, constant), layout.group_column)
+        equality = builder.build(result_column=layout.group_column)
+        mask = compile_group_predicate(
+            {"a": constant}, layout, filter_column=layout.valid_column
+        )
+        for program, expected in ((equality, ~mismatches[key]), (mask, masks[key])):
+            scratch = copy.deepcopy(bank)
+            if index is None:
+                program.execute(scratch)
+                bits = scratch.read_column(layout.group_column)
+            else:
+                program.execute_at(scratch, index)
+                bits = scratch.read_column(layout.group_column)[index]
+            assert np.array_equal(expected, bits)
+
+
+@pytest.mark.parametrize("backend", ("packed", "bool"))
+@pytest.mark.parametrize("xbars", (None, (1,), ()), ids=("all", "subset", "none"))
+@pytest.mark.parametrize("bad", (-1, 32, 32 + 3))
+def test_equality_stage_rejects_a_key_its_field_cannot_hold(backend, xbars, bad):
+    """A direct caller used to get the low W bits of such a value — key
+    ``32 + 3`` selected key 3's rows, ``-1`` key 31's; only
+    ``GroupMaskTemplate.cycles`` guarded the production path."""
+    stored = _one_field_store(5, backend)
+    layout = stored.layouts[0]
+    bank = stored.allocations[0].bank
+    prune, index = _prune(bank, xbars)
+    template = GroupMaskTemplate(["a"], layout, layout.valid_column)
+    with pytest.raises(ValueError, match="does not fit"):
+        _run_partition_batch(stored, 0, template, np.array([[3], [bad]]), None, prune)
+    with pytest.raises(ValueError, match="does not fit"):
+        field_mismatches(bank, layout.field_columns("a"), [bad], index)
+
+
 def test_eq_const_cycles_is_the_builder_count():
     for width in (1, 2, 7, 12):
         for value in {0, 1, (1 << width) - 1, (1 << width) // 3}:
@@ -234,12 +330,25 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     reference, reference_stored = _grouped_service("dispatch", capacity=512)
     cache = service.cache
     assert isinstance(cache, ProgramCache) and cache.capacity == 8
+    # One partition holds every GROUP-BY column: one template, one kernel.
+    assert len(stored.layouts) == 1
 
+    lowered = []
+    lower = batched.lower_program_batch
+
+    def lowering(programs, *args, **kwargs):
+        lowered.append(len(programs))
+        return lower(programs, *args, **kwargs)
+
+    monkeypatch.setattr(batched, "lower_program_batch", lowering)
     cold = service.execute(query)
+    monkeypatch.undo()
     assert cold.pim_subgroups >= 50
     assert cold.pim_subgroups == cold.total_subgroups
+    # The cold template build lowers one program: the conjunction.
+    assert lowered == [1]
 
-    calls = {"combine": 0, "predicate": 0, "lower": 0}
+    calls = {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -259,12 +368,13 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
         batched, "lower_program_batch",
         counting("lower", batched.lower_program_batch),
     )
+    monkeypatch.setattr(BatchKernel, "run", counting("run", BatchKernel.run))
     before = cache.snapshot()
     warm = service.execute(query)
     after = cache.snapshot()
     monkeypatch.undo()
 
-    assert calls == {"combine": 0, "predicate": 0, "lower": 0}
+    assert calls == {"combine": 0, "predicate": 0, "lower": 0, "run": 1}
     assert after.evictions == before.evictions
     assert after.misses == before.misses
     assert len(cache) <= 8
