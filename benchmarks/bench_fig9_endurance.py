@@ -13,7 +13,8 @@ def test_fig9_required_endurance(benchmark, query_records, publish):
     assert len(rows) == 13
     # Paper: reported RRAM endurance (1e12 writes) suffices for ten years.
     # Asserted for the paper's proposed configurations (the PIMDB baseline's
-    # plan differs from the paper's on some queries, see EXPERIMENTS.md).
+    # plan differs from the paper's on some queries: its re-fitted GROUP-BY
+    # cost model, see the repro.baselines.pimdb docstring).
     for row in rows:
         for value in row[1:]:
             if value == value:  # skip NaN

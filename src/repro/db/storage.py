@@ -31,9 +31,9 @@ from repro.pim.module import PimAllocation, PimModule
 
 #: :meth:`StoredRelation.decode_cells` gathers cell by cell up to this share of
 #: the slots in use and decodes the whole (bounded) column above it.  Measured
-#: (table in :mod:`repro.pim.packed`, re-timed by ``BENCH_backend.json``): the
-#: gather wins up to ~5 % of the cells for 4-bit fields, ~8 % for 12-bit, ~18 %
-#: for 27-bit and loses 8-20x at 100 %.  A warm pass of each ``perf/`` workload
+#: once (the table in :mod:`repro.pim.packed`): the gather wins up to ~5 % of
+#: the cells for 4-bit fields, ~8 % for 12-bit, ~18 % for 27-bit and loses
+#: 8-20x at 100 %.  A warm pass of each ``perf/`` workload
 #: asks for at most 3.1 % per call (medians <= 0.32 %); ``fig4_model`` for 80 %.
 GATHER_MAX_SHARE = 1 / 32
 

@@ -14,13 +14,14 @@ Module                    Paper content
 ``fig8_power``            Fig. 8 — peak power of a single PIM chip
 ``fig9_endurance``        Fig. 9 — required cell endurance over ten years
 ``headline``              The abstract's geo-mean speedup / energy / lifetime
-``ablation``              Additional ablations called out in DESIGN.md
+``ablation``              Ablations beyond the figures (see its docstring)
 ========================  =====================================================
 
 All experiments execute the benchmark functionally on a laptop-sized SSB
 instance and report costs extrapolated to the paper's SF=10 relation size
-(see ``ExperimentSetup.timing_scale``); ``EXPERIMENTS.md`` records the
-measured values next to the paper's.
+(see ``ExperimentSetup.timing_scale``); the ``render`` functions print the
+measured values next to the paper's where the paper states one, and
+``headline`` collects the abstract's ratios.
 """
 
 from repro.experiments.common import ExperimentSetup, QueryRecord, build_setup, run_all_queries

@@ -1,6 +1,7 @@
 """Ablations beyond the paper's figures.
 
-Three design choices DESIGN.md calls out are quantified here:
+Three design choices of the engine (README, "Architecture") are quantified
+here:
 
 * **Aggregation-circuit ablation** — latency/energy of the same query with
   and without the circuit on identical data and plans (the per-query view

@@ -21,8 +21,8 @@ Two properties make the tracer safe to leave compiled into every hot path:
   event on the innermost active span.  The stats object is an exact
   multiset, so folding a trace's events back *in any order* gives the same
   multiset and hence the same read-outs — the per-phase sums equal
-  ``time_by_phase`` bit for bit (``benchmarks/bench_observability.py``
-  gates exactly that).
+  ``time_by_phase`` bit for bit (``tests/test_observability.py`` checks
+  exactly that on the 13 SSB queries).
 
 Span nesting uses a :class:`contextvars.ContextVar`, so every thread sees its
 own stack; shard executions run on the caller's and nest under its scatter span.

@@ -47,8 +47,8 @@ is *bounded* (3 crossbars in use of a page's 32 cost 3), and
 ``read_field_cells`` is the same fold over one word per (cell, plane) taken
 straight from ``words``.  ``StoredRelation.decode_cells`` alone picks between
 them (gather up to 1/32 of the slots in use), from this measurement — gather /
-full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells
-(``BENCH_backend.json`` re-times it)::
+full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells,
+measured once on a 2-vCPU host (no gate re-times it)::
 
     cells read   0.5 %        3.1 %        8 %          20 %         100 %
     4-bit        0.03 / 0.11  0.07 / 0.11  0.16 / 0.11  1.00 / 0.13   4.1 / 0.22

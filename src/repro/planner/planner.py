@@ -375,8 +375,8 @@ def cold_walk(
     :meth:`~repro.planner.zonemap.ZoneMaps.check`, touching neither the
     candidate cache nor the plan memo, and billing the full two-level walk
     as ``entries_checked``.  The pair sketch is not consulted.  Tests
-    compare cached decisions against it; the predicate-cache and clustering
-    benchmarks take their cache-free entry baseline from it.
+    compare cached decisions against it and take their cache-free entry
+    baseline from it.
     """
     candidates: list[np.ndarray] = []
     entries = 0

@@ -24,8 +24,8 @@ layout objects).
 
 Results are bit-exact with sequential
 :meth:`~repro.core.executor.PimQueryEngine.execute` calls;
-``benchmarks/bench_service_throughput.py`` measures the wall-clock gain and
-``benchmarks/bench_sharded_scaling.py`` the sharded latency scaling.
+``perf/`` measures the wall-clock of service passes and
+``tests/test_sharding.py`` gates the sharded modelled-latency scaling.
 """
 
 from __future__ import annotations

@@ -432,6 +432,69 @@ def test_engine_feedback_rebuilds_and_recluster_loop():
     )
 
 
+def test_recluster_cuts_cold_walk_entries_and_scans_8x():
+    """The loop's payoff on 12 shuffled pages of the pre-joined SSB relation.
+
+    Shuffled, every crossbar spans nearly the whole ``lo_orderkey`` domain,
+    so the zone maps prune nothing.  After a 35 % range DELETE, replays of
+    deleted keys (feedback) and the threshold compaction that re-clusters
+    by the hottest column, the same 12 point probes check >= 8x fewer
+    zone-map entries in a cold walk and scan >= 8x fewer crossbars.
+    """
+    from repro.planner.planner import cold_walk
+    from repro.ssb import build_ssb_prejoined, generate
+    from repro.ssb.prejoined import max_aggregated_width
+
+    system = DEFAULT_CONFIG.with_backend("packed")
+    prejoined = build_ssb_prejoined(generate(scale_factor=0.01, skew=0.5, seed=42).database)
+    target = 12 * system.pim.records_per_page
+    reps = -(-target // len(prejoined))
+    order = np.random.default_rng(11).permutation(target)
+    relation = Relation(prejoined.schema, {
+        name: np.tile(column, reps)[:target][order]
+        for name, column in prejoined.columns.items()
+    })
+    stored = StoredRelation(
+        relation, PimModule(system), label="tiled",
+        aggregation_width=max_aggregated_width(relation),
+        reserve_bulk_aggregation=False,
+    )
+    engine = PimQueryEngine(stored, pruning=True)
+
+    def point(key):
+        return Query(f"probe-{key}", Comparison("lo_orderkey", "==", int(key)),
+                     (Aggregate("sum", "lo_revenue", "revenue"),))
+
+    def spread(keys, count):
+        return [point(k) for k in keys[np.linspace(0, len(keys) - 1, count).astype(int)]]
+
+    def probe_all():
+        entries = sum(
+            cold_walk(stored.statistics, probe.predicate, stored.partition_attributes,
+                      system.pim.crossbars_per_page).entries_checked
+            for probe in probes
+        )
+        return entries, sum(engine.execute(probe).crossbars_scanned for probe in probes)
+
+    keys = relation.column("lo_orderkey")
+    delete_below = int(int(keys.max()) * 0.35)
+    probes = spread(np.unique(keys[keys > delete_below]), 12)
+    entries_before, scanned_before = probe_all()
+    executor = PimExecutor(system)
+    dml.execute_delete(
+        stored, Comparison("lo_orderkey", "between", low=1, high=delete_below), executor
+    )
+    for query in spread(np.unique(keys[keys <= delete_below]), 8):
+        engine.execute(query)
+    snapshot = stored.statistics.adaptive_snapshot()
+    assert snapshot.rebuilds >= 1 and snapshot.hot_column == "lo_orderkey"
+    compaction = dml.execute_compaction(stored, executor)
+    assert compaction.performed and compaction.clustered_by == "lo_orderkey"
+    entries_after, scanned_after = probe_all()
+    assert entries_before >= 8 * entries_after
+    assert scanned_before >= 8 * scanned_after
+
+
 def test_host_scan_records_estimate_and_feeds_back():
     """Host-routed executions carry the estimate and feed the accumulator."""
     from repro.planner.planner import execute_host_scan
@@ -519,10 +582,17 @@ def _service_storeds(service, shards):
     return list(engine.sharded.shards)
 
 
-def _apply_churn_op(service, shards, op, pruned: bool) -> None:
+def _apply_churn_op(service, shards, op, pruned: bool) -> list:
+    """Apply one churn op; return the modelled stats it charged."""
     from repro.sharding import execute_sharded_update
+    from repro.sharding.dml import execute_sharded_delete
 
     kind = op[0]
+    engine = service.engine()
+    executors = (
+        [PimExecutor(engine.config)] if shards == 1
+        else engine.sharded.make_executors()
+    )
     if kind == "insert":
         _, count, value_seed = op
         storeds = _service_storeds(service, shards)
@@ -536,33 +606,25 @@ def _apply_churn_op(service, shards, op, pruned: bool) -> None:
             }
             for _ in range(min(count, free))
         ]
-        if records:
-            service.insert(records)
-    elif kind == "delete":
+        return [service.insert(records).stats] if records else []
+    if kind == "delete":
         _, low, span = op
         predicate = Comparison("value", "between", low=low, high=low + span)
-        engine = service.engine()
         if shards == 1:
-            dml.execute_delete(
-                engine.stored, predicate, PimExecutor(engine.config),
-                pruned=pruned,
-            )
+            dml.execute_delete(engine.stored, predicate, executors[0], pruned=pruned)
         else:
-            from repro.sharding.dml import execute_sharded_delete
-            execute_sharded_delete(engine.sharded, predicate, pruned=pruned)
+            execute_sharded_delete(engine.sharded, predicate, executors, pruned=pruned)
     elif kind == "update":
         _, flag, new_value = op
         predicate = Comparison("flag", "==", flag)
         assignments = {"value": new_value}
-        engine = service.engine()
         if shards == 1:
             execute_update(
-                engine.stored, predicate, assignments,
-                PimExecutor(engine.config), pruned=pruned,
+                engine.stored, predicate, assignments, executors[0], pruned=pruned,
             )
         else:
             execute_sharded_update(
-                engine.sharded, predicate, assignments, pruned=pruned
+                engine.sharded, predicate, assignments, executors, pruned=pruned
             )
     elif kind == "feedback":
         # Drive the error accumulator through its public API hard enough to
@@ -575,8 +637,10 @@ def _apply_churn_op(service, shards, op, pruned: bool) -> None:
                     crossbars_scanned=stored.statistics.zonemaps.crossbars,
                     stored=stored,
                 )
+        return []
     else:
-        service.compact(force=True)
+        return [service.compact(force=True).stats]
+    return [executor.stats for executor in executors]
 
 
 def _histograms_tight(storeds, names) -> None:
@@ -611,9 +675,11 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed):
     with a broadcast-DML twin replaying the same ops; pruned DML tombstones
     exactly the rows broadcast DML does (valid masks compared per shard);
     and after every compaction or error-triggered rebuild the histograms
-    count exactly the live rows and the zone maps are tight.
+    count exactly the live rows and the zone maps are tight.  Both backends
+    return the same rows and charge the same modelled stats for every DML
+    op and probe.
     """
-    rows_by_backend = {}
+    trace_by_backend = {}
     for backend in ("packed", "bool"):
         trace = []
         for shards in (1, 4):
@@ -628,7 +694,7 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed):
                     for stored in _service_storeds(service, shards)
                     if stored.tombstone_count > 0
                 ] if op[0] == "compact" else []
-                _apply_churn_op(service, shards, op, pruned=True)
+                trace.append(_apply_churn_op(service, shards, op, pruned=True))
                 _apply_churn_op(twin, shards, op, pruned=False)
                 # Pruned DML tombstones exactly what broadcast does.
                 for mine, theirs in zip(
@@ -651,7 +717,7 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed):
                     )
                     assert execution.rows == expected
                     assert twin.execute(query).rows == expected
-                    trace.append(sorted(execution.rows.items()))
+                    trace.append((sorted(execution.rows.items()), execution.stats))
                 if op[0] == "compact":
                     _histograms_tight(compacted, ("key", "value", "flag"))
                     for stored in compacted:
@@ -662,5 +728,5 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed):
                     _histograms_tight(
                         _service_storeds(service, shards), ("value",)
                     )
-        rows_by_backend[backend] = trace
-    assert rows_by_backend["packed"] == rows_by_backend["bool"]
+        trace_by_backend[backend] = trace
+    assert trace_by_backend["packed"] == trace_by_backend["bool"]

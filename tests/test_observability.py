@@ -29,7 +29,7 @@ from repro.planner.adaptive import AdaptiveSnapshot
 from repro.planner.candidates import CandidateCacheStats
 from repro.service import QueryService
 from repro.service.stats import ServiceStats
-from repro.ssb import ALL_QUERIES
+from repro.ssb import ALL_QUERIES, QUERY_ORDER
 from repro.ssb.prejoined import max_aggregated_width
 
 FILTER_QUERY = Query(
@@ -130,12 +130,28 @@ def test_trace_jsonl_sink(tmp_path, toy_relation):
 
 # ------------------------------------------------- engine trace completeness
 
-@pytest.mark.parametrize("query", [FILTER_QUERY, GROUP_QUERY])
-def test_engine_trace_folds_bit_exact(toy_relation, query):
-    tracer = SpanTracer(enabled=True)
-    engine = PimQueryEngine(_store(toy_relation), tracer=tracer)
+@pytest.fixture(scope="module")
+def traced_ssb_engine(ssb_prejoined):
+    stored = StoredRelation(
+        ssb_prejoined, PimModule(DEFAULT_CONFIG), label="obs-ssb",
+        aggregation_width=max_aggregated_width(ssb_prejoined),
+        reserve_bulk_aggregation=False,
+    )
+    return PimQueryEngine(stored, tracer=SpanTracer(enabled=True))
+
+
+@pytest.mark.parametrize("query", [
+    FILTER_QUERY, GROUP_QUERY,
+    *(pytest.param(ALL_QUERIES[name], id=name) for name in QUERY_ORDER),
+])
+def test_engine_trace_folds_bit_exact(request, query):
+    if query.name in ALL_QUERIES:
+        engine = request.getfixturevalue("traced_ssb_engine")
+    else:
+        toy = request.getfixturevalue("toy_relation")
+        engine = PimQueryEngine(_store(toy), tracer=SpanTracer(enabled=True))
     execution = engine.execute(query)
-    trace = tracer.pop_trace()
+    trace = engine.tracer.pop_trace()
     folded = fold_trace_charges(trace)
     assert folded["time"] == dict(execution.stats.time_by_phase)
     assert folded["energy"] == dict(execution.stats.energy_by_component)

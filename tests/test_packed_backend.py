@@ -647,40 +647,6 @@ def sharded_parity_engines(ssb_prejoined):
     return engines
 
 
-def test_backend_speed_experiment_smoke(tmp_path, ssb_prejoined):
-    """The backend-speed experiment: equivalence gates and JSON artifact."""
-    import json
-
-    from repro.experiments import backend_speed
-
-    results = backend_speed.run_backend_speed(
-        scale_factor=0.002, with_service=False
-    )
-    assert results.bit_exact
-    assert results.stats_identical
-    assert results.speedup > 1.0      # the real >=5x gate lives in benchmarks
-    assert "Q1.1" in backend_speed.render(results)
-    path = tmp_path / "BENCH_backend.json"
-    backend_speed.write_artifact(results, path)
-    record = json.loads(path.read_text())
-    assert record["bit_exact"] is True
-    assert record["stats_identical"] is True
-    assert len(record["queries"]) == len(QUERY_ORDER)
-    # Field-codec section: every layout field timed on both banks.
-    assert results.codec.values_match
-    codec = record["field_codec"]
-    assert sum(w["fields"] for w in codec["widths"]) == len(ssb_prejoined.schema.names)
-    assert codec["packed_decode_ms"] > 0 and codec["packed_encode_ms"] > 0
-    assert "field codec" in backend_speed.render(results)
-    # The scatter gate needs a core per worker of the pool the section times.
-    for cpu_count, gateable in ((1, False), (2, False), (4, True), (8, True)):
-        scatter = backend_speed.ScatterComparison(
-            shards=4, crossbars_per_shard=8, cpu_count=cpu_count,
-            serial_s=1.0, parallel_s=1.0, bits_match=True,
-        )
-        assert scatter.gateable is gateable
-
-
 @pytest.mark.parametrize("query_name", QUERY_ORDER)
 def test_ssb_sharded_parity_k4(sharded_parity_engines, query_name):
     """All 13 SSB queries sharded K=4: identical rows and stats per backend."""

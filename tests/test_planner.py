@@ -88,6 +88,31 @@ NOTHING = Query(
 )
 
 
+def day_clustered_relation(records: int = 65536, seed: int = 23) -> Relation:
+    """Orders sorted by ``day``: each crossbar covers a few of 2 048 days."""
+    rng = np.random.default_rng(seed)
+    schema = Schema("orders", [
+        int_attribute("day", 16, source="fact"),
+        int_attribute("amount", 20, source="fact"),
+        dict_attribute("region", [f"R{i}" for i in range(8)], source="dim"),
+    ])
+    return Relation(schema, {
+        "day": np.sort(rng.integers(0, 2048, records).astype(np.uint64)),
+        "amount": rng.integers(0, 1 << 20, records).astype(np.uint64),
+        "region": rng.integers(0, 8, records).astype(np.uint64),
+    })
+
+
+DAY_POINT = Query(
+    "day-point", Comparison("day", "==", 777),
+    (Aggregate("sum", "amount"), Aggregate("count")),
+)
+DAY_RANGE = Query(
+    "day-range", Comparison("day", "between", low=700, high=760),
+    (Aggregate("sum", "amount"), Aggregate("min", "amount")),
+)
+
+
 # ----------------------------------------------------------------- zone maps
 def test_zonemaps_are_conservative_for_random_predicates():
     """A pruned crossbar never holds a matching live row (the soundness core)."""
@@ -222,6 +247,23 @@ def test_pruned_execution_bit_exact_and_cheaper(
     # The provably-empty query skips execution entirely.
     empty = pruned_engine.execute(NOTHING)
     assert empty.rows == {} and empty.crossbars_scanned == 0
+    # At serving scale (64 crossbars modelled as 2 048 pages) skipping cuts
+    # the modelled latency of the selective queries at least 2x.
+    engines = [
+        PimQueryEngine(
+            _store(day_clustered_relation(), backend, aggregation_width=20,
+                   reserve_bulk_aggregation=False),
+            pruning=pruning, timing_scale=1024.0,
+        )
+        for pruning in (False, True)
+    ]
+    for query in (DAY_POINT, DAY_RANGE):
+        full, pruned = (engine.execute(query) for engine in engines)
+        if ground_truth:
+            ground_truth_oracle.query(engines[0], full)
+            ground_truth_oracle.query(engines[1], pruned)
+        assert pruned.rows == full.rows, query.name
+        assert full.time_s >= 2.0 * pruned.time_s, query.name
 
 
 REGIONS = ["EU", "NA", "SA", "APAC"]
@@ -530,6 +572,58 @@ def test_candidate_cache_counters_and_replay_billing():
     replay = statistics.plan(RANGE.predicate, stored.partition_attributes, cp)
     assert replay.entries_checked == 0
     assert np.array_equal(replay.candidates[0], cold.candidates[0])
+
+
+def test_ssb_replay_under_churn_bills_5x_fewer_entries_than_cold_walk():
+    """The 13 SSB templates replayed after each of four rounds of DELETE,
+    INSERT and UPDATE: the executions bill >= 5x fewer zone-map entries
+    than the uncached cold walk consults for the same templates."""
+    from repro.planner.zonemap import CHECK_CYCLES
+    from repro.ssb import ALL_QUERIES, QUERY_ORDER, build_ssb_prejoined, generate
+    from repro.ssb.prejoined import max_aggregated_width
+
+    relation = build_ssb_prejoined(generate(scale_factor=0.01, skew=0.5, seed=42).database)
+    stored = _store(
+        relation, aggregation_width=max_aggregated_width(relation),
+        reserve_bulk_aggregation=False,
+    )
+    engine = PimQueryEngine(stored, pruning=True)
+    queries = [ALL_QUERIES[name] for name in QUERY_ORDER]
+    for query in queries:   # the cold round
+        engine.execute(query)
+    orderdate = relation.schema.attribute("lo_orderdate")
+    orderdates = np.unique(relation.column("lo_orderdate"))
+    rng = np.random.default_rng(23)
+    billed_s = 0.0
+    walked = 0
+    for index in range(4):
+        # Copies of 8 stored rows, a rotating 2-4 % quantity slice, and one
+        # order date x one quantity: each INSERT and UPDATE bumps few epochs.
+        records = [
+            {name: int(relation.column(name)[i]) for name in relation.schema.names}
+            for i in rng.integers(0, len(relation), 8)
+        ]
+        low = 1 + (index * 11) % 45
+        date = orderdate.decode_value(int(orderdates[rng.integers(0, len(orderdates))]))
+        update = And((
+            Comparison("lo_orderdate", "==", date),
+            Comparison("lo_quantity", "==", int(rng.integers(1, 51))),
+        ))
+        executor = PimExecutor(DEFAULT_CONFIG)
+        execute_delete(
+            stored, Comparison("lo_quantity", "between", low=low, high=low + 1), executor
+        )
+        execute_insert(stored, records, executor, encoded=True)
+        execute_update(stored, update, {"lo_tax": int(rng.integers(0, 9))}, executor)
+        for query in queries:
+            billed_s += engine.execute(query).stats.time_by_phase.get("zonemap-check", 0.0)
+        walked += sum(
+            cold_walk(stored.statistics, query.predicate, stored.partition_attributes,
+                      DEFAULT_CONFIG.pim.crossbars_per_page).entries_checked
+            for query in queries
+        )
+    billed = billed_s * DEFAULT_CONFIG.host.frequency_hz / CHECK_CYCLES
+    assert walked >= 5 * billed
 
 
 def test_insert_bumps_only_the_touched_crossbar_epoch():

@@ -98,6 +98,64 @@ def test_latency_is_max_over_shards_plus_merge(sharded_engines):
             assert execution.parallel_speedup > 1.0
 
 
+def test_modelled_latency_scales_with_shards_on_page_aligned_data():
+    """More shards, less modelled latency, and no energy or wear created.
+
+    The 13 SSB queries run on 4 full pages (they divide evenly at K = 1, 2
+    and 4), modelled at SF 10.  Total latency falls strictly with every
+    added shard and K=4 is >= 1.5x faster than unsharded.  Sub-page data
+    cannot show this: there every shard occupies a page of its own, so the
+    12-crossbar instance of ``sharded_engines`` pays 4x the controller
+    energy at K=4.
+    """
+    from repro.core.executor import PimQueryEngine
+    from repro.ssb import build_ssb_prejoined, generate
+    from repro.ssb.datagen import LINEORDERS_PER_SF
+    from repro.ssb.prejoined import max_aggregated_width
+
+    config = DEFAULT_CONFIG.with_backend("packed")
+    records = config.pim.records_per_page * 4
+    dataset = generate(scale_factor=records / LINEORDERS_PER_SF, skew=0.5, seed=42)
+    relation = build_ssb_prejoined(dataset.database).head(records)
+    width = max_aggregated_width(relation)
+    timing_scale = LINEORDERS_PER_SF * 10.0 / records
+    engines = {0: PimQueryEngine(
+        StoredRelation(relation, PimModule(config), label="unsharded",
+                       aggregation_width=width, reserve_bulk_aggregation=False),
+        timing_scale=timing_scale, compiler=ProgramCache(512),
+    )}
+    for shards in SHARD_COUNTS:
+        sharded = ShardedStoredRelation(
+            relation, PimModule(config), shards=shards,
+            label=f"aligned{shards}", aggregation_width=width,
+            reserve_bulk_aggregation=False,
+        )
+        engines[shards] = ShardedQueryEngine(
+            sharded, timing_scale=timing_scale, compiler=ProgramCache(512),
+        )
+    time_s, energy_j, wear, scalar_dynamic_j = {}, {}, {}, {}
+    for shards, engine in engines.items():
+        executions = {name: engine.execute(ALL_QUERIES[name]) for name in QUERY_ORDER}
+        time_s[shards] = sum(e.time_s for e in executions.values())
+        energy_j[shards] = sum(e.energy_j for e in executions.values())
+        wear[shards] = max(e.max_writes_per_row for e in executions.values())
+        # Without GROUP-BY the planner has no per-shard freedom, so all but
+        # the per-page controller energy (shorter issue windows) is conserved.
+        scalar_dynamic_j[shards] = sum(
+            joules
+            for name in ("Q1.1", "Q1.2", "Q1.3")
+            for component, joules in executions[name].stats.energy_by_component.items()
+            if component != "controller"
+        )
+    assert time_s[1] > time_s[2] > time_s[4]
+    assert time_s[1] == pytest.approx(time_s[0], rel=1e-3)  # + the gather term
+    assert time_s[0] >= 1.5 * time_s[4]
+    for shards in SHARD_COUNTS:
+        assert energy_j[shards] <= 1.05 * energy_j[0], shards
+        assert wear[shards] <= 1.001 * wear[0], shards
+        assert scalar_dynamic_j[shards] == pytest.approx(scalar_dynamic_j[0], rel=1e-3)
+
+
 def test_programs_compile_once_across_shards(ssb_prejoined):
     """Shards share layouts, so the program cache compiles each program once."""
     from repro.ssb.prejoined import max_aggregated_width
