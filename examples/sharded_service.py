@@ -105,6 +105,8 @@ def main() -> None:
           f"in {SHARDS} shards")
     print("\nsharded batch:")
     print(sharded.stats.describe())
+    speedup = sharded.stats.metrics().value("sharded_parallel_speedup")
+    print(f"modelled parallel speedup over {SHARDS} shards: {speedup:.2f}x")
 
     print("\nper-query modelled latency, sharded vs unsharded:")
     for s, u in zip(sharded, unsharded):

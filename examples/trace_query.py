@@ -76,7 +76,7 @@ def main() -> None:
     # --- metrics + wear ----------------------------------------------------
     batch = service.execute_batch([ALL_QUERIES[name] for name in workload])
     print()
-    print(batch.stats.render_prometheus().rstrip())
+    print(batch.stats.metrics().render_prometheus().rstrip())
     print()
     print(service.wear_report().heatmap())
 

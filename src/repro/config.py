@@ -29,8 +29,7 @@ def validate_backend(backend: str, source: str = "backend=") -> str:
     """Validate a backend name, naming the ``source`` that supplied it.
 
     Every backend-accepting entry point (:func:`default_backend`,
-    :class:`SystemConfig`, :func:`repro.pim.packed.make_bank`,
-    :meth:`repro.service.service.QueryService.register_sharded`) validates
+    :class:`SystemConfig`, :func:`repro.pim.packed.make_bank`) validates
     through here, so a typo fails immediately with the same clear message
     instead of surfacing later inside allocation.
     """

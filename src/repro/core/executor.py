@@ -133,9 +133,6 @@ class PimQueryEngine:
         timing_scale: float = 1.0,
         compiler: ProgramCompiler | None = None,
         pruning: bool = False,
-        filter_stage: FilterStage | None = None,
-        group_stage: GroupMaskStage | None = None,
-        aggregation_stage: AggregationStage | None = None,
         scatter_pool=None,
         tracer=None,
     ) -> None:
@@ -166,8 +163,6 @@ class PimQueryEngine:
                 exactly the crossbars touched plus the modelled zone-map
                 check.  A query whose predicate matches no crossbar at all
                 skips execution entirely.
-            filter_stage / group_stage / aggregation_stage: Fully custom
-                stage objects; built from the arguments above when omitted.
             scatter_pool: A :class:`~repro.core.parallel.ScatterPool` the
                 batched group-by path uses to evaluate independent
                 per-partition batch kernels concurrently (the kernels are
@@ -198,13 +193,13 @@ class PimQueryEngine:
         self.compiler = compiler if compiler is not None else ProgramCompiler()
         self.pruning = bool(pruning)
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
-        self.filter_stage = filter_stage or FilterStage(
+        self.filter_stage = FilterStage(
             stored, self.compiler, self.timing_scale, tracer=self.tracer
         )
-        self.group_stage = group_stage or GroupMaskStage(
+        self.group_stage = GroupMaskStage(
             stored, self.compiler, self.timing_scale, tracer=self.tracer
         )
-        self.aggregation_stage = aggregation_stage or AggregationStage(
+        self.aggregation_stage = AggregationStage(
             stored, self.config, self.timing_scale, tracer=self.tracer
         )
         self.scatter_pool = scatter_pool

@@ -49,13 +49,11 @@ def compile_predicate(
     schema: Schema,
     layout: RowLayout,
     result_column: int | None = None,
-    combine_with_valid: bool = True,
 ) -> Program:
     """Compile a predicate into a program leaving its result in one column.
 
-    The result column defaults to the layout's filter column and, unless
-    ``combine_with_valid`` is disabled, is ANDed with the valid bit so that
-    padding rows never pass a filter.
+    The result column defaults to the layout's filter column and is ANDed
+    with the valid bit so that padding rows never pass a filter.
     """
     if result_column is None:
         result_column = layout.filter_column
@@ -64,10 +62,9 @@ def compile_predicate(
         result = builder.copy(layout.valid_column)
     else:
         result = _compile_node(predicate, schema, layout, builder)
-        if combine_with_valid:
-            combined = builder.and_(result, layout.valid_column)
-            builder.free(result)
-            result = combined
+        combined = builder.and_(result, layout.valid_column)
+        builder.free(result)
+        result = combined
     builder.store(result, result_column)
     builder.free(result)
     return builder.build(result_column=result_column)

@@ -171,7 +171,6 @@ def execute_delete(
     predicate: Predicate,
     executor: PimExecutor,
     compiled: CompiledDelete | None = None,
-    timing_scale: float = 1.0,
     pruned: bool = True,
 ) -> DeleteResult:
     """Tombstone the records selected by ``predicate`` — in memory.
@@ -194,6 +193,10 @@ def execute_delete(
     is about to tombstone are checked against the decision before any program
     runs: a doomed row on a skipped crossbar raises ``RuntimeError`` with
     nothing changed.
+
+    DML bills the stored size as it is: unlike the query engines, it takes no
+    ``timing_scale`` extrapolation (scaling it would change the modelled
+    cost of every DML statement).
     """
     if compiled is None:
         compiled = compile_delete(stored, predicate)
@@ -201,10 +204,8 @@ def execute_delete(
         raise ValueError("compiled delete does not match the given predicate")
     primary = compiled.partition
     allocation = stored.allocations[primary]
-    pages = allocation.pages * timing_scale
-    read_model = HostReadModel(
-        executor.config, executor.stats, traffic_scale=timing_scale
-    )
+    pages = allocation.pages
+    read_model = HostReadModel(executor.config, executor.stats)
 
     doomed = evaluate_predicate(predicate, stored.relation) & stored.valid_mask(primary)
 
@@ -217,8 +218,7 @@ def execute_delete(
             executor.config.pim.crossbars_per_page,
         )
         statistics.charge_check(
-            executor.stats, executor.config.host,
-            decision.entries_checked * timing_scale,
+            executor.stats, executor.config.host, decision.entries_checked
         )
         if decision.empty:
             # Some partition's conjunction matches no crossbar: nothing to
@@ -276,13 +276,13 @@ def execute_delete(
             apply_program(
                 stored, index, compiled.clear_programs[index], executor,
                 phase="delete-clear",
-                pages=stored.allocations[index].pages * timing_scale,
+                pages=stored.allocations[index].pages,
             )
         else:
             apply_program_at(
                 stored, index, compiled.clear_programs[index], executor,
                 phase="delete-clear",
-                pages=stored.allocations[index].pages * timing_scale,
+                pages=stored.allocations[index].pages,
                 candidates=candidates,
             )
 
@@ -294,7 +294,7 @@ def execute_delete(
     # bounds-only and stay exact; only the live prefilter shrinks.
     touched = np.unique(doomed_slots // stored.rows_per_crossbar).size
     stored.statistics.charge_maintenance(
-        executor.stats, executor.config.host, touched * timing_scale
+        executor.stats, executor.config.host, touched
     )
     clear_cycles = sum(p.cycles for p in compiled.clear_programs.values())
     return DeleteResult(
@@ -455,7 +455,6 @@ def execute_compaction(
     executor: PimExecutor,
     threshold: float = DEFAULT_COMPACTION_THRESHOLD,
     force: bool = False,
-    timing_scale: float = 1.0,
     cluster_by: str | None = None,
 ) -> CompactionResult:
     """Rewrite the live rows densely when fragmentation crosses ``threshold``.
@@ -481,6 +480,9 @@ def execute_compaction(
     choice happens in the host's buffer.  An explicit ``cluster_by`` that is
     not an attribute of the relation raises :class:`ValueError` before
     anything is charged or moved (the adaptive default is tolerant instead).
+
+    Like :func:`execute_delete`, compaction bills the stored size as it is
+    (no ``timing_scale`` extrapolation).
     """
     names = stored.relation.schema.names
     if cluster_by is not None and cluster_by not in names:
@@ -503,7 +505,7 @@ def execute_compaction(
         relation.num_records = 0
         stored.reset_slots_after_compaction()
         stored.statistics.charge_maintenance(
-            executor.stats, executor.config.host, crossbar_entries * timing_scale
+            executor.stats, executor.config.host, crossbar_entries
         )
         return CompactionResult(
             performed=True,
@@ -515,9 +517,7 @@ def execute_compaction(
         )
     live_indices = np.flatnonzero(stored.valid_mask(0))
     new_count = int(len(live_indices))
-    read_model = HostReadModel(
-        executor.config, executor.stats, traffic_scale=timing_scale
-    )
+    read_model = HostReadModel(executor.config, executor.stats)
 
     # Phase 1: the host reads every live record (per vertical partition) —
     # charged, not decoded: the dense image comes from the ground truth.
@@ -578,13 +578,14 @@ def execute_compaction(
         flat_wear[:slots_before] += row_bits
         total_bits_written += slots_before * row_bits
 
-    scaled_bits = int(round(total_bits_written * timing_scale))
-    num_bytes = scaled_bits / 8
+    num_bytes = total_bits_written / 8
     executor.stats.add_time(
         "compact-write", dram.write_time(host, num_bytes, host.query_threads)
     )
-    executor.stats.add_energy("write", scaled_bits * xbar_cfg.write_energy_per_bit_j)
-    executor.stats.add_events("bits_written", scaled_bits)
+    executor.stats.add_energy(
+        "write", total_bits_written * xbar_cfg.write_energy_per_bit_j
+    )
+    executor.stats.add_events("bits_written", total_bits_written)
     executor.stats.host_lines_written += int(
         np.ceil(num_bytes / CACHE_LINE_BYTES)
     )
@@ -595,7 +596,7 @@ def execute_compaction(
     # candidate-cache epoch was bumped: rows moved between crossbars and the
     # rebuilt bounds may have narrowed, so no cached verdict survives.
     stored.statistics.charge_maintenance(
-        executor.stats, executor.config.host, crossbar_entries * timing_scale
+        executor.stats, executor.config.host, crossbar_entries
     )
     return CompactionResult(
         performed=True,

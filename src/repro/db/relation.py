@@ -120,10 +120,6 @@ class Relation:
         self.num_records += len(records)
         return list(range(first, self.num_records))
 
-    def append_row(self, values: Mapping[str, object], encoded: bool = False) -> int:
-        """Append one record (see :meth:`append_rows`); returns the new index."""
-        return self.append_rows([values], encoded=encoded)[0]
-
     # ----------------------------------------------------------- operations
     def select(self, mask: np.ndarray) -> Relation:
         """Return a new relation containing only the rows where ``mask``."""

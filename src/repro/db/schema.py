@@ -43,10 +43,6 @@ class Dictionary:
         """Return the raw value of ``code``."""
         return self._code_to_value[code]
 
-    def encode_array(self, values: Sequence) -> np.ndarray:
-        """Encode a sequence of raw values into a uint64 array."""
-        return np.array([self.encode(v) for v in values], dtype=np.uint64)
-
     def decode_array(self, codes: np.ndarray) -> list[object]:
         """Decode an array of codes back to raw values."""
         return [self._code_to_value[int(c)] for c in codes]

@@ -361,12 +361,6 @@ class StoredRelation:
         else:
             np.copyto(mask, candidates)
 
-    def filter_dirty_mask(self, partition: int) -> np.ndarray:
-        """Crossbars whose filter column may hold ones (per partition)."""
-        return self.column_dirty_mask(
-            partition, self.layouts[partition].filter_column
-        )
-
     def mark_filter_dirty(
         self, partition: int, candidates: np.ndarray | None = None
     ) -> None:

@@ -2,9 +2,9 @@
 
 * :mod:`repro.obs.trace` — hierarchical span tracer with bit-exact
   ``PimStats`` charge attribution and a JSONL sink;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with label sets,
-  JSON and Prometheus-style exposition, plus the shared snapshot/delta
-  algebra of the stats dataclasses;
+* :mod:`repro.obs.metrics` — counters/gauges with label sets, JSON and
+  Prometheus-style exposition, plus the shared snapshot/delta algebra of
+  the stats dataclasses;
 * :mod:`repro.obs.explain` — rendering of one traced execution
   (``QueryService.explain``);
 * :mod:`repro.obs.wear` — per-crossbar write-count observatory behind the

@@ -1,18 +1,17 @@
 """Metrics registry and the shared snapshot/delta algebra of the stats classes.
 
-Before this module every stats dataclass in the stack (`CacheStats`,
-`CandidateCacheStats`, `AdaptiveSnapshot`, ...) hand-rolled its own
-``__add__``/``__sub__``; :func:`add_stats`/:func:`sub_stats` are the one
-definition of that algebra — numeric fields combine, ``keep`` fields carry
-the left operand's point-in-time value (occupancy, capacity), and
-non-numeric fields resolve first-non-``None``.
+Every stats dataclass in the stack (`CacheStats`, `CandidateCacheStats`,
+`AdaptiveSnapshot`, the `ServiceStats` sections) declares its point-in-time
+fields once, as a class-level ``GAUGES`` tuple.  That one tuple drives both
+halves of this module:
 
-:class:`MetricsRegistry` is the export surface: counters, gauges and
-histograms with label sets, rendered as JSON or Prometheus-style text
-exposition.  ``merge()`` is associative and commutative with the empty
-registry as identity (counters and gauges sum, histograms concatenate
-their observations) so per-relation or per-shard registries roll up in any
-order — ``tests/test_observability.py`` property-tests exactly that.
+* :func:`add_stats`/:func:`sub_stats` are the one definition of the
+  roll-up/delta algebra — numeric fields combine, except that a delta keeps
+  the left operand's ``GAUGES`` (occupancy, capacity), and non-numeric
+  fields resolve first-non-``None``;
+* :func:`register_fields` exports a dataclass into a
+  :class:`MetricsRegistry` — ``GAUGES`` as gauges, every other numeric field
+  as a counter — which renders as JSON or Prometheus-style text exposition.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import operator
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 #: A normalised label set: sorted ``(name, value)`` pairs.
 LabelSet = tuple[tuple[str, str], ...]
@@ -30,6 +28,15 @@ LabelSet = tuple[tuple[str, str], ...]
 # ---------------------------------------------------------------------------
 # dataclass snapshot/delta algebra
 # ---------------------------------------------------------------------------
+
+def _gauges(stats) -> tuple[str, ...]:
+    """The point-in-time fields (and derived ratios) a stats class declares."""
+    return getattr(type(stats), "GAUGES", ())
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def _combine(a, b, op, keep: tuple[str, ...]):
     if type(a) is not type(b):
@@ -40,37 +47,30 @@ def _combine(a, b, op, keep: tuple[str, ...]):
     for f in dataclasses.fields(a):
         left = getattr(a, f.name)
         right = getattr(b, f.name)
-        if f.name in keep:
-            values[f.name] = left if left is not None else right
-        elif (
-            isinstance(left, (int, float))
-            and isinstance(right, (int, float))
-            and not isinstance(left, bool)
-        ):
+        if f.name not in keep and _is_number(left) and _is_number(right):
             values[f.name] = op(left, right)
         else:
             values[f.name] = left if left is not None else right
     return type(a)(**values)
 
 
-def add_stats(a, b, keep: tuple[str, ...] = ()):
+def add_stats(a, b):
     """Field-wise sum of two stats dataclasses of the same type.
 
-    Numeric fields add; ``keep`` fields (and non-numeric ones) take the
-    first non-``None`` operand — the roll-up semantics every stats class in
-    the stack shares.
+    Numeric fields add — occupancy too, since adding aggregates *distinct*
+    objects — and non-numeric ones take the first non-``None`` operand.
     """
-    return _combine(a, b, operator.add, keep)
+    return _combine(a, b, operator.add, ())
 
 
-def sub_stats(a, b, keep: tuple[str, ...] = ()):
-    """Field-wise delta ``a - b``, preserving ``a``'s ``keep`` fields.
+def sub_stats(a, b):
+    """Field-wise delta ``a - b``, preserving ``a``'s ``GAUGES`` fields.
 
     The delta of two snapshots of one object subtracts the counters but
     keeps the *later* snapshot's point-in-time fields (occupancy,
     capacity) — deltas of those would be meaningless.
     """
-    return _combine(a, b, operator.sub, keep)
+    return _combine(a, b, operator.sub, _gauges(a))
 
 
 # ---------------------------------------------------------------------------
@@ -87,45 +87,32 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-@dataclass
-class _Metric:
-    """One named/labelled series: a scalar or a list of observations."""
-
-    kind: str  # "counter" | "gauge" | "histogram"
-    value: float = 0.0
-    observations: list[float] = field(default_factory=list)
-    help: str = ""
+def _label_text(labels: LabelSet) -> str:
+    if not labels:
+        return ""
+    return "{" + ",".join(f'{key}="{_escape(value)}"' for key, value in labels) + "}"
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with label sets.
+    """Counters and gauges with label sets.
 
     Counters accumulate (``counter()`` adds), gauges record the last value
-    set, histograms collect raw observations and render as
-    count/sum/quantile summaries.  All three are keyed by
-    ``(name, labels)``; re-using a name with a different kind raises.
+    set.  Both are keyed by ``(name, labels)``; re-using a name with the
+    other kind raises.  Series keep their registration order.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[tuple[str, LabelSet], _Metric] = {}
+        self._metrics: dict[tuple[str, LabelSet], list] = {}
 
     def __len__(self) -> int:
         return len(self._metrics)
 
     def _entry(
-        self, kind: str, name: str, labels: Mapping[str, object] | None, help: str
-    ) -> _Metric:
-        key = (name, _labels(labels))
-        entry = self._metrics.get(key)
-        if entry is None:
-            entry = _Metric(kind=kind, help=help)
-            self._metrics[key] = entry
-        elif entry.kind != kind:
-            raise ValueError(
-                f"metric {name!r} is a {entry.kind}, not a {kind}"
-            )
-        if help and not entry.help:
-            entry.help = help
+        self, kind: str, name: str, labels: Mapping[str, object] | None
+    ) -> list:
+        entry = self._metrics.setdefault((name, _labels(labels)), [kind, 0.0])
+        if entry[0] != kind:
+            raise ValueError(f"metric {name!r} is a {entry[0]}, not a {kind}")
         return entry
 
     # --------------------------------------------------------------- updates
@@ -134,157 +121,86 @@ class MetricsRegistry:
         name: str,
         value: float = 1.0,
         labels: Mapping[str, object] | None = None,
-        help: str = "",
     ) -> None:
         """Add ``value`` to a monotonically accumulating series."""
-        self._entry("counter", name, labels, help).value += float(value)
+        self._entry("counter", name, labels)[1] += float(value)
 
     def gauge(
         self,
         name: str,
         value: float,
         labels: Mapping[str, object] | None = None,
-        help: str = "",
     ) -> None:
         """Set a point-in-time series to ``value``."""
-        self._entry("gauge", name, labels, help).value = float(value)
-
-    def histogram(
-        self,
-        name: str,
-        values: Iterable[float],
-        labels: Mapping[str, object] | None = None,
-        help: str = "",
-    ) -> None:
-        """Fold raw observations into a distribution series."""
-        entry = self._entry("histogram", name, labels, help)
-        entry.observations.extend(float(v) for v in values)
+        self._entry("gauge", name, labels)[1] = float(value)
 
     # --------------------------------------------------------------- queries
     def value(
         self, name: str, labels: Mapping[str, object] | None = None
     ) -> float:
-        """Scalar value of a counter/gauge (histograms: observation count)."""
-        entry = self._metrics[(name, _labels(labels))]
-        if entry.kind == "histogram":
-            return float(len(entry.observations))
-        return entry.value
+        """Current value of one series."""
+        return self._metrics[(name, _labels(labels))][1]
 
     def names(self) -> list[str]:
         """Sorted distinct metric names."""
         return sorted({name for name, _ in self._metrics})
 
-    # ----------------------------------------------------------------- merge
-    def merge(self, other: MetricsRegistry) -> MetricsRegistry:
-        """Combine two registries into a new one (associative + commutative).
-
-        Counters and gauges sum (a gauge merged across shards is a roll-up
-        of per-shard point-in-time values), histograms concatenate; a
-        series present on one side only is carried over.  The empty
-        registry is the identity.
-        """
-        merged = MetricsRegistry()
-        for source in (self, other):
-            for (name, labels), entry in source._metrics.items():
-                target = merged._entry(entry.kind, name, dict(labels), entry.help)
-                if entry.kind == "histogram":
-                    target.observations.extend(entry.observations)
-                else:
-                    target.value += entry.value
-        return merged
-
     # ------------------------------------------------------------ exposition
-    @staticmethod
-    def _quantile(values: list[float], q: float) -> float:
-        ordered = sorted(values)
-        if not ordered:
-            return 0.0
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
     def to_json(self) -> dict:
         """JSON-serialisable export of every series."""
-        series = []
-        for (name, labels), entry in sorted(self._metrics.items()):
-            record: dict = {
-                "name": name,
-                "kind": entry.kind,
-                "labels": dict(labels),
-            }
-            if entry.help:
-                record["help"] = entry.help
-            if entry.kind == "histogram":
-                record["count"] = len(entry.observations)
-                record["sum"] = sum(entry.observations)
-                record["p50"] = self._quantile(entry.observations, 0.50)
-                record["p95"] = self._quantile(entry.observations, 0.95)
-            else:
-                record["value"] = entry.value
-            series.append(record)
-        return {"metrics": series}
+        return {
+            "metrics": [
+                {"name": name, "kind": kind, "labels": dict(labels), "value": value}
+                for (name, labels), (kind, value) in sorted(self._metrics.items())
+            ]
+        }
 
     def render_json(self) -> str:
         """:meth:`to_json` as an indented JSON document."""
         return json.dumps(self.to_json(), indent=2)
 
     def render_prometheus(self) -> str:
-        """Prometheus-style text exposition (histograms as summaries)."""
+        """Prometheus-style text exposition."""
         lines: list[str] = []
         seen_headers: set[str] = set()
-        for (name, labels), entry in sorted(self._metrics.items()):
+        for (name, labels), (kind, value) in sorted(self._metrics.items()):
             if name not in seen_headers:
                 seen_headers.add(name)
-                if entry.help:
-                    lines.append(f"# HELP {name} {entry.help}")
-                kind = "summary" if entry.kind == "histogram" else entry.kind
                 lines.append(f"# TYPE {name} {kind}")
-            label_text = ",".join(
-                f'{key}="{_escape(value)}"' for key, value in labels
-            )
-            if entry.kind == "histogram":
-                for q in (0.5, 0.95):
-                    quantile_labels = ",".join(
-                        filter(None, [label_text, f'quantile="{q}"'])
-                    )
-                    lines.append(
-                        f"{name}{{{quantile_labels}}} "
-                        f"{self._quantile(entry.observations, q)!r}"
-                    )
-                suffix_labels = f"{{{label_text}}}" if label_text else ""
-                lines.append(f"{name}_sum{suffix_labels} {sum(entry.observations)!r}")
-                lines.append(f"{name}_count{suffix_labels} {len(entry.observations)}")
-            else:
-                suffix_labels = f"{{{label_text}}}" if label_text else ""
-                lines.append(f"{name}{suffix_labels} {entry.value!r}")
+            lines.append(f"{name}{_label_text(labels)} {value!r}")
         return "\n".join(lines) + "\n"
 
+    def render_text(self) -> str:
+        """Every series as ``name{labels}=value`` on one line, in registration order."""
+        return " ".join(
+            f"{name}{_label_text(labels)}={value:.6g}"
+            for (name, labels), (_, value) in self._metrics.items()
+        )
 
-def register_fields(
-    registry: MetricsRegistry,
-    stats,
-    prefix: str,
-    labels: Mapping[str, object] | None = None,
-    gauges: tuple[str, ...] = (),
-    skip: tuple[str, ...] = (),
-) -> None:
-    """Register a stats dataclass's numeric fields under ``prefix``.
 
-    Fields named in ``gauges`` register as gauges (point-in-time values
-    like occupancy), the remaining numeric fields as counters; ``None`` and
-    non-numeric fields are skipped — structured values (hot column names
-    and the like) belong in labels, not sample values.
+def register_fields(registry: MetricsRegistry, stats, prefix: str) -> None:
+    """Register a stats dataclass's numbers as ``<prefix>_<field>`` series.
+
+    The names in the class's ``GAUGES`` tuple — point-in-time fields and
+    derived ratios (properties) — register as gauges, the remaining numeric
+    fields as counters.  String and tuple fields (a hot column, a column
+    pair) become labels of every series; ``None`` and nested sections are
+    skipped.
     """
-    for f in dataclasses.fields(stats):
-        if f.name in skip:
-            continue
-        value = getattr(stats, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        name = f"{prefix}_{f.name}"
-        if f.name in gauges:
-            registry.gauge(name, value, labels=labels)
+    gauges = _gauges(stats)
+    fields = [f.name for f in dataclasses.fields(stats)]
+    labels: dict[str, str] = {}
+    numbers: dict[str, float] = {}
+    for name in fields + [g for g in gauges if g not in fields]:
+        value = getattr(stats, name)
+        if isinstance(value, str):
+            labels[name] = value
+        elif isinstance(value, tuple):
+            labels[name] = "x".join(value)
+        elif _is_number(value):
+            numbers[name] = value
+    for name, value in numbers.items():
+        if name in gauges:
+            registry.gauge(f"{prefix}_{name}", value, labels=labels)
         else:
-            registry.counter(name, value, labels=labels)
+            registry.counter(f"{prefix}_{name}", value, labels=labels)

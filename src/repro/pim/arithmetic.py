@@ -36,22 +36,6 @@ from repro.pim.logic import Program, ProgramBuilder
 # Word-level circuits (within-row, all rows concurrently)
 # --------------------------------------------------------------------------
 
-def build_masked_copy(
-    builder: ProgramBuilder,
-    src_columns: Sequence[int],
-    mask_column: int,
-    dest_columns: Sequence[int],
-) -> None:
-    """Emit ``dest = src AND mask`` bit by bit (zero-extending ``dest``)."""
-    for i, dest in enumerate(dest_columns):
-        if i < len(src_columns):
-            term = builder.and_(src_columns[i], mask_column)
-            builder.store(term, dest)
-            builder.free(term)
-        else:
-            builder.store_const(dest, False)
-
-
 def build_masked_select_const(
     builder: ProgramBuilder,
     src_columns: Sequence[int],
@@ -330,8 +314,9 @@ class BulkAggregationPlan:
     3. The per-crossbar result ends up in the accumulator field of row 0,
        from which the host (or a subsequent PIM request) reads it.
 
-    The plan can be executed gate-by-gate (``gate_level=True``) or
-    functionally with identical cost accounting.
+    The plan can be executed gate-by-gate (:meth:`run_gate_level`, the
+    tests' reference) or functionally (:meth:`run_functional`) with
+    identical results; :meth:`cost` is the gate-level bill either way.
     """
 
     def __init__(

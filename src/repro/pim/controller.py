@@ -208,7 +208,6 @@ class PimExecutor:
         pages: float,
         phase: str,
         clear_crossbars: np.ndarray | None = None,
-        clear_phase: str = "prune-clear",
     ) -> None:
         """Execute a program on the candidate crossbars only.
 
@@ -217,7 +216,7 @@ class PimExecutor:
         charged for exactly that fraction of the broadcast.  ``clear_crossbars``
         marks skipped crossbars whose result column may hold stale ones from
         an earlier broadcast: they receive a single-cycle column clear instead
-        of the full program (charged as ``clear_phase``), restoring the
+        of the full program (charged as ``prune-clear``), restoring the
         invariant that a skipped crossbar's result column reads all-zero.
         """
         if program.result_column is None:
@@ -225,7 +224,7 @@ class PimExecutor:
         idx = self._charge_program_at(bank, program.cycles, candidates, pages, phase)
         self._run_at(bank, program, idx)
         if clear_crossbars is not None:
-            stale = self._charge_program_at(bank, 1, clear_crossbars, pages, clear_phase)
+            stale = self._charge_program_at(bank, 1, clear_crossbars, pages, "prune-clear")
             if stale.size:
                 bank.set_column_at(program.result_column, False, stale)
 
@@ -237,7 +236,6 @@ class PimExecutor:
         pages: float,
         phase: str,
         clear_crossbars: np.ndarray | None = None,
-        clear_phase: str = "prune-clear",
     ) -> None:
         """What :meth:`run_program_pruned` charges, without running anything.
 
@@ -251,7 +249,7 @@ class PimExecutor:
             bank, program.cycles, candidates, pages, phase, program.writes_per_row
         )
         if clear_crossbars is not None:
-            self._charge_program_at(bank, 1, clear_crossbars, pages, clear_phase, 1)
+            self._charge_program_at(bank, 1, clear_crossbars, pages, "prune-clear", 1)
 
     def run_program_at(
         self,
@@ -426,20 +424,16 @@ class PimExecutor:
         plan: BulkAggregationPlan,
         pages: int,
         phase: str = "pim-agg",
-        gate_level: bool = False,
     ) -> np.ndarray:
         """Aggregate with pure bulk-bitwise logic (the PIMDB baseline).
 
-        ``gate_level=True`` executes every NOR primitive and row copy on the
-        stored bits (used by tests); the default functional mode produces
-        identical results and charges an identical cost.
+        The reduction runs functionally (:meth:`BulkAggregationPlan.run_functional`)
+        and charges the gate-level plan's cost; the tests check it against
+        :meth:`BulkAggregationPlan.run_gate_level` on a twin bank.
         """
         cost = plan.cost()
-        if gate_level:
-            results = plan.run_gate_level(bank)
-        else:
-            results = plan.run_functional(bank)
-            bank.writes_per_row += cost.writes_per_row
+        results = plan.run_functional(bank)
+        bank.writes_per_row += cost.writes_per_row
         xbar = self._xbar
         request_time = cost.total_cycles * xbar.logic_cycle_s
         crossbars = pages * self._crossbars_per_page()
@@ -504,7 +498,7 @@ class PimExecutor:
             )
             self.stats.add_events("bits_written", width, stores * count)
 
-    def charge_pim_reads(self, bits: int, component: str = "read") -> None:
+    def charge_pim_reads(self, bits: int) -> None:
         """Charge crossbar read energy for bits leaving the PIM arrays."""
         self.stats.add_events("bits_read", bits)
-        self.stats.add_energy(component, bits * self._xbar.read_energy_per_bit_j)
+        self.stats.add_energy("read", bits * self._xbar.read_energy_per_bit_j)

@@ -137,10 +137,6 @@ class PimModule:
     def pages_free(self) -> int:
         return self.config.pages_total - self._next_page
 
-    @property
-    def bytes_used(self) -> int:
-        return self.pages_used * self.config.huge_page_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PimModule(pages_used={self.pages_used}, "

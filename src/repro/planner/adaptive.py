@@ -36,6 +36,7 @@ charges the modelled maintenance cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.db.query import Predicate, attributes_referenced
 from repro.obs.metrics import add_stats
@@ -65,7 +66,13 @@ class ColumnFeedback:
 
 @dataclass(frozen=True)
 class AdaptiveSnapshot:
-    """Point-in-time counters of one controller (or a sum of several)."""
+    """Point-in-time counters of one controller (or a sum of several).
+
+    The hottest column/pair export as metric labels (see
+    :func:`~repro.obs.metrics.register_fields`).
+    """
+
+    GAUGES: ClassVar[tuple[str, ...]] = ("accumulated_error",)
 
     observations: int = 0
     rebuilds: int = 0

@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 from collections.abc import Hashable
 
 import numpy as np
@@ -107,6 +108,8 @@ class CandidateCacheStats:
     directly comparable with the cost of uncached walks.
     """
 
+    GAUGES: ClassVar[tuple[str, ...]] = ("entries", "capacity")
+
     hits: int = 0
     misses: int = 0
     revalidations: int = 0
@@ -133,8 +136,8 @@ class CandidateCacheStats:
 
     def __sub__(self, other: CandidateCacheStats) -> CandidateCacheStats:
         # Subtracting deltas two snapshots of the *same* cache set, so the
-        # later snapshot's occupancy/capacity carry through unchanged.
-        return sub_stats(self, other, keep=("entries", "capacity"))
+        # later snapshot's occupancy/capacity (``GAUGES``) carry through.
+        return sub_stats(self, other)
 
 
 @dataclass

@@ -24,7 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Sequence
-from typing import TypeVar
+from typing import ClassVar, TypeVar
 
 from repro.core.stages import ProgramCompiler
 from repro.db.compiler import GroupMaskTemplate
@@ -47,6 +47,8 @@ class CacheStats:
     next to the hit rate.
     """
 
+    GAUGES: ClassVar[tuple[str, ...]] = ("capacity", "entries", "hit_rate")
+
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -68,7 +70,7 @@ class CacheStats:
         )
 
     def __sub__(self, other: CacheStats) -> CacheStats:
-        return sub_stats(self, other, keep=("capacity", "entries"))
+        return sub_stats(self, other)
 
 
 class ProgramCache(ProgramCompiler):

@@ -32,14 +32,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.config import (
-    SystemConfig,
-    default_trace_sink,
-    default_tracing,
-    validate_backend,
-)
+from repro.config import SystemConfig, default_trace_sink, default_tracing
 from repro.core.executor import PimQueryEngine, QueryExecution
 from repro.core.latency_model import GroupByCostModel
 from repro.core.parallel import ScatterPool
@@ -48,6 +44,7 @@ from repro.db.query import Predicate, Query
 from repro.db.relation import Relation
 from repro.db.storage import StoredRelation
 from repro.obs.explain import ExplainResult
+from repro.obs.metrics import add_stats
 from repro.obs.trace import SpanTracer
 from repro.obs.wear import WearReport
 from repro.pim.controller import PimExecutor
@@ -114,7 +111,6 @@ class QueryService:
     def __init__(
         self,
         cache_capacity: int = 512,
-        cache: ProgramCache | None = None,
         pruning: bool = True,
         planner: bool = True,
         scatter_workers: int | None = None,
@@ -125,7 +121,6 @@ class QueryService:
 
         Args:
             cache_capacity: Capacity of the shared compiled-program cache.
-            cache: Share an existing :class:`ProgramCache` between services.
             pruning: Run the registered engines with zone-map crossbar
                 skipping (bit-exact; see :mod:`repro.planner`).
             planner: Route each query cost-based between the PIM engine and
@@ -148,7 +143,7 @@ class QueryService:
             trace_sink: JSONL path completed root spans are appended to;
                 defaults to the path named by ``REPRO_TRACE`` (if any).
         """
-        self.cache = cache if cache is not None else ProgramCache(cache_capacity)
+        self.cache = ProgramCache(cache_capacity)
         self.pruning = bool(pruning)
         self.planner_enabled = bool(planner)
         self.pool = ScatterPool(scatter_workers)
@@ -161,7 +156,6 @@ class QueryService:
         self._executors: dict[str, ServiceExecutors] = {}
         self._dml_counters: dict[str, dict[str, int]] = {}
         self._default: str | None = None
-        self._host_routed_total = 0
 
     # -------------------------------------------------------------- registry
     def register(
@@ -216,7 +210,6 @@ class QueryService:
         aggregation_width: int | None = None,
         reserve_bulk_aggregation: bool = True,
         default: bool = False,
-        backend: str | None = None,
     ) -> ShardedQueryEngine:
         """Shard ``relation`` horizontally and register the scatter-gather engine.
 
@@ -231,23 +224,9 @@ class QueryService:
         above 1 it lets per-partition kernel batches use the service's pool.
         Programs compile once: the shards share layouts, so the service's
         program cache hits across shards (and across queries, as usual).
-
-        ``backend`` overrides the functional simulation backend
-        (``"packed"`` or ``"bool"``, see :mod:`repro.pim.packed`) of the
-        shard allocations; by default the configuration's backend is used.
-        It only applies when the service creates the module itself.
+        The shard allocations use ``config``'s simulation backend.
         """
         self._check_name_free(name)
-        if backend is not None:
-            validate_backend(backend)
-            if module is not None:
-                raise ValueError(
-                    "backend= only applies when the service allocates the "
-                    "module; pass a module built with the desired backend "
-                    "configuration instead"
-                )
-            base = config if config is not None else SystemConfig()
-            config = base.with_backend(backend)
         if module is None:
             module = PimModule(config)
         sharded = ShardedStoredRelation(
@@ -328,9 +307,7 @@ class QueryService:
         host-scan path, everything else executes on the (pruned) PIM engine.
         Results are bit-exact either way.
         """
-        name = self._resolve(relation)
-        execution, _ = self._execute_routed(name, query)
-        return execution
+        return self._execute_routed(self._resolve(relation), query)
 
     def explain(self, query: Query, relation: str | None = None) -> ExplainResult:
         """EXPLAIN ANALYZE: execute ``query`` once and capture its span tree.
@@ -347,7 +324,7 @@ class QueryService:
         was_enabled = self.tracer.enabled
         self.tracer.enabled = True
         try:
-            execution, _ = self._execute_routed(name, query)
+            execution = self._execute_routed(name, query)
             trace = self.tracer.pop_trace()
         finally:
             self.tracer.enabled = was_enabled
@@ -367,13 +344,11 @@ class QueryService:
             return WearReport.from_sharded(engine.sharded, label=name)
         return WearReport.from_stored(engine.stored, label=name)
 
-    def _execute_routed(self, name: str, query: Query):
+    def _execute_routed(self, name: str, query: Query) -> QueryExecution:
         """Execute one query on its cost-chosen route.
 
-        Returns ``(execution, host_routed)`` where ``host_routed`` counts the
-        engines served through the host-scan path — 0 or 1 for a plain
-        engine, up to the shard count for a sharded one (each shard routes
-        independently through the engine's planner).
+        A plain engine is routed here; each shard of a sharded engine routes
+        itself through the engine's planner.
         """
         engine = self._engines[name]
         with self.tracer.span("query", relation=name) as span:
@@ -382,17 +357,14 @@ class QueryService:
             if self.planner_enabled and isinstance(engine, PimQueryEngine):
                 decision = self._planner.route(query, engine)
                 if decision.target == "host":
-                    self._host_routed_total += 1
                     execution = execute_host_scan(engine, query, decision)
                     if self.tracer.enabled:
                         self._annotate_query_span(span, execution, cache_before, "host")
-                    return execution, 1
+                    return execution
             execution = engine.execute(query, executor=self._executors[name])
-            host_routed = getattr(execution, "host_routed_shards", 0)
-            self._host_routed_total += host_routed
             if self.tracer.enabled:
                 self._annotate_query_span(span, execution, cache_before, "pim")
-            return execution, host_routed
+            return execution
 
     def _annotate_query_span(self, span, execution, cache_before, routed):
         """Decision attributes of one served query's root span."""
@@ -428,14 +400,11 @@ class QueryService:
         cache_before = self.cache.snapshot()
         candidates_before = self.candidate_cache_stats()
         pending: list[QueryExecution | None] = [None] * len(requests)
-        host_routed = 0
         start = time.perf_counter()
         for index in schedule:
-            execution, routed_to_host = self._execute_routed(
+            pending[index] = self._execute_routed(
                 targets[index], requests[index].query
             )
-            pending[index] = execution
-            host_routed += routed_to_host
         wall = time.perf_counter() - start
         # The schedule is a permutation of the request indices, so after the
         # loop every slot holds an execution; narrow the Optional away.
@@ -448,7 +417,6 @@ class QueryService:
             executions, wall,
             cache=self.cache.snapshot() - cache_before,
             dml=self._dml_snapshot(),
-            host_routed=host_routed,
             candidates=self.candidate_cache_stats() - candidates_before,
             adaptive=self.adaptive_stats(),
         )
@@ -458,21 +426,23 @@ class QueryService:
         """Point-in-time snapshot of the shared program cache's counters."""
         return self.cache.snapshot()
 
+    def _stores(self, name: str) -> list[StoredRelation]:
+        """The stores behind relation ``name``: its K shards, or its one store."""
+        engine = self._engines[name]
+        if isinstance(engine, ShardedQueryEngine):
+            return engine.sharded.shards
+        return [engine.stored]
+
     def candidate_cache_stats(self) -> CandidateCacheStats:
         """Summed candidate-set cache counters of every registered relation.
 
         A sharded relation contributes one cache per shard (the shards share
         the normalized fragment keys but cache their own masks).
         """
-        total = CandidateCacheStats()
-        for engine in self._engines.values():
-            if isinstance(engine, ShardedQueryEngine):
-                stats_owners = [shard.statistics for shard in engine.sharded.shards]
-            else:
-                stats_owners = [engine.stored.statistics]
-            for statistics in stats_owners:
-                total = total + statistics.candidate_stats()
-        return total
+        return reduce(add_stats, (
+            stored.statistics.candidate_stats()
+            for name in self._engines for stored in self._stores(name)
+        ), CandidateCacheStats())
 
     def adaptive_stats(self) -> AdaptiveSnapshot:
         """Summed feedback-loop snapshots of every registered relation.
@@ -481,15 +451,10 @@ class QueryService:
         grow, so a caller that wants a per-batch delta can difference the
         ``observations``/``rebuilds`` counts itself.
         """
-        total = AdaptiveSnapshot()
-        for engine in self._engines.values():
-            if isinstance(engine, ShardedQueryEngine):
-                stats_owners = [s.statistics for s in engine.sharded.shards]
-            else:
-                stats_owners = [engine.stored.statistics]
-            for statistics in stats_owners:
-                total = total + statistics.adaptive_snapshot()
-        return total
+        return reduce(add_stats, (
+            stored.statistics.adaptive_snapshot()
+            for name in self._engines for stored in self._stores(name)
+        ), AdaptiveSnapshot())
 
     def state_digest(self, relation: str | None = None) -> str:
         """:meth:`StoredRelation.state_digest` of a registered relation's store
@@ -612,28 +577,18 @@ class QueryService:
 
     def dml_stats(self, relation: str | None = None) -> DmlStats:
         """Live-row / tombstone / lifecycle counters of one relation."""
-        name = self._resolve(relation)
-        return self._relation_dml_stats(name)
+        return self._relation_dml_stats(self._resolve(relation))
 
     def _relation_dml_stats(self, name: str) -> DmlStats:
-        engine = self._engines[name]
-        if isinstance(engine, ShardedQueryEngine):
-            storage = engine.sharded
-            capacity = sum(shard.record_capacity for shard in storage.shards)
-        else:
-            storage = engine.stored
-            capacity = storage.record_capacity
-        counters = self._dml_counters[name]
-        return DmlStats(
-            live_rows=storage.live_count,
-            tombstones=storage.tombstone_count,
-            slots_in_use=storage.num_records,
-            capacity=capacity,
-            inserted=counters["inserted"],
-            deleted=counters["deleted"],
-            compactions=counters["compactions"],
-            slots_reclaimed=counters["slots_reclaimed"],
-        )
+        return reduce(add_stats, (
+            DmlStats(
+                live_rows=stored.live_count,
+                tombstones=stored.tombstone_count,
+                slots_in_use=stored.num_records,
+                capacity=stored.record_capacity,
+            )
+            for stored in self._stores(name)
+        ), DmlStats(**self._dml_counters[name]))
 
     def _dml_snapshot(self) -> DmlStats | None:
         """Aggregate DML state over all relations; ``None`` before any DML."""
@@ -641,16 +596,8 @@ class QueryService:
             any(counters.values()) for counters in self._dml_counters.values()
         ):
             return None
-        per_relation = [self._relation_dml_stats(name) for name in self._engines]
-        return DmlStats(
-            live_rows=sum(s.live_rows for s in per_relation),
-            tombstones=sum(s.tombstones for s in per_relation),
-            slots_in_use=sum(s.slots_in_use for s in per_relation),
-            capacity=sum(s.capacity for s in per_relation),
-            inserted=sum(s.inserted for s in per_relation),
-            deleted=sum(s.deleted for s in per_relation),
-            compactions=sum(s.compactions for s in per_relation),
-            slots_reclaimed=sum(s.slots_reclaimed for s in per_relation),
+        return reduce(
+            add_stats, map(self._relation_dml_stats, self._engines), DmlStats()
         )
 
     def _bind_dml_stats(self, name: str) -> list[PimExecutor]:

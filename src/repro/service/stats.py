@@ -16,12 +16,18 @@ Batches served by a sharded relation additionally report the scatter-gather
 figures: per-shard latency percentiles, the modelled parallel speedup
 (serial sum of the shard latencies over the max-over-shards critical path)
 and the worst per-shard wear.
+
+Every section declares its point-in-time fields once, in a class-level
+``GAUGES`` tuple; :meth:`ServiceStats.metrics` exports the sections through
+:func:`~repro.obs.metrics.register_fields`, and :meth:`ServiceStats.describe`,
+JSON and Prometheus exposition all render that one registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +42,11 @@ from repro.sharding.executor import ShardedQueryExecution
 @dataclass(frozen=True)
 class ShardStats:
     """Scatter-gather summary of the sharded executions of one batch."""
+
+    GAUGES: ClassVar[tuple[str, ...]] = (
+        "shards", "shard_p50_s", "shard_p95_s", "parallel_speedup",
+        "max_shard_writes_per_row",
+    )
 
     #: Sharded executions contributing to this summary.
     executions: int
@@ -96,6 +107,10 @@ class DmlStats:
     through the service since it was created.
     """
 
+    GAUGES: ClassVar[tuple[str, ...]] = (
+        "live_rows", "tombstones", "slots_in_use", "capacity", "fragmentation",
+    )
+
     live_rows: int = 0
     tombstones: int = 0
     slots_in_use: int = 0
@@ -112,54 +127,25 @@ class DmlStats:
 
 
 @dataclass(frozen=True)
-class AdaptiveStats:
-    """Feedback-loop counters of the registered relations' statistics.
-
-    A point-in-time roll-up of the per-relation
-    :class:`~repro.planner.adaptive.AdaptiveController` snapshots (summed
-    over engines and shards): how many executions fed the loop, how many
-    error-triggered equi-depth rebuilds and correlated-pair sketches it
-    applied, the error still accumulating, and the current hottest
-    column/pair that the next re-clustering compaction would use.
-    """
-
-    observations: int = 0
-    rebuilds: int = 0
-    pair_sketches: int = 0
-    accumulated_error: float = 0.0
-    hot_column: str | None = None
-    hot_pair: tuple | None = None
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: AdaptiveSnapshot | None
-    ) -> AdaptiveStats | None:
-        """Wrap a (possibly summed) snapshot; ``None`` when the loop is idle."""
-        if snapshot is None or snapshot.observations == 0:
-            return None
-        return cls(
-            observations=snapshot.observations,
-            rebuilds=snapshot.rebuilds,
-            pair_sketches=snapshot.pair_sketches,
-            accumulated_error=snapshot.accumulated_error,
-            hot_column=snapshot.hot_column,
-            hot_pair=snapshot.hot_pair,
-        )
-
-
-@dataclass(frozen=True)
 class PlannerStats:
     """Planning summary of one served batch.
 
     Crossbar counts come from the executions' pruning metadata (scanned ==
-    total when pruning is disabled); the routing counters record how many
-    queries the cost planner sent to the PIM engines versus the host-scan
+    total when pruning is disabled); the routing counters record how the
+    cost planner split the batch between the PIM engines and the host-scan
     path; the selectivity pair compares the planner's estimates with the
     fractions the executions actually selected.
     """
 
-    #: Queries executed on the PIM engines / routed to the host scan.
+    GAUGES: ClassVar[tuple[str, ...]] = (
+        "estimated_selectivity", "actual_selectivity", "skip_rate",
+    )
+
+    #: Queries at least one engine (a shard, or the relation's one engine)
+    #: executed on PIM.
     pim_queries: int
+    #: *Engines* served through the host scan: one per host-routed query of
+    #: a plain relation, one per host-scanned shard of a sharded one.
     host_routed: int
     #: Crossbars a full broadcast would have touched across the batch.
     crossbars_total: int
@@ -186,10 +172,22 @@ class PlannerStats:
     def from_executions(
         cls,
         executions: Sequence[QueryExecution],
-        host_routed: int = 0,
         candidates: CandidateCacheStats | None = None,
     ) -> PlannerStats | None:
         """Summarise the planner's work over a batch (``None`` if idle)."""
+        # Per query, whether each engine serving it (its shards, or the one
+        # engine) streamed through the host scan.
+        host_scanned = [
+            [
+                engine.label.endswith("/host-scan")
+                for engine in (
+                    e.shard_executions
+                    if isinstance(e, ShardedQueryExecution) else [e]
+                )
+            ]
+            for e in executions
+        ]
+        host_routed = sum(map(sum, host_scanned))
         estimated = [
             e for e in executions if e.estimated_selectivity is not None
         ]
@@ -198,7 +196,7 @@ class PlannerStats:
         if candidates is not None and candidates.lookups == 0:
             candidates = None
         return cls(
-            pim_queries=len(executions) - host_routed,
+            pim_queries=sum(not all(engines) for engines in host_scanned),
             host_routed=host_routed,
             crossbars_total=sum(e.crossbars_total for e in executions),
             crossbars_scanned=sum(e.crossbars_scanned for e in executions),
@@ -218,6 +216,10 @@ class PlannerStats:
 class ServiceStats:
     """Throughput and latency summary of one served batch."""
 
+    GAUGES: ClassVar[tuple[str, ...]] = (
+        "wall_qps", "modelled_qps", "modelled_p50_s", "modelled_p95_s",
+    )
+
     queries: int
     wall_time_s: float
     wall_qps: float
@@ -233,8 +235,9 @@ class ServiceStats:
     dml: DmlStats | None = None
     #: Crossbar-skipping and routing figures; ``None`` without a planner.
     planner: PlannerStats | None = None
-    #: Feedback-loop counters; ``None`` while no execution has fed it.
-    adaptive: AdaptiveStats | None = None
+    #: Feedback-loop snapshot summed over the registered relations; ``None``
+    #: while no execution has fed it.
+    adaptive: AdaptiveSnapshot | None = None
 
     @classmethod
     def from_executions(
@@ -243,7 +246,6 @@ class ServiceStats:
         wall_time_s: float,
         cache: CacheStats | None = None,
         dml: DmlStats | None = None,
-        host_routed: int = 0,
         candidates: CandidateCacheStats | None = None,
         adaptive: AdaptiveSnapshot | None = None,
     ) -> ServiceStats:
@@ -266,170 +268,37 @@ class ServiceStats:
             cache=cache,
             sharded=ShardStats.from_executions(sharded),
             dml=dml,
-            planner=PlannerStats.from_executions(
-                executions, host_routed, candidates=candidates
+            planner=PlannerStats.from_executions(executions, candidates),
+            adaptive=(
+                adaptive if adaptive is not None and adaptive.observations else None
             ),
-            adaptive=AdaptiveStats.from_snapshot(adaptive),
         )
+
+    def _sections(self) -> list[tuple[str, object]]:
+        """``(prefix, section)`` of every section this batch reports."""
+        sections = [
+            ("service", self),
+            ("program_cache", self.cache),
+            ("planner", self.planner),
+            ("candidate_cache", self.planner and self.planner.candidates),
+            ("adaptive", self.adaptive),
+            ("sharded", self.sharded),
+            ("dml", self.dml),
+        ]
+        return [(prefix, s) for prefix, s in sections if s is not None]
 
     def metrics(self) -> MetricsRegistry:
-        """Every section's numeric fields as one :class:`MetricsRegistry`.
-
-        This is the machine-parseable counterpart of :meth:`describe`: each
-        section registers through the same
-        :func:`~repro.obs.metrics.register_fields` path (counters for the
-        accumulating fields, gauges for point-in-time ones), so the JSON and
-        Prometheus renderings stay in lockstep with the dataclass fields
-        without a hand-written formatter per section.
-        """
+        """Every section as one :class:`MetricsRegistry` (JSON / Prometheus)."""
         registry = MetricsRegistry()
-        register_fields(
-            registry,
-            self,
-            "service",
-            gauges=(
-                "wall_qps", "modelled_qps", "modelled_p50_s", "modelled_p95_s"
-            ),
-        )
-        if self.cache is not None:
-            register_fields(
-                registry,
-                self.cache,
-                "program_cache",
-                gauges=("capacity", "entries"),
-            )
-        if self.planner is not None:
-            register_fields(
-                registry,
-                self.planner,
-                "planner",
-                gauges=("estimated_selectivity", "actual_selectivity"),
-            )
-            if self.planner.candidates is not None:
-                register_fields(
-                    registry,
-                    self.planner.candidates,
-                    "candidate_cache",
-                    gauges=("entries", "capacity"),
-                )
-        if self.adaptive is not None:
-            a = self.adaptive
-            labels: dict[str, str] = {}
-            if a.hot_column is not None:
-                labels["hot_column"] = a.hot_column
-            if a.hot_pair is not None:
-                labels["hot_pair"] = "x".join(a.hot_pair)
-            register_fields(
-                registry,
-                a,
-                "adaptive",
-                labels=labels or None,
-                gauges=("accumulated_error",),
-            )
-        if self.sharded is not None:
-            register_fields(
-                registry,
-                self.sharded,
-                "sharded",
-                gauges=(
-                    "shards",
-                    "shard_p50_s",
-                    "shard_p95_s",
-                    "parallel_speedup",
-                    "max_shard_writes_per_row",
-                ),
-            )
-        if self.dml is not None:
-            register_fields(
-                registry,
-                self.dml,
-                "dml",
-                gauges=("live_rows", "tombstones", "slots_in_use", "capacity"),
-            )
+        for prefix, section in self._sections():
+            register_fields(registry, section, prefix)
         return registry
 
-    def to_json(self) -> dict:
-        """JSON-serialisable export of every section (via :meth:`metrics`)."""
-        return self.metrics().to_json()
-
-    def render_json(self) -> str:
-        """:meth:`to_json` as an indented JSON document."""
-        return self.metrics().render_json()
-
-    def render_prometheus(self) -> str:
-        """Prometheus-style text exposition of the batch's metrics."""
-        return self.metrics().render_prometheus()
-
     def describe(self) -> str:
-        """One-paragraph human-readable summary."""
-        lines = [
-            f"{self.queries} queries in {self.wall_time_s:.3f}s wall "
-            f"({self.wall_qps:.1f} q/s)",
-            f"modelled: {self.modelled_time_s * 1e3:.3f} ms serial "
-            f"({self.modelled_qps:.1f} q/s), "
-            f"p50 {self.modelled_p50_s * 1e3:.3f} ms, "
-            f"p95 {self.modelled_p95_s * 1e3:.3f} ms, "
-            f"{self.modelled_energy_j * 1e3:.3f} mJ",
-        ]
-        if self.cache is not None:
-            cache_line = (
-                f"program cache: {self.cache.hits} hits / "
-                f"{self.cache.misses} misses ({self.cache.hit_rate:.0%}), "
-                f"{self.cache.evictions} evictions"
-            )
-            if self.cache.capacity is not None:
-                occupancy = (
-                    f"{self.cache.entries}/" if self.cache.entries is not None else ""
-                )
-                cache_line += f" (capacity {occupancy}{self.cache.capacity})"
-            lines.append(cache_line)
-        if self.planner is not None:
-            p = self.planner
-            lines.append(
-                f"planner: {p.pim_queries} pim / {p.host_routed} host-routed, "
-                f"scanned {p.crossbars_scanned} of {p.crossbars_total} "
-                f"crossbars ({p.skip_rate:.0%} skipped), "
-                f"selectivity est {p.estimated_selectivity:.4f} vs "
-                f"actual {p.actual_selectivity:.4f}"
-            )
-            if p.candidates is not None:
-                c = p.candidates
-                lines.append(
-                    f"candidate cache: {c.hits} hits / {c.misses} misses / "
-                    f"{c.revalidations} re-validations "
-                    f"({c.stale_crossbars} stale crossbars re-checked), "
-                    f"{c.entries_checked} zone-map entries consulted, "
-                    f"{c.evictions} evictions "
-                    f"(capacity {c.entries}/{c.capacity})"
-                )
-        if self.adaptive is not None:
-            a = self.adaptive
-            hot = a.hot_column if a.hot_column is not None else "-"
-            pair = (
-                "x".join(a.hot_pair) if a.hot_pair is not None else "-"
-            )
-            lines.append(
-                f"adaptive: {a.observations} observations, "
-                f"{a.rebuilds} equi-depth rebuilds, "
-                f"{a.pair_sketches} pair sketches, "
-                f"error {a.accumulated_error:.2f} accumulating, "
-                f"hot column {hot}, hot pair {pair}"
-            )
-        if self.sharded is not None:
-            s = self.sharded
-            lines.append(
-                f"sharded (K={s.shards}): shard p50 {s.shard_p50_s * 1e3:.3f} ms, "
-                f"p95 {s.shard_p95_s * 1e3:.3f} ms, "
-                f"{s.parallel_speedup:.2f}x parallel speedup, "
-                f"merge {s.merge_time_s * 1e6:.3f} us, "
-                f"max shard wear {s.max_shard_writes_per_row} writes/row"
-            )
-        if self.dml is not None:
-            d = self.dml
-            lines.append(
-                f"dml: {d.live_rows} live rows, {d.tombstones} tombstones "
-                f"({d.fragmentation:.0%} fragmentation), "
-                f"{d.inserted} inserted / {d.deleted} deleted, "
-                f"{d.compactions} compactions ({d.slots_reclaimed} slots reclaimed)"
-            )
+        """The series of :meth:`metrics` as text, one line per section."""
+        lines = []
+        for prefix, section in self._sections():
+            registry = MetricsRegistry()
+            register_fields(registry, section, prefix)
+            lines.append(f"{prefix}: {registry.render_text()}")
         return "\n".join(lines)

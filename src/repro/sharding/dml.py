@@ -50,10 +50,6 @@ class ShardedInsertResult:
     def records_inserted(self) -> int:
         return len(self.placements)
 
-    @property
-    def shards_touched(self) -> int:
-        return len(self.shard_results)
-
 
 @dataclass
 class ShardedDeleteResult:

@@ -157,11 +157,6 @@ class ShardedStoredRelation:
         """Total huge pages across all shards (per vertical partition)."""
         return sum(shard.pages for shard in self.shards)
 
-    @property
-    def max_shard_pages(self) -> int:
-        """Pages of the largest shard — the scatter phase's critical path."""
-        return max(shard.pages for shard in self.shards)
-
     def state_digest(self) -> str:
         """sha256 over every shard's :meth:`StoredRelation.state_digest`, in order."""
         return hashlib.sha256(

@@ -570,7 +570,8 @@ def _build_service(backend: str, shards: int, seed: int):
         service.register("churn", stored, config=system)
     else:
         service.register_sharded(
-            "churn", relation, shards=shards, backend=backend
+            "churn", relation, shards=shards,
+            config=DEFAULT_CONFIG.with_backend(backend),
         )
     return service
 

@@ -94,31 +94,70 @@ def test_retired_environment_switches_change_no_default(
     assert "zonemap-check" not in broadcast.stats.time_by_phase
 
 
-@pytest.mark.parametrize(
-    "target",
-    ["QueryService", "PimQueryEngine", "ShardedQueryEngine", "execute_delete"],
-)
-def test_vectorized_keyword_is_removed_not_ignored(target, toy_stored, toy_relation):
-    """There is one evaluator per program; nothing accepts the old mode flag."""
-    from repro.core.executor import PimQueryEngine
-    from repro.db.dml import execute_delete
-    from repro.db.query import Comparison
-    from repro.pim.controller import PimExecutor
-    from repro.pim.module import PimModule
-    from repro.service import QueryService
-    from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
+_REMOVED_KEYWORDS = [
+    ("QueryService", "vectorized"),
+    ("PimQueryEngine", "vectorized"),
+    ("ShardedQueryEngine", "vectorized"),
+    ("execute_delete", "vectorized"),
+    ("PimQueryEngine", "filter_stage"),
+    ("PimQueryEngine", "group_stage"),
+    ("PimQueryEngine", "aggregation_stage"),
+    ("execute_delete", "timing_scale"),
+    ("execute_compaction", "timing_scale"),
+    ("QueryService", "cache"),
+    ("compile_predicate", "combine_with_valid"),
+    ("run_program_pruned", "clear_phase"),
+    ("charge_pruned_program_cost", "clear_phase"),
+    ("charge_pim_reads", "component"),
+    ("register_sharded", "backend"),
+    ("aggregate_bulk_bitwise", "gate_level"),
+]
 
+
+@pytest.mark.parametrize(
+    ("target", "keyword"),
+    [
+        # The first four keep their historical ids (the ``vectorized`` mode).
+        pytest.param(target, keyword, id=target if keyword == "vectorized"
+                     else f"{target}-{keyword}")
+        for target, keyword in _REMOVED_KEYWORDS
+    ],
+)
+def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
+    """Removed keywords raise instead of being silently ignored.
+
+    ``vectorized``: there is one evaluator per program.  The others were
+    settable values no caller set; each is now a constant.  Python rejects
+    an unknown keyword before the body runs, so placeholders suffice.
+    """
+    from repro.core.executor import PimQueryEngine
+    from repro.db.compiler import compile_predicate
+    from repro.db.dml import execute_compaction, execute_delete
+    from repro.pim.controller import PimExecutor
+    from repro.service import QueryService
+    from repro.sharding import ShardedQueryEngine
+
+    executor = PimExecutor(DEFAULT_CONFIG)
     calls = {
-        "QueryService": lambda: QueryService(vectorized=True),
-        "PimQueryEngine": lambda: PimQueryEngine(toy_stored, vectorized=True),
-        "ShardedQueryEngine": lambda: ShardedQueryEngine(
-            ShardedStoredRelation(toy_relation, PimModule(DEFAULT_CONFIG), shards=2),
-            vectorized=True,
+        "QueryService": QueryService,
+        "PimQueryEngine": lambda **kw: PimQueryEngine(None, **kw),
+        "ShardedQueryEngine": lambda **kw: ShardedQueryEngine(None, **kw),
+        "execute_delete": lambda **kw: execute_delete(None, None, None, **kw),
+        "execute_compaction": lambda **kw: execute_compaction(None, None, **kw),
+        "compile_predicate": lambda **kw: compile_predicate(None, None, None, **kw),
+        "run_program_pruned": lambda **kw: executor.run_program_pruned(
+            None, None, None, 1, "filter", **kw
         ),
-        "execute_delete": lambda: execute_delete(
-            toy_stored, Comparison("key", "<", 10), PimExecutor(DEFAULT_CONFIG),
-            vectorized=True,
+        "charge_pruned_program_cost": lambda **kw: executor.charge_pruned_program_cost(
+            None, None, None, 1, "filter", **kw
+        ),
+        "charge_pim_reads": lambda **kw: executor.charge_pim_reads(8, **kw),
+        "register_sharded": lambda **kw: QueryService().register_sharded(
+            "toy", None, **kw
+        ),
+        "aggregate_bulk_bitwise": lambda **kw: executor.aggregate_bulk_bitwise(
+            None, None, 1, **kw
         ),
     }
-    with pytest.raises(TypeError, match="vectorized"):
-        calls[target]()
+    with pytest.raises(TypeError, match=keyword):
+        calls[target](**{keyword: True})

@@ -539,7 +539,7 @@ def test_service_dml_entry_points_and_counters():
     batch = service.execute_batch([SCALAR_QUERY, GROUP_QUERY])
     assert batch.stats.dml is not None
     assert batch.stats.dml.inserted == 3
-    assert "tombstones" in batch.stats.describe()
+    assert "dml_tombstones=" in batch.stats.describe()
     live = stored.live_relation()
     assert batch.executions[0].rows == reference_rows(live, SCALAR_QUERY)
     assert batch.executions[1].rows == reference_rows(live, GROUP_QUERY)

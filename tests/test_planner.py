@@ -406,7 +406,7 @@ def test_pruned_bit_exact_under_interleaved_dml(backend, shards, ops, probe_key)
         service = QueryService(planner=False, pruning=pruning)
         service.register_sharded(
             "pl", clustered_relation(records=640, seed=3), shards=shards,
-            backend=backend,
+            config=DEFAULT_CONFIG.with_backend(backend),
         )
         services[pruning] = service
 
@@ -511,15 +511,17 @@ def test_service_routes_and_reports_planner_stats():
     assert stats.planner is not None
     assert stats.planner.crossbars_scanned < stats.planner.crossbars_total
     assert stats.planner.pim_queries + stats.planner.host_routed == 3
-    assert "planner:" in stats.describe()
-    assert "skipped" in stats.describe()
+    assert "planner_pim_queries=" in stats.describe()
+    assert "planner_skip_rate=" in stats.describe()
 
 
 # ----------------------------------------------------------------- satellites
 def test_register_sharded_validates_backend_early():
     service = QueryService()
     with pytest.raises(ValueError, match=r"backend='qbit' is not a backend"):
-        service.register_sharded("pl", clustered_relation(), backend="qbit")
+        service.register_sharded(
+            "pl", clustered_relation(), config=DEFAULT_CONFIG.with_backend("qbit")
+        )
     assert service.relations == []
 
 
@@ -532,8 +534,8 @@ def test_cache_snapshot_and_describe_report_evictions_and_capacity():
     assert snapshot.entries is not None and snapshot.entries <= 2
     assert snapshot.lookups > 0
     described = batch.stats.describe()
-    assert "evictions" in described
-    assert "capacity" in described
+    assert "program_cache_evictions=" in described
+    assert "program_cache_capacity=2" in described
 
 # ----------------------------------------- semantic candidate-set cache (PR 7)
 def test_decision_masks_are_read_only_and_memo_uncorrupted():
@@ -750,7 +752,7 @@ def test_service_batch_reports_candidate_cache_counters():
     assert first.stats.planner is not None
     assert first.stats.planner.candidates is not None
     assert first.stats.planner.candidates.misses > 0
-    assert "candidate cache:" in first.stats.describe()
+    assert "candidate_cache_hits=" in first.stats.describe()
     cold_entries = first.stats.planner.candidates.entries_checked
     # A clean replay never reaches the fragment cache (the whole-plan memo
     # answers), so its batch delta reports no candidate activity at all.

@@ -246,7 +246,8 @@ def test_candidate_cache_bit_exact_under_churn(ops, seed):
                 service.register("churn", stored, config=system)
             else:
                 service.register_sharded(
-                    "churn", relation, shards=shards, backend=backend
+                    "churn", relation, shards=shards,
+                    config=DEFAULT_CONFIG.with_backend(backend),
                 )
             for op in ops:
                 _apply_churn_op(service, shards, op)

@@ -76,7 +76,8 @@ def test_service_answers_from_the_stored_bits(toy_relation, backend, shards):
         service.register("toy", stored, config=config)
     else:
         engine = service.register_sharded(
-            "toy", toy_relation, shards=shards, backend=backend, **storage
+            "toy", toy_relation, shards=shards,
+            config=DEFAULT_CONFIG.with_backend(backend), **storage
         )
         stored = engine.sharded.shards[1]
     query = Query("in-1995", Comparison("year", "==", 1995), (Aggregate("count"),))
@@ -114,7 +115,7 @@ def test_service_stats_summarise_the_batch(service):
     latencies = sorted(e.time_s for e in result)
     assert stats.modelled_time_s == pytest.approx(sum(latencies))
     assert latencies[0] <= stats.modelled_p50_s <= stats.modelled_p95_s <= latencies[-1]
-    assert "q/s" in stats.describe()
+    assert "service_wall_qps=" in stats.describe()
 
 
 def test_multiple_relations_and_request_routing(toy_relation):

@@ -32,7 +32,7 @@ from repro.db.storage import StoredRelation
 from repro.host.aggregator import merge_shard_rows
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.service import ProgramCache, QueryService
+from repro.service import ProgramCache, QueryRequest, QueryService
 from repro.sharding import (
     ShardedQueryEngine,
     ShardedStoredRelation,
@@ -603,7 +603,7 @@ def test_service_register_sharded_routes_and_reports(toy_relation):
     assert 0 < stats.sharded.shard_p50_s <= stats.sharded.shard_p95_s
     assert stats.sharded.parallel_speedup > 1.0
     assert stats.sharded.max_shard_writes_per_row > 0
-    assert "parallel speedup" in stats.describe()
+    assert "sharded_parallel_speedup=" in stats.describe()
     # A batch against the unsharded relation reports no sharded section.
     plain_stats = service.execute_batch(queries, relation="plain").stats
     assert plain_stats.sharded is None
@@ -746,3 +746,28 @@ def test_merge_charges_the_gather_term():
     merge_shard_rows([rows, rows], AGGREGATES,
                      config=DEFAULT_CONFIG.host, stats=stats)
     assert stats.time_by_phase["shard-merge"] > 0
+
+
+def test_pim_queries_counts_queries_not_shards(toy_relation):
+    """A query is a PIM query when any engine serving it ran on PIM;
+    ``host_routed`` counts host-scanned *engines* (here: shards)."""
+    service = QueryService()
+    # Toy-sized shards stream through the host; extrapolated ones stay on PIM.
+    for name, scale in (("small", 1.0), ("large", 64.0)):
+        service.register_sharded(
+            name, toy_relation, shards=4, timing_scale=scale,
+            aggregation_width=22, reserve_bulk_aggregation=False,
+        )
+    query = Query(
+        "broad", Comparison("discount", ">=", 0),
+        (Aggregate("sum", "price"), Aggregate("count")),
+    )
+    batch = service.execute_batch([
+        QueryRequest(query, "small"), QueryRequest(query, "large"),
+        QueryRequest(query, "large"),
+    ])
+    small, *large = batch.executions
+    assert small.host_routed_shards == 4
+    assert all(execution.host_routed_shards == 0 for execution in large)
+    assert batch.stats.planner.host_routed == 4
+    assert batch.stats.planner.pim_queries == 2
