@@ -124,7 +124,7 @@ def main() -> None:
     for s in sharded:
         assert abs(s.time_s - (max(s.shard_times_s) + s.merge_time_s)) < 1e-15
         assert s.time_s < sum(s.shard_times_s)
-    # 3. An UPDATE broadcast through the shards stays consistent everywhere.
+    # 3. An UPDATE run on every shard stays consistent everywhere.
     engine = service.engine("sales")
     update = execute_sharded_update(
         engine.sharded, Comparison("region", EQ, "EUROPE"), {"region": "ASIA"}

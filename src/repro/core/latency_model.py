@@ -338,63 +338,3 @@ def build_analytic_cost_model(
         host=HostGbLatencyModel.fit(host_points),
         pim=PimGbLatencyModel.fit(pim_points),
     )
-
-
-# --------------------------------------------------------------------------
-# Depth-tracked program latency (NOR-DAG refinement)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProgramLatencyRefinement:
-    """Cycle-accurate latency bounds of one compiled NOR program.
-
-    The modelled latency charged to :class:`~repro.pim.stats.PimStats` is the
-    sequential bound — one NOR primitive per logic cycle, exactly the
-    program's op count, which is what the paper's controller issues.  The
-    optimized :class:`~repro.pim.ir.NorDag` additionally exposes the critical
-    path (the longest dependency chain after CSE and constant folding): a
-    controller that issued independent NORs to disjoint columns in the same
-    cycle could not finish faster than ``depth`` cycles.  This refinement is
-    reporting-only; it never alters the charged statistics.
-    """
-
-    #: Sequential NOR issue — the charged model (``ops × logic_cycle``).
-    cycles: int
-    #: Critical path of the optimized NOR DAG (lower bound for any schedule).
-    depth: int
-    #: Live NOR gates after CSE, folding and dead-column elimination.
-    nor_count: int
-    #: Seconds per logic cycle used for the conversions below.
-    logic_cycle_s: float
-
-    @property
-    def sequential_time_s(self) -> float:
-        """Latency of the modelled one-NOR-per-cycle controller."""
-        return self.cycles * self.logic_cycle_s
-
-    @property
-    def critical_path_time_s(self) -> float:
-        """Lower bound under unlimited same-cycle NOR issue."""
-        return self.depth * self.logic_cycle_s
-
-    @property
-    def parallelism(self) -> float:
-        """Average exploitable NOR-level parallelism (``cycles / depth``)."""
-        return self.cycles / self.depth if self.depth else 1.0
-
-
-def refine_program_latency(
-    program, config: SystemConfig
-) -> ProgramLatencyRefinement:
-    """Depth-refined latency bounds for a compiled NOR program.
-
-    ``program`` is a :class:`~repro.pim.logic.Program`; its lazily lowered
-    NOR DAG supplies the critical-path depth and live gate count.
-    """
-    dag = program.ir()
-    return ProgramLatencyRefinement(
-        cycles=program.cycles,
-        depth=dag.depth,
-        nor_count=dag.nor_count,
-        logic_cycle_s=config.pim.crossbar.logic_cycle_s,
-    )

@@ -32,8 +32,10 @@ Every phase charges the modelled :class:`~repro.pim.stats.PimStats`:
 Like UPDATE, the layout-dependent programs are compiled once
 (:func:`compile_delete`) and are valid for every relation sharing the layout
 — in particular for every shard of a
-:class:`~repro.sharding.storage.ShardedStoredRelation`, whose broadcast
-lives in :mod:`repro.sharding.dml`.
+:class:`~repro.sharding.storage.ShardedStoredRelation`, whose per-shard loop
+lives in :mod:`repro.sharding.dml`.  DELETE and UPDATE share one selection
+step (:func:`_select`): the filter runs zone-map-pruned on the candidate
+crossbars, and the clear / mux programs follow on the same crossbars.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import numpy as np
 from repro.core.stages import (
     ProgramCompiler,
     _check_pruned_bits,
-    apply_program,
     apply_program_at,
     apply_program_pruned,
 )
@@ -166,33 +167,77 @@ def compile_delete(
     )
 
 
+def _select(
+    stored: StoredRelation,
+    compiled,
+    executor: PimExecutor,
+    phase: str,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The selection step a DELETE or UPDATE starts with.
+
+    ``compiled`` is a :class:`CompiledDelete` or a
+    :class:`~repro.db.update.CompiledUpdate`.  The relation's zone maps are
+    consulted exactly like the query engine does — plan billed through the
+    candidate cache, ``zonemap-check`` charged — and the filter program runs
+    on the candidate crossbars only (skipped crossbars provably hold no
+    selected row, so their filter bits are all-zero).  The rows the ground
+    truth selects are checked against the decision before any program runs:
+    a selected row on a skipped crossbar raises ``RuntimeError`` with
+    nothing changed.
+
+    Returns the ground-truth selection (the predicate ANDed with the valid
+    bits, one bool per slot in use) and the candidate crossbars — ``None``
+    when the zone maps prove the statement empty, in which case no program
+    ran.
+    """
+    partition = compiled.partition
+    allocation = stored.allocations[partition]
+    selection = evaluate_predicate(compiled.predicate, stored.relation)
+    selection &= stored.valid_mask(partition)
+    statistics = stored.statistics
+    decision = statistics.plan(
+        compiled.predicate,
+        stored.partition_attributes,
+        executor.config.pim.crossbars_per_page,
+    )
+    statistics.charge_check(
+        executor.stats, executor.config.host, decision.entries_checked
+    )
+    if decision.empty:
+        # Some partition's conjunction matches no crossbar: nothing is
+        # selected, provably — the conservative invariant guarantees it.
+        _check_pruned_bits(
+            selection, np.zeros(allocation.crossbars, dtype=bool), allocation
+        )
+        return selection, None
+    candidates = decision.candidates[partition]
+    _check_pruned_bits(selection, candidates, allocation)
+    apply_program_pruned(
+        stored, partition, compiled.filter_program, executor,
+        phase=phase, pages=allocation.pages, candidates=candidates,
+    )
+    return selection, candidates
+
+
 def execute_delete(
     stored: StoredRelation,
     predicate: Predicate,
     executor: PimExecutor,
     compiled: CompiledDelete | None = None,
-    pruned: bool = True,
 ) -> DeleteResult:
     """Tombstone the records selected by ``predicate`` — in memory.
 
-    The valid bit of the selected rows is cleared by a bulk-bitwise program
-    in every vertical partition (the tombstone bit-vector crosses partitions
-    through the host, charged as ``delete-transfer``).  The ground-truth
+    The filter runs on the zone-map candidate crossbars (:func:`_select`);
+    the valid bit of the selected rows is then cleared by a bulk-bitwise
+    program on the same crossbars in every vertical partition (the
+    tombstone bit-vector crosses partitions through the host, charged as
+    ``delete-transfer``).  A skipped crossbar holds no doomed row, so its
+    valid column is already the AND's result and stays untouched; a
+    provably-empty decision runs no program at all.  The ground-truth
     relation keeps the tombstoned rows slot-aligned; they are masked out of
     :meth:`~repro.db.storage.StoredRelation.live_relation` and of every query
-    path by the cleared valid bit.
-
-    ``pruned`` (the default) consults the relation's zone maps exactly like
-    the query engine — plan billed through the candidate cache,
-    ``zonemap-check`` charged — and runs the filter and valid-clear
-    programs only on the candidate crossbars.  A skipped
-    crossbar provably holds no doomed row, so its valid column is already
-    the AND's result (the clears run preserve-skipped); a provably-empty
-    decision skips the broadcast outright.  The tombstoned rows are
-    bit-exact with the broadcast mode either way.  The rows the ground truth
-    is about to tombstone are checked against the decision before any program
-    runs: a doomed row on a skipped crossbar raises ``RuntimeError`` with
-    nothing changed.
+    path by the cleared valid bit.  The result's cycle fields describe the
+    compiled statement whether or not it ran.
 
     DML bills the stored size as it is: unlike the query engines, it takes no
     ``timing_scale`` extrapolation (scaling it would change the modelled
@@ -202,105 +247,51 @@ def execute_delete(
         compiled = compile_delete(stored, predicate)
     elif compiled.predicate != predicate:
         raise ValueError("compiled delete does not match the given predicate")
-    primary = compiled.partition
-    allocation = stored.allocations[primary]
-    pages = allocation.pages
-    read_model = HostReadModel(executor.config, executor.stats)
-
-    doomed = evaluate_predicate(predicate, stored.relation) & stored.valid_mask(primary)
-
-    candidates = None
-    if pruned:
-        statistics = stored.statistics
-        decision = statistics.plan(
-            predicate,
-            stored.partition_attributes,
-            executor.config.pim.crossbars_per_page,
-        )
-        statistics.charge_check(
-            executor.stats, executor.config.host, decision.entries_checked
-        )
-        if decision.empty:
-            # Some partition's conjunction matches no crossbar: nothing to
-            # tombstone, provably — the conservative invariant guarantees it.
-            _check_pruned_bits(
-                doomed, np.zeros(allocation.crossbars, dtype=bool), allocation
-            )
-            return DeleteResult(
-                records_deleted=0,
-                filter_cycles=compiled.filter_program.cycles,
-                clear_cycles=0,
-                live_records=stored.live_count,
-                tombstones=stored.tombstone_count,
-            )
-        candidates = decision.candidates[primary]
-        _check_pruned_bits(doomed, candidates, allocation)
-
-    # Select the rows to delete (the standard PIM filter, valid-conjoined).
-    if candidates is None:
-        apply_program(
-            stored, primary, compiled.filter_program, executor,
-            phase="delete-filter", pages=pages,
-        )
-        # Clear the valid bit where the filter hit.
-        apply_program(
-            stored, primary, compiled.clear_programs[primary], executor,
-            phase="delete-clear", pages=pages,
-        )
-    else:
-        apply_program_pruned(
-            stored, primary, compiled.filter_program, executor,
-            phase="delete-filter", pages=pages, candidates=candidates,
-        )
+    doomed, candidates = _select(stored, compiled, executor, "delete-filter")
+    if candidates is not None:
+        primary = compiled.partition
         # Clear the valid bit where the filter hit.  ``doomed`` is zero on
-        # every skipped crossbar, so the AND is the identity there — the
-        # preserve-skipped path leaves those valid columns untouched.
+        # every skipped crossbar, so the AND is the identity there.
         apply_program_at(
             stored, primary, compiled.clear_programs[primary], executor,
-            phase="delete-clear", pages=pages, candidates=candidates,
+            phase="delete-clear", pages=stored.allocations[primary].pages,
+            candidates=candidates,
         )
-    # Other vertical partitions: ship the tombstone bit-vector through the
-    # host (the two-xb transfer path) and clear their valid bits too.  The
-    # crossbar index of a slot is the same in every vertical partition, so
-    # the primary candidates cover the doomed rows everywhere.
-    for index in range(stored.partitions):
-        if index == primary:
-            continue
-        read_model.transfer_bit_column(
-            stored,
-            primary, stored.layouts[primary].filter_column,
-            index, stored.layouts[index].remote_column,
-            phase="delete-transfer",
-        )
-        if candidates is None:
-            apply_program(
-                stored, index, compiled.clear_programs[index], executor,
-                phase="delete-clear",
-                pages=stored.allocations[index].pages,
+        # Other vertical partitions: ship the tombstone bit-vector through
+        # the host (the two-xb transfer path) and clear their valid bits
+        # too.  The crossbar index of a slot is the same in every vertical
+        # partition, so the primary candidates cover the doomed rows
+        # everywhere.
+        read_model = HostReadModel(executor.config, executor.stats)
+        for index in range(stored.partitions):
+            if index == primary:
+                continue
+            read_model.transfer_bit_column(
+                stored,
+                primary, stored.layouts[primary].filter_column,
+                index, stored.layouts[index].remote_column,
+                phase="delete-transfer",
             )
-        else:
             apply_program_at(
                 stored, index, compiled.clear_programs[index], executor,
-                phase="delete-clear",
-                pages=stored.allocations[index].pages,
+                phase="delete-clear", pages=stored.allocations[index].pages,
                 candidates=candidates,
             )
-
-    doomed_slots = np.nonzero(doomed)[0]
-    stored.register_tombstones(doomed_slots)
-    # Zone-map maintenance: one live-counter decrement per touched crossbar
-    # (bounds stay conservatively wide until the next compaction).  DELETE
-    # never bumps candidate-cache epochs — cached fragment masks are
-    # bounds-only and stay exact; only the live prefilter shrinks.
-    touched = np.unique(doomed_slots // stored.rows_per_crossbar).size
-    stored.statistics.charge_maintenance(
-        executor.stats, executor.config.host, touched
-    )
-    clear_cycles = sum(p.cycles for p in compiled.clear_programs.values())
+        doomed_slots = np.nonzero(doomed)[0]
+        stored.register_tombstones(doomed_slots)
+        # Zone-map maintenance: one live-counter decrement per touched
+        # crossbar (bounds stay conservatively wide until the next
+        # compaction).  DELETE never bumps candidate-cache epochs — cached
+        # fragment masks are bounds-only and stay exact; only the live
+        # prefilter shrinks.
+        touched = np.unique(doomed_slots // stored.rows_per_crossbar).size
+        stored.statistics.charge_maintenance(
+            executor.stats, executor.config.host, touched
+        )
     return DeleteResult(
         records_deleted=int(doomed.sum()),
         filter_cycles=compiled.filter_program.cycles,
-        clear_cycles=clear_cycles,
+        clear_cycles=sum(p.cycles for p in compiled.clear_programs.values()),
         live_records=stored.live_count,
         tombstones=stored.tombstone_count,
     )
@@ -329,7 +320,6 @@ def execute_insert(
     stored: StoredRelation,
     records: Sequence[Mapping[str, object]],
     executor: PimExecutor,
-    phase: str = "insert-write",
     encoded: bool = False,
 ) -> InsertResult:
     """Insert ``records`` (``{attribute: value}`` mappings) into free slots.
@@ -418,7 +408,7 @@ def execute_insert(
                 xbars, rows, column, 1, np.full(len(slots), bit, dtype=np.uint64)
             )
             widths.append(1)
-    executor.charge_host_writes(widths, len(slots), phase=phase)
+    executor.charge_host_writes(widths, len(slots), phase="insert-write")
 
     # Zone-map maintenance: each insert widened one crossbar's bounds for
     # every attribute and bumped its live counter — and bumped that

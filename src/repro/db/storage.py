@@ -361,14 +361,6 @@ class StoredRelation:
         else:
             np.copyto(mask, candidates)
 
-    def mark_filter_dirty(
-        self, partition: int, candidates: np.ndarray | None = None
-    ) -> None:
-        """Record which crossbars a filter program just wrote."""
-        self.mark_column_dirty(
-            partition, self.layouts[partition].filter_column, candidates
-        )
-
     def partition_of(self, attribute: str) -> int:
         """Index of the vertical partition storing an attribute."""
         try:

@@ -10,8 +10,9 @@ with the new value — no record is ever read by the host.
 The compilation (predicate -> filter program, assignments -> mux program) is
 separated from the execution: both programs depend only on the row layout,
 so a horizontally sharded relation — whose shards share layout objects —
-compiles once via :func:`compile_update` and broadcasts the same programs to
-every shard.
+compiles once via :func:`compile_update` and runs the same programs on
+every shard.  Like DELETE (:mod:`repro.db.dml`), every UPDATE runs pruned:
+filter and mux touch only the zone-map candidate crossbars.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stages import _check_pruned_bits, apply_program_pruned
+from repro.core.stages import apply_program_at
 from repro.db.compiler import CompilationError, compile_predicate
-from repro.db.query import Predicate, evaluate_predicate
+from repro.db.dml import _select
+from repro.db.query import Predicate, attributes_referenced
 from repro.db.storage import StoredRelation
 from repro.pim.controller import PimExecutor
 from repro.pim.logic import Program, ProgramBuilder
@@ -71,8 +73,6 @@ def compile_update(
     if not assignments:
         raise ValueError("no assignments given")
     partitions = {stored.partition_of(name) for name in assignments}
-    from repro.db.query import attributes_referenced
-
     partitions |= {stored.partition_of(a) for a in attributes_referenced(predicate)}
     if len(partitions) != 1:
         raise CompilationError(
@@ -110,26 +110,22 @@ def execute_update(
     assignments: dict[str, object],
     executor: PimExecutor,
     compiled: CompiledUpdate | None = None,
-    pruned: bool = True,
 ) -> UpdateResult:
     """Update ``assignments`` on the records selected by ``predicate``.
 
     The stored bits *and* the in-memory ground-truth relation are updated,
     so subsequent queries — through any engine — see the new values.
     ``compiled`` reuses a :func:`compile_update` result (the sharded
-    broadcast compiles once and passes it to every shard); it must have been
+    statement compiles once and passes it to every shard); it must have been
     compiled for ``predicate``/``assignments`` against this relation's
     layout.
 
-    ``pruned`` (the default) consults the relation's zone maps like the
-    query engine and runs the filter and Algorithm 1 mux only on the
-    candidate crossbars — on a skipped crossbar no live row can
-    match, so the mux would overwrite every field with its own value.  A
-    provably-empty decision skips the statement outright.  The patched rows
-    are bit-exact with the broadcast mode either way.  The rows the ground
-    truth is about to patch are checked against the decision before any
-    program runs: a selected row on a skipped crossbar raises
-    ``RuntimeError`` with nothing changed.
+    The filter runs on the zone-map candidate crossbars
+    (:func:`repro.db.dml._select`) and the Algorithm 1 mux follows on the
+    same crossbars — on a skipped crossbar no live row matches, so the mux
+    would overwrite every field with its own value.  A provably-empty
+    decision runs no program at all; the result's cycle fields describe the
+    compiled statement either way.
     """
     if compiled is None:
         compiled = compile_update(stored, predicate, assignments)
@@ -141,85 +137,36 @@ def execute_update(
         raise ValueError(
             "compiled update does not match the given predicate/assignments"
         )
-    allocation = stored.allocations[compiled.partition]
-
-    # The rows to patch in the functional ground truth.  Tombstoned rows are
-    # masked out: the stored-bits mux never touches them (the filter program
-    # ANDs with the valid column), so rewriting their ground-truth values
-    # would silently diverge from the stored bits.
-    mask = evaluate_predicate(predicate, stored.relation)
-    mask &= stored.valid_mask(compiled.partition)
-
-    candidates = None
-    if pruned:
-        statistics = stored.statistics
-        decision = statistics.plan(
-            predicate,
-            stored.partition_attributes,
-            executor.config.pim.crossbars_per_page,
-        )
-        statistics.charge_check(
-            executor.stats, executor.config.host, decision.entries_checked
-        )
-        if decision.empty:
-            _check_pruned_bits(
-                mask, np.zeros(allocation.crossbars, dtype=bool), allocation
-            )
-            return UpdateResult(
-                records_updated=0,
-                filter_cycles=compiled.filter_program.cycles,
-                update_cycles=compiled.update_program.cycles,
-            )
-        candidates = decision.candidates[compiled.partition]
-        _check_pruned_bits(mask, candidates, allocation)
-
-    if candidates is None:
-        # Select the records to update (a standard PIM filter).
-        executor.run_program(
-            allocation.bank, compiled.filter_program,
-            pages=allocation.pages, phase="update-filter",
-        )
-
-        # Overwrite every assigned attribute with Algorithm 1.
-        executor.run_mux_update(
-            allocation.bank, compiled.update_program,
-            pages=allocation.pages, phase="update-mux",
-        )
-
-        # The filter left the selection in the partition's filter column.
-        stored.mark_filter_dirty(compiled.partition)
-    else:
-        # Pruned filter: skipped-but-stale crossbars get their filter column
-        # cleared and the dirty mask tightened to the candidates, so the mux
-        # may consult the filter bit on exactly the crossbars it runs on.
-        apply_program_pruned(
-            stored, compiled.partition, compiled.filter_program, executor,
-            phase="update-filter", pages=allocation.pages,
+    # ``mask`` is the ground-truth selection.  Tombstoned rows are masked
+    # out: the stored-bits mux never touches them (the filter program ANDs
+    # with the valid column), so rewriting their ground-truth values would
+    # silently diverge from the stored bits.
+    mask, candidates = _select(stored, compiled, executor, "update-filter")
+    if candidates is not None:
+        # Overwrite every assigned attribute with Algorithm 1, consulting the
+        # filter bit on exactly the crossbars the filter ran on.
+        apply_program_at(
+            stored, compiled.partition, compiled.update_program, executor,
+            phase="update-mux", pages=stored.allocations[compiled.partition].pages,
             candidates=candidates,
         )
-        executor.run_program_at(
-            allocation.bank, compiled.update_program, candidates,
-            pages=allocation.pages, phase="update-mux",
+        # Keep the functional ground truth in sync.
+        for name, encoded in compiled.encoded_assignments.items():
+            # Widen the zone maps with the assigned constant before the sync
+            # overwrites the old values the histograms must forget.  This
+            # also bumps the candidate-cache epochs of exactly the touched
+            # crossbars, so cached pruning verdicts re-validate only those.
+            stored.note_update(name, encoded, mask)
+            column = stored.relation.columns[name]
+            column[mask] = np.uint64(encoded)
+        touched = np.unique(
+            np.nonzero(mask)[0] // stored.rows_per_crossbar
+        ).size
+        stored.statistics.charge_maintenance(
+            executor.stats,
+            executor.config.host,
+            touched * len(compiled.encoded_assignments),
         )
-
-    # Keep the functional ground truth in sync.
-    for name, encoded in compiled.encoded_assignments.items():
-        # Widen the zone maps with the assigned constant before the sync
-        # overwrites the old values the histograms must forget.  This also
-        # bumps the candidate-cache epochs of exactly the touched crossbars,
-        # so cached pruning verdicts re-validate only those.
-        stored.note_update(name, encoded, mask)
-        column = stored.relation.columns[name]
-        column[mask] = np.uint64(encoded)
-    touched = np.unique(
-        np.nonzero(mask)[0] // stored.rows_per_crossbar
-    ).size
-    stored.statistics.charge_maintenance(
-        executor.stats,
-        executor.config.host,
-        touched * len(compiled.encoded_assignments),
-    )
-
     return UpdateResult(
         records_updated=int(mask.sum()),
         filter_cycles=compiled.filter_program.cycles,

@@ -37,7 +37,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.obs.trace import NULL_TRACER
 from repro.pim.arithmetic import BulkAggregationPlan
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.logic import Program
@@ -47,15 +46,9 @@ from repro.pim.stats import PimStats
 class PimExecutor:
     """Executes PIM operations on a crossbar bank and accounts for them."""
 
-    def __init__(
-        self, config: SystemConfig, stats: PimStats | None = None, tracer=None
-    ):
+    def __init__(self, config: SystemConfig, stats: PimStats | None = None):
         self.config = config
         self.stats = stats if stats is not None else PimStats()
-        #: Span tracer for low-frequency executor-level operations (MUX
-        #: updates); per-request operations stay span-free — their charges
-        #: attribute to the enclosing stage span through the stats hook.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # Program-execution strategy, resolved once.  ``batched`` runs
         # individual programs as fused kernels and takes all subgroup masks
         # of a GROUP-BY from one value-free template kernel (see
@@ -72,7 +65,7 @@ class PimExecutor:
         to share between concurrently running shards because each engine
         execution rebinds ``self.stats``.
         """
-        return PimExecutor(self.config, stats, tracer=self.tracer)
+        return PimExecutor(self.config, stats)
 
     # ------------------------------------------------------------ properties
     @property
@@ -449,18 +442,6 @@ class PimExecutor:
         self.stats.add_events("logic_ops", cost.total_cycles * crossbars)
         self._record_phase(phase, pages, request_time, logic_energy + copy_energy, "logic")
         return results
-
-    # ------------------------------------------------------------ mux update
-    def run_mux_update(
-        self,
-        bank: CrossbarBank,
-        program: Program,
-        pages: int,
-        phase: str = "update",
-    ) -> None:
-        """Execute an Algorithm 1 MUX update program."""
-        with self.tracer.span("mux-update", cycles=program.cycles, pages=pages):
-            self.run_program(bank, program, pages, phase=phase)
 
     # ------------------------------------------------------------ host writes
     def host_write_field(

@@ -80,7 +80,7 @@ class DmlOutcome:
     """One DML call served by the service: the outcome plus modelled stats.
 
     ``stats`` merges the per-shard executors of a sharded relation —
-    broadcast deletes and compactions combine as parallel phases
+    per-shard deletes and compactions combine as parallel phases
     (max-over-shards), routed inserts as serial work.  ``shard_stats`` keeps
     the unmerged per-shard breakdown (one entry for an unsharded relation),
     which is where the per-phase detail lives.
@@ -188,7 +188,7 @@ class QueryService:
             tracer=self.tracer,
         )
         self._engines[name] = engine
-        self._executors[name] = PimExecutor(engine.config, tracer=self.tracer)
+        self._executors[name] = PimExecutor(engine.config)
         self._dml_counters[name] = self._fresh_counters()
         if default or self._default is None:
             self._default = name
@@ -505,8 +505,8 @@ class QueryService:
 
         The filter program compiles through the service's program cache (a
         repeated DELETE, or a DELETE matching a cached WHERE clause, skips
-        compilation); a sharded relation broadcasts the once-compiled
-        programs to every shard.
+        compilation); a sharded relation runs the once-compiled programs on
+        every shard, each pruned through its own zone maps.
         """
         name = self._resolve(relation)
         engine = self._engines[name]
@@ -613,7 +613,7 @@ class QueryService:
     def _merge_dml_stats(
         self, executors: Sequence[PimExecutor], parallel: bool
     ) -> PimStats:
-        """One stats roll-up per DML call: parallel broadcast or serial routing."""
+        """One stats roll-up per DML call: parallel per-shard runs or serial routing."""
         if len(executors) == 1:
             return executors[0].stats
         merged = PimStats()

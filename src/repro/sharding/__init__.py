@@ -14,13 +14,14 @@ from repro.sharding.dml import (
     ShardedCompactionResult,
     ShardedDeleteResult,
     ShardedInsertResult,
+    ShardedUpdateResult,
     execute_sharded_compaction,
     execute_sharded_delete,
     execute_sharded_insert,
+    execute_sharded_update,
 )
 from repro.sharding.executor import ShardedQueryEngine, ShardedQueryExecution
 from repro.sharding.storage import ShardedStoredRelation, shard_bounds
-from repro.sharding.update import ShardedUpdateResult, execute_sharded_update
 
 __all__ = [
     "ShardedCompactionResult",

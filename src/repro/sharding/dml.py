@@ -4,10 +4,16 @@
   record goes to the *least-full* shard (most free slots — tombstones plus
   spare capacity tail), re-evaluated record by record so a large batch
   spreads across shards instead of piling onto one.
-* **DELETE** is broadcast like UPDATE: the predicate may select records in
-  any shard, so the filter and valid-clearing programs are compiled **once**
-  against the shared layouts (:func:`repro.db.dml.compile_delete`) and
-  replayed verbatim on every shard, each charging its own executor.
+* **DELETE** and **UPDATE** have no routing key in the paper's pre-joined
+  layout — the predicate may select records in any shard — so the
+  statement's programs are compiled **once** against the shared layouts
+  (:func:`repro.db.dml.compile_delete` /
+  :func:`repro.db.update.compile_update`) and run on every shard, each
+  charging its own executor and pruned through its *own* zone maps: a shard
+  whose statistics prove the predicate empty runs no program (the sharded
+  analogue of skipping crossbars).  Every shard's relation is a view into
+  the parent relation's columns, so the single functional ground truth
+  stays in sync.
 * **Compaction** is per shard — each shard rewrites its own live rows when
   its own fragmentation crosses the threshold (a churn workload rarely
   fragments all shards equally).
@@ -19,7 +25,7 @@ query scatter; callers that want one roll-up can merge them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from repro.db.dml import (
     DEFAULT_COMPACTION_THRESHOLD,
@@ -32,7 +38,8 @@ from repro.db.dml import (
     execute_insert,
 )
 from repro.db.query import Predicate
-from repro.db.storage import RelationFullError
+from repro.db.storage import RelationFullError, StoredRelation
+from repro.db.update import UpdateResult, compile_update, execute_update
 from repro.pim.controller import PimExecutor
 from repro.sharding.storage import ShardedStoredRelation
 
@@ -53,7 +60,7 @@ class ShardedInsertResult:
 
 @dataclass
 class ShardedDeleteResult:
-    """Outcome of a DELETE broadcast to every shard."""
+    """Outcome of a DELETE run on every shard."""
 
     records_deleted: int
     shard_results: list[DeleteResult]
@@ -65,6 +72,25 @@ class ShardedDeleteResult:
     @property
     def shards_with_matches(self) -> int:
         return sum(1 for result in self.shard_results if result.records_deleted)
+
+
+@dataclass
+class ShardedUpdateResult:
+    """Outcome of an in-memory UPDATE run on every shard."""
+
+    #: Total records updated across all shards.
+    records_updated: int
+    #: Per-shard outcomes, in shard order.
+    shard_results: list[UpdateResult]
+    #: NOR cycles of the (shared) filter program, per shard.
+    filter_cycles: int
+    #: NOR cycles of the (shared) Algorithm 1 mux program, per shard.
+    update_cycles: int
+
+    @property
+    def shards_with_matches(self) -> int:
+        """Number of shards in which at least one record was rewritten."""
+        return sum(1 for result in self.shard_results if result.records_updated)
 
 
 @dataclass
@@ -135,35 +161,76 @@ def execute_sharded_insert(
     return result
 
 
+def _run_per_shard(
+    sharded: ShardedStoredRelation,
+    executors: Sequence[PimExecutor] | None,
+    statement: Callable[[StoredRelation, PimExecutor], object],
+) -> list:
+    """Run one compiled statement on every shard, in shard order.
+
+    ``executors`` supplies one :class:`PimExecutor` per shard (each shard's
+    traffic and wear are charged to its own); fresh executors are created
+    when omitted.
+    """
+    executors = sharded.resolve_executors(executors)
+    return [
+        statement(shard, executor)
+        for shard, executor in zip(sharded.shards, executors)
+    ]
+
+
 def execute_sharded_delete(
     sharded: ShardedStoredRelation,
     predicate: Predicate,
     executors: Sequence[PimExecutor] | None = None,
     compiler=None,
-    pruned: bool = True,
 ) -> ShardedDeleteResult:
-    """Tombstone the selected records of every shard (broadcast DELETE).
+    """Tombstone the selected records of every shard.
 
-    The shards share layout objects, so the filter and valid-clearing
-    programs are compiled once — through ``compiler`` (e.g. the service's
-    program cache) when given — and broadcast verbatim.  In pruned mode
-    each shard consults its *own* zone maps: a shard whose statistics prove
-    the predicate empty skips its broadcast entirely (the sharded analogue
-    of skipping crossbars).
+    The filter and valid-clearing programs are compiled once — through
+    ``compiler`` (e.g. the service's program cache) when given — and run on
+    every shard, each pruned through its own zone maps.
     """
-    executors = sharded.resolve_executors(executors)
     compiled = compile_delete(sharded.shards[0], predicate, compiler=compiler)
-    shard_results = [
-        execute_delete(
-            shard, predicate, executor, compiled=compiled, pruned=pruned,
-        )
-        for shard, executor in zip(sharded.shards, executors)
-    ]
+    shard_results = _run_per_shard(
+        sharded, executors,
+        lambda shard, executor: execute_delete(
+            shard, predicate, executor, compiled=compiled
+        ),
+    )
     return ShardedDeleteResult(
         records_deleted=sum(r.records_deleted for r in shard_results),
         shard_results=shard_results,
         filter_cycles=shard_results[0].filter_cycles,
         clear_cycles=shard_results[0].clear_cycles,
+    )
+
+
+def execute_sharded_update(
+    sharded: ShardedStoredRelation,
+    predicate: Predicate,
+    assignments: dict[str, object],
+    executors: Sequence[PimExecutor] | None = None,
+) -> ShardedUpdateResult:
+    """Update ``assignments`` on the selected records of every shard.
+
+    The filter and mux programs are compiled once and run on every shard,
+    each pruned through its own zone maps.  The parent relation's columns
+    are updated through the shard views, so subsequent queries — sharded or
+    not — see the new values.
+    """
+    compiled = compile_update(sharded.shards[0], predicate, assignments)
+    shard_results = _run_per_shard(
+        sharded, executors,
+        lambda shard, executor: execute_update(
+            shard, predicate, assignments, executor, compiled=compiled
+        ),
+    )
+    return ShardedUpdateResult(
+        records_updated=sum(r.records_updated for r in shard_results),
+        shard_results=shard_results,
+        filter_cycles=shard_results[0].filter_cycles,
+        update_cycles=shard_results[0].update_cycles,
     )
 
 

@@ -16,8 +16,8 @@ objects — so
 The shard relations start out as NumPy *views* into the parent relation's
 columns, so at load time the parent is the single functional ground truth:
 an in-memory UPDATE applied through one shard (see
-:mod:`repro.sharding.update`) is immediately visible in the parent relation
-and vice versa.  DML (:mod:`repro.sharding.dml`) can grow a shard — a tail
+:func:`repro.sharding.dml.execute_sharded_update`) is immediately visible in
+the parent relation and vice versa.  DML (:mod:`repro.sharding.dml`) can grow a shard — a tail
 INSERT or a compaction reallocates that shard's columns, decoupling it from
 the parent — after which :meth:`ShardedStoredRelation.live_relation` is the
 authoritative ground truth and ``self.relation`` is just the load-time
@@ -194,7 +194,7 @@ class ShardedStoredRelation:
     def make_executors(self, config=None) -> list[PimExecutor]:
         """One executor per shard, forked from a shared prototype.
 
-        Scatter execution (queries and broadcast UPDATEs alike) gives every
+        Scatter execution (queries and per-shard DML alike) gives every
         shard its own executor so per-shard stats never race.
         """
         base = PimExecutor(config if config is not None else self.module.system_config)

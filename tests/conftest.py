@@ -104,19 +104,40 @@ class GroundTruthOracle:
     use it to assert that the bits the NOR programs left in the bookkeeping
     columns are the selection ANDed with the valid bits — and zero outside
     the crossbars the last program was run on (the zone-map candidates when
-    pruned, which is what the column's dirty mask records).
+    pruned, which is what the column's dirty mask records).  DELETE and
+    UPDATE always run pruned, so these checks are what pins the crossbars a
+    statement touched.
     """
 
+    @classmethod
+    def column(cls, stored, partition: int, column: int, expected: np.ndarray) -> None:
+        bits = stored.column_bit(partition, column)
+        assert np.array_equal(bits, expected), f"partition {partition} column {column}"
+        cls.clean_outside_dirty(stored, partition, column)
+
     @staticmethod
-    def column(stored, partition: int, column: int, expected: np.ndarray) -> None:
+    def clean_outside_dirty(stored, partition: int, column: int) -> None:
         from repro.core.stages import candidate_rows
 
         bits = stored.column_bit(partition, column)
-        assert np.array_equal(bits, expected), f"partition {partition} column {column}"
         touched = candidate_rows(
             stored, partition, stored.column_dirty_mask(partition, column)
         )
-        assert not bits[~touched].any()
+        assert not bits[~touched].any(), f"partition {partition} column {column}"
+
+    @classmethod
+    def selection(cls, stored, partition: int, selection: np.ndarray) -> None:
+        """The filter column a DELETE / UPDATE left behind.
+
+        An empty selection may have been proved empty by the zone maps, in
+        which case no program ran and the column keeps whatever the last
+        program left — still zero outside its dirty crossbars.
+        """
+        column = stored.layouts[partition].filter_column
+        if selection.any():
+            cls.column(stored, partition, column, selection)
+        else:
+            cls.clean_outside_dirty(stored, partition, column)
 
     @classmethod
     def query(cls, engine, execution) -> None:
@@ -150,6 +171,16 @@ class GroundTruthOracle:
             cls.column(stored, primary, layout.group_column, group)
         cls.column(stored, primary, layout.filter_column, selection)
 
+    @staticmethod
+    def snapshot(stored) -> tuple[Relation, np.ndarray]:
+        """``(before, valid_before)`` for :meth:`update` / :meth:`delete`."""
+        relation = stored.relation
+        before = Relation(
+            relation.schema,
+            {name: relation.column(name).copy() for name in relation.schema.names},
+        )
+        return before, stored.valid_mask(0)
+
     @classmethod
     def delete(cls, stored, predicate, valid_before: np.ndarray) -> None:
         """The filter / valid columns after a DELETE of ``predicate``."""
@@ -158,11 +189,55 @@ class GroundTruthOracle:
 
         doomed = evaluate_predicate(predicate, stored.relation) & valid_before
         primary = compile_delete(stored, predicate).partition
-        cls.column(stored, primary, stored.layouts[primary].filter_column, doomed)
+        cls.selection(stored, primary, doomed)
         for partition, layout in enumerate(stored.layouts):
             cls.column(stored, partition, layout.valid_column, valid_before & ~doomed)
 
+    @classmethod
+    def update(
+        cls, stored, predicate, assignments, before: Relation,
+        valid_before: np.ndarray,
+    ) -> None:
+        """The filter column and assigned fields after an UPDATE.
 
-@pytest.fixture()
+        ``before`` is a copy of the ground truth taken before the statement
+        (:meth:`snapshot`).  Every assigned field decodes to the constant on
+        the selection and to its old value elsewhere, in the stored bits and
+        in the ground truth alike.
+        """
+        from repro.db.query import evaluate_predicate
+        from repro.db.update import compile_update
+
+        selection = evaluate_predicate(predicate, before) & valid_before
+        primary = compile_update(stored, predicate, assignments).partition
+        cls.selection(stored, primary, selection)
+        schema = stored.relation.schema
+        for name, value in assignments.items():
+            expected = before.column(name).copy()
+            expected[selection] = schema.attribute(name).encode_value(value)
+            assert np.array_equal(stored.decode_column(name), expected), name
+            assert np.array_equal(stored.relation.column(name), expected), name
+
+    @staticmethod
+    def state(stored) -> None:
+        """Stored bits against the ground truth and the slot bookkeeping.
+
+        Every partition's valid column holds exactly the slots that are not
+        tombstones, and every attribute decodes to its ground-truth column
+        (tombstoned slots included: nothing rewrites them until compaction).
+        """
+        live = np.ones(stored.num_records, dtype=bool)
+        live[list(stored._free_slots)] = False
+        assert int(live.sum()) == stored.live_count
+        for partition, layout in enumerate(stored.layouts):
+            valid = stored.column_bit(partition, layout.valid_column)
+            assert np.array_equal(valid, live), f"partition {partition} valid"
+        for name in stored.relation.schema.names:
+            assert np.array_equal(
+                stored.decode_column(name), stored.relation.column(name)
+            ), name
+
+
+@pytest.fixture(scope="session")
 def ground_truth_oracle():
     return GroundTruthOracle

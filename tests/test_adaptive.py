@@ -230,15 +230,17 @@ def test_pair_sketch_update_saturates():
 
 
 # ------------------------------------------- tightness after an exact rebuild
-def _small_stored(backend="packed", records=600, seed=29):
+def _small_stored(backend="packed", records=600, seed=29, sorted_keys=False):
+    """A random `drift` relation; ``sorted_keys`` clusters `key` by crossbar."""
     rng = np.random.default_rng(seed)
     schema = Schema("drift", [
         int_attribute("key", 16),
         int_attribute("value", 12),
         int_attribute("flag", 2),
     ])
+    keys = rng.integers(0, 1 << 16, records).astype(np.uint64)
     relation = Relation(schema, {
-        "key": rng.integers(0, 1 << 16, records).astype(np.uint64),
+        "key": np.sort(keys) if sorted_keys else keys,
         "value": rng.integers(0, 1 << 12, records).astype(np.uint64),
         "flag": rng.integers(0, 4, records).astype(np.uint64),
     })
@@ -327,24 +329,53 @@ def test_pruned_dml_refuses_a_row_the_zone_maps_excluded(backend, records, state
     assert stored.live_count == records and stored.tombstone_count == 0
 
 
-# ----------------------------------------------------- pruned DML == broadcast
+# ------------------------------------------------- pruned DML == ground truth
+def _broadcast_twin(backend, predicate):
+    """A `_small_stored` twin whose zone maps admit every live crossbar.
+
+    Its `key` bounds are widened to the whole domain (still conservative),
+    so the one DML path runs the filter and clears on every live crossbar —
+    the broadcast a pruned statement must agree with.
+    """
+    stored, system = _small_stored(backend, records=4000, sorted_keys=True)
+    zonemaps = stored.statistics.zonemaps
+    live = np.flatnonzero(zonemaps.live > 0)
+    zonemaps.note_update("key", 0, live)
+    zonemaps.note_update("key", (1 << 16) - 1, live)
+    decision = stored.statistics.plan(
+        predicate, stored.partition_attributes,
+        system.pim.crossbars_per_page, peek=True,
+    )
+    assert np.array_equal(decision.candidates[0], zonemaps.live > 0)
+    return stored, system
+
+
 @pytest.mark.parametrize("backend", ["packed", "bool"])
 @pytest.mark.parametrize("ground_truth", [False, True])
 def test_pruned_delete_matches_broadcast(backend, ground_truth, ground_truth_oracle):
-    pruned_stored, system = _small_stored(backend)
-    broadcast_stored, _ = _small_stored(backend)
-    predicate = Comparison("key", "between", low=0, high=2000)
-    valid_before = pruned_stored.valid_mask(0)
-    a = dml.execute_delete(
-        pruned_stored, predicate, PimExecutor(system), pruned=True,
+    """A pruned DELETE tombstones exactly what the same DELETE run on every
+    live crossbar does; with ``ground_truth``, both also leave exactly the
+    filter, valid and field bits NumPy on the ground truth predicts.  The
+    keys are sorted, so the selection spans two crossbars and the pruned
+    run skips the other live ones."""
+    predicate = Comparison("key", "between", low=20000, high=40000)
+    pruned_stored, system = _small_stored(backend, records=4000, sorted_keys=True)
+    broadcast_stored, _ = _broadcast_twin(backend, predicate)
+    pruned_decision = pruned_stored.statistics.plan(
+        predicate, pruned_stored.partition_attributes,
+        system.pim.crossbars_per_page, peek=True,
     )
-    b = dml.execute_delete(
-        broadcast_stored, predicate, PimExecutor(system), pruned=False,
-    )
+    assert pruned_decision.candidates[0].sum() < (
+        pruned_stored.statistics.zonemaps.live > 0
+    ).sum()  # the pruned run really skips crossbars
+    _, valid_before = ground_truth_oracle.snapshot(pruned_stored)
+    a = dml.execute_delete(pruned_stored, predicate, PimExecutor(system))
+    b = dml.execute_delete(broadcast_stored, predicate, PimExecutor(system))
     assert a.records_deleted == b.records_deleted > 0
     if ground_truth:
         for stored in (pruned_stored, broadcast_stored):
             ground_truth_oracle.delete(stored, predicate, valid_before)
+            ground_truth_oracle.state(stored)
     assert np.array_equal(
         pruned_stored.valid_mask(0), broadcast_stored.valid_mask(0)
     )
@@ -356,25 +387,15 @@ def test_pruned_delete_matches_broadcast(backend, ground_truth, ground_truth_ora
 
 
 @pytest.mark.parametrize("backend", ["packed", "bool"])
-def test_pruned_update_matches_broadcast(backend):
-    pruned_stored, system = _small_stored(backend)
-    broadcast_stored, _ = _small_stored(backend)
+def test_pruned_update_matches_ground_truth(backend, ground_truth_oracle):
+    stored, system = _small_stored(backend)
     predicate = Comparison("key", "between", low=1000, high=9000)
     assignments = {"value": 77}
-    a = execute_update(
-        pruned_stored, predicate, assignments, PimExecutor(system),
-        pruned=True,
-    )
-    b = execute_update(
-        broadcast_stored, predicate, assignments, PimExecutor(system),
-        pruned=False,
-    )
-    assert a.records_updated == b.records_updated > 0
-    for name in pruned_stored.relation.schema.names:
-        assert np.array_equal(
-            pruned_stored.decode_column(name),
-            broadcast_stored.decode_column(name),
-        )
+    before, valid_before = ground_truth_oracle.snapshot(stored)
+    result = execute_update(stored, predicate, assignments, PimExecutor(system))
+    assert result.records_updated > 0
+    ground_truth_oracle.update(stored, predicate, assignments, before, valid_before)
+    ground_truth_oracle.state(stored)
 
 
 def test_pruned_dml_empty_decision_skips_the_broadcast():
@@ -384,7 +405,7 @@ def test_pruned_dml_empty_decision_skips_the_broadcast():
     # `key` is 16 bits wide: nothing can exceed the domain maximum, and the
     # planner folds the comparison to false before touching any crossbar.
     result = dml.execute_delete(
-        stored, Comparison("key", ">", (1 << 16) - 1), executor, pruned=True,
+        stored, Comparison("key", ">", (1 << 16) - 1), executor,
     )
     assert result.records_deleted == 0
     assert executor.stats.logic_ops == logic_before  # no program ran
@@ -583,10 +604,18 @@ def _service_storeds(service, shards):
     return list(engine.sharded.shards)
 
 
-def _apply_churn_op(service, shards, op, pruned: bool) -> list:
+def _churn_statement(op) -> tuple:
+    """``(predicate, assignments)`` of a delete / update churn op."""
+    if op[0] == "delete":
+        _, low, span = op
+        return Comparison("value", "between", low=low, high=low + span), None
+    _, flag, new_value = op
+    return Comparison("flag", "==", flag), {"value": new_value}
+
+
+def _apply_churn_op(service, shards, op) -> list:
     """Apply one churn op; return the modelled stats it charged."""
-    from repro.sharding import execute_sharded_update
-    from repro.sharding.dml import execute_sharded_delete
+    from repro.sharding import execute_sharded_delete, execute_sharded_update
 
     kind = op[0]
     engine = service.engine()
@@ -609,24 +638,17 @@ def _apply_churn_op(service, shards, op, pruned: bool) -> list:
         ]
         return [service.insert(records).stats] if records else []
     if kind == "delete":
-        _, low, span = op
-        predicate = Comparison("value", "between", low=low, high=low + span)
+        predicate, _ = _churn_statement(op)
         if shards == 1:
-            dml.execute_delete(engine.stored, predicate, executors[0], pruned=pruned)
+            dml.execute_delete(engine.stored, predicate, executors[0])
         else:
-            execute_sharded_delete(engine.sharded, predicate, executors, pruned=pruned)
+            execute_sharded_delete(engine.sharded, predicate, executors)
     elif kind == "update":
-        _, flag, new_value = op
-        predicate = Comparison("flag", "==", flag)
-        assignments = {"value": new_value}
+        predicate, assignments = _churn_statement(op)
         if shards == 1:
-            execute_update(
-                engine.stored, predicate, assignments, executors[0], pruned=pruned,
-            )
+            execute_update(engine.stored, predicate, assignments, executors[0])
         else:
-            execute_sharded_update(
-                engine.sharded, predicate, assignments, executors, pruned=pruned
-            )
+            execute_sharded_update(engine.sharded, predicate, assignments, executors)
     elif kind == "feedback":
         # Drive the error accumulator through its public API hard enough to
         # trigger an equi-depth rebuild mid-churn (a certain-miss estimate
@@ -668,43 +690,45 @@ def _histograms_tight(storeds, names) -> None:
 @settings(max_examples=4, deadline=None)
 @given(ops=st.lists(churn_op_strategy, min_size=3, max_size=6),
        seed=st.integers(min_value=0, max_value=2 ** 16))
-def test_adaptive_loop_bit_exact_under_churn(ops, seed):
-    """Pruned churn at K=1 and K=4, both backends, vs a broadcast twin.
+def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
+    """Pruned churn at K=1 and K=4, both backends, against the ground truth.
 
-    After every op, on every backend and shard count: probe rows are
-    bit-exact with the reference aggregation over the live ground truth and
-    with a broadcast-DML twin replaying the same ops; pruned DML tombstones
-    exactly the rows broadcast DML does (valid masks compared per shard);
-    and after every compaction or error-triggered rebuild the histograms
-    count exactly the live rows and the zone maps are tight.  Both backends
-    return the same rows and charge the same modelled stats for every DML
-    op and probe.
+    After every op, on every backend and shard count: every shard's valid
+    bits and decoded columns match the ground truth and its slot
+    bookkeeping; a DELETE / UPDATE left exactly the filter, valid and
+    assigned bits NumPy on the pre-statement ground truth predicts; probe
+    rows are bit-exact with the reference aggregation over the live ground
+    truth; and after every compaction or error-triggered rebuild the
+    histograms count exactly the live rows and the zone maps are tight.
+    Both backends return the same rows and charge the same modelled stats
+    for every DML op and probe.
     """
     trace_by_backend = {}
     for backend in ("packed", "bool"):
         trace = []
         for shards in (1, 4):
             service = _build_service(backend, shards, seed)
-            twin = _build_service(backend, shards, seed)
             for op in ops:
+                storeds = _service_storeds(service, shards)
                 # A forced compaction is still a no-op on a shard without
                 # tombstones, so only shards with pending tombstones get
                 # the exact rebuild the post-compact assertions rely on.
                 compacted = [
-                    stored
-                    for stored in _service_storeds(service, shards)
-                    if stored.tombstone_count > 0
+                    stored for stored in storeds if stored.tombstone_count > 0
                 ] if op[0] == "compact" else []
-                trace.append(_apply_churn_op(service, shards, op, pruned=True))
-                _apply_churn_op(twin, shards, op, pruned=False)
-                # Pruned DML tombstones exactly what broadcast does.
-                for mine, theirs in zip(
-                    _service_storeds(service, shards),
-                    _service_storeds(twin, shards),
-                ):
-                    assert np.array_equal(
-                        mine.valid_mask(0), theirs.valid_mask(0)
-                    )
+                snapshots = [ground_truth_oracle.snapshot(s) for s in storeds]
+                trace.append(_apply_churn_op(service, shards, op))
+                if op[0] in ("delete", "update"):
+                    predicate, assignments = _churn_statement(op)
+                    for stored, (before, valid_before) in zip(storeds, snapshots):
+                        if assignments is None:
+                            ground_truth_oracle.delete(stored, predicate, valid_before)
+                        else:
+                            ground_truth_oracle.update(
+                                stored, predicate, assignments, before, valid_before
+                            )
+                for stored in _service_storeds(service, shards):
+                    ground_truth_oracle.state(stored)
                 live = (
                     service.engine().stored.live_relation()
                     if shards == 1
@@ -717,7 +741,6 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed):
                         query.group_by, query.aggregates,
                     )
                     assert execution.rows == expected
-                    assert twin.execute(query).rows == expected
                     trace.append((sorted(execution.rows.items()), execution.stats))
                 if op[0] == "compact":
                     _histograms_tight(compacted, ("key", "value", "flag"))

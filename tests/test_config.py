@@ -82,16 +82,13 @@ def test_retired_environment_switches_change_no_default(
         config = SystemConfig()
         assert config.execution == "batched"
         assert PimExecutor(config).batched
-    # DML still runs pruned by default: it consults (and bills) the zone maps.
+    # DML runs pruned: it consults (and bills) the zone maps.
     toy_stored = StoredRelation(
         toy_relation_factory(), PimModule(DEFAULT_CONFIG), label="toy"
     )
     executor = PimExecutor(DEFAULT_CONFIG)
     execute_delete(toy_stored, Comparison("key", "<", 10), executor)
     assert executor.stats.time_by_phase["zonemap-check"] > 0
-    broadcast = PimExecutor(DEFAULT_CONFIG)
-    execute_delete(toy_stored, Comparison("key", "<", 20), broadcast, pruned=False)
-    assert "zonemap-check" not in broadcast.stats.time_by_phase
 
 
 _REMOVED_KEYWORDS = [
@@ -111,6 +108,12 @@ _REMOVED_KEYWORDS = [
     ("charge_pim_reads", "component"),
     ("register_sharded", "backend"),
     ("aggregate_bulk_bitwise", "gate_level"),
+    ("execute_delete", "pruned"),
+    ("execute_update", "pruned"),
+    ("execute_sharded_delete", "pruned"),
+    ("execute_sharded_update", "pruned"),
+    ("execute_insert", "phase"),
+    ("PimExecutor", "tracer"),
 ]
 
 
@@ -126,16 +129,22 @@ _REMOVED_KEYWORDS = [
 def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     """Removed keywords raise instead of being silently ignored.
 
-    ``vectorized``: there is one evaluator per program.  The others were
-    settable values no caller set; each is now a constant.  Python rejects
-    an unknown keyword before the body runs, so placeholders suffice.
+    ``vectorized``: there is one evaluator per program.  ``pruned``: DELETE
+    and UPDATE always run zone-map-pruned.  The others were settable values
+    no caller set; each is now a constant.  Python rejects an unknown
+    keyword before the body runs, so placeholders suffice.
     """
     from repro.core.executor import PimQueryEngine
     from repro.db.compiler import compile_predicate
-    from repro.db.dml import execute_compaction, execute_delete
+    from repro.db.dml import execute_compaction, execute_delete, execute_insert
+    from repro.db.update import execute_update
     from repro.pim.controller import PimExecutor
     from repro.service import QueryService
-    from repro.sharding import ShardedQueryEngine
+    from repro.sharding import (
+        ShardedQueryEngine,
+        execute_sharded_delete,
+        execute_sharded_update,
+    )
 
     executor = PimExecutor(DEFAULT_CONFIG)
     calls = {
@@ -144,6 +153,13 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         "ShardedQueryEngine": lambda **kw: ShardedQueryEngine(None, **kw),
         "execute_delete": lambda **kw: execute_delete(None, None, None, **kw),
         "execute_compaction": lambda **kw: execute_compaction(None, None, **kw),
+        "execute_update": lambda **kw: execute_update(None, None, None, None, **kw),
+        "execute_sharded_delete": lambda **kw: execute_sharded_delete(None, None, **kw),
+        "execute_sharded_update": lambda **kw: execute_sharded_update(
+            None, None, None, **kw
+        ),
+        "execute_insert": lambda **kw: execute_insert(None, None, None, **kw),
+        "PimExecutor": lambda **kw: PimExecutor(DEFAULT_CONFIG, **kw),
         "compile_predicate": lambda **kw: compile_predicate(None, None, None, **kw),
         "run_program_pruned": lambda **kw: executor.run_program_pruned(
             None, None, None, 1, "filter", **kw

@@ -3,7 +3,7 @@
 ``execute_update`` previously had only indirect coverage through the SSB
 integration test; these tests exercise it directly — selection, stored-bit
 and ground-truth consistency, wear accounting through
-:mod:`repro.memory.endurance` — and its broadcast to every shard of a
+:mod:`repro.memory.endurance` — and its run on every shard of a
 :class:`~repro.sharding.storage.ShardedStoredRelation`.
 """
 
@@ -175,7 +175,8 @@ def test_sharded_update_hits_every_matching_shard(toy_relation_factory):
 
     result = execute_sharded_update(sharded, predicate, {"discount": 9})
     assert result.records_updated == int(expected_mask.sum())
-    # Matches live in shards 0 and 1 only; the broadcast still ran everywhere.
+    # Matches live in shards 0 and 1 only; the zone maps of shards 2 and 3
+    # prove the predicate empty there.
     assert result.shards_with_matches == 2
     assert [r.records_updated > 0 for r in result.shard_results] == [
         True, True, False, False
@@ -196,7 +197,8 @@ def test_sharded_update_accumulates_wear_on_every_shard(toy_relation_factory):
         sharded, Comparison("region", EQ, "EUROPE"), {"region": "ASIA"}
     )
     per_shard = sharded.writes_per_shard_since(snapshots)
-    # The Algorithm 1 filter + mux programs are broadcast to every shard.
+    # Every shard holds EUROPE rows, so every shard runs the Algorithm 1
+    # filter + mux programs.
     assert all(writes > 0 for writes in per_shard)
     assert sharded.max_writes_since(snapshots) == max(per_shard)
 

@@ -473,6 +473,34 @@ def test_sharded_insert_is_atomic_against_bad_records():
     assert sharded.num_records == 40
 
 
+def test_sharded_dml_cycles_describe_the_statement_on_pruned_shards(
+    toy_relation_factory,
+):
+    """A shard whose zone maps prove the statement empty runs no program,
+    but its result still reports the compiled statement's cycles — so the
+    sharded roll-up, read from shard 0, does not depend on which shards the
+    predicate happened to miss."""
+    for statement in ("delete", "update"):
+        sharded = ShardedStoredRelation(
+            toy_relation_factory(4000, 7), PimModule(DEFAULT_CONFIG), shards=4
+        )
+        # ``key`` is 0..N-1 in slot order: only the last shard matches.
+        predicate = Comparison("key", ">=", sharded.bounds[3][0] + 5)
+        if statement == "delete":
+            result = execute_sharded_delete(sharded, predicate)
+            assert result.records_deleted == 995
+            cycles = [r.clear_cycles for r in result.shard_results]
+            rolled_up = result.clear_cycles
+        else:
+            result = execute_sharded_update(sharded, predicate, {"discount": 9})
+            assert result.records_updated == 995
+            cycles = [r.update_cycles for r in result.shard_results]
+            rolled_up = result.update_cycles
+        assert result.shards_with_matches == 1
+        assert rolled_up == cycles[3] > 0
+        assert cycles == [rolled_up] * 4
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sharded_dml_stays_bit_exact(backend):
     config = config_for(backend)

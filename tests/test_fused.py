@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
-from repro.core.latency_model import refine_program_latency
 from repro.db.query import Aggregate, And, Comparison, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
@@ -162,10 +161,6 @@ def test_adder_depth_below_cycles_and_consistent():
     assert {column for column, _ in dag.outputs} == {8, 9, 10, 11}
     assert 0 < dag.depth < program.cycles
     assert _recomputed_depth(dag) == dag.depth == program.depth
-    refinement = refine_program_latency(program, DEFAULT_CONFIG)
-    assert refinement.critical_path_time_s < refinement.sequential_time_s
-    assert refinement.parallelism > 1.0
-    assert refinement.cycles == program.cycles
 
 
 def test_ir_and_kernel_are_memoized():

@@ -1,7 +1,5 @@
 """Tests of the PIM executor accounting and the module allocator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -145,32 +143,7 @@ def test_stats_merge_and_parallel_combine():
         first.add_energy("bad", -1.0)
 
 
-def test_request_descriptors_and_executor_fork():
-    from repro.config import DEFAULT_CONFIG
-    from repro.pim.controller import PimExecutor
-    from repro.pim.request import (
-        AggregateRequest,
-        ComputeRequest,
-        FilterRequest,
-        MuxUpdateRequest,
-        ReadRequest,
-    )
-
-    requests = [
-        FilterRequest(page_index=0, cycles=12, result_column=3, description="f"),
-        AggregateRequest(page_index=1, operation="min", field_offset=4,
-                         field_width=8, mask_column=2, destination_offset=16),
-        MuxUpdateRequest(page_index=2, field_offset=0, field_width=4,
-                         update_value=9, select_column=1),
-        ComputeRequest(page_index=3, cycles=7, description="derived"),
-        ReadRequest(page_index=4, lines=2, description="agg results"),
-    ]
-    assert [r.page_index for r in requests] == [0, 1, 2, 3, 4]
-    assert requests[1].uses_aggregation_circuit
-    # Frozen dataclasses: descriptors are immutable accounting records.
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        requests[0].cycles = 99
-
+def test_executor_fork():
     parent = PimExecutor(DEFAULT_CONFIG)
     child = parent.fork()
     assert child.config is parent.config
