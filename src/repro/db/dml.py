@@ -318,7 +318,7 @@ class InsertResult:
 
 def execute_insert(
     stored: StoredRelation,
-    records: Sequence[Mapping[str, object]],
+    records: Sequence[Mapping[str, object]] | Mapping[str, np.ndarray],
     executor: PimExecutor,
     encoded: bool = False,
 ) -> InsertResult:
@@ -329,9 +329,10 @@ def execute_insert(
     together.  The batch is all-or-nothing against caller errors: capacity
     and every record's encoding are validated before the first write, so a
     bad record raises (:class:`RelationFullError` / :class:`ValueError`)
-    with nothing applied.  ``encoded=True`` trusts the records to be
-    :meth:`~repro.db.relation.Relation.encode_record` results (the sharded
-    router validates once for all shards).
+    with nothing applied.  The batch is encoded column-wise
+    (:meth:`~repro.db.relation.Relation.encode_records`); ``encoded=True``
+    trusts ``records`` to be such a result, one encoded ``uint64`` column per
+    attribute (the sharded router encodes once for all shards).
 
     **Modelled**: each record goes through the host store path — one field
     store per attribute plus the four bookkeeping bits, per partition —
@@ -342,21 +343,19 @@ def execute_insert(
     left to right — bits, wear, statistics and ``PimStats`` identical to the
     per-record loop (the oracle in ``tests/test_insert_lockstep.py``).
     """
-    records = list(records)
-    if len(records) > stored.free_slots:
+    relation = stored.relation
+    records = records if encoded else list(records)
+    count = len(next(iter(records.values()))) if encoded else len(records)
+    if count > stored.free_slots:
         raise RelationFullError(
-            f"cannot insert {len(records)} records into {stored.label!r}: "
+            f"cannot insert {count} records into {stored.label!r}: "
             f"only {stored.free_slots} free slots"
         )
-    relation = stored.relation
-    encoded_records = (
-        records if encoded
-        else [relation.encode_record(values) for values in records]
-    )
+    columns = records if encoded else relation.encode_records(records)
 
     # Slots in input order: tombstones lowest-first, then the spare tail.
     result = InsertResult()
-    for _ in encoded_records:
+    for _ in range(count):
         slot, reused = stored.acquire_slot()
         if reused:
             result.reused_slots += 1
@@ -366,10 +365,6 @@ def execute_insert(
         result.slots.append(slot)
     stored.live_count += len(result.slots)
     slots = np.array(result.slots, dtype=np.int64)
-    columns = {
-        name: np.array([r[name] for r in encoded_records], dtype=np.uint64)
-        for name in relation.schema.names
-    }
 
     # Ground truth: reused slots in place (a shard keeps aliasing its parent's
     # columns), the tail grows each column once.
@@ -417,7 +412,7 @@ def execute_insert(
     stored.statistics.charge_maintenance(
         executor.stats,
         executor.config.host,
-        len(records) * (len(relation.schema.names) + 1),
+        count * (len(relation.schema.names) + 1),
     )
     result.live_records = stored.live_count
     result.tombstones = stored.tombstone_count
@@ -454,9 +449,12 @@ def execute_compaction(
     (``compact-write``, charging write bandwidth, crossbar write energy and
     one full-row write of wear per rewritten slot).  Afterwards the slot
     high-water mark equals the live count, the free-slot list is empty and
-    the bookkeeping bit columns are clean.  A fully-deleted relation (no
-    live rows) reclaims all its slots with a metadata-only pass: every slot
-    already holds a cleared valid bit, so nothing needs rewriting.
+    the bookkeeping bit columns are clean; the zone maps are rebuilt from
+    the dense prefix and checked tight, and equi-depth histograms re-derive
+    their edges (equi-width ones are exact already: moving rows changes no
+    value).  A fully-deleted relation (no live rows) reclaims all its slots
+    with a metadata-only pass: every slot already holds a cleared valid
+    bit, so nothing needs rewriting.
 
     **Re-clustering**: since compaction reads every live record anyway, it
     is the free moment to choose their order.  ``cluster_by`` (default: the
@@ -581,8 +579,8 @@ def execute_compaction(
     )
 
     stored.reset_slots_after_compaction()
-    # Zone-map maintenance: compaction moved every row, so the statistics
-    # were rebuilt exactly — one pass over every crossbar's entries.  Every
+    # Zone-map maintenance: compaction moved every row, so the zone maps
+    # were rebuilt — one pass over every crossbar's entries.  Every
     # candidate-cache epoch was bumped: rows moved between crossbars and the
     # rebuilt bounds may have narrowed, so no cached verdict survives.
     stored.statistics.charge_maintenance(

@@ -58,33 +58,60 @@ class Relation:
         return [attribute.decode_value(v) for v in column]
 
     # ------------------------------------------------------------- mutation
-    def encode_record(self, values: Mapping[str, object]) -> dict[str, np.uint64]:
-        """Validate and encode one record given as ``{attribute: value}``.
+    def encode_records(
+        self, records: Sequence[Mapping[str, object]]
+    ) -> dict[str, np.ndarray]:
+        """Validate and encode a batch of records, one ``uint64`` column each.
 
         Values may be raw (e.g. a dictionary-encoded string) or already
         encoded integers; either way the encoded code must fit the
         attribute's bit width.  Unknown or missing attributes fail loudly.
+        Each attribute takes one array build and one vectorised width check;
+        a bad batch raises its first bad record's error (record-major order).
         """
-        unknown = set(values) - set(self.schema.names)
-        if unknown:
-            raise ValueError(
-                f"record has attributes {sorted(unknown)} not in schema "
-                f"{self.schema.name!r}"
-            )
-        encoded: dict[str, np.uint64] = {}
-        for attribute in self.schema:
-            if attribute.name not in values:
-                raise ValueError(f"record is missing attribute {attribute.name!r}")
-            raw = values[attribute.name]
-            code = raw if isinstance(raw, (int, np.integer)) else attribute.encode_value(raw)
-            code = int(code)
-            if code < 0 or (attribute.width < 64 and code > attribute.max_value):
-                raise ValueError(
-                    f"value {raw!r} for attribute {attribute.name!r} does not "
-                    f"fit in {attribute.width} bits"
-                )
-            encoded[attribute.name] = np.uint64(code)
-        return encoded
+        names = set(self.schema.names)
+        columns: dict[str, np.ndarray] = {}
+        try:
+            for values in records:
+                if not names.issuperset(values):
+                    raise ValueError(
+                        f"record has attributes {sorted(set(values) - names)} "
+                        f"not in schema {self.schema.name!r}"
+                    )
+            for attribute in self.schema:
+                name = attribute.name
+                try:
+                    raws = [values[name] for values in records]
+                except KeyError:
+                    raise ValueError(f"record is missing attribute {name!r}") from None
+                codes = np.asarray(raws)
+                if codes.dtype.kind not in "iu":
+                    codes = np.array([
+                        int(raw) if isinstance(raw, (int, np.integer))
+                        else attribute.encode_value(raw)
+                        for raw in raws
+                    ], dtype=object)
+                bad = codes < 0
+                if attribute.width < 64:
+                    bad |= codes > attribute.max_value
+                if bad.any():
+                    raise ValueError(
+                        f"value {raws[int(np.argmax(bad))]!r} for attribute "
+                        f"{name!r} does not fit in {attribute.width} bits"
+                    )
+                columns[name] = codes.astype(np.uint64)
+        except (ValueError, TypeError, KeyError, OverflowError):
+            # The pass met the first bad attribute, which need not belong to
+            # the first bad record: raise that record's own error.
+            for values in records if len(records) > 1 else ():
+                self.encode_records([values])
+            raise
+        return columns
+
+    def encode_record(self, values: Mapping[str, object]) -> dict[str, np.uint64]:
+        """Validate and encode one record: the one-record :meth:`encode_records`."""
+        columns = self.encode_records([values])
+        return {name: column[0] for name, column in columns.items()}
 
     def set_row(
         self, index: int, values: Mapping[str, object], encoded: bool = False

@@ -304,8 +304,9 @@ class StoredRelation:
         self._free_slots = []
         self.num_records = self.live_count
         self._data_version += 1
-        # Compaction rewrote every row and scrubbed the bookkeeping columns:
-        # rebuild the statistics exactly and mark every tracked column clean.
+        # Compaction rewrote every row densely and scrubbed the bookkeeping
+        # columns: refresh the statistics from the dense prefix and mark
+        # every tracked column clean.
         self.statistics.rebuild(self.relation)
         for dirty in self._column_dirty:
             for mask in dirty.values():

@@ -14,7 +14,8 @@ the loop:
   :meth:`RelationStatistics.observe_execution
   <repro.planner.planner.RelationStatistics.observe_execution>` rebuilds that
   column's histogram **equi-depth** from the live rows and the accumulator
-  resets.  The column stays equi-depth across later exact rebuilds.
+  resets.  The column stays equi-depth across later compactions, which
+  re-derive its quantile edges.
 * **Hot-column tracking** — the same fold credits each predicate column with
   the crossbars the execution scanned.  :meth:`hottest_column` ranks columns
   by that scan volume; threshold-triggered compaction sorts live rows by the

@@ -344,14 +344,20 @@ class RelationStatistics:
         self.candidates.bump(crossbars)
         self._note_change()
 
-    def rebuild(self, relation, valid=None) -> None:
-        self.zonemaps.rebuild(relation, valid)
+    def rebuild(self, relation) -> None:
+        """Refresh after a compaction left ``relation`` dense (all slots live).
+
+        Zone maps and pair sketch are rebuilt exactly, equi-depth edges are
+        re-derived; equi-width histograms are kept (the DML hooks keep them
+        exact).
+        """
+        self.zonemaps.rebuild(relation)
         # An exact rebuild must leave no widen-only drift behind; the check
         # recomputes the bounds through an independent reduction path.
-        self.zonemaps.assert_tight(relation, valid)
-        self.selectivity.rebuild(relation, valid)
+        self.zonemaps.assert_tight(relation)
+        self.selectivity.rebuild(relation)
         if self.pair_map is not None:
-            self.pair_map.rebuild(relation, valid)
+            self.pair_map.rebuild(relation)
         # Compaction moves rows between crossbars and rebuilds the bounds
         # exactly (they may *narrow*), so every cached verdict is stale.
         self.candidates.bump_all()

@@ -14,8 +14,8 @@ The planner needs two estimates the zone maps alone cannot give:
 domain of one attribute; :class:`SelectivityModel` combines them with the
 textbook independence assumptions (conjunctions multiply, disjunctions
 combine by inclusion–exclusion).  Estimates are *estimates*: the DML hooks
-keep them in sync (inserts/deletes adjust bucket counts, compaction rebuilds
-exactly), but no correctness property depends on them — pruning soundness
+keep their counts exact (compaction only re-derives equi-depth quantile
+edges), but no correctness property depends on them — pruning soundness
 rests solely on the zone maps.
 """
 
@@ -90,12 +90,8 @@ class ColumnHistogram:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
         if values.size == 0:
             return
-        self.counts -= np.bincount(
-            np.clip(self._bucket_of(values), 0, self.buckets - 1),
-            minlength=self.buckets,
-        )
-        np.maximum(self.counts, 0, out=self.counts)
-        self.total = max(0, self.total - int(values.size))
+        buckets = np.clip(self._bucket_of(values), 0, self.buckets - 1)
+        _subtract(self, np.bincount(buckets, minlength=self.buckets))
 
     # -------------------------------------------------------------- estimates
     def fraction_eq(self, encoded: int) -> float:
@@ -140,8 +136,8 @@ class EquiDepthHistogram:
     factor).  The public surface — ``add``/``remove``/``fraction_eq``/
     ``fraction_below``/``fraction_between``/``from_values`` — is identical to
     :class:`ColumnHistogram`, so :class:`SelectivityModel` routes estimates
-    through either variant unchanged and DML hooks keep both approximately
-    maintained between exact rebuilds.
+    through either variant unchanged and DML hooks keep both counts exact
+    (only the quantile edges go stale until the next rebuild).
 
     Bucket ``i`` covers the encoded range ``(edges[i-1], edges[i]]`` (bucket
     0 starts at 0; the last edge is pinned to the domain maximum so the whole
@@ -183,8 +179,11 @@ class EquiDepthHistogram:
         if int(edges[-1]) != histogram.max_value:
             edges = np.append(edges, np.uint64(histogram.max_value))
         histogram.edges = edges
-        histogram.counts = np.zeros(len(edges), dtype=np.int64)
-        histogram.add(values)
+        # Bucket i holds (edges[i-1], edges[i]]: count on the sorted array.
+        histogram.counts = np.diff(
+            np.searchsorted(ordered, edges, side="right"), prepend=0
+        ).astype(np.int64)
+        histogram.total = count
         return histogram
 
     # ---------------------------------------------------------------- updates
@@ -205,11 +204,7 @@ class EquiDepthHistogram:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
         if values.size == 0:
             return
-        self.counts -= np.bincount(
-            self._bucket_of(values), minlength=len(self.edges)
-        )
-        np.maximum(self.counts, 0, out=self.counts)
-        self.total = max(0, self.total - int(values.size))
+        _subtract(self, np.bincount(self._bucket_of(values), minlength=self.buckets))
 
     # -------------------------------------------------------------- estimates
     def _bucket_low(self, bucket: int) -> int:
@@ -259,6 +254,21 @@ class EquiDepthHistogram:
 AnyHistogram = ColumnHistogram | EquiDepthHistogram
 
 
+def _subtract(histogram: AnyHistogram, counts: np.ndarray) -> None:
+    """Take per-bucket ``counts`` out of ``histogram``.
+
+    Removing values it never counted (a replayed DELETE) raises with the
+    histogram untouched: compaction keeps the maintained counts, so a
+    clamped error would persist.
+    """
+    remaining = histogram.counts - counts
+    assert (remaining >= 0).all(), (
+        f"{histogram.kind} histogram counts driven negative: min "
+        f"{int(remaining.min())} at bucket {int(remaining.argmin())}"
+    )
+    histogram.counts, histogram.total = remaining, histogram.total - int(counts.sum())
+
+
 class SelectivityModel:
     """Predicate selectivity estimates over one relation's histograms."""
 
@@ -290,22 +300,17 @@ class SelectivityModel:
         histogram.remove(old_values)
         histogram.add(np.full(len(old_values), encoded, dtype=np.uint64))
 
-    def rebuild(self, relation, valid: np.ndarray | None = None) -> None:
-        """Rebuild every histogram exactly, preserving each column's variant.
+    def rebuild(self, relation) -> None:
+        """Re-derive the equi-depth quantile edges from a dense, all-live relation.
 
-        A column the feedback loop promoted to equi-depth stays equi-depth
-        across compactions (its quantile edges are recomputed from the live
-        values); columns without an adaptive verdict stay equi-width.
+        Compaction changes no live value and the DML hooks keep every count
+        exact, so the equi-width histograms are left as they are.
         """
-        for attribute in self.schema:
-            values = relation.column(attribute.name)
-            if valid is not None:
-                values = values[np.asarray(valid, dtype=bool)]
-            current = self.histograms.get(attribute.name)
-            variant = type(current) if current is not None else ColumnHistogram
-            self.histograms[attribute.name] = variant.from_values(
-                values, attribute.width, DEFAULT_BUCKETS
-            )
+        for name, histogram in list(self.histograms.items()):
+            if isinstance(histogram, EquiDepthHistogram):
+                self.histograms[name] = EquiDepthHistogram.from_values(
+                    relation.column(name), histogram.width, DEFAULT_BUCKETS
+                )
 
     def rebuild_column(
         self,

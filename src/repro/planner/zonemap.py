@@ -17,7 +17,8 @@ count per crossbar.  The maps are **conservative, never wrong**:
 * count-decremented on DELETE (bounds untouched — tombstoned values may keep
   a crossbar a candidate, never the other way around);
 * widened with the assigned constant on UPDATE;
-* rebuilt exactly on compaction, when every row moves anyway.
+* rebuilt exactly from the dense slot prefix on compaction, when every row
+  moves anyway, and re-checked by :meth:`ZoneMaps.assert_tight`.
 
 Consequently ``candidates(...) == False`` for a crossbar *proves* that no
 live row in it satisfies the conjunction, which is what makes pruned
@@ -103,31 +104,32 @@ class ZoneMaps:
             stored.rows_per_crossbar,
             stored.relation.schema,
         )
-        valid = np.ones(stored.num_records, dtype=bool)
-        maps.rebuild(stored.relation, valid)
+        maps.rebuild(stored.relation)
         return maps
 
-    def rebuild(self, relation, valid: np.ndarray | None = None) -> None:
-        """Recompute every entry exactly from the slot-aligned ground truth.
+    def rebuild(self, relation) -> None:
+        """Recompute every entry exactly from a dense ground truth.
 
-        ``valid`` masks tombstoned slots (all-live when omitted); slots past
-        ``len(relation)`` are unused capacity and count as dead.
+        Every slot below ``len(relation)`` is live (freshly loaded or just
+        compacted), the rest is unused capacity: full crossbars reduce through
+        one ``reshape``, the partial last one on its own.
         """
-        records = len(relation)
-        capacity = self.crossbars * self.rows
-        live = np.zeros(capacity, dtype=bool)
-        if valid is None:
-            live[:records] = True
-        else:
-            live[:records] = np.asarray(valid, dtype=bool)
-        live = live.reshape(self.crossbars, self.rows)
-        self.live = live.sum(axis=1).astype(np.int64)
+        full, tail = divmod(len(relation), self.rows)
+        self.live = np.zeros(self.crossbars, dtype=np.int64)
+        self.live[:full] = self.rows
+        if tail:
+            self.live[full] = tail
         for name in self.schema.names:
-            padded = np.zeros(capacity, dtype=np.uint64)
-            padded[:records] = relation.column(name)
-            grid = padded.reshape(self.crossbars, self.rows)
-            self.mins[name] = np.where(live, grid, _U64_MAX).min(axis=1)
-            self.maxs[name] = np.where(live, grid, np.uint64(0)).max(axis=1)
+            column = relation.column(name)
+            mins = np.full(self.crossbars, _U64_MAX, dtype=np.uint64)
+            maxs = np.zeros(self.crossbars, dtype=np.uint64)
+            grid = column[: full * self.rows].reshape(full, self.rows)
+            mins[:full] = grid.min(axis=1)
+            maxs[:full] = grid.max(axis=1)
+            if tail:
+                rest = column[full * self.rows:]
+                mins[full], maxs[full] = rest.min(), rest.max()
+            self.mins[name], self.maxs[name] = mins, maxs
 
     def assert_tight(self, relation, valid: np.ndarray | None = None) -> None:
         """Assert every bound is *tight* against the slot-aligned ground truth.

@@ -129,8 +129,7 @@ def execute_sharded_insert(
         )
     # The shards share one schema; encoding through the first shard's
     # relation validates the whole batch up-front (all-or-nothing).
-    probe = sharded.shards[0].relation
-    records = [probe.encode_record(record) for record in records]
+    columns = sharded.shards[0].relation.encode_records(records)
     executors = sharded.resolve_executors(executors)
 
     # Simulate the record-by-record least-full routing over a local copy of
@@ -151,7 +150,7 @@ def execute_sharded_insert(
     for shard_index, indices in sorted(by_shard.items()):
         shard_result = execute_insert(
             sharded.shards[shard_index],
-            [records[i] for i in indices],
+            {name: column[indices] for name, column in columns.items()},
             executors[shard_index],
             encoded=True,
         )

@@ -218,13 +218,15 @@ class GroundTruthOracle:
             assert np.array_equal(stored.decode_column(name), expected), name
             assert np.array_equal(stored.relation.column(name), expected), name
 
-    @staticmethod
-    def state(stored) -> None:
+    @classmethod
+    def state(cls, stored) -> None:
         """Stored bits against the ground truth and the slot bookkeeping.
 
         Every partition's valid column holds exactly the slots that are not
         tombstones, and every attribute decodes to its ground-truth column
         (tombstoned slots included: nothing rewrites them until compaction).
+        The planner statistics agree with the live rows too
+        (:meth:`statistics`).
         """
         live = np.ones(stored.num_records, dtype=bool)
         live[list(stored._free_slots)] = False
@@ -236,6 +238,33 @@ class GroundTruthOracle:
             assert np.array_equal(
                 stored.decode_column(name), stored.relation.column(name)
             ), name
+        cls.statistics(stored, live)
+
+    @staticmethod
+    def statistics(stored, live: np.ndarray) -> None:
+        """Zone-map live counts and histograms against the live rows.
+
+        Per crossbar, the zone maps count exactly the live slots.  Every
+        histogram counts ``live_count`` rows, and an equi-width one equals a
+        fresh histogram of the live values: the DML hooks keep it exact, and
+        compaction relies on that instead of rebuilding it.
+        """
+        from repro.planner.selectivity import ColumnHistogram
+
+        statistics = stored.statistics
+        zonemaps = statistics.zonemaps
+        slots = np.flatnonzero(live)
+        per_crossbar = np.bincount(slots // zonemaps.rows, minlength=zonemaps.crossbars)
+        assert np.array_equal(zonemaps.live, per_crossbar), "zone-map live counts"
+        assert int(zonemaps.live.sum()) == stored.live_count
+        for name, histogram in statistics.selectivity.histograms.items():
+            assert histogram.total == stored.live_count, name
+            if isinstance(histogram, ColumnHistogram):
+                fresh = ColumnHistogram.from_values(
+                    stored.relation.column(name)[slots],
+                    histogram.width, histogram.buckets,
+                )
+                assert np.array_equal(histogram.counts, fresh.counts), name
 
 
 @pytest.fixture(scope="session")

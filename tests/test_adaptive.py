@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -27,7 +27,7 @@ from repro.planner.selectivity import (
     EquiDepthHistogram,
     SelectivityModel,
 )
-from repro.planner.zonemap import PairZoneMap
+from repro.planner.zonemap import PairZoneMap, ZoneMaps
 
 
 # ------------------------------------------------------ equi-depth histograms
@@ -93,6 +93,27 @@ def test_equi_depth_add_remove_roundtrip():
     histogram.remove(extra)
     assert np.array_equal(histogram.counts, before)
     assert histogram.total == len(values)
+
+
+@pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
+def test_histogram_over_removal_raises_and_changes_nothing(variant):
+    """Removing a value the histogram never counted fails loudly.
+
+    A replayed DELETE must not be clamped away: compaction keeps the
+    maintained counts, so a silent clamp would persist.
+    """
+    values = _skewed_values(seed=4)
+    histogram = variant.from_values(values, width=16)
+    before = histogram.counts.copy()
+    with pytest.raises(AssertionError, match="driven negative"):
+        histogram.remove(np.concatenate([values, values[:1]]))
+    assert np.array_equal(histogram.counts, before)
+    assert histogram.total == len(values)
+    histogram.remove(values)
+    assert histogram.total == 0 and not histogram.counts.any()
+    with pytest.raises(AssertionError, match="driven negative"):
+        histogram.remove(values[:1])
+    assert histogram.total == 0 and not histogram.counts.any()
 
 
 @pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
@@ -294,6 +315,72 @@ def test_update_churn_drifts_then_rebuild_is_tight():
     stored.statistics.zonemaps.assert_tight(
         stored.relation, stored.valid_mask(0)
     )
+
+
+def _masked_reduction(relation, crossbars: int, rows: int):
+    """Reference ``(live, mins, maxs)``: a padded grid masked by liveness."""
+    records, capacity = len(relation), crossbars * rows
+    live = np.zeros(capacity, dtype=bool)
+    live[:records] = True
+    live = live.reshape(crossbars, rows)
+    mins, maxs = {}, {}
+    for name in relation.schema.names:
+        padded = np.zeros(capacity, dtype=np.uint64)
+        padded[:records] = relation.column(name)
+        grid = padded.reshape(crossbars, rows)
+        mins[name] = np.where(live, grid, np.uint64(2**64 - 1)).min(axis=1)
+        maxs[name] = np.where(live, grid, np.uint64(0)).max(axis=1)
+    return live.sum(axis=1), mins, maxs
+
+
+@pytest.mark.parametrize("fill", ["empty", "rows-1", "rows", "2rows+1", "full"])
+def test_dense_zone_map_rebuild_matches_the_masked_reduction(fill):
+    crossbars, rows = 5, 8
+    records = {
+        "empty": 0, "rows-1": rows - 1, "rows": rows,
+        "2rows+1": 2 * rows + 1, "full": crossbars * rows,
+    }[fill]
+    rng = np.random.default_rng(13)
+    schema = Schema("dense", [int_attribute("key", 16), int_attribute("flag", 2)])
+    relation = Relation(schema, {
+        "key": rng.integers(0, 1 << 16, records).astype(np.uint64),
+        "flag": rng.integers(0, 4, records).astype(np.uint64),
+    })
+    zonemaps = ZoneMaps(crossbars, rows, relation.schema)
+    # Stale entries from an earlier life must not survive the rebuild.
+    zonemaps.live[:] = 3
+    for name in relation.schema.names:
+        zonemaps.mins[name][:] = 1
+        zonemaps.maxs[name][:] = 2
+    zonemaps.rebuild(relation)
+    zonemaps.assert_tight(relation, None)
+    live, mins, maxs = _masked_reduction(relation, crossbars, rows)
+    assert np.array_equal(zonemaps.live, live)
+    for name in relation.schema.names:
+        assert np.array_equal(zonemaps.mins[name], mins[name]), name
+        assert np.array_equal(zonemaps.maxs[name], maxs[name]), name
+
+
+def test_compacting_a_fully_deleted_relation_empties_the_statistics(
+    ground_truth_oracle,
+):
+    stored, system = _small_stored(records=600, seed=17)
+    executor = PimExecutor(system)
+    dml.execute_delete(stored, Comparison("key", ">=", 0), executor)
+    assert stored.live_count == 0
+    assert dml.execute_compaction(stored, executor, force=True).performed
+    statistics = stored.statistics
+    zonemaps = statistics.zonemaps
+    zonemaps.assert_tight(stored.relation, None)
+    live, mins, maxs = _masked_reduction(
+        stored.relation, zonemaps.crossbars, zonemaps.rows
+    )
+    assert not zonemaps.live.any() and np.array_equal(zonemaps.live, live)
+    for name in stored.relation.schema.names:
+        assert np.array_equal(zonemaps.mins[name], mins[name]), name
+        assert np.array_equal(zonemaps.maxs[name], maxs[name]), name
+    assert all(h.total == 0 for h in statistics.selectivity.histograms.values())
+    ground_truth_oracle.state(stored)
 
 
 def test_assert_tight_catches_a_stale_bound():
@@ -667,12 +754,12 @@ def _apply_churn_op(service, shards, op) -> list:
 
 
 def _histograms_tight(storeds, names) -> None:
-    """The just-rebuilt histograms count exactly the live rows.
+    """The just-rebuilt histograms match a fresh build over the live rows.
 
-    Only the columns rebuilt by the op are exact: the approximate bucket
-    maintenance between rebuilds is allowed to drift (that drift is the
-    error signal), so a feedback op guarantees tightness for its triggered
-    column and a *performed* compaction for every column.
+    Counts are exact after every op (``GroundTruthOracle.state`` checks the
+    equi-width ones); what a rebuild adds is fresh equi-depth edges, so a
+    feedback op guarantees them for its triggered column and a *performed*
+    compaction for every column.
     """
     for stored in storeds:
         live = stored.live_relation()
@@ -690,6 +777,12 @@ def _histograms_tight(storeds, names) -> None:
 @settings(max_examples=4, deadline=None)
 @given(ops=st.lists(churn_op_strategy, min_size=3, max_size=6),
        seed=st.integers(min_value=0, max_value=2 ** 16))
+# Every DML hook and both rebuilds, whatever the generated examples draw.
+@example(
+    ops=[("delete", 300, 500), ("update", 2, 4000), ("feedback",),
+         ("insert", 4, 9), ("compact",), ("delete", 1500, 600)],
+    seed=5,
+)
 def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
     """Pruned churn at K=1 and K=4, both backends, against the ground truth.
 

@@ -230,6 +230,53 @@ def test_insert_validates_records_loudly_and_atomically():
     assert executor.stats.total_time_s == 0.0
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+def test_insert_reports_the_first_bad_record_and_writes_nothing(shards):
+    """Record-major order: record 1's late attribute, not record 2's early one.
+
+    The batch is encoded column by column, which meets record 2's bad ``key``
+    before record 1's bad ``city``; the error must still be record 1's,
+    worded exactly as encoding it alone words it.
+    """
+    config = config_for("packed")
+    relation = small_relation(48)
+    if shards == 1:
+        target = StoredRelation(relation, PimModule(config), label="t")
+        executors = [PimExecutor(config)]
+
+        def insert(batch):
+            return execute_insert(target, batch, executors[0])
+    else:
+        target = ShardedStoredRelation(relation, PimModule(config), shards=shards)
+        executors = target.make_executors()
+
+        def insert(batch):
+            return execute_sharded_insert(target, batch, executors)
+    good = {"key": 1, "value": 2, "city": "LYON"}
+    late = {"key": 3, "value": 4, "city": 9}          # city codes fit 2 bits
+    early = {"key": 1 << 8, "value": 4, "city": "OSLO"}
+    with pytest.raises(ValueError) as alone:
+        relation.encode_record(late)
+    digest = target.state_digest()
+    totals = [executor.stats.totals() for executor in executors]
+    with pytest.raises(ValueError) as raised:
+        insert([good, late, early])
+    assert str(raised.value) == str(alone.value)
+    assert "'city'" in str(raised.value)
+    assert target.state_digest() == digest
+    assert [executor.stats.totals() for executor in executors] == totals
+    # Raw dictionary strings and codes encode column-wise exactly as they do
+    # one record at a time.
+    batch = [good, {"key": 5, "value": 6, "city": "PERTH"}, {"key": 7, "value": 8, "city": 1}]
+    columns = relation.encode_records(batch)
+    for index, record in enumerate(batch):
+        assert {name: column[index] for name, column in columns.items()} == (
+            relation.encode_record(record)
+        )
+    assert all(column.dtype == np.uint64 for column in columns.values())
+    assert insert(batch).records_inserted == 3
+
+
 def test_insert_full_relation_raises_before_touching_anything():
     config = config_for("packed")
     relation = small_relation(20)

@@ -84,10 +84,10 @@ def _oracle_note_insert(statistics, slot: int, record) -> None:
 
 def oracle_insert(stored, records, executor, phase="insert-write", encoded=False):
     """The per-record INSERT loop (same signature as ``execute_insert``)."""
-    records = list(records)
     relation = stored.relation
     encoded_records = (
-        records if encoded
+        [dict(zip(records, values)) for values in zip(*records.values())]
+        if encoded
         else [relation.encode_record(values) for values in records]
     )
     result = InsertResult()
@@ -125,7 +125,7 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
     relation.append_rows(tail_records, encoded=True)
     stored.statistics.charge_maintenance(
         executor.stats, executor.config.host,
-        len(records) * (len(relation.schema.names) + 1),
+        len(encoded_records) * (len(relation.schema.names) + 1),
     )
     result.live_records = stored.live_count
     result.tombstones = stored.tombstone_count

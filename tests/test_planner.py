@@ -615,7 +615,7 @@ def test_ssb_replay_under_churn_bills_5x_fewer_entries_than_cold_walk():
         execute_delete(
             stored, Comparison("lo_quantity", "between", low=low, high=low + 1), executor
         )
-        execute_insert(stored, records, executor, encoded=True)
+        execute_insert(stored, records, executor)
         execute_update(stored, update, {"lo_tax": int(rng.integers(0, 9))}, executor)
         for query in queries:
             billed_s += engine.execute(query).stats.time_by_phase.get("zonemap-check", 0.0)
