@@ -22,7 +22,6 @@ from repro.db.query import Aggregate, And, BETWEEN, Comparison, EQ, IN, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.service import QueryService
-from repro.sharding import execute_sharded_update
 
 SHARDS = 4
 
@@ -126,16 +125,18 @@ def main() -> None:
         assert s.time_s < sum(s.shard_times_s)
     # 3. An UPDATE run on every shard stays consistent everywhere.
     engine = service.engine("sales")
-    update = execute_sharded_update(
-        engine.sharded, Comparison("region", EQ, "EUROPE"), {"region": "ASIA"}
+    outcome = service.update(
+        Comparison("region", EQ, "EUROPE"), {"region": "ASIA"}, relation="sales"
     )
+    update = outcome.result
+    touched = sum(1 for result in outcome.results if result.records_updated)
     euro = relation.schema.attribute("region").encode_value("EUROPE")
     assert update.records_updated > 0
     assert int((relation.column("region") == np.uint64(euro)).sum()) == 0
     assert np.array_equal(
         engine.sharded.decode_column("region"), relation.column("region")
     )
-    print(f"\nupdate touched {update.shards_with_matches}/{SHARDS} shards "
+    print(f"\nupdate touched {touched}/{SHARDS} shards "
           f"({update.records_updated} records)")
     print("sharded results verified against the unsharded engine")
 

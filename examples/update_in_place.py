@@ -15,9 +15,8 @@ Run with::
 from repro.config import DEFAULT_CONFIG
 from repro.db.query import And, Comparison, EQ
 from repro.db.storage import StoredRelation
-from repro.db.update import execute_update
-from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
+from repro.service import QueryService
 from repro.ssb import build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
@@ -29,7 +28,8 @@ def main() -> None:
     stored = StoredRelation(prejoined, module, label="ssb",
                             aggregation_width=max_aggregated_width(prejoined),
                             reserve_bulk_aggregation=False)
-    executor = PimExecutor(DEFAULT_CONFIG)
+    service = QueryService()
+    service.register("ssb", stored, config=DEFAULT_CONFIG)
 
     customer_key = int(prejoined.column("lo_custkey")[0])
     old_city = prejoined.schema.attribute("c_city").decode_value(
@@ -38,19 +38,18 @@ def main() -> None:
     print(f"customer {customer_key} currently listed in city {old_city!r}")
     print("moving the customer to 'UNITED KI1' with an in-memory UPDATE ...")
 
-    result = execute_update(
-        stored,
+    outcome = service.update(
         And((Comparison("lo_custkey", EQ, customer_key),)),
         {"c_city": "UNITED KI1"},
-        executor,
     )
+    result, stats = outcome.result, outcome.stats
 
     print(f"records rewritten in place : {result.records_updated}")
     print(f"filter program cycles      : {result.filter_cycles}")
     print(f"Algorithm-1 update cycles  : {result.update_cycles}")
-    print(f"host cache lines read      : {executor.stats.host_lines_read} "
+    print(f"host cache lines read      : {stats.host_lines_read} "
           f"(the update moves no records to the host)")
-    print(f"simulated latency          : {executor.stats.total_time_s * 1e6:.1f} us")
+    print(f"simulated latency          : {stats.total_time_s * 1e6:.1f} us")
 
     # Every duplicated copy of the customer's city now holds the new value.
     mask = stored.relation.column("lo_custkey") == customer_key

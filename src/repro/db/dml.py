@@ -32,16 +32,19 @@ Every phase charges the modelled :class:`~repro.pim.stats.PimStats`:
 Like UPDATE, the layout-dependent programs are compiled once
 (:func:`compile_delete`) and are valid for every relation sharing the layout
 — in particular for every shard of a
-:class:`~repro.sharding.storage.ShardedStoredRelation`, whose per-shard loop
-lives in :mod:`repro.sharding.dml`.  DELETE and UPDATE share one selection
-step (:func:`_select`): the filter runs zone-map-pruned on the candidate
-crossbars, and the clear / mux programs follow on the same crossbars.
+:class:`~repro.sharding.storage.ShardedStoredRelation`.  Each statement runs
+on one store; :class:`~repro.service.QueryService` runs it on each of a
+relation's K >= 1 stores and sums the per-store results with ``+`` (counts
+add, the cycle fields describe the statement).  DELETE and UPDATE share one
+selection step (:func:`_select`): the filter runs zone-map-pruned on the
+candidate crossbars, and the clear / mux programs follow on the same
+crossbars.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +80,15 @@ __all__ = [
 DEFAULT_COMPACTION_THRESHOLD = 0.3
 
 
+def _sum_results(left, right, **statement):
+    """One statement's outcome over two stores: every field adds (lists
+    concatenate) except those given in ``statement``, which are taken as is."""
+    return type(left)(**{
+        f.name: getattr(left, f.name) + getattr(right, f.name)
+        for f in fields(left) if f.name not in statement
+    }, **statement)
+
+
 # --------------------------------------------------------------------- DELETE
 @dataclass(frozen=True)
 class CompiledDelete:
@@ -104,6 +116,12 @@ class DeleteResult:
     clear_cycles: int
     live_records: int
     tombstones: int
+
+    def __add__(self, other: DeleteResult) -> DeleteResult:
+        return _sum_results(
+            self, other,
+            filter_cycles=self.filter_cycles, clear_cycles=self.clear_cycles,
+        )
 
 
 #: Per-layout cache of the valid-clearing programs.  They are pure functions
@@ -302,7 +320,8 @@ def execute_delete(
 class InsertResult:
     """Outcome of an INSERT batch."""
 
-    #: Slot index of every inserted record, in input order.
+    #: Slot index of every inserted record in its own store, in input order
+    #: (a sum over stores concatenates them in store order).
     slots: list[int] = field(default_factory=list)
     #: How many inserts reused a tombstoned slot.
     reused_slots: int = 0
@@ -314,6 +333,9 @@ class InsertResult:
     @property
     def records_inserted(self) -> int:
         return len(self.slots)
+
+    def __add__(self, other: InsertResult) -> InsertResult:
+        return _sum_results(self, other)
 
 
 def execute_insert(
@@ -332,7 +354,7 @@ def execute_insert(
     with nothing applied.  The batch is encoded column-wise
     (:meth:`~repro.db.relation.Relation.encode_records`); ``encoded=True``
     trusts ``records`` to be such a result, one encoded ``uint64`` column per
-    attribute (the sharded router encodes once for all shards).
+    attribute (the service encodes once for all of a relation's stores).
 
     **Modelled**: each record goes through the host store path — one field
     store per attribute plus the four bookkeeping bits, per partition —
@@ -434,6 +456,20 @@ class CompactionResult:
     #: (``None``: rows kept their slot order).
     clustered_by: str | None = None
 
+    def __add__(self, other: CompactionResult) -> CompactionResult:
+        """Performed if any store compacted; fragmentation over all slots."""
+        slots = self.slots_before + other.slots_before
+        tombstones = (
+            self.fragmentation_before * self.slots_before
+            + other.fragmentation_before * other.slots_before
+        )
+        return _sum_results(
+            self, other,
+            performed=self.performed or other.performed,
+            fragmentation_before=tombstones / slots if slots else 0.0,
+            clustered_by=self.clustered_by or other.clustered_by,
+        )
+
 
 def execute_compaction(
     stored: StoredRelation,
@@ -479,12 +515,14 @@ def execute_compaction(
             f"attributes are {list(names)}"
         )
     fragmentation = stored.fragmentation
-    if stored.tombstone_count == 0:
-        return CompactionResult(performed=False, fragmentation_before=fragmentation)
-    if not force and fragmentation < threshold:
-        return CompactionResult(performed=False, fragmentation_before=fragmentation)
-
     slots_before = stored.num_records
+    if stored.tombstone_count == 0 or (not force and fragmentation < threshold):
+        return CompactionResult(
+            performed=False,
+            fragmentation_before=fragmentation,
+            slots_before=slots_before,
+            slots_after=slots_before,
+        )
     crossbar_entries = stored.crossbars_per_partition * (len(names) + 1)
     relation = stored.relation
     if stored.live_count == 0:

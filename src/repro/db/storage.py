@@ -198,6 +198,11 @@ class StoredRelation:
 
     # ------------------------------------------------------------- geometry
     @property
+    def shards(self) -> tuple[StoredRelation]:
+        """The stores of this relation: itself (a sharded relation has K)."""
+        return (self,)
+
+    @property
     def pages(self) -> int:
         """Huge pages per vertical partition (M in the paper's notation)."""
         return self.allocations[0].pages

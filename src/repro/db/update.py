@@ -9,10 +9,12 @@ with the new value — no record is ever read by the host.
 
 The compilation (predicate -> filter program, assignments -> mux program) is
 separated from the execution: both programs depend only on the row layout,
-so a horizontally sharded relation — whose shards share layout objects —
-compiles once via :func:`compile_update` and runs the same programs on
-every shard.  Like DELETE (:mod:`repro.db.dml`), every UPDATE runs pruned:
-filter and mux touch only the zone-map candidate crossbars.
+so :meth:`repro.service.QueryService.update` compiles once via
+:func:`compile_update` and runs the same programs on each of a relation's
+K >= 1 stores (the shards of a sharded relation share layout objects),
+summing the per-store :class:`UpdateResult` objects.  Like DELETE
+(:mod:`repro.db.dml`), every UPDATE runs pruned: filter and mux touch only
+the zone-map candidate crossbars.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.core.stages import apply_program_at
 from repro.db.compiler import CompilationError, compile_predicate
-from repro.db.dml import _select
+from repro.db.dml import _select, _sum_results
 from repro.db.query import Predicate, attributes_referenced
 from repro.db.storage import StoredRelation
 from repro.pim.controller import PimExecutor
@@ -37,6 +39,12 @@ class UpdateResult:
     records_updated: int
     filter_cycles: int
     update_cycles: int
+
+    def __add__(self, other: UpdateResult) -> UpdateResult:
+        return _sum_results(
+            self, other,
+            filter_cycles=self.filter_cycles, update_cycles=self.update_cycles,
+        )
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,10 @@ def execute_update(
 
     The stored bits *and* the in-memory ground-truth relation are updated,
     so subsequent queries — through any engine — see the new values.
-    ``compiled`` reuses a :func:`compile_update` result (the sharded
-    statement compiles once and passes it to every shard); it must have been
-    compiled for ``predicate``/``assignments`` against this relation's
-    layout.
+    ``compiled`` reuses a :func:`compile_update` result (the service
+    compiles once and passes it to each of a relation's stores); it must
+    have been compiled for ``predicate``/``assignments`` against this
+    relation's layout.
 
     The filter runs on the zone-map candidate crossbars
     (:func:`repro.db.dml._select`) and the Algorithm 1 mux follows on the

@@ -80,31 +80,22 @@ class WearReport:
 
     @classmethod
     def from_stored(cls, stored, label: str | None = None) -> WearReport:
-        """Snapshot a :class:`~repro.db.storage.StoredRelation`'s wear."""
+        """Snapshot every partition of every store of a stored relation.
+
+        ``stored`` is a :class:`~repro.db.storage.StoredRelation` (one store,
+        labelled ``label``) or a sharded relation (shard ``k`` labelled
+        ``"{label}/s{k}"``).
+        """
+        name = label if label is not None else stored.label
         partitions = [
             PartitionWear(
-                label=label if label is not None else stored.label,
-                partition=index,
+                label=name if shard is stored else f"{name}/s{index}",
+                partition=partition,
                 writes=np.array(allocation.bank.writes_per_row, dtype=np.int64),
                 row_columns=allocation.bank.columns,
             )
-            for index, allocation in enumerate(stored.allocations)
-        ]
-        return cls(
-            label=label if label is not None else stored.label,
-            partitions=partitions,
-        )
-
-    @classmethod
-    def from_sharded(cls, sharded, label: str | None = None) -> WearReport:
-        """Snapshot every shard of a sharded relation into one report."""
-        name = label if label is not None else sharded.label
-        partitions = [
-            partition
-            for index, shard in enumerate(sharded.shards)
-            for partition in cls.from_stored(
-                shard, label=f"{name}/s{index}"
-            ).partitions
+            for index, shard in enumerate(stored.shards)
+            for partition, allocation in enumerate(shard.allocations)
         ]
         return cls(label=name, partitions=partitions)
 

@@ -22,6 +22,11 @@ execution whose modelled latency is max-over-shards plus a merge term, and
 whose programs compile once through the same shared cache (the shards share
 layout objects).
 
+DML has one path for every relation: a registered relation is K >= 1
+stores (``stored.shards``; K = 1 for :meth:`QueryService.register`) with one
+executor each, and every statement compiles once and runs on each store in
+store order (INSERT routes each record to the least-full store).
+
 Results are bit-exact with sequential
 :meth:`~repro.core.executor.PimQueryEngine.execute` calls;
 ``perf/`` measures the wall-clock of service passes and
@@ -30,6 +35,7 @@ Results are bit-exact with sequential
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -42,7 +48,8 @@ from repro.core.parallel import ScatterPool
 from repro.db import dml
 from repro.db.query import Predicate, Query
 from repro.db.relation import Relation
-from repro.db.storage import StoredRelation
+from repro.db.storage import RelationFullError, StoredRelation
+from repro.db.update import compile_update, execute_update
 from repro.obs.explain import ExplainResult
 from repro.obs.metrics import add_stats
 from repro.obs.trace import SpanTracer
@@ -55,16 +62,11 @@ from repro.planner.candidates import CandidateCacheStats
 from repro.planner.planner import CostPlanner, execute_host_scan
 from repro.service.cache import CacheStats, ProgramCache
 from repro.service.stats import DmlStats, ServiceStats
-from repro.sharding import dml as sharded_dml
 from repro.sharding.executor import ShardedQueryEngine
 from repro.sharding.storage import ShardedStoredRelation
 
 #: A registered engine: plain single-allocation or sharded scatter-gather.
 ServiceEngine = PimQueryEngine | ShardedQueryEngine
-
-#: The executor state a registered engine needs: one executor for a plain
-#: engine, one per shard for a sharded engine.
-ServiceExecutors = PimExecutor | list[PimExecutor]
 
 
 @dataclass(frozen=True)
@@ -79,16 +81,24 @@ class QueryRequest:
 class DmlOutcome:
     """One DML call served by the service: the outcome plus modelled stats.
 
-    ``stats`` merges the per-shard executors of a sharded relation —
-    per-shard deletes and compactions combine as parallel phases
-    (max-over-shards), routed inserts as serial work.  ``shard_stats`` keeps
-    the unmerged per-shard breakdown (one entry for an unsharded relation),
-    which is where the per-phase detail lives.
+    ``results`` holds the statement's per-store results, one per store of
+    the relation in store order (one for an unsharded relation); ``result``
+    is their sum — the same type, counts added, cycle fields describing the
+    statement — and *is* ``results[0]`` for a single store.  ``stats``
+    merges the per-store executors — deletes, updates and compactions
+    combine as parallel phases (max-over-shards), routed inserts as serial
+    work.  ``shard_stats`` keeps the unmerged per-store breakdown, which is
+    where the per-phase detail lives.
     """
 
-    result: object
+    results: list
     stats: PimStats
     shard_stats: list[PimStats] = field(default_factory=list)
+
+    @property
+    def result(self):
+        """The per-store results summed (``results[0]`` itself for K = 1)."""
+        return reduce(operator.add, self.results)
 
 
 @dataclass
@@ -153,7 +163,10 @@ class QueryService:
         )
         self._planner = CostPlanner()
         self._engines: dict[str, ServiceEngine] = {}
-        self._executors: dict[str, ServiceExecutors] = {}
+        #: The registered store of each relation; its ``shards`` are the K
+        #: stores DML runs on, with one executor each in ``_executors``.
+        self._stores: dict[str, StoredRelation | ShardedStoredRelation] = {}
+        self._executors: dict[str, list[PimExecutor]] = {}
         self._dml_counters: dict[str, dict[str, int]] = {}
         self._default: str | None = None
 
@@ -188,7 +201,8 @@ class QueryService:
             tracer=self.tracer,
         )
         self._engines[name] = engine
-        self._executors[name] = PimExecutor(engine.config)
+        self._stores[name] = stored
+        self._executors[name] = [PimExecutor(engine.config)]
         self._dml_counters[name] = self._fresh_counters()
         if default or self._default is None:
             self._default = name
@@ -253,6 +267,7 @@ class QueryService:
             tracer=self.tracer,
         )
         self._engines[name] = engine
+        self._stores[name] = sharded
         self._executors[name] = engine.make_executors()
         self._dml_counters[name] = self._fresh_counters()
         if default or self._default is None:
@@ -339,10 +354,7 @@ class QueryService:
         crossbars, ASCII heatmap, endurance/lifetime figures).
         """
         name = self._resolve(relation)
-        engine = self._engines[name]
-        if isinstance(engine, ShardedQueryEngine):
-            return WearReport.from_sharded(engine.sharded, label=name)
-        return WearReport.from_stored(engine.stored, label=name)
+        return WearReport.from_stored(self._stores[name], label=name)
 
     def _execute_routed(self, name: str, query: Query) -> QueryExecution:
         """Execute one query on its cost-chosen route.
@@ -361,7 +373,12 @@ class QueryService:
                     if self.tracer.enabled:
                         self._annotate_query_span(span, execution, cache_before, "host")
                     return execution
-            execution = engine.execute(query, executor=self._executors[name])
+            # A plain engine takes its one executor, a sharded one the list.
+            executors = self._executors[name]
+            execution = engine.execute(
+                query,
+                executor=executors[0] if isinstance(engine, PimQueryEngine) else executors,
+            )
             if self.tracer.enabled:
                 self._annotate_query_span(span, execution, cache_before, "pim")
             return execution
@@ -426,13 +443,6 @@ class QueryService:
         """Point-in-time snapshot of the shared program cache's counters."""
         return self.cache.snapshot()
 
-    def _stores(self, name: str) -> list[StoredRelation]:
-        """The stores behind relation ``name``: its K shards, or its one store."""
-        engine = self._engines[name]
-        if isinstance(engine, ShardedQueryEngine):
-            return engine.sharded.shards
-        return [engine.stored]
-
     def candidate_cache_stats(self) -> CandidateCacheStats:
         """Summed candidate-set cache counters of every registered relation.
 
@@ -441,7 +451,7 @@ class QueryService:
         """
         return reduce(add_stats, (
             stored.statistics.candidate_stats()
-            for name in self._engines for stored in self._stores(name)
+            for store in self._stores.values() for stored in store.shards
         ), CandidateCacheStats())
 
     def adaptive_stats(self) -> AdaptiveSnapshot:
@@ -453,17 +463,14 @@ class QueryService:
         """
         return reduce(add_stats, (
             stored.statistics.adaptive_snapshot()
-            for name in self._engines for stored in self._stores(name)
+            for store in self._stores.values() for stored in store.shards
         ), AdaptiveSnapshot())
 
     def state_digest(self, relation: str | None = None) -> str:
         """:meth:`StoredRelation.state_digest` of a registered relation's store
         (over the shards of a sharded one): equal digests mean no later
         statement can tell two services' relations apart."""
-        engine = self.engine(relation)
-        if isinstance(engine, ShardedQueryEngine):
-            return engine.sharded.state_digest()
-        return engine.stored.state_digest()
+        return self._stores[self._resolve(relation)].state_digest()
 
     # ------------------------------------------------------------------- DML
     def insert(
@@ -473,65 +480,105 @@ class QueryService:
     ) -> DmlOutcome:
         """Insert records into a registered relation (slot reuse, then tail).
 
-        A sharded relation routes each record to its currently least-full
-        shard.  Raises :class:`~repro.db.storage.RelationFullError` when the
-        batch does not fit.
+        Each record goes to the store with the most free slots at that point
+        of the batch (ties to the lowest store index), so a large batch
+        spreads across a sharded relation's stores.  The batch is
+        all-or-nothing: capacity over all stores and every record's encoding
+        are checked first, so a batch that does not fit raises
+        :class:`~repro.db.storage.RelationFullError` and a bad record raises
+        :class:`ValueError`, with no store touched.
         """
         name = self._resolve(relation)
-        engine = self._engines[name]
+        stores = self._stores[name].shards
+        records = list(records)
         with self.tracer.span(
             "dml-insert", relation=name, records=len(records)
         ) as span:
             executors = self._bind_dml_stats(name)
-            if isinstance(engine, ShardedQueryEngine):
-                result = sharded_dml.execute_sharded_insert(
-                    engine.sharded, records, executors=executors
+            free = [stored.free_slots for stored in stores]
+            if len(records) > sum(free):
+                raise RelationFullError(
+                    f"cannot insert {len(records)} records into {name!r}: "
+                    f"only {sum(free)} free slots in {len(stores)} store(s)"
                 )
-            else:
-                result = dml.execute_insert(engine.stored, records, executors[0])
-            self._dml_counters[name]["inserted"] += result.records_inserted
+            # The stores share one schema: encode the whole batch once.
+            columns = stores[0].relation.encode_records(records)
+            routed: list[list[int]] = [[] for _ in stores]
+            for index in range(len(records)):
+                target = free.index(max(free))
+                routed[target].append(index)
+                free[target] -= 1
+            results = [
+                dml.execute_insert(
+                    stored,
+                    {attr: column[indices] for attr, column in columns.items()},
+                    executor,
+                    encoded=True,
+                )
+                for stored, executor, indices in zip(stores, executors, routed)
+            ]
+            outcome = self._outcome(results, executors, parallel=False)
+            inserted = outcome.result.records_inserted
+            self._dml_counters[name]["inserted"] += inserted
             if self.tracer.enabled:
-                span.set(inserted=result.records_inserted)
-            return DmlOutcome(
-                result,
-                self._merge_dml_stats(executors, parallel=False),
-                [executor.stats.copy() for executor in executors],
-            )
+                span.set(inserted=inserted)
+            return outcome
 
     def delete(
         self, predicate: Predicate, relation: str | None = None
     ) -> DmlOutcome:
         """Tombstone the records selected by ``predicate`` — in memory.
 
-        The filter program compiles through the service's program cache (a
-        repeated DELETE, or a DELETE matching a cached WHERE clause, skips
-        compilation); a sharded relation runs the once-compiled programs on
-        every shard, each pruned through its own zone maps.
+        The filter and clear programs compile once through the service's
+        program cache (a repeated DELETE, or a DELETE matching a cached WHERE
+        clause, skips compilation) and run on each of the relation's stores,
+        each pruned through its own zone maps.
         """
         name = self._resolve(relation)
-        engine = self._engines[name]
+        stores = self._stores[name].shards
         with self.tracer.span("dml-delete", relation=name) as span:
             executors = self._bind_dml_stats(name)
-            if isinstance(engine, ShardedQueryEngine):
-                result = sharded_dml.execute_sharded_delete(
-                    engine.sharded, predicate,
-                    executors=executors, compiler=self.cache,
-                )
-            else:
-                compiled = dml.compile_delete(
-                    engine.stored, predicate, compiler=self.cache
-                )
-                result = dml.execute_delete(
-                    engine.stored, predicate, executors[0], compiled=compiled
-                )
-            self._dml_counters[name]["deleted"] += result.records_deleted
+            compiled = dml.compile_delete(stores[0], predicate, compiler=self.cache)
+            results = [
+                dml.execute_delete(stored, predicate, executor, compiled=compiled)
+                for stored, executor in zip(stores, executors)
+            ]
+            outcome = self._outcome(results, executors, parallel=True)
+            deleted = outcome.result.records_deleted
+            self._dml_counters[name]["deleted"] += deleted
             if self.tracer.enabled:
-                span.set(deleted=result.records_deleted)
-            return DmlOutcome(
-                result,
-                self._merge_dml_stats(executors, parallel=True),
-                [executor.stats.copy() for executor in executors],
-            )
+                span.set(deleted=deleted)
+            return outcome
+
+    def update(
+        self,
+        predicate: Predicate,
+        assignments: Mapping[str, object],
+        relation: str | None = None,
+    ) -> DmlOutcome:
+        """Set ``assignments`` on the records selected by ``predicate`` — in
+        memory (Algorithm 1).
+
+        The filter and mux programs compile once and run on each of the
+        relation's stores, each pruned through its own zone maps; the
+        ground-truth columns are updated with the stored bits.
+        """
+        name = self._resolve(relation)
+        stores = self._stores[name].shards
+        assignments = dict(assignments)
+        with self.tracer.span("dml-update", relation=name) as span:
+            executors = self._bind_dml_stats(name)
+            compiled = compile_update(stores[0], predicate, assignments)
+            results = [
+                execute_update(
+                    stored, predicate, assignments, executor, compiled=compiled
+                )
+                for stored, executor in zip(stores, executors)
+            ]
+            outcome = self._outcome(results, executors, parallel=True)
+            if self.tracer.enabled:
+                span.set(updated=outcome.result.records_updated)
+            return outcome
 
     def compact(
         self,
@@ -542,38 +589,32 @@ class QueryService:
     ) -> DmlOutcome:
         """Compact a relation's tombstones away when fragmentation warrants it.
 
-        The rewrite re-clusters the surviving rows by ``cluster_by``
-        (default: the relation's hottest predicate column, per its adaptive
-        feedback loop); a ``cluster_by`` the relation does not have raises
-        :class:`ValueError` with nothing charged.
+        Each store compacts when its own fragmentation crosses
+        ``threshold`` (or ``force``).  The rewrite re-clusters the surviving
+        rows by ``cluster_by`` (default: the store's hottest predicate
+        column, per its adaptive feedback loop); a ``cluster_by`` the
+        relation does not have raises :class:`ValueError` with nothing
+        charged.
         """
         name = self._resolve(relation)
-        engine = self._engines[name]
+        stores = self._stores[name].shards
         with self.tracer.span("compact", relation=name) as span:
             executors = self._bind_dml_stats(name)
-            if isinstance(engine, ShardedQueryEngine):
-                result = sharded_dml.execute_sharded_compaction(
-                    engine.sharded, executors=executors,
-                    threshold=threshold, force=force, cluster_by=cluster_by,
+            results = [
+                dml.execute_compaction(
+                    stored, executor, threshold=threshold, force=force,
+                    cluster_by=cluster_by,
                 )
-                performed = result.shards_compacted
-                reclaimed = result.slots_reclaimed
-            else:
-                result = dml.execute_compaction(
-                    engine.stored, executors[0], threshold=threshold,
-                    force=force, cluster_by=cluster_by,
-                )
-                performed = int(result.performed)
-                reclaimed = result.slots_reclaimed
+                for stored, executor in zip(stores, executors)
+            ]
+            outcome = self._outcome(results, executors, parallel=True)
+            performed = sum(result.performed for result in results)
+            reclaimed = outcome.result.slots_reclaimed
             self._dml_counters[name]["compactions"] += performed
             self._dml_counters[name]["slots_reclaimed"] += reclaimed
             if self.tracer.enabled:
                 span.set(compactions=performed, slots_reclaimed=reclaimed)
-            return DmlOutcome(
-                result,
-                self._merge_dml_stats(executors, parallel=True),
-                [executor.stats.copy() for executor in executors],
-            )
+            return outcome
 
     def dml_stats(self, relation: str | None = None) -> DmlStats:
         """Live-row / tombstone / lifecycle counters of one relation."""
@@ -587,7 +628,7 @@ class QueryService:
                 slots_in_use=stored.num_records,
                 capacity=stored.record_capacity,
             )
-            for stored in self._stores(name)
+            for stored in self._stores[name].shards
         ), DmlStats(**self._dml_counters[name]))
 
     def _dml_snapshot(self) -> DmlStats | None:
@@ -601,27 +642,30 @@ class QueryService:
         )
 
     def _bind_dml_stats(self, name: str) -> list[PimExecutor]:
-        """Attach fresh per-call stats to the relation's executor(s)."""
+        """Attach fresh per-call stats to the relation's executors."""
         executors = self._executors[name]
-        if isinstance(executors, PimExecutor):
-            executors = [executors]
         for executor in executors:
             executor.stats = PimStats()
             self.tracer.bind(executor.stats)
         return executors
 
-    def _merge_dml_stats(
-        self, executors: Sequence[PimExecutor], parallel: bool
-    ) -> PimStats:
-        """One stats roll-up per DML call: parallel per-shard runs or serial routing."""
+    @staticmethod
+    def _outcome(
+        results: list, executors: Sequence[PimExecutor], parallel: bool
+    ) -> DmlOutcome:
+        """The outcome of one DML call: per-store results, one stats roll-up
+        (parallel per-store runs or serial routing) and the per-store stats."""
         if len(executors) == 1:
-            return executors[0].stats
-        merged = PimStats()
-        if parallel:
-            merged.merge_parallel(
-                [executor.stats for executor in executors], phase="dml-scatter"
-            )
+            merged = executors[0].stats
         else:
-            for executor in executors:
-                merged.merge(executor.stats)
-        return merged
+            merged = PimStats()
+            if parallel:
+                merged.merge_parallel(
+                    [executor.stats for executor in executors], phase="dml-scatter"
+                )
+            else:
+                for executor in executors:
+                    merged.merge(executor.stats)
+        return DmlOutcome(
+            results, merged, [executor.stats.copy() for executor in executors]
+        )

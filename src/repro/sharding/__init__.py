@@ -7,33 +7,17 @@ query as *scatter* (compile once through the shared program cache, execute
 on every shard — optionally on a thread pool) then *gather* (merge the
 per-shard partial aggregates).  Results are bit-exact with the unsharded
 engine; the modelled end-to-end latency is max-over-shards plus a merge
-term, never the sum.
+term, never the sum.  DML goes through the service, which runs each
+statement on every store of a relation (:meth:`repro.service.QueryService.insert`
+and its siblings), K = 1 being the unsharded case.
 """
 
-from repro.sharding.dml import (
-    ShardedCompactionResult,
-    ShardedDeleteResult,
-    ShardedInsertResult,
-    ShardedUpdateResult,
-    execute_sharded_compaction,
-    execute_sharded_delete,
-    execute_sharded_insert,
-    execute_sharded_update,
-)
 from repro.sharding.executor import ShardedQueryEngine, ShardedQueryExecution
 from repro.sharding.storage import ShardedStoredRelation, shard_bounds
 
 __all__ = [
-    "ShardedCompactionResult",
-    "ShardedDeleteResult",
-    "ShardedInsertResult",
     "ShardedQueryEngine",
     "ShardedQueryExecution",
     "ShardedStoredRelation",
-    "ShardedUpdateResult",
-    "execute_sharded_compaction",
-    "execute_sharded_delete",
-    "execute_sharded_insert",
-    "execute_sharded_update",
     "shard_bounds",
 ]

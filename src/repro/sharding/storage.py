@@ -16,18 +16,19 @@ objects — so
 The shard relations start out as NumPy *views* into the parent relation's
 columns, so at load time the parent is the single functional ground truth:
 an in-memory UPDATE applied through one shard (see
-:func:`repro.sharding.dml.execute_sharded_update`) is immediately visible in
-the parent relation and vice versa.  DML (:mod:`repro.sharding.dml`) can grow a shard — a tail
-INSERT or a compaction reallocates that shard's columns, decoupling it from
-the parent — after which :meth:`ShardedStoredRelation.live_relation` is the
-authoritative ground truth and ``self.relation`` is just the load-time
-snapshot.
+:meth:`repro.service.QueryService.update`, which runs every DML statement on
+each of :attr:`ShardedStoredRelation.shards`) is immediately visible in the
+parent relation and vice versa.  DML can grow a shard — a tail INSERT or a
+compaction reallocates that shard's columns, decoupling it from the parent —
+after which :meth:`ShardedStoredRelation.live_relation` is the authoritative
+ground truth and ``self.relation`` is just the load-time snapshot.  Counts
+over the whole relation (live rows, free slots, wear) are sums over
+``shards``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
@@ -91,9 +92,7 @@ class ShardedStoredRelation:
         self.relation = relation
         self.module = module
         self.label = label or relation.schema.name
-        self.initial_records = len(relation)
-        self.bounds = shard_bounds(self.initial_records, shards)
-        self._stops = [stop for _, stop in self.bounds]
+        self.bounds = shard_bounds(len(relation), shards)
         self.num_shards = len(self.bounds)
 
         self.shards: list[StoredRelation] = []
@@ -117,78 +116,11 @@ class ShardedStoredRelation:
                 shared_layouts = stored.layouts
             self.shards.append(stored)
 
-    # ------------------------------------------------------------- geometry
-    @property
-    def num_records(self) -> int:
-        """Slots in use across all shards (grows/shrinks with DML)."""
-        return sum(shard.num_records for shard in self.shards)
-
-    @property
-    def live_count(self) -> int:
-        """Live (non-tombstoned) records across all shards."""
-        return sum(shard.live_count for shard in self.shards)
-
-    @property
-    def tombstone_count(self) -> int:
-        return sum(shard.tombstone_count for shard in self.shards)
-
-    @property
-    def free_slots(self) -> int:
-        return sum(shard.free_slots for shard in self.shards)
-
-    @property
-    def fragmentation(self) -> float:
-        """Tombstoned fraction of the slots in use, over all shards."""
-        slots = self.num_records
-        return self.tombstone_count / slots if slots else 0.0
-
-    @property
-    def layouts(self):
-        """The layouts shared by every shard (one per vertical partition)."""
-        return self.shards[0].layouts
-
-    @property
-    def partitions(self) -> int:
-        """Number of vertical partitions within each shard."""
-        return self.shards[0].partitions
-
-    @property
-    def pages(self) -> int:
-        """Total huge pages across all shards (per vertical partition)."""
-        return sum(shard.pages for shard in self.shards)
-
     def state_digest(self) -> str:
         """sha256 over every shard's :meth:`StoredRelation.state_digest`, in order."""
         return hashlib.sha256(
             "".join(shard.state_digest() for shard in self.shards).encode()
         ).hexdigest()
-
-    def shard_of_record(self, record_index: int) -> int:
-        """Index of the shard a record of the *loaded* relation was placed in.
-
-        Defined over the load-time contiguous bounds (DML inserts are routed
-        by :meth:`route_insert` instead).  Binary search over the shard
-        ``stop`` offsets: stops are exclusive, so the number of stops at or
-        below the index is exactly its shard.
-        """
-        if not 0 <= record_index < self._stops[-1]:
-            raise IndexError(f"record {record_index} out of range")
-        return bisect_right(self._stops, record_index)
-
-    def route_insert(self, free_slots: Sequence[int] | None = None) -> int:
-        """Shard index an INSERT should target: the least-full shard.
-
-        "Least full" means the most free slots (tombstones plus spare
-        capacity tail); ties resolve to the lowest shard index, keeping the
-        routing deterministic.  ``free_slots`` substitutes the live per-shard
-        counts — the batch router simulates the routing ahead of the actual
-        inserts with it.
-        """
-        free = (
-            list(free_slots) if free_slots is not None
-            else [shard.free_slots for shard in self.shards]
-        )
-        return int(max(range(len(free)), key=lambda i: (free[i], -i)))
 
     # ------------------------------------------------------------- executors
     def make_executors(self, config=None) -> list[PimExecutor]:
@@ -230,28 +162,3 @@ class ShardedStoredRelation:
         over the shard relations is the authoritative functional reference.
         """
         return concatenate([shard.live_relation() for shard in self.shards])
-
-    # ------------------------------------------------------------------ wear
-    def wear_snapshot(self) -> list[list[np.ndarray]]:
-        """Per-shard wear snapshots (each a per-partition list)."""
-        return [shard.wear_snapshot() for shard in self.shards]
-
-    def max_writes_since(self, snapshots: list[list[np.ndarray]]) -> int:
-        """Worst per-row write count over all shards since the snapshots."""
-        return max(
-            shard.max_writes_since(snapshot)
-            for shard, snapshot in zip(self.shards, snapshots)
-        )
-
-    def writes_per_shard_since(self, snapshots: list[list[np.ndarray]]) -> list[int]:
-        """Worst per-row write count of each shard since the snapshots."""
-        return [
-            shard.max_writes_since(snapshot)
-            for shard, snapshot in zip(self.shards, snapshots)
-        ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardedStoredRelation({self.label!r}, records={self.num_records}, "
-            f"shards={self.num_shards}, pages={self.pages})"
-        )

@@ -702,14 +702,7 @@ def _churn_statement(op) -> tuple:
 
 def _apply_churn_op(service, shards, op) -> list:
     """Apply one churn op; return the modelled stats it charged."""
-    from repro.sharding import execute_sharded_delete, execute_sharded_update
-
     kind = op[0]
-    engine = service.engine()
-    executors = (
-        [PimExecutor(engine.config)] if shards == 1
-        else engine.sharded.make_executors()
-    )
     if kind == "insert":
         _, count, value_seed = op
         storeds = _service_storeds(service, shards)
@@ -726,17 +719,11 @@ def _apply_churn_op(service, shards, op) -> list:
         return [service.insert(records).stats] if records else []
     if kind == "delete":
         predicate, _ = _churn_statement(op)
-        if shards == 1:
-            dml.execute_delete(engine.stored, predicate, executors[0])
-        else:
-            execute_sharded_delete(engine.sharded, predicate, executors)
-    elif kind == "update":
+        return service.delete(predicate).shard_stats
+    if kind == "update":
         predicate, assignments = _churn_statement(op)
-        if shards == 1:
-            execute_update(engine.stored, predicate, assignments, executors[0])
-        else:
-            execute_sharded_update(engine.sharded, predicate, assignments, executors)
-    elif kind == "feedback":
+        return service.update(predicate, assignments).shard_stats
+    if kind == "feedback":
         # Drive the error accumulator through its public API hard enough to
         # trigger an equi-depth rebuild mid-churn (a certain-miss estimate
         # repeated past the threshold), on every shard.
@@ -748,9 +735,7 @@ def _apply_churn_op(service, shards, op) -> list:
                     stored=stored,
                 )
         return []
-    else:
-        return [service.compact(force=True).stats]
-    return [executor.stats for executor in executors]
+    return [service.compact(force=True).stats]
 
 
 def _histograms_tight(storeds, names) -> None:

@@ -110,8 +110,8 @@ _REMOVED_KEYWORDS = [
     ("aggregate_bulk_bitwise", "gate_level"),
     ("execute_delete", "pruned"),
     ("execute_update", "pruned"),
-    ("execute_sharded_delete", "pruned"),
-    ("execute_sharded_update", "pruned"),
+    ("QueryService.delete", "pruned"),
+    ("QueryService.update", "pruned"),
     ("execute_insert", "phase"),
     ("PimExecutor", "tracer"),
 ]
@@ -140,11 +140,7 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     from repro.db.update import execute_update
     from repro.pim.controller import PimExecutor
     from repro.service import QueryService
-    from repro.sharding import (
-        ShardedQueryEngine,
-        execute_sharded_delete,
-        execute_sharded_update,
-    )
+    from repro.sharding import ShardedQueryEngine
 
     executor = PimExecutor(DEFAULT_CONFIG)
     calls = {
@@ -154,10 +150,8 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         "execute_delete": lambda **kw: execute_delete(None, None, None, **kw),
         "execute_compaction": lambda **kw: execute_compaction(None, None, **kw),
         "execute_update": lambda **kw: execute_update(None, None, None, None, **kw),
-        "execute_sharded_delete": lambda **kw: execute_sharded_delete(None, None, **kw),
-        "execute_sharded_update": lambda **kw: execute_sharded_update(
-            None, None, None, **kw
-        ),
+        "QueryService.delete": lambda **kw: QueryService().delete(None, **kw),
+        "QueryService.update": lambda **kw: QueryService().update(None, None, **kw),
         "execute_insert": lambda **kw: execute_insert(None, None, None, **kw),
         "PimExecutor": lambda **kw: PimExecutor(DEFAULT_CONFIG, **kw),
         "compile_predicate": lambda **kw: compile_predicate(None, None, None, **kw),

@@ -3,8 +3,9 @@
 ``execute_update`` previously had only indirect coverage through the SSB
 integration test; these tests exercise it directly — selection, stored-bit
 and ground-truth consistency, wear accounting through
-:mod:`repro.memory.endurance` — and its run on every shard of a
-:class:`~repro.sharding.storage.ShardedStoredRelation`.
+:mod:`repro.memory.endurance` — and, through
+:meth:`~repro.service.QueryService.update`, its run on every shard of a
+relation registered with ``register_sharded``.
 """
 
 import numpy as np
@@ -28,11 +29,17 @@ from repro.db.update import execute_update
 from repro.memory.endurance import lifetime_years, required_endurance
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.sharding import (
-    ShardedQueryEngine,
-    ShardedStoredRelation,
-    execute_sharded_update,
-)
+from repro.service import QueryService
+
+
+def _sharded_service(relation, shards, label):
+    """A service with ``relation`` registered in ``shards`` shards."""
+    service = QueryService()
+    engine = service.register_sharded(
+        label, relation, shards=shards, config=DEFAULT_CONFIG,
+        aggregation_width=22, reserve_bulk_aggregation=False,
+    )
+    return service, engine.sharded
 
 
 def _fresh_stored(factory, records=2000, seed=5, **kwargs):
@@ -163,22 +170,19 @@ def test_update_error_paths(toy_relation_factory):
 # -------------------------------------------------------------------- sharded
 def test_sharded_update_hits_every_matching_shard(toy_relation_factory):
     relation = toy_relation_factory(records=4000, seed=7)
-    sharded = ShardedStoredRelation(
-        relation, PimModule(DEFAULT_CONFIG), shards=4, label="upd-sharded",
-        aggregation_width=22, reserve_bulk_aggregation=False,
-    )
+    service, sharded = _sharded_service(relation, 4, "upd-sharded")
     # "key" is 0..N-1 in record order and the shards are contiguous, so a
     # range predicate on it pins the matching records to specific shards.
     shard1_start = sharded.bounds[1][0]
     predicate = Comparison("key", LT, shard1_start + 10)
     expected_mask = evaluate_predicate(predicate, relation)
 
-    result = execute_sharded_update(sharded, predicate, {"discount": 9})
+    outcome = service.update(predicate, {"discount": 9})
+    result = outcome.result
     assert result.records_updated == int(expected_mask.sum())
     # Matches live in shards 0 and 1 only; the zone maps of shards 2 and 3
     # prove the predicate empty there.
-    assert result.shards_with_matches == 2
-    assert [r.records_updated > 0 for r in result.shard_results] == [
+    assert [r.records_updated > 0 for r in outcome.results] == [
         True, True, False, False
     ]
     assert result.filter_cycles > 0 and result.update_cycles > 0
@@ -188,30 +192,25 @@ def test_sharded_update_hits_every_matching_shard(toy_relation_factory):
 
 def test_sharded_update_accumulates_wear_on_every_shard(toy_relation_factory):
     relation = toy_relation_factory(records=2000, seed=17)
-    sharded = ShardedStoredRelation(
-        relation, PimModule(DEFAULT_CONFIG), shards=4, label="upd-wear",
-        aggregation_width=22, reserve_bulk_aggregation=False,
-    )
-    snapshots = sharded.wear_snapshot()
-    execute_sharded_update(
-        sharded, Comparison("region", EQ, "EUROPE"), {"region": "ASIA"}
-    )
-    per_shard = sharded.writes_per_shard_since(snapshots)
+    service, sharded = _sharded_service(relation, 4, "upd-wear")
+    snapshots = [shard.wear_snapshot() for shard in sharded.shards]
+    service.update(Comparison("region", EQ, "EUROPE"), {"region": "ASIA"})
+    per_shard = [
+        shard.max_writes_since(snapshot)
+        for shard, snapshot in zip(sharded.shards, snapshots)
+    ]
     # Every shard holds EUROPE rows, so every shard runs the Algorithm 1
     # filter + mux programs.
     assert all(writes > 0 for writes in per_shard)
-    assert sharded.max_writes_since(snapshots) == max(per_shard)
+    # The service's wear report sees the same per-shard writes.
+    assert service.wear_report().max_writes_per_row >= max(per_shard)
 
 
 def test_sharded_update_then_query_is_bit_exact(toy_relation_factory):
     relation = toy_relation_factory(records=3000, seed=23)
-    sharded = ShardedStoredRelation(
-        relation, PimModule(DEFAULT_CONFIG), shards=3, label="upd-query",
-        aggregation_width=22, reserve_bulk_aggregation=False,
-    )
-    engine = ShardedQueryEngine(sharded)
-    execute_sharded_update(
-        sharded,
+    service, sharded = _sharded_service(relation, 3, "upd-query")
+    engine = service.engine()
+    service.update(
         And((Comparison("region", EQ, "ASIA"), Comparison("discount", LT, 5))),
         {"discount": 10},
     )
@@ -225,15 +224,3 @@ def test_sharded_update_then_query_is_bit_exact(toy_relation_factory):
     )
     assert execution.rows == reference
 
-
-def test_sharded_update_rejects_wrong_executor_count(toy_relation_factory):
-    relation = toy_relation_factory(records=1000, seed=29)
-    sharded = ShardedStoredRelation(
-        relation, PimModule(DEFAULT_CONFIG), shards=2, label="upd-exec",
-        aggregation_width=22, reserve_bulk_aggregation=False,
-    )
-    with pytest.raises(ValueError, match="one executor per shard"):
-        execute_sharded_update(
-            sharded, Comparison("year", EQ, 1995), {"discount": 1},
-            executors=[PimExecutor(DEFAULT_CONFIG)],
-        )

@@ -17,6 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
 from repro.db.dml import (
+    CompactionResult,
+    DeleteResult,
+    InsertResult,
     compile_delete,
     execute_compaction,
     execute_delete,
@@ -32,17 +35,11 @@ from repro.db.query import (
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import RelationFullError, StoredRelation
-from repro.db.update import execute_update
+from repro.db.update import UpdateResult, execute_update
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.sharding import (
-    ShardedQueryEngine,
-    ShardedStoredRelation,
-    execute_sharded_compaction,
-    execute_sharded_delete,
-    execute_sharded_insert,
-    execute_sharded_update,
-)
+from repro.service import QueryService
+from repro.sharding import ShardedStoredRelation
 
 BACKENDS = ("packed", "bool")
 CITIES = ["LYON", "OSLO", "PERTH"]
@@ -68,6 +65,21 @@ def small_relation(records: int = 48, seed: int = 7) -> Relation:
 
 def config_for(backend: str):
     return DEFAULT_CONFIG.with_backend(backend)
+
+
+def sharded_service(relation: Relation, config, shards: int = 4):
+    """A service with ``relation`` registered as ``"t"`` in ``shards`` shards."""
+    service = QueryService(planner=False)     # every shard executes on PIM
+    engine = service.register_sharded("t", relation, shards=shards, config=config)
+    return service, engine.sharded
+
+
+def live_count(sharded) -> int:
+    return sum(shard.live_count for shard in sharded.shards)
+
+
+def tombstone_count(sharded) -> int:
+    return sum(shard.tombstone_count for shard in sharded.shards)
 
 
 SCALAR_QUERY = Query(
@@ -247,11 +259,11 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards):
         def insert(batch):
             return execute_insert(target, batch, executors[0])
     else:
-        target = ShardedStoredRelation(relation, PimModule(config), shards=shards)
-        executors = target.make_executors()
+        service, target = sharded_service(relation, config, shards)
+        executors = service._executors["t"]
 
         def insert(batch):
-            return execute_sharded_insert(target, batch, executors)
+            return service.insert(batch).result
     good = {"key": 1, "value": 2, "city": "LYON"}
     late = {"key": 3, "value": 4, "city": 9}          # city codes fit 2 bits
     early = {"key": 1 << 8, "value": 4, "city": "OSLO"}
@@ -399,26 +411,20 @@ def test_compaction_rejects_unknown_cluster_column(tombstones):
 
 def test_sharded_compaction_rejects_unknown_cluster_column():
     config = config_for("packed")
-    sharded = ShardedStoredRelation(small_relation(40), PimModule(config), shards=4)
-    executors = sharded.make_executors()
-    execute_sharded_delete(sharded, Comparison("value", "<", 300), executors)
+    service, sharded = sharded_service(small_relation(40), config)
+    service.delete(Comparison("value", "<", 300))
     fresh = [PimExecutor(config).stats] * 4
-    executors = sharded.make_executors()
     before = [_bank_state(shard) for shard in sharded.shards]
     for shard, state in zip(sharded.shards, before):
         _assert_compaction_refused(
             shard, state,
-            lambda: execute_sharded_compaction(
-                sharded, executors, force=True, cluster_by="value2"
-            ),
+            lambda: service.compact(force=True, cluster_by="value2"),
         )
-    assert [executor.stats for executor in executors] == fresh
-    assert sharded.tombstone_count > 0
+    assert [executor.stats for executor in service._executors["t"]] == fresh
+    assert tombstone_count(sharded) > 0
 
 
 def test_service_compact_rejects_unknown_cluster_column():
-    from repro.service import QueryService
-
     config = config_for("packed")
     service = QueryService()
     engine = service.register(
@@ -431,7 +437,7 @@ def test_service_compact_rejects_unknown_cluster_column():
         lambda: service.compact(force=True, cluster_by="value2"),
     )
     assert service.dml_stats("t").compactions == 0
-    assert service._executors["t"].stats == PimExecutor(config).stats
+    assert service._executors["t"][0].stats == PimExecutor(config).stats
     assert service.compact(force=True, cluster_by="value").result.clustered_by == "value"
     service.close()
 
@@ -468,56 +474,53 @@ def test_update_skips_tombstoned_rows():
 
 
 # ------------------------------------------------ sharded routing & boundary
-def test_shard_of_record_bisect_boundaries():
+def test_shard_bounds_place_every_record():
     config = config_for("packed")
     relation = small_relation(10)
     sharded = ShardedStoredRelation(relation, PimModule(config), shards=3)
     assert sharded.bounds == [(0, 4), (4, 7), (7, 10)]
-    # Every record maps to the shard whose [start, stop) contains it,
+    # Every record is stored in the shard whose [start, stop) contains it,
     # including both edges of every boundary.
-    for shard_index, (start, stop) in enumerate(sharded.bounds):
-        assert sharded.shard_of_record(start) == shard_index
-        assert sharded.shard_of_record(stop - 1) == shard_index
-    with pytest.raises(IndexError):
-        sharded.shard_of_record(-1)
-    with pytest.raises(IndexError):
-        sharded.shard_of_record(10)
+    for shard, (start, stop) in zip(sharded.shards, sharded.bounds):
+        for name in relation.schema.names:
+            assert np.array_equal(
+                shard.decode_column(name), relation.columns[name][start:stop]
+            )
 
 
 def test_sharded_insert_routes_to_least_full_shard():
     config = config_for("packed")
     relation = small_relation(40)
-    sharded = ShardedStoredRelation(relation, PimModule(config), shards=4)
-    executors = sharded.make_executors()
+    service, sharded = sharded_service(relation, config)
     # Tombstone a chunk of shard 2 only: it becomes the least-full shard.
     target = sharded.shards[2]
     values = tuple(int(v) for v in target.relation.columns["value"][:5])
-    execute_delete(target, Comparison("value", "in", values=values), executors[2])
+    execute_delete(
+        target, Comparison("value", "in", values=values), PimExecutor(config)
+    )
     tombstones = target.tombstone_count
     assert tombstones > 0
 
-    result = execute_sharded_insert(
-        sharded,
-        [{"key": 9, "value": 9, "city": "OSLO"} for _ in range(tombstones)],
-        executors,
+    outcome = service.insert(
+        [{"key": 9, "value": 9, "city": "OSLO"} for _ in range(tombstones)]
     )
-    assert all(shard == 2 for shard, _ in result.placements)
-    assert result.shard_results[2].reused_slots == tombstones
-    assert sharded.tombstone_count == 0
+    assert [r.records_inserted for r in outcome.results] == [0, 0, tombstones, 0]
+    assert outcome.results[2].reused_slots == tombstones
+    assert tombstone_count(sharded) == 0
+    # Equally full stores take turns, lowest index first.
+    outcome = service.insert([{"key": 9, "value": 9, "city": "OSLO"}] * 6)
+    assert [r.records_inserted for r in outcome.results] == [2, 2, 1, 1]
 
 
 def test_sharded_insert_is_atomic_against_bad_records():
     config = config_for("packed")
-    sharded = ShardedStoredRelation(small_relation(40), PimModule(config), shards=4)
-    executors = sharded.make_executors()
+    service, sharded = sharded_service(small_relation(40), config)
     good = {"key": 1, "value": 2, "city": "LYON"}
     with pytest.raises(ValueError, match="does not fit"):
-        execute_sharded_insert(
-            sharded, [good, {"key": 1, "value": 1 << 11, "city": "LYON"}], executors
-        )
+        service.insert([good, {"key": 1, "value": 1 << 11, "city": "LYON"}])
     # The good record ahead of the bad one must not have reached any shard.
-    assert sharded.live_count == 40
-    assert sharded.num_records == 40
+    assert live_count(sharded) == 40
+    assert sum(shard.num_records for shard in sharded.shards) == 40
 
 
 def test_sharded_dml_cycles_describe_the_statement_on_pruned_shards(
@@ -528,22 +531,24 @@ def test_sharded_dml_cycles_describe_the_statement_on_pruned_shards(
     sharded roll-up, read from shard 0, does not depend on which shards the
     predicate happened to miss."""
     for statement in ("delete", "update"):
-        sharded = ShardedStoredRelation(
-            toy_relation_factory(4000, 7), PimModule(DEFAULT_CONFIG), shards=4
+        service, sharded = sharded_service(
+            toy_relation_factory(4000, 7), DEFAULT_CONFIG
         )
         # ``key`` is 0..N-1 in slot order: only the last shard matches.
         predicate = Comparison("key", ">=", sharded.bounds[3][0] + 5)
         if statement == "delete":
-            result = execute_sharded_delete(sharded, predicate)
-            assert result.records_deleted == 995
-            cycles = [r.clear_cycles for r in result.shard_results]
-            rolled_up = result.clear_cycles
+            outcome = service.delete(predicate)
+            assert outcome.result.records_deleted == 995
+            matches = [r.records_deleted for r in outcome.results]
+            cycles = [r.clear_cycles for r in outcome.results]
+            rolled_up = outcome.result.clear_cycles
         else:
-            result = execute_sharded_update(sharded, predicate, {"discount": 9})
-            assert result.records_updated == 995
-            cycles = [r.update_cycles for r in result.shard_results]
-            rolled_up = result.update_cycles
-        assert result.shards_with_matches == 1
+            outcome = service.update(predicate, {"discount": 9})
+            assert outcome.result.records_updated == 995
+            matches = [r.records_updated for r in outcome.results]
+            cycles = [r.update_cycles for r in outcome.results]
+            rolled_up = outcome.result.update_cycles
+        assert matches == [0, 0, 0, 995]
         assert rolled_up == cycles[3] > 0
         assert cycles == [rolled_up] * 4
 
@@ -552,40 +557,32 @@ def test_sharded_dml_cycles_describe_the_statement_on_pruned_shards(
 def test_sharded_dml_stays_bit_exact(backend):
     config = config_for(backend)
     relation = small_relation(60)
-    sharded = ShardedStoredRelation(relation, PimModule(config), shards=4)
-    engine = ShardedQueryEngine(sharded, config=config)
-    executors = sharded.make_executors()
+    service, sharded = sharded_service(relation, config)
 
     def check():
         live = sharded.live_relation()
         for query in (SCALAR_QUERY, GROUP_QUERY):
-            assert engine.execute(query).rows == reference_rows(live, query)
+            assert service.execute(query).rows == reference_rows(live, query)
 
-    delete = execute_sharded_delete(
-        sharded, Comparison("value", "<", 300), executors
-    )
-    assert delete.records_deleted == sum(
-        r.records_deleted for r in delete.shard_results
+    delete = service.delete(Comparison("value", "<", 300))
+    assert delete.result.records_deleted == sum(
+        r.records_deleted for r in delete.results
     ) > 0
     check()
-    execute_sharded_insert(
-        sharded,
-        [{"key": i, "value": 100 + i, "city": CITIES[i % 3]} for i in range(15)],
-        executors,
+    service.insert(
+        [{"key": i, "value": 100 + i, "city": CITIES[i % 3]} for i in range(15)]
     )
     check()
-    execute_sharded_update(sharded, Comparison("city", "==", "LYON"), {"value": 777})
+    service.update(Comparison("city", "==", "LYON"), {"value": 777})
     check()
-    compaction = execute_sharded_compaction(sharded, executors, force=True)
-    assert compaction.shards_compacted > 0
-    assert sharded.tombstone_count == 0
+    compaction = service.compact(force=True)
+    assert sum(r.performed for r in compaction.results) > 0
+    assert tombstone_count(sharded) == 0
     check()
 
 
 # ---------------------------------------------------------- service surface
 def test_service_dml_entry_points_and_counters():
-    from repro.service import QueryService
-
     config = config_for("packed")
     relation = small_relation(40)
     service = QueryService()
@@ -621,8 +618,6 @@ def test_service_dml_entry_points_and_counters():
 
 
 def test_service_delete_compiles_through_program_cache():
-    from repro.service import QueryService
-
     config = config_for("packed")
     service = QueryService()
     service.register_sharded(
@@ -640,6 +635,58 @@ def test_service_delete_compiles_through_program_cache():
     # ... and the repeated statement compiles nothing at all.
     assert second.misses == 1
     assert second.hits == 1
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_dml_outcome_has_the_same_shape_at_every_k(shards):
+    """One result type per statement: ``results`` holds one per-store result
+    in store order, ``result`` is their sum — counts added, the statement's
+    cycles kept — and is the one store's own result at K = 1."""
+    config = config_for("packed")
+    relation = small_relation(40)
+    if shards == 1:
+        service = QueryService()
+        service.register(
+            "t", StoredRelation(relation, PimModule(config), label="t"),
+            config=config,
+        )
+    else:
+        service, _ = sharded_service(relation, config, shards)
+    counts = {       # in the order of ``outcomes``
+        DeleteResult: ("records_deleted", "live_records", "tombstones"),
+        InsertResult: ("records_inserted", "reused_slots", "appended_slots",
+                       "live_records", "tombstones"),
+        UpdateResult: ("records_updated",),
+        CompactionResult: ("records_moved", "slots_reclaimed", "slots_before",
+                           "slots_after"),
+    }
+    outcomes = [
+        service.delete(Comparison("value", "<", 400)),
+        service.insert([{"key": 1, "value": 450, "city": "LYON"}] * 5),
+        service.update(Comparison("city", "==", "OSLO"), {"value": 3}),
+        service.compact(force=True),
+    ]
+    for outcome, kind in zip(outcomes, counts):
+        assert len(outcome.results) == shards == len(outcome.shard_stats)
+        assert all(type(result) is kind for result in outcome.results)
+        assert type(outcome.result) is kind
+        for name in counts[kind]:
+            assert getattr(outcome.result, name) == sum(
+                getattr(result, name) for result in outcome.results
+            ), name
+        if shards == 1:
+            assert outcome.result is outcome.results[0]
+    delete, insert, update, compaction = (o.result for o in outcomes)
+    assert delete.records_deleted > 0 and insert.records_inserted == 5
+    assert update.records_updated > 0
+    assert delete.clear_cycles == outcomes[0].results[0].clear_cycles > 0
+    assert update.update_cycles == outcomes[2].results[0].update_cycles > 0
+    assert compaction.performed
+    assert compaction.performed == any(r.performed for r in outcomes[3].results)
+    assert compaction.fragmentation_before == pytest.approx(
+        sum(r.fragmentation_before * r.slots_before for r in outcomes[3].results)
+        / compaction.slots_before
+    )
 
 
 # ------------------------------------------------- property: interleaved DML
@@ -756,26 +803,22 @@ def test_property_interleaved_dml_sharded(backend, operations):
     config = config_for(backend)
     relation = small_relation(32)
     model = _Model(relation)
-    sharded = ShardedStoredRelation(relation, PimModule(config), shards=4)
-    engine = ShardedQueryEngine(sharded, config=config)
-    executors = sharded.make_executors()
+    service, sharded = sharded_service(relation, config)
 
     def apply_op(operation):
         if operation[0] == "insert":
-            execute_sharded_insert(sharded, operation[1], executors)
+            service.insert(operation[1])
         elif operation[0] == "delete":
-            execute_sharded_delete(sharded, operation[1], executors)
+            service.delete(operation[1])
         elif operation[0] == "update":
-            if sharded.live_count:
-                execute_sharded_update(
-                    sharded, operation[1], {"value": operation[2]}, executors
-                )
+            if live_count(sharded):
+                service.update(operation[1], {"value": operation[2]})
         else:
-            execute_sharded_compaction(sharded, executors, force=operation[1])
+            service.compact(force=operation[1])
 
     _apply_and_check(
         apply_op,
-        lambda query: engine.execute(query).rows,
+        lambda query: service.execute(query).rows,
         sharded.live_relation,
         model,
         operations,

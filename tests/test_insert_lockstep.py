@@ -33,8 +33,6 @@ from repro.pim.stats import PimStats
 from repro.planner.selectivity import ColumnHistogram
 from repro.planner.zonemap import PairZoneMap
 from repro.service import QueryService
-from repro.sharding import ShardedStoredRelation, execute_sharded_insert
-from repro.sharding import dml as sharded_dml
 
 BACKENDS = ("packed", "bool")
 CITIES = ["LYON", "OSLO", "PERTH", "QUITO"]
@@ -288,29 +286,30 @@ def test_two_xb_relation_matches_the_per_record_loop(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sharded_insert_matches_the_per_record_loop(backend, monkeypatch):
-    """K = 4 through ``execute_sharded_insert``; the twin routes into the oracle."""
+    """K = 4 through ``QueryService.insert``; the twin routes into the oracle."""
     config = DEFAULT_CONFIG.with_backend(backend)
     relations = [_relation(80), _relation(80)]
+    services = [QueryService(planner=False) for _ in relations]
     ours, theirs = (
-        ShardedStoredRelation(relation, PimModule(config), shards=4)
-        for relation in relations
+        service.register_sharded("lock", relation, shards=4, config=config).sharded
+        for service, relation in zip(services, relations)
     )
     for sharded in (ours, theirs):
         victim = sharded.shards[2]
         execute_delete(victim, Comparison("value", "<", 500), PimExecutor(config))
-    executors, twin_executors = ours.make_executors(), theirs.make_executors()
     for seed, count in ((11, 6), (12, 25), (13, 0)):
         batch = _records(count, seed=seed)
-        result = execute_sharded_insert(ours, batch, executors)
+        outcome = services[0].insert(batch)
         with monkeypatch.context() as patch:
-            patch.setattr(sharded_dml, "execute_insert", oracle_insert)
-            expected = execute_sharded_insert(theirs, batch, twin_executors)
-        assert result == expected
-        for shard, twin, executor, twin_executor in zip(
-            ours.shards, theirs.shards, executors, twin_executors
+            patch.setattr(dml, "execute_insert", oracle_insert)
+            expected = services[1].insert(batch)
+        assert outcome.results == expected.results
+        assert len(outcome.results) == 4
+        for shard, twin, stats, twin_stats in zip(
+            ours.shards, theirs.shards, outcome.shard_stats, expected.shard_stats
         ):
             assert_same_state(shard, twin)
-            assert executor.stats == twin_executor.stats
+            assert stats == twin_stats
     # Reused slots were written in place: untouched shards still alias the
     # parent relation's columns on both sides.
     for sharded, relation in zip((ours, theirs), relations):

@@ -429,12 +429,7 @@ def test_pruned_bit_exact_under_interleaved_dml(backend, shards, ops, probe_key)
                 service.delete(Comparison("key", "between", low=key,
                                           high=min(key + 64, (1 << 12) - 1)))
             elif op == "update":
-                from repro.sharding import execute_sharded_update
-
-                execute_sharded_update(
-                    service.engine("pl").sharded,
-                    Comparison("key", ">=", key), {"value": value},
-                )
+                service.update(Comparison("key", ">=", key), {"value": value})
             else:
                 service.compact(force=True)
         for probe in probes:
@@ -811,7 +806,6 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
     list is the freshly computed one (same order) and the rows are the
     columnar reference's over the live relation."""
     from repro.columnar.engine import ColumnarEngine
-    from repro.sharding import execute_sharded_update
 
     service, stores, engines = _memo_service(shards)
     code = {city: planner_schema().attribute("city").encode_value(city) for city in CITIES}
@@ -833,16 +827,7 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
     check({"OSLO"})
     service.insert([{"key": 77, "value": 5, "city": "PERTH"}])
     check({"OSLO", "PERTH"})
-    if shards == 1:
-        execute_update(
-            stores[0], Comparison("city", "==", "OSLO"), {"city": "QUITO"},
-            PimExecutor(DEFAULT_CONFIG),
-        )
-    else:
-        execute_sharded_update(
-            service.engine().sharded, Comparison("city", "==", "OSLO"),
-            {"city": "QUITO"},
-        )
+    service.update(Comparison("city", "==", "OSLO"), {"city": "QUITO"})
     check({"PERTH", "QUITO"})
     service.delete(Comparison("city", "==", "PERTH"))
     service.compact(force=True)

@@ -18,11 +18,9 @@ from repro.db.query import (
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
-from repro.db.update import execute_update
 from repro.pim.module import PimModule
 from repro.planner.planner import cold_walk
 from repro.service import QueryService
-from repro.sharding import execute_sharded_update
 
 
 # --------------------------------------------------------- storage round-trip
@@ -205,17 +203,7 @@ def _apply_churn_op(service, shards, op) -> None:
         service.delete(Comparison("value", "between", low=low, high=low + span))
     elif kind == "update":
         _, flag, new_value = op
-        predicate = Comparison("flag", "==", flag)
-        assignments = {"value": new_value}
-        engine = service.engine()
-        if shards == 1:
-            from repro.pim.controller import PimExecutor
-            execute_update(
-                engine.stored, predicate, assignments,
-                PimExecutor(engine.config),
-            )
-        else:
-            execute_sharded_update(engine.sharded, predicate, assignments)
+        service.update(Comparison("flag", "==", flag), {"value": new_value})
     else:
         service.compact(force=True)
 

@@ -517,10 +517,10 @@ def test_sharded_relation_views_share_ground_truth(toy_relation):
         aggregation_width=22, reserve_bulk_aggregation=False,
     )
     assert np.array_equal(sharded.decode_column("price"), relation.column("price"))
-    assert sharded.shard_of_record(0) == 0
-    assert sharded.shard_of_record(sharded.num_records - 1) == 3
-    with pytest.raises(IndexError):
-        sharded.shard_of_record(sharded.num_records)
+    assert sharded.bounds[0][0] == 0 and sharded.bounds[-1][1] == len(relation)
+    assert [len(shard.relation) for shard in sharded.shards] == [
+        stop - start for start, stop in sharded.bounds
+    ]
     # The shard relations are views into the parent's columns.
     shard0 = sharded.shards[0].relation
     relation.column("price")[0] = np.uint64(123)
