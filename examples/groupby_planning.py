@@ -5,7 +5,8 @@ the size of every candidate subgroup, and then chooses how many subgroups
 ``k`` to aggregate with PIM by minimising the Eq. (3) cost model.  This
 example exposes that decision: it prints the sampled subgroup sizes, the
 fitted latency-model tables, the predicted cost of the all-host / all-PIM /
-chosen plans, and finally runs the query to show the measured outcome.
+chosen plans, and finally runs the query to show the measured outcome,
+checking its rows against the columnar engine.
 
 Run with::
 
@@ -14,11 +15,12 @@ Run with::
 
 import sys
 
+from repro.columnar import ColumnarEngine
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
 from repro.db.storage import StoredRelation
 from repro.pim.module import PimModule
-from repro.ssb import ALL_QUERIES, build_ssb_prejoined, generate
+from repro.ssb import ALL_QUERIES, DERIVED_ATTRIBUTES, build_ssb_prejoined, generate
 from repro.ssb.datagen import LINEORDERS_PER_SF
 from repro.ssb.prejoined import max_aggregated_width
 
@@ -64,6 +66,10 @@ def main(query_name: str = "Q3.2", scale_factor: float = 0.01) -> None:
     print(f"chosen k = {plan.k} -> predicted {plan.predicted_time_s * 1e3:.2f} ms")
     print(f"measured latency           : {execution.time_s * 1e3:.2f} ms "
           f"({len(execution.rows)} result groups)")
+
+    columnar = ColumnarEngine(DEFAULT_CONFIG, derived=DERIVED_ATTRIBUTES)
+    assert execution.rows == columnar.execute_prejoined(query, prejoined).rows
+    print("result rows verified against the columnar engine")
 
 
 if __name__ == "__main__":

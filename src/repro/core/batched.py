@@ -291,7 +291,7 @@ def run_group_by_batched(
     def remote_batch(partition: int):
         return batch(partition, stored.layouts[partition].valid_column)
 
-    pool = getattr(engine, "scatter_pool", None)
+    pool = engine.scatter_pool
     if pool is not None and len(remote_partitions) > 1:
         remote_batches = pool.map(remote_batch, remote_partitions)
     else:

@@ -205,18 +205,15 @@ class PimQueryEngine:
         self.scatter_pool = scatter_pool
 
     # ------------------------------------------------------------------ main
-    def execute(
-        self, query: Query, executor: PimExecutor | None = None
-    ) -> QueryExecution:
+    def execute(self, query: Query) -> QueryExecution:
         """Execute one query and return its results and measurements.
 
-        ``executor`` lets a batching service reuse one shared
-        :class:`~repro.pim.controller.PimExecutor` across queries; a fresh
-        per-query :class:`~repro.pim.stats.PimStats` is attached to it either
-        way, so every execution reports its own measurements.
+        Every execution runs on a fresh
+        :class:`~repro.pim.controller.PimExecutor` with its own
+        :class:`~repro.pim.stats.PimStats`, so it reports its own measurements.
         """
         with self.tracer.span("execute", label=self.label) as span:
-            execution = self._execute_traced(query, executor)
+            execution = self._execute_traced(query)
             if self.tracer.enabled:
                 span.set(
                     selectivity=execution.selectivity,
@@ -227,15 +224,10 @@ class PimQueryEngine:
                 )
             return execution
 
-    def _execute_traced(
-        self, query: Query, executor: PimExecutor | None
-    ) -> QueryExecution:
+    def _execute_traced(self, query: Query) -> QueryExecution:
         stats = PimStats()
         self.tracer.bind(stats)
-        if executor is None:
-            executor = PimExecutor(self.config, stats)
-        else:
-            executor.stats = stats
+        executor = PimExecutor(self.config, stats)
         read_model = HostReadModel(
             self.config, stats, traffic_scale=self.timing_scale
         )

@@ -57,16 +57,6 @@ class PimExecutor:
         # outputs and all costs are charged from program metadata either way.
         self.batched = config.execution == "batched"
 
-    def fork(self, stats: PimStats | None = None) -> PimExecutor:
-        """A new executor sharing this one's configuration.
-
-        Scatter-gather execution gives every horizontal shard its own
-        executor (and hence its own stats object): an executor is not safe
-        to share between concurrently running shards because each engine
-        execution rebinds ``self.stats``.
-        """
-        return PimExecutor(self.config, stats)
-
     # ------------------------------------------------------------ properties
     @property
     def _xbar(self):

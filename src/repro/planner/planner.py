@@ -12,13 +12,13 @@ Three planner responsibilities live here:
   :class:`~repro.planner.zonemap.PruneDecision` — per-partition candidate
   crossbars, with the conjuncts ordered most-selective first so the zone-map
   walk exits early.
-* :class:`CostPlanner` makes the pim-vs-host routing decision for the query
-  service: a selective query runs on the PIM engine (broadcast cost bounded
-  by the pruned crossbars), while a high-selectivity query over a small
-  relation can be cheaper to stream through the host's load path and
-  hash-aggregate on the CPU — :func:`execute_host_scan` is that path,
-  charging the same :class:`~repro.pim.stats.PimStats` machinery so the two
-  routes stay comparable.
+* :class:`CostPlanner` makes the pim-vs-host routing decision for each store
+  a served query runs on: a selective query runs on the PIM engine
+  (broadcast cost bounded by the pruned crossbars), while a high-selectivity
+  query over a small relation can be cheaper to stream through the host's
+  load path and hash-aggregate on the CPU — :func:`execute_host_scan` is
+  that path, charging the same :class:`~repro.pim.stats.PimStats` machinery
+  so the two routes stay comparable.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.db.compiler import CompilationError, partition_conjuncts
 from repro.db.query import Comparison, Predicate, Query, evaluate_predicate
 from repro.host import dram
 from repro.host.processor import cpu_time
-from repro.obs.trace import NULL_TRACER
 from repro.pim.stats import PimStats
 from repro.planner.adaptive import AdaptiveController, AdaptiveSnapshot
 from repro.planner.candidates import (
@@ -444,19 +443,14 @@ class CostPlanner:
     """Chooses between the PIM engine and a host scan for each query."""
 
     def route(self, query: Query, engine) -> PlanDecision:
-        """Decide the route for one query on one (unsharded) engine."""
-        tracer = getattr(engine, "tracer", NULL_TRACER)
+        """Decide the route for one query on one store's engine."""
+        tracer = engine.tracer
         with tracer.span("plan") as span:
-            stored = engine.stored
-            statistics = getattr(stored, "statistics", None)
-            if statistics is None:
-                decision = PlanDecision("pim", 1.0, 0.0, float("inf"))
-            else:
-                selectivity = statistics.estimate(query.predicate)
-                est_host = self._estimate_host(query, engine, selectivity)
-                est_pim = self._estimate_pim(query, engine, selectivity)
-                target = "host" if est_host < est_pim else "pim"
-                decision = PlanDecision(target, selectivity, est_pim, est_host)
+            selectivity = engine.stored.statistics.estimate(query.predicate)
+            est_host = self._estimate_host(query, engine, selectivity)
+            est_pim = self._estimate_pim(query, engine, selectivity)
+            target = "host" if est_host < est_pim else "pim"
+            decision = PlanDecision(target, selectivity, est_pim, est_host)
             if tracer.enabled:
                 span.set(
                     target=decision.target,
@@ -504,7 +498,7 @@ class CostPlanner:
                 statistics.plan(
                     query.predicate, stored.partition_attributes, cp, peek=True
                 )
-                if getattr(engine, "pruning", False)
+                if engine.pruning
                 else None
             )
         except CompilationError:
@@ -580,9 +574,8 @@ def execute_host_scan(engine, query: Query, decision: PlanDecision | None = None
     hash aggregation of the selected records, charged through the same
     :class:`~repro.pim.stats.PimStats` the PIM path uses.
     """
-    tracer = getattr(engine, "tracer", NULL_TRACER)
-    with tracer.span("host-scan", label=engine.label):
-        return _execute_host_scan(engine, query, decision, tracer)
+    with engine.tracer.span("host-scan", label=engine.label):
+        return _execute_host_scan(engine, query, decision, engine.tracer)
 
 
 def _execute_host_scan(engine, query: Query, decision, tracer):
@@ -629,14 +622,12 @@ def _execute_host_scan(engine, query: Query, decision, tracer):
     # Record the planner estimate whether or not the router handed one over,
     # and feed the feedback loop: a host-routed execution observes estimation
     # error too (it streamed every crossbar, so that is its scan volume).
-    statistics = getattr(stored, "statistics", None)
+    statistics = stored.statistics
     if decision is not None:
         estimated = decision.estimated_selectivity
-    elif statistics is not None:
-        estimated = statistics.estimate(query.predicate)
     else:
-        estimated = None
-    if statistics is not None and query.predicate is not None:
+        estimated = statistics.estimate(query.predicate)
+    if query.predicate is not None:
         statistics.observe_execution(
             query.predicate,
             estimated,

@@ -2,10 +2,10 @@
 
 :class:`QueryService` is the serving layer the ROADMAP's production
 north-star asks for: it accepts *batches* of queries against one or more
-registered :class:`~repro.db.storage.StoredRelation`\\ s, schedules them
-through a shared per-relation :class:`~repro.pim.controller.PimExecutor`, and
-returns the individual :class:`~repro.core.executor.QueryExecution` results
-together with aggregate :class:`~repro.service.stats.ServiceStats`.
+registered :class:`~repro.db.storage.StoredRelation`\\ s, runs each on its
+relation's engine, and returns the individual
+:class:`~repro.core.executor.QueryExecution` results together with aggregate
+:class:`~repro.service.stats.ServiceStats`.
 
 Per-query work is amortised across the batch (and across batches) by a
 shared :class:`~repro.service.cache.ProgramCache` — repeated WHERE clauses
@@ -14,18 +14,19 @@ zone-map pruning.  Every WHERE clause, DELETE filter and subgroup mask is
 evaluated on the bits stored in the crossbars, through the same kernels as a
 bare :class:`~repro.core.executor.PimQueryEngine`.
 
-Relations that outgrow a single allocation register through
-:meth:`QueryService.register_sharded`: the relation is split into K
-horizontal shards served by a
-:class:`~repro.sharding.executor.ShardedQueryEngine` — scatter-gather
-execution whose modelled latency is max-over-shards plus a merge term, and
-whose programs compile once through the same shared cache (the shards share
-layout objects).
+Every relation is K >= 1 stores (``stored.shards``: K = 1 for
+:meth:`QueryService.register`, K shards for
+:meth:`QueryService.register_sharded`) served by one engine type, a
+:class:`~repro.sharding.executor.ShardedQueryEngine`.  It routes each store
+cost-based (PIM or host scan) and, above K = 1, gathers the per-store
+results; the modelled latency is then max-over-shards plus a merge term.
+Programs compile once through the shared cache (the shards share layout
+objects).  ``register_sharded(shards=1)`` serves exactly like ``register``.
 
-DML has one path for every relation: a registered relation is K >= 1
-stores (``stored.shards``; K = 1 for :meth:`QueryService.register`) with one
-executor each, and every statement compiles once and runs on each store in
-store order (INSERT routes each record to the least-full store).
+Queries and DML make their executors per call.  DML has one path for every
+relation: every statement compiles once and runs on each store in store
+order, with one fresh executor per store (INSERT routes each record to the
+least-full store).
 
 Results are bit-exact with sequential
 :meth:`~repro.core.executor.PimQueryEngine.execute` calls;
@@ -42,7 +43,7 @@ from functools import reduce
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.config import SystemConfig, default_trace_sink, default_tracing
-from repro.core.executor import PimQueryEngine, QueryExecution
+from repro.core.executor import QueryExecution
 from repro.core.latency_model import GroupByCostModel
 from repro.core.parallel import ScatterPool
 from repro.db import dml
@@ -59,14 +60,11 @@ from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
 from repro.planner.adaptive import AdaptiveSnapshot
 from repro.planner.candidates import CandidateCacheStats
-from repro.planner.planner import CostPlanner, execute_host_scan
+from repro.planner.planner import CostPlanner
 from repro.service.cache import CacheStats, ProgramCache
 from repro.service.stats import DmlStats, ServiceStats
 from repro.sharding.executor import ShardedQueryEngine
 from repro.sharding.storage import ShardedStoredRelation
-
-#: A registered engine: plain single-allocation or sharded scatter-gather.
-ServiceEngine = PimQueryEngine | ShardedQueryEngine
 
 
 @dataclass(frozen=True)
@@ -162,11 +160,9 @@ class QueryService:
             sink=trace_sink if trace_sink is not None else default_trace_sink(),
         )
         self._planner = CostPlanner()
-        self._engines: dict[str, ServiceEngine] = {}
-        #: The registered store of each relation; its ``shards`` are the K
-        #: stores DML runs on, with one executor each in ``_executors``.
-        self._stores: dict[str, StoredRelation | ShardedStoredRelation] = {}
-        self._executors: dict[str, list[PimExecutor]] = {}
+        #: One engine per relation; its ``sharded.shards`` are the K >= 1
+        #: stores queries scatter over and DML runs on.
+        self._engines: dict[str, ShardedQueryEngine] = {}
         self._dml_counters: dict[str, dict[str, int]] = {}
         self._default: str | None = None
 
@@ -181,32 +177,21 @@ class QueryService:
         sample_pages: int = 1,
         timing_scale: float = 1.0,
         default: bool = False,
-    ) -> PimQueryEngine:
+    ) -> ShardedQueryEngine:
         """Register a stored relation and build its engine.
 
-        The engine shares the service's program cache.  The first registered
-        relation becomes the default target for requests that do not name one.
+        The relation is one store: the returned engine's one store engine is
+        ``shard_engines[0]``, labelled ``label`` (default ``name``).  The
+        engine shares the service's program cache and scatter pool.  The
+        first registered relation becomes the default target for requests
+        that do not name one.
         """
         self._check_name_free(name)
-        engine = PimQueryEngine(
-            stored,
-            config=config,
-            label=label if label is not None else name,
-            cost_model=cost_model,
-            sample_pages=sample_pages,
+        return self._register_engine(
+            name, stored, self.pool, default, config=config, label=label,
+            cost_model=cost_model, sample_pages=sample_pages,
             timing_scale=timing_scale,
-            compiler=self.cache,
-            pruning=self.pruning,
-            scatter_pool=self.pool,
-            tracer=self.tracer,
         )
-        self._engines[name] = engine
-        self._stores[name] = stored
-        self._executors[name] = [PimExecutor(engine.config)]
-        self._dml_counters[name] = self._fresh_counters()
-        if default or self._default is None:
-            self._default = name
-        return engine
 
     def register_sharded(
         self,
@@ -233,7 +218,8 @@ class QueryService:
         ``name`` scatter over the shards and gather through the
         partial-aggregate merge; their results are bit-exact with an
         unsharded engine while the modelled latency follows max-over-shards
-        plus the merge term.  The shards are *simulated* one after the other:
+        plus the merge term; ``shards=1`` serves exactly like
+        :meth:`register`.  The shards are *simulated* one after the other:
         ``max_workers`` (at least 1) changes neither results nor costs,
         above 1 it lets per-partition kernel batches use the service's pool.
         Programs compile once: the shards share layouts, so the service's
@@ -241,6 +227,8 @@ class QueryService:
         The shard allocations use ``config``'s simulation backend.
         """
         self._check_name_free(name)
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
         if module is None:
             module = PimModule(config)
         sharded = ShardedStoredRelation(
@@ -252,23 +240,28 @@ class QueryService:
             aggregation_width=aggregation_width,
             reserve_bulk_aggregation=reserve_bulk_aggregation,
         )
+        return self._register_engine(
+            name, sharded, self.pool if max_workers > 1 else None, default,
+            config=config, label=label, cost_model=cost_model,
+            sample_pages=sample_pages, timing_scale=timing_scale,
+        )
+
+    def _register_engine(
+        self, name: str, store, pool: ScatterPool | None, default: bool,
+        label: str | None, **options,
+    ) -> ShardedQueryEngine:
+        """Build and register the engine over ``store``'s K >= 1 stores."""
         engine = ShardedQueryEngine(
-            sharded,
-            config=config,
+            store,
             label=label if label is not None else name,
-            cost_model=cost_model,
-            sample_pages=sample_pages,
-            timing_scale=timing_scale,
             compiler=self.cache,
             pruning=self.pruning,
-            max_workers=max_workers,
             planner=self._planner if self.planner_enabled else None,
-            pool=self.pool if max_workers > 1 else None,
+            pool=pool,
             tracer=self.tracer,
+            **options,
         )
         self._engines[name] = engine
-        self._stores[name] = sharded
-        self._executors[name] = engine.make_executors()
         self._dml_counters[name] = self._fresh_counters()
         if default or self._default is None:
             self._default = name
@@ -298,7 +291,7 @@ class QueryService:
         """Names of the registered relations."""
         return list(self._engines)
 
-    def engine(self, name: str | None = None) -> ServiceEngine:
+    def engine(self, name: str | None = None) -> ShardedQueryEngine:
         """The engine serving ``name`` (or the default relation)."""
         return self._engines[self._resolve(name)]
 
@@ -354,40 +347,23 @@ class QueryService:
         crossbars, ASCII heatmap, endurance/lifetime figures).
         """
         name = self._resolve(relation)
-        return WearReport.from_stored(self._stores[name], label=name)
+        return WearReport.from_stored(self._engines[name].sharded, label=name)
 
     def _execute_routed(self, name: str, query: Query) -> QueryExecution:
-        """Execute one query on its cost-chosen route.
-
-        A plain engine is routed here; each shard of a sharded engine routes
-        itself through the engine's planner.
-        """
-        engine = self._engines[name]
+        """Execute one query; the engine routes each of its stores itself."""
         with self.tracer.span("query", relation=name) as span:
             if self.tracer.enabled:
                 cache_before = self.cache.snapshot()
-            if self.planner_enabled and isinstance(engine, PimQueryEngine):
-                decision = self._planner.route(query, engine)
-                if decision.target == "host":
-                    execution = execute_host_scan(engine, query, decision)
-                    if self.tracer.enabled:
-                        self._annotate_query_span(span, execution, cache_before, "host")
-                    return execution
-            # A plain engine takes its one executor, a sharded one the list.
-            executors = self._executors[name]
-            execution = engine.execute(
-                query,
-                executor=executors[0] if isinstance(engine, PimQueryEngine) else executors,
-            )
+            execution = self._engines[name].execute(query)
             if self.tracer.enabled:
-                self._annotate_query_span(span, execution, cache_before, "pim")
+                self._annotate_query_span(span, execution, cache_before)
             return execution
 
-    def _annotate_query_span(self, span, execution, cache_before, routed):
+    def _annotate_query_span(self, span, execution, cache_before):
         """Decision attributes of one served query's root span."""
         cache_delta = self.cache.snapshot() - cache_before
         span.set(
-            routed=routed,
+            routed="host" if execution.label.endswith("/host-scan") else "pim",
             label=execution.label,
             cache_hits=cache_delta.hits,
             cache_misses=cache_delta.misses,
@@ -451,7 +427,7 @@ class QueryService:
         """
         return reduce(add_stats, (
             stored.statistics.candidate_stats()
-            for store in self._stores.values() for stored in store.shards
+            for engine in self._engines.values() for stored in engine.sharded.shards
         ), CandidateCacheStats())
 
     def adaptive_stats(self) -> AdaptiveSnapshot:
@@ -463,14 +439,14 @@ class QueryService:
         """
         return reduce(add_stats, (
             stored.statistics.adaptive_snapshot()
-            for store in self._stores.values() for stored in store.shards
+            for engine in self._engines.values() for stored in engine.sharded.shards
         ), AdaptiveSnapshot())
 
     def state_digest(self, relation: str | None = None) -> str:
         """:meth:`StoredRelation.state_digest` of a registered relation's store
         (over the shards of a sharded one): equal digests mean no later
         statement can tell two services' relations apart."""
-        return self._stores[self._resolve(relation)].state_digest()
+        return self._engines[self._resolve(relation)].sharded.state_digest()
 
     # ------------------------------------------------------------------- DML
     def insert(
@@ -489,7 +465,7 @@ class QueryService:
         :class:`ValueError`, with no store touched.
         """
         name = self._resolve(relation)
-        stores = self._stores[name].shards
+        stores = self._engines[name].sharded.shards
         records = list(records)
         with self.tracer.span(
             "dml-insert", relation=name, records=len(records)
@@ -535,7 +511,7 @@ class QueryService:
         each pruned through its own zone maps.
         """
         name = self._resolve(relation)
-        stores = self._stores[name].shards
+        stores = self._engines[name].sharded.shards
         with self.tracer.span("dml-delete", relation=name) as span:
             executors = self._bind_dml_stats(name)
             compiled = dml.compile_delete(stores[0], predicate, compiler=self.cache)
@@ -564,7 +540,7 @@ class QueryService:
         ground-truth columns are updated with the stored bits.
         """
         name = self._resolve(relation)
-        stores = self._stores[name].shards
+        stores = self._engines[name].sharded.shards
         assignments = dict(assignments)
         with self.tracer.span("dml-update", relation=name) as span:
             executors = self._bind_dml_stats(name)
@@ -597,7 +573,7 @@ class QueryService:
         charged.
         """
         name = self._resolve(relation)
-        stores = self._stores[name].shards
+        stores = self._engines[name].sharded.shards
         with self.tracer.span("compact", relation=name) as span:
             executors = self._bind_dml_stats(name)
             results = [
@@ -628,7 +604,7 @@ class QueryService:
                 slots_in_use=stored.num_records,
                 capacity=stored.record_capacity,
             )
-            for stored in self._stores[name].shards
+            for stored in self._engines[name].sharded.shards
         ), DmlStats(**self._dml_counters[name]))
 
     def _dml_snapshot(self) -> DmlStats | None:
@@ -642,10 +618,11 @@ class QueryService:
         )
 
     def _bind_dml_stats(self, name: str) -> list[PimExecutor]:
-        """Attach fresh per-call stats to the relation's executors."""
-        executors = self._executors[name]
+        """Fresh executors for one DML call, one per store, their stats bound
+        to the service's tracer."""
+        engine = self._engines[name]
+        executors = [PimExecutor(engine.config) for _ in engine.sharded.shards]
         for executor in executors:
-            executor.stats = PimStats()
             self.tracer.bind(executor.stats)
         return executors
 

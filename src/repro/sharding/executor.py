@@ -1,10 +1,16 @@
-"""Scatter-gather query execution across horizontal shards.
+"""Scatter-gather query execution across a relation's K >= 1 stores.
 
-:class:`ShardedQueryEngine` runs one query against every shard of a
-:class:`~repro.sharding.storage.ShardedStoredRelation` (scatter), then folds
-the per-shard partial results into the global answer through the existing
-partial-aggregate merge machinery (gather).  Programs are compiled once —
-the shards share layout objects, so a shared
+:class:`ShardedQueryEngine` serves every registered relation.  It runs one
+query against every store in the relation's ``shards`` (scatter): the K
+shards of a :class:`~repro.sharding.storage.ShardedStoredRelation`, or a
+:class:`~repro.db.storage.StoredRelation`, which is its own single store.
+It then folds the per-shard partial results into the global answer through
+the existing partial-aggregate merge machinery (gather).  At K = 1 there is
+nothing to gather, and the one store's execution is returned unchanged.
+The cost planner routes each shard on its own (PIM or host scan), and every
+execution makes its own :class:`~repro.pim.controller.PimExecutor`.
+
+Programs are compiled once — the shards share layout objects, so a shared
 :class:`~repro.core.stages.ProgramCompiler` (or the service's LRU
 :class:`~repro.service.cache.ProgramCache`) compiles each predicate a single
 time and replays it on every shard.
@@ -28,20 +34,19 @@ Modelled versus simulated
 
 What is *modelled* is the hardware: every shard executes concurrently, hence
 ``max`` + merge above.  How it is *simulated* is a plain, shard-ordered loop
-on the calling thread, whatever ``max_workers`` says.  A shard execution is
-under one third kernel + decode; planning, sampling and charging
-hold the GIL, so worker threads serialise on it and every NumPy call has to
-win it back: two threads measured *slower* than the loop (``ssb_sharded``
-warm pass 0.346 s vs 0.236 s on the 2-core reference host).  Real parallelism
-is the deferred multi-process scatter; the engine's ``ScatterPool`` serves
-the per-partition kernel batches of :mod:`repro.core.batched` only.
+on the calling thread.  A shard execution is under one third kernel +
+decode; planning, sampling and charging hold the GIL, so worker threads
+serialise on it and every NumPy call has to win it back: two threads
+measured *slower* than the loop (``ssb_sharded`` warm pass 0.346 s vs
+0.236 s on the 2-core reference host).  Real parallelism
+is the deferred multi-process scatter; the engine's optional ``ScatterPool``
+serves the per-partition kernel batches of :mod:`repro.core.batched` only.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 from repro.config import SystemConfig
 from repro.core.executor import PimQueryEngine, QueryExecution
@@ -52,10 +57,8 @@ from repro.db.compiler import CompilationError
 from repro.db.query import Query
 from repro.host.aggregator import merge_shard_rows
 from repro.obs.trace import tracer_from_config
-from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
 from repro.planner.planner import CostPlanner, execute_host_scan
-from repro.sharding.storage import ShardedStoredRelation
 
 
 @dataclass
@@ -111,11 +114,11 @@ class ShardedQueryExecution(QueryExecution):
 
 
 class ShardedQueryEngine:
-    """Executes queries on a horizontally sharded PIM-resident relation."""
+    """Executes queries on a PIM-resident relation of K >= 1 stores."""
 
     def __init__(
         self,
-        sharded: ShardedStoredRelation,
+        sharded,
         config: SystemConfig | None = None,
         label: str = "sharded",
         cost_model: GroupByCostModel | None = None,
@@ -123,17 +126,19 @@ class ShardedQueryEngine:
         timing_scale: float = 1.0,
         compiler: ProgramCompiler | None = None,
         pruning: bool = False,
-        max_workers: int = 1,
         planner: CostPlanner | None = None,
         pool: ScatterPool | None = None,
         tracer=None,
     ) -> None:
-        """Create a scatter-gather engine over a sharded relation.
+        """Create a scatter-gather engine over a relation's stores.
 
         Args:
-            sharded: The sharded stored relation.
+            sharded: Any store with ``.shards`` and ``.module``: a
+                :class:`~repro.sharding.storage.ShardedStoredRelation`, or a
+                :class:`~repro.db.storage.StoredRelation` (one store).
             config: System configuration; defaults to the module's.
-            label: Name used in reports; shard engines append ``/s{k}``.
+            label: Name used in reports; at K > 1 shard engines append
+                ``/s{k}``, at K = 1 the one store engine keeps ``label``.
             cost_model / sample_pages / timing_scale: Forwarded
                 to every shard's :class:`PimQueryEngine`.  ``timing_scale``
                 extrapolates each shard — the sharded relation it models is
@@ -144,10 +149,6 @@ class ShardedQueryEngine:
                 its own zone maps, and a shard whose maps rule the whole
                 predicate out is skipped entirely (no filter broadcast, no
                 aggregation; only the zone-map check is charged).
-            max_workers: Width (at least 1) of the private pool created when
-                no ``pool`` is passed.  The shards always execute as a loop
-                on the calling thread (module docstring), so this changes
-                neither results nor modelled costs.
             planner: Cost-based router consulted per shard: a shard whose
                 estimated host-scan time beats its estimated PIM time is
                 served through :func:`~repro.planner.planner.execute_host_scan`
@@ -155,9 +156,7 @@ class ShardedQueryEngine:
                 always executes on PIM.
             pool: A shared :class:`~repro.core.parallel.ScatterPool` handed
                 to every shard engine for its per-partition kernel batches
-                (the service passes its own).  ``None`` creates a private
-                pool of ``max_workers`` threads, started lazily and owned —
-                and closed — by this engine.
+                (the service passes its own).  ``None`` runs them inline.
             tracer: A shared :class:`~repro.obs.trace.SpanTracer`; the
                 scatter opens one child span per shard and the gather
                 charges the merge span.  Defaults to the tracer implied by
@@ -171,19 +170,13 @@ class ShardedQueryEngine:
         self.compiler = compiler if compiler is not None else ProgramCompiler()
         self.pruning = bool(pruning)
         self.planner = planner
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = int(max_workers)
-        # The pool is shared (service-owned) or private; a private pool
-        # starts its threads lazily and close() releases them.
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else ScatterPool(self.max_workers)
+        self.pool = pool
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
         self.shard_engines: list[PimQueryEngine] = [
             PimQueryEngine(
                 stored,
                 config=self.config,
-                label=f"{label}/s{index}",
+                label=label if len(sharded.shards) == 1 else f"{label}/s{index}",
                 cost_model=cost_model,
                 sample_pages=sample_pages,
                 timing_scale=timing_scale,
@@ -199,50 +192,24 @@ class ShardedQueryEngine:
     def num_shards(self) -> int:
         return len(self.shard_engines)
 
-    def make_executors(self) -> list[PimExecutor]:
-        """Fresh per-shard executors (a batching service keeps one set)."""
-        return self.sharded.make_executors(self.config)
-
-    # ------------------------------------------------------------- lifecycle
-    def close(self) -> None:
-        """Release the kernel thread pool if this engine owns it (idempotent)."""
-        if self._owns_pool:
-            self.pool.close()
-
-    def __enter__(self) -> ShardedQueryEngine:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        with contextlib.suppress(Exception):
-            self.close()
-
     # ------------------------------------------------------------------ main
-    def execute(
-        self,
-        query: Query,
-        executor: Sequence[PimExecutor] | None = None,
-    ) -> ShardedQueryExecution:
+    def execute(self, query: Query) -> QueryExecution:
         """Scatter ``query`` over the shards and gather the merged result.
 
-        ``executor``, when given, must hold one :class:`PimExecutor` per
-        shard (see :meth:`make_executors`); each shard binds its own
-        per-query stats to its own executor.  The shards run one after the
-        other, in shard order (see the module docstring).
+        The shards run one after the other, in shard order (see the module
+        docstring).  At K = 1 the one store's execution is the result; above,
+        a :class:`ShardedQueryExecution`.
         """
         with self.tracer.span(
             "execute", label=self.label, shards=self.num_shards
         ) as span:
-            executors = self._resolve_executors(executor)
             with self.tracer.span("scatter"):
                 shard_executions = [
-                    self._execute_shard(query, index, engine, shard_executor)
-                    for index, (engine, shard_executor) in enumerate(
-                        zip(self.shard_engines, executors)
-                    )
+                    self._execute_shard(query, index, engine)
+                    for index, engine in enumerate(self.shard_engines)
                 ]
+            if len(shard_executions) == 1:
+                return shard_executions[0]
             merged = self._gather(query, shard_executions)
             if self.tracer.enabled:
                 span.set(
@@ -275,25 +242,21 @@ class ShardedQueryEngine:
         return flags
 
     def _execute_shard(
-        self,
-        query: Query,
-        index: int,
-        engine: PimQueryEngine,
-        shard_executor: PimExecutor,
+        self, query: Query, index: int, engine: PimQueryEngine
     ) -> QueryExecution:
         """Run one shard of the scatter, cost-routing it when a planner is set.
 
         Each shard decides independently: shards the query barely selects
         from (or small residual shards) stream through the host while the
-        selective shards stay on PIM — the per-shard twin of the service's
-        whole-relation routing.
+        selective shards stay on PIM; at K = 1 this is the whole relation's
+        route.
         """
         with self.tracer.span("shard", shard=index):
             if self.planner is not None:
                 decision = self.planner.route(query, engine)
                 if decision.target == "host":
                     return execute_host_scan(engine, query, decision)
-            return engine.execute(query, executor=shard_executor)
+            return engine.execute(query)
 
     # ---------------------------------------------------------------- gather
     def _gather(
@@ -368,9 +331,3 @@ class ShardedQueryEngine:
                 serial_time / scatter_time if scatter_time > 0 else 1.0
             ),
         )
-
-    # -------------------------------------------------------------- internals
-    def _resolve_executors(
-        self, executor: Sequence[PimExecutor] | None
-    ) -> list[PimExecutor]:
-        return self.sharded.resolve_executors(executor, self.config)

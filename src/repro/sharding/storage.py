@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.db.relation import Relation, concatenate
 from repro.db.storage import StoredRelation
-from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 
 
@@ -121,30 +120,6 @@ class ShardedStoredRelation:
         return hashlib.sha256(
             "".join(shard.state_digest() for shard in self.shards).encode()
         ).hexdigest()
-
-    # ------------------------------------------------------------- executors
-    def make_executors(self, config=None) -> list[PimExecutor]:
-        """One executor per shard, forked from a shared prototype.
-
-        Scatter execution (queries and per-shard DML alike) gives every
-        shard its own executor so per-shard stats never race.
-        """
-        base = PimExecutor(config if config is not None else self.module.system_config)
-        return [base.fork() for _ in self.shards]
-
-    def resolve_executors(
-        self, executors: Sequence[PimExecutor] | None, config=None
-    ) -> list[PimExecutor]:
-        """Validate a caller-supplied executor set, or build a fresh one."""
-        if executors is None:
-            return self.make_executors(config)
-        executors = list(executors)
-        if len(executors) != self.num_shards:
-            raise ValueError(
-                f"need one executor per shard ({self.num_shards}), "
-                f"got {len(executors)}"
-            )
-        return executors
 
     # ------------------------------------------------------------ functional
     def decode_column(self, attribute: str) -> np.ndarray:

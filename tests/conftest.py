@@ -270,3 +270,24 @@ class GroundTruthOracle:
 @pytest.fixture(scope="session")
 def ground_truth_oracle():
     return GroundTruthOracle
+
+
+@pytest.fixture()
+def made_executors(monkeypatch):
+    """Every :class:`PimExecutor` the engines and the service make, in order.
+
+    Executors are made per call (one per query, one per store and DML
+    statement); this records each one as it is made.
+    """
+    from repro.pim.controller import PimExecutor
+
+    made = []
+
+    class Recorded(PimExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    for module in ("repro.core.executor", "repro.service.service"):
+        monkeypatch.setattr(f"{module}.PimExecutor", Recorded)
+    return made

@@ -685,10 +685,7 @@ def _build_service(backend: str, shards: int, seed: int):
 
 
 def _service_storeds(service, shards):
-    engine = service.engine()
-    if shards == 1:
-        return [engine.stored]
-    return list(engine.sharded.shards)
+    return list(service.engine().sharded.shards)
 
 
 def _churn_statement(op) -> tuple:
@@ -807,11 +804,7 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
                             )
                 for stored in _service_storeds(service, shards):
                     ground_truth_oracle.state(stored)
-                live = (
-                    service.engine().stored.live_relation()
-                    if shards == 1
-                    else service.engine().sharded.live_relation()
-                )
+                live = service.engine().sharded.live_relation()
                 for query in CHURN_PROBES:
                     execution = service.execute(query)
                     expected = reference_group_aggregate(

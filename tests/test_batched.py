@@ -584,30 +584,25 @@ def test_scatter_pool_single_worker_runs_inline_and_ordered():
 
 
 def test_worker_counts_below_one_are_rejected_not_clamped():
-    """The engine and ``register_sharded`` raise what ``ScatterPool`` and
-    ``QueryService(scatter_workers=)`` raise; nothing is registered."""
+    """``register_sharded`` raises what ``ScatterPool`` and
+    ``QueryService(scatter_workers=)`` raise, before it allocates a shard;
+    nothing is registered."""
     relation = _relation(seed=13, num_cities=4)
-    sharded = ShardedStoredRelation(
-        relation, PimModule(DEFAULT_CONFIG), shards=2, label="workers",
-        aggregation_width=22,
-    )
     message = "max_workers must be at least 1"
     for workers in (0, -3):
-        with pytest.raises(ValueError, match=message):
-            ShardedQueryEngine(sharded, max_workers=workers)
         with pytest.raises(ValueError, match=message):
             ScatterPool(workers)
         with pytest.raises(ValueError, match=message):
             QueryService(scatter_workers=workers)
         with QueryService(scatter_workers=1) as service:
+            module = PimModule(DEFAULT_CONFIG)
             with pytest.raises(ValueError, match=message):
                 service.register_sharded(
-                    "r", relation, shards=2, max_workers=workers,
+                    "r", relation, shards=2, module=module, max_workers=workers,
                     aggregation_width=22,
                 )
             assert service.relations == []
-    with ShardedQueryEngine(sharded, max_workers=1) as engine:
-        assert engine.max_workers == engine.pool.max_workers == 1
+            assert module.allocations == []
 
 
 @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")

@@ -114,6 +114,9 @@ _REMOVED_KEYWORDS = [
     ("QueryService.update", "pruned"),
     ("execute_insert", "phase"),
     ("PimExecutor", "tracer"),
+    ("PimQueryEngine.execute", "executor"),
+    ("ShardedQueryEngine.execute", "executor"),
+    ("ShardedQueryEngine", "max_workers"),
 ]
 
 
@@ -130,8 +133,10 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     """Removed keywords raise instead of being silently ignored.
 
     ``vectorized``: there is one evaluator per program.  ``pruned``: DELETE
-    and UPDATE always run zone-map-pruned.  The others were settable values
-    no caller set; each is now a constant.  Python rejects an unknown
+    and UPDATE always run zone-map-pruned.  ``executor``: every execution
+    makes its own executors.  ``max_workers``: the sharded engine runs its
+    shards as a loop and takes the service's pool or none.  The others were
+    settable values no caller set; each is now a constant.  Python rejects an unknown
     keyword before the body runs, so placeholders suffice.
     """
     from repro.core.executor import PimQueryEngine
@@ -147,6 +152,10 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         "QueryService": QueryService,
         "PimQueryEngine": lambda **kw: PimQueryEngine(None, **kw),
         "ShardedQueryEngine": lambda **kw: ShardedQueryEngine(None, **kw),
+        "PimQueryEngine.execute": lambda **kw: PimQueryEngine.execute(None, None, **kw),
+        "ShardedQueryEngine.execute": lambda **kw: ShardedQueryEngine.execute(
+            None, None, **kw
+        ),
         "execute_delete": lambda **kw: execute_delete(None, None, None, **kw),
         "execute_compaction": lambda **kw: execute_compaction(None, None, **kw),
         "execute_update": lambda **kw: execute_update(None, None, None, None, **kw),

@@ -243,7 +243,7 @@ def test_insert_validates_records_loudly_and_atomically():
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-def test_insert_reports_the_first_bad_record_and_writes_nothing(shards):
+def test_insert_reports_the_first_bad_record_and_writes_nothing(shards, made_executors):
     """Record-major order: record 1's late attribute, not record 2's early one.
 
     The batch is encoded column by column, which meets record 2's bad ``key``
@@ -260,7 +260,7 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards):
             return execute_insert(target, batch, executors[0])
     else:
         service, target = sharded_service(relation, config, shards)
-        executors = service._executors["t"]
+        executors = made_executors          # the service's, made per call
 
         def insert(batch):
             return service.insert(batch).result
@@ -270,13 +270,15 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards):
     with pytest.raises(ValueError) as alone:
         relation.encode_record(late)
     digest = target.state_digest()
-    totals = [executor.stats.totals() for executor in executors]
+    nothing = PimExecutor(config).stats.totals()
+    made_executors.clear()
     with pytest.raises(ValueError) as raised:
         insert([good, late, early])
     assert str(raised.value) == str(alone.value)
     assert "'city'" in str(raised.value)
     assert target.state_digest() == digest
-    assert [executor.stats.totals() for executor in executors] == totals
+    assert len(executors) == shards
+    assert [executor.stats.totals() for executor in executors] == [nothing] * shards
     # Raw dictionary strings and codes encode column-wise exactly as they do
     # one record at a time.
     batch = [good, {"key": 5, "value": 6, "city": "PERTH"}, {"key": 7, "value": 8, "city": 1}]
@@ -409,35 +411,37 @@ def test_compaction_rejects_unknown_cluster_column(tombstones):
     assert result.clustered_by == ("value" if tombstones else None)
 
 
-def test_sharded_compaction_rejects_unknown_cluster_column():
+def test_sharded_compaction_rejects_unknown_cluster_column(made_executors):
     config = config_for("packed")
     service, sharded = sharded_service(small_relation(40), config)
     service.delete(Comparison("value", "<", 300))
-    fresh = [PimExecutor(config).stats] * 4
+    made_executors.clear()
     before = [_bank_state(shard) for shard in sharded.shards]
     for shard, state in zip(sharded.shards, before):
         _assert_compaction_refused(
             shard, state,
             lambda: service.compact(force=True, cluster_by="value2"),
         )
-    assert [executor.stats for executor in service._executors["t"]] == fresh
+    # Each refused call made four fresh executors and charged none of them.
+    assert len(made_executors) == 4 * len(sharded.shards)
+    assert all(executor.stats == PimExecutor(config).stats for executor in made_executors)
     assert tombstone_count(sharded) > 0
 
 
-def test_service_compact_rejects_unknown_cluster_column():
+def test_service_compact_rejects_unknown_cluster_column(made_executors):
     config = config_for("packed")
     service = QueryService()
-    engine = service.register(
-        "t", StoredRelation(small_relation(40), PimModule(config), label="t"),
-        config=config,
-    )
+    stored = StoredRelation(small_relation(40), PimModule(config), label="t")
+    service.register("t", stored, config=config)
     service.delete(Comparison("value", "<", 300))
+    made_executors.clear()
     _assert_compaction_refused(
-        engine.stored, _bank_state(engine.stored),
+        stored, _bank_state(stored),
         lambda: service.compact(force=True, cluster_by="value2"),
     )
     assert service.dml_stats("t").compactions == 0
-    assert service._executors["t"][0].stats == PimExecutor(config).stats
+    (executor,) = made_executors
+    assert executor.stats == PimExecutor(config).stats
     assert service.compact(force=True, cluster_by="value").result.clustered_by == "value"
     service.close()
 
@@ -586,9 +590,8 @@ def test_service_dml_entry_points_and_counters():
     config = config_for("packed")
     relation = small_relation(40)
     service = QueryService()
-    engine = service.register("t", StoredRelation(relation, PimModule(config), label="t"),
-                              config=config)
-    stored = engine.stored
+    stored = StoredRelation(relation, PimModule(config), label="t")
+    service.register("t", stored, config=config)
 
     out = service.delete(Comparison("value", "<", 400))
     assert out.result.records_deleted > 0

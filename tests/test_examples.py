@@ -29,6 +29,16 @@ def test_example_runs_to_completion(path, capsys, monkeypatch):
     assert "verified" in output.lower()
 
 
+def test_groupby_planning_example_verifies(monkeypatch, capsys):
+    """Run the GROUP-BY planning example on Q3.2 at a very small scale factor."""
+    argv = ["examples/groupby_planning.py", "Q3.2", "0.002"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(argv[0], run_name="__main__")
+    output = capsys.readouterr().out
+    assert "chosen k = " in output
+    assert "verified" in output
+
+
 def test_ssb_analytics_example_helpers(monkeypatch, capsys):
     """Run the SSB analytics example at a very small scale factor."""
     monkeypatch.setattr(sys, "argv", ["examples/ssb_analytics.py", "0.002"])

@@ -143,8 +143,20 @@ def test_stats_merge_and_parallel_combine():
         first.add_energy("bad", -1.0)
 
 
-def test_executor_fork():
-    parent = PimExecutor(DEFAULT_CONFIG)
-    child = parent.fork()
-    assert child.config is parent.config
-    assert child.stats is not parent.stats
+def test_executor_fork(toy_stored, made_executors):
+    """Executors are made per call: two executions of one engine run on two
+    fresh executors that share only the configuration, each charging the
+    stats its own execution reports."""
+    from repro.core.executor import PimQueryEngine
+    from repro.db.query import Aggregate, Comparison, Query
+
+    engine = PimQueryEngine(toy_stored)
+    query = Query("q", Comparison("key", "<", 100), (Aggregate("count"),))
+    first, second = engine.execute(query), engine.execute(query)
+    assert len(made_executors) == 2
+    assert made_executors[0] is not made_executors[1]
+    assert all(executor.config is DEFAULT_CONFIG for executor in made_executors)
+    assert made_executors[0].stats is first.stats
+    assert made_executors[1].stats is second.stats
+    assert first.stats is not second.stats
+    assert first.scalar("count") == second.scalar("count") == 100

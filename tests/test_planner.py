@@ -780,14 +780,12 @@ def _memo_service(shards):
     relation.columns["city"] %= 2
     service = QueryService(planner=False)       # always the PIM engines
     if shards == 1:
-        service.register("pl", _store(relation), timing_scale=1024.0)
-        stores = [service.engine().stored]
-        engines = [service.engine()]
+        engine = service.register("pl", _store(relation), timing_scale=1024.0)
     else:
-        service.register_sharded("pl", relation, shards=shards, timing_scale=1024.0)
-        stores = service.engine().sharded.shards
-        engines = service.engine().shard_engines
-    return service, stores, engines
+        engine = service.register_sharded(
+            "pl", relation, shards=shards, timing_scale=1024.0
+        )
+    return service, engine.sharded.shards, engine.shard_engines
 
 
 def _fresh_candidate_groups(stored, query):
@@ -818,9 +816,8 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
                 assert groups == _fresh_candidate_groups(stored, MEMO_QUERY)
                 union.update(groups)
             assert union == {(code[city],) for city in expected_cities}
-            storage = service.engine().sharded if shards > 1 else stores[0]
             reference = ColumnarEngine().execute_prejoined(
-                MEMO_QUERY, storage.live_relation()
+                MEMO_QUERY, service.engine().sharded.live_relation()
             )
             assert service.execute(MEMO_QUERY).rows == reference.rows
 

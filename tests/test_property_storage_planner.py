@@ -153,10 +153,7 @@ def _churn_relation(seed: int) -> Relation:
 
 
 def _churn_storeds(service, shards):
-    engine = service.engine()
-    if shards == 1:
-        return [engine.stored]
-    return list(engine.sharded.shards)
+    return list(service.engine().sharded.shards)
 
 
 def _assert_cached_plan_matches_cold_walk(service, shards) -> None:
@@ -239,11 +236,7 @@ def test_candidate_cache_bit_exact_under_churn(ops, seed):
                 )
             for op in ops:
                 _apply_churn_op(service, shards, op)
-                live = (
-                    service.engine().stored.live_relation()
-                    if shards == 1
-                    else service.engine().sharded.live_relation()
-                )
+                live = service.engine().sharded.live_relation()
                 for query in CHURN_PROBES:
                     execution = service.execute(query)
                     expected = reference_group_aggregate(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.core.executor import QueryExecution
 from repro.db.query import (
     Aggregate,
     And,
@@ -30,7 +31,6 @@ from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import merge_shard_rows
-from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.service import ProgramCache, QueryRequest, QueryService
 from repro.sharding import (
@@ -82,20 +82,28 @@ def test_all_ssb_queries_bit_exact_at_every_shard_count(
         assert execution.rows == reference, (shards, query_name)
         assert execution.rows == unsharded_rows, (shards, query_name)
         assert execution.time_s > 0 and execution.energy_j > 0
-        assert len(execution.shard_executions) == shards
+        if shards == 1:             # nothing to gather: the store's execution
+            assert type(execution) is QueryExecution
+        else:
+            assert len(execution.shard_executions) == shards
 
 
 def test_latency_is_max_over_shards_plus_merge(sharded_engines):
-    """The sharded latency model: max over the shards plus the gather term."""
+    """The sharded latency model: max over the shards plus the gather term.
+    One store has nothing to gather, so no merge is charged."""
     query = ALL_QUERIES["Q1.1"]
     for shards, engine in sharded_engines.items():
         execution = engine.execute(query)
+        if shards == 1:
+            assert type(execution) is QueryExecution
+            assert "shard-merge" not in execution.stats.time_by_phase
+            assert "scatter" not in execution.stats.time_by_phase
+            continue
         shard_total = sum(execution.shard_times_s)
         expected = max(execution.shard_times_s) + execution.merge_time_s
         assert execution.time_s == pytest.approx(expected, rel=1e-12)
-        if shards > 1:
-            assert execution.time_s < shard_total
-            assert execution.parallel_speedup > 1.0
+        assert execution.time_s < shard_total
+        assert execution.parallel_speedup > 1.0
 
 
 def test_modelled_latency_scales_with_shards_on_page_aligned_data():
@@ -148,7 +156,7 @@ def test_modelled_latency_scales_with_shards_on_page_aligned_data():
             if component != "controller"
         )
     assert time_s[1] > time_s[2] > time_s[4]
-    assert time_s[1] == pytest.approx(time_s[0], rel=1e-3)  # + the gather term
+    assert time_s[1] == time_s[0]           # one store: nothing to gather
     assert time_s[0] >= 1.5 * time_s[4]
     for shards in SHARD_COUNTS:
         assert energy_j[shards] <= 1.05 * energy_j[0], shards
@@ -182,39 +190,33 @@ def test_programs_compile_once_across_shards(ssb_prejoined):
 
 
 def test_max_workers_changes_neither_results_nor_costs(ssb_prejoined):
-    """Shards run as a loop on the calling thread whatever ``max_workers``
-    says: same rows and modelled costs, and no worker thread is started."""
+    """Shards run as a loop on the calling thread whatever
+    ``register_sharded(max_workers=)`` says: same rows and modelled costs,
+    and no worker thread is started."""
     from repro.ssb.prejoined import max_aggregated_width
 
-    width = max_aggregated_width(ssb_prejoined)
-    engines = {}
+    services = {}
     for workers in (1, 4):
-        sharded = ShardedStoredRelation(
-            ssb_prejoined, PimModule(DEFAULT_CONFIG), shards=4,
-            label=f"workers{workers}", aggregation_width=width,
+        services[workers] = QueryService(scatter_workers=4)
+        services[workers].register_sharded(
+            "ssb", ssb_prejoined, shards=4, timing_scale=100.0,
+            max_workers=workers,
+            aggregation_width=max_aggregated_width(ssb_prejoined),
             reserve_bulk_aggregation=False,
-        )
-        engines[workers] = ShardedQueryEngine(
-            sharded, compiler=ProgramCache(256),
-            timing_scale=100.0, max_workers=workers,
         )
     for name in ("Q1.1", "Q2.1", "Q3.1"):
         query = ALL_QUERIES[name]
-        sequential = engines[1].execute(query)
-        threaded = engines[4].execute(query)
+        sequential = services[1].execute(query)
+        threaded = services[4].execute(query)
         assert threaded.rows == sequential.rows
-        assert threaded.time_s == pytest.approx(sequential.time_s, rel=1e-12)
-        assert threaded.energy_j == pytest.approx(sequential.energy_j, rel=1e-12)
-    # The private pool (per-partition kernel batches only) was never started;
-    # close() and the context manager stay idempotent no-ops on it.
-    assert engines[4].pool.max_workers == 4
-    assert engines[4].pool._executor is None
-    engines[4].close()
-    assert engines[4].pool._executor is None
-    with engines[4] as engine:
-        assert engine.execute(ALL_QUERIES["Q1.1"]).rows == \
-            engines[1].execute(ALL_QUERIES["Q1.1"]).rows
-    assert engines[4].pool._executor is None
+        assert threaded.stats.totals() == sequential.stats.totals()
+    # Only ``max_workers > 1`` hands the engine the service's pool (for the
+    # per-partition kernel batches), and one partition never starts it.
+    assert services[1].engine().pool is None
+    assert services[4].engine().pool is services[4].pool
+    assert services[4].pool._executor is None
+    for service in services.values():
+        service.close()
 
 
 # ------------------------------------------ the loop and the selective reads
@@ -471,8 +473,10 @@ def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
         )
         before = len(log.pool_maps)
         batches[workers] = list(service.execute_batch(queries))
-        # One map of the two remote partitions per shard and GROUP-BY.
-        assert log.pool_maps[before:] == [2] * (2 * len(queries))
+        # One map of the two remote partitions per shard and GROUP-BY; with
+        # ``max_workers=1`` the engine has no pool and runs them inline.
+        expected = [2] * (2 * len(queries)) if workers > 1 else []
+        assert log.pool_maps[before:] == expected
     assert services[2].pool._executor is not None    # the kernels did use it
     assert services[1].pool._executor is None
     _assert_sharded_twins_equal(
@@ -546,17 +550,32 @@ def test_total_subgroups_covers_groups_split_across_shards():
     assert execution.total_subgroups >= len(execution.rows)
 
 
-def test_executor_count_must_match_shards(toy_relation):
-    sharded = ShardedStoredRelation(
-        toy_relation, PimModule(DEFAULT_CONFIG), shards=2, label="execs",
+def test_executor_count_must_match_shards(toy_relation, made_executors):
+    """Every call makes one fresh executor per shard: a query's shard
+    executions and a DML statement's per-store stats never share one."""
+    service = QueryService(planner=False)
+    service.register_sharded(
+        "execs", toy_relation, shards=2,
         aggregation_width=22, reserve_bulk_aggregation=False,
     )
-    engine = ShardedQueryEngine(sharded)
     query = Query("q", None, (Aggregate("count"),))
-    with pytest.raises(ValueError, match="one executor per shard"):
-        engine.execute(query, executor=[PimExecutor(DEFAULT_CONFIG)])
-    executions = engine.execute(query, executor=engine.make_executors())
-    assert executions.scalar("count") == len(toy_relation)
+    first, second = service.execute(query), service.execute(query)
+    assert first.scalar("count") == second.scalar("count") == len(toy_relation)
+    assert len(made_executors) == 4 == len(set(map(id, made_executors)))
+    shard_stats = [e.stats for e in first.shard_executions + second.shard_executions]
+    assert all(
+        executor.stats is stats for executor, stats in zip(made_executors, shard_stats)
+    )
+    made_executors.clear()
+    first = service.delete(Comparison("key", "<", 10))
+    second = service.delete(Comparison("key", "<", 20))
+    assert [len(made_executors), first.result.records_deleted,
+            second.result.records_deleted] == [4, 10, 10]
+    assert len(set(map(id, made_executors))) == 4
+    assert first.shard_stats == [made_executors[0].stats, made_executors[1].stats]
+    assert second.shard_stats == [made_executors[2].stats, made_executors[3].stats]
+    assert all(executor.config is service.engine().config for executor in made_executors)
+    service.close()
 
 
 # ------------------------------------------------------- service integration
@@ -609,6 +628,32 @@ def test_service_register_sharded_routes_and_reports(toy_relation):
     assert plain_stats.sharded is None
     with pytest.raises(ValueError, match="already registered"):
         service.register_sharded("sharded", toy_relation, shards=2)
+
+
+def test_one_store_serves_the_same_however_registered(ssb_prejoined):
+    """``register(stored)`` and ``register_sharded(shards=1)`` build the same
+    engine: with the planner on, all 13 SSB queries return the same rows,
+    modelled stats, label and execution type."""
+    from repro.ssb.prejoined import max_aggregated_width
+
+    width = max_aggregated_width(ssb_prejoined)
+    plain, sharded = QueryService(), QueryService()
+    plain.register("ssb", StoredRelation(
+        ssb_prejoined, PimModule(DEFAULT_CONFIG), label="ssb",
+        aggregation_width=width, reserve_bulk_aggregation=False,
+    ), timing_scale=100.0)
+    sharded.register_sharded(
+        "ssb", ssb_prejoined, shards=1, timing_scale=100.0,
+        aggregation_width=width, reserve_bulk_aggregation=False,
+    )
+    for name in QUERY_ORDER:
+        a = plain.execute(ALL_QUERIES[name])
+        b = sharded.execute(ALL_QUERIES[name])
+        assert type(a) is type(b) is QueryExecution, name
+        assert (a.label, a.rows) == (b.label, b.rows), name
+        assert a.stats.totals() == b.stats.totals(), name
+    for service in (plain, sharded):
+        service.close()
 
 
 def test_per_shard_host_routing_bit_exact_and_counted(toy_relation):
