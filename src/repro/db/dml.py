@@ -63,6 +63,7 @@ from repro.host.dram import CACHE_LINE_BYTES
 from repro.host.readpath import HostReadModel
 from repro.pim.controller import PimExecutor
 from repro.pim.logic import Program, ProgramBuilder
+from repro.pim.packed import field_dtype
 
 __all__ = [
     "CompiledDelete",
@@ -360,7 +361,8 @@ def execute_insert(
     store per attribute plus the four bookkeeping bits, per partition —
     charging write latency, energy and wear per store (``insert-write``), in
     record-major order.  **Simulated**: one ``uint64`` column per attribute,
-    one ``write_field_cells`` scatter per attribute and bookkeeping bit, one
+    one ``write_field_cells`` scatter per partition (its attributes and four
+    bookkeeping bits, everything validated before the first cell changes), one
     statistics update and one charge series folding the per-store floats
     left to right — bits, wear, statistics and ``PimStats`` identical to the
     per-record loop (the oracle in ``tests/test_insert_lockstep.py``).
@@ -404,27 +406,25 @@ def execute_insert(
     stored.note_insert(slots, columns)
 
     widths: list[int] = []     # one record's stores, in order: the charge pattern
+    clear = np.zeros(len(slots), dtype=np.uint64)
+    valid = np.ones(len(slots), dtype=np.uint64)
     for layout, allocation, attrs in zip(
         stored.layouts, stored.allocations, stored.partition_attributes
     ):
-        bank = allocation.bank
-        xbars = allocation.crossbar_of_record(slots)
-        rows = allocation.row_of_record(slots)
-        for name in attrs:
-            offset, width = layout.fields[name]
-            bank.write_field_cells(xbars, rows, offset, width, columns[name])
-            widths.append(width)
-        # Scrub the bookkeeping bits a tombstone may have left; raise the valid bit.
-        for column, bit in (
-            (layout.filter_column, 0),
-            (layout.group_column, 0),
-            (layout.remote_column, 0),
-            (layout.valid_column, 1),
-        ):
-            bank.write_field_cells(
-                xbars, rows, column, 1, np.full(len(slots), bit, dtype=np.uint64)
-            )
-            widths.append(1)
+        # The attributes, then the bookkeeping bits a tombstone may have left
+        # scrubbed and the valid bit raised: one scatter per partition.
+        fields = [(*layout.fields[name], columns[name]) for name in attrs] + [
+            (layout.filter_column, 1, clear),
+            (layout.group_column, 1, clear),
+            (layout.remote_column, 1, clear),
+            (layout.valid_column, 1, valid),
+        ]
+        allocation.bank.write_field_cells(
+            allocation.crossbar_of_record(slots),
+            allocation.row_of_record(slots),
+            fields,
+        )
+        widths.extend(width for _, width, _ in fields)
     executor.charge_host_writes(widths, len(slots), phase="insert-write")
 
     # Zone-map maintenance: each insert widened one crossbar's bounds for
@@ -469,6 +469,16 @@ class CompactionResult:
             fragmentation_before=tombstones / slots if slots else 0.0,
             clustered_by=self.clustered_by or other.clustered_by,
         )
+
+
+def cluster_order(keys: np.ndarray, width: int) -> np.ndarray:
+    """Stable sort permutation of ``width``-bit encoded ``keys``.
+
+    Sorted in the narrowest unsigned dtype holding the width: the same
+    permutation as the ``uint64`` sort, and keys of 16 bits or fewer get
+    NumPy's radix sort.
+    """
+    return np.argsort(keys.astype(field_dtype(width), copy=False), kind="stable")
 
 
 def execute_compaction(
@@ -561,7 +571,8 @@ def execute_compaction(
     order = live_indices
     if cluster_by is not None:
         keys = relation.column(cluster_by)[live_indices]
-        order = live_indices[np.argsort(keys, kind="stable")]
+        width = relation.schema.attribute(cluster_by).width
+        order = live_indices[cluster_order(keys, width)]
     for name in names:
         relation.columns[name] = relation.columns[name][order]
     relation.num_records = new_count
@@ -579,9 +590,11 @@ def execute_compaction(
             sum(layout.fields[name][1] for name in attrs)
             + layout.bookkeeping_columns
         )
+        # One buffer per partition: each field overwrites the live prefix,
+        # the tail beyond it stays zero.
+        padded = np.zeros(capacity, dtype=np.uint64)
         for name in attrs:
             offset, width = layout.fields[name]
-            padded = np.zeros(capacity, dtype=np.uint64)
             padded[:new_count] = relation.column(name)
             bank.write_field_column(
                 offset, width,

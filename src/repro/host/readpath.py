@@ -93,8 +93,10 @@ class HostReadModel:
         record_indices = np.asarray(record_indices, dtype=np.int64)
         pages = record_indices // records_per_page
         row_in_crossbar = record_indices % rows
-        pairs = np.unique(pages * rows + row_in_crossbar)
-        return int(len(pairs) * len(words))
+        # Distinct (page, row) pairs: a mark per pair, no sort.
+        seen = np.zeros((int(pages.max()) + 1) * rows, dtype=bool)
+        seen[pages * rows + row_in_crossbar] = True
+        return int(np.count_nonzero(seen) * len(words))
 
     def read_records(
         self,

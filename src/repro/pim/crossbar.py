@@ -44,23 +44,53 @@ def check_cell_index(bank, xbars, rows, count: int | None = None):
     return xbars, rows
 
 
-def check_cells(bank, xbars, rows, width: int, values):
-    """Validate a per-cell scatter on either bank; returns the three arrays.
+def check_cells(bank, xbars, rows, fields):
+    """Validate a multi-field per-cell scatter on either bank.
 
-    Raises ``ValueError`` — before the caller mutates anything — on
-    whatever :func:`check_cell_index` rejects, a duplicate ``(xbar, row)``
-    cell or a value that does not fit in ``width`` bits.
+    ``fields`` is a sequence of ``(offset, width, values)``, one value per
+    cell each.  Raises ``ValueError`` — before the caller mutates anything —
+    on whatever :func:`check_cell_index` rejects, a duplicate ``(xbar, row)``
+    cell, a field outside the bank, two fields sharing a column, values not
+    one per cell or a value that does not fit in its field.
+
+    Returns ``(xbars, rows, columns, bits)``: the cells sorted by
+    ``(xbar, row)``, every field's columns concatenated (``(C,)``) and the
+    cells' bit in each of those columns (``(C, cells)`` ``uint64`` 0/1).
     """
     xbars, rows = check_cell_index(bank, xbars, rows)
-    values = np.asarray(values, dtype=np.uint64)
-    if values.shape != xbars.shape:
+    for offset, width, _ in fields:
+        bank._check_field(offset, width)
+    spans = sorted((offset, width) for offset, width, _ in fields)
+    for (offset, width), (following, _) in zip(spans, spans[1:]):
+        if following < offset + width:
+            raise ValueError(
+                f"fields overlap at column {following} in one scatter"
+            )
+    values = [np.asarray(v, dtype=np.uint64) for _, _, v in fields]
+    if any(v.shape != xbars.shape for v in values):
         raise ValueError("values must hold one entry per (xbar, row) cell")
-    cells = np.sort(xbars * bank.rows + rows)
-    if np.any(cells[1:] == cells[:-1]):
+    cells = xbars * bank.rows + rows
+    order = np.argsort(cells, kind="stable")
+    if np.any(np.diff(cells[order]) == 0):
         raise ValueError("duplicate (xbar, row) cells in one scatter")
-    if width < 64 and np.any(values >= np.uint64(1 << width)):
-        raise ValueError(f"some values do not fit in {width} bits")
-    return xbars, rows, values
+    stacked = np.array(values, dtype=np.uint64).reshape(len(values), len(cells))
+    widths = np.array([width for _, width, _ in fields], dtype=np.int64)
+    # ``2**width - 1`` is exact in uint64 for every width up to 64.
+    tops = np.array([(1 << int(w)) - 1 for w in widths], dtype=np.uint64)
+    too_wide = np.any(stacked > tops[:, None], axis=1)
+    if np.any(too_wide):
+        raise ValueError(
+            f"some values do not fit in {widths[np.argmax(too_wide)]} bits"
+        )
+    # Row ``j`` of the bits is bit ``shifts[j]`` of field ``field_of[j]``;
+    # shifted in place (fresh temporaries of this size cost more than the ops).
+    field_of = np.repeat(np.arange(len(widths)), widths)
+    shifts = np.arange(int(widths.sum())) - np.repeat(np.cumsum(widths) - widths, widths)
+    offsets = np.array([offset for offset, _, _ in fields], dtype=np.int64)
+    bits = stacked[:, order][field_of]
+    bits >>= shifts.astype(np.uint64)[:, None]
+    bits &= np.uint64(1)
+    return xbars[order], rows[order], offsets[field_of] + shifts, bits
 
 
 class CrossbarBank:
@@ -261,17 +291,18 @@ class CrossbarBank:
             self.bits[xbars, row, offset:offset + width] = bits
             self.writes_per_row[xbars, row] += width
 
-    def write_field_cells(self, xbars, rows, offset: int, width: int, values) -> None:
-        """Write one value per ``(xbar, row)`` cell of a field — a scatter.
+    def write_field_cells(self, xbars, rows, fields) -> None:
+        """Write one value per ``(xbar, row)`` cell into each of ``fields`` —
+        one scatter of ``(offset, width, values)`` fields.
 
         Equivalent to ``write_field(xbars[i], rows[i], offset, width,
-        values[i])`` for every ``i`` over *distinct* cells, with identical
-        wear; everything is validated before the first mutation.
+        values[i])`` for every field and every ``i`` over *distinct* cells,
+        with identical wear; everything is validated (:func:`check_cells`)
+        before the first mutation.
         """
-        self._check_field(offset, width)
-        xbars, rows, values = check_cells(self, xbars, rows, width, values)
-        self.bits[xbars, rows, offset:offset + width] = self._value_bits(values, width)
-        self.writes_per_row[xbars, rows] += width
+        xbars, rows, columns, bits = check_cells(self, xbars, rows, fields)
+        self.bits[xbars, rows, columns[:, None]] = bits.astype(bool)
+        self.writes_per_row[xbars, rows] += len(columns)
 
     # ------------------------------------------------- masked bulk primitives
     def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:

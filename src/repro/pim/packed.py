@@ -24,10 +24,15 @@ Two invariants keep the backends interchangeable:
   backend.
 
 **Field writes**: ``write_field`` (one cell), ``write_field_cells`` (a value
-per listed ``(xbar, row)`` cell — the INSERT scatter), ``write_field_row`` (one
-row, a value per crossbar), ``write_field_rows`` (one immediate, several rows
-of every crossbar), ``write_field_column`` (every row of every crossbar); each
-equals the corresponding loop of ``write_field``, wear included.
+per listed ``(xbar, row)`` cell for each of several ``(offset, width,
+values)`` fields — the INSERT scatter, one call per partition: cells,
+fields, field overlaps and value widths validated once before the first
+mutation, then the touched words of all field columns gathered, cleared, set
+and scattered back once, cells sharing a 64-row word folded together first),
+``write_field_row`` (one row, a value per crossbar), ``write_field_rows`` (one
+immediate, several rows of every crossbar), ``write_field_column`` (every row
+of every crossbar); each equals the corresponding loop of ``write_field``,
+wear included.
 
 **Field reads**: ``read_field`` (one cell), ``read_field_cells`` (a value per
 listed ``(xbar, row)`` cell, duplicates allowed — a loop of ``read_field`` as
@@ -74,7 +79,7 @@ _ONE = np.uint64(1)
 _WORD_BITS = 64
 
 
-def _field_dtype(width: int) -> np.dtype:
+def field_dtype(width: int) -> np.dtype:
     """Narrowest unsigned dtype that holds a ``width``-bit field."""
     return np.dtype(next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
                          if width <= 8 * np.dtype(t).itemsize))
@@ -226,7 +231,7 @@ class PackedCrossbarBank:
             raise ValueError(f"some values do not fit in {width} bits")
         # Mirror of the decode: plane ``b`` is ``(narrow >> b) & 1``, written
         # straight into the ``(count, width, rows)`` layout that gets packed.
-        narrow = values.astype(_field_dtype(width), copy=False)
+        narrow = values.astype(field_dtype(width), copy=False)
         planes = np.empty((self.count, width, self.rows), dtype=np.uint8)
         for bit in range(width):
             np.right_shift(
@@ -244,7 +249,7 @@ class PackedCrossbarBank:
         self._check_field(offset, width)
         # Folded in the narrowest dtype holding the field; widened once.
         planes = self._unpack_columns(offset, width, xbars).view(np.uint8)
-        out = _fold_planes(planes.swapaxes(0, 1), _field_dtype(width))
+        out = _fold_planes(planes.swapaxes(0, 1), field_dtype(width))
         return out.astype(np.uint64, copy=False)
 
     def read_field_cells(self, xbars, rows, offset: int, width: int) -> np.ndarray:
@@ -492,23 +497,34 @@ class PackedCrossbarBank:
             )
             self.writes_per_row[xbars, row] += width
 
-    def write_field_cells(self, xbars, rows, offset: int, width: int, values) -> None:
-        """Write one value per distinct ``(xbar, row)`` cell of a field.
+    def write_field_cells(self, xbars, rows, fields) -> None:
+        """Write one value per distinct ``(xbar, row)`` cell into each of
+        ``fields`` (``(offset, width, values)``) — one scatter.
 
-        A loop of :meth:`write_field` as one scatter, validated up front.
+        A loop of :meth:`write_field` per field and cell, validated up front
+        (:func:`~repro.pim.crossbar.check_cells`).  The cells come back sorted,
+        so the cells sharing a ``(crossbar, 64-row word)`` are adjacent: their
+        bits fold into one word per field column, and the touched words are
+        gathered, cleared, set and scattered back once.
         """
-        self._check_field(offset, width)
-        xbars, rows, values = check_cells(self, xbars, rows, width, values)
-        bit = (rows % _WORD_BITS).astype(np.uint64)[:, None]
-        shifts = np.arange(width, dtype=np.uint64)
-        planes = ((values[:, None] >> shifts) & _ONE) << bit   # (cells, width)
-        index = (
-            xbars[:, None], offset + np.arange(width), rows[:, None] // _WORD_BITS
-        )
-        # Distinct cells may still share a 64-row word: unbuffered updates.
-        np.bitwise_and.at(self.words, index, ~(_ONE << bit))
-        np.bitwise_or.at(self.words, index, planes)
-        self.writes_per_row[xbars, rows] += width
+        xbars, rows, columns, bits = check_cells(self, xbars, rows, fields)
+        if not xbars.size:
+            return
+        words = rows // _WORD_BITS
+        bit = (rows % _WORD_BITS).astype(np.uint64)
+        first = xbars * (self.columns * self.rows_words) + words
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        bits <<= bit
+        planes = np.bitwise_or.reduceat(bits, starts, axis=1)   # (C, words)
+        touched = np.bitwise_or.reduceat(_ONE << bit, starts)
+        # Flat word of column ``columns[j]`` in touched word ``k``.
+        index = first[starts] + (columns * self.rows_words)[:, None]
+        flat = self.words.reshape(-1)
+        current = flat.take(index)
+        current &= ~touched
+        current |= planes
+        flat[index] = current
+        self.writes_per_row[xbars, rows] += len(columns)
 
     # ---------------------------------------------------------------- wear
     def wear_snapshot(self) -> np.ndarray:

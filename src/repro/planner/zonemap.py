@@ -140,26 +140,40 @@ class ZoneMaps:
         error-triggered statistics rebuild) must leave no widen-only drift
         behind.  The expected bounds are computed through ``reduceat``, a
         different reduction path than :meth:`rebuild`, so a rebuild-path bug
-        cannot hide itself.
+        cannot hide itself.  With ``valid=None`` every slot below
+        ``len(relation)`` is live (the compaction call): the bounds reduce
+        over the unpadded column prefix, one segment per crossbar in use,
+        and the empty crossbars expect the identity values.  ``valid`` masks
+        the live slots otherwise: the column is padded to capacity and the
+        dead slots are replaced by the identity of each reduction.
         """
         records = len(relation)
-        capacity = self.crossbars * self.rows
-        live = np.zeros(capacity, dtype=bool)
         if valid is None:
-            live[:records] = True
+            offsets = np.arange(0, records, self.rows)
+            counts = np.zeros(self.crossbars, dtype=np.int64)
+            counts[: len(offsets)] = np.diff(offsets, append=records)
         else:
+            capacity = self.crossbars * self.rows
+            live = np.zeros(capacity, dtype=bool)
             live[:records] = np.asarray(valid, dtype=bool)
-        offsets = np.arange(self.crossbars) * self.rows
-        counts = np.add.reduceat(live.astype(np.int64), offsets)
+            offsets = np.arange(self.crossbars) * self.rows
+            counts = np.add.reduceat(live.astype(np.int64), offsets)
         assert np.array_equal(self.live, counts), (
             "zone-map live counts disagree with the ground truth after an "
             "exact rebuild"
         )
         for name in self.schema.names:
-            padded = np.zeros(capacity, dtype=np.uint64)
-            padded[:records] = relation.column(name)
-            mins = np.minimum.reduceat(np.where(live, padded, _U64_MAX), offsets)
-            maxs = np.maximum.reduceat(np.where(live, padded, np.uint64(0)), offsets)
+            if valid is None:
+                column = relation.column(name)
+                mins = np.full(self.crossbars, _U64_MAX, dtype=np.uint64)
+                maxs = np.zeros(self.crossbars, dtype=np.uint64)
+                mins[: len(offsets)] = np.minimum.reduceat(column, offsets)
+                maxs[: len(offsets)] = np.maximum.reduceat(column, offsets)
+            else:
+                padded = np.zeros(capacity, dtype=np.uint64)
+                padded[:records] = relation.column(name)
+                mins = np.minimum.reduceat(np.where(live, padded, _U64_MAX), offsets)
+                maxs = np.maximum.reduceat(np.where(live, padded, np.uint64(0)), offsets)
             assert np.array_equal(self.mins[name], mins) and np.array_equal(
                 self.maxs[name], maxs
             ), (

@@ -392,6 +392,35 @@ def test_assert_tight_catches_a_stale_bound():
         zonemaps.assert_tight(stored.relation, stored.valid_mask(0))
 
 
+@pytest.mark.parametrize("path", ["dense", "valid"])
+@pytest.mark.parametrize("entry", ["min", "max", "live"])
+@pytest.mark.parametrize("crossbar", [0, 2, 4], ids=["full", "partial", "empty"])
+def test_assert_tight_catches_one_corrupted_entry(path, entry, crossbar):
+    """One wrong min, max or live count fails the check on both reductions:
+    the dense prefix (``valid=None``) and the masked one (``valid`` given)."""
+    crossbars, rows, records = 5, 8, 2 * 8 + 3      # crossbar 2 partial, 3-4 empty
+    rng = np.random.default_rng(41)
+    schema = Schema("dense", [int_attribute("key", 16), int_attribute("flag", 2)])
+    relation = Relation(schema, {
+        "key": rng.integers(1, 1 << 16, records).astype(np.uint64),
+        "flag": rng.integers(1, 4, records).astype(np.uint64),
+    })
+    zonemaps = ZoneMaps(crossbars, rows, relation.schema)
+    zonemaps.rebuild(relation)
+    valid = None if path == "dense" else np.ones(records, dtype=bool)
+    zonemaps.assert_tight(relation, valid)
+    # Outwards by one, so an empty crossbar's identity value moves too.
+    if entry == "live":
+        zonemaps.live[crossbar] += 1
+    elif entry == "min":
+        zonemaps.mins["key"][crossbar] -= np.uint64(1)
+    else:
+        zonemaps.maxs["key"][crossbar] += np.uint64(1)
+    message = "live counts disagree" if entry == "live" else "not tight"
+    with pytest.raises(AssertionError, match=message):
+        zonemaps.assert_tight(relation, valid)
+
+
 @pytest.mark.parametrize("backend", ["packed", "bool"])
 @pytest.mark.parametrize("records", [600, 2500], ids=["empty-decision", "candidates"])
 @pytest.mark.parametrize("statement", ["delete", "update"])

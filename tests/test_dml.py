@@ -20,6 +20,7 @@ from repro.db.dml import (
     CompactionResult,
     DeleteResult,
     InsertResult,
+    cluster_order,
     compile_delete,
     execute_compaction,
     execute_delete,
@@ -387,6 +388,23 @@ def _assert_compaction_refused(stored, before, attempt) -> None:
     for (cells, wear), (cells_before, wear_before) in zip(_bank_state(stored), before):
         assert all(np.array_equal(a, b) for a, b in zip(cells, cells_before))
         assert np.array_equal(wear, wear_before)
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 16, 17, 32, 33, 64])
+def test_cluster_order_equals_the_uint64_stable_sort(width):
+    """Sorting the keys in their narrowest dtype gives the permutation of the
+    ``uint64`` stable sort, ties kept in arrival order."""
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    # Few distinct values, so every key is tied many times, plus both extremes.
+    keys = rng.choice(
+        np.array([0, top, top // 3, top // 2, 1 % (top + 1)], dtype=np.uint64), 2_000
+    )
+    keys[rng.integers(0, 2_000, 50)] = rng.integers(
+        0, top, 50, dtype=np.uint64, endpoint=True
+    )
+    expected = np.argsort(keys.astype(np.uint64), kind="stable")
+    assert np.array_equal(cluster_order(keys, width), expected)
 
 
 @pytest.mark.parametrize("tombstones", [False, True])

@@ -11,7 +11,9 @@ from repro.host import dram
 from repro.host.aggregator import combine_partials, host_group_aggregate, merge_group_results
 from repro.host.processor import cpu_time, split_evenly
 from repro.host.readpath import HostReadModel
+from repro.db.storage import StoredRelation
 from repro.pim.controller import PimExecutor
+from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
 from repro.db.compiler import compile_predicate
 from repro.db.query import Comparison, LT
@@ -79,6 +81,30 @@ def test_read_filter_bitvector_and_records(toy_stored, toy_relation):
     assert lines <= stored.rows_per_crossbar * stored.pages * words
 
 
+def test_count_record_lines_equals_the_unique_pair_count(toy_relation_factory):
+    """Distinct ``(page, row)`` pairs times the words read, as ``np.unique``
+    counts them: empty input, duplicates, and indices over several pages."""
+    stored = StoredRelation(toy_relation_factory(70_000, 3), PimModule(DEFAULT_CONFIG))
+    rows, per_page = stored.rows_per_crossbar, stored.records_per_page
+    assert stored.pages == 3
+    reader = HostReadModel(DEFAULT_CONFIG, PimStats())
+    attributes = ["price", "city"]
+    words = len(stored.layouts[0].words_for_fields(attributes))
+    rng = np.random.default_rng(23)
+    cases = [
+        np.array([], dtype=np.int64),
+        np.array([5, 5, 5 + rows, 5]),                   # one line, repeated
+        np.array([per_page - 1, per_page, 2 * per_page + rows - 1, per_page]),
+        rng.integers(0, stored.num_records, 3_000),
+        np.arange(stored.num_records),
+    ]
+    for indices in cases:
+        pairs = np.unique(indices // per_page * rows + indices % rows)
+        assert reader.count_record_lines(stored, 0, indices, attributes) == (
+            len(pairs) * words
+        )
+
+
 def test_reads_per_record_matches_layout(toy_stored):
     stats = PimStats()
     reader = HostReadModel(DEFAULT_CONFIG, stats)
@@ -99,9 +125,6 @@ def test_traffic_scale_multiplies_cost_not_values(toy_stored, toy_relation):
 
 
 def test_transfer_bit_column_between_partitions(toy_relation):
-    from repro.db.storage import StoredRelation
-    from repro.pim.module import PimModule
-
     module = PimModule(DEFAULT_CONFIG)
     stored = StoredRelation(
         toy_relation, module, label="two",

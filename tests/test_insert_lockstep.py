@@ -407,12 +407,12 @@ def test_insert_and_compaction_calls_do_not_scale_with_the_batch(monkeypatch):
         outcome = service.insert(_records(count, seed=count))
         assert outcome.result.records_inserted == count
         per_batch[count] = dict(calls)
-    stores = len(stored.relation.schema.names) + 4 * stored.partitions
     widths = {
         width for layout in stored.layouts for _, width in layout.fields.values()
     } | {1}                                 # the bookkeeping bits
     assert per_batch[10] == per_batch[80] == {
-        ("insert", "write_field_cells"): stores,
+        # One scatter per partition: its attributes and bookkeeping bits.
+        ("insert", "write_field_cells"): stored.partitions,
         ("insert", "add_time"): 2,          # the stores, zonemap-maintain
         ("insert", "add_energy"): len(widths),    # one per distinct store width
     }

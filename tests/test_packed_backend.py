@@ -85,12 +85,23 @@ def _apply(op, bank):
     elif kind == "write_field_row":
         bank.write_field_row(op[1], op[2], op[3], op[4])
     elif kind == "write_field_cells":
-        bank.write_field_cells(op[1], op[2], op[3], op[4], op[5])
+        bank.write_field_cells(op[1], op[2], op[3])
     elif kind == "read_field_cells":
         return bank.read_field_cells(op[1], op[2], op[3], op[4])
     else:  # pragma: no cover - defensive
         raise AssertionError(kind)
     return None
+
+
+def _disjoint_fields(rng, n, columns, max_width):
+    """``n`` non-overlapping ``(offset, width)`` fields, in random order: one
+    per ``columns // n`` slice, so neighbours may touch but never overlap."""
+    span = columns // n
+    fields = []
+    for k in range(n):
+        width = int(rng.integers(1, min(max_width, span) + 1))
+        fields.append((k * span + int(rng.integers(0, span - width + 1)), width))
+    return [fields[k] for k in rng.permutation(n)]
 
 
 @st.composite
@@ -132,9 +143,14 @@ def bank_ops(draw):
         return ("write_field_rows", rng.permutation(ROWS)[:n], offset, width, value)
     if kind == "write_field_cells":
         cells = rng.permutation(COUNT * ROWS)[: draw(st.integers(0, 2 * ROWS))]
-        values = rng.integers(0, 1 << width, len(cells)).astype(np.uint64)
-        return ("write_field_cells", cells // ROWS, cells % ROWS,
-                offset, width, values)
+        fields = [
+            (field_offset, field_width,
+             rng.integers(0, 1 << field_width, len(cells)).astype(np.uint64))
+            for field_offset, field_width in _disjoint_fields(
+                rng, draw(st.integers(1, 3)), COLUMNS, 12
+            )
+        ]
+        return ("write_field_cells", cells // ROWS, cells % ROWS, fields)
     if kind == "read_field_cells":   # a gather mid-program, duplicates allowed
         cells = rng.integers(0, COUNT * ROWS, draw(st.integers(0, 2 * ROWS)))
         return ("read_field_cells", cells // ROWS, cells % ROWS, offset, width)
@@ -304,7 +320,7 @@ def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data
     for xbar, row, value in zip(xbars, cell_rows, values):
         oracle.write_field(int(xbar), int(row), offset, width, int(value))
     for bank in (ref, packed):
-        bank.write_field_cells(xbars, cell_rows, offset, width, values)
+        bank.write_field_cells(xbars, cell_rows, [(offset, width, values)])
         assert_banks_equal(oracle, bank)       # cells *and* wear
         assert np.array_equal(
             bank.read_field_all(offset, width)[xbars, cell_rows], values
@@ -317,25 +333,128 @@ def test_write_field_cells_equals_a_loop_of_write_field(count, rows, width, data
     # Bad input is rejected before anything is written, on both banks.
     one = np.ones(1, dtype=np.uint64)
     bad_calls = [
-        lambda b: b.write_field_cells([0, 0], [0, 0], offset, width, [1, 1]),
-        lambda b: b.write_field_cells([0], [rows], offset, width, one),
-        lambda b: b.write_field_cells([0], [-1], offset, width, one),
-        lambda b: b.write_field_cells([count], [0], offset, width, one),
-        lambda b: b.write_field_cells([-1], [0], offset, width, one),
-        lambda b: b.write_field_cells([0, 0], [0], offset, width, one),
-        lambda b: b.write_field_cells([0], [0], offset, width, [1, 1]),
-        lambda b: b.write_field_cells([[0]], [[0]], offset, width, [[1]]),
-        lambda b: b.write_field_cells([0], [0], columns - width + 1, width, one),
+        lambda b: b.write_field_cells([0, 0], [0, 0], [(offset, width, [1, 1])]),
+        lambda b: b.write_field_cells([0], [rows], [(offset, width, one)]),
+        lambda b: b.write_field_cells([0], [-1], [(offset, width, one)]),
+        lambda b: b.write_field_cells([count], [0], [(offset, width, one)]),
+        lambda b: b.write_field_cells([-1], [0], [(offset, width, one)]),
+        lambda b: b.write_field_cells([0, 0], [0], [(offset, width, one)]),
+        lambda b: b.write_field_cells([0], [0], [(offset, width, [1, 1])]),
+        lambda b: b.write_field_cells([[0]], [[0]], [(offset, width, [[1]])]),
+        lambda b: b.write_field_cells([0], [0], [(columns - width + 1, width, one)]),
     ]
     if width < 64:
         bad_calls.append(
             lambda b: b.write_field_cells(
-                [0], [0], offset, width, one * np.uint64(top + 1)
+                [0], [0], [(offset, width, one * np.uint64(top + 1))]
             )
         )
     for call in bad_calls:
         for bank in (ref, packed):
             _assert_rejected_without_mutation(bank, call)
+
+
+def _bank_state(bank):
+    """The raw storage (words or bits) and the wear counters, copied."""
+    raw = bank.words if isinstance(bank, PackedCrossbarBank) else bank.bits
+    return raw.copy(), bank.writes_per_row.copy()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    count=st.sampled_from([1, 3]),
+    rows=st.sampled_from([1, 63, 64, 70, 128]),
+    widths=st.lists(
+        st.sampled_from([1, 7, 8, 9, 31, 32, 33, 63, 64]), min_size=1, max_size=4
+    ),
+    data=st.data(),
+)
+def test_multi_field_write_equals_sequential_single_field_writes(
+    count, rows, widths, data
+):
+    """One multi-field ``write_field_cells`` is the same fields written one
+    call each: identical words / bits and ``writes_per_row`` on both banks,
+    cells sharing a 64-row word and fields given in any order included; every
+    rejected input raises and leaves the bank untouched."""
+    columns = 100
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    # Fields laid out left to right with random gaps, then shuffled.
+    while sum(widths) > columns:
+        widths = widths[:-1]
+    gaps = np.sort(rng.integers(0, columns - sum(widths) + 1, len(widths)))
+    offsets = gaps + np.cumsum([0, *widths[:-1]])
+    n = data.draw(st.integers(0, min(count * rows, 24)), label="cells")
+    cells = rng.permutation(count * rows)[:n]
+    if n >= 3 and rows >= 3:
+        cells[:3] = [2, 0, 1]       # crossbar 0, rows 0..2: one word, unsorted
+        cells = rng.permutation(np.unique(cells))
+    xbars, cell_rows = cells // rows, cells % rows
+    fields = []
+    for offset, width in zip(offsets.tolist(), widths):
+        top = (1 << width) - 1
+        values = rng.integers(0, top, len(cells), dtype=np.uint64, endpoint=True)
+        if len(cells):
+            values[-1] = top
+        fields.append((offset, width, values))
+    fields = [fields[k] for k in rng.permutation(len(fields))]
+    background = rng.integers(0, 2, (columns, count, rows)).astype(bool)
+
+    banks = []
+    for make in (CrossbarBank, PackedCrossbarBank):
+        multi, single = make(count, rows, columns), make(count, rows, columns)
+        for bank in (multi, single):
+            for column in range(columns):
+                bank.write_bool_column(column, background[column])
+        multi.write_field_cells(xbars, cell_rows, fields)
+        for field in fields:
+            single.write_field_cells(xbars, cell_rows, [field])
+        for got, want in zip(_bank_state(multi), _bank_state(single)):
+            assert np.array_equal(got, want)
+        banks.append(multi)
+    assert_banks_equal(*banks)
+    assert not np.any(banks[1].words & ~banks[1]._row_mask)
+
+    # Rejected before the first mutation, whatever field is at fault.
+    offset, width, _ = fields[0]
+    one = np.zeros(1, dtype=np.uint64)
+    bad_calls = [
+        # a duplicate cell
+        lambda b: b.write_field_cells([0, 0], [0, 0], [(offset, width, [0, 0])]),
+        # a row or a crossbar out of range
+        lambda b: b.write_field_cells([0], [rows], [(offset, width, one)]),
+        lambda b: b.write_field_cells([count], [0], [(offset, width, one)]),
+        # two fields sharing a column, in either order
+        lambda b: b.write_field_cells(
+            [0], [0], [(offset, width, one), (offset + width - 1, 1, one)]
+        ),
+        lambda b: b.write_field_cells(
+            [0], [0], [(offset + width - 1, 1, one), (offset, width, one)]
+        ),
+        # a field outside the bank, after a valid one
+        lambda b: b.write_field_cells(
+            [0], [0], [(offset, width, one), (columns, 1, one)]
+        ),
+    ]
+    if len(cells):
+        # a value too wide for the last field, the others fine
+        last_offset, last_width, last_values = fields[-1]
+        if last_width < 64:
+            wide = last_values.copy()
+            wide[0] = np.uint64(1 << last_width)
+            bad_calls.append(lambda b: b.write_field_cells(
+                xbars, cell_rows, [*fields[:-1], (last_offset, last_width, wide)]
+            ))
+        # a duplicate among otherwise valid cells
+        bad_calls.append(lambda b: b.write_field_cells(
+            np.append(xbars, xbars[0]), np.append(cell_rows, cell_rows[0]),
+            [(o, w, np.append(v, v[0])) for o, w, v in fields],
+        ))
+    for bank in banks:
+        before = _bank_state(bank)
+        for call in bad_calls:
+            _assert_rejected_without_mutation(bank, call)
+        for got, want in zip(_bank_state(bank), before):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=120, deadline=None)

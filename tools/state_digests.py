@@ -8,7 +8,13 @@ number must print the same JSON as its parent::
 
 ``CHECKOUT`` is the root of a checkout; its ``src``, ``perf`` and ``tests``
 go first on ``sys.path``, so the code measured is that checkout's.  Each
-digest is the first 16 hex digits of a sha256.
+digest is the first 16 hex digits of a sha256.  ``--diff`` compares two
+checkouts in one command, each measured in its own subprocess::
+
+    python tools/state_digests.py CHECKOUT --diff OTHER_CHECKOUT
+
+It prints every key whose value differs (``workloads.dml_churn.state: a !=
+b``) and exits 1 on any difference, 0 when the two reports are identical.
 
 * ``workloads``: each ``perf`` workload built at seed 7 and run for three
   passes.  ``rows`` hashes every op's answer (each execution's sorted rows
@@ -31,8 +37,10 @@ It takes a few seconds on a 2-vCPU host.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import subprocess
 import sys
 
 
@@ -149,11 +157,11 @@ def k1_registrations_differing() -> int:
     return differing
 
 
-def main(checkout: str) -> None:
+def report(checkout: str) -> dict:
     sys.path[:0] = [f"{checkout}/src", f"{checkout}/perf", f"{checkout}/tests"]
     import workloads
 
-    report = {
+    return {
         "workloads": {
             name: workload_digests(workloads, name) for name in workloads.WORKLOADS
         },
@@ -164,10 +172,44 @@ def main(checkout: str) -> None:
         },
         "k1_registrations_differing": k1_registrations_differing(),
     }
-    print(json.dumps(report, indent=2))
+
+
+def _flatten(tree, prefix: str = "") -> dict[str, object]:
+    if not isinstance(tree, dict):
+        return {prefix: tree}
+    flat = {}
+    for key, value in tree.items():
+        flat.update(_flatten(value, f"{prefix}.{key}" if prefix else key))
+    return flat
+
+
+def diff(checkout: str, other: str) -> int:
+    """Print the keys whose values differ between the two checkouts' reports;
+    the exit status: 1 on any difference, 0 otherwise."""
+    reports = [
+        _flatten(json.loads(subprocess.run(
+            [sys.executable, __file__, root],
+            check=True, capture_output=True, text=True,
+        ).stdout))
+        for root in (checkout, other)
+    ]
+    differing = [
+        f"{key}: {reports[0].get(key)} != {reports[1].get(key)}"
+        for key in sorted(reports[0].keys() | reports[1].keys())
+        if reports[0].get(key) != reports[1].get(key)
+    ]
+    print("\n".join(differing) if differing else "no differences")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: python {sys.argv[0]} CHECKOUT")
-    main(sys.argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("checkout", help="root of the checkout to measure")
+    parser.add_argument(
+        "--diff", metavar="OTHER_CHECKOUT",
+        help="measure this checkout too and print the keys that differ",
+    )
+    args = parser.parse_args()
+    if args.diff is not None:
+        sys.exit(diff(args.checkout, args.diff))
+    print(json.dumps(report(args.checkout), indent=2))
