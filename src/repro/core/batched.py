@@ -317,14 +317,6 @@ def run_group_by_batched(
 
     # ------------------------------------------------- batched bookkeeping
     selected = np.nonzero(mask)[0]
-    if selected.size:
-        columns = [
-            stored.relation.column(name)[selected].tolist()
-            for name in group_attributes
-        ]
-        present_keys = set(zip(*columns))
-    else:
-        present_keys = set()
 
     # Identical for every subgroup, so built once per query.
     remote_count = len(remote_partitions)
@@ -454,6 +446,8 @@ def run_group_by_batched(
     records, starts, cells = _subgroup_segments(
         bank, mask_value, primary_idx, selected
     )
+    # A key has a result row exactly when one of its masked rows is selected.
+    present = set((cells // bank.count).tolist())
     decoded: dict[str, np.ndarray] = {}
     combined: dict[str, list[int | None]] = {}
     for aggregate in query.aggregates:
@@ -509,5 +503,5 @@ def run_group_by_batched(
             {name: values[index] for name, values in combined.items()}, primary
         )
         for index, key in enumerate(keys)
-        if key in present_keys
+        if index in present
     }

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -50,6 +51,10 @@ from repro.host.readpath import HostReadModel
 from repro.obs.trace import tracer_from_config
 from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
+
+
+#: GROUP-BY plans :class:`PimQueryEngine` keeps (least recently used out).
+_PLAN_MEMO_CAPACITY = 64
 
 
 @dataclass
@@ -203,6 +208,8 @@ class PimQueryEngine:
             stored, self.config, self.timing_scale, tracer=self.tracer
         )
         self.scatter_pool = scatter_pool
+        # GROUP-BY plans keyed by everything they read that can change.
+        self._plans: OrderedDict[tuple, GroupByPlan] = OrderedDict()
 
     # ------------------------------------------------------------------ main
     def execute(self, query: Query) -> QueryExecution:
@@ -420,30 +427,35 @@ class PimQueryEngine:
         read_model: HostReadModel,
         prune=None,
     ) -> tuple[dict[GroupKey, dict[str, int]], GroupByPlan]:
+        """Plan the pim-gb / host-gb split, then run both halves.
+
+        The plan (candidate subgroups, sampled estimate, ``k``) depends only
+        on the query and the store's data, so it is memoised per data
+        version: a replay between two DML statements skips the candidate
+        enumeration, the sample and the ``k`` sweep.  Every execution, hit or
+        miss, is charged the sample read the plan's estimate recorded.
+        """
         group_attributes = list(query.group_by)
+        key = (
+            self.stored._data_version, query.predicate, query.group_by,
+            query.aggregates, primary, self.sample_pages,
+        )
         with self.tracer.span("group-plan") as plan_span:
-            candidates = self._candidate_groups(query)
-            estimate = estimate_subgroups(
-                self.stored, group_attributes, candidates,
-                read_model=read_model,
-                sample_pages=self.sample_pages,
-                filter_partition=primary,
-            )
-            aggregation_reads = self._aggregation_reads(query, primary)
-            reads_per_record = self._reads_per_record(query)
-            plan = self.planner.plan(
-                estimate,
-                pages=self.stored.pages * self.timing_scale,
-                aggregation_reads=aggregation_reads,
-                reads_per_record=reads_per_record,
-                total_subgroups=len(candidates),
-            )
+            plan = self._plans.pop(key, None)
+            memo = "miss" if plan is None else "hit"
+            if plan is None:
+                plan = self._plan_group_by(query, primary, read_model)
+            self._plans[key] = plan                 # most recently used last
+            if len(self._plans) > _PLAN_MEMO_CAPACITY:
+                self._plans.popitem(last=False)
+            read_model.stats.add_time("sampling", plan.estimate.read_time_s)
             if self.tracer.enabled:
                 plan_span.set(
                     total_subgroups=plan.total_subgroups,
                     subgroups_in_sample=plan.estimate.observed_subgroups,
                     pim_subgroups=plan.k,
                     host_pass=plan.host_pass_needed,
+                    memo=memo,
                 )
 
         rows: dict[GroupKey, dict[str, int]] = {}
@@ -487,6 +499,25 @@ class PimQueryEngine:
                 )
             rows = merge_group_results(rows, host_rows, query.aggregates)
         return rows, plan
+
+    def _plan_group_by(
+        self, query: Query, primary: int, read_model: HostReadModel
+    ) -> GroupByPlan:
+        """Enumerate the candidates, sample the filtered records, pick ``k``."""
+        candidates = self._candidate_groups(query)
+        estimate = estimate_subgroups(
+            self.stored, list(query.group_by), candidates,
+            read_model=read_model,
+            sample_pages=self.sample_pages,
+            filter_partition=primary,
+        )
+        return self.planner.plan(
+            estimate,
+            pages=self.stored.pages * self.timing_scale,
+            aggregation_reads=self._aggregation_reads(query, primary),
+            reads_per_record=self._reads_per_record(query),
+            total_subgroups=len(candidates),
+        )
 
     def _pim_aggregate_group(
         self,
@@ -592,10 +623,8 @@ class PimQueryEngine:
         This captures the functional dependencies inside a dimension — for
         example ``p_brand1`` is restricted to the 40 brands of the selected
         ``p_category`` — and is catalog information, not charged to the
-        query's execution time — nor recomputed while the data stands:
-        :meth:`StoredRelation.group_domain` scans for a domain once per data
-        version, so a replay gets the same list, in the same order, from a
-        lookup per attribute.
+        query's execution time.  It is enumerated on a plan-memo miss only
+        (see :meth:`_execute_group_by`), so once per data version.
         """
         schema = self.stored.relation.schema
         predicate = query.predicate

@@ -16,12 +16,15 @@ from repro.core.latency_model import GroupByCostModel
 from repro.core.sampling import GroupKey, SubgroupEstimate
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupByPlan:
-    """The planner's decision for one query."""
+    """The planner's decision for one query.
+
+    Frozen: the engine memoises plans, so executions share them.
+    """
 
     #: Subgroups assigned to pim-gb, largest (estimated) first.
-    pim_groups: list[GroupKey]
+    pim_groups: tuple[GroupKey, ...]
     #: Whether a host-gb pass over the remaining records is needed.
     host_pass_needed: bool
     #: Total number of potential subgroups (Table II's "total subgroups").
@@ -84,7 +87,7 @@ class GroupByPlanner:
             total_subgroups, estimate.remaining_ratio,
         )
         return GroupByPlan(
-            pim_groups=list(estimate.ordered_groups[:k]),
+            pim_groups=tuple(estimate.ordered_groups[:k]),
             host_pass_needed=k < total_subgroups,
             total_subgroups=total_subgroups,
             estimate=estimate,

@@ -10,6 +10,13 @@ estimate supplies two things to the planner:
 * the function ``r(k)``: the fraction of *all* relation records that the
   host still has to read if the ``k`` largest subgroups are removed, which
   is the ``r`` plugged into the host-gb latency model of Eq. (1).
+
+The paper's runtime samples before every GROUP-BY.  The sample, and so the
+plan built on it, is a function of the query and the stored data only, so
+the simulator samples once per data version:
+:class:`~repro.core.executor.PimQueryEngine` memoises the plan and charges
+every execution, hit or miss, the sample read the estimate recorded in
+:attr:`SubgroupEstimate.read_time_s` — the modelled cost is the paper's.
 """
 
 from __future__ import annotations
@@ -27,15 +34,18 @@ from repro.host.readpath import HostReadModel
 GroupKey = tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubgroupEstimate:
-    """Result of sampling one page of query-selected records."""
+    """Result of sampling one page of query-selected records.
+
+    Frozen: a memoised plan shares its estimate between executions.
+    """
 
     #: Candidate subgroup keys (encoded values of the GROUP-BY attributes),
     #: ordered from the largest estimated size to the smallest.  Candidates
     #: never observed in the sample follow the observed ones, in stable
     #: (domain) order, with an estimated size of zero.
-    ordered_groups: list[GroupKey]
+    ordered_groups: tuple[GroupKey, ...]
     #: Estimated fraction of *selected* records belonging to each subgroup.
     group_fractions: dict[GroupKey, float]
     #: Estimated query selectivity (selected records / total records).
@@ -47,6 +57,10 @@ class SubgroupEstimate:
     #: Number of distinct subgroups observed in the sample (Table II's
     #: "subgroups in sample" column).
     observed_subgroups: int
+    #: Modelled latency of reading the sample (filter bits of the sampled
+    #: page plus the selected records' GROUP-BY attributes), charged to the
+    #: ``sampling`` phase of every execution the estimate plans.
+    read_time_s: float = 0.0
 
     #: ``_covered[k]``: summed fraction of the top-``k`` subgroups, added left
     #: to right once per estimate — the planner asks for ``r(k)`` at every
@@ -54,10 +68,10 @@ class SubgroupEstimate:
     _covered: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._covered = list(accumulate(
+        object.__setattr__(self, "_covered", list(accumulate(
             (self.group_fractions.get(key, 0.0) for key in self.ordered_groups),
             initial=0,
-        ))
+        )))
 
     def remaining_ratio(self, k: int) -> float:
         """``r(k)``: record fraction left for host-gb after the top-``k`` groups."""
@@ -77,10 +91,11 @@ def estimate_subgroups(
     """Sample the first ``sample_pages`` pages and estimate subgroup sizes.
 
     The query's filter must already have been evaluated (the filter bits are
-    in place).  When a :class:`HostReadModel` is supplied, the reads of the
-    sample page's filter bits and of the selected records' GROUP-BY
-    attributes are charged to it, exactly as the paper's runtime pays for the
-    sampling before planning.
+    in place).  When a :class:`HostReadModel` is supplied, the latency of
+    reading the sample page's filter bits and the selected records' GROUP-BY
+    attributes is recorded in :attr:`SubgroupEstimate.read_time_s` (nothing
+    is charged here: the caller charges it per execution, as the paper's
+    runtime pays for the sampling before planning).
     """
     if not candidate_groups:
         raise ValueError("candidate_groups must not be empty")
@@ -90,14 +105,6 @@ def estimate_subgroups(
     selected = np.flatnonzero(
         stored.filter_mask(filter_partition, limit=sample_size)
     )
-
-    # Account for reading the sample: the filter bits of the sampled page and
-    # the GROUP-BY attributes of the records that passed the filter.
-    if read_model is not None:
-        read_model.stats.add_time(
-            "sampling",
-            _sample_read_time(stored, read_model, selected, group_attributes),
-        )
 
     group_columns = [
         stored.decode_cells(name, selected) for name in group_attributes
@@ -113,7 +120,7 @@ def estimate_subgroups(
     observed.sort(key=lambda key: fractions[key], reverse=True)
     observed_set = set(observed)
     unseen = [key for key in candidate_groups if key not in observed_set]
-    ordered = observed + unseen
+    ordered = tuple(observed + unseen)
 
     # A relation whose every slot was compacted away has an empty sample.
     selectivity = float(len(selected)) / float(sample_size) if sample_size else 0.0
@@ -124,6 +131,10 @@ def estimate_subgroups(
         sample_size=int(sample_size),
         sample_selected=int(len(selected)),
         observed_subgroups=len(observed),
+        read_time_s=(
+            _sample_read_time(stored, read_model, selected, group_attributes)
+            if read_model is not None else 0.0
+        ),
     )
 
 

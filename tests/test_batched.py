@@ -35,7 +35,7 @@ from repro.core.latency_model import (
     PimGbLatencyModel,
 )
 from repro.core.parallel import ScatterPool
-from repro.db.query import Aggregate, And, Comparison, Query
+from repro.db.query import Aggregate, And, Comparison, Query, evaluate_predicate
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import StoredRelation
@@ -213,6 +213,31 @@ def test_batched_lockstep_multi_remote_fold(pruning):
     )
     partitions = [["key", "value"], ["city"], ["region"]]
     _assert_lockstep(relation, queries, pruning, partitions)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_batched_rows_only_for_keys_with_a_selected_row(split):
+    """Keys the forced all-PIM plan aggregates without a selected row yield
+    no result row: a city no selected record holds, and cities that live
+    only on crossbars the zone maps pruned out (both selections sit on the
+    first crossbar, which holds cities 0-9 only)."""
+    relation = _relation(seed=3, num_cities=20, records=RECORDS)
+    relation.columns["city"][:1024] %= 10
+    queries = [
+        Query(f"below{bound}", Comparison("key", "<", bound),
+              GROUP_QUERY.aggregates, group_by=("city",))
+        for bound in (3, 150)
+    ]
+    partitions = [["key", "value"], ["city", "region"]] if split else None
+    executions = _assert_lockstep(relation, queries, True, partitions)
+    for query, execution in zip(queries, executions):
+        assert execution.pim_subgroups == 20
+        assert execution.crossbars_scanned < execution.crossbars_total
+        selected = evaluate_predicate(query.predicate, relation)
+        present = {(int(city),) for city in relation.columns["city"][selected]}
+        assert set(execution.rows) == present
+        assert 0 < len(present) <= 10
+    assert len(set(executions[0].rows)) < 10
 
 
 def test_batched_is_the_default_and_gated_on_the_circuit():

@@ -1,5 +1,6 @@
 """Tests of the experiment harness (small-scale, subset of configurations)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import build_setup, run_all_queries
@@ -84,9 +85,62 @@ def test_ablation_helpers(small_setup):
     assert variants == {"with circuit", "bulk-bitwise only"}
     report = ablation.prejoin_storage_report(small_setup)
     assert report.fits_in_single_row
-    sampling_rows = ablation.sampling_ablation(small_setup, sample_pages=(1, 2))
-    assert len(sampling_rows) == 2
+    _assert_sampling_rows_match_fresh_engines(small_setup, pages=(1, 2))
     assert "Pre-join storage accounting" in ablation.render(small_setup)
+
+
+def test_sampling_ablation_rows_follow_the_budget_on_a_multi_page_store(
+    small_setup,
+):
+    """Three copies of the instance span two pages, so a 2-page sample reads
+    more than a 1-page one: a plan reused across budgets would show."""
+    from dataclasses import replace
+
+    from repro.core.executor import PimQueryEngine
+    from repro.db.relation import Relation
+    from repro.db.storage import StoredRelation
+    from repro.pim.module import PimModule
+    from repro.ssb.prejoined import max_aggregated_width
+
+    prejoined = small_setup.prejoined
+    tiled = Relation(prejoined.schema, {
+        name: np.tile(column, 3) for name, column in prejoined.columns.items()
+    })
+    base = small_setup.pim_engines["one_xb"]
+    stored = StoredRelation(
+        tiled, PimModule(base.config), label="one_xb",
+        aggregation_width=max_aggregated_width(tiled),
+        reserve_bulk_aggregation=False,
+    )
+    assert stored.pages == 2
+    engine = PimQueryEngine(
+        stored, config=base.config, label="one_xb",
+        timing_scale=base.timing_scale,
+    )
+    setup = replace(small_setup, pim_engines={"one_xb": engine}, _records=None)
+    rows = _assert_sampling_rows_match_fresh_engines(setup, pages=(1, 2))
+    assert rows[0].time_s != rows[1].time_s
+
+
+def _assert_sampling_rows_match_fresh_engines(setup, pages):
+    """Each ``sampling_ablation`` row equals a new engine's execution at that
+    sampling budget over the same store."""
+    from repro.core.executor import PimQueryEngine
+    from repro.ssb import ALL_QUERIES
+
+    rows = ablation.sampling_ablation(setup, sample_pages=pages)
+    assert len(rows) == len(pages)
+    base = setup.pim_engines["one_xb"]
+    for row, budget in zip(rows, pages):
+        fresh = PimQueryEngine(
+            base.stored, config=base.config, label=base.label,
+            cost_model=base.cost_model, sample_pages=budget,
+            timing_scale=base.timing_scale,
+        ).execute(ALL_QUERIES[row.name])
+        assert (row.time_s, row.energy_j, row.pim_subgroups) == (
+            fresh.time_s, fresh.energy_j, fresh.pim_subgroups
+        )
+    return rows
 
 
 # Pinned at the parent of the exact-accounting change (commit ba1ee33), so the

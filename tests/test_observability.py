@@ -193,6 +193,29 @@ def test_explain_executes_once_and_renders(toy_relation):
     assert f"{result.execution.time_s * 1e3:.6f}" in text
 
 
+def test_explain_shows_the_group_plan_memo_decision(toy_relation_factory):
+    """A replayed GROUP-BY reuses its plan; the first one after an INSERT
+    (a new data version) plans afresh — and the explain text says which."""
+    service = QueryService(planner=False)       # always the PIM engine
+    service.register("toy", _store(toy_relation_factory()))
+
+    def memo():
+        result = service.explain(GROUP_QUERY)
+        decision = result.trace.find("group-plan").attributes["memo"]
+        assert f"memo={decision}" in result.render()
+        return decision
+
+    assert memo() == "miss"
+    assert memo() == "hit"
+    row = {
+        "key": 4000, "price": 7, "discount": 1, "quantity": 2,
+        "city": "CITY1", "region": "EUROPE", "year": 1996,
+    }
+    service.insert([row], relation="toy")
+    assert memo() == "miss"
+    assert memo() == "hit"
+
+
 def test_explain_golden_stable_across_backends(ssb_prejoined):
     renders = {}
     for backend in ("packed", "bool"):

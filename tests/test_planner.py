@@ -837,9 +837,9 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
 @pytest.mark.parametrize("shards", [1, 4])
 def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
     """Between two DML statements a GROUP-BY replay evaluates no ground-truth
-    predicate for its candidate domains and estimates its predicate once for
-    router and engine; an adaptive histogram rebuild retires the estimates
-    and leaves the domains alone."""
+    predicate for its candidate domains (the plan memo hits) and estimates
+    its predicate once for router and engine; an adaptive histogram rebuild
+    retires the estimates and leaves the plans alone."""
     from repro.db import storage
 
     service, stores, engines = _memo_service(shards)
@@ -875,13 +875,39 @@ def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
     assert statistics.estimate(probe) == statistics.selectivity.estimate(probe) != before
     assert statistics.estimate(MEMO_QUERY.predicate) > 0
     assert sum(estimates) == len(stores) + 1                # re-estimated once
-    assert engines[0]._candidate_groups(MEMO_QUERY)
-    assert len(scans) == len(stores)                        # domains stand
+    assert service.execute(MEMO_QUERY).rows == first.rows
+    assert len(scans) == len(stores)                        # plans stand
     service.close()
 
 
+@pytest.mark.parametrize("counted_below", [1 << 16, 0])
+def test_group_domain_is_the_sorted_distinct_selected_values(
+    monkeypatch, counted_below
+):
+    """Counted (``bincount``) or sorted (``np.unique``): the domain is the
+    sorted distinct values under the conjuncts, the whole column's when they
+    select nothing."""
+    from repro.db import storage
+
+    monkeypatch.setattr(storage, "_COUNTED_DOMAIN", counted_below)
+    relation = clustered_relation()
+    stored = _store(relation)
+    for attribute, conjuncts in [
+        ("city", ()),
+        ("city", (Comparison("key", "<", 40),)),
+        ("key", (Comparison("city", "==", "PERTH"),)),
+        ("value", (Comparison("key", ">", 1 << 13),)),      # selects nothing
+    ]:
+        selected = evaluate_predicate(And(conjuncts), relation) if conjuncts else (
+            np.ones(len(relation), dtype=bool)
+        )
+        values = relation.column(attribute)[selected]
+        expected = np.unique(values if values.size else relation.column(attribute))
+        assert stored.group_domain(attribute, conjuncts) == tuple(expected.tolist())
+
+
 def test_memos_stay_within_their_capacity():
-    from repro.db.storage import _DOMAIN_MEMO_CAPACITY
+    from repro.core.executor import _PLAN_MEMO_CAPACITY
     from repro.planner.planner import _PLAN_CACHE_CAPACITY
 
     stored = _store(clustered_relation())
@@ -889,11 +915,97 @@ def test_memos_stay_within_their_capacity():
     predicates = [Comparison("key", "<=", bound) for bound in range(1000)]
     for predicate in predicates:
         assert statistics.estimate(predicate) == statistics.selectivity.estimate(predicate)
-        domain = stored.group_domain("city", (predicate,))
-        assert domain == stored.group_domain("city", (predicate,))
         assert len(statistics._estimate_cache) <= _PLAN_CACHE_CAPACITY
-        assert len(stored._domain_memo) <= _DOMAIN_MEMO_CAPACITY
-    assert len(stored._domain_memo) == _DOMAIN_MEMO_CAPACITY
     assert len(statistics._estimate_cache) == _PLAN_CACHE_CAPACITY
-    assert (0, "city", (predicates[-1],)) in stored._domain_memo
-    assert (0, "city", (predicates[0],)) not in stored._domain_memo
+
+    engine = PimQueryEngine(stored)
+    queries = [
+        Query(f"memo{bound}", Comparison("key", "<=", 50 * bound),
+              MEMO_QUERY.aggregates, group_by=("city",))
+        for bound in range(_PLAN_MEMO_CAPACITY + 8)
+    ]
+    for query in queries:
+        engine.execute(query)
+        assert len(engine._plans) <= _PLAN_MEMO_CAPACITY
+    assert len(engine._plans) == _PLAN_MEMO_CAPACITY
+    memoised = {key[1] for key in engine._plans}
+    assert queries[-1].predicate in memoised
+    assert queries[0].predicate not in memoised
+
+
+#: Two GROUP-BY probes of the hit-equals-miss test, on different columns.
+MEMO_PROBES = (
+    MEMO_QUERY,
+    Query(
+        "memo-value", Comparison("key", "<", 3000),
+        (Aggregate("max", "value"), Aggregate("count")),
+        group_by=("city",),
+    ),
+)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
+    """Two services with one op history, one of them planning every
+    execution afresh (its engines' plan memos cleared before each): after
+    every INSERT, UPDATE, DELETE, forced compaction and GROUP-BY probe they
+    agree on rows, ``PimStats``, plan and state digest.  Over three replays
+    the memoising service samples once per (store, query, data version):
+    again only on the stores whose data version a statement moved."""
+    from repro.core import executor as core_executor
+
+    memo, memo_stores, _ = _memo_service(shards)
+    cold, cold_stores, cold_engines = _memo_service(shards)
+    probing = [None]
+    sampled = {id(memo): [], id(cold): []}
+    owner = {id(s): (id(memo), i) for i, s in enumerate(memo_stores)}
+    owner.update({id(s): (id(cold), i) for i, s in enumerate(cold_stores)})
+
+    def counting(stored, *args, inner=core_executor.estimate_subgroups, **kwargs):
+        service, index = owner[id(stored)]
+        sampled[service].append((index, stored._data_version, probing[0]))
+        return inner(stored, *args, **kwargs)
+
+    monkeypatch.setattr(core_executor, "estimate_subgroups", counting)
+
+    def agree():
+        assert memo.state_digest("pl") == cold.state_digest("pl")
+        for query in MEMO_PROBES:
+            probing[0] = query.name
+            for _ in range(3):
+                for engine in cold_engines:
+                    engine._plans.clear()
+                hit, miss = memo.execute(query), cold.execute(query)
+                assert hit.rows == miss.rows
+                assert hit.stats == miss.stats
+                assert hit.plan == miss.plan
+                assert memo.state_digest("pl") == cold.state_digest("pl")
+
+    statements = [
+        lambda s: s.insert([{"key": 77, "value": 5, "city": "PERTH"}]),
+        lambda s: s.update(Comparison("city", "==", "OSLO"), {"city": "QUITO"}),
+        lambda s: s.delete(Comparison("key", "<", 500)),
+        lambda s: s.compact(force=True),
+        lambda s: s.delete(Comparison("city", "==", "PERTH")),
+    ]
+    agree()
+    planned = sampled[id(memo)]
+    moved_some = False
+    for statement in statements:
+        before = [stored._data_version for stored in memo_stores]
+        statement(memo)
+        statement(cold)
+        moved = {
+            index for index, stored in enumerate(memo_stores)
+            if stored._data_version != before[index]
+        }
+        moved_some |= 0 < len(moved) < shards
+        count = len(planned)
+        agree()
+        assert {index for index, _, _ in planned[count:]} <= moved
+    if shards > 1:
+        assert moved_some                   # some statement left a store alone
+    assert len(planned) == len(set(planned))
+    assert set(sampled[id(cold)]) == set(planned)
+    memo.close()
+    cold.close()
