@@ -51,6 +51,7 @@ from repro.host.readpath import HostReadModel
 from repro.obs.trace import tracer_from_config
 from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
+from repro.planner.planner import CostPlanner, execute_host_scan
 
 
 #: GROUP-BY plans :class:`PimQueryEngine` keeps (least recently used out).
@@ -138,6 +139,7 @@ class PimQueryEngine:
         timing_scale: float = 1.0,
         compiler: ProgramCompiler | None = None,
         pruning: bool = False,
+        router: CostPlanner | None = None,
         scatter_pool=None,
         tracer=None,
     ) -> None:
@@ -168,6 +170,13 @@ class PimQueryEngine:
                 exactly the crossbars touched plus the modelled zone-map
                 check.  A query whose predicate matches no crossbar at all
                 skips execution entirely.
+            router: A :class:`~repro.planner.planner.CostPlanner` consulted
+                once per execution, with the engine's own estimate and
+                zone-map decision: a query whose estimated host-scan time
+                beats its estimated PIM time is served through
+                :func:`~repro.planner.planner.execute_host_scan` instead
+                (bit-exact rows, host-path cost model).  ``None`` always
+                executes on PIM.
             scatter_pool: A :class:`~repro.core.parallel.ScatterPool` the
                 batched group-by path uses to evaluate independent
                 per-partition batch kernels concurrently (the kernels are
@@ -197,6 +206,7 @@ class PimQueryEngine:
         self.planner = GroupByPlanner(cost_model)
         self.compiler = compiler if compiler is not None else ProgramCompiler()
         self.pruning = bool(pruning)
+        self.router = router
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
         self.filter_stage = FilterStage(
             stored, self.compiler, self.timing_scale, tracer=self.tracer
@@ -232,61 +242,94 @@ class PimQueryEngine:
             return execution
 
     def _execute_traced(self, query: Query) -> QueryExecution:
+        primary = self._primary_partition(query)
         stats = PimStats()
         self.tracer.bind(stats)
+        crossbars_total = sum(a.crossbars for a in self.stored.allocations)
+        estimated, prune, decision = self._decide(query, stats, crossbars_total)
+        host_routed = decision is not None and decision.target == "host"
+        if host_routed:
+            execution = execute_host_scan(self, query, decision)
+        elif prune is not None and prune.empty:
+            # Some partition's conjunction matches no crossbar: the
+            # selection is provably empty, so no filter broadcast, no
+            # aggregation and no result row — this is also how a sharded
+            # engine skips entire shards.
+            execution = self._pruned_out_execution(
+                query, stats, crossbars_total, estimated
+            )
+        else:
+            execution = self._execute_pim(
+                query, primary, stats, prune, crossbars_total, estimated
+            )
+        if query.predicate is not None and execution.estimated_selectivity is not None:
+            # Close the feedback loop: fold (estimated, actual) and the scan
+            # volume into the relation's adaptive accumulator; a triggered
+            # equi-depth rebuild or pair-sketch build is applied (and
+            # charged) right here.  An estimator insisting a pruned-out
+            # selection is non-empty is exactly the feedback the loop wants.
+            reported, actual = execution.estimated_selectivity, execution.selectivity
+            # A host scan streams every crossbar.
+            scanned = crossbars_total if host_routed else execution.crossbars_scanned
+            with self.tracer.span("feedback", estimated=reported, actual=actual):
+                self.stored.statistics.observe_execution(
+                    query.predicate, reported, actual, crossbars_scanned=scanned,
+                    stored=self.stored, stats=execution.stats,
+                    host=self.config.host, timing_scale=self.timing_scale,
+                )
+        return execution
+
+    def _decide(self, query: Query, stats: PimStats, crossbars_total: int):
+        """Estimate, plan and route once: ``(estimated, prune, decision)``.
+
+        ``estimated`` is what a PIM execution reports (``None`` without
+        pruning).  Only the PIM route pays the zone-map walk.
+        """
+        statistics = self.stored.statistics
+        if not self.pruning:
+            if self.router is None:
+                return None, None, None
+            selectivity = statistics.estimate(query.predicate)
+            return None, None, self.router.route(query, self, selectivity, None)
+        with self.tracer.span("prune") as span:
+            estimated = statistics.estimate(query.predicate)
+            prune = statistics.plan(
+                query.predicate,
+                self.stored.partition_attributes,
+                self.config.pim.crossbars_per_page,
+            )
+            decision = None
+            if self.router is not None:
+                decision = self.router.route(query, self, estimated, prune)
+            if decision is None or decision.target == "pim":
+                statistics.charge_check(
+                    stats, self.config.host,
+                    prune.entries_checked * self.timing_scale,
+                )
+            if self.tracer.enabled:
+                span.set(
+                    crossbars_total=crossbars_total,
+                    crossbars_scanned=prune.crossbars_scanned,
+                    crossbars_skipped=crossbars_total - prune.crossbars_scanned,
+                    entries_checked=prune.entries_checked,
+                    estimated_selectivity=estimated,
+                    empty=prune.empty,
+                )
+        return estimated, prune, decision
+
+    def _execute_pim(
+        self, query: Query, primary: int, stats: PimStats, prune,
+        crossbars_total: int, estimated_selectivity: float | None,
+    ) -> QueryExecution:
+        """Filter, then aggregate (GROUP-BY: pim-gb / host-gb) in memory."""
         executor = PimExecutor(self.config, stats)
         read_model = HostReadModel(
             self.config, stats, traffic_scale=self.timing_scale
         )
         wear_before = self.stored.wear_snapshot()
-
-        primary = self._primary_partition(query)
-        crossbars_total = sum(a.crossbars for a in self.stored.allocations)
-        crossbars_scanned = crossbars_total
-        estimated_selectivity: float | None = None
-        prune = None
-        if self.pruning:
-            statistics = self.stored.statistics
-            with self.tracer.span("prune") as prune_span:
-                prune = statistics.plan(
-                    query.predicate,
-                    self.stored.partition_attributes,
-                    self.config.pim.crossbars_per_page,
-                )
-                statistics.charge_check(
-                    stats, self.config.host,
-                    prune.entries_checked * self.timing_scale,
-                )
-                estimated_selectivity = statistics.estimate(query.predicate)
-                crossbars_scanned = prune.crossbars_scanned
-                if self.tracer.enabled:
-                    prune_span.set(
-                        crossbars_total=crossbars_total,
-                        crossbars_scanned=crossbars_scanned,
-                        crossbars_skipped=crossbars_total - crossbars_scanned,
-                        entries_checked=prune.entries_checked,
-                        estimated_selectivity=estimated_selectivity,
-                        empty=prune.empty,
-                    )
-            if prune.empty:
-                # Some partition's conjunction matches no crossbar: the
-                # selection is provably empty, so no filter broadcast, no
-                # aggregation and no result row — this is also how a sharded
-                # engine skips entire shards.  An estimator insisting the
-                # selection is non-empty is exactly the feedback the loop
-                # wants, so the empty execution observes too.
-                if query.predicate is not None:
-                    with self.tracer.span("feedback", pruned_out=True):
-                        statistics.observe_execution(
-                            query.predicate, estimated_selectivity, 0.0,
-                            crossbars_scanned=0, stored=self.stored,
-                            stats=stats, host=self.config.host,
-                            timing_scale=self.timing_scale,
-                        )
-                return self._pruned_out_execution(
-                    query, stats, crossbars_total, estimated_selectivity
-                )
-
+        crossbars_scanned = (
+            prune.crossbars_scanned if prune is not None else crossbars_total
+        )
         self.filter_stage.run(query, primary, executor, read_model, prune=prune)
         mask = self.stored.filter_mask(primary)
         # Live-row fraction: the filter bit is ANDed with the valid column,
@@ -297,22 +340,6 @@ class PimQueryEngine:
             if self.stored.live_count
             else 0.0
         )
-        if self.pruning and query.predicate is not None:
-            # Close the feedback loop: fold (estimated, actual) and the scan
-            # volume into the relation's adaptive accumulator; a triggered
-            # equi-depth rebuild or pair-sketch build is applied (and
-            # charged) right here.
-            with self.tracer.span(
-                "feedback",
-                estimated=estimated_selectivity,
-                actual=selectivity,
-            ):
-                self.stored.statistics.observe_execution(
-                    query.predicate, estimated_selectivity, selectivity,
-                    crossbars_scanned=crossbars_scanned, stored=self.stored,
-                    stats=stats, host=self.config.host,
-                    timing_scale=self.timing_scale,
-                )
         candidates = prune.candidates[primary] if prune is not None else None
 
         plan: GroupByPlan | None = None

@@ -4,8 +4,10 @@ A :class:`SpanTracer` records one tree of :class:`SpanRecord`\\ s per root
 operation (a served query, a DML statement, a compaction).  The engine, its
 stages, the cost planner, the sharded scatter-gather and the service all
 open spans through the tracer they share, so a single trace shows where a
-query's modelled time went: ``query -> plan -> execute -> prune / filter /
-pim-gb / host-gb``, with per-shard children under the sharded scatter.
+query's modelled time went: ``query -> execute -> scatter -> shard ->
+execute -> prune -> plan``, then the chosen route (``host-scan``, or
+``filter / group-plan / pim-gb / host-gb``) and ``feedback`` under the store's
+``execute``, one ``shard`` child per store under the scatter.
 
 Two properties make the tracer safe to leave compiled into every hot path:
 

@@ -11,14 +11,17 @@ Three planner responsibilities live here:
 * :meth:`RelationStatistics.plan` turns a WHERE clause into a
   :class:`~repro.planner.zonemap.PruneDecision` — per-partition candidate
   crossbars, with the conjuncts ordered most-selective first so the zone-map
-  walk exits early.
-* :class:`CostPlanner` makes the pim-vs-host routing decision for each store
-  a served query runs on: a selective query runs on the PIM engine
-  (broadcast cost bounded by the pruned crossbars), while a high-selectivity
-  query over a small relation can be cheaper to stream through the host's
-  load path and hash-aggregate on the CPU — :func:`execute_host_scan` is
-  that path, charging the same :class:`~repro.pim.stats.PimStats` machinery
-  so the two routes stay comparable.
+  walk exits early.  A memo miss bills its walk, a replay bills nothing.
+* :class:`CostPlanner` prices the two routes of one store execution: the
+  PIM engine (broadcast cost bounded by the pruned crossbars) against a host
+  scan, which can win for a high-selectivity query over a small relation —
+  :func:`execute_host_scan` streams the referenced columns through the
+  host's load path and hash-aggregates on the CPU, charging the same
+  :class:`~repro.pim.stats.PimStats` machinery so the two routes stay
+  comparable.  The router estimates and plans nothing itself: the engine
+  (:meth:`~repro.core.executor.PimQueryEngine.execute`) hands it the
+  selectivity estimate and zone-map decision it made once, runs the chosen
+  route and closes the feedback loop.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.db.compiler import CompilationError, partition_conjuncts
+from repro.db.compiler import partition_conjuncts
 from repro.db.query import Comparison, Predicate, Query, evaluate_predicate
 from repro.host import dram
 from repro.host.processor import cpu_time
@@ -48,21 +51,6 @@ from repro.planner.zonemap import PairZoneMap, PruneDecision, ZoneMaps
 
 #: Memoized :meth:`RelationStatistics.plan` decisions kept per relation.
 _PLAN_CACHE_CAPACITY = 64
-
-
-@dataclass
-class _PlanEntry:
-    """One memoized plan decision plus its billing state.
-
-    ``pending`` accumulates the zone-map entries consulted on behalf of this
-    decision that no execution has been billed for yet: the cost router
-    peeks at a plan without consuming the charge, and the engine's
-    back-to-back request then bills the whole walk exactly once.
-    """
-
-    decision: PruneDecision
-    version: int
-    pending: int = 0
 
 
 class RelationStatistics:
@@ -82,12 +70,12 @@ class RelationStatistics:
         # fragment masks) retires memoized whole-plan decisions, which are
         # then cheaply reassembled from the fragment cache.
         self._version = 0
-        # plan() memo: the service's cost router and the engine both plan
-        # the same predicate back to back, and serving workloads replay
-        # predicates.
-        self._plan_cache: OrderedDict[object, _PlanEntry] = OrderedDict()
-        # estimate() memo, keyed on (predicate, _version): the router's and
-        # the engine's estimate of one predicate are one computation.
+        # plan() memo, (decision, _version) per predicate: serving workloads
+        # replay predicates, and a replay skips the fragment-mask assembly
+        # (tens of microseconds per SSB predicate).
+        self._plan_cache: OrderedDict[object, tuple] = OrderedDict()
+        # estimate() memo, keyed on (predicate, _version): a replay skips
+        # the histogram walk, several times the cost of the lookup.
         self._estimate_cache: OrderedDict[tuple, float] = OrderedDict()
 
     @classmethod
@@ -103,15 +91,12 @@ class RelationStatistics:
         predicate: Predicate,
         partition_attributes: Sequence[Sequence[str]],
         crossbars_per_page: int,
-        peek: bool = False,
     ) -> PruneDecision:
         """Candidate crossbars for every vertical partition of a predicate.
 
         The returned decision's candidate masks are read-only and shared
-        with the memo; ``entries_checked`` is the zone-map work billed to
-        *this* call (0 on a clean replay).  ``peek=True`` returns the same
-        decision without consuming the billing — the cost router peeks, the
-        engine's subsequent request then pays for the walk exactly once.
+        with the memo; ``entries_checked`` is the zone-map walk this call
+        did: the whole walk on a memo miss, 0 on a replay.
         """
         # The memo keys on the predicate's *structural* normal form, so
         # structurally equal predicates built separately (a replayed query
@@ -122,28 +107,25 @@ class RelationStatistics:
             tuple(tuple(attrs) for attrs in partition_attributes),
             crossbars_per_page,
         )
-        entry = self._plan_cache.get(key)
-        if entry is None or entry.version != self._version:
-            decision, consulted = self._assemble(
-                predicate, partition_attributes, crossbars_per_page
-            )
-            pending = consulted + (entry.pending if entry is not None else 0)
-            entry = _PlanEntry(decision, self._version, pending)
-            self._plan_cache[key] = entry
+        cached = self._plan_cache.get(key)
+        if cached is not None and cached[1] == self._version:
+            self._plan_cache.move_to_end(key)
+            return replace(cached[0], entries_checked=0)
+        decision = self._assemble(
+            predicate, partition_attributes, crossbars_per_page
+        )
+        self._plan_cache[key] = (decision, self._version)
         self._plan_cache.move_to_end(key)
         if len(self._plan_cache) > _PLAN_CACHE_CAPACITY:
             self._plan_cache.popitem(last=False)
-        billed = entry.pending
-        if not peek:
-            entry.pending = 0
-        return replace(entry.decision, entries_checked=billed)
+        return decision
 
     def _assemble(
         self,
         predicate: Predicate,
         partition_attributes: Sequence[Sequence[str]],
         crossbars_per_page: int,
-    ) -> tuple[PruneDecision, int]:
+    ) -> PruneDecision:
         """Build a decision by intersecting cached fragment candidate sets.
 
         Per partition the live prefilter is applied fresh (DELETEs shrink it
@@ -178,14 +160,13 @@ class RelationStatistics:
                     consulted += self.zonemaps.crossbars
             mask.setflags(write=False)
             candidates.append(mask)
-        decision = PruneDecision(
+        return PruneDecision(
             candidates=candidates,
             crossbars_total=self.zonemaps.crossbars * len(candidates),
             crossbars_scanned=int(sum(mask.sum() for mask in candidates)),
             entries_checked=consulted,
             conjuncts_checked=conjuncts_checked,
         )
-        return decision, consulted
 
     def _pair_bucket_masks(self, fragments) -> tuple[int, int] | None:
         """Bucket masks of the pair's two columns when *both* are constrained.
@@ -440,15 +421,25 @@ def _host_scan_read_plan(stored, query: Query) -> dict[int, tuple[list[str], int
 
 
 class CostPlanner:
-    """Chooses between the PIM engine and a host scan for each query."""
+    """Prices the PIM engine against a host scan for one store execution."""
 
-    def route(self, query: Query, engine) -> PlanDecision:
-        """Decide the route for one query on one store's engine."""
+    def route(
+        self,
+        query: Query,
+        engine,
+        selectivity: float,
+        prune: PruneDecision | None,
+    ) -> PlanDecision:
+        """Choose the route of one query on one store's engine.
+
+        ``selectivity`` and ``prune`` are the engine's own estimate and
+        zone-map decision (``prune`` is ``None`` without pruning): the router
+        prices the two routes with them and plans nothing itself.
+        """
         tracer = engine.tracer
         with tracer.span("plan") as span:
-            selectivity = engine.stored.statistics.estimate(query.predicate)
             est_host = self._estimate_host(query, engine, selectivity)
-            est_pim = self._estimate_pim(query, engine, selectivity)
+            est_pim = self._estimate_pim(query, engine, selectivity, prune)
             target = "host" if est_host < est_pim else "pim"
             decision = PlanDecision(target, selectivity, est_pim, est_host)
             if tracer.enabled:
@@ -477,7 +468,13 @@ class CostPlanner:
         )
         return read_time + agg_time
 
-    def _estimate_pim(self, query: Query, engine, selectivity: float) -> float:
+    def _estimate_pim(
+        self,
+        query: Query,
+        engine,
+        selectivity: float,
+        prune: PruneDecision | None,
+    ) -> float:
         """Rough modelled time of the (pruned) PIM execution."""
         stored = engine.stored
         config: SystemConfig = engine.config
@@ -485,42 +482,26 @@ class CostPlanner:
         xbar = config.pim.crossbar
         gap = config.pim.request_issue_gap_s
         cp = config.pim.crossbars_per_page
-        statistics = stored.statistics
-        try:
-            per_partition = partition_conjuncts(
-                query.predicate, stored.partition_attributes
-            )
-            # Peek at the memoized plan: the engine re-requests the
-            # identical decision right after routing, and the billing
-            # (zonemap-check entries) is consumed by that request, so the
-            # walk is paid for exactly once per cold query.
-            prune = (
-                statistics.plan(
-                    query.predicate, stored.partition_attributes, cp, peek=True
-                )
-                if engine.pruning
-                else None
-            )
-        except CompilationError:
-            return 0.0  # the engine will raise the real error — stay on PIM
+        per_partition = partition_conjuncts(
+            query.predicate, stored.partition_attributes
+        )
         schema = stored.relation.schema
+        primary = engine._primary_partition(query)
         total = 0.0
-        scanned_pages = stored.pages * scale
+        partition_pages = []
         for index, conjunct in enumerate(per_partition):
             layout = stored.layouts[index]
             pages = stored.allocations[index].pages * scale
             if prune is not None:
                 mask = prune.candidates[index]
                 pages *= mask.sum() / max(1, len(mask))
-            try:
-                program = engine.compiler.filter_program(conjunct, schema, layout)
-                cycles = program.cycles
-            except CompilationError:
-                cycles = 64
-            total += pages * gap + cycles * xbar.logic_cycle_s
-            scanned_pages = min(scanned_pages, pages)
-        # Aggregation: the circuit streams every row of the scanned pages.
-        layout = stored.layouts[0]
+            program = engine.compiler.filter_program(conjunct, schema, layout)
+            total += pages * gap + program.cycles * xbar.logic_cycle_s
+            partition_pages.append(pages)
+        scanned_pages = partition_pages[primary]
+        # Aggregation: the circuit streams every row of the primary
+        # partition's scanned pages, then the host reads its result words.
+        layout = stored.layouts[primary]
         circuit = config.pim.aggregation_circuit
         for aggregate in query.aggregates:
             if aggregate.attribute is None:
@@ -565,20 +546,16 @@ class CostPlanner:
         return total
 
 
-def execute_host_scan(engine, query: Query, decision: PlanDecision | None = None):
+def execute_host_scan(engine, query: Query, decision: PlanDecision):
     """Execute a query by streaming the relation through the host load path.
 
     The functional answer is the reference aggregation over the live ground
     truth — bit-exact with the PIM engine by construction.  The modelled cost
     is a bandwidth-bound stream of the referenced columns plus the host-side
     hash aggregation of the selected records, charged through the same
-    :class:`~repro.pim.stats.PimStats` the PIM path uses.
+    :class:`~repro.pim.stats.PimStats` the PIM path uses.  The execution
+    carries the router's estimate; the engine feeds it back.
     """
-    with engine.tracer.span("host-scan", label=engine.label):
-        return _execute_host_scan(engine, query, decision, engine.tracer)
-
-
-def _execute_host_scan(engine, query: Query, decision, tracer):
     from repro.core.executor import QueryExecution
     from repro.host.aggregator import host_group_aggregate
     from repro.host.readpath import HostReadModel
@@ -586,70 +563,51 @@ def _execute_host_scan(engine, query: Query, decision, tracer):
     stored = engine.stored
     config: SystemConfig = engine.config
     scale = engine.timing_scale
-    stats = PimStats()
-    tracer.bind(stats)
-    read_model = HostReadModel(config, stats, traffic_scale=scale)
+    with engine.tracer.span("host-scan", label=engine.label):
+        stats = PimStats()
+        engine.tracer.bind(stats)
+        read_model = HostReadModel(config, stats, traffic_scale=scale)
 
-    mask = evaluate_predicate(query.predicate, stored.relation)
-    mask &= stored.valid_mask(0)
-    for _, lines in _host_scan_read_plan(stored, query).values():
-        read_model.charge_stream_lines(lines, phase="host-scan-read")
-    group_columns = {
-        name: stored.relation.column(name)[mask] for name in query.group_by
-    }
-    value_columns = {
-        a.attribute: stored.relation.column(a.attribute)[mask]
-        for a in query.aggregates
-        if a.attribute is not None
-    }
-    rows = host_group_aggregate(
-        group_columns,
-        value_columns,
-        query.aggregates,
-        config.host,
-        stats=stats,
-        threads=config.host.query_threads,
-        phase="host-scan-agg",
-        workload_scale=scale,
-    )
-    # Normalize by the live rows, not the slots in use: tombstoned slots can
-    # never be selected (the valid mask was just ANDed in), and the PIM path
-    # and the selectivity estimator both speak live-row fractions.
-    selectivity = (
-        float(mask.sum() / stored.live_count) if stored.live_count else 0.0
-    )
-    total_crossbars = sum(a.crossbars for a in stored.allocations)
-    # Record the planner estimate whether or not the router handed one over,
-    # and feed the feedback loop: a host-routed execution observes estimation
-    # error too (it streamed every crossbar, so that is its scan volume).
-    statistics = stored.statistics
-    if decision is not None:
-        estimated = decision.estimated_selectivity
-    else:
-        estimated = statistics.estimate(query.predicate)
-    if query.predicate is not None:
-        statistics.observe_execution(
-            query.predicate,
-            estimated,
-            selectivity,
-            crossbars_scanned=total_crossbars,
-            stored=stored,
+        mask = evaluate_predicate(query.predicate, stored.relation)
+        mask &= stored.valid_mask(0)
+        for _, lines in _host_scan_read_plan(stored, query).values():
+            read_model.charge_stream_lines(lines, phase="host-scan-read")
+        group_columns = {
+            name: stored.relation.column(name)[mask] for name in query.group_by
+        }
+        value_columns = {
+            a.attribute: stored.relation.column(a.attribute)[mask]
+            for a in query.aggregates
+            if a.attribute is not None
+        }
+        rows = host_group_aggregate(
+            group_columns,
+            value_columns,
+            query.aggregates,
+            config.host,
             stats=stats,
-            host=config.host,
-            timing_scale=scale,
+            threads=config.host.query_threads,
+            phase="host-scan-agg",
+            workload_scale=scale,
         )
-    return QueryExecution(
-        query=query,
-        label=f"{engine.label}/host-scan",
-        rows=rows,
-        stats=stats,
-        selectivity=selectivity,
-        total_subgroups=len(rows) if query.group_by else 1,
-        subgroups_in_sample=0,
-        pim_subgroups=0,
-        max_writes_per_row=0,
-        plan=None,
-        crossbars_total=total_crossbars,
-        crossbars_scanned=0,
-        estimated_selectivity=estimated,
-    )
+        # Normalize by the live rows, not the slots in use: tombstoned slots
+        # can never be selected (the valid mask was just ANDed in), and the
+        # PIM path and the selectivity estimator both speak live-row fractions.
+        selectivity = (
+            float(mask.sum() / stored.live_count) if stored.live_count else 0.0
+        )
+        return QueryExecution(
+            query=query,
+            label=f"{engine.label}/host-scan",
+            rows=rows,
+            stats=stats,
+            selectivity=selectivity,
+            total_subgroups=len(rows) if query.group_by else 1,
+            subgroups_in_sample=0,
+            pim_subgroups=0,
+            max_writes_per_row=0,
+            plan=None,
+            crossbars_total=sum(a.crossbars for a in stored.allocations),
+            crossbars_scanned=0,
+            estimated_selectivity=decision.estimated_selectivity,
+        )

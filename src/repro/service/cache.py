@@ -90,8 +90,10 @@ class ProgramCache(ProgramCompiler):
         self._entries: OrderedDict[Hashable, Program | GroupMaskTemplate] = (
             OrderedDict()
         )
-        # Sharded scatter execution may compile from several shard threads at
-        # once; the lock keeps the LRU bookkeeping (and the hit/miss counters)
+        # Shards execute on the calling thread; the only concurrent compiles
+        # come from ``repro.core.batched``, whose ``pool.map`` builds the
+        # group-mask templates of two or more remote partitions at once.  The
+        # lock keeps the LRU bookkeeping (and the hit/miss counters)
         # consistent.  Compilation itself is pure, so holding the lock across
         # ``build()`` only serialises genuinely duplicate work.
         self._lock = threading.RLock()

@@ -7,8 +7,10 @@ shards of a :class:`~repro.sharding.storage.ShardedStoredRelation`, or a
 It then folds the per-shard partial results into the global answer through
 the existing partial-aggregate merge machinery (gather).  At K = 1 there is
 nothing to gather, and the one store's execution is returned unchanged.
-The cost planner routes each shard on its own (PIM or host scan), and every
-execution makes its own :class:`~repro.pim.controller.PimExecutor`.
+The sharded engine only scatters and gathers: each shard's
+:class:`~repro.core.executor.PimQueryEngine` estimates, plans and routes its
+own execution (PIM or host scan) once, with the router this engine forwards,
+and every execution makes its own :class:`~repro.pim.controller.PimExecutor`.
 
 Programs are compiled once — the shards share layout objects, so a shared
 :class:`~repro.core.stages.ProgramCompiler` (or the service's LRU
@@ -58,7 +60,7 @@ from repro.db.query import Query
 from repro.host.aggregator import merge_shard_rows
 from repro.obs.trace import tracer_from_config
 from repro.pim.stats import PimStats
-from repro.planner.planner import CostPlanner, execute_host_scan
+from repro.planner.planner import CostPlanner, cold_walk
 
 
 @dataclass
@@ -149,11 +151,12 @@ class ShardedQueryEngine:
                 its own zone maps, and a shard whose maps rule the whole
                 predicate out is skipped entirely (no filter broadcast, no
                 aggregation; only the zone-map check is charged).
-            planner: Cost-based router consulted per shard: a shard whose
-                estimated host-scan time beats its estimated PIM time is
-                served through :func:`~repro.planner.planner.execute_host_scan`
-                instead (bit-exact rows, host-path cost model).  ``None``
-                always executes on PIM.
+            planner: Cost-based router forwarded to every shard engine as
+                its ``router``: a shard whose estimated host-scan time beats
+                its estimated PIM time is served through
+                :func:`~repro.planner.planner.execute_host_scan` instead
+                (bit-exact rows, host-path cost model).  ``None`` always
+                executes on PIM.
             pool: A shared :class:`~repro.core.parallel.ScatterPool` handed
                 to every shard engine for its per-partition kernel batches
                 (the service passes its own).  ``None`` runs them inline.
@@ -169,7 +172,6 @@ class ShardedQueryEngine:
         self.label = label
         self.compiler = compiler if compiler is not None else ProgramCompiler()
         self.pruning = bool(pruning)
-        self.planner = planner
         self.pool = pool
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)
         self.shard_engines: list[PimQueryEngine] = [
@@ -182,6 +184,7 @@ class ShardedQueryEngine:
                 timing_scale=timing_scale,
                 compiler=self.compiler,
                 pruning=self.pruning,
+                router=planner,
                 scatter_pool=self.pool,
                 tracer=self.tracer,
             )
@@ -222,10 +225,11 @@ class ShardedQueryEngine:
     def _prescatter_empty(self, query: Query) -> list[bool]:
         """Cross-shard candidate mask: which shards are provably empty.
 
-        Peeks at every shard's memoized plan decision — assembled from the
-        shard's cached fragment masks — without consuming the billing, so
-        the shard's own zone-map charge is unchanged when it executes.  An
-        inspection helper: a provably empty shard returns from its own plan.
+        Reads a :func:`~repro.planner.planner.cold_walk` of every shard's
+        zone maps, which touches neither the plan memo nor any billing, so
+        the shard's own execution is unchanged.  The cold walk ignores the
+        pair sketch, so its flags are a subset of the plan's.  An inspection
+        helper: a provably empty shard returns from its own plan.
         """
         flags = [False] * self.num_shards
         if not self.pruning:
@@ -233,29 +237,19 @@ class ShardedQueryEngine:
         for index, engine in enumerate(self.shard_engines):
             # The shard engine will raise the real error; don't mask it.
             with contextlib.suppress(CompilationError):
-                flags[index] = engine.stored.statistics.plan(
+                flags[index] = cold_walk(
+                    engine.stored.statistics,
                     query.predicate,
                     engine.stored.partition_attributes,
                     self.config.pim.crossbars_per_page,
-                    peek=True,
                 ).empty
         return flags
 
     def _execute_shard(
         self, query: Query, index: int, engine: PimQueryEngine
     ) -> QueryExecution:
-        """Run one shard of the scatter, cost-routing it when a planner is set.
-
-        Each shard decides independently: shards the query barely selects
-        from (or small residual shards) stream through the host while the
-        selective shards stay on PIM; at K = 1 this is the whole relation's
-        route.
-        """
+        """Run one shard of the scatter; its engine decides the route."""
         with self.tracer.span("shard", shard=index):
-            if self.planner is not None:
-                decision = self.planner.route(query, engine)
-                if decision.target == "host":
-                    return execute_host_scan(engine, query, decision)
             return engine.execute(query)
 
     # ---------------------------------------------------------------- gather

@@ -22,6 +22,7 @@ from repro.db.update import execute_update
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.planner.adaptive import AdaptiveController
+from repro.planner.planner import cold_walk
 from repro.planner.selectivity import (
     ColumnHistogram,
     EquiDepthHistogram,
@@ -458,9 +459,9 @@ def _broadcast_twin(backend, predicate):
     live = np.flatnonzero(zonemaps.live > 0)
     zonemaps.note_update("key", 0, live)
     zonemaps.note_update("key", (1 << 16) - 1, live)
-    decision = stored.statistics.plan(
-        predicate, stored.partition_attributes,
-        system.pim.crossbars_per_page, peek=True,
+    decision = cold_walk(
+        stored.statistics, predicate, stored.partition_attributes,
+        system.pim.crossbars_per_page,
     )
     assert np.array_equal(decision.candidates[0], zonemaps.live > 0)
     return stored, system
@@ -477,9 +478,9 @@ def test_pruned_delete_matches_broadcast(backend, ground_truth, ground_truth_ora
     predicate = Comparison("key", "between", low=20000, high=40000)
     pruned_stored, system = _small_stored(backend, records=4000, sorted_keys=True)
     broadcast_stored, _ = _broadcast_twin(backend, predicate)
-    pruned_decision = pruned_stored.statistics.plan(
-        predicate, pruned_stored.partition_attributes,
-        system.pim.crossbars_per_page, peek=True,
+    pruned_decision = cold_walk(
+        pruned_stored.statistics, predicate, pruned_stored.partition_attributes,
+        system.pim.crossbars_per_page,
     )
     assert pruned_decision.candidates[0].sum() < (
         pruned_stored.statistics.zonemaps.live > 0
@@ -578,7 +579,6 @@ def test_recluster_cuts_cold_walk_entries_and_scans_8x():
     by the hottest column, the same 12 point probes check >= 8x fewer
     zone-map entries in a cold walk and scan >= 8x fewer crossbars.
     """
-    from repro.planner.planner import cold_walk
     from repro.ssb import build_ssb_prejoined, generate
     from repro.ssb.prejoined import max_aggregated_width
 
@@ -634,11 +634,12 @@ def test_recluster_cuts_cold_walk_entries_and_scans_8x():
 
 def test_host_scan_records_estimate_and_feeds_back():
     """Host-routed executions carry the estimate and feed the accumulator."""
-    from repro.planner.planner import execute_host_scan
+    from repro.planner.planner import CostPlanner
 
     stored, system = _small_stored(records=800, seed=43)
     engine = PimQueryEngine(
         stored, config=system, label="host", pruning=True,
+        router=CostPlanner(),
     )
     query = Query(
         "host-probe",
@@ -646,7 +647,8 @@ def test_host_scan_records_estimate_and_feeds_back():
         (Aggregate("sum", "value"), Aggregate("count")),
     )
     observations_before = stored.statistics.adaptive_snapshot().observations
-    execution = execute_host_scan(engine, query)
+    execution = engine.execute(query)
+    assert execution.label == "host/host-scan"
     assert execution.estimated_selectivity is not None
     snapshot = stored.statistics.adaptive_snapshot()
     assert snapshot.observations == observations_before + 1

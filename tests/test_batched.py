@@ -46,6 +46,7 @@ from repro.pim.crossbar import CrossbarBank
 from repro.pim.module import PimModule
 from repro.pim.packed import PackedCrossbarBank, make_bank
 from repro.pim.stats import PimStats
+from repro.planner.planner import CostPlanner, cold_walk
 from repro.service import QueryService
 from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
 
@@ -670,36 +671,77 @@ def test_plan_memo_keys_on_structural_predicate_form():
         assert np.array_equal(ours, theirs)
 
 
-def test_plan_peek_defers_billing_to_the_next_request():
+def _billed_check_s(execution) -> float:
+    """The execution's modelled ``zonemap-check`` time (0 when not billed)."""
+    return execution.stats.time_by_phase.get("zonemap-check", 0.0)
+
+
+def _check_s(statistics, entries: int) -> float:
+    """What billing ``entries`` zone-map entries charges."""
+    stats = PimStats()
+    statistics.charge_check(stats, DEFAULT_CONFIG.host, entries)
+    return stats.time_by_phase["zonemap-check"]
+
+
+def test_cold_pim_execution_bills_the_cold_walk_and_a_replay_nothing():
     relation = _relation(seed=10, num_cities=4)
-    config = DEFAULT_CONFIG
     stored = StoredRelation(
-        relation, PimModule(config), label="peek", aggregation_width=22
+        relation, PimModule(DEFAULT_CONFIG), label="bill", aggregation_width=22
     )
-    engine = PimQueryEngine(stored, config=config, pruning=True)
-    statistics = engine.stored.statistics
-    predicate = Comparison("key", "<", 256)
-    peeked = statistics.plan(
-        predicate, stored.partition_attributes,
-        config.pim.crossbars_per_page, peek=True,
+    engine = PimQueryEngine(stored, config=DEFAULT_CONFIG, pruning=True)
+    query = Query(
+        "bill", Comparison("key", "<", 256),
+        (Aggregate("sum", "value"), Aggregate("count")), group_by=("city",),
     )
-    assert peeked.entries_checked > 0
-    billed = statistics.plan(
-        predicate, stored.partition_attributes, config.pim.crossbars_per_page
+    walk = cold_walk(
+        stored.statistics, query.predicate, stored.partition_attributes,
+        DEFAULT_CONFIG.pim.crossbars_per_page,
     )
-    # The peek consumed nothing; the engine's own request pays the walk once.
-    assert billed.entries_checked == peeked.entries_checked
-    replay = statistics.plan(
-        predicate, stored.partition_attributes, config.pim.crossbars_per_page
+    assert walk.entries_checked > 0
+    cold = engine.execute(query)
+    assert _billed_check_s(cold) == _check_s(stored.statistics, walk.entries_checked)
+    replay = engine.execute(query)
+    assert replay.rows == cold.rows
+    assert _billed_check_s(replay) == 0.0
+
+
+def test_host_route_bills_no_walk_and_leaves_none_for_the_pim_route():
+    """A host scan reads no zone map, so it bills none — not in its stats
+    and not in its trace; the plan it made is memoised, so a PIM execution
+    of the same predicate at the same statistics version bills nothing
+    either."""
+    from repro.obs.trace import SpanTracer, fold_trace_charges
+
+    relation = _relation(seed=10, num_cities=4)
+    stored = StoredRelation(
+        relation, PimModule(DEFAULT_CONFIG), label="bill", aggregation_width=22
     )
-    assert replay.entries_checked == 0
+    routed = PimQueryEngine(
+        stored, config=DEFAULT_CONFIG, pruning=True, router=CostPlanner(),
+        tracer=SpanTracer(enabled=True),
+    )
+    pim = PimQueryEngine(stored, config=DEFAULT_CONFIG, pruning=True)
+    broad = Query(
+        "broad", Comparison("value", ">=", 0),
+        (Aggregate("sum", "value"), Aggregate("count")),
+    )
+    version = stored.statistics._version
+    host = routed.execute(broad)
+    assert host.label.endswith("/host-scan")
+    assert _billed_check_s(host) == 0.0
+    traced = fold_trace_charges(routed.tracer.pop_trace())
+    assert traced["time"] == dict(host.stats.time_by_phase)
+    assert stored.statistics._version == version     # no feedback rebuild
+    later = pim.execute(broad)
+    assert later.rows == host.rows
+    assert _billed_check_s(later) == 0.0
 
 
 # ------------------------------------------------- pre-scatter empty shards
 def test_prescatter_skips_provably_empty_shards():
-    """Shards whose zone maps rule the predicate out are flagged by the peek
-    helper and the merged execution is unchanged: bit-exact rows, zero
-    crossbars scanned on the empty shards."""
+    """Shards whose zone maps rule the predicate out are flagged by the
+    cold-walk helper and the merged execution is unchanged: bit-exact rows,
+    zero crossbars scanned on the empty shards."""
     relation = _relation(seed=12, num_cities=4, records=512)
     engines = {}
     for pruning in (False, True):
@@ -726,6 +768,32 @@ def test_prescatter_skips_provably_empty_shards():
     for flagged, execution in zip(flags, pruned.shard_executions):
         if flagged:
             assert execution.crossbars_scanned == 0
+
+
+def test_prescatter_leaves_the_execution_stats_alone():
+    """The cold-walk helper touches no memo and bills nothing: an execution
+    after it charges exactly what one without it does, shard by shard."""
+    relation = _relation(seed=12, num_cities=4, records=512)
+    query = Query(
+        "low", Comparison("key", "<", 40),
+        (Aggregate("sum", "value"), Aggregate("count")), group_by=("city",),
+    )
+    executions = []
+    for inspect in (False, True):
+        sharded = ShardedStoredRelation(
+            relation, PimModule(DEFAULT_CONFIG), shards=4, label="pre",
+            aggregation_width=22, reserve_bulk_aggregation=False,
+        )
+        engine = ShardedQueryEngine(sharded, label="pre", pruning=True)
+        if inspect:
+            assert any(engine._prescatter_empty(query))
+        executions.append(engine.execute(query))
+    plain, inspected = executions
+    assert any(_billed_check_s(e) > 0 for e in plain.shard_executions)
+    assert inspected.rows == plain.rows
+    assert inspected.stats == plain.stats
+    for ours, theirs in zip(inspected.shard_executions, plain.shard_executions):
+        assert ours.stats == theirs.stats
 
 
 # ------------------------------------------------------------- stats totals

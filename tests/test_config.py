@@ -117,6 +117,7 @@ _REMOVED_KEYWORDS = [
     ("PimQueryEngine.execute", "executor"),
     ("ShardedQueryEngine.execute", "executor"),
     ("ShardedQueryEngine", "max_workers"),
+    ("RelationStatistics.plan", "peek"),
 ]
 
 
@@ -135,7 +136,8 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     ``vectorized``: there is one evaluator per program.  ``pruned``: DELETE
     and UPDATE always run zone-map-pruned.  ``executor``: every execution
     makes its own executors.  ``max_workers``: the sharded engine runs its
-    shards as a loop and takes the service's pool or none.  The others were
+    shards as a loop and takes the service's pool or none.  ``peek``: the
+    engine plans once per execution, so no caller defers the billing.  The others were
     settable values no caller set; each is now a constant.  Python rejects an unknown
     keyword before the body runs, so placeholders suffice.
     """
@@ -144,6 +146,7 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     from repro.db.dml import execute_compaction, execute_delete, execute_insert
     from repro.db.update import execute_update
     from repro.pim.controller import PimExecutor
+    from repro.planner.planner import RelationStatistics
     from repro.service import QueryService
     from repro.sharding import ShardedQueryEngine
 
@@ -176,6 +179,9 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         ),
         "aggregate_bulk_bitwise": lambda **kw: executor.aggregate_bulk_bitwise(
             None, None, 1, **kw
+        ),
+        "RelationStatistics.plan": lambda **kw: RelationStatistics.plan(
+            None, None, None, 1, **kw
         ),
     }
     with pytest.raises(TypeError, match=keyword):

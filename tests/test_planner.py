@@ -440,10 +440,23 @@ def test_pruned_bit_exact_under_interleaved_dml(backend, shards, ops, probe_key)
 
 
 # --------------------------------------------------------- cost-based routing
+def _route(query, engine):
+    """The router's decision, priced from the engine's estimate and a
+    side-effect-free zone-map plan (``None`` without pruning)."""
+    stored = engine.stored
+    prune = cold_walk(
+        stored.statistics, query.predicate, stored.partition_attributes,
+        engine.config.pim.crossbars_per_page,
+    ) if engine.pruning else None
+    return CostPlanner().route(
+        query, engine, stored.statistics.estimate(query.predicate), prune
+    )
+
+
 def test_host_scan_route_matches_pim_rows():
     engine = PimQueryEngine(_store(clustered_relation()))
     for query in (POINT, RANGE, NOTHING):
-        host = execute_host_scan(engine, query)
+        host = execute_host_scan(engine, query, _route(query, engine))
         pim = engine.execute(query)
         assert host.rows == pim.rows, query.name
         assert host.label.endswith("/host-scan")
@@ -451,13 +464,12 @@ def test_host_scan_route_matches_pim_rows():
 
 
 def test_cost_planner_prefers_pim_at_scale_and_host_for_small_scans():
-    planner = CostPlanner()
     # Serving scale: the PIM path wins on a selective query.
     big = PimQueryEngine(
         _store(clustered_relation()), pruning=True,
         timing_scale=1024.0,
     )
-    decision = planner.route(POINT, big)
+    decision = _route(POINT, big)
     assert decision.target == "pim"
     assert decision.est_pim_time_s < decision.est_host_time_s
     # A small, unscaled relation with a near-unselective scan: the host wins.
@@ -466,7 +478,7 @@ def test_cost_planner_prefers_pim_at_scale_and_host_for_small_scans():
         "broad", Comparison("value", ">=", 0),
         (Aggregate("sum", "value"), Aggregate("count")),
     )
-    decision = planner.route(broad, small)
+    decision = _route(broad, small)
     assert decision.target == "host"
     assert 0.9 <= decision.estimated_selectivity <= 1.0
 
@@ -489,10 +501,31 @@ def test_cost_planner_routes_group_by_across_vertical_partitions():
         (Aggregate("sum", "value"), Aggregate("count")),
         group_by=("city", "region"),
     )
-    decision = CostPlanner().route(grouped, engine)
+    decision = _route(grouped, engine)
     assert decision.target in ("pim", "host")
     assert decision.est_pim_time_s > 0.0
     assert decision.est_host_time_s > 0.0
+
+
+def test_pim_estimate_prices_the_aggregation_on_the_primary_partition():
+    """The router prices the circuit passes and the result reads where the
+    engine aggregates — the partition holding ``value`` — so listing the
+    same vertical partitions in another order leaves the estimate alone."""
+    query = Query(
+        "primary", Comparison("key", "<", 600),
+        (Aggregate("sum", "value"), Aggregate("count")),
+    )
+    estimates = []
+    for partitions in (
+        [["key", "value", "city"], ["region"]],    # 3 result words, then 2
+        [["region"], ["key", "value", "city"]],
+    ):
+        engine = PimQueryEngine(
+            _store(partitioned_relation(), partitions=partitions),
+            pruning=True, timing_scale=64.0,
+        )
+        estimates.append(_route(query, engine).est_pim_time_s)
+    assert estimates[0] == pytest.approx(estimates[1], rel=1e-12, abs=0)
 
 
 def test_service_routes_and_reports_planner_stats():
@@ -508,6 +541,55 @@ def test_service_routes_and_reports_planner_stats():
     assert stats.planner.pim_queries + stats.planner.host_routed == 3
     assert "planner_pim_queries=" in stats.describe()
     assert "planner_skip_rate=" in stats.describe()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_each_store_execution_estimates_plans_and_observes_once(
+    monkeypatch, shards
+):
+    """The engine decides a store execution once: one ``estimate``, one
+    ``plan`` and one ``observe_execution`` per store, whichever route it
+    takes — PIM, host scan or a shard the zone maps rule out."""
+    from repro.planner.planner import RelationStatistics
+
+    calls = []
+    for method in ("plan", "estimate", "observe_execution"):
+        inner = getattr(RelationStatistics, method)
+        monkeypatch.setattr(
+            RelationStatistics, method,
+            lambda self, *args, inner=inner, method=method, **kwargs: (
+                calls.append((method, id(self))) or inner(self, *args, **kwargs)
+            ),
+        )
+    broad = Query(
+        "broad", Comparison("value", ">=", 0),
+        (Aggregate("sum", "value"), Aggregate("count")),
+    )
+    cases = [
+        (POINT, 1024.0, {"pim", "pruned-out"} if shards > 1 else {"pim"}),
+        (NOTHING, 1024.0, {"pruned-out"}),
+        (broad, 1.0, {"host"}),     # small, unscaled, near-unselective
+    ]
+    for query, timing_scale, expected_routes in cases:
+        service = QueryService()
+        service.register_sharded(
+            "pl", clustered_relation(), shards=shards, timing_scale=timing_scale
+        )
+        stores = service.engine().sharded.shards
+        calls.clear()
+        execution = service.execute(query)
+        executions = getattr(execution, "shard_executions", [execution])
+        routes = {
+            "host" if e.label.endswith("/host-scan")
+            else "pruned-out" if e.crossbars_scanned == 0 else "pim"
+            for e in executions
+        }
+        assert routes == expected_routes, query.name
+        for stored in stores:
+            mine = sorted(m for m, owner in calls if owner == id(stored.statistics))
+            assert mine == ["estimate", "observe_execution", "plan"], query.name
+        assert len(calls) == 3 * shards
+        service.close()
 
 
 # ----------------------------------------------------------------- satellites
@@ -733,7 +815,7 @@ def test_host_scan_selectivity_normalized_by_live_rows():
     expected = float(
         evaluate_predicate(query.predicate, live).sum() / len(live)
     )
-    host = execute_host_scan(engine, query)
+    host = execute_host_scan(engine, query, _route(query, engine))
     assert host.selectivity == pytest.approx(expected)
     pim = engine.execute(query)
     assert pim.selectivity == pytest.approx(expected)
@@ -837,12 +919,12 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
 @pytest.mark.parametrize("shards", [1, 4])
 def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
     """Between two DML statements a GROUP-BY replay evaluates no ground-truth
-    predicate for its candidate domains (the plan memo hits) and estimates
-    its predicate once for router and engine; an adaptive histogram rebuild
-    retires the estimates and leaves the plans alone."""
+    predicate for its candidate domains (the plan memo hits) and does not
+    estimate its predicate again; an adaptive histogram rebuild retires the
+    estimates and leaves the plans alone."""
     from repro.db import storage
 
-    service, stores, engines = _memo_service(shards)
+    service, stores, _ = _memo_service(shards)
     scans = []
     monkeypatch.setattr(
         storage, "evaluate_predicate",
@@ -858,8 +940,6 @@ def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
                 or inner(predicate)
             ),
         )
-    for engine in engines:
-        CostPlanner().route(MEMO_QUERY, engine)
     first = service.execute(MEMO_QUERY)
     assert len(scans) == len(stores) and sum(estimates) == len(stores)
     replay = service.execute(MEMO_QUERY)

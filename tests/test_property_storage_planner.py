@@ -167,7 +167,7 @@ def _assert_cached_plan_matches_cold_walk(service, shards) -> None:
         for query in CHURN_PROBES:
             cached = statistics.plan(
                 query.predicate, stored.partition_attributes,
-                crossbars_per_page, peek=True,
+                crossbars_per_page,
             )
             cold = cold_walk(
                 statistics, query.predicate, stored.partition_attributes,
