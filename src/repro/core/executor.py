@@ -78,6 +78,8 @@ class QueryExecution:
     crossbars_scanned: int = 0
     #: Planner's selectivity estimate (``None`` when no planner consulted).
     estimated_selectivity: float | None = None
+    #: ``"host"`` when the cost planner served it through the host scan.
+    route: str = "pim"
 
     @property
     def time_s(self) -> float:

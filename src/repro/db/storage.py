@@ -483,43 +483,91 @@ class StoredRelation:
         )
 
     # ---------------------------------------------------------------- digest
-    def state_digest(self) -> str:
-        """sha256 of everything a later statement could observe of this store.
+    def state_parts(self) -> dict[str, str]:
+        """sha256 of each named part of what a later statement could observe.
 
-        Per partition the bank's cells outside the scratch area (programs
-        overwrite scratch before reading it), wear and dirty-crossbar masks;
-        zone maps, candidate-cache epochs, statistics version; free list,
-        slot and live counts, ground truth.  "No stored bit or wear moved" is
-        equality of this value (per bank backend: cells are hashed as stored).
+        ``bank`` is every partition's cells outside the scratch area (programs
+        overwrite scratch before reading it), hashed as stored, so equal
+        digests need equal bank backends; ``wear`` the write counters,
+        ``dirty`` the dirty-crossbar masks; ``zonemaps``, ``epochs`` (the
+        candidate cache's), ``histograms`` (kind, edges, counts, total),
+        ``pair-sketch`` and ``adaptive`` (the feedback accumulators) the
+        statistics; ``slots`` the statistics version, slot and live counts
+        and the free list; ``ground-truth`` the slot-aligned relation.  The
+        plan and candidate memos stay out: they cache hashed state.
         """
-        digest = hashlib.sha256()
+        parts = {}
 
-        def feed(*arrays) -> None:
-            for array in map(np.ascontiguousarray, arrays):
+        def part(name: str, *values) -> None:
+            digest = hashlib.sha256()
+            for array in map(np.ascontiguousarray, values):
                 digest.update(f"{array.dtype}{array.shape}".encode() + array.tobytes())
+            parts[name] = digest.hexdigest()
 
-        for allocation, layout, dirty in zip(
-            self.allocations, self.layouts, self._column_dirty
-        ):
-            bank = allocation.bank
-            keep = np.setdiff1d(np.arange(bank.columns), layout.scratch_columns)
-            packed = getattr(bank, "words", None)
-            feed(
-                packed[:, keep] if packed is not None else bank.bits[:, :, keep],
-                bank.writes_per_row,
+        banks = [allocation.bank for allocation in self.allocations]
+        # Scratch is the tail of a row, so the cells kept are a slice.
+        part("bank", *(
+            bank.words[:, : layout.used_columns] if hasattr(bank, "words")
+            else bank.bits[:, :, : layout.used_columns]
+            for bank, layout in zip(banks, self.layouts)
+        ))
+        part("wear", *(bank.writes_per_row for bank in banks))
+        part("dirty", *(
+            value
+            for partition, dirty in enumerate(self._column_dirty)
+            for column in sorted(dirty)
+            if dirty[column].any()          # untracked == tracked and clean
+            for value in (np.int64(partition), np.int64(column), dirty[column])
+        ))
+        statistics = self.statistics
+        zonemaps = statistics.zonemaps
+        names = self.relation.schema.names
+        part("zonemaps", zonemaps.live, *(
+            bounds[name] for name in names for bounds in (zonemaps.mins, zonemaps.maxs)
+        ))
+        part("epochs", statistics.candidates.epochs)
+        part("histograms", *(
+            value
+            for name, histogram in sorted(statistics.selectivity.histograms.items())
+            for value in (
+                name, histogram.kind, histogram.edges, histogram.counts,
+                np.int64(histogram.total),
             )
-            for column in sorted(dirty):
-                if dirty[column].any():     # untracked == tracked and clean
-                    feed(np.int64(column), dirty[column])
-        zonemaps = self.statistics.zonemaps
-        feed(zonemaps.live, self.statistics.candidates.epochs)
-        for name in self.relation.schema.names:
-            feed(zonemaps.mins[name], zonemaps.maxs[name], self.relation.columns[name])
-        feed(
-            np.array([self.statistics._version, self.num_records, self.live_count]),
+        ))
+        pair = statistics.pair_map
+        part("pair-sketch", *(() if pair is None else (*pair.attributes, pair.sketch)))
+        adaptive = statistics.adaptive
+        part(
+            "adaptive",
+            np.array([adaptive.observations, adaptive.rebuilds, adaptive.pair_sketches]),
+            *(
+                value
+                for name, feedback in sorted(adaptive.columns.items())
+                for value in (name, np.array(
+                    [feedback.error, feedback.observations, feedback.scan_volume]
+                ))
+            ),
+            *(
+                value
+                for pair_names, volume in sorted(adaptive.pair_volume.items())
+                for value in (*pair_names, np.float64(volume))
+            ),
+        )
+        part(
+            "slots",
+            np.array([statistics._version, self.num_records, self.live_count]),
             np.array(sorted(self._free_slots), dtype=np.int64),
         )
-        return digest.hexdigest()
+        part("ground-truth", *(self.relation.columns[name] for name in names))
+        return parts
+
+    def state_digest(self) -> str:
+        """sha256 over :meth:`state_parts`: "no stored bit, statistic or wear
+        moved" is equality of this value (per bank backend)."""
+        return hashlib.sha256(
+            "".join(f"{name}={value};" for name, value in self.state_parts().items())
+            .encode()
+        ).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -250,9 +250,7 @@ class RelationStatistics:
         if triggered or build_pair:
             valid = stored.valid_mask(0)
         for name in triggered:
-            self.selectivity.rebuild_column(
-                relation, name, valid=valid, equi_depth=True
-            )
+            self.selectivity.rebuild_column(relation, name, valid=valid)
             entries += self.zonemaps.crossbars
         if triggered:
             self.adaptive.note_rebuild(len(triggered))
@@ -610,4 +608,5 @@ def execute_host_scan(engine, query: Query, decision: PlanDecision):
             crossbars_total=sum(a.crossbars for a in stored.allocations),
             crossbars_scanned=0,
             estimated_selectivity=decision.estimated_selectivity,
+            route="host",
         )

@@ -363,7 +363,7 @@ class QueryService:
         """Decision attributes of one served query's root span."""
         cache_delta = self.cache.snapshot() - cache_before
         span.set(
-            routed="host" if execution.label.endswith("/host-scan") else "pim",
+            routed=execution.route,
             label=execution.label,
             cache_hits=cache_delta.hits,
             cache_misses=cache_delta.misses,

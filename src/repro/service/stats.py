@@ -179,7 +179,7 @@ class PlannerStats:
         # engine) streamed through the host scan.
         host_scanned = [
             [
-                engine.label.endswith("/host-scan")
+                engine.route == "host"
                 for engine in (
                     e.shard_executions
                     if isinstance(e, ShardedQueryExecution) else [e]

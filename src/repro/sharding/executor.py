@@ -101,7 +101,7 @@ class ShardedQueryExecution(QueryExecution):
         return sum(
             1
             for execution in self.shard_executions
-            if execution.label.endswith("/host-scan")
+            if execution.route == "host"
         )
 
     @property

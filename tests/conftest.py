@@ -249,7 +249,7 @@ class GroundTruthOracle:
         fresh histogram of the live values: the DML hooks keep it exact, and
         compaction relies on that instead of rebuilding it.
         """
-        from repro.planner.selectivity import ColumnHistogram
+        from repro.planner.selectivity import EQUI_WIDTH, ColumnHistogram
 
         statistics = stored.statistics
         zonemaps = statistics.zonemaps
@@ -259,7 +259,7 @@ class GroundTruthOracle:
         assert int(zonemaps.live.sum()) == stored.live_count
         for name, histogram in statistics.selectivity.histograms.items():
             assert histogram.total == stored.live_count, name
-            if isinstance(histogram, ColumnHistogram):
+            if histogram.kind == EQUI_WIDTH:
                 fresh = ColumnHistogram.from_values(
                     stored.relation.column(name)[slots],
                     histogram.width, histogram.buckets,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from twins import assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -24,14 +25,21 @@ from repro.pim.module import PimModule
 from repro.planner.adaptive import AdaptiveController
 from repro.planner.planner import cold_walk
 from repro.planner.selectivity import (
+    EQUI_DEPTH,
+    EQUI_WIDTH,
     ColumnHistogram,
-    EquiDepthHistogram,
     SelectivityModel,
 )
 from repro.planner.zonemap import PairZoneMap, ZoneMaps
 
 
 # ------------------------------------------------------ equi-depth histograms
+#: Both histogram kinds; the ids keep the names of the two classes they were.
+KINDS = pytest.mark.parametrize(
+    "kind", [EQUI_WIDTH, EQUI_DEPTH], ids=["ColumnHistogram", "EquiDepthHistogram"]
+)
+
+
 def _skewed_values(count=4000, seed=7):
     rng = np.random.default_rng(seed)
     # 90% of the mass in [0, 100), a thin tail across the full 16-bit domain.
@@ -42,7 +50,7 @@ def _skewed_values(count=4000, seed=7):
 
 def test_equi_depth_beats_equi_width_on_skew():
     values = _skewed_values()
-    depth = EquiDepthHistogram.from_values(values, width=16)
+    depth = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
     width = ColumnHistogram.from_values(values, width=16)
 
     def reference_eq(v):
@@ -63,7 +71,7 @@ def test_equi_depth_beats_equi_width_on_skew():
 
 def test_equi_depth_range_fractions_are_consistent():
     values = _skewed_values(seed=11)
-    histogram = EquiDepthHistogram.from_values(values, width=16)
+    histogram = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
     assert histogram.kind == "equi-depth"
     # Below the domain maximum (inclusive) is everything.
     assert histogram.fraction_below(histogram.max_value, inclusive=True) == (
@@ -87,7 +95,7 @@ def test_equi_depth_range_fractions_are_consistent():
 
 def test_equi_depth_add_remove_roundtrip():
     values = _skewed_values(seed=3)
-    histogram = EquiDepthHistogram.from_values(values, width=16)
+    histogram = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
     before = histogram.counts.copy()
     extra = np.array([1, 2, 70000 % (1 << 16), 9], dtype=np.uint64)
     histogram.add(extra)
@@ -96,15 +104,15 @@ def test_equi_depth_add_remove_roundtrip():
     assert histogram.total == len(values)
 
 
-@pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
-def test_histogram_over_removal_raises_and_changes_nothing(variant):
+@KINDS
+def test_histogram_over_removal_raises_and_changes_nothing(kind):
     """Removing a value the histogram never counted fails loudly.
 
     A replayed DELETE must not be clamped away: compaction keeps the
     maintained counts, so a silent clamp would persist.
     """
     values = _skewed_values(seed=4)
-    histogram = variant.from_values(values, width=16)
+    histogram = ColumnHistogram.from_values(values, width=16, kind=kind)
     before = histogram.counts.copy()
     with pytest.raises(AssertionError, match="driven negative"):
         histogram.remove(np.concatenate([values, values[:1]]))
@@ -117,20 +125,21 @@ def test_histogram_over_removal_raises_and_changes_nothing(variant):
     assert histogram.total == 0 and not histogram.counts.any()
 
 
-@pytest.mark.parametrize("variant", [ColumnHistogram, EquiDepthHistogram])
-def test_note_insert_batch_matches_single_record_batches(variant):
+@KINDS
+def test_note_insert_batch_matches_single_record_batches(kind):
     """A columnar ``note_insert`` counts like the same records one at a time."""
     values = _skewed_values(seed=9)
     schema = Schema("t", [int_attribute("v", 16)])
 
     def model():
-        return SelectivityModel(schema, {"v": variant.from_values(values, width=16)})
+        histogram = ColumnHistogram.from_values(values, width=16, kind=kind)
+        return SelectivityModel(schema, {"v": histogram})
 
     batched, single = model(), model()
     # Bucket edges, the domain limits, a value past 2**width - 1 (and so past
     # the last equi-depth edge), every equi-depth edge and its neighbours.
     inserts = [0, 1, 1023, 1024, 4095, 4096, (1 << 16) - 1, 1 << 16, 77, 77]
-    for edge in getattr(batched.histograms["v"], "edges", []):
+    for edge in batched.histograms["v"].edges:
         inserts += [max(int(edge) - 1, 0), int(edge), int(edge) + 1]
     column = np.array(inserts, dtype=np.uint64)
     batched.note_insert({"v": column})
@@ -140,7 +149,7 @@ def test_note_insert_batch_matches_single_record_batches(variant):
     assert np.array_equal(got.counts, expected.counts)
     assert got.total == expected.total == len(values) + len(inserts)
     # The out-of-domain value lands in the last bucket on both variants.
-    before = variant.from_values(values, width=16).counts
+    before = ColumnHistogram.from_values(values, width=16, kind=kind).counts
     assert got.counts[-1] - before[-1] >= 1
     assert (got.counts - before).sum() == len(inserts)
 
@@ -150,13 +159,13 @@ def test_rebuild_preserves_histogram_variant():
     schema = Schema("t", [int_attribute("v", 16)])
     relation = Relation(schema, {"v": values})
     model = SelectivityModel.from_relation(relation)
-    assert isinstance(model.histograms["v"], ColumnHistogram)
+    assert model.histograms["v"].kind == EQUI_WIDTH
     # One error-triggered rebuild flips the column to equi-depth...
-    model.rebuild_column(relation, "v", equi_depth=True)
-    assert isinstance(model.histograms["v"], EquiDepthHistogram)
+    model.rebuild_column(relation, "v")
+    assert model.histograms["v"].kind == EQUI_DEPTH
     # ...and a later exact rebuild (compaction) keeps it equi-depth.
     model.rebuild(relation)
-    assert isinstance(model.histograms["v"], EquiDepthHistogram)
+    assert model.histograms["v"].kind == EQUI_DEPTH
 
 
 # --------------------------------------------------------- adaptive controller
@@ -556,9 +565,7 @@ def test_engine_feedback_rebuilds_and_recluster_loop():
     snapshot = stored.statistics.adaptive_snapshot()
     assert snapshot.rebuilds >= 1
     assert snapshot.hot_column == "key"
-    assert isinstance(
-        stored.statistics.selectivity.histograms["key"], EquiDepthHistogram
-    )
+    assert stored.statistics.selectivity.histograms["key"].kind == EQUI_DEPTH
     # Compaction re-clusters by the hottest column and rebuilds tight.
     result = dml.execute_compaction(stored, executor, force=True)
     assert result.performed
@@ -719,6 +726,32 @@ def _service_storeds(service, shards):
     return list(service.engine().sharded.shards)
 
 
+@pytest.mark.parametrize("part", ["histograms", "pair-sketch", "adaptive"])
+def test_state_digest_covers_every_statistic_a_later_statement_reads(part):
+    """Two services with identical bits whose statistics differ in one way —
+    a column rebuilt equi-depth, a pair sketch, one feedback accumulator —
+    have different ``state_digest()`` values, and the twin oracle names
+    that part and no other."""
+    services = [_build_service("packed", 1, seed=3) for _ in range(2)]
+    (stored,) = _service_storeds(services[1], 1)
+    statistics = stored.statistics
+    if part == "histograms":
+        statistics.selectivity.rebuild_column(stored.relation, "key")
+    elif part == "pair-sketch":
+        zonemaps = statistics.zonemaps
+        statistics.pair_map = PairZoneMap.from_relation(
+            ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
+            stored.relation,
+        )
+    else:
+        statistics.adaptive.observe(Comparison("key", "<", 100), 0.5, 0.25, 1)
+    assert services[0].state_digest() != services[1].state_digest()
+    with pytest.raises(AssertionError, match=f"store 0: {part} differ$"):
+        assert_same_state(*services)
+    for service in services:
+        service.close()
+
+
 def _churn_statement(op) -> tuple:
     """``(predicate, assignments)`` of a delete / update churn op."""
     if op[0] == "delete":
@@ -778,12 +811,12 @@ def _histograms_tight(storeds, names) -> None:
         live = stored.live_relation()
         for name in names:
             histogram = stored.statistics.selectivity.histograms[name]
-            fresh = type(histogram).from_values(
-                live.column(name), stored.relation.schema.attribute(name).width
+            fresh = ColumnHistogram.from_values(
+                live.column(name), stored.relation.schema.attribute(name).width,
+                kind=histogram.kind,
             )
             assert histogram.total == len(live)
-            if isinstance(histogram, EquiDepthHistogram):
-                assert np.array_equal(histogram.edges, fresh.edges)
+            assert np.array_equal(histogram.edges, fresh.edges)
             assert np.array_equal(histogram.counts, fresh.counts)
 
 

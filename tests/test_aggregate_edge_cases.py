@@ -8,6 +8,7 @@ the bit-exactness of the compiled-program cache.
 
 import numpy as np
 import pytest
+from twins import all_pim_cost_model
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -278,19 +279,11 @@ def test_three_partition_group_by_spanning_two_remotes(
     the last one.  A degenerate cost model forces every subgroup through
     pim-gb, which is the only path that builds per-subgroup remote masks.
     """
-    from repro.core.latency_model import (
-        GroupByCostModel, HostGbLatencyModel, PimGbLatencyModel,
-    )
-
     partitions = [
         ["key", "price"],
         ["city", "region"],
         ["year", "discount", "quantity"],
     ]
-    all_pim_model = GroupByCostModel(
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}),      # host absurdly expensive
-        PimGbLatencyModel({2: 0.0}, {2: 0.0}),       # PIM free
-    )
     query = Query(
         "three-xb",
         Comparison("quantity", "<", 40),
@@ -299,7 +292,7 @@ def test_three_partition_group_by_spanning_two_remotes(
     )
     engine = _engine(
         toy_relation, partitions=partitions,
-        backend=backend, cost_model=all_pim_model,
+        backend=backend, cost_model=all_pim_cost_model(),
     )
     execution = engine.execute(query)
     assert execution.pim_subgroups > 0  # the folded remote path actually ran

@@ -6,9 +6,8 @@ per vertical partition and then charges the subgroups by multiplicity through
 the same accounting entry points the reference loop uses, storing bits and
 wear once per GROUP-BY.  The contract is total: identical result rows,
 equal :class:`PimStats` (the same multiset of charges and power samples, the
-same request counts), and identical stored state — wear
-counters, every bank column outside the scratch area, every dirty-crossbar
-mask.  A hypothesis property test drives random data, selectivities,
+same request counts), and identical stored state — one ``state_digest()``
+(:mod:`twins`).  A hypothesis property test drives random data, selectivities,
 subgroup counts (K in 1, 2, 4, 20), pruning, and one- vs two-partition
 layouts through batched and per-subgroup dispatch in lock step on both
 backends, two queries with different candidate crossbars back to back on
@@ -24,16 +23,12 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import all_pim_cost_model, assert_same_execution, assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core import batched
 from repro.core.batched import _segmented_partials, _subgroup_segments
 from repro.core.executor import PimQueryEngine
-from repro.core.latency_model import (
-    GroupByCostModel,
-    HostGbLatencyModel,
-    PimGbLatencyModel,
-)
 from repro.core.parallel import ScatterPool
 from repro.db.query import Aggregate, And, Comparison, Query, evaluate_predicate
 from repro.db.relation import Relation
@@ -55,14 +50,6 @@ REGIONS = ["NORTH", "SOUTH"]
 
 STRATEGIES = ("batched", "dispatch")
 BACKENDS = ("packed", "bool")
-
-
-def all_pim_cost_model() -> GroupByCostModel:
-    """Route every subgroup to PIM so the batched kernels actually run."""
-    return GroupByCostModel(
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}),      # host absurdly expensive
-        PimGbLatencyModel({2: 0.0}, {2: 0.0}),       # PIM free
-    )
 
 
 def _relation(seed: int, num_cities: int, records: int = 384) -> Relation:
@@ -94,29 +81,10 @@ def _execute(relation, queries, backend, strategy, pruning, partitions):
     return [engine.execute(query) for query in queries], stored
 
 
-def _assert_same_stored_state(ours, theirs):
-    """Wear, every dirty mask and every bank column outside the scratch area
-    (gate-level ``dispatch`` runs its programs there, batched never does)."""
-    for partition, layout in enumerate(ours.layouts):
-        bank, other = (s.allocations[partition].bank for s in (ours, theirs))
-        assert np.array_equal(bank.writes_per_row, other.writes_per_row)
-        for column in set(range(bank.columns)) - set(layout.scratch_columns):
-            assert np.array_equal(
-                bank.read_column(column), other.read_column(column)
-            ), f"partition {partition}: column {column} differs"
-        tracked = set(ours._column_dirty[partition]) | set(
-            theirs._column_dirty[partition]
-        )
-        for column in tracked:
-            assert np.array_equal(
-                ours.column_dirty_mask(partition, column),
-                theirs.column_dirty_mask(partition, column),
-            ), f"partition {partition}: dirty mask of column {column} differs"
-
-
 def _assert_lockstep(relation, queries, pruning, partitions):
     """batched == dispatch on both backends, query after query on one store:
-    rows and full stats of each execution, then wear, bits and dirty marks."""
+    every execution, then the stored state; the two backends' batched runs
+    agree on every execution."""
     runs = {
         (backend, strategy): _execute(
             relation, queries, backend, strategy, pruning, partitions
@@ -127,20 +95,15 @@ def _assert_lockstep(relation, queries, pruning, partitions):
     for backend in BACKENDS:
         batched_runs, batched_stored = runs[backend, "batched"]
         dispatch_runs, dispatch_stored = runs[backend, "dispatch"]
-        for ours, theirs in zip(batched_runs, dispatch_runs):
-            assert ours.rows == theirs.rows
-            assert ours.pim_subgroups == theirs.pim_subgroups
+        for ours, theirs in zip(batched_runs, dispatch_runs, strict=True):
+            assert_same_execution(ours, theirs)
             # Every subgroup went through the PIM kernels (the forced plan).
             assert ours.pim_subgroups == ours.total_subgroups
-            # The same charge multiset: per-phase and per-component terms,
-            # event and request counts, power samples, wear maxima.
-            assert ours.stats == theirs.stats
-        _assert_same_stored_state(batched_stored, dispatch_stored)
-    for packed, boolean in zip(
-        runs["packed", "batched"][0], runs["bool", "batched"][0]
+        assert_same_state(batched_stored, dispatch_stored)
+    for ours, theirs in zip(
+        runs["packed", "batched"][0], runs["bool", "batched"][0], strict=True
     ):
-        assert packed.rows == boolean.rows
-        assert packed.stats == boolean.stats
+        assert_same_execution(ours, theirs)
     return runs["packed", "batched"][0]
 
 
@@ -391,7 +354,7 @@ def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
     counts = {}
     for distinct_keys in (10, 40):
         service, stored = _keyed_service("batched", distinct_keys)
-        reference, reference_stored = _keyed_service("dispatch", distinct_keys)
+        reference, _ = _keyed_service("dispatch", distinct_keys)
         bank_type = type(stored.allocations[0].bank)
         calls = {"write_bit_column": 0, "write_field_row": 0, "aggregate_reference": 0}
         with monkeypatch.context() as patch:
@@ -411,13 +374,10 @@ def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
         counts[distinct_keys] = calls
 
         twin = reference.execute(query)
-        assert execution.rows == twin.rows and len(twin.rows) == 2 * distinct_keys
-        assert execution.stats == twin.stats
-        assert execution.stats.pim_requests == twin.stats.pim_requests > 0
-        for ours, theirs in zip(
-            stored.wear_snapshot(), reference_stored.wear_snapshot()
-        ):
-            assert np.array_equal(ours, theirs)
+        assert len(twin.rows) == 2 * distinct_keys
+        assert_same_execution(execution, twin)
+        assert execution.stats.pim_requests > 0
+        assert_same_state(service, reference)
         service.close()
         reference.close()
 
@@ -493,9 +453,7 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
     fixed = {}
     for subgroups in (8, 64):
         service, stored = _charge_service("batched", subgroups, pruning, partitions)
-        reference, reference_stored = _charge_service(
-            "dispatch", subgroups, pruning, partitions
-        )
+        reference, _ = _charge_service("dispatch", subgroups, pruning, partitions)
         calls = dict.fromkeys((name for _, name in wrapped), 0)
         with monkeypatch.context() as patch:
             patch.setattr(
@@ -508,10 +466,9 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
         assert execution.pim_subgroups == execution.total_subgroups == subgroups
 
         twin = reference.execute(query)
-        assert execution.rows == twin.rows and len(twin.rows) == subgroups
-        assert execution.stats == twin.stats
-        _assert_same_stored_state(stored, reference_stored)
-        assert service.state_digest() == reference.state_digest()
+        assert len(twin.rows) == subgroups
+        assert_same_execution(execution, twin)
+        assert_same_state(service, reference)
 
         middle = calls.pop("keys")[1:-1]
         distinct = sum(
@@ -554,7 +511,7 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
             service, stored = _charge_service(
                 "batched", subgroups, pruning, partitions, backend
             )
-            reference, reference_stored = _charge_service(
+            reference, _ = _charge_service(
                 "dispatch", subgroups, pruning, partitions, backend
             )
             bank = stored.allocations[0].bank
@@ -572,10 +529,9 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
             assert 0 < sum(sizes) <= (3 + 2 * remote_partitions) * bank.count * bank.rows
 
             twin = reference.execute(query)
-            assert execution.rows == twin.rows and len(twin.rows) == subgroups
-            assert execution.stats == twin.stats
-            _assert_same_stored_state(stored, reference_stored)
-            assert service.state_digest() == reference.state_digest()
+            assert len(twin.rows) == subgroups
+            assert_same_execution(execution, twin)
+            assert_same_state(service, reference)
             service.close()
             reference.close()
         assert decoded[8] == decoded[64]

@@ -1,6 +1,7 @@
 """Tests of the end-to-end PIM query engine on the toy relation."""
 
 import pytest
+from twins import all_pim_cost_model
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -104,11 +105,7 @@ def test_forced_pim_only_and_host_only_plans(toy_relation):
     query = Query("forced", FILTER, (Aggregate("sum", "price"),), group_by=("city",))
     reference = _reference(toy_relation, query)
 
-    all_pim_model = GroupByCostModel(
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}),      # host absurdly expensive
-        PimGbLatencyModel({2: 0.0}, {2: 0.0}),       # PIM free
-    )
-    all_pim = _engine(toy_relation, cost_model=all_pim_model).execute(query)
+    all_pim = _engine(toy_relation, cost_model=all_pim_cost_model()).execute(query)
     assert all_pim.pim_subgroups == all_pim.total_subgroups
     assert all_pim.rows == reference
 

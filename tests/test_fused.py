@@ -19,6 +19,7 @@ Three layers are locked in here:
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import assert_banks_equal, assert_same_execution
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -41,26 +42,6 @@ COUNT = 3
 SCRATCH = range(16, 32)
 
 CITIES = ["LYON", "OSLO", "PERTH", "QUITO"]
-
-
-# --------------------------------------------------------------- equality
-def assert_banks_equal(a, b) -> None:
-    """Both banks hold the same cells and the same wear counters."""
-    assert (a.count, a.rows, a.columns) == (b.count, b.rows, b.columns)
-    for column in range(a.columns):
-        assert np.array_equal(a.read_column(column), b.read_column(column)), (
-            f"column {column} differs"
-        )
-    assert np.array_equal(a.writes_per_row, b.writes_per_row)
-
-
-def assert_stats_identical(a: PimStats, b: PimStats) -> None:
-    """Bit-identical modelled statistics on the two execution strategies."""
-    assert dict(a.time_by_phase) == dict(b.time_by_phase)
-    assert dict(a.energy_by_component) == dict(b.energy_by_component)
-    assert a.logic_ops == b.logic_ops
-    assert a.max_writes_per_row == b.max_writes_per_row
-    assert a == b
 
 
 # ------------------------------------------------------------ IR lowering
@@ -267,7 +248,7 @@ def test_executor_charges_identical_stats_for_both_strategies():
                 bank, program, candidates, pages=4.0, phase="filter",
             )
             stats[strategy] = executor.stats
-        assert_stats_identical(stats["dispatch"], stats["batched"])
+        assert stats["dispatch"] == stats["batched"]
 
 
 # ----------------------------------------------------- engine-level parity
@@ -319,11 +300,10 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
             stored, config=config, pruning=pruning
         )
         executions[strategy] = [engine.execute(q) for q in MINI_QUERIES]
-    for fused, dispatch in zip(executions["batched"], executions["dispatch"]):
-        assert fused.rows == dispatch.rows, fused.query.name
-        assert fused.selectivity == dispatch.selectivity
-        assert fused.max_writes_per_row == dispatch.max_writes_per_row
-        assert_stats_identical(fused.stats, dispatch.stats)
+    for fused, dispatch in zip(
+        executions["batched"], executions["dispatch"], strict=True
+    ):
+        assert_same_execution(fused, dispatch)
 
 
 def test_program_cache_reuses_fused_kernels():

@@ -6,7 +6,8 @@ one counted charge per distinct store width, one statistics update.  What it
 record.  :func:`oracle_insert` below is that loop, kept verbatim from
 the code the columnar path replaced (``acquire_slot``, ``set_row``, scalar
 zone-map / histogram / sketch widening, one ``host_write_field`` per store);
-every observable piece of state must come out identical — the floats too.
+every observable piece of state must come out identical — the floats too
+(one ``state_digest()``, :func:`twins.assert_same_state`).
 """
 
 import math
@@ -14,6 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from twins import assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -30,7 +32,6 @@ from repro.obs.trace import SpanTracer, fold_trace_charges
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
-from repro.planner.selectivity import ColumnHistogram
 from repro.planner.zonemap import PairZoneMap
 from repro.service import QueryService
 
@@ -60,8 +61,8 @@ def _oracle_note_insert(statistics, slot: int, record) -> None:
             zonemaps.maxs[name][crossbar] = max(zonemaps.maxs[name][crossbar], value)
     zonemaps.live[crossbar] += 1
     for name, histogram in statistics.selectivity.histograms.items():
-        if isinstance(histogram, ColumnHistogram):
-            bucket = int(record[name]) >> histogram.shift
+        if histogram.kind == "equi-width":
+            bucket = int(record[name]) // (int(histogram.edges[0]) + 1)
         else:
             bucket = int(np.searchsorted(
                 histogram.edges, np.uint64(record[name]), side="left"
@@ -173,44 +174,12 @@ def _tune_statistics(stored) -> None:
     """An equi-depth ``value`` histogram and a built (key, value) pair sketch."""
     statistics = stored.statistics
     valid = stored.valid_mask(0)
-    statistics.selectivity.rebuild_column(
-        stored.relation, "value", valid=valid, equi_depth=True
-    )
+    statistics.selectivity.rebuild_column(stored.relation, "value", valid=valid)
     zonemaps = statistics.zonemaps
     statistics.pair_map = PairZoneMap.from_relation(
         ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
         stored.relation, valid,
     )
-
-
-def assert_same_state(ours: StoredRelation, theirs: StoredRelation) -> None:
-    """Every observable piece of stored state agrees, bit for bit."""
-    assert (ours.num_records, ours.live_count) == (theirs.num_records, theirs.live_count)
-    assert ours._free_slots == theirs._free_slots
-    assert len(ours.relation) == len(theirs.relation)
-    for name in ours.relation.schema.names:
-        assert np.array_equal(ours.relation.columns[name], theirs.relation.columns[name])
-    for mine, other in zip(ours.allocations, theirs.allocations):
-        for column in range(mine.bank.columns):
-            assert np.array_equal(
-                mine.bank.read_column(column), other.bank.read_column(column)
-            ), f"bank column {column} differs"
-        assert np.array_equal(mine.bank.writes_per_row, other.bank.writes_per_row)
-    a, b = ours.statistics, theirs.statistics
-    assert np.array_equal(a.zonemaps.live, b.zonemaps.live)
-    for name in a.zonemaps.schema.names:
-        assert np.array_equal(a.zonemaps.mins[name], b.zonemaps.mins[name]), name
-        assert np.array_equal(a.zonemaps.maxs[name], b.zonemaps.maxs[name]), name
-    for name, histogram in a.selectivity.histograms.items():
-        twin = b.selectivity.histograms[name]
-        assert type(histogram) is type(twin)
-        assert np.array_equal(histogram.counts, twin.counts), name
-        assert histogram.total == twin.total
-    assert (a.pair_map is None) == (b.pair_map is None)
-    if a.pair_map is not None:
-        assert np.array_equal(a.pair_map.sketch, b.pair_map.sketch)
-    assert np.array_equal(a.candidates.epochs, b.candidates.epochs)
-    assert a._version == b._version
 
 
 def _lockstep(ours, theirs, config, batches) -> None:

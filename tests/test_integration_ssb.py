@@ -6,6 +6,7 @@ PIMDB / mnt-join / mnt-reg configurations) on the tiny generated instance and
 require bit-exact agreement with the NumPy reference evaluator.
 """
 
+import numpy as np
 import pytest
 
 from repro.baselines import build_pimdb_engine
@@ -102,8 +103,11 @@ def test_update_then_query_through_pim(ssb_prejoined):
     from repro.db.update import execute_update
     from repro.pim.controller import PimExecutor
 
+    # UPDATE rewrites the stored relation's ground truth in place: store a
+    # copy, not the session-scoped fixture other engines were loaded from.
+    relation = ssb_prejoined.select(np.ones(len(ssb_prejoined), dtype=bool))
     module = PimModule(DEFAULT_CONFIG)
-    stored = StoredRelation(ssb_prejoined, module, label="update-int",
+    stored = StoredRelation(relation, module, label="update-int",
                             aggregation_width=28, reserve_bulk_aggregation=False)
     engine = PimQueryEngine(stored, label="one_xb")
     executor = PimExecutor(DEFAULT_CONFIG)

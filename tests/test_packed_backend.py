@@ -18,6 +18,7 @@ query execution.  This module locks all of that in:
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import assert_banks_equal, assert_same_execution
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -25,7 +26,6 @@ from repro.db.storage import StoredRelation
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.module import PimModule
 from repro.pim.packed import PackedCrossbarBank, make_bank
-from repro.pim.stats import PimStats
 from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
 from repro.ssb import ALL_QUERIES, QUERY_ORDER
 from repro.ssb.prejoined import max_aggregated_width
@@ -37,32 +37,6 @@ COUNT = 2
 #: Queries exercising the three execution shapes (scalar aggregate,
 #: pim-gb/host-gb mix, multi-attribute GROUP-BY) in the default tier.
 REPRESENTATIVE = ("Q1.1", "Q2.1", "Q4.1")
-
-
-# --------------------------------------------------------------- equality
-def assert_banks_equal(a, b) -> None:
-    """Both backends hold the same cells and the same wear counters."""
-    assert (a.count, a.rows, a.columns) == (b.count, b.rows, b.columns)
-    for column in range(a.columns):
-        assert np.array_equal(a.read_column(column), b.read_column(column)), (
-            f"column {column} differs"
-        )
-    assert np.array_equal(a.writes_per_row, b.writes_per_row)
-
-
-def assert_stats_identical(a: PimStats, b: PimStats) -> None:
-    """Bit-identical modelled statistics (times, energies, counters, power)."""
-    # Granular asserts first for readable failure diagnostics ...
-    assert dict(a.time_by_phase) == dict(b.time_by_phase)
-    assert dict(a.energy_by_component) == dict(b.energy_by_component)
-    assert a.logic_ops == b.logic_ops
-    assert a.bits_read == b.bits_read
-    assert a.bits_written == b.bits_written
-    assert a.max_writes_per_row == b.max_writes_per_row
-    assert a.power_samples == b.power_samples
-    # ... then the dataclass equality, which also covers any field the
-    # enumeration above does not know about.
-    assert a == b
 
 
 # ------------------------------------------------------- random program ops
@@ -724,20 +698,13 @@ def parity_engines(ssb_prejoined):
     }
 
 
-def _assert_query_parity(engines, query_name):
-    query = ALL_QUERIES[query_name]
-    reference = engines["bool"].execute(query)
-    candidate = engines["packed"].execute(query)
-    assert candidate.rows == reference.rows, query_name
-    assert candidate.selectivity == reference.selectivity
-    assert candidate.max_writes_per_row == reference.max_writes_per_row
-    assert_stats_identical(candidate.stats, reference.stats)
-
-
 @pytest.mark.parametrize("query_name", REPRESENTATIVE)
 def test_ssb_gate_level_parity_representative(parity_engines, query_name):
     """Gate-level NOR execution: identical rows and stats on both backends."""
-    _assert_query_parity(parity_engines, query_name)
+    query = ALL_QUERIES[query_name]
+    assert_same_execution(
+        parity_engines["packed"].execute(query), parity_engines["bool"].execute(query)
+    )
 
 
 @pytest.mark.slow
@@ -746,7 +713,10 @@ def test_ssb_gate_level_parity_representative(parity_engines, query_name):
 )
 def test_ssb_gate_level_parity_full_sweep(parity_engines, query_name):
     """The remaining SSB queries, gate level on both backends."""
-    _assert_query_parity(parity_engines, query_name)
+    query = ALL_QUERIES[query_name]
+    assert_same_execution(
+        parity_engines["packed"].execute(query), parity_engines["bool"].execute(query)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -770,11 +740,7 @@ def sharded_parity_engines(ssb_prejoined):
 def test_ssb_sharded_parity_k4(sharded_parity_engines, query_name):
     """All 13 SSB queries sharded K=4: identical rows and stats per backend."""
     query = ALL_QUERIES[query_name]
-    reference = sharded_parity_engines["bool"].execute(query)
-    candidate = sharded_parity_engines["packed"].execute(query)
-    assert candidate.rows == reference.rows, query_name
-    assert_stats_identical(candidate.stats, reference.stats)
-    for cand_shard, ref_shard in zip(
-        candidate.shard_executions, reference.shard_executions
-    ):
-        assert_stats_identical(cand_shard.stats, ref_shard.stats)
+    assert_same_execution(
+        sharded_parity_engines["packed"].execute(query),
+        sharded_parity_engines["bool"].execute(query),
+    )

@@ -13,6 +13,7 @@ rows as the PIM engines.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import all_pim_cost_model
 
 from repro.config import BACKENDS, DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -286,18 +287,6 @@ def partitioned_relation(records: int = 3000, seed: int = 9) -> Relation:
     })
 
 
-def _all_pim_cost_model():
-    """Host-gb absurdly expensive: every subgroup goes through pim-gb."""
-    from repro.core.latency_model import (
-        GroupByCostModel, HostGbLatencyModel, PimGbLatencyModel,
-    )
-
-    return GroupByCostModel(
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}),
-        PimGbLatencyModel({2: 0.0}, {2: 0.0}),
-    )
-
-
 @pytest.mark.parametrize("backend", ["packed", "bool"])
 def test_pruned_group_by_across_partitions_bit_exact_and_cost_identical(
     backend, ground_truth_oracle
@@ -324,7 +313,7 @@ def test_pruned_group_by_across_partitions_bit_exact_and_cost_identical(
         engine = PimQueryEngine(
             _store(partitioned_relation(), backend,
                    partitions=partitions, label="three_xb"),
-            pruning=pruning, cost_model=_all_pim_cost_model(), timing_scale=64.0,
+            pruning=pruning, cost_model=all_pim_cost_model(), timing_scale=64.0,
         )
         results[pruning] = engine.execute(query)
         ground_truth_oracle.query(engine, results[pruning])

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import all_pim_cost_model, assert_same_execution, assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import QueryExecution
@@ -304,32 +305,6 @@ class _ReadLog:
         }
 
 
-def _stored_state(stored):
-    """Wear and every non-scratch column of every partition's bank."""
-    state = []
-    for layout, allocation in zip(stored.layouts, stored.allocations):
-        bank = allocation.bank
-        state.append(bank.writes_per_row.copy())
-        state.extend(
-            bank.read_column(column)
-            for column in sorted(set(range(bank.columns)) - set(layout.scratch_columns))
-        )
-    return state
-
-
-def _assert_sharded_twins_equal(ours, theirs, engines):
-    """Rows, the merged and per-shard stats, and stored state."""
-    for mine, other in zip(ours, theirs):
-        assert mine.rows == other.rows
-        assert mine.stats == other.stats
-        assert [e.stats for e in mine.shard_executions] == [
-            e.stats for e in other.shard_executions
-        ]
-    for mine, other in zip(*(engine.sharded.shards for engine in engines)):
-        for a, b in zip(_stored_state(mine), _stored_state(other)):
-            assert np.array_equal(a, b)
-
-
 def test_sharded_flight_is_a_loop_that_reads_only_what_is_read(
     ssb_prejoined, ssb_one_xb_engine, monkeypatch
 ):
@@ -384,7 +359,9 @@ def test_sharded_flight_is_a_loop_that_reads_only_what_is_read(
         assert crossbars <= bound[id(bank)], (method, crossbars)
     assert set(_ReadLog.CALLERS) <= set(log.gathers)  # each one did read cells
 
-    _assert_sharded_twins_equal(batches[2], batches[1], engines)
+    for ours, theirs in zip(batches[2], batches[1], strict=True):
+        assert_same_execution(ours, theirs)
+    assert_same_state(services[2], services[1])
     for query, execution in zip(queries, batches[2]):
         assert execution.rows == ssb_one_xb_engine.execute(query).rows, query.name
     for service in services.values():
@@ -432,10 +409,6 @@ def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
     """Three vertical partitions, ``max_workers=2``: the two remote partitions'
     kernel batches are the one thing mapped over the pool, and the sharded
     result equals the ``max_workers=1`` twin in rows, stats and stored state."""
-    from repro.core.latency_model import (
-        GroupByCostModel, HostGbLatencyModel, PimGbLatencyModel,
-    )
-
     rng = np.random.default_rng(17)
     records = 600
     schema = Schema("vp", [
@@ -450,9 +423,6 @@ def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
         "city": rng.integers(0, 4, records).astype(np.uint64),
         "region": rng.integers(0, 2, records).astype(np.uint64),
     })
-    all_pim = GroupByCostModel(                      # every subgroup on PIM
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}), PimGbLatencyModel({2: 0.0}, {2: 0.0}),
-    )
     queries = [
         Query("both", Comparison("key", "<", 700),
               (Aggregate("sum", "value"), Aggregate("count")),
@@ -467,7 +437,7 @@ def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
             scatter_workers=workers, planner=False
         )
         service.register_sharded(
-            "vp", relation, shards=2, max_workers=workers, cost_model=all_pim,
+            "vp", relation, shards=2, max_workers=workers, cost_model=all_pim_cost_model(),
             partitions=[["key", "value"], ["city"], ["region"]],
             aggregation_width=22,
         )
@@ -479,9 +449,9 @@ def test_vertical_partitions_reach_the_pool_from_the_main_thread(monkeypatch):
         assert log.pool_maps[before:] == expected
     assert services[2].pool._executor is not None    # the kernels did use it
     assert services[1].pool._executor is None
-    _assert_sharded_twins_equal(
-        batches[2], batches[1], [services[w].engine() for w in (2, 1)]
-    )
+    for ours, theirs in zip(batches[2], batches[1], strict=True):
+        assert_same_execution(ours, theirs)
+    assert_same_state(services[2], services[1])
     mask = [evaluate_predicate(query.predicate, relation) for query in queries]
     for query, selected, execution in zip(queries, mask, batches[2]):
         assert execution.rows == reference_group_aggregate(

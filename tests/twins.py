@@ -1,0 +1,91 @@
+"""The one twin oracle of the lockstep tests.
+
+A twin test runs the same statements on two engines that must not differ —
+``execution="batched"`` against its ``dispatch`` reference, a columnar
+statement against its per-record loop, two scatter widths — and compares:
+
+* every execution with :func:`assert_same_execution` (rows, the plan
+  figures, the full :class:`~repro.pim.stats.PimStats` and its totals, shard
+  by shard);
+* the stores with :func:`assert_same_state`: one
+  :meth:`~repro.db.storage.StoredRelation.state_digest` per relation, and on
+  a mismatch the named parts (``bank``, ``wear``, ``histograms``, ...) that
+  differ.
+
+The digest hashes cells as stored, so twins on *different* bank backends
+compare banks with :func:`assert_banks_equal` instead.
+"""
+
+import numpy as np
+
+from repro.core.latency_model import (
+    GroupByCostModel,
+    HostGbLatencyModel,
+    PimGbLatencyModel,
+)
+from repro.service import QueryService
+
+#: Execution fields a twin must reproduce besides ``rows`` and ``stats``.
+_EXECUTION_FIELDS = (
+    "selectivity", "total_subgroups", "pim_subgroups", "max_writes_per_row",
+    "crossbars_total", "crossbars_scanned", "estimated_selectivity", "route",
+)
+
+
+def all_pim_cost_model() -> GroupByCostModel:
+    """Route every subgroup through pim-gb: host absurdly expensive, PIM free."""
+    return GroupByCostModel(
+        HostGbLatencyModel({2: 1.0}, {2: 1.0}),
+        PimGbLatencyModel({2: 0.0}, {2: 0.0}),
+    )
+
+
+def assert_same_execution(ours, theirs) -> None:
+    """Equal rows, plan figures and modelled statistics, per shard too."""
+    name = ours.query.name
+    assert ours.rows == theirs.rows, name
+    for field in _EXECUTION_FIELDS:
+        assert getattr(ours, field) == getattr(theirs, field), (name, field)
+    # Granular first for a readable failure; the dataclass equality then
+    # covers every field (charge multiset, power samples, request counts).
+    assert dict(ours.stats.time_by_phase) == dict(theirs.stats.time_by_phase), name
+    assert dict(ours.stats.energy_by_component) == dict(
+        theirs.stats.energy_by_component
+    ), name
+    assert ours.stats == theirs.stats, name
+    assert ours.stats.totals() == theirs.stats.totals(), name
+    shards = [getattr(e, "shard_executions", []) for e in (ours, theirs)]
+    assert len(shards[0]) == len(shards[1]), name
+    for mine, other in zip(*shards):
+        assert_same_execution(mine, other)
+
+
+def _relation_store(twin):
+    """The store of a service's default relation, or ``twin`` itself."""
+    return twin.engine().sharded if isinstance(twin, QueryService) else twin
+
+
+def assert_same_state(ours, theirs) -> None:
+    """Equal :meth:`state_digest`; a mismatch names the store and the parts.
+
+    ``ours`` and ``theirs`` are services (their default relation), sharded
+    relations or stores.
+    """
+    ours, theirs = _relation_store(ours), _relation_store(theirs)
+    if ours.state_digest() == theirs.state_digest():
+        return
+    assert len(ours.shards) == len(theirs.shards), "different store counts"
+    for index, (mine, other) in enumerate(zip(ours.shards, theirs.shards)):
+        a, b = mine.state_parts(), other.state_parts()
+        differing = [name for name in a if a[name] != b[name]]
+        assert not differing, f"store {index}: {', '.join(differing)} differ"
+
+
+def assert_banks_equal(a, b) -> None:
+    """Both banks hold the same cells and wear counters, across backends."""
+    assert (a.count, a.rows, a.columns) == (b.count, b.rows, b.columns)
+    for column in range(a.columns):
+        assert np.array_equal(a.read_column(column), b.read_column(column)), (
+            f"column {column} differs"
+        )
+    assert np.array_equal(a.writes_per_row, b.writes_per_row)
