@@ -14,14 +14,16 @@ number or stored bit:
   program is the same circuit with other key constants, so the compiler is
   asked for one :class:`~repro.db.compiler.GroupMaskTemplate` per
   ``(layout, attributes, include_remote)`` — never for a per-key program —
-  and its conjunction is lowered (:func:`repro.pim.ir.lower_program_batch`)
-  and compiled once, for as long as the service's program cache keeps the
-  template.  The key constants never enter a kernel: each attribute's
+  and its conjunction program is lowered like any program
+  (:func:`repro.pim.ir.lower_program`) and compiled once into a
+  :class:`~repro.pim.fused.BatchKernel`, for as long as the program cache
+  keeps the template.  The key constants never enter a kernel: each attribute's
   mismatch is evaluated once per *distinct* value, however many keys share
   it, by selecting ``eq_const``'s literals along a constant axis
-  (:func:`repro.pim.fused.field_mismatches`), and gathered per key into the
-  conjunction's *private* inputs beside the remote-transfer bits, so one
-  kernel run per partition conjoins them with the filter.  All
+  (:func:`repro.pim.fused.field_mismatches`), gathered per key and bound to
+  the conjunction's mismatch inputs, beside the per-key remote-transfer
+  bits bound to its remote input, so one kernel run per partition conjoins
+  them with the filter.  All
   K masks are taken against the pre-group-by column state, which is sound
   because distinct full group keys select *disjoint* row sets: subgroup
   ``k``'s mask computed against the pre-loop filter state equals the
@@ -90,7 +92,7 @@ from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch, field_mismatches
-from repro.pim.ir import lower_program_batch
+from repro.pim.ir import lower_program
 from repro.pim.logic import ProgramCost
 
 
@@ -98,13 +100,11 @@ def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
     """The conjunction kernel of a template, built on first use.
 
     It hangs off the template the way ``Program._kernel`` hangs off a
-    program: the service's :class:`~repro.service.cache.ProgramCache` hands
-    back the same template on a warm replay, and evicting it drops both.
+    program: the :class:`~repro.core.program_cache.ProgramCache` hands back
+    the same template on a warm replay, and evicting it drops both.
     """
     if template._kernel is None:
-        template._kernel = compile_batch(
-            lower_program_batch((template.program,), template.private_columns)
-        )
+        template._kernel = compile_batch(lower_program(template.program))
     return template._kernel
 
 
@@ -146,14 +146,14 @@ def _run_partition_batch(
         zip(template.fields, template.mismatch_columns)
     ):
         distinct, inverse = np.unique(values[:, index], return_inverse=True)
-        bound[0, column] = field_mismatches(bank, columns, distinct, xbars)[inverse]
+        bound[column] = field_mismatches(bank, columns, distinct, xbars)[inverse]
     if xbars is not None and xbars.size == 0:
         empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
         return bank.kernel_from_bool(empty), xbars
     if remote is not None:
-        bound[0, stored.layouts[partition].remote_column] = remote
+        bound[stored.layouts[partition].remote_column] = remote
     # The template's program has exactly one output, its result column.
-    (((_, value),),) = _compile_group_batch(template).run(bank, xbars, bound)
+    ((_, value),) = _compile_group_batch(template).run(bank, xbars, bound)
     return value, xbars
 
 

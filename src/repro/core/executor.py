@@ -38,12 +38,8 @@ from repro.config import SystemConfig
 from repro.core.groupby import GroupByPlan, GroupByPlanner
 from repro.core.latency_model import GroupByCostModel, build_analytic_cost_model
 from repro.core.sampling import GroupKey, estimate_subgroups
-from repro.core.stages import (
-    AggregationStage,
-    FilterStage,
-    GroupMaskStage,
-    ProgramCompiler,
-)
+from repro.core.program_cache import ProgramCache
+from repro.core.stages import AggregationStage, FilterStage, GroupMaskStage
 from repro.db.query import Query, And, attributes_referenced
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import host_group_aggregate, merge_group_results
@@ -139,7 +135,7 @@ class PimQueryEngine:
         cost_model: GroupByCostModel | None = None,
         sample_pages: int = 1,
         timing_scale: float = 1.0,
-        compiler: ProgramCompiler | None = None,
+        compiler: ProgramCache | None = None,
         pruning: bool = False,
         router: CostPlanner | None = None,
         scatter_pool=None,
@@ -162,9 +158,10 @@ class PimQueryEngine:
                 instance with ``timing_scale`` chosen so the modelled size is
                 the paper's SF=10.  Per-row wear is unaffected (it does not
                 depend on the number of pages).
-            compiler: Program compiler shared by the stages; inject a
-                :class:`~repro.service.cache.ProgramCache` to reuse compiled
-                NOR programs across queries.
+            compiler: Program cache shared by the stages; a private one if
+                omitted.  Pass a shared
+                :class:`~repro.core.program_cache.ProgramCache` to reuse
+                compiled NOR programs across engines.
             pruning: Consult the relation's zone maps before every filter
                 and broadcast the NOR program (and the aggregation-circuit
                 pass) only to candidate crossbars — bit-exact with the full
@@ -206,7 +203,7 @@ class PimQueryEngine:
             )
         self.cost_model = cost_model
         self.planner = GroupByPlanner(cost_model)
-        self.compiler = compiler if compiler is not None else ProgramCompiler()
+        self.compiler = compiler if compiler is not None else ProgramCache()
         self.pruning = bool(pruning)
         self.router = router
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)

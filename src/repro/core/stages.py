@@ -11,10 +11,10 @@ monolith methods of :class:`~repro.core.executor.PimQueryEngine`:
 * :class:`AggregationStage` — one PIM aggregation (circuit or bulk-bitwise)
   plus the host-side combination of the per-crossbar partials.
 
-Each stage is an injectable object, so a batching service can share state
-across queries: :class:`ProgramCompiler` is the compilation seam (the
-service's :class:`~repro.service.cache.ProgramCache` subclasses it with an
-LRU cache keyed by ``(predicate, layout)``).
+The stages compile through one compiler, a
+:class:`~repro.core.program_cache.ProgramCache` (an LRU cache keyed by
+``(predicate, layout)``); a batching service hands every engine the same
+instance, so its stages share compiled programs across queries.
 
 A program is applied in one way: its NOR primitives run on the stored bits
 (:func:`apply_program` / :func:`apply_program_pruned` /
@@ -30,21 +30,13 @@ column and charge a :class:`~repro.pim.logic.ProgramCost` instead.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.db.compiler import (
-    GroupMaskTemplate,
-    compile_group_combine,
-    compile_predicate,
-    compile_group_predicate,
-    partition_conjuncts,
-)
+from repro.core.program_cache import ProgramCache
+from repro.db.compiler import partition_conjuncts
 from repro.db.encoding import RowLayout
-from repro.db.query import Aggregate, Predicate, Query
-from repro.db.schema import Schema
+from repro.db.query import Aggregate, Query
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
@@ -52,50 +44,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.pim.arithmetic import BulkAggregationPlan
 from repro.pim.controller import PimExecutor
 from repro.pim.logic import Program, ProgramBuilder
-
-
-class ProgramCompiler:
-    """Compiles the NOR programs the execution stages need.
-
-    This is the injection point for program reuse: the default implementation
-    compiles on every call, while :class:`repro.service.cache.ProgramCache`
-    overrides the methods with an LRU-cached lookup.
-    """
-
-    def filter_program(
-        self, predicate: Predicate, schema: Schema, layout: RowLayout
-    ) -> Program:
-        """WHERE-clause program leaving its result in the filter column."""
-        return compile_predicate(predicate, schema, layout)
-
-    def group_program(self, group_values: dict[str, int], layout: RowLayout) -> Program:
-        """Remote-partition subgroup equality program (pim-gb)."""
-        return compile_group_predicate(
-            group_values, layout, filter_column=layout.valid_column
-        )
-
-    def combine_program(
-        self, group_values: dict[str, int], layout: RowLayout, include_remote: bool
-    ) -> Program:
-        """Primary-partition subgroup mask program (pim-gb)."""
-        return compile_group_combine(
-            group_values, layout, include_remote=include_remote
-        )
-
-    def group_template(
-        self,
-        attributes: Sequence[str],
-        layout: RowLayout,
-        filter_column: int,
-        include_remote: bool = False,
-    ) -> GroupMaskTemplate:
-        """Value-free twin of the two methods above (batched pim-gb).
-
-        ``filter_column`` is the layout's valid column for what
-        :meth:`group_program` specialises per subgroup and its filter column
-        for :meth:`combine_program`.
-        """
-        return GroupMaskTemplate(attributes, layout, filter_column, include_remote)
 
 
 def apply_program(
@@ -294,12 +242,12 @@ class _Stage:
     def __init__(
         self,
         stored: StoredRelation,
-        compiler: ProgramCompiler | None = None,
+        compiler: ProgramCache | None = None,
         timing_scale: float = 1.0,
         tracer=None,
     ) -> None:
         self.stored = stored
-        self.compiler = compiler if compiler is not None else ProgramCompiler()
+        self.compiler = compiler if compiler is not None else ProgramCache()
         self.timing_scale = float(timing_scale)
         self.tracer = tracer if tracer is not None else NULL_TRACER
 

@@ -37,7 +37,7 @@ from repro.db.query import (
     fold_comparison,
 )
 from repro.db.schema import Schema
-from repro.pim.logic import Program, ProgramBuilder, ProgramCost
+from repro.pim.logic import Program, ProgramBuilder
 
 
 class CompilationError(ValueError):
@@ -165,15 +165,14 @@ class GroupMaskTemplate:
     * ``program`` is one NOR of the ``mismatch_columns``, the negated remote
       bit-vector (``include_remote``) and the negated ``filter_column`` into
       the group column: no attribute differs, and the remote and filter bits
-      are set.  Its ``private_columns`` — the mismatches, then the remote
-      column — are the batch kernel inputs bound per key.
+      are set.  It is lowered like any program; the kernel run binds the
+      mismatch columns, and the remote column, per key.
 
     The pseudo-columns lie past the physical row, and so does the program's
     scratch: a template is functional only, never dispatched op by op, and
     its gates are chosen for the fused kernel, not for the cycle count.
-    What a subgroup's specialised program would be charged is :meth:`cost`:
-    the ops of the zero-key program that are not equalities, plus
-    :meth:`ProgramBuilder.eq_const_cycles` of the key's values.
+    What a subgroup's specialised program would be charged is its op count,
+    :meth:`cycles` of the key.
     """
 
     def __init__(
@@ -211,20 +210,15 @@ class GroupMaskTemplate:
             + tuple(builder.not_(column) for column in (*remote, filter_column)),
         )
         self.program = builder.build(result_column=self.result_column)
-        self.private_columns = self.mismatch_columns + remote
         # The compiled kernel, set by the batched path on first use; it lives
         # and dies with the template, like ``Program._kernel``.
         self._kernel = None
 
-    def cost(self, values: Sequence[int]) -> ProgramCost:
-        """What the program specialised to ``values`` is charged."""
-        cycles = self._fixed_cycles + sum(
-            map(ProgramBuilder.eq_const_cycles, self.widths, values)
-        )
-        return ProgramCost(cycles, self.result_column)
-
     def cycles(self, values: np.ndarray) -> np.ndarray:
-        """``cost(row).cycles`` for every row of a ``(K, attributes)`` key table."""
+        """For every row of a ``(K, attributes)`` key table, the op count of
+        the program specialised to that key: the zero-key program's ops that
+        are not equalities plus :meth:`ProgramBuilder.eq_const_cycles` of the
+        key's values, in one vectorised closed form."""
         values = np.asarray(values, dtype=np.int64)
         widths = np.array(self.widths, dtype=np.int64)
         if np.any((values < 0) | (values >> widths)):

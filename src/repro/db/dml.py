@@ -49,8 +49,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.program_cache import ProgramCache
 from repro.core.stages import (
-    ProgramCompiler,
     _check_pruned_bits,
     apply_program_at,
     apply_program_pruned,
@@ -155,12 +155,12 @@ def compile_delete(
     The predicate's attributes must live in a single vertical partition
     (like UPDATE); the resulting tombstone bit-vector is shipped to the
     other partitions through the host, exactly like a two-xb filter.
-    ``compiler`` is the :class:`~repro.core.stages.ProgramCompiler` seam —
-    pass the service's :class:`~repro.service.cache.ProgramCache` to reuse
-    the filter program across shards and repeated statements.
+    ``compiler`` is a :class:`~repro.core.program_cache.ProgramCache` (a
+    fresh one if omitted); pass the service's to reuse the filter program
+    across shards and repeated statements.
     """
     if compiler is None:
-        compiler = ProgramCompiler()
+        compiler = ProgramCache()
     partitions = {stored.partition_of(a) for a in attributes_referenced(predicate)}
     if len(partitions) > 1:
         raise CompilationError(

@@ -5,11 +5,18 @@ flat instruction list and evaluates it with whole-array NumPy bitwise
 expressions.  One kernel serves both backends: it only touches a bank
 through the four-method kernel surface (``kernel_read`` / ``kernel_write``
 / ``kernel_ones`` / ``add_wear``), which the packed bank implements over
-``uint64`` words and the boolean reference bank over its bool cube.  A
-caller holding a :class:`BatchKernel` value reads it through the other
-three: ``kernel_to_bool`` / ``kernel_from_bool`` convert a whole value and
-``kernel_gather`` reads listed cells of a stack of values without decoding
-the rest; between them a value only meets NumPy's bitwise ufuncs and
+``uint64`` words and the boolean reference bank over its bool cube.
+
+There is one evaluation loop and two ways to run it.
+:meth:`FusedKernel.run` evaluates a program in place: every input from the
+bank, the outputs written back.  :meth:`BatchKernel.run` evaluates it
+functionally: an input may be bound to a caller's value instead of the
+bank's (a value-free GROUP-BY template binds its per-key mismatch
+pseudo-columns and remote column that way), and the outputs are returned
+unwritten, against the pre-run state.  A caller holding such a value reads
+it through the other three: ``kernel_to_bool`` / ``kernel_from_bool``
+convert a whole value and ``kernel_gather`` reads listed cells of a stack
+of values without decoding the rest; between them a value only meets NumPy's bitwise ufuncs and
 indexing along its leading (stack, crossbar) axes, which mean the same on
 both representations.
 
@@ -33,7 +40,7 @@ from collections.abc import Hashable, Sequence
 
 import numpy as np
 
-from repro.pim.ir import INPUT, NOR, BatchDag, NorDag
+from repro.pim.ir import INPUT, NOR, NorDag
 
 
 class FusedKernel:
@@ -49,14 +56,14 @@ class FusedKernel:
         self.depth: int = dag.depth
         self.nor_count: int = dag.nor_count
 
-    def run(self, bank, xbars: Sequence[int] | None = None) -> None:
-        """Evaluate the kernel on ``bank`` (optionally on ``xbars`` only).
+    def _evaluate(self, bank, xbars, bound=None) -> list:
+        """Every node's native value against the bank's current state.
 
-        Wear is *not* charged here — the caller adds the program's
-        per-cycle wear in bulk so the counters match dispatch exactly.
+        An ``INPUT`` node reads its column's value from ``bound`` (a
+        ``{column: native value}`` mapping, shaped for ``xbars``) when the
+        column is bound there, otherwise from the bank.  A column past the
+        bank's physical row — a template's pseudo-column — must be bound.
         """
-        if xbars is not None and len(xbars) == 0:
-            return
         ones = bank.kernel_ones()
         values: list = [None] * len(self.instructions)
         for index, (kind, payload) in enumerate(self.instructions):
@@ -72,9 +79,26 @@ class FusedKernel:
                     np.bitwise_xor(value, ones, out=value)
                 values[index] = value
             elif kind == INPUT:
-                values[index] = bank.kernel_read(payload, xbars)
+                if bound is not None and payload in bound:
+                    values[index] = bound[payload]
+                elif payload >= bank.columns:
+                    raise KeyError(f"kernel input column {payload} is not bound")
+                else:
+                    values[index] = bank.kernel_read(payload, xbars)
             else:  # CONST — only ever an output (folding strips const operands)
                 values[index] = ones if payload else np.bitwise_xor(ones, ones)
+        return values
+
+    def run(self, bank, xbars: Sequence[int] | None = None) -> None:
+        """Evaluate the kernel on ``bank`` (optionally on ``xbars`` only)
+        and write its outputs back.
+
+        Wear is *not* charged here — the caller adds the program's
+        per-cycle wear in bulk so the counters match dispatch exactly.
+        """
+        if xbars is not None and len(xbars) == 0:
+            return
+        values = self._evaluate(bank, xbars)
         # Snapshot output values before any write: an output whose value is
         # an INPUT node may be a live view into a column written below.
         pending = []
@@ -92,83 +116,36 @@ def compile_dag(dag: NorDag) -> FusedKernel:
     return FusedKernel(dag)
 
 
-class BatchKernel:
-    """A compiled evaluator for one multi-program :class:`BatchDag`.
+class BatchKernel(FusedKernel):
+    """A :class:`FusedKernel` run functionally, with bound inputs.
 
-    Unlike :class:`FusedKernel`, a batch kernel is *functional*: it returns
-    every program's output values in the bank's native representation and
-    writes nothing back.  The caller decides which values become stored
-    column state (the group-by stage persists only the final-subgroup
-    state, matching the sequential reference) and charges all modelled
-    costs from the source programs' metadata.
-
-    ``INPUT`` instructions with a ``(program_index, column)`` payload are
-    *private*: their value is looked up in the ``private`` mapping passed
-    to :meth:`run` instead of being read from the bank, which is how each
-    combine program sees its own subgroup's remote-transfer bits while the
-    shared equality subcircuits are still evaluated once.
+    The evaluation is the same; :meth:`run` returns the output values in the
+    bank's native representation and writes nothing back.  The batched
+    pim-gb runs a :class:`~repro.db.compiler.GroupMaskTemplate` this way:
+    its mismatch pseudo-columns and remote column are bound per run to
+    ``(K, n, ...)`` values stacked along a key axis, so one run yields all
+    ``K`` subgroup masks.  The caller decides which values become stored
+    column state and charges all modelled costs from program metadata.
     """
 
-    __slots__ = ("instructions", "outputs", "depth", "nor_count")
-
-    def __init__(self, dag: BatchDag) -> None:
-        self.instructions: tuple[tuple[str, Hashable], ...] = tuple(
-            zip(dag.kinds, dag.payloads)
-        )
-        self.outputs: tuple[tuple[tuple[int, int], ...], ...] = dag.outputs
-        self.depth: int = dag.depth
-        self.nor_count: int = dag.nor_count
+    __slots__ = ()
 
     def run(
-        self,
-        bank,
-        xbars: Sequence[int] | None = None,
-        private=None,
-    ) -> list[list[tuple[int, object]]]:
-        """Evaluate the batch on ``bank`` and return per-program outputs.
+        self, bank, xbars: Sequence[int] | None = None, bound=None
+    ) -> list[tuple[int, object]]:
+        """Evaluate on ``bank`` and return ``[(column, native_value), ...]``.
 
-        Returns one ``[(column, native_value), ...]`` list per program.
-        Returned values may alias each other (CSE) or live bank storage
-        (INPUT passthrough) — callers must treat them as read-only
-        snapshots of the pre-batch state and copy before mutating the
-        bank.  ``private`` maps ``(program_index, column)`` to the native
-        value bound to that program's private input (shaped for ``xbars``
-        when given).
+        ``bound`` maps columns to the values their ``INPUT`` nodes read
+        instead of the bank's (shaped for ``xbars`` when given).  Returned
+        values may alias each other (CSE), a bound value or live bank
+        storage (INPUT passthrough) — callers must treat them as read-only
+        snapshots of the pre-run state and copy before mutating the bank.
         """
-        if xbars is not None and len(xbars) == 0:
-            return [[] for _ in self.outputs]
-        ones = bank.kernel_ones()
-        values: list = [None] * len(self.instructions)
-        for index, (kind, payload) in enumerate(self.instructions):
-            if kind == NOR:
-                slots = payload
-                value = values[slots[0]]
-                if len(slots) == 1:
-                    value = np.bitwise_xor(value, ones)
-                else:
-                    value = np.bitwise_or(value, values[slots[1]])
-                    for slot in slots[2:]:
-                        np.bitwise_or(value, values[slot], out=value)
-                    np.bitwise_xor(value, ones, out=value)
-                values[index] = value
-            elif kind == INPUT:
-                if isinstance(payload, tuple):
-                    if private is None or payload not in private:
-                        raise KeyError(
-                            f"batch kernel private input {payload!r} not bound"
-                        )
-                    values[index] = private[payload]
-                else:
-                    values[index] = bank.kernel_read(payload, xbars)
-            else:  # CONST — only ever an output (folding strips const operands)
-                values[index] = ones if payload else np.bitwise_xor(ones, ones)
-        return [
-            [(column, values[slot]) for column, slot in bindings]
-            for bindings in self.outputs
-        ]
+        values = self._evaluate(bank, xbars, bound)
+        return [(column, values[slot]) for column, slot in self.outputs]
 
 
-def compile_batch(dag: BatchDag) -> BatchKernel:
+def compile_batch(dag: NorDag) -> BatchKernel:
     """Compile ``dag`` into a reusable :class:`BatchKernel`."""
     return BatchKernel(dag)
 

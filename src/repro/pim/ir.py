@@ -19,6 +19,12 @@ step rebinds its destination column to a new node, so in-place idioms
 (ripple-carry accumulation, ``mux_update``) lower correctly by
 construction.
 
+Every program is lowered this one way, the value-free GROUP-BY template
+(:class:`~repro.db.compiler.GroupMaskTemplate`) included: its per-key
+mismatch pseudo-columns, which lie past the physical row, and its remote
+column are plain ``INPUT`` nodes, which the kernel reads from a per-run
+binding instead of the bank (:mod:`repro.pim.fused`).
+
 While building the DAG we apply the classic local optimisations:
 
 * operand deduplication          (``NOR(a, a)`` → ``NOR(a)``),
@@ -102,46 +108,6 @@ class NorDag:
         )
 
 
-@dataclass(frozen=True)
-class BatchDag:
-    """Many programs lowered into one multi-output NOR dataflow graph.
-
-    The node pool is shared across programs, so structurally identical
-    subcircuits (e.g. the per-attribute equality networks of group-mask
-    programs that differ only in one attribute's constant) are built once
-    and evaluated once.  ``INPUT`` payloads are either a plain column index
-    (the column's shared pre-batch value) or a ``(program_index, column)``
-    tuple for *private* columns whose value differs per program (the
-    remote-transfer column of group-by combines) and is bound at run time.
-    ``outputs[p]`` holds program ``p``'s ``(column, node)`` bindings.
-    """
-
-    kinds: tuple[str, ...]
-    payloads: tuple[Hashable, ...]
-    depths: tuple[int, ...]
-    outputs: tuple[tuple[tuple[int, int], ...], ...]
-    #: Summed op count of the source programs — metadata only; modelled
-    #: costs are always charged per source program.
-    cycles: int
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def nor_count(self) -> int:
-        """Live NOR gates after cross-program CSE/folding/DCE."""
-        return sum(1 for kind in self.kinds if kind == NOR)
-
-    @property
-    def depth(self) -> int:
-        """Critical-path cycle depth over every program's outputs."""
-        nodes = [node for bindings in self.outputs for _, node in bindings]
-        if not nodes:
-            return 0
-        return max(self.depths[node] for node in nodes)
-
-
 class _DagBuilder:
     """Hash-consing builder of the optimisation-time (pre-DCE) node pool."""
 
@@ -163,12 +129,6 @@ class _DagBuilder:
 
     def input_(self, column: int) -> int:
         return self._intern((INPUT, column), INPUT, column, 0)
-
-    def private_input(self, program_index: int, column: int) -> int:
-        # A per-program input: same physical column, different value per
-        # program in a batch (bound by the caller at run time).
-        key = (INPUT, program_index, column)
-        return self._intern(key, INPUT, (program_index, column), 0)
 
     def const(self, value: bool) -> int:
         # An InitOp costs one cycle, so a materialised constant has depth 1.
@@ -265,86 +225,10 @@ def lower_program(
     )
 
 
-def lower_program_batch(
-    programs: Sequence[Program],
-    private_columns: Sequence[int] = (),
-) -> BatchDag:
-    """Lower many programs into one shared-CSE :class:`BatchDag`.
-
-    Every program is lowered against the *same* pre-batch column state: the
-    first read of a column yields one shared ``INPUT`` node reused across
-    all programs, so structurally identical subcircuits (per-attribute
-    equality networks that recur across subgroup masks) are interned once.
-    Columns in ``private_columns`` instead get one ``INPUT`` node per
-    ``(program, column)`` pair, for values that differ per program (the
-    remote-transfer column of group-by combine programs) and are bound by
-    the kernel at run time.
-
-    Batch evaluation deliberately has *pre-state* semantics, not sequential
-    semantics: no program observes another program's writes.  Callers must
-    only batch programs whose sequential result is independent of order —
-    the group-by mask programs qualify because distinct full group keys
-    select disjoint row sets.
-    """
-    builder = _DagBuilder()
-    private = frozenset(private_columns)
-    per_outputs: list[tuple[tuple[int, int], ...]] = []
-    for index, program in enumerate(programs):
-        env: dict[int, int] = {}
-        for op in program.ops:
-            if isinstance(op, NorOp):
-                operands: list[int] = []
-                for source in op.srcs:
-                    node = env.get(source)
-                    if node is None:
-                        if source in private:
-                            node = builder.private_input(index, source)
-                        else:
-                            node = builder.input_(source)
-                        env[source] = node
-                    operands.append(node)
-                env[op.dest] = builder.nor(operands)
-            elif isinstance(op, InitOp):
-                env[op.dest] = builder.const(op.value)
-            else:  # pragma: no cover - Program validates its ops
-                raise TypeError(f"unsupported op {op!r}")
-        per_outputs.append(
-            tuple(
-                (column, env[column])
-                for column in program.output_columns
-                if column in env
-            )
-        )
-
-    # Dead-code elimination over the union of every program's outputs.
-    reachable: set = set()
-    stack = [node for bindings in per_outputs for _, node in bindings]
-    while stack:
-        node = stack.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        if builder.kinds[node] == NOR:
-            stack.extend(builder.payloads[node])  # type: ignore[arg-type]
-    order = sorted(reachable)
-    renumber = {node: index for index, node in enumerate(order)}
-
-    kinds = tuple(builder.kinds[node] for node in order)
-    payloads = tuple(
-        tuple(renumber[operand] for operand in builder.payloads[node])
-        if builder.kinds[node] == NOR
-        else builder.payloads[node]
-        for node in order
-    )
-    depths = tuple(builder.depths[node] for node in order)
-    outputs = tuple(
-        tuple((column, renumber[node]) for column, node in bindings)
-        for bindings in per_outputs
-    )
-    return BatchDag(
-        kinds=kinds,
-        payloads=payloads,
-        depths=depths,
-        outputs=outputs,
-        cycles=sum(program.cycles for program in programs),
-    )
+def lower_program_batch(programs: Sequence[Program]) -> NorDag:
+    """:func:`lower_program` of a one-program batch."""
+    # No caller in src/: kept because perf/layers.py (not editable outside
+    # a benchmark PR) names it and perf/test_perf.py asserts
+    # ``trace.unresolved_targets == 0``.
+    (program,) = programs
+    return lower_program(program)

@@ -12,9 +12,9 @@ The sharded engine only scatters and gathers: each shard's
 own execution (PIM or host scan) once, with the router this engine forwards,
 and every execution makes its own :class:`~repro.pim.controller.PimExecutor`.
 
-Programs are compiled once — the shards share layout objects, so a shared
-:class:`~repro.core.stages.ProgramCompiler` (or the service's LRU
-:class:`~repro.service.cache.ProgramCache`) compiles each predicate a single
+Programs are compiled once — the shards share layout objects, so the shard
+engines' shared :class:`~repro.core.program_cache.ProgramCache` (the
+service's, or one of this engine's own) compiles each predicate a single
 time and replays it on every shard.
 
 Latency model
@@ -54,7 +54,7 @@ from repro.config import SystemConfig
 from repro.core.executor import PimQueryEngine, QueryExecution
 from repro.core.latency_model import GroupByCostModel
 from repro.core.parallel import ScatterPool
-from repro.core.stages import ProgramCompiler
+from repro.core.program_cache import ProgramCache
 from repro.db.compiler import CompilationError
 from repro.db.query import Query
 from repro.host.aggregator import merge_shard_rows
@@ -126,7 +126,7 @@ class ShardedQueryEngine:
         cost_model: GroupByCostModel | None = None,
         sample_pages: int = 1,
         timing_scale: float = 1.0,
-        compiler: ProgramCompiler | None = None,
+        compiler: ProgramCache | None = None,
         pruning: bool = False,
         planner: CostPlanner | None = None,
         pool: ScatterPool | None = None,
@@ -145,8 +145,9 @@ class ShardedQueryEngine:
                 to every shard's :class:`PimQueryEngine`.  ``timing_scale``
                 extrapolates each shard — the sharded relation it models is
                 ``timing_scale`` times the stored one, shard by shard.
-            compiler: Shared program compiler; with the relation's layouts
-                shared across shards, one compilation serves all of them.
+            compiler: Program cache shared by every shard engine (a new
+                one if omitted); with the relation's layouts shared across
+                shards, one compilation serves all of them.
             pruning: Forwarded to every shard engine — each shard consults
                 its own zone maps, and a shard whose maps rule the whole
                 predicate out is skipped entirely (no filter broadcast, no
@@ -170,7 +171,7 @@ class ShardedQueryEngine:
             config if config is not None else sharded.module.system_config
         )
         self.label = label
-        self.compiler = compiler if compiler is not None else ProgramCompiler()
+        self.compiler = compiler if compiler is not None else ProgramCache()
         self.pruning = bool(pruning)
         self.pool = pool
         self.tracer = tracer if tracer is not None else tracer_from_config(self.config)

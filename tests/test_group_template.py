@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
-from repro.core import batched, stages
+from repro.core import batched, program_cache
 from repro.core.batched import _run_partition_batch
 from repro.core.latency_model import (
     GroupByCostModel,
@@ -41,7 +41,7 @@ from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
 from repro.pim.fused import BatchKernel, field_mismatches
-from repro.pim.logic import ProgramBuilder
+from repro.pim.logic import ProgramBuilder, ProgramCost
 from repro.pim.module import PimModule
 from repro.service import QueryService
 from repro.service.cache import ProgramCache
@@ -129,6 +129,7 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
                 bank.kernel_to_bool(value),
                 (len(keys), bank.count if xbars is None else len(xbars), bank.rows),
             )
+            cycles = template.cycles(values)
 
             for index, key in enumerate(keys):
                 group_values = dict(zip(grouped, key))
@@ -139,7 +140,8 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
                     )
                     assert twin.cycles == program.cycles
                     program = twin
-                cost = template.cost(key)
+                # What the batched path charges for this key's program.
+                cost = ProgramCost(int(cycles[index]), template.result_column)
                 assert cost == (program.cycles, program.result_column)
                 assert cost.writes_per_row == program.writes_per_row
 
@@ -262,10 +264,10 @@ def test_eq_const_cycles_is_the_builder_count():
 )
 @settings(max_examples=40, deadline=None)
 def test_template_cycle_array_is_the_per_key_cost(widths, grouped, include_remote, data):
-    """``cycles(table)[k] == cost(table[k]).cycles`` — width-limit values
-    included, a template with no attribute (a partition holding none of the
-    GROUP-BY columns: a zero-width key table) too — and a value that does not
-    fit its field raises from both."""
+    """``cycles(table)[k]`` is the op count of key ``k``'s specialised
+    program — width-limit values included, a template with no attribute (a
+    partition holding none of the GROUP-BY columns: a zero-width key table)
+    too — and a value that does not fit its field raises, in any row."""
     schema = Schema(
         "t", [int_attribute(name, width) for name, width in zip(NAMES, widths)]
     )
@@ -283,7 +285,12 @@ def test_template_cycle_array_is_the_per_key_cost(widths, grouped, include_remot
     table = np.array(keys, dtype=np.int64).reshape(len(keys), len(limits))
     cycles = template.cycles(table)
     assert cycles.shape == (len(keys),)
-    assert cycles.tolist() == [template.cost(key).cycles for key in keys]
+    assert cycles.tolist() == [
+        compile_group_combine(
+            dict(zip(template.attributes, key)), layout, include_remote
+        ).cycles
+        for key in keys
+    ]
     for column, limit in enumerate(limits):
         for bad in (limit + 1, -1):
             wide = table.copy()
@@ -291,7 +298,7 @@ def test_template_cycle_array_is_the_per_key_cost(widths, grouped, include_remot
             with pytest.raises(ValueError, match="does not fit"):
                 template.cycles(wide)
             with pytest.raises(ValueError, match="does not fit"):
-                template.cost(wide[-1].tolist())
+                template.cycles(wide[-1:])
 
 
 def _grouped_service(execution: str, capacity: int):
@@ -334,19 +341,23 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     assert len(stored.layouts) == 1
 
     lowered = []
-    lower = batched.lower_program_batch
+    lower = batched.lower_program
 
-    def lowering(programs, *args, **kwargs):
-        lowered.append(len(programs))
-        return lower(programs, *args, **kwargs)
+    def lowering(program, *args, **kwargs):
+        lowered.append(program)
+        return lower(program, *args, **kwargs)
 
-    monkeypatch.setattr(batched, "lower_program_batch", lowering)
+    monkeypatch.setattr(batched, "lower_program", lowering)
     cold = service.execute(query)
     monkeypatch.undo()
     assert cold.pim_subgroups >= 50
     assert cold.pim_subgroups == cold.total_subgroups
     # The cold template build lowers one program: the conjunction.
-    assert lowered == [1]
+    (template,) = (
+        entry for entry in cache._entries.values()
+        if isinstance(entry, GroupMaskTemplate)
+    )
+    assert lowered == [template.program]
 
     calls = {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
 
@@ -357,16 +368,15 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        stages, "compile_group_combine",
-        counting("combine", stages.compile_group_combine),
+        program_cache, "compile_group_combine",
+        counting("combine", program_cache.compile_group_combine),
     )
     monkeypatch.setattr(
-        stages, "compile_group_predicate",
-        counting("predicate", stages.compile_group_predicate),
+        program_cache, "compile_group_predicate",
+        counting("predicate", program_cache.compile_group_predicate),
     )
     monkeypatch.setattr(
-        batched, "lower_program_batch",
-        counting("lower", batched.lower_program_batch),
+        batched, "lower_program", counting("lower", batched.lower_program)
     )
     monkeypatch.setattr(BatchKernel, "run", counting("run", BatchKernel.run))
     before = cache.snapshot()
