@@ -77,6 +77,9 @@ class RelationStatistics:
         # estimate() memo, keyed on (predicate, _version): a replay skips
         # the histogram walk, several times the cost of the lookup.
         self._estimate_cache: OrderedDict[tuple, float] = OrderedDict()
+        # The store's data version at each column's last equi-depth rebuild:
+        # rebuilt again from unchanged rows, it would be the same histogram.
+        self._rebuilt_at: dict[str, int] = {}
 
     @classmethod
     def from_stored(cls, stored) -> RelationStatistics:
@@ -231,17 +234,23 @@ class RelationStatistics:
         :class:`~repro.planner.adaptive.AdaptiveController` accumulates the
         (estimated, actual) error and scan volume; when a column's error
         crosses the threshold its histogram is rebuilt **equi-depth** from
-        the live rows, and when a correlated pair gets hot a
-        :class:`~repro.planner.zonemap.PairZoneMap` sketch is built for it.
-        Both are charged to the execution's stats as ``stats-rebuild`` (one
-        maintenance entry per crossbar and rebuilt structure, the same units
-        DML maintenance charges).  Returns the rebuilt column names.
+        the live rows — unless it already was at the store's current data
+        version, when the rebuild would reproduce it — and when a correlated
+        pair gets hot a :class:`~repro.planner.zonemap.PairZoneMap` sketch is
+        built for it.  Both are charged to the execution's stats as
+        ``stats-rebuild`` (one maintenance entry per crossbar and rebuilt
+        structure, the same units DML maintenance charges).  Returns the
+        rebuilt column names.
         """
         triggered = self.adaptive.observe(
             predicate, estimated, actual, crossbars_scanned
         )
         if stored is None:
             return triggered
+        version = stored._data_version
+        triggered = [
+            name for name in triggered if self._rebuilt_at.get(name) != version
+        ]
         entries = 0.0
         relation = stored.relation
         valid = None
@@ -251,6 +260,7 @@ class RelationStatistics:
             valid = stored.valid_mask(0)
         for name in triggered:
             self.selectivity.rebuild_column(relation, name, valid=valid)
+            self._rebuilt_at[name] = version
             entries += self.zonemaps.crossbars
         if triggered:
             self.adaptive.note_rebuild(len(triggered))

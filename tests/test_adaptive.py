@@ -889,3 +889,66 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
                     )
         trace_by_backend[backend] = trace
     assert trace_by_backend["packed"] == trace_by_backend["bool"]
+
+
+def test_static_store_rebuilds_a_column_once_per_data_version(
+    ssb_prejoined, monkeypatch
+):
+    """Replayed SSB flights on unchanged data rebuild each (store, column)
+    histogram at most once: a second equi-depth rebuild of the same rows
+    would reproduce the first, yet it used to be rebuilt and charged again
+    whenever the column's error crossed the threshold.  A DELETE moves the
+    store to a new data version, and the next trigger rebuilds again."""
+    from repro.service import QueryService
+    from repro.ssb.prejoined import max_aggregated_width
+    from repro.ssb.queries import queries_in_group, ssb_query
+
+    relation = Relation(
+        ssb_prejoined.schema,
+        {name: column.copy() for name, column in ssb_prejoined.columns.items()},
+    )
+    service = QueryService(tracing=False)
+    service.register_sharded(
+        "ssb", relation, shards=4, timing_scale=100.0,
+        aggregation_width=max_aggregated_width(relation),
+        reserve_bulk_aggregation=False,
+    )
+    stores = list(service.engine("ssb").sharded.shards)
+    owner = {id(stored.statistics.selectivity): k for k, stored in enumerate(stores)}
+    rebuilds = []
+    rebuild_column = SelectivityModel.rebuild_column
+
+    def recording(model, relation, name, valid=None):
+        shard = owner[id(model)]
+        rebuilds.append((shard, name, stores[shard]._data_version))
+        return rebuild_column(model, relation, name, valid)
+
+    monkeypatch.setattr(SelectivityModel, "rebuild_column", recording)
+    for _ in range(8):
+        for flight in (1, 2, 3, 4):
+            service.execute_batch([ssb_query(q) for q in queries_in_group(flight)])
+    assert rebuilds, "the replay no longer triggers a rebuild; the check is void"
+    assert {version for *_, version in rebuilds} == {0}
+    assert len(set(rebuilds)) == len(rebuilds)
+
+    shard, name, _ = rebuilds[0]
+    stored = stores[shard]
+    statistics = stored.statistics
+    probe = Comparison(name, "==", 0)
+
+    def feedback() -> list[str]:
+        # Four certain misses on one column cross the error threshold once.
+        rebuilt = []
+        for _ in range(4):
+            rebuilt += statistics.observe_execution(
+                probe, 1.0, 0.0, crossbars_scanned=1, stored=stored
+            )
+        return rebuilt
+
+    count = len(rebuilds)
+    assert feedback() == [] and len(rebuilds) == count
+    assert service.delete(Comparison("lo_quantity", "==", 1)).results[shard].records_deleted
+    assert feedback() == [name]
+    assert rebuilds[count:] == [(shard, name, stored._data_version)]
+    assert stored._data_version > 0
+    service.close()
