@@ -34,6 +34,15 @@ from repro.host import dram
 from repro.host.processor import cpu_time
 from repro.pim.arithmetic import BulkAggregationPlan
 
+#: :func:`predict_pim_gb`'s subgroup filter cycles and result lines per page.
+GROUP_FILTER_CYCLES = 60
+RESULT_WORDS = 3
+#: The ``s`` / ``n`` / ``r`` / pages grid of :func:`build_analytic_cost_model`.
+S_VALUES = (1, 2, 3, 4, 6, 8)
+N_VALUES = (1, 2, 3, 4)
+R_VALUES = (0.0005, 0.002, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0)
+REFERENCE_PAGES = 64
+
 
 # --------------------------------------------------------------------------
 # Measurements
@@ -208,15 +217,14 @@ def predict_host_gb(
     pages: float,
     reads_per_record: int,
     read_ratio: float,
-    extra_partitions: int = 0,
 ) -> float:
     """Analytic host-gb latency for a relation of ``pages`` 2 MB pages.
 
     Components: streaming the packed filter bit-vector, the scattered reads
     of the selected records (distinct (page,row) lines per 16-bit word, which
     is where the 32-record read amplification enters), and the host-side hash
-    aggregation.  ``extra_partitions`` adds bit-vector streams for additional
-    vertical partitions (two-xb).
+    aggregation.  One bit-vector stream is modelled, also for two-xb, whose
+    second partition streams another.
     """
     pim = config.pim
     host = config.host
@@ -225,7 +233,7 @@ def predict_host_gb(
     threads = host.query_threads
     read_ratio = min(max(read_ratio, 0.0), 1.0)
 
-    bitvector_bytes = records / 8 * (1 + extra_partitions)
+    bitvector_bytes = records / 8
     bitvector_time = dram.stream_read_time(host, bitvector_bytes)
 
     touched_rows = pages * rows * (1.0 - (1.0 - read_ratio) ** pim.crossbars_per_page)
@@ -241,13 +249,12 @@ def predict_pim_gb(
     pages: float,
     aggregation_reads: int,
     use_aggregation_circuit: bool = True,
-    group_filter_cycles: int = 60,
-    result_words: int = 3,
     transfer_per_subgroup: bool = False,
 ) -> float:
     """Analytic latency of PIM-aggregating one subgroup.
 
-    Components: the subgroup filter program, the aggregation itself (with the
+    Components: the subgroup filter program (:data:`GROUP_FILTER_CYCLES`
+    cycles), the aggregation itself (with the
     aggregation circuit or with the pure bulk-bitwise reduction of the PIMDB
     baseline), the host's read of the per-crossbar results and their final
     combination.  ``transfer_per_subgroup`` adds the host-mediated transfer
@@ -261,7 +268,7 @@ def predict_pim_gb(
     records = pages * pim.records_per_page
 
     issue = pages * pim.request_issue_gap_s
-    filter_time = issue + group_filter_cycles * xbar.logic_cycle_s
+    filter_time = issue + GROUP_FILTER_CYCLES * xbar.logic_cycle_s
 
     if use_aggregation_circuit:
         agg_request = (
@@ -282,7 +289,7 @@ def predict_pim_gb(
         agg_request = plan.cost().total_cycles * xbar.logic_cycle_s
     agg_time = issue + agg_request
 
-    result_lines = pages * result_words
+    result_lines = pages * RESULT_WORDS
     result_time = dram.scattered_read_time(host, result_lines, threads)
     combine = cpu_time(host, pages * pim.crossbars_per_page, 4.0, threads)
 
@@ -299,27 +306,24 @@ def build_analytic_cost_model(
     config: SystemConfig,
     use_aggregation_circuit: bool = True,
     transfer_per_subgroup: bool = False,
-    s_values: Sequence[int] = (1, 2, 3, 4, 6, 8),
-    n_values: Sequence[int] = (1, 2, 3, 4),
-    r_values: Sequence[float] = (0.0005, 0.002, 0.01, 0.05, 0.2, 0.5, 0.8, 1.0),
-    reference_pages: int = 64,
 ) -> GroupByCostModel:
     """Derive Eq. (1)/(2) lookup tables from the analytic predictors.
 
     This reproduces the paper's fitting procedure (Fig. 4) against the
-    simulator's closed-form cost expressions instead of end-to-end runs; the
-    Fig. 4 experiment performs the measured variant and the tests check the
-    two agree.
+    simulator's closed-form cost expressions instead of end-to-end runs, on
+    the grid :data:`S_VALUES` x :data:`R_VALUES` at :data:`REFERENCE_PAGES`
+    and :data:`N_VALUES` x three relation sizes; the Fig. 4 experiment
+    performs the measured variant and the tests check the two agree.
     """
     host_points = [
         HostGbMeasurement(
-            pages=reference_pages,
+            pages=REFERENCE_PAGES,
             reads_per_record=s,
             read_ratio=r,
-            time_s=predict_host_gb(config, reference_pages, s, r),
+            time_s=predict_host_gb(config, REFERENCE_PAGES, s, r),
         )
-        for s in s_values
-        for r in r_values
+        for s in S_VALUES
+        for r in R_VALUES
     ]
     pim_points = [
         PimGbMeasurement(
@@ -331,8 +335,8 @@ def build_analytic_cost_model(
                 transfer_per_subgroup=transfer_per_subgroup,
             ),
         )
-        for n in n_values
-        for pages in (max(1, reference_pages // 8), reference_pages, reference_pages * 4)
+        for n in N_VALUES
+        for pages in (REFERENCE_PAGES // 8, REFERENCE_PAGES, REFERENCE_PAGES * 4)
     ]
     return GroupByCostModel(
         host=HostGbLatencyModel.fit(host_points),

@@ -163,9 +163,7 @@ class ProgramCache:
         """Remote-partition subgroup equality program (per-subgroup pim-gb)."""
         return self._lookup(
             ("group", tuple(sorted(group_values.items())), layout),
-            lambda: compile_group_predicate(
-                group_values, layout, filter_column=layout.valid_column
-            ),
+            lambda: compile_group_predicate(group_values, layout, layout.valid_column),
         )
 
     def combine_program(
@@ -179,10 +177,7 @@ class ProgramCache:
             layout,
         )
         return self._lookup(
-            key,
-            lambda: compile_group_combine(
-                group_values, layout, include_remote=include_remote
-            ),
+            key, lambda: compile_group_combine(group_values, layout, include_remote)
         )
 
     def group_template(
@@ -203,8 +198,5 @@ class ProgramCache:
             include_remote, layout,
         )
         return self._lookup(
-            key,
-            lambda: GroupMaskTemplate(
-                attributes, layout, filter_column, include_remote
-            ),
+            key, lambda: GroupMaskTemplate(attributes, layout, filter_column, include_remote)
         )

@@ -16,9 +16,9 @@ pseudo-columns and remote column that way), and the outputs are returned
 unwritten, against the pre-run state.  A caller holding such a value reads
 it through the other three: ``kernel_to_bool`` / ``kernel_from_bool``
 convert a whole value and ``kernel_gather`` reads listed cells of a stack
-of values without decoding the rest; between them a value only meets NumPy's bitwise ufuncs and
-indexing along its leading (stack, crossbar) axes, which mean the same on
-both representations.
+of values without decoding the rest; between them a value only meets
+NumPy's bitwise ufuncs and indexing along its leading (stack, crossbar)
+axes, which mean the same on both representations.
 
 The NOR itself is computed as ``(a | b | ...) ^ ones``: on the packed
 backend every value in the dataflow keeps its padding bits zero (inputs by
@@ -57,13 +57,10 @@ class FusedKernel:
         self.nor_count: int = dag.nor_count
 
     def _evaluate(self, bank, xbars, bound=None) -> list:
-        """Every node's native value against the bank's current state.
-
-        An ``INPUT`` node reads its column's value from ``bound`` (a
-        ``{column: native value}`` mapping, shaped for ``xbars``) when the
-        column is bound there, otherwise from the bank.  A column past the
-        bank's physical row — a template's pseudo-column — must be bound.
-        """
+        """Every node's native value.  An ``INPUT`` reads its column from
+        ``bound`` (``{column: value}``) if bound there, else from the bank;
+        a column past the physical row (a template's pseudo-column) must be
+        bound."""
         ones = bank.kernel_ones()
         values: list = [None] * len(self.instructions)
         for index, (kind, payload) in enumerate(self.instructions):
@@ -117,15 +114,12 @@ def compile_dag(dag: NorDag) -> FusedKernel:
 
 
 class BatchKernel(FusedKernel):
-    """A :class:`FusedKernel` run functionally, with bound inputs.
-
-    The evaluation is the same; :meth:`run` returns the output values in the
-    bank's native representation and writes nothing back.  The batched
-    pim-gb runs a :class:`~repro.db.compiler.GroupMaskTemplate` this way:
-    its mismatch pseudo-columns and remote column are bound per run to
-    ``(K, n, ...)`` values stacked along a key axis, so one run yields all
-    ``K`` subgroup masks.  The caller decides which values become stored
-    column state and charges all modelled costs from program metadata.
+    """A :class:`FusedKernel` run functionally: bound inputs, outputs
+    returned unwritten.  The batched pim-gb binds a
+    :class:`~repro.db.compiler.GroupMaskTemplate`'s mismatch pseudo-columns
+    and remote column to ``(K, n, ...)`` values stacked along a key axis, so
+    one run yields all ``K`` subgroup masks; it decides which become stored
+    column state and charges every modelled cost from program metadata.
     """
 
     __slots__ = ()

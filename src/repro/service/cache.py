@@ -1,10 +1,4 @@
-"""The service's program cache, which is the execution stages' compiler.
-
-:class:`~repro.core.program_cache.ProgramCache` lives in :mod:`repro.core`,
-whose stages compile through it; the service re-exports it, with its
-:class:`~repro.core.program_cache.CacheStats` counters, and shares one
-instance across every engine it registers.
-"""
+"""Re-exports the execution stages' one compiler, :mod:`repro.core.program_cache`."""
 
 from repro.core.program_cache import CacheStats, ProgramCache
 
