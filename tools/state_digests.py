@@ -27,6 +27,12 @@ b``) and exits 1 on any difference, 0 when the two reports are identical.
   relation, registered as one store (K1) and as four shards (K4), on both
   bank backends.  ``state`` is the final ``state_digest()``, ``ops`` hashes
   each op's count and per-store ``stats.totals()``.
+* ``paper``: the evaluation's PIM configurations (``one_xb``, ``two_xb``,
+  ``pimdb``; scale factor 0.002, seed 42) after ``run_all_queries``.
+  ``records`` hashes the configuration's ``QueryRecord`` rows in query
+  order, ``state`` is its store's ``state_digest()``.  They reach the
+  unpruned broadcast, two-xb's remote partition and pimdb's per-subgroup
+  bulk-bitwise loop, which no ``perf`` workload runs.
 * ``k1_registrations_differing``: of the 13 SSB queries (planner on), how
   many answer differently through ``register(stored)`` and through
   ``register_sharded(shards=1)``, comparing rows, ``stats.totals()``, label
@@ -122,6 +128,22 @@ def dml_digests(backend: str, shards: int) -> dict[str, str]:
     return digests
 
 
+def paper_digests() -> dict[str, dict[str, str]]:
+    from repro.experiments.common import PIM_CONFIGS, build_setup, run_all_queries
+
+    setup = build_setup(scale_factor=0.002, seed=42, configs=PIM_CONFIGS)
+    records = run_all_queries(setup)
+    return {
+        config: {
+            "records": _short(hashlib.sha256(repr(
+                [record for record in records if record.config == config]
+            ).encode())),
+            "state": _short(setup.pim_engines[config].stored.state_digest()),
+        }
+        for config in PIM_CONFIGS
+    }
+
+
 def k1_registrations_differing() -> int:
     from repro.config import DEFAULT_CONFIG
     from repro.db.storage import StoredRelation
@@ -170,6 +192,7 @@ def report(checkout: str) -> dict:
             for backend in ("packed", "bool")
             for shards in (1, 4)
         },
+        "paper": paper_digests(),
         "k1_registrations_differing": k1_registrations_differing(),
     }
 
