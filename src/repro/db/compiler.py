@@ -33,8 +33,7 @@ from repro.db.query import (
     NE,
     Or,
     Predicate,
-    clamp_between,
-    fold_comparison,
+    encode_comparison,
 )
 from repro.db.schema import Schema
 from repro.pim.logic import Program, ProgramBuilder
@@ -243,22 +242,6 @@ def _compile_node(
     raise CompilationError(f"unknown predicate node {node!r}")
 
 
-def _encode(schema: Schema, attribute: str, value) -> int | None:
-    """Translate a constant to the stored code; ``None`` = not in dictionary.
-
-    Integer constants outside the attribute's encoded domain are *not*
-    folded to ``None`` here: ``field < 1024`` on a 4-bit field is true for
-    every record, so the comparison compilers fold out-of-domain constants
-    against the domain boundary instead (matching
-    :func:`repro.db.query.evaluate_predicate` exactly).
-    """
-    attr = schema.attribute(attribute)
-    try:
-        return int(attr.encode_value(value))
-    except KeyError:
-        return None
-
-
 def _compile_comparison(
     node: Comparison, schema: Schema, layout: RowLayout, builder: ProgramBuilder
 ) -> int:
@@ -266,47 +249,28 @@ def _compile_comparison(
         raise CompilationError(
             f"attribute {node.attribute!r} is not stored in this partition"
         )
+    if node.op not in (EQ, NE, LT, LE, GT, GE, BETWEEN, IN):
+        raise CompilationError(f"unknown operator {node.op!r}")
+    encoded = encode_comparison(node, schema)
+    if encoded.folded is not None:
+        return builder.const(encoded.folded)
     columns = layout.field_columns(node.attribute)
-    max_value = schema.attribute(node.attribute).max_value
-    op = node.op
+    op, code = encoded.op, encoded.code
     if op == IN:
-        encoded_values = [
-            encoded
-            for encoded in (
-                _encode(schema, node.attribute, value) for value in node.values
-            )
-            # Out-of-domain constants can never equal a stored value.
-            if encoded is not None and 0 <= encoded <= max_value
-        ]
-        if not encoded_values:
-            return builder.const(False)
-        return builder.isin_const(columns, encoded_values)
+        return builder.isin_const(columns, encoded.codes)
     if op == BETWEEN:
-        bounds = clamp_between(
-            _encode(schema, node.attribute, node.low),
-            _encode(schema, node.attribute, node.high),
-            max_value,
-        )
-        if bounds is None:
-            return builder.const(False)
-        return builder.between_const(columns, *bounds)
-    if op not in (EQ, NE, LT, LE, GT, GE):
-        raise CompilationError(f"unknown operator {op!r}")
-    encoded = _encode(schema, node.attribute, node.value)
-    folded = fold_comparison(op, encoded, max_value)
-    if folded is not None:
-        return builder.const(folded)
+        return builder.between_const(columns, encoded.low, encoded.high)
     if op == EQ:
-        return builder.eq_const(columns, encoded)
+        return builder.eq_const(columns, code)
     if op == NE:
-        return builder.ne_const(columns, encoded)
+        return builder.ne_const(columns, code)
     if op == LT:
-        return builder.lt_const(columns, encoded)
+        return builder.lt_const(columns, code)
     if op == LE:
-        return builder.le_const(columns, encoded)
+        return builder.le_const(columns, code)
     if op == GT:
-        return builder.gt_const(columns, encoded)
-    return builder.ge_const(columns, encoded)
+        return builder.gt_const(columns, code)
+    return builder.ge_const(columns, code)
 
 
 def partition_conjuncts(

@@ -20,6 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.db.relation import Relation
+from repro.db.schema import Schema
 
 
 # Comparison operators.
@@ -196,84 +197,84 @@ def evaluate_predicate(predicate: Predicate, relation: Relation) -> np.ndarray:
     raise TypeError(f"unknown predicate node {predicate!r}")
 
 
-def _encode_constant(relation: Relation, attribute: str, value) -> int | None:
-    attr = relation.schema.attribute(attribute)
-    try:
-        return attr.encode_value(value)
-    except KeyError:
-        return None
+@dataclass(frozen=True)
+class EncodedComparison:
+    """A comparison with its raw constants translated to stored codes.
 
-
-def fold_comparison(op: str, encoded: int | None, max_value: int) -> bool | None:
-    """Constant-fold a scalar comparison against the field domain.
-
-    ``encoded`` is the constant's stored code (``None`` when the raw value
-    is missing from the attribute's dictionary); ``max_value`` is the
-    largest code the field can hold.  Returns ``True``/``False`` when every
-    in-domain stored value compares the same way — a value missing from the
-    dictionary matches nothing (everything for ``!=``), and an integer
-    outside ``[0, max_value]`` puts the whole domain on one side of the
-    comparison — and ``None`` when the constant is in-domain and must be
-    compared for real.
-
-    This is *the* definition of out-of-domain comparison semantics.  The
-    NOR compiler, the reference evaluator, the zone maps and the
-    selectivity model all fold through here; the planner's pruning
-    soundness depends on them agreeing bit for bit.
+    Exactly one reading holds.  ``folded`` is ``True``/``False`` when every
+    in-domain stored value compares the same way; otherwise ``op`` is read
+    with ``code`` (the scalar operators), ``low``/``high`` (BETWEEN, clamped
+    into the domain) or ``codes`` (IN: the in-domain codes in list order,
+    duplicates kept).
     """
+
+    op: str
+    folded: bool | None = None
+    code: int = 0
+    low: int = 0
+    high: int = 0
+    codes: tuple[int, ...] = ()
+
+
+def encode_comparison(comparison: Comparison, schema: Schema) -> EncodedComparison:
+    """Translate a comparison's constants through the schema, once.
+
+    This is *the* definition of constant semantics.  A value missing from
+    the attribute's dictionary matches nothing (everything for ``!=``); an
+    integer outside ``[0, max_value]`` puts the whole stored domain on one
+    side of a scalar comparison and can never equal an IN member; a BETWEEN
+    with a missing bound, an inverted range or a range entirely outside the
+    domain selects nothing, anything else clamps to the domain.  The NOR
+    compiler, the reference evaluator, the zone maps, the pair sketch and
+    the selectivity model all read this record; the planner's pruning
+    soundness depends on them agreeing bit for bit.  Nothing is memoised:
+    a dictionary can grow between two calls.
+    """
+    op = comparison.op
+    attribute = schema.attribute(comparison.attribute)
+    max_value = attribute.max_value
+
+    def encode(value) -> int | None:
+        try:
+            return int(attribute.encode_value(value))
+        except KeyError:
+            return None
+
+    if op == IN:
+        codes = tuple(
+            code for code in map(encode, comparison.values)
+            if code is not None and 0 <= code <= max_value
+        )
+        return EncodedComparison(op, folded=None if codes else False, codes=codes)
+    if op == BETWEEN:
+        low, high = encode(comparison.low), encode(comparison.high)
+        if low is None or high is None or high < 0 or low > max_value or low > high:
+            return EncodedComparison(op, folded=False)
+        return EncodedComparison(op, low=max(low, 0), high=min(high, max_value))
     if op not in (EQ, NE, LT, LE, GT, GE):
         raise ValueError(f"unknown operator {op!r}")
-    if encoded is None:
-        return op == NE
-    if 0 <= encoded <= max_value:
-        return None
-    if op in (EQ, NE):
-        return op == NE
-    below = encoded > max_value
-    return below if op in (LT, LE) else not below
-
-
-def clamp_between(
-    low: int | None, high: int | None, max_value: int
-) -> tuple[int, int] | None:
-    """Clamp BETWEEN bounds into the field domain (``None`` = empty range).
-
-    The companion of :func:`fold_comparison` for the inclusive range
-    operator: a bound missing from the dictionary, a range entirely outside
-    the domain, or an inverted range selects nothing; anything else clamps
-    to the representable ``[max(low, 0), min(high, max_value)]``.
-    """
-    if low is None or high is None or high < 0 or low > max_value or low > high:
-        return None
-    return max(low, 0), min(high, max_value)
+    code = encode(comparison.value)
+    if code is not None and 0 <= code <= max_value:
+        return EncodedComparison(op, code=code)
+    if code is None or op in (EQ, NE):
+        return EncodedComparison(op, folded=op == NE)
+    return EncodedComparison(op, folded=(code > max_value) == (op in (LT, LE)))
 
 
 def _evaluate_comparison(comparison: Comparison, relation: Relation) -> np.ndarray:
     column = relation.column(comparison.attribute)
-    max_value = relation.schema.attribute(comparison.attribute).max_value
-    op = comparison.op
+    encoded = encode_comparison(comparison, relation.schema)
+    if encoded.folded is not None:
+        return np.full(len(relation), encoded.folded, dtype=bool)
+    op = encoded.op
     if op == IN:
         mask = np.zeros(len(relation), dtype=bool)
-        for value in comparison.values:
-            encoded = _encode_constant(relation, comparison.attribute, value)
-            if encoded is not None and 0 <= encoded <= max_value:
-                mask |= column == np.uint64(encoded)
+        for code in encoded.codes:
+            mask |= column == np.uint64(code)
         return mask
     if op == BETWEEN:
-        bounds = clamp_between(
-            _encode_constant(relation, comparison.attribute, comparison.low),
-            _encode_constant(relation, comparison.attribute, comparison.high),
-            max_value,
-        )
-        if bounds is None:
-            return np.zeros(len(relation), dtype=bool)
-        low, high = bounds
-        return (column >= np.uint64(low)) & (column <= np.uint64(high))
-    encoded = _encode_constant(relation, comparison.attribute, comparison.value)
-    folded = fold_comparison(op, encoded, max_value)
-    if folded is not None:
-        return np.full(len(relation), folded, dtype=bool)
-    value = np.uint64(encoded)
+        return (column >= np.uint64(encoded.low)) & (column <= np.uint64(encoded.high))
+    value = np.uint64(encoded.code)
     if op == EQ:
         return column == value
     if op == NE:
@@ -284,9 +285,7 @@ def _evaluate_comparison(comparison: Comparison, relation: Relation) -> np.ndarr
         return column <= value
     if op == GT:
         return column > value
-    if op == GE:
-        return column >= value
-    raise ValueError(f"unknown operator {op!r}")
+    return column >= value
 
 
 def reference_group_aggregate(

@@ -36,8 +36,7 @@ from repro.db.query import (
     LE,
     LT,
     NE,
-    clamp_between,
-    fold_comparison,
+    encode_comparison,
 )
 from repro.db.schema import Schema
 
@@ -251,13 +250,6 @@ class SelectivityModel:
         return fresh
 
     # -------------------------------------------------------------- estimates
-    def _encode(self, attribute: str, value) -> int | None:
-        attr = self.schema.attribute(attribute)
-        try:
-            return int(attr.encode_value(value))
-        except KeyError:
-            return None
-
     def estimate(self, predicate: Predicate) -> float:
         """Estimated selected fraction of the live records, in ``[0, 1]``."""
         if predicate is None:
@@ -280,42 +272,29 @@ class SelectivityModel:
         histogram = self.histograms.get(node.attribute)
         if histogram is None:
             return 1.0
-        max_value = self.schema.attribute(node.attribute).max_value
-        op = node.op
+        encoded = encode_comparison(node, self.schema)
+        # Folded comparisons: all or nothing.
+        if encoded.folded is not None:
+            return 1.0 if encoded.folded else 0.0
+        op, code = encoded.op, encoded.code
         if op == IN:
             fraction = 0.0
-            for value in node.values:
-                encoded = self._encode(node.attribute, value)
-                if encoded is not None and 0 <= encoded <= max_value:
-                    fraction += histogram.fraction_eq(encoded)
+            for member in encoded.codes:
+                fraction += histogram.fraction_eq(member)
             return min(1.0, fraction)
         if op == BETWEEN:
-            bounds = clamp_between(
-                self._encode(node.attribute, node.low),
-                self._encode(node.attribute, node.high),
-                max_value,
-            )
-            if bounds is None:
-                return 0.0
-            return histogram.fraction_between(*bounds)
-        encoded = self._encode(node.attribute, node.value)
-        # Folded comparisons (the shared definition): all or nothing.
-        folded = fold_comparison(op, encoded, max_value)
-        if folded is not None:
-            return 1.0 if folded else 0.0
+            return histogram.fraction_between(encoded.low, encoded.high)
         if op == EQ:
-            return histogram.fraction_eq(encoded)
+            return histogram.fraction_eq(code)
         if op == NE:
-            return 1.0 - histogram.fraction_eq(encoded)
+            return 1.0 - histogram.fraction_eq(code)
         if op == LT:
-            return histogram.fraction_below(encoded, inclusive=False)
+            return histogram.fraction_below(code, inclusive=False)
         if op == LE:
-            return histogram.fraction_below(encoded, inclusive=True)
+            return histogram.fraction_below(code, inclusive=True)
         if op == GT:
-            return 1.0 - histogram.fraction_below(encoded, inclusive=True)
-        if op == GE:
-            return 1.0 - histogram.fraction_below(encoded, inclusive=False)
-        return 1.0
+            return 1.0 - histogram.fraction_below(code, inclusive=True)
+        return 1.0 - histogram.fraction_below(code, inclusive=False)
 
     def order_conjuncts(self, predicate: Predicate) -> list:
         """Top-level conjuncts ordered most-selective first (stable ties).

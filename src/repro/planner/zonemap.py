@@ -48,8 +48,7 @@ from repro.db.query import (
     LE,
     LT,
     NE,
-    clamp_between,
-    fold_comparison,
+    encode_comparison,
 )
 from repro.db.schema import Schema
 from repro.pim.stats import PimStats
@@ -292,47 +291,25 @@ class ZoneMaps:
         # Unknown node: never prune on something we cannot reason about.
         return np.ones(self.crossbars, dtype=bool)
 
-    def _encode(self, attribute: str, value) -> int | None:
-        """Encode a constant like the compiler (None = not in dictionary)."""
-        attr = self.schema.attribute(attribute)
-        try:
-            return int(attr.encode_value(value))
-        except KeyError:
-            return None
-
     def _comparison_possible(self, node: Comparison) -> np.ndarray:
         if node.attribute not in self.mins:
             return np.ones(self.crossbars, dtype=bool)
+        encoded = encode_comparison(node, self.schema)
+        # A folded comparison: every (live) crossbar matches or none does.
+        if encoded.folded is not None:
+            return np.full(self.crossbars, encoded.folded, dtype=bool)
         lo = self.mins[node.attribute]
         hi = self.maxs[node.attribute]
-        max_value = self.schema.attribute(node.attribute).max_value
-        op = node.op
+        op = encoded.op
         if op == IN:
             mask = np.zeros(self.crossbars, dtype=bool)
-            for value in node.values:
-                encoded = self._encode(node.attribute, value)
-                if encoded is not None and 0 <= encoded <= max_value:
-                    v = np.uint64(encoded)
-                    mask |= (lo <= v) & (v <= hi)
+            for code in encoded.codes:
+                v = np.uint64(code)
+                mask |= (lo <= v) & (v <= hi)
             return mask
         if op == BETWEEN:
-            bounds = clamp_between(
-                self._encode(node.attribute, node.low),
-                self._encode(node.attribute, node.high),
-                max_value,
-            )
-            if bounds is None:
-                return np.zeros(self.crossbars, dtype=bool)
-            low, high = bounds
-            return (hi >= np.uint64(low)) & (lo <= np.uint64(high))
-        encoded = self._encode(node.attribute, node.value)
-        # The shared fold defines the out-of-domain semantics: when the
-        # compiler folds the comparison to a constant, every (live) crossbar
-        # either matches or none does.
-        folded = fold_comparison(op, encoded, max_value)
-        if folded is not None:
-            return np.full(self.crossbars, folded, dtype=bool)
-        v = np.uint64(encoded)
+            return (hi >= np.uint64(encoded.low)) & (lo <= np.uint64(encoded.high))
+        v = np.uint64(encoded.code)
         if op == EQ:
             return (lo <= v) & (v <= hi)
         if op == NE:
@@ -344,9 +321,7 @@ class ZoneMaps:
             return lo <= v
         if op == GT:
             return hi > v
-        if op == GE:
-            return hi >= v
-        return np.ones(self.crossbars, dtype=bool)
+        return hi >= v
 
     # ------------------------------------------------------------ cost model
     @staticmethod
@@ -503,47 +478,32 @@ class PairZoneMap:
     # -------------------------------------------------------------- candidates
     def bucket_mask(self, node: Comparison) -> int | None:
         """8-bit mask of this comparison's possible buckets (None = not ours)."""
-        name = node.attribute
-        if name not in self.shifts:
+        if node.attribute not in self.shifts:
             return None
-        shift = self.shifts[name]
-        max_value = self.schema.attribute(name).max_value
+        encoded = encode_comparison(node, self.schema)
+        if encoded.folded is not None:
+            return _PAIR_ALL if encoded.folded else 0
+        shift = self.shifts[node.attribute]
 
-        def bucket(encoded: int) -> int:
-            return min(encoded >> shift, PAIR_BUCKETS - 1)
+        def bucket(code: int) -> int:
+            return min(code >> shift, PAIR_BUCKETS - 1)
 
-        def encode(value) -> int | None:
-            try:
-                return int(self.schema.attribute(name).encode_value(value))
-            except KeyError:
-                return None
-
-        if node.op == IN:
+        op = encoded.op
+        if op == IN:
             mask = 0
-            for value in node.values:
-                encoded = encode(value)
-                if encoded is not None and 0 <= encoded <= max_value:
-                    mask |= 1 << bucket(encoded)
+            for code in encoded.codes:
+                mask |= 1 << bucket(code)
             return mask
-        if node.op == BETWEEN:
-            bounds = clamp_between(
-                encode(node.low), encode(node.high), max_value
-            )
-            if bounds is None:
-                return 0
-            low_bucket, high_bucket = bucket(bounds[0]), bucket(bounds[1])
+        if op == BETWEEN:
+            low_bucket, high_bucket = bucket(encoded.low), bucket(encoded.high)
             return ((1 << (high_bucket + 1)) - 1) & ~((1 << low_bucket) - 1)
-        encoded = encode(node.value)
-        folded = fold_comparison(node.op, encoded, max_value)
-        if folded is not None:
-            return _PAIR_ALL if folded else 0
-        if node.op == EQ:
-            return 1 << bucket(encoded)
-        if node.op in (LT, LE):
-            return (1 << (bucket(encoded) + 1)) - 1
-        if node.op in (GT, GE):
-            return _PAIR_ALL & ~((1 << bucket(encoded)) - 1)
-        # NE (and anything unforeseen) constrains no bucket.
+        if op == EQ:
+            return 1 << bucket(encoded.code)
+        if op in (LT, LE):
+            return (1 << (bucket(encoded.code) + 1)) - 1
+        if op in (GT, GE):
+            return _PAIR_ALL & ~((1 << bucket(encoded.code)) - 1)
+        # NE constrains no bucket.
         return _PAIR_ALL
 
     def possible(self, a_mask: int, b_mask: int) -> np.ndarray:
