@@ -31,7 +31,7 @@ number or stored bit:
   conjunction kernel's ``(K, candidate crossbars, ...)`` value in the bank's
   native representation (packed words on the default bank) — the paper's
   one mask column per subgroup — and three readers take what they need from
-  it: the first and the last key's bits, the only two that are stored
+  it: the last key's bits, the only ones that are stored
   (``kernel_to_bool`` of one slice); the OR over the keys, for the pruning
   invariant and the last clear; and the masked cells of the selected rows
   (``kernel_gather``), for the aggregates.  A remote partition's value is
@@ -54,11 +54,11 @@ number or stored bit:
   subgroup.  Every column the subgroups write (group, filter, remote, the
   result row, the remote partitions' group columns) is overwritten whole by
   the next key, ``mark_column_dirty`` replaces a column's mask, and wear is
-  integer addition.  Hence only the **first** key (the one that can meet
-  stale crossbars and charge a ``prune-clear``) and the **last** key (the
-  bits that stay) go through the :func:`apply_program` /
-  :func:`apply_program_pruned` / ``transfer_bit_column`` contract.  Every key
-  in between is charged without a store: its mask programs once per
+  integer addition.  Hence only the **last** key (the bits that stay) goes
+  through the :func:`apply_program` / :func:`apply_program_pruned` /
+  ``transfer_bit_column`` contract; its store still meets the pre-GROUP-BY
+  dirty masks, so it charges the one ``prune-clear`` of stale crossbars.
+  Every earlier key is charged without a store: its mask programs once per
   *distinct cycle count* (:meth:`GroupMaskTemplate.cycles`, one vectorised
   closed form over the key table), its transfers, folds and clear as one
   counted charge each, with the summed wear added to the banks; the K
@@ -342,12 +342,15 @@ def run_group_by_batched(
         # reference; only group-column folds run pruned.
         return prune is not None and program.result_column == primary_layout.group_column
 
-    # ------------------------------------- first and last key: stored
-    # Only the first key can meet stale crossbars and only the last key's
-    # bits stay, so these two go through the stage contract in full.
-    def mask_program(partition, cycles, index) -> ProgramCost:
-        """Key ``index``'s specialised mask program, as what it is charged."""
-        return ProgramCost(int(cycles[index]), stored.layouts[partition].group_column)
+    # ----------------------------------------------------- last key: stored
+    # Only the last key's bits stay, so it alone goes through the stage
+    # contract in full; its store meets the pre-GROUP-BY dirty masks and
+    # charges any prune-clear of stale crossbars.
+    last = len(keys) - 1
+
+    def mask_program(partition, cycles) -> ProgramCost:
+        """The last key's specialised mask program, as what it is charged."""
+        return ProgramCost(int(cycles[last]), stored.layouts[partition].group_column)
 
     def store_program(partition, program, bits, pruned=prune is not None):
         pages = pages_for(partition)
@@ -363,48 +366,43 @@ def run_group_by_batched(
                 pages=pages, result_bits=bits,
             )
 
-    last = len(keys) - 1
-    for index in sorted({0, last}):
-        running: np.ndarray | None = None
-        for position, partition in enumerate(remote_partitions):
-            cycles, value, xbars = remote_batches[position]
-            store_program(
-                partition, mask_program(partition, cycles, index),
-                _mask_bits(
-                    stored.allocations[partition].bank, value[index], xbars,
-                    num_records,
-                ),
-            )
-            transferred = read_model.transfer_bit_column(
-                stored,
-                partition, stored.layouts[partition].group_column,
-                primary, primary_layout.remote_column,
-                phase="pim-gb-transfer",
-            )
-            running = transferred if running is None else running & transferred
-            if fold_programs:
-                fold_program = fold_programs[position]
-                fold_bits = running
-                if prune is not None:
-                    fold_bits = fold_bits & candidate_rows(
-                        stored, primary, primary_candidates
-                    )
-                store_program(
-                    primary, fold_program, fold_bits, fold_pruned(fold_program)
-                )
-        bits = _mask_bits(bank, mask_value[index], primary_idx, num_records)
-        store_program(primary, mask_program(primary, combine_cycles, index), bits)
-        # The clear leaves the selection minus the (disjoint) masks so far.
+    running: np.ndarray | None = None
+    for position, partition in enumerate(remote_partitions):
+        cycles, value, xbars = remote_batches[position]
         store_program(
-            primary, clear_program, mask & ~(bits if index == 0 else union)
+            partition, mask_program(partition, cycles),
+            _mask_bits(
+                stored.allocations[partition].bank, value[last], xbars, num_records,
+            ),
         )
+        transferred = read_model.transfer_bit_column(
+            stored,
+            partition, stored.layouts[partition].group_column,
+            primary, primary_layout.remote_column,
+            phase="pim-gb-transfer",
+        )
+        running = transferred if running is None else running & transferred
+        if fold_programs:
+            fold_program = fold_programs[position]
+            fold_bits = running
+            if prune is not None:
+                fold_bits = fold_bits & candidate_rows(
+                    stored, primary, primary_candidates
+                )
+            store_program(primary, fold_program, fold_bits, fold_pruned(fold_program))
+    store_program(
+        primary, mask_program(primary, combine_cycles),
+        _mask_bits(bank, mask_value[last], primary_idx, num_records),
+    )
+    # The clear leaves the selection minus the (disjoint) masks of all keys.
+    store_program(primary, clear_program, mask & ~union)
 
-    # --------------------------- every key in between: charged by multiplicity
+    # ----------------------- every key before the last: charged by multiplicity
     # Their columns are overwritten whole by the last key and their wear is
     # integer addition, so nothing is stored: each program slot is one
     # counted charge per distinct cycle count plus its summed wear.
     def charge_programs(partition, runs: dict[int, int], pruned=prune is not None):
-        """``runs``: cycle count -> how many middle keys run such a program."""
+        """``runs``: cycle count -> how many earlier keys run such a program."""
         target = stored.allocations[partition].bank
         pages = pages_for(partition)
         active = target.count
@@ -421,20 +419,19 @@ def run_group_by_batched(
             candidate_idx[partition] if pruned else None,
         )
 
-    middle = last - 1
-    if middle > 0:
+    if last > 0:
         for partition, (cycles, *_) in zip(remote_partitions, remote_batches):
-            charge_programs(partition, Counter(cycles[1:last].tolist()))
+            charge_programs(partition, Counter(cycles[:last].tolist()))
         read_model.charge_bit_column_transfer(
-            stored, "pim-gb-transfer", count=middle * remote_count
+            stored, "pim-gb-transfer", count=last * remote_count
         )
-        bank.add_wear(middle * remote_count)
+        bank.add_wear(last * remote_count)
         for fold_program in fold_programs:
             charge_programs(
-                primary, {fold_program.cycles: middle}, fold_pruned(fold_program)
+                primary, {fold_program.cycles: last}, fold_pruned(fold_program)
             )
-        charge_programs(primary, Counter(combine_cycles[1:last].tolist()))
-        charge_programs(primary, {clear_program.cycles: middle})
+        charge_programs(primary, Counter(combine_cycles[:last].tolist()))
+        charge_programs(primary, {clear_program.cycles: last})
 
     # ----------------------------------------------------------- aggregates
     # Every aggregate of every subgroup on every crossbar, in one segmented

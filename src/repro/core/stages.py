@@ -21,8 +21,8 @@ A program is applied in one way: its NOR primitives run on the stored bits
 :func:`apply_program_at`; the fused kernel in production, op by op under the
 ``dispatch`` oracle) and its cycles, energy and wear are charged from its
 metadata.  The one exception is the *known-bits store* of the batched pim-gb
-(:mod:`repro.core.batched`): its first and last subgroup have no per-key
-program to run, only the bits the value-free template kernel already
+(:mod:`repro.core.batched`): its last subgroup has no per-key program to
+run, only the bits the value-free template kernel already
 computed from the stored bits, so ``apply_program(result_bits=...)`` /
 ``apply_program_pruned(result_bits=...)`` write those bits into the result
 column and charge a :class:`~repro.pim.logic.ProgramCost` instead.

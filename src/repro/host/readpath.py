@@ -214,7 +214,7 @@ class HostReadModel:
 
         The traffic of a transfer depends on the relation's size only, so a
         caller that knows the moved column will be overwritten before anyone
-        reads it (batched pim-gb: every subgroup but the first and the last)
+        reads it (batched pim-gb: every subgroup but the last)
         charges the moves here and accounts for the target bank's wear itself.
         """
         num_bytes = math.ceil(stored.num_records / 8) * self.traffic_scale

@@ -222,7 +222,7 @@ class PimExecutor:
     ) -> None:
         """What :meth:`run_program_pruned` charges, without running anything.
 
-        For the batched pim-gb's first / last subgroup (:mod:`repro.core.batched`
+        For the batched pim-gb's last subgroup (:mod:`repro.core.batched`
         through ``apply_program_pruned(result_bits=...)``): the template
         kernel's bits are already in the result column; this charges the
         per-key program's pruned cost from its metadata and adds the per-row

@@ -325,8 +325,8 @@ def _keyed_service(execution: str, distinct_keys: int):
 
 
 def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
-    """A K-subgroup pim-gb writes its bookkeeping columns for the first and
-    the last key only, stores one result row and never aggregates per key —
+    """A K-subgroup pim-gb writes its bookkeeping columns for the last key
+    only, stores one result row and never aggregates per key —
     the same call counts at K=20 and K=80 — while rows, ``PimStats`` and wear
     stay those of the per-subgroup ``dispatch`` twin."""
     query = Query(
@@ -381,9 +381,9 @@ def test_group_by_stores_do_not_scale_with_subgroups(monkeypatch):
         service.close()
         reference.close()
 
-    # First and last key: remote mask, transfer, combine mask and clear each.
+    # The last key only: remote mask, transfer, combine mask and clear.
     assert counts[10] == counts[40] == {
-        "write_bit_column": 8, "write_field_row": 1, "aggregate_reference": 0,
+        "write_bit_column": 4, "write_field_row": 1, "aggregate_reference": 0,
     }
 
 
@@ -418,7 +418,7 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
 ):
     """8 or 64 subgroups: the pim-gb path issues the same number of stats
     calls, up to one counted program charge per distinct cycle count among
-    the keys between the first and the last — while rows, ``PimStats``,
+    the keys before the last — while rows, ``PimStats``,
     stored bits, dirty marks and wear stay the ``dispatch`` oracle's."""
     query = Query(
         "charged", Comparison("value", "<", 120),
@@ -470,9 +470,9 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
         assert_same_execution(execution, twin)
         assert_same_state(service, reference)
 
-        middle = calls.pop("keys")[1:-1]
+        earlier = calls.pop("keys")[:-1]
         distinct = sum(
-            len({sum(key[a].bit_count() for a in slot) for key in middle})
+            len({sum(key[a].bit_count() for a in slot) for key in earlier})
             for slot in slots
         )
         # A program charge is one _record_phase: one time, two energy
@@ -496,8 +496,8 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
     monkeypatch, pruning, partitions
 ):
     """8 or 64 subgroups: the K masks stay in the bank's kernel words and the
-    same few are decoded — the first and the last key's per partition and
-    the primary's union, never a ``(K, crossbars, rows)`` array — while rows,
+    same few are decoded — the last key's per partition and the primary's
+    union, never a ``(K, crossbars, rows)`` array — while rows,
     ``PimStats``, stored bits, dirty marks and wear stay the oracle's."""
     query = Query(
         "decoded", Comparison("value", "<", 120),
@@ -526,7 +526,7 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
                 execution = service.execute(query)
             assert execution.pim_subgroups == execution.total_subgroups == subgroups
             decoded[subgroups] = sizes
-            assert 0 < sum(sizes) <= (3 + 2 * remote_partitions) * bank.count * bank.rows
+            assert 0 < sum(sizes) <= (2 + remote_partitions) * bank.count * bank.rows
 
             twin = reference.execute(query)
             assert len(twin.rows) == subgroups
