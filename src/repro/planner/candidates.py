@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.db.query import BETWEEN, IN, And, Comparison, Or, Predicate
 from repro.obs.metrics import add_stats, sub_stats
-from repro.planner.zonemap import ZoneMaps
+from repro.planner.zonemap import ZoneMaps, two_level_entries
 
 #: Cached fragment masks kept per relation (fragments are small — a mask and
 #: an epoch vector — so the cache can be generous).
@@ -236,31 +236,14 @@ class CandidateSetCache:
         self._misses += 1
         mask = self.zonemaps.possible(fragment)
         mask.setflags(write=False)
-        consulted = self._cold_walk_entries(mask, crossbars_per_page)
+        # Two-level, like ZoneMaps.check: the live crossbars it cannot rule out.
+        consulted = two_level_entries(mask & (self.zonemaps.live > 0), crossbars_per_page)
         self._entries[key] = _CachedFragment(mask, self.epochs.copy())
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._evictions += 1
         self._entries_checked += consulted
         return mask, consulted
-
-    def _cold_walk_entries(
-        self, possible: np.ndarray, crossbars_per_page: int
-    ) -> int:
-        """Modelled two-level cost of one uncached fragment check.
-
-        Mirrors :meth:`~repro.planner.zonemap.ZoneMaps.check`: the per-page
-        summaries first, per-crossbar entries only inside pages the summary
-        (restricted to live crossbars) could not rule out.
-        """
-        crossbars = self.zonemaps.crossbars
-        pages = max(1, -(-crossbars // crossbars_per_page))
-        padded = np.zeros(pages * crossbars_per_page, dtype=bool)
-        padded[:crossbars] = possible & (self.zonemaps.live > 0)
-        surviving = int(
-            padded.reshape(pages, crossbars_per_page).any(axis=1).sum()
-        )
-        return pages + surviving * crossbars_per_page
 
     # --------------------------------------------------------------- counters
     def stats(self) -> CandidateCacheStats:

@@ -64,6 +64,21 @@ MAINTAIN_CYCLES = 8.0
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
+def two_level_entries(surviving: np.ndarray, crossbars_per_page: int) -> int:
+    """Zone entries a two-level check consults for one conjunct.
+
+    Every per-page summary is read, and the per-crossbar entries only of the
+    pages holding a ``surviving`` crossbar (one that is live, still a
+    candidate and may satisfy the conjunct).
+    """
+    crossbars = surviving.size
+    pages = max(1, -(-crossbars // crossbars_per_page))
+    padded = np.zeros(pages * crossbars_per_page, dtype=bool)
+    padded[:crossbars] = surviving
+    hit_pages = int(padded.reshape(pages, crossbars_per_page).any(axis=1).sum())
+    return pages + hit_pages * crossbars_per_page
+
+
 @dataclass
 class ZoneCheck:
     """Outcome of matching one conjunction against the zone maps."""
@@ -243,7 +258,6 @@ class ZoneMaps:
         pages the summary could not rule out.
         """
         candidates = self.live > 0
-        pages = max(1, -(-self.crossbars // crossbars_per_page))
         entries = 0
         checked = 0
         for conjunct in conjuncts:
@@ -253,13 +267,7 @@ class ZoneMaps:
                 break
             possible = self.possible(conjunct)
             checked += 1
-            page_pad = pages * crossbars_per_page
-            padded = np.zeros(page_pad, dtype=bool)
-            padded[: self.crossbars] = possible & candidates
-            surviving_pages = int(
-                padded.reshape(pages, crossbars_per_page).any(axis=1).sum()
-            )
-            entries += pages + surviving_pages * crossbars_per_page
+            entries += two_level_entries(possible & candidates, crossbars_per_page)
             candidates = candidates & possible
         return ZoneCheck(
             candidates=candidates,
