@@ -11,10 +11,11 @@ monolith methods of :class:`~repro.core.executor.PimQueryEngine`:
 * :class:`AggregationStage` — one PIM aggregation (circuit or bulk-bitwise)
   plus the host-side combination of the per-crossbar partials.
 
-The stages compile through one compiler, a
+The filter and group-mask stages compile through one compiler, a
 :class:`~repro.core.program_cache.ProgramCache` (an LRU cache keyed by
 ``(predicate, layout)``); a batching service hands every engine the same
-instance, so its stages share compiled programs across queries.
+instance, so its stages share compiled programs across queries.  The
+aggregation stage compiles nothing and holds no compiler.
 
 A program is applied in one way: its NOR primitives run on the stored bits
 (:func:`apply_program` / :func:`apply_program_pruned` /
@@ -240,14 +241,9 @@ class _Stage:
     """Shared plumbing of the execution stages."""
 
     def __init__(
-        self,
-        stored: StoredRelation,
-        compiler: ProgramCache | None = None,
-        timing_scale: float = 1.0,
-        tracer=None,
+        self, stored: StoredRelation, timing_scale: float = 1.0, tracer=None
     ) -> None:
         self.stored = stored
-        self.compiler = compiler if compiler is not None else ProgramCache()
         self.timing_scale = float(timing_scale)
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -273,12 +269,26 @@ class _Stage:
             )
 
 
+class _CompilingStage(_Stage):
+    """A stage that compiles programs: through the shared compiler, if given."""
+
+    def __init__(
+        self,
+        stored: StoredRelation,
+        compiler: ProgramCache | None = None,
+        timing_scale: float = 1.0,
+        tracer=None,
+    ) -> None:
+        super().__init__(stored, timing_scale, tracer)
+        self.compiler = compiler if compiler is not None else ProgramCache()
+
+
 def _candidates(prune, partition: int) -> np.ndarray | None:
     """A partition's candidate crossbars under ``prune`` (``None``: all)."""
     return None if prune is None else prune.candidates[partition]
 
 
-class FilterStage(_Stage):
+class FilterStage(_CompilingStage):
     """Stage 1: evaluate the WHERE clause inside the memory arrays."""
 
     def run(
@@ -346,7 +356,7 @@ class FilterStage(_Stage):
         self._apply(program, target_partition, executor, phase=phase)
 
 
-class GroupMaskStage(_Stage):
+class GroupMaskStage(_CompilingStage):
     """Stage 2 (pim-gb): build and clear the per-subgroup mask."""
 
     def prepare(

@@ -284,8 +284,3 @@ class PimStats:
             "bits_written": self.bits_written,
             "host_lines_read": float(self.host_lines_read),
         }
-
-
-def combine_parallel(stats_list: list[PimStats], phase: str = "parallel") -> PimStats:
-    """Combine per-thread stats of a parallel phase into a single object."""
-    return PimStats().merge_parallel(stats_list, phase)

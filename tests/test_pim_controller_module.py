@@ -9,7 +9,7 @@ from repro.pim.controller import PimExecutor
 from repro.pim.logic import ProgramBuilder
 from repro.pim.packed import make_bank
 from repro.pim.module import OutOfPimMemoryError, PimModule
-from repro.pim.stats import PimStats, combine_parallel
+from repro.pim.stats import PimStats
 
 
 def _bank(count=2, rows=16, columns=128, seed=0, backend="bool"):
@@ -133,7 +133,7 @@ def test_stats_merge_and_parallel_combine():
     assert merged.total_energy_j == pytest.approx(3.0)
     assert merged.max_writes_per_row == 10
 
-    parallel = combine_parallel([first, second], phase="threads")
+    parallel = PimStats().merge_parallel([first, second], phase="threads")
     assert parallel.time_by_phase["threads"] == pytest.approx(3.0)
     assert parallel.total_energy_j == pytest.approx(3.0)
 

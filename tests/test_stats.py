@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.trace import SpanTracer, fold_trace_charges
-from repro.pim.stats import EVENT_COUNTS, PimStats, combine_parallel
+from repro.pim.stats import EVENT_COUNTS, PimStats
 
 KEYS = ("filter", "pim-agg", "host-read")
 # Units a float fold is sensitive to: wide range of magnitudes, no exact sums.
@@ -122,14 +122,14 @@ def test_merge_parallel_adds_the_max_as_one_term(sequence, seed):
     for charge in sequence:
         rng.choice(bins).append(charge)
     workers = [build(b) for b in bins]
-    combined = combine_parallel(workers, "threads")
-    again = combine_parallel(workers[::-1], "threads")
+    combined = PimStats().merge_parallel(workers, "threads")
+    again = PimStats().merge_parallel(workers[::-1], "threads")
     assert_identical(combined, again)
     slowest = max(worker.total_time_s for worker in workers)
     assert combined.time_by_phase == {"threads": slowest}
     assert combined.energy_by_component == build(sequence).energy_by_component
     assert combined.peak_chip_power_w == build(sequence).peak_chip_power_w
-    assert combine_parallel([], "threads") == PimStats()
+    assert PimStats().merge_parallel([], "threads") == PimStats()
 
 
 @given(sequence=charges)
