@@ -1,7 +1,10 @@
 """Tests of the query IR, the reference evaluator and the NOR compiler."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.db.compiler import (
@@ -17,16 +20,26 @@ from repro.db.query import (
     Comparison,
     EQ,
     GE,
+    GT,
     IN,
+    LE,
     LT,
+    NE,
     Or,
     Query,
     attributes_referenced,
     conj,
+    encode_comparison,
     evaluate_predicate,
     reference_group_aggregate,
 )
+from repro.db.relation import Relation
+from repro.db.schema import Schema, dict_attribute, int_attribute
+from repro.db.storage import StoredRelation
 from repro.pim.controller import PimExecutor
+from repro.pim.module import PimModule
+from repro.planner.selectivity import SelectivityModel
+from repro.planner.zonemap import PAIR_BUCKETS, PairZoneMap, ZoneMaps
 
 
 def test_comparison_validation():
@@ -185,42 +198,115 @@ def test_compiler_unknown_attribute_everywhere(toy_stored, toy_relation):
         compile_predicate(disjunct, toy_relation.schema, layout)
 
 
-def test_compiler_out_of_domain_constant_folds_like_the_reference(
-    toy_stored, toy_relation
-):
-    """Out-of-domain constants fold against the field domain.
+#: Raw values of the property's dictionary attribute, inserted in sorted
+#: order so that comparing raw values in Python compares their codes.
+_DICT_VALUES = tuple(f"v{i:02d}" for i in range(8))
+#: Never in the dictionary: sorting before, between and after its values.
+_MISSING = ("a", "v03x", "w")
+_PYTHON_OPS = {
+    EQ: operator.eq, NE: operator.ne, LT: operator.lt,
+    LE: operator.le, GT: operator.gt, GE: operator.ge,
+}
 
-    A value missing from a dictionary matches nothing (everything for NE);
-    an integer beyond the encoded width puts the whole stored domain on one
-    side of the comparison.  The compiled program and the reference
-    evaluator must agree bit for bit on all of these.
+
+def _matches(comparison: Comparison, raw, known) -> bool:
+    """Plain-Python truth of ``comparison`` on a record holding ``raw``.
+
+    ``known(value)`` says whether a constant is in the attribute's value
+    space; an unknown constant matches nothing (everything for ``!=``).
     """
-    layout = toy_stored.layouts[0]
-    executor = PimExecutor(DEFAULT_CONFIG)
-    bank = toy_stored.allocations[0].bank
-    for predicate, expected in [
-        # Dictionary value missing from the dictionary.
-        (Comparison("region", EQ, "ATLANTIS"), False),
-        (Comparison("region", "!=", "ATLANTIS"), True),
-        (Comparison("region", IN, values=("ATLANTIS", "MU")), False),
-        # Integers beyond the attribute's encoded width (discount is 4-bit).
-        (Comparison("discount", EQ, 1 << 10), False),
-        (Comparison("discount", "!=", 1 << 10), True),
-        (Comparison("discount", LT, 1 << 10), True),
-        (Comparison("discount", ">=", 1 << 10), False),
-        (Comparison("discount", BETWEEN, low=0, high=1 << 10), True),
-        (Comparison("discount", BETWEEN, low=1 << 10, high=1 << 11), False),
-        # Negative constants (the uint64 compare must not wrap).
-        (Comparison("discount", LT, -3), False),
-        (Comparison("discount", ">", -3), True),
-        (Comparison("discount", EQ, -3), False),
-    ]:
-        program = compile_predicate(predicate, toy_relation.schema, layout)
-        executor.run_program(bank, program, pages=1)
-        mask = toy_stored.filter_mask()
-        reference = evaluate_predicate(predicate, toy_relation)
-        assert np.array_equal(mask, reference), predicate
-        assert bool(mask.all()) == expected and bool(mask.any()) == expected, predicate
+    op = comparison.op
+    if op == IN:
+        return any(known(value) and raw == value for value in comparison.values)
+    if op == BETWEEN:
+        low, high = comparison.low, comparison.high
+        return known(low) and known(high) and low <= raw <= high
+    if not known(comparison.value):
+        return op == NE
+    return _PYTHON_OPS[op](raw, comparison.value)
+
+
+@st.composite
+def _constant_cases(draw):
+    """A small int and dict attribute pair plus one comparison on either,
+    with negative and over-width integers, values missing from the
+    dictionary, IN lists with duplicates and inverted BETWEEN bounds."""
+    int_width = draw(st.integers(1, 4))
+    dict_size = draw(st.integers(1, len(_DICT_VALUES)))
+    attribute = draw(st.sampled_from(("n", "d")))
+    constants = (
+        st.one_of(st.integers(-40, 40), st.integers(-(1 << 70), 1 << 70))
+        if attribute == "n" else st.sampled_from(_DICT_VALUES + _MISSING)
+    )
+    op = draw(st.sampled_from((EQ, NE, LT, LE, GT, GE, BETWEEN, IN)))
+    if op == IN:
+        values = tuple(draw(st.lists(constants, min_size=1, max_size=5)))
+        comparison = Comparison(attribute, IN, values=values)
+    elif op == BETWEEN:
+        comparison = Comparison(attribute, BETWEEN, low=draw(constants), high=draw(constants))
+    else:
+        comparison = Comparison(attribute, op, draw(constants))
+    return int_width, dict_size, comparison
+
+
+@given(case=_constant_cases())
+@example(case=(4, 5, Comparison("d", EQ, "w")))
+@example(case=(4, 5, Comparison("d", NE, "v03x")))
+@example(case=(4, 5, Comparison("d", IN, values=("a", "v01", "v01", "v07"))))
+@example(case=(4, 5, Comparison("n", EQ, 1 << 10)))
+@example(case=(4, 5, Comparison("n", LT, 1 << 10)))
+@example(case=(4, 5, Comparison("n", BETWEEN, low=0, high=1 << 10)))
+@example(case=(4, 5, Comparison("n", BETWEEN, low=9, high=3)))
+@example(case=(4, 5, Comparison("n", GT, -3)))
+@settings(max_examples=150, deadline=None)
+def test_compiler_out_of_domain_constant_folds_like_the_reference(case):
+    """Every interpreter of a comparison reads its constants the same way.
+
+    The oracle compares raw values in plain Python for every code of the
+    attribute's domain.  The compiled program's bits, the reference
+    evaluator and the zone maps of single-value crossbars must equal it; the
+    pair sketch's bucket mask must cover the bucket of every matching code;
+    a comparison folded to a constant estimates exactly 0.0 or 1.0.
+    """
+    int_width, dict_size, comparison = case
+    present = _DICT_VALUES[:dict_size]
+    schema = Schema("p", [int_attribute("n", int_width), dict_attribute("d", present)])
+    size = max(1 << int_width, dict_size)
+    codes = {
+        "n": np.arange(size, dtype=np.uint64) % np.uint64(1 << int_width),
+        "d": np.arange(size, dtype=np.uint64) % np.uint64(dict_size),
+    }
+    relation = Relation(schema, codes)
+    column = codes[comparison.attribute]
+    if comparison.attribute == "n":
+        expected = np.array([_matches(comparison, int(c), lambda _: True) for c in column])
+    else:
+        expected = np.array([
+            _matches(comparison, present[int(c)], present.__contains__) for c in column
+        ])
+
+    assert np.array_equal(evaluate_predicate(comparison, relation), expected)
+
+    stored = StoredRelation(relation, PimModule(DEFAULT_CONFIG), label="p")
+    program = compile_predicate(comparison, schema, stored.layouts[0])
+    PimExecutor(DEFAULT_CONFIG).run_program(stored.allocations[0].bank, program, pages=1)
+    assert np.array_equal(stored.filter_mask(), expected)
+
+    zonemaps = ZoneMaps(size, 1, schema)
+    zonemaps.rebuild(relation)
+    assert np.array_equal(zonemaps.possible(comparison), expected)
+
+    pair = PairZoneMap(("n", "d"), schema, size, 1)
+    bucket_mask = pair.bucket_mask(comparison)
+    shift = pair.shifts[comparison.attribute]
+    for code in column[expected].tolist():
+        assert bucket_mask >> min(code >> shift, PAIR_BUCKETS - 1) & 1, code
+
+    folded = encode_comparison(comparison, schema).folded
+    if folded is not None:
+        assert (expected == folded).all()
+        estimate = SelectivityModel.from_relation(relation).estimate(comparison)
+        assert estimate == (1.0 if folded else 0.0)
 
 
 def test_compiler_unsupported_operator_raises(toy_stored, toy_relation):
