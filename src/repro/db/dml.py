@@ -502,6 +502,14 @@ def execute_compaction(
     with a metadata-only pass: every slot already holds a cleared valid
     bit, so nothing needs rewriting.
 
+    **Streaming**: the rewrite is one step per field, in its partition's
+    loop (:meth:`StoredRelation.write_dense_field`): the field is gathered
+    into the ground truth in its new order, fit-checked against its width
+    while still ``uint64`` (an over-width ground-truth value raises
+    :class:`ValueError`), staged into the partition's zero-tailed buffer of
+    the field's narrow dtype (one per dtype) and encoded.  The zone maps
+    reduce copies of those staged narrow images.
+
     **Re-clustering**: since compaction reads every live record anyway, it
     is the free moment to choose their order.  ``cluster_by`` (default: the
     hottest predicate column of the relation's
@@ -539,7 +547,7 @@ def execute_compaction(
         for name in names:
             relation.columns[name] = relation.columns[name][:0]
         relation.num_records = 0
-        stored.reset_slots_after_compaction()
+        stored.reset_slots_after_compaction(relation.columns)
         stored.statistics.charge_maintenance(
             executor.stats, executor.config.host, crossbar_entries
         )
@@ -573,34 +581,31 @@ def execute_compaction(
         keys = relation.column(cluster_by)[live_indices]
         width = relation.schema.attribute(cluster_by).width
         order = live_indices[cluster_order(keys, width)]
-    for name in names:
-        relation.columns[name] = relation.columns[name][order]
     relation.num_records = new_count
 
-    # Phase 2: stream the dense image back into the crossbars.
+    # Phase 2: stream the dense image back into the crossbars, one field at
+    # a time: gathered into the ground truth, fit-checked, staged narrow
+    # (one zero-tailed buffer per partition and dtype) and encoded.  The
+    # zone maps reduce the staged images.
     host = executor.config.host
     xbar_cfg = executor.config.pim.crossbar
     total_bits_written = 0
-    for layout, allocation, attrs in zip(
+    images: dict[str, np.ndarray] = {}
+    for partition, (layout, allocation, attrs) in enumerate(zip(
         stored.layouts, stored.allocations, stored.partition_attributes
-    ):
+    )):
         bank = allocation.bank
         capacity = allocation.record_capacity
         row_bits = (
             sum(layout.fields[name][1] for name in attrs)
             + layout.bookkeeping_columns
         )
-        # One buffer per partition: each field overwrites the live prefix,
-        # the tail beyond it stays zero.
-        padded = np.zeros(capacity, dtype=np.uint64)
+        buffers: dict[np.dtype, np.ndarray] = {}
         for name in attrs:
-            offset, width = layout.fields[name]
-            padded[:new_count] = relation.column(name)
-            bank.write_field_column(
-                offset, width,
-                padded.reshape(bank.count, bank.rows),
-                count_wear=False,
-            )
+            column = relation.columns[name] = relation.columns[name].take(order)
+            images[name] = stored.write_dense_field(
+                partition, name, column, buffers
+            ).copy()
         fresh_valid = np.zeros(capacity, dtype=bool)
         fresh_valid[:new_count] = True
         bank.write_bool_column(
@@ -629,7 +634,7 @@ def execute_compaction(
         np.ceil(num_bytes / CACHE_LINE_BYTES)
     )
 
-    stored.reset_slots_after_compaction()
+    stored.reset_slots_after_compaction(images)
     # Zone-map maintenance: compaction moved every row, so the zone maps
     # were rebuilt — one pass over every crossbar's entries.  Every
     # candidate-cache epoch was bumped: rows moved between crossbars and the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -26,15 +26,7 @@ from repro.db.query import conj, evaluate_predicate
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.pim.module import PimAllocation, PimModule
-
-
-#: :meth:`StoredRelation.decode_cells` gathers cell by cell up to this share of
-#: the slots in use and decodes the whole (bounded) column above it.  Measured
-#: once (the table in :mod:`repro.pim.packed`): the gather wins up to ~5 % of
-#: the cells for 4-bit fields, ~8 % for 12-bit, ~18 % for 27-bit and loses
-#: 8-20x at 100 %.  A warm pass of each ``perf/`` workload
-#: asks for at most 3.1 % per call (medians <= 0.32 %); ``fig4_model`` for 80 %.
-GATHER_MAX_SHARE = 1 / 32
+from repro.pim.packed import GATHER_MAX_SHARE, field_dtype
 
 #: :meth:`StoredRelation.group_domain` counts values below this bound (one
 #: ``bincount``, ~10x faster than ``np.unique``'s sort on a 15 k-row SSB
@@ -172,20 +164,15 @@ class StoredRelation:
         return min(aggregation_width, max(a.width for a in schema))
 
     def _load(self) -> None:
-        for layout, allocation, attrs in zip(
+        for partition, (layout, allocation, attrs) in enumerate(zip(
             self.layouts, self.allocations, self.partition_attributes
-        ):
+        )):
             bank = allocation.bank
             capacity = allocation.record_capacity
+            buffers: dict[np.dtype, np.ndarray] = {}
             for name in attrs:
-                offset, width = layout.fields[name]
-                values = self.relation.column(name)
-                padded = np.zeros(capacity, dtype=np.uint64)
-                padded[: self.num_records] = values
-                bank.write_field_column(
-                    offset, width,
-                    padded.reshape(bank.count, bank.rows),
-                    count_wear=False,
+                self.write_dense_field(
+                    partition, name, self.relation.column(name), buffers
                 )
             valid = np.zeros(capacity, dtype=bool)
             valid[: self.num_records] = True
@@ -195,6 +182,40 @@ class StoredRelation:
                 count_wear=False,
             )
             bank.reset_wear()
+
+    def write_dense_field(
+        self,
+        partition: int,
+        name: str,
+        column: np.ndarray,
+        buffers: dict[np.dtype, np.ndarray],
+    ) -> np.ndarray:
+        """Encode the dense ``uint64`` ground truth of ``name`` into every row.
+
+        The column is fit-checked against the field width before anything
+        narrows it, staged into the partition's capacity-long buffer of the
+        field's dtype (``buffers``, one per dtype: every field overwrites the
+        same prefix, so the tail stays zero) and written with one
+        ``write_field_column``.  Returns the staged prefix, a view that the
+        next field of the same dtype overwrites.  Wear is the caller's.
+        """
+        offset, width = self.layouts[partition].fields[name]
+        if width < 64 and column.size and int(column.max()) >> width:
+            raise ValueError(
+                f"attribute {name!r} has values that do not fit in {width} bits"
+            )
+        dtype = field_dtype(width)
+        staged = buffers.get(dtype)
+        if staged is None:
+            staged = buffers[dtype] = np.zeros(
+                self.allocations[partition].record_capacity, dtype=dtype
+            )
+        staged[: column.size] = column
+        bank = self.allocations[partition].bank
+        bank.write_field_column(
+            offset, width, staged.reshape(bank.count, bank.rows), count_wear=False
+        )
+        return staged[: column.size]
 
     # ------------------------------------------------------------- geometry
     @property
@@ -304,15 +325,19 @@ class StoredRelation:
         old_values = self.relation.columns[attribute][slots]
         self.statistics.note_update(attribute, encoded, crossbars, old_values)
 
-    def reset_slots_after_compaction(self) -> None:
-        """All live rows were rewritten densely into the lowest slots."""
+    def reset_slots_after_compaction(self, images: Mapping[str, np.ndarray]) -> None:
+        """All live rows were rewritten densely into the lowest slots.
+
+        ``images`` maps every attribute to its dense prefix as compaction
+        staged it (any unsigned dtype); the zone maps reduce those.
+        """
         self._free_slots = []
         self.num_records = self.live_count
         self._data_version += 1
         # Compaction rewrote every row densely and scrubbed the bookkeeping
         # columns: refresh the statistics from the dense prefix and mark
         # every tracked column clean.
-        self.statistics.rebuild(self.relation)
+        self.statistics.rebuild(self.relation, images)
         for dirty in self._column_dirty:
             for mask in dirty.values():
                 mask[:] = False

@@ -43,15 +43,26 @@ index array, as for ``kernel_read`` / ``write_field_row``) when it is given.
 **Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
 ``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
 along rows and accumulates ``plane[b] << b`` in the narrowest unsigned dtype
-holding the field, widened to ``uint64`` once at the end; bulk encode
-(``write_field_column``) mirrors it, ``(value >> b) & 1`` per plane straight
-into the layout that gets packed.  No transposed copy is made, and no decoded
-column is cached: a 12-bit decode of 96 x 1024 rows costs ~0.4 ms, which does
-not pay for write-invalidation state on the bank.  With ``xbars`` the decode
+holding the field, widened to ``uint64`` once at the end.  Bulk encode
+(``write_field_column``) works on 8-row **byte lanes**: rows are padded with
+zeros to whole 64-row words, byte ``k`` of 8 consecutive rows' values (in the
+input's own unsigned dtype, never widened) is one little-endian ``uint64``
+lane, and plane ``8k + b`` of those rows is the top byte of
+``((lane >> b) & 0x0101010101010101) * 0x0102040810204080`` — bit ``i`` is
+row ``i``'s bit, the byte ``packbits(bitorder="little")`` makes.  Five
+whole-array passes per plane over one eighth of the cells, no ``packbits``.
+Warm encode, 96 x 1 024 rows, min of 15, ms (parent's bit-plane encode ->
+byte lanes, ``uint64`` input / narrow input): 4-bit 0.32 / 0.36 -> 0.25 /
+0.13, 12-bit 0.58 / 0.61 -> 0.52 / 0.40, 27-bit 1.51 / 1.56 -> 1.21 / 1.05;
+the 48 fields of the ``dml_churn`` partition (64 x 1 024 rows, staged narrow)
+11.0-11.6 -> 8.0-8.5 ms (sum of per-field minima over 20 compactions).  No
+decoded column is cached: a 12-bit decode of 96 x 1024 rows costs ~0.4 ms,
+which does not pay for write-invalidation state on the bank.  With ``xbars`` the decode
 is *bounded* (3 crossbars in use of a page's 32 cost 3), and
 ``read_field_cells`` is the same fold over one word per (cell, plane) taken
-straight from ``words``.  ``StoredRelation.decode_cells`` alone picks between
-them (gather up to 1/32 of the slots in use), from this measurement — gather /
+straight from ``words``.  :data:`GATHER_MAX_SHARE` picks between them (gather
+up to 1/32 of the cells covered; ``StoredRelation.decode_cells`` and
+``PimExecutor.aggregate_with_circuit``), from this measurement — gather /
 full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells,
 measured once on a 2-vCPU host (no gate re-times it)::
 
@@ -77,6 +88,21 @@ from repro.pim.crossbar import CrossbarBank, check_cell_index, check_cells
 
 _ONE = np.uint64(1)
 _WORD_BITS = 64
+# Byte-lane encode: bit ``b`` of each of a lane's 8 bytes, masked, then
+# gathered into the product's top byte (bit ``i`` from byte ``i``).
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint64)
+_LANE_LOW_BITS = np.uint64(0x0101010101010101)
+_LANE_GATHER = np.uint64(0x0102040810204080)
+
+#: A sparse field read gathers cell by cell (``read_field_cells``) up to this
+#: share of the rows it covers and decodes the whole (bounded) field above it:
+#: ``StoredRelation.decode_cells`` and ``PimExecutor.aggregate_with_circuit``.
+#: Measured once (the table in the module docstring): the gather wins up to
+#: ~5 % of the cells for 4-bit fields, ~8 % for 12-bit, ~18 % for 27-bit and
+#: loses 8-20x at 100 %.  A warm pass of each ``perf/`` workload asks
+#: ``decode_cells`` for at most 3.1 % per call (medians <= 0.32 %);
+#: ``fig4_model`` for 80 %.
+GATHER_MAX_SHARE = 1 / 32
 
 
 def field_dtype(width: int) -> np.dtype:
@@ -219,27 +245,50 @@ class PackedCrossbarBank:
     def write_field_column(
         self, offset: int, width: int, values: np.ndarray, count_wear: bool = True
     ) -> None:
-        """Write a field of every row of every crossbar in one shot."""
+        """Write a field of every row of every crossbar in one shot.
+
+        ``values`` of any unsigned dtype are encoded as they are (the
+        byte-lane codec, module docstring); any other dtype converts to
+        ``uint64`` first.
+        """
         self._check_field(offset, width)
-        values = np.asarray(values, dtype=np.uint64)
+        values = np.asarray(values)
+        if values.dtype.kind != "u":
+            values = values.astype(np.uint64)
         if values.shape != (self.count, self.rows):
             raise ValueError(
                 f"expected values of shape {(self.count, self.rows)}, "
                 f"got {values.shape}"
             )
-        if width < 64 and np.any(values >= np.uint64(1 << width)):
+        if width < 8 * values.itemsize and int(values.max()) >> width:
             raise ValueError(f"some values do not fit in {width} bits")
-        # Mirror of the decode: plane ``b`` is ``(narrow >> b) & 1``, written
-        # straight into the ``(count, width, rows)`` layout that gets packed.
-        narrow = values.astype(field_dtype(width), copy=False)
-        planes = np.empty((self.count, width, self.rows), dtype=np.uint8)
-        for bit in range(width):
-            np.right_shift(
-                narrow, narrow.dtype.type(bit), out=planes[:, bit, :],
-                casting="unsafe",
+        # Byte ``k`` of 8 consecutive rows (zero rows pad to whole words) is
+        # one little-endian lane; planes past the input's own bytes are zero.
+        lane_bytes = min(values.itemsize, -(-width // 8))
+        padded_rows = self.rows_words * _WORD_BITS
+        if values.itemsize == 1 and padded_rows == self.rows:
+            lanes = np.ascontiguousarray(values)[None]
+        else:
+            lanes = (np.empty if padded_rows == self.rows else np.zeros)(
+                (lane_bytes, self.count, padded_rows), dtype=np.uint8
             )
-        planes &= 1
-        self._pack_columns(offset, width, planes)
+            for byte in range(lane_bytes):
+                np.right_shift(
+                    values, values.dtype.type(8 * byte),
+                    out=lanes[byte, :, : self.rows], casting="unsafe",
+                )
+        lanes = lanes.view("<u8")                   # (lane_bytes, count, 8 * words)
+        planes = min(width, 8 * lane_bytes)
+        gathered = np.empty((planes,) + lanes.shape[1:], dtype="<u8")
+        for plane in range(planes):
+            np.right_shift(lanes[plane // 8], _BYTE_SHIFTS[plane % 8], out=gathered[plane])
+        gathered &= _LANE_LOW_BITS
+        gathered *= _LANE_GATHER
+        # The top byte of each product is the packed byte of its 8 rows.
+        gathered >>= np.uint64(56)
+        packed = gathered.astype(np.uint8).view("<u8")  # (planes, count, words)
+        self.words[:, offset:offset + planes, :] = packed.transpose(1, 0, 2)
+        self.words[:, offset + planes:offset + width, :] = 0
         if count_wear:
             self.writes_per_row += width
 

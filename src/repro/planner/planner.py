@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -332,14 +332,15 @@ class RelationStatistics:
         self.candidates.bump(crossbars)
         self._note_change()
 
-    def rebuild(self, relation) -> None:
+    def rebuild(self, relation, images: Mapping[str, np.ndarray]) -> None:
         """Refresh after a compaction left ``relation`` dense (all slots live).
 
-        Zone maps and pair sketch are rebuilt exactly, equi-depth edges are
-        re-derived; equi-width histograms are kept (the DML hooks keep them
-        exact).
+        Zone maps are rebuilt exactly from ``images`` (every attribute's dense
+        prefix as the compaction staged it, any unsigned dtype), the pair
+        sketch from the ground truth; equi-depth edges are re-derived;
+        equi-width histograms are kept (the DML hooks keep them exact).
         """
-        self.zonemaps.rebuild(relation)
+        self.zonemaps.rebuild(images)
         # An exact rebuild must leave no widen-only drift behind; the check
         # recomputes the bounds through an independent reduction path.
         self.zonemaps.assert_tight(relation)

@@ -118,23 +118,26 @@ class ZoneMaps:
             stored.rows_per_crossbar,
             stored.relation.schema,
         )
-        maps.rebuild(stored.relation)
+        maps.rebuild(stored.relation.columns)
         return maps
 
-    def rebuild(self, relation) -> None:
-        """Recompute every entry exactly from a dense ground truth.
+    def rebuild(self, columns: Mapping[str, np.ndarray]) -> None:
+        """Recompute every entry exactly from dense columns.
 
-        Every slot below ``len(relation)`` is live (freshly loaded or just
-        compacted), the rest is unused capacity: full crossbars reduce through
-        one ``reshape``, the partial last one on its own.
+        ``columns`` maps every attribute to its dense prefix, of any unsigned
+        dtype: the ``uint64`` ground truth at load, the narrow images a
+        compaction staged.  Every slot below the prefix length is live, the
+        rest is unused capacity: full crossbars reduce through one
+        ``reshape``, the partial last one on its own.
         """
-        full, tail = divmod(len(relation), self.rows)
+        records = len(columns[self.schema.names[0]])
+        full, tail = divmod(records, self.rows)
         self.live = np.zeros(self.crossbars, dtype=np.int64)
         self.live[:full] = self.rows
         if tail:
             self.live[full] = tail
         for name in self.schema.names:
-            column = relation.column(name)
+            column = columns[name]
             mins = np.full(self.crossbars, _U64_MAX, dtype=np.uint64)
             maxs = np.zeros(self.crossbars, dtype=np.uint64)
             grid = column[: full * self.rows].reshape(full, self.rows)

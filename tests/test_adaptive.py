@@ -362,7 +362,7 @@ def test_dense_zone_map_rebuild_matches_the_masked_reduction(fill):
     for name in relation.schema.names:
         zonemaps.mins[name][:] = 1
         zonemaps.maxs[name][:] = 2
-    zonemaps.rebuild(relation)
+    zonemaps.rebuild(relation.columns)
     zonemaps.assert_tight(relation, None)
     live, mins, maxs = _masked_reduction(relation, crossbars, rows)
     assert np.array_equal(zonemaps.live, live)
@@ -416,7 +416,7 @@ def test_assert_tight_catches_one_corrupted_entry(path, entry, crossbar):
         "flag": rng.integers(1, 4, records).astype(np.uint64),
     })
     zonemaps = ZoneMaps(crossbars, rows, relation.schema)
-    zonemaps.rebuild(relation)
+    zonemaps.rebuild(relation.columns)
     valid = None if path == "dense" else np.ones(records, dtype=bool)
     zonemaps.assert_tight(relation, valid)
     # Outwards by one, so an empty crossbar's identity value moves too.

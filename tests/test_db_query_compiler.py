@@ -293,7 +293,7 @@ def test_compiler_out_of_domain_constant_folds_like_the_reference(case):
     assert np.array_equal(stored.filter_mask(), expected)
 
     zonemaps = ZoneMaps(size, 1, schema)
-    zonemaps.rebuild(relation)
+    zonemaps.rebuild(relation.columns)
     assert np.array_equal(zonemaps.possible(comparison), expected)
 
     pair = PairZoneMap(("n", "d"), schema, size, 1)
