@@ -90,6 +90,7 @@ from repro.db.compiler import GroupMaskTemplate
 from repro.db.query import Query
 from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
+from repro.pim.arithmetic import segmented_partials
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch, field_mismatches
 from repro.pim.ir import lower_program
@@ -205,32 +206,6 @@ def _subgroup_segments(
     cell_of = key_of * bank.count + crossbar[index]
     starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
     return records, starts, cell_of[starts]
-
-
-def _segmented_partials(
-    values: np.ndarray,
-    starts: np.ndarray,
-    cells: np.ndarray,
-    shape: tuple[int, int],
-    operation: str,
-    width: int,
-) -> np.ndarray:
-    """Per-key, per-crossbar partials of one aggregate, in one reduction.
-
-    ``values`` holds the aggregated field of the rows :func:`_subgroup_segments`
-    returned.  Row ``k`` of the ``shape`` result equals
-    ``aggregate_reference(field, mask_k, operation, width)``: sums wrap to
-    ``width`` bits and a crossbar no row of key ``k`` lives on holds the
-    operation's identity (``min``: all ones).
-    """
-    limit = np.uint64((1 << width) - 1)
-    ufunc, identity = {
-        "sum": (np.add, 0), "min": (np.minimum, limit), "max": (np.maximum, 0),
-    }[operation]
-    partials = np.full(shape, identity, dtype=np.uint64)
-    if starts.size:
-        partials.reshape(-1)[cells] = ufunc.reduceat(values, starts) & limit
-    return partials
 
 
 def run_group_by_batched(
@@ -459,7 +434,7 @@ def run_group_by_batched(
                 values = decoded[aggregate.attribute] = stored.decode_cells(
                     aggregate.attribute, records
                 )
-        partials = _segmented_partials(
+        partials = segmented_partials(
             values, starts, cells, (len(keys), bank.count), operation,
             accumulator_width,
         )

@@ -521,3 +521,31 @@ def aggregate_reference(
         masked = np.where(mask, values, np.uint64(0))
         return masked.max(axis=1)
     raise ValueError(f"unsupported aggregation {operation!r}")
+
+
+def segmented_partials(
+    values: np.ndarray,
+    starts: np.ndarray,
+    cells: np.ndarray,
+    shape: tuple[int, ...],
+    operation: str,
+    width: int,
+) -> np.ndarray:
+    """Masked per-crossbar aggregates of gathered cells, in one reduction.
+
+    ``values`` holds the field of the masked cells, grouped into runs that
+    share one result cell: run ``i`` starts at ``starts[i]`` and lands in the
+    flat cell ``cells[i]`` of the ``shape`` result (a crossbar, or a key and
+    a crossbar for batched pim-gb).  Each result cell equals
+    :func:`aggregate_reference` of its mask: sums wrap to ``width`` bits and
+    a cell no run lands in holds the operation's identity (``min``: all
+    ones).
+    """
+    limit = np.uint64((1 << width) - 1)
+    ufunc, identity = {
+        "sum": (np.add, 0), "min": (np.minimum, limit), "max": (np.maximum, 0),
+    }[operation]
+    partials = np.full(shape, identity, dtype=np.uint64)
+    if starts.size:
+        partials.reshape(-1)[cells] = ufunc.reduceat(values, starts) & limit
+    return partials

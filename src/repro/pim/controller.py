@@ -40,6 +40,7 @@ from repro.config import SystemConfig
 from repro.pim.arithmetic import BulkAggregationPlan
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.logic import Program
+from repro.pim.packed import GATHER_MAX_SHARE
 from repro.pim.stats import PimStats
 
 
@@ -332,26 +333,40 @@ class PimExecutor:
         The circuit streams the masked attribute of every row through its
         16-bit read port, accumulates it in a CMOS ALU and writes the final
         value back into the crossbar at ``destination_offset``.  Returns the
-        per-crossbar aggregates.
+        per-crossbar aggregates; ``operation`` is ``sum``, ``min`` or ``max``.
 
         ``crossbars`` restricts the aggregation to a candidate subset (a
         boolean mask over the bank's crossbars, from the zone maps): only
         those crossbars stream their rows, receive the write-back and are
         charged for — the skipped ones hold an all-zero mask column, so their
         partials would be the operation's identity and contribute nothing.
+
+        Only the candidate crossbars are read.  When the mask selects at most
+        :data:`~repro.pim.packed.GATHER_MAX_SHARE` of their rows, only the
+        selected cells are decoded (``read_field_cells``) and reduced per
+        crossbar; a denser mask decodes the whole field.
         """
         result_width = self._circuit_result_width(field_width, result_width)
         candidate_idx = None
         if crossbars is not None:
             candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
-        from repro.pim.arithmetic import aggregate_reference
+        from repro.pim.arithmetic import aggregate_reference, segmented_partials
 
-        # Only the candidate crossbars are decoded and reduced.
-        results = aggregate_reference(
-            bank.read_field_all(field_offset, field_width, candidate_idx),
-            bank.read_column(mask_column, candidate_idx),
-            operation, result_width,
-        )
+        mask = bank.read_column(mask_column, candidate_idx)
+        position, rows = np.nonzero(mask)
+        if position.size <= mask.size * GATHER_MAX_SHARE:
+            xbars = position if candidate_idx is None else candidate_idx[position]
+            starts = np.flatnonzero(np.diff(position, prepend=-1))
+            results = segmented_partials(
+                bank.read_field_cells(xbars, rows, field_offset, field_width),
+                starts, position[starts], (mask.shape[0],), operation,
+                result_width,
+            )
+        else:
+            results = aggregate_reference(
+                bank.read_field_all(field_offset, field_width, candidate_idx),
+                mask, operation, result_width,
+            )
         if candidate_idx is None:
             bank.write_field_row(0, destination_offset, result_width, results)
         else:

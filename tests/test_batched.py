@@ -27,7 +27,7 @@ from twins import all_pim_cost_model, assert_same_execution, assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core import batched
-from repro.core.batched import _segmented_partials, _subgroup_segments
+from repro.core.batched import _subgroup_segments
 from repro.core.executor import PimQueryEngine
 from repro.core.parallel import ScatterPool
 from repro.db.query import Aggregate, And, Comparison, Query, evaluate_predicate
@@ -35,7 +35,7 @@ from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import StoredRelation
 from repro.pim import arithmetic
-from repro.pim.arithmetic import aggregate_reference
+from repro.pim.arithmetic import aggregate_reference, segmented_partials
 from repro.pim.controller import PimExecutor
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.module import PimModule
@@ -282,7 +282,7 @@ def test_segmented_partials_equal_aggregate_reference(case, subset, backend):
     gathered = values.reshape(-1)[records]
     if operation == "count":
         gathered = np.ones(len(records), dtype=np.uint64)
-    partials = _segmented_partials(
+    partials = segmented_partials(
         gathered, starts, cells, (keys, count),
         "sum" if operation == "count" else operation, width,
     )

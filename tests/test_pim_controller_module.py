@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.pim.arithmetic import BulkAggregationPlan
+from repro.pim.arithmetic import BulkAggregationPlan, aggregate_reference
 from repro.pim.controller import PimExecutor
 from repro.pim.logic import ProgramBuilder
-from repro.pim.packed import make_bank
+from repro.pim.packed import GATHER_MAX_SHARE, make_bank
 from repro.pim.module import OutOfPimMemoryError, PimModule
 from repro.pim.stats import PimStats
 
@@ -55,6 +55,49 @@ def test_aggregate_with_circuit_matches_reference_and_charges_reads():
     # The result was written back into row 0 of each crossbar.
     width = 12 + 4  # log2(16 rows)
     assert bank.read_field(0, 0, 40, width) == int(results[0])
+
+
+@pytest.mark.parametrize("backend", ["packed", "bool"])
+@pytest.mark.parametrize("operation", ["sum", "min", "max"])
+@pytest.mark.parametrize("subset", [False, True])
+@pytest.mark.parametrize("selected", [0, 1, 15, 16, 17, 200])
+def test_aggregate_with_circuit_gathers_sparse_masks(backend, operation, subset, selected):
+    """Up to ``GATHER_MAX_SHARE`` of the streamed rows, the selected cells are
+    gathered and reduced; above it the field is decoded whole.  Either way
+    the partials equal ``aggregate_reference`` and land in row 0."""
+    count, rows, width = 4, 128, 12
+    bank = make_bank(backend, count=count, rows=rows, columns=128)
+    rng = np.random.default_rng(selected)
+    values = rng.integers(0, 1 << width, (count, rows)).astype(np.uint64)
+    bank.write_field_column(0, width, values)
+    crossbars = np.array([True, False, True, True]) if subset else None
+    streamed = np.flatnonzero(crossbars) if subset else np.arange(count)
+    # ``selected`` cells of the first two streamed crossbars, the others
+    # empty; the gather share is 12 cells of 3 x 128 rows (subset) or 16.
+    cells = rng.choice(2 * rows, min(selected, 2 * rows), replace=False)
+    mask = np.zeros((count, rows), dtype=bool)
+    mask[streamed[cells // rows], cells % rows] = True
+    bank.write_bool_column(20, mask)
+    calls = {"read_field_cells": 0, "read_field_all": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(bank, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        setattr(bank, name, counting)
+
+    executor = PimExecutor(DEFAULT_CONFIG)
+    results = executor.aggregate_with_circuit(
+        bank, 0, width, 20, 40, pages=1, operation=operation,
+        result_width=width + 7, crossbars=crossbars,
+    )
+    expected = aggregate_reference(values, mask, operation, width + 7)[streamed]
+    assert np.array_equal(results, expected)
+    for position, xbar in enumerate(streamed):
+        assert bank.read_field(int(xbar), 0, 40, width + 7) == int(results[position])
+    gathered = mask.sum() <= len(streamed) * rows * GATHER_MAX_SHARE
+    assert calls == {
+        "read_field_cells": int(gathered), "read_field_all": int(not gathered),
+    }
 
 
 def test_aggregate_with_circuit_requires_enabled_circuit():
