@@ -13,6 +13,7 @@ two-xb tombstone propagation and the hardened validation paths.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import assert_banks_equal
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -366,6 +367,93 @@ def test_compaction_of_fully_deleted_relation_reclaims_all_slots():
     assert insert.slots == [0, 1]
     live = stored.live_relation()
     assert engine.execute(GROUP_QUERY).rows == reference_rows(live, GROUP_QUERY)
+
+
+def _two_partition_store(backend: str, relation: Relation) -> StoredRelation:
+    """``relation`` (copied) over two vertical partitions, fields of every
+    staging dtype in both: uint8 / uint16 / uint64 and uint8 / uint16 / uint32."""
+    copy = Relation(relation.schema, {
+        name: column.copy() for name, column in relation.columns.items()
+    })
+    return StoredRelation(
+        copy, PimModule(config_for(backend)), label="two",
+        partitions=[["key", "value", "wide", "flag"], ["city", "amount", "code"]],
+    )
+
+
+def _two_partition_relation(records: int) -> Relation:
+    rng = np.random.default_rng(11)
+    schema = Schema("two", [
+        int_attribute("key", 8, source="fact"),
+        int_attribute("value", 10, source="fact"),
+        int_attribute("wide", 33, source="fact"),
+        int_attribute("flag", 3, source="fact"),
+        dict_attribute("city", CITIES, source="dim"),
+        int_attribute("amount", 20, source="fact"),
+        int_attribute("code", 12, source="fact"),
+    ])
+    return Relation(schema, {
+        attribute.name: rng.integers(
+            0, attribute.max_value, records, dtype=np.uint64, endpoint=True
+        )
+        for attribute in schema
+    })
+
+
+def test_reclustering_compaction_of_two_partitions_on_both_backends():
+    """Compaction re-clustered by an attribute of the second partition leaves
+    the live rows stably sorted by it; every attribute decodes to the ground
+    truth, the two backends' banks stay twin-equal and the rebuilt zone maps
+    are tight."""
+    rows = DEFAULT_CONFIG.pim.crossbar.rows
+    relation = _two_partition_relation(2 * rows + 100)
+    # Few distinct cluster keys, so the stable order of ties is exercised.
+    relation.columns["amount"] %= np.uint64(7)
+    stores = {backend: _two_partition_store(backend, relation) for backend in BACKENDS}
+    for backend, stored in stores.items():
+        executor = PimExecutor(config_for(backend))
+        execute_delete(stored, Comparison("value", "<", 400), executor)
+        before = stored.live_relation()
+        order = np.argsort(before.columns["amount"], kind="stable")
+        result = execute_compaction(stored, executor, force=True, cluster_by="amount")
+        assert result.performed and result.clustered_by == "amount"
+        assert stored.num_records == stored.live_count == len(order)
+        after = stored.live_relation()
+        for name in relation.schema.names:
+            assert np.array_equal(after.columns[name], before.columns[name][order])
+            assert np.array_equal(stored.decode_column(name), stored.relation.column(name))
+        stored.statistics.zonemaps.assert_tight(stored.relation, None)
+    packed, boolean = stores["packed"], stores["bool"]
+    for ours, theirs in zip(packed.allocations, boolean.allocations):
+        assert_banks_equal(ours.bank, theirs.bank)
+
+
+#: An over-width value per staging dtype: ``flag`` (3 bits) past its uint8
+#: buffer, ``code`` (12 bits) inside its uint16 one, ``wide`` (33 bits).
+OVER_WIDTH = [("flag", 1 << 8), ("code", 1 << 12), ("wide", 1 << 40)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("attribute, value", OVER_WIDTH)
+def test_over_width_ground_truth_is_refused_by_load_and_compaction(
+    backend, attribute, value
+):
+    """A ground-truth value over its width raises ``ValueError`` while it is
+    still ``uint64``, before a narrow staging buffer could truncate it."""
+    relation = _two_partition_relation(300)
+    width = relation.schema.attribute(attribute).width
+    relation.columns[attribute][7] = np.uint64(value)
+    with pytest.raises(ValueError, match=f"'{attribute}'.* {width} bits"):
+        _two_partition_store(backend, relation)
+
+    relation.columns[attribute][7] = np.uint64(1)
+    stored = _two_partition_store(backend, relation)
+    executor = PimExecutor(config_for(backend))
+    execute_delete(stored, Comparison("value", "<", 400), executor)
+    live = int(np.flatnonzero(stored.valid_mask(0))[0])
+    stored.relation.columns[attribute][live] = np.uint64(value)
+    with pytest.raises(ValueError, match=f"'{attribute}'.* {width} bits"):
+        execute_compaction(stored, executor, force=True)
 
 
 def _bank_state(stored):

@@ -259,6 +259,56 @@ def test_field_codec_roundtrip_at_dtype_boundaries(count, rows, width, data):
             _assert_rejected_without_mutation(bank, call)
 
 
+UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(1, 5),
+    rows=st.integers(1, 200),
+    width=st.integers(1, 64),
+    data=st.data(),
+)
+def test_byte_lane_encode_equals_the_bool_bank_in_every_input_dtype(
+    count, rows, width, data
+):
+    """``write_field_column`` encodes any unsigned input dtype as the bool bank
+    does, whole words or not — from the narrowest that holds the width up to
+    ``uint64``, and narrower ones, whose missing high planes are zero; an
+    over-width value is refused before any word changes, in every input
+    dtype that can hold it."""
+    dtype = data.draw(st.sampled_from(UNSIGNED), label="dtype")
+    columns = width + 2
+    offset = data.draw(st.integers(0, 2), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31), label="seed"))
+    top = (1 << width) - 1
+    values = rng.integers(0, top, (count, rows), dtype=np.uint64, endpoint=True)
+    values.flat[int(rng.integers(values.size))] = top
+    values &= np.uint64(np.iinfo(dtype).max)
+    background = rng.integers(0, 2, (columns, count, rows)).astype(bool)
+
+    ref = CrossbarBank(count, rows, columns)
+    packed = PackedCrossbarBank(count, rows, columns)
+    for bank in (ref, packed):
+        for column in range(columns):
+            bank.write_bool_column(column, background[column])
+        bank.write_field_column(offset, width, values.astype(dtype))
+    assert_banks_equal(ref, packed)
+    assert np.array_equal(packed.read_field_all(offset, width), values)
+    assert not np.any(packed.words & ~packed._row_mask)
+
+    for wide in (d for d in UNSIGNED if width < 8 * np.dtype(d).itemsize):
+        too_big = values.astype(wide)
+        too_big.flat[int(rng.integers(too_big.size))] = rng.integers(
+            top + 1, np.iinfo(wide).max, dtype=wide, endpoint=True
+        )
+        words = packed.words.copy()
+        _assert_rejected_without_mutation(
+            packed, lambda b: b.write_field_column(offset, width, too_big)
+        )
+        assert np.array_equal(packed.words, words)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     count=st.sampled_from([1, 3]),

@@ -60,7 +60,7 @@ def test_aggregate_with_circuit_matches_reference_and_charges_reads():
 @pytest.mark.parametrize("backend", ["packed", "bool"])
 @pytest.mark.parametrize("operation", ["sum", "min", "max"])
 @pytest.mark.parametrize("subset", [False, True])
-@pytest.mark.parametrize("selected", [0, 1, 15, 16, 17, 200])
+@pytest.mark.parametrize("selected", [0, 1, 12, 13, 16, 17, 200])
 def test_aggregate_with_circuit_gathers_sparse_masks(backend, operation, subset, selected):
     """Up to ``GATHER_MAX_SHARE`` of the streamed rows, the selected cells are
     gathered and reduced; above it the field is decoded whole.  Either way
