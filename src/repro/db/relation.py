@@ -113,40 +113,6 @@ class Relation:
         columns = self.encode_records([values])
         return {name: column[0] for name, column in columns.items()}
 
-    def set_row(
-        self, index: int, values: Mapping[str, object], encoded: bool = False
-    ) -> None:
-        """Overwrite one record in place (slot reuse of the DML path).
-
-        ``encoded=True`` trusts ``values`` to be an :meth:`encode_record`
-        result and skips re-validation.
-        """
-        if not 0 <= index < self.num_records:
-            raise IndexError(f"row {index} out of range 0..{self.num_records - 1}")
-        record = values if encoded else self.encode_record(values)
-        for name in self.schema.names:
-            self.columns[name][index] = record[name]
-
-    def append_rows(
-        self, rows: Sequence[Mapping[str, object]], encoded: bool = False
-    ) -> list[int]:
-        """Append records, growing every column once; returns the new indices.
-
-        Growth reallocates the column arrays, so any NumPy views previously
-        taken of them (e.g. a parent relation's columns) stop aliasing this
-        relation — callers that rely on view-sharing must only grow through
-        their own coordination layer.
-        """
-        if not rows:
-            return []
-        records = list(rows) if encoded else [self.encode_record(r) for r in rows]
-        for name in self.schema.names:
-            tail = np.array([r[name] for r in records], dtype=np.uint64)
-            self.columns[name] = np.concatenate([self.columns[name], tail])
-        first = self.num_records
-        self.num_records += len(records)
-        return list(range(first, self.num_records))
-
     # ----------------------------------------------------------- operations
     def select(self, mask: np.ndarray) -> Relation:
         """Return a new relation containing only the rows where ``mask``."""

@@ -4,7 +4,7 @@
 one counted charge per distinct store width, one statistics update.  What it
 *models* is still one host store per attribute and bookkeeping bit of every
 record.  :func:`oracle_insert` below is that loop, kept verbatim from
-the code the columnar path replaced (``acquire_slot``, ``set_row``, scalar
+the code the columnar path replaced (``acquire_slot``, :func:`_set_row`, scalar
 zone-map / histogram / sketch widening, one ``host_write_field`` per store);
 every observable piece of state must come out identical — the floats too
 (one ``state_digest()``, :func:`twins.assert_same_state`).
@@ -81,6 +81,22 @@ def _oracle_note_insert(statistics, slot: int, record) -> None:
     statistics._version += 1
 
 
+def _set_row(relation, index: int, record) -> None:
+    """Overwrite one slot of the ground truth with an encoded record."""
+    for name in relation.schema.names:
+        relation.columns[name][index] = record[name]
+
+
+def _append_rows(relation, records) -> None:
+    """Append encoded records, growing every column once."""
+    if not records:
+        return
+    for name in relation.schema.names:
+        tail = np.array([r[name] for r in records], dtype=np.uint64)
+        relation.columns[name] = np.concatenate([relation.columns[name], tail])
+    relation.num_records += len(records)
+
+
 def oracle_insert(stored, records, executor, phase="insert-write", encoded=False):
     """The per-record INSERT loop (same signature as ``execute_insert``)."""
     relation = stored.relation
@@ -94,7 +110,7 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
     for record in encoded_records:
         slot, reused = stored.acquire_slot()
         if reused:
-            relation.set_row(slot, record, encoded=True)
+            _set_row(relation, slot, record)
             result.reused_slots += 1
         else:
             tail_records.append(record)
@@ -121,7 +137,7 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
                 (layout.valid_column, 1),
             ):
                 executor.host_write_field(bank, xbar, row, column, 1, bit, phase=phase)
-    relation.append_rows(tail_records, encoded=True)
+    _append_rows(relation, tail_records)
     stored.statistics.charge_maintenance(
         executor.stats, executor.config.host,
         len(encoded_records) * (len(relation.schema.names) + 1),
