@@ -46,7 +46,9 @@ number or stored bit:
   all K x crossbar partials come from one ``reduceat`` over the
   selected rows, which ``np.nonzero`` hands back already sorted by
   ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
-  identity on every crossbar a key has no row on.
+  identity on every crossbar a key has no row on
+  (:func:`~repro.pim.arithmetic.segmented_partials`, which the filter-only
+  circuit aggregation shares).
 
 * **Charges by multiplicity, stores once.**  :class:`~repro.pim.stats.PimStats`
   is an exact multiset — a charge is ``count x unit cost`` and no total
