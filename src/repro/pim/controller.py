@@ -353,8 +353,8 @@ class PimExecutor:
         from repro.pim.arithmetic import aggregate_reference, segmented_partials
 
         mask = bank.read_column(mask_column, candidate_idx)
-        position, rows = np.nonzero(mask)
-        if position.size <= mask.size * GATHER_MAX_SHARE:
+        if np.count_nonzero(mask) <= mask.size * GATHER_MAX_SHARE:
+            position, rows = np.nonzero(mask)
             xbars = position if candidate_idx is None else candidate_idx[position]
             starts = np.flatnonzero(np.diff(position, prepend=-1))
             results = segmented_partials(
