@@ -51,17 +51,18 @@ lane, and plane ``8k + b`` of those rows is the top byte of
 ``((lane >> b) & 0x0101010101010101) * 0x0102040810204080`` — bit ``i`` is
 row ``i``'s bit, the byte ``packbits(bitorder="little")`` makes.  Five
 whole-array passes per plane over one eighth of the cells, no ``packbits``.
-Warm encode, 96 x 1 024 rows, min of 15, ms (parent's bit-plane encode ->
-byte lanes, ``uint64`` input / narrow input): 4-bit 0.32 / 0.36 -> 0.25 /
-0.13, 12-bit 0.58 / 0.61 -> 0.52 / 0.40, 27-bit 1.51 / 1.56 -> 1.21 / 1.05;
-the 48 fields of the ``dml_churn`` partition (64 x 1 024 rows, staged narrow)
-11.0-11.6 -> 8.0-8.5 ms (sum of per-field minima over 20 compactions).  No
-decoded column is cached: a 12-bit decode of 96 x 1024 rows costs ~0.4 ms,
-which does not pay for write-invalidation state on the bank.  With ``xbars`` the decode
-is *bounded* (3 crossbars in use of a page's 32 cost 3), and
-``read_field_cells`` is the same fold over one word per (cell, plane) taken
-straight from ``words``.  :data:`GATHER_MAX_SHARE` picks between them (gather
-up to 1/32 of the cells covered; ``StoredRelation.decode_cells`` and
+Warm encode, 96 x 1 024 rows, min of 15, ms, on a 2-vCPU host (the bit-plane
+encode it replaced -> byte lanes, ``uint64`` input / narrow input): 4-bit
+0.32 / 0.36 -> 0.25 / 0.13, 12-bit 0.58 / 0.61 -> 0.52 / 0.40, 27-bit
+1.51 / 1.56 -> 1.21 / 1.05; the 48 fields of the ``dml_churn`` partition
+(64 x 1 024 rows, staged narrow) 11.0-11.6 -> 8.0-8.5 ms (sum of per-field
+minima over 20 compactions).  No decoded column is cached: a 12-bit decode
+of 96 x 1024 rows costs ~0.4 ms, which does not pay for write-invalidation
+state on the bank.  With ``xbars`` the decode is *bounded* (3 crossbars in
+use of a page's 32 cost 3), and ``read_field_cells`` is the same fold over
+one word per (cell, plane) taken straight from ``words``.
+:data:`GATHER_MAX_SHARE` picks between them (gather up to 1/32 of the cells
+covered; ``StoredRelation.decode_cells`` and
 ``PimExecutor.aggregate_with_circuit``), from this measurement — gather /
 full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells,
 measured once on a 2-vCPU host (no gate re-times it)::

@@ -304,7 +304,7 @@ def test_byte_lane_encode_equals_the_bool_bank_in_every_input_dtype(
         )
         words = packed.words.copy()
         _assert_rejected_without_mutation(
-            packed, lambda b: b.write_field_column(offset, width, too_big)
+            packed, lambda b, bad=too_big: b.write_field_column(offset, width, bad)
         )
         assert np.array_equal(packed.words, words)
 
