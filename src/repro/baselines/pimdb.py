@@ -26,8 +26,6 @@ def build_pimdb_engine(
     relation: Relation,
     config: SystemConfig | None = None,
     aggregation_width: int | None = None,
-    label: str = "pimdb",
-    sample_pages: int = 1,
     timing_scale: float = 1.0,
 ) -> tuple[PimQueryEngine, StoredRelation]:
     """Store ``relation`` and return a PIMDB-configured query engine.
@@ -42,12 +40,11 @@ def build_pimdb_engine(
     stored = StoredRelation(
         relation,
         module,
-        label=label,
+        label="pimdb",
         aggregation_width=aggregation_width,
         reserve_bulk_aggregation=True,
     )
     engine = PimQueryEngine(
-        stored, config=pimdb_config, label=label, sample_pages=sample_pages,
-        timing_scale=timing_scale,
+        stored, config=pimdb_config, label="pimdb", timing_scale=timing_scale,
     )
     return engine, stored

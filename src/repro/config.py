@@ -117,11 +117,6 @@ class CrossbarConfig:
         """Total number of cells in the crossbar."""
         return self.rows * self.columns
 
-    @property
-    def row_bytes(self) -> int:
-        """Number of bytes stored in one crossbar row."""
-        return self.columns // 8
-
 
 @dataclass(frozen=True)
 class AggregationCircuitConfig:
@@ -279,10 +274,6 @@ class SystemConfig:
     def with_backend(self, backend: str) -> SystemConfig:
         """Return a copy of this configuration using ``backend`` banks."""
         return dataclasses.replace(self, backend=backend)
-
-    def with_execution(self, execution: str) -> SystemConfig:
-        """Return a copy of this configuration using ``execution`` programs."""
-        return dataclasses.replace(self, execution=execution)
 
     def without_aggregation_circuit(self) -> SystemConfig:
         """Return a configuration with the aggregation circuit disabled.

@@ -133,7 +133,6 @@ class PimQueryEngine:
         config: SystemConfig | None = None,
         label: str = "one_xb",
         cost_model: GroupByCostModel | None = None,
-        sample_pages: int = 1,
         timing_scale: float = 1.0,
         compiler: ProgramCache | None = None,
         pruning: bool = False,
@@ -149,7 +148,6 @@ class PimQueryEngine:
             config: System configuration; defaults to the module's.
             label: Name used in reports (``one_xb``, ``two_xb``, ``pimdb``).
             cost_model: GROUP-BY cost model; derived analytically if omitted.
-            sample_pages: Pages sampled for subgroup-size estimation.
             timing_scale: Linear extrapolation factor for the timing, energy
                 and power accounting.  The functional execution always runs
                 on the stored relation as-is; with ``timing_scale > 1`` the
@@ -191,7 +189,9 @@ class PimQueryEngine:
         self.stored = stored
         self.config = config if config is not None else stored.module.system_config
         self.label = label
-        self.sample_pages = sample_pages
+        #: Pages sampled for subgroup-size estimation (a part of the plan
+        #: memo's key; the sampling ablation varies it).
+        self.sample_pages = 1
         self.timing_scale = float(timing_scale)
         self.use_aggregation_circuit = self.config.pim.aggregation_circuit.enabled
         self.transfer_per_subgroup = stored.partitions > 1

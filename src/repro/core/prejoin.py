@@ -18,11 +18,12 @@ occupy anyway (:func:`storage_overhead` quantifies this argument).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.db.catalog import Database
+from repro.db.encoding import BOOKKEEPING_COLUMNS
 from repro.db.relation import Relation
 from repro.db.schema import Attribute, Schema
 
@@ -70,17 +71,14 @@ class DerivedAttribute:
 def build_prejoined_relation(
     database: Database,
     name: str = "prejoined",
-    exclude: Iterable[str] = (),
     derived: Sequence[DerivedAttribute] = (),
 ) -> Relation:
     """Equi-join the fact relation with every dimension it references.
 
     The join is on the dimension keys, so each fact record matches exactly
     one record per dimension.  Dimension key columns themselves are not
-    duplicated (the fact relation's foreign-key copy is kept).  ``exclude``
-    names dimension attributes to drop (NAME/ADDRESS in the paper).
+    duplicated (the fact relation's foreign-key copy is kept).
     """
-    excluded = set(exclude)
     fact = database.fact_relation
     attributes: list[Attribute] = list(fact.schema.attributes)
     columns: dict[str, np.ndarray] = dict(fact.columns)
@@ -91,8 +89,6 @@ def build_prejoined_relation(
         positions = _key_positions(key_values, fact.column(foreign_key.fact_attribute))
         for attribute in dimension.schema:
             if attribute.name == foreign_key.dimension_key:
-                continue
-            if attribute.name in excluded:
                 continue
             if attribute.name in columns:
                 raise ValueError(
@@ -152,7 +148,6 @@ def storage_overhead(
     prejoined: Relation,
     crossbar_row_bits: int = 512,
     records_per_page: int = 32 * 1024,
-    bookkeeping_bits: int = 4,
 ) -> StorageOverheadReport:
     """Quantify the PIM storage cost of the pre-joined relation.
 
@@ -168,7 +163,7 @@ def storage_overhead(
     def pages(records: int) -> int:
         return int(np.ceil(records / records_per_page))
 
-    fits = prejoined_bits + bookkeeping_bits <= crossbar_row_bits
+    fits = prejoined_bits + BOOKKEEPING_COLUMNS <= crossbar_row_bits
     return StorageOverheadReport(
         fact_records=len(fact),
         fact_record_bits=fact_bits,

@@ -43,19 +43,12 @@ class CompilationError(ValueError):
     """A predicate cannot be compiled against the given layout."""
 
 
-def compile_predicate(
-    predicate: Predicate,
-    schema: Schema,
-    layout: RowLayout,
-    result_column: int | None = None,
-) -> Program:
-    """Compile a predicate into a program leaving its result in one column.
+def compile_predicate(predicate: Predicate, schema: Schema, layout: RowLayout) -> Program:
+    """Compile a predicate into a program leaving its result in the filter column.
 
-    The result column defaults to the layout's filter column and is ANDed
-    with the valid bit so that padding rows never pass a filter.
+    The result is ANDed with the valid bit so that padding rows never pass a
+    filter.
     """
-    if result_column is None:
-        result_column = layout.filter_column
     builder = ProgramBuilder(layout.scratch_columns)
     if predicate is None:
         result = builder.copy(layout.valid_column)
@@ -64,96 +57,63 @@ def compile_predicate(
         combined = builder.and_(result, layout.valid_column)
         builder.free(result)
         result = combined
-    builder.store(result, result_column)
+    builder.store(result, layout.filter_column)
     builder.free(result)
-    return builder.build(result_column=result_column)
+    return builder.build(result_column=layout.filter_column)
 
 
-def compile_group_predicate(
+def compile_group_predicate(group_values: dict[str, int], layout: RowLayout) -> Program:
+    """The remote-partition subgroup mask: :func:`compile_group_mask` over the valid bit."""
+    # No caller in src/: kept because perf/layers.py names it.
+    return compile_group_mask(group_values, layout, layout.valid_column, False)
+
+
+def compile_group_combine(
+    group_values: dict[str, int], layout: RowLayout, include_remote: bool
+) -> Program:
+    """The primary-partition subgroup mask: :func:`compile_group_mask` over the filter bit."""
+    # No caller in src/: kept because perf/layers.py names it.
+    return compile_group_mask(group_values, layout, layout.filter_column, include_remote)
+
+
+def compile_group_mask(
     group_values: dict[str, int],
     layout: RowLayout,
-    filter_column: int | None = None,
-    result_column: int | None = None,
+    filter_column: int,
+    include_remote: bool,
 ) -> Program:
-    """Compile the per-subgroup filter used by pim-gb.
+    """Compile one pim-gb subgroup mask into the layout's group column.
 
     ``group_values`` maps GROUP-BY attribute names to their *encoded* values
-    for one subgroup.  The generated program computes the conjunction of the
-    equalities and of the query's filter bit (already present in
-    ``filter_column``), leaving the result in the layout's group column.
+    for one subgroup.  The program conjoins one equality per attribute (in
+    name order), the bit-vector shipped from the other vertical partition
+    (already landed in the layout's remote column) when ``include_remote``,
+    and the filter bit already present in ``filter_column``.
     """
-    if result_column is None:
-        result_column = layout.group_column
-    if filter_column is None:
-        filter_column = layout.filter_column
     builder = ProgramBuilder(layout.scratch_columns)
-    terms = _group_equality_terms(builder, group_values, layout)
-    return _conjoin_group_terms(
-        builder, terms, layout, False, filter_column, result_column
-    )
-
-
-def _group_equality_terms(
-    builder: ProgramBuilder, group_values: dict[str, int], layout: RowLayout
-) -> list[int]:
-    """Emit one equality comparison per GROUP-BY attribute (sorted by name)."""
     terms: list[int] = []
     for name, value in sorted(group_values.items()):
         if not layout.has_field(name):
             raise CompilationError(f"attribute {name!r} is not in this partition")
         terms.append(builder.eq_const(layout.field_columns(name), int(value)))
-    return terms
-
-
-def _conjoin_group_terms(
-    builder: ProgramBuilder,
-    terms: list[int],
-    layout: RowLayout,
-    include_remote: bool,
-    filter_column: int,
-    result_column: int,
-) -> Program:
-    """AND the equality terms, the remote bit-vector and the filter bit."""
     if include_remote:
         terms.append(builder.copy(layout.remote_column))
     local = builder.and_reduce(terms, consume=True) if terms else builder.const(True)
     combined = builder.and_(local, filter_column)
     builder.free(local)
-    builder.store(combined, result_column)
+    builder.store(combined, layout.group_column)
     builder.free(combined)
-    return builder.build(result_column=result_column)
-
-
-def compile_group_combine(
-    group_values: dict[str, int],
-    layout: RowLayout,
-    include_remote: bool = False,
-    result_column: int | None = None,
-) -> Program:
-    """Compile the primary-partition subgroup mask used by pim-gb.
-
-    The program conjoins the equalities on the primary partition's GROUP-BY
-    attributes, optionally the bit-vector shipped from the other vertical
-    partition (already landed in the layout's remote column), and the query's
-    filter bit, leaving the result in the layout's group column.
-    """
-    if result_column is None:
-        result_column = layout.group_column
-    builder = ProgramBuilder(layout.scratch_columns)
-    terms = _group_equality_terms(builder, group_values, layout)
-    return _conjoin_group_terms(
-        builder, terms, layout, include_remote, layout.filter_column, result_column
-    )
+    return builder.build(result_column=layout.group_column)
 
 
 class GroupMaskTemplate:
     """The pim-gb subgroup mask of one layout with the group key left open.
 
-    :func:`compile_group_predicate` / :func:`compile_group_combine` build one
-    constant-specialised program per subgroup; every one of them is the same
-    circuit with other key constants.  A template is that circuit with the
-    key's equalities left open, for ``attributes`` of ``layout`` (held
-    sorted by name, the order the specialised compilers use):
+    :func:`compile_group_mask` builds one constant-specialised program per
+    subgroup; every one of them is the same circuit with other key
+    constants.  A template is that circuit with the key's equalities left
+    open, for ``attributes`` of ``layout`` (held sorted by name, the order
+    :func:`compile_group_mask` uses):
 
     * ``fields[a]`` are attribute ``a``'s bit columns.  The batched pim-gb
       path evaluates "attribute ``a`` differs from the key's constant" once
@@ -183,11 +143,8 @@ class GroupMaskTemplate:
     ) -> None:
         self.attributes: tuple[str, ...] = tuple(sorted(attributes))
         self.result_column = layout.group_column
-        builder = ProgramBuilder(layout.scratch_columns)
-        zero_key = _conjoin_group_terms(
-            builder,
-            _group_equality_terms(builder, dict.fromkeys(self.attributes, 0), layout),
-            layout, include_remote, filter_column, self.result_column,
+        zero_key = compile_group_mask(
+            dict.fromkeys(self.attributes, 0), layout, filter_column, include_remote
         )
         self.fields = tuple(
             tuple(layout.field_columns(name)) for name in self.attributes

@@ -25,6 +25,13 @@ from collections.abc import Sequence
 
 from repro.db.schema import Schema
 
+#: Bookkeeping bits per record (valid/filter/group/remote) — anything charging
+#: per-row rewrite costs derives the count from here.
+BOOKKEEPING_COLUMNS = 4
+
+#: Fewest gate-scratch columns a layout must leave for the NOR programs.
+MIN_SCRATCH = 10
+
 
 class LayoutError(ValueError):
     """The schema does not fit into a crossbar row with the requested extras."""
@@ -40,7 +47,6 @@ class RowLayout:
         rows: int = 1024,
         aggregation_width: int | None = None,
         reserve_bulk_aggregation: bool = True,
-        min_scratch: int = 10,
         read_width_bits: int = 16,
     ) -> None:
         self.schema = schema
@@ -61,9 +67,7 @@ class RowLayout:
         # Landing column for bits transferred from another vertical partition
         # through the host (the two-xb intermediate-result path).
         self.remote_column = cursor + 3
-        #: Bookkeeping bits per record (valid/filter/group/remote) — anything
-        #: charging per-row rewrite costs derives the count from here.
-        self.bookkeeping_columns = 4
+        self.bookkeeping_columns = BOOKKEEPING_COLUMNS
         cursor += self.bookkeeping_columns
 
         if aggregation_width is None:
@@ -80,10 +84,10 @@ class RowLayout:
         else:
             self.operand_offset = None
 
-        if cursor + min_scratch > self.columns:
+        if cursor + MIN_SCRATCH > self.columns:
             raise LayoutError(
                 f"schema {schema.name!r} needs {cursor} columns plus at least "
-                f"{min_scratch} scratch columns, but the crossbar row has only "
+                f"{MIN_SCRATCH} scratch columns, but the crossbar row has only "
                 f"{self.columns}; use vertical partitioning (two-xb)"
             )
         self.scratch_columns: list[int] = list(range(cursor, self.columns))

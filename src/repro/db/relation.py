@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.db.schema import Attribute, Schema
+from repro.db.schema import Schema
 
 
 class Relation:
@@ -50,12 +50,6 @@ class Relation:
             raise KeyError(
                 f"relation {self.schema.name!r} has no column {name!r}"
             ) from None
-
-    def decoded_column(self, name: str) -> list[object]:
-        """Return a column translated back to raw values."""
-        attribute = self.schema.attribute(name)
-        column = self.column(name)
-        return [attribute.decode_value(v) for v in column]
 
     # ------------------------------------------------------------- mutation
     def encode_records(
@@ -108,11 +102,6 @@ class Relation:
             raise
         return columns
 
-    def encode_record(self, values: Mapping[str, object]) -> dict[str, np.uint64]:
-        """Validate and encode one record: the one-record :meth:`encode_records`."""
-        columns = self.encode_records([values])
-        return {name: column[0] for name, column in columns.items()}
-
     # ----------------------------------------------------------- operations
     def select(self, mask: np.ndarray) -> Relation:
         """Return a new relation containing only the rows where ``mask``."""
@@ -121,24 +110,6 @@ class Relation:
             raise ValueError("mask length does not match the relation")
         return Relation(
             self.schema, {name: col[mask] for name, col in self.columns.items()}
-        )
-
-    def project(self, names: Sequence[str], schema_name: str | None = None) -> Relation:
-        """Return a new relation with only the named columns."""
-        schema = self.schema.subset(names, schema_name)
-        return Relation(schema, {name: self.columns[name] for name in names})
-
-    def with_column(self, attribute: Attribute, values: np.ndarray) -> Relation:
-        """Return a new relation with an extra column appended."""
-        schema = self.schema.extend([attribute])
-        columns = dict(self.columns)
-        columns[attribute.name] = np.asarray(values, dtype=np.uint64)
-        return Relation(schema, columns)
-
-    def head(self, count: int) -> Relation:
-        """Return the first ``count`` records."""
-        return Relation(
-            self.schema, {name: col[:count] for name, col in self.columns.items()}
         )
 
     def records(self, indices: Iterable[int] | None = None) -> list[dict[str, int]]:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-import numpy as np
-
 
 class Dictionary:
     """A bidirectional mapping between raw values and dense integer codes."""
@@ -43,10 +41,6 @@ class Dictionary:
         """Return the raw value of ``code``."""
         return self._code_to_value[code]
 
-    def decode_array(self, codes: np.ndarray) -> list[object]:
-        """Decode an array of codes back to raw values."""
-        return [self._code_to_value[int(c)] for c in codes]
-
     def __len__(self) -> int:
         return len(self._code_to_value)
 
@@ -57,10 +51,6 @@ class Dictionary:
     def values(self) -> list[object]:
         return list(self._code_to_value)
 
-    @property
-    def code_width(self) -> int:
-        """Bits needed to store any code of this dictionary."""
-        return max(1, int(math.ceil(math.log2(max(len(self), 2)))))
 
 
 @dataclass
@@ -152,10 +142,6 @@ class Schema:
     def subset(self, names: Sequence[str], schema_name: str | None = None) -> Schema:
         """Return a new schema containing only ``names`` (in that order)."""
         return Schema(schema_name or self.name, [self.attribute(n) for n in names])
-
-    def extend(self, attributes: Sequence[Attribute], schema_name: str | None = None) -> Schema:
-        """Return a new schema with extra attributes appended."""
-        return Schema(schema_name or self.name, self.attributes + list(attributes))
 
 
 def int_attribute(name: str, width: int, source: str | None = None) -> Attribute:

@@ -396,9 +396,6 @@ class StoredRelation:
     def layout_of(self, attribute: str) -> RowLayout:
         return self.layouts[self.partition_of(attribute)]
 
-    def allocation_of(self, attribute: str) -> PimAllocation:
-        return self.allocations[self.partition_of(attribute)]
-
     # ------------------------------------------------------------ functional
     def _crossbars_in_use(self, slots: int) -> slice:
         """The crossbar prefix holding the first ``slots`` slots."""

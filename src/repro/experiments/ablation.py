@@ -21,6 +21,9 @@ from repro.core.prejoin import storage_overhead
 from repro.experiments.common import ExperimentSetup, format_table
 from repro.ssb import ALL_QUERIES
 
+#: The sampling budgets (pages) of the sampling-budget ablation.
+SAMPLE_PAGES = (1, 2, 4)
+
 
 @dataclass
 class AblationRow:
@@ -54,24 +57,20 @@ def aggregation_circuit_ablation(
     return rows
 
 
-def sampling_ablation(
-    setup: ExperimentSetup,
-    query_name: str = "Q3.2",
-    sample_pages: Sequence[int] = (1, 2, 4),
-) -> list[AblationRow]:
-    """Effect of the sampling budget on the GROUP-BY plan."""
+def sampling_ablation(setup: ExperimentSetup) -> list[AblationRow]:
+    """Effect of the sampling budget on Q3.2's GROUP-BY plan."""
     if "one_xb" not in setup.pim_engines:
         return []
     base = setup.pim_engines["one_xb"]
-    query = ALL_QUERIES[query_name]
+    query = ALL_QUERIES["Q3.2"]
     rows: list[AblationRow] = []
     original = base.sample_pages
     try:
-        for pages in sample_pages:
+        for pages in SAMPLE_PAGES:
             base.sample_pages = pages
             execution = base.execute(query)
             rows.append(AblationRow(
-                name=query_name,
+                name="Q3.2",
                 variant=f"{pages} sampled page(s)",
                 time_s=execution.time_s,
                 energy_j=execution.energy_j,

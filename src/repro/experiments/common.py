@@ -40,6 +40,9 @@ from repro.ssb.prejoined import DERIVED_ATTRIBUTES, max_aggregated_width, two_xb
 #: The scale factor of the paper's evaluation; costs are extrapolated to it.
 PAPER_SCALE_FACTOR = 10.0
 
+#: Zipf skew of the generated SSB instance.
+SKEW = 0.5
+
 #: All configurations of the evaluation, in reporting order.
 PIM_CONFIGS = ("one_xb", "two_xb", "pimdb")
 COLUMNAR_CONFIGS = ("mnt_join", "mnt_reg")
@@ -79,12 +82,6 @@ class ExperimentSetup:
     configs: tuple[str, ...] = ALL_CONFIGS
     _records: list[QueryRecord] | None = None
 
-    @property
-    def modelled_pages(self) -> float:
-        """The relation size (in 2 MB pages) the timing model corresponds to."""
-        engine = next(iter(self.pim_engines.values()))
-        return engine.stored.pages * self.timing_scale
-
     def execute(self, config: str, query: Query):
         """Execute one query on one configuration."""
         if config in self.pim_engines:
@@ -104,20 +101,21 @@ def default_scale_factor() -> float:
 
 def build_setup(
     scale_factor: float | None = None,
-    skew: float = 0.5,
     seed: int = 42,
     configs: Sequence[str] = ALL_CONFIGS,
     config: SystemConfig | None = None,
-    target_scale_factor: float = PAPER_SCALE_FACTOR,
 ) -> ExperimentSetup:
-    """Generate the SSB instance and construct the requested configurations."""
+    """Generate the SSB instance and construct the requested configurations.
+
+    The costs are extrapolated to the paper's :data:`PAPER_SCALE_FACTOR`.
+    """
     if scale_factor is None:
         scale_factor = default_scale_factor()
     system = config if config is not None else DEFAULT_CONFIG
-    dataset = generate(scale_factor=scale_factor, skew=skew, seed=seed)
+    dataset = generate(scale_factor=scale_factor, skew=SKEW, seed=seed)
     prejoined = build_ssb_prejoined(dataset.database)
     aggregation_width = max_aggregated_width(prejoined)
-    timing_scale = (LINEORDERS_PER_SF * target_scale_factor) / len(prejoined)
+    timing_scale = (LINEORDERS_PER_SF * PAPER_SCALE_FACTOR) / len(prejoined)
 
     pim_engines: dict[str, PimQueryEngine] = {}
     if "one_xb" in configs:
@@ -166,12 +164,11 @@ def build_setup(
 def run_all_queries(
     setup: ExperimentSetup,
     queries: Sequence[str] = QUERY_ORDER,
-    verify: bool = True,
 ) -> list[QueryRecord]:
     """Run every query on every configuration of the set-up (cached).
 
-    With ``verify=True`` (the default) the runner asserts that every
-    configuration returned identical result rows for every query.
+    The runner raises ``AssertionError`` naming the configuration and the
+    query when a configuration's result rows differ from the first one's.
     """
     if setup._records is not None:
         return setup._records
@@ -182,13 +179,10 @@ def run_all_queries(
         for config in setup.configs:
             execution = setup.execute(config, query)
             rows = execution.rows
-            if verify:
-                if reference_rows is None:
-                    reference_rows = rows
-                elif _comparable(rows) != _comparable(reference_rows):
-                    raise AssertionError(
-                        f"configuration {config} disagrees on {name}"
-                    )
+            if reference_rows is None:
+                reference_rows = rows
+            elif _comparable(rows) != _comparable(reference_rows):
+                raise AssertionError(f"configuration {config} disagrees on {name}")
             records.append(_record_from(config, name, execution))
     setup._records = records
     return records

@@ -33,7 +33,7 @@ from repro.core.latency_model import (
     PimGbMeasurement,
     build_analytic_cost_model,
 )
-from repro.db.compiler import compile_group_predicate, compile_predicate
+from repro.db.compiler import compile_group_mask, compile_predicate
 from repro.db.query import Comparison, LT
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
@@ -50,8 +50,14 @@ from repro.db.query import Aggregate
 #: Attribute widths chosen so the aggregated attribute needs n = 1..4 reads.
 _AGGREGATE_WIDTHS = {1: 14, 2: 28, 3: 44, 4: 50}
 
+#: The swept ratios of selected records ``r`` (Fig. 4b).
+READ_RATIOS = (0.01, 0.05, 0.2, 0.4, 0.8)
 
-def _synthetic_relation(records: int, seed: int = 11) -> Relation:
+#: The swept 16-bit reads per record ``s`` (Fig. 4a).
+READS_PER_RECORD = (2, 4, 6, 8)
+
+
+def _synthetic_relation(records: int) -> Relation:
     """A synthetic relation for the latency sweeps.
 
     ``key`` drives the selectivity filter, ``group_id`` is the subgroup
@@ -59,7 +65,7 @@ def _synthetic_relation(records: int, seed: int = 11) -> Relation:
     number sets ``s``), and ``agg_n*`` are the aggregated attributes of
     widths requiring one to four 16-bit reads.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     attributes = [
         int_attribute("key", 20),
         int_attribute("group_id", 8),
@@ -99,19 +105,19 @@ def run_fig4(
     config: SystemConfig = None,
     records: int = 60_000,
     page_counts: Sequence[int] = (64, 128, 256, 512),
-    read_ratios: Sequence[float] = (0.01, 0.05, 0.2, 0.4, 0.8),
-    reads_per_record: Sequence[int] = (2, 4, 6, 8),
-    aggregation_reads: Sequence[int] = (1, 2, 3, 4),
-    use_aggregation_circuit: bool = True,
 ) -> Fig4Result:
-    """Measure the host-gb and pim-gb latency sweeps and fit Eq. (1)/(2)."""
+    """Measure the host-gb and pim-gb latency sweeps and fit Eq. (1)/(2).
+
+    pim-gb aggregates with the aggregation circuit, for ``n`` = 1..4 reads
+    (Fig. 4c).
+    """
     system = config if config is not None else DEFAULT_CONFIG
     relation = _synthetic_relation(records)
     module = PimModule(system)
     stored = StoredRelation(
         relation, module, label="fig4",
         aggregation_width=max(_AGGREGATE_WIDTHS.values()),
-        reserve_bulk_aggregation=not use_aggregation_circuit,
+        reserve_bulk_aggregation=False,
     )
     layout = stored.layouts[0]
     allocation = stored.allocations[0]
@@ -122,7 +128,7 @@ def run_fig4(
 
     for pages in page_counts:
         scale = pages / actual_pages
-        for ratio in read_ratios:
+        for ratio in READ_RATIOS:
             threshold = int(ratio * (1 << 20))
             stats = PimStats()
             executor = PimExecutor(system, stats)
@@ -132,7 +138,7 @@ def run_fig4(
             )
             executor.run_program(allocation.bank, program, pages=pages, phase="filter")
 
-            for s in reads_per_record:
+            for s in READS_PER_RECORD:
                 point_stats = PimStats()
                 point_reader = HostReadModel(system, point_stats, traffic_scale=scale)
                 mask = point_reader.read_filter_bitvector(stored, 0)
@@ -159,37 +165,23 @@ def run_fig4(
                     time_s=point_stats.total_time_s,
                 ))
 
-        for n in aggregation_reads:
+        for n in _AGGREGATE_WIDTHS:
             stats = PimStats()
             executor = PimExecutor(system, stats)
             read_model = HostReadModel(system, stats, traffic_scale=scale)
-            group_program = compile_group_predicate(
-                {"group_id": 3}, layout, filter_column=layout.valid_column
+            group_program = compile_group_mask(
+                {"group_id": 3}, layout, layout.valid_column, False
             )
             executor.run_program(
                 allocation.bank, group_program, pages=pages, phase="pim-gb-filter"
             )
             name = f"agg_n{n}"
-            if use_aggregation_circuit:
-                executor.aggregate_with_circuit(
-                    allocation.bank,
-                    layout.field_offset(name), layout.field_width(name),
-                    layout.group_column, layout.result_offset,
-                    pages=pages, result_width=layout.accumulator_width,
-                )
-            else:
-                from repro.pim.arithmetic import BulkAggregationPlan
-
-                plan = BulkAggregationPlan(
-                    rows=allocation.rows_per_crossbar,
-                    field_offset=layout.field_offset(name),
-                    field_width=layout.field_width(name),
-                    mask_column=layout.group_column,
-                    acc_offset=layout.accumulator_offset,
-                    operand_offset=layout.operand_offset,
-                    scratch_columns=layout.scratch_columns,
-                )
-                executor.aggregate_bulk_bitwise(allocation.bank, plan, pages=pages)
+            executor.aggregate_with_circuit(
+                allocation.bank,
+                layout.field_offset(name), layout.field_width(name),
+                layout.group_column, layout.result_offset,
+                pages=pages, result_width=layout.accumulator_width,
+            )
             read_model.read_aggregation_results(stored, 0)
             pim_points.append(PimGbMeasurement(
                 pages=pages, aggregation_reads=n, time_s=stats.total_time_s
@@ -199,9 +191,7 @@ def run_fig4(
         host=HostGbLatencyModel.fit(host_points),
         pim=PimGbLatencyModel.fit(pim_points),
     )
-    analytic = build_analytic_cost_model(
-        system, use_aggregation_circuit=use_aggregation_circuit
-    )
+    analytic = build_analytic_cost_model(system)
     return Fig4Result(
         host_measurements=host_points,
         pim_measurements=pim_points,

@@ -122,7 +122,6 @@ def combine_partials(
     operation: str,
     config: HostConfig,
     stats: PimStats | None = None,
-    phase: str = "host-combine",
 ) -> int | None:
     """Combine per-crossbar partial aggregates into a single value.
 
@@ -146,7 +145,7 @@ def combine_partials(
     else:  # max
         result = int(values.max()) if values.size else None
     if stats is not None:
-        stats.add_time(phase, cpu_time(config, len(values), 4.0, threads=1))
+        stats.add_time("host-combine", cpu_time(config, len(values), 4.0, threads=1))
     return result
 
 
@@ -156,7 +155,6 @@ def combine_partial_table(
     config: HostConfig,
     stats: PimStats,
     identity: int | None = None,
-    phase: str = "host-combine",
 ) -> list[int | None]:
     """:func:`combine_partials` of every row of a ``(K, crossbars)`` table.
 
@@ -164,7 +162,8 @@ def combine_partial_table(
     the partials equal to the operation's ``identity`` (crossbars that
     contributed nothing; given for a ``min``) are dropped — they cannot move
     the value, only the number of values combined.  One axis reduction for
-    all rows, one counted ``phase`` charge per distinct number of partials.
+    all rows, one counted ``host-combine`` charge per distinct number of
+    partials.
     """
     _check_merge_op(operation)
     table = np.asarray(table, dtype=np.uint64)
@@ -173,7 +172,7 @@ def combine_partial_table(
     else:
         sizes = (table != identity).sum(axis=1).tolist()
     for size, rows in Counter(sizes).items():
-        stats.add_time(phase, cpu_time(config, size, 4.0, threads=1), rows)
+        stats.add_time("host-combine", cpu_time(config, size, 4.0, threads=1), rows)
     if operation in ("sum", "count"):
         return table.sum(axis=1, dtype=np.uint64).tolist()
     if operation == "min":
@@ -188,7 +187,6 @@ def merge_shard_rows(
     aggregates: Sequence[Aggregate],
     config: HostConfig | None = None,
     stats: PimStats | None = None,
-    phase: str = "shard-merge",
 ) -> dict[tuple[int, ...], dict[str, int]]:
     """Gather per-shard result rows into the global result (scatter-gather).
 
@@ -210,7 +208,7 @@ def merge_shard_rows(
         merged = merge_group_results(merged, rows, aggregates)
     if stats is not None and config is not None:
         partial_values = sum(len(rows) for rows in shard_rows) * max(1, len(aggregates))
-        stats.add_time(phase, cpu_time(config, partial_values, 4.0, threads=1))
+        stats.add_time("shard-merge", cpu_time(config, partial_values, 4.0, threads=1))
     return merged
 
 

@@ -39,12 +39,11 @@ class HostReadModel:
         self,
         config: SystemConfig,
         stats: PimStats,
-        threads: int | None = None,
         traffic_scale: float = 1.0,
     ) -> None:
         self.config = config
         self.stats = stats
-        self.threads = threads if threads is not None else config.host.query_threads
+        self.threads = config.host.query_threads
         # Linear extrapolation factor for the charged traffic.  The functional
         # simulation can run on a scaled-down relation while latency, energy
         # and power are reported for a relation ``traffic_scale`` times larger
@@ -53,11 +52,7 @@ class HostReadModel:
 
     # ------------------------------------------------------------ bit-vector
     def read_filter_bitvector(
-        self,
-        stored: StoredRelation,
-        partition: int = 0,
-        column: int | None = None,
-        phase: str = "host-read-bitvector",
+        self, stored: StoredRelation, partition: int = 0
     ) -> np.ndarray:
         """Read the packed filter-result bit-vector of a partition.
 
@@ -65,14 +60,11 @@ class HostReadModel:
         region (one bit per record), so the host streams
         ``records / 8`` bytes.  Returns the boolean mask over records.
         """
-        layout = stored.layouts[partition]
-        if column is None:
-            column = layout.filter_column
-        mask = stored.column_bit(partition, column)
+        mask = stored.column_bit(partition, stored.layouts[partition].filter_column)
         num_bytes = math.ceil(stored.num_records / 8) * self.traffic_scale
         time_s = dram.stream_read_time(self.config.host, num_bytes)
         lines = math.ceil(num_bytes / CACHE_LINE_BYTES)
-        self._charge(phase, time_s, lines)
+        self._charge("host-read-bitvector", time_s, lines)
         return mask
 
     # ---------------------------------------------------------------- records
@@ -104,7 +96,6 @@ class HostReadModel:
         partition: int,
         record_indices: np.ndarray,
         attributes: Sequence[str],
-        phase: str = "host-read-records",
     ) -> dict[str, np.ndarray]:
         """Read ``attributes`` of the given records through the load path.
 
@@ -115,7 +106,7 @@ class HostReadModel:
         values = {
             name: stored.decode_cells(name, record_indices) for name in attributes
         }
-        self.charge_record_reads(stored, partition, record_indices, attributes, phase)
+        self.charge_record_reads(stored, partition, record_indices, attributes)
         return values
 
     def charge_record_reads(
@@ -160,7 +151,6 @@ class HostReadModel:
         self,
         stored: StoredRelation,
         partition: int,
-        phase: str = "host-read-agg",
         pages_fraction: float = 1.0,
         count: int = 1,
     ) -> int:
@@ -181,7 +171,7 @@ class HostReadModel:
             * words * self.traffic_scale
         ))
         time_s = dram.scattered_read_time(self.config.host, lines, self.threads)
-        self._charge(phase, time_s, lines, count)
+        self._charge("host-read-agg", time_s, lines, count)
         return lines
 
     # ------------------------------------------------------ partition transfer

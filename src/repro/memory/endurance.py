@@ -30,17 +30,15 @@ def required_endurance(
     row_columns: int,
     query_time_s: float,
     years: float = 10.0,
-    duty_cycle: float = 1.0,
 ) -> float:
     """Cell endurance needed to run a query back-to-back for ``years``.
 
-    This is the quantity plotted in Fig. 9.  ``duty_cycle`` scales the
-    fraction of wall-clock time spent executing the query (the paper uses
-    100%).
+    This is the quantity plotted in Fig. 9: the query runs 100 % of the
+    wall-clock time, as in the paper.
     """
     if query_time_s <= 0:
         raise ValueError("query_time_s must be positive")
-    executions = years * SECONDS_PER_YEAR * duty_cycle / query_time_s
+    executions = years * SECONDS_PER_YEAR / query_time_s
     return writes_per_cell(max_writes_per_row, row_columns) * executions
 
 
@@ -49,11 +47,10 @@ def lifetime_years(
     row_columns: int,
     query_time_s: float,
     endurance_writes: float = RRAM_ENDURANCE_WRITES,
-    duty_cycle: float = 1.0,
 ) -> float:
     """Years of back-to-back execution a cell of the given endurance survives."""
     per_query = writes_per_cell(max_writes_per_row, row_columns)
     if per_query <= 0:
         return float("inf")
     executions = endurance_writes / per_query
-    return executions * query_time_s / (SECONDS_PER_YEAR * duty_cycle)
+    return executions * query_time_s / SECONDS_PER_YEAR

@@ -29,17 +29,3 @@ def energy_breakdown(stats: PimStats) -> dict[str, float]:
     breakdown["total"] = stats.total_energy_j
     return breakdown
 
-
-def average_power_w(stats: PimStats) -> float:
-    """Average PIM module power over the whole execution."""
-    time_s = stats.total_time_s
-    if time_s <= 0:
-        return 0.0
-    return stats.total_energy_j / time_s
-
-
-def energy_per_record_j(stats: PimStats, records: int) -> float:
-    """Energy divided by the number of processed records."""
-    if records <= 0:
-        raise ValueError("records must be positive")
-    return stats.total_energy_j / records

@@ -238,7 +238,7 @@ class SpanTracer:
         return self._current.get()
 
     # -------------------------------------------------------------- charges
-    def on_charge(self, kind: str, key: str, value: float, count: int = 1) -> None:
+    def on_charge(self, kind: str, key: str, value: float, count: int) -> None:
         """Record ``count`` stats charges of ``value`` against the innermost span."""
         record = self._current.get()
         if record is not None:

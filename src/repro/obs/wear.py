@@ -25,6 +25,12 @@ from repro.memory.endurance import (
 #: Intensity ramp of the ASCII heatmap, coldest to hottest.
 HEAT_CHARS = " .:-=+*#%@"
 
+#: Heatmap cells: row buckets across, crossbar buckets down.
+HEATMAP_WIDTH, HEATMAP_HEIGHT = 64, 16
+
+#: Crossbars listed by :meth:`WearReport.hottest`.
+HOTTEST_CROSSBARS = 5
+
 
 @dataclass(frozen=True)
 class PartitionWear:
@@ -111,8 +117,8 @@ class WearReport:
     def total_writes(self) -> int:
         return sum(p.total_writes for p in self.partitions)
 
-    def hottest(self, n: int = 5) -> list[dict]:
-        """The ``n`` crossbars with the highest total writes, hottest first."""
+    def hottest(self) -> list[dict]:
+        """The :data:`HOTTEST_CROSSBARS` crossbars with the most writes, hottest first."""
         entries = []
         for p in self.partitions:
             totals = p.crossbar_totals()
@@ -129,7 +135,7 @@ class WearReport:
                     }
                 )
         entries.sort(key=lambda e: (-e["total_writes"], e["label"], e["crossbar"]))
-        return entries[:n]
+        return entries[:HOTTEST_CROSSBARS]
 
     # ------------------------------------------------------------- endurance
     def required_endurance(
@@ -159,23 +165,18 @@ class WearReport:
         )
 
     # --------------------------------------------------------------- renders
-    def heatmap(
-        self,
-        partition: int = 0,
-        width: int = 64,
-        height: int = 16,
-        chars: str = HEAT_CHARS,
-    ) -> str:
-        """ASCII heatmap of one partition: crossbars down, rows across.
+    def heatmap(self) -> str:
+        """ASCII heatmap of the first partition: crossbars down, rows across.
 
-        Crossbars and rows are bucketed (mean within each cell) to fit the
-        requested size; intensity is normalised to the hottest cell.  An
-        all-zero partition renders as blanks.
+        Crossbars and rows are bucketed (mean within each cell) to fit
+        :data:`HEATMAP_HEIGHT` x :data:`HEATMAP_WIDTH` cells; intensity is
+        normalised to the hottest cell.  An all-zero partition renders as
+        blanks.
         """
-        target = self.partitions[partition]
+        target = self.partitions[0]
         writes = target.writes.astype(float)
         if not writes.size:
-            return f"{target.label} p{partition}: (empty)"
+            return f"{target.label} p{target.partition}: (empty)"
 
         def bucket(array: np.ndarray, axis: int, count: int) -> np.ndarray:
             size = array.shape[axis]
@@ -187,17 +188,17 @@ class WearReport:
             ]
             return np.stack(pieces, axis=axis)
 
-        grid = bucket(bucket(writes, 0, height), 1, width)
+        grid = bucket(bucket(writes, 0, HEATMAP_HEIGHT), 1, HEATMAP_WIDTH)
         peak = grid.max()
         lines = [
-            f"{target.label} p{partition}: {target.crossbars} crossbars x "
+            f"{target.label} p{target.partition}: {target.crossbars} crossbars x "
             f"{target.rows} rows, max {target.max_writes_per_row} writes/row"
         ]
-        scale = len(chars) - 1
+        scale = len(HEAT_CHARS) - 1
         for row_index in range(grid.shape[0]):
             cells = grid[row_index]
             rendered = "".join(
-                chars[int(round(value / peak * scale))] if peak > 0 else chars[0]
+                HEAT_CHARS[int(round(value / peak * scale))] if peak > 0 else HEAT_CHARS[0]
                 for value in cells
             )
             lines.append(f"xb[{row_index:>2}] |{rendered}|")

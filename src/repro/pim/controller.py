@@ -286,8 +286,7 @@ class PimExecutor:
         return result_width
 
     def _charge_circuit_pass(
-        self, field_width: int, result_width: int, pages: float, phase: str,
-        count: int = 1,
+        self, field_width: int, result_width: int, pages: float, count: int = 1
     ) -> None:
         """Charge ``count`` aggregation-circuit invocations on ``pages`` pages.
 
@@ -313,7 +312,7 @@ class PimExecutor:
         )
         self.stats.add_events("bits_read", read_bits, count)
         self.stats.add_events("bits_written", write_bits, count)
-        self._record_phase(phase, pages, request_time, energy, "agg_circuit", count)
+        self._record_phase("pim-agg", pages, request_time, energy, "agg_circuit", count)
 
     def aggregate_with_circuit(
         self,
@@ -324,7 +323,6 @@ class PimExecutor:
         destination_offset: int,
         pages: int,
         operation: str = "sum",
-        phase: str = "pim-agg",
         result_width: int | None = None,
         crossbars: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -345,8 +343,17 @@ class PimExecutor:
         :data:`~repro.pim.packed.GATHER_MAX_SHARE` of their rows, only the
         selected cells are decoded (``read_field_cells``) and reduced per
         crossbar; a denser mask decodes the whole field.
+
+        A ``sum`` wraps modulo ``2**result_width``; a ``min`` / ``max`` into
+        a ``result_width`` narrower than the field raises ``ValueError``
+        before anything is read, written or charged.
         """
         result_width = self._circuit_result_width(field_width, result_width)
+        if operation in ("min", "max") and result_width < field_width:
+            raise ValueError(
+                f"a {operation} of a {field_width}-bit field does not fit a "
+                f"{result_width}-bit result"
+            )
         candidate_idx = None
         if crossbars is not None:
             candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
@@ -377,7 +384,7 @@ class PimExecutor:
                 0, destination_offset, result_width, results, xbars=candidate_idx
             )
             pages = pages * active / bank.count
-        self._charge_circuit_pass(field_width, result_width, pages, phase)
+        self._charge_circuit_pass(field_width, result_width, pages)
         return results
 
     def charge_aggregation_circuit(
@@ -385,7 +392,6 @@ class PimExecutor:
         bank: CrossbarBank,
         field_width: int,
         pages: float,
-        phase: str = "pim-agg",
         result_width: int | None = None,
         crossbars: np.ndarray | None = None,
         add_wear: bool = True,
@@ -413,7 +419,7 @@ class PimExecutor:
             if add_wear:
                 bank.writes_per_row[candidate_idx, 0] += int(result_width) * count
             pages = pages * active / bank.count
-        self._charge_circuit_pass(field_width, result_width, pages, phase, count)
+        self._charge_circuit_pass(field_width, result_width, pages, count)
 
     # --------------------------------------------------- bulk-bitwise (PIMDB)
     def aggregate_bulk_bitwise(
@@ -421,7 +427,6 @@ class PimExecutor:
         bank: CrossbarBank,
         plan: BulkAggregationPlan,
         pages: int,
-        phase: str = "pim-agg",
     ) -> np.ndarray:
         """Aggregate with pure bulk-bitwise logic (the PIMDB baseline).
 
@@ -445,7 +450,9 @@ class PimExecutor:
             * xbar.logic_energy_per_bit_j
         )
         self.stats.add_events("logic_ops", cost.total_cycles * crossbars)
-        self._record_phase(phase, pages, request_time, logic_energy + copy_energy, "logic")
+        self._record_phase(
+            "pim-agg", pages, request_time, logic_energy + copy_energy, "logic"
+        )
         return results
 
     # ------------------------------------------------------------ host writes
@@ -457,14 +464,11 @@ class PimExecutor:
         offset: int,
         width: int,
         value: int,
-        phase: str = "host-write",
     ) -> None:
         """A standard host store into PIM-resident data (no PIM request)."""
+        # No caller in src/: INSERT writes column-wise through charge_host_writes.
         bank.write_field(xbar, row, offset, width, value)
-        xcfg = self._xbar
-        self.stats.add_time(phase, xcfg.write_latency_s)
-        self.stats.add_energy("write", width * xcfg.write_energy_per_bit_j)
-        self.stats.add_events("bits_written", width)
+        self.charge_host_writes((width,), 1)
 
     def charge_host_writes(
         self, widths: Sequence[int], count: int, phase: str = "host-write"

@@ -93,17 +93,8 @@ def check_cells(bank, xbars, rows, fields):
     return xbars[order], rows[order], offsets[field_of] + shifts, bits
 
 
-class CrossbarBank:
-    """A bank of identical memory crossbars operated in lock step.
-
-    This is the byte-per-bit *reference* backend; the default simulation
-    backend is the bit-packed :class:`~repro.pim.packed.PackedCrossbarBank`,
-    which implements the identical surface (including the wear-counter side
-    effects) on row-packed uint64 words.  Both are selected through
-    :attr:`repro.config.SystemConfig.backend`.
-    """
-
-    backend = "bool"
+class BankBase:
+    """The geometry, validation and wear counters both bank backends share."""
 
     def __init__(self, count: int, rows: int, columns: int) -> None:
         if count <= 0 or rows <= 0 or columns <= 0:
@@ -111,13 +102,11 @@ class CrossbarBank:
         self.count = int(count)
         self.rows = int(rows)
         self.columns = int(columns)
-        self.bits = np.zeros((self.count, self.rows, self.columns), dtype=bool)
         self.writes_per_row = np.zeros((self.count, self.rows), dtype=np.int64)
 
-    # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CrossbarBank(count={self.count}, rows={self.rows}, "
+            f"{type(self).__name__}(count={self.count}, rows={self.rows}, "
             f"columns={self.columns})"
         )
 
@@ -131,6 +120,8 @@ class CrossbarBank:
             )
 
     def _check_rows(self, rows) -> None:
+        # Out-of-range rows must fail loudly (and before any mutation): the
+        # packed word arithmetic would otherwise silently target padding bits.
         if isinstance(rows, (int, np.integer)):
             bad = rows < 0 or rows >= self.rows
         else:
@@ -138,6 +129,46 @@ class CrossbarBank:
             bad = rows.size and (np.any(rows < 0) or np.any(rows >= self.rows))
         if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
+
+    # ---------------------------------------------------------------- wear
+    def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
+        """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""
+        if xbars is None:
+            self.writes_per_row += int(writes)
+        else:
+            self.writes_per_row[xbars] += int(writes)
+
+    def wear_snapshot(self) -> np.ndarray:
+        """Return a copy of the per-row write counters."""
+        return self.writes_per_row.copy()
+
+    def max_writes_since(self, snapshot: np.ndarray | None = None) -> int:
+        """Maximum per-row write count, optionally relative to a snapshot."""
+        if snapshot is None:
+            return int(self.writes_per_row.max())
+        delta = self.writes_per_row - snapshot
+        return int(delta.max())
+
+    def reset_wear(self) -> None:
+        """Zero the wear counters (used after the initial data load)."""
+        self.writes_per_row[:] = 0
+
+
+class CrossbarBank(BankBase):
+    """A bank of identical memory crossbars operated in lock step.
+
+    This is the byte-per-bit *reference* backend; the default simulation
+    backend is the bit-packed :class:`~repro.pim.packed.PackedCrossbarBank`,
+    which implements the identical surface (including the wear-counter side
+    effects) on row-packed uint64 words.  Both are selected through
+    :attr:`repro.config.SystemConfig.backend`.
+    """
+
+    backend = "bool"
+
+    def __init__(self, count: int, rows: int, columns: int) -> None:
+        super().__init__(count, rows, columns)
+        self.bits = np.zeros((self.count, self.rows, self.columns), dtype=bool)
 
     @staticmethod
     def _value_bits(values, width: int) -> np.ndarray:
@@ -375,13 +406,6 @@ class CrossbarBank:
         positions, rows = check_cell_index(self, positions, rows, value.shape[-2])
         return np.asarray(value, dtype=bool)[:, positions, rows]
 
-    def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
-        """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""
-        if xbars is None:
-            self.writes_per_row += int(writes)
-        else:
-            self.writes_per_row[xbars] += int(writes)
-
     # ----------------------------------------------------- bulk primitives
     def nor_columns(self, dest: int, srcs: Sequence[int]) -> None:
         """Stateful NOR: ``dest`` column of every row becomes NOR of ``srcs``.
@@ -429,19 +453,3 @@ class CrossbarBank:
         src_block = self.bits[:, src_rows, src_offset:src_offset + width]
         self.bits[:, dst_rows, dst_offset:dst_offset + width] = src_block
         self.writes_per_row[:, dst_rows] += width
-
-    # ---------------------------------------------------------------- wear
-    def wear_snapshot(self) -> np.ndarray:
-        """Return a copy of the per-row write counters."""
-        return self.writes_per_row.copy()
-
-    def max_writes_since(self, snapshot: np.ndarray | None = None) -> int:
-        """Maximum per-row write count, optionally relative to a snapshot."""
-        if snapshot is None:
-            return int(self.writes_per_row.max())
-        delta = self.writes_per_row - snapshot
-        return int(delta.max())
-
-    def reset_wear(self) -> None:
-        """Zero the wear counters (used after the initial data load)."""
-        self.writes_per_row[:] = 0

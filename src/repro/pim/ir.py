@@ -156,13 +156,11 @@ class _DagBuilder:
         return self._intern(key, NOR, tuple(live), depth)
 
 
-def lower_program(
-    program: Program, output_columns: Sequence[int] | None = None
-) -> NorDag:
+def lower_program(program: Program) -> NorDag:
     """Lower ``program`` into an optimized :class:`NorDag`.
 
-    ``output_columns`` overrides the program's own notion of its outputs
-    (by default the non-scratch columns it writes — see
+    Its outputs are the program's ``output_columns`` (by default the
+    non-scratch columns it writes — see
     :meth:`~repro.pim.logic.ProgramBuilder.build`).  Output columns the
     program never writes are dropped: their value is the identity and needs
     no store.
@@ -186,12 +184,9 @@ def lower_program(
         else:  # pragma: no cover - Program validates its ops
             raise TypeError(f"unsupported op {op!r}")
 
-    columns = (
-        tuple(output_columns)
-        if output_columns is not None
-        else program.output_columns
-    )
-    raw_outputs = [(column, env[column]) for column in columns if column in env]
+    raw_outputs = [
+        (column, env[column]) for column in program.output_columns if column in env
+    ]
 
     # Dead-code elimination: keep only nodes reachable from the outputs,
     # renumbered in (topological) construction order.

@@ -53,10 +53,6 @@ class PimAllocation:
         """Row within its crossbar holding a record."""
         return record_index % self.rows_per_crossbar
 
-    def page_of_record(self, record_index: int) -> int:
-        """Page index (relative to the allocation) holding a record."""
-        return self.crossbar_of_record(record_index) // self.config.crossbars_per_page
-
 
 class OutOfPimMemoryError(RuntimeError):
     """Raised when an allocation does not fit in the PIM module."""

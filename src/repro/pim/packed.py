@@ -85,7 +85,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import validate_backend
-from repro.pim.crossbar import CrossbarBank, check_cell_index, check_cells
+from repro.pim.crossbar import BankBase, CrossbarBank, check_cell_index, check_cells
 
 _ONE = np.uint64(1)
 _WORD_BITS = 64
@@ -122,7 +122,7 @@ def _fold_planes(planes: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-class PackedCrossbarBank:
+class PackedCrossbarBank(BankBase):
     """A bank of identical crossbars stored as row-packed uint64 words.
 
     The array layout is ``(count, columns, rows_words)`` with
@@ -135,16 +135,11 @@ class PackedCrossbarBank:
     backend = "packed"
 
     def __init__(self, count: int, rows: int, columns: int) -> None:
-        if count <= 0 or rows <= 0 or columns <= 0:
-            raise ValueError("count, rows and columns must all be positive")
-        self.count = int(count)
-        self.rows = int(rows)
-        self.columns = int(columns)
+        super().__init__(count, rows, columns)
         self.rows_words = (self.rows + _WORD_BITS - 1) // _WORD_BITS
         self.words = np.zeros(
             (self.count, self.columns, self.rows_words), dtype=np.uint64
         )
-        self.writes_per_row = np.zeros((self.count, self.rows), dtype=np.int64)
         # Valid-bit mask of each word of a column: all ones except the
         # padding bits of the last word, which stay zero forever.
         tail = np.full(self.rows_words, np.uint64(0xFFFFFFFFFFFFFFFF))
@@ -152,33 +147,6 @@ class PackedCrossbarBank:
         if spare:
             tail[-1] = np.uint64((1 << (_WORD_BITS - spare)) - 1)
         self._row_mask = tail
-
-    # ------------------------------------------------------------------ misc
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PackedCrossbarBank(count={self.count}, rows={self.rows}, "
-            f"columns={self.columns})"
-        )
-
-    def _check_field(self, offset: int, width: int) -> None:
-        if width <= 0 or width > 64:
-            raise ValueError(f"field width must be in [1, 64], got {width}")
-        if offset < 0 or offset + width > self.columns:
-            raise ValueError(
-                f"field [{offset}, {offset + width}) outside crossbar columns "
-                f"0..{self.columns}"
-            )
-
-    def _check_rows(self, rows) -> None:
-        # Out-of-range rows must fail loudly (and before any mutation): the
-        # word arithmetic would otherwise silently target padding bits.
-        if isinstance(rows, (int, np.integer)):
-            bad = rows < 0 or rows >= self.rows
-        else:
-            rows = np.asarray(rows)
-            bad = rows.size and (np.any(rows < 0) or np.any(rows >= self.rows))
-        if bad:
-            raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
     # ------------------------------------------------------- pack/unpack core
     def _unpack_columns(self, offset: int, width: int, xbars=None) -> np.ndarray:
@@ -429,13 +397,6 @@ class PackedCrossbarBank:
         words &= _ONE << (rows % _WORD_BITS).astype(np.uint64)
         return words != 0
 
-    def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
-        """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""
-        if xbars is None:
-            self.writes_per_row += int(writes)
-        else:
-            self.writes_per_row[xbars] += int(writes)
-
     # ----------------------------------------------------- bulk primitives
     def nor_columns(self, dest: int, srcs: Sequence[int]) -> None:
         """Stateful NOR of whole columns — 64 rows per machine word."""
@@ -575,22 +536,6 @@ class PackedCrossbarBank:
         current |= planes
         flat[index] = current
         self.writes_per_row[xbars, rows] += len(columns)
-
-    # ---------------------------------------------------------------- wear
-    def wear_snapshot(self) -> np.ndarray:
-        """Return a copy of the per-row write counters."""
-        return self.writes_per_row.copy()
-
-    def max_writes_since(self, snapshot: np.ndarray | None = None) -> int:
-        """Maximum per-row write count, optionally relative to a snapshot."""
-        if snapshot is None:
-            return int(self.writes_per_row.max())
-        delta = self.writes_per_row - snapshot
-        return int(delta.max())
-
-    def reset_wear(self) -> None:
-        """Zero the wear counters (used after the initial data load)."""
-        self.writes_per_row[:] = 0
 
 
 #: Either functional backend — they expose the identical bank surface.

@@ -10,7 +10,7 @@ the loop:
   ``|estimated - actual| / max(estimated, actual)`` into a per-column
   accumulator (split evenly over the predicate's columns: with independence
   assumed, any of them may be the culprit).  When a column's accumulated
-  error crosses :data:`DEFAULT_ERROR_THRESHOLD`,
+  error crosses :data:`ERROR_THRESHOLD`,
   :meth:`RelationStatistics.observe_execution
   <repro.planner.planner.RelationStatistics.observe_execution>` rebuilds that
   column's histogram **equi-depth** from the live rows and the accumulator
@@ -23,7 +23,7 @@ the loop:
   unclustered relation into a prunable one.
 * **Correlated-pair tracking** — executions whose predicate constrains two
   or more columns also credit each unordered column pair.  Once the top
-  pair's volume crosses :data:`DEFAULT_PAIR_THRESHOLD`, the owning
+  pair's volume crosses :data:`PAIR_THRESHOLD`, the owning
   :class:`~repro.planner.planner.RelationStatistics` builds a
   :class:`~repro.planner.zonemap.PairZoneMap` sketch for it.
 
@@ -44,11 +44,11 @@ from repro.obs.metrics import add_stats
 
 #: Accumulated relative estimation error (per column) that triggers an
 #: equi-depth histogram rebuild of that column.
-DEFAULT_ERROR_THRESHOLD = 4.0
+ERROR_THRESHOLD = 4.0
 
 #: Accumulated pair scan volume (in crossbars) that triggers building a
 #: correlated-pair zone-map sketch for the top pair.
-DEFAULT_PAIR_THRESHOLD = 256.0
+PAIR_THRESHOLD = 256.0
 
 #: Floor for the relative-error denominator: below one part per million the
 #: estimate and the observation are both "practically zero" and the miss is
@@ -92,15 +92,9 @@ class AdaptiveSnapshot:
 class AdaptiveController:
     """Per-relation feedback accumulator driving rebuilds and re-clustering."""
 
-    def __init__(
-        self,
-        error_threshold: float = DEFAULT_ERROR_THRESHOLD,
-        pair_threshold: float = DEFAULT_PAIR_THRESHOLD,
-    ) -> None:
-        if error_threshold <= 0 or pair_threshold <= 0:
-            raise ValueError("adaptive thresholds must be positive")
-        self.error_threshold = float(error_threshold)
-        self.pair_threshold = float(pair_threshold)
+    def __init__(self) -> None:
+        self.error_threshold = ERROR_THRESHOLD
+        self.pair_threshold = PAIR_THRESHOLD
         self.columns: dict[str, ColumnFeedback] = {}
         self.pair_volume: dict[tuple[str, str], float] = {}
         self.observations = 0

@@ -51,7 +51,7 @@ from repro.planner.zonemap import ZoneMaps, two_level_entries
 
 #: Cached fragment masks kept per relation (fragments are small — a mask and
 #: an epoch vector — so the cache can be generous).
-DEFAULT_FRAGMENT_CAPACITY = 256
+FRAGMENT_CAPACITY = 256
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,9 @@ class CandidateSetCache:
     fresh, which is what lets DELETE leave the cache untouched.
     """
 
-    def __init__(
-        self, zonemaps: ZoneMaps, capacity: int = DEFAULT_FRAGMENT_CAPACITY
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, zonemaps: ZoneMaps) -> None:
         self.zonemaps = zonemaps
-        self.capacity = int(capacity)
+        self.capacity = FRAGMENT_CAPACITY
         #: Per-crossbar epoch counters; a bump marks every cached verdict for
         #: that crossbar stale.
         self.epochs = np.zeros(zonemaps.crossbars, dtype=np.int64)

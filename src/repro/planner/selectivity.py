@@ -30,7 +30,6 @@ from repro.db.query import And, Comparison, Or, Predicate
 from repro.db.query import (
     BETWEEN,
     EQ,
-    GE,
     GT,
     IN,
     LE,
@@ -42,7 +41,7 @@ from repro.db.schema import Schema
 
 #: Target bucket count of a column histogram (power of two; narrow columns
 #: get one bucket per value).
-DEFAULT_BUCKETS = 16
+BUCKETS = 16
 
 
 #: The two histogram kinds (:attr:`ColumnHistogram.kind`).
@@ -88,12 +87,11 @@ class ColumnHistogram:
         cls,
         values: np.ndarray,
         width: int,
-        buckets: int = DEFAULT_BUCKETS,
         kind: str = EQUI_WIDTH,
     ) -> ColumnHistogram:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
         if kind == EQUI_WIDTH:
-            shift = np.uint64(max(0, int(width) - int(buckets).bit_length() + 1))
+            shift = np.uint64(max(0, int(width) - BUCKETS.bit_length() + 1))
             count = 1 << max(0, int(width) - int(shift))
             edges = (np.arange(1, count + 1, dtype=np.uint64) << shift) - np.uint64(1)
             # Uniform edges: a shift finds the buckets of a whole column at
@@ -105,7 +103,7 @@ class ColumnHistogram:
         max_value = np.uint64((1 << int(width)) - 1)
         edges = np.array([max_value], dtype=np.uint64)
         if ordered.size:
-            target = max(1, min(int(buckets), ordered.size))
+            target = max(1, min(BUCKETS, ordered.size))
             # Quantile positions: the last value of each of `target` equal slices.
             positions = (np.arange(1, target + 1) * ordered.size) // target - 1
             edges = np.union1d(ordered[positions], edges).astype(np.uint64)
@@ -196,10 +194,10 @@ class SelectivityModel:
         self.histograms = histograms
 
     @classmethod
-    def from_relation(cls, relation, buckets: int = DEFAULT_BUCKETS) -> SelectivityModel:
+    def from_relation(cls, relation) -> SelectivityModel:
         histograms = {
             attribute.name: ColumnHistogram.from_values(
-                relation.column(attribute.name), attribute.width, buckets
+                relation.column(attribute.name), attribute.width
             )
             for attribute in relation.schema
         }

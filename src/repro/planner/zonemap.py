@@ -336,16 +336,11 @@ class ZoneMaps:
 
     # ------------------------------------------------------------ cost model
     @staticmethod
-    def charge_check(
-        stats: PimStats,
-        host: HostConfig,
-        entries: float,
-        phase: str = "zonemap-check",
-    ) -> None:
+    def charge_check(stats: PimStats, host: HostConfig, entries: float) -> None:
         """Charge the host-side cost of consulting ``entries`` zone entries."""
         if entries <= 0:
             return
-        stats.add_time(phase, entries * CHECK_CYCLES / host.frequency_hz)
+        stats.add_time("zonemap-check", entries * CHECK_CYCLES / host.frequency_hz)
 
     @staticmethod
     def charge_maintenance(

@@ -174,7 +174,6 @@ class QueryService:
         config: SystemConfig | None = None,
         label: str | None = None,
         cost_model: GroupByCostModel | None = None,
-        sample_pages: int = 1,
         timing_scale: float = 1.0,
         default: bool = False,
     ) -> ShardedQueryEngine:
@@ -189,8 +188,7 @@ class QueryService:
         self._check_name_free(name)
         return self._register_engine(
             name, stored, self.pool, default, config=config, label=label,
-            cost_model=cost_model, sample_pages=sample_pages,
-            timing_scale=timing_scale,
+            cost_model=cost_model, timing_scale=timing_scale,
         )
 
     def register_sharded(
@@ -202,7 +200,6 @@ class QueryService:
         config: SystemConfig | None = None,
         label: str | None = None,
         cost_model: GroupByCostModel | None = None,
-        sample_pages: int = 1,
         timing_scale: float = 1.0,
         max_workers: int = 1,
         partitions: Sequence[Sequence[str]] | None = None,
@@ -243,7 +240,7 @@ class QueryService:
         return self._register_engine(
             name, sharded, self.pool if max_workers > 1 else None, default,
             config=config, label=label, cost_model=cost_model,
-            sample_pages=sample_pages, timing_scale=timing_scale,
+            timing_scale=timing_scale,
         )
 
     def _register_engine(

@@ -124,7 +124,6 @@ class ShardedQueryEngine:
         config: SystemConfig | None = None,
         label: str = "sharded",
         cost_model: GroupByCostModel | None = None,
-        sample_pages: int = 1,
         timing_scale: float = 1.0,
         compiler: ProgramCache | None = None,
         pruning: bool = False,
@@ -141,7 +140,7 @@ class ShardedQueryEngine:
             config: System configuration; defaults to the module's.
             label: Name used in reports; at K > 1 shard engines append
                 ``/s{k}``, at K = 1 the one store engine keeps ``label``.
-            cost_model / sample_pages / timing_scale: Forwarded
+            cost_model / timing_scale: Forwarded
                 to every shard's :class:`PimQueryEngine`.  ``timing_scale``
                 extrapolates each shard — the sharded relation it models is
                 ``timing_scale`` times the stored one, shard by shard.
@@ -181,7 +180,6 @@ class ShardedQueryEngine:
                 config=self.config,
                 label=label if len(sharded.shards) == 1 else f"{label}/s{index}",
                 cost_model=cost_model,
-                sample_pages=sample_pages,
                 timing_scale=timing_scale,
                 compiler=self.compiler,
                 pruning=self.pruning,

@@ -59,12 +59,10 @@ def two_xb_partitions(prejoined: Relation) -> list[list[str]]:
     return [fact_names, dimension_names]
 
 
-def build_ssb_prejoined(database: Database, name: str = "ssb_prejoined") -> Relation:
+def build_ssb_prejoined(database: Database) -> Relation:
     """Build the pre-joined SSB relation (fact joined with all dimensions)."""
     return build_prejoined_relation(
-        database,
-        name=name,
-        derived=DERIVED_ATTRIBUTES,
+        database, name="ssb_prejoined", derived=DERIVED_ATTRIBUTES
     )
 
 

@@ -261,8 +261,7 @@ class GroundTruthOracle:
             assert histogram.total == stored.live_count, name
             if histogram.kind == EQUI_WIDTH:
                 fresh = ColumnHistogram.from_values(
-                    stored.relation.column(name)[slots],
-                    histogram.width, histogram.buckets,
+                    stored.relation.column(name)[slots], histogram.width
                 )
                 assert np.array_equal(histogram.counts, fresh.counts), name
 

@@ -170,7 +170,8 @@ def test_rebuild_preserves_histogram_variant():
 
 # --------------------------------------------------------- adaptive controller
 def test_error_accumulates_and_triggers_per_column():
-    controller = AdaptiveController(error_threshold=2.0)
+    controller = AdaptiveController()
+    controller.error_threshold = 2.0
     predicate = Comparison("a", "==", 1)
     # Perfect estimates never trigger.
     for _ in range(50):
@@ -185,7 +186,8 @@ def test_error_accumulates_and_triggers_per_column():
 
 
 def test_error_splits_across_predicate_columns():
-    controller = AdaptiveController(error_threshold=1.0)
+    controller = AdaptiveController()
+    controller.error_threshold = 1.0
     both = And((Comparison("a", "==", 1), Comparison("b", "==", 2)))
     # A total miss split over two columns adds 0.5 to each.
     assert controller.observe(both, 0.5, 0.0, 10) == []
@@ -193,7 +195,8 @@ def test_error_splits_across_predicate_columns():
 
 
 def test_hot_column_and_pair_tracking():
-    controller = AdaptiveController(pair_threshold=100.0)
+    controller = AdaptiveController()
+    controller.pair_threshold = 100.0
     controller.observe(Comparison("a", "==", 1), 0.1, 0.1, 30)
     controller.observe(Comparison("b", "==", 1), 0.1, 0.1, 200)
     assert controller.hottest_column() == "b"

@@ -70,7 +70,7 @@ def _relation(seed: int, num_cities: int, records: int = 384) -> Relation:
 
 def _execute(relation, queries, backend, strategy, pruning, partitions):
     """Run ``queries`` back to back on one fresh store."""
-    config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
+    config = DEFAULT_CONFIG.with_backend(backend).replace(execution=strategy)
     stored = StoredRelation(
         relation, PimModule(config), label="batch",
         partitions=partitions, aggregation_width=22,
@@ -211,7 +211,7 @@ def test_batched_is_the_default_and_gated_on_the_circuit():
     relation = _relation(seed=5, num_cities=4)
     executions = {}
     for strategy in STRATEGIES:
-        config = DEFAULT_CONFIG.with_execution(strategy)
+        config = DEFAULT_CONFIG.replace(execution=strategy)
         config = config.without_aggregation_circuit()
         stored = StoredRelation(
             relation, PimModule(config), label="nocircuit", aggregation_width=22
@@ -310,7 +310,7 @@ def _keyed_service(execution: str, distinct_keys: int):
         "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
         "value": rng.integers(0, 256, 3000).astype(np.uint64),
     })
-    config = DEFAULT_CONFIG.with_execution(execution)
+    config = DEFAULT_CONFIG.replace(execution=execution)
     stored = StoredRelation(
         relation, PimModule(config), label="k", aggregation_width=20,
         partitions=[["value"], ["key", "bucket"]],
@@ -398,7 +398,7 @@ def _charge_service(execution, subgroups, pruning, partitions, backend="packed")
         "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
         "value": np.sort(rng.integers(0, 256, 3000).astype(np.uint64)),
     })
-    config = DEFAULT_CONFIG.with_execution(execution).with_backend(backend)
+    config = DEFAULT_CONFIG.replace(execution=execution).with_backend(backend)
     stored = StoredRelation(
         relation, PimModule(config), label="c", aggregation_width=20,
         partitions=partitions,

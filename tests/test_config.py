@@ -14,7 +14,6 @@ def test_crossbar_geometry_matches_table1():
     assert xbar.read_width_bits == 16
     assert xbar.logic_cycle_s == pytest.approx(30e-9)
     assert xbar.bits == 1024 * 512
-    assert xbar.row_bytes == 64
 
 
 def test_module_derived_geometry():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.config import DEFAULT_CONFIG
 from repro.db.compiler import (
     CompilationError,
+    compile_group_mask,
     compile_group_predicate,
     compile_predicate,
     partition_conjuncts,
@@ -155,7 +156,7 @@ def test_compiled_group_predicate(toy_stored, toy_relation):
         Comparison("year", EQ, 1995), toy_relation.schema, layout
     )
     executor.run_program(toy_stored.allocations[0].bank, base, pages=1)
-    group = compile_group_predicate({"city": 4}, layout)
+    group = compile_group_mask({"city": 4}, layout, layout.filter_column, False)
     executor.run_program(toy_stored.allocations[0].bank, group, pages=1)
     expected = (toy_relation.column("year") == 1995) & (toy_relation.column("city") == 4)
     assert np.array_equal(

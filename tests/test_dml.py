@@ -270,7 +270,7 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards, made_exe
     late = {"key": 3, "value": 4, "city": 9}          # city codes fit 2 bits
     early = {"key": 1 << 8, "value": 4, "city": "OSLO"}
     with pytest.raises(ValueError) as alone:
-        relation.encode_record(late)
+        relation.encode_records([late])
     digest = target.state_digest()
     nothing = PimExecutor(config).stats.totals()
     made_executors.clear()
@@ -286,9 +286,9 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards, made_exe
     batch = [good, {"key": 5, "value": 6, "city": "PERTH"}, {"key": 7, "value": 8, "city": 1}]
     columns = relation.encode_records(batch)
     for index, record in enumerate(batch):
-        assert {name: column[index] for name, column in columns.items()} == (
-            relation.encode_record(record)
-        )
+        assert {name: column[index] for name, column in columns.items()} == {
+            name: column[0] for name, column in relation.encode_records([record]).items()
+        }
     assert all(column.dtype == np.uint64 for column in columns.values())
     assert insert(batch).records_inserted == 3
 

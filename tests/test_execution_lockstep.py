@@ -55,7 +55,7 @@ CELL_QUERIES = {
 
 def _service(prejoined, execution, pruning, shards, all_pim) -> QueryService:
     """One bundle's service over its own banks, the relation registered as "ssb"."""
-    config = DEFAULT_CONFIG.with_execution(execution)
+    config = DEFAULT_CONFIG.replace(execution=execution)
     service = QueryService(pruning=pruning, planner=False)
     options = {
         "config": config,

@@ -26,16 +26,13 @@ def small_setup():
 
 @pytest.fixture(scope="module")
 def small_records(small_setup):
-    return run_all_queries(
-        small_setup, queries=("Q1.1", "Q2.3", "Q3.1", "Q4.1"), verify=True
-    )
+    return run_all_queries(small_setup, queries=("Q1.1", "Q2.3", "Q3.1", "Q4.1"))
 
 
 def test_setup_builds_requested_configs(small_setup):
     assert set(small_setup.pim_engines) == {"one_xb", "pimdb"}
     assert small_setup.configs == ("one_xb", "pimdb", "mnt_join")
     assert small_setup.timing_scale > 1
-    assert small_setup.modelled_pages > small_setup.pim_engines["one_xb"].stored.pages
 
 
 def test_run_all_queries_is_cached_and_verified(small_setup, small_records):
@@ -43,6 +40,26 @@ def test_run_all_queries_is_cached_and_verified(small_setup, small_records):
     assert len(small_records) == 4 * 3
     by = records_by(small_records)
     assert by[("one_xb", "Q1.1")].time_s > 0
+
+
+def test_run_all_queries_names_the_configuration_that_disagrees(monkeypatch):
+    """The cross-configuration check always runs: one configuration's
+    perturbed rows raise, naming that configuration and the query."""
+    from types import SimpleNamespace
+
+    setup = build_setup(scale_factor=0.002, configs=("one_xb", "mnt_join"))
+    execute = setup.execute
+
+    def perturbed(config, query):
+        execution = execute(config, query)
+        if config == "mnt_join" and query.name == "Q2.1":
+            return SimpleNamespace(rows={**execution.rows, (-1,): {"revenue": 1}})
+        return execution
+
+    monkeypatch.setattr(setup, "execute", perturbed)
+    with pytest.raises(AssertionError, match="configuration mnt_join disagrees on Q2.1"):
+        run_all_queries(setup, queries=("Q1.1", "Q2.1"))
+    assert setup._records is None
 
 
 def test_helpers():
@@ -79,18 +96,18 @@ def test_speedup_and_ratio_helpers(small_records):
     assert any("pimdb" in name for name in names)
 
 
-def test_ablation_helpers(small_setup):
+def test_ablation_helpers(small_setup, monkeypatch):
     rows = ablation.aggregation_circuit_ablation(small_setup, queries=("Q1.1",))
     variants = {row.variant for row in rows}
     assert variants == {"with circuit", "bulk-bitwise only"}
     report = ablation.prejoin_storage_report(small_setup)
     assert report.fits_in_single_row
-    _assert_sampling_rows_match_fresh_engines(small_setup, pages=(1, 2))
+    _assert_sampling_rows_match_fresh_engines(small_setup, (1, 2), monkeypatch)
     assert "Pre-join storage accounting" in ablation.render(small_setup)
 
 
 def test_sampling_ablation_rows_follow_the_budget_on_a_multi_page_store(
-    small_setup,
+    small_setup, monkeypatch,
 ):
     """Three copies of the instance span two pages, so a 2-page sample reads
     more than a 1-page one: a plan reused across budgets would show."""
@@ -118,25 +135,27 @@ def test_sampling_ablation_rows_follow_the_budget_on_a_multi_page_store(
         timing_scale=base.timing_scale,
     )
     setup = replace(small_setup, pim_engines={"one_xb": engine}, _records=None)
-    rows = _assert_sampling_rows_match_fresh_engines(setup, pages=(1, 2))
+    rows = _assert_sampling_rows_match_fresh_engines(setup, (1, 2), monkeypatch)
     assert rows[0].time_s != rows[1].time_s
 
 
-def _assert_sampling_rows_match_fresh_engines(setup, pages):
+def _assert_sampling_rows_match_fresh_engines(setup, pages, monkeypatch):
     """Each ``sampling_ablation`` row equals a new engine's execution at that
     sampling budget over the same store."""
     from repro.core.executor import PimQueryEngine
     from repro.ssb import ALL_QUERIES
 
-    rows = ablation.sampling_ablation(setup, sample_pages=pages)
+    monkeypatch.setattr(ablation, "SAMPLE_PAGES", pages)
+    rows = ablation.sampling_ablation(setup)
     assert len(rows) == len(pages)
     base = setup.pim_engines["one_xb"]
     for row, budget in zip(rows, pages):
         fresh = PimQueryEngine(
             base.stored, config=base.config, label=base.label,
-            cost_model=base.cost_model, sample_pages=budget,
-            timing_scale=base.timing_scale,
-        ).execute(ALL_QUERIES[row.name])
+            cost_model=base.cost_model, timing_scale=base.timing_scale,
+        )
+        fresh.sample_pages = budget
+        fresh = fresh.execute(ALL_QUERIES[row.name])
         assert (row.time_s, row.energy_j, row.pim_subgroups) == (
             fresh.time_s, fresh.energy_j, fresh.pim_subgroups
         )

@@ -285,7 +285,7 @@ def test_executor_charges_identical_stats_for_both_strategies():
     for backend in ("bool", "packed"):
         stats = {}
         for strategy, kernel in (("dispatch", "dispatch"), ("batched", "fused")):
-            config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
+            config = DEFAULT_CONFIG.with_backend(backend).replace(execution=strategy)
             executor = PimExecutor(config, PimStats())
             bank = _seeded_banks(23)[backend, kernel]
             executor.run_program(bank, program, pages=4.0, phase="filter")
@@ -335,7 +335,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
     with and without pruning, on both aggregation paths."""
     executions = {}
     for strategy in ("batched", "dispatch"):
-        config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
+        config = DEFAULT_CONFIG.with_backend(backend).replace(execution=strategy)
         if not circuit:
             config = config.without_aggregation_circuit()
         stored = StoredRelation(
@@ -354,7 +354,7 @@ def test_engine_fused_matches_dispatch(backend, pruning, circuit):
 def test_program_cache_reuses_fused_kernels():
     """Cache hits carry the compiled kernel along with the program."""
     cache = ProgramCache(capacity=32)
-    config = DEFAULT_CONFIG.with_execution("batched")
+    config = DEFAULT_CONFIG.replace(execution="batched")
     stored = StoredRelation(_mini_relation(), PimModule(config), label="mini")
     engine = PimQueryEngine(
         stored, config=config, compiler=cache

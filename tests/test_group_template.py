@@ -34,7 +34,7 @@ from repro.core.latency_model import (
 from repro.db.compiler import (
     GroupMaskTemplate,
     compile_group_combine,
-    compile_group_predicate,
+    compile_group_mask,
 )
 from repro.db.query import Aggregate, Query
 from repro.db.relation import Relation
@@ -133,13 +133,7 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
 
             for index, key in enumerate(keys):
                 group_values = dict(zip(grouped, key))
-                program = compile_group_combine(group_values, layout, remote)
-                if filter_column == layout.valid_column:
-                    twin = compile_group_predicate(
-                        group_values, layout, filter_column=layout.valid_column
-                    )
-                    assert twin.cycles == program.cycles
-                    program = twin
+                program = compile_group_mask(group_values, layout, filter_column, remote)
                 # What the batched path charges for this key's program.
                 cost = ProgramCost(int(cycles[index]), template.result_column)
                 assert cost == (program.cycles, program.result_column)
@@ -190,7 +184,7 @@ def _prune(bank, xbars):
 ), ids=("w1", "w1-one-value", "widest-one-value", "widest-duplicates"))
 def test_equality_stage_edge_cases(backend, xbars, width, values):
     """The mismatch stage against ``eq_const`` and the whole mask against
-    ``compile_group_predicate``, both executed op by op: W = 1 and the widest
+    ``compile_group_mask``, both executed op by op: W = 1 and the widest
     SSB GROUP-BY field, one distinct value, duplicate keys (the gather by
     ``inverse``), the constants 0 and 2^W - 1, broadcast, a non-contiguous
     crossbar subset and an empty one."""
@@ -214,9 +208,7 @@ def test_equality_stage_edge_cases(backend, xbars, width, values):
         builder = ProgramBuilder(layout.scratch_columns)
         builder.store(builder.eq_const(field, constant), layout.group_column)
         equality = builder.build(result_column=layout.group_column)
-        mask = compile_group_predicate(
-            {"a": constant}, layout, filter_column=layout.valid_column
-        )
+        mask = compile_group_mask({"a": constant}, layout, layout.valid_column, False)
         for program, expected in ((equality, ~mismatches[key]), (mask, masks[key])):
             scratch = copy.deepcopy(bank)
             if index is None:
@@ -312,7 +304,7 @@ def _grouped_service(execution: str, capacity: int):
         "bucket": rng.integers(0, 2, 3000).astype(np.uint64),
         "value": rng.integers(0, 256, 3000).astype(np.uint64),
     })
-    config = DEFAULT_CONFIG.with_execution(execution)
+    config = DEFAULT_CONFIG.replace(execution=execution)
     stored = StoredRelation(
         relation, PimModule(config), label="g", aggregation_width=20
     )
@@ -359,7 +351,7 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     )
     assert lowered == [template.program]
 
-    calls = {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
+    calls = {"mask": 0, "lower": 0, "run": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -368,12 +360,8 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        program_cache, "compile_group_combine",
-        counting("combine", program_cache.compile_group_combine),
-    )
-    monkeypatch.setattr(
-        program_cache, "compile_group_predicate",
-        counting("predicate", program_cache.compile_group_predicate),
+        program_cache, "compile_group_mask",
+        counting("mask", program_cache.compile_group_mask),
     )
     monkeypatch.setattr(
         batched, "lower_program", counting("lower", batched.lower_program)
@@ -384,7 +372,7 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     after = cache.snapshot()
     monkeypatch.undo()
 
-    assert calls == {"combine": 0, "predicate": 0, "lower": 0, "run": 1}
+    assert calls == {"mask": 0, "lower": 0, "run": 1}
     assert after.evictions == before.evictions
     assert after.misses == before.misses
     assert len(cache) <= 8

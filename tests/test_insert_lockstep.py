@@ -103,7 +103,10 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
     encoded_records = (
         [dict(zip(records, values)) for values in zip(*records.values())]
         if encoded
-        else [relation.encode_record(values) for values in records]
+        else [
+            {name: column[0] for name, column in relation.encode_records([values]).items()}
+            for values in records
+        ]
     )
     result = InsertResult()
     tail_records = []
@@ -127,16 +130,16 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
             row = allocation.row_of_record(slot)
             for name in attrs:
                 offset, width = layout.fields[name]
-                executor.host_write_field(
-                    bank, xbar, row, offset, width, int(record[name]), phase=phase
-                )
+                bank.write_field(xbar, row, offset, width, int(record[name]))
+                executor.charge_host_writes((width,), 1, phase)
             for column, bit in (
                 (layout.filter_column, 0),
                 (layout.group_column, 0),
                 (layout.remote_column, 0),
                 (layout.valid_column, 1),
             ):
-                executor.host_write_field(bank, xbar, row, column, 1, bit, phase=phase)
+                bank.write_field(xbar, row, column, 1, bit)
+                executor.charge_host_writes((1,), 1, phase)
     _append_rows(relation, tail_records)
     stored.statistics.charge_maintenance(
         executor.stats, executor.config.host,
@@ -410,7 +413,7 @@ def test_insert_and_compaction_calls_do_not_scale_with_the_batch(monkeypatch):
     expected = PimStats()
     reader = HostReadModel(config, expected)
     for partition, attrs in enumerate(stored.partition_attributes):
-        reader.read_records(stored, partition, live_indices, attrs, phase="compact-read")
+        reader.charge_record_reads(stored, partition, live_indices, attrs, "compact-read")
     bits = sum(
         slots_before * (
             sum(layout.fields[name][1] for name in attrs)

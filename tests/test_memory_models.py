@@ -11,7 +11,7 @@ from repro.memory.endurance import (
     required_endurance,
     writes_per_cell,
 )
-from repro.memory.energy import average_power_w, energy_breakdown, energy_per_record_j
+from repro.memory.energy import energy_breakdown
 from repro.pim.stats import PimStats
 
 
@@ -66,8 +66,3 @@ def test_energy_breakdown_and_average_power():
     assert breakdown["logic"] == pytest.approx(2e-3)
     assert breakdown["total"] == pytest.approx(3e-3)
     assert breakdown["write"] == 0.0
-    assert average_power_w(stats) == pytest.approx(6e-3)
-    assert average_power_w(PimStats()) == 0.0
-    assert energy_per_record_j(stats, 1000) == pytest.approx(3e-6)
-    with pytest.raises(ValueError):
-        energy_per_record_j(stats, 0)

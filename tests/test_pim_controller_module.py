@@ -100,6 +100,54 @@ def test_aggregate_with_circuit_gathers_sparse_masks(backend, operation, subset,
     }
 
 
+def _thousands_bank(selected):
+    """A 2 x 128 packed bank of 10-bit 1000s, ``selected`` cells masked (spread
+    over both crossbars): 2 cells take the gather branch, 100 the decode."""
+    bank = make_bank("packed", count=2, rows=128, columns=128)
+    bank.write_field_column(0, 10, np.full((2, 128), 1000, dtype=np.uint64))
+    mask = np.zeros((2, 128), dtype=bool)
+    mask.reshape(-1)[:: 256 // selected][:selected] = True
+    bank.write_bool_column(20, mask)
+    assert (selected <= 256 * GATHER_MAX_SHARE) == (selected == 2)
+    return bank, mask
+
+
+@pytest.mark.parametrize("operation", ["max", "min"])
+@pytest.mark.parametrize("selected", [2, 100])
+def test_aggregate_with_circuit_rejects_a_narrow_min_max(selected, operation):
+    """A min / max into a result narrower than its field cannot be right:
+    both branches raise before anything is read, written or charged."""
+    bank, _ = _thousands_bank(selected)
+    words, wear = bank.words.copy(), bank.wear_snapshot()
+    reads = []
+    read_column = bank.read_column
+    bank.read_column = lambda *args, **kwargs: reads.append(args) or read_column(
+        *args, **kwargs
+    )
+    executor = PimExecutor(DEFAULT_CONFIG)
+    with pytest.raises(ValueError, match="10-bit field does not fit a 8-bit result"):
+        executor.aggregate_with_circuit(
+            bank, 0, 10, 20, 40, pages=1, operation=operation, result_width=8
+        )
+    assert reads == []
+    assert np.array_equal(bank.words, words)
+    assert np.array_equal(bank.wear_snapshot(), wear)
+    assert executor.stats == PimStats()
+
+
+@pytest.mark.parametrize("selected", [2, 100])
+def test_aggregate_with_circuit_wraps_a_narrow_sum(selected):
+    """A sum keeps wrapping modulo ``2**result_width`` on both branches."""
+    bank, mask = _thousands_bank(selected)
+    executor = PimExecutor(DEFAULT_CONFIG)
+    results = executor.aggregate_with_circuit(
+        bank, 0, 10, 20, 40, pages=1, operation="sum", result_width=8
+    )
+    expected = mask.sum(axis=1) * 1000 % 256
+    assert results.tolist() == expected.tolist()
+    assert [bank.read_field(xbar, 0, 40, 8) for xbar in range(2)] == expected.tolist()
+
+
 def test_aggregate_with_circuit_requires_enabled_circuit():
     bank = _bank()
     executor = PimExecutor(DEFAULT_CONFIG.without_aggregation_circuit())
@@ -152,7 +200,6 @@ def test_module_allocation_and_capacity():
     assert allocation.record_capacity >= 100_000
     assert allocation.crossbar_of_record(1024) == 1
     assert allocation.row_of_record(1025) == 1
-    assert allocation.page_of_record(32 * 1024) == 1
     assert module.pages_used == 4
     with pytest.raises(ValueError):
         module.allocate_pages(1, "relation")

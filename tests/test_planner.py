@@ -757,7 +757,8 @@ def test_note_delete_rejects_negative_live_counts():
 
 def test_fragment_cache_lru_eviction():
     stored = _store(clustered_relation())
-    cache = CandidateSetCache(stored.statistics.zonemaps, capacity=2)
+    cache = CandidateSetCache(stored.statistics.zonemaps)
+    cache.capacity = 2
     cp = DEFAULT_CONFIG.pim.crossbars_per_page
     fragments = [Comparison("key", "<", bound) for bound in (100, 200, 300)]
     for fragment in fragments:

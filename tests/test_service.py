@@ -85,7 +85,7 @@ def test_service_answers_from_the_stored_bits(toy_relation, backend, shards):
     assert service.execute(query).scalar() == truth
 
     slot = int(np.flatnonzero(evaluate_predicate(query.predicate, stored.relation))[0])
-    allocation = stored.allocation_of("year")
+    allocation = stored.allocations[stored.partition_of("year")]
     offset, width = stored.layout_of("year").fields["year"]
     xbar, row = allocation.crossbar_of_record(slot), allocation.row_of_record(slot)
     value = allocation.bank.read_field(xbar, row, offset, width)

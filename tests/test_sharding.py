@@ -125,7 +125,8 @@ def test_modelled_latency_scales_with_shards_on_page_aligned_data():
     config = DEFAULT_CONFIG.with_backend("packed")
     records = config.pim.records_per_page * 4
     dataset = generate(scale_factor=records / LINEORDERS_PER_SF, skew=0.5, seed=42)
-    relation = build_ssb_prejoined(dataset.database).head(records)
+    relation = build_ssb_prejoined(dataset.database)
+    relation = relation.select(np.arange(len(relation)) < records)
     width = max_aggregated_width(relation)
     timing_scale = LINEORDERS_PER_SF * 10.0 / records
     engines = {0: PimQueryEngine(

@@ -69,11 +69,14 @@ def test_generator_is_deterministic_and_skewed():
 
 
 def test_covering_assignment_guarantees_query_constants(ssb_dataset):
-    customer_cities = set(ssb_dataset.customer.decoded_column("c_city"))
-    supplier_cities = set(ssb_dataset.supplier.decoded_column("s_city"))
+    def decoded(relation, name):
+        return set(map(relation.schema.attribute(name).decode_value, relation.column(name)))
+
+    customer_cities = decoded(ssb_dataset.customer, "c_city")
+    supplier_cities = decoded(ssb_dataset.supplier, "s_city")
     assert {"UNITED KI1", "UNITED KI5"} <= customer_cities
     assert {"UNITED KI1", "UNITED KI5"} <= supplier_cities
-    brands = set(ssb_dataset.part.decoded_column("p_brand1"))
+    brands = decoded(ssb_dataset.part, "p_brand1")
     assert "MFGR#2239" in brands
 
 
