@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Sequence
 from typing import ClassVar, TypeVar
 
-from repro.db.compiler import GroupMaskTemplate, compile_group_mask, compile_predicate
+from repro.db.compiler import (
+    GroupMaskTemplate,
+    compile_group_combine,
+    compile_group_predicate,
+    compile_predicate,
+)
 from repro.db.encoding import RowLayout
 from repro.db.query import Predicate
 from repro.db.schema import Schema
@@ -158,7 +163,7 @@ class ProgramCache:
         """Remote-partition subgroup equality program (per-subgroup pim-gb)."""
         return self._lookup(
             ("group", tuple(sorted(group_values.items())), layout),
-            lambda: compile_group_mask(group_values, layout, layout.valid_column, False),
+            lambda: compile_group_predicate(group_values, layout),
         )
 
     def combine_program(
@@ -172,10 +177,7 @@ class ProgramCache:
             layout,
         )
         return self._lookup(
-            key,
-            lambda: compile_group_mask(
-                group_values, layout, layout.filter_column, include_remote
-            ),
+            key, lambda: compile_group_combine(group_values, layout, include_remote)
         )
 
     def group_template(

@@ -64,7 +64,6 @@ def compile_predicate(predicate: Predicate, schema: Schema, layout: RowLayout) -
 
 def compile_group_predicate(group_values: dict[str, int], layout: RowLayout) -> Program:
     """The remote-partition subgroup mask: :func:`compile_group_mask` over the valid bit."""
-    # No caller in src/: kept because perf/layers.py names it.
     return compile_group_mask(group_values, layout, layout.valid_column, False)
 
 
@@ -72,7 +71,6 @@ def compile_group_combine(
     group_values: dict[str, int], layout: RowLayout, include_remote: bool
 ) -> Program:
     """The primary-partition subgroup mask: :func:`compile_group_mask` over the filter bit."""
-    # No caller in src/: kept because perf/layers.py names it.
     return compile_group_mask(group_values, layout, layout.filter_column, include_remote)
 
 

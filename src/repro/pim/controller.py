@@ -466,9 +466,12 @@ class PimExecutor:
         value: int,
     ) -> None:
         """A standard host store into PIM-resident data (no PIM request)."""
-        # No caller in src/: INSERT writes column-wise through charge_host_writes.
+        # No caller in src/: INSERT charges column-wise through charge_host_writes.
         bank.write_field(xbar, row, offset, width, value)
-        self.charge_host_writes((width,), 1)
+        xcfg = self._xbar
+        self.stats.add_time("host-write", xcfg.write_latency_s)
+        self.stats.add_energy("write", width * xcfg.write_energy_per_bit_j)
+        self.stats.add_events("bits_written", width)
 
     def charge_host_writes(
         self, widths: Sequence[int], count: int, phase: str = "host-write"

@@ -351,7 +351,7 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     )
     assert lowered == [template.program]
 
-    calls = {"mask": 0, "lower": 0, "run": 0}
+    calls = {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
@@ -360,8 +360,12 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        program_cache, "compile_group_mask",
-        counting("mask", program_cache.compile_group_mask),
+        program_cache, "compile_group_combine",
+        counting("combine", program_cache.compile_group_combine),
+    )
+    monkeypatch.setattr(
+        program_cache, "compile_group_predicate",
+        counting("predicate", program_cache.compile_group_predicate),
     )
     monkeypatch.setattr(
         batched, "lower_program", counting("lower", batched.lower_program)
@@ -372,7 +376,7 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     after = cache.snapshot()
     monkeypatch.undo()
 
-    assert calls == {"mask": 0, "lower": 0, "run": 1}
+    assert calls == {"combine": 0, "predicate": 0, "lower": 0, "run": 1}
     assert after.evictions == before.evictions
     assert after.misses == before.misses
     assert len(cache) <= 8

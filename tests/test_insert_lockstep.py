@@ -5,7 +5,7 @@ one counted charge per distinct store width, one statistics update.  What it
 *models* is still one host store per attribute and bookkeeping bit of every
 record.  :func:`oracle_insert` below is that loop, kept verbatim from
 the code the columnar path replaced (``acquire_slot``, :func:`_set_row`, scalar
-zone-map / histogram / sketch widening, one ``host_write_field`` per store);
+zone-map / histogram / sketch widening, one charged host store per field);
 every observable piece of state must come out identical — the floats too
 (one ``state_digest()``, :func:`twins.assert_same_state`).
 """
@@ -97,6 +97,15 @@ def _append_rows(relation, records) -> None:
     relation.num_records += len(records)
 
 
+def _host_store(executor, bank, xbar, row, offset, width, value, phase) -> None:
+    """One host store and its own charges, as the per-record loop made them."""
+    bank.write_field(xbar, row, offset, width, value)
+    xcfg = executor.config.pim.crossbar
+    executor.stats.add_time(phase, xcfg.write_latency_s)
+    executor.stats.add_energy("write", width * xcfg.write_energy_per_bit_j)
+    executor.stats.add_events("bits_written", width)
+
+
 def oracle_insert(stored, records, executor, phase="insert-write", encoded=False):
     """The per-record INSERT loop (same signature as ``execute_insert``)."""
     relation = stored.relation
@@ -130,16 +139,16 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
             row = allocation.row_of_record(slot)
             for name in attrs:
                 offset, width = layout.fields[name]
-                bank.write_field(xbar, row, offset, width, int(record[name]))
-                executor.charge_host_writes((width,), 1, phase)
+                _host_store(
+                    executor, bank, xbar, row, offset, width, int(record[name]), phase
+                )
             for column, bit in (
                 (layout.filter_column, 0),
                 (layout.group_column, 0),
                 (layout.remote_column, 0),
                 (layout.valid_column, 1),
             ):
-                bank.write_field(xbar, row, column, 1, bit)
-                executor.charge_host_writes((1,), 1, phase)
+                _host_store(executor, bank, xbar, row, column, 1, bit, phase)
     _append_rows(relation, tail_records)
     stored.statistics.charge_maintenance(
         executor.stats, executor.config.host,
