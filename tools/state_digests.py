@@ -22,15 +22,19 @@ b``) and exits 1 on any difference, 0 when the two reports are identical.
   ``QueryService.state_digest()`` afterwards, ``model`` hashes each batch
   execution's ``(time_s, energy_j)`` and each DML outcome's total time and
   energy, and ``totals`` hashes ``sorted(stats.totals().items())`` of each
-  batch execution and DML outcome, in op order.
+  batch execution and DML outcome, in op order.  ``parts.<part>`` splits
+  ``state`` by part: for each part of ``StoredRelation.state_parts()``
+  (``bank``, ``histograms``, ``slots``, ...), a sha256 over that part's
+  digest of every store of the relation in shard order, so a moved
+  ``state`` names the parts that moved.
 * ``dml``: a fixed DELETE / UPDATE / INSERT / compact sequence on the toy
   relation, registered as one store (K1) and as four shards (K4), on both
-  bank backends.  ``state`` is the final ``state_digest()``, ``ops`` hashes
-  each op's count and per-store ``stats.totals()``.
+  bank backends.  ``state`` is the final ``state_digest()`` (with its
+  ``parts``), ``ops`` hashes each op's count and per-store ``stats.totals()``.
 * ``paper``: the evaluation's PIM configurations (``one_xb``, ``two_xb``,
   ``pimdb``; scale factor 0.002, seed 42) after ``run_all_queries``.
   ``records`` hashes the configuration's ``QueryRecord`` rows in query
-  order, ``state`` is its store's ``state_digest()``.  They reach the
+  order, ``state`` is its store's ``state_digest()`` (with its ``parts``).  They reach the
   unpruned broadcast, two-xb's remote partition and pimdb's per-subgroup
   bulk-bitwise loop, which no ``perf`` workload runs.
 * ``k1_registrations_differing``: of the 13 SSB queries (planner on), how
@@ -52,6 +56,15 @@ import sys
 
 def _short(digest) -> str:
     return (digest if isinstance(digest, str) else digest.hexdigest())[:16]
+
+
+def part_digests(stores) -> dict[str, str]:
+    """Per part of ``state_parts()``, one digest over ``stores`` in order."""
+    parts = {}
+    for stored in stores:
+        for name, value in stored.state_parts().items():
+            parts.setdefault(name, hashlib.sha256()).update(value.encode())
+    return {name: _short(digest) for name, digest in parts.items()}
 
 
 def workload_digests(workloads, name: str) -> dict[str, str]:
@@ -79,6 +92,7 @@ def workload_digests(workloads, name: str) -> dict[str, str]:
         "state": _short(instance.service.state_digest()),
         "model": _short(model),
         "totals": _short(totals),
+        "parts": part_digests(instance.service.engine().sharded.shards),
     }
     instance.close()
     return digests
@@ -123,7 +137,11 @@ def dml_digests(backend: str, shards: int) -> dict[str, str]:
     ))), "records_deleted")
     feed("insert", service.insert(records[:50]), "records_inserted")
     feed("compact", service.compact(force=True), "slots_reclaimed")
-    digests = {"state": _short(service.state_digest()), "ops": _short(ops)}
+    digests = {
+        "state": _short(service.state_digest()),
+        "ops": _short(ops),
+        "parts": part_digests(service.engine().sharded.shards),
+    }
     service.close()
     return digests
 
@@ -139,6 +157,7 @@ def paper_digests() -> dict[str, dict[str, str]]:
                 [record for record in records if record.config == config]
             ).encode())),
             "state": _short(setup.pim_engines[config].stored.state_digest()),
+            "parts": part_digests([setup.pim_engines[config].stored]),
         }
         for config in PIM_CONFIGS
     }
