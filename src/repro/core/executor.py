@@ -262,18 +262,16 @@ class PimQueryEngine:
                 query, primary, stats, prune, crossbars_total, estimated
             )
         if query.predicate is not None and execution.estimated_selectivity is not None:
-            # Close the feedback loop: fold (estimated, actual) and the scan
-            # volume into the relation's adaptive accumulator; a triggered
-            # equi-depth rebuild or pair-sketch build is applied (and
-            # charged) right here.  An estimator insisting a pruned-out
-            # selection is non-empty is exactly the feedback the loop wants.
+            # Close the feedback loop: fold the scan volume into the
+            # relation's adaptive accumulator; a triggered pair-sketch build
+            # is applied (and charged) right here.  The span records how the
+            # estimate fared.
             reported, actual = execution.estimated_selectivity, execution.selectivity
             # A host scan streams every crossbar.
             scanned = crossbars_total if host_routed else execution.crossbars_scanned
             with self.tracer.span("feedback", estimated=reported, actual=actual):
                 self.stored.statistics.observe_execution(
-                    query.predicate, reported, actual, crossbars_scanned=scanned,
-                    stored=self.stored, stats=execution.stats,
+                    query.predicate, scanned, self.stored, stats=execution.stats,
                     host=self.config.host, timing_scale=self.timing_scale,
                 )
         return execution
@@ -333,7 +331,7 @@ class PimQueryEngine:
         mask = self.stored.filter_mask(primary)
         # Live-row fraction: the filter bit is ANDed with the valid column,
         # so normalizing by all slots in use would dilute the figure with
-        # tombstones and skew the estimated-vs-actual feedback.
+        # tombstones (the estimate is a live-row fraction too).
         selectivity = (
             float(mask.sum() / self.stored.live_count)
             if self.stored.live_count

@@ -512,7 +512,7 @@ class StoredRelation:
         overwrite scratch before reading it), hashed as stored, so equal
         digests need equal bank backends; ``wear`` the write counters,
         ``dirty`` the dirty-crossbar masks; ``zonemaps``, ``epochs`` (the
-        candidate cache's), ``histograms`` (kind, edges, counts, total),
+        candidate cache's), ``histograms`` (edges, counts, total),
         ``pair-sketch`` and ``adaptive`` (the feedback accumulators) the
         statistics; ``slots`` the statistics version, slot and live counts
         and the free list; ``ground-truth`` the slot-aligned relation.  The
@@ -551,22 +551,19 @@ class StoredRelation:
         part("histograms", *(
             value
             for name, histogram in sorted(statistics.selectivity.histograms.items())
-            for value in (
-                name, histogram.kind, histogram.edges, histogram.counts,
-                np.int64(histogram.total),
-            )
+            for value in (name, histogram.edges, histogram.counts, np.int64(histogram.total))
         ))
         pair = statistics.pair_map
         part("pair-sketch", *(() if pair is None else (*pair.attributes, pair.sketch)))
         adaptive = statistics.adaptive
         part(
             "adaptive",
-            np.array([adaptive.observations, adaptive.rebuilds, adaptive.pair_sketches]),
+            np.array([adaptive.observations, adaptive.rebuilds]),
             *(
                 value
                 for name, feedback in sorted(adaptive.columns.items())
                 for value in (name, np.array(
-                    [feedback.error, feedback.observations, feedback.scan_volume]
+                    [feedback.observations, feedback.scan_volume]
                 ))
             ),
             *(

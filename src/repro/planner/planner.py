@@ -21,7 +21,12 @@ Three planner responsibilities live here:
   comparable.  The router estimates and plans nothing itself: the engine
   (:meth:`~repro.core.executor.PimQueryEngine.execute`) hands it the
   selectivity estimate and zone-map decision it made once, runs the chosen
-  route and closes the feedback loop.
+  route and feeds the execution's scan volume back
+  (:meth:`RelationStatistics.observe_execution`).
+
+The histograms are built equi-depth once, when the store loads, and keep
+their edges for the life of the store; the DML hooks keep their counts
+exact.  The feedback builds nothing but the correlated-pair sketch.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class RelationStatistics:
         self.selectivity = selectivity
         #: Per-fragment candidate sets with per-crossbar epoch invalidation.
         self.candidates = CandidateSetCache(zonemaps)
-        #: Feedback accumulator: estimation error, hot columns, hot pairs.
+        #: Feedback accumulator: hot columns, hot pairs.
         self.adaptive = AdaptiveController()
         #: Correlated-pair sketch, built once the tracker names a hot pair.
         self.pair_map: PairZoneMap | None = None
@@ -77,9 +82,6 @@ class RelationStatistics:
         # estimate() memo, keyed on (predicate, _version): a replay skips
         # the histogram walk, several times the cost of the lookup.
         self._estimate_cache: OrderedDict[tuple, float] = OrderedDict()
-        # The store's data version at each column's last equi-depth rebuild:
-        # rebuilt again from unchanged rows, it would be the same histogram.
-        self._rebuilt_at: dict[str, int] = {}
 
     @classmethod
     def from_stored(cls, stored) -> RelationStatistics:
@@ -220,70 +222,40 @@ class RelationStatistics:
     def observe_execution(
         self,
         predicate: Predicate,
-        estimated: float | None,
-        actual: float,
         crossbars_scanned: int,
-        stored=None,
+        stored,
         stats: PimStats | None = None,
         host=None,
         timing_scale: float = 1.0,
-    ) -> list[str]:
-        """Fold one execution's feedback and apply any triggered decisions.
+    ) -> None:
+        """Fold one execution's scan volume and apply a triggered decision.
 
         This is the closed loop's *decide* step: the
         :class:`~repro.planner.adaptive.AdaptiveController` accumulates the
-        (estimated, actual) error and scan volume; when a column's error
-        crosses the threshold its histogram is rebuilt **equi-depth** from
-        the live rows — unless it already was at the store's current data
-        version, when the rebuild would reproduce it — and when a correlated
-        pair gets hot a :class:`~repro.planner.zonemap.PairZoneMap` sketch is
-        built for it.  Both are charged to the execution's stats as
-        ``stats-rebuild`` (one maintenance entry per crossbar and rebuilt
-        structure, the same units DML maintenance charges).  Returns the
-        rebuilt column names.
+        scan volume per column and column pair, and once a correlated pair
+        gets hot a :class:`~repro.planner.zonemap.PairZoneMap` sketch is
+        built for it from ``stored``'s live rows, once.  The build is
+        charged to ``stats`` as ``stats-rebuild`` (one maintenance entry per
+        crossbar, the units DML maintenance charges).
         """
-        triggered = self.adaptive.observe(
-            predicate, estimated, actual, crossbars_scanned
-        )
-        if stored is None:
-            return triggered
-        version = stored._data_version
-        triggered = [
-            name for name in triggered if self._rebuilt_at.get(name) != version
-        ]
-        entries = 0.0
-        relation = stored.relation
-        valid = None
+        self.adaptive.observe(predicate, crossbars_scanned)
+        if self.pair_map is not None:
+            return
         hot_pair = self.adaptive.hot_pair()
-        build_pair = self.pair_map is None and hot_pair is not None
-        if triggered or build_pair:
-            valid = stored.valid_mask(0)
-        for name in triggered:
-            self.selectivity.rebuild_column(relation, name, valid=valid)
-            self._rebuilt_at[name] = version
-            entries += self.zonemaps.crossbars
-        if triggered:
-            self.adaptive.note_rebuild(len(triggered))
-        if build_pair:
-            self.pair_map = PairZoneMap.from_relation(
-                hot_pair,
-                self.zonemaps.schema,
-                self.zonemaps.crossbars,
-                self.zonemaps.rows,
-                relation,
-                valid,
-            )
-            self.adaptive.note_pair_sketch()
-            entries += self.zonemaps.crossbars
-        if triggered or build_pair:
-            # Estimates (conjunct ordering) and — with a fresh pair sketch —
-            # the candidate masks themselves changed: retire memoized plans.
-            self._note_change()
-        if entries and stats is not None and host is not None:
+        if hot_pair is None:
+            return
+        zonemaps = self.zonemaps
+        self.pair_map = PairZoneMap.from_relation(
+            hot_pair, zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
+            stored.relation, stored.valid_mask(0),
+        )
+        self.adaptive.rebuilds += 1
+        # The sketch narrows the candidate masks: retire memoized plans.
+        self._note_change()
+        if stats is not None and host is not None:
             self.charge_maintenance(
-                stats, host, entries * timing_scale, phase="stats-rebuild"
+                stats, host, zonemaps.crossbars * timing_scale, phase="stats-rebuild"
             )
-        return triggered
 
     def hot_column(self) -> str | None:
         """Predicate column with the largest accumulated scan volume."""
@@ -337,14 +309,14 @@ class RelationStatistics:
 
         Zone maps are rebuilt exactly from ``images`` (every attribute's dense
         prefix as the compaction staged it, any unsigned dtype), the pair
-        sketch from the ground truth; equi-depth edges are re-derived;
-        equi-width histograms are kept (the DML hooks keep them exact).
+        sketch from the ground truth.  The histograms are kept: moving rows
+        changes no value, the DML hooks keep their counts exact and their
+        edges stay those of the load.
         """
         self.zonemaps.rebuild(images)
         # An exact rebuild must leave no widen-only drift behind; the check
         # recomputes the bounds through an independent reduction path.
         self.zonemaps.assert_tight(relation)
-        self.selectivity.rebuild(relation)
         if self.pair_map is not None:
             self.pair_map.rebuild(relation)
         # Compaction moves rows between crossbars and rebuilds the bounds

@@ -10,14 +10,14 @@ The planner needs two estimates the zone maps alone cannot give:
   program itself evaluates every conjunct regardless of order — bulk-bitwise
   logic has no short circuit — so ordering only matters for the checks).
 
-:class:`ColumnHistogram` is a small equi-width (or, once the feedback loop
-asks for it, equi-depth) histogram over the encoded domain of one
-attribute; :class:`SelectivityModel` combines them with the
-textbook independence assumptions (conjunctions multiply, disjunctions
-combine by inclusion–exclusion).  Estimates are *estimates*: the DML hooks
-keep their counts exact (compaction only re-derives equi-depth quantile
-edges), but no correctness property depends on them — pruning soundness
-rests solely on the zone maps.
+:class:`ColumnHistogram` is a small equi-depth histogram over the encoded
+domain of one attribute, built once when the store loads;
+:class:`SelectivityModel` combines them with the textbook independence
+assumptions (conjunctions multiply, disjunctions combine by
+inclusion–exclusion).  Estimates are *estimates*: the edges stay fixed for
+the life of the store and the DML hooks keep the counts exact, but no
+correctness property depends on them — pruning soundness rests solely on the
+zone maps.
 """
 
 from __future__ import annotations
@@ -39,39 +39,24 @@ from repro.db.query import (
 )
 from repro.db.schema import Schema
 
-#: Target bucket count of a column histogram (power of two; narrow columns
-#: get one bucket per value).
+#: Target bucket count of a column histogram (fewer when quantiles repeat).
 BUCKETS = 16
 
 
-#: The two histogram kinds (:attr:`ColumnHistogram.kind`).
-EQUI_WIDTH = "equi-width"
-EQUI_DEPTH = "equi-depth"
-
-
 class ColumnHistogram:
-    """Histogram over the encoded domain of one attribute.
+    """Equi-depth histogram over the encoded domain of one attribute.
 
     Bucket ``i`` covers the encoded range ``(edges[i-1], edges[i]]`` (bucket
     0 starts at 0; the last edge is the domain maximum, so every encodable
-    value, an out-of-histogram insert included, lands in a bucket).  The two
-    kinds differ only in where the edges sit:
-
-    * ``"equi-width"`` (built at load): uniform edges ``(i+1)·2^shift − 1``,
-      one bucket per value on narrow columns;
-    * ``"equi-depth"``: edges at the quantiles of the live values.  The
-      adaptive feedback loop rebuilds a column equi-depth when its estimates
-      keep missing (a skewed column concentrates its mass in a few
-      equi-width buckets, so per-value estimates are off by the skew
-      factor), and compaction re-derives these edges.
-
-    Estimates assume a uniform spread *inside* a bucket.  The DML hooks keep
-    the counts exact for both kinds; only equi-depth edges go stale until
-    the next rebuild.
+    value, an out-of-histogram insert included, lands in a bucket).  The
+    edges sit at the quantiles of the values the histogram is built from,
+    so a skewed column gets narrow buckets where its mass is, and just
+    below their minimum; they stay fixed afterwards, while the DML hooks
+    keep the counts exact.  Estimates assume a uniform spread *inside* a
+    bucket.
     """
 
-    def __init__(self, kind: str, width: int, edges: np.ndarray, counts: np.ndarray) -> None:
-        self.kind = kind
+    def __init__(self, width: int, edges: np.ndarray, counts: np.ndarray) -> None:
         self.width = int(width)
         self.max_value = (1 << self.width) - 1
         self.edges = edges
@@ -83,22 +68,8 @@ class ColumnHistogram:
         return len(self.edges)
 
     @classmethod
-    def from_values(
-        cls,
-        values: np.ndarray,
-        width: int,
-        kind: str = EQUI_WIDTH,
-    ) -> ColumnHistogram:
+    def from_values(cls, values: np.ndarray, width: int) -> ColumnHistogram:
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
-        if kind == EQUI_WIDTH:
-            shift = np.uint64(max(0, int(width) - BUCKETS.bit_length() + 1))
-            count = 1 << max(0, int(width) - int(shift))
-            edges = (np.arange(1, count + 1, dtype=np.uint64) << shift) - np.uint64(1)
-            # Uniform edges: a shift finds the buckets of a whole column at
-            # load ~8x faster than ``searchsorted``.
-            buckets_of = np.minimum(values >> shift, np.uint64(count - 1))
-            counts = np.bincount(buckets_of.astype(np.intp), minlength=count)
-            return cls(kind, width, edges, counts)
         ordered = np.sort(values)
         max_value = np.uint64((1 << int(width)) - 1)
         edges = np.array([max_value], dtype=np.uint64)
@@ -106,10 +77,15 @@ class ColumnHistogram:
             target = max(1, min(BUCKETS, ordered.size))
             # Quantile positions: the last value of each of `target` equal slices.
             positions = (np.arange(1, target + 1) * ordered.size) // target - 1
-            edges = np.union1d(ordered[positions], edges).astype(np.uint64)
+            edges = np.union1d(ordered[positions], edges)
+            if ordered[0] > 0:
+                # An empty first bucket below the minimum, like the empty last
+                # one above the maximum: a range outside the values estimates 0.
+                edges = np.union1d(ordered[:1] - np.uint64(1), edges)
+            edges = edges.astype(np.uint64)
         # Bucket i holds (edges[i-1], edges[i]]: count on the sorted array.
         counts = np.diff(np.searchsorted(ordered, edges, side="right"), prepend=0)
-        return cls(kind, width, edges, counts.astype(np.int64))
+        return cls(width, edges, counts.astype(np.int64))
 
     # ---------------------------------------------------------------- updates
     def _bucket_of(self, values: np.ndarray) -> np.ndarray:
@@ -136,7 +112,7 @@ class ColumnHistogram:
         counts = np.bincount(self._bucket_of(values), minlength=self.buckets)
         remaining = self.counts - counts
         assert (remaining >= 0).all(), (
-            f"{self.kind} histogram counts driven negative: min "
+            "histogram counts driven negative: min "
             f"{int(remaining.min())} at bucket {int(remaining.argmin())}"
         )
         self.counts, self.total = remaining, self.total - int(counts.sum())
@@ -216,36 +192,6 @@ class SelectivityModel:
         histogram = self.histograms[attribute]
         histogram.remove(old_values)
         histogram.add(np.full(len(old_values), encoded, dtype=np.uint64))
-
-    def rebuild(self, relation) -> None:
-        """Re-derive the equi-depth quantile edges from a dense, all-live relation.
-
-        Compaction changes no live value and the DML hooks keep every count
-        exact, so the equi-width histograms are left as they are.
-        """
-        for name, histogram in list(self.histograms.items()):
-            if histogram.kind == EQUI_DEPTH:
-                self.histograms[name] = ColumnHistogram.from_values(
-                    relation.column(name), histogram.width, kind=EQUI_DEPTH
-                )
-
-    def rebuild_column(
-        self, relation, name: str, valid: np.ndarray | None = None
-    ) -> ColumnHistogram:
-        """Rebuild one column's histogram equi-depth from the live values.
-
-        The feedback loop calls this when a column's accumulated estimation
-        error crosses the rebuild threshold; the column keeps the equi-depth
-        kind from then on (see :meth:`rebuild`).
-        """
-        values = relation.column(name)
-        if valid is not None:
-            values = values[np.asarray(valid, dtype=bool)]
-        fresh = ColumnHistogram.from_values(
-            values, self.schema.attribute(name).width, kind=EQUI_DEPTH
-        )
-        self.histograms[name] = fresh
-        return fresh
 
     # -------------------------------------------------------------- estimates
     def estimate(self, predicate: Predicate) -> float:

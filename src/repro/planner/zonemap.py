@@ -153,9 +153,8 @@ class ZoneMaps:
 
         The maintenance hooks only ever widen bounds (INSERT/UPDATE) or
         decrement counts (DELETE) — correctness never requires tight bounds,
-        but pruning quality does, and an exact rebuild (compaction or an
-        error-triggered statistics rebuild) must leave no widen-only drift
-        behind.  The expected bounds are computed through ``reduceat``, a
+        but pruning quality does, and an exact rebuild (compaction) must
+        leave no widen-only drift behind.  The expected bounds are computed through ``reduceat``, a
         different reduction path than :meth:`rebuild`, so a rebuild-path bug
         cannot hide itself.  With ``valid=None`` every slot below
         ``len(relation)`` is live (the compaction call): the bounds reduce

@@ -235,8 +235,9 @@ class ServiceStats:
     dml: DmlStats | None = None
     #: Crossbar-skipping and routing figures; ``None`` without a planner.
     planner: PlannerStats | None = None
-    #: Feedback-loop snapshot summed over the registered relations; ``None``
-    #: while no execution has fed it.
+    #: Feedback-loop snapshot (observations, pair sketches built, hot column
+    #: and pair) summed over the registered relations; ``None`` while no
+    #: execution has fed it.
     adaptive: AdaptiveSnapshot | None = None
 
     @classmethod

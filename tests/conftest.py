@@ -245,12 +245,11 @@ class GroundTruthOracle:
         """Zone-map live counts and histograms against the live rows.
 
         Per crossbar, the zone maps count exactly the live slots.  Every
-        histogram counts ``live_count`` rows, and an equi-width one equals a
-        fresh histogram of the live values: the DML hooks keep it exact, and
-        compaction relies on that instead of rebuilding it.
+        histogram's counts equal the live values binned on that histogram's
+        own edges (bucket ``i`` holds ``(edges[i-1], edges[i]]``, the last
+        one everything above): the DML hooks keep them exact, and compaction
+        relies on that instead of rebuilding them.
         """
-        from repro.planner.selectivity import EQUI_WIDTH, ColumnHistogram
-
         statistics = stored.statistics
         zonemaps = statistics.zonemaps
         slots = np.flatnonzero(live)
@@ -259,11 +258,11 @@ class GroundTruthOracle:
         assert int(zonemaps.live.sum()) == stored.live_count
         for name, histogram in statistics.selectivity.histograms.items():
             assert histogram.total == stored.live_count, name
-            if histogram.kind == EQUI_WIDTH:
-                fresh = ColumnHistogram.from_values(
-                    stored.relation.column(name)[slots], histogram.width
-                )
-                assert np.array_equal(histogram.counts, fresh.counts), name
+            values = stored.relation.column(name)[slots]
+            at_or_below = [int((values <= edge).sum()) for edge in histogram.edges]
+            expected = np.diff(at_or_below, prepend=0)
+            expected[-1] += len(values) - at_or_below[-1]
+            assert np.array_equal(histogram.counts, expected), name
 
 
 @pytest.fixture(scope="session")

@@ -24,22 +24,11 @@ from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.planner.adaptive import AdaptiveController
 from repro.planner.planner import cold_walk
-from repro.planner.selectivity import (
-    EQUI_DEPTH,
-    EQUI_WIDTH,
-    ColumnHistogram,
-    SelectivityModel,
-)
+from repro.planner.selectivity import ColumnHistogram, SelectivityModel
 from repro.planner.zonemap import PairZoneMap, ZoneMaps
 
 
 # ------------------------------------------------------ equi-depth histograms
-#: Both histogram kinds; the ids keep the names of the two classes they were.
-KINDS = pytest.mark.parametrize(
-    "kind", [EQUI_WIDTH, EQUI_DEPTH], ids=["ColumnHistogram", "EquiDepthHistogram"]
-)
-
-
 def _skewed_values(count=4000, seed=7):
     rng = np.random.default_rng(seed)
     # 90% of the mass in [0, 100), a thin tail across the full 16-bit domain.
@@ -49,9 +38,12 @@ def _skewed_values(count=4000, seed=7):
 
 
 def test_equi_depth_beats_equi_width_on_skew():
+    """Why the one histogram kind is equi-depth: on a skewed column its point
+    estimates beat those of 16 uniform buckets (computed here) by over 2x."""
     values = _skewed_values()
-    depth = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
-    width = ColumnHistogram.from_values(values, width=16)
+    depth = ColumnHistogram.from_values(values, width=16)
+    span = (1 << 16) // 16
+    uniform_counts = np.bincount((values // span).astype(np.intp), minlength=16)
 
     def reference_eq(v):
         return float((values == v).sum()) / len(values)
@@ -61,9 +53,10 @@ def test_equi_depth_beats_equi_width_on_skew():
         abs(depth.fraction_eq(v) - reference_eq(v)) for v in probes
     )
     width_error = sum(
-        abs(width.fraction_eq(v) - reference_eq(v)) for v in probes
+        abs(uniform_counts[v // span] / len(values) / span - reference_eq(v))
+        for v in probes
     )
-    # The dense region spans a sliver of one equi-width bucket, so its point
+    # The dense region spans a sliver of one uniform bucket, so its point
     # estimates are diluted by the bucket span; equi-depth edges follow the
     # mass (only the bucket straddling the tail stays diluted).
     assert depth_error < width_error / 2
@@ -71,8 +64,7 @@ def test_equi_depth_beats_equi_width_on_skew():
 
 def test_equi_depth_range_fractions_are_consistent():
     values = _skewed_values(seed=11)
-    histogram = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
-    assert histogram.kind == "equi-depth"
+    histogram = ColumnHistogram.from_values(values, width=16)
     # Below the domain maximum (inclusive) is everything.
     assert histogram.fraction_below(histogram.max_value, inclusive=True) == (
         pytest.approx(1.0)
@@ -95,7 +87,7 @@ def test_equi_depth_range_fractions_are_consistent():
 
 def test_equi_depth_add_remove_roundtrip():
     values = _skewed_values(seed=3)
-    histogram = ColumnHistogram.from_values(values, width=16, kind=EQUI_DEPTH)
+    histogram = ColumnHistogram.from_values(values, width=16)
     before = histogram.counts.copy()
     extra = np.array([1, 2, 70000 % (1 << 16), 9], dtype=np.uint64)
     histogram.add(extra)
@@ -104,15 +96,14 @@ def test_equi_depth_add_remove_roundtrip():
     assert histogram.total == len(values)
 
 
-@KINDS
-def test_histogram_over_removal_raises_and_changes_nothing(kind):
+def test_histogram_over_removal_raises_and_changes_nothing():
     """Removing a value the histogram never counted fails loudly.
 
     A replayed DELETE must not be clamped away: compaction keeps the
     maintained counts, so a silent clamp would persist.
     """
     values = _skewed_values(seed=4)
-    histogram = ColumnHistogram.from_values(values, width=16, kind=kind)
+    histogram = ColumnHistogram.from_values(values, width=16)
     before = histogram.counts.copy()
     with pytest.raises(AssertionError, match="driven negative"):
         histogram.remove(np.concatenate([values, values[:1]]))
@@ -125,19 +116,18 @@ def test_histogram_over_removal_raises_and_changes_nothing(kind):
     assert histogram.total == 0 and not histogram.counts.any()
 
 
-@KINDS
-def test_note_insert_batch_matches_single_record_batches(kind):
+def test_note_insert_batch_matches_single_record_batches():
     """A columnar ``note_insert`` counts like the same records one at a time."""
     values = _skewed_values(seed=9)
     schema = Schema("t", [int_attribute("v", 16)])
 
     def model():
-        histogram = ColumnHistogram.from_values(values, width=16, kind=kind)
+        histogram = ColumnHistogram.from_values(values, width=16)
         return SelectivityModel(schema, {"v": histogram})
 
     batched, single = model(), model()
-    # Bucket edges, the domain limits, a value past 2**width - 1 (and so past
-    # the last equi-depth edge), every equi-depth edge and its neighbours.
+    # Powers of two, the domain limits, a value past 2**width - 1 (and so
+    # past the last edge), every edge and its neighbours.
     inserts = [0, 1, 1023, 1024, 4095, 4096, (1 << 16) - 1, 1 << 16, 77, 77]
     for edge in batched.histograms["v"].edges:
         inserts += [max(int(edge) - 1, 0), int(edge), int(edge) + 1]
@@ -148,63 +138,45 @@ def test_note_insert_batch_matches_single_record_batches(kind):
     got, expected = batched.histograms["v"], single.histograms["v"]
     assert np.array_equal(got.counts, expected.counts)
     assert got.total == expected.total == len(values) + len(inserts)
-    # The out-of-domain value lands in the last bucket on both variants.
-    before = ColumnHistogram.from_values(values, width=16, kind=kind).counts
+    # The out-of-domain value lands in the last bucket.
+    before = ColumnHistogram.from_values(values, width=16).counts
     assert got.counts[-1] - before[-1] >= 1
     assert (got.counts - before).sum() == len(inserts)
 
 
-def test_rebuild_preserves_histogram_variant():
-    values = _skewed_values(seed=5)
-    schema = Schema("t", [int_attribute("v", 16)])
-    relation = Relation(schema, {"v": values})
-    model = SelectivityModel.from_relation(relation)
-    assert model.histograms["v"].kind == EQUI_WIDTH
-    # One error-triggered rebuild flips the column to equi-depth...
-    model.rebuild_column(relation, "v")
-    assert model.histograms["v"].kind == EQUI_DEPTH
-    # ...and a later exact rebuild (compaction) keeps it equi-depth.
-    model.rebuild(relation)
-    assert model.histograms["v"].kind == EQUI_DEPTH
+def test_rebuild_preserves_histogram_variant(ground_truth_oracle):
+    """The load builds every histogram equi-depth over the loaded values, and
+    compaction keeps it: the same edges, with the counts the DML hooks kept
+    exact (the oracle bins the live values on those edges)."""
+    stored, system = _small_stored(records=600, seed=5)
+    histograms = stored.statistics.selectivity.histograms
+    for attribute in stored.relation.schema:
+        fresh = ColumnHistogram.from_values(
+            stored.relation.column(attribute.name), attribute.width
+        )
+        assert np.array_equal(histograms[attribute.name].edges, fresh.edges)
+        assert np.array_equal(histograms[attribute.name].counts, fresh.counts)
+    edges = {name: histogram.edges.copy() for name, histogram in histograms.items()}
+    executor = PimExecutor(system)
+    dml.execute_delete(stored, Comparison("value", "<", 2000), executor)
+    assert dml.execute_compaction(stored, executor, force=True).performed
+    for name, histogram in stored.statistics.selectivity.histograms.items():
+        assert np.array_equal(histogram.edges, edges[name]), name
+    ground_truth_oracle.state(stored)
 
 
 # --------------------------------------------------------- adaptive controller
-def test_error_accumulates_and_triggers_per_column():
-    controller = AdaptiveController()
-    controller.error_threshold = 2.0
-    predicate = Comparison("a", "==", 1)
-    # Perfect estimates never trigger.
-    for _ in range(50):
-        assert controller.observe(predicate, 0.25, 0.25, 10) == []
-    # Total misses (estimated 0.5, actual 0) add 1.0 each: two cross 2.0.
-    assert controller.observe(predicate, 0.5, 0.0, 10) == []
-    triggered = controller.observe(predicate, 0.5, 0.0, 10)
-    assert triggered == ["a"]
-    # The accumulator reset: it takes two more misses to trigger again.
-    assert controller.observe(predicate, 0.5, 0.0, 10) == []
-    assert controller.observe(predicate, 0.5, 0.0, 10) == ["a"]
-
-
-def test_error_splits_across_predicate_columns():
-    controller = AdaptiveController()
-    controller.error_threshold = 1.0
-    both = And((Comparison("a", "==", 1), Comparison("b", "==", 2)))
-    # A total miss split over two columns adds 0.5 to each.
-    assert controller.observe(both, 0.5, 0.0, 10) == []
-    assert sorted(controller.observe(both, 0.5, 0.0, 10)) == ["a", "b"]
-
-
 def test_hot_column_and_pair_tracking():
     controller = AdaptiveController()
     controller.pair_threshold = 100.0
-    controller.observe(Comparison("a", "==", 1), 0.1, 0.1, 30)
-    controller.observe(Comparison("b", "==", 1), 0.1, 0.1, 200)
+    controller.observe(Comparison("a", "==", 1), 30)
+    controller.observe(Comparison("b", "==", 1), 200)
     assert controller.hottest_column() == "b"
     assert controller.hot_pair() is None
     both = And((Comparison("a", "==", 1), Comparison("c", "==", 2)))
-    controller.observe(both, 0.1, 0.1, 150)  # 75 per pair, below threshold
+    controller.observe(both, 150)  # 75 per pair, below threshold
     assert controller.hot_pair() is None
-    controller.observe(both, 0.1, 0.1, 150)
+    controller.observe(both, 150)
     assert controller.hot_pair() == ("a", "c")
     snapshot = controller.snapshot()
     assert snapshot.observations == 4
@@ -555,10 +527,9 @@ def test_engine_feedback_rebuilds_and_recluster_loop():
         (Aggregate("sum", "value"), Aggregate("count")),
     )
     engine.execute(probe)
-    # Tombstone the probed range, then replay: the maintained histogram
-    # still spreads residual mass into the emptied range, so every replay
-    # estimates >0 while selecting nothing — a relative error of 1.0 per
-    # query, scale-free by design, which crosses the rebuild threshold.
+    # Tombstone the probed range, then replay: the bucket straddling the
+    # range's end keeps live mass, so every replay estimates >0 and scans
+    # crossbars while selecting nothing, crediting `key` with the volume.
     dml.execute_delete(
         stored, Comparison("key", "between", low=0, high=20000), executor
     )
@@ -566,9 +537,7 @@ def test_engine_feedback_rebuilds_and_recluster_loop():
     for _ in range(6):
         engine.execute(probe)
     snapshot = stored.statistics.adaptive_snapshot()
-    assert snapshot.rebuilds >= 1
     assert snapshot.hot_column == "key"
-    assert stored.statistics.selectivity.histograms["key"].kind == EQUI_DEPTH
     # Compaction re-clusters by the hottest column and rebuilds tight.
     result = dml.execute_compaction(stored, executor, force=True)
     assert result.performed
@@ -634,7 +603,7 @@ def test_recluster_cuts_cold_walk_entries_and_scans_8x():
     for query in spread(np.unique(keys[keys <= delete_below]), 8):
         engine.execute(query)
     snapshot = stored.statistics.adaptive_snapshot()
-    assert snapshot.rebuilds >= 1 and snapshot.hot_column == "lo_orderkey"
+    assert snapshot.hot_column == "lo_orderkey"
     compaction = dml.execute_compaction(stored, executor)
     assert compaction.performed and compaction.clustered_by == "lo_orderkey"
     entries_after, scanned_after = probe_all()
@@ -681,6 +650,9 @@ CHURN_PROBES = (
         group_by=("flag",),
     ),
 )
+
+#: The two-column predicate the churn's feedback op credits.
+FEEDBACK_PREDICATE = And((Comparison("flag", "==", 1), Comparison("value", "<", 2000)))
 
 churn_op_strategy = st.one_of(
     st.tuples(st.just("insert"), st.integers(min_value=1, max_value=4),
@@ -732,14 +704,16 @@ def _service_storeds(service, shards):
 @pytest.mark.parametrize("part", ["histograms", "pair-sketch", "adaptive"])
 def test_state_digest_covers_every_statistic_a_later_statement_reads(part):
     """Two services with identical bits whose statistics differ in one way —
-    a column rebuilt equi-depth, a pair sketch, one feedback accumulator —
+    a histogram over other values, a pair sketch, one feedback accumulator —
     have different ``state_digest()`` values, and the twin oracle names
     that part and no other."""
     services = [_build_service("packed", 1, seed=3) for _ in range(2)]
     (stored,) = _service_storeds(services[1], 1)
     statistics = stored.statistics
     if part == "histograms":
-        statistics.selectivity.rebuild_column(stored.relation, "key")
+        statistics.selectivity.histograms["key"] = ColumnHistogram.from_values(
+            stored.relation.column("key")[::2], 16
+        )
     elif part == "pair-sketch":
         zonemaps = statistics.zonemaps
         statistics.pair_map = PairZoneMap.from_relation(
@@ -747,7 +721,7 @@ def test_state_digest_covers_every_statistic_a_later_statement_reads(part):
             stored.relation,
         )
     else:
-        statistics.adaptive.observe(Comparison("key", "<", 100), 0.5, 0.25, 1)
+        statistics.adaptive.observe(Comparison("key", "<", 100), 1)
     assert services[0].state_digest() != services[1].state_digest()
     with pytest.raises(AssertionError, match=f"store 0: {part} differ$"):
         assert_same_state(*services)
@@ -788,45 +762,37 @@ def _apply_churn_op(service, shards, op) -> list:
         predicate, assignments = _churn_statement(op)
         return service.update(predicate, assignments).shard_stats
     if kind == "feedback":
-        # Drive the error accumulator through its public API hard enough to
-        # trigger an equi-depth rebuild mid-churn (a certain-miss estimate
-        # repeated past the threshold), on every shard.
+        # Drive the pair tracker through its public API past its threshold
+        # on every shard: the (flag, value) sketch is built mid-churn, and
+        # the later ops maintain it.
         for stored in _service_storeds(service, shards):
-            for _ in range(5):
-                stored.statistics.observe_execution(
-                    CHURN_PROBES[0].predicate, 1.0, 0.0,
-                    crossbars_scanned=stored.statistics.zonemaps.crossbars,
-                    stored=stored,
-                )
+            statistics = stored.statistics
+            statistics.observe_execution(
+                FEEDBACK_PREDICATE, 2 * statistics.adaptive.pair_threshold, stored
+            )
         return []
     return [service.compact(force=True).stats]
 
 
-def _histograms_tight(storeds, names) -> None:
-    """The just-rebuilt histograms match a fresh build over the live rows.
-
-    Counts are exact after every op (``GroundTruthOracle.state`` checks the
-    equi-width ones); what a rebuild adds is fresh equi-depth edges, so a
-    feedback op guarantees them for its triggered column and a *performed*
-    compaction for every column.
-    """
+def _pair_sketches_exact(storeds) -> None:
+    """Every built pair sketch equals a fresh one over the live rows."""
     for stored in storeds:
-        live = stored.live_relation()
-        for name in names:
-            histogram = stored.statistics.selectivity.histograms[name]
-            fresh = ColumnHistogram.from_values(
-                live.column(name), stored.relation.schema.attribute(name).width,
-                kind=histogram.kind,
-            )
-            assert histogram.total == len(live)
-            assert np.array_equal(histogram.edges, fresh.edges)
-            assert np.array_equal(histogram.counts, fresh.counts)
+        pair = stored.statistics.pair_map
+        if pair is None:
+            continue
+        zonemaps = stored.statistics.zonemaps
+        fresh = PairZoneMap.from_relation(
+            pair.attributes, zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
+            stored.relation, stored.valid_mask(0),
+        )
+        assert np.array_equal(pair.sketch, fresh.sketch)
 
 
 @settings(max_examples=4, deadline=None)
 @given(ops=st.lists(churn_op_strategy, min_size=3, max_size=6),
        seed=st.integers(min_value=0, max_value=2 ** 16))
-# Every DML hook and both rebuilds, whatever the generated examples draw.
+# Every DML hook, a pair-sketch build and a compaction, whatever the
+# generated examples draw.
 @example(
     ops=[("delete", 300, 500), ("update", 2, 4000), ("feedback",),
          ("insert", 4, 9), ("compact",), ("delete", 1500, 600)],
@@ -840,9 +806,10 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
     bookkeeping; a DELETE / UPDATE left exactly the filter, valid and
     assigned bits NumPy on the pre-statement ground truth predicts; probe
     rows are bit-exact with the reference aggregation over the live ground
-    truth; and after every compaction or error-triggered rebuild the
-    histograms count exactly the live rows and the zone maps are tight.
-    Both backends return the same rows and charge the same modelled stats
+    truth; every histogram keeps the edges of the load and counts exactly
+    the live rows; after a pair-sketch build or a compaction every built
+    sketch is exact, and after a compaction the zone maps are tight.  Both
+    backends return the same rows and charge the same modelled stats
     for every DML op and probe.
     """
     trace_by_backend = {}
@@ -850,6 +817,10 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
         trace = []
         for shards in (1, 4):
             service = _build_service(backend, shards, seed)
+            load_edges = [
+                {name: h.edges.copy() for name, h in s.statistics.selectivity.histograms.items()}
+                for s in _service_storeds(service, shards)
+            ]
             for op in ops:
                 storeds = _service_storeds(service, shards)
                 # A forced compaction is still a no-op on a shard without
@@ -869,8 +840,10 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
                             ground_truth_oracle.update(
                                 stored, predicate, assignments, before, valid_before
                             )
-                for stored in _service_storeds(service, shards):
+                for stored, edges in zip(_service_storeds(service, shards), load_edges):
                     ground_truth_oracle.state(stored)
+                    for name, histogram in stored.statistics.selectivity.histograms.items():
+                        assert np.array_equal(histogram.edges, edges[name]), name
                 live = service.engine().sharded.live_relation()
                 for query in CHURN_PROBES:
                     execution = service.execute(query)
@@ -881,77 +854,66 @@ def test_adaptive_loop_bit_exact_under_churn(ops, seed, ground_truth_oracle):
                     assert execution.rows == expected
                     trace.append((sorted(execution.rows.items()), execution.stats))
                 if op[0] == "compact":
-                    _histograms_tight(compacted, ("key", "value", "flag"))
+                    _pair_sketches_exact(compacted)
                     for stored in compacted:
                         stored.statistics.zonemaps.assert_tight(
                             stored.relation, stored.valid_mask(0)
                         )
                 elif op[0] == "feedback":
-                    _histograms_tight(
-                        _service_storeds(service, shards), ("value",)
-                    )
+                    storeds = _service_storeds(service, shards)
+                    assert all(s.statistics.pair_map is not None for s in storeds)
+                    _pair_sketches_exact(storeds)
         trace_by_backend[backend] = trace
     assert trace_by_backend["packed"] == trace_by_backend["bool"]
 
 
-def test_static_store_rebuilds_a_column_once_per_data_version(
-    ssb_prejoined, monkeypatch
-):
-    """Replayed SSB flights on unchanged data rebuild each (store, column)
-    histogram at most once: a second equi-depth rebuild of the same rows
-    would reproduce the first, yet it used to be rebuilt and charged again
-    whenever the column's error crossed the threshold.  A DELETE moves the
-    store to a new data version, and the next trigger rebuilds again."""
+@pytest.mark.parametrize("shards", [1, 4])
+def test_static_data_settles(ssb_prejoined, shards):
+    """Twelve passes of the 13 SSB queries (pruning and the planner on) over
+    unchanged data: after the cold pass no store's statistics version moves
+    and no ``stats-rebuild`` time is charged, except for at most one
+    pair-sketch build per store.  Each version bump retires every memoised
+    plan and estimate of its store, so a loop that kept rebuilding
+    histograms would keep the planner from settling."""
     from repro.service import QueryService
+    from repro.ssb import ALL_QUERIES, QUERY_ORDER
     from repro.ssb.prejoined import max_aggregated_width
-    from repro.ssb.queries import queries_in_group, ssb_query
 
     relation = Relation(
         ssb_prejoined.schema,
         {name: column.copy() for name, column in ssb_prejoined.columns.items()},
     )
+    options = {
+        "aggregation_width": max_aggregated_width(relation),
+        "reserve_bulk_aggregation": False,
+    }
     service = QueryService(tracing=False)
-    service.register_sharded(
-        "ssb", relation, shards=4, timing_scale=100.0,
-        aggregation_width=max_aggregated_width(relation),
-        reserve_bulk_aggregation=False,
-    )
+    if shards == 1:
+        service.register(
+            "ssb", StoredRelation(relation, PimModule(DEFAULT_CONFIG), **options),
+            timing_scale=100.0,
+        )
+    else:
+        service.register_sharded(
+            "ssb", relation, shards=shards, timing_scale=100.0, **options
+        )
     stores = list(service.engine("ssb").sharded.shards)
-    owner = {id(stored.statistics.selectivity): k for k, stored in enumerate(stores)}
-    rebuilds = []
-    rebuild_column = SelectivityModel.rebuild_column
+    queries = [ALL_QUERIES[name] for name in QUERY_ORDER]
 
-    def recording(model, relation, name, valid=None):
-        shard = owner[id(model)]
-        rebuilds.append((shard, name, stores[shard]._data_version))
-        return rebuild_column(model, relation, name, valid)
+    def counters():
+        return [(s.statistics._version, s.statistics.adaptive.rebuilds) for s in stores]
 
-    monkeypatch.setattr(SelectivityModel, "rebuild_column", recording)
-    for _ in range(8):
-        for flight in (1, 2, 3, 4):
-            service.execute_batch([ssb_query(q) for q in queries_in_group(flight)])
-    assert rebuilds, "the replay no longer triggers a rebuild; the check is void"
-    assert {version for *_, version in rebuilds} == {0}
-    assert len(set(rebuilds)) == len(rebuilds)
-
-    shard, name, _ = rebuilds[0]
-    stored = stores[shard]
-    statistics = stored.statistics
-    probe = Comparison(name, "==", 0)
-
-    def feedback() -> list[str]:
-        # Four certain misses on one column cross the error threshold once.
-        rebuilt = []
-        for _ in range(4):
-            rebuilt += statistics.observe_execution(
-                probe, 1.0, 0.0, crossbars_scanned=1, stored=stored
-            )
-        return rebuilt
-
-    count = len(rebuilds)
-    assert feedback() == [] and len(rebuilds) == count
-    assert service.delete(Comparison("lo_quantity", "==", 1)).results[shard].records_deleted
-    assert feedback() == [name]
-    assert rebuilds[count:] == [(shard, name, stored._data_version)]
-    assert stored._data_version > 0
+    service.execute_batch(queries)
+    settled = counters()
+    charged = 0
+    for _ in range(11):
+        charged += sum(
+            "stats-rebuild" in execution.stats.time_by_phase
+            for execution in service.execute_batch(queries)
+        )
+    sketches = 0
+    for (version, rebuilds), (version_now, rebuilds_now) in zip(settled, counters()):
+        assert version_now - version == rebuilds_now - rebuilds <= 1
+        sketches += rebuilds_now - rebuilds
+    assert charged <= sketches
     service.close()

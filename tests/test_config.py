@@ -117,7 +117,6 @@ _REMOVED_KEYWORDS = [
     ("ShardedQueryEngine.execute", "executor"),
     ("ShardedQueryEngine", "max_workers"),
     ("RelationStatistics.plan", "peek"),
-    ("SelectivityModel.rebuild_column", "equi_depth"),
 ]
 
 
@@ -137,10 +136,10 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     and UPDATE always run zone-map-pruned.  ``executor``: every execution
     makes its own executors.  ``max_workers``: the sharded engine runs its
     shards as a loop and takes the service's pool or none.  ``peek``: the
-    engine plans once per execution, so no caller defers the billing.
-    ``equi_depth``: a feedback rebuild is always equi-depth.  The others were
-    settable values no caller set; each is now a constant.  Python rejects an unknown
-    keyword before the body runs, so placeholders suffice.
+    engine plans once per execution, so no caller defers the billing.  The
+    others were settable values no caller set; each is now a constant.
+    Python rejects an unknown keyword before the body runs, so placeholders
+    suffice.
     """
     from repro.core.executor import PimQueryEngine
     from repro.db.compiler import compile_predicate
@@ -148,7 +147,6 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
     from repro.db.update import execute_update
     from repro.pim.controller import PimExecutor
     from repro.planner.planner import RelationStatistics
-    from repro.planner.selectivity import SelectivityModel
     from repro.service import QueryService
     from repro.sharding import ShardedQueryEngine
 
@@ -184,9 +182,6 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         ),
         "RelationStatistics.plan": lambda **kw: RelationStatistics.plan(
             None, None, None, 1, **kw
-        ),
-        "SelectivityModel.rebuild_column": lambda **kw: SelectivityModel.rebuild_column(
-            None, None, "v", **kw
         ),
     }
     with pytest.raises(TypeError, match=keyword):

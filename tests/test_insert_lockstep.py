@@ -61,12 +61,7 @@ def _oracle_note_insert(statistics, slot: int, record) -> None:
             zonemaps.maxs[name][crossbar] = max(zonemaps.maxs[name][crossbar], value)
     zonemaps.live[crossbar] += 1
     for name, histogram in statistics.selectivity.histograms.items():
-        if histogram.kind == "equi-width":
-            bucket = int(record[name]) // (int(histogram.edges[0]) + 1)
-        else:
-            bucket = int(np.searchsorted(
-                histogram.edges, np.uint64(record[name]), side="left"
-            ))
+        bucket = int(np.searchsorted(histogram.edges, np.uint64(record[name]), side="left"))
         histogram.counts[min(bucket, histogram.buckets - 1)] += 1
         histogram.total += 1
     pair = statistics.pair_map
@@ -198,15 +193,12 @@ def _store(backend: str, records: int, partitions=None):
     return stored, config
 
 
-def _tune_statistics(stored) -> None:
-    """An equi-depth ``value`` histogram and a built (key, value) pair sketch."""
-    statistics = stored.statistics
-    valid = stored.valid_mask(0)
-    statistics.selectivity.rebuild_column(stored.relation, "value", valid=valid)
-    zonemaps = statistics.zonemaps
-    statistics.pair_map = PairZoneMap.from_relation(
+def _build_pair_sketch(stored) -> None:
+    """A built (key, value) pair sketch."""
+    zonemaps = stored.statistics.zonemaps
+    stored.statistics.pair_map = PairZoneMap.from_relation(
         ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
-        stored.relation, valid,
+        stored.relation, stored.valid_mask(0),
     )
 
 
@@ -238,7 +230,7 @@ def _lockstep(ours, theirs, config, batches) -> None:
 # ----------------------------------------------------------------------- tests
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mixed_batches_match_the_per_record_loop(backend):
-    """Reused + tail slots, a revived crossbar, tuned statistics, no records."""
+    """Reused + tail slots, a revived crossbar, a pair sketch, no records."""
     stores = []
     for _ in range(2):
         stored, config = _store(backend, ROWS + 60)
@@ -248,7 +240,7 @@ def test_mixed_batches_match_the_per_record_loop(backend):
         execute_delete(stored, Comparison("key", ">=", ROWS), executor)
         execute_delete(stored, Comparison("key", "in", values=(3, 11, 20)), executor)
         assert stored.statistics.zonemaps.live[1] == 0
-        _tune_statistics(stored)
+        _build_pair_sketch(stored)
         stores.append(stored)
     ours, theirs = stores
     assert int(ours.statistics.zonemaps.maxs["key"][1]) == ROWS + 59   # stale

@@ -910,8 +910,10 @@ def test_candidate_domains_follow_every_ground_truth_writer(shards):
 def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
     """Between two DML statements a GROUP-BY replay evaluates no ground-truth
     predicate for its candidate domains (the plan memo hits) and does not
-    estimate its predicate again; an adaptive histogram rebuild retires the
-    estimates and leaves the plans alone."""
+    estimate its predicate again; a DELETE retires both on the store it
+    hits, and only there: the next execution re-plans and re-estimates once
+    per such store, and the replay after it neither."""
+    from repro.columnar.engine import ColumnarEngine
     from repro.db import storage
 
     service, stores, _ = _memo_service(shards)
@@ -940,13 +942,20 @@ def test_replay_scans_no_catalogue_and_estimates_once(monkeypatch, shards):
     statistics = stores[0].statistics
     probe = Comparison("key", "<", 5)
     before = statistics.estimate(probe)
-    while not statistics.observe_execution(probe, 1.0, 0.0, 1, stored=stores[0]):
-        pass
+    versions = [stored.statistics._version for stored in stores]
+    assert service.delete(probe).result.records_deleted > 0
+    hit = sum(
+        stored.statistics._version != version for stored, version in zip(stores, versions)
+    )
+    assert hit == 1                                         # the keys are sorted
     assert statistics.estimate(probe) == statistics.selectivity.estimate(probe) != before
-    assert statistics.estimate(MEMO_QUERY.predicate) > 0
-    assert sum(estimates) == len(stores) + 1                # re-estimated once
-    assert service.execute(MEMO_QUERY).rows == first.rows
-    assert len(scans) == len(stores)                        # plans stand
+    reference = ColumnarEngine().execute_prejoined(
+        MEMO_QUERY, service.engine().sharded.live_relation()
+    )
+    for _ in range(2):                                      # re-plan, then replay
+        assert service.execute(MEMO_QUERY).rows == reference.rows
+        assert len(scans) == len(stores) + hit
+        assert sum(estimates) == len(stores) + hit
     service.close()
 
 
