@@ -1,6 +1,7 @@
 """Fig. 6 — SSB execution latency for the five configurations."""
 
 from repro.experiments import fig6_latency
+from repro.experiments.common import metric_rows
 from repro.ssb import ALL_QUERIES
 
 
@@ -13,7 +14,7 @@ def test_fig6_execution_latency(benchmark, ssb_setup, query_records, publish):
     )
     publish("fig6_execution_latency", fig6_latency.render(query_records))
 
-    rows = fig6_latency.fig6_rows(query_records, configs=ssb_setup.configs)
+    rows = metric_rows(query_records, ssb_setup.configs, "time_s")
     assert len(rows) == 13
     speedup_reg = fig6_latency.speedups(query_records, "mnt_reg")["geomean"]
     speedup_join = fig6_latency.speedups(query_records, "mnt_join")["geomean"]

@@ -1,11 +1,12 @@
 """Fig. 7 — PIM memory energy per SSB query."""
 
 from repro.experiments import fig7_energy
+from repro.experiments.common import PIM_CONFIGS, metric_rows, pimdb_ratio
 
 
 def test_fig7_pim_energy(benchmark, query_records, publish):
     rows = benchmark.pedantic(
-        lambda: fig7_energy.fig7_rows(query_records), rounds=1, iterations=1
+        lambda: metric_rows(query_records, PIM_CONFIGS, "energy_j"), rounds=1, iterations=1
     )
     publish("fig7_pim_energy", fig7_energy.render(query_records))
     assert len(rows) == 13
@@ -19,4 +20,4 @@ def test_fig7_pim_energy(benchmark, query_records, publish):
         if record.config in ("one_xb", "two_xb")
     )
     # Paper: PIMDB spends more energy than one_xb where both PIM-aggregate.
-    assert fig7_energy.pimdb_energy_ratio(query_records) > 1.0
+    assert pimdb_ratio(query_records, "energy_j") > 1.0

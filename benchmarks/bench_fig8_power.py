@@ -1,11 +1,13 @@
 """Fig. 8 — peak power of a single PIM chip per SSB query."""
 
 from repro.experiments import fig8_power
+from repro.experiments.common import PIM_CONFIGS, metric_rows, pimdb_ratio
 
 
 def test_fig8_peak_chip_power(benchmark, query_records, publish):
     rows = benchmark.pedantic(
-        lambda: fig8_power.fig8_rows(query_records), rounds=1, iterations=1
+        lambda: metric_rows(query_records, PIM_CONFIGS, "peak_power_w"),
+        rounds=1, iterations=1,
     )
     publish("fig8_peak_chip_power", fig8_power.render(query_records))
     assert len(rows) == 13
@@ -16,4 +18,4 @@ def test_fig8_peak_chip_power(benchmark, query_records, publish):
         if record.config in ("one_xb", "two_xb", "pimdb")
     )
     # Paper: PIMDB draws more peak power where both PIM-aggregate.
-    assert fig8_power.pimdb_power_ratio(query_records) > 1.0
+    assert pimdb_ratio(query_records, "peak_power_w") > 1.0

@@ -48,6 +48,11 @@ PIM_CONFIGS = ("one_xb", "two_xb", "pimdb")
 COLUMNAR_CONFIGS = ("mnt_join", "mnt_reg")
 ALL_CONFIGS = PIM_CONFIGS + COLUMNAR_CONFIGS
 
+#: Queries for which both one-xb and PIMDB perform PIM aggregation in the
+#: paper (its 4.31x energy and 2.92x peak-power comparisons are taken over
+#: these).
+PIM_AGGREGATION_QUERIES = ("Q1.1", "Q1.2", "Q1.3", "Q2.3", "Q3.4", "Q4.1")
+
 #: Environment variable overriding the generated scale factor.
 SCALE_ENV_VAR = "REPRO_SSB_SF"
 
@@ -229,6 +234,34 @@ def _record_from(config: str, name: str, execution) -> QueryRecord:
 def records_by(records: Sequence[QueryRecord]) -> dict[tuple[str, str], QueryRecord]:
     """Index records by (config, query)."""
     return {(r.config, r.query): r for r in records}
+
+
+def metric_rows(
+    records: Sequence[QueryRecord], configs: Sequence[str], field: str
+) -> list[list[object]]:
+    """One row per query: its name, then each configuration's ``field``
+    (``time_s``, ``energy_j``, ...; NaN where a record is missing)."""
+    indexed = records_by(records)
+    return [
+        [query] + [
+            getattr(indexed[config, query], field)
+            if (config, query) in indexed else float("nan")
+            for config in configs
+        ]
+        for query in QUERY_ORDER
+    ]
+
+
+def pimdb_ratio(records: Sequence[QueryRecord], field: str) -> float:
+    """Geo-mean of PIMDB's ``field`` over one-xb's on the PIM-aggregation queries."""
+    indexed = records_by(records)
+    ratios = []
+    for query in PIM_AGGREGATION_QUERIES:
+        one = indexed.get(("one_xb", query))
+        pimdb = indexed.get(("pimdb", query))
+        if one and pimdb and getattr(one, field) > 0:
+            ratios.append(getattr(pimdb, field) / getattr(one, field))
+    return geomean(ratios)
 
 
 def geomean(values: Sequence[float]) -> float:

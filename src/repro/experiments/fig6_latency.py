@@ -9,22 +9,10 @@ from repro.experiments.common import (
     QueryRecord,
     format_table,
     geomean,
+    metric_rows,
     records_by,
 )
 from repro.ssb import QUERY_ORDER
-
-
-def fig6_rows(records: Sequence[QueryRecord], configs: Sequence[str] = ALL_CONFIGS):
-    """One row per query: execution latency (seconds) per configuration."""
-    indexed = records_by(records)
-    rows = []
-    for query in QUERY_ORDER:
-        row: list[object] = [query]
-        for config in configs:
-            record = indexed.get((config, query))
-            row.append(record.time_s if record else float("nan"))
-        rows.append(row)
-    return rows
 
 
 def speedups(records: Sequence[QueryRecord], baseline: str, target: str = "one_xb") -> dict[str, float]:
@@ -43,7 +31,7 @@ def speedups(records: Sequence[QueryRecord], baseline: str, target: str = "one_x
 def render(setup_records: Sequence[QueryRecord], configs: Sequence[str] = ALL_CONFIGS) -> str:
     """Fig. 6 as printable text (run times in milliseconds)."""
     rows = []
-    for row in fig6_rows(setup_records, configs):
+    for row in metric_rows(setup_records, configs, "time_s"):
         rows.append([row[0]] + [f"{value * 1e3:.2f}" for value in row[1:]])
     table = format_table(["Query"] + [f"{c} [ms]" for c in configs], rows)
     lines = [table, ""]

@@ -8,48 +8,18 @@ from repro.experiments.common import (
     PIM_CONFIGS,
     QueryRecord,
     format_table,
-    geomean,
-    records_by,
+    metric_rows,
+    pimdb_ratio,
 )
-from repro.ssb import QUERY_ORDER
-
-#: Queries for which both one-xb and PIMDB perform PIM aggregation in the
-#: paper (the 4.31x energy comparison is taken over these).
-PIM_AGGREGATION_QUERIES = ("Q1.1", "Q1.2", "Q1.3", "Q2.3", "Q3.4", "Q4.1")
-
-
-def fig7_rows(records: Sequence[QueryRecord], configs: Sequence[str] = PIM_CONFIGS):
-    """One row per query: PIM module energy (joules) per PIM configuration."""
-    indexed = records_by(records)
-    rows = []
-    for query in QUERY_ORDER:
-        row: list[object] = [query]
-        for config in configs:
-            record = indexed.get((config, query))
-            row.append(record.energy_j if record else float("nan"))
-        rows.append(row)
-    return rows
-
-
-def pimdb_energy_ratio(records: Sequence[QueryRecord]) -> float:
-    """Geo-mean energy of PIMDB over one-xb on the PIM-aggregation queries."""
-    indexed = records_by(records)
-    ratios = []
-    for query in PIM_AGGREGATION_QUERIES:
-        one = indexed.get(("one_xb", query))
-        pimdb = indexed.get(("pimdb", query))
-        if one and pimdb and one.energy_j > 0:
-            ratios.append(pimdb.energy_j / one.energy_j)
-    return geomean(ratios)
 
 
 def render(records: Sequence[QueryRecord], configs: Sequence[str] = PIM_CONFIGS) -> str:
     """Fig. 7 as printable text (energies in millijoules)."""
     rows = []
-    for row in fig7_rows(records, configs):
+    for row in metric_rows(records, configs, "energy_j"):
         rows.append([row[0]] + [f"{value * 1e3:.2f}" for value in row[1:]])
     table = format_table(["Query"] + [f"{c} [mJ]" for c in configs], rows)
-    ratio = pimdb_energy_ratio(records)
+    ratio = pimdb_ratio(records, "energy_j")
     footer = (
         f"\ngeo-mean PIMDB/one_xb energy on PIM-aggregation queries: "
         f"{ratio:.2f}x (paper: 4.31x); all queries below 1 J as in the paper: "

@@ -8,53 +8,27 @@ from repro.experiments.common import (
     PIM_CONFIGS,
     QueryRecord,
     format_table,
-    geomean,
-    records_by,
+    metric_rows,
+    pimdb_ratio,
 )
-from repro.experiments.fig7_energy import PIM_AGGREGATION_QUERIES
-from repro.ssb import QUERY_ORDER
 
 #: The paper reports every query staying below 44 W per chip.
 PAPER_PEAK_LIMIT_W = 44.0
 
 
-def fig8_rows(records: Sequence[QueryRecord], configs: Sequence[str] = PIM_CONFIGS):
-    """One row per query: peak chip power (watts) per PIM configuration."""
-    indexed = records_by(records)
-    rows = []
-    for query in QUERY_ORDER:
-        row: list[object] = [query]
-        for config in configs:
-            record = indexed.get((config, query))
-            row.append(record.peak_power_w if record else float("nan"))
-        rows.append(row)
-    return rows
-
-
-def pimdb_power_ratio(records: Sequence[QueryRecord]) -> float:
-    """Geo-mean peak power of PIMDB over one-xb on the PIM-aggregation queries."""
-    indexed = records_by(records)
-    ratios = []
-    for query in PIM_AGGREGATION_QUERIES:
-        one = indexed.get(("one_xb", query))
-        pimdb = indexed.get(("pimdb", query))
-        if one and pimdb and one.peak_power_w > 0:
-            ratios.append(pimdb.peak_power_w / one.peak_power_w)
-    return geomean(ratios)
-
-
 def render(records: Sequence[QueryRecord], configs: Sequence[str] = PIM_CONFIGS) -> str:
     """Fig. 8 as printable text."""
     rows = []
-    for row in fig8_rows(records, configs):
+    for row in metric_rows(records, configs, "peak_power_w"):
         rows.append([row[0]] + [f"{value:.2f}" for value in row[1:]])
     table = format_table(["Query"] + [f"{c} [W]" for c in configs], rows)
     within = all(
         r.peak_power_w <= PAPER_PEAK_LIMIT_W for r in records if r.config in configs
     )
+    ratio = pimdb_ratio(records, "peak_power_w")
     footer = (
         f"\ngeo-mean PIMDB/one_xb peak power on PIM-aggregation queries: "
-        f"{pimdb_power_ratio(records):.2f}x (paper: 2.92x); "
+        f"{ratio:.2f}x (paper: 2.92x); "
         f"all below {PAPER_PEAK_LIMIT_W:.0f} W per chip: {within}"
     )
     return table + footer

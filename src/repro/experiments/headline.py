@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.config import SystemConfig
-from repro.experiments.common import QueryRecord, format_table
+from repro.experiments.common import QueryRecord, format_table, pimdb_ratio
 from repro.experiments.fig6_latency import speedups
-from repro.experiments.fig7_energy import pimdb_energy_ratio
 from repro.experiments.fig9_endurance import lifetime_improvement
 
 
@@ -56,7 +55,7 @@ def headline_metrics(
         ))
         metrics.append(HeadlineMetric(
             "energy: pimdb / one_xb on PIM-aggregation queries",
-            pimdb_energy_ratio(records), 4.31,
+            pimdb_ratio(records, "energy_j"), 4.31,
         ))
         metrics.append(HeadlineMetric(
             "lifetime: one_xb / pimdb on low-aggregation queries",

@@ -15,7 +15,7 @@ from repro.experiments import (
     table1_config,
     table2_summary,
 )
-from repro.experiments.common import format_table, geomean, records_by
+from repro.experiments.common import format_table, geomean, pimdb_ratio, records_by
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +89,8 @@ def test_figure_modules_render_from_records(small_records):
 def test_speedup_and_ratio_helpers(small_records):
     ratios = fig6_latency.speedups(small_records, "mnt_join")
     assert "geomean" in ratios and ratios["geomean"] > 0
-    assert fig7_energy.pimdb_energy_ratio(small_records) > 0
-    assert fig8_power.pimdb_power_ratio(small_records) > 0
+    assert pimdb_ratio(small_records, "energy_j") > 0
+    assert pimdb_ratio(small_records, "peak_power_w") > 0
     metrics = headline.headline_metrics(small_records)
     names = {m.name for m in metrics}
     assert any("pimdb" in name for name in names)
