@@ -137,9 +137,10 @@ class QueryService:
                 wall-clock) cost differs.
             scatter_workers: Width of the service-owned
                 :class:`~repro.core.parallel.ScatterPool` every registered
-                engine shares — the per-partition group-by kernel batches of
-                a vertically partitioned relation reuse its warm worker
-                threads (shard executions never run on it, see
+                engine shares.  Only a relation with three or more vertical
+                partitions uses it: a GROUP-BY maps its remote partitions'
+                kernel batches over the pool when there are at least two of
+                them (shard executions never run on it, see
                 :mod:`repro.sharding.executor`).  Defaults to one worker per
                 core; ``1`` keeps all execution on the calling thread.
             tracing: Record a hierarchical span trace for every served
@@ -217,8 +218,11 @@ class QueryService:
         unsharded engine while the modelled latency follows max-over-shards
         plus the merge term; ``shards=1`` serves exactly like
         :meth:`register`.  The shards are *simulated* one after the other:
-        ``max_workers`` (at least 1) changes neither results nor costs,
-        above 1 it lets per-partition kernel batches use the service's pool.
+        ``max_workers`` (at least 1) changes neither results nor costs;
+        above 1 it hands the service's pool to the shard engines, which use
+        it only for a relation with three or more vertical ``partitions``
+        (a GROUP-BY maps the kernel batches of two or more remote
+        partitions over it).
         Programs compile once: the shards share layouts, so the service's
         program cache hits across shards (and across queries, as usual).
         The shard allocations use ``config``'s simulation backend.
