@@ -128,13 +128,14 @@ class StoredRelation:
         self._data_version = 0
         self._load()
         # Per-crossbar "this bookkeeping column may hold ones" flags, one lazy
-        # map per vertical partition keyed by column index (filter and group
-        # columns in practice).  Pruned execution clears a column only on
+        # map per vertical partition keyed by column index (the filter, group
+        # and valid columns in practice).  Pruned execution clears a column only on
         # crossbars that are both skipped and dirty, so a run over a clean
         # relation pays no clear broadcast at all.
         self._column_dirty: list[dict[int, np.ndarray]] = [
             {} for _ in self.allocations
         ]
+        self._mark_valid_dirty()
         # Imported lazily: the planner package reaches back into the host
         # read-path model, which imports this module.
         from repro.planner.planner import RelationStatistics
@@ -308,6 +309,10 @@ class StoredRelation:
         """
         self._data_version += 1
         self.statistics.note_insert(slots, columns)
+        # The batch raises the valid bit of its slots.
+        crossbars = np.asarray(slots, dtype=np.int64) // self.rows_per_crossbar
+        for partition, layout in enumerate(self.layouts):
+            self.column_dirty_mask(partition, layout.valid_column)[crossbars] = True
 
     def note_update(self, attribute: str, encoded: int, mask: np.ndarray) -> None:
         """Widen the statistics with an UPDATE's assignment.
@@ -336,11 +341,12 @@ class StoredRelation:
         self._data_version += 1
         # Compaction rewrote every row densely and scrubbed the bookkeeping
         # columns: refresh the statistics from the dense prefix and mark
-        # every tracked column clean.
+        # every tracked column clean, except where valid bits were rewritten.
         self.statistics.rebuild(self.relation, images)
         for dirty in self._column_dirty:
             for mask in dirty.values():
                 mask[:] = False
+        self._mark_valid_dirty()
 
     def group_domain(self, attribute: str, conjuncts: tuple) -> tuple[int, ...]:
         """Sorted distinct values of ``attribute`` over the slots in use that
@@ -368,6 +374,16 @@ class StoredRelation:
             mask = np.zeros(self.allocations[partition].crossbars, dtype=bool)
             masks[column] = mask
         return mask
+
+    def _mark_valid_dirty(self) -> None:
+        """The valid column holds ones on the crossbars of the slots in use
+        (after the load and after a compaction, which write it directly)."""
+        in_use = -(-self.num_records // self.rows_per_crossbar)
+        for partition, layout in enumerate(self.layouts):
+            self.mark_column_dirty(
+                partition, layout.valid_column,
+                np.arange(self.allocations[partition].crossbars) < in_use,
+            )
 
     def mark_column_dirty(
         self, partition: int, column: int, candidates: np.ndarray | None = None

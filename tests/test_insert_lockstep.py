@@ -144,6 +144,10 @@ def oracle_insert(stored, records, executor, phase="insert-write", encoded=False
                 (layout.valid_column, 1),
             ):
                 _host_store(executor, bank, xbar, row, column, 1, bit, phase)
+            # The valid bit just raised makes the column dirty there.
+            stored.column_dirty_mask(
+                stored.layouts.index(layout), layout.valid_column
+            )[xbar] = True
     _append_rows(relation, tail_records)
     stored.statistics.charge_maintenance(
         executor.stats, executor.config.host,
