@@ -96,14 +96,33 @@ def test_equi_depth_add_remove_roundtrip():
     assert histogram.total == len(values)
 
 
-def test_histogram_over_removal_raises_and_changes_nothing():
+# The count updates hold whatever the edges: 16 uniform edges set through the
+# constructor, and the quantile edges ``from_values`` picks at load.
+EDGES = pytest.mark.parametrize(
+    "edges", ["uniform", "quantile"], ids=["ColumnHistogram", "EquiDepthHistogram"]
+)
+
+
+def _histogram(edges, values, width=16):
+    if edges == "quantile":
+        return ColumnHistogram.from_values(values, width=width)
+    uniform = (np.arange(1, 17, dtype=np.uint64) << np.uint64(width)) // np.uint64(16)
+    histogram = ColumnHistogram(
+        width, uniform - np.uint64(1), np.zeros(16, dtype=np.int64)
+    )
+    histogram.add(values)
+    return histogram
+
+
+@EDGES
+def test_histogram_over_removal_raises_and_changes_nothing(edges):
     """Removing a value the histogram never counted fails loudly.
 
     A replayed DELETE must not be clamped away: compaction keeps the
     maintained counts, so a silent clamp would persist.
     """
     values = _skewed_values(seed=4)
-    histogram = ColumnHistogram.from_values(values, width=16)
+    histogram = _histogram(edges, values)
     before = histogram.counts.copy()
     with pytest.raises(AssertionError, match="driven negative"):
         histogram.remove(np.concatenate([values, values[:1]]))
@@ -116,13 +135,14 @@ def test_histogram_over_removal_raises_and_changes_nothing():
     assert histogram.total == 0 and not histogram.counts.any()
 
 
-def test_note_insert_batch_matches_single_record_batches():
+@EDGES
+def test_note_insert_batch_matches_single_record_batches(edges):
     """A columnar ``note_insert`` counts like the same records one at a time."""
     values = _skewed_values(seed=9)
     schema = Schema("t", [int_attribute("v", 16)])
 
     def model():
-        histogram = ColumnHistogram.from_values(values, width=16)
+        histogram = _histogram(edges, values)
         return SelectivityModel(schema, {"v": histogram})
 
     batched, single = model(), model()
@@ -139,7 +159,7 @@ def test_note_insert_batch_matches_single_record_batches():
     assert np.array_equal(got.counts, expected.counts)
     assert got.total == expected.total == len(values) + len(inserts)
     # The out-of-domain value lands in the last bucket.
-    before = ColumnHistogram.from_values(values, width=16).counts
+    before = _histogram(edges, values).counts
     assert got.counts[-1] - before[-1] >= 1
     assert (got.counts - before).sum() == len(inserts)
 
