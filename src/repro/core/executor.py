@@ -263,17 +263,14 @@ class PimQueryEngine:
             )
         if query.predicate is not None and execution.estimated_selectivity is not None:
             # Close the feedback loop: fold the scan volume into the
-            # relation's adaptive accumulator; a triggered pair-sketch build
-            # is applied (and charged) right here.  The span records how the
-            # estimate fared.
+            # relation's adaptive accumulator.  Nothing is built here: the
+            # next compaction applies what the accumulator decides.  The
+            # span records how the estimate fared.
             reported, actual = execution.estimated_selectivity, execution.selectivity
             # A host scan streams every crossbar.
             scanned = crossbars_total if host_routed else execution.crossbars_scanned
             with self.tracer.span("feedback", estimated=reported, actual=actual):
-                self.stored.statistics.observe_execution(
-                    query.predicate, scanned, self.stored, stats=execution.stats,
-                    host=self.config.host, timing_scale=self.timing_scale,
-                )
+                self.stored.statistics.observe_execution(query.predicate, scanned)
         return execution
 
     def _decide(self, query: Query, stats: PimStats, crossbars_total: int):
@@ -454,14 +451,15 @@ class PimQueryEngine:
         """Plan the pim-gb / host-gb split, then run both halves.
 
         The plan (candidate subgroups, sampled estimate, ``k``) depends only
-        on the query and the store's data, so it is memoised per data
-        version: a replay between two DML statements skips the candidate
-        enumeration, the sample and the ``k`` sweep.  Every execution, hit or
-        miss, is charged the sample read the plan's estimate recorded.
+        on the query and the store's data, so it is memoised per statistics
+        version, which only DML moves: a replay between two DML statements
+        skips the candidate enumeration, the sample and the ``k`` sweep.
+        Every execution, hit or miss, is charged the sample read the plan's
+        estimate recorded.
         """
         group_attributes = list(query.group_by)
         key = (
-            self.stored._data_version, query.predicate, query.group_by,
+            self.stored.statistics._version, query.predicate, query.group_by,
             query.aggregates, primary, self.sample_pages,
         )
         with self.tracer.span("group-plan") as plan_span:

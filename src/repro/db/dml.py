@@ -496,9 +496,11 @@ def execute_compaction(
     one full-row write of wear per rewritten slot).  Afterwards the slot
     high-water mark equals the live count, the free-slot list is empty and
     the bookkeeping bit columns are clean; the zone maps are rebuilt from
-    the dense prefix and checked tight; the histograms are kept as they are
-    (moving rows changes no value: the DML hooks keep their counts exact,
-    and their edges stay those of the load).  A fully-deleted relation (no
+    the dense prefix and checked tight; the pair sketch is rebuilt, or built
+    once the feedback loop names a hot pair (covered by the zone-map
+    maintenance charge); the histograms are kept as they are (moving rows
+    changes no value: the DML hooks keep their counts exact, and their edges
+    stay those of the load).  A fully-deleted relation (no
     live rows) reclaims all its slots with a metadata-only pass: every slot
     already holds a cleared valid bit, so nothing needs rewriting.
 

@@ -15,7 +15,6 @@ semantics used by the columnar engine and by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -286,44 +285,3 @@ def _evaluate_comparison(comparison: Comparison, relation: Relation) -> np.ndarr
     if op == GT:
         return column > value
     return column >= value
-
-
-def reference_group_aggregate(
-    relation: Relation,
-    mask: np.ndarray,
-    group_by: Sequence[str],
-    aggregates: Sequence[Aggregate],
-) -> dict[tuple[int, ...], dict[str, int]]:
-    """Reference GROUP-BY aggregation used to validate every engine.
-
-    Returns ``{group_key_codes: {aggregate_name: value}}``.  With an empty
-    ``group_by`` the single key is the empty tuple.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    selected_indices = np.nonzero(mask)[0]
-    results: dict[tuple[int, ...], dict[str, int]] = {}
-    if len(group_by) == 0:
-        keys = np.zeros((len(selected_indices), 0), dtype=np.uint64)
-    else:
-        keys = np.stack(
-            [relation.column(name)[selected_indices] for name in group_by], axis=1
-        )
-    if len(selected_indices) == 0:
-        return results
-    unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    for key_index, key in enumerate(unique_keys):
-        group_rows = selected_indices[inverse == key_index]
-        entry: dict[str, int] = {}
-        for aggregate in aggregates:
-            if aggregate.op == "count":
-                entry[aggregate.name] = int(len(group_rows))
-                continue
-            values = relation.column(aggregate.attribute)[group_rows]
-            if aggregate.op == "sum":
-                entry[aggregate.name] = int(values.sum())
-            elif aggregate.op == "min":
-                entry[aggregate.name] = int(values.min())
-            else:
-                entry[aggregate.name] = int(values.max())
-        results[tuple(int(v) for v in key)] = entry
-    return results

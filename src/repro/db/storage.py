@@ -122,10 +122,6 @@ class StoredRelation:
         # so reuse fills the lowest slots first) and the live-row counter.
         self._free_slots: list[int] = []
         self.live_count = self.num_records
-        # Bumped by every hook a ground-truth writer goes through; part of the
-        # key of PimQueryEngine's GROUP-BY plan memo, whose stale entries
-        # simply age out.
-        self._data_version = 0
         self._load()
         # Per-crossbar "this bookkeeping column may hold ones" flags, one lazy
         # map per vertical partition keyed by column index (the filter, group
@@ -292,7 +288,6 @@ class StoredRelation:
         for slot in slots:
             heapq.heappush(self._free_slots, int(slot))
         self.live_count -= len(slots)
-        self._data_version += 1
         # Count-decrement the zone maps: a tombstoned value may keep a
         # crossbar a candidate (bounds stay wide), never hide a live match.
         # Candidate-cache epochs are deliberately NOT bumped here — the
@@ -307,7 +302,6 @@ class StoredRelation:
         the records landed in, so cached pruning verdicts re-validate just
         those crossbars.
         """
-        self._data_version += 1
         self.statistics.note_insert(slots, columns)
         # The batch raises the valid bit of its slots.
         crossbars = np.asarray(slots, dtype=np.int64) // self.rows_per_crossbar
@@ -325,7 +319,6 @@ class StoredRelation:
         slots = np.nonzero(np.asarray(mask, dtype=bool))[0]
         if slots.size == 0:
             return
-        self._data_version += 1
         crossbars = np.unique(slots // self.rows_per_crossbar)
         old_values = self.relation.columns[attribute][slots]
         self.statistics.note_update(attribute, encoded, crossbars, old_values)
@@ -338,7 +331,6 @@ class StoredRelation:
         """
         self._free_slots = []
         self.num_records = self.live_count
-        self._data_version += 1
         # Compaction rewrote every row densely and scrubbed the bookkeeping
         # columns: refresh the statistics from the dense prefix and mark
         # every tracked column clean, except where valid bits were rewritten.

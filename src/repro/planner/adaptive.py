@@ -2,7 +2,8 @@
 
 Compaction *rewrites* rows and the planner *observes* every execution's
 scan volume; :class:`AdaptiveController` is the per-relation accumulator
-that connects the two:
+that connects the two.  A query only feeds it; compaction applies its
+decisions:
 
 * **Hot-column tracking** — every execution credits each predicate column
   with its share of the crossbars the execution scanned.
@@ -12,17 +13,16 @@ that connects the two:
   into a prunable one.
 * **Correlated-pair tracking** — executions whose predicate constrains two
   or more columns also credit each unordered column pair.  Once the top
-  pair's volume crosses :data:`PAIR_THRESHOLD`, the owning
-  :class:`~repro.planner.planner.RelationStatistics` builds a
+  pair's volume crosses :data:`PAIR_THRESHOLD`, the next compaction
+  (:meth:`~repro.planner.planner.RelationStatistics.rebuild`) builds a
   :class:`~repro.planner.zonemap.PairZoneMap` sketch for it.
 
 The histograms take no part: they are built equi-depth once, at load (see
 :mod:`repro.planner.selectivity`).  The controller is pure bookkeeping — it
 never touches crossbars and holds no numpy state proportional to the
 relation — so it is cheap enough to update on every execution.  The
-decisions (sketch builds, re-cluster keys) are applied by the owning
-``RelationStatistics``/compaction code, which also charges the modelled
-maintenance cost.
+decisions (re-cluster key, sketch build) are applied by compaction, whose
+zone-map maintenance charge covers them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class ColumnFeedback:
 class AdaptiveSnapshot:
     """Point-in-time counters of one controller (or a sum of several).
 
-    ``rebuilds`` counts the statistics the loop built (pair sketches).  The
+    ``rebuilds`` counts the pair sketches compaction built for the loop.  The
     hottest column/pair export as metric labels (see
     :func:`~repro.obs.metrics.register_fields`).
     """
@@ -74,7 +74,7 @@ class AdaptiveController:
         self.columns: dict[str, ColumnFeedback] = {}
         self.pair_volume: dict[tuple[str, str], float] = {}
         self.observations = 0
-        #: Statistics built from this feedback (pair sketches).
+        #: Pair sketches compaction built from this feedback.
         self.rebuilds = 0
 
     # ----------------------------------------------------------------- folds

@@ -24,9 +24,12 @@ Three planner responsibilities live here:
   route and feeds the execution's scan volume back
   (:meth:`RelationStatistics.observe_execution`).
 
-The histograms are built equi-depth once, when the store loads, and keep
-their edges for the life of the store; the DML hooks keep their counts
-exact.  The feedback builds nothing but the correlated-pair sketch.
+Only DML changes the statistics; a query reads them and feeds the
+accumulator.  The histograms are built equi-depth once, when the store
+loads, and keep their edges for the life of the store; the DML hooks keep
+their counts exact.  Compaction rebuilds the zone maps and the
+correlated-pair sketch, and builds the sketch once the feedback names a hot
+pair.
 """
 
 from __future__ import annotations
@@ -68,12 +71,14 @@ class RelationStatistics:
         self.candidates = CandidateSetCache(zonemaps)
         #: Feedback accumulator: hot columns, hot pairs.
         self.adaptive = AdaptiveController()
-        #: Correlated-pair sketch, built once the tracker names a hot pair.
+        #: Correlated-pair sketch, built by the first compaction after the
+        #: tracker names a hot pair.
         self.pair_map: PairZoneMap | None = None
-        # Relation-wide change counter: *any* maintenance event (including
-        # DELETE, which changes the live prefilter but not the cached
-        # fragment masks) retires memoized whole-plan decisions, which are
-        # then cheaply reassembled from the fragment cache.
+        # Relation-wide change counter, moved only by DML and compaction:
+        # *any* maintenance event (including DELETE, which changes the live
+        # prefilter but not the cached fragment masks) retires memoized
+        # whole-plan decisions, which are then cheaply reassembled from the
+        # fragment cache.  It also keys PimQueryEngine's GROUP-BY plans.
         self._version = 0
         # plan() memo, (decision, _version) per predicate: serving workloads
         # replay predicates, and a replay skips the fragment-mask assembly
@@ -219,43 +224,14 @@ class RelationStatistics:
         return fraction
 
     # -------------------------------------------------------------- feedback
-    def observe_execution(
-        self,
-        predicate: Predicate,
-        crossbars_scanned: int,
-        stored,
-        stats: PimStats | None = None,
-        host=None,
-        timing_scale: float = 1.0,
-    ) -> None:
-        """Fold one execution's scan volume and apply a triggered decision.
+    def observe_execution(self, predicate: Predicate, crossbars_scanned: int) -> None:
+        """Fold one execution's scan volume into the feedback accumulator.
 
-        This is the closed loop's *decide* step: the
-        :class:`~repro.planner.adaptive.AdaptiveController` accumulates the
-        scan volume per column and column pair, and once a correlated pair
-        gets hot a :class:`~repro.planner.zonemap.PairZoneMap` sketch is
-        built for it from ``stored``'s live rows, once.  The build is
-        charged to ``stats`` as ``stats-rebuild`` (one maintenance entry per
-        crossbar, the units DML maintenance charges).
+        Bookkeeping only: a query changes no statistic a plan reads.  The
+        decisions the accumulator reaches (the re-cluster key, the pair to
+        sketch) are applied by the next compaction (:meth:`rebuild`).
         """
         self.adaptive.observe(predicate, crossbars_scanned)
-        if self.pair_map is not None:
-            return
-        hot_pair = self.adaptive.hot_pair()
-        if hot_pair is None:
-            return
-        zonemaps = self.zonemaps
-        self.pair_map = PairZoneMap.from_relation(
-            hot_pair, zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
-            stored.relation, stored.valid_mask(0),
-        )
-        self.adaptive.rebuilds += 1
-        # The sketch narrows the candidate masks: retire memoized plans.
-        self._note_change()
-        if stats is not None and host is not None:
-            self.charge_maintenance(
-                stats, host, zonemaps.crossbars * timing_scale, phase="stats-rebuild"
-            )
 
     def hot_column(self) -> str | None:
         """Predicate column with the largest accumulated scan volume."""
@@ -309,14 +285,24 @@ class RelationStatistics:
 
         Zone maps are rebuilt exactly from ``images`` (every attribute's dense
         prefix as the compaction staged it, any unsigned dtype), the pair
-        sketch from the ground truth.  The histograms are kept: moving rows
-        changes no value, the DML hooks keep their counts exact and their
-        edges stay those of the load.
+        sketch from the ground truth.  A store without a sketch gets one
+        here once the feedback names a hot pair: compaction is where the
+        feedback's decisions are applied, and the compaction's zone-map
+        maintenance charge covers the build.  The histograms are kept:
+        moving rows changes no value, the DML hooks keep their counts exact
+        and their edges stay those of the load.
         """
         self.zonemaps.rebuild(images)
         # An exact rebuild must leave no widen-only drift behind; the check
         # recomputes the bounds through an independent reduction path.
         self.zonemaps.assert_tight(relation)
+        hot_pair = self.adaptive.hot_pair()
+        if self.pair_map is None and hot_pair is not None:
+            zonemaps = self.zonemaps
+            self.pair_map = PairZoneMap(
+                hot_pair, zonemaps.schema, zonemaps.crossbars, zonemaps.rows
+            )
+            self.adaptive.rebuilds += 1
         if self.pair_map is not None:
             self.pair_map.rebuild(relation)
         # Compaction moves rows between crossbars and rebuilds the bounds

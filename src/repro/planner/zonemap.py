@@ -342,16 +342,11 @@ class ZoneMaps:
         stats.add_time("zonemap-check", entries * CHECK_CYCLES / host.frequency_hz)
 
     @staticmethod
-    def charge_maintenance(
-        stats: PimStats,
-        host: HostConfig,
-        entries: float,
-        phase: str = "zonemap-maintain",
-    ) -> None:
+    def charge_maintenance(stats: PimStats, host: HostConfig, entries: float) -> None:
         """Charge the host-side cost of updating ``entries`` zone entries."""
         if entries <= 0:
             return
-        stats.add_time(phase, entries * MAINTAIN_CYCLES / host.frequency_hz)
+        stats.add_time("zonemap-maintain", entries * MAINTAIN_CYCLES / host.frequency_hz)
 
 
 @dataclass

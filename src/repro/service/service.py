@@ -567,11 +567,12 @@ class QueryService:
         """Compact a relation's tombstones away when fragmentation warrants it.
 
         Each store compacts when its own fragmentation crosses
-        ``threshold`` (or ``force``).  The rewrite re-clusters the surviving
-        rows by ``cluster_by`` (default: the store's hottest predicate
-        column, per its adaptive feedback loop); a ``cluster_by`` the
-        relation does not have raises :class:`ValueError` with nothing
-        charged.
+        ``threshold`` (or ``force``).  The rewrite applies both decisions of
+        the store's adaptive feedback loop: it re-clusters the surviving rows
+        by ``cluster_by`` (default: the store's hottest predicate column) and
+        builds the correlated-pair sketch once a pair is hot.  A
+        ``cluster_by`` the relation does not have raises :class:`ValueError`
+        with nothing charged.
         """
         name = self._resolve(relation)
         stores = self._engines[name].sharded.shards

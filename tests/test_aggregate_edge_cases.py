@@ -8,7 +8,7 @@ the bit-exactness of the compiled-program cache.
 
 import numpy as np
 import pytest
-from twins import all_pim_cost_model
+from twins import all_pim_cost_model, reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -20,7 +20,6 @@ from repro.db.query import (
     EQ,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import (

@@ -1,6 +1,7 @@
 """Tests of the columnar baseline engine and the PIMDB baseline wrapper."""
 
 import pytest
+from twins import reference_group_aggregate
 
 from repro.baselines import build_pimdb_engine
 from repro.columnar import ColumnarEngine
@@ -12,7 +13,6 @@ from repro.db.query import (
     EQ,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.ssb import ALL_QUERIES
 from repro.ssb.prejoined import DERIVED_ATTRIBUTES

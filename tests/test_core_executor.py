@@ -1,7 +1,7 @@
 """Tests of the end-to-end PIM query engine on the toy relation."""
 
 import pytest
-from twins import all_pim_cost_model
+from twins import all_pim_cost_model, reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -14,7 +14,6 @@ from repro.db.query import (
     IN,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.storage import StoredRelation
 from repro.pim.module import PimModule

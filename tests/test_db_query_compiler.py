@@ -5,6 +5,7 @@ import operator
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from twins import reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.db.compiler import (
@@ -32,7 +33,6 @@ from repro.db.query import (
     conj,
     encode_comparison,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute

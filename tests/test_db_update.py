@@ -10,6 +10,7 @@ relation registered with ``register_sharded``.
 
 import numpy as np
 import pytest
+from twins import reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -22,7 +23,6 @@ from repro.db.query import (
     LT,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.storage import StoredRelation
 from repro.db.update import execute_update

@@ -13,7 +13,7 @@ two-xb tombstone propagation and the hardened validation paths.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from twins import assert_banks_equal
+from twins import assert_banks_equal, reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -32,7 +32,6 @@ from repro.db.query import (
     Comparison,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute

@@ -8,12 +8,13 @@ require bit-exact agreement with the NumPy reference evaluator.
 
 import numpy as np
 import pytest
+from twins import reference_group_aggregate
 
 from repro.baselines import build_pimdb_engine
 from repro.columnar import ColumnarEngine
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
-from repro.db.query import evaluate_predicate, reference_group_aggregate
+from repro.db.query import evaluate_predicate
 from repro.db.storage import StoredRelation
 from repro.pim.module import PimModule
 from repro.ssb import ALL_QUERIES

@@ -1029,8 +1029,8 @@ def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
     execution afresh (its engines' plan memos cleared before each): after
     every INSERT, UPDATE, DELETE, forced compaction and GROUP-BY probe they
     agree on rows, ``PimStats``, plan and state digest.  Over three replays
-    the memoising service samples once per (store, query, data version):
-    again only on the stores whose data version a statement moved."""
+    the memoising service samples once per (store, query, statistics
+    version): again only on the stores whose version a statement moved."""
     from repro.core import executor as core_executor
 
     memo, memo_stores, _ = _memo_service(shards)
@@ -1042,7 +1042,7 @@ def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
 
     def counting(stored, *args, inner=core_executor.estimate_subgroups, **kwargs):
         service, index = owner[id(stored)]
-        sampled[service].append((index, stored._data_version, probing[0]))
+        sampled[service].append((index, stored.statistics._version, probing[0]))
         return inner(stored, *args, **kwargs)
 
     monkeypatch.setattr(core_executor, "estimate_subgroups", counting)
@@ -1071,12 +1071,12 @@ def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
     planned = sampled[id(memo)]
     moved_some = False
     for statement in statements:
-        before = [stored._data_version for stored in memo_stores]
+        before = [stored.statistics._version for stored in memo_stores]
         statement(memo)
         statement(cold)
         moved = {
             index for index, stored in enumerate(memo_stores)
-            if stored._data_version != before[index]
+            if stored.statistics._version != before[index]
         }
         moved_some |= 0 < len(moved) < shards
         count = len(planned)

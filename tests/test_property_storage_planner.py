@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from twins import reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.groupby import GroupByPlanner
@@ -13,7 +14,6 @@ from repro.db.query import (
     Comparison,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute

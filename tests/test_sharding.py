@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from twins import all_pim_cost_model, assert_same_execution, assert_same_state
+from twins import (
+    all_pim_cost_model,
+    assert_same_execution,
+    assert_same_state,
+    reference_group_aggregate,
+)
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import QueryExecution
@@ -26,7 +31,6 @@ from repro.db.query import (
     IN,
     Query,
     evaluate_predicate,
-    reference_group_aggregate,
 )
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
