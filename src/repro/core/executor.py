@@ -47,11 +47,31 @@ from repro.host.readpath import HostReadModel
 from repro.obs.trace import tracer_from_config
 from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
-from repro.planner.planner import CostPlanner, execute_host_scan
+from repro.planner.planner import CostPlanner, PlanDecision, execute_host_scan
+from repro.planner.zonemap import PruneDecision
 
 
-#: GROUP-BY plans :class:`PimQueryEngine` keeps (least recently used out).
-_PLAN_MEMO_CAPACITY = 64
+#: Decisions :class:`PimQueryEngine` keeps (least recently used out).
+_DECISION_MEMO_CAPACITY = 64
+
+
+@dataclass
+class _Decision:
+    """What the engine decides before a query runs: one memo entry.
+
+    Every part is a function of the query and the store's statistics, which
+    only DML changes, so the engine keeps one per statistics version.
+    """
+
+    #: The histogram estimate (``None`` when neither pruning nor a router
+    #: asked for one).
+    selectivity: float | None = None
+    #: Zone-map candidate crossbars (``None`` without pruning).
+    prune: PruneDecision | None = None
+    #: The router's choice (``None`` without a router).
+    route: PlanDecision | None = None
+    #: The GROUP-BY plan, made by the first PIM execution that needs one.
+    group_plan: GroupByPlan | None = None
 
 
 @dataclass
@@ -189,7 +209,7 @@ class PimQueryEngine:
         self.stored = stored
         self.config = config if config is not None else stored.module.system_config
         self.label = label
-        #: Pages sampled for subgroup-size estimation (a part of the plan
+        #: Pages sampled for subgroup-size estimation (a part of the decision
         #: memo's key; the sampling ablation varies it).
         self.sample_pages = 1
         self.timing_scale = float(timing_scale)
@@ -217,8 +237,8 @@ class PimQueryEngine:
             stored, self.config, self.timing_scale, tracer=self.tracer
         )
         self.scatter_pool = scatter_pool
-        # GROUP-BY plans keyed by everything they read that can change.
-        self._plans: OrderedDict[tuple, GroupByPlan] = OrderedDict()
+        # Decisions keyed by (statistics version, query, sample_pages).
+        self._decisions: OrderedDict[tuple, _Decision] = OrderedDict()
 
     # ------------------------------------------------------------------ main
     def execute(self, query: Query) -> QueryExecution:
@@ -245,21 +265,22 @@ class PimQueryEngine:
         stats = PimStats()
         self.tracer.bind(stats)
         crossbars_total = sum(a.crossbars for a in self.stored.allocations)
-        estimated, prune, decision = self._decide(query, stats, crossbars_total)
-        host_routed = decision is not None and decision.target == "host"
+        decision = self._decide(query, stats, crossbars_total)
+        route = decision.route
+        host_routed = route is not None and route.target == "host"
         if host_routed:
-            execution = execute_host_scan(self, query, decision)
-        elif prune is not None and prune.empty:
+            execution = execute_host_scan(self, query, route)
+        elif decision.prune is not None and decision.prune.empty:
             # Some partition's conjunction matches no crossbar: the
             # selection is provably empty, so no filter broadcast, no
             # aggregation and no result row — this is also how a sharded
             # engine skips entire shards.
             execution = self._pruned_out_execution(
-                query, stats, crossbars_total, estimated
+                query, stats, crossbars_total, decision.selectivity
             )
         else:
             execution = self._execute_pim(
-                query, primary, stats, prune, crossbars_total, estimated
+                query, primary, stats, decision, crossbars_total
             )
         if query.predicate is not None and execution.estimated_selectivity is not None:
             # Close the feedback loop: fold the scan volume into the
@@ -273,49 +294,72 @@ class PimQueryEngine:
                 self.stored.statistics.observe_execution(query.predicate, scanned)
         return execution
 
-    def _decide(self, query: Query, stats: PimStats, crossbars_total: int):
-        """Estimate, plan and route once: ``(estimated, prune, decision)``.
+    def _decide(
+        self, query: Query, stats: PimStats, crossbars_total: int
+    ) -> _Decision:
+        """Estimate, plan and route once per (statistics version, query).
 
-        ``estimated`` is what a PIM execution reports (``None`` without
-        pruning).  Only the PIM route pays the zone-map walk.
+        The decision is memoised per ``statistics._version``, which only DML
+        moves: a replay estimates, walks and prices nothing again and bills a
+        0 zone-map walk.  Only the PIM route pays the walk.  The ``plan`` span
+        carries the decision and whether the memo held it.
         """
         statistics = self.stored.statistics
-        if not self.pruning:
-            if self.router is None:
-                return None, None, None
-            selectivity = statistics.estimate(query.predicate)
-            return None, None, self.router.route(query, self, selectivity, None)
-        with self.tracer.span("prune") as span:
-            estimated = statistics.estimate(query.predicate)
-            prune = statistics.plan(
-                query.predicate,
-                self.stored.partition_attributes,
-                self.config.pim.crossbars_per_page,
-            )
-            decision = None
-            if self.router is not None:
-                decision = self.router.route(query, self, estimated, prune)
-            if decision is None or decision.target == "pim":
+        key = (statistics._version, query, self.sample_pages)
+        decision = self._decisions.pop(key, None)
+        memo = "miss" if decision is None else "hit"
+        # Most recently used last.
+        self._decisions[key] = decision = decision or _Decision()
+        if len(self._decisions) > _DECISION_MEMO_CAPACITY:
+            self._decisions.popitem(last=False)
+        if not self.pruning and self.router is None:
+            return decision
+        with self.tracer.span("plan") as span:
+            if memo == "miss":
+                decision.selectivity = statistics.estimate(query.predicate)
+                if self.pruning:
+                    decision.prune = statistics.plan(
+                        query.predicate,
+                        self.stored.partition_attributes,
+                        self.config.pim.crossbars_per_page,
+                    )
+                if self.router is not None:
+                    decision.route = self.router.route(
+                        query, self, decision.selectivity, decision.prune
+                    )
+            prune, route = decision.prune, decision.route
+            entries = 0
+            if memo == "miss" and prune is not None and (
+                route is None or route.target == "pim"
+            ):
+                entries = prune.entries_checked
                 statistics.charge_check(
-                    stats, self.config.host,
-                    prune.entries_checked * self.timing_scale,
+                    stats, self.config.host, entries * self.timing_scale
                 )
             if self.tracer.enabled:
-                span.set(
-                    crossbars_total=crossbars_total,
-                    crossbars_scanned=prune.crossbars_scanned,
-                    crossbars_skipped=crossbars_total - prune.crossbars_scanned,
-                    entries_checked=prune.entries_checked,
-                    estimated_selectivity=estimated,
-                    empty=prune.empty,
-                )
-        return estimated, prune, decision
+                span.set(estimated_selectivity=decision.selectivity, memo=memo)
+                if prune is not None:
+                    span.set(
+                        crossbars_total=crossbars_total,
+                        crossbars_scanned=prune.crossbars_scanned,
+                        crossbars_skipped=crossbars_total - prune.crossbars_scanned,
+                        entries_checked=entries,
+                        empty=prune.empty,
+                    )
+                if route is not None:
+                    span.set(
+                        target=route.target,
+                        est_pim_time_s=route.est_pim_time_s,
+                        est_host_time_s=route.est_host_time_s,
+                    )
+        return decision
 
     def _execute_pim(
-        self, query: Query, primary: int, stats: PimStats, prune,
-        crossbars_total: int, estimated_selectivity: float | None,
+        self, query: Query, primary: int, stats: PimStats, decision: _Decision,
+        crossbars_total: int,
     ) -> QueryExecution:
         """Filter, then aggregate (GROUP-BY: pim-gb / host-gb) in memory."""
+        prune = decision.prune
         executor = PimExecutor(self.config, stats)
         read_model = HostReadModel(
             self.config, stats, traffic_scale=self.timing_scale
@@ -357,7 +401,7 @@ class PimQueryEngine:
             total_subgroups, in_sample, pim_subgroups = 0, 0, 0
         else:
             rows, plan = self._execute_group_by(
-                query, primary, mask, executor, read_model, prune=prune,
+                query, primary, mask, executor, read_model, decision
             )
             total_subgroups = plan.total_subgroups
             in_sample = plan.estimate.observed_subgroups
@@ -378,7 +422,8 @@ class PimQueryEngine:
             plan=plan,
             crossbars_total=crossbars_total,
             crossbars_scanned=crossbars_scanned,
-            estimated_selectivity=estimated_selectivity,
+            # A PIM execution reports an estimate only when pruning made one.
+            estimated_selectivity=decision.selectivity if self.pruning else None,
         )
 
     def _pruned_out_execution(
@@ -446,30 +491,26 @@ class PimQueryEngine:
         mask: np.ndarray,
         executor: PimExecutor,
         read_model: HostReadModel,
-        prune=None,
+        decision: _Decision,
     ) -> tuple[dict[GroupKey, dict[str, int]], GroupByPlan]:
         """Plan the pim-gb / host-gb split, then run both halves.
 
         The plan (candidate subgroups, sampled estimate, ``k``) depends only
-        on the query and the store's data, so it is memoised per statistics
-        version, which only DML moves: a replay between two DML statements
+        on the query and the store's data, so it is part of the engine's
+        decision memo (:meth:`_decide`): a replay between two DML statements
         skips the candidate enumeration, the sample and the ``k`` sweep.
         Every execution, hit or miss, is charged the sample read the plan's
         estimate recorded.
         """
         group_attributes = list(query.group_by)
-        key = (
-            self.stored.statistics._version, query.predicate, query.group_by,
-            query.aggregates, primary, self.sample_pages,
-        )
+        prune = decision.prune
         with self.tracer.span("group-plan") as plan_span:
-            plan = self._plans.pop(key, None)
+            plan = decision.group_plan
             memo = "miss" if plan is None else "hit"
             if plan is None:
-                plan = self._plan_group_by(query, primary, read_model)
-            self._plans[key] = plan                 # most recently used last
-            if len(self._plans) > _PLAN_MEMO_CAPACITY:
-                self._plans.popitem(last=False)
+                plan = decision.group_plan = self._plan_group_by(
+                    query, primary, read_model
+                )
             read_model.stats.add_time("sampling", plan.estimate.read_time_s)
             if self.tracer.enabled:
                 plan_span.set(
@@ -645,8 +686,8 @@ class PimQueryEngine:
         This captures the functional dependencies inside a dimension — for
         example ``p_brand1`` is restricted to the 40 brands of the selected
         ``p_category`` — and is catalog information, not charged to the
-        query's execution time.  It is enumerated on a plan-memo miss only
-        (see :meth:`_execute_group_by`), so once per data version.
+        query's execution time.  It is enumerated on a decision-memo miss
+        only (see :meth:`_decide`), so once per statistics version.
         """
         schema = self.stored.relation.schema
         predicate = query.predicate

@@ -11,17 +11,20 @@ Three planner responsibilities live here:
 * :meth:`RelationStatistics.plan` turns a WHERE clause into a
   :class:`~repro.planner.zonemap.PruneDecision` — per-partition candidate
   crossbars, with the conjuncts ordered most-selective first so the zone-map
-  walk exits early.  A memo miss bills its walk, a replay bills nothing.
+  walk exits early.  It intersects the per-fragment candidate sets of the
+  :class:`~repro.planner.candidates.CandidateSetCache`, so it bills only the
+  fragments that cache had to walk or re-validate.
 * :class:`CostPlanner` prices the two routes of one store execution: the
   PIM engine (broadcast cost bounded by the pruned crossbars) against a host
   scan, which can win for a high-selectivity query over a small relation —
   :func:`execute_host_scan` streams the referenced columns through the
   host's load path and hash-aggregates on the CPU, charging the same
   :class:`~repro.pim.stats.PimStats` machinery so the two routes stay
-  comparable.  The router estimates and plans nothing itself: the engine
-  (:meth:`~repro.core.executor.PimQueryEngine.execute`) hands it the
-  selectivity estimate and zone-map decision it made once, runs the chosen
-  route and feeds the execution's scan volume back
+  comparable.  The router estimates, plans and traces nothing itself: the
+  engine (:meth:`~repro.core.executor.PimQueryEngine.execute`) hands it the
+  selectivity estimate and zone-map decision, memoises all three per
+  statistics version (a replay decides nothing again), runs the chosen route
+  and feeds the execution's scan volume back
   (:meth:`RelationStatistics.observe_execution`).
 
 Only DML changes the statistics; a query reads them and feeds the
@@ -35,8 +38,7 @@ pair.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -48,17 +50,9 @@ from repro.host import dram
 from repro.host.processor import cpu_time
 from repro.pim.stats import PimStats
 from repro.planner.adaptive import AdaptiveController, AdaptiveSnapshot
-from repro.planner.candidates import (
-    CandidateCacheStats,
-    CandidateSetCache,
-    normalize_fragment,
-)
+from repro.planner.candidates import CandidateCacheStats, CandidateSetCache
 from repro.planner.selectivity import SelectivityModel
 from repro.planner.zonemap import PairZoneMap, PruneDecision, ZoneMaps
-
-
-#: Memoized :meth:`RelationStatistics.plan` decisions kept per relation.
-_PLAN_CACHE_CAPACITY = 64
 
 
 class RelationStatistics:
@@ -76,17 +70,10 @@ class RelationStatistics:
         self.pair_map: PairZoneMap | None = None
         # Relation-wide change counter, moved only by DML and compaction:
         # *any* maintenance event (including DELETE, which changes the live
-        # prefilter but not the cached fragment masks) retires memoized
-        # whole-plan decisions, which are then cheaply reassembled from the
-        # fragment cache.  It also keys PimQueryEngine's GROUP-BY plans.
+        # prefilter but not the cached fragment masks) retires the decisions
+        # PimQueryEngine memoises per version, which are then cheaply
+        # reassembled from the fragment cache.
         self._version = 0
-        # plan() memo, (decision, _version) per predicate: serving workloads
-        # replay predicates, and a replay skips the fragment-mask assembly
-        # (tens of microseconds per SSB predicate).
-        self._plan_cache: OrderedDict[object, tuple] = OrderedDict()
-        # estimate() memo, keyed on (predicate, _version): a replay skips
-        # the histogram walk, several times the cost of the lookup.
-        self._estimate_cache: OrderedDict[tuple, float] = OrderedDict()
 
     @classmethod
     def from_stored(cls, stored) -> RelationStatistics:
@@ -104,45 +91,14 @@ class RelationStatistics:
     ) -> PruneDecision:
         """Candidate crossbars for every vertical partition of a predicate.
 
-        The returned decision's candidate masks are read-only and shared
-        with the memo; ``entries_checked`` is the zone-map walk this call
-        did: the whole walk on a memo miss, 0 on a replay.
-        """
-        # The memo keys on the predicate's *structural* normal form, so
-        # structurally equal predicates built separately (a replayed query
-        # text re-parsed into fresh objects) hit the whole-plan memo, not
-        # just the per-fragment candidate cache underneath it.
-        key = (
-            normalize_fragment(predicate),
-            tuple(tuple(attrs) for attrs in partition_attributes),
-            crossbars_per_page,
-        )
-        cached = self._plan_cache.get(key)
-        if cached is not None and cached[1] == self._version:
-            self._plan_cache.move_to_end(key)
-            return replace(cached[0], entries_checked=0)
-        decision = self._assemble(
-            predicate, partition_attributes, crossbars_per_page
-        )
-        self._plan_cache[key] = (decision, self._version)
-        self._plan_cache.move_to_end(key)
-        if len(self._plan_cache) > _PLAN_CACHE_CAPACITY:
-            self._plan_cache.popitem(last=False)
-        return decision
-
-    def _assemble(
-        self,
-        predicate: Predicate,
-        partition_attributes: Sequence[Sequence[str]],
-        crossbars_per_page: int,
-    ) -> PruneDecision:
-        """Build a decision by intersecting cached fragment candidate sets.
-
-        Per partition the live prefilter is applied fresh (DELETEs shrink it
-        without touching the cache) and the fragments — ordered
-        most-selective first — narrow it; the walk exits early once no
-        candidate remains, exactly like the uncached
-        :meth:`~repro.planner.zonemap.ZoneMaps.check`.
+        Built by intersecting cached fragment candidate sets.  Per partition
+        the live prefilter is applied fresh (DELETEs shrink it without
+        touching the cache) and the fragments — ordered most-selective first
+        — narrow it; the walk exits early once no candidate remains, exactly
+        like the uncached :meth:`~repro.planner.zonemap.ZoneMaps.check`.  The
+        returned candidate masks are read-only; ``entries_checked`` is the
+        zone-map work this call did: fragment walks and re-validations, plus
+        the pair sketch's crossbars when it is consulted.
         """
         per_partition = partition_conjuncts(predicate, partition_attributes)
         live_mask = self.zonemaps.live > 0
@@ -213,15 +169,7 @@ class RelationStatistics:
 
     def estimate(self, predicate: Predicate) -> float:
         """Estimated selected fraction of the live records."""
-        key = (predicate, self._version)
-        fraction = self._estimate_cache.get(key)
-        if fraction is None:
-            fraction = self._estimate_cache[key] = self.selectivity.estimate(predicate)
-            if len(self._estimate_cache) > _PLAN_CACHE_CAPACITY:
-                self._estimate_cache.popitem(last=False)
-        else:
-            self._estimate_cache.move_to_end(key)
-        return fraction
+        return self.selectivity.estimate(predicate)
 
     # -------------------------------------------------------------- feedback
     def observe_execution(self, predicate: Predicate, crossbars_scanned: int) -> None:
@@ -325,9 +273,9 @@ def cold_walk(
 
     What :meth:`RelationStatistics.plan` must agree with — the same
     most-selective-first conjunct order through the uncached
-    :meth:`~repro.planner.zonemap.ZoneMaps.check`, touching neither the
-    candidate cache nor the plan memo, and billing the full two-level walk
-    as ``entries_checked``.  The pair sketch is not consulted.  Tests
+    :meth:`~repro.planner.zonemap.ZoneMaps.check`, touching no memo (neither
+    the candidate cache nor any engine's decision memo), and billing the
+    full two-level walk as ``entries_checked``.  The pair sketch is not consulted.  Tests
     compare cached decisions against it and take their cache-free entry
     baseline from it.
     """
@@ -401,22 +349,13 @@ class CostPlanner:
 
         ``selectivity`` and ``prune`` are the engine's own estimate and
         zone-map decision (``prune`` is ``None`` without pruning): the router
-        prices the two routes with them and plans nothing itself.
+        prices the two routes with them and plans nothing itself.  The
+        engine memoises the result and traces it in its ``plan`` span.
         """
-        tracer = engine.tracer
-        with tracer.span("plan") as span:
-            est_host = self._estimate_host(query, engine, selectivity)
-            est_pim = self._estimate_pim(query, engine, selectivity, prune)
-            target = "host" if est_host < est_pim else "pim"
-            decision = PlanDecision(target, selectivity, est_pim, est_host)
-            if tracer.enabled:
-                span.set(
-                    target=decision.target,
-                    estimated_selectivity=decision.estimated_selectivity,
-                    est_pim_time_s=decision.est_pim_time_s,
-                    est_host_time_s=decision.est_host_time_s,
-                )
-            return decision
+        est_host = self._estimate_host(query, engine, selectivity)
+        est_pim = self._estimate_pim(query, engine, selectivity, prune)
+        target = "host" if est_host < est_pim else "pim"
+        return PlanDecision(target, selectivity, est_pim, est_host)
 
     # ------------------------------------------------------------- estimates
     def _estimate_host(self, query: Query, engine, selectivity: float) -> float:

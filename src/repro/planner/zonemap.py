@@ -414,20 +414,6 @@ class PairZoneMap:
         }
         self.sketch = np.zeros(self.crossbars, dtype=np.uint64)
 
-    @classmethod
-    def from_relation(
-        cls,
-        attributes,
-        schema: Schema,
-        crossbars: int,
-        rows: int,
-        relation,
-        valid: np.ndarray | None = None,
-    ) -> PairZoneMap:
-        pair = cls(attributes, schema, crossbars, rows)
-        pair.rebuild(relation, valid)
-        return pair
-
     def _bits_of(self, a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
         first, second = self.attributes
         a_bucket = np.asarray(a_values, dtype=np.uint64) >> np.uint64(self.shifts[first])
@@ -435,22 +421,12 @@ class PairZoneMap:
         return a_bucket * np.uint64(PAIR_BUCKETS) + b_bucket
 
     # ------------------------------------------------------------ maintenance
-    def rebuild(self, relation, valid: np.ndarray | None = None) -> None:
-        """Recompute the sketch exactly from the slot-aligned ground truth."""
-        records = len(relation)
-        capacity = self.crossbars * self.rows
-        live = np.zeros(capacity, dtype=bool)
-        if valid is None:
-            live[:records] = True
-        else:
-            live[:records] = np.asarray(valid, dtype=bool)
+    def rebuild(self, relation) -> None:
+        """Recompute the sketch exactly from a dense relation (all slots live)."""
         first, second = self.attributes
-        a_padded = np.zeros(capacity, dtype=np.uint64)
-        a_padded[:records] = relation.column(first)
-        b_padded = np.zeros(capacity, dtype=np.uint64)
-        b_padded[:records] = relation.column(second)
-        words = np.where(
-            live, np.uint64(1) << self._bits_of(a_padded, b_padded), np.uint64(0)
+        words = np.zeros(self.crossbars * self.rows, dtype=np.uint64)
+        words[:len(relation)] = np.uint64(1) << self._bits_of(
+            relation.column(first), relation.column(second)
         )
         self.sketch = np.bitwise_or.reduce(
             words.reshape(self.crossbars, self.rows), axis=1

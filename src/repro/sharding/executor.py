@@ -225,8 +225,9 @@ class ShardedQueryEngine:
         """Cross-shard candidate mask: which shards are provably empty.
 
         Reads a :func:`~repro.planner.planner.cold_walk` of every shard's
-        zone maps, which touches neither the plan memo nor any billing, so
-        the shard's own execution is unchanged.  The cold walk ignores the
+        zone maps, which touches no memo (neither the candidate cache nor the
+        shard engine's decision memo) and bills nothing, so the shard's own
+        execution is unchanged.  The cold walk ignores the
         pair sketch, so its flags are a subset of the plan's.  An inspection
         helper: a provably empty shard returns from its own plan.
         """

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from twins import assert_same_state, reference_group_aggregate
+from twins import assert_same_state, pair_sketch, reference_group_aggregate
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -24,7 +24,7 @@ from repro.pim.module import PimModule
 from repro.planner.adaptive import AdaptiveController
 from repro.planner.planner import cold_walk
 from repro.planner.selectivity import ColumnHistogram, SelectivityModel
-from repro.planner.zonemap import PairZoneMap, ZoneMaps
+from repro.planner.zonemap import ZoneMaps
 
 
 # ------------------------------------------------------ equi-depth histograms
@@ -214,7 +214,7 @@ def test_pair_sketch_is_conservative_and_narrows():
         np.uint64
     )
     relation = Relation(schema, {"a": a, "b": b})
-    sketch = PairZoneMap.from_relation(
+    sketch = pair_sketch(
         ("a", "b"), schema, crossbars, rows, relation
     )
     grid_a = a.reshape(crossbars, rows)
@@ -243,7 +243,7 @@ def test_pair_sketch_update_saturates():
     schema = Schema("t", [int_attribute("a", 8), int_attribute("b", 8)])
     values = np.zeros(16, dtype=np.uint64)
     relation = Relation(schema, {"a": values, "b": values})
-    sketch = PairZoneMap.from_relation(("a", "b"), schema, 2, 8, relation)
+    sketch = pair_sketch(("a", "b"), schema, 2, 8, relation)
     mask_a = sketch.bucket_mask(Comparison("a", "==", 255))
     mask_b = sketch.bucket_mask(Comparison("b", "==", 255))
     assert not sketch.possible(mask_a, mask_b).any()
@@ -735,7 +735,7 @@ def test_state_digest_covers_every_statistic_a_later_statement_reads(part):
         )
     elif part == "pair-sketch":
         zonemaps = statistics.zonemaps
-        statistics.pair_map = PairZoneMap.from_relation(
+        statistics.pair_map = pair_sketch(
             ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
             stored.relation,
         )
@@ -800,7 +800,7 @@ def _pair_sketches_exact(storeds) -> None:
         if pair is None:
             continue
         zonemaps = stored.statistics.zonemaps
-        fresh = PairZoneMap.from_relation(
+        fresh = pair_sketch(
             pair.attributes, zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
             stored.relation, stored.valid_mask(0),
         )

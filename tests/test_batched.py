@@ -599,10 +599,11 @@ def test_rejected_scatter_pool_is_collected_quietly():
     gc.collect()
 
 
-# ------------------------------------------------------- whole-plan memo key
+# ------------------------------------------------ structural fragment keys
 def test_plan_memo_keys_on_structural_predicate_form():
-    """Structurally equal predicates built separately share one memo entry:
-    the second request replays the plan without re-walking the zone maps."""
+    """Structurally equal predicates built separately share the candidate
+    cache's fragment entries: the second plan, conjuncts reordered in fresh
+    objects, finds every fragment cached and re-walks no zone map."""
     relation = _relation(seed=9, num_cities=4)
     config = DEFAULT_CONFIG
     stored = StoredRelation(
@@ -663,9 +664,10 @@ def test_cold_pim_execution_bills_the_cold_walk_and_a_replay_nothing():
 
 def test_host_route_bills_no_walk_and_leaves_none_for_the_pim_route():
     """A host scan reads no zone map, so it bills none — not in its stats
-    and not in its trace; the plan it made is memoised, so a PIM execution
-    of the same predicate at the same statistics version bills nothing
-    either."""
+    and not in its trace; the plan it made left its fragments in the
+    candidate cache, so another engine's PIM execution of the same predicate
+    at the same statistics version plans through that cache and bills
+    nothing either."""
     from repro.obs.trace import SpanTracer, fold_trace_charges
 
     relation = _relation(seed=10, num_cities=4)

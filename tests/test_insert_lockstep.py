@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from twins import assert_same_state
+from twins import assert_same_state, pair_sketch
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
@@ -32,7 +32,6 @@ from repro.obs.trace import SpanTracer, fold_trace_charges
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
-from repro.planner.zonemap import PairZoneMap
 from repro.service import QueryService
 
 BACKENDS = ("packed", "bool")
@@ -200,7 +199,7 @@ def _store(backend: str, records: int, partitions=None):
 def _build_pair_sketch(stored) -> None:
     """A built (key, value) pair sketch."""
     zonemaps = stored.statistics.zonemaps
-    stored.statistics.pair_map = PairZoneMap.from_relation(
+    stored.statistics.pair_map = pair_sketch(
         ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
         stored.relation, stored.valid_mask(0),
     )

@@ -216,6 +216,36 @@ def test_explain_shows_the_group_plan_memo_decision(toy_relation_factory):
     assert memo() == "hit"
 
 
+@pytest.mark.parametrize("planner", [False, True])
+def test_explain_of_a_replay_differs_only_in_memo(toy_relation, planner):
+    """The second ``explain()`` replays the first one's decision (estimate,
+    zone-map plan, route, GROUP-BY plan) and still shows it: its text differs
+    from the first only in ``memo=``.  A twin of the query (another name,
+    so another memo key) runs first and warms the program and candidate
+    caches, so the first explain's miss walks no zone map.  With the router
+    on, that miss also priced the PIM route: one program-cache lookup the
+    replay does not make, on the root span."""
+    service = QueryService(planner=planner)
+    service.register("toy", _store(toy_relation))
+    service.execute(dataclasses.replace(GROUP_QUERY, name="twin"))
+    first, second = (service.explain(GROUP_QUERY).render() for _ in range(2))
+    # Host-routed with the router on: no GROUP-BY plan, one memo line.
+    assert first.count("memo=miss") == (1 if planner else 2)
+    assert "memo=miss" not in second
+    differing = [
+        (ours, theirs)
+        for ours, theirs in zip(first.splitlines(), second.splitlines())
+        if ours.replace("memo=miss", "memo=hit") != theirs
+    ]
+    if planner:
+        ((ours, theirs),) = differing
+        assert ours.startswith("query ")
+        assert ours.replace("cache_hits=1", "cache_hits=0") == theirs
+    else:
+        assert differing == []
+    assert len(first.splitlines()) == len(second.splitlines())
+
+
 def test_explain_golden_stable_across_backends(ssb_prejoined):
     renders = {}
     for backend in ("packed", "bool"):

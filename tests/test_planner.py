@@ -581,6 +581,66 @@ def test_each_store_execution_estimates_plans_and_observes_once(
         service.close()
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_replay_decides_nothing_again(monkeypatch, shards):
+    """With pruning and the router on, a warm replay estimates, plans and
+    routes nothing: the engine memoises its decision per statistics version.
+    After one INSERT every query decides once more, on the store the INSERT
+    landed in only."""
+    from repro.planner.planner import RelationStatistics
+
+    calls = []
+    for method in ("plan", "estimate"):
+        inner = getattr(RelationStatistics, method)
+        monkeypatch.setattr(
+            RelationStatistics, method,
+            lambda self, *args, inner=inner, method=method, **kwargs: (
+                calls.append((method, id(self))) or inner(self, *args, **kwargs)
+            ),
+        )
+    route = CostPlanner.route
+    monkeypatch.setattr(
+        CostPlanner, "route",
+        lambda self, query, engine, *args: (
+            calls.append(("route", id(engine.stored.statistics)))
+            or route(self, query, engine, *args)
+        ),
+    )
+    service = QueryService()
+    service.register_sharded(
+        "pl", clustered_relation(), shards=shards, timing_scale=1024.0
+    )
+    stores = service.engine().sharded.shards
+    queries = (POINT, RANGE, NOTHING)
+    for query in queries:                                   # the cold round
+        service.execute(query)
+    assert len(calls) == 3 * len(queries) * shards
+    calls.clear()
+    for query in queries:
+        service.execute(query)
+    assert calls == []
+
+    versions = [stored.statistics._version for stored in stores]
+    service.insert([{"key": 101, "value": 3, "city": "OSLO"}])
+    landed = [
+        stored for stored, version in zip(stores, versions)
+        if stored.statistics._version != version
+    ]
+    assert len(landed) == 1
+    owner = id(landed[0].statistics)
+    for query in queries:
+        calls.clear()
+        service.execute(query)
+        assert sorted(calls) == [
+            ("estimate", owner), ("plan", owner), ("route", owner)
+        ], query.name
+    calls.clear()
+    for query in queries:
+        service.execute(query)
+    assert calls == []
+    service.close()
+
+
 # ----------------------------------------------------------------- satellites
 def test_register_sharded_validates_backend_early():
     service = QueryService()
@@ -986,30 +1046,30 @@ def test_group_domain_is_the_sorted_distinct_selected_values(
 
 
 def test_memos_stay_within_their_capacity():
-    from repro.core.executor import _PLAN_MEMO_CAPACITY
-    from repro.planner.planner import _PLAN_CACHE_CAPACITY
+    """The engine's one decision memo stays bounded, and the least recently
+    used decision is the one evicted: replaying it decides afresh."""
+    from repro.core.executor import _DECISION_MEMO_CAPACITY
 
     stored = _store(clustered_relation())
-    statistics = stored.statistics
-    predicates = [Comparison("key", "<=", bound) for bound in range(1000)]
-    for predicate in predicates:
-        assert statistics.estimate(predicate) == statistics.selectivity.estimate(predicate)
-        assert len(statistics._estimate_cache) <= _PLAN_CACHE_CAPACITY
-    assert len(statistics._estimate_cache) == _PLAN_CACHE_CAPACITY
-
-    engine = PimQueryEngine(stored)
+    engine = PimQueryEngine(stored, pruning=True, router=CostPlanner())
     queries = [
         Query(f"memo{bound}", Comparison("key", "<=", 50 * bound),
               MEMO_QUERY.aggregates, group_by=("city",))
-        for bound in range(_PLAN_MEMO_CAPACITY + 8)
+        for bound in range(_DECISION_MEMO_CAPACITY + 8)
     ]
     for query in queries:
         engine.execute(query)
-        assert len(engine._plans) <= _PLAN_MEMO_CAPACITY
-    assert len(engine._plans) == _PLAN_MEMO_CAPACITY
-    memoised = {key[1] for key in engine._plans}
-    assert queries[-1].predicate in memoised
-    assert queries[0].predicate not in memoised
+        assert len(engine._decisions) <= _DECISION_MEMO_CAPACITY
+    assert len(engine._decisions) == _DECISION_MEMO_CAPACITY
+    memoised = [key[1] for key in engine._decisions]
+    assert memoised == queries[-_DECISION_MEMO_CAPACITY:]
+    version = stored.statistics._version
+    assert all(key == (version, query, engine.sample_pages)
+               for key, query in zip(engine._decisions, memoised))
+    engine.execute(queries[0])
+    assert [key[1] for key in engine._decisions] == (
+        queries[-_DECISION_MEMO_CAPACITY + 1:] + queries[:1]
+    )
 
 
 #: Two GROUP-BY probes of the hit-equals-miss test, on different columns.
@@ -1025,12 +1085,13 @@ MEMO_PROBES = (
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
-    """Two services with one op history, one of them planning every
-    execution afresh (its engines' plan memos cleared before each): after
-    every INSERT, UPDATE, DELETE, forced compaction and GROUP-BY probe they
-    agree on rows, ``PimStats``, plan and state digest.  Over three replays
-    the memoising service samples once per (store, query, statistics
-    version): again only on the stores whose version a statement moved."""
+    """Two services with one op history, one of them deciding every
+    execution afresh (its engines' decision memos cleared before each):
+    after every INSERT, UPDATE, DELETE, forced compaction and GROUP-BY probe
+    they agree on rows, ``PimStats``, plan, route, estimate and state
+    digest.  Over three replays the memoising service samples once per
+    (store, query, statistics version): again only on the stores whose
+    version a statement moved."""
     from repro.core import executor as core_executor
 
     memo, memo_stores, _ = _memo_service(shards)
@@ -1053,11 +1114,13 @@ def test_plan_memo_hit_equals_miss_under_every_writer(monkeypatch, shards):
             probing[0] = query.name
             for _ in range(3):
                 for engine in cold_engines:
-                    engine._plans.clear()
+                    engine._decisions.clear()
                 hit, miss = memo.execute(query), cold.execute(query)
                 assert hit.rows == miss.rows
                 assert hit.stats == miss.stats
                 assert hit.plan == miss.plan
+                assert hit.route == miss.route
+                assert hit.estimated_selectivity == miss.estimated_selectivity
                 assert memo.state_digest("pl") == cold.state_digest("pl")
 
     statements = [

@@ -16,7 +16,8 @@ The digest hashes cells as stored, so twins on *different* bank backends
 compare banks with :func:`assert_banks_equal` instead.
 
 :func:`reference_group_aggregate` is the plain-NumPy GROUP-BY every engine's
-rows are checked against.
+rows are checked against, and :func:`pair_sketch` the correlated-pair sketch
+every compaction-built one is checked against.
 """
 
 from collections.abc import Sequence
@@ -30,6 +31,7 @@ from repro.core.latency_model import (
 )
 from repro.db.query import Aggregate
 from repro.db.relation import Relation
+from repro.planner.zonemap import PairZoneMap
 from repro.service import QueryService
 
 #: Execution fields a twin must reproduce besides ``rows`` and ``stats``.
@@ -86,6 +88,24 @@ def reference_group_aggregate(
                 entry[aggregate.name] = int(values.max())
         results[tuple(int(v) for v in key)] = entry
     return results
+
+
+def pair_sketch(
+    attributes, schema, crossbars: int, rows: int, relation: Relation,
+    valid: np.ndarray | None = None,
+) -> PairZoneMap:
+    """A pair sketch over the slot-aligned ground truth, record by record.
+
+    ``valid`` (one bool per slot in use) leaves tombstoned slots out; without
+    it every slot is live.  Built through ``note_insert``, not through the
+    compaction's ``rebuild``, so it is an independent reference.
+    """
+    pair = PairZoneMap(attributes, schema, crossbars, rows)
+    slots = np.arange(len(relation)) if valid is None else np.flatnonzero(valid)
+    pair.note_insert(
+        slots, {name: relation.column(name)[slots] for name in pair.attributes}
+    )
+    return pair
 
 
 def assert_same_execution(ours, theirs) -> None:
