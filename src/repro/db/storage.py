@@ -585,7 +585,10 @@ class StoredRelation:
             np.array([statistics._version, self.num_records, self.live_count]),
             np.array(sorted(self._free_slots), dtype=np.int64),
         )
-        part("ground-truth", *(self.relation.columns[name] for name in names))
+        # Values, not storage: hashed as uint64 whatever dtype holds them.
+        part("ground-truth", *(
+            self.relation.columns[name].astype(np.uint64, copy=False) for name in names
+        ))
         return parts
 
     def state_digest(self) -> str:
