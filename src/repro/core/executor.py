@@ -718,5 +718,5 @@ class PimQueryEngine:
         """Whether any record selected by the query belongs to the subgroup."""
         member = mask.copy()
         for name, value in zip(group_attributes, key):
-            member &= self.stored.relation.column(name) == np.uint64(value)
+            member &= self.stored.relation.column(name) == int(value)
         return bool(member.any())

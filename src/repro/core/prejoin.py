@@ -26,6 +26,7 @@ from repro.db.catalog import Database
 from repro.db.encoding import BOOKKEEPING_COLUMNS
 from repro.db.relation import Relation
 from repro.db.schema import Attribute, Schema
+from repro.pim.packed import field_dtype
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class DerivedAttribute:
             raise ValueError(
                 f"derived attribute {self.name!r} overflows {self.width} bits"
             )
-        return values.astype(np.uint64)
+        return values.astype(field_dtype(self.width))
 
 
 def build_prejoined_relation(

@@ -354,13 +354,16 @@ def execute_insert(
     bad record raises (:class:`RelationFullError` / :class:`ValueError`)
     with nothing applied.  The batch is encoded column-wise
     (:meth:`~repro.db.relation.Relation.encode_records`); ``encoded=True``
-    trusts ``records`` to be such a result, one encoded ``uint64`` column per
-    attribute (the service encodes once for all of a relation's stores).
+    trusts ``records`` to be such a result, one width-checked column per
+    attribute in the field's own dtype (the service encodes once for all of
+    a relation's stores).  Each ground-truth column keeps its dtype: reused
+    slots are written in place and the appended tail is concatenated in the
+    same dtype.
 
     **Modelled**: each record goes through the host store path — one field
     store per attribute plus the four bookkeeping bits, per partition —
     charging write latency, energy and wear per store (``insert-write``), in
-    record-major order.  **Simulated**: one ``uint64`` column per attribute,
+    record-major order.  **Simulated**: one encoded column per attribute,
     one ``write_field_cells`` scatter per partition (its attributes and four
     bookkeeping bits, everything validated before the first cell changes), one
     statistics update and one charge series folding the per-store floats
@@ -506,11 +509,11 @@ def execute_compaction(
 
     **Streaming**: the rewrite is one step per field, in its partition's
     loop (:meth:`StoredRelation.write_dense_field`): the field is gathered
-    into the ground truth in its new order, fit-checked against its width
-    while still ``uint64`` (an over-width ground-truth value raises
+    into the ground truth in its new order (in the field's own dtype),
+    fit-checked against its width (an over-width ground-truth value raises
     :class:`ValueError`), staged into the partition's zero-tailed buffer of
-    the field's narrow dtype (one per dtype) and encoded.  The zone maps
-    reduce copies of those staged narrow images.
+    that dtype (one per dtype) and encoded.  The zone maps reduce the dense
+    ground truth.
 
     **Re-clustering**: since compaction reads every live record anyway, it
     is the free moment to choose their order.  ``cluster_by`` (default: the
@@ -549,7 +552,7 @@ def execute_compaction(
         for name in names:
             relation.columns[name] = relation.columns[name][:0]
         relation.num_records = 0
-        stored.reset_slots_after_compaction(relation.columns)
+        stored.reset_slots_after_compaction()
         stored.statistics.charge_maintenance(
             executor.stats, executor.config.host, crossbar_entries
         )
@@ -586,13 +589,12 @@ def execute_compaction(
     relation.num_records = new_count
 
     # Phase 2: stream the dense image back into the crossbars, one field at
-    # a time: gathered into the ground truth, fit-checked, staged narrow
-    # (one zero-tailed buffer per partition and dtype) and encoded.  The
-    # zone maps reduce the staged images.
+    # a time: gathered into the ground truth, fit-checked, staged (one
+    # zero-tailed buffer per partition and dtype) and encoded.  The zone
+    # maps reduce the dense ground truth.
     host = executor.config.host
     xbar_cfg = executor.config.pim.crossbar
     total_bits_written = 0
-    images: dict[str, np.ndarray] = {}
     for partition, (layout, allocation, attrs) in enumerate(zip(
         stored.layouts, stored.allocations, stored.partition_attributes
     )):
@@ -605,9 +607,7 @@ def execute_compaction(
         buffers: dict[np.dtype, np.ndarray] = {}
         for name in attrs:
             column = relation.columns[name] = relation.columns[name].take(order)
-            images[name] = stored.write_dense_field(
-                partition, name, column, buffers
-            ).copy()
+            stored.write_dense_field(partition, name, column, buffers)
         fresh_valid = np.zeros(capacity, dtype=bool)
         fresh_valid[:new_count] = True
         bank.write_bool_column(
@@ -636,7 +636,7 @@ def execute_compaction(
         np.ceil(num_bytes / CACHE_LINE_BYTES)
     )
 
-    stored.reset_slots_after_compaction(images)
+    stored.reset_slots_after_compaction()
     # Zone-map maintenance: compaction moved every row, so the zone maps
     # were rebuilt — one pass over every crossbar's entries.  Every
     # candidate-cache epoch was bumped: rows moved between crossbars and the

@@ -269,11 +269,12 @@ def _evaluate_comparison(comparison: Comparison, relation: Relation) -> np.ndarr
     if op == IN:
         mask = np.zeros(len(relation), dtype=bool)
         for code in encoded.codes:
-            mask |= column == np.uint64(code)
+            mask |= column == code
         return mask
+    # Python ints, so a narrow column is compared as is, never widened.
     if op == BETWEEN:
-        return (column >= np.uint64(encoded.low)) & (column <= np.uint64(encoded.high))
-    value = np.uint64(encoded.code)
+        return (column >= encoded.low) & (column <= encoded.high)
+    value = encoded.code
     if op == EQ:
         return column == value
     if op == NE:

@@ -1,10 +1,13 @@
 """In-memory relations backed by NumPy columns.
 
 A :class:`Relation` is the functional ("ground truth") representation of a
-table: a schema plus one unsigned integer array per attribute.  It is the
+table: a schema plus one unsigned integer array per attribute, each in its
+field's own dtype (:func:`~repro.pim.packed.field_dtype` of the attribute's
+width: a 3-bit flag is ``uint8``, a 24-bit price ``uint32``).  It is the
 source from which data is loaded into the PIM module, the input of the
 columnar baseline engine, and the reference the integration tests compare
-query answers against.
+query answers against.  Whatever writes a column keeps its dtype, and
+arithmetic that could overflow it (a SUM, a product) widens explicitly.
 """
 
 from __future__ import annotations
@@ -13,11 +16,34 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.db.schema import Schema
+from repro.db.schema import Attribute, Schema
+from repro.pim.packed import field_dtype
+
+
+def field_values(attribute: Attribute, values) -> np.ndarray:
+    """``values`` as a column of ``attribute``, in the field's own dtype.
+
+    The range check runs on the incoming values, before anything narrows
+    them, so an over-width (or negative) value raises ``ValueError`` instead
+    of wrapping.  An array already in the field's dtype is returned as is.
+    """
+    column = np.asarray(values)
+    if column.dtype.kind not in "iu":
+        column = np.asarray(values, dtype=np.uint64)
+    if column.size and (
+        (column.dtype.kind == "i" and column.min() < 0)
+        or (attribute.width < 64 and column.max() > attribute.max_value)
+    ):
+        raise ValueError(
+            f"column {attribute.name!r} has values exceeding "
+            f"{attribute.width} bits"
+        )
+    return column.astype(field_dtype(attribute.width), copy=False)
 
 
 class Relation:
-    """A table: a schema and one NumPy column per attribute."""
+    """A table: a schema and one NumPy column per attribute, each in its
+    field's own dtype (:func:`field_values`)."""
 
     def __init__(self, schema: Schema, columns: Mapping[str, np.ndarray]):
         self.schema = schema
@@ -26,12 +52,7 @@ class Relation:
         for attribute in schema:
             if attribute.name not in columns:
                 raise ValueError(f"missing column {attribute.name!r}")
-            column = np.asarray(columns[attribute.name], dtype=np.uint64)
-            if attribute.width < 64 and column.size and column.max(initial=0) > attribute.max_value:
-                raise ValueError(
-                    f"column {attribute.name!r} has values exceeding "
-                    f"{attribute.width} bits"
-                )
+            column = field_values(attribute, columns[attribute.name])
             self.columns[attribute.name] = column
             lengths.add(len(column))
         if len(lengths) > 1:
@@ -55,7 +76,8 @@ class Relation:
     def encode_records(
         self, records: Sequence[Mapping[str, object]]
     ) -> dict[str, np.ndarray]:
-        """Validate and encode a batch of records, one ``uint64`` column each.
+        """Validate and encode a batch of records, one column per attribute in
+        the field's own dtype (the dtype of the relation's column).
 
         Values may be raw (e.g. a dictionary-encoded string) or already
         encoded integers; either way the encoded code must fit the
@@ -93,7 +115,7 @@ class Relation:
                         f"value {raws[int(np.argmax(bad))]!r} for attribute "
                         f"{name!r} does not fit in {attribute.width} bits"
                     )
-                columns[name] = codes.astype(np.uint64)
+                columns[name] = codes.astype(field_dtype(attribute.width))
         except (ValueError, TypeError, KeyError, OverflowError):
             # The pass met the first bad attribute, which need not belong to
             # the first bad record: raise that record's own error.
@@ -114,16 +136,17 @@ class Relation:
 
     def records(self, indices: Iterable[int] | None = None) -> list[dict[str, int]]:
         """Return records as dictionaries of encoded values (for small data)."""
-        if indices is None:
-            indices = range(self.num_records)
-        return [
-            {name: int(self.columns[name][i]) for name in self.schema.names}
-            for i in indices
-        ]
+        rows = slice(None) if indices is None else np.asarray(
+            indices if isinstance(indices, np.ndarray) else list(indices),
+            dtype=np.intp,
+        )
+        names = self.schema.names
+        values = [self.columns[name][rows].tolist() for name in names]
+        return [dict(zip(names, record)) for record in zip(*values)]
 
     @property
     def nbytes(self) -> int:
-        """Approximate in-memory size of the columns."""
+        """In-memory size of the columns: rows times each field's itemsize."""
         return sum(col.nbytes for col in self.columns.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

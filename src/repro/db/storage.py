@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -186,15 +186,14 @@ class StoredRelation:
         name: str,
         column: np.ndarray,
         buffers: dict[np.dtype, np.ndarray],
-    ) -> np.ndarray:
-        """Encode the dense ``uint64`` ground truth of ``name`` into every row.
+    ) -> None:
+        """Encode the dense ground truth of ``name`` into every row.
 
-        The column is fit-checked against the field width before anything
-        narrows it, staged into the partition's capacity-long buffer of the
-        field's dtype (``buffers``, one per dtype: every field overwrites the
+        The column (in the field's own dtype) is fit-checked against the
+        field width, staged into the partition's capacity-long buffer of
+        that dtype (``buffers``, one per dtype: every field overwrites the
         same prefix, so the tail stays zero) and written with one
-        ``write_field_column``.  Returns the staged prefix, a view that the
-        next field of the same dtype overwrites.  Wear is the caller's.
+        ``write_field_column``.  Wear is the caller's.
         """
         offset, width = self.layouts[partition].fields[name]
         if width < 64 and column.size and int(column.max()) >> width:
@@ -212,7 +211,6 @@ class StoredRelation:
         bank.write_field_column(
             offset, width, staged.reshape(bank.count, bank.rows), count_wear=False
         )
-        return staged[: column.size]
 
     # ------------------------------------------------------------- geometry
     @property
@@ -323,18 +321,15 @@ class StoredRelation:
         old_values = self.relation.columns[attribute][slots]
         self.statistics.note_update(attribute, encoded, crossbars, old_values)
 
-    def reset_slots_after_compaction(self, images: Mapping[str, np.ndarray]) -> None:
-        """All live rows were rewritten densely into the lowest slots.
-
-        ``images`` maps every attribute to its dense prefix as compaction
-        staged it (any unsigned dtype); the zone maps reduce those.
-        """
+    def reset_slots_after_compaction(self) -> None:
+        """All live rows were rewritten densely into the lowest slots (and
+        into the dense prefix of the ground truth)."""
         self._free_slots = []
         self.num_records = self.live_count
         # Compaction rewrote every row densely and scrubbed the bookkeeping
         # columns: refresh the statistics from the dense prefix and mark
         # every tracked column clean, except where valid bits were rewritten.
-        self.statistics.rebuild(self.relation, images)
+        self.statistics.rebuild(self.relation)
         for dirty in self._column_dirty:
             for mask in dirty.values():
                 mask[:] = False

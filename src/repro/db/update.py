@@ -165,8 +165,9 @@ def execute_update(
             # also bumps the candidate-cache epochs of exactly the touched
             # crossbars, so cached pruning verdicts re-validate only those.
             stored.note_update(name, encoded, mask)
-            column = stored.relation.columns[name]
-            column[mask] = np.uint64(encoded)
+            # A Python int: compile_update width-checked it, and NumPy
+            # refuses (rather than wraps) one the column's dtype cannot hold.
+            stored.relation.columns[name][mask] = encoded
         touched = np.unique(
             np.nonzero(mask)[0] // stored.rows_per_crossbar
         ).size

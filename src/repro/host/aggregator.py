@@ -55,7 +55,7 @@ def host_group_aggregate(
     the timing model extrapolates to a larger relation).
     """
     group_names = list(group_columns)
-    arrays = [np.asarray(group_columns[name], dtype=np.uint64) for name in group_names]
+    arrays = [_unsigned(group_columns[name]) for name in group_names]
     lengths = {len(a) for a in arrays} | {
         len(np.asarray(v)) for v in value_columns.values()
     }
@@ -72,36 +72,36 @@ def host_group_aggregate(
 
     results: dict[tuple[int, ...], dict[str, int]] = {}
     if count:
-        if arrays:
-            keys = np.stack(arrays, axis=1)
-        else:
-            keys = np.zeros((count, 0), dtype=np.uint64)
-        unique_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        # Sorted-segment reductions: one reduceat per aggregate instead of one
-        # boolean selector per (group, aggregate) pair.  ``inverse`` indexes the
-        # sorted unique keys, so after the stable argsort segment ``g`` holds
-        # exactly the rows of unique key ``g`` and every segment is non-empty.
-        order = np.argsort(inverse, kind="stable")
-        sorted_groups = inverse[order]
-        starts = np.nonzero(np.r_[True, sorted_groups[1:] != sorted_groups[:-1]])[0]
+        # Sorted-segment reductions: one stable lexicographic sort of the key
+        # columns in their own dtypes (the first column most significant, so
+        # the groups come out in key order), then one reduceat per aggregate.
+        order = np.lexsort(arrays[::-1]) if arrays else np.arange(count)
+        new_group = np.zeros(count, dtype=bool)
+        new_group[0] = True
+        sorted_keys = [array[order] for array in arrays]
+        for column in sorted_keys:
+            new_group[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(new_group)
+        keys = list(zip(*(column[starts].tolist() for column in sorted_keys)))
         columns: dict[str, np.ndarray] = {}
         for aggregate in aggregates:
             if aggregate.op == "count":
                 columns[aggregate.name] = np.diff(np.r_[starts, count])
                 continue
-            values = np.asarray(value_columns[aggregate.attribute], dtype=np.uint64)[
-                order
-            ]
+            # Widened: a sum may not fit the field's own dtype.
+            values = _unsigned(value_columns[aggregate.attribute])[order].astype(
+                np.uint64, copy=False
+            )
             if aggregate.op == "sum":
                 columns[aggregate.name] = np.add.reduceat(values, starts)
             elif aggregate.op == "min":
                 columns[aggregate.name] = np.minimum.reduceat(values, starts)
             else:
                 columns[aggregate.name] = np.maximum.reduceat(values, starts)
-        for key_index, key in enumerate(unique_keys):
-            results[tuple(int(v) for v in key)] = {
-                name: int(values[key_index]) for name, values in columns.items()
+        values_by_name = {name: values.tolist() for name, values in columns.items()}
+        for index, key in enumerate(keys or [()] * len(starts)):
+            results[key] = {
+                name: values[index] for name, values in values_by_name.items()
             }
 
     if stats is not None:
@@ -115,6 +115,13 @@ def host_group_aggregate(
             ),
         )
     return results
+
+
+def _unsigned(values) -> np.ndarray:
+    """``values`` as an unsigned array: its own dtype when it is one (a
+    ground-truth column), else ``uint64``."""
+    array = np.asarray(values)
+    return array if array.dtype.kind == "u" else np.asarray(values, dtype=np.uint64)
 
 
 def combine_partials(

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 
 import numpy as np
 
@@ -229,12 +229,38 @@ class CandidateSetCache:
             self._stale_crossbars += consulted
             self._entries_checked += consulted
             return mask, consulted
-        self._misses += 1
         mask = self.zonemaps.possible(fragment)
-        mask.setflags(write=False)
         # Two-level, like ZoneMaps.check: the live crossbars it cannot rule out.
         consulted = two_level_entries(mask & (self.zonemaps.live > 0), crossbars_per_page)
+        return self._store(key, mask, consulted)
+
+    def pair_lookup(
+        self, key: Hashable, possible: Callable[[], np.ndarray]
+    ) -> tuple[np.ndarray, int]:
+        """The pair sketch's candidate mask under ``key`` (the pair and its two
+        bucket masks), memoised like a fragment: ``(mask, entries)``.
+
+        The sketch changes only on crossbars whose epoch an INSERT or UPDATE
+        bumps (compaction bumps them all), so a verdict cached under the
+        current epochs still holds and consults nothing.  Otherwise
+        ``possible()`` reads the sketch word of every crossbar again,
+        ``zonemaps.crossbars`` entries.
+        """
+        entry = self._entries.get(key)
+        if entry is not None and np.array_equal(entry.epochs, self.epochs):
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry.mask, 0
+        return self._store(key, possible(), self.zonemaps.crossbars)
+
+    def _store(
+        self, key: Hashable, mask: np.ndarray, consulted: int
+    ) -> tuple[np.ndarray, int]:
+        """Cache a freshly computed mask under the current epochs (a miss)."""
+        self._misses += 1
+        mask.setflags(write=False)
         self._entries[key] = _CachedFragment(mask, self.epochs.copy())
+        self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._evictions += 1

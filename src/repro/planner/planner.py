@@ -38,8 +38,9 @@ pair.
 from __future__ import annotations
 
 import math
+from functools import partial
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -98,7 +99,8 @@ class RelationStatistics:
         like the uncached :meth:`~repro.planner.zonemap.ZoneMaps.check`.  The
         returned candidate masks are read-only; ``entries_checked`` is the
         zone-map work this call did: fragment walks and re-validations, plus
-        the pair sketch's crossbars when it is consulted.
+        the pair sketch's crossbars when its verdict is not cached under the
+        current epochs.
         """
         per_partition = partition_conjuncts(predicate, partition_attributes)
         live_mask = self.zonemaps.live > 0
@@ -122,8 +124,12 @@ class RelationStatistics:
             if self.pair_map is not None and mask.any():
                 pair_masks = self._pair_bucket_masks(ordered)
                 if pair_masks is not None:
-                    mask &= self.pair_map.possible(*pair_masks)
-                    consulted += self.zonemaps.crossbars
+                    pair_mask, entries = self.candidates.pair_lookup(
+                        ("pair", self.pair_map.attributes, *pair_masks),
+                        partial(self.pair_map.possible, *pair_masks),
+                    )
+                    mask &= pair_mask
+                    consulted += entries
             mask.setflags(write=False)
             candidates.append(mask)
         return PruneDecision(
@@ -228,19 +234,18 @@ class RelationStatistics:
         self.candidates.bump(crossbars)
         self._note_change()
 
-    def rebuild(self, relation, images: Mapping[str, np.ndarray]) -> None:
+    def rebuild(self, relation) -> None:
         """Refresh after a compaction left ``relation`` dense (all slots live).
 
-        Zone maps are rebuilt exactly from ``images`` (every attribute's dense
-        prefix as the compaction staged it, any unsigned dtype), the pair
-        sketch from the ground truth.  A store without a sketch gets one
+        Zone maps and the pair sketch are rebuilt exactly from the ground
+        truth.  A store without a sketch gets one
         here once the feedback names a hot pair: compaction is where the
         feedback's decisions are applied, and the compaction's zone-map
         maintenance charge covers the build.  The histograms are kept:
         moving rows changes no value, the DML hooks keep their counts exact
         and their edges stay those of the load.
         """
-        self.zonemaps.rebuild(images)
+        self.zonemaps.rebuild(relation.columns)
         # An exact rebuild must leave no widen-only drift behind; the check
         # recomputes the bounds through an independent reduction path.
         self.zonemaps.assert_tight(relation)

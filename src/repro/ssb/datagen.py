@@ -16,13 +16,12 @@ and order dates receive a disproportionate share of the lineorders — with
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.db.catalog import Database, ForeignKey
-from repro.db.relation import Relation
+from repro.db.relation import Relation, field_values
 from repro.ssb import schema as ssb_schema
 
 
@@ -126,13 +125,32 @@ def generate(
 # ---------------------------------------------------------------------------
 
 def _generate_date(rng: np.random.Generator) -> Relation:
+    """One record per day of the order years, computed column-wise."""
     schema = ssb_schema.date_schema()
-    datekey_dict = schema.attribute("d_datekey").dictionary
-    first = datetime.date(ssb_schema.FIRST_YEAR, 1, 1)
-    last = datetime.date(ssb_schema.LAST_YEAR, 12, 31)
-    days = (last - first).days + 1
+    first = np.datetime64(f"{ssb_schema.FIRST_YEAR}-01-01", "D")
+    end = np.datetime64(f"{ssb_schema.LAST_YEAR + 1}-01-01", "D")
+    days = np.arange(first, end)
+    day_index = np.arange(len(days))
+    months_since_epoch = days.astype("datetime64[M]")
+    year = days.astype("datetime64[Y]").astype(np.int64) + 1970
+    month = months_since_epoch.astype(np.int64) % 12 + 1
+    day_of_month = (days - months_since_epoch).astype(np.int64) + 1
+    day_of_year = (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+    weekday = (days.astype(np.int64) + 3) % 7            # Monday = 0; 1970-01-01 a Thursday
+    # ISO week: the week of the year holding this week's Thursday.
+    thursday = days + (3 - weekday)
+    iso_week = (thursday - thursday.astype("datetime64[Y]")).astype(np.int64) // 7 + 1
+    holidays = rng.choice(len(days), size=max(7, len(days) // 70), replace=False)
 
-    columns: dict[str, list] = {name: [] for name in schema.names}
+    def codes(name: str, values: np.ndarray, raw) -> np.ndarray:
+        """Dictionary codes of ``values``, looked up once per distinct value
+        (``raw`` maps a distinct value to its dictionary entry)."""
+        dictionary = schema.attribute(name).dictionary
+        distinct, inverse = np.unique(values, return_inverse=True)
+        table = np.array([dictionary.encode_existing(raw(int(v))) for v in distinct])
+        return table[inverse]
+
+    month_names = ssb_schema.MONTH_NAMES
     season_by_month = {
         12: "Christmas", 1: "Winter", 2: "Winter", 3: "Spring", 4: "Spring",
         5: "Spring", 6: "Summer", 7: "Summer", 8: "Summer", 9: "Fall",
@@ -140,52 +158,36 @@ def _generate_date(rng: np.random.Generator) -> Relation:
     }
     weekday_names = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
                      "Saturday", "Sunday")
-    holidays = rng.choice(days, size=max(7, days // 70), replace=False)
-    holiday_set = set(int(h) for h in holidays)
-
-    for day_index in range(days):
-        day = first + datetime.timedelta(days=day_index)
-        weekday = weekday_names[day.weekday()]
-        columns["d_datekey"].append(
-            datekey_dict.encode(day.year * 10000 + day.month * 100 + day.day)
-        )
-        columns["d_dayofweek"].append(
-            schema.attribute("d_dayofweek").dictionary.encode_existing(weekday)
-        )
-        columns["d_month"].append(
-            schema.attribute("d_month").dictionary.encode_existing(
-                ssb_schema.MONTH_NAMES[day.month - 1]
-            )
-        )
-        columns["d_year"].append(day.year)
-        columns["d_yearmonthnum"].append(
-            schema.attribute("d_yearmonthnum").dictionary.encode_existing(
-                day.year * 100 + day.month
-            )
-        )
-        columns["d_yearmonth"].append(
-            schema.attribute("d_yearmonth").dictionary.encode_existing(
-                f"{ssb_schema.MONTH_NAMES[day.month - 1]}{day.year}"
-            )
-        )
-        columns["d_daynuminweek"].append(day.isoweekday())
-        columns["d_daynuminmonth"].append(day.day)
-        columns["d_daynuminyear"].append(day.timetuple().tm_yday)
-        columns["d_monthnuminyear"].append(day.month)
-        columns["d_weeknuminyear"].append(min(53, day.isocalendar()[1]))
-        columns["d_sellingseason"].append(
-            schema.attribute("d_sellingseason").dictionary.encode_existing(
-                season_by_month[day.month]
-            )
-        )
-        columns["d_lastdayinweekfl"].append(1 if day.weekday() == 6 else 0)
-        next_day = day + datetime.timedelta(days=1)
-        columns["d_lastdayinmonthfl"].append(1 if next_day.month != day.month else 0)
-        columns["d_holidayfl"].append(1 if day_index in holiday_set else 0)
-        columns["d_weekdayfl"].append(1 if day.weekday() < 5 else 0)
-
-    arrays = {name: np.array(values, dtype=np.uint64) for name, values in columns.items()}
-    return Relation(schema, arrays)
+    yearmonth = year * 100 + month
+    datekey_dict = schema.attribute("d_datekey").dictionary
+    columns = {
+        # Day by day in date order: the dictionary codes the days as it grows.
+        "d_datekey": np.array([
+            datekey_dict.encode(key)
+            for key in (yearmonth * 100 + day_of_month).tolist()
+        ]),
+        "d_dayofweek": codes("d_dayofweek", weekday, lambda w: weekday_names[w]),
+        "d_month": codes("d_month", month, lambda m: month_names[m - 1]),
+        "d_year": year,
+        "d_yearmonthnum": codes("d_yearmonthnum", yearmonth, lambda ym: ym),
+        "d_yearmonth": codes(
+            "d_yearmonth", yearmonth,
+            lambda ym: f"{month_names[ym % 100 - 1]}{ym // 100}",
+        ),
+        "d_daynuminweek": weekday + 1,
+        "d_daynuminmonth": day_of_month,
+        "d_daynuminyear": day_of_year,
+        "d_monthnuminyear": month,
+        "d_weeknuminyear": np.minimum(53, iso_week),
+        "d_sellingseason": codes(
+            "d_sellingseason", month, lambda m: season_by_month[m]
+        ),
+        "d_lastdayinweekfl": weekday == 6,
+        "d_lastdayinmonthfl": np.r_[month[1:] != month[:-1], True],
+        "d_holidayfl": np.isin(day_index, holidays),
+        "d_weekdayfl": weekday < 5,
+    }
+    return Relation(schema, columns)
 
 
 def _covering_assignment(
@@ -335,14 +337,15 @@ def _generate_lineorder(
         date_dictionary=date.schema.attribute("d_datekey").dictionary,
     )
 
-    order_of_line = rng.integers(0, num_orders, count).astype(np.uint64)
+    order_of_line = rng.integers(0, num_orders, count)
     order_of_line.sort()
-    linenumber = np.ones(count, dtype=np.uint64)
-    same_as_prev = np.concatenate(([False], order_of_line[1:] == order_of_line[:-1]))
-    running = 0
-    for i in range(count):
-        running = running + 1 if same_as_prev[i] else 1
-        linenumber[i] = min(running, MAX_LINES_PER_ORDER)
+    # The line's position in its order (1-based, capped): its distance from
+    # the start of its run of equal order numbers.
+    line = np.arange(count)
+    run_start = np.maximum.accumulate(
+        np.where(np.r_[False, order_of_line[1:] == order_of_line[:-1]], 0, line)
+    )
+    linenumber = np.minimum(line - run_start + 1, MAX_LINES_PER_ORDER)
 
     cust_idx = _zipf_indices(rng, len(customer), count, skew)
     supp_idx = _zipf_indices(rng, len(supplier), count, skew)
@@ -358,33 +361,39 @@ def _generate_lineorder(
     supplycost = unit_price * 6 // 10
 
     # Order total price: sum of the extended prices of the order's lines.
-    ordtotal = np.zeros(count, dtype=np.int64)
     totals = np.zeros(num_orders, dtype=np.int64)
-    np.add.at(totals, order_of_line.astype(np.int64), extendedprice)
-    ordtotal = totals[order_of_line.astype(np.int64)]
+    np.add.at(totals, order_of_line, extendedprice)
+    ordtotal = totals[order_of_line]
 
     commit_shift = rng.integers(1, 90, count)
     commit_idx = np.minimum(date_idx + commit_shift, len(date) - 1)
 
+    def field(name: str, values) -> np.ndarray:
+        # Narrowed as it is made, so no wide copy of every column coexists.
+        return field_values(schema.attribute(name), values)
+
+    # Built in this order: the two draws below must follow the ones above.
     columns = {
-        "lo_orderkey": order_of_line + np.uint64(1),
-        "lo_linenumber": linenumber,
+        "lo_orderkey": field("lo_orderkey", order_of_line + 1),
+        "lo_linenumber": field("lo_linenumber", linenumber),
         "lo_custkey": customer.column("c_custkey")[cust_idx],
         "lo_partkey": part.column("p_partkey")[part_idx],
         "lo_suppkey": supplier.column("s_suppkey")[supp_idx],
         "lo_orderdate": date.column("d_datekey")[date_idx],
-        "lo_orderpriority": rng.integers(
+        "lo_orderpriority": field("lo_orderpriority", rng.integers(
             0, len(ssb_schema.ORDER_PRIORITIES), count
-        ).astype(np.uint64),
-        "lo_shippriority": np.zeros(count, dtype=np.uint64),
-        "lo_quantity": quantity.astype(np.uint64),
-        "lo_extendedprice": extendedprice.astype(np.uint64),
-        "lo_ordtotalprice": ordtotal.astype(np.uint64),
-        "lo_discount": discount.astype(np.uint64),
-        "lo_revenue": revenue.astype(np.uint64),
-        "lo_supplycost": supplycost.astype(np.uint64),
-        "lo_tax": tax.astype(np.uint64),
+        )),
+        "lo_shippriority": field("lo_shippriority", np.zeros(count, dtype=np.uint8)),
+        "lo_quantity": field("lo_quantity", quantity),
+        "lo_extendedprice": field("lo_extendedprice", extendedprice),
+        "lo_ordtotalprice": field("lo_ordtotalprice", ordtotal),
+        "lo_discount": field("lo_discount", discount),
+        "lo_revenue": field("lo_revenue", revenue),
+        "lo_supplycost": field("lo_supplycost", supplycost),
+        "lo_tax": field("lo_tax", tax),
         "lo_commitdate": date.column("d_datekey")[commit_idx],
-        "lo_shipmode": rng.integers(0, len(ssb_schema.SHIPMODES), count).astype(np.uint64),
+        "lo_shipmode": field("lo_shipmode", rng.integers(
+            0, len(ssb_schema.SHIPMODES), count
+        )),
     }
     return Relation(schema, columns)

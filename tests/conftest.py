@@ -165,7 +165,7 @@ class GroundTruthOracle:
         for key in pim_groups:
             group = selection.copy()
             for name, value in zip(query.group_by, key):
-                group &= relation.column(name) == np.uint64(value)
+                group &= relation.column(name) == int(value)
             selection &= ~group
         if pim_groups:
             cls.column(stored, primary, layout.group_column, group)
@@ -224,20 +224,24 @@ class GroundTruthOracle:
 
         Every partition's valid column holds exactly the slots that are not
         tombstones, and every attribute decodes to its ground-truth column
-        (tombstoned slots included: nothing rewrites them until compaction).
-        The planner statistics agree with the live rows too
-        (:meth:`statistics`).
+        (tombstoned slots included: nothing rewrites them until compaction),
+        held in the field's own dtype.  The planner statistics agree with the
+        live rows too (:meth:`statistics`).
         """
+        from repro.pim.packed import field_dtype
+
         live = np.ones(stored.num_records, dtype=bool)
         live[list(stored._free_slots)] = False
         assert int(live.sum()) == stored.live_count
         for partition, layout in enumerate(stored.layouts):
             valid = stored.column_bit(partition, layout.valid_column)
             assert np.array_equal(valid, live), f"partition {partition} valid"
-        for name in stored.relation.schema.names:
-            assert np.array_equal(
-                stored.decode_column(name), stored.relation.column(name)
-            ), name
+        for attribute in stored.relation.schema:
+            column = stored.relation.column(attribute.name)
+            assert column.dtype == field_dtype(attribute.width), attribute.name
+            assert np.array_equal(stored.decode_column(attribute.name), column), (
+                attribute.name
+            )
         cls.statistics(stored, live)
 
     @staticmethod

@@ -254,6 +254,33 @@ def test_pair_sketch_update_saturates():
     assert sketch.possible(mask_a, mask_b)[1]
 
 
+def test_pair_verdict_is_memoised_in_the_candidate_cache():
+    """Planning a predicate twice at one version bills the pair sketch once:
+    the verdict is cached under the epochs like a fragment (98, 0, 0 entries
+    on a 32-crossbar store), and an INSERT's epoch bump re-reads it."""
+    stored, system = _small_stored()
+    statistics = stored.statistics
+    zonemaps = statistics.zonemaps
+    assert zonemaps.crossbars == 32
+    statistics.pair_map = pair_sketch(
+        ("key", "value"), zonemaps.schema, zonemaps.crossbars, zonemaps.rows,
+        stored.relation,
+    )
+    predicate = And((Comparison("key", "<", 2000), Comparison("value", "<", 100)))
+
+    def billed() -> int:
+        return statistics.plan(
+            predicate, stored.partition_attributes, system.pim.crossbars_per_page
+        ).entries_checked
+
+    first = billed()
+    assert [first, billed(), billed()] == [98, 0, 0]
+    dml.execute_insert(stored, stored.relation.records([0]), PimExecutor(system))
+    # One fragment re-validates its stale crossbar; the sketch is read whole.
+    assert billed() == 1 + 1 + zonemaps.crossbars
+    assert billed() == 0
+
+
 # ------------------------------------------- tightness after an exact rebuild
 def _small_stored(backend="packed", records=600, seed=29, sorted_keys=False):
     """A random `drift` relation; ``sorted_keys`` clusters `key` by crossbar."""

@@ -39,6 +39,7 @@ from repro.db.storage import RelationFullError, StoredRelation
 from repro.db.update import UpdateResult, execute_update
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
+from repro.pim.packed import field_dtype
 from repro.service import QueryService
 from repro.sharding import ShardedStoredRelation
 
@@ -288,7 +289,11 @@ def test_insert_reports_the_first_bad_record_and_writes_nothing(shards, made_exe
         assert {name: column[index] for name, column in columns.items()} == {
             name: column[0] for name, column in relation.encode_records([record]).items()
         }
-    assert all(column.dtype == np.uint64 for column in columns.values())
+    assert all(
+        column.dtype == relation.columns[name].dtype
+        == field_dtype(relation.schema.attribute(name).width)
+        for name, column in columns.items()
+    )
     assert insert(batch).records_inserted == 3
 
 
@@ -437,11 +442,21 @@ OVER_WIDTH = [("flag", 1 << 8), ("code", 1 << 12), ("wide", 1 << 40)]
 def test_over_width_ground_truth_is_refused_by_load_and_compaction(
     backend, attribute, value
 ):
-    """A ground-truth value over its width raises ``ValueError`` while it is
-    still ``uint64``, before a narrow staging buffer could truncate it."""
+    """A ground-truth value over its width is refused before anything could
+    truncate it.  A value the field's dtype cannot hold (256 in the ``uint8``
+    of the 3-bit ``flag``) is refused when the ``Relation`` is built from
+    ``uint64`` input; the in-place pokes then use the smallest value over the
+    width that the dtype holds, which load and compaction refuse."""
     relation = _two_partition_relation(300)
     width = relation.schema.attribute(attribute).width
-    relation.columns[attribute][7] = np.uint64(value)
+    column = relation.columns[attribute]
+    if value > np.iinfo(column.dtype).max:
+        wide = dict(relation.columns, **{attribute: column.astype(np.uint64)})
+        wide[attribute][7] = value
+        with pytest.raises(ValueError, match=f"'{attribute}'.* {width} bits"):
+            Relation(relation.schema, wide)
+        value = 1 << width
+    column[7] = value
     with pytest.raises(ValueError, match=f"'{attribute}'.* {width} bits"):
         _two_partition_store(backend, relation)
 
@@ -450,7 +465,7 @@ def test_over_width_ground_truth_is_refused_by_load_and_compaction(
     executor = PimExecutor(config_for(backend))
     execute_delete(stored, Comparison("value", "<", 400), executor)
     live = int(np.flatnonzero(stored.valid_mask(0))[0])
-    stored.relation.columns[attribute][live] = np.uint64(value)
+    stored.relation.columns[attribute][live] = value
     with pytest.raises(ValueError, match=f"'{attribute}'.* {width} bits"):
         execute_compaction(stored, executor, force=True)
 

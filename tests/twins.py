@@ -81,7 +81,8 @@ def reference_group_aggregate(
                 continue
             values = relation.column(aggregate.attribute)[group_rows]
             if aggregate.op == "sum":
-                entry[aggregate.name] = int(values.sum())
+                # Widened: the column's own dtype may not hold the total.
+                entry[aggregate.name] = int(values.sum(dtype=np.uint64))
             elif aggregate.op == "min":
                 entry[aggregate.name] = int(values.min())
             else:
