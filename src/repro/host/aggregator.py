@@ -82,7 +82,10 @@ def host_group_aggregate(
         for column in sorted_keys:
             new_group[1:] |= column[1:] != column[:-1]
         starts = np.flatnonzero(new_group)
-        keys = list(zip(*(column[starts].tolist() for column in sorted_keys)))
+        keys = (
+            list(zip(*(column[starts].tolist() for column in sorted_keys)))
+            if arrays else [()]
+        )
         columns: dict[str, np.ndarray] = {}
         for aggregate in aggregates:
             if aggregate.op == "count":
@@ -99,7 +102,7 @@ def host_group_aggregate(
             else:
                 columns[aggregate.name] = np.maximum.reduceat(values, starts)
         values_by_name = {name: values.tolist() for name, values in columns.items()}
-        for index, key in enumerate(keys or [()] * len(starts)):
+        for index, key in enumerate(keys):
             results[key] = {
                 name: values[index] for name, values in values_by_name.items()
             }

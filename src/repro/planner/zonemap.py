@@ -125,8 +125,8 @@ class ZoneMaps:
         """Recompute every entry exactly from dense columns.
 
         ``columns`` maps every attribute to its dense prefix, of any unsigned
-        dtype: the ``uint64`` ground truth at load, the narrow images a
-        compaction staged.  Every slot below the prefix length is live, the
+        dtype (the ground truth holds each in its field's own dtype, at load
+        and after a compaction).  Every slot below the prefix length is live, the
         rest is unused capacity: full crossbars reduce through one
         ``reshape``, the partial last one on its own.
         """

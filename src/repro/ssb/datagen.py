@@ -178,7 +178,7 @@ def _generate_date(rng: np.random.Generator) -> Relation:
         "d_daynuminmonth": day_of_month,
         "d_daynuminyear": day_of_year,
         "d_monthnuminyear": month,
-        "d_weeknuminyear": np.minimum(53, iso_week),
+        "d_weeknuminyear": iso_week,
         "d_sellingseason": codes(
             "d_sellingseason", month, lambda m: season_by_month[m]
         ),

@@ -1,12 +1,19 @@
 """Tests of the SSB schemas, data generator and query definitions."""
 
+import datetime
+
 import numpy as np
 import pytest
 
 from repro.db.query import evaluate_predicate
 from repro.ssb import ALL_QUERIES, QUERY_ORDER, generate, ssb_query
 from repro.ssb import schema as ssb_schema
-from repro.ssb.datagen import MIN_CUSTOMERS, MIN_PARTS, MIN_SUPPLIERS
+from repro.ssb.datagen import (
+    MAX_LINES_PER_ORDER,
+    MIN_CUSTOMERS,
+    MIN_PARTS,
+    MIN_SUPPLIERS,
+)
 from repro.ssb.prejoined import DERIVED_ATTRIBUTES, max_aggregated_width, two_xb_partitions
 from repro.ssb.queries import SSB_QUERIES, queries_in_group
 
@@ -66,6 +73,56 @@ def test_generator_is_deterministic_and_skewed():
     assert top_share(a) > top_share(uniform)
     with pytest.raises(ValueError):
         generate(scale_factor=0.0)
+
+
+def test_generated_date_and_linenumber_columns_match_the_per_row_loops(ssb_dataset):
+    """The column-wise DATE dimension and ``lo_linenumber`` equal the
+    day-by-day and line-by-line loops they replaced (``datetime`` arithmetic
+    and a running count per order)."""
+    date = ssb_dataset.date
+    schema = date.schema
+    seasons = {12: "Christmas", 1: "Winter", 2: "Winter", 3: "Spring", 4: "Spring",
+               5: "Spring", 6: "Summer", 7: "Summer", 8: "Summer", 9: "Fall",
+               10: "Fall", 11: "Fall"}
+    weekdays = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday",
+                "Saturday", "Sunday")
+
+    def code(name, raw):
+        return schema.attribute(name).dictionary.encode_existing(raw)
+
+    first = datetime.date(ssb_schema.FIRST_YEAR, 1, 1)
+    for index, record in enumerate(date.records()):
+        day = first + datetime.timedelta(days=index)
+        month_name = ssb_schema.MONTH_NAMES[day.month - 1]
+        assert schema.attribute("d_datekey").dictionary.decode(record["d_datekey"]) == (
+            day.year * 10000 + day.month * 100 + day.day
+        )
+        assert {name: record[name] for name in schema.names
+                if name not in ("d_datekey", "d_holidayfl")} == {
+            "d_dayofweek": code("d_dayofweek", weekdays[day.weekday()]),
+            "d_month": code("d_month", month_name),
+            "d_year": day.year,
+            "d_yearmonthnum": code("d_yearmonthnum", day.year * 100 + day.month),
+            "d_yearmonth": code("d_yearmonth", f"{month_name}{day.year}"),
+            "d_daynuminweek": day.isoweekday(),
+            "d_daynuminmonth": day.day,
+            "d_daynuminyear": day.timetuple().tm_yday,
+            "d_monthnuminyear": day.month,
+            "d_weeknuminyear": min(53, day.isocalendar()[1]),
+            "d_sellingseason": code("d_sellingseason", seasons[day.month]),
+            "d_lastdayinweekfl": int(day.weekday() == 6),
+            "d_lastdayinmonthfl": int((day + datetime.timedelta(days=1)).month != day.month),
+            "d_weekdayfl": int(day.weekday() < 5),
+        }, day
+    assert int(date.column("d_holidayfl").sum()) == max(7, len(date) // 70)
+
+    orders = ssb_dataset.lineorder.column("lo_orderkey").tolist()
+    running, expected = 0, []
+    for index, order in enumerate(orders):
+        running = running + 1 if index and order == orders[index - 1] else 1
+        expected.append(min(running, MAX_LINES_PER_ORDER))
+    assert ssb_dataset.lineorder.column("lo_linenumber").tolist() == expected
+    assert max(expected) == MAX_LINES_PER_ORDER
 
 
 def test_covering_assignment_guarantees_query_constants(ssb_dataset):
