@@ -130,7 +130,6 @@ def _generate_date(rng: np.random.Generator) -> Relation:
     first = np.datetime64(f"{ssb_schema.FIRST_YEAR}-01-01", "D")
     end = np.datetime64(f"{ssb_schema.LAST_YEAR + 1}-01-01", "D")
     days = np.arange(first, end)
-    day_index = np.arange(len(days))
     months_since_epoch = days.astype("datetime64[M]")
     year = days.astype("datetime64[Y]").astype(np.int64) + 1970
     month = months_since_epoch.astype(np.int64) % 12 + 1
@@ -184,7 +183,7 @@ def _generate_date(rng: np.random.Generator) -> Relation:
         ),
         "d_lastdayinweekfl": weekday == 6,
         "d_lastdayinmonthfl": np.r_[month[1:] != month[:-1], True],
-        "d_holidayfl": np.isin(day_index, holidays),
+        "d_holidayfl": np.isin(np.arange(len(days)), holidays),
         "d_weekdayfl": weekday < 5,
     }
     return Relation(schema, columns)
