@@ -21,7 +21,9 @@ from repro.experiments.common import format_table, geomean, pimdb_ratio, records
 @pytest.fixture(scope="module")
 def small_setup():
     """A reduced set-up: tiny scale factor, subset of queries/configs."""
-    return build_setup(scale_factor=0.002, configs=("one_xb", "pimdb", "mnt_join"))
+    return build_setup(
+        scale_factor=0.002, configs=("one_xb", "two_xb", "pimdb", "mnt_join")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +32,14 @@ def small_records(small_setup):
 
 
 def test_setup_builds_requested_configs(small_setup):
-    assert set(small_setup.pim_engines) == {"one_xb", "pimdb"}
-    assert small_setup.configs == ("one_xb", "pimdb", "mnt_join")
+    assert set(small_setup.pim_engines) == {"one_xb", "two_xb", "pimdb"}
+    assert small_setup.configs == ("one_xb", "two_xb", "pimdb", "mnt_join")
     assert small_setup.timing_scale > 1
 
 
 def test_run_all_queries_is_cached_and_verified(small_setup, small_records):
     assert run_all_queries(small_setup) is small_records
-    assert len(small_records) == 4 * 3
+    assert len(small_records) == 4 * 4
     by = records_by(small_records)
     assert by[("one_xb", "Q1.1")].time_s > 0
 
@@ -77,7 +79,7 @@ def test_table1_and_fig5_render():
 
 
 def test_figure_modules_render_from_records(small_records):
-    configs = ("one_xb", "pimdb", "mnt_join")
+    configs = ("one_xb", "two_xb", "pimdb", "mnt_join")
     assert "Query" in fig6_latency.render(small_records, configs=configs)
     assert "geo-mean" in fig7_energy.render(small_records, configs=("one_xb", "pimdb"))
     assert "peak power" in fig8_power.render(small_records, configs=("one_xb", "pimdb"))
@@ -166,27 +168,36 @@ def _assert_sampling_rows_match_fresh_engines(setup, pages, monkeypatch):
 # diff of that change shows the reproduction did not move: per (config, query)
 # Fig. 6 time_s, Fig. 7 energy_j, Fig. 8 peak chip power, Fig. 9
 # max_writes_per_row, Table II total / sampled / PIM-aggregated subgroups.
+# The ``two_xb`` rows were pinned later, at the last commit that still ran an
+# unpruned query through its own broadcast path, so the two-partition filter
+# combine is pinned across the change that made it a candidate run.
 GOLDEN_RECORDS = {
     ("one_xb", "Q1.1"): (0.0004157880555555556, 0.007900425095999999, 6.500303099999998, 177, 1, 0, 1),
+    ("two_xb", "Q1.1"): (0.0023959087698412697, 0.009469619519039999, 6.500303099999998, 132, 1, 0, 1),
     ("pimdb", "Q1.1"): (0.0006450855555555554, 0.10714286256, 44.79899603960397, 8207, 1, 0, 1),
     ("mnt_join", "Q1.1"): (0.02185892857142857, 0.0, 0.0, 0, 0, 0, 0),
     ("one_xb", "Q2.3"): (0.0006601404761904762, 0.00136563285504, 1.6327008000000003, 60, 7, 0, 0),
+    ("two_xb", "Q2.3"): (0.0025903211904761904, 0.00295971796608, 1.6327008000000003, 60, 7, 0, 0),
     ("pimdb", "Q2.3"): (0.0006601404761904762, 0.00136563285504, 1.6327008000000003, 60, 7, 0, 0),
     ("mnt_join", "Q2.3"): (0.014285714285714285, 0.0, 0.0, 0, 0, 0, 0),
     ("one_xb", "Q3.1"): (0.07735289309523811, 1.1872103887200003, 6.500303099999998, 21080, 150, 136, 150),
+    ("two_xb", "Q3.1"): (0.08310325341269842, 0.00817805284608, 4.055894400000001, 205, 150, 136, 0),
     ("pimdb", "Q3.1"): (0.10805751809523789, 14.402535323519924, 43.708119513294285, 1095980, 150, 136, 150),
     ("mnt_join", "Q3.1"): (0.02264285714285714, 0.0, 0.0, 0, 0, 0, 0),
     ("one_xb", "Q4.1"): (0.018115266706349213, 0.26710400968800013, 6.500303099999998, 4157, 35, 35, 35),
+    ("two_xb", "Q4.1"): (0.04477798341269841, 0.00453746721408, 1.4990073599999998, 52, 35, 35, 0),
     ("pimdb", "Q4.1"): (0.025279679206349215, 3.3506798278079963, 43.708119513294285, 254967, 35, 35, 35),
     ("mnt_join", "Q4.1"): (0.02206547619047619, 0.0, 0.0, 0, 0, 0, 0),
 }
 
-# Every headline metric the three-configuration fixture can compute.
+# Every headline metric the four-configuration fixture can compute.
 GOLDEN_HEADLINE = {
     "speedup of one_xb over mnt_join (geo-mean)": 4.487830276613651,
     "speedup of one_xb over pimdb (geo-mean)": 1.3187505091791725,
     "energy: pimdb / one_xb on PIM-aggregation queries": 5.541003650965931,
     "lifetime: one_xb / pimdb on low-aggregation queries": 29.88586694958412,
+    "slowdown of two_xb vs one_xb (geo-mean)": 2.7836792808870934,
+    "speedup of two_xb over mnt_join (geo-mean)": 1.6121937277140221,
 }
 
 
