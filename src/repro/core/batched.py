@@ -57,8 +57,8 @@ number or stored bit:
   result row, the remote partitions' group columns) is overwritten whole by
   the next key, ``mark_column_dirty`` replaces a column's mask, and wear is
   integer addition.  Hence only the **last** key (the bits that stay) goes
-  through the :func:`apply_program` / :func:`apply_program_pruned` /
-  ``transfer_bit_column`` contract; its store still meets the pre-GROUP-BY
+  through the :func:`apply_program_pruned` / ``transfer_bit_column``
+  contract; its store still meets the pre-GROUP-BY
   dirty masks, so it charges the one ``prune-clear`` of stale crossbars.
   Every earlier key is charged without a store: its mask programs once per
   *distinct cycle count* (:meth:`GroupMaskTemplate.cycles`, one vectorised
@@ -82,7 +82,6 @@ import numpy as np
 from repro.core.sampling import GroupKey
 from repro.core.stages import (
     _check_pruned_bits,
-    apply_program,
     apply_program_pruned,
     build_clear_program,
     build_fold_program,
@@ -93,10 +92,11 @@ from repro.db.query import Query
 from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
 from repro.pim.arithmetic import segmented_partials
-from repro.pim.controller import PimExecutor
+from repro.pim.controller import PimExecutor, crossbar_call, every_crossbar
 from repro.pim.fused import BatchKernel, compile_batch, field_mismatches
 from repro.pim.ir import lower_program
 from repro.pim.logic import ProgramCost
+from repro.planner.zonemap import PruneDecision
 
 
 def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
@@ -111,20 +111,14 @@ def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
     return template._kernel
 
 
-def _candidate_idx(prune, partition: int) -> np.ndarray | None:
-    if prune is None:
-        return None
-    return np.nonzero(np.asarray(prune.candidates[partition], dtype=bool))[0]
-
-
 def _run_partition_batch(
     stored,
     partition: int,
     template: GroupMaskTemplate,
     values: np.ndarray,
     remote,
-    prune,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a template for ``K`` group keys on one partition's bank.
 
     ``values[k]`` holds key ``k``'s encoded values of
@@ -136,62 +130,57 @@ def _run_partition_batch(
     inputs, so one run of the conjunction kernel yields every key's mask.
     Returns that ``(K, n, ...)`` value — the masks against the partition's
     *pre-batch* state, still in the bank's native kernel representation —
-    and the index of the ``n`` crossbars it covers (``None``: all of them).
-    Under pruning the mismatches and the kernel cover the candidate
-    crossbars only; a skipped crossbar is not in the value and its bits are
-    zero, matching pruned reference execution.  Nothing is decoded here:
-    the readers are :func:`_mask_bits` and :func:`_subgroup_segments`.
+    and the index of the ``n`` crossbars it covers: the partition's
+    ``candidates`` (a mask over its crossbars).  The mismatches and the
+    kernel cover the candidate crossbars only (all of them as the bank's
+    whole-bank call, :func:`~repro.pim.controller.crossbar_call`); a skipped
+    crossbar is not in the value and its bits are zero, matching a candidate
+    run of the reference.  Nothing is decoded here: the readers are
+    :func:`_mask_bits` and :func:`_subgroup_segments`.
     """
     bank = stored.allocations[partition].bank
-    xbars = _candidate_idx(prune, partition)
+    idx, xbars = crossbar_call(bank, candidates)
     bound = {}
     for index, (columns, column) in enumerate(
         zip(template.fields, template.mismatch_columns)
     ):
         distinct, inverse = np.unique(values[:, index], return_inverse=True)
         bound[column] = field_mismatches(bank, columns, distinct, xbars)[inverse]
-    if xbars is not None and xbars.size == 0:
+    if idx.size == 0:
         empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
-        return bank.kernel_from_bool(empty), xbars
+        return bank.kernel_from_bool(empty), idx
     if remote is not None:
         bound[stored.layouts[partition].remote_column] = remote
     # The template's program has exactly one output, its result column.
     ((_, value),) = _compile_group_batch(template).run(bank, xbars, bound)
-    return value, xbars
+    return value, idx
 
 
-def _mask_bits(bank, value, xbars, num_records: int) -> np.ndarray:
+def _mask_bits(bank, value, idx, num_records: int) -> np.ndarray:
     """One mask of a :func:`_run_partition_batch` value — a key's ``(n, ...)``
     slice or an OR over keys — as one bool per slot in use."""
-    bits = bank.kernel_to_bool(value)
-    if xbars is not None:
-        full = np.zeros((bank.count, bank.rows), dtype=bool)
-        full[xbars] = bits
-        bits = full
+    bits = np.zeros((bank.count, bank.rows), dtype=bool)
+    bits[idx] = bank.kernel_to_bool(value)
     return bits.reshape(-1)[:num_records]
 
 
-def _on_crossbars(value, xbars, target, count: int):
+def _on_crossbars(value, idx, target, count: int):
     """Re-index a ``(K, n, ...)`` value along its crossbar axis, from the
-    crossbars ``xbars`` to the crossbars ``target`` (``None``: all ``count``);
-    a target crossbar the value does not cover reads zero.  Every partition
-    of a relation maps a slot to the same ``(crossbar, row)``, so this is all
+    crossbars ``idx`` to the crossbars ``target`` (of ``count``); a target
+    crossbar the value does not cover reads zero.  Every partition of a
+    relation maps a slot to the same ``(crossbar, row)``, so this is all
     that moving a mask between partitions takes."""
-    if xbars is not None:
-        full = np.zeros(
-            (len(value), count) + value.shape[2:], dtype=value.dtype
-        )
-        full[:, xbars] = value
-        value = full
-    return value if target is None else value[:, target]
+    full = np.zeros((len(value), count) + value.shape[2:], dtype=value.dtype)
+    full[:, idx] = value
+    return full[:, target]
 
 
 def _subgroup_segments(
-    bank, value, xbars, selected: np.ndarray
+    bank, value, idx, selected: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of all ``K`` subgroups, sorted by ``(key, crossbar)``.
 
-    ``value`` and ``xbars`` are what :func:`_run_partition_batch` returned on
+    ``value`` and ``idx`` are what :func:`_run_partition_batch` returned on
     ``bank``: ``K`` masks with pairwise disjoint rows, each a subset of the
     (sorted) record indices ``selected``, all on crossbars the value covers.
     Only the selected cells are read (``kernel_gather``).  Returns the
@@ -200,7 +189,7 @@ def _subgroup_segments(
     table.
     """
     crossbar = selected // bank.rows
-    position = crossbar if xbars is None else np.searchsorted(xbars, crossbar)
+    position = np.searchsorted(idx, crossbar)
     key_of, index = np.nonzero(
         bank.kernel_gather(value, position, selected % bank.rows)
     )
@@ -218,7 +207,7 @@ def run_group_by_batched(
     keys: Sequence[GroupKey],
     executor: PimExecutor,
     read_model: HostReadModel,
-    prune=None,
+    prune: PruneDecision,
 ) -> dict[GroupKey, dict[str, int]]:
     """pim-gb over ``keys`` with batched kernels and counted charges.
 
@@ -262,7 +251,8 @@ def run_group_by_batched(
             :, [group_attributes.index(name) for name in template.attributes]
         ]
         return template.cycles(values), *_run_partition_batch(
-            stored, partition, template, values, remote, prune
+            stored, partition, template, values, remote,
+            prune.candidates[partition],
         )
 
     def remote_batch(partition: int):
@@ -275,15 +265,12 @@ def run_group_by_batched(
         remote_batches = [remote_batch(partition) for partition in remote_partitions]
 
     remote = None
-    candidate_idx = {
-        partition: _candidate_idx(prune, partition)
-        for partition in (*remote_partitions, primary)
-    }
-    primary_idx = candidate_idx[primary]
+    primary_candidates = prune.candidates[primary]
+    primary_idx = np.flatnonzero(primary_candidates)
     if remote_partitions:
         remote = np.bitwise_and.reduce([
-            _on_crossbars(value, xbars, primary_idx, bank.count)
-            for _, value, xbars in remote_batches
+            _on_crossbars(value, idx, primary_idx, bank.count)
+            for _, value, idx in remote_batches
         ])
     combine_cycles, mask_value, _ = batch(
         primary, primary_layout.filter_column, remote
@@ -302,22 +289,18 @@ def run_group_by_batched(
         for position in range(remote_count)
     ] if remote_count > 1 else []
     clear_program = build_clear_program(primary_layout)
-    primary_candidates = prune.candidates[primary] if prune is not None else None
-    fraction = 1.0
-    if prune is not None:
-        fraction = (
-            float(np.count_nonzero(primary_candidates))
-            / primary_allocation.crossbars
-        )
-        # Every bit a skipped store would have written is a subset of one of
-        # these two, so the zone-map invariant is asserted once for all keys.
-        _check_pruned_bits(union, primary_candidates, primary_allocation)
-        _check_pruned_bits(mask, primary_candidates, primary_allocation)
+    fraction = primary_idx.size / primary_allocation.crossbars
+    # Every bit a skipped store would have written is a subset of one of
+    # these two, so the zone-map invariant is asserted once for all keys.
+    _check_pruned_bits(union, primary_candidates, primary_allocation)
+    _check_pruned_bits(mask, primary_candidates, primary_allocation)
 
-    def fold_pruned(program) -> bool:
-        # The final fold into the remote column stays a broadcast in the
-        # reference; only group-column folds run pruned.
-        return prune is not None and program.result_column == primary_layout.group_column
+    def fold_candidates(program) -> np.ndarray:
+        # The final fold into the remote column runs on every crossbar in
+        # the reference; only group-column folds run on the candidates.
+        if program.result_column == primary_layout.group_column:
+            return primary_candidates
+        return every_crossbar(bank)
 
     # ----------------------------------------------------- last key: stored
     # Only the last key's bits stay, so it alone goes through the stage
@@ -329,28 +312,21 @@ def run_group_by_batched(
         """The last key's specialised mask program, as what it is charged."""
         return ProgramCost(int(cycles[last]), stored.layouts[partition].group_column)
 
-    def store_program(partition, program, bits, pruned=prune is not None):
-        pages = pages_for(partition)
-        if pruned:
-            apply_program_pruned(
-                stored, partition, program, executor, "pim-gb-filter",
-                pages=pages, candidates=prune.candidates[partition],
-                result_bits=bits,
-            )
-        else:
-            apply_program(
-                stored, partition, program, executor, "pim-gb-filter",
-                pages=pages, result_bits=bits,
-            )
+    def store_program(partition, program, bits, candidates):
+        apply_program_pruned(
+            stored, partition, program, executor, "pim-gb-filter",
+            pages_for(partition), candidates, result_bits=bits,
+        )
 
     running: np.ndarray | None = None
     for position, partition in enumerate(remote_partitions):
-        cycles, value, xbars = remote_batches[position]
+        cycles, value, idx = remote_batches[position]
         store_program(
             partition, mask_program(partition, cycles),
             _mask_bits(
-                stored.allocations[partition].bank, value[last], xbars, num_records,
+                stored.allocations[partition].bank, value[last], idx, num_records,
             ),
+            prune.candidates[partition],
         )
         transferred = read_model.transfer_bit_column(
             stored,
@@ -361,54 +337,48 @@ def run_group_by_batched(
         running = transferred if running is None else running & transferred
         if fold_programs:
             fold_program = fold_programs[position]
-            fold_bits = running
-            if prune is not None:
-                fold_bits = fold_bits & candidate_rows(
-                    stored, primary, primary_candidates
-                )
-            store_program(primary, fold_program, fold_bits, fold_pruned(fold_program))
+            fold_bits = running & candidate_rows(stored, primary, primary_candidates)
+            store_program(
+                primary, fold_program, fold_bits, fold_candidates(fold_program)
+            )
     store_program(
         primary, mask_program(primary, combine_cycles),
         _mask_bits(bank, mask_value[last], primary_idx, num_records),
+        primary_candidates,
     )
     # The clear leaves the selection minus the (disjoint) masks of all keys.
-    store_program(primary, clear_program, mask & ~union)
+    store_program(primary, clear_program, mask & ~union, primary_candidates)
 
     # ----------------------- every key before the last: charged by multiplicity
     # Their columns are overwritten whole by the last key and their wear is
     # integer addition, so nothing is stored: each program slot is one
     # counted charge per distinct cycle count plus its summed wear.
-    def charge_programs(partition, runs: dict[int, int], pruned=prune is not None):
+    def charge_programs(partition, runs: dict[int, int], candidates):
         """``runs``: cycle count -> how many earlier keys run such a program."""
-        target = stored.allocations[partition].bank
-        pages = pages_for(partition)
-        active = target.count
-        if pruned:
-            active = candidate_idx[partition].size
-            pages = pages * active / target.count
-        if active:
-            for cycles, count in runs.items():
-                executor.charge_program_cost(
-                    target, cycles, pages, "pim-gb-filter", count=count
-                )
-        target.add_wear(
-            sum(cycles * count for cycles, count in runs.items()),
-            candidate_idx[partition] if pruned else None,
-        )
+        for cycles, count in runs.items():
+            executor.charge_program_cost(
+                stored.allocations[partition].bank, cycles, candidates,
+                pages_for(partition), "pim-gb-filter", count=count,
+            )
 
     if last > 0:
         for partition, (cycles, *_) in zip(remote_partitions, remote_batches):
-            charge_programs(partition, Counter(cycles[:last].tolist()))
+            charge_programs(
+                partition, Counter(cycles[:last].tolist()),
+                prune.candidates[partition],
+            )
         read_model.charge_bit_column_transfer(
             stored, "pim-gb-transfer", count=last * remote_count
         )
         bank.add_wear(last * remote_count)
         for fold_program in fold_programs:
             charge_programs(
-                primary, {fold_program.cycles: last}, fold_pruned(fold_program)
+                primary, {fold_program.cycles: last}, fold_candidates(fold_program)
             )
-        charge_programs(primary, Counter(combine_cycles[:last].tolist()))
-        charge_programs(primary, {clear_program.cycles: last})
+        charge_programs(
+            primary, Counter(combine_cycles[:last].tolist()), primary_candidates
+        )
+        charge_programs(primary, {clear_program.cycles: last}, primary_candidates)
 
     # ----------------------------------------------------------- aggregates
     # Every aggregate of every subgroup on every crossbar, in one segmented
@@ -416,7 +386,6 @@ def run_group_by_batched(
     # circuit passes and result reads are one counted charge each.
     accumulator_width = primary_layout.accumulator_width
     min_identity = engine.aggregation_stage.min_identity(primary)
-    circuit_runs = primary_idx is None or primary_idx.size > 0
     records, starts, cells = _subgroup_segments(
         bank, mask_value, primary_idx, selected
     )
@@ -440,17 +409,11 @@ def run_group_by_batched(
             values, starts, cells, (len(keys), bank.count), operation,
             accumulator_width,
         )
-        if primary_idx is not None:
-            partials = partials[:, primary_idx]
-        if circuit_runs:
-            executor.charge_aggregation_circuit(
-                bank, field_width,
-                pages=pages_for(primary),
-                result_width=accumulator_width,
-                crossbars=primary_candidates,
-                add_wear=False,
-                count=len(keys),
-            )
+        partials = partials[:, primary_idx]
+        executor.charge_aggregation_circuit(
+            bank, field_width, pages_for(primary), primary_candidates,
+            result_width=accumulator_width, count=len(keys),
+        )
         read_model.read_aggregation_results(
             stored, primary, pages_fraction=fraction, count=len(keys)
         )
@@ -462,13 +425,12 @@ def run_group_by_batched(
 
     # Every circuit pass wrote its partials over the previous one's, so only
     # the last pass's result row is stored; the others leave their wear.
-    if circuit_runs:
+    if primary_idx.size:
         bank.write_field_row(
             0, primary_layout.result_offset, accumulator_width,
             result_row, xbars=primary_idx,
         )
-        result_xbars = slice(None) if primary_idx is None else primary_idx
-        bank.writes_per_row[result_xbars, 0] += (
+        bank.writes_per_row[primary_idx, 0] += (
             len(keys) * len(query.aggregates) - 1
         ) * accumulator_width
 

@@ -63,11 +63,12 @@ class _Decision:
     only DML changes, so the engine keeps one per statistics version.
     """
 
+    #: The candidate crossbars: the zone maps' decision under pruning, else
+    #: the engine's decision of every crossbar.
+    prune: PruneDecision
     #: The histogram estimate (``None`` when neither pruning nor a router
     #: asked for one).
     selectivity: float | None = None
-    #: Zone-map candidate crossbars (``None`` without pruning).
-    prune: PruneDecision | None = None
     #: The router's choice (``None`` without a router).
     route: PlanDecision | None = None
     #: The GROUP-BY plan, made by the first PIM execution that needs one.
@@ -88,7 +89,7 @@ class QueryExecution:
     pim_subgroups: int
     max_writes_per_row: int
     plan: GroupByPlan | None = None
-    #: Crossbars a full broadcast would touch (summed over the partitions).
+    #: Crossbars a run on every crossbar would touch (summed over the partitions).
     crossbars_total: int = 0
     #: Crossbars the filter actually scanned (== total without pruning).
     crossbars_scanned: int = 0
@@ -181,12 +182,13 @@ class PimQueryEngine:
                 :class:`~repro.core.program_cache.ProgramCache` to reuse
                 compiled NOR programs across engines.
             pruning: Consult the relation's zone maps before every filter
-                and broadcast the NOR program (and the aggregation-circuit
-                pass) only to candidate crossbars — bit-exact with the full
-                broadcast, charging :class:`~repro.pim.stats.PimStats` for
-                exactly the crossbars touched plus the modelled zone-map
+                and run the NOR programs (and the aggregation-circuit pass)
+                only on their candidate crossbars — bit-exact with a run on
+                every crossbar, charging :class:`~repro.pim.stats.PimStats`
+                for exactly the crossbars touched plus the modelled zone-map
                 check.  A query whose predicate matches no crossbar at all
-                skips execution entirely.
+                skips execution entirely.  Without pruning every execution
+                runs on :attr:`unpruned`, every crossbar.
             router: A :class:`~repro.planner.planner.CostPlanner` consulted
                 once per execution, with the engine's own estimate and
                 zone-map decision: a query whose estimated host-scan time
@@ -237,6 +239,14 @@ class PimQueryEngine:
             stored, self.config, self.timing_scale, tracer=self.tracer
         )
         self.scatter_pool = scatter_pool
+        crossbars = [allocation.crossbars for allocation in stored.allocations]
+        #: The candidate sets of an execution that consults no zone map:
+        #: every crossbar of every partition, nothing checked or billed.
+        self.unpruned = PruneDecision(
+            [np.ones(count, dtype=bool) for count in crossbars],
+            crossbars_total=sum(crossbars), crossbars_scanned=sum(crossbars),
+            entries_checked=0, conjuncts_checked=0,
+        )
         # Decisions keyed by (statistics version, query, sample_pages).
         self._decisions: OrderedDict[tuple, _Decision] = OrderedDict()
 
@@ -264,15 +274,15 @@ class PimQueryEngine:
         primary = self._primary_partition(query)
         stats = PimStats()
         self.tracer.bind(stats)
-        crossbars_total = sum(a.crossbars for a in self.stored.allocations)
+        crossbars_total = self.unpruned.crossbars_total
         decision = self._decide(query, stats, crossbars_total)
         route = decision.route
         host_routed = route is not None and route.target == "host"
         if host_routed:
             execution = execute_host_scan(self, query, route)
-        elif decision.prune is not None and decision.prune.empty:
+        elif decision.prune.empty:
             # Some partition's conjunction matches no crossbar: the
-            # selection is provably empty, so no filter broadcast, no
+            # selection is provably empty, so no filter program, no
             # aggregation and no result row — this is also how a sharded
             # engine skips entire shards.
             execution = self._pruned_out_execution(
@@ -309,7 +319,7 @@ class PimQueryEngine:
         decision = self._decisions.pop(key, None)
         memo = "miss" if decision is None else "hit"
         # Most recently used last.
-        self._decisions[key] = decision = decision or _Decision()
+        self._decisions[key] = decision = decision or _Decision(self.unpruned)
         if len(self._decisions) > _DECISION_MEMO_CAPACITY:
             self._decisions.popitem(last=False)
         if not self.pruning and self.router is None:
@@ -329,16 +339,15 @@ class PimQueryEngine:
                     )
             prune, route = decision.prune, decision.route
             entries = 0
-            if memo == "miss" and prune is not None and (
-                route is None or route.target == "pim"
-            ):
+            if memo == "miss" and (route is None or route.target == "pim"):
+                # The unpruned decision checked no entry and bills nothing.
                 entries = prune.entries_checked
                 statistics.charge_check(
                     stats, self.config.host, entries * self.timing_scale
                 )
             if self.tracer.enabled:
                 span.set(estimated_selectivity=decision.selectivity, memo=memo)
-                if prune is not None:
+                if self.pruning:
                     span.set(
                         crossbars_total=crossbars_total,
                         crossbars_scanned=prune.crossbars_scanned,
@@ -365,10 +374,9 @@ class PimQueryEngine:
             self.config, stats, traffic_scale=self.timing_scale
         )
         wear_before = self.stored.wear_snapshot()
-        crossbars_scanned = (
-            prune.crossbars_scanned if prune is not None else crossbars_total
-        )
-        self.filter_stage.run(query, primary, executor, read_model, prune=prune)
+        # The span's ``pruned`` says whether the zone maps were consulted.
+        with self.tracer.span("filter", pruned=self.pruning):
+            self.filter_stage.run(query, primary, executor, read_model, prune)
         mask = self.stored.filter_mask(primary)
         # Live-row fraction: the filter bit is ANDed with the valid column,
         # so normalizing by all slots in use would dilute the figure with
@@ -378,12 +386,10 @@ class PimQueryEngine:
             if self.stored.live_count
             else 0.0
         )
-        candidates = prune.candidates[primary] if prune is not None else None
-
         plan: GroupByPlan | None = None
         if not query.group_by:
             entry = self.aggregation_stage.aggregate_all(
-                query, primary, executor, read_model, candidates=candidates
+                query, primary, executor, read_model, prune.candidates[primary]
             )
             # An empty selection yields no result row (matching the columnar
             # reference engines); otherwise an absent min collapses to the
@@ -421,7 +427,7 @@ class PimQueryEngine:
             max_writes_per_row=max_writes,
             plan=plan,
             crossbars_total=crossbars_total,
-            crossbars_scanned=crossbars_scanned,
+            crossbars_scanned=prune.crossbars_scanned,
             # A PIM execution reports an estimate only when pruning made one.
             estimated_selectivity=decision.selectivity if self.pruning else None,
         )
@@ -522,9 +528,6 @@ class PimQueryEngine:
                 )
 
         rows: dict[GroupKey, dict[str, int]] = {}
-        primary_candidates = (
-            prune.candidates[primary] if prune is not None else None
-        )
         batched = bool(
             plan.pim_groups and executor.batched and self.use_aggregation_circuit
         )
@@ -541,18 +544,18 @@ class PimQueryEngine:
 
                 rows = run_group_by_batched(
                     self, query, primary, mask, plan.pim_groups, executor,
-                    read_model, prune=prune,
+                    read_model, prune,
                 )
             else:
                 for key in plan.pim_groups:
                     entry = self._pim_aggregate_group(
                         query, primary, group_attributes, key, executor,
-                        read_model, prune=prune,
+                        read_model, prune,
                     )
                     if self._group_selected(mask, group_attributes, key):
                         rows[key] = self._finalize_entry(entry, primary)
                     self.group_stage.clear(
-                        primary, executor, candidates=primary_candidates
+                        primary, executor, prune.candidates[primary]
                     )
 
         if plan.host_pass_needed:
@@ -590,23 +593,22 @@ class PimQueryEngine:
         key: GroupKey,
         executor: PimExecutor,
         read_model: HostReadModel,
-        prune=None,
+        prune: PruneDecision,
     ) -> dict[str, int | None]:
         """pim-gb for one subgroup: subgroup filter, aggregate, combine.
 
-        The subgroup mask is a subset of the query filter, so the zone-map
-        candidate crossbars of the filter bound the subgroup mask programs
-        and the subgroup aggregation too.
+        The subgroup mask is a subset of the query filter, so the candidate
+        crossbars of the filter bound the subgroup mask programs and the
+        subgroup aggregation too.
         """
         group_values = dict(zip(group_attributes, key))
         mask_column = self.group_stage.prepare(
-            group_values, primary, executor, read_model, prune=prune
+            group_values, primary, executor, read_model, prune
         )
-        candidates = prune.candidates[primary] if prune is not None else None
         return {
             aggregate.name: self.aggregation_stage.aggregate(
                 aggregate, primary, mask_column, executor, read_model,
-                candidates=candidates,
+                prune.candidates[primary],
             )
             for aggregate in query.aggregates
         }

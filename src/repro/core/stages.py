@@ -18,15 +18,19 @@ instance, so its stages share compiled programs across queries.  The
 aggregation stage compiles nothing and holds no compiler.
 
 A program is applied in one way: its NOR primitives run on the stored bits
-(:func:`apply_program` / :func:`apply_program_pruned` /
+of a set of candidate crossbars (:func:`apply_program_pruned` /
 :func:`apply_program_at`; the fused kernel in production, op by op under the
 ``dispatch`` oracle) and its cycles, energy and wear are charged from its
-metadata.  The one exception is the *known-bits store* of the batched pim-gb
+metadata for those crossbars.  Every stage takes its candidate sets as
+given: the zone maps' :class:`~repro.planner.zonemap.PruneDecision` under
+pruning, otherwise the engine's decision of every crossbar — a run the
+executor hands the bank as its whole-bank call and charges its full pages.
+The one exception is the *known-bits store* of the batched pim-gb
 (:mod:`repro.core.batched`): its last subgroup has no per-key program to
-run, only the bits the value-free template kernel already
-computed from the stored bits, so ``apply_program(result_bits=...)`` /
-``apply_program_pruned(result_bits=...)`` write those bits into the result
-column and charge a :class:`~repro.pim.logic.ProgramCost` instead.
+run, only the bits the value-free template kernel already computed from the
+stored bits, so ``apply_program_pruned(result_bits=...)`` writes those bits
+into the result column and charges a :class:`~repro.pim.logic.ProgramCost`
+instead.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
 from repro.obs.trace import NULL_TRACER
 from repro.pim.arithmetic import BulkAggregationPlan
-from repro.pim.controller import PimExecutor
+from repro.pim.controller import PimExecutor, every_crossbar
 from repro.pim.logic import Program, ProgramBuilder
+from repro.planner.zonemap import PruneDecision
 
 
 def apply_program(
@@ -56,34 +61,12 @@ def apply_program(
     pages: float,
     result_bits: np.ndarray | None = None,
 ) -> None:
-    """Run a program on the stored bits of every crossbar and charge it.
-
-    Shared by the query stages and the DML subsystem.  ``result_bits`` is the
-    batched pim-gb's known-bits store (module docstring): one bool per slot
-    in use, computed by the template kernel from the stored bits, is written
-    into the program's result column and the program's cycles and wear are
-    charged from its :class:`~repro.pim.logic.ProgramCost` — the stored bits
-    and modelled cost the per-key program would have left.
-    """
-    allocation = stored.allocations[partition]
-    if result_bits is None:
-        executor.run_program(allocation.bank, program, pages=pages, phase=phase)
-    else:
-        stored.write_bit_column(
-            partition, program.result_column, result_bits, count_wear=False
-        )
-        executor.charge_program_cost(
-            allocation.bank,
-            program.cycles,
-            pages=pages,
-            phase=phase,
-            writes_per_row=program.writes_per_row,
-            add_wear=True,
-        )
-    # A broadcast may leave ones in any crossbar; the pruned path consults
-    # this to know what needs clearing.
-    if program.result_column is not None:
-        stored.mark_column_dirty(partition, program.result_column)
+    """:func:`apply_program_pruned` on every crossbar of the partition."""
+    # No caller in src/: kept because perf/layers.py names it.
+    everywhere = every_crossbar(stored.allocations[partition].bank)
+    apply_program_pruned(
+        stored, partition, program, executor, phase, pages, everywhere, result_bits
+    )
 
 
 def candidate_rows(
@@ -91,7 +74,7 @@ def candidate_rows(
 ) -> np.ndarray:
     """Expand a per-crossbar candidate mask to one bool per record slot.
 
-    Pruned execution leaves all-zero result bits on skipped crossbars; the
+    A candidate run leaves all-zero result bits on skipped crossbars; the
     batched pim-gb reproduces that bit-exactly by masking the fold bits of
     its known-bits store with this expansion before writing them.
     """
@@ -112,17 +95,25 @@ def apply_program_pruned(
     candidates: np.ndarray,
     result_bits: np.ndarray | None = None,
 ) -> None:
-    """Run a program on the zone-map candidate crossbars only.
+    """Run a program on the candidate crossbars only, and charge it there.
 
-    The contract of :func:`apply_program` restricted to the candidate
-    crossbars: the program's cost, wear and requests are charged for exactly
-    the crossbars touched.  Skipped crossbars provably hold no matching live
-    row, so their correct result bits are all-zero — they are left untouched
-    when already clean and receive a single-cycle clear when a previous
-    broadcast left stale ones behind.  ``result_bits`` (the batched pim-gb's
-    known-bits store) must already be zero outside the candidate crossbars,
-    which is checked (the caller masks them through :func:`candidate_rows`
-    where the kernel's bits can extend further).
+    Shared by the query stages and the DML subsystem.  ``candidates`` is a
+    boolean mask over the partition's crossbars: the zone maps' candidates,
+    or every crossbar.  The program's cost, wear and requests are charged
+    for exactly the crossbars touched.  Skipped crossbars provably hold no
+    matching live row, so their correct result bits are all-zero — they are
+    left untouched when already clean and receive a single-cycle clear when
+    an earlier run left stale ones behind.
+
+    ``result_bits`` is the batched pim-gb's known-bits store (module
+    docstring): one bool per slot in use, computed by the template kernel
+    from the stored bits, is written into the program's result column and
+    the program's cycles and wear are charged from its
+    :class:`~repro.pim.logic.ProgramCost` — the stored bits and modelled
+    cost the per-key program would have left.  The bits must already be
+    zero outside the candidate crossbars, which is checked (the caller masks
+    them through :func:`candidate_rows` where the kernel's bits can extend
+    further).
     """
     if program.result_column is None:
         raise ValueError("pruned execution needs a program result column")
@@ -257,16 +248,17 @@ class _Stage:
         partition: int,
         executor: PimExecutor,
         phase: str,
-        candidates: np.ndarray | None = None,
+        candidates: np.ndarray,
     ) -> None:
-        """Broadcast a program, or run it pruned to ``candidates`` crossbars."""
-        pages = self._pages(partition)
-        if candidates is None:
-            apply_program(self.stored, partition, program, executor, phase, pages)
-        else:
-            apply_program_pruned(
-                self.stored, partition, program, executor, phase, pages, candidates
-            )
+        """Run a program on the ``candidates`` crossbars of a partition."""
+        apply_program_pruned(
+            self.stored, partition, program, executor, phase,
+            self._pages(partition), candidates,
+        )
+
+    def _everywhere(self, partition: int) -> np.ndarray:
+        """The candidate set of a run that ignores pruning: every crossbar."""
+        return every_crossbar(self.stored.allocations[partition].bank)
 
 
 class _CompilingStage(_Stage):
@@ -283,11 +275,6 @@ class _CompilingStage(_Stage):
         self.compiler = compiler if compiler is not None else ProgramCache()
 
 
-def _candidates(prune, partition: int) -> np.ndarray | None:
-    """A partition's candidate crossbars under ``prune`` (``None``: all)."""
-    return None if prune is None else prune.candidates[partition]
-
-
 class FilterStage(_CompilingStage):
     """Stage 1: evaluate the WHERE clause inside the memory arrays."""
 
@@ -297,38 +284,37 @@ class FilterStage(_CompilingStage):
         primary: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        prune=None,
+        prune: PruneDecision,
     ) -> None:
         """Evaluate the predicate; the combined result lands in ``primary``.
 
-        ``prune`` (a :class:`~repro.planner.zonemap.PruneDecision`) restricts
-        each partition's filter broadcast to its zone-map candidate
-        crossbars; without it the program is broadcast to every page.
+        Each partition's filter program runs on its candidate crossbars in
+        ``prune`` (the zone maps' decision, or every crossbar); the transfer
+        that combines a remote partition's filter bits runs on every
+        crossbar of the primary partition.
         """
-        with self.tracer.span("filter", pruned=prune is not None):
-            schema = self.stored.relation.schema
-            per_partition = partition_conjuncts(
-                query.predicate, self.stored.partition_attributes
+        schema = self.stored.relation.schema
+        per_partition = partition_conjuncts(
+            query.predicate, self.stored.partition_attributes
+        )
+        for index, predicate in enumerate(per_partition):
+            layout = self.stored.layouts[index]
+            program = self.compiler.filter_program(predicate, schema, layout)
+            self._apply(
+                program, index, executor, "filter", prune.candidates[index]
             )
-            for index, predicate in enumerate(per_partition):
-                layout = self.stored.layouts[index]
-                program = self.compiler.filter_program(predicate, schema, layout)
-                self._apply(
-                    program, index, executor, phase="filter",
-                    candidates=_candidates(prune, index),
-                )
-            # Fold the other partitions' filter bits into the primary partition.
-            for index, predicate in enumerate(per_partition):
-                if index == primary or predicate is None:
-                    continue
-                self.combine_remote(
-                    executor, read_model,
-                    source_partition=index,
-                    source_column=self.stored.layouts[index].filter_column,
-                    target_partition=primary,
-                    target_column=self.stored.layouts[primary].filter_column,
-                    phase="filter-combine",
-                )
+        # Fold the other partitions' filter bits into the primary partition.
+        for index, predicate in enumerate(per_partition):
+            if index == primary or predicate is None:
+                continue
+            self.combine_remote(
+                executor, read_model,
+                source_partition=index,
+                source_column=self.stored.layouts[index].filter_column,
+                target_partition=primary,
+                target_column=self.stored.layouts[primary].filter_column,
+                phase="filter-combine",
+            )
 
     def combine_remote(
         self,
@@ -353,7 +339,10 @@ class FilterStage(_CompilingStage):
         builder.store(combined, target_column)
         builder.free(combined)
         program = builder.build(result_column=target_column)
-        self._apply(program, target_partition, executor, phase=phase)
+        self._apply(
+            program, target_partition, executor, phase,
+            self._everywhere(target_partition),
+        )
 
 
 class GroupMaskStage(_CompilingStage):
@@ -365,15 +354,15 @@ class GroupMaskStage(_CompilingStage):
         primary: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        prune=None,
+        prune: PruneDecision,
     ) -> int:
         """Build the subgroup mask in the primary partition's group column.
 
-        ``prune`` (the query's :class:`~repro.planner.zonemap.PruneDecision`)
-        restricts every subgroup program to each partition's zone-map
-        candidate crossbars.  The subgroup mask is ANDed with the (already
-        pruned) filter column, so rows on skipped crossbars can never reach
-        it — pruning the mask programs is bit-exact for the final mask while
+        ``prune`` (the query's candidate sets) restricts every subgroup
+        program to each partition's candidate crossbars.  The subgroup mask
+        is ANDed with the filter column, which is zero outside them, so rows
+        on skipped crossbars can never reach it — running the mask programs
+        on the candidates only is bit-exact for the final mask while
         charging only the candidate crossbars.
         """
         with self.tracer.span("group-mask", columns=len(group_values)):
@@ -385,7 +374,7 @@ class GroupMaskStage(_CompilingStage):
         primary: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        prune,
+        prune: PruneDecision,
     ) -> int:
         by_partition: dict[int, dict[str, int]] = {}
         for name, value in group_values.items():
@@ -405,13 +394,13 @@ class GroupMaskStage(_CompilingStage):
         for position, (partition, values) in enumerate(remote_parts):
             layout = self.stored.layouts[partition]
             program = self.compiler.group_program(values, layout)
-            # Pruned execution leaves zeros on skipped crossbars even where
+            # A candidate run leaves zeros on skipped crossbars even where
             # the subgroup equality holds; those rows fail the partition's
             # WHERE conjunct, so the final mask (which ANDs the filter bits)
             # is unchanged.
             self._apply(
-                program, partition, executor, phase="pim-gb-filter",
-                candidates=_candidates(prune, partition),
+                program, partition, executor, "pim-gb-filter",
+                prune.candidates[partition],
             )
             read_model.transfer_bit_column(
                 self.stored,
@@ -423,7 +412,7 @@ class GroupMaskStage(_CompilingStage):
                 self._fold_remote(
                     primary, executor,
                     build_fold_program(primary_layout, position, len(remote_parts)),
-                    prune=prune,
+                    prune,
                 )
 
         program = self.compiler.combine_program(
@@ -431,8 +420,7 @@ class GroupMaskStage(_CompilingStage):
             include_remote=bool(remote_parts),
         )
         self._apply(
-            program, primary, executor, phase="pim-gb-filter",
-            candidates=_candidates(prune, primary),
+            program, primary, executor, "pim-gb-filter", prune.candidates[primary]
         )
         return primary_layout.group_column
 
@@ -441,39 +429,37 @@ class GroupMaskStage(_CompilingStage):
         primary: int,
         executor: PimExecutor,
         program: Program,
-        prune=None,
+        prune: PruneDecision,
     ) -> None:
         """Apply one :func:`build_fold_program` step on the primary partition.
 
-        Under pruning the running product parked in the group column is only
-        maintained on the primary partition's candidate crossbars (it is
-        zero elsewhere, like every pruned result).  The final fold into the
-        remote column — which the combine program reads — stays a broadcast,
+        The running product parked in the group column is only maintained on
+        the primary partition's candidate crossbars (it is zero elsewhere,
+        like every candidate run's result).  The final fold into the remote
+        column — which the combine program reads — runs on every crossbar,
         but its group-column operand already zeroes the skipped crossbars,
         so its result is the candidate-masked product.
         """
+        candidates = prune.candidates[primary]
         if program.result_column != self.stored.layouts[primary].group_column:
-            prune = None
-        self._apply(
-            program, primary, executor, phase="pim-gb-filter",
-            candidates=_candidates(prune, primary),
-        )
+            candidates = self._everywhere(primary)
+        self._apply(program, primary, executor, "pim-gb-filter", candidates)
 
     def clear(
         self,
         primary: int,
         executor: PimExecutor,
-        candidates: np.ndarray | None = None,
+        candidates: np.ndarray,
     ) -> None:
         """Remove a PIM-aggregated subgroup's records from the host filter.
 
-        ``candidates`` (the primary partition's zone-map candidate crossbars)
+        ``candidates`` (the primary partition's candidate crossbars)
         restricts the update to the crossbars whose filter column can hold
-        ones at all — the others were pruned to zero by the filter stage.
+        ones at all — the filter stage left the others zero.
         """
         self._apply(
             build_clear_program(self.stored.layouts[primary]), primary, executor,
-            phase="pim-gb-filter", candidates=candidates,
+            "pim-gb-filter", candidates,
         )
 
 
@@ -501,14 +487,14 @@ class AggregationStage(_Stage):
         primary: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        candidates: np.ndarray | None = None,
+        candidates: np.ndarray,
     ) -> dict[str, int | None]:
         """Aggregate the filtered records of the whole relation with PIM."""
         layout = self.stored.layouts[primary]
         return {
             aggregate.name: self.aggregate(
                 aggregate, primary, layout.filter_column, executor, read_model,
-                candidates=candidates,
+                candidates,
             )
             for aggregate in query.aggregates
         }
@@ -520,7 +506,7 @@ class AggregationStage(_Stage):
         mask_column: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        candidates: np.ndarray | None = None,
+        candidates: np.ndarray,
     ) -> int | None:
         """One PIM aggregation (circuit or bulk-bitwise) plus host combination.
 
@@ -530,11 +516,11 @@ class AggregationStage(_Stage):
         indistinguishable in the partials the hardware exposes; the engine
         resolves the ambiguity from the selection mask it already holds).
 
-        ``candidates`` (the zone-map candidate crossbars of the partition)
-        restricts the aggregation-circuit pass to those crossbars: the others
-        hold an all-zero mask column, so their partials would be the
-        operation's identity and are not worth streaming.  The bulk-bitwise
-        fallback (the PIMDB baseline) always runs unpruned.
+        ``candidates`` (the candidate crossbars of the partition) restricts
+        the aggregation-circuit pass to those crossbars: the others hold an
+        all-zero mask column, so their partials would be the operation's
+        identity and are not worth streaming.  The bulk-bitwise fallback
+        (the PIMDB baseline) always runs on every crossbar.
         """
         with self.tracer.span("aggregate", op=aggregate.op, agg=aggregate.name):
             return self._aggregate(
@@ -548,7 +534,7 @@ class AggregationStage(_Stage):
         mask_column: int,
         executor: PimExecutor,
         read_model: HostReadModel,
-        candidates: np.ndarray | None,
+        candidates: np.ndarray,
     ) -> int | None:
         layout = self.stored.layouts[partition]
         allocation = self.stored.allocations[partition]
@@ -564,10 +550,9 @@ class AggregationStage(_Stage):
                 allocation.bank,
                 field_offset, field_width, mask_column,
                 layout.result_offset,
-                pages=self._pages(partition),
+                self._pages(partition), candidates,
                 operation=operation,
                 result_width=layout.accumulator_width,
-                crossbars=candidates,
             )
         else:
             if layout.operand_offset is None:
@@ -588,11 +573,10 @@ class AggregationStage(_Stage):
             partials = executor.aggregate_bulk_bitwise(
                 allocation.bank, plan, pages=self._pages(partition)
             )
-        fraction = 1.0
-        if candidates is not None and self.use_aggregation_circuit:
-            fraction = float(np.count_nonzero(candidates)) / allocation.crossbars
+            candidates = self._everywhere(partition)
         read_model.read_aggregation_results(
-            self.stored, partition, pages_fraction=fraction
+            self.stored, partition,
+            pages_fraction=np.count_nonzero(candidates) / allocation.crossbars,
         )
         if aggregate.op == "min":
             # Crossbars with no selected record hold the identity (all ones);

@@ -373,19 +373,14 @@ class StoredRelation:
             )
 
     def mark_column_dirty(
-        self, partition: int, column: int, candidates: np.ndarray | None = None
+        self, partition: int, column: int, candidates: np.ndarray
     ) -> None:
         """Record which crossbars a program just wrote ``column`` on.
 
-        An unpruned broadcast (``candidates=None``) dirties every crossbar; a
-        pruned run leaves exactly its candidate set dirty (skipped crossbars
-        were cleared or already clean).
+        A candidate run leaves exactly its candidate set dirty (skipped
+        crossbars were cleared or already clean).
         """
-        mask = self.column_dirty_mask(partition, column)
-        if candidates is None:
-            mask[:] = True
-        else:
-            np.copyto(mask, candidates)
+        np.copyto(self.column_dirty_mask(partition, column), candidates)
 
     def partition_of(self, attribute: str) -> int:
         """Index of the vertical partition storing an attribute."""
@@ -475,9 +470,9 @@ class StoredRelation:
         The caller is responsible for charging the corresponding write
         traffic; the executor's two-xb filter-transfer path does so.  With
         ``count_wear=False`` the wear counters are left untouched — used by
-        the batched pim-gb's known-bits store (:func:`repro.core.stages.apply_program`
-        with ``result_bits``), which adds the per-key program's wear from its
-        metadata instead.
+        the batched pim-gb's known-bits store
+        (:func:`repro.core.stages.apply_program_pruned` with ``result_bits``),
+        which adds the per-key program's wear from its metadata instead.
         """
         values = np.asarray(values, dtype=bool)
         if values.shape != (self.num_records,):

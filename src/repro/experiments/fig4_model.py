@@ -41,7 +41,7 @@ from repro.db.storage import StoredRelation
 from repro.experiments.common import format_table
 from repro.host.aggregator import host_group_aggregate
 from repro.host.readpath import HostReadModel
-from repro.pim.controller import PimExecutor
+from repro.pim.controller import PimExecutor, every_crossbar
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
 from repro.db.query import Aggregate
@@ -180,7 +180,8 @@ def run_fig4(
                 allocation.bank,
                 layout.field_offset(name), layout.field_width(name),
                 layout.group_column, layout.result_offset,
-                pages=pages, result_width=layout.accumulator_width,
+                pages, every_crossbar(allocation.bank),
+                result_width=layout.accumulator_width,
             )
             read_model.read_aggregation_results(stored, 0)
             pim_points.append(PimGbMeasurement(

@@ -44,6 +44,26 @@ from repro.pim.packed import GATHER_MAX_SHARE
 from repro.pim.stats import PimStats
 
 
+def every_crossbar(bank: CrossbarBank) -> np.ndarray:
+    """The candidate mask of a run on every crossbar of ``bank``."""
+    return np.ones(bank.count, dtype=bool)
+
+
+def crossbar_call(
+    bank: CrossbarBank, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The crossbars a candidate mask sets, and how ``bank`` is called on them.
+
+    Returns their indices and the bank's ``xbars`` argument: the indices for
+    a subset, and ``None`` — the whole-bank call — when the mask sets every
+    crossbar.  This is the one place a run on every crossbar becomes the
+    bank's whole-bank call; the executor and the batched pim-gb's kernels
+    call the bank through it.
+    """
+    idx = np.flatnonzero(candidates)
+    return idx, (None if idx.size == bank.count else idx)
+
+
 class PimExecutor:
     """Executes PIM operations on a crossbar bank and accounts for them."""
 
@@ -123,35 +143,28 @@ class PimExecutor:
         phase: str = "filter",
     ) -> None:
         """Execute a NOR program on every crossbar of ``pages`` pages."""
-        if self.batched:
-            program.run_fused(bank)
-        else:
-            program.execute(bank)
-        self._charge_program(bank, program.cycles, pages, phase)
+        self._run_at(bank, program, every_crossbar(bank), pages, phase)
 
     def charge_program_cost(
         self,
         bank: CrossbarBank,
         cycles: int,
-        pages: int,
+        crossbars: np.ndarray,
+        pages: float,
         phase: str,
-        writes_per_row: int | None = None,
-        add_wear: bool = False,
         count: int = 1,
     ) -> None:
-        """Charge ``count`` runs of a program without executing it functionally.
+        """Charge ``count`` runs of a ``cycles``-long program, without running it.
 
-        Used by the fast path of the bulk-bitwise aggregation, whose results
-        are produced functionally but whose cost is known analytically, and
-        by the batched pim-gb path for every subgroup program of one cycle
-        count at once.
+        The runs are on the crossbars set in ``crossbars``: their share of the
+        ``pages`` broadcast, plus the wear of one write per row per cycle.  The
+        batched pim-gb charges every subgroup program of one cycle count
+        through here at once.
         """
-        self._charge_program(bank, cycles, pages, phase, count)
-        if add_wear and writes_per_row:
-            bank.writes_per_row += int(writes_per_row) * count
+        self._charge_at(bank, cycles, crossbars, pages, phase, cycles, count)
 
     def _charge_program(
-        self, bank: CrossbarBank, cycles: int, pages: int, phase: str, count: int = 1
+        self, bank: CrossbarBank, cycles: int, pages: float, phase: str, count: int = 1
     ) -> None:
         xbar = self._xbar
         request_time = cycles * xbar.logic_cycle_s
@@ -161,28 +174,53 @@ class PimExecutor:
         self.stats.add_events("logic_ops", cycles * crossbars, count)
         self._record_phase(phase, pages, request_time, energy, "logic", count)
 
-    # ------------------------------------------------------ crossbar skipping
-    def _charge_program_at(
-        self, bank: CrossbarBank, cycles: int, crossbars: np.ndarray,
-        pages: float, phase: str, wear: int = 0,
-    ) -> np.ndarray:
-        """Charge a ``cycles``-long program on the crossbars set in ``crossbars``.
+    # ------------------------------------------------------- candidate sets
+    @staticmethod
+    def _share(bank: CrossbarBank, idx: np.ndarray, pages: float) -> float:
+        """The pages a run on the crossbars ``idx`` is charged.
 
-        That fraction of the ``pages`` broadcast, plus ``wear`` writes per row
-        of those crossbars; returns their indices (nothing charged if none).
+        A run on every crossbar is charged ``pages`` itself: ``pages * n / n``
+        differs from it in the last bit for some ``(pages, n)``.
         """
-        idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
-        if idx.size:
-            self._charge_program(bank, cycles, pages * idx.size / bank.count, phase)
-            if wear:
-                bank.writes_per_row[idx] += int(wear)
-        return idx
+        if idx.size == bank.count:
+            return pages
+        return pages * idx.size / bank.count
 
-    def _run_at(self, bank: CrossbarBank, program: Program, idx: np.ndarray) -> None:
+    def _charge_at(
+        self, bank: CrossbarBank, cycles: int, crossbars: np.ndarray,
+        pages: float, phase: str, wear: int = 0, count: int = 1,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Charge ``count`` runs of a ``cycles``-long program on ``crossbars``.
+
+        Their share of the ``pages`` broadcast, plus ``wear`` writes per row
+        of those crossbars per run; nothing if none is set.  Returns
+        :func:`crossbar_call` of the set.
+        """
+        idx, xbars = crossbar_call(bank, crossbars)
+        if idx.size:
+            self._charge_program(bank, cycles, self._share(bank, idx, pages), phase, count)
+            if wear:
+                bank.add_wear(int(wear) * count, xbars)
+        return idx, xbars
+
+    def _run_at(
+        self, bank: CrossbarBank, program: Program, candidates: np.ndarray,
+        pages: float, phase: str,
+    ) -> None:
+        """Run a program on the candidate crossbars and charge it there."""
+        idx, xbars = self._charge_at(bank, program.cycles, candidates, pages, phase)
         if idx.size and self.batched:
-            program.run_fused(bank, idx)
+            program.run_fused(bank, xbars)
         elif idx.size:
-            program.execute_at(bank, idx)
+            program.execute(bank, xbars)
+
+    def _clear_stale(
+        self, bank: CrossbarBank, column: int, stale: np.ndarray, pages: float,
+        wear: int = 0,
+    ) -> np.ndarray:
+        """Charge the single-cycle ``prune-clear`` of ``column`` on ``stale``."""
+        idx, _ = self._charge_at(bank, 1, stale, pages, "prune-clear", wear)
+        return idx
 
     def run_program_pruned(
         self,
@@ -191,26 +229,25 @@ class PimExecutor:
         candidates: np.ndarray,
         pages: float,
         phase: str,
-        clear_crossbars: np.ndarray | None = None,
+        clear_crossbars: np.ndarray,
     ) -> None:
         """Execute a program on the candidate crossbars only.
 
         ``candidates`` is a boolean mask over the bank's crossbars (from the
-        zone maps); the program's latency, energy, wear and requests are
-        charged for exactly that fraction of the broadcast.  ``clear_crossbars``
-        marks skipped crossbars whose result column may hold stale ones from
-        an earlier broadcast: they receive a single-cycle column clear instead
-        of the full program (charged as ``prune-clear``), restoring the
-        invariant that a skipped crossbar's result column reads all-zero.
+        zone maps, or every crossbar); the program's latency, energy, wear
+        and requests are charged for exactly those crossbars.
+        ``clear_crossbars`` marks skipped crossbars whose result column may
+        hold stale ones from an earlier run: they receive a single-cycle
+        column clear instead of the full program (charged as
+        ``prune-clear``), restoring the invariant that a skipped crossbar's
+        result column reads all-zero.
         """
         if program.result_column is None:
             raise ValueError("pruned execution needs a program result column")
-        idx = self._charge_program_at(bank, program.cycles, candidates, pages, phase)
-        self._run_at(bank, program, idx)
-        if clear_crossbars is not None:
-            stale = self._charge_program_at(bank, 1, clear_crossbars, pages, "prune-clear")
-            if stale.size:
-                bank.set_column_at(program.result_column, False, stale)
+        self._run_at(bank, program, candidates, pages, phase)
+        stale = self._clear_stale(bank, program.result_column, clear_crossbars, pages)
+        if stale.size:
+            bank.set_column_at(program.result_column, False, stale)
 
     def charge_pruned_program_cost(
         self,
@@ -219,21 +256,20 @@ class PimExecutor:
         candidates: np.ndarray,
         pages: float,
         phase: str,
-        clear_crossbars: np.ndarray | None = None,
+        clear_crossbars: np.ndarray,
     ) -> None:
         """What :meth:`run_program_pruned` charges, without running anything.
 
         For the batched pim-gb's last subgroup (:mod:`repro.core.batched`
         through ``apply_program_pruned(result_bits=...)``): the template
         kernel's bits are already in the result column; this charges the
-        per-key program's pruned cost from its metadata and adds the per-row
-        wear its masked execution would have caused.
+        per-key program's cost from its metadata and adds the per-row wear
+        its masked execution would have caused.
         """
-        self._charge_program_at(
+        self._charge_at(
             bank, program.cycles, candidates, pages, phase, program.writes_per_row
         )
-        if clear_crossbars is not None:
-            self._charge_program_at(bank, 1, clear_crossbars, pages, "prune-clear", 1)
+        self._clear_stale(bank, program.result_column, clear_crossbars, pages, 1)
 
     def run_program_at(
         self,
@@ -252,8 +288,7 @@ class PimExecutor:
         alone — no stale clear, no zero-outside invariant.  Unlike the pruned
         path the program needs no result column.
         """
-        idx = self._charge_program_at(bank, program.cycles, candidates, pages, phase)
-        self._run_at(bank, program, idx)
+        self._run_at(bank, program, candidates, pages, phase)
 
     def charge_program_cost_at(
         self,
@@ -267,9 +302,7 @@ class PimExecutor:
         # No caller in src/: kept because perf/layers.py (not editable outside
         # a benchmark PR) names it and perf/test_perf.py asserts
         # ``trace.unresolved_targets == 0``.
-        self._charge_program_at(
-            bank, program.cycles, candidates, pages, phase, program.writes_per_row
-        )
+        self._charge_at(bank, program.cycles, candidates, pages, phase, program.writes_per_row)
 
     # ---------------------------------------------------- aggregation circuit
     def _circuit_result_width(self, field_width: int, result_width: int | None) -> int:
@@ -321,25 +354,24 @@ class PimExecutor:
         field_width: int,
         mask_column: int,
         destination_offset: int,
-        pages: int,
+        pages: float,
+        crossbars: np.ndarray,
         operation: str = "sum",
         result_width: int | None = None,
-        crossbars: np.ndarray | None = None,
     ) -> np.ndarray:
         """Aggregate a field with the per-crossbar aggregation circuit (Fig. 3).
 
         The circuit streams the masked attribute of every row through its
         16-bit read port, accumulates it in a CMOS ALU and writes the final
         value back into the crossbar at ``destination_offset``.  Returns the
-        per-crossbar aggregates; ``operation`` is ``sum``, ``min`` or ``max``.
+        per-crossbar aggregates of the crossbars set in ``crossbars`` (a
+        boolean mask over the bank's crossbars: every crossbar, or the zone
+        maps' candidates); ``operation`` is ``sum``, ``min`` or ``max``.
+        Only those crossbars stream their rows, receive the write-back and
+        are charged for — a skipped one holds an all-zero mask column, so its
+        partial would be the operation's identity and contribute nothing.
 
-        ``crossbars`` restricts the aggregation to a candidate subset (a
-        boolean mask over the bank's crossbars, from the zone maps): only
-        those crossbars stream their rows, receive the write-back and are
-        charged for — the skipped ones hold an all-zero mask column, so their
-        partials would be the operation's identity and contribute nothing.
-
-        Only the candidate crossbars are read.  When the mask selects at most
+        When the mask selects at most
         :data:`~repro.pim.packed.GATHER_MAX_SHARE` of their rows, only the
         selected cells are decoded (``read_field_cells``) and reduced per
         crossbar; a denser mask decodes the whole field.
@@ -354,37 +386,30 @@ class PimExecutor:
                 f"a {operation} of a {field_width}-bit field does not fit a "
                 f"{result_width}-bit result"
             )
-        candidate_idx = None
-        if crossbars is not None:
-            candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
+        idx, xbars = crossbar_call(bank, crossbars)
         from repro.pim.arithmetic import aggregate_reference, segmented_partials
 
-        mask = bank.read_column(mask_column, candidate_idx)
+        mask = bank.read_column(mask_column, xbars)
         if np.count_nonzero(mask) <= mask.size * GATHER_MAX_SHARE:
             position, rows = np.nonzero(mask)
-            xbars = position if candidate_idx is None else candidate_idx[position]
             starts = np.flatnonzero(np.diff(position, prepend=-1))
             results = segmented_partials(
-                bank.read_field_cells(xbars, rows, field_offset, field_width),
+                bank.read_field_cells(idx[position], rows, field_offset, field_width),
                 starts, position[starts], (mask.shape[0],), operation,
                 result_width,
             )
         else:
             results = aggregate_reference(
-                bank.read_field_all(field_offset, field_width, candidate_idx),
+                bank.read_field_all(field_offset, field_width, xbars),
                 mask, operation, result_width,
             )
-        if candidate_idx is None:
-            bank.write_field_row(0, destination_offset, result_width, results)
-        else:
-            active = int(candidate_idx.size)
-            if active == 0:
-                return results
+        if idx.size:
             bank.write_field_row(
-                0, destination_offset, result_width, results, xbars=candidate_idx
+                0, destination_offset, result_width, results, xbars=xbars
             )
-            pages = pages * active / bank.count
-        self._charge_circuit_pass(field_width, result_width, pages)
+            self._charge_circuit_pass(
+                field_width, result_width, self._share(bank, idx, pages)
+            )
         return results
 
     def charge_aggregation_circuit(
@@ -392,34 +417,25 @@ class PimExecutor:
         bank: CrossbarBank,
         field_width: int,
         pages: float,
+        crossbars: np.ndarray,
         result_width: int | None = None,
-        crossbars: np.ndarray | None = None,
-        add_wear: bool = True,
         count: int = 1,
     ) -> None:
         """Charge-only twin of :meth:`aggregate_with_circuit`, ``count`` times.
 
         The batched group-by path computes every subgroup's aggregates from
-        one field decode and charges an aggregate's circuit invocations —
-        one per subgroup, all of one shape — through here in one call:
-        identical time, energy, power samples, request counts and (with
-        ``add_wear``) the ``result_width`` write-back wear on row 0 that the
-        reference's ``write_field_row`` causes.  Pass ``add_wear=False`` when
-        the caller accounts for the write-back wear itself.
+        one field decode and charges an aggregate's circuit invocations on
+        the crossbars set in ``crossbars`` — one per subgroup, all of one
+        shape — through here in one call: identical time, energy, power
+        samples and request counts.  The caller accounts for the write-back
+        wear.
         """
         result_width = self._circuit_result_width(field_width, result_width)
-        if crossbars is None:
-            if add_wear:
-                bank.writes_per_row[:, 0] += int(result_width) * count
-        else:
-            candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
-            active = int(candidate_idx.size)
-            if active == 0:
-                return
-            if add_wear:
-                bank.writes_per_row[candidate_idx, 0] += int(result_width) * count
-            pages = pages * active / bank.count
-        self._charge_circuit_pass(field_width, result_width, pages, count)
+        idx = np.flatnonzero(crossbars)
+        if idx.size:
+            self._charge_circuit_pass(
+                field_width, result_width, self._share(bank, idx, pages), count
+            )
 
     # --------------------------------------------------- bulk-bitwise (PIMDB)
     def aggregate_bulk_bitwise(

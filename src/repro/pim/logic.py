@@ -113,24 +113,22 @@ class Program:
             else:
                 set_column(dest, payload)
 
-    def execute(self, bank: CrossbarBank) -> None:
-        """Apply the program to every row of every crossbar of ``bank``.
+    def execute(self, bank: CrossbarBank, xbars=None) -> None:
+        """Apply the program to every row of every crossbar of ``bank``
+        (of the crossbars ``xbars`` only, if given).
 
         ``bank`` may be either functional backend
         (:class:`~repro.pim.crossbar.CrossbarBank` or
         :class:`~repro.pim.packed.PackedCrossbarBank`); the pre-split flat
-        op stream is dispatched against pre-bound primitive methods.
+        op stream is dispatched against pre-bound primitive methods.  Every
+        primitive operates column-wise and independently per crossbar, so
+        running the program on a subset produces on that subset exactly the
+        bits a run on every crossbar would — while the other crossbars'
+        cells and wear stay untouched.
         """
-        self._dispatch(bank.nor_columns, bank.set_column)
-
-    def execute_at(self, bank: CrossbarBank, xbars) -> None:
-        """Apply the program to the listed crossbars of ``bank`` only.
-
-        The functional side of crossbar skipping: every primitive operates
-        column-wise and independently per crossbar, so running the program on
-        a subset produces on that subset exactly the bits a full broadcast
-        would — while the other crossbars' cells and wear stay untouched.
-        """
+        if xbars is None:
+            self._dispatch(bank.nor_columns, bank.set_column)
+            return
         self._dispatch(
             lambda dest, srcs: bank.nor_columns_at(dest, srcs, xbars),
             lambda dest, value: bank.set_column_at(dest, value, xbars),
@@ -167,7 +165,7 @@ class Program:
         """Execute the fused kernel — bit-exact with dispatch on the outputs.
 
         Leaves every output column and the wear counters exactly as
-        :meth:`execute` (or :meth:`execute_at` for a crossbar subset) would;
+        :meth:`execute` would, on every crossbar or on ``xbars``;
         scratch columns are not touched.  Wear is charged in bulk from the
         program metadata: dispatch wears every row once per primitive, so
         the totals are identical by construction.
@@ -185,7 +183,7 @@ class Program:
 class ProgramCost(NamedTuple):
     """What the charging entry points read of a :class:`Program`.
 
-    ``apply_program`` / ``apply_program_pruned`` with known result bits need
+    ``apply_program_pruned`` with known result bits needs
     only ``cycles``, ``writes_per_row`` and ``result_column``, so a program
     whose op count is known in closed form (see
     :meth:`ProgramBuilder.eq_const_cycles`) is charged through a

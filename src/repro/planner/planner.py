@@ -348,13 +348,14 @@ class CostPlanner:
         query: Query,
         engine,
         selectivity: float,
-        prune: PruneDecision | None,
+        prune: PruneDecision,
     ) -> PlanDecision:
         """Choose the route of one query on one store's engine.
 
         ``selectivity`` and ``prune`` are the engine's own estimate and
-        zone-map decision (``prune`` is ``None`` without pruning): the router
-        prices the two routes with them and plans nothing itself.  The
+        candidate crossbars (its zone-map decision, or ``engine.unpruned``
+        without pruning): the router prices the two routes with them and
+        plans nothing itself.  The
         engine memoises the result and traces it in its ``plan`` span.
         """
         est_host = self._estimate_host(query, engine, selectivity)
@@ -384,9 +385,9 @@ class CostPlanner:
         query: Query,
         engine,
         selectivity: float,
-        prune: PruneDecision | None,
+        prune: PruneDecision,
     ) -> float:
-        """Rough modelled time of the (pruned) PIM execution."""
+        """Rough modelled time of the PIM execution on ``prune``'s crossbars."""
         stored = engine.stored
         config: SystemConfig = engine.config
         scale = engine.timing_scale
@@ -402,10 +403,9 @@ class CostPlanner:
         partition_pages = []
         for index, conjunct in enumerate(per_partition):
             layout = stored.layouts[index]
+            mask = prune.candidates[index]
             pages = stored.allocations[index].pages * scale
-            if prune is not None:
-                mask = prune.candidates[index]
-                pages *= mask.sum() / max(1, len(mask))
+            pages *= mask.sum() / max(1, len(mask))
             program = engine.compiler.filter_program(conjunct, schema, layout)
             total += pages * gap + program.cycles * xbar.logic_cycle_s
             partition_pages.append(pages)

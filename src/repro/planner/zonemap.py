@@ -22,7 +22,7 @@ count per crossbar.  The maps are **conservative, never wrong**:
 
 Consequently ``candidates(...) == False`` for a crossbar *proves* that no
 live row in it satisfies the conjunction, which is what makes pruned
-execution bit-exact with the broadcast path.
+execution bit-exact with a run on every crossbar.
 
 The check itself is modelled as host-side work on a two-level summary
 (per-page ranges first, per-crossbar ranges only inside surviving pages) and
@@ -362,7 +362,7 @@ class PruneDecision:
 
     #: One candidate mask per vertical partition.
     candidates: list[np.ndarray]
-    #: Crossbars across all partitions (the unpruned broadcast width).
+    #: Crossbars across all partitions (the width of a run on every crossbar).
     crossbars_total: int
     #: Candidate crossbars across all partitions (the pruned width).
     crossbars_scanned: int

@@ -255,8 +255,8 @@ def test_segmented_partials_equal_aggregate_reference(case, subset, backend):
     """All K x crossbar partials from one ``reduceat`` equal the per-key
     ``aggregate_reference``: sums wrap at the accumulator width (and at
     2**64), untouched crossbars hold the identity, empty subgroups too —
-    with the masks read from the bank's native kernel value, broadcast or on
-    the candidate crossbars only."""
+    with the masks read from the bank's native kernel value, on every
+    crossbar or on the candidate crossbars only."""
     count, rows, keys, width, values, owner, xbars, operation = case
     values = np.array(values, dtype=np.uint64).reshape(count, rows)
     owner = np.array(owner)
@@ -272,9 +272,8 @@ def test_segmented_partials_equal_aggregate_reference(case, subset, backend):
     padded = np.zeros((keys, count * rows), dtype=bool)
     padded[:, : len(owner)] = mask_bits
     value = bank.kernel_from_bool(padded.reshape(keys, count, rows))
-    covered = None
+    covered = np.array(xbars, dtype=np.int64)
     if subset:
-        covered = np.array(xbars, dtype=np.int64)
         value = value[:, covered]
     records, starts, cells = _subgroup_segments(bank, value, covered, selected)
     # Sorted by (key, record), exactly like a scan of the decoded masks.

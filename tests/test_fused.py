@@ -208,7 +208,7 @@ def test_fused_execution_bit_exact_with_dispatch(raw_ops, seed, xbars, bound_col
     banks = _seeded_banks(seed)
     idx = np.array(sorted(xbars), dtype=np.intp)
     for backend in ("bool", "packed"):
-        program.execute_at(banks[backend, "dispatch"], idx)
+        program.execute(banks[backend, "dispatch"], idx)
         program.run_fused(banks[backend, "fused"], idx)
         assert_banks_equal(banks[backend, "dispatch"], banks[backend, "fused"])
     assert_banks_equal(banks["bool", "fused"], banks["packed", "fused"])
@@ -291,6 +291,7 @@ def test_executor_charges_identical_stats_for_both_strategies():
             executor.run_program(bank, program, pages=4.0, phase="filter")
             executor.run_program_pruned(
                 bank, program, candidates, pages=4.0, phase="filter",
+                clear_crossbars=~candidates,
             )
             stats[strategy] = executor.stats
         assert stats["dispatch"] == stats["batched"]

@@ -17,7 +17,6 @@ subgroup count and however small the program cache.
 """
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -102,11 +101,10 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
         remote_rows = np.zeros((len(keys), bank.count * bank.rows), dtype=bool)
         remote_rows[:, :RECORDS] = remote_bits
         remote_rows = remote_rows.reshape(len(keys), bank.count, bank.rows)
-        prune = xbars = None
+        candidates, xbars = np.ones(bank.count, dtype=bool), None
         if subset:
             candidates = np.zeros(bank.count, dtype=bool)
             candidates[[0, 2]] = True
-            prune = SimpleNamespace(candidates=[candidates])
             xbars = np.flatnonzero(candidates)
 
         for filter_column, remote in (
@@ -120,9 +118,9 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
                     remote_rows if xbars is None else remote_rows[:, xbars]
                 )
             value, covered = _run_partition_batch(
-                stored, 0, template, values, bound, prune
+                stored, 0, template, values, bound, candidates
             )
-            assert (covered is None) if xbars is None else np.array_equal(covered, xbars)
+            assert np.array_equal(covered, np.flatnonzero(candidates))
             # A template without attributes or remote input passes the filter
             # column through unstacked; production never builds one.
             masks = np.broadcast_to(
@@ -142,10 +140,7 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
                 scratch = copy.deepcopy(bank)
                 if remote:
                     scratch.write_bool_column(layout.remote_column, remote_rows[index])
-                if xbars is None:
-                    program.execute(scratch)
-                else:
-                    program.execute_at(scratch, xbars)
+                program.execute(scratch, xbars)
                 expected = scratch.read_column(layout.group_column)
                 if xbars is not None:
                     expected = expected[xbars]
@@ -166,12 +161,13 @@ def _one_field_store(width: int, backend: str) -> StoredRelation:
 
 
 def _prune(bank, xbars):
-    """A prune decision keeping ``xbars`` (``None``: broadcast) and its index."""
+    """A candidate mask keeping ``xbars`` (``None``: every crossbar) and the
+    bank's ``xbars`` argument for it (``None``: the whole-bank call)."""
     if xbars is None:
-        return None, None
+        return np.ones(bank.count, dtype=bool), None
     candidates = np.zeros(bank.count, dtype=bool)
     candidates[list(xbars)] = True
-    return SimpleNamespace(candidates=[candidates]), np.flatnonzero(candidates)
+    return candidates, np.flatnonzero(candidates)
 
 
 @pytest.mark.parametrize("backend", ("packed", "bool"))
@@ -192,17 +188,17 @@ def test_equality_stage_edge_cases(backend, xbars, width, values):
     layout = stored.layouts[0]
     bank = stored.allocations[0].bank
     field = layout.field_columns("a")
-    prune, index = _prune(bank, xbars)
+    candidates, index = _prune(bank, xbars)
     shape = (len(values), bank.count if index is None else index.size, bank.rows)
 
     mismatches = bank.kernel_to_bool(field_mismatches(bank, field, values, index))
     template = GroupMaskTemplate(["a"], layout, layout.valid_column)
     value, covered = _run_partition_batch(
-        stored, 0, template, np.array(values).reshape(-1, 1), None, prune
+        stored, 0, template, np.array(values).reshape(-1, 1), None, candidates
     )
     masks = bank.kernel_to_bool(value)
     assert mismatches.shape == masks.shape == shape
-    assert (covered is None) if index is None else np.array_equal(covered, index)
+    assert np.array_equal(covered, np.flatnonzero(candidates))
 
     for key, constant in enumerate(values):
         builder = ProgramBuilder(layout.scratch_columns)
@@ -211,12 +207,10 @@ def test_equality_stage_edge_cases(backend, xbars, width, values):
         mask = compile_group_mask({"a": constant}, layout, layout.valid_column, False)
         for program, expected in ((equality, ~mismatches[key]), (mask, masks[key])):
             scratch = copy.deepcopy(bank)
-            if index is None:
-                program.execute(scratch)
-                bits = scratch.read_column(layout.group_column)
-            else:
-                program.execute_at(scratch, index)
-                bits = scratch.read_column(layout.group_column)[index]
+            program.execute(scratch, index)
+            bits = scratch.read_column(layout.group_column)
+            if index is not None:
+                bits = bits[index]
             assert np.array_equal(expected, bits)
 
 
@@ -230,10 +224,12 @@ def test_equality_stage_rejects_a_key_its_field_cannot_hold(backend, xbars, bad)
     stored = _one_field_store(5, backend)
     layout = stored.layouts[0]
     bank = stored.allocations[0].bank
-    prune, index = _prune(bank, xbars)
+    candidates, index = _prune(bank, xbars)
     template = GroupMaskTemplate(["a"], layout, layout.valid_column)
     with pytest.raises(ValueError, match="does not fit"):
-        _run_partition_batch(stored, 0, template, np.array([[3], [bad]]), None, prune)
+        _run_partition_batch(
+            stored, 0, template, np.array([[3], [bad]]), None, candidates
+        )
     with pytest.raises(ValueError, match="does not fit"):
         field_mismatches(bank, layout.field_columns("a"), [bad], index)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.pim.arithmetic import BulkAggregationPlan, aggregate_reference
-from repro.pim.controller import PimExecutor
+from repro.pim.controller import PimExecutor, every_crossbar
 from repro.pim.logic import ProgramBuilder
 from repro.pim.packed import GATHER_MAX_SHARE, make_bank
 from repro.pim.module import OutOfPimMemoryError, PimModule
@@ -47,7 +47,8 @@ def test_aggregate_with_circuit_matches_reference_and_charges_reads():
     mask = bank.read_column(20)
     results = executor.aggregate_with_circuit(
         bank, field_offset=0, field_width=12, mask_column=20,
-        destination_offset=40, pages=1, operation="sum",
+        destination_offset=40, pages=1, crossbars=every_crossbar(bank),
+        operation="sum",
     )
     assert np.array_equal(results, (values * mask).sum(axis=1))
     assert executor.stats.bits_read > 0
@@ -70,7 +71,7 @@ def test_aggregate_with_circuit_gathers_sparse_masks(backend, operation, subset,
     rng = np.random.default_rng(selected)
     values = rng.integers(0, 1 << width, (count, rows)).astype(np.uint64)
     bank.write_field_column(0, width, values)
-    crossbars = np.array([True, False, True, True]) if subset else None
+    crossbars = np.array([True, False, True, True]) if subset else np.ones(count, bool)
     streamed = np.flatnonzero(crossbars) if subset else np.arange(count)
     # ``selected`` cells of the first two streamed crossbars, the others
     # empty; the gather share is 12 cells of 3 x 128 rows (subset) or 16.
@@ -127,7 +128,8 @@ def test_aggregate_with_circuit_rejects_a_narrow_min_max(selected, operation):
     executor = PimExecutor(DEFAULT_CONFIG)
     with pytest.raises(ValueError, match="10-bit field does not fit a 8-bit result"):
         executor.aggregate_with_circuit(
-            bank, 0, 10, 20, 40, pages=1, operation=operation, result_width=8
+            bank, 0, 10, 20, 40, 1, every_crossbar(bank), operation=operation,
+            result_width=8,
         )
     assert reads == []
     assert np.array_equal(bank.words, words)
@@ -141,7 +143,8 @@ def test_aggregate_with_circuit_wraps_a_narrow_sum(selected):
     bank, mask = _thousands_bank(selected)
     executor = PimExecutor(DEFAULT_CONFIG)
     results = executor.aggregate_with_circuit(
-        bank, 0, 10, 20, 40, pages=1, operation="sum", result_width=8
+        bank, 0, 10, 20, 40, 1, every_crossbar(bank), operation="sum",
+        result_width=8,
     )
     expected = mask.sum(axis=1) * 1000 % 256
     assert results.tolist() == expected.tolist()
@@ -152,7 +155,7 @@ def test_aggregate_with_circuit_requires_enabled_circuit():
     bank = _bank()
     executor = PimExecutor(DEFAULT_CONFIG.without_aggregation_circuit())
     with pytest.raises(RuntimeError):
-        executor.aggregate_with_circuit(bank, 0, 12, 20, 40, pages=1)
+        executor.aggregate_with_circuit(bank, 0, 12, 20, 40, 1, every_crossbar(bank))
 
 
 def test_bulk_bitwise_aggregation_costs_more_than_circuit():
@@ -162,7 +165,9 @@ def test_bulk_bitwise_aggregation_costs_more_than_circuit():
     }
     bank_a = _bank(seed=5)
     circuit = PimExecutor(DEFAULT_CONFIG)
-    expected = circuit.aggregate_with_circuit(bank_a, 0, 12, 20, 40, pages=4)
+    expected = circuit.aggregate_with_circuit(
+        bank_a, 0, 12, 20, 40, 4, every_crossbar(bank_a)
+    )
 
     bank_b = _bank(seed=5)
     bulk = PimExecutor(DEFAULT_CONFIG.without_aggregation_circuit())

@@ -431,12 +431,12 @@ def test_pruned_bit_exact_under_interleaved_dml(backend, shards, ops, probe_key)
 # --------------------------------------------------------- cost-based routing
 def _route(query, engine):
     """The router's decision, priced from the engine's estimate and a
-    side-effect-free zone-map plan (``None`` without pruning)."""
+    side-effect-free zone-map plan (every crossbar without pruning)."""
     stored = engine.stored
     prune = cold_walk(
         stored.statistics, query.predicate, stored.partition_attributes,
         engine.config.pim.crossbars_per_page,
-    ) if engine.pruning else None
+    ) if engine.pruning else engine.unpruned
     return CostPlanner().route(
         query, engine, stored.statistics.estimate(query.predicate), prune
     )
