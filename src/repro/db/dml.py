@@ -393,8 +393,7 @@ def execute_insert(
     stored.live_count += len(result.slots)
     slots = np.array(result.slots, dtype=np.int64)
 
-    # Ground truth: reused slots in place (a shard keeps aliasing its parent's
-    # columns), the tail grows each column once.
+    # Ground truth: reused slots in place, the tail grows each column once.
     reused = result.reused_slots
     for name, column in columns.items():
         relation.columns[name][slots[:reused]] = column[:reused]

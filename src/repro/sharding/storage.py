@@ -13,16 +13,11 @@ objects — so
 * the per-shard results merge through the existing partial-aggregate
   machinery with bit-exact global answers.
 
-The shard relations start out as NumPy *views* into the parent relation's
-columns, so at load time the parent is the single functional ground truth:
-an in-memory UPDATE applied through one shard (see
+Each shard holds its own copy of its records, so DML on the shards (see
 :meth:`repro.service.QueryService.update`, which runs every DML statement on
-each of :attr:`ShardedStoredRelation.shards`) is immediately visible in the
-parent relation and vice versa.  DML can grow a shard — a tail INSERT or a
-compaction reallocates that shard's columns, decoupling it from the parent —
-after which :meth:`ShardedStoredRelation.live_relation` is the authoritative
-ground truth and ``self.relation`` is just the load-time snapshot.  Counts
-over the whole relation (live rows, free slots, wear) are sums over
+each of :attr:`ShardedStoredRelation.shards`) never writes into the caller's
+relation; :meth:`ShardedStoredRelation.live_relation` is the ground truth.
+Counts over the whole relation (live rows, free slots, wear) are sums over
 ``shards``.
 """
 
@@ -78,8 +73,8 @@ class ShardedStoredRelation:
         """Store ``relation`` as ``shards`` horizontal shards in ``module``.
 
         Args:
-            relation: The full relation; it remains the functional ground
-                truth shared (by view) with every shard.
+            relation: The full relation; every shard stores a copy of its
+                records, so the caller's relation never changes.
             module: PIM module receiving one allocation per shard (per
                 vertical partition).
             shards: Number of horizontal shards (``1 <= shards <= records``).
@@ -88,7 +83,6 @@ class ShardedStoredRelation:
                 Forwarded to every shard's :class:`StoredRelation`; all
                 shards share one layout per vertical partition.
         """
-        self.relation = relation
         self.module = module
         self.label = label or relation.schema.name
         self.bounds = shard_bounds(len(relation), shards)
@@ -99,7 +93,7 @@ class ShardedStoredRelation:
         for index, (start, stop) in enumerate(self.bounds):
             shard_relation = Relation(
                 relation.schema,
-                {name: relation.columns[name][start:stop]
+                {name: relation.columns[name][start:stop].copy()
                  for name in relation.schema.names},
             )
             stored = StoredRelation(
@@ -129,11 +123,5 @@ class ShardedStoredRelation:
         )
 
     def live_relation(self) -> Relation:
-        """The live ground truth: every shard's live rows, in shard order.
-
-        After DML the parent ``self.relation`` is only the load-time
-        snapshot — a shard that grew its columns (tail INSERT or compaction)
-        reallocates them and stops aliasing the parent — so this concatenation
-        over the shard relations is the authoritative functional reference.
-        """
+        """The live ground truth: every shard's live rows, in shard order."""
         return concatenate([shard.live_relation() for shard in self.shards])

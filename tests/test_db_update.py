@@ -186,8 +186,10 @@ def test_sharded_update_hits_every_matching_shard(toy_relation_factory):
         True, True, False, False
     ]
     assert result.filter_cycles > 0 and result.update_cycles > 0
-    assert np.all(relation.column("discount")[expected_mask] == np.uint64(9))
-    assert np.array_equal(sharded.decode_column("discount"), relation.column("discount"))
+    # Each shard updated its own copy of its records, not the caller's.
+    live = sharded.live_relation()
+    assert np.all(live.column("discount")[expected_mask] == 9)
+    assert np.array_equal(sharded.decode_column("discount"), live.column("discount"))
 
 
 def test_sharded_update_accumulates_wear_on_every_shard(toy_relation_factory):
@@ -218,8 +220,9 @@ def test_sharded_update_then_query_is_bit_exact(toy_relation_factory):
                   (Aggregate("count"), Aggregate("min", "price")),
                   group_by=("region",))
     execution = engine.execute(query)
+    live = sharded.live_relation()
     reference = reference_group_aggregate(
-        relation, evaluate_predicate(query.predicate, relation),
+        live, evaluate_predicate(query.predicate, live),
         query.group_by, query.aggregates,
     )
     assert execution.rows == reference

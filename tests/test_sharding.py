@@ -486,7 +486,7 @@ def test_shard_bounds_are_balanced_and_contiguous():
         shard_bounds(10, 0)
 
 
-def test_sharded_relation_views_share_ground_truth(toy_relation):
+def test_sharded_relation_shards_copy_their_records(toy_relation):
     relation = Relation(
         toy_relation.schema,
         {name: toy_relation.column(name).copy() for name in toy_relation.schema.names},
@@ -500,10 +500,11 @@ def test_sharded_relation_views_share_ground_truth(toy_relation):
     assert [len(shard.relation) for shard in sharded.shards] == [
         stop - start for start, stop in sharded.bounds
     ]
-    # The shard relations are views into the parent's columns.
+    # Each shard holds a copy of its records, not a view of the parent's.
     shard0 = sharded.shards[0].relation
-    relation.column("price")[0] = np.uint64(123)
-    assert int(shard0.column("price")[0]) == 123
+    original = int(shard0.column("price")[0])
+    relation.column("price")[0] = original + 1
+    assert int(shard0.column("price")[0]) == original
 
 
 def test_total_subgroups_covers_groups_split_across_shards():
@@ -791,3 +792,32 @@ def test_pim_queries_counts_queries_not_shards(toy_relation):
     assert all(execution.host_routed_shards == 0 for execution in large)
     assert batch.stats.planner.host_routed == 4
     assert batch.stats.planner.pim_queries == 2
+
+
+def test_sharded_dml_leaves_the_callers_relation_unchanged():
+    """Every shard stores a copy of its records: an UPDATE served through
+    ``register_sharded`` changes the shards' ground truth, never the
+    ``Relation`` the caller registered."""
+    rng = np.random.default_rng(5)
+    records = 700
+    relation = Relation(
+        Schema("aliased", [
+            int_attribute("key", 10), int_attribute("flag", 2),
+            int_attribute("mid", 4),
+        ]),
+        {
+            "key": np.arange(records, dtype=np.uint16),
+            "flag": rng.integers(0, 4, records).astype(np.uint8),
+            "mid": rng.integers(0, 16, records).astype(np.uint8),
+        },
+    )
+    before = {name: column.copy() for name, column in relation.columns.items()}
+    service = QueryService()
+    service.register_sharded("aliased", relation, shards=4)
+    outcome = service.update(Comparison("flag", "==", 1), {"mid": 5})
+    assert outcome.result.records_updated == np.count_nonzero(before["flag"] == 1)
+    for name, column in before.items():
+        assert np.array_equal(relation.columns[name], column), name
+    live = service.engine("aliased").sharded.live_relation()
+    selected = before["flag"] == 1
+    assert np.array_equal(live.column("mid")[selected], np.full(selected.sum(), 5))
