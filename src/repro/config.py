@@ -99,14 +99,15 @@ class CrossbarConfig:
     The defaults follow Table I: 1024x512 crossbars, 16-bit fixed-length
     reads, a 30 ns bulk-bitwise logic cycle, 0.84 pJ/bit read energy,
     6.9 pJ/bit write energy and 81.6 fJ/bit for a bulk-bitwise logic
-    operation.
+    operation.  A read is timed by the aggregation circuit's cycle
+    (:attr:`AggregationCircuitConfig.cycle_s`), a write-back by
+    ``write_latency_s``.
     """
 
     rows: int = 1024
     columns: int = 512
     read_width_bits: int = 16
     logic_cycle_s: float = 30e-9
-    read_latency_s: float = 30e-9
     write_latency_s: float = 60e-9
     read_energy_per_bit_j: float = 0.84e-12
     write_energy_per_bit_j: float = 6.9e-12
@@ -123,17 +124,15 @@ class AggregationCircuitConfig:
     """Per-crossbar CMOS aggregation circuit (Section IV, Fig. 3).
 
     The circuit streams 16-bit words read from the crossbar through a small
-    ALU supporting SUM, MIN and MAX, and writes the final value back into the
-    crossbar.  Power and the area share are the synthesis results reported in
-    the paper (25.4 uW per circuit, 13.9% of the chip area).
+    64-bit ALU supporting SUM, MIN and MAX, and writes the final value back
+    into the crossbar.  Power and the area share are the synthesis results
+    reported in the paper (25.4 uW per circuit, 13.9% of the chip area; the
+    Fig. 5 breakdown keeps its own copy of the share).
     """
 
     enabled: bool = True
-    operations: tuple = ("sum", "min", "max")
     power_w: float = 25.4e-6
-    alu_width_bits: int = 64
     cycle_s: float = 30e-9
-    area_share: float = 0.139
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,6 @@ class PimModuleConfig:
     )
     pim_controller_power_w: float = 126e-6
     chip_area_mm2: float = 346.0
-    # Latency for delivering a PIM request from the host to the module and
-    # returning the acknowledgement, per request.
-    request_latency_s: float = 100e-9
     # Minimum gap between successive PIM requests on the memory command bus.
     # A long-running request on one page overlaps with requests issued to
     # other pages, so this gap bounds how many pages are concurrently active
@@ -212,15 +208,16 @@ class HostConfig:
 class ColumnarServerConfig:
     """The MonetDB comparison server (Section V-A).
 
-    Two Xeon sockets, 16 cores each at 2.1 GHz, 256 GB of DDR4-2400.  The
-    columnar engine's analytical cost model uses these figures.
+    Two Xeon sockets, 16 cores each at 2.1 GHz, 256 GB of DDR4-2400 on six
+    channels per socket.  The columnar engine's analytical cost model uses
+    these figures.
     """
 
     sockets: int = 2
     cores_per_socket: int = 16
     frequency_hz: float = 2.1e9
     dram_bytes: int = 256 * 1024 ** 3
-    channels_per_socket: int = 6
+    # Six DDR4-2400 channels (19.2 GB/s each) per socket, two sockets.
     dram_peak_bw_bytes_per_s: float = 6 * 19.2e9 * 2
     dram_efficiency: float = 0.65
     # Effective scalar work per value touched by the engine (predicate
