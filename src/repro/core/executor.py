@@ -274,8 +274,7 @@ class PimQueryEngine:
         primary = self._primary_partition(query)
         stats = PimStats()
         self.tracer.bind(stats)
-        crossbars_total = self.unpruned.crossbars_total
-        decision = self._decide(query, stats, crossbars_total)
+        decision = self._decide(query, stats)
         route = decision.route
         host_routed = route is not None and route.target == "host"
         if host_routed:
@@ -286,12 +285,10 @@ class PimQueryEngine:
             # aggregation and no result row — this is also how a sharded
             # engine skips entire shards.
             execution = self._pruned_out_execution(
-                query, stats, crossbars_total, decision.selectivity
+                query, stats, decision.selectivity
             )
         else:
-            execution = self._execute_pim(
-                query, primary, stats, decision, crossbars_total
-            )
+            execution = self._execute_pim(query, primary, stats, decision)
         if query.predicate is not None and execution.estimated_selectivity is not None:
             # Close the feedback loop: fold the scan volume into the
             # relation's adaptive accumulator.  Nothing is built here: the
@@ -299,14 +296,15 @@ class PimQueryEngine:
             # span records how the estimate fared.
             reported, actual = execution.estimated_selectivity, execution.selectivity
             # A host scan streams every crossbar.
-            scanned = crossbars_total if host_routed else execution.crossbars_scanned
+            scanned = (
+                execution.crossbars_total if host_routed
+                else execution.crossbars_scanned
+            )
             with self.tracer.span("feedback", estimated=reported, actual=actual):
                 self.stored.statistics.observe_execution(query.predicate, scanned)
         return execution
 
-    def _decide(
-        self, query: Query, stats: PimStats, crossbars_total: int
-    ) -> _Decision:
+    def _decide(self, query: Query, stats: PimStats) -> _Decision:
         """Estimate, plan and route once per (statistics version, query).
 
         The decision is memoised per ``statistics._version``, which only DML
@@ -349,9 +347,9 @@ class PimQueryEngine:
                 span.set(estimated_selectivity=decision.selectivity, memo=memo)
                 if self.pruning:
                     span.set(
-                        crossbars_total=crossbars_total,
+                        crossbars_total=prune.crossbars_total,
                         crossbars_scanned=prune.crossbars_scanned,
-                        crossbars_skipped=crossbars_total - prune.crossbars_scanned,
+                        crossbars_skipped=prune.crossbars_total - prune.crossbars_scanned,
                         entries_checked=entries,
                         empty=prune.empty,
                     )
@@ -364,8 +362,7 @@ class PimQueryEngine:
         return decision
 
     def _execute_pim(
-        self, query: Query, primary: int, stats: PimStats, decision: _Decision,
-        crossbars_total: int,
+        self, query: Query, primary: int, stats: PimStats, decision: _Decision
     ) -> QueryExecution:
         """Filter, then aggregate (GROUP-BY: pim-gb / host-gb) in memory."""
         prune = decision.prune
@@ -426,7 +423,7 @@ class PimQueryEngine:
             pim_subgroups=pim_subgroups,
             max_writes_per_row=max_writes,
             plan=plan,
-            crossbars_total=crossbars_total,
+            crossbars_total=self.unpruned.crossbars_total,
             crossbars_scanned=prune.crossbars_scanned,
             # A PIM execution reports an estimate only when pruning made one.
             estimated_selectivity=decision.selectivity if self.pruning else None,
@@ -436,7 +433,6 @@ class PimQueryEngine:
         self,
         query: Query,
         stats: PimStats,
-        crossbars_total: int,
         estimated_selectivity: float | None,
     ) -> QueryExecution:
         """The (empty) execution of a query the zone maps ruled out entirely."""
@@ -455,7 +451,7 @@ class PimQueryEngine:
             pim_subgroups=pim_subgroups,
             max_writes_per_row=0,
             plan=None,
-            crossbars_total=crossbars_total,
+            crossbars_total=self.unpruned.crossbars_total,
             crossbars_scanned=0,
             estimated_selectivity=estimated_selectivity,
         )
