@@ -214,14 +214,6 @@ class PimExecutor:
         elif idx.size:
             program.execute(bank, xbars)
 
-    def _clear_stale(
-        self, bank: CrossbarBank, column: int, stale: np.ndarray, pages: float,
-        wear: int = 0,
-    ) -> np.ndarray:
-        """Charge the single-cycle ``prune-clear`` of ``column`` on ``stale``."""
-        idx, _ = self._charge_at(bank, 1, stale, pages, "prune-clear", wear)
-        return idx
-
     def run_program_pruned(
         self,
         bank: CrossbarBank,
@@ -245,7 +237,7 @@ class PimExecutor:
         if program.result_column is None:
             raise ValueError("pruned execution needs a program result column")
         self._run_at(bank, program, candidates, pages, phase)
-        stale = self._clear_stale(bank, program.result_column, clear_crossbars, pages)
+        stale, _ = self._charge_at(bank, 1, clear_crossbars, pages, "prune-clear")
         if stale.size:
             bank.set_column_at(program.result_column, False, stale)
 
@@ -269,7 +261,7 @@ class PimExecutor:
         self._charge_at(
             bank, program.cycles, candidates, pages, phase, program.writes_per_row
         )
-        self._clear_stale(bank, program.result_column, clear_crossbars, pages, 1)
+        self._charge_at(bank, 1, clear_crossbars, pages, "prune-clear", 1)
 
     def run_program_at(
         self,
