@@ -34,9 +34,9 @@ b``) and exits 1 on any difference, 0 when the two reports are identical.
 * ``paper``: the evaluation's PIM configurations (``one_xb``, ``two_xb``,
   ``pimdb``; scale factor 0.002, seed 42) after ``run_all_queries``.
   ``records`` hashes the configuration's ``QueryRecord`` rows in query
-  order, ``state`` is its store's ``state_digest()`` (with its ``parts``).  They reach the
-  unpruned broadcast, two-xb's remote partition and pimdb's per-subgroup
-  bulk-bitwise loop, which no ``perf`` workload runs.
+  order, ``state`` is its store's ``state_digest()`` (with its ``parts``).  They reach an
+  unpruned engine's all-crossbar candidate runs, two-xb's remote partition and
+  pimdb's per-subgroup bulk-bitwise loop, which no ``perf`` workload runs.
 * ``k1_registrations_differing``: of the 13 SSB queries (planner on), how
   many answer differently through ``register(stored)`` and through
   ``register_sharded(shards=1)``, comparing rows, ``stats.totals()``, label
