@@ -430,9 +430,10 @@ def run_group_by_batched(
             0, primary_layout.result_offset, accumulator_width,
             result_row, xbars=primary_idx,
         )
-        bank.writes_per_row[primary_idx, 0] += (
-            len(keys) * len(query.aggregates) - 1
-        ) * accumulator_width
+        bank.add_row_wear(
+            (len(keys) * len(query.aggregates) - 1) * accumulator_width,
+            primary_idx, 0,
+        )
 
     return {
         key: engine._finalize_entry(

@@ -476,6 +476,10 @@ class AggregationStage(_Stage):
         super().__init__(stored, timing_scale=timing_scale, tracer=tracer)
         self.config = config
         self.use_aggregation_circuit = config.pim.aggregation_circuit.enabled
+        # One bulk-bitwise plan per shape (its constructor arguments), so
+        # each shape's cost is computed once: a workload asks for a handful
+        # of shapes hundreds of times.
+        self._bulk_plans: dict[tuple, BulkAggregationPlan] = {}
 
     def min_identity(self, partition: int) -> int:
         """The all-ones accumulator value a min over no records produces."""
@@ -560,16 +564,14 @@ class AggregationStage(_Stage):
                     "bulk-bitwise aggregation needs an operand area; store the "
                     "relation with reserve_bulk_aggregation=True"
                 )
-            plan = BulkAggregationPlan(
-                rows=allocation.rows_per_crossbar,
-                field_offset=field_offset,
-                field_width=field_width,
-                mask_column=mask_column,
-                acc_offset=layout.accumulator_offset,
-                operand_offset=layout.operand_offset,
-                scratch_columns=layout.scratch_columns,
-                operation=operation,
+            shape = (
+                allocation.rows_per_crossbar, field_offset, field_width,
+                mask_column, layout.accumulator_offset, layout.operand_offset,
+                tuple(layout.scratch_columns), operation,
             )
+            plan = self._bulk_plans.get(shape)
+            if plan is None:
+                plan = self._bulk_plans[shape] = BulkAggregationPlan(*shape)
             partials = executor.aggregate_bulk_bitwise(
                 allocation.bank, plan, pages=self._pages(partition)
             )

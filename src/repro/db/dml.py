@@ -619,8 +619,7 @@ def execute_compaction(
             bank.write_bool_column(column, clean, count_wear=False)
         # Wear: every slot in use before compaction is rewritten once
         # (values moved into the dense prefix, tombstones scrubbed behind it).
-        flat_wear = bank.writes_per_row.reshape(-1)
-        flat_wear[:slots_before] += row_bits
+        bank.add_slot_wear(row_bits, slots_before)
         total_bits_written += slots_before * row_bits
 
     num_bytes = total_bits_written / 8

@@ -491,11 +491,13 @@ class StoredRelation:
         self.mark_column_dirty(partition, column, shaped.any(axis=1))
 
     # ------------------------------------------------------------------ wear
-    def wear_snapshot(self) -> list[np.ndarray]:
+    def wear_snapshot(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-partition snapshots of the wear counters."""
         return [allocation.bank.wear_snapshot() for allocation in self.allocations]
 
-    def max_writes_since(self, snapshots: list[np.ndarray]) -> int:
+    def max_writes_since(
+        self, snapshots: list[tuple[np.ndarray, np.ndarray]]
+    ) -> int:
         """Worst per-row write count since the snapshots were taken."""
         return max(
             allocation.bank.max_writes_since(snapshot)

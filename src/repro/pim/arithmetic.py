@@ -341,6 +341,7 @@ class BulkAggregationPlan:
         self.scratch_columns = tuple(scratch_columns)
         self.operation = operation
         self.num_levels = int(math.ceil(math.log2(self.rows))) if self.rows > 1 else 0
+        self._cost: BulkAggregationCost | None = None
 
     # ------------------------------------------------------------ geometry
     @property
@@ -419,7 +420,15 @@ class BulkAggregationPlan:
 
     # ----------------------------------------------------------------- cost
     def cost(self) -> BulkAggregationCost:
-        """Cycle / write / copy counts of the whole reduction."""
+        """Cycle / write / copy counts of the whole reduction.
+
+        Computed once per plan: building the init and combine programs costs
+        far more than the reduction they price."""
+        if self._cost is None:
+            self._cost = self._build_cost()
+        return self._cost
+
+    def _build_cost(self) -> BulkAggregationCost:
         init = self.init_program()
         combine = self.combine_program()
         levels = self.levels()

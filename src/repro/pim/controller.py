@@ -444,7 +444,7 @@ class PimExecutor:
         """
         cost = plan.cost()
         results = plan.run_functional(bank)
-        bank.writes_per_row += cost.writes_per_row
+        bank.add_wear(cost.writes_per_row)
         xbar = self._xbar
         request_time = cost.total_cycles * xbar.logic_cycle_s
         crossbars = pages * self._crossbars_per_page()

@@ -13,7 +13,11 @@ The bank also tracks *wear*: the number of cell writes experienced by every
 crossbar row.  Fig. 9 of the paper reports the required cell endurance as the
 maximum per-row write count divided by the cells of a row (assuming
 wear-levelling inside the row), which :mod:`repro.memory.endurance` computes
-from these counters.
+from these counters.  Wear is kept where it is written: a write to every row
+of a crossbar (a bulk primitive, a program run or charge, a whole column) adds
+to that crossbar's entry of ``xbar_wear``, a write to single rows (a field
+write, a row copy, a result row, a compaction rewrite) to ``row_wear``; the
+read-only ``writes_per_row`` is their sum.
 
 Bit order convention: a ``width``-bit field stored at column ``offset`` keeps
 its least-significant bit in column ``offset`` and its most-significant bit in
@@ -94,7 +98,14 @@ def check_cells(bank, xbars, rows, fields):
 
 
 class BankBase:
-    """The geometry, validation and wear counters both bank backends share."""
+    """The geometry, validation and wear counters both bank backends share.
+
+    Wear lives in two counters that only the bank writes: ``xbar_wear``
+    ``(count,)``, writes to every row of a crossbar, and ``row_wear``
+    ``(count, rows)``, writes to single rows.  A charge to whole crossbars
+    (:meth:`add_wear`) therefore costs O(crossbars) whatever its selection;
+    :attr:`writes_per_row` is the per-row total, read-only.
+    """
 
     def __init__(self, count: int, rows: int, columns: int) -> None:
         if count <= 0 or rows <= 0 or columns <= 0:
@@ -102,7 +113,8 @@ class BankBase:
         self.count = int(count)
         self.rows = int(rows)
         self.columns = int(columns)
-        self.writes_per_row = np.zeros((self.count, self.rows), dtype=np.int64)
+        self.xbar_wear = np.zeros(self.count, dtype=np.int64)
+        self.row_wear = np.zeros((self.count, self.rows), dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -131,27 +143,54 @@ class BankBase:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
     # ---------------------------------------------------------------- wear
-    def add_wear(self, writes: int, xbars: np.ndarray | None = None) -> None:
-        """Charge ``writes`` cell writes to every row (of ``xbars`` if given)."""
+    @property
+    def writes_per_row(self) -> np.ndarray:
+        """Cell writes of every row, ``(count, rows)`` ``int64``: a fresh
+        read-only array (an in-place write to it raises)."""
+        total = self.row_wear + self.xbar_wear[:, None]
+        total.flags.writeable = False
+        return total
+
+    def add_wear(self, writes: int, xbars=None) -> None:
+        """Charge ``writes`` cell writes to every row of every crossbar, or of
+        the crossbars ``xbars`` (a mask or an index array; a crossbar listed
+        twice is charged once)."""
         if xbars is None:
-            self.writes_per_row += int(writes)
+            self.xbar_wear += int(writes)
         else:
-            self.writes_per_row[xbars] += int(writes)
+            self.xbar_wear[xbars] += int(writes)
 
-    def wear_snapshot(self) -> np.ndarray:
-        """Return a copy of the per-row write counters."""
-        return self.writes_per_row.copy()
+    def add_row_wear(self, writes: int, xbars, rows) -> None:
+        """Charge ``writes`` cell writes to the rows ``row_wear[xbars, rows]``
+        selects (``slice(None)`` for every crossbar; a cell selected twice is
+        charged once)."""
+        self.row_wear[xbars, rows] += int(writes)
 
-    def max_writes_since(self, snapshot: np.ndarray | None = None) -> int:
-        """Maximum per-row write count, optionally relative to a snapshot."""
-        if snapshot is None:
-            return int(self.writes_per_row.max())
-        delta = self.writes_per_row - snapshot
-        return int(delta.max())
+    def add_slot_wear(self, writes: int, slots: int) -> None:
+        """Charge ``writes`` cell writes to each of the first ``slots`` rows
+        in slot order (crossbar-major: slot ``s`` is row ``s % rows`` of
+        crossbar ``s // rows``)."""
+        self.row_wear.reshape(-1)[:slots] += int(writes)
+
+    def wear_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the two wear counters, for :meth:`max_writes_since`."""
+        return self.xbar_wear.copy(), self.row_wear.copy()
+
+    def max_writes_since(
+        self, snapshot: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> int:
+        """Maximum per-row write count, optionally relative to a snapshot.
+
+        The row delta is reduced per crossbar before the crossbar delta is
+        added, so no ``(count, rows)`` total is built."""
+        xbar_wear, row_wear = (0, 0) if snapshot is None else snapshot
+        row_delta = (self.row_wear - row_wear).max(axis=1)
+        return int((row_delta + (self.xbar_wear - xbar_wear)).max())
 
     def reset_wear(self) -> None:
         """Zero the wear counters (used after the initial data load)."""
-        self.writes_per_row[:] = 0
+        self.xbar_wear[:] = 0
+        self.row_wear[:] = 0
 
 
 class CrossbarBank(BankBase):
@@ -195,7 +234,7 @@ class CrossbarBank(BankBase):
         if value < 0 or value >= (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
         self.bits[xbar, row, offset:offset + width] = self._value_bits(value, width)
-        self.writes_per_row[xbar, row] += width
+        self.add_row_wear(width, xbar, row)
 
     def read_field(self, xbar: int, row: int, offset: int, width: int) -> int:
         """Read an unsigned ``width``-bit value from one crossbar row."""
@@ -227,7 +266,7 @@ class CrossbarBank(BankBase):
         bits = np.unpackbits(raw, axis=-1, bitorder="little")[:, :, :width]
         self.bits[:, :, offset:offset + width] = bits.astype(bool)
         if count_wear:
-            self.writes_per_row += width
+            self.add_wear(width)
 
     def read_field_all(self, offset: int, width: int, xbars=None) -> np.ndarray:
         """Decode a field from every row of every crossbar.
@@ -270,7 +309,7 @@ class CrossbarBank(BankBase):
             )
         self.bits[:, :, column] = values
         if count_wear:
-            self.writes_per_row += 1
+            self.add_wear(1)
 
     def write_field_rows(
         self, rows: np.ndarray, offset: int, width: int, value: int
@@ -288,7 +327,7 @@ class CrossbarBank(BankBase):
         if rows.size == 0:
             return
         self.bits[:, rows, offset:offset + width] = self._value_bits(value, width)
-        self.writes_per_row[:, rows] += width
+        self.add_row_wear(width, slice(None), rows)
 
     def write_field_row(
         self,
@@ -316,11 +355,11 @@ class CrossbarBank(BankBase):
         bits = self._value_bits(values, width)
         if xbars is None:
             self.bits[:, row, offset:offset + width] = bits
-            self.writes_per_row[:, row] += width
+            self.add_row_wear(width, slice(None), row)
         else:
             xbars = np.asarray(xbars, dtype=np.int64)
             self.bits[xbars, row, offset:offset + width] = bits
-            self.writes_per_row[xbars, row] += width
+            self.add_row_wear(width, xbars, row)
 
     def write_field_cells(self, xbars, rows, fields) -> None:
         """Write one value per ``(xbar, row)`` cell into each of ``fields`` —
@@ -333,7 +372,7 @@ class CrossbarBank(BankBase):
         """
         xbars, rows, columns, bits = check_cells(self, xbars, rows, fields)
         self.bits[xbars, rows, columns[:, None]] = bits.astype(bool)
-        self.writes_per_row[xbars, rows] += len(columns)
+        self.add_row_wear(len(columns), xbars, rows)
 
     # ------------------------------------------------- masked bulk primitives
     def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:
@@ -353,7 +392,7 @@ class CrossbarBank(BankBase):
         for src in srcs[1:]:
             acc |= self.bits[xbars, :, src]
         self.bits[xbars, :, dest] = ~acc
-        self.writes_per_row[xbars] += 1
+        self.add_wear(1, xbars)
 
     def set_column_at(self, dest: int, value: bool, xbars: np.ndarray) -> None:
         """:meth:`set_column` restricted to the crossbars in ``xbars``."""
@@ -361,7 +400,7 @@ class CrossbarBank(BankBase):
         if xbars.size == 0:
             return
         self.bits[xbars, :, dest] = bool(value)
-        self.writes_per_row[xbars] += 1
+        self.add_wear(1, xbars)
 
     # ---------------------------------------------------- fused kernel surface
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
@@ -420,12 +459,12 @@ class CrossbarBank(BankBase):
         for src in srcs[1:]:
             acc |= self.bits[:, :, src]
         self.bits[:, :, dest] = ~acc
-        self.writes_per_row += 1
+        self.add_wear(1)
 
     def set_column(self, dest: int, value: bool) -> None:
         """Initialise a column of every row to a constant (a bulk write)."""
         self.bits[:, :, dest] = bool(value)
-        self.writes_per_row += 1
+        self.add_wear(1)
 
     def copy_row_pairs(
         self,
@@ -452,4 +491,4 @@ class CrossbarBank(BankBase):
             raise ValueError("src_rows and dst_rows must have the same shape")
         src_block = self.bits[:, src_rows, src_offset:src_offset + width]
         self.bits[:, dst_rows, dst_offset:dst_offset + width] = src_block
-        self.writes_per_row[:, dst_rows] += width
+        self.add_row_wear(width, slice(None), dst_rows)

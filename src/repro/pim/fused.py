@@ -6,6 +6,9 @@ expressions.  One kernel serves both backends: it only touches a bank
 through the four-method kernel surface (``kernel_read`` / ``kernel_write``
 / ``kernel_ones`` / ``add_wear``), which the packed bank implements over
 ``uint64`` words and the boolean reference bank over its bool cube.
+``add_wear`` is ``BankBase``'s: a program run wears every row of its
+crossbars alike, so it adds to one counter per crossbar, never to the
+per-row matrix.
 
 There is one evaluation loop and two ways to run it.
 :meth:`FusedKernel.run` evaluates a program in place: every input from the

@@ -20,8 +20,10 @@ Two invariants keep the backends interchangeable:
   :class:`~repro.pim.controller.PimExecutor` from *program* metadata (cycle
   counts, writes per row), never from backend internals, so both backends
   report identical :class:`~repro.pim.stats.PimStats`.  The bank itself only
-  maintains the same per-row ``writes_per_row`` counters as the boolean
-  backend.
+  maintains the same two wear counters as the boolean backend, both in
+  :class:`~repro.pim.crossbar.BankBase`: ``xbar_wear`` (writes to every row
+  of a crossbar) and ``row_wear`` (writes to single rows), read as their
+  sum ``writes_per_row``.
 
 **Field writes**: ``write_field`` (one cell), ``write_field_cells`` (a value
 per listed ``(xbar, row)`` cell for each of several ``(offset, width,
@@ -200,7 +202,7 @@ class PackedCrossbarBank(BankBase):
         self.words[xbar, offset:offset + width, word] = (
             (current & ~mask) | (self._value_bits(value, width) << bit)
         )
-        self.writes_per_row[xbar, row] += width
+        self.add_row_wear(width, xbar, row)
 
     def read_field(self, xbar: int, row: int, offset: int, width: int) -> int:
         """Read an unsigned ``width``-bit value from one crossbar row."""
@@ -259,7 +261,7 @@ class PackedCrossbarBank(BankBase):
         self.words[:, offset:offset + planes, :] = packed.transpose(1, 0, 2)
         self.words[:, offset + planes:offset + width, :] = 0
         if count_wear:
-            self.writes_per_row += width
+            self.add_wear(width)
 
     def read_field_all(self, offset: int, width: int, xbars=None) -> np.ndarray:
         """Decode a field from every row of every crossbar, ``(count, rows)``
@@ -305,7 +307,7 @@ class PackedCrossbarBank(BankBase):
             )
         self._pack_columns(column, 1, values[:, None, :])
         if count_wear:
-            self.writes_per_row += 1
+            self.add_wear(1)
 
     # ------------------------------------------------- masked bulk primitives
     def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:
@@ -321,7 +323,7 @@ class PackedCrossbarBank(BankBase):
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
         self.words[xbars, dest, :] = acc
-        self.writes_per_row[xbars] += 1
+        self.add_wear(1, xbars)
 
     def set_column_at(self, dest: int, value: bool, xbars: np.ndarray) -> None:
         """:meth:`set_column` restricted to the crossbars in ``xbars``."""
@@ -332,7 +334,7 @@ class PackedCrossbarBank(BankBase):
             self.words[xbars, dest, :] = self._row_mask
         else:
             self.words[xbars, dest, :] = 0
-        self.writes_per_row[xbars] += 1
+        self.add_wear(1, xbars)
 
     # ---------------------------------------------------- fused kernel surface
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
@@ -408,7 +410,7 @@ class PackedCrossbarBank(BankBase):
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
         self.words[:, dest, :] = acc
-        self.writes_per_row += 1
+        self.add_wear(1)
 
     def set_column(self, dest: int, value: bool) -> None:
         """Initialise a column of every row to a constant (a bulk write)."""
@@ -416,7 +418,7 @@ class PackedCrossbarBank(BankBase):
             self.words[:, dest, :] = self._row_mask
         else:
             self.words[:, dest, :] = 0
-        self.writes_per_row += 1
+        self.add_wear(1)
 
     def copy_row_pairs(
         self,
@@ -437,7 +439,7 @@ class PackedCrossbarBank(BankBase):
         dst_slab = self._unpack_columns(dst_offset, width)
         dst_slab[:, :, dst_rows] = src_slab[:, :, src_rows]
         self._pack_columns(dst_offset, width, dst_slab)
-        self.writes_per_row[:, dst_rows] += width
+        self.add_row_wear(width, slice(None), dst_rows)
 
     # -------------------------------------------------- broadcast field writes
     def write_field_rows(
@@ -465,7 +467,7 @@ class PackedCrossbarBank(BankBase):
         sub = self.words[:, offset:offset + width, :]
         sub &= ~touched
         sub |= vbits[None, :, None] * touched[None, None, :]
-        self.writes_per_row[:, rows] += width
+        self.add_row_wear(width, slice(None), rows)
 
     def write_field_row(
         self,
@@ -499,14 +501,14 @@ class PackedCrossbarBank(BankBase):
             self.words[:, offset:offset + width, word] = (
                 (current & ~mask) | (bits << bit)
             )
-            self.writes_per_row[:, row] += width
+            self.add_row_wear(width, slice(None), row)
         else:
             xbars = np.asarray(xbars, dtype=np.int64)
             current = self.words[xbars, offset:offset + width, word]
             self.words[xbars, offset:offset + width, word] = (
                 (current & ~mask) | (bits << bit)
             )
-            self.writes_per_row[xbars, row] += width
+            self.add_row_wear(width, xbars, row)
 
     def write_field_cells(self, xbars, rows, fields) -> None:
         """Write one value per distinct ``(xbar, row)`` cell into each of
@@ -535,7 +537,7 @@ class PackedCrossbarBank(BankBase):
         current &= ~touched
         current |= planes
         flat[index] = current
-        self.writes_per_row[xbars, rows] += len(columns)
+        self.add_row_wear(len(columns), xbars, rows)
 
 
 #: Either functional backend — they expose the identical bank surface.

@@ -475,7 +475,7 @@ def _bank_state(stored):
     return [
         (
             [a.bank.read_column(c).copy() for c in range(a.bank.columns)],
-            a.bank.wear_snapshot(),
+            a.bank.writes_per_row,
         )
         for a in stored.allocations
     ]

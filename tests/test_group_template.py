@@ -381,7 +381,7 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     twin = reference.execute(query)
     assert warm.rows == twin.rows
     assert warm.stats == twin.stats
-    for ours, theirs in zip(stored.wear_snapshot(), reference_stored.wear_snapshot()):
-        assert np.array_equal(ours, theirs)
+    for ours, theirs in zip(stored.allocations, reference_stored.allocations):
+        assert np.array_equal(ours.bank.writes_per_row, theirs.bank.writes_per_row)
     service.close()
     reference.close()

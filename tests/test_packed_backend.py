@@ -161,7 +161,7 @@ def test_random_programs_bit_exact_across_backends(ops, probe):
 def _assert_rejected_without_mutation(bank, call) -> None:
     """``call(bank)`` raises ``ValueError`` and leaves cells and wear alone."""
     cells = [bank.read_column(c).copy() for c in range(bank.columns)]
-    wear = bank.wear_snapshot()
+    wear = bank.writes_per_row
     with pytest.raises(ValueError):
         call(bank)
     for column, before in enumerate(cells):
@@ -518,7 +518,7 @@ def test_cell_gather_and_bounded_reads_equal_the_full_decode(count, rows, width,
             bank.write_bool_column(column, background[column])
         bank.write_field_column(offset, width, values)
         cells_before = [bank.read_column(c) for c in range(columns)]
-        wear = bank.wear_snapshot()
+        wear = bank.writes_per_row
 
         gathered = bank.read_field_cells(xbars, cell_rows, offset, width)
         assert gathered.dtype == np.uint64 and gathered.shape == (n,)

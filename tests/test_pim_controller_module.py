@@ -119,7 +119,7 @@ def test_aggregate_with_circuit_rejects_a_narrow_min_max(selected, operation):
     """A min / max into a result narrower than its field cannot be right:
     both branches raise before anything is read, written or charged."""
     bank, _ = _thousands_bank(selected)
-    words, wear = bank.words.copy(), bank.wear_snapshot()
+    words, wear = bank.words.copy(), bank.writes_per_row
     reads = []
     read_column = bank.read_column
     bank.read_column = lambda *args, **kwargs: reads.append(args) or read_column(
@@ -133,7 +133,7 @@ def test_aggregate_with_circuit_rejects_a_narrow_min_max(selected, operation):
         )
     assert reads == []
     assert np.array_equal(bank.words, words)
-    assert np.array_equal(bank.wear_snapshot(), wear)
+    assert np.array_equal(bank.writes_per_row, wear)
     assert executor.stats == PimStats()
 
 
