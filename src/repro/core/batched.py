@@ -47,8 +47,9 @@ number or stored bit:
   selected rows, which ``np.nonzero`` hands back already sorted by
   ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
   identity on every crossbar a key has no row on
-  (:func:`~repro.pim.arithmetic.segmented_partials`, which the filter-only
-  circuit aggregation shares).
+  (:func:`~repro.pim.arithmetic.segmented_partials`, which also reduces
+  ``masked_partials``: the filter-only circuit aggregation's and the PIMDB
+  reduction's partials).
 
 * **Charges by multiplicity, stores once.**  :class:`~repro.pim.stats.PimStats`
   is an exact multiset — a charge is ``count x unit cost`` and no total

@@ -26,7 +26,7 @@ from repro.db.query import conj, evaluate_predicate
 from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.pim.module import PimAllocation, PimModule
-from repro.pim.packed import GATHER_MAX_SHARE, field_dtype
+from repro.pim.packed import field_dtype
 
 #: :meth:`StoredRelation.group_domain` counts values below this bound (one
 #: ``bincount``, ~10x faster than ``np.unique``'s sort on a 15 k-row SSB
@@ -419,15 +419,12 @@ class StoredRelation:
     def decode_cells(self, attribute: str, slots: np.ndarray) -> np.ndarray:
         """Decode an attribute of the listed slots: ``decode_column(...)[slots]``.
 
-        The one place that picks between the bank's per-cell gather and the
-        bounded full decode, from the input size (:data:`GATHER_MAX_SHARE`).
-        Raises ``IndexError`` for a slot outside the slots in use.
+        One ``read_field_cells`` call (the bank picks gather or bounded
+        decode).  Raises ``IndexError`` for a slot outside the slots in use.
         """
         slots = np.asarray(slots, dtype=np.int64)
         if slots.size and (slots.min() < 0 or slots.max() >= self.num_records):
             raise IndexError(f"slot outside the slots in use 0..{self.num_records}")
-        if slots.size > self.num_records * GATHER_MAX_SHARE:
-            return self.decode_column(attribute)[slots]
         partition = self.partition_of(attribute)
         offset, width = self.layouts[partition].fields[attribute]
         rows = self.rows_per_crossbar

@@ -477,15 +477,20 @@ class BulkAggregationPlan:
     def run_functional(self, bank: CrossbarBank) -> np.ndarray:
         """Compute the same per-crossbar aggregates directly.
 
-        The result bits are written back into the accumulator field of row 0
-        of every crossbar (as the gate-level execution would leave them), and
-        the returned values are identical to :meth:`run_gate_level`.  The
-        caller is responsible for charging :meth:`cost`.
+        The partials come from :func:`masked_partials` (only the masked
+        cells of the field are read; a ``count`` sums the mask column read
+        as a 1-bit field).  The result bits are written back into the
+        accumulator field of row 0 of every crossbar (as the gate-level
+        execution would leave them), and the returned values are identical
+        to :meth:`run_gate_level`.  The caller is responsible for charging
+        :meth:`cost`.
         """
-        values = bank.read_field_all(self.field_offset, self.field_width)
-        mask = bank.read_column(self.mask_column)
-        results = aggregate_reference(
-            values, mask, self.operation, self.acc_width
+        if self.operation == "count":
+            offset, width, operation = self.mask_column, 1, "sum"
+        else:
+            offset, width, operation = self.field_offset, self.field_width, self.operation
+        results = masked_partials(
+            bank, offset, width, self.mask_column, operation, self.acc_width
         )
         bank.write_field_row(0, self.acc_offset, self.acc_width, results)
         return results
@@ -515,6 +520,9 @@ def aggregate_reference(
     per crossbar, truncated to ``result_width`` bits (matching the in-memory
     accumulator behaviour).
     """
+    # No caller in src/: the tests' oracle for masked_partials and
+    # segmented_partials, kept under this name because perf/layers.py (not
+    # editable outside a benchmark PR) names it.
     values = np.asarray(values, dtype=np.uint64)
     mask = np.asarray(mask, dtype=bool)
     limit = np.uint64((1 << result_width) - 1) if result_width < 64 else np.uint64(2**64 - 1)
@@ -558,3 +566,33 @@ def segmented_partials(
     if starts.size:
         partials.reshape(-1)[cells] = ufunc.reduceat(values, starts) & limit
     return partials
+
+
+def masked_partials(
+    bank: CrossbarBank,
+    field_offset: int,
+    field_width: int,
+    mask_column: int,
+    operation: str,
+    width: int,
+    xbars=None,
+) -> np.ndarray:
+    """Per-crossbar aggregates of a field over a mask column, one per
+    crossbar of ``xbars`` (an index array; every crossbar if ``None``).
+
+    Reads the mask column of those crossbars, then only the masked cells of
+    the field (``read_field_cells``: the bank picks gather or bounded
+    decode), and reduces them with :func:`segmented_partials` —
+    :func:`aggregate_reference` of the decoded field and mask, without
+    decoding the field.  The circuit aggregation and the PIMDB reduction
+    both take their partials from here.
+    """
+    mask = bank.read_column(mask_column, xbars)
+    # ``flatnonzero`` and a divmod: ~5x faster than a 2-d ``nonzero``.
+    position, rows = np.divmod(np.flatnonzero(mask), bank.rows)
+    starts = np.flatnonzero(np.diff(position, prepend=-1))
+    cells = position if xbars is None else np.asarray(xbars)[position]
+    return segmented_partials(
+        bank.read_field_cells(cells, rows, field_offset, field_width),
+        starts, position[starts], (mask.shape[0],), operation, width,
+    )

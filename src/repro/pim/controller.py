@@ -37,10 +37,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.pim.arithmetic import BulkAggregationPlan
+from repro.pim.arithmetic import BulkAggregationPlan, masked_partials
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.logic import Program
-from repro.pim.packed import GATHER_MAX_SHARE
 from repro.pim.stats import PimStats
 
 
@@ -239,7 +238,7 @@ class PimExecutor:
         self._run_at(bank, program, candidates, pages, phase)
         stale, _ = self._charge_at(bank, 1, clear_crossbars, pages, "prune-clear")
         if stale.size:
-            bank.set_column_at(program.result_column, False, stale)
+            bank.set_column(program.result_column, False, stale)
 
     def charge_pruned_program_cost(
         self,
@@ -363,10 +362,9 @@ class PimExecutor:
         are charged for — a skipped one holds an all-zero mask column, so its
         partial would be the operation's identity and contribute nothing.
 
-        When the mask selects at most
-        :data:`~repro.pim.packed.GATHER_MAX_SHARE` of their rows, only the
-        selected cells are decoded (``read_field_cells``) and reduced per
-        crossbar; a denser mask decodes the whole field.
+        The partials come from :func:`~repro.pim.arithmetic.masked_partials`:
+        the mask column of those crossbars, then only its selected cells of
+        the field (the bank picks gather or bounded decode).
 
         A ``sum`` wraps modulo ``2**result_width``; a ``min`` / ``max`` into
         a ``result_width`` narrower than the field raises ``ValueError``
@@ -379,22 +377,10 @@ class PimExecutor:
                 f"{result_width}-bit result"
             )
         idx, xbars = crossbar_call(bank, crossbars)
-        from repro.pim.arithmetic import aggregate_reference, segmented_partials
-
-        mask = bank.read_column(mask_column, xbars)
-        if np.count_nonzero(mask) <= mask.size * GATHER_MAX_SHARE:
-            position, rows = np.nonzero(mask)
-            starts = np.flatnonzero(np.diff(position, prepend=-1))
-            results = segmented_partials(
-                bank.read_field_cells(idx[position], rows, field_offset, field_width),
-                starts, position[starts], (mask.shape[0],), operation,
-                result_width,
-            )
-        else:
-            results = aggregate_reference(
-                bank.read_field_all(field_offset, field_width, xbars),
-                mask, operation, result_width,
-            )
+        results = masked_partials(
+            bank, field_offset, field_width, mask_column, operation,
+            result_width, xbars,
+        )
         if idx.size:
             bank.write_field_row(
                 0, destination_offset, result_width, results, xbars=xbars

@@ -142,6 +142,12 @@ class BankBase:
         if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
+    @staticmethod
+    def _selection(xbars):
+        """A bank call's crossbars as an index: every crossbar
+        (``slice(None)``, a view) for ``None``, else ``int64`` indices."""
+        return slice(None) if xbars is None else np.asarray(xbars, dtype=np.int64)
+
     # ---------------------------------------------------------------- wear
     @property
     def writes_per_row(self) -> np.ndarray:
@@ -352,14 +358,9 @@ class CrossbarBank(BankBase):
             raise ValueError(f"expected values of shape {(targets,)}, got {values.shape}")
         if width < 64 and np.any(values >= np.uint64(1 << width)):
             raise ValueError(f"some values do not fit in {width} bits")
-        bits = self._value_bits(values, width)
-        if xbars is None:
-            self.bits[:, row, offset:offset + width] = bits
-            self.add_row_wear(width, slice(None), row)
-        else:
-            xbars = np.asarray(xbars, dtype=np.int64)
-            self.bits[xbars, row, offset:offset + width] = bits
-            self.add_row_wear(width, xbars, row)
+        xbars = self._selection(xbars)
+        self.bits[xbars, row, offset:offset + width] = self._value_bits(values, width)
+        self.add_row_wear(width, xbars, row)
 
     def write_field_cells(self, xbars, rows, fields) -> None:
         """Write one value per ``(xbar, row)`` cell into each of ``fields`` —
@@ -374,34 +375,6 @@ class CrossbarBank(BankBase):
         self.bits[xbars, rows, columns[:, None]] = bits.astype(bool)
         self.add_row_wear(len(columns), xbars, rows)
 
-    # ------------------------------------------------- masked bulk primitives
-    def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:
-        """:meth:`nor_columns` restricted to the crossbars in ``xbars``.
-
-        This is the functional side of crossbar skipping: the controller
-        broadcasts the operation only to the pages holding candidate
-        crossbars, so the other crossbars' cells (and wear counters) are
-        untouched.
-        """
-        if not srcs:
-            raise ValueError("NOR needs at least one source column")
-        xbars = np.asarray(xbars, dtype=np.int64)
-        if xbars.size == 0:
-            return
-        acc = self.bits[xbars, :, srcs[0]].copy()
-        for src in srcs[1:]:
-            acc |= self.bits[xbars, :, src]
-        self.bits[xbars, :, dest] = ~acc
-        self.add_wear(1, xbars)
-
-    def set_column_at(self, dest: int, value: bool, xbars: np.ndarray) -> None:
-        """:meth:`set_column` restricted to the crossbars in ``xbars``."""
-        xbars = np.asarray(xbars, dtype=np.int64)
-        if xbars.size == 0:
-            return
-        self.bits[xbars, :, dest] = bool(value)
-        self.add_wear(1, xbars)
-
     # ---------------------------------------------------- fused kernel surface
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
         """Native value of one column for fused evaluation, ``(count, rows)``.
@@ -411,9 +384,7 @@ class CrossbarBank(BankBase):
         """
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        if xbars is None:
-            return self.bits[:, :, column]
-        return self.bits[xbars, :, column]
+        return self.bits[self._selection(xbars), :, column]
 
     def kernel_write(
         self, column: int, value, xbars: np.ndarray | None = None
@@ -421,10 +392,7 @@ class CrossbarBank(BankBase):
         """Store a fused output value; wear is charged in bulk by the caller."""
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        if xbars is None:
-            self.bits[:, :, column] = value
-        else:
-            self.bits[xbars, :, column] = value
+        self.bits[self._selection(xbars), :, column] = value
 
     def kernel_ones(self):
         """The all-true value in this backend's native representation."""
@@ -446,25 +414,32 @@ class CrossbarBank(BankBase):
         return np.asarray(value, dtype=bool)[:, positions, rows]
 
     # ----------------------------------------------------- bulk primitives
-    def nor_columns(self, dest: int, srcs: Sequence[int]) -> None:
+    def nor_columns(self, dest: int, srcs: Sequence[int], xbars=None) -> None:
         """Stateful NOR: ``dest`` column of every row becomes NOR of ``srcs``.
 
         This is the MAGIC-style primitive; it executes on every row of every
         crossbar of the bank concurrently and writes the destination cell of
-        every row (one cell write per row).
+        every row (one cell write per row).  With ``xbars`` (an index array)
+        only those crossbars run it — the functional side of crossbar
+        skipping: the controller broadcasts the operation only to the pages
+        holding candidate crossbars, so the other crossbars' cells and wear
+        are untouched.
         """
         if not srcs:
             raise ValueError("NOR needs at least one source column")
-        acc = self.bits[:, :, srcs[0]].copy()
+        xbars = self._selection(xbars)
+        acc = self.bits[xbars, :, srcs[0]].copy()
         for src in srcs[1:]:
-            acc |= self.bits[:, :, src]
-        self.bits[:, :, dest] = ~acc
-        self.add_wear(1)
+            acc |= self.bits[xbars, :, src]
+        self.bits[xbars, :, dest] = ~acc
+        self.add_wear(1, xbars)
 
-    def set_column(self, dest: int, value: bool) -> None:
-        """Initialise a column of every row to a constant (a bulk write)."""
-        self.bits[:, :, dest] = bool(value)
-        self.add_wear(1)
+    def set_column(self, dest: int, value: bool, xbars=None) -> None:
+        """Initialise a column of every row to a constant (a bulk write), of
+        the crossbars ``xbars`` only if given."""
+        xbars = self._selection(xbars)
+        self.bits[xbars, :, dest] = bool(value)
+        self.add_wear(1, xbars)
 
     def copy_row_pairs(
         self,

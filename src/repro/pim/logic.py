@@ -101,18 +101,6 @@ class Program:
         """Cell writes each row experiences (one per primitive)."""
         return len(self.ops)
 
-    def _dispatch(self, nor_columns, set_column) -> None:
-        """Drive the pre-split step table against a pair of primitives.
-
-        The single integration point of op-by-op execution: the broadcast
-        and masked variants only differ in the primitives they bind.
-        """
-        for is_nor, dest, payload in self._steps:
-            if is_nor:
-                nor_columns(dest, payload)
-            else:
-                set_column(dest, payload)
-
     def execute(self, bank: CrossbarBank, xbars=None) -> None:
         """Apply the program to every row of every crossbar of ``bank``
         (of the crossbars ``xbars`` only, if given).
@@ -120,19 +108,17 @@ class Program:
         ``bank`` may be either functional backend
         (:class:`~repro.pim.crossbar.CrossbarBank` or
         :class:`~repro.pim.packed.PackedCrossbarBank`); the pre-split flat
-        op stream is dispatched against pre-bound primitive methods.  Every
-        primitive operates column-wise and independently per crossbar, so
-        running the program on a subset produces on that subset exactly the
-        bits a run on every crossbar would — while the other crossbars'
+        op stream drives the bank's two primitives, each handed ``xbars``.
+        Every primitive operates column-wise and independently per crossbar,
+        so running the program on a subset produces on that subset exactly
+        the bits a run on every crossbar would — while the other crossbars'
         cells and wear stay untouched.
         """
-        if xbars is None:
-            self._dispatch(bank.nor_columns, bank.set_column)
-            return
-        self._dispatch(
-            lambda dest, srcs: bank.nor_columns_at(dest, srcs, xbars),
-            lambda dest, value: bank.set_column_at(dest, value, xbars),
-        )
+        for is_nor, dest, payload in self._steps:
+            if is_nor:
+                bank.nor_columns(dest, payload, xbars)
+            else:
+                bank.set_column(dest, payload, xbars)
 
     # ------------------------------------------------------------ fused path
     def ir(self):

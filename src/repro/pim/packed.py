@@ -38,9 +38,11 @@ wear included.
 
 **Field reads**: ``read_field`` (one cell), ``read_field_cells`` (a value per
 listed ``(xbar, row)`` cell, duplicates allowed — a loop of ``read_field`` as
-one gather), ``read_field_all`` (every row) and ``read_column`` (a bit column);
-the last two unpack and return only the crossbars ``xbars`` (a slice or an
-index array, as for ``kernel_read`` / ``write_field_row``) when it is given.
+one gather or one bounded decode), ``read_field_all`` (every row) and
+``read_column`` (a bit column); the last two unpack and return only the
+crossbars ``xbars`` (a slice or an index array) when it is given.  Every
+bulk primitive and kernel access takes the same optional ``xbars`` (an index
+array; ``None`` is every crossbar).
 
 **Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
 ``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
@@ -61,13 +63,13 @@ encode it replaced -> byte lanes, ``uint64`` input / narrow input): 4-bit
 minima over 20 compactions).  No decoded column is cached: a 12-bit decode
 of 96 x 1024 rows costs ~0.4 ms, which does not pay for write-invalidation
 state on the bank.  With ``xbars`` the decode is *bounded* (3 crossbars in
-use of a page's 32 cost 3), and ``read_field_cells`` is the same fold over
-one word per (cell, plane) taken straight from ``words``.
-:data:`GATHER_MAX_SHARE` picks between them (gather up to 1/32 of the cells
-covered; ``StoredRelation.decode_cells`` and
-``PimExecutor.aggregate_with_circuit``), from this measurement — gather /
-full decode + index, ms, 96 x 1 024 rows, min of 15, sorted distinct cells,
-measured once on a 2-vCPU host (no gate re-times it)::
+use of a page's 32 cost 3), and ``read_field_cells``' gather is the same
+fold over one word per (cell, plane) taken straight from ``words``.
+``read_field_cells`` picks between them by :data:`GATHER_MAX_SHARE` (gather
+up to 1/32 of the rows of the crossbar range the cells span, decode that
+range above it), from this measurement — gather / full decode + index, ms,
+96 x 1 024 rows, min of 15, sorted distinct cells, measured once on a 2-vCPU
+host (no gate re-times it)::
 
     cells read   0.5 %        3.1 %        8 %          20 %         100 %
     4-bit        0.03 / 0.11  0.07 / 0.11  0.16 / 0.11  1.00 / 0.13   4.1 / 0.22
@@ -97,9 +99,10 @@ _BYTE_SHIFTS = np.arange(8, dtype=np.uint64)
 _LANE_LOW_BITS = np.uint64(0x0101010101010101)
 _LANE_GATHER = np.uint64(0x0102040810204080)
 
-#: A sparse field read gathers cell by cell (``read_field_cells``) up to this
-#: share of the rows it covers and decodes the whole (bounded) field above it:
-#: ``StoredRelation.decode_cells`` and ``PimExecutor.aggregate_with_circuit``.
+#: ``read_field_cells`` gathers cell by cell up to this share of the rows of
+#: the crossbar range its cells span and decodes that range above it; the
+#: bool bank always gathers.  Every sparse read goes through it:
+#: ``StoredRelation.decode_cells`` and ``repro.pim.arithmetic.masked_partials``.
 #: Measured once (the table in the module docstring): the gather wins up to
 #: ~5 % of the cells for 4-bit fields, ~8 % for 12-bit, ~18 % for 27-bit and
 #: loses 8-20x at 100 %.  A warm pass of each ``perf/`` workload asks
@@ -274,9 +277,18 @@ class PackedCrossbarBank(BankBase):
 
     def read_field_cells(self, xbars, rows, offset: int, width: int) -> np.ndarray:
         """Read one value per listed ``(xbar, row)`` cell, 1-d ``uint64``: a loop
-        of :meth:`read_field` (duplicates allowed) as one gather, validated first."""
+        of :meth:`read_field` (duplicates allowed), validated first.
+
+        Up to :data:`GATHER_MAX_SHARE` of the rows of the crossbar range the
+        cells span, one gather of a word per (cell, plane); above it, that
+        range is decoded (:meth:`read_field_all`) and indexed."""
         self._check_field(offset, width)
         xbars, rows = check_cell_index(self, xbars, rows)
+        if xbars.size:
+            low, high = int(xbars.min()), int(xbars.max()) + 1
+            if xbars.size > (high - low) * self.rows * GATHER_MAX_SHARE:
+                decoded = self.read_field_all(offset, width, slice(low, high))
+                return decoded[xbars - low, rows]
         # Plane ``b`` of cell ``i`` is one bit of the flat word ``first[i] +
         # b * rows_words``; the planes fold like the bulk decode's.
         first = (xbars * self.columns + offset) * self.rows_words + rows // _WORD_BITS
@@ -309,33 +321,6 @@ class PackedCrossbarBank(BankBase):
         if count_wear:
             self.add_wear(1)
 
-    # ------------------------------------------------- masked bulk primitives
-    def nor_columns_at(self, dest: int, srcs: Sequence[int], xbars: np.ndarray) -> None:
-        """:meth:`nor_columns` restricted to the crossbars in ``xbars``."""
-        if not srcs:
-            raise ValueError("NOR needs at least one source column")
-        xbars = np.asarray(xbars, dtype=np.int64)
-        if xbars.size == 0:
-            return
-        acc = self.words[xbars, srcs[0], :].copy()
-        for src in srcs[1:]:
-            np.bitwise_or(acc, self.words[xbars, src, :], out=acc)
-        np.invert(acc, out=acc)
-        np.bitwise_and(acc, self._row_mask, out=acc)
-        self.words[xbars, dest, :] = acc
-        self.add_wear(1, xbars)
-
-    def set_column_at(self, dest: int, value: bool, xbars: np.ndarray) -> None:
-        """:meth:`set_column` restricted to the crossbars in ``xbars``."""
-        xbars = np.asarray(xbars, dtype=np.int64)
-        if xbars.size == 0:
-            return
-        if value:
-            self.words[xbars, dest, :] = self._row_mask
-        else:
-            self.words[xbars, dest, :] = 0
-        self.add_wear(1, xbars)
-
     # ---------------------------------------------------- fused kernel surface
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
         """Native value of one column for fused evaluation, packed words.
@@ -347,9 +332,7 @@ class PackedCrossbarBank(BankBase):
         """
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        if xbars is None:
-            return self.words[:, column, :]
-        return self.words[xbars, column, :]
+        return self.words[self._selection(xbars), column, :]
 
     def kernel_write(
         self, column: int, value, xbars: np.ndarray | None = None
@@ -362,10 +345,7 @@ class PackedCrossbarBank(BankBase):
         """
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        if xbars is None:
-            self.words[:, column, :] = value
-        else:
-            self.words[xbars, column, :] = value
+        self.words[self._selection(xbars), column, :] = value
 
     def kernel_ones(self) -> np.ndarray:
         """The all-true value: the row mask (padding bits stay zero)."""
@@ -400,25 +380,26 @@ class PackedCrossbarBank(BankBase):
         return words != 0
 
     # ----------------------------------------------------- bulk primitives
-    def nor_columns(self, dest: int, srcs: Sequence[int]) -> None:
-        """Stateful NOR of whole columns — 64 rows per machine word."""
+    def nor_columns(self, dest: int, srcs: Sequence[int], xbars=None) -> None:
+        """Stateful NOR of whole columns — 64 rows per machine word — of
+        every crossbar, or of the crossbars ``xbars`` (an index array)."""
         if not srcs:
             raise ValueError("NOR needs at least one source column")
-        acc = self.words[:, srcs[0], :].copy()
+        xbars = self._selection(xbars)
+        acc = self.words[xbars, srcs[0], :].copy()
         for src in srcs[1:]:
-            np.bitwise_or(acc, self.words[:, src, :], out=acc)
+            np.bitwise_or(acc, self.words[xbars, src, :], out=acc)
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
-        self.words[:, dest, :] = acc
-        self.add_wear(1)
+        self.words[xbars, dest, :] = acc
+        self.add_wear(1, xbars)
 
-    def set_column(self, dest: int, value: bool) -> None:
-        """Initialise a column of every row to a constant (a bulk write)."""
-        if value:
-            self.words[:, dest, :] = self._row_mask
-        else:
-            self.words[:, dest, :] = 0
-        self.add_wear(1)
+    def set_column(self, dest: int, value: bool, xbars=None) -> None:
+        """Initialise a column of every row to a constant (a bulk write), of
+        the crossbars ``xbars`` only if given."""
+        xbars = self._selection(xbars)
+        self.words[xbars, dest, :] = self._row_mask if value else 0
+        self.add_wear(1, xbars)
 
     def copy_row_pairs(
         self,
@@ -496,19 +477,12 @@ class PackedCrossbarBank(BankBase):
         mask = _ONE << bit
         shifts = np.arange(width, dtype=np.uint64)
         bits = (values[:, None] >> shifts[None, :]) & _ONE  # (targets, width)
-        if xbars is None:
-            current = self.words[:, offset:offset + width, word]
-            self.words[:, offset:offset + width, word] = (
-                (current & ~mask) | (bits << bit)
-            )
-            self.add_row_wear(width, slice(None), row)
-        else:
-            xbars = np.asarray(xbars, dtype=np.int64)
-            current = self.words[xbars, offset:offset + width, word]
-            self.words[xbars, offset:offset + width, word] = (
-                (current & ~mask) | (bits << bit)
-            )
-            self.add_row_wear(width, xbars, row)
+        xbars = self._selection(xbars)
+        current = self.words[xbars, offset:offset + width, word]
+        self.words[xbars, offset:offset + width, word] = (
+            (current & ~mask) | (bits << bit)
+        )
+        self.add_row_wear(width, xbars, row)
 
     def write_field_cells(self, xbars, rows, fields) -> None:
         """Write one value per distinct ``(xbar, row)`` cell into each of

@@ -93,3 +93,50 @@ def test_pimdb_engine_configuration(ssb_prejoined):
     mask = evaluate_predicate(query.predicate, ssb_prejoined)
     expected = int(ssb_prejoined.column("lo_revenue_discounted")[mask].sum())
     assert execution.scalar("revenue") == expected
+
+
+@pytest.mark.parametrize("name", ["Q1.1", "Q2.3", "Q3.4"])
+def test_pimdb_reduction_decodes_no_field(ssb_prejoined, ssb_one_xb_engine, monkeypatch, name):
+    """Every subgroup through pim-gb on pimdb: the bulk-bitwise reduction's
+    functional run reads the masked cells only — no ``read_field_all`` call
+    inside ``run_functional`` — and the rows equal one_xb's."""
+    from twins import all_pim_cost_model
+
+    from repro.core.executor import PimQueryEngine
+    from repro.pim.arithmetic import BulkAggregationPlan
+    from repro.pim.crossbar import CrossbarBank
+    from repro.pim.packed import PackedCrossbarBank
+    from repro.ssb.prejoined import max_aggregated_width
+
+    _, stored = build_pimdb_engine(
+        ssb_prejoined, aggregation_width=max_aggregated_width(ssb_prejoined)
+    )
+    engine = PimQueryEngine(
+        stored, config=DEFAULT_CONFIG.without_aggregation_circuit(), label="pimdb",
+        cost_model=all_pim_cost_model(), timing_scale=100.0,
+    )
+    calls = {"run_functional": 0, "read_field_all": 0}
+    inside = []
+    run_functional = BulkAggregationPlan.run_functional
+
+    def scoped(plan, bank):
+        calls["run_functional"] += 1
+        inside.append(plan)
+        try:
+            return run_functional(plan, bank)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BulkAggregationPlan, "run_functional", scoped)
+    for bank_type in (CrossbarBank, PackedCrossbarBank):
+        def counted(bank, *args, _read=bank_type.read_field_all):
+            calls["read_field_all"] += bool(inside)
+            return _read(bank, *args)
+        monkeypatch.setattr(bank_type, "read_field_all", counted)
+
+    query = ALL_QUERIES[name]
+    execution = engine.execute(query)
+    assert execution.pim_subgroups == execution.total_subgroups > 0
+    assert calls == {"run_functional": execution.pim_subgroups * len(query.aggregates),
+                     "read_field_all": 0}
+    assert execution.rows == ssb_one_xb_engine.execute(query).rows

@@ -43,9 +43,9 @@ REPRESENTATIVE = ("Q1.1", "Q2.1", "Q4.1")
 def _apply(op, bank):
     kind = op[0]
     if kind == "nor":
-        bank.nor_columns(op[1], op[2])
+        bank.nor_columns(op[1], op[2], op[3])
     elif kind == "init":
-        bank.set_column(op[1], op[2])
+        bank.set_column(op[1], op[2], op[3])
     elif kind == "write_field":
         bank.write_field(op[1], op[2], op[3], op[4], op[5])
     elif kind == "write_field_column":
@@ -88,11 +88,14 @@ def bank_ops(draw):
         "write_bool_column", "copy_row_pairs", "write_field_rows",
         "write_field_row", "write_field_cells", "read_field_cells",
     ]))
+    # Every crossbar (``None``) or an index subset, possibly empty.
+    xbars = draw(st.none() | st.lists(st.integers(0, COUNT - 1), max_size=COUNT,
+                                      unique=True).map(np.array))
     if kind == "nor":
         srcs = tuple(draw(st.lists(column, min_size=1, max_size=2)))
-        return ("nor", draw(column), srcs)
+        return ("nor", draw(column), srcs, xbars)
     if kind == "init":
-        return ("init", draw(column), draw(st.booleans()))
+        return ("init", draw(column), draw(st.booleans()), xbars)
     width = draw(st.integers(1, 12))
     offset = draw(st.integers(0, COLUMNS - width))
     if kind == "write_field":
@@ -599,16 +602,57 @@ def test_kernel_gather_equals_indexing_the_decoded_value(rows, keys, covered):
 
 
 @pytest.mark.parametrize("backend", ["packed", "bool"])
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_read_field_cells_decodes_only_the_spanned_range_above_the_share(
+    backend, spread, dense
+):
+    """``read_field_cells`` equals ``read_field_all(...)[xbars, rows]`` at and
+    just above ``GATHER_MAX_SHARE`` of the rows of the crossbar range its cells
+    span — concentrated on crossbars 2-3 of 8 or spread over all 8, with a
+    duplicate.  The packed bank decodes that range (and no more) only above
+    the share; the bool bank always gathers."""
+    from repro.pim.packed import GATHER_MAX_SHARE
+
+    count, rows, offset, width = 8, 128, 3, 12
+    bank = make_bank(backend, count, rows, 32)
+    rng = np.random.default_rng(11)
+    bank.write_field_column(
+        offset, width, rng.integers(0, 1 << width, (count, rows)).astype(np.uint64)
+    )
+    low, high = (0, count) if spread else (2, 4)
+    share = int((high - low) * rows * GATHER_MAX_SHARE)
+    n = share + 1 if dense else share
+    xbars = rng.integers(low, high, n)
+    xbars[[0, -1]] = low, high - 1
+    cell_rows = rng.integers(0, rows, n)
+    xbars[1], cell_rows[1] = xbars[0], cell_rows[0]          # a duplicate
+    expected = bank.read_field_all(offset, width)[xbars, cell_rows]
+    decodes = []
+    full = bank.read_field_all
+
+    def recording(*args):
+        decodes.append(args[2:])
+        return full(*args)
+
+    bank.read_field_all = recording
+    values = bank.read_field_cells(xbars, cell_rows, offset, width)
+    assert values.dtype == np.uint64 and np.array_equal(values, expected)
+    decoded = backend == "packed" and dense
+    assert decodes == ([(slice(low, high),)] if decoded else [])
+
+
+@pytest.mark.parametrize("backend", ["packed", "bool"])
 @pytest.mark.parametrize("tombstones", [False, True])
 def test_decode_cells_equals_indexing_the_decoded_column(backend, tombstones):
-    """``decode_cells`` picks gather or bounded decode from the input size and
-    returns ``decode_column(...)[slots]`` either way."""
+    """``decode_cells`` returns ``decode_column(...)[slots]`` for slot counts
+    around the bank's gather share (the bank picks gather or bounded decode)."""
     from repro.db.dml import execute_delete
     from repro.db.query import Comparison
     from repro.db.relation import Relation
     from repro.db.schema import Schema, int_attribute
-    from repro.db.storage import GATHER_MAX_SHARE
     from repro.pim.controller import PimExecutor
+    from repro.pim.packed import GATHER_MAX_SHARE
 
     config = DEFAULT_CONFIG.with_backend(backend)
     rows = config.pim.crossbar.rows
@@ -626,31 +670,13 @@ def test_decode_cells_equals_indexing_the_decoded_column(backend, tombstones):
         )
         assert 0 < stored.live_count < stored.num_records == records
     threshold = int(records * GATHER_MAX_SHARE)
-    assert threshold * 32 == records          # "exactly 1/32" is reachable
     bank = stored.allocations[0].bank
-    calls = {"gather": 0, "full": 0}
-    gather, full = bank.read_field_cells, bank.read_field_all
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    bank.read_field_cells = counting("gather", gather)
-    bank.read_field_all = counting("full", full)
-    for n, path in ((0, "gather"), (1, "gather"), (threshold - 1, "gather"),
-                    (threshold, "gather"), (threshold + 1, "full"),
-                    (records, "full")):
+    for n in (0, 1, threshold - 1, threshold, threshold + 1, records):
         slots = rng.integers(0, records, n)
         if n:
             slots[0] = records - 1            # the partly filled crossbar
         for name in ("a", "b"):
-            before = dict(calls)
             values = stored.decode_cells(name, slots)
-            assert {k: calls[k] - before[k] for k in calls} == {
-                "gather": int(path == "gather"), "full": int(path == "full"),
-            }
             assert values.dtype == np.uint64 and values.shape == (n,)
             assert np.array_equal(values, stored.decode_column(name)[slots])
             assert np.array_equal(values, relation.column(name)[slots])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.pim.arithmetic import BulkAggregationPlan, build_ripple_add, build_subtract
 from repro.pim.crossbar import CrossbarBank
@@ -55,12 +55,30 @@ def test_subtract_matches_modular_subtraction(pairs):
     assert np.array_equal(bank.read_field_all(DEST[0], WIDTH)[0], (a - b) & modulus)
 
 
+#: Mask shapes besides a drawn one: no row, a single row (within the packed
+#: bank's gather share at 32 rows), one row in 16 and every row.
+MASK_SHAPES = ("drawn", "empty", "single", "sparse", "full")
+
 aggregation_cases = st.tuples(
     st.lists(st.integers(min_value=0, max_value=(1 << WIDTH) - 1),
              min_size=2, max_size=32),
     st.lists(st.booleans(), min_size=2, max_size=32),
     st.sampled_from(["sum", "min", "max", "count"]),
+    st.sampled_from(MASK_SHAPES),
 )
+
+
+def _shaped(mask, shape):
+    """``mask`` itself, or a mask of its length in one of :data:`MASK_SHAPES`."""
+    if shape == "drawn":
+        return mask
+    rows = len(mask)
+    shaped = [shape == "full"] * rows
+    if shape == "single":
+        shaped[rows // 2] = True
+    elif shape == "sparse":
+        shaped[::16] = [True] * len(shaped[::16])
+    return shaped
 
 
 @pytest.mark.parametrize(
@@ -68,10 +86,18 @@ aggregation_cases = st.tuples(
 )
 @settings(max_examples=30, deadline=None)
 @given(case=aggregation_cases)
+@example(case=(list(range(0, 512, 16)), [False] * 32, "sum", "empty"))
+@example(case=(list(range(0, 512, 16)), [False] * 32, "min", "single"))
+@example(case=(list(range(0, 512, 16)), [False] * 32, "max", "sparse"))
+@example(case=(list(range(0, 512, 16)), [False] * 32, "count", "full"))
+@example(case=(list(range(511, 0, -16)), [False] * 32, "count", "sparse"))
+@example(case=(list(range(511, 0, -16)), [False] * 32, "min", "full"))
+@example(case=(list(range(511, 0, -16)), [False] * 32, "max", "empty"))
+@example(case=(list(range(511, 0, -16)), [False] * 32, "sum", "single"))
 def test_gate_level_reduction_equals_functional_reduction(case, backend):
-    values, mask, operation = case
+    values, mask, operation, shape = case
     rows = min(len(values), len(mask))
-    values, mask = values[:rows], mask[:rows]
+    values, mask = values[:rows], _shaped(mask[:rows], shape)
     plan = BulkAggregationPlan(
         rows=rows, field_offset=0, field_width=WIDTH, mask_column=25,
         acc_offset=30, operand_offset=55,

@@ -318,7 +318,7 @@ def test_sharded_flight_is_a_loop_that_reads_only_what_is_read(
     are gathered cell by cell — and nothing observable moves."""
     from repro.ssb.prejoined import max_aggregated_width
 
-    from repro.db.storage import GATHER_MAX_SHARE
+    from repro.pim.packed import GATHER_MAX_SHARE
 
     log = _ReadLog(monkeypatch)
     queries = [ALL_QUERIES[name] for name in QUERY_ORDER]

@@ -151,10 +151,11 @@ def assert_same_state(ours, theirs) -> None:
 
 
 def assert_banks_equal(a, b) -> None:
-    """Both banks hold the same cells and wear counters, across backends."""
+    """Both banks hold the same cells and both wear counters, across backends."""
     assert (a.count, a.rows, a.columns) == (b.count, b.rows, b.columns)
     for column in range(a.columns):
         assert np.array_equal(a.read_column(column), b.read_column(column)), (
             f"column {column} differs"
         )
-    assert np.array_equal(a.writes_per_row, b.writes_per_row)
+    assert np.array_equal(a.xbar_wear, b.xbar_wear)
+    assert np.array_equal(a.row_wear, b.row_wear)
