@@ -1,14 +1,12 @@
 """Batched multi-output execution of the pim-gb subgroup loop.
 
-The reference GROUP-BY path (:meth:`PimQueryEngine._execute_group_by`)
-makes one full Python round-trip per subgroup: build the subgroup mask,
-run the aggregation circuit per aggregate, clear the subgroup from the
-filter — with every :class:`~repro.pim.stats.PimStats` charge sitting
-inside that inner loop.  After PR 6 fused the kernels, this orchestration
-is what Amdahl's law leaves as the end-to-end bottleneck.
-
-This module restructures the loop without changing a single modelled
-number or stored bit:
+This is the pim-gb of every configuration, with the aggregation circuit
+and without it (the PIMDB baseline's bulk-bitwise reduction).  The
+per-subgroup loop of :meth:`PimQueryEngine._execute_group_by` — build the
+subgroup mask, run one aggregation pass per aggregate, clear the subgroup
+from the filter, each charged inside the loop — is only the
+``execution="dispatch"`` oracle.  This module restructures that loop
+without changing a single modelled number or stored bit:
 
 * **One value-free template per partition.**  Every subgroup's group-mask
   program is the same circuit with other key constants, so the compiler is
@@ -38,9 +36,10 @@ number or stored bit:
   re-indexed along its crossbar axis and ANDed into the primary's remote
   input as it is.  Nothing of shape ``(K, crossbars, rows)`` is decoded.
 
-* **One decode and one segmented reduction per aggregate.**  The
-  aggregation circuit's functional result is ``aggregate_reference`` over a
-  decoded field and the subgroup mask.  The field does not change between
+* **One decode and one segmented reduction per aggregate.**  An
+  aggregation pass's functional result (circuit or bulk-bitwise) is
+  ``aggregate_reference`` over a decoded field and the subgroup mask, at
+  the pass's accumulator width.  The field does not change between
   subgroups and distinct keys select disjoint rows, so the field is decoded
   once — for the masked rows only (``StoredRelation.decode_cells``) — and
   all K x crossbar partials come from one ``reduceat`` over the
@@ -48,8 +47,7 @@ number or stored bit:
   ``(key, crossbar)`` — wrapped to the accumulator width, the operation's
   identity on every crossbar a key has no row on
   (:func:`~repro.pim.arithmetic.segmented_partials`, which also reduces
-  ``masked_partials``: the filter-only circuit aggregation's and the PIMDB
-  reduction's partials).
+  ``masked_partials``: the partials of a filter-only pass).
 
 * **Charges by multiplicity, stores once.**  :class:`~repro.pim.stats.PimStats`
   is an exact multiset — a charge is ``count x unit cost`` and no total
@@ -65,8 +63,9 @@ number or stored bit:
   *distinct cycle count* (:meth:`GroupMaskTemplate.cycles`, one vectorised
   closed form over the key table), its transfers, folds and clear as one
   counted charge each, with the summed wear added to the banks; the K
-  circuit passes, result reads and host combines of an aggregate are one
-  counted charge each, and the result row is stored once.  The number of
+  passes, result reads and host combines of an aggregate are one counted
+  charge each (:meth:`AggregationStage.charge_passes`), and each result
+  row is stored once.  The number of
   charge calls is independent of K, and the stored bits, dirty marks, wear
   counters and ``PimStats`` equal those of per-subgroup dispatch, which still
   compiles, writes, aggregates and charges per key and is the oracle; the
@@ -214,8 +213,7 @@ def run_group_by_batched(
 
     Identical with the per-subgroup reference loop of
     :meth:`PimQueryEngine._execute_group_by` — result rows, stored bits,
-    dirty marks, wear and ``PimStats`` — requires the aggregation circuit
-    (the bulk-bitwise fallback needs the stored mask column per subgroup).
+    dirty marks, wear and ``PimStats`` — with or without the circuit.
     """
     stored = engine.stored
     compiler = engine.compiler
@@ -290,7 +288,6 @@ def run_group_by_batched(
         for position in range(remote_count)
     ] if remote_count > 1 else []
     clear_program = build_clear_program(primary_layout)
-    fraction = primary_idx.size / primary_allocation.crossbars
     # Every bit a skipped store would have written is a subset of one of
     # these two, so the zone-map invariant is asserted once for all keys.
     _check_pruned_bits(union, primary_candidates, primary_allocation)
@@ -383,10 +380,9 @@ def run_group_by_batched(
 
     # ----------------------------------------------------------- aggregates
     # Every aggregate of every subgroup on every crossbar, in one segmented
-    # reduction per aggregate over a single decode of its field; its K
-    # circuit passes and result reads are one counted charge each.
-    accumulator_width = primary_layout.accumulator_width
-    min_identity = engine.aggregation_stage.min_identity(primary)
+    # reduction per aggregate over a single decode of its field; its K passes
+    # (circuit or bulk-bitwise) and result reads are one counted charge.
+    stage = engine.aggregation_stage
     records, starts, cells = _subgroup_segments(
         bank, mask_value, primary_idx, selected
     )
@@ -394,47 +390,39 @@ def run_group_by_batched(
     present = set((cells // bank.count).tolist())
     decoded: dict[str, np.ndarray] = {}
     combined: dict[str, list[int | None]] = {}
+    result_rows = []
     for aggregate in query.aggregates:
         if aggregate.op == "count":
-            field_width, operation = 1, "sum"
             values = np.ones(len(records), dtype=np.uint64)
         else:
-            field_width = primary_layout.field_width(aggregate.attribute)
-            operation = aggregate.op
             values = decoded.get(aggregate.attribute)
             if values is None:
                 values = decoded[aggregate.attribute] = stored.decode_cells(
                     aggregate.attribute, records
                 )
+        operation, offset, width, covered = stage.charge_passes(
+            aggregate, primary, primary_layout.group_column, executor,
+            read_model, primary_candidates, count=len(keys),
+        )
         partials = segmented_partials(
-            values, starts, cells, (len(keys), bank.count), operation,
-            accumulator_width,
-        )
-        partials = partials[:, primary_idx]
-        executor.charge_aggregation_circuit(
-            bank, field_width, pages_for(primary), primary_candidates,
-            result_width=accumulator_width, count=len(keys),
-        )
-        read_model.read_aggregation_results(
-            stored, primary, pages_fraction=fraction, count=len(keys)
-        )
+            values, starts, cells, (len(keys), bank.count), operation, width,
+        )[:, covered]
         combined[aggregate.name] = combine_partial_table(
             partials, operation, engine.config.host, executor.stats,
-            identity=min_identity if aggregate.op == "min" else None,
+            identity=stage.min_identity(primary) if aggregate.op == "min" else None,
         )
-        result_row = partials[last]
+        result_rows.append((offset, width, covered, partials[last]))
 
-    # Every circuit pass wrote its partials over the previous one's, so only
-    # the last pass's result row is stored; the others leave their wear.
-    if primary_idx.size:
-        bank.write_field_row(
-            0, primary_layout.result_offset, accumulator_width,
-            result_row, xbars=primary_idx,
-        )
-        bank.add_row_wear(
-            (len(keys) * len(query.aggregates) - 1) * accumulator_width,
-            primary_idx, 0,
-        )
+    # Every pass overwrote the previous key's result row, so only the last
+    # key's rows are stored, in aggregate order, less any a later row covers
+    # (the bulk reduction's widths differ); the other passes are wear only.
+    for index, (offset, width, covered, row) in enumerate(result_rows):
+        later = result_rows[index + 1:]
+        if covered.size and not any(o == offset and w >= width for o, w, *_ in later):
+            bank.write_field_row(0, offset, width, row, xbars=covered)
+            bank.add_row_wear(last * width, covered, 0)
+        else:
+            bank.add_row_wear(len(keys) * width, covered, 0)
 
     return {
         key: engine._finalize_entry(

@@ -524,18 +524,13 @@ class PimQueryEngine:
                 )
 
         rows: dict[GroupKey, dict[str, int]] = {}
-        batched = bool(
-            plan.pim_groups and executor.batched and self.use_aggregation_circuit
-        )
+        batched = bool(plan.pim_groups and executor.batched)
         with self.tracer.span(
             "pim-gb", batched=batched, subgroups=len(plan.pim_groups)
         ):
             if batched:
-                # Batched execution: all subgroup masks of a partition come
-                # from one value-free template kernel with the keys bound as
-                # inputs, field decodes are shared across subgroups, and the
-                # modelled charges are issued by multiplicity — identical
-                # rows, bits, wear and stats (see repro.core.batched).
+                # Every configuration's pim-gb: one template kernel per
+                # partition, charges by multiplicity (repro.core.batched).
                 from repro.core.batched import run_group_by_batched
 
                 rows = run_group_by_batched(
@@ -543,6 +538,7 @@ class PimQueryEngine:
                     read_model, prune,
                 )
             else:
+                # The per-subgroup loop: the ``dispatch`` oracle only.
                 for key in plan.pim_groups:
                     entry = self._pim_aggregate_group(
                         query, primary, group_attributes, key, executor,

@@ -8,14 +8,14 @@ and a service replaying similar WHERE clauses — takes its compiled
 (the IR dataclasses are frozen).  An engine built without one gets a
 private cache; the service shares one across all of its engines.
 
-The batched pim-gb path asks for *templates*
+The batched pim-gb of every configuration asks for *templates*
 (:class:`~repro.db.compiler.GroupMaskTemplate`), not per-subgroup programs.
 A template key is ``(attribute names, filter column, include_remote,
 layout)`` — it holds no group values, so a GROUP-BY costs one entry per
 partition it touches however many subgroups it has, and the capacity a
 workload needs is its number of distinct WHERE clauses and GROUP-BY column
 sets, not its subgroup count.  The value-keyed ``group_program`` /
-``combine_program`` entries serve the per-subgroup ``dispatch`` reference.
+``combine_program`` entries serve only the ``dispatch`` oracle's loop.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ monolith methods of :class:`~repro.core.executor.PimQueryEngine`:
   vertical partitions, folding the per-partition filter bits into the primary
   partition;
 * :class:`GroupMaskStage` — build (and later clear) the per-subgroup mask
-  used by pim-gb;
+  of the ``dispatch`` oracle's pim-gb loop;
 * :class:`AggregationStage` — one PIM aggregation (circuit or bulk-bitwise)
   plus the host-side combination of the per-crossbar partials.
 
@@ -531,47 +531,50 @@ class AggregationStage(_Stage):
                 aggregate, partition, mask_column, executor, read_model, candidates
             )
 
-    def _aggregate(
-        self,
-        aggregate: Aggregate,
-        partition: int,
-        mask_column: int,
-        executor: PimExecutor,
-        read_model: HostReadModel,
-        candidates: np.ndarray,
-    ) -> int | None:
+    def _pass(
+        self, aggregate: Aggregate, partition: int, mask_column: int
+    ) -> tuple[int, int, str, BulkAggregationPlan | None]:
+        """A pass of ``aggregate`` over ``mask_column``: its field offset,
+        width and operation, and the bulk-bitwise plan that runs it — ``None``
+        when the aggregation circuit does (the one circuit-or-bulk choice)."""
         layout = self.stored.layouts[partition]
-        allocation = self.stored.allocations[partition]
         if aggregate.op == "count":
             field_offset, field_width, operation = mask_column, 1, "sum"
         else:
             field_offset = layout.field_offset(aggregate.attribute)
             field_width = layout.field_width(aggregate.attribute)
             operation = aggregate.op
-
         if self.use_aggregation_circuit:
+            return field_offset, field_width, operation, None
+        if layout.operand_offset is None:
+            raise RuntimeError(
+                "bulk-bitwise aggregation needs an operand area; store the "
+                "relation with reserve_bulk_aggregation=True"
+            )
+        shape = (
+            self.stored.allocations[partition].rows_per_crossbar, field_offset,
+            field_width, mask_column, layout.accumulator_offset,
+            layout.operand_offset, tuple(layout.scratch_columns), operation,
+        )
+        plan = self._bulk_plans.get(shape)
+        if plan is None:
+            plan = self._bulk_plans[shape] = BulkAggregationPlan(*shape)
+        return field_offset, field_width, operation, plan
+
+    def _aggregate(
+        self, aggregate: Aggregate, partition: int, mask_column: int,
+        executor: PimExecutor, read_model: HostReadModel, candidates: np.ndarray,
+    ) -> int | None:
+        layout = self.stored.layouts[partition]
+        allocation = self.stored.allocations[partition]
+        field_offset, field_width, operation, plan = self._pass(aggregate, partition, mask_column)
+        if plan is None:
             partials = executor.aggregate_with_circuit(
-                allocation.bank,
-                field_offset, field_width, mask_column,
-                layout.result_offset,
-                self._pages(partition), candidates,
-                operation=operation,
-                result_width=layout.accumulator_width,
+                allocation.bank, field_offset, field_width, mask_column,
+                layout.result_offset, self._pages(partition), candidates,
+                operation=operation, result_width=layout.accumulator_width,
             )
         else:
-            if layout.operand_offset is None:
-                raise RuntimeError(
-                    "bulk-bitwise aggregation needs an operand area; store the "
-                    "relation with reserve_bulk_aggregation=True"
-                )
-            shape = (
-                allocation.rows_per_crossbar, field_offset, field_width,
-                mask_column, layout.accumulator_offset, layout.operand_offset,
-                tuple(layout.scratch_columns), operation,
-            )
-            plan = self._bulk_plans.get(shape)
-            if plan is None:
-                plan = self._bulk_plans[shape] = BulkAggregationPlan(*shape)
             partials = executor.aggregate_bulk_bitwise(
                 allocation.bank, plan, pages=self._pages(partition)
             )
@@ -587,3 +590,34 @@ class AggregationStage(_Stage):
         return combine_partials(
             [partials], operation, self.config.host, executor.stats
         )
+
+    def charge_passes(
+        self, aggregate: Aggregate, partition: int, mask_column: int,
+        executor: PimExecutor, read_model: HostReadModel, candidates: np.ndarray, count: int,
+    ) -> tuple[str, int, int, np.ndarray]:
+        """What ``count`` calls of :meth:`aggregate` charge — time, energy,
+        wear, result reads — without running them or storing their results
+        (the batched pim-gb computes the partials itself).  Returns a pass's
+        operation, the field it leaves in row 0 (offset, width) and the
+        crossbars it covers."""
+        layout = self.stored.layouts[partition]
+        allocation = self.stored.allocations[partition]
+        _, field_width, operation, plan = self._pass(aggregate, partition, mask_column)
+        if plan is None:
+            executor.charge_aggregation_circuit(
+                allocation.bank, field_width, self._pages(partition), candidates,
+                result_width=layout.accumulator_width, count=count,
+            )
+            offset, width = layout.result_offset, layout.accumulator_width
+        else:
+            executor.charge_bulk_aggregation(
+                allocation.bank, plan, self._pages(partition), count
+            )
+            candidates = self._everywhere(partition)
+            offset, width = plan.acc_offset, plan.acc_width
+        read_model.read_aggregation_results(
+            self.stored, partition,
+            pages_fraction=np.count_nonzero(candidates) / allocation.crossbars,
+            count=count,
+        )
+        return operation, offset, width, np.flatnonzero(candidates)

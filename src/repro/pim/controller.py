@@ -428,9 +428,18 @@ class PimExecutor:
         and charges the gate-level plan's cost; the tests check it against
         :meth:`BulkAggregationPlan.run_gate_level` on a twin bank.
         """
-        cost = plan.cost()
         results = plan.run_functional(bank)
-        bank.add_wear(cost.writes_per_row)
+        self.charge_bulk_aggregation(bank, plan, pages)
+        return results
+
+    def charge_bulk_aggregation(
+        self, bank: CrossbarBank, plan: BulkAggregationPlan, pages: float, count: int = 1
+    ) -> None:
+        """Charge-only twin of :meth:`aggregate_bulk_bitwise`, ``count`` times:
+        the plan's time, energy and ``logic_ops``, and its writes per row on
+        every row of every crossbar (the batched pim-gb's subgroups)."""
+        cost = plan.cost()
+        bank.add_wear(cost.writes_per_row * count)
         xbar = self._xbar
         request_time = cost.total_cycles * xbar.logic_cycle_s
         crossbars = pages * self._crossbars_per_page()
@@ -443,11 +452,11 @@ class PimExecutor:
             * crossbars
             * xbar.logic_energy_per_bit_j
         )
-        self.stats.add_events("logic_ops", cost.total_cycles * crossbars)
+        self.stats.add_events("logic_ops", cost.total_cycles * crossbars, count)
         self._record_phase(
-            "pim-agg", pages, request_time, logic_energy + copy_energy, "logic"
+            "pim-agg", pages, request_time, logic_energy + copy_energy, "logic",
+            count,
         )
-        return results
 
     # ------------------------------------------------------------ host writes
     def host_write_field(

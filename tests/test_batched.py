@@ -10,7 +10,8 @@ same request counts), and identical stored state — one ``state_digest()``
 (:mod:`twins`).  A hypothesis property test drives random data, selectivities,
 subgroup counts (K in 1, 2, 4, 20), pruning, and one- vs two-partition
 layouts through batched and per-subgroup dispatch in lock step on both
-backends, two queries with different candidate crossbars back to back on
+backends, with the aggregation circuit and with the PIMDB bulk-bitwise
+reduction, two queries with different candidate crossbars back to back on
 each store; deterministic tests pin the stale-crossbar clear of a second
 query, the multi-remote fold path, the segmented reduction against
 ``aggregate_reference``, the K-independence of the stores and of the
@@ -68,9 +69,12 @@ def _relation(seed: int, num_cities: int, records: int = 384) -> Relation:
     })
 
 
-def _execute(relation, queries, backend, strategy, pruning, partitions):
-    """Run ``queries`` back to back on one fresh store."""
+def _execute(relation, queries, backend, strategy, pruning, partitions, circuit=True):
+    """Run ``queries`` back to back on one fresh store; without the circuit,
+    the PIMDB baseline's bulk-bitwise reduction aggregates."""
     config = DEFAULT_CONFIG.with_backend(backend).replace(execution=strategy)
+    if not circuit:
+        config = config.without_aggregation_circuit()
     stored = StoredRelation(
         relation, PimModule(config), label="batch",
         partitions=partitions, aggregation_width=22,
@@ -81,13 +85,13 @@ def _execute(relation, queries, backend, strategy, pruning, partitions):
     return [engine.execute(query) for query in queries], stored
 
 
-def _assert_lockstep(relation, queries, pruning, partitions):
+def _assert_lockstep(relation, queries, pruning, partitions, circuit=True):
     """batched == dispatch on both backends, query after query on one store:
     every execution, then the stored state; the two backends' batched runs
     agree on every execution."""
     runs = {
         (backend, strategy): _execute(
-            relation, queries, backend, strategy, pruning, partitions
+            relation, queries, backend, strategy, pruning, partitions, circuit
         )
         for backend in BACKENDS
         for strategy in STRATEGIES
@@ -141,16 +145,19 @@ def _two_queries(first_below, second_from, aggregates=GROUP_QUERY.aggregates,
     num_cities=st.sampled_from(SUBGROUP_COUNTS),
     pruning=st.booleans(),
     split=st.booleans(),                     # one vs two vertical partitions
+    circuit=st.booleans(),                   # aggregation circuit vs PIMDB
 )
 def test_batched_lockstep_with_dispatch(
-    seed, threshold, second, num_cities, pruning, split
+    seed, threshold, second, num_cities, pruning, split, circuit
 ):
-    """Random data/selectivity: batched == per-subgroup dispatch, bit for bit."""
+    """Random data/selectivity: batched == per-subgroup dispatch, bit for bit,
+    with the aggregation circuit and with the bulk-bitwise reduction."""
     relation = _relation(seed, num_cities, records=RECORDS)
     partitions = [["key", "value"], ["city", "region"]] if split else None
-    _assert_lockstep(
-        relation, _two_queries(threshold, second), pruning, partitions
+    queries = _two_queries(
+        threshold, second, GROUP_QUERY.aggregates + (Aggregate("max", "value"),)
     )
+    _assert_lockstep(relation, queries, pruning, partitions, circuit)
 
 
 @pytest.mark.parametrize("num_cities", SUBGROUP_COUNTS)
@@ -204,24 +211,33 @@ def test_batched_rows_only_for_keys_with_a_selected_row(split):
     assert len(set(executions[0].rows)) < 10
 
 
-def test_batched_is_the_default_and_gated_on_the_circuit():
-    """The default config batches; without the aggregation circuit the
-    engine falls back to the reference loop — and stays bit-exact."""
+def test_batched_is_the_default_and_runs_without_the_circuit(monkeypatch):
+    """The default config batches, and so does the circuit-less PIMDB
+    configuration: its pim-gb goes through ``run_group_by_batched`` and
+    matches the per-subgroup ``dispatch`` loop in rows, stats and state."""
     assert DEFAULT_CONFIG.execution == "batched"
+    calls = []
+    run = batched.run_group_by_batched
+
+    def spy(engine, query, *args):
+        calls.append(query.name)
+        return run(engine, query, *args)
+
+    monkeypatch.setattr(batched, "run_group_by_batched", spy)
     relation = _relation(seed=5, num_cities=4)
-    executions = {}
-    for strategy in STRATEGIES:
-        config = DEFAULT_CONFIG.replace(execution=strategy)
-        config = config.without_aggregation_circuit()
-        stored = StoredRelation(
-            relation, PimModule(config), label="nocircuit", aggregation_width=22
+    runs = {
+        strategy: _execute(
+            relation, [GROUP_QUERY], "packed", strategy, True, None, circuit=False
         )
-        engine = PimQueryEngine(
-            stored, config=config, cost_model=all_pim_cost_model(),
-        )
-        executions[strategy] = engine.execute(GROUP_QUERY)
-    assert executions["batched"].rows == executions["dispatch"].rows
-    assert executions["batched"].stats == executions["dispatch"].stats
+        for strategy in STRATEGIES
+    }
+    assert calls == [GROUP_QUERY.name]
+    (ours,), ours_stored = runs["batched"]
+    (theirs,), theirs_stored = runs["dispatch"]
+    assert ours.pim_subgroups == ours.total_subgroups == 4
+    assert ours.rows == theirs.rows
+    assert ours.stats == theirs.stats
+    assert_same_state(ours_stored, theirs_stored)
 
 
 # ------------------------------------------------------ segmented reduction

@@ -97,13 +97,13 @@ def test_pimdb_engine_configuration(ssb_prejoined):
 
 @pytest.mark.parametrize("name", ["Q1.1", "Q2.3", "Q3.4"])
 def test_pimdb_reduction_decodes_no_field(ssb_prejoined, ssb_one_xb_engine, monkeypatch, name):
-    """Every subgroup through pim-gb on pimdb: the bulk-bitwise reduction's
-    functional run reads the masked cells only — no ``read_field_all`` call
-    inside ``run_functional`` — and the rows equal one_xb's."""
+    """Every subgroup through pim-gb on pimdb: no ``read_field_all`` call
+    during the whole execution — the bulk-bitwise reduction, and the batched
+    pim-gb that charges it, read the masked cells only — and the rows equal
+    one_xb's."""
     from twins import all_pim_cost_model
 
     from repro.core.executor import PimQueryEngine
-    from repro.pim.arithmetic import BulkAggregationPlan
     from repro.pim.crossbar import CrossbarBank
     from repro.pim.packed import PackedCrossbarBank
     from repro.ssb.prejoined import max_aggregated_width
@@ -115,28 +115,64 @@ def test_pimdb_reduction_decodes_no_field(ssb_prejoined, ssb_one_xb_engine, monk
         stored, config=DEFAULT_CONFIG.without_aggregation_circuit(), label="pimdb",
         cost_model=all_pim_cost_model(), timing_scale=100.0,
     )
-    calls = {"run_functional": 0, "read_field_all": 0}
-    inside = []
-    run_functional = BulkAggregationPlan.run_functional
-
-    def scoped(plan, bank):
-        calls["run_functional"] += 1
-        inside.append(plan)
-        try:
-            return run_functional(plan, bank)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(BulkAggregationPlan, "run_functional", scoped)
+    decodes = []
     for bank_type in (CrossbarBank, PackedCrossbarBank):
         def counted(bank, *args, _read=bank_type.read_field_all):
-            calls["read_field_all"] += bool(inside)
+            decodes.append(args)
             return _read(bank, *args)
         monkeypatch.setattr(bank_type, "read_field_all", counted)
 
     query = ALL_QUERIES[name]
     execution = engine.execute(query)
     assert execution.pim_subgroups == execution.total_subgroups > 0
-    assert calls == {"run_functional": execution.pim_subgroups * len(query.aggregates),
-                     "read_field_all": 0}
+    assert decodes == []
     assert execution.rows == ssb_one_xb_engine.execute(query).rows
+
+
+def test_pimdb_harness_builds_no_per_subgroup_program(monkeypatch):
+    """pimdb's ``run_all_queries`` (SF 0.002, seed 42) runs its pim-gb on
+    the batched template kernel: no per-key ``group_program`` or
+    ``combine_program`` is compiled, and every program lowered is a WHERE
+    clause's or a group-mask template's (the per-subgroup loop lowered one
+    program per subgroup and partition)."""
+    from repro.core.program_cache import ProgramCache
+    from repro.experiments.common import build_setup, run_all_queries
+    from repro.pim import ir
+
+    setup = build_setup(scale_factor=0.002, seed=42, configs=("pimdb",))
+    built = {"group": 0, "combine": 0}
+    handed_out = set()
+    lowered = []
+
+    def counting(kind, method):
+        def wrapper(cache, *args, **kwargs):
+            built[kind] += 1
+            return method(cache, *args, **kwargs)
+        return wrapper
+
+    def recording(method, program_of):
+        def wrapper(cache, *args, **kwargs):
+            entry = method(cache, *args, **kwargs)
+            handed_out.add(id(program_of(entry)))
+            return entry
+        return wrapper
+
+    def lower(program, _lower=ir.lower_program):
+        lowered.append(program)
+        return _lower(program)
+
+    monkeypatch.setattr(ProgramCache, "group_program",
+                        counting("group", ProgramCache.group_program))
+    monkeypatch.setattr(ProgramCache, "combine_program",
+                        counting("combine", ProgramCache.combine_program))
+    monkeypatch.setattr(ProgramCache, "filter_program",
+                        recording(ProgramCache.filter_program, lambda p: p))
+    monkeypatch.setattr(ProgramCache, "group_template",
+                        recording(ProgramCache.group_template, lambda t: t.program))
+    monkeypatch.setattr(ir, "lower_program", lower)
+    monkeypatch.setattr("repro.core.batched.lower_program", lower)
+
+    records = run_all_queries(setup)
+    assert sum(record.pim_subgroups for record in records) > 100
+    assert built == {"group": 0, "combine": 0}
+    assert lowered and all(id(program) in handed_out for program in lowered)

@@ -16,7 +16,11 @@ columns another candidate set left dirty.
 
 The first four cells run the engine's default (fitted) cost model; two
 further cells force every subgroup through PIM, so the batched kernels
-carry hundreds of subgroups per query instead of a handful.
+carry hundreds of subgroups per query instead of a handful.  The two
+``pimdb`` cells do the same on the PIMDB baseline's circuit-less
+configuration (bulk-bitwise reduction, operand area reserved), pruned and
+not: its batched pim-gb charges the reductions by multiplicity where
+``dispatch`` runs one per subgroup and aggregate.
 """
 
 import numpy as np
@@ -30,32 +34,47 @@ from repro.service import QueryService
 from repro.ssb import ALL_QUERIES, QUERY_ORDER
 from repro.ssb.prejoined import max_aggregated_width
 
-#: ``id -> (pruning, shards, all_pim)``.  The keys are opaque test ids: the
-#: ``vectorized*`` ones outlived the mode they named and now hold the
+#: ``id -> (pruning, shards, all_pim, circuit)``.  The keys are opaque test
+#: ids: the ``vectorized*`` ones outlived the mode they named and now hold the
 #: broadcast cells (renaming ids is the ``test_fused.py`` -> ``test_kernels.py``
 #: chore, a PR that does nothing else).
 CELLS = {
-    "gate-level": (True, 1, False),
-    "gate-level-k4": (True, 4, False),
-    "vectorized": (False, 1, False),
-    "vectorized-k4": (False, 4, False),
-    "vectorized-allpim": (True, 1, True),
-    "allpim-k4": (True, 4, True),
+    "gate-level": (True, 1, False, True),
+    "gate-level-k4": (True, 4, False, True),
+    "vectorized": (False, 1, False, True),
+    "vectorized-k4": (False, 4, False, True),
+    "vectorized-allpim": (True, 1, True, True),
+    "allpim-k4": (True, 4, True, True),
+    "pimdb": (True, 1, True, False),
+    "pimdb-unpruned": (False, 1, True, False),
 }
 
-#: The queries of a cell.  All-PIM at K=4 runs the 11 queries of the
-#: ``ssb_allpim`` benchmark: ``dispatch`` replays Q3.2's and Q4.3's 600-760
-#: subgroups one program at a time on every shard, and the K=1 all-PIM
-#: cell already carries them.
+#: The queries a cell leaves out.  All-PIM at K=4 runs the 11 queries of
+#: the ``ssb_allpim`` benchmark: ``dispatch`` replays Q3.2's and Q4.3's
+#: 600-760 subgroups one program at a time on every shard, and the K=1
+#: all-PIM cell already carries them.  The pimdb cells leave out Q2.1 (280
+#: subgroups), Q3.1 (150), Q3.2 (600) and Q4.3 (800), the unpruned one also
+#: Q2.2 (56) and Q4.2 (100): ``dispatch`` runs one bulk-bitwise reduction
+#: per subgroup on every crossbar, and on the bool bank those queries took
+#: 3-64 s each, so each pimdb cell stays within 10 s there.  The hypothesis
+#: lockstep of ``test_batched.py`` covers the circuit-less batched pim-gb
+#: with sum, min, max and count aggregates.
+LEFT_OUT = {
+    "allpim-k4": ("Q3.2", "Q4.3"),
+    "pimdb": ("Q2.1", "Q3.1", "Q3.2", "Q4.3"),
+    "pimdb-unpruned": ("Q2.1", "Q2.2", "Q3.1", "Q3.2", "Q4.2", "Q4.3"),
+}
 CELL_QUERIES = {
-    cell: [q for q in QUERY_ORDER if cell != "allpim-k4" or q not in ("Q3.2", "Q4.3")]
+    cell: [q for q in QUERY_ORDER if q not in LEFT_OUT.get(cell, ())]
     for cell in CELLS
 }
 
 
-def _service(prejoined, execution, pruning, shards, all_pim) -> QueryService:
+def _service(prejoined, execution, pruning, shards, all_pim, circuit) -> QueryService:
     """One bundle's service over its own banks, the relation registered as "ssb"."""
     config = DEFAULT_CONFIG.replace(execution=execution)
+    if not circuit:
+        config = config.without_aggregation_circuit()
     service = QueryService(pruning=pruning, planner=False)
     options = {
         "config": config,
@@ -64,7 +83,7 @@ def _service(prejoined, execution, pruning, shards, all_pim) -> QueryService:
     }
     storage = {
         "aggregation_width": max_aggregated_width(prejoined),
-        "reserve_bulk_aggregation": False,
+        "reserve_bulk_aggregation": not circuit,
     }
     if shards == 1:
         stored = StoredRelation(prejoined, PimModule(config), label="ssb", **storage)
@@ -97,7 +116,7 @@ def service_pairs(ssb_prejoined):
     def get(cell):
         if cell not in pairs:
             prejoined = ssb_prejoined
-            full = not (CELLS[cell][1:] == (4, True) and DEFAULT_CONFIG.backend == "bool")
+            full = not (CELLS[cell][1:3] == (4, True) and DEFAULT_CONFIG.backend == "bool")
             if not full:
                 # ``dispatch`` on the byte-per-bit bank simulates every filter
                 # and subgroup program op by op: every third row (four

@@ -36,7 +36,8 @@ b``) and exits 1 on any difference, 0 when the two reports are identical.
   ``records`` hashes the configuration's ``QueryRecord`` rows in query
   order, ``state`` is its store's ``state_digest()`` (with its ``parts``).  They reach an
   unpruned engine's all-crossbar candidate runs, two-xb's remote partition and
-  pimdb's per-subgroup bulk-bitwise loop, which no ``perf`` workload runs.
+  pimdb's batched pim-gb over the bulk-bitwise reduction, which no ``perf``
+  workload runs (the per-subgroup loop is only the lockstep tests' oracle).
 * ``k1_registrations_differing``: of the 13 SSB queries (planner on), how
   many answer differently through ``register(stored)`` and through
   ``register_sharded(shards=1)``, comparing rows, ``stats.totals()``, label
