@@ -45,6 +45,7 @@ from repro.db.storage import StoredRelation
 from repro.host.aggregator import host_group_aggregate, merge_group_results
 from repro.host.readpath import HostReadModel
 from repro.obs.trace import tracer_from_config
+from repro.pim.arithmetic import record_runs
 from repro.pim.controller import PimExecutor
 from repro.pim.stats import PimStats
 from repro.planner.planner import CostPlanner, PlanDecision, execute_host_scan
@@ -385,17 +386,13 @@ class PimQueryEngine:
         )
         plan: GroupByPlan | None = None
         if not query.group_by:
-            entry = self.aggregation_stage.aggregate_all(
-                query, primary, executor, read_model, prune.candidates[primary]
-            )
             # An empty selection yields no result row (matching the columnar
-            # reference engines); otherwise an absent min collapses to the
-            # accumulator identity, the only value consistent with a
-            # non-empty selection whose partials were all ones.
-            if mask.any():
-                rows = {(): self._finalize_entry(entry, primary)}
-            else:
-                rows = {}
+            # reference engines).
+            entry = self._aggregate_mask(
+                query, primary, self.stored.layouts[primary].filter_column,
+                mask, executor, read_model, prune,
+            )
+            rows = {} if entry is None else {(): entry}
             total_subgroups, in_sample, pim_subgroups = 1, 0, 1
         elif self.stored.num_records == 0:
             # Every slot was deleted and compacted away: there is nothing to
@@ -470,20 +467,25 @@ class PimQueryEngine:
             )
         return partitions.pop() if partitions else 0
 
-    def _finalize_entry(
-        self, entry: dict[str, int | None], primary: int
-    ) -> dict[str, int]:
-        """Resolve absent mins for a selection known to be non-empty.
-
-        A ``None`` min means every crossbar partial equalled the all-ones
-        identity; for a non-empty selection that can only happen when every
-        selected value *is* the identity, so the identity is the minimum.
-        """
-        identity = self.aggregation_stage.min_identity(primary)
-        return {
-            name: identity if value is None else value
-            for name, value in entry.items()
-        }
+    def _aggregate_mask(
+        self,
+        query: Query,
+        primary: int,
+        mask_column: int,
+        mask: np.ndarray,
+        executor: PimExecutor,
+        read_model: HostReadModel,
+        prune: PruneDecision,
+    ) -> dict[str, int] | None:
+        """The aggregation stage's routine over one mask — ``mask``, the bits
+        of ``mask_column`` of every slot in use: the mask's result row, or
+        ``None`` when it selects no record."""
+        records = np.flatnonzero(mask)
+        return self.aggregation_stage.aggregate_all(
+            query, primary, mask_column, executor, read_model,
+            prune.candidates[primary],
+            *record_runs(records, records // self.stored.rows_per_crossbar), 1,
+        ).get(0)
 
     # ------------------------------------------------------------- GROUP-BY
     def _execute_group_by(
@@ -544,8 +546,8 @@ class PimQueryEngine:
                         query, primary, group_attributes, key, executor,
                         read_model, prune,
                     )
-                    if self._group_selected(mask, group_attributes, key):
-                        rows[key] = self._finalize_entry(entry, primary)
+                    if entry is not None:
+                        rows[key] = entry
                     self.group_stage.clear(
                         primary, executor, prune.candidates[primary]
                     )
@@ -586,8 +588,10 @@ class PimQueryEngine:
         executor: PimExecutor,
         read_model: HostReadModel,
         prune: PruneDecision,
-    ) -> dict[str, int | None]:
-        """pim-gb for one subgroup: subgroup filter, aggregate, combine.
+    ) -> dict[str, int] | None:
+        """pim-gb for one subgroup: subgroup filter, then the aggregation
+        stage's routine over the group column's bits; ``None`` when the
+        subgroup has no selected record.
 
         The subgroup mask is a subset of the query filter, so the candidate
         crossbars of the filter bound the subgroup mask programs and the
@@ -597,13 +601,11 @@ class PimQueryEngine:
         mask_column = self.group_stage.prepare(
             group_values, primary, executor, read_model, prune
         )
-        return {
-            aggregate.name: self.aggregation_stage.aggregate(
-                aggregate, primary, mask_column, executor, read_model,
-                prune.candidates[primary],
-            )
-            for aggregate in query.aggregates
-        }
+        return self._aggregate_mask(
+            query, primary, mask_column,
+            self.stored.column_bit(primary, mask_column), executor, read_model,
+            prune,
+        )
 
     def _host_group_by(
         self,
@@ -705,12 +707,3 @@ class PimQueryEngine:
         if not domains:
             return []
         return list(itertools.product(*domains))
-
-    def _group_selected(
-        self, mask: np.ndarray, group_attributes: Sequence[str], key: GroupKey
-    ) -> bool:
-        """Whether any record selected by the query belongs to the subgroup."""
-        member = mask.copy()
-        for name, value in zip(group_attributes, key):
-            member &= self.stored.relation.column(name) == int(value)
-        return bool(member.any())

@@ -8,8 +8,15 @@ monolith methods of :class:`~repro.core.executor.PimQueryEngine`:
   partition;
 * :class:`GroupMaskStage` — build (and later clear) the per-subgroup mask
   of the ``dispatch`` oracle's pim-gb loop;
-* :class:`AggregationStage` — one PIM aggregation (circuit or bulk-bitwise)
-  plus the host-side combination of the per-crossbar partials.
+* :class:`AggregationStage` — the aggregation passes (circuit or
+  bulk-bitwise) of a query's aggregates over K pairwise-disjoint masks, and
+  the host-side combination of their per-crossbar partials: one routine,
+  :meth:`AggregationStage.aggregate_all`, for a query without GROUP-BY
+  (K = 1), for each subgroup of the ``dispatch`` oracle's loop (K = 1) and
+  for the batched pim-gb (K keys).  It bills the K passes of an aggregate
+  once, decodes each aggregated attribute once for the selected records,
+  takes all K x crossbar partials from one segmented reduction and stores
+  only the last mask's result rows.
 
 The filter and group-mask stages compile through one compiler, a
 :class:`~repro.core.program_cache.ProgramCache` (an LRU cache keyed by
@@ -43,11 +50,11 @@ from repro.db.compiler import partition_conjuncts
 from repro.db.encoding import RowLayout
 from repro.db.query import Aggregate, Query
 from repro.db.storage import StoredRelation
-from repro.host.aggregator import combine_partials
+from repro.host.aggregator import combine_partial_table
 from repro.host.readpath import HostReadModel
 from repro.obs.trace import NULL_TRACER
-from repro.pim.arithmetic import BulkAggregationPlan
-from repro.pim.controller import PimExecutor, every_crossbar
+from repro.pim.arithmetic import BulkAggregationPlan, segmented_partials
+from repro.pim.controller import PimExecutor, crossbar_call, every_crossbar
 from repro.pim.logic import Program, ProgramBuilder
 from repro.planner.zonemap import PruneDecision
 
@@ -464,7 +471,7 @@ class GroupMaskStage(_CompilingStage):
 
 
 class AggregationStage(_Stage):
-    """Stage 3: PIM aggregation plus host combination of the partials."""
+    """Stage 3: PIM aggregation passes plus host combination of the partials."""
 
     def __init__(
         self,
@@ -488,19 +495,73 @@ class AggregationStage(_Stage):
     def aggregate_all(
         self,
         query: Query,
-        primary: int,
+        partition: int,
+        mask_column: int,
         executor: PimExecutor,
         read_model: HostReadModel,
         candidates: np.ndarray,
-    ) -> dict[str, int | None]:
-        """Aggregate the filtered records of the whole relation with PIM."""
-        layout = self.stored.layouts[primary]
-        return {
-            aggregate.name: self.aggregate(
-                aggregate, primary, layout.filter_column, executor, read_model,
-                candidates,
+        records: np.ndarray,
+        starts: np.ndarray,
+        cells: np.ndarray,
+        keys: int,
+    ) -> dict[int, dict[str, int]]:
+        """Every aggregate of ``query`` over ``keys`` pairwise-disjoint masks.
+
+        Each mask selects records of the ``partition`` (the primary one) on
+        its ``candidates`` crossbars; the pass runs over ``mask_column``,
+        where the last mask is stored.  One mask for a query without GROUP-BY
+        (the filter column) and for each subgroup of the ``dispatch``
+        oracle's loop (the group column), one per key for the batched
+        pim-gb.  ``records``, ``starts`` and ``cells`` are the selected
+        records of all masks as :func:`~repro.pim.arithmetic.record_runs`
+        hands them back: sorted by key, then record, with each run of one
+        key on one crossbar.  Each aggregated attribute is decoded once, for
+        those records only.
+
+        Every earlier pass's result row is overwritten by the next pass, so
+        only the last key's rows are stored, in aggregate order, less any a
+        later row covers (the bulk reduction's widths differ); the other
+        passes are wear only.  Returns the result row of every key with a
+        selected record, by key index.
+        """
+        bank = self.stored.allocations[partition].bank
+        decoded: dict[str, np.ndarray] = {}
+        combined: dict[str, list[int | None]] = {}
+        result_rows = []
+        for aggregate in query.aggregates:
+            if aggregate.op == "count":
+                values = np.ones(len(records), dtype=np.uint64)
+            else:
+                values = decoded.get(aggregate.attribute)
+                if values is None:
+                    values = decoded[aggregate.attribute] = self.stored.decode_cells(
+                        aggregate.attribute, records
+                    )
+            combined[aggregate.name], row = self.aggregate(
+                aggregate, partition, mask_column, executor, read_model,
+                candidates, values, starts, cells, keys,
             )
-            for aggregate in query.aggregates
+            result_rows.append(row)
+
+        last = keys - 1
+        for index, (offset, width, covered, row) in enumerate(result_rows):
+            later = result_rows[index + 1:]
+            idx, xbars = crossbar_call(bank, covered)
+            if idx.size and not any(o == offset and w >= width for o, w, *_ in later):
+                bank.write_field_row(0, offset, width, row, xbars=xbars)
+                bank.add_row_wear(last * width, idx, 0)
+            else:
+                bank.add_row_wear(keys * width, idx, 0)
+
+        # A min every partial of which was the identity, over a non-empty
+        # selection, can only be the identity itself.
+        identity = self.min_identity(partition)
+        return {
+            key: {
+                name: identity if values[key] is None else values[key]
+                for name, values in combined.items()
+            }
+            for key in np.unique(cells // bank.count).tolist()
         }
 
     def aggregate(
@@ -511,32 +572,49 @@ class AggregationStage(_Stage):
         executor: PimExecutor,
         read_model: HostReadModel,
         candidates: np.ndarray,
-    ) -> int | None:
-        """One PIM aggregation (circuit or bulk-bitwise) plus host combination.
+        values: np.ndarray,
+        starts: np.ndarray,
+        cells: np.ndarray,
+        keys: int,
+    ) -> tuple[list[int | None], tuple]:
+        """One aggregation pass per mask: billed, reduced and combined.
 
-        Returns ``None`` for a ``min`` to which no crossbar contributed a
-        partial (no record of the mask was selected, or every selected value
-        equals the accumulator's all-ones identity — the two are
-        indistinguishable in the partials the hardware exposes; the engine
-        resolves the ambiguity from the selection mask it already holds).
+        ``values`` holds the aggregated field of the selected records (ones
+        for a ``count``), in the runs ``starts`` / ``cells`` of
+        :meth:`aggregate_all`.  The ``keys`` passes (circuit or bulk-bitwise,
+        :meth:`_pass`) and their result reads are billed once
+        (:meth:`charge_passes`); all ``keys`` x crossbar partials come from
+        one :func:`~repro.pim.arithmetic.segmented_partials`, at the pass's
+        accumulator width, and the host combines each key's.
 
-        ``candidates`` (the candidate crossbars of the partition) restricts
-        the aggregation-circuit pass to those crossbars: the others hold an
-        all-zero mask column, so their partials would be the operation's
-        identity and are not worth streaming.  The bulk-bitwise fallback
-        (the PIMDB baseline) always runs on every crossbar.
+        Returns each key's value — ``None`` for a ``min`` to which no
+        crossbar contributed a partial (no record of the mask was selected,
+        or every selected value equals the accumulator's all-ones identity;
+        the two are indistinguishable in the partials the hardware exposes)
+        — and the last key's result row: its offset, width, crossbars (a
+        mask) and partials.
         """
         with self.tracer.span("aggregate", op=aggregate.op, agg=aggregate.name):
-            return self._aggregate(
-                aggregate, partition, mask_column, executor, read_model, candidates
+            operation, offset, width, covered = self.charge_passes(
+                aggregate, partition, mask_column, executor, read_model,
+                candidates, keys,
             )
+            count = self.stored.allocations[partition].bank.count
+            partials = segmented_partials(
+                values, starts, cells, (keys, count), operation, width,
+            )[:, covered]
+            combined = combine_partial_table(
+                partials, operation, self.config.host, executor.stats,
+                identity=self.min_identity(partition) if aggregate.op == "min" else None,
+            )
+            return combined, (offset, width, covered, partials[-1])
 
     def _pass(
         self, aggregate: Aggregate, partition: int, mask_column: int
-    ) -> tuple[int, int, str, BulkAggregationPlan | None]:
-        """A pass of ``aggregate`` over ``mask_column``: its field offset,
-        width and operation, and the bulk-bitwise plan that runs it — ``None``
-        when the aggregation circuit does (the one circuit-or-bulk choice)."""
+    ) -> tuple[int, str, BulkAggregationPlan | None]:
+        """A pass of ``aggregate`` over ``mask_column``: its field width and
+        operation, and the bulk-bitwise plan that runs it — ``None`` when the
+        aggregation circuit does (the one circuit-or-bulk choice)."""
         layout = self.stored.layouts[partition]
         if aggregate.op == "count":
             field_offset, field_width, operation = mask_column, 1, "sum"
@@ -545,7 +623,7 @@ class AggregationStage(_Stage):
             field_width = layout.field_width(aggregate.attribute)
             operation = aggregate.op
         if self.use_aggregation_circuit:
-            return field_offset, field_width, operation, None
+            return field_width, operation, None
         if layout.operand_offset is None:
             raise RuntimeError(
                 "bulk-bitwise aggregation needs an operand area; store the "
@@ -559,54 +637,25 @@ class AggregationStage(_Stage):
         plan = self._bulk_plans.get(shape)
         if plan is None:
             plan = self._bulk_plans[shape] = BulkAggregationPlan(*shape)
-        return field_offset, field_width, operation, plan
-
-    def _aggregate(
-        self, aggregate: Aggregate, partition: int, mask_column: int,
-        executor: PimExecutor, read_model: HostReadModel, candidates: np.ndarray,
-    ) -> int | None:
-        layout = self.stored.layouts[partition]
-        allocation = self.stored.allocations[partition]
-        field_offset, field_width, operation, plan = self._pass(aggregate, partition, mask_column)
-        if plan is None:
-            partials = executor.aggregate_with_circuit(
-                allocation.bank, field_offset, field_width, mask_column,
-                layout.result_offset, self._pages(partition), candidates,
-                operation=operation, result_width=layout.accumulator_width,
-            )
-        else:
-            partials = executor.aggregate_bulk_bitwise(
-                allocation.bank, plan, pages=self._pages(partition)
-            )
-            candidates = self._everywhere(partition)
-        read_model.read_aggregation_results(
-            self.stored, partition,
-            pages_fraction=np.count_nonzero(candidates) / allocation.crossbars,
-        )
-        if aggregate.op == "min":
-            # Crossbars with no selected record hold the identity (all ones);
-            # they do not contribute to the final minimum.
-            partials = partials[partials != self.min_identity(partition)]
-        return combine_partials(
-            [partials], operation, self.config.host, executor.stats
-        )
+        return field_width, operation, plan
 
     def charge_passes(
         self, aggregate: Aggregate, partition: int, mask_column: int,
         executor: PimExecutor, read_model: HostReadModel, candidates: np.ndarray, count: int,
     ) -> tuple[str, int, int, np.ndarray]:
-        """What ``count`` calls of :meth:`aggregate` charge — time, energy,
-        wear, result reads — without running them or storing their results
-        (the batched pim-gb computes the partials itself).  Returns a pass's
-        operation, the field it leaves in row 0 (offset, width) and the
-        crossbars it covers."""
+        """Bill ``count`` passes of ``aggregate`` over ``mask_column`` — time,
+        energy, wear, result reads — without running them or storing their
+        results (:meth:`aggregate` computes the partials).  A circuit pass
+        covers the ``candidates`` crossbars, the bulk-bitwise reduction every
+        crossbar.  Returns a pass's operation, the field it leaves in row 0
+        (offset, width) and the crossbars it covers (a mask)."""
         layout = self.stored.layouts[partition]
         allocation = self.stored.allocations[partition]
-        _, field_width, operation, plan = self._pass(aggregate, partition, mask_column)
+        field_width, operation, plan = self._pass(aggregate, partition, mask_column)
         if plan is None:
             executor.charge_aggregation_circuit(
-                allocation.bank, field_width, self._pages(partition), candidates,
-                result_width=layout.accumulator_width, count=count,
+                allocation.bank, field_width, operation, self._pages(partition),
+                candidates, result_width=layout.accumulator_width, count=count,
             )
             offset, width = layout.result_offset, layout.accumulator_width
         else:
@@ -620,4 +669,4 @@ class AggregationStage(_Stage):
             pages_fraction=np.count_nonzero(candidates) / allocation.crossbars,
             count=count,
         )
-        return operation, offset, width, np.flatnonzero(candidates)
+        return operation, offset, width, candidates

@@ -340,8 +340,9 @@ class StoredRelation:
         satisfy every predicate in ``conjuncts`` — over all of them when none
         does.  Catalogue knowledge, read from the ground truth; the engine
         asks for it once per plan, which it memoises per data version."""
-        column = self.relation.column(attribute)
-        values = column[evaluate_predicate(conj(*conjuncts), self.relation)]
+        column = values = self.relation.column(attribute)
+        if conjuncts:
+            values = column[evaluate_predicate(conj(*conjuncts), self.relation)]
         if values.size == 0:
             values = column
         if values.size and int(values.max()) < _COUNTED_DOMAIN:

@@ -7,7 +7,7 @@ Two host responsibilities are modelled here:
   (:func:`host_group_aggregate`).
 * **Combining partial aggregates** — after a PIM aggregation, every crossbar
   holds one partial result; the host reads them and combines them into the
-  final value (:func:`combine_partials`).
+  final value (:func:`combine_partial_table`).
 """
 
 from __future__ import annotations
@@ -133,30 +133,13 @@ def combine_partials(
     config: HostConfig,
     stats: PimStats | None = None,
 ) -> int | None:
-    """Combine per-crossbar partial aggregates into a single value.
-
-    An empty ``min``/``max`` has no defined value: no crossbar contributed a
-    partial (every one held the identity), so the combination returns ``None``
-    rather than a spurious ``0`` that would poison later min/max merging.
-    Empty sums and counts are genuinely ``0``.  The same identities apply when
-    ``partials`` itself is empty (no crossbar produced anything at all, e.g. a
-    fully compacted-away allocation).
-    """
-    _check_merge_op(operation)
-    arrays = [np.asarray(p, dtype=np.uint64).reshape(-1) for p in partials]
-    if arrays:
-        values = np.concatenate(arrays)
-    else:
-        values = np.zeros(0, dtype=np.uint64)
-    if operation in ("sum", "count"):
-        result: int | None = int(values.sum())
-    elif operation == "min":
-        result = int(values.min()) if values.size else None
-    else:  # max
-        result = int(values.max()) if values.size else None
-    if stats is not None:
-        stats.add_time("host-combine", cpu_time(config, len(values), 4.0, threads=1))
-    return result
+    """:func:`combine_partial_table` of the concatenated ``partials``, keeping
+    every partial (an empty ``min`` / ``max`` is ``None``, an empty sum 0)."""
+    # No caller in src/: kept because perf/layers.py names it.
+    values = [np.asarray(p, dtype=np.uint64).reshape(-1) for p in partials]
+    table = np.concatenate([np.zeros(0, dtype=np.uint64), *values])[None, :]
+    stats = stats if stats is not None else PimStats()
+    return combine_partial_table(table, operation, config, stats)[0]
 
 
 def combine_partial_table(
@@ -166,14 +149,16 @@ def combine_partial_table(
     stats: PimStats,
     identity: int | None = None,
 ) -> list[int | None]:
-    """:func:`combine_partials` of every row of a ``(K, crossbars)`` table.
+    """Combine each row of a ``(K, crossbars)`` table of per-crossbar
+    partial aggregates into one value per row.
 
-    Element ``k`` is what ``combine_partials([table[k]], ...)`` returns once
-    the partials equal to the operation's ``identity`` (crossbars that
+    Partials equal to the operation's ``identity`` (crossbars that
     contributed nothing; given for a ``min``) are dropped — they cannot move
-    the value, only the number of values combined.  One axis reduction for
-    all rows, one counted ``host-combine`` charge per distinct number of
-    partials.
+    the value, only the number of values combined.  A row left with no
+    partial has no ``min`` / ``max``: it combines to ``None`` rather than a
+    spurious ``0`` that would poison later min/max merging; its sum or count
+    is genuinely ``0``.  One axis reduction for all rows, one counted
+    ``host-combine`` charge per distinct number of partials.
     """
     _check_merge_op(operation)
     table = np.asarray(table, dtype=np.uint64)

@@ -14,10 +14,13 @@ This module provides two things:
   crossbar built from row-to-row copies and row-parallel ripple-carry adds.
   The paper's contribution (the per-crossbar aggregation circuit of Fig. 3)
   exists precisely because this reduction is expensive — thousands of logic
-  cycles, each writing a cell in every row — and the plan exposes both a
+  cycles, each writing a cell in every row — and the plan exposes a
   gate-level execution mode (used by the unit tests to prove functional
-  correctness) and a fast functional mode that produces identical results
-  and charges an identical, analytically derived cost.
+  correctness) and the analytically derived cost the engine charges.  The
+  engine does not run the gates: its aggregation stage
+  (:meth:`repro.core.stages.AggregationStage.aggregate_all`) computes the
+  partials the reduction leaves in row 0 with :func:`segmented_partials`,
+  and the tests check them against :meth:`BulkAggregationPlan.run_gate_level`.
 """
 
 from __future__ import annotations
@@ -315,8 +318,8 @@ class BulkAggregationPlan:
        from which the host (or a subsequent PIM request) reads it.
 
     The plan can be executed gate-by-gate (:meth:`run_gate_level`, the
-    tests' reference) or functionally (:meth:`run_functional`) with
-    identical results; :meth:`cost` is the gate-level bill either way.
+    tests' reference); :meth:`cost` is the gate-level bill the engine
+    charges for the partials it computes directly.
     """
 
     def __init__(
@@ -455,8 +458,8 @@ class BulkAggregationPlan:
         """Execute the reduction with real NOR primitives and row copies.
 
         Returns the per-crossbar aggregate decoded from row 0.  Intended for
-        verification on small banks (the programs run op by op); large
-        executions use :meth:`run_functional`.
+        verification (the programs run op by op); the engine computes the
+        same partials without the gates.
         """
         init = self.init_program()
         combine = self.combine_program()
@@ -473,27 +476,6 @@ class BulkAggregationPlan:
             )
             combine.execute(bank)
         return bank.read_field_all(self.acc_offset, self.acc_width)[:, 0].copy()
-
-    def run_functional(self, bank: CrossbarBank) -> np.ndarray:
-        """Compute the same per-crossbar aggregates directly.
-
-        The partials come from :func:`masked_partials` (only the masked
-        cells of the field are read; a ``count`` sums the mask column read
-        as a 1-bit field).  The result bits are written back into the
-        accumulator field of row 0 of every crossbar (as the gate-level
-        execution would leave them), and the returned values are identical
-        to :meth:`run_gate_level`.  The caller is responsible for charging
-        :meth:`cost`.
-        """
-        if self.operation == "count":
-            offset, width, operation = self.mask_column, 1, "sum"
-        else:
-            offset, width, operation = self.field_offset, self.field_width, self.operation
-        results = masked_partials(
-            bank, offset, width, self.mask_column, operation, self.acc_width
-        )
-        bank.write_field_row(0, self.acc_offset, self.acc_width, results)
-        return results
 
 
 @dataclass(frozen=True)
@@ -551,12 +533,12 @@ def segmented_partials(
     """Masked per-crossbar aggregates of gathered cells, in one reduction.
 
     ``values`` holds the field of the masked cells, grouped into runs that
-    share one result cell: run ``i`` starts at ``starts[i]`` and lands in the
-    flat cell ``cells[i]`` of the ``shape`` result (a crossbar, or a key and
-    a crossbar for batched pim-gb).  Each result cell equals
-    :func:`aggregate_reference` of its mask: sums wrap to ``width`` bits and
-    a cell no run lands in holds the operation's identity (``min``: all
-    ones).
+    share one result cell (:func:`record_runs`): run ``i`` starts at
+    ``starts[i]`` and lands in the flat cell ``cells[i]`` of the ``shape``
+    result (a crossbar, or a key and a crossbar for batched pim-gb).  Each
+    result cell equals :func:`aggregate_reference` of its mask: sums wrap to
+    ``width`` bits and a cell no run lands in holds the operation's identity
+    (``min``: all ones).
     """
     limit = np.uint64((1 << width) - 1)
     ufunc, identity = {
@@ -566,6 +548,17 @@ def segmented_partials(
     if starts.size:
         partials.reshape(-1)[cells] = ufunc.reduceat(values, starts) & limit
     return partials
+
+
+def record_runs(
+    records: np.ndarray, cell_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``records`` with its runs of equal result cell, the input of
+    :func:`segmented_partials`: the records, the start of each run and each
+    run's cell.  ``cell_of[i]`` is record ``i``'s flat result cell (its
+    crossbar, or ``key * crossbars + crossbar``), non-decreasing."""
+    starts = np.flatnonzero(np.diff(cell_of, prepend=-1))
+    return records, starts, cell_of[starts]
 
 
 def masked_partials(
@@ -584,8 +577,8 @@ def masked_partials(
     the field (``read_field_cells``: the bank picks gather or bounded
     decode), and reduces them with :func:`segmented_partials` —
     :func:`aggregate_reference` of the decoded field and mask, without
-    decoding the field.  The circuit aggregation and the PIMDB reduction
-    both take their partials from here.
+    decoding the field.  :meth:`~repro.pim.controller.PimExecutor.aggregate_with_circuit`
+    takes its partials from here.
     """
     mask = bank.read_column(mask_column, xbars)
     # ``flatnonzero`` and a divmod: ~5x faster than a 2-d ``nonzero``.

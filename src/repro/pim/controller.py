@@ -296,16 +296,28 @@ class PimExecutor:
         self._charge_at(bank, program.cycles, candidates, pages, phase, program.writes_per_row)
 
     # ---------------------------------------------------- aggregation circuit
-    def _circuit_result_width(self, field_width: int, result_width: int | None) -> int:
-        """Accumulator width of a circuit pass; refuses a circuit-less config."""
+    def _circuit_result_width(
+        self, field_width: int, result_width: int | None, operation: str
+    ) -> int:
+        """Accumulator width of a circuit pass of ``operation``.
+
+        Refuses a circuit-less config, and a ``min`` / ``max`` into a result
+        narrower than its field (a ``sum`` wraps instead): every circuit
+        pass, run or only charged, checks here before anything is read,
+        written or charged.
+        """
         if not self._pim.aggregation_circuit.enabled:
             raise RuntimeError(
-                "aggregation circuit is disabled in this configuration; "
-                "use aggregate_bulk_bitwise instead"
+                "aggregation circuit is disabled in this configuration"
             )
         if result_width is None:
             result_width = min(
                 64, field_width + int(math.ceil(math.log2(self._xbar.rows)))
+            )
+        if operation in ("min", "max") and result_width < field_width:
+            raise ValueError(
+                f"a {operation} of a {field_width}-bit field does not fit a "
+                f"{result_width}-bit result"
             )
         return result_width
 
@@ -362,7 +374,11 @@ class PimExecutor:
         are charged for — a skipped one holds an all-zero mask column, so its
         partial would be the operation's identity and contribute nothing.
 
-        The partials come from :func:`~repro.pim.arithmetic.masked_partials`:
+        The single-pass primitive on a bare bank, as Fig. 4c measures it;
+        the engine's passes run through
+        :meth:`repro.core.stages.AggregationStage.aggregate_all`, which
+        charges them through :meth:`charge_aggregation_circuit`.  The
+        partials come from :func:`~repro.pim.arithmetic.masked_partials`:
         the mask column of those crossbars, then only its selected cells of
         the field (the bank picks gather or bounded decode).
 
@@ -370,12 +386,7 @@ class PimExecutor:
         a ``result_width`` narrower than the field raises ``ValueError``
         before anything is read, written or charged.
         """
-        result_width = self._circuit_result_width(field_width, result_width)
-        if operation in ("min", "max") and result_width < field_width:
-            raise ValueError(
-                f"a {operation} of a {field_width}-bit field does not fit a "
-                f"{result_width}-bit result"
-            )
+        result_width = self._circuit_result_width(field_width, result_width, operation)
         idx, xbars = crossbar_call(bank, crossbars)
         results = masked_partials(
             bank, field_offset, field_width, mask_column, operation,
@@ -394,21 +405,22 @@ class PimExecutor:
         self,
         bank: CrossbarBank,
         field_width: int,
+        operation: str,
         pages: float,
         crossbars: np.ndarray,
         result_width: int | None = None,
         count: int = 1,
     ) -> None:
-        """Charge-only twin of :meth:`aggregate_with_circuit`, ``count`` times.
+        """Charge ``count`` circuit passes of :meth:`aggregate_with_circuit`'s
+        shape on the crossbars set in ``crossbars``, without running them.
 
-        The batched group-by path computes every subgroup's aggregates from
-        one field decode and charges an aggregate's circuit invocations on
-        the crossbars set in ``crossbars`` — one per subgroup, all of one
-        shape — through here in one call: identical time, energy, power
-        samples and request counts.  The caller accounts for the write-back
-        wear.
+        The engine's aggregation stage computes a pass's partials itself and
+        bills an aggregate's passes — one per mask, all of one shape — here
+        in one call: identical time, energy, power samples and request
+        counts.  A narrow ``min`` / ``max`` raises as it does there.  The
+        caller accounts for the write-back wear.
         """
-        result_width = self._circuit_result_width(field_width, result_width)
+        result_width = self._circuit_result_width(field_width, result_width, operation)
         idx = np.flatnonzero(crossbars)
         if idx.size:
             self._charge_circuit_pass(
@@ -416,28 +428,15 @@ class PimExecutor:
             )
 
     # --------------------------------------------------- bulk-bitwise (PIMDB)
-    def aggregate_bulk_bitwise(
-        self,
-        bank: CrossbarBank,
-        plan: BulkAggregationPlan,
-        pages: int,
-    ) -> np.ndarray:
-        """Aggregate with pure bulk-bitwise logic (the PIMDB baseline).
-
-        The reduction runs functionally (:meth:`BulkAggregationPlan.run_functional`)
-        and charges the gate-level plan's cost; the tests check it against
-        :meth:`BulkAggregationPlan.run_gate_level` on a twin bank.
-        """
-        results = plan.run_functional(bank)
-        self.charge_bulk_aggregation(bank, plan, pages)
-        return results
-
     def charge_bulk_aggregation(
         self, bank: CrossbarBank, plan: BulkAggregationPlan, pages: float, count: int = 1
     ) -> None:
-        """Charge-only twin of :meth:`aggregate_bulk_bitwise`, ``count`` times:
-        the plan's time, energy and ``logic_ops``, and its writes per row on
-        every row of every crossbar (the batched pim-gb's subgroups)."""
+        """Charge ``count`` runs of a pure bulk-bitwise reduction (the PIMDB
+        baseline), without running them: the gate-level plan's time, energy
+        and ``logic_ops``, and its writes per row on every row of every
+        crossbar.  The aggregation stage computes the partials the reduction
+        leaves in row 0; the tests check them against
+        :meth:`~repro.pim.arithmetic.BulkAggregationPlan.run_gate_level`."""
         cost = plan.cost()
         bank.add_wear(cost.writes_per_row * count)
         xbar = self._xbar

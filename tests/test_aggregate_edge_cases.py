@@ -244,6 +244,53 @@ def test_single_record_groups_through_engine(toy_relation):
     assert reference  # the query does select a handful of records
 
 
+def _narrow_engine(relation, execution):
+    """The toy relation with a 16-bit accumulator (6 + log2(1024 rows)) for
+    its 22-bit ``price``, every subgroup through pim-gb."""
+    config = DEFAULT_CONFIG.replace(execution=execution)
+    stored = StoredRelation(
+        relation, PimModule(config), label="narrow", aggregation_width=6,
+        reserve_bulk_aggregation=False,
+    )
+    assert stored.layouts[0].accumulator_width == 16
+    return PimQueryEngine(stored, cost_model=all_pim_cost_model())
+
+
+@pytest.mark.parametrize("execution", ["batched", "dispatch"])
+@pytest.mark.parametrize("group_by", [(), ("region",)])
+@pytest.mark.parametrize("op", ["max", "min"])
+def test_narrow_min_max_raises_on_every_path(toy_relation, execution, group_by, op):
+    """A min / max into an accumulator narrower than its field cannot be
+    right: the circuit pass refuses it with and without GROUP-BY, on the
+    batched pim-gb as on the per-subgroup oracle (the batched pim-gb once
+    returned the truncated value instead)."""
+    query = Query("narrow", None, (Aggregate(op, "price"),), group_by=group_by)
+    engine = _narrow_engine(toy_relation, execution)
+    with pytest.raises(ValueError, match="22-bit field does not fit a 16-bit result"):
+        engine.execute(query)
+
+
+@pytest.mark.parametrize("execution", ["batched", "dispatch"])
+@pytest.mark.parametrize("group_by", [(), ("region",)])
+def test_narrow_sum_wraps_per_crossbar(toy_relation, execution, group_by):
+    """A sum into the same accumulator wraps each crossbar's partial modulo
+    ``2**16`` and the host adds the wrapped partials."""
+    query = Query("narrow", None, (Aggregate("sum", "price"),), group_by=group_by)
+    execution = _narrow_engine(toy_relation, execution).execute(query)
+    price = toy_relation.column("price").astype(np.uint64)
+    crossbar = np.arange(len(price)) // 1024
+    keys = toy_relation.column("region") if group_by else np.zeros(len(price), int)
+    expected = {}
+    for key in np.unique(keys):
+        partials = [
+            int(price[(keys == key) & (crossbar == xbar)].sum()) % (1 << 16)
+            for xbar in np.unique(crossbar)
+        ]
+        expected[(int(key),) if group_by else ()] = {"sum_price": sum(partials)}
+    assert execution.rows == expected
+    assert execution.rows != _reference(toy_relation, query)
+
+
 @pytest.mark.parametrize("ground_truth", [False, True])
 def test_two_partition_group_by_edge_cases(
     toy_relation, ground_truth, ground_truth_oracle

@@ -106,7 +106,6 @@ _REMOVED_KEYWORDS = [
     ("charge_pruned_program_cost", "clear_phase"),
     ("charge_pim_reads", "component"),
     ("register_sharded", "backend"),
-    ("aggregate_bulk_bitwise", "gate_level"),
     ("execute_delete", "pruned"),
     ("execute_update", "pruned"),
     ("QueryService.delete", "pruned"),
@@ -176,9 +175,6 @@ def test_vectorized_keyword_is_removed_not_ignored(target, keyword):
         "charge_pim_reads": lambda **kw: executor.charge_pim_reads(8, **kw),
         "register_sharded": lambda **kw: QueryService().register_sharded(
             "toy", None, **kw
-        ),
-        "aggregate_bulk_bitwise": lambda **kw: executor.aggregate_bulk_bitwise(
-            None, None, 1, **kw
         ),
         "RelationStatistics.plan": lambda **kw: RelationStatistics.plan(
             None, None, None, 1, **kw

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from twins import aggregation_pass
 
 from repro.pim.arithmetic import (
     BulkAggregationPlan,
@@ -90,15 +91,14 @@ def test_bulk_aggregation_gate_level_matches_reference(operation, backend):
     expected = aggregate_reference(values, mask, operation, plan.acc_width)
     assert np.array_equal(plan.run_gate_level(bank), expected)
 
-    # The functional fast path produces the same values and leaves the result
-    # in the same place.
-    bank2 = make_bank(backend, count=3, rows=32, columns=220)
-    bank2.write_field_column(0, 12, values)
-    bank2.write_bool_column(20, mask)
-    assert np.array_equal(plan.run_functional(bank2), expected)
-    assert np.array_equal(
-        bank2.read_field_all(30, plan.acc_width)[:, 0], expected
-    )
+    # The engine's pass over the same records computes the same partials
+    # without the gates and leaves them in row 0's accumulator, as the gates
+    # do on a copy of its bank.
+    production = aggregation_pass(values, mask, operation, 12, backend)
+    assert production.plan.acc_width == plan.acc_width
+    assert np.array_equal(production.row0, expected)
+    assert np.array_equal(production.gate, expected)
+    assert np.array_equal(production.gate_row0, expected)
 
 
 def test_bulk_aggregation_cost_structure():

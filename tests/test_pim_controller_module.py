@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from twins import aggregation_pass
 
 from repro.config import DEFAULT_CONFIG
-from repro.pim.arithmetic import BulkAggregationPlan, aggregate_reference
+from repro.pim.arithmetic import aggregate_reference
 from repro.pim.controller import PimExecutor, every_crossbar
 from repro.pim.logic import ProgramBuilder
 from repro.pim.packed import GATHER_MAX_SHARE, make_bank
@@ -147,43 +148,40 @@ def test_aggregate_with_circuit_requires_enabled_circuit():
 
 
 def test_bulk_bitwise_aggregation_costs_more_than_circuit():
-    plan_kwargs = {
-        "rows": 16, "field_offset": 0, "field_width": 12, "mask_column": 20,
-        "acc_offset": 40, "operand_offset": 70, "scratch_columns": range(100, 128),
+    """The engine's pass over the same records, with the circuit and with the
+    bulk-bitwise reduction: the same partials in row 0 and the same answer,
+    at a higher modelled time and energy without the circuit."""
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, 1 << 12, (2, 16)).astype(np.uint64)
+    mask = rng.integers(0, 2, (2, 16)).astype(bool)
+    circuit = aggregation_pass(values, mask, "sum", 12, "packed", circuit=True)
+    bulk = aggregation_pass(values, mask, "sum", 12, "packed")
+    layout = circuit.layout
+    expected = (values * mask).sum(axis=1)
+    assert np.array_equal(
+        circuit.bank.read_field_all(layout.result_offset, layout.accumulator_width)[:, 0],
+        expected,
+    )
+    assert np.array_equal(bulk.row0, expected)
+    assert bulk.execution.rows == circuit.execution.rows == {
+        (): {"sum_v": int(expected.sum())}
     }
-    bank_a = _bank(seed=5)
-    circuit = PimExecutor(DEFAULT_CONFIG)
-    expected = circuit.aggregate_with_circuit(
-        bank_a, 0, 12, 20, 40, 4, every_crossbar(bank_a)
-    )
-
-    bank_b = _bank(seed=5)
-    bulk = PimExecutor(DEFAULT_CONFIG.without_aggregation_circuit())
-    results = bulk.aggregate_bulk_bitwise(
-        bank_b, BulkAggregationPlan(**plan_kwargs), pages=4
-    )
-    assert np.array_equal(results, expected)
-    assert bulk.stats.total_time_s > circuit.stats.total_time_s
-    assert bulk.stats.total_energy_j > circuit.stats.total_energy_j
+    assert bulk.execution.stats.total_time_s > circuit.execution.stats.total_time_s
+    assert bulk.execution.stats.total_energy_j > circuit.execution.stats.total_energy_j
 
 
 @pytest.mark.parametrize(
     "backend", ["packed", pytest.param("bool", marks=pytest.mark.slow)]
 )
 def test_gate_level_and_functional_bulk_aggregation_agree(backend):
-    plan = BulkAggregationPlan(
-        rows=16, field_offset=0, field_width=12, mask_column=20,
-        acc_offset=40, operand_offset=70, scratch_columns=range(100, 128),
-    )
-    bank_a, bank_b = _bank(seed=8, backend=backend), _bank(seed=8, backend=backend)
-    res_f = PimExecutor(DEFAULT_CONFIG).aggregate_bulk_bitwise(bank_a, plan, pages=1)
-    res_g = plan.run_gate_level(bank_b)
-    assert np.array_equal(res_f, res_g)
-    # The functional run leaves row 0's accumulator bits as the NOR gates do.
-    acc = (plan.acc_offset, plan.acc_width)
-    assert np.array_equal(
-        bank_a.read_field_all(*acc)[:, 0], bank_b.read_field_all(*acc)[:, 0]
-    )
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 1 << 12, (2, 16)).astype(np.uint64)
+    mask = rng.integers(0, 2, (2, 16)).astype(bool)
+    production = aggregation_pass(values, mask, "sum", 12, backend)
+    assert np.array_equal(production.gate, (values * mask).sum(axis=1))
+    # The engine's pass leaves row 0's accumulator bits as the NOR gates do.
+    assert np.array_equal(production.row0, production.gate)
+    assert np.array_equal(production.gate_row0, production.gate)
 
 
 def test_module_allocation_and_capacity():

@@ -1025,15 +1025,23 @@ def test_group_domain_is_the_sorted_distinct_selected_values(
 ):
     """Counted (``bincount``) or sorted (``np.unique``): the domain is the
     sorted distinct values under the conjuncts, the whole column's when they
-    select nothing."""
+    select nothing.  Their conjunction is evaluated once; without a conjunct
+    the column is read as it is, and no mask is built."""
     from repro.db import storage
 
     monkeypatch.setattr(storage, "_COUNTED_DOMAIN", counted_below)
+    evaluations = []
+    monkeypatch.setattr(
+        storage, "evaluate_predicate",
+        lambda predicate, over: evaluations.append(predicate)
+        or evaluate_predicate(predicate, over),
+    )
     relation = clustered_relation()
     stored = _store(relation)
     for attribute, conjuncts in [
         ("city", ()),
         ("city", (Comparison("key", "<", 40),)),
+        ("city", (Comparison("key", "<", 40), Comparison("key", ">", 3))),
         ("key", (Comparison("city", "==", "PERTH"),)),
         ("value", (Comparison("key", ">", 1 << 13),)),      # selects nothing
     ]:
@@ -1042,7 +1050,9 @@ def test_group_domain_is_the_sorted_distinct_selected_values(
         )
         values = relation.column(attribute)[selected]
         expected = np.unique(values if values.size else relation.column(attribute))
+        evaluations.clear()
         assert stored.group_domain(attribute, conjuncts) == tuple(expected.tolist())
+        assert len(evaluations) == (1 if conjuncts else 0)
 
 
 def test_memos_stay_within_their_capacity():

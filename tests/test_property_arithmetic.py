@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from twins import aggregation_pass
 
 from repro.pim.arithmetic import BulkAggregationPlan, build_ripple_add, build_subtract
 from repro.pim.crossbar import CrossbarBank
@@ -104,15 +105,17 @@ def test_gate_level_reduction_equals_functional_reduction(case, backend):
         scratch_columns=range(80, 140), operation=operation,
     )
 
-    def loaded():
-        bank = make_bank(backend, count=1, rows=rows, columns=140)
-        bank.write_field_column(0, WIDTH, np.array([values], dtype=np.uint64))
-        bank.write_bool_column(25, np.array([mask], dtype=bool))
-        return bank
-
-    gate = plan.run_gate_level(loaded())
-    functional = plan.run_functional(loaded())
-    assert np.array_equal(gate, functional)
+    bank = make_bank(backend, count=1, rows=rows, columns=140)
+    bank.write_field_column(0, WIDTH, np.array([values], dtype=np.uint64))
+    bank.write_bool_column(25, np.array([mask], dtype=bool))
+    gate = plan.run_gate_level(bank)
+    # The engine's pass over the same records: the same partial, in row 0's
+    # accumulator of its bank and of the copy the gates ran on.
+    production = aggregation_pass([values], [mask], operation, WIDTH, backend)
+    assert production.plan.acc_width == plan.acc_width
+    assert np.array_equal(production.row0, gate)
+    assert np.array_equal(production.gate, gate)
+    assert np.array_equal(production.gate_row0, gate)
 
     stored = np.array(values, dtype=np.uint64)
     chosen = stored[np.array(mask, dtype=bool)]
@@ -125,3 +128,5 @@ def test_gate_level_reduction_equals_functional_reduction(case, backend):
     else:
         expected = int(chosen.max()) if chosen.size else 0
     assert int(gate[0]) == expected
+    name = production.execution.query.aggregates[0].name
+    assert production.execution.rows == ({(): {name: expected}} if chosen.size else {})

@@ -16,11 +16,16 @@ The digest hashes cells as stored, so twins on *different* bank backends
 compare banks with :func:`assert_banks_equal` instead.
 
 :func:`reference_group_aggregate` is the plain-NumPy GROUP-BY every engine's
-rows are checked against, and :func:`pair_sketch` the correlated-pair sketch
-every compaction-built one is checked against.
+rows are checked against, :func:`pair_sketch` the correlated-pair sketch
+every compaction-built one is checked against, and :func:`aggregation_pass`
+runs the engine's aggregation pass that the gate-level bulk-bitwise
+reduction is checked against.
 """
 
+import copy
+import dataclasses
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,8 +34,13 @@ from repro.core.latency_model import (
     HostGbLatencyModel,
     PimGbLatencyModel,
 )
-from repro.db.query import Aggregate
+from repro.config import DEFAULT_CONFIG
+from repro.core.executor import PimQueryEngine
+from repro.db.query import EQ, Aggregate, Comparison, Query
 from repro.db.relation import Relation
+from repro.db.schema import Schema, int_attribute
+from repro.db.storage import StoredRelation
+from repro.pim.module import PimModule
 from repro.planner.zonemap import PairZoneMap
 from repro.service import QueryService
 
@@ -47,6 +57,55 @@ def all_pim_cost_model() -> GroupByCostModel:
         HostGbLatencyModel({2: 1.0}, {2: 1.0}),
         PimGbLatencyModel({2: 0.0}, {2: 0.0}),
     )
+
+
+def aggregation_pass(values, mask, operation, width, backend, circuit=False):
+    """One production aggregation pass, and the gate-level bulk reduction.
+
+    ``values`` and ``mask`` are ``(crossbars, rows)``: a ``width``-bit field
+    and the records to aggregate, stored one crossbar per page of ``rows``-row
+    crossbars.  A filter-only query (``operation`` of the field, or a
+    ``count``, over ``mask``) runs through the engine of the PIMDB
+    configuration — or, with ``circuit``, of the aggregation circuit's.
+    Returns ``execution``, ``bank`` and ``layout`` and, for the PIMDB
+    configuration, the bulk-bitwise ``plan`` the stage billed, its
+    accumulator field of row 0 as the pass left it (``row0``), and
+    :meth:`~repro.pim.arithmetic.BulkAggregationPlan.run_gate_level` run on
+    a copy of the bank (``gate``, and the copy's row 0 ``gate_row0``).
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    rows = values.shape[1]
+    crossbar = dataclasses.replace(DEFAULT_CONFIG.pim.crossbar, rows=rows)
+    pim = dataclasses.replace(
+        DEFAULT_CONFIG.pim, crossbar=crossbar, huge_page_bytes=crossbar.bits // 8
+    )
+    config = DEFAULT_CONFIG.replace(pim=pim).with_backend(backend)
+    if not circuit:
+        config = config.without_aggregation_circuit()
+    relation = Relation(
+        Schema("bulk", [int_attribute("v", width), int_attribute("m", 1)]),
+        {"v": values.reshape(-1),
+         "m": np.asarray(mask, dtype=np.uint64).reshape(-1)},
+    )
+    stored = StoredRelation(
+        relation, PimModule(config), reserve_bulk_aggregation=not circuit
+    )
+    engine = PimQueryEngine(stored)
+    aggregate = Aggregate(operation, None if operation == "count" else "v")
+    execution = engine.execute(
+        Query("bulk", Comparison("m", EQ, 1), (aggregate,))
+    )
+    bank, layout = stored.allocations[0].bank, stored.layouts[0]
+    result = SimpleNamespace(execution=execution, bank=bank, layout=layout)
+    if not circuit:
+        plan = engine.aggregation_stage._pass(aggregate, 0, layout.filter_column)[2]
+        acc = (plan.acc_offset, plan.acc_width)
+        twin = copy.deepcopy(bank)
+        result.plan = plan
+        result.row0 = bank.read_field_all(*acc)[:, 0]
+        result.gate = plan.run_gate_level(twin)
+        result.gate_row0 = twin.read_field_all(*acc)[:, 0]
+    return result
 
 
 def reference_group_aggregate(
