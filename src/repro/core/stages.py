@@ -488,10 +488,6 @@ class AggregationStage(_Stage):
         # of shapes hundreds of times.
         self._bulk_plans: dict[tuple, BulkAggregationPlan] = {}
 
-    def min_identity(self, partition: int) -> int:
-        """The all-ones accumulator value a min over no records produces."""
-        return (1 << self.stored.layouts[partition].accumulator_width) - 1
-
     def aggregate_all(
         self,
         query: Query,
@@ -526,7 +522,7 @@ class AggregationStage(_Stage):
         """
         bank = self.stored.allocations[partition].bank
         decoded: dict[str, np.ndarray] = {}
-        combined: dict[str, list[int | None]] = {}
+        combined: dict[str, list[int]] = {}
         result_rows = []
         for aggregate in query.aggregates:
             if aggregate.op == "count":
@@ -553,14 +549,8 @@ class AggregationStage(_Stage):
             else:
                 bank.add_row_wear(keys * width, idx, 0)
 
-        # A min every partial of which was the identity, over a non-empty
-        # selection, can only be the identity itself.
-        identity = self.min_identity(partition)
         return {
-            key: {
-                name: identity if values[key] is None else values[key]
-                for name, values in combined.items()
-            }
+            key: {name: values[key] for name, values in combined.items()}
             for key in np.unique(cells // bank.count).tolist()
         }
 
@@ -576,7 +566,7 @@ class AggregationStage(_Stage):
         starts: np.ndarray,
         cells: np.ndarray,
         keys: int,
-    ) -> tuple[list[int | None], tuple]:
+    ) -> tuple[list[int], tuple]:
         """One aggregation pass per mask: billed, reduced and combined.
 
         ``values`` holds the aggregated field of the selected records (ones
@@ -587,12 +577,15 @@ class AggregationStage(_Stage):
         one :func:`~repro.pim.arithmetic.segmented_partials`, at the pass's
         accumulator width, and the host combines each key's.
 
-        Returns each key's value — ``None`` for a ``min`` to which no
-        crossbar contributed a partial (no record of the mask was selected,
-        or every selected value equals the accumulator's all-ones identity;
-        the two are indistinguishable in the partials the hardware exposes)
-        — and the last key's result row: its offset, width, crossbars (a
-        mask) and partials.
+        A ``min``'s identity is the all-ones value of the pass's own width
+        (the circuit's accumulator, the bulk reduction's field): the host
+        drops, and is billed for none of, the partials equal to it.  Returns
+        each key's value — for a ``min`` to which no crossbar contributed a
+        partial, that identity (no record of the mask was selected, or every
+        selected value equals it; the two are indistinguishable in the
+        partials the hardware exposes, and :meth:`aggregate_all` keeps only
+        keys with a selected record) — and the last key's result row: its
+        offset, width, crossbars (a mask) and partials.
         """
         with self.tracer.span("aggregate", op=aggregate.op, agg=aggregate.name):
             operation, offset, width, covered = self.charge_passes(
@@ -603,10 +596,12 @@ class AggregationStage(_Stage):
             partials = segmented_partials(
                 values, starts, cells, (keys, count), operation, width,
             )[:, covered]
+            identity = (1 << width) - 1 if operation == "min" else None
             combined = combine_partial_table(
-                partials, operation, self.config.host, executor.stats,
-                identity=self.min_identity(partition) if aggregate.op == "min" else None,
+                partials, operation, self.config.host, executor.stats, identity
             )
+            if identity is not None:
+                combined = [identity if value is None else value for value in combined]
             return combined, (offset, width, covered, partials[-1])
 
     def _pass(

@@ -507,8 +507,10 @@ class StoredRelation:
         """sha256 of each named part of what a later statement could observe.
 
         ``bank`` is every partition's cells outside the scratch area (programs
-        overwrite scratch before reading it), hashed as stored, so equal
-        digests need equal bank backends; ``wear`` the write counters,
+        overwrite scratch before reading it), hashed in the backend's own
+        cell representation, so equal digests need equal bank backends — the
+        packed bank in ``(xbar, column, word)`` order, whatever its memory
+        layout; ``wear`` the write counters,
         ``dirty`` the dirty-crossbar masks; ``zonemaps``, ``epochs`` (the
         candidate cache's), ``histograms`` (edges, counts, total),
         ``pair-sketch`` and ``adaptive`` (the feedback accumulators) the
@@ -527,7 +529,8 @@ class StoredRelation:
         banks = [allocation.bank for allocation in self.allocations]
         # Scratch is the tail of a row, so the cells kept are a slice.
         part("bank", *(
-            bank.words[:, : layout.used_columns] if hasattr(bank, "words")
+            bank.words[: layout.used_columns].transpose(1, 0, 2)
+            if hasattr(bank, "words")
             else bank.bits[:, :, : layout.used_columns]
             for bank, layout in zip(banks, self.layouts)
         ))

@@ -571,7 +571,8 @@ def masked_partials(
     xbars=None,
 ) -> np.ndarray:
     """Per-crossbar aggregates of a field over a mask column, one per
-    crossbar of ``xbars`` (an index array; every crossbar if ``None``).
+    crossbar of ``xbars`` (a slice or an index array; every crossbar if
+    ``None``).
 
     Reads the mask column of those crossbars, then only the masked cells of
     the field (``read_field_cells``: the bank picks gather or bounded
@@ -584,7 +585,7 @@ def masked_partials(
     # ``flatnonzero`` and a divmod: ~5x faster than a 2-d ``nonzero``.
     position, rows = np.divmod(np.flatnonzero(mask), bank.rows)
     starts = np.flatnonzero(np.diff(position, prepend=-1))
-    cells = position if xbars is None else np.asarray(xbars)[position]
+    cells = position if xbars is None else np.arange(bank.count)[xbars][position]
     return segmented_partials(
         bank.read_field_cells(cells, rows, field_offset, field_width),
         starts, position[starts], (mask.shape[0],), operation, width,

@@ -50,17 +50,23 @@ def every_crossbar(bank: CrossbarBank) -> np.ndarray:
 
 def crossbar_call(
     bank: CrossbarBank, candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | slice | None]:
     """The crossbars a candidate mask sets, and how ``bank`` is called on them.
 
-    Returns their indices and the bank's ``xbars`` argument: the indices for
-    a subset, and ``None`` — the whole-bank call — when the mask sets every
-    crossbar.  This is the one place a run on every crossbar becomes the
-    bank's whole-bank call; the executor and the batched pim-gb's kernels
-    call the bank through it.
+    Returns their indices and the bank's ``xbars`` argument: ``None`` — the
+    whole-bank call — when the mask sets every crossbar, ``slice(lo, hi)``
+    when it sets one contiguous run of them (the bank reads a column of
+    those crossbars as a view, not a copy), and the indices otherwise (an
+    empty index when it sets none).  This is the one place a candidate set
+    becomes the bank's ``xbars``; the executor and the batched pim-gb's
+    kernels call the bank through it.
     """
     idx = np.flatnonzero(candidates)
-    return idx, (None if idx.size == bank.count else idx)
+    if idx.size == bank.count:
+        return idx, None
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return idx, slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx, idx
 
 
 class PimExecutor:
@@ -236,9 +242,9 @@ class PimExecutor:
         if program.result_column is None:
             raise ValueError("pruned execution needs a program result column")
         self._run_at(bank, program, candidates, pages, phase)
-        stale, _ = self._charge_at(bank, 1, clear_crossbars, pages, "prune-clear")
+        stale, xbars = self._charge_at(bank, 1, clear_crossbars, pages, "prune-clear")
         if stale.size:
-            bank.set_column(program.result_column, False, stale)
+            bank.set_column(program.result_column, False, xbars)
 
     def charge_pruned_program_cost(
         self,

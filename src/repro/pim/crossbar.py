@@ -142,11 +142,33 @@ class BankBase:
         if bad:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
 
+    def _check_kernel_columns(self, column) -> None:
+        """A kernel read's ``column``: one column, or a ``slice`` of them."""
+        start, stop = (
+            (column.start, column.stop) if isinstance(column, slice)
+            else (column, column + 1)
+        )
+        if start < 0 or stop > self.columns or start >= stop:
+            raise ValueError(f"column {column} out of range")
+
     @staticmethod
     def _selection(xbars):
         """A bank call's crossbars as an index: every crossbar
-        (``slice(None)``, a view) for ``None``, else ``int64`` indices."""
-        return slice(None) if xbars is None else np.asarray(xbars, dtype=np.int64)
+        (``slice(None)``, a view) for ``None``, a ``slice`` (one contiguous
+        run, also a view) as it is, else ``int64`` indices."""
+        if xbars is None:
+            return slice(None)
+        if isinstance(xbars, slice):
+            return xbars
+        return np.asarray(xbars, dtype=np.int64)
+
+    def _targets(self, xbars) -> int:
+        """How many crossbars ``xbars`` (``None``, a slice or indices) selects."""
+        if xbars is None:
+            return self.count
+        if isinstance(xbars, slice):
+            return len(range(*xbars.indices(self.count)))
+        return len(np.asarray(xbars))
 
     # ---------------------------------------------------------------- wear
     @property
@@ -159,8 +181,8 @@ class BankBase:
 
     def add_wear(self, writes: int, xbars=None) -> None:
         """Charge ``writes`` cell writes to every row of every crossbar, or of
-        the crossbars ``xbars`` (a mask or an index array; a crossbar listed
-        twice is charged once)."""
+        the crossbars ``xbars`` (a mask, a slice or an index array; a crossbar
+        listed twice is charged once)."""
         if xbars is None:
             self.xbar_wear += int(writes)
         else:
@@ -168,8 +190,8 @@ class BankBase:
 
     def add_row_wear(self, writes: int, xbars, rows) -> None:
         """Charge ``writes`` cell writes to the rows ``row_wear[xbars, rows]``
-        selects (``slice(None)`` for every crossbar; a cell selected twice is
-        charged once)."""
+        selects (a slice — ``slice(None)`` for every crossbar — or indices; a
+        cell selected twice is charged once)."""
         self.row_wear[xbars, rows] += int(writes)
 
     def add_slot_wear(self, writes: int, slots: int) -> None:
@@ -353,7 +375,7 @@ class CrossbarBank(BankBase):
         self._check_field(offset, width)
         self._check_rows(row)
         values = np.asarray(values, dtype=np.uint64)
-        targets = self.count if xbars is None else len(np.asarray(xbars))
+        targets = self._targets(xbars)
         if values.shape != (targets,):
             raise ValueError(f"expected values of shape {(targets,)}, got {values.shape}")
         if width < 64 and np.any(values >= np.uint64(1 << width)):
@@ -377,14 +399,16 @@ class CrossbarBank(BankBase):
 
     # ---------------------------------------------------- fused kernel surface
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
-        """Native value of one column for fused evaluation, ``(count, rows)``.
+        """Native value of one column for fused evaluation, ``(count, rows)``;
+        of a ``slice`` of columns (a field's bit planes), ``(width, count,
+        rows)``.
 
-        Without ``xbars`` this is a live view — the fused kernel snapshots
-        any value it still needs before writing outputs back.
+        Without ``xbars`` or with a ``slice`` this is a live view — the fused
+        kernel snapshots any value it still needs before writing outputs back.
         """
-        if column < 0 or column >= self.columns:
-            raise ValueError(f"column {column} out of range")
-        return self.bits[self._selection(xbars), :, column]
+        self._check_kernel_columns(column)
+        value = self.bits[self._selection(xbars), :, column]
+        return np.moveaxis(value, -1, 0) if isinstance(column, slice) else value
 
     def kernel_write(
         self, column: int, value, xbars: np.ndarray | None = None
@@ -419,11 +443,11 @@ class CrossbarBank(BankBase):
 
         This is the MAGIC-style primitive; it executes on every row of every
         crossbar of the bank concurrently and writes the destination cell of
-        every row (one cell write per row).  With ``xbars`` (an index array)
-        only those crossbars run it — the functional side of crossbar
-        skipping: the controller broadcasts the operation only to the pages
-        holding candidate crossbars, so the other crossbars' cells and wear
-        are untouched.
+        every row (one cell write per row).  With ``xbars`` (a slice or an
+        index array) only those crossbars run it — the functional side of
+        crossbar skipping: the controller broadcasts the operation only to
+        the pages holding candidate crossbars, so the other crossbars' cells
+        and wear are untouched.
         """
         if not srcs:
             raise ValueError("NOR needs at least one source column")

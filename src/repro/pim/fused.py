@@ -96,8 +96,6 @@ class FusedKernel:
         Wear is *not* charged here — the caller adds the program's
         per-cycle wear in bulk so the counters match dispatch exactly.
         """
-        if xbars is not None and len(xbars) == 0:
-            return
         values = self._evaluate(bank, xbars)
         # Snapshot output values before any write: an output whose value is
         # an INPUT node may be a live view into a column written below.
@@ -158,15 +156,18 @@ def field_mismatches(
     ``v`` iff some bit plane ``P_i`` has the literal ``v_i`` selects set —
     ``NOT P_i`` where ``v_i`` is one, ``P_i`` where it is zero.  Both
     literals of every plane are built once, each value gathers its ``W``
-    and one OR-reduction covers them all.  A value that is negative or
-    does not fit in ``W`` bits raises ``ValueError`` instead of aliasing
-    another constant through its low bits.
+    and one OR-reduction covers them all.  ``columns`` are contiguous, as
+    a field's are, so the planes are read as one slab.  A value that is
+    negative or does not fit in ``W`` bits raises ``ValueError`` instead of
+    aliasing another constant through its low bits.
     """
     values = np.asarray(values, dtype=np.int64)
     width = len(columns)
     if np.any((values < 0) | (values >> width)):
         raise ValueError(f"a constant does not fit in {width} bits")
-    planes = np.stack([bank.kernel_read(column, xbars) for column in columns])
-    literals = np.stack((planes, np.bitwise_xor(planes, bank.kernel_ones())))
+    planes = bank.kernel_read(slice(columns[0], columns[0] + width), xbars)
+    literals = np.empty((2,) + planes.shape, planes.dtype)
+    literals[0] = planes
+    np.bitwise_xor(planes, bank.kernel_ones(), out=literals[1])
     bit = np.arange(width)
     return np.bitwise_or.reduce(literals[values[:, None] >> bit & 1, bit], axis=1)

@@ -4,12 +4,15 @@
 :class:`~repro.pim.crossbar.CrossbarBank` that stores each *column* of the
 bank as row-packed 64-bit words instead of one byte per cell: the cell at
 ``(xbar, row, column)`` lives in bit ``row % 64`` of
-``words[xbar, column, row // 64]``.  A bulk-bitwise primitive — the paper's
+``words[column, xbar, row // 64]``.  A bulk-bitwise primitive — the paper's
 column NOR executing concurrently on every row of every crossbar — then
 becomes a whole-word bitwise operation (``~(a | b)`` folds 64 rows per
 machine word), which is exactly the row parallelism the hardware model
 assumes and makes the functional simulation 64x denser in memory and far
-cheaper per primitive than the boolean reference backend.
+cheaper per primitive than the boolean reference backend.  The store is
+column-major: one column's words across all crossbars are contiguous, and
+so are a field's bit planes, so a column of every crossbar — or of one
+contiguous run of crossbars, passed as a ``slice`` — is a zero-copy view.
 
 Two invariants keep the backends interchangeable:
 
@@ -41,13 +44,14 @@ listed ``(xbar, row)`` cell, duplicates allowed — a loop of ``read_field`` as
 one gather or one bounded decode), ``read_field_all`` (every row) and
 ``read_column`` (a bit column); the last two unpack and return only the
 crossbars ``xbars`` (a slice or an index array) when it is given.  Every
-bulk primitive and kernel access takes the same optional ``xbars`` (an index
-array; ``None`` is every crossbar).
+bulk primitive and kernel access takes the same optional ``xbars`` (a slice
+or an index array; ``None`` is every crossbar).
 
 **Field codec.**  A ``width``-bit field is ``width`` bit planes of shape
-``(count, rows)``: bulk decode (``read_field_all``) unpacks the slab once
-along rows and accumulates ``plane[b] << b`` in the narrowest unsigned dtype
-holding the field, widened to ``uint64`` once at the end.  Bulk encode
+``(count, rows)``, stored plane after plane as the column-major layout has
+them: bulk decode (``read_field_all``) unpacks the slab once along rows and
+accumulates ``plane[b] << b`` in the narrowest unsigned dtype holding the
+field, widened to ``uint64`` once at the end.  Bulk encode
 (``write_field_column``) works on 8-row **byte lanes**: rows are padded with
 zeros to whole 64-row words, byte ``k`` of 8 consecutive rows' values (in the
 input's own unsigned dtype, never widened) is one little-endian ``uint64``
@@ -130,7 +134,7 @@ def _fold_planes(planes: np.ndarray, dtype) -> np.ndarray:
 class PackedCrossbarBank(BankBase):
     """A bank of identical crossbars stored as row-packed uint64 words.
 
-    The array layout is ``(count, columns, rows_words)`` with
+    The array layout is column-major, ``(columns, count, rows_words)`` with
     ``rows_words = ceil(rows / 64)``; bit ``row % 64`` of word ``row // 64``
     holds the cell of ``row``.  All methods mirror
     :class:`~repro.pim.crossbar.CrossbarBank` bit-exactly, including the
@@ -143,7 +147,7 @@ class PackedCrossbarBank(BankBase):
         super().__init__(count, rows, columns)
         self.rows_words = (self.rows + _WORD_BITS - 1) // _WORD_BITS
         self.words = np.zeros(
-            (self.count, self.columns, self.rows_words), dtype=np.uint64
+            (self.columns, self.count, self.rows_words), dtype=np.uint64
         )
         # Valid-bit mask of each word of a column: all ones except the
         # padding bits of the last word, which stay zero forever.
@@ -155,17 +159,16 @@ class PackedCrossbarBank(BankBase):
 
     # ------------------------------------------------------- pack/unpack core
     def _unpack_columns(self, offset: int, width: int, xbars=None) -> np.ndarray:
-        """Bit planes of a column slab, booleans of shape ``(count, width, rows)``.
+        """Bit planes of a column slab, booleans of shape ``(width, count, rows)``.
 
         A writable zero-copy bool view of the freshly unpacked 0/1 bytes, of
         the crossbars ``xbars`` (a slice or an index array) if given.
         """
-        xbars = slice(None) if xbars is None else xbars
         raw = np.ascontiguousarray(
-            self.words[xbars, offset:offset + width, :], dtype="<u8"
+            self.words[offset:offset + width, self._selection(xbars), :], dtype="<u8"
         ).view(np.uint8)
         bits = np.unpackbits(raw, axis=-1, bitorder="little")
-        return bits[:, :, : self.rows].view(np.bool_)
+        return bits[..., : self.rows].view(np.bool_)
 
     def _pack_rows(self, planes: np.ndarray) -> np.ndarray:
         """Pack 0/1 planes of shape ``(..., rows)`` into ``(..., rows_words)`` words.
@@ -183,8 +186,8 @@ class PackedCrossbarBank(BankBase):
         return packed.view("<u8")
 
     def _pack_columns(self, offset: int, width: int, slab: np.ndarray) -> None:
-        """Store 0/1 bit planes of shape ``(count, width, rows)``."""
-        self.words[:, offset:offset + width, :] = self._pack_rows(slab)
+        """Store 0/1 bit planes of shape ``(width, count, rows)``."""
+        self.words[offset:offset + width] = self._pack_rows(slab)
 
     @staticmethod
     def _value_bits(value: int, width: int) -> np.ndarray:
@@ -201,8 +204,8 @@ class PackedCrossbarBank(BankBase):
             raise ValueError(f"value {value} does not fit in {width} bits")
         word, bit = row // _WORD_BITS, np.uint64(row % _WORD_BITS)
         mask = _ONE << bit
-        current = self.words[xbar, offset:offset + width, word]
-        self.words[xbar, offset:offset + width, word] = (
+        current = self.words[offset:offset + width, xbar, word]
+        self.words[offset:offset + width, xbar, word] = (
             (current & ~mask) | (self._value_bits(value, width) << bit)
         )
         self.add_row_wear(width, xbar, row)
@@ -212,7 +215,7 @@ class PackedCrossbarBank(BankBase):
         self._check_field(offset, width)
         self._check_rows(row)
         word, bit = row // _WORD_BITS, np.uint64(row % _WORD_BITS)
-        bits = (self.words[xbar, offset:offset + width, word] >> bit) & _ONE
+        bits = (self.words[offset:offset + width, xbar, word] >> bit) & _ONE
         weights = bits << np.arange(width, dtype=np.uint64)
         return int(np.bitwise_or.reduce(weights))
 
@@ -260,9 +263,9 @@ class PackedCrossbarBank(BankBase):
         gathered *= _LANE_GATHER
         # The top byte of each product is the packed byte of its 8 rows.
         gathered >>= np.uint64(56)
-        packed = gathered.astype(np.uint8).view("<u8")  # (planes, count, words)
-        self.words[:, offset:offset + planes, :] = packed.transpose(1, 0, 2)
-        self.words[:, offset + planes:offset + width, :] = 0
+        # (planes, count, words): stored as they are, the layout's own order.
+        self.words[offset:offset + planes] = gathered.astype(np.uint8).view("<u8")
+        self.words[offset + planes:offset + width] = 0
         if count_wear:
             self.add_wear(width)
 
@@ -272,7 +275,7 @@ class PackedCrossbarBank(BankBase):
         self._check_field(offset, width)
         # Folded in the narrowest dtype holding the field; widened once.
         planes = self._unpack_columns(offset, width, xbars).view(np.uint8)
-        out = _fold_planes(planes.swapaxes(0, 1), field_dtype(width))
+        out = _fold_planes(planes, field_dtype(width))
         return out.astype(np.uint64, copy=False)
 
     def read_field_cells(self, xbars, rows, offset: int, width: int) -> np.ndarray:
@@ -290,10 +293,11 @@ class PackedCrossbarBank(BankBase):
                 decoded = self.read_field_all(offset, width, slice(low, high))
                 return decoded[xbars - low, rows]
         # Plane ``b`` of cell ``i`` is one bit of the flat word ``first[i] +
-        # b * rows_words``; the planes fold like the bulk decode's.
-        first = (xbars * self.columns + offset) * self.rows_words + rows // _WORD_BITS
+        # b * count * rows_words``; the planes fold like the bulk decode's.
+        plane = self.count * self.rows_words
+        first = offset * plane + xbars * self.rows_words + rows // _WORD_BITS
         planes = self.words.reshape(-1).take(
-            first + (np.arange(width) * self.rows_words)[:, None]
+            first + (np.arange(width) * plane)[:, None]
         )                                                       # (width, cells)
         planes >>= (rows % _WORD_BITS).astype(np.uint64)
         planes &= _ONE
@@ -303,7 +307,7 @@ class PackedCrossbarBank(BankBase):
         """Return one bit column, shape ``(count, rows)`` (``xbars`` as above)."""
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        return self._unpack_columns(column, 1, xbars)[:, 0, :]
+        return self._unpack_columns(column, 1, xbars)[0]
 
     def write_bool_column(
         self, column: int, values: np.ndarray, count_wear: bool = True
@@ -317,7 +321,7 @@ class PackedCrossbarBank(BankBase):
                 f"expected values of shape {(self.count, self.rows)}, "
                 f"got {values.shape}"
             )
-        self._pack_columns(column, 1, values[:, None, :])
+        self._pack_columns(column, 1, values[None])
         if count_wear:
             self.add_wear(1)
 
@@ -325,14 +329,15 @@ class PackedCrossbarBank(BankBase):
     def kernel_read(self, column: int, xbars: np.ndarray | None = None) -> np.ndarray:
         """Native value of one column for fused evaluation, packed words.
 
-        Shape ``(count, rows_words)`` (or ``(len(xbars), rows_words)``); the
-        unmasked form is a live view — the fused kernel snapshots any value
-        it still needs before writing outputs back.  Padding bits are zero
-        by bank invariant.
+        Shape ``(count, rows_words)`` (or ``(n, rows_words)`` for the ``n``
+        crossbars ``xbars`` selects); a ``slice`` of columns (a field's bit
+        planes) reads ``(width, n, rows_words)``.  For every crossbar or a
+        ``slice`` of them it is a live, contiguous view — the fused kernel
+        snapshots any value it still needs before writing outputs back.
+        Padding bits are zero by bank invariant.
         """
-        if column < 0 or column >= self.columns:
-            raise ValueError(f"column {column} out of range")
-        return self.words[self._selection(xbars), column, :]
+        self._check_kernel_columns(column)
+        return self.words[column, self._selection(xbars)]
 
     def kernel_write(
         self, column: int, value, xbars: np.ndarray | None = None
@@ -345,7 +350,7 @@ class PackedCrossbarBank(BankBase):
         """
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
-        self.words[self._selection(xbars), column, :] = value
+        self.words[column, self._selection(xbars)] = value
 
     def kernel_ones(self) -> np.ndarray:
         """The all-true value: the row mask (padding bits stay zero)."""
@@ -382,23 +387,24 @@ class PackedCrossbarBank(BankBase):
     # ----------------------------------------------------- bulk primitives
     def nor_columns(self, dest: int, srcs: Sequence[int], xbars=None) -> None:
         """Stateful NOR of whole columns — 64 rows per machine word — of
-        every crossbar, or of the crossbars ``xbars`` (an index array)."""
+        every crossbar, or of the crossbars ``xbars`` (a slice or an index
+        array)."""
         if not srcs:
             raise ValueError("NOR needs at least one source column")
         xbars = self._selection(xbars)
-        acc = self.words[xbars, srcs[0], :].copy()
+        acc = self.words[srcs[0], xbars].copy()
         for src in srcs[1:]:
-            np.bitwise_or(acc, self.words[xbars, src, :], out=acc)
+            np.bitwise_or(acc, self.words[src, xbars], out=acc)
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
-        self.words[xbars, dest, :] = acc
+        self.words[dest, xbars] = acc
         self.add_wear(1, xbars)
 
     def set_column(self, dest: int, value: bool, xbars=None) -> None:
         """Initialise a column of every row to a constant (a bulk write), of
         the crossbars ``xbars`` only if given."""
         xbars = self._selection(xbars)
-        self.words[xbars, dest, :] = self._row_mask if value else 0
+        self.words[dest, xbars] = self._row_mask if value else 0
         self.add_wear(1, xbars)
 
     def copy_row_pairs(
@@ -445,9 +451,9 @@ class PackedCrossbarBank(BankBase):
             _ONE << (rows % _WORD_BITS).astype(np.uint64),
         )
         vbits = self._value_bits(value, width)              # (width,)
-        sub = self.words[:, offset:offset + width, :]
+        sub = self.words[offset:offset + width]
         sub &= ~touched
-        sub |= vbits[None, :, None] * touched[None, None, :]
+        sub |= vbits[:, None, None] * touched[None, None, :]
         self.add_row_wear(width, slice(None), rows)
 
     def write_field_row(
@@ -468,7 +474,7 @@ class PackedCrossbarBank(BankBase):
         self._check_field(offset, width)
         self._check_rows(row)
         values = np.asarray(values, dtype=np.uint64)
-        targets = self.count if xbars is None else len(np.asarray(xbars))
+        targets = self._targets(xbars)
         if values.shape != (targets,):
             raise ValueError(f"expected values of shape {(targets,)}, got {values.shape}")
         if width < 64 and np.any(values >= np.uint64(1 << width)):
@@ -476,10 +482,10 @@ class PackedCrossbarBank(BankBase):
         word, bit = row // _WORD_BITS, np.uint64(row % _WORD_BITS)
         mask = _ONE << bit
         shifts = np.arange(width, dtype=np.uint64)
-        bits = (values[:, None] >> shifts[None, :]) & _ONE  # (targets, width)
+        bits = (values[None, :] >> shifts[:, None]) & _ONE  # (width, targets)
         xbars = self._selection(xbars)
-        current = self.words[xbars, offset:offset + width, word]
-        self.words[xbars, offset:offset + width, word] = (
+        current = self.words[offset:offset + width, xbars, word]
+        self.words[offset:offset + width, xbars, word] = (
             (current & ~mask) | (bits << bit)
         )
         self.add_row_wear(width, xbars, row)
@@ -499,13 +505,13 @@ class PackedCrossbarBank(BankBase):
             return
         words = rows // _WORD_BITS
         bit = (rows % _WORD_BITS).astype(np.uint64)
-        first = xbars * (self.columns * self.rows_words) + words
+        first = xbars * self.rows_words + words
         starts = np.flatnonzero(np.diff(first, prepend=-1))
         bits <<= bit
         planes = np.bitwise_or.reduceat(bits, starts, axis=1)   # (C, words)
         touched = np.bitwise_or.reduceat(_ONE << bit, starts)
         # Flat word of column ``columns[j]`` in touched word ``k``.
-        index = first[starts] + (columns * self.rows_words)[:, None]
+        index = first[starts] + (columns * (self.count * self.rows_words))[:, None]
         flat = self.words.reshape(-1)
         current = flat.take(index)
         current &= ~touched

@@ -21,12 +21,14 @@ from repro.db.query import (
     Query,
     evaluate_predicate,
 )
+from repro.db.relation import Relation
 from repro.db.storage import StoredRelation
 from repro.host.aggregator import (
     combine_partials,
     host_group_aggregate,
     merge_group_results,
 )
+from repro.host.processor import cpu_time
 from repro.pim.module import PimModule
 from repro.service import ProgramCache
 
@@ -289,6 +291,64 @@ def test_narrow_sum_wraps_per_crossbar(toy_relation, execution, group_by):
         expected[(int(key),) if group_by else ()] = {"sum_price": sum(partials)}
     assert execution.rows == expected
     assert execution.rows != _reference(toy_relation, query)
+
+
+#: The evaluation's PIM configurations: the aggregation circuit on one or two
+#: partitions, and PIMDB's bulk-bitwise reduction (no circuit).
+CONFIGURATIONS = ("one_xb", "two_xb", "pimdb")
+
+
+def _config_engine(relation, configuration, execution):
+    """``relation`` stored as ``configuration`` stores it, every subgroup
+    through pim-gb; the accumulator is 22 + 10 bits wide, the 22-bit
+    ``price`` field's bulk-bitwise pass 22 bits."""
+    config = DEFAULT_CONFIG.replace(execution=execution)
+    if configuration == "pimdb":
+        config = config.without_aggregation_circuit()
+    stored = StoredRelation(
+        relation, PimModule(config), label=configuration,
+        partitions=TWO_XB if configuration == "two_xb" else None,
+        aggregation_width=22, reserve_bulk_aggregation=configuration == "pimdb",
+    )
+    return PimQueryEngine(stored, cost_model=all_pim_cost_model())
+
+
+def _all_ones_prices(relation):
+    """``relation`` with the first 100 records' ``price`` set to the all-ones
+    value of its 22-bit field."""
+    columns = {name: relation.column(name).copy() for name in relation.schema.names}
+    columns["price"][:100] = (1 << 22) - 1
+    return Relation(relation.schema, columns)
+
+
+@pytest.mark.parametrize("execution", ["batched", "dispatch"])
+@pytest.mark.parametrize("group_by", [(), ("region",)])
+@pytest.mark.parametrize("configuration", CONFIGURATIONS)
+def test_min_over_no_or_all_ones_records(toy_relation, configuration, group_by, execution):
+    """What a MIN returns when no record is selected (no row) and when every
+    selected value is its field's all-ones value (that value, not the wider
+    accumulator's all-ones), on every configuration and path."""
+    relation = _all_ones_prices(toy_relation)
+    engine = _config_engine(relation, configuration, execution)
+    aggregates = (Aggregate("min", "price"), Aggregate("count"))
+    empty = Query("min-empty", EMPTY_FILTER, aggregates, group_by=group_by)
+    assert engine.execute(empty).rows == {}
+    ones = Query("min-ones", Comparison("key", "<", 100), aggregates, group_by=group_by)
+    rows = engine.execute(ones).rows
+    assert rows == _reference(relation, ones)
+    assert {entry["min_price"] for entry in rows.values()} == {(1 << 22) - 1}
+
+
+@pytest.mark.parametrize("configuration", CONFIGURATIONS)
+def test_min_bills_host_combine_for_contributing_partials(toy_relation, configuration):
+    """``MIN(price) WHERE key < 100`` selects records of crossbar 0 only: the
+    host combines that one partial, on PIMDB's bulk-bitwise pass (which
+    covers every crossbar of the page) as on the circuit's."""
+    engine = _config_engine(toy_relation, configuration, "batched")
+    query = Query("min-few", Comparison("key", "<", 100), (Aggregate("min", "price"),))
+    execution = engine.execute(query)
+    assert execution.rows == _reference(toy_relation, query)
+    assert execution.stats.time_by_phase["host-combine"] == cpu_time(HOST, 1, 4.0)
 
 
 @pytest.mark.parametrize("ground_truth", [False, True])

@@ -695,8 +695,9 @@ def test_padding_rows_stay_zero():
     bank = PackedCrossbarBank(1, 70, 8)
     bank.set_column(0, True)
     bank.nor_columns(1, (2,))   # NOR of zeros -> all ones
+    # ``words[column, xbar, word]``: word 1 of crossbar 0 holds rows 64..69.
     assert bank.words[0, 0, 1] == np.uint64((1 << 6) - 1)
-    assert bank.words[0, 1, 1] == np.uint64((1 << 6) - 1)
+    assert bank.words[1, 0, 1] == np.uint64((1 << 6) - 1)
     assert bank.read_column(0).sum() == 70
     assert bank.read_field_all(0, 2).shape == (1, 70)
 
