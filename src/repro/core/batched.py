@@ -8,44 +8,39 @@ from the filter, each charged inside the loop — is only the
 ``execution="dispatch"`` oracle.  This module restructures that loop
 without changing a single modelled number or stored bit:
 
-* **One value-free template per partition.**  Every subgroup's group-mask
-  program is the same circuit with other key constants, so the compiler is
-  asked for one :class:`~repro.db.compiler.GroupMaskTemplate` per
-  ``(layout, attributes, include_remote)`` — never for a per-key program —
-  and its conjunction program is lowered like any program
+* **Each selected row's subgroup from its key.**  Distinct group keys
+  select *disjoint* rows: subgroup ``k`` is the selected rows whose
+  GROUP-BY tuple is key ``k`` (the filter bit implies the valid bit, and
+  zone maps never drop a crossbar holding a selected row).  The GROUP-BY
+  attributes are decoded at the selected cells
+  (``StoredRelation.decode_cells``) and each tuple is looked up among the K
+  keys (:func:`_key_runs`), which yields every subgroup's rows sorted by
+  ``(key, crossbar)`` and their union, the rows the clear removes; a row
+  whose tuple is no PIM key stays selected for host-gb.
+
+* **One value-free template per partition, run for the last key.**  Every
+  subgroup's group-mask program is the same circuit with other key
+  constants, so the compiler is asked for one
+  :class:`~repro.db.compiler.GroupMaskTemplate` per ``(layout, attributes,
+  include_remote)``, lowered like any program
   (:func:`repro.pim.ir.lower_program`) and compiled once into a
   :class:`~repro.pim.fused.BatchKernel`, for as long as the program cache
-  keeps the template.  The key constants never enter a kernel: each attribute's
-  mismatch is evaluated once per *distinct* value, however many keys share
-  it, by selecting ``eq_const``'s literals along a constant axis
-  (:func:`repro.pim.fused.field_mismatches`), gathered per key and bound to
-  the conjunction's mismatch inputs, beside the per-key remote-transfer
-  bits bound to its remote input, so one kernel run per partition conjoins
-  them with the filter.  All
-  K masks are taken against the pre-group-by column state, which is sound
-  because distinct full group keys select *disjoint* row sets: subgroup
-  ``k``'s mask computed against the pre-loop filter state equals the
-  sequential result after ``k-1`` clears.  They live, and stay, in the
-  conjunction kernel's ``(K, candidate crossbars, ...)`` value in the bank's
-  native representation (packed words on the default bank) — the paper's
-  one mask column per subgroup — and three readers take what they need from
-  it: the last key's bits, the only ones that are stored
-  (``kernel_to_bool`` of one slice); the OR over the keys, for the pruning
-  invariant and the last clear; and the masked cells of the selected rows
-  (``kernel_gather``), for the aggregates.  A remote partition's value is
-  re-indexed along its crossbar axis and ANDed into the primary's remote
-  input as it is.  Nothing of shape ``(K, crossbars, rows)`` is decoded.
+  keeps the template.  Each partition runs it once, for the last key, the
+  one whose bits are stored: the attributes' mismatches with its constants
+  (:func:`repro.pim.fused.field_mismatches`) and the remote bits are bound
+  to the kernel's inputs.  It runs against the pre-GROUP-BY filter, which
+  the rows being disjoint makes equal to the reference's filter after the
+  earlier keys' clears.  A remote partition's bits cover every live row
+  matching there, not only the selected ones; its value is re-indexed along
+  its crossbar axis and ANDed into the primary's remote input as it is.
 
 * **One aggregation routine.**  The aggregates run through the
   aggregation stage's K-pass routine
   (:meth:`~repro.core.stages.AggregationStage.aggregate_all`), the one a
   query without GROUP-BY and each subgroup of the ``dispatch`` loop run
-  with K = 1.  The field does not change between subgroups and distinct
-  keys select disjoint rows, so the routine decodes it once — for the
-  masked rows only (``StoredRelation.decode_cells``) — and takes all
-  K x crossbar partials from one ``reduceat`` over the selected rows
-  (:func:`~repro.pim.arithmetic.segmented_partials`), which
-  :func:`_subgroup_segments` hands it sorted by ``(key, crossbar)``.
+  with K = 1: it decodes each field once, for the subgroups' rows, and
+  takes all K x crossbar partials from one ``reduceat`` over the runs
+  (:func:`~repro.pim.arithmetic.segmented_partials`).
 
 * **Charges by multiplicity, stores once.**  :class:`~repro.pim.stats.PimStats`
   is an exact multiset — a charge is ``count x unit cost`` and no total
@@ -95,6 +90,9 @@ from repro.pim.ir import lower_program
 from repro.pim.logic import ProgramCost
 from repro.planner.zonemap import PruneDecision
 
+#: Bound of :func:`_key_runs`' tuple codes, which must stay in ``int64``.
+CODE_LIMIT = 1 << 62
+
 
 def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
     """The conjunction kernel of a template, built on first use.
@@ -116,33 +114,27 @@ def _run_partition_batch(
     remote,
     candidates: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a template for ``K`` group keys on one partition's bank.
+    """Evaluate a template for the group keys ``values`` on one partition's
+    bank (the batched pim-gb passes one, its last key).
 
     ``values[k]`` holds key ``k``'s encoded values of
     ``template.attributes``; ``remote`` is the ``(K, n, ...)`` native value
     bound to the remote column of a template built with ``include_remote``.
-    Each attribute's mismatch is evaluated once per *distinct* value
-    (:func:`~repro.pim.fused.field_mismatches`, which rejects a value its
-    field cannot hold) and gathered per key into the template's mismatch
-    inputs, so one run of the conjunction kernel yields every key's mask.
-    Returns that ``(K, n, ...)`` value — the masks against the partition's
-    *pre-batch* state, still in the bank's native kernel representation —
-    and the index of the ``n`` crossbars it covers: the partition's
-    ``candidates`` (a mask over its crossbars).  The mismatches and the
-    kernel cover the candidate crossbars only (all of them as the bank's
-    whole-bank call, :func:`~repro.pim.controller.crossbar_call`); a skipped
-    crossbar is not in the value and its bits are zero, matching a candidate
-    run of the reference.  Nothing is decoded here: the readers are
-    :func:`_mask_bits` and :func:`_subgroup_segments`.
+    Returns the kernel's ``(K, n, ...)`` value — the masks against the
+    *pre-batch* state, in the bank's native representation — and the index
+    of the ``n`` crossbars it covers, the partition's ``candidates`` (all of
+    them as the bank's whole-bank call,
+    :func:`~repro.pim.controller.crossbar_call`); a skipped crossbar's bits
+    are zero, as in a candidate run of the reference.
     """
     bank = stored.allocations[partition].bank
     idx, xbars = crossbar_call(bank, candidates)
-    bound = {}
-    for index, (columns, column) in enumerate(
-        zip(template.fields, template.mismatch_columns)
-    ):
-        distinct, inverse = np.unique(values[:, index], return_inverse=True)
-        bound[column] = field_mismatches(bank, columns, distinct, xbars)[inverse]
+    bound = {
+        column: field_mismatches(bank, columns, values[:, index], xbars)
+        for index, (columns, column) in enumerate(
+            zip(template.fields, template.mismatch_columns)
+        )
+    }
     if idx.size == 0:
         empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
         return bank.kernel_from_bool(empty), idx
@@ -154,10 +146,9 @@ def _run_partition_batch(
 
 
 def _mask_bits(bank, value, idx, num_records: int) -> np.ndarray:
-    """One mask of a :func:`_run_partition_batch` value — a key's ``(n, ...)``
-    slice or an OR over keys — as one bool per slot in use."""
+    """A one-key :func:`_run_partition_batch` value, one bool per slot in use."""
     bits = np.zeros((bank.count, bank.rows), dtype=bool)
-    bits[idx] = bank.kernel_to_bool(value)
+    bits[idx] = bank.kernel_to_bool(value)[0]
     return bits.reshape(-1)[:num_records]
 
 
@@ -172,25 +163,48 @@ def _on_crossbars(value, idx, target, count: int):
     return full[:, target]
 
 
-def _subgroup_segments(
-    bank, value, idx, selected: np.ndarray
+def _key_runs(
+    columns: Sequence[np.ndarray],
+    key_table: np.ndarray,
+    selected: np.ndarray,
+    rows: int,
+    count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of all ``K`` subgroups, sorted by ``(key, crossbar)``.
+    """The selected records of every key's subgroup, sorted by
+    ``(key, crossbar)``, as :func:`~repro.pim.arithmetic.record_runs`.
 
-    ``value`` and ``idx`` are what :func:`_run_partition_batch` returned on
-    ``bank``: ``K`` masks with pairwise disjoint rows, each a subset of the
-    (sorted) record indices ``selected``, all on crossbars the value covers.
-    Only the selected cells are read (``kernel_gather``).  Returns the
-    record index of every masked row, the start of each run of rows sharing
-    a key and a crossbar, and each run's flat index into a ``(K, count)``
-    table.
+    ``selected`` are sorted record indices on ``count`` crossbars of
+    ``rows`` rows, ``columns[a]`` GROUP-BY attribute ``a`` decoded at them
+    and ``key_table`` the ``(K, attributes)`` distinct keys.  A record whose
+    tuple is no key is in no subgroup.  A tuple's code is mixed-radix: each
+    attribute appends the value's rank among the keys' values of it; before
+    the code space would pass :data:`CODE_LIMIT`, the prefix codes are
+    re-ranked among the keys' prefixes (below K).
     """
-    crossbar = selected // bank.rows
-    position = np.searchsorted(idx, crossbar)
-    gathered = bank.kernel_gather(value, position, selected % bank.rows)
-    # ``flatnonzero`` and a divmod: ~5x faster than a 2-d ``nonzero``.
-    key_of, index = np.divmod(np.flatnonzero(gathered), max(selected.size, 1))
-    return record_runs(selected[index], key_of * bank.count + crossbar[index])
+    key_code = np.zeros(len(key_table), dtype=np.int64)
+    code = np.zeros(selected.size, dtype=np.int64)
+    found = np.ones(selected.size, dtype=bool)
+    radix = 1
+    for column, key_values in zip(columns, key_table.T):
+        distinct = np.unique(key_values)
+        if radix * distinct.size > CODE_LIMIT:
+            prefixes, key_code = np.unique(key_code, return_inverse=True)
+            rank = np.searchsorted(prefixes, code).clip(max=prefixes.size - 1)
+            found &= prefixes[rank] == code
+            code, radix = rank, prefixes.size
+        column = column.astype(np.int64)
+        position = np.searchsorted(distinct, column).clip(max=distinct.size - 1)
+        found &= distinct[position] == column
+        code = code * distinct.size + position
+        key_code = key_code * distinct.size + np.searchsorted(distinct, key_values)
+        radix *= distinct.size
+    # The keys are distinct, and so are their codes.
+    order = np.argsort(key_code)
+    key_of = order[np.searchsorted(key_code, code, sorter=order).clip(max=order.size - 1)]
+    hits = np.flatnonzero(found & (key_code[key_of] == code))
+    by_key = np.argsort(key_of[hits], kind="stable")
+    records = selected[hits[by_key]]
+    return record_runs(records, key_of[hits[by_key]] * count + records // rows)
 
 
 def run_group_by_batched(
@@ -231,11 +245,14 @@ def run_group_by_batched(
         by_partition.setdefault(stored.partition_of(name), []).append(name)
     remote_partitions = [p for p in by_partition if p != primary]
 
-    # ---------------------------------------------- batched mask computation
+    # ------------------------------------------- the last key's mask kernels
     # All of this runs against the pre-group-by column state, before any
     # store below.
+    last = len(keys) - 1
+
     def batch(partition: int, filter_column: int, remote=None):
-        """One partition's per-key program cycles, masks value and its crossbars."""
+        """One partition's per-key program cycles, and its last key's mask
+        value and crossbars."""
         template = compiler.group_template(
             by_partition.get(partition, ()), stored.layouts[partition],
             filter_column, include_remote=remote is not None,
@@ -244,7 +261,7 @@ def run_group_by_batched(
             :, [group_attributes.index(name) for name in template.attributes]
         ]
         return template.cycles(values), *_run_partition_batch(
-            stored, partition, template, values, remote,
+            stored, partition, template, values[last:], remote,
             prune.candidates[partition],
         )
 
@@ -268,13 +285,17 @@ def run_group_by_batched(
     combine_cycles, mask_value, _ = batch(
         primary, primary_layout.filter_column, remote
     )
-    union = _mask_bits(
-        bank, np.bitwise_or.reduce(mask_value, axis=0), primary_idx, num_records
+
+    # ------------------------------------------------ every key's subgroup
+    selected = np.flatnonzero(mask)
+    subgroups = _key_runs(
+        [stored.decode_cells(name, selected) for name in group_attributes],
+        key_table, selected, bank.rows, bank.count,
     )
+    union = np.zeros(num_records, dtype=bool)
+    union[subgroups[0]] = True
 
     # ------------------------------------------------- batched bookkeeping
-    selected = np.nonzero(mask)[0]
-
     # Identical for every subgroup, so built once per query.
     remote_count = len(remote_partitions)
     fold_programs = [
@@ -282,9 +303,8 @@ def run_group_by_batched(
         for position in range(remote_count)
     ] if remote_count > 1 else []
     clear_program = build_clear_program(primary_layout)
-    # Every bit a skipped store would have written is a subset of one of
-    # these two, so the zone-map invariant is asserted once for all keys.
-    _check_pruned_bits(union, primary_candidates, primary_allocation)
+    # Every bit a skipped store would have written is a subset of the
+    # selection, so the zone-map invariant is asserted once for all keys.
     _check_pruned_bits(mask, primary_candidates, primary_allocation)
 
     def fold_candidates(program) -> np.ndarray:
@@ -298,8 +318,6 @@ def run_group_by_batched(
     # Only the last key's bits stay, so it alone goes through the stage
     # contract in full; its store meets the pre-GROUP-BY dirty masks and
     # charges any prune-clear of stale crossbars.
-    last = len(keys) - 1
-
     def mask_program(partition, cycles) -> ProgramCost:
         """The last key's specialised mask program, as what it is charged."""
         return ProgramCost(int(cycles[last]), stored.layouts[partition].group_column)
@@ -315,9 +333,7 @@ def run_group_by_batched(
         cycles, value, idx = remote_batches[position]
         store_program(
             partition, mask_program(partition, cycles),
-            _mask_bits(
-                stored.allocations[partition].bank, value[last], idx, num_records,
-            ),
+            _mask_bits(stored.allocations[partition].bank, value, idx, num_records),
             prune.candidates[partition],
         )
         transferred = read_model.transfer_bit_column(
@@ -335,10 +351,10 @@ def run_group_by_batched(
             )
     store_program(
         primary, mask_program(primary, combine_cycles),
-        _mask_bits(bank, mask_value[last], primary_idx, num_records),
+        _mask_bits(bank, mask_value, primary_idx, num_records),
         primary_candidates,
     )
-    # The clear leaves the selection minus the (disjoint) masks of all keys.
+    # The clear leaves the selection minus the rows of every key's subgroup.
     store_program(primary, clear_program, mask & ~union, primary_candidates)
 
     # ----------------------- every key before the last: charged by multiplicity
@@ -374,10 +390,9 @@ def run_group_by_batched(
 
     # ----------------------------------------------------------- aggregates
     # Every aggregate of every subgroup: the one K-pass routine of the
-    # aggregation stage, over the selected rows of all K masks.
+    # aggregation stage, over the rows of all K subgroups.
     entries = engine.aggregation_stage.aggregate_all(
         query, primary, primary_layout.group_column, executor, read_model,
-        primary_candidates,
-        *_subgroup_segments(bank, mask_value, primary_idx, selected), len(keys),
+        primary_candidates, *subgroups, len(keys),
     )
     return {keys[index]: entry for index, entry in entries.items()}

@@ -233,10 +233,11 @@ def partition_conjuncts(
 ) -> list[Predicate | None]:
     """Split a top-level conjunction across vertical partitions.
 
-    Returns one predicate (or ``None``) per partition.  A conjunct whose
-    attributes are not contained in a single partition cannot be evaluated
-    without moving data and raises :class:`CompilationError`; the SSB
-    predicates are all per-attribute conjuncts, so this never happens there.
+    Returns one predicate (or ``None``) per partition.  A conjunct naming an
+    attribute no partition stores, or whose attributes are not contained in
+    a single partition (it cannot be evaluated without moving data), raises
+    :class:`CompilationError`; the SSB predicates are all per-attribute
+    conjuncts, so the latter never happens there.
     """
     from repro.db.query import attributes_referenced, conj
 
@@ -247,13 +248,14 @@ def partition_conjuncts(
     conjuncts = list(predicate.children) if isinstance(predicate, And) else [predicate]
     for conjunct in conjuncts:
         referenced = attributes_referenced(conjunct)
-        placed = False
-        for index, attrs in enumerate(partition_sets):
+        unknown = referenced.difference(*partition_sets)
+        if unknown:
+            raise CompilationError(f"attribute {sorted(unknown)} is not stored in any partition")
+        for bucket, attrs in zip(buckets, partition_sets):
             if referenced <= attrs:
-                buckets[index].append(conjunct)
-                placed = True
+                bucket.append(conjunct)
                 break
-        if not placed:
+        else:
             raise CompilationError(
                 f"conjunct referencing {sorted(referenced)} spans multiple "
                 f"vertical partitions"

@@ -31,20 +31,18 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def check_cell_index(bank, xbars, rows, count: int | None = None):
+def check_cell_index(bank, xbars, rows):
     """Validate per-cell ``(xbar, row)`` coordinates; returns both as arrays.
 
     Raises ``ValueError`` — before the caller touches the bank — on mismatched
-    lengths, non-1-d input or a crossbar or row out of range; ``count`` bounds
-    the crossbar index (the bank's crossbars unless given)."""
+    lengths, non-1-d input or a crossbar or row out of range."""
     xbars = np.asarray(xbars, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     if xbars.ndim != 1 or xbars.shape != rows.shape:
         raise ValueError("xbars and rows must be equally long 1-d arrays")
     bank._check_rows(rows)
-    count = bank.count if count is None else count
-    if xbars.size and (xbars.min() < 0 or xbars.max() >= count):
-        raise ValueError(f"crossbar index outside crossbars 0..{count}")
+    if xbars.size and (xbars.min() < 0 or xbars.max() >= bank.count):
+        raise ValueError(f"crossbar index outside crossbars 0..{bank.count}")
     return xbars, rows
 
 
@@ -429,13 +427,6 @@ class CrossbarBank(BankBase):
     def kernel_from_bool(self, values: np.ndarray):
         """Encode booleans of shape ``(..., n, rows)`` as a kernel value."""
         return np.asarray(values, dtype=bool)
-
-    def kernel_gather(self, value, positions, rows) -> np.ndarray:
-        """Cells ``(positions[i], rows[i])`` of each of the ``K`` stacked values
-        ``(K, n, ...)``: ``kernel_to_bool(value)[:, positions, rows]``, bool
-        ``(K, len(rows))``, without decoding the rest; validated first."""
-        positions, rows = check_cell_index(self, positions, rows, value.shape[-2])
-        return np.asarray(value, dtype=bool)[:, positions, rows]
 
     # ----------------------------------------------------- bulk primitives
     def nor_columns(self, dest: int, srcs: Sequence[int], xbars=None) -> None:

@@ -16,12 +16,10 @@ bank, the outputs written back.  :meth:`BatchKernel.run` evaluates it
 functionally: an input may be bound to a caller's value instead of the
 bank's (a value-free GROUP-BY template binds its per-key mismatch
 pseudo-columns and remote column that way), and the outputs are returned
-unwritten, against the pre-run state.  A caller holding such a value reads
-it through the other three: ``kernel_to_bool`` / ``kernel_from_bool``
-convert a whole value and ``kernel_gather`` reads listed cells of a stack
-of values without decoding the rest; between them a value only meets
-NumPy's bitwise ufuncs and indexing along its leading (stack, crossbar)
-axes, which mean the same on both representations.
+unwritten, against the pre-run state.  A caller holding such a value
+converts it with ``kernel_to_bool`` / ``kernel_from_bool``; between them a
+value only meets NumPy's bitwise ufuncs and indexing along its leading
+(stack, crossbar) axes, which mean the same on both representations.
 
 The NOR itself is computed as ``(a | b | ...) ^ ones``: on the packed
 backend every value in the dataflow keeps its padding bits zero (inputs by
@@ -118,9 +116,10 @@ class BatchKernel(FusedKernel):
     """A :class:`FusedKernel` run functionally: bound inputs, outputs
     returned unwritten.  The batched pim-gb binds a
     :class:`~repro.db.compiler.GroupMaskTemplate`'s mismatch pseudo-columns
-    and remote column to ``(K, n, ...)`` values stacked along a key axis, so
-    one run yields all ``K`` subgroup masks; it decides which become stored
-    column state and charges every modelled cost from program metadata.
+    and remote column to ``(K, n, ...)`` values stacked along a key axis
+    (K = 1: its last key), so one run yields those keys' subgroup masks; it
+    stores them as column state and charges every modelled cost from
+    program metadata.
     """
 
     __slots__ = ()

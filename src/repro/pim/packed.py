@@ -375,15 +375,6 @@ class PackedCrossbarBank(BankBase):
         """
         return self._pack_rows(np.asarray(values, dtype=bool))
 
-    def kernel_gather(self, value, positions, rows) -> np.ndarray:
-        """Cells ``(positions[i], rows[i])`` of each of the ``K`` stacked values
-        ``(K, n, words)``: ``kernel_to_bool(value)[:, positions, rows]``, bool
-        ``(K, len(rows))``, without unpacking the rest; validated first."""
-        positions, rows = check_cell_index(self, positions, rows, value.shape[-2])
-        words = value[:, positions, rows // _WORD_BITS]
-        words &= _ONE << (rows % _WORD_BITS).astype(np.uint64)
-        return words != 0
-
     # ----------------------------------------------------- bulk primitives
     def nor_columns(self, dest: int, srcs: Sequence[int], xbars=None) -> None:
         """Stateful NOR of whole columns — 64 rows per machine word — of

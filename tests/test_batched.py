@@ -1,8 +1,9 @@
 """The batched group-by execution strategy: lockstep parity and plumbing.
 
-The batched strategy (``execution="batched"``, the default) evaluates every
-PIM-resident subgroup of a GROUP-BY through one multi-output fused kernel
-per vertical partition and then charges the subgroups by multiplicity through
+The batched strategy (``execution="batched"``, the default) runs one
+template kernel per vertical partition for the last key, takes every
+PIM-resident subgroup's rows from a key lookup, and charges the subgroups
+by multiplicity through
 the same accounting entry points the reference loop uses, storing bits and
 wear once per GROUP-BY.  The contract is total: identical result rows,
 equal :class:`PimStats` (the same multiset of charges and power samples, the
@@ -13,22 +14,21 @@ layouts through batched and per-subgroup dispatch in lock step on both
 backends, with the aggregation circuit and with the PIMDB bulk-bitwise
 reduction, two queries with different candidate crossbars back to back on
 each store; deterministic tests pin the stale-crossbar clear of a second
-query, the multi-remote fold path, the segmented reduction against
-``aggregate_reference``, the K-independence of the stores and of the
-charge calls, the nested-safe scatter pool, the structural whole-plan memo key, and the
-pre-scatter empty-shard skip.
+query, the multi-remote fold path, the key lookup and segmented reduction
+against ``aggregate_reference``, the K-independence of the stores and of
+the charge calls, the one-key kernel runs, the nested-safe scatter pool,
+the structural whole-plan memo key, and the pre-scatter empty-shard skip.
 """
 
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from twins import all_pim_cost_model, assert_same_execution, assert_same_state
 
 from repro.config import DEFAULT_CONFIG
 from repro.core import batched
-from repro.core.batched import _subgroup_segments
 from repro.core.executor import PimQueryEngine
 from repro.core.parallel import ScatterPool
 from repro.db.query import Aggregate, And, Comparison, Query, evaluate_predicate
@@ -39,8 +39,9 @@ from repro.pim import arithmetic
 from repro.pim.arithmetic import aggregate_reference, segmented_partials
 from repro.pim.controller import PimExecutor
 from repro.pim.crossbar import CrossbarBank
+from repro.pim.fused import BatchKernel
 from repro.pim.module import PimModule
-from repro.pim.packed import PackedCrossbarBank, make_bank
+from repro.pim.packed import PackedCrossbarBank
 from repro.pim.stats import PimStats
 from repro.planner.planner import CostPlanner, cold_walk
 from repro.service import QueryService
@@ -241,11 +242,26 @@ def test_batched_is_the_default_and_runs_without_the_circuit(monkeypatch):
 
 
 # ------------------------------------------------------ segmented reduction
+#: Encoded GROUP-BY values of the lookup cases: few, so that tuples repeat,
+#: and one past 32 bits.
+LOOKUP_VALUES = [0, 1, 2, 5, (1 << 40) + 1]
+
+
 @st.composite
 def _segment_cases(draw):
     count, rows = draw(st.integers(1, 4)), draw(st.sampled_from([1, 8, 16]))
     records = draw(st.integers(1, count * rows))   # last crossbar partly used
-    keys = draw(st.integers(1, 5))
+    attributes = draw(st.integers(1, 3))
+    group_value = st.sampled_from(LOOKUP_VALUES)
+    tuples = draw(st.lists(
+        st.tuples(*[group_value] * attributes), min_size=records, max_size=records,
+    ))
+    # Distinct keys, some of them held by no record; a selected record whose
+    # tuple is no key belongs to a subgroup left to the host.
+    keys = draw(st.lists(
+        st.tuples(*[group_value] * attributes), min_size=1, max_size=6, unique=True,
+    ))
+    selected = draw(st.lists(st.booleans(), min_size=records, max_size=records))
     # The layouts never make the accumulator narrower than the field; a field
     # as wide as the accumulator is what makes sums wrap.
     width = draw(st.sampled_from([8, 22, 64]))
@@ -255,60 +271,58 @@ def _segment_cases(draw):
         st.one_of(st.just(top), st.just(0), st.integers(0, top)),
         min_size=count * rows, max_size=count * rows,
     ))
-    # Per record: the key owning it, -1 for a selected row of a subgroup left
-    # to the host, -2 for a row the filter dropped.  Keys may own nothing.
-    owner = draw(st.lists(
-        st.integers(-2, keys - 1), min_size=records, max_size=records
-    ))
-    xbars = draw(st.lists(st.integers(0, count - 1), unique=True).map(sorted))
     operation = draw(st.sampled_from(["sum", "count", "min", "max"]))
-    return count, rows, keys, width, values, owner, xbars, operation
+    return count, rows, tuples, keys, selected, width, values, operation
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_segment_cases(), subset=st.booleans(), backend=st.sampled_from(BACKENDS))
-def test_segmented_partials_equal_aggregate_reference(case, subset, backend):
-    """All K x crossbar partials from one ``reduceat`` equal the per-key
-    ``aggregate_reference``: sums wrap at the accumulator width (and at
-    2**64), untouched crossbars hold the identity, empty subgroups too —
-    with the masks read from the bank's native kernel value, on every
-    crossbar or on the candidate crossbars only."""
-    count, rows, keys, width, values, owner, xbars, operation = case
+@given(case=_segment_cases(), limit=st.sampled_from([1, 6, batched.CODE_LIMIT]))
+# Record 0's prefix (0, 0) is no key's, though each value is some key's.
+@example(case=(1, 8, [(0, 0, 0), (0, 1, 0), (1, 0, 5)], [(0, 1, 0), (1, 0, 5)],
+               [True] * 3, 8, list(range(8)), "sum"), limit=1)
+def test_segmented_partials_equal_aggregate_reference(case, limit):
+    """The key lookup of the batched pim-gb places every selected record
+    whose GROUP-BY tuple is a key in that key's subgroup, and no other
+    record, sorted by ``(key, record)`` — on 1-3 attributes, with selected
+    records whose tuple is no key, and with the prefix codes re-ranked
+    before every attribute or some (a lowered ``CODE_LIMIT``) — and all
+    K x crossbar partials from one ``reduceat`` over its runs equal the
+    per-key ``aggregate_reference``: sums wrap at the accumulator width (and
+    at 2**64), untouched crossbars hold the identity, empty subgroups too."""
+    count, rows, tuples, keys, selected, width, values, operation = case
     values = np.array(values, dtype=np.uint64).reshape(count, rows)
-    owner = np.array(owner)
-    if subset:
-        # Pruned kernels leave all-zero masks on the skipped crossbars.
-        owner[~np.isin(np.arange(len(owner)) // rows, xbars)] = -2
-    else:
-        xbars = list(range(count))
-    mask_bits = owner[None, :] == np.arange(keys)[:, None]
-    selected = np.nonzero(owner > -2)[0]
+    table = np.array(tuples, dtype=np.uint64)
+    key_table = np.array(keys, dtype=np.int64)
+    selected = np.flatnonzero(selected)
+    # Per record: the key owning it, -1 when it is unselected or no key.
+    owner = np.array([
+        keys.index(held) if index in selected and held in keys else -1
+        for index, held in enumerate(tuples)
+    ])
+    mask_bits = owner[None, :] == np.arange(len(keys))[:, None]
 
-    bank = make_bank(backend, count, rows, 1)
-    padded = np.zeros((keys, count * rows), dtype=bool)
-    padded[:, : len(owner)] = mask_bits
-    value = bank.kernel_from_bool(padded.reshape(keys, count, rows))
-    covered = np.array(xbars, dtype=np.int64)
-    if subset:
-        value = value[:, covered]
-    records, starts, cells = _subgroup_segments(bank, value, covered, selected)
-    # Sorted by (key, record), exactly like a scan of the decoded masks.
-    assert np.array_equal(records, selected[np.nonzero(mask_bits[:, selected])[1]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batched, "CODE_LIMIT", limit)
+        records, starts, cells = batched._key_runs(
+            list(table[selected].T), key_table, selected, rows, count
+        )
+    # Sorted by (key, record), exactly like a scan of the per-key masks.
+    assert np.array_equal(records, np.nonzero(mask_bits)[1])
     gathered = values.reshape(-1)[records]
     if operation == "count":
         gathered = np.ones(len(records), dtype=np.uint64)
     partials = segmented_partials(
-        gathered, starts, cells, (keys, count),
+        gathered, starts, cells, (len(keys), count),
         "sum" if operation == "count" else operation, width,
     )
-    assert partials.dtype == np.uint64 and partials.shape == (keys, count)
-    for key in range(keys):
+    assert partials.dtype == np.uint64 and partials.shape == (len(keys), count)
+    for key in range(len(keys)):
         mask = np.zeros(count * rows, dtype=bool)
         mask[: len(owner)] = mask_bits[key]
         expected = aggregate_reference(
             values, mask.reshape(count, rows), operation, width
         )
-        assert np.array_equal(partials[key, xbars], expected[xbars])
+        assert np.array_equal(partials[key], expected)
 
 
 # --------------------------------------------- stores do not scale with K
@@ -510,10 +524,9 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
 def test_group_by_mask_decodes_do_not_scale_with_subgroups(
     monkeypatch, pruning, partitions
 ):
-    """8 or 64 subgroups: the K masks stay in the bank's kernel words and the
-    same few are decoded — the last key's per partition and the primary's
-    union, never a ``(K, crossbars, rows)`` array — while rows,
-    ``PimStats``, stored bits, dirty marks and wear stay the oracle's."""
+    """8 or 64 subgroups: one mask is decoded per partition, the last key's
+    — never a ``(K, crossbars, rows)`` array — while rows, ``PimStats``,
+    stored bits, dirty marks and wear stay the oracle's."""
     query = Query(
         "decoded", Comparison("value", "<", 120),
         (Aggregate("sum", "value"), Aggregate("count"), Aggregate("max", "value")),
@@ -541,7 +554,7 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
                 execution = service.execute(query)
             assert execution.pim_subgroups == execution.total_subgroups == subgroups
             decoded[subgroups] = sizes
-            assert 0 < sum(sizes) <= (2 + remote_partitions) * bank.count * bank.rows
+            assert 0 < sum(sizes) <= (1 + remote_partitions) * bank.count * bank.rows
 
             twin = reference.execute(query)
             assert len(twin.rows) == subgroups
@@ -550,6 +563,36 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
             service.close()
             reference.close()
         assert decoded[8] == decoded[64]
+
+
+@pytest.mark.parametrize("partitions", [None, [["value"], ["key"], ["bucket"]]])
+def test_group_by_kernels_bind_the_last_key_only(monkeypatch, partitions):
+    """K = 20 on one and on three vertical partitions: each partition's
+    template kernel runs once, on values of one key — every bound mismatch
+    and remote value has a leading axis of 1 — and each selected row's
+    subgroup comes from its key, not from a K-mask value."""
+    service, stored = _charge_service("batched", 20, True, partitions)
+    reference, _ = _charge_service("dispatch", 20, True, partitions)
+    query = Query(
+        "last", Comparison("value", "<", 120), (Aggregate("sum", "value"),),
+        group_by=("key", "bucket"),
+    )
+    leading = []
+    run = BatchKernel.run
+
+    def spy(self, bank, xbars=None, bound=None):
+        leading.append(sorted({len(value) for value in (bound or {}).values()}))
+        return run(self, bank, xbars, bound)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchKernel, "run", spy)
+        execution = service.execute(query)
+    assert execution.pim_subgroups == execution.total_subgroups == 20
+    assert leading == [[1]] * len(stored.layouts)
+    assert_same_execution(execution, reference.execute(query))
+    assert_same_state(service, reference)
+    service.close()
+    reference.close()
 
 
 # --------------------------------------------------------------- scatter pool

@@ -184,8 +184,11 @@ def test_partition_conjuncts_split():
     assert attributes_referenced(parts[0]) == {"price"}
     assert attributes_referenced(parts[1]) == {"city", "year"}
     assert partition_conjuncts(None, [["a"], ["b"]]) == [None, None]
-    with pytest.raises(CompilationError):
+    with pytest.raises(CompilationError, match="'unknown'.*not stored in any partition"):
         partition_conjuncts(Comparison("unknown", EQ, 1), [["a"], ["b"]])
+    spanning = Or((Comparison("a", EQ, 1), Comparison("b", EQ, 1)))
+    with pytest.raises(CompilationError, match="spans multiple"):
+        partition_conjuncts(spanning, [["a"], ["b"]])
 
 
 def test_compiler_unknown_attribute_everywhere(toy_stored, toy_relation):

@@ -181,8 +181,7 @@ def _prune(bank, xbars):
 def test_equality_stage_edge_cases(backend, xbars, width, values):
     """The mismatch stage against ``eq_const`` and the whole mask against
     ``compile_group_mask``, both executed op by op: W = 1 and the widest
-    SSB GROUP-BY field, one distinct value, duplicate keys (the gather by
-    ``inverse``), the constants 0 and 2^W - 1, broadcast, a non-contiguous
+    SSB GROUP-BY field, one distinct value, duplicate keys, the constants 0 and 2^W - 1, broadcast, a non-contiguous
     crossbar subset and an empty one."""
     stored = _one_field_store(width, backend)
     layout = stored.layouts[0]

@@ -561,46 +561,6 @@ def test_cell_gather_and_bounded_reads_equal_the_full_decode(count, rows, width,
         assert np.array_equal(bank.writes_per_row, wear)
 
 
-@pytest.mark.parametrize("covered", ["all", "subset", "none"])
-@pytest.mark.parametrize("keys", [1, 5])
-@pytest.mark.parametrize("rows", [64, 100, 1024])    # 100: padding bits in the last word
-def test_kernel_gather_equals_indexing_the_decoded_value(rows, keys, covered):
-    """``kernel_gather(value, positions, rows)`` is
-    ``kernel_to_bool(value)[:, positions, rows]`` on both banks — a stack of
-    ``K`` values over all, some or none of the crossbars — and validates its
-    index before reading anything."""
-    count = 4
-    rng = np.random.default_rng(rows * 10 + keys)
-    xbars = np.array({"all": [0, 1, 2, 3], "subset": [1, 3], "none": []}[covered], dtype=int)
-    n = len(xbars)
-    bits = rng.random((keys, count, rows)) < 0.5
-    # Row 0 and the last row of a crossbar, duplicates, unsorted; or no cell.
-    positions = np.array([0, n - 1, n - 1, 0, *rng.integers(0, max(n, 1), 40)])
-    cell_rows = np.array([0, rows - 1, 0, rows - 1, *rng.integers(0, rows, 40)])
-    if n == 0:
-        positions = cell_rows = np.array([], dtype=np.int64)
-    results = []
-    for bank in (CrossbarBank(count, rows, 2), PackedCrossbarBank(count, rows, 2)):
-        value = bank.kernel_from_bool(bits)[:, xbars]
-        decoded = bank.kernel_to_bool(value)
-        assert np.array_equal(decoded, bits[:, xbars])
-        gathered = bank.kernel_gather(value, positions, cell_rows)
-        assert gathered.dtype == np.bool_ and gathered.shape == (keys, len(positions))
-        assert np.array_equal(gathered, decoded[:, positions, cell_rows])
-        assert bank.kernel_gather(value, [], []).shape == (keys, 0)
-        results.append(gathered)
-
-        before = value.copy()
-        for bad_positions, bad_rows in (
-            ([0], [rows]), ([0], [-1]), ([n], [0]), ([-1], [0]),
-            ([0, 0], [0]), ([[0]], [[0]]),
-        ):
-            with pytest.raises(ValueError):
-                bank.kernel_gather(value, bad_positions, bad_rows)
-        assert np.array_equal(value, before)              # a read, even when refused
-    assert np.array_equal(*results)
-
-
 @pytest.mark.parametrize("backend", ["packed", "bool"])
 @pytest.mark.parametrize("spread", [False, True])
 @pytest.mark.parametrize("dense", [False, True])
