@@ -48,10 +48,9 @@ def default_backend() -> str:
 
 #: Program-execution strategies of the functional simulation.  ``"batched"``
 #: is the production path: single programs run as fused NOR-DAG kernels (see
-#: :mod:`repro.pim.fused`) and all subgroup masks of a GROUP-BY partition
-#: come from one value-free template kernel with the group keys bound as
-#: inputs — no program is compiled or lowered per subgroup (see
-#: :mod:`repro.core.batched`).  ``"dispatch"`` is the reference: the
+#: :mod:`repro.pim.fused`) and the pim-gb takes each row's subgroup from
+#: its key and stores the last key's masks without a kernel — no program
+#: is compiled or lowered per subgroup (see :mod:`repro.core.batched`).  ``"dispatch"`` is the reference: the
 #: op-by-op interpreter and the per-subgroup pim-gb loop, one compiled
 #: program per subgroup.  Both are bit-exact on the output columns and
 #: charge identical modelled statistics.

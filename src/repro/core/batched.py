@@ -18,21 +18,18 @@ without changing a single modelled number or stored bit:
   ``(key, crossbar)`` and their union, the rows the clear removes; a row
   whose tuple is no PIM key stays selected for host-gb.
 
-* **One value-free template per partition, run for the last key.**  Every
-  subgroup's group-mask program is the same circuit with other key
-  constants, so the compiler is asked for one
-  :class:`~repro.db.compiler.GroupMaskTemplate` per ``(layout, attributes,
-  include_remote)``, lowered like any program
-  (:func:`repro.pim.ir.lower_program`) and compiled once into a
-  :class:`~repro.pim.fused.BatchKernel`, for as long as the program cache
-  keeps the template.  Each partition runs it once, for the last key, the
-  one whose bits are stored: the attributes' mismatches with its constants
-  (:func:`repro.pim.fused.field_mismatches`) and the remote bits are bound
-  to the kernel's inputs.  It runs against the pre-GROUP-BY filter, which
-  the rows being disjoint makes equal to the reference's filter after the
-  earlier keys' clears.  A remote partition's bits cover every live row
-  matching there, not only the selected ones; its value is re-indexed along
-  its crossbar axis and ANDed into the primary's remote input as it is.
+* **The last key's bits without a kernel.**  Only the last key's masks
+  are stored.  The primary partition's is the selection ANDed with "the
+  tuple is the last key": the last key's records of the lookup, a suffix
+  of its output.  It equals the reference's program run against the filter
+  after the earlier keys' clears, because the rows are disjoint.  A remote
+  partition's covers every live row matching there, not only the selected
+  ones: its valid bit ANDed with "no attribute differs from the key"
+  (:func:`repro.pim.fused.field_mismatches`), one NumPy conjunction on the
+  bank's native words (:func:`_run_partition_batch`).  The compiler is
+  asked for one value-free :class:`~repro.db.compiler.GroupMaskTemplate`
+  per ``(layout, attributes, include_remote)``, which prices every key's
+  specialised program; nothing is lowered or compiled for a mask.
 
 * **One aggregation routine.**  The aggregates run through the
   aggregation stage's K-pass routine
@@ -85,8 +82,7 @@ from repro.db.query import Query
 from repro.host.readpath import HostReadModel
 from repro.pim.arithmetic import record_runs
 from repro.pim.controller import PimExecutor, crossbar_call, every_crossbar
-from repro.pim.fused import BatchKernel, compile_batch, field_mismatches
-from repro.pim.ir import lower_program
+from repro.pim.fused import field_mismatches
 from repro.pim.logic import ProgramCost
 from repro.planner.zonemap import PruneDecision
 
@@ -94,73 +90,33 @@ from repro.planner.zonemap import PruneDecision
 CODE_LIMIT = 1 << 62
 
 
-def _compile_group_batch(template: GroupMaskTemplate) -> BatchKernel:
-    """The conjunction kernel of a template, built on first use.
-
-    It hangs off the template the way ``Program._kernel`` hangs off a
-    program: the :class:`~repro.core.program_cache.ProgramCache` hands back
-    the same template on a warm replay, and evicting it drops both.
-    """
-    if template._kernel is None:
-        template._kernel = compile_batch(lower_program(template.program))
-    return template._kernel
-
-
 def _run_partition_batch(
     stored,
     partition: int,
     template: GroupMaskTemplate,
-    values: np.ndarray,
-    remote,
+    key: Sequence[int],
     candidates: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a template for the group keys ``values`` on one partition's
-    bank (the batched pim-gb passes one, its last key).
+) -> np.ndarray:
+    """A remote partition's mask of the group key ``key``, one bool per slot
+    in use: the valid bit ANDed with every attribute of ``template`` equal
+    to its value in ``key``, on the partition's ``candidates`` (a skipped
+    crossbar's bits are zero, as in a candidate run of the reference).
 
-    ``values[k]`` holds key ``k``'s encoded values of
-    ``template.attributes``; ``remote`` is the ``(K, n, ...)`` native value
-    bound to the remote column of a template built with ``include_remote``.
-    Returns the kernel's ``(K, n, ...)`` value — the masks against the
-    *pre-batch* state, in the bank's native representation — and the index
-    of the ``n`` crossbars it covers, the partition's ``candidates`` (all of
-    them as the bank's whole-bank call,
-    :func:`~repro.pim.controller.crossbar_call`); a skipped crossbar's bits
-    are zero, as in a candidate run of the reference.
+    It covers every live row matching there, not only the selected ones,
+    and it reads the pre-GROUP-BY state of the partition's bank.
     """
     bank = stored.allocations[partition].bank
     idx, xbars = crossbar_call(bank, candidates)
-    bound = {
-        column: field_mismatches(bank, columns, values[:, index], xbars)
-        for index, (columns, column) in enumerate(
-            zip(template.fields, template.mismatch_columns)
-        )
-    }
-    if idx.size == 0:
-        empty = np.zeros((len(values), 0, bank.rows), dtype=bool)
-        return bank.kernel_from_bool(empty), idx
-    if remote is not None:
-        bound[stored.layouts[partition].remote_column] = remote
-    # The template's program has exactly one output, its result column.
-    ((_, value),) = _compile_group_batch(template).run(bank, xbars, bound)
-    return value, idx
-
-
-def _mask_bits(bank, value, idx, num_records: int) -> np.ndarray:
-    """A one-key :func:`_run_partition_batch` value, one bool per slot in use."""
+    mismatch = np.bitwise_or.reduce([
+        field_mismatches(bank, columns, value, xbars)
+        for columns, value in zip(template.fields, key)
+    ])
     bits = np.zeros((bank.count, bank.rows), dtype=bool)
-    bits[idx] = bank.kernel_to_bool(value)[0]
-    return bits.reshape(-1)[:num_records]
-
-
-def _on_crossbars(value, idx, target, count: int):
-    """Re-index a ``(K, n, ...)`` value along its crossbar axis, from the
-    crossbars ``idx`` to the crossbars ``target`` (of ``count``); a target
-    crossbar the value does not cover reads zero.  Every partition of a
-    relation maps a slot to the same ``(crossbar, row)``, so this is all
-    that moving a mask between partitions takes."""
-    full = np.zeros((len(value), count) + value.shape[2:], dtype=value.dtype)
-    full[:, idx] = value
-    return full[:, target]
+    if idx.size:
+        # The valid bits' padding is zero, so ``~`` needs no row mask.
+        valid = bank.kernel_read(stored.layouts[partition].valid_column, xbars)
+        bits[idx] = bank.kernel_to_bool(valid & ~mismatch)
+    return bits.reshape(-1)[: stored.num_records]
 
 
 def _key_runs(
@@ -217,7 +173,7 @@ def run_group_by_batched(
     read_model: HostReadModel,
     prune: PruneDecision,
 ) -> dict[GroupKey, dict[str, int]]:
-    """pim-gb over ``keys`` with batched kernels and counted charges.
+    """pim-gb over ``keys`` with one key lookup and counted charges.
 
     Identical with the per-subgroup reference loop of
     :meth:`PimQueryEngine._execute_group_by` — result rows, stored bits,
@@ -245,55 +201,49 @@ def run_group_by_batched(
         by_partition.setdefault(stored.partition_of(name), []).append(name)
     remote_partitions = [p for p in by_partition if p != primary]
 
-    # ------------------------------------------- the last key's mask kernels
-    # All of this runs against the pre-group-by column state, before any
-    # store below.
+    # ----------------------------------------------- every key's subgroup
+    selected = np.flatnonzero(mask)
+    subgroups = records, starts, cells = _key_runs(
+        [stored.decode_cells(name, selected) for name in group_attributes],
+        key_table, selected, bank.rows, bank.count,
+    )
+    union = np.zeros(num_records, dtype=bool)
+    union[records] = True
+    # The runs are sorted by key, so the last key's records are a suffix.
     last = len(keys) - 1
+    first = np.append(starts, records.size)[np.searchsorted(cells, last * bank.count)]
+    primary_bits = np.zeros(num_records, dtype=bool)
+    primary_bits[records[first:]] = True
 
-    def batch(partition: int, filter_column: int, remote=None):
-        """One partition's per-key program cycles, and its last key's mask
-        value and crossbars."""
+    # ------------------------------------------ every partition's mask cost
+    def template_of(partition: int, filter_column: int, include_remote=False):
+        """One partition's template and its columns of the key table."""
         template = compiler.group_template(
             by_partition.get(partition, ()), stored.layouts[partition],
-            filter_column, include_remote=remote is not None,
+            filter_column, include_remote=include_remote,
         )
-        values = key_table[
+        return template, key_table[
             :, [group_attributes.index(name) for name in template.attributes]
         ]
-        return template.cycles(values), *_run_partition_batch(
-            stored, partition, template, values[last:], remote,
-            prune.candidates[partition],
-        )
 
     def remote_batch(partition: int):
-        return batch(partition, stored.layouts[partition].valid_column)
+        """A remote partition's per-key program cycles and its last key's
+        bits, against the pre-GROUP-BY state (before any store below)."""
+        remote, values = template_of(partition, stored.layouts[partition].valid_column)
+        return remote.cycles(values), _run_partition_batch(
+            stored, partition, remote, values[last], prune.candidates[partition]
+        )
 
     pool = engine.scatter_pool
     if pool is not None and len(remote_partitions) > 1:
         remote_batches = pool.map(remote_batch, remote_partitions)
     else:
         remote_batches = [remote_batch(partition) for partition in remote_partitions]
-
-    remote = None
+    combine, values = template_of(
+        primary, primary_layout.filter_column, bool(remote_partitions)
+    )
+    combine_cycles = combine.cycles(values)
     primary_candidates = prune.candidates[primary]
-    primary_idx = np.flatnonzero(primary_candidates)
-    if remote_partitions:
-        remote = np.bitwise_and.reduce([
-            _on_crossbars(value, idx, primary_idx, bank.count)
-            for _, value, idx in remote_batches
-        ])
-    combine_cycles, mask_value, _ = batch(
-        primary, primary_layout.filter_column, remote
-    )
-
-    # ------------------------------------------------ every key's subgroup
-    selected = np.flatnonzero(mask)
-    subgroups = _key_runs(
-        [stored.decode_cells(name, selected) for name in group_attributes],
-        key_table, selected, bank.rows, bank.count,
-    )
-    union = np.zeros(num_records, dtype=bool)
-    union[subgroups[0]] = True
 
     # ------------------------------------------------- batched bookkeeping
     # Identical for every subgroup, so built once per query.
@@ -330,10 +280,9 @@ def run_group_by_batched(
 
     running: np.ndarray | None = None
     for position, partition in enumerate(remote_partitions):
-        cycles, value, idx = remote_batches[position]
+        cycles, bits = remote_batches[position]
         store_program(
-            partition, mask_program(partition, cycles),
-            _mask_bits(stored.allocations[partition].bank, value, idx, num_records),
+            partition, mask_program(partition, cycles), bits,
             prune.candidates[partition],
         )
         transferred = read_model.transfer_bit_column(
@@ -350,8 +299,7 @@ def run_group_by_batched(
                 primary, fold_program, fold_bits, fold_candidates(fold_program)
             )
     store_program(
-        primary, mask_program(primary, combine_cycles),
-        _mask_bits(bank, mask_value, primary_idx, num_records),
+        primary, mask_program(primary, combine_cycles), primary_bits,
         primary_candidates,
     )
     # The clear leaves the selection minus the rows of every key's subgroup.
@@ -370,7 +318,7 @@ def run_group_by_batched(
             )
 
     if last > 0:
-        for partition, (cycles, *_) in zip(remote_partitions, remote_batches):
+        for partition, (cycles, _) in zip(remote_partitions, remote_batches):
             charge_programs(
                 partition, Counter(cycles[:last].tolist()),
                 prune.candidates[partition],

@@ -531,8 +531,8 @@ class PimQueryEngine:
             "pim-gb", batched=batched, subgroups=len(plan.pim_groups)
         ):
             if batched:
-                # Every configuration's pim-gb: one template kernel per
-                # partition, charges by multiplicity (repro.core.batched).
+                # Every configuration's pim-gb: each row's subgroup from
+                # its key, charges by multiplicity (repro.core.batched).
                 from repro.core.batched import run_group_by_batched
 
                 rows = run_group_by_batched(

@@ -9,7 +9,8 @@ and a service replaying similar WHERE clauses — takes its compiled
 private cache; the service shares one across all of its engines.
 
 The batched pim-gb of every configuration asks for *templates*
-(:class:`~repro.db.compiler.GroupMaskTemplate`), not per-subgroup programs.
+(:class:`~repro.db.compiler.GroupMaskTemplate`, which price every key's
+mask program and compile none), not per-subgroup programs.
 A template key is ``(attribute names, filter column, include_remote,
 layout)`` — it holds no group values, so a GROUP-BY costs one entry per
 partition it touches however many subgroups it has, and the capacity a
@@ -119,19 +120,19 @@ class ProgramCache:
             self._entries.clear()
 
     def fused_kernels(self) -> int:
-        """Cached programs and templates whose kernel has been compiled.
+        """Cached programs whose kernel has been compiled.
 
         Programs memoize their optimized NOR DAG and fused kernel on first
         fused execution (see :meth:`repro.pim.logic.Program.fused_kernel`),
-        templates their batch kernel on first batched group-by, so a cache
-        hit reuses the kernel along with the entry and an eviction drops
-        both — this counts how many entries currently carry one.
+        so a cache hit reuses the kernel along with the entry and an
+        eviction drops both — this counts how many entries currently carry
+        one.  A template compiles nothing.
         """
         with self._lock:
             return sum(
                 1
-                for program in self._entries.values()
-                if program._kernel is not None
+                for entry in self._entries.values()
+                if isinstance(entry, Program) and entry._kernel is not None
             )
 
     def _lookup(self, key: Hashable, build: Callable[[], _Entry]) -> _Entry:
@@ -187,7 +188,8 @@ class ProgramCache:
         filter_column: int,
         include_remote: bool = False,
     ) -> GroupMaskTemplate:
-        """Value-free twin of the two methods above (batched pim-gb).
+        """Value-free twin of the two methods above (batched pim-gb): the
+        per-key op counts of their programs, no program.
 
         ``filter_column`` is the layout's valid column for what
         :meth:`group_program` specialises per subgroup and its filter column

@@ -34,8 +34,8 @@ pruning, otherwise the engine's decision of every crossbar — a run the
 executor hands the bank as its whole-bank call and charges its full pages.
 The one exception is the *known-bits store* of the batched pim-gb
 (:mod:`repro.core.batched`): its last subgroup has no per-key program to
-run, only the bits the value-free template kernel already computed from the
-stored bits, so ``apply_program_pruned(result_bits=...)`` writes those bits
+run, only the bits its key lookup and the remote partitions' conjunctions
+already computed, so ``apply_program_pruned(result_bits=...)`` writes those bits
 into the result column and charges a :class:`~repro.pim.logic.ProgramCost`
 instead.
 """
@@ -113,13 +113,13 @@ def apply_program_pruned(
     an earlier run left stale ones behind.
 
     ``result_bits`` is the batched pim-gb's known-bits store (module
-    docstring): one bool per slot in use, computed by the template kernel
-    from the stored bits, is written into the program's result column and
+    docstring): one bool per slot in use, computed from the key lookup or
+    the stored bits, is written into the program's result column and
     the program's cycles and wear are charged from its
     :class:`~repro.pim.logic.ProgramCost` — the stored bits and modelled
     cost the per-key program would have left.  The bits must already be
     zero outside the candidate crossbars, which is checked (the caller masks
-    them through :func:`candidate_rows` where the kernel's bits can extend
+    them through :func:`candidate_rows` where its bits can extend
     further).
     """
     if program.result_column is None:
@@ -184,7 +184,7 @@ def _check_pruned_bits(
     row inside a pruned crossbar means the maintenance contract was broken
     somewhere, which must fail loudly rather than silently drop rows.
     Called wherever the selection is in hand for another reason: the batched
-    pim-gb's kernel bits (union and selection, and every known-bits store)
+    pim-gb's selection and every known-bits store
     and the ground-truth selection of a pruned DELETE / UPDATE.
     """
     padded = np.zeros(allocation.record_capacity, dtype=bool)

@@ -109,27 +109,17 @@ class GroupMaskTemplate:
 
     :func:`compile_group_mask` builds one constant-specialised program per
     subgroup; every one of them is the same circuit with other key
-    constants.  A template is that circuit with the key's equalities left
-    open, for ``attributes`` of ``layout`` (held sorted by name, the order
-    :func:`compile_group_mask` uses):
+    constants.  A template is what the batched pim-gb needs of that circuit
+    for ``attributes`` of ``layout`` (held sorted by name, the order
+    :func:`compile_group_mask` uses), without compiling it per key:
 
-    * ``fields[a]`` are attribute ``a``'s bit columns.  The batched pim-gb
-      path evaluates "attribute ``a`` differs from the key's constant" once
-      per distinct constant, with the literals of
-      :meth:`~repro.pim.logic.ProgramBuilder.eq_const` selected along a
-      constant axis (:func:`repro.pim.fused.field_mismatches`), and binds it
-      per key to the pseudo-column ``mismatch_columns[a]``;
-    * ``program`` is one NOR of the ``mismatch_columns``, the negated remote
-      bit-vector (``include_remote``) and the negated ``filter_column`` into
-      the group column: no attribute differs, and the remote and filter bits
-      are set.  It is lowered like any program; the kernel run binds the
-      mismatch columns, and the remote column, per key.
-
-    The pseudo-columns lie past the physical row, and so does the program's
-    scratch: a template is functional only, never dispatched op by op, and
-    its gates are chosen for the fused kernel, not for the cycle count.
-    What a subgroup's specialised program would be charged is its op count,
-    :meth:`cycles` of the key.
+    * ``fields[a]`` are attribute ``a``'s bit columns and ``widths[a]``
+      their count.  A remote partition's stored bits are the valid bit
+      ANDed with "no attribute differs from the key"
+      (:func:`repro.pim.fused.field_mismatches`); the primary's come from
+      the pim-gb's key lookup.
+    * :meth:`cycles` is what each key's specialised program would be
+      charged, its op count, for a whole key table at once.
     """
 
     def __init__(
@@ -140,7 +130,6 @@ class GroupMaskTemplate:
         include_remote: bool = False,
     ) -> None:
         self.attributes: tuple[str, ...] = tuple(sorted(attributes))
-        self.result_column = layout.group_column
         zero_key = compile_group_mask(
             dict.fromkeys(self.attributes, 0), layout, filter_column, include_remote
         )
@@ -151,22 +140,6 @@ class GroupMaskTemplate:
         self._fixed_cycles = zero_key.cycles - sum(
             ProgramBuilder.eq_const_cycles(width, 0) for width in self.widths
         )
-
-        # Pseudo-columns: one per attribute for its mismatch, then the two
-        # scratch columns of the negated remote and filter bits.
-        cursor = layout.columns + len(self.fields)
-        self.mismatch_columns = tuple(range(layout.columns, cursor))
-        remote = (layout.remote_column,) if include_remote else ()
-        builder = ProgramBuilder(range(cursor, cursor + 2))
-        builder.emit_nor(
-            self.result_column,
-            self.mismatch_columns
-            + tuple(builder.not_(column) for column in (*remote, filter_column)),
-        )
-        self.program = builder.build(result_column=self.result_column)
-        # The compiled kernel, set by the batched path on first use; it lives
-        # and dies with the template, like ``Program._kernel``.
-        self._kernel = None
 
     def cycles(self, values: np.ndarray) -> np.ndarray:
         """For every row of a ``(K, attributes)`` key table, the op count of

@@ -76,8 +76,8 @@ class PimExecutor:
         self.config = config
         self.stats = stats if stats is not None else PimStats()
         # Program-execution strategy, resolved once.  ``batched`` runs
-        # individual programs as fused kernels and takes all subgroup masks
-        # of a GROUP-BY from one value-free template kernel (see
+        # individual programs as fused kernels and runs a GROUP-BY's
+        # subgroups without a per-subgroup program (see
         # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`);
         # otherwise programs run op by op.  Both are bit-exact on program
         # outputs and all costs are charged from program metadata either way.

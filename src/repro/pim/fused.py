@@ -10,16 +10,13 @@ through the four-method kernel surface (``kernel_read`` / ``kernel_write``
 crossbars alike, so it adds to one counter per crossbar, never to the
 per-row matrix.
 
-There is one evaluation loop and two ways to run it.
-:meth:`FusedKernel.run` evaluates a program in place: every input from the
-bank, the outputs written back.  :meth:`BatchKernel.run` evaluates it
-functionally: an input may be bound to a caller's value instead of the
-bank's (a value-free GROUP-BY template binds its per-key mismatch
-pseudo-columns and remote column that way), and the outputs are returned
-unwritten, against the pre-run state.  A caller holding such a value
-converts it with ``kernel_to_bool`` / ``kernel_from_bool``; between them a
-value only meets NumPy's bitwise ufuncs and indexing along its leading
-(stack, crossbar) axes, which mean the same on both representations.
+There is one evaluation loop, :meth:`FusedKernel.run`: every input from
+the bank, the outputs written back.  A caller holding a native value (the
+batched pim-gb's :func:`field_mismatches` of a remote partition, a
+:class:`BatchKernel`'s unwritten outputs) converts it with
+``kernel_to_bool`` / ``kernel_from_bool``; between them a value only meets
+NumPy's bitwise ufuncs and indexing along its leading (stack, crossbar)
+axes, which mean the same on both representations.
 
 The NOR itself is computed as ``(a | b | ...) ^ ones``: on the packed
 backend every value in the dataflow keeps its padding bits zero (inputs by
@@ -57,11 +54,8 @@ class FusedKernel:
         self.depth: int = dag.depth
         self.nor_count: int = dag.nor_count
 
-    def _evaluate(self, bank, xbars, bound=None) -> list:
-        """Every node's native value.  An ``INPUT`` reads its column from
-        ``bound`` (``{column: value}``) if bound there, else from the bank;
-        a column past the physical row (a template's pseudo-column) must be
-        bound."""
+    def _evaluate(self, bank, xbars) -> list:
+        """Every node's native value, each ``INPUT`` read from the bank."""
         ones = bank.kernel_ones()
         values: list = [None] * len(self.instructions)
         for index, (kind, payload) in enumerate(self.instructions):
@@ -77,12 +71,7 @@ class FusedKernel:
                     np.bitwise_xor(value, ones, out=value)
                 values[index] = value
             elif kind == INPUT:
-                if bound is not None and payload in bound:
-                    values[index] = bound[payload]
-                elif payload >= bank.columns:
-                    raise KeyError(f"kernel input column {payload} is not bound")
-                else:
-                    values[index] = bank.kernel_read(payload, xbars)
+                values[index] = bank.kernel_read(payload, xbars)
             else:  # CONST — only ever an output (folding strips const operands)
                 values[index] = ones if payload else np.bitwise_xor(ones, ones)
         return values
@@ -113,60 +102,43 @@ def compile_dag(dag: NorDag) -> FusedKernel:
 
 
 class BatchKernel(FusedKernel):
-    """A :class:`FusedKernel` run functionally: bound inputs, outputs
-    returned unwritten.  The batched pim-gb binds a
-    :class:`~repro.db.compiler.GroupMaskTemplate`'s mismatch pseudo-columns
-    and remote column to ``(K, n, ...)`` values stacked along a key axis
-    (K = 1: its last key), so one run yields those keys' subgroup masks; it
-    stores them as column state and charges every modelled cost from
-    program metadata.
-    """
+    """A :class:`FusedKernel` run functionally: the outputs are returned
+    unwritten, against the pre-run state."""
 
     __slots__ = ()
 
-    def run(
-        self, bank, xbars: Sequence[int] | None = None, bound=None
-    ) -> list[tuple[int, object]]:
-        """Evaluate on ``bank`` and return ``[(column, native_value), ...]``.
-
-        ``bound`` maps columns to the values their ``INPUT`` nodes read
-        instead of the bank's (shaped for ``xbars`` when given).  Returned
-        values may alias each other (CSE), a bound value or live bank
-        storage (INPUT passthrough) — callers must treat them as read-only
-        snapshots of the pre-run state and copy before mutating the bank.
-        """
-        values = self._evaluate(bank, xbars, bound)
+    def run(self, bank, xbars: Sequence[int] | None = None) -> list[tuple[int, object]]:
+        """``[(column, native_value), ...]`` of the outputs; a value may alias
+        another (CSE) or live bank storage (INPUT passthrough)."""
+        # No caller in src/: kept because perf/layers.py (not editable outside
+        # a benchmark PR) names it and perf/test_perf.py asserts
+        # ``trace.unresolved_targets == 0``.
+        values = self._evaluate(bank, xbars)
         return [(column, values[slot]) for column, slot in self.outputs]
 
 
 def compile_batch(dag: NorDag) -> BatchKernel:
     """Compile ``dag`` into a reusable :class:`BatchKernel`."""
+    # No caller in src/: pinned by perf/layers.py, like BatchKernel.run.
     return BatchKernel(dag)
 
 
-def field_mismatches(
-    bank, columns: Sequence[int], values, xbars: np.ndarray | None = None
-):
-    """``field != v`` for every ``v`` of ``values``, as one native value
-    stacked along a constant axis: ``(len(values), n, ...)``.
+def field_mismatches(bank, columns: Sequence[int], value: int, xbars=None):
+    """``field != value`` as one native value, ``(n, ...)``.
 
-    The literals of :meth:`~repro.pim.logic.ProgramBuilder.eq_const` with the
-    constant as an index: the field (LSB-first ``columns``) differs from
-    ``v`` iff some bit plane ``P_i`` has the literal ``v_i`` selects set —
-    ``NOT P_i`` where ``v_i`` is one, ``P_i`` where it is zero.  Both
-    literals of every plane are built once, each value gathers its ``W``
-    and one OR-reduction covers them all.  ``columns`` are contiguous, as
-    a field's are, so the planes are read as one slab.  A value that is
-    negative or does not fit in ``W`` bits raises ``ValueError`` instead of
-    aliasing another constant through its low bits.
+    The literals of :meth:`~repro.pim.logic.ProgramBuilder.eq_const`: the
+    field (LSB-first ``columns``) differs from ``value`` iff some bit plane
+    ``P_i`` has the literal ``value_i`` selects set — ``NOT P_i`` where
+    ``value_i`` is one, ``P_i`` where it is zero.  ``columns`` are
+    contiguous, as a field's are, so the planes are read as one slab.  A
+    value that is negative or does not fit in ``W`` bits raises
+    ``ValueError`` instead of aliasing another constant through its low
+    bits.
     """
-    values = np.asarray(values, dtype=np.int64)
+    value = int(value)
     width = len(columns)
-    if np.any((values < 0) | (values >> width)):
+    if value < 0 or value >> width:
         raise ValueError(f"a constant does not fit in {width} bits")
-    planes = bank.kernel_read(slice(columns[0], columns[0] + width), xbars)
-    literals = np.empty((2,) + planes.shape, planes.dtype)
-    literals[0] = planes
-    np.bitwise_xor(planes, bank.kernel_ones(), out=literals[1])
-    bit = np.arange(width)
-    return np.bitwise_or.reduce(literals[values[:, None] >> bit & 1, bit], axis=1)
+    literals = np.array(bank.kernel_read(slice(columns[0], columns[0] + width), xbars))
+    literals[(value >> np.arange(width) & 1).astype(bool)] ^= bank.kernel_ones()
+    return np.bitwise_or.reduce(literals, axis=0)

@@ -19,11 +19,8 @@ step rebinds its destination column to a new node, so in-place idioms
 (ripple-carry accumulation, ``mux_update``) lower correctly by
 construction.
 
-Every program is lowered this one way, the value-free GROUP-BY template
-(:class:`~repro.db.compiler.GroupMaskTemplate`) included: its per-key
-mismatch pseudo-columns, which lie past the physical row, and its remote
-column are plain ``INPUT`` nodes, which the kernel reads from a per-run
-binding instead of the bank (:mod:`repro.pim.fused`).
+Every program is lowered this one way; every ``INPUT`` node is a physical
+column the kernel reads from the bank (:mod:`repro.pim.fused`).
 
 While building the DAG we apply the classic local optimisations:
 

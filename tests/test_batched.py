@@ -1,9 +1,9 @@
 """The batched group-by execution strategy: lockstep parity and plumbing.
 
-The batched strategy (``execution="batched"``, the default) runs one
-template kernel per vertical partition for the last key, takes every
-PIM-resident subgroup's rows from a key lookup, and charges the subgroups
-by multiplicity through
+The batched strategy (``execution="batched"``, the default) takes every
+PIM-resident subgroup's rows, and the primary partition's stored last-key
+mask, from a key lookup, computes each remote partition's last-key mask as
+one NumPy conjunction, and charges the subgroups by multiplicity through
 the same accounting entry points the reference loop uses, storing bits and
 wear once per GROUP-BY.  The contract is total: identical result rows,
 equal :class:`PimStats` (the same multiset of charges and power samples, the
@@ -16,7 +16,8 @@ reduction, two queries with different candidate crossbars back to back on
 each store; deterministic tests pin the stale-crossbar clear of a second
 query, the multi-remote fold path, the key lookup and segmented reduction
 against ``aggregate_reference``, the K-independence of the stores and of
-the charge calls, the one-key kernel runs, the nested-safe scatter pool,
+the charge calls, the absence of template kernel runs, the nested-safe
+scatter pool,
 the structural whole-plan memo key, and the pre-scatter empty-shard skip.
 """
 
@@ -27,6 +28,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from twins import all_pim_cost_model, assert_same_execution, assert_same_state
 
+from repro.columnar import operators as columnar
+from repro.columnar.cost import ColumnarCost
 from repro.config import DEFAULT_CONFIG
 from repro.core import batched
 from repro.core.executor import PimQueryEngine
@@ -524,9 +527,10 @@ def test_group_by_charge_calls_do_not_scale_with_subgroups(
 def test_group_by_mask_decodes_do_not_scale_with_subgroups(
     monkeypatch, pruning, partitions
 ):
-    """8 or 64 subgroups: one mask is decoded per partition, the last key's
-    — never a ``(K, crossbars, rows)`` array — while rows, ``PimStats``,
-    stored bits, dirty marks and wear stay the oracle's."""
+    """8 or 64 subgroups: one mask is decoded per remote partition, the last
+    key's — never a ``(K, crossbars, rows)`` array, and none on the primary,
+    whose bits come from the key lookup — while rows, ``PimStats``, stored
+    bits, dirty marks and wear stay the oracle's."""
     query = Query(
         "decoded", Comparison("value", "<", 120),
         (Aggregate("sum", "value"), Aggregate("count"), Aggregate("max", "value")),
@@ -554,7 +558,7 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
                 execution = service.execute(query)
             assert execution.pim_subgroups == execution.total_subgroups == subgroups
             decoded[subgroups] = sizes
-            assert 0 < sum(sizes) <= (1 + remote_partitions) * bank.count * bank.rows
+            assert sum(sizes) <= remote_partitions * bank.count * bank.rows
 
             twin = reference.execute(query)
             assert len(twin.rows) == subgroups
@@ -566,33 +570,74 @@ def test_group_by_mask_decodes_do_not_scale_with_subgroups(
 
 
 @pytest.mark.parametrize("partitions", [None, [["value"], ["key"], ["bucket"]]])
-def test_group_by_kernels_bind_the_last_key_only(monkeypatch, partitions):
-    """K = 20 on one and on three vertical partitions: each partition's
-    template kernel runs once, on values of one key — every bound mismatch
-    and remote value has a leading axis of 1 — and each selected row's
-    subgroup comes from its key, not from a K-mask value."""
+def test_group_by_runs_no_template_kernel(monkeypatch, partitions):
+    """K = 20 on one and on three vertical partitions: no partition runs a
+    ``BatchKernel`` — the primary's stored mask is the key lookup's last-key
+    rows, a remote partition's one NumPy conjunction — and rows and state
+    stay the oracle's."""
     service, stored = _charge_service("batched", 20, True, partitions)
     reference, _ = _charge_service("dispatch", 20, True, partitions)
     query = Query(
         "last", Comparison("value", "<", 120), (Aggregate("sum", "value"),),
         group_by=("key", "bucket"),
     )
-    leading = []
+    runs = []
     run = BatchKernel.run
 
-    def spy(self, bank, xbars=None, bound=None):
-        leading.append(sorted({len(value) for value in (bound or {}).values()}))
-        return run(self, bank, xbars, bound)
+    def spy(self, *args, **kwargs):
+        runs.append(args)
+        return run(self, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(BatchKernel, "run", spy)
         execution = service.execute(query)
     assert execution.pim_subgroups == execution.total_subgroups == 20
-    assert leading == [[1]] * len(stored.layouts)
+    assert len(stored.layouts) == (1 if partitions is None else 3)
+    assert runs == []
     assert_same_execution(execution, reference.execute(query))
     assert_same_state(service, reference)
     service.close()
     reference.close()
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("partitions", [
+    None,
+    [["key", "value"], ["city", "region"]],
+    [["value"], ["key", "city"], ["region"]],
+], ids=("one_xb", "two_xb", "three"))
+def test_stored_group_column_is_the_last_keys_selected_rows(partitions, backend, pruning):
+    """After a GROUP-BY, the primary partition's group column holds the
+    selected live rows whose tuple is the last PIM key, computed with the
+    columnar operators on ``live_relation()`` (not with ``dispatch``), and
+    nothing on any other slot."""
+    relation = _relation(11, 12, records=3000)
+    config = DEFAULT_CONFIG.with_backend(backend)
+    stored = StoredRelation(
+        relation, PimModule(config), label="oracle",
+        partitions=partitions, aggregation_width=22,
+    )
+    engine = PimQueryEngine(
+        stored, config=config, cost_model=all_pim_cost_model(), pruning=pruning,
+    )
+    predicate = And((Comparison("value", "<", 200), Comparison("key", ">=", 100)))
+    query = Query(
+        "oracle", predicate, (Aggregate("sum", "value"),),
+        group_by=("city", "region"),
+    )
+    execution = engine.execute(query)
+    assert execution.pim_subgroups == execution.total_subgroups > 1
+    live = stored.live_relation()
+    rows = columnar.select(live, predicate, ColumnarCost())
+    for name, value in zip(query.group_by, execution.plan.pim_groups[-1]):
+        rows &= live.column(name) == value
+    expected = np.zeros(stored.num_records, dtype=bool)
+    expected[np.flatnonzero(stored.valid_mask(0))] = rows
+    assert expected.any()
+    primary = stored.partition_of("value")
+    column = stored.layouts[primary].group_column
+    assert np.array_equal(stored.column_bit(primary, column), expected)
 
 
 # --------------------------------------------------------------- scatter pool

@@ -130,11 +130,10 @@ def test_pimdb_reduction_decodes_no_field(ssb_prejoined, ssb_one_xb_engine, monk
 
 
 def test_pimdb_harness_builds_no_per_subgroup_program(monkeypatch):
-    """pimdb's ``run_all_queries`` (SF 0.002, seed 42) runs its pim-gb on
-    the batched template kernel: no per-key ``group_program`` or
-    ``combine_program`` is compiled, and every program lowered is a WHERE
-    clause's or a group-mask template's (the per-subgroup loop lowered one
-    program per subgroup and partition)."""
+    """pimdb's ``run_all_queries`` (SF 0.002, seed 42) runs the batched
+    pim-gb: no per-key ``group_program`` or ``combine_program`` is compiled,
+    and every program lowered is a WHERE clause's (the per-subgroup loop
+    lowered one program per subgroup and partition)."""
     from repro.core.program_cache import ProgramCache
     from repro.experiments.common import build_setup, run_all_queries
     from repro.pim import ir
@@ -150,11 +149,11 @@ def test_pimdb_harness_builds_no_per_subgroup_program(monkeypatch):
             return method(cache, *args, **kwargs)
         return wrapper
 
-    def recording(method, program_of):
+    def recording(method):
         def wrapper(cache, *args, **kwargs):
-            entry = method(cache, *args, **kwargs)
-            handed_out.add(id(program_of(entry)))
-            return entry
+            program = method(cache, *args, **kwargs)
+            handed_out.add(id(program))
+            return program
         return wrapper
 
     def lower(program, _lower=ir.lower_program):
@@ -166,11 +165,8 @@ def test_pimdb_harness_builds_no_per_subgroup_program(monkeypatch):
     monkeypatch.setattr(ProgramCache, "combine_program",
                         counting("combine", ProgramCache.combine_program))
     monkeypatch.setattr(ProgramCache, "filter_program",
-                        recording(ProgramCache.filter_program, lambda p: p))
-    monkeypatch.setattr(ProgramCache, "group_template",
-                        recording(ProgramCache.group_template, lambda t: t.program))
+                        recording(ProgramCache.filter_program))
     monkeypatch.setattr(ir, "lower_program", lower)
-    monkeypatch.setattr("repro.core.batched.lower_program", lower)
 
     records = run_all_queries(setup)
     assert sum(record.pim_subgroups for record in records) > 100

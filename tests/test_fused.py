@@ -9,8 +9,8 @@ Three layers are locked in here:
 * **Kernel** (:mod:`repro.pim.fused`): a hypothesis property test drives
   random programs through dispatch and fused execution on both backends in
   lock step — bit-identical cells and wear, broadcast and masked — and
-  pins the functional run's bound inputs: evaluating with a column bound to
-  a value equals writing the value into the column and running in place.
+  pins the functional run: it returns what the in-place run writes and
+  writes nothing.
 * **Execution**: engines configured ``execution="batched"`` (single
   programs run as fused kernels) and ``execution="dispatch"`` must produce
   identical rows and bit-identical
@@ -190,12 +190,11 @@ def _seeded_banks(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(raw_ops=_ops_strategy(), seed=st.integers(0, 2 ** 31),
-       xbars=st.lists(st.integers(0, COUNT - 1), unique=True, max_size=COUNT),
-       bound_column=st.integers(0, COLUMNS - 1))
-def test_fused_execution_bit_exact_with_dispatch(raw_ops, seed, xbars, bound_column):
+       xbars=st.lists(st.integers(0, COUNT - 1), unique=True, max_size=COUNT))
+def test_fused_execution_bit_exact_with_dispatch(raw_ops, seed, xbars):
     """Random programs: fused == dispatch cells and wear, broadcast + masked;
-    a functional run with ``bound_column`` bound == writing the bound value
-    into that column and running in place."""
+    a functional run returns what the in-place run writes and writes
+    nothing."""
     program = _build_program(raw_ops)
     # Broadcast to every crossbar.
     banks = _seeded_banks(seed)
@@ -212,18 +211,13 @@ def test_fused_execution_bit_exact_with_dispatch(raw_ops, seed, xbars, bound_col
         program.run_fused(banks[backend, "fused"], idx)
         assert_banks_equal(banks[backend, "dispatch"], banks[backend, "fused"])
     assert_banks_equal(banks["bool", "fused"], banks["packed", "fused"])
-    # A bound input, broadcast + masked: the functional run reads the
-    # binding, never the bank, and writes nothing.
+    # A functional run, broadcast + masked.
     kernel = compile_batch(program.ir())
-    bits = np.random.default_rng(seed + 1).integers(0, 2, (COUNT, ROWS)) == 1
     for index in (None, idx):
         banks = _seeded_banks(seed)
         for backend in ("bool", "packed"):
             bank, written = banks[backend, "fused"], banks[backend, "dispatch"]
-            before = bank.read_column(bound_column)
-            value = bank.kernel_from_bool(bits if index is None else bits[index])
-            outputs = kernel.run(bank, index, {bound_column: value})
-            written.write_bool_column(bound_column, bits)
+            outputs = kernel.run(bank, index)
             program.run_fused(written, index)
             assert [column for column, _ in outputs] == [
                 column for column, _ in program.ir().outputs
@@ -234,23 +228,17 @@ def test_fused_execution_bit_exact_with_dispatch(raw_ops, seed, xbars, bound_col
                     expected = expected[index]
                 decoded = bank.kernel_to_bool(value)
                 assert np.array_equal(np.broadcast_to(decoded, expected.shape), expected)
-            assert np.array_equal(bank.read_column(bound_column), before)
+            assert_banks_equal(bank, _seeded_banks(seed)[backend, "fused"])
 
 
-def test_unbound_pseudo_column_raises():
-    """A column past the physical row is only ever read from a binding."""
+def test_column_past_the_row_raises():
+    """A kernel reads every input from the bank, which refuses a column
+    past the physical row."""
     program = Program([NorOp(8, (0, COLUMNS))], output_columns=[8])
-    kernel = compile_batch(program.ir())
     for backend in ("bool", "packed"):
         bank = _seeded_banks(3)[backend, "fused"]
-        with pytest.raises(KeyError, match="not bound"):
-            kernel.run(bank)
-        with pytest.raises(KeyError, match="not bound"):
+        with pytest.raises(ValueError, match="out of range"):
             program.run_fused(bank)
-        zeros = bank.kernel_from_bool(np.zeros((COUNT, ROWS), dtype=bool))
-        ((column, value),) = kernel.run(bank, None, {COLUMNS: zeros})
-        assert column == 8
-        assert np.array_equal(bank.kernel_to_bool(value), ~bank.read_column(0))
 
 
 def test_builder_programs_only_write_outputs_identically():
@@ -368,3 +356,7 @@ def test_program_cache_reuses_fused_kernels():
     engine.execute(MINI_QUERIES[0])
     assert cache.snapshot().hits > hits_before
     assert cache.fused_kernels() == kernels_after_first
+    # A GROUP-BY caches a template beside its filter program; the template
+    # carries no kernel.
+    engine.execute(MINI_QUERIES[1])
+    assert cache.fused_kernels() == kernels_after_first + 1

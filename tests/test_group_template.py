@@ -1,19 +1,20 @@
 """The value-free pim-gb group-mask template against its specialised twins.
 
 ``execution="batched"`` never compiles a per-subgroup program: it asks for
-one :class:`~repro.db.compiler.GroupMaskTemplate` per partition, evaluates
-each GROUP-BY attribute's mismatch once per distinct key value
-(:func:`~repro.pim.fused.field_mismatches`, ``eq_const``'s literals selected
-along a constant axis), conjoins them per key in one kernel run and charges
-each subgroup from a closed form.  The property test pins both halves
-against the constant-specialised compilers the ``dispatch`` reference still
-uses — the closed-form cost equals the compiled program's op count, and the
-template's mask bits equal op-by-op execution of the specialised program,
-on both backends, broadcast and on a crossbar subset; explicit cases pin the
+one :class:`~repro.db.compiler.GroupMaskTemplate` per partition, charges
+each subgroup from its closed-form op count, and stores the last key's
+bits without running a kernel — the primary's from the key lookup, a remote
+partition's from one NumPy conjunction of the valid bit with each
+attribute's equality (:func:`~repro.pim.fused.field_mismatches`,
+``eq_const``'s literals).  The property test pins both halves against the
+constant-specialised compilers the ``dispatch`` reference still uses — the
+closed-form cost equals the compiled program's op count, and the remote
+mask equals op-by-op execution of ``compile_group_predicate``, on both
+backends, over every, some and no crossbars; explicit cases pin the
 mismatch stage's edges and its refusal of a key its field cannot hold.  The
 service-level test pins the point of it all: a warm GROUP-BY replay
-compiles and lowers nothing and runs one kernel per partition, whatever the
-subgroup count and however small the program cache.
+compiles, lowers and runs nothing for its masks, whatever the subgroup
+count and however small the program cache.
 """
 
 import copy
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
-from repro.core import batched, program_cache
+from repro.core import program_cache
 from repro.core.batched import _run_partition_batch
 from repro.core.latency_model import (
     GroupByCostModel,
@@ -34,11 +35,13 @@ from repro.db.compiler import (
     GroupMaskTemplate,
     compile_group_combine,
     compile_group_mask,
+    compile_group_predicate,
 )
 from repro.db.query import Aggregate, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
+from repro.pim import ir
 from repro.pim.fused import BatchKernel, field_mismatches
 from repro.pim.logic import ProgramBuilder, ProgramCost
 from repro.pim.module import PimModule
@@ -66,13 +69,33 @@ def template_cases(draw):
     return widths, sorted(grouped), keys, draw(st.integers(0, 2**32 - 1))
 
 
+def _prune(bank, xbars):
+    """A candidate mask keeping ``xbars`` (``None``: every crossbar) and the
+    bank's ``xbars`` argument for it (``None``: the whole-bank call)."""
+    if xbars is None:
+        return np.ones(bank.count, dtype=bool), None
+    candidates = np.zeros(bank.count, dtype=bool)
+    candidates[list(xbars)] = True
+    return candidates, np.flatnonzero(candidates)
+
+
+def _executed(bank, program, candidates, index, records):
+    """``program`` run op by op on a copy of ``bank`` at ``index``: its
+    result column, one bool per record, zero off the ``candidates``."""
+    scratch = copy.deepcopy(bank)
+    program.execute(scratch, index)
+    bits = scratch.read_column(program.result_column)
+    bits[~candidates] = False
+    return bits.reshape(-1)[:records]
+
+
 @given(
     case=template_cases(),
     include_remote=st.booleans(),
-    subset=st.booleans(),
+    xbars=st.sampled_from((None, (0, 2), ())),
 )
 @settings(max_examples=30, deadline=None)
-def test_template_equals_specialised_programs(case, include_remote, subset):
+def test_template_equals_specialised_programs(case, include_remote, xbars):
     widths, grouped, keys, seed = case
     rng = np.random.default_rng(seed)
     schema = Schema(
@@ -87,8 +110,7 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
         for name, value in zip(grouped, key):
             columns[name][index::17] = value
     relation = Relation(schema, columns)
-    filter_bits = rng.random(RECORDS) < 0.7
-    remote_bits = rng.random((len(keys), RECORDS)) < 0.6
+    valid_bits = rng.random(RECORDS) < 0.8
     values = np.array(keys, dtype=np.int64).reshape(len(keys), len(grouped))
 
     for backend in ("packed", "bool"):
@@ -97,54 +119,34 @@ def test_template_equals_specialised_programs(case, include_remote, subset):
         )
         layout = stored.layouts[0]
         bank = stored.allocations[0].bank
-        stored.write_bit_column(0, layout.filter_column, filter_bits, count_wear=False)
-        remote_rows = np.zeros((len(keys), bank.count * bank.rows), dtype=bool)
-        remote_rows[:, :RECORDS] = remote_bits
-        remote_rows = remote_rows.reshape(len(keys), bank.count, bank.rows)
-        candidates, xbars = np.ones(bank.count, dtype=bool), None
-        if subset:
-            candidates = np.zeros(bank.count, dtype=bool)
-            candidates[[0, 2]] = True
-            xbars = np.flatnonzero(candidates)
+        stored.write_bit_column(0, layout.valid_column, valid_bits, count_wear=False)
+        candidates, index = _prune(bank, xbars)
 
         for filter_column, remote in (
             (layout.valid_column, False),
             (layout.filter_column, include_remote),
         ):
             template = GroupMaskTemplate(grouped, layout, filter_column, remote)
-            bound = None
-            if remote:
-                bound = bank.kernel_from_bool(
-                    remote_rows if xbars is None else remote_rows[:, xbars]
-                )
-            value, covered = _run_partition_batch(
-                stored, 0, template, values, bound, candidates
-            )
-            assert np.array_equal(covered, np.flatnonzero(candidates))
-            # A template without attributes or remote input passes the filter
-            # column through unstacked; production never builds one.
-            masks = np.broadcast_to(
-                bank.kernel_to_bool(value),
-                (len(keys), bank.count if xbars is None else len(xbars), bank.rows),
-            )
             cycles = template.cycles(values)
-
-            for index, key in enumerate(keys):
-                group_values = dict(zip(grouped, key))
-                program = compile_group_mask(group_values, layout, filter_column, remote)
+            for key_index, key in enumerate(keys):
+                program = compile_group_mask(
+                    dict(zip(grouped, key)), layout, filter_column, remote
+                )
                 # What the batched path charges for this key's program.
-                cost = ProgramCost(int(cycles[index]), template.result_column)
+                cost = ProgramCost(int(cycles[key_index]), layout.group_column)
                 assert cost == (program.cycles, program.result_column)
                 assert cost.writes_per_row == program.writes_per_row
 
-                scratch = copy.deepcopy(bank)
-                if remote:
-                    scratch.write_bool_column(layout.remote_column, remote_rows[index])
-                program.execute(scratch, xbars)
-                expected = scratch.read_column(layout.group_column)
-                if xbars is not None:
-                    expected = expected[xbars]
-                assert np.array_equal(masks[index], expected)
+        # The remote mask; production never asks for one without attributes.
+        if not grouped:
+            continue
+        template = GroupMaskTemplate(grouped, layout, layout.valid_column)
+        for key in keys:
+            bits = _run_partition_batch(stored, 0, template, key, candidates)
+            program = compile_group_predicate(dict(zip(grouped, key)), layout)
+            assert np.array_equal(
+                bits, _executed(bank, program, candidates, index, RECORDS)
+            )
 
 
 def _one_field_store(width: int, backend: str) -> StoredRelation:
@@ -160,16 +162,6 @@ def _one_field_store(width: int, backend: str) -> StoredRelation:
     )
 
 
-def _prune(bank, xbars):
-    """A candidate mask keeping ``xbars`` (``None``: every crossbar) and the
-    bank's ``xbars`` argument for it (``None``: the whole-bank call)."""
-    if xbars is None:
-        return np.ones(bank.count, dtype=bool), None
-    candidates = np.zeros(bank.count, dtype=bool)
-    candidates[list(xbars)] = True
-    return candidates, np.flatnonzero(candidates)
-
-
 @pytest.mark.parametrize("backend", ("packed", "bool"))
 @pytest.mark.parametrize("xbars", (None, (0, 2), ()), ids=("all", "subset", "none"))
 @pytest.mark.parametrize("width, values", (
@@ -179,38 +171,36 @@ def _prune(bank, xbars):
     (WIDEST, ((1 << WIDEST) - 1, 0, 1992, (1 << WIDEST) - 1, 1992, 0, 7)),
 ), ids=("w1", "w1-one-value", "widest-one-value", "widest-duplicates"))
 def test_equality_stage_edge_cases(backend, xbars, width, values):
-    """The mismatch stage against ``eq_const`` and the whole mask against
-    ``compile_group_mask``, both executed op by op: W = 1 and the widest
-    SSB GROUP-BY field, one distinct value, duplicate keys, the constants 0 and 2^W - 1, broadcast, a non-contiguous
-    crossbar subset and an empty one."""
+    """The mismatch stage against ``eq_const`` and the whole remote mask
+    against ``compile_group_mask``, both executed op by op, one constant at
+    a time: W = 1 and the widest SSB GROUP-BY field, a repeated constant,
+    the constants 0 and 2^W - 1, broadcast, a non-contiguous crossbar
+    subset and an empty one."""
     stored = _one_field_store(width, backend)
     layout = stored.layouts[0]
     bank = stored.allocations[0].bank
     field = layout.field_columns("a")
     candidates, index = _prune(bank, xbars)
-    shape = (len(values), bank.count if index is None else index.size, bank.rows)
-
-    mismatches = bank.kernel_to_bool(field_mismatches(bank, field, values, index))
     template = GroupMaskTemplate(["a"], layout, layout.valid_column)
-    value, covered = _run_partition_batch(
-        stored, 0, template, np.array(values).reshape(-1, 1), None, candidates
-    )
-    masks = bank.kernel_to_bool(value)
-    assert mismatches.shape == masks.shape == shape
-    assert np.array_equal(covered, np.flatnonzero(candidates))
 
-    for key, constant in enumerate(values):
+    for constant in values:
+        mismatches = bank.kernel_to_bool(field_mismatches(bank, field, constant, index))
+        assert mismatches.shape == (
+            bank.count if index is None else index.size, bank.rows
+        )
         builder = ProgramBuilder(layout.scratch_columns)
         builder.store(builder.eq_const(field, constant), layout.group_column)
         equality = builder.build(result_column=layout.group_column)
+        scratch = copy.deepcopy(bank)
+        equality.execute(scratch, index)
+        bits = scratch.read_column(layout.group_column)
+        assert np.array_equal(~mismatches, bits if index is None else bits[index])
+
         mask = compile_group_mask({"a": constant}, layout, layout.valid_column, False)
-        for program, expected in ((equality, ~mismatches[key]), (mask, masks[key])):
-            scratch = copy.deepcopy(bank)
-            program.execute(scratch, index)
-            bits = scratch.read_column(layout.group_column)
-            if index is not None:
-                bits = bits[index]
-            assert np.array_equal(expected, bits)
+        assert np.array_equal(
+            _run_partition_batch(stored, 0, template, [constant], candidates),
+            _executed(bank, mask, candidates, index, RECORDS),
+        )
 
 
 @pytest.mark.parametrize("backend", ("packed", "bool"))
@@ -226,11 +216,9 @@ def test_equality_stage_rejects_a_key_its_field_cannot_hold(backend, xbars, bad)
     candidates, index = _prune(bank, xbars)
     template = GroupMaskTemplate(["a"], layout, layout.valid_column)
     with pytest.raises(ValueError, match="does not fit"):
-        _run_partition_batch(
-            stored, 0, template, np.array([[3], [bad]]), None, candidates
-        )
+        _run_partition_batch(stored, 0, template, [bad], candidates)
     with pytest.raises(ValueError, match="does not fit"):
-        field_mismatches(bank, layout.field_columns("a"), [bad], index)
+        field_mismatches(bank, layout.field_columns("a"), bad, index)
 
 
 def test_eq_const_cycles_is_the_builder_count():
@@ -324,54 +312,55 @@ def test_warm_group_by_replay_compiles_and_lowers_nothing(monkeypatch):
     reference, reference_stored = _grouped_service("dispatch", capacity=512)
     cache = service.cache
     assert isinstance(cache, ProgramCache) and cache.capacity == 8
-    # One partition holds every GROUP-BY column: one template, one kernel.
+    # One partition holds every GROUP-BY column: one template.
     assert len(stored.layouts) == 1
 
-    lowered = []
-    lower = batched.lower_program
-
-    def lowering(program, *args, **kwargs):
-        lowered.append(program)
-        return lower(program, *args, **kwargs)
-
-    monkeypatch.setattr(batched, "lower_program", lowering)
-    cold = service.execute(query)
-    monkeypatch.undo()
-    assert cold.pim_subgroups >= 50
-    assert cold.pim_subgroups == cold.total_subgroups
-    # The cold template build lowers one program: the conjunction.
-    (template,) = (
-        entry for entry in cache._entries.values()
-        if isinstance(entry, GroupMaskTemplate)
-    )
-    assert lowered == [template.program]
-
     calls = {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
+    lowered = []
 
     def counting(name, function):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "lower":
+                lowered.append(args[0])
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(
-        program_cache, "compile_group_combine",
-        counting("combine", program_cache.compile_group_combine),
-    )
-    monkeypatch.setattr(
-        program_cache, "compile_group_predicate",
-        counting("predicate", program_cache.compile_group_predicate),
-    )
-    monkeypatch.setattr(
-        batched, "lower_program", counting("lower", batched.lower_program)
-    )
-    monkeypatch.setattr(BatchKernel, "run", counting("run", BatchKernel.run))
-    before = cache.snapshot()
-    warm = service.execute(query)
-    after = cache.snapshot()
-    monkeypatch.undo()
+    def count_everything(patch):
+        patch.setattr(
+            program_cache, "compile_group_combine",
+            counting("combine", program_cache.compile_group_combine),
+        )
+        patch.setattr(
+            program_cache, "compile_group_predicate",
+            counting("predicate", program_cache.compile_group_predicate),
+        )
+        patch.setattr(ir, "lower_program", counting("lower", ir.lower_program))
+        patch.setattr(BatchKernel, "run", counting("run", BatchKernel.run))
 
-    assert calls == {"combine": 0, "predicate": 0, "lower": 0, "run": 1}
+    # The cold pass builds the template and lowers only the filter program
+    # (the valid bits into the filter column): the masks are stored
+    # without a kernel.
+    with monkeypatch.context() as patch:
+        count_everything(patch)
+        cold = service.execute(query)
+    assert cold.pim_subgroups >= 50
+    assert cold.pim_subgroups == cold.total_subgroups
+    entries = list(cache._entries.values())
+    assert sum(isinstance(entry, GroupMaskTemplate) for entry in entries) == 1
+    (program,) = lowered
+    assert any(program is entry for entry in entries)
+    assert program.result_column == stored.layouts[0].filter_column
+    assert calls == {"combine": 0, "predicate": 0, "lower": 1, "run": 0}
+    calls["lower"] = 0
+
+    before = cache.snapshot()
+    with monkeypatch.context() as patch:
+        count_everything(patch)
+        warm = service.execute(query)
+    after = cache.snapshot()
+
+    assert calls == {"combine": 0, "predicate": 0, "lower": 0, "run": 0}
     assert after.evictions == before.evictions
     assert after.misses == before.misses
     assert len(cache) <= 8
